@@ -120,8 +120,9 @@ impl Model for HistogramModel {
     }
 }
 
-/// A `MetricsRegistry` counter incremented from two threads. The real
-/// code uses `fetch_add` — one atomic read-modify-write step. The seeded
+/// A source-owned telemetry counter (the kind every layer keeps and the
+/// control plane samples) incremented from two threads. The real code
+/// uses `fetch_add` — one atomic read-modify-write step. The seeded
 /// bug splits it into a `load` step and a `store` step, the classic lost
 /// update.
 pub struct RegistryCounterModel {

@@ -2,8 +2,8 @@
 //! side of cross-thread handshakes. The heuristic: a function that
 //! relaxed-loads one declared atomic field *and* reads two or more
 //! distinct atomic fields is assembling a multi-field snapshot — exactly
-//! the telemetry `MetricsRegistry::snapshot` shape — and relaxed loads
-//! give it no cross-field consistency. Single-field relaxed counters are
+//! the shape of a telemetry sampler reading a layer's counters — and
+//! relaxed loads give it no cross-field consistency. Single-field relaxed counters are
 //! fine and stay silent.
 //!
 //! Loads laundered through local bindings (`let c = &self.count;` then

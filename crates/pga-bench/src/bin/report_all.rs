@@ -10,15 +10,20 @@
 use pga_bench::{
     compaction_ablation, elastic_scaling_experiment, eval_throughput_experiment, fdr_experiment,
     fig2_report, pipeline_throughput_experiment, render_table, training_scaling_experiment,
-    AVAILABILITY_BAR,
+    write_report,
 };
 use pga_ingest::{proxy_ablation, salting_ablation};
 
 fn save(name: &str, value: &impl serde::Serialize) {
-    std::fs::create_dir_all("target/experiments").ok();
-    let path = format!("target/experiments/{name}.json");
-    std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()).unwrap();
-    println!("  [saved {path}]\n");
+    println!("  [saved {}]\n", write_report(name, value));
+}
+
+fn verdict(passed: bool) -> &'static str {
+    if passed {
+        "HELD"
+    } else {
+        "FAILED"
+    }
 }
 
 fn main() {
@@ -500,104 +505,21 @@ fn main() {
         pga_bench::QueryBenchConfig::full()
     };
     let queries = pga_bench::query_serving_experiment(&qcfg);
-    let qarm = |a: &pga_bench::QueryArm| {
-        vec![
-            a.label.clone(),
-            format!("{:.2}", a.p50_ms),
-            format!("{:.2}", a.p99_ms),
-            format!("{:.0}", a.sustained_qps),
-            a.rollup_plans.to_string(),
-            a.cache_hits.to_string(),
-            a.partials.to_string(),
-        ]
-    };
-    let rows = vec![
-        [
-            "arm",
-            "p50 (ms)",
-            "p99 (ms)",
-            "QPS",
-            "rollup plans",
-            "cache hits",
-            "partials",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        qarm(&queries.raw),
-        qarm(&queries.rollup),
-        qarm(&queries.cached),
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "concurrent ingest: {} samples at {:.0} samples/s; speedups vs raw: rollup {:.1}x QPS, rollup+cache {:.1}x QPS / {:.1}x p99",
-        queries.ingest_samples,
-        queries.ingest_throughput,
-        queries.qps_speedup_rollup,
-        queries.qps_speedup_cached,
-        queries.p99_speedup_cached
-    );
-    println!(
-        "oracles: {} answer mismatches, {} stale anomaly flags — verdict {}",
-        queries.answer_mismatches,
-        queries.stale_anomaly_flags,
-        if queries.passed() { "held" } else { "FAILED" }
-    );
+    println!("{}", queries.render());
+    println!("verdict {}", verdict(queries.passed()));
     println!("paper §V: dashboards need interactive latency over months of retained data; write-time rollups plus an invalidated result cache serve repeated panel refreshes without rescanning raw cells.");
     save("BENCH_queries", &queries);
 
     // ---------------------------------------------------------------- E20
     println!("== E20: failover availability under replication (pga-repl) ==");
     let failover = pga_bench::failover_experiment(if quick { 16 } else { 128 });
-    let mut rows = vec![vec![
-        "RF".to_string(),
-        "seeds".to_string(),
-        "acked loss".to_string(),
-        "failovers".to_string(),
-        "replica checks".to_string(),
-        "fence rejections".to_string(),
-    ]];
-    for c in &failover.campaigns {
-        rows.push(vec![
-            c.factor.to_string(),
-            c.seeds_run.to_string(),
-            if c.passed {
-                "0".to_string()
-            } else {
-                format!("{} FAILING SEEDS", c.failures.len())
-            },
-            c.failovers.to_string(),
-            c.replica_checks.to_string(),
-            c.fence_rejections.to_string(),
-        ]);
-    }
-    println!("{}", render_table(&rows));
+    println!("{}", failover.render());
     for c in &failover.campaigns {
         for replay in &c.failures {
             println!("  {replay}");
         }
     }
-    let mut rows = vec![vec![
-        "RF".to_string(),
-        "unavailability (sim ms)".to_string(),
-        "scan p50 (ms)".to_string(),
-        "scan p99 (ms)".to_string(),
-        "hedged scans".to_string(),
-    ]];
-    for r in &failover.availability {
-        rows.push(vec![
-            r.factor.to_string(),
-            r.unavailability_ms.to_string(),
-            r.scan_p50_ms.to_string(),
-            r.scan_p99_ms.to_string(),
-            r.hedged_scans.to_string(),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!(
-        "replicated scans recover {:.0}x faster than single-copy lease recovery (bar: {AVAILABILITY_BAR}x)\n",
-        failover.availability_speedup
-    );
+    println!("verdict {}\n", verdict(failover.passed()));
     save("BENCH_failover", &failover);
 
     // ---------------------------------------------------------------- E21
@@ -608,42 +530,8 @@ fn main() {
         pga_bench::BlockBenchConfig::full()
     };
     let blocks = pga_bench::block_format_experiment(&bcfg);
-    let rows = vec![
-        vec![
-            "arm".to_string(),
-            "pass (ms)".to_string(),
-            "throughput".to_string(),
-        ],
-        vec![
-            blocks.scan_legacy.label.clone(),
-            format!("{:.2}", blocks.scan_legacy.pass_ms),
-            format!("{:.1} MB/s", blocks.scan_legacy.bytes_per_sec / 1e6),
-        ],
-        vec![
-            blocks.scan_blocks.label.clone(),
-            format!("{:.2}", blocks.scan_blocks.pass_ms),
-            format!("{:.1} MB/s", blocks.scan_blocks.bytes_per_sec / 1e6),
-        ],
-        vec![
-            blocks.detect_rowmajor.label.clone(),
-            format!("{:.2}", blocks.detect_rowmajor.pass_ms),
-            format!("{:.0} samples/s", blocks.detect_rowmajor.samples_per_sec),
-        ],
-        vec![
-            blocks.detect_columnar.label.clone(),
-            format!("{:.2}", blocks.detect_columnar.pass_ms),
-            format!("{:.0} samples/s", blocks.detect_columnar.samples_per_sec),
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "speedups: scan {:.1}x bytes/s, detect {:.1}x samples/s; {} scan / {} verdict mismatches (verdict {})\n",
-        blocks.scan_speedup,
-        blocks.detect_speedup,
-        blocks.scan_mismatches,
-        blocks.eval_mismatches,
-        if blocks.passed() { "HELD" } else { "FAILED" },
-    );
+    println!("{}", blocks.render());
+    println!("verdict {}\n", verdict(blocks.passed()));
     save("BENCH_blocks", &blocks);
 
     // ---------------------------------------------------------------- E22
@@ -654,40 +542,21 @@ fn main() {
         pga_bench::ScrubBenchConfig::full()
     };
     let scrub = pga_bench::scrub_resilience_experiment(&scfg);
-    let arm_row = |a: &pga_bench::ScrubArm| {
-        vec![
-            a.label.clone(),
-            a.queries.to_string(),
-            a.exact.to_string(),
-            a.typed_errors.to_string(),
-            a.wrong_answers.to_string(),
-        ]
-    };
-    let rows = vec![
-        vec![
-            "arm".to_string(),
-            "queries".to_string(),
-            "exact".to_string(),
-            "typed errors".to_string(),
-            "wrong answers".to_string(),
-        ],
-        arm_row(&scrub.before),
-        arm_row(&scrub.after),
-        arm_row(&scrub.post_scrub),
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "{} blocks corrupted, {} reads salvaged, {} repairs ({} rejected) in {} scrub ticks, \
-         {} still quarantined (verdict {})\n",
-        scrub.corrupted_blocks,
-        scrub.salvaged_reads,
-        scrub.scrub_repairs,
-        scrub.scrub_rejected,
-        scrub.scrub_ticks,
-        scrub.quarantined_after,
-        if scrub.passed() { "HELD" } else { "FAILED" },
-    );
+    println!("{}", scrub.render());
+    println!("verdict {}\n", verdict(scrub.passed()));
     save("BENCH_scrub", &scrub);
+
+    // ---------------------------------------------------------------- E23
+    println!("== E23: incremental retraining + work-stealing scheduler scaling ==");
+    let tcfg = if quick {
+        pga_bench::TrainBenchConfig::quick()
+    } else {
+        pga_bench::TrainBenchConfig::full()
+    };
+    let train = pga_bench::train_retrain_experiment(&tcfg);
+    println!("{}", train.render());
+    println!("verdict {}\n", verdict(train.passed()));
+    save("BENCH_train", &train);
 
     // ------------------------------------------------- real pipeline sanity
     println!("== real thread-scale pipeline (storage stack on this host) ==");

@@ -25,6 +25,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::table::{render_table, row};
+
 use pga_cluster::coordinator::Coordinator;
 use pga_detect::{train_unit, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
 use pga_linalg::Matrix;
@@ -160,6 +162,40 @@ impl BlockBenchReport {
             && self.eval_mismatches == 0
             && self.scan_speedup >= 10.0
             && self.detect_speedup >= 10.0
+    }
+
+    /// The E21 table and measured summary (no verdict line).
+    pub fn render(&self) -> String {
+        let scan = |a: &ScanArm| {
+            vec![
+                a.label.clone(),
+                format!("{:.2}", a.pass_ms),
+                format!("{:.1} MB/s", a.bytes_per_sec / 1e6),
+            ]
+        };
+        let detect = |a: &DetectArm| {
+            vec![
+                a.label.clone(),
+                format!("{:.2}", a.pass_ms),
+                format!("{:.0} samples/s", a.samples_per_sec),
+            ]
+        };
+        let rows = [
+            row(["arm", "pass (ms)", "throughput"]),
+            scan(&self.scan_legacy),
+            scan(&self.scan_blocks),
+            detect(&self.detect_rowmajor),
+            detect(&self.detect_columnar),
+        ];
+        format!(
+            "{}\nspeedups: scan {:.1}x bytes/s, detect {:.1}x samples/s (bar: 10x)\n\
+             oracles: {} scan mismatches, {} verdict mismatches",
+            render_table(&rows),
+            self.scan_speedup,
+            self.detect_speedup,
+            self.scan_mismatches,
+            self.eval_mismatches
+        )
     }
 }
 

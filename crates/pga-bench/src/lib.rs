@@ -40,3 +40,13 @@ pub use table::render_table;
 pub use train::{
     train_retrain_experiment, RetrainRound, TrainBenchConfig, TrainBenchReport, WorkerScalingRow,
 };
+
+/// Write `value` as pretty JSON to `target/experiments/<name>.json` —
+/// where every experiment artifact lands — and return that path.
+pub fn write_report(name: &str, value: &impl serde::Serialize) -> String {
+    std::fs::create_dir_all("target/experiments").expect("create experiments dir");
+    let path = format!("target/experiments/{name}.json");
+    let json = serde_json::to_string_pretty(value).expect("report serialises");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    path
+}

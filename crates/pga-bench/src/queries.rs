@@ -27,6 +27,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::table::{render_table, row};
+
 use pga_ingest::IngestionPipeline;
 use pga_minibase::Client;
 use pga_query::{CacheConfig, ExecConfig, QueryEngine, QueryEngineConfig, RollupWriter};
@@ -146,6 +148,48 @@ impl QueryServingReport {
             && self.stale_anomaly_flags == 0
             && self.raw.partials + self.rollup.partials + self.cached.partials == 0
             && (self.qps_speedup_cached >= 10.0 || self.p99_speedup_cached >= 10.0)
+    }
+
+    /// The E19 table and measured summary (no verdict line).
+    pub fn render(&self) -> String {
+        let arm = |a: &QueryArm| {
+            vec![
+                a.label.clone(),
+                format!("{:.2}", a.p50_ms),
+                format!("{:.2}", a.p99_ms),
+                format!("{:.0}", a.sustained_qps),
+                a.rollup_plans.to_string(),
+                a.cache_hits.to_string(),
+                a.partials.to_string(),
+            ]
+        };
+        let rows = [
+            row([
+                "arm",
+                "p50 (ms)",
+                "p99 (ms)",
+                "QPS",
+                "rollup plans",
+                "cache hits",
+                "partials",
+            ]),
+            arm(&self.raw),
+            arm(&self.rollup),
+            arm(&self.cached),
+        ];
+        format!(
+            "{}\nconcurrent ingest: {} samples at {:.0} samples/s\n\
+             speedups vs raw: rollup {:.1}x QPS, rollup+cache {:.1}x QPS / {:.1}x p99\n\
+             oracles: {} answer mismatches, {} stale anomaly flags",
+            render_table(&rows),
+            self.ingest_samples,
+            self.ingest_throughput,
+            self.qps_speedup_rollup,
+            self.qps_speedup_cached,
+            self.p99_speedup_cached,
+            self.answer_mismatches,
+            self.stale_anomaly_flags
+        )
     }
 }
 

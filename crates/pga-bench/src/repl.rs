@@ -26,6 +26,8 @@ use pga_minibase::{
 };
 use serde::Serialize;
 
+use crate::table::{render_table, row};
+
 /// Coordinator lease in the availability probe (simulated ms). Matches
 /// the fault simulator's default: single-copy recovery cannot begin
 /// before this much silence.
@@ -101,6 +103,55 @@ impl FailoverReport {
     /// held.
     pub fn passed(&self) -> bool {
         self.campaigns.iter().all(|c| c.passed) && self.availability_speedup >= AVAILABILITY_BAR
+    }
+
+    /// The two E20 tables and the measured speedup (no verdict line).
+    pub fn render(&self) -> String {
+        let mut campaigns = vec![row([
+            "RF",
+            "seeds",
+            "acked loss",
+            "failovers",
+            "replica checks",
+            "fence rejections",
+        ])];
+        for c in &self.campaigns {
+            campaigns.push(vec![
+                c.factor.to_string(),
+                c.seeds_run.to_string(),
+                if c.passed {
+                    "0".to_string()
+                } else {
+                    format!("{} FAILING SEEDS", c.failures.len())
+                },
+                c.failovers.to_string(),
+                c.replica_checks.to_string(),
+                c.fence_rejections.to_string(),
+            ]);
+        }
+        let mut availability = vec![row([
+            "RF",
+            "unavailability (sim ms)",
+            "scan p50 (ms)",
+            "scan p99 (ms)",
+            "hedged scans",
+        ])];
+        for r in &self.availability {
+            availability.push(vec![
+                r.factor.to_string(),
+                r.unavailability_ms.to_string(),
+                r.scan_p50_ms.to_string(),
+                r.scan_p99_ms.to_string(),
+                r.hedged_scans.to_string(),
+            ]);
+        }
+        format!(
+            "{}\n{}\nreplicated scans recover {:.0}x faster than single-copy lease recovery \
+             (bar: {AVAILABILITY_BAR}x)",
+            render_table(&campaigns),
+            render_table(&availability),
+            self.availability_speedup
+        )
     }
 }
 

@@ -26,6 +26,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::table::{render_table, row};
+
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{no_faults, Client, Master, RegionConfig, ServerConfig, TableDescriptor};
 use pga_sensorgen::{Fleet, FleetConfig};
@@ -155,6 +157,37 @@ impl ScrubBenchReport {
             && self.post_scrub.exact == self.post_scrub.queries
             && self.scrub_repairs > 0
             && self.quarantined_after == 0
+    }
+
+    /// The E22 table and measured summary (no verdict line).
+    pub fn render(&self) -> String {
+        let arm = |a: &ScrubArm| {
+            vec![
+                a.label.clone(),
+                a.queries.to_string(),
+                a.exact.to_string(),
+                a.typed_errors.to_string(),
+                a.wrong_answers.to_string(),
+            ]
+        };
+        let rows = [
+            row(["arm", "queries", "exact", "typed errors", "wrong answers"]),
+            arm(&self.before),
+            arm(&self.after),
+            arm(&self.post_scrub),
+        ];
+        format!(
+            "{}\nscrub: {} blocks corrupted, {} reads salvaged, {} repairs ({} rejected) in {} \
+             ticks ({:.1} ms), {} still quarantined",
+            render_table(&rows),
+            self.corrupted_blocks,
+            self.salvaged_reads,
+            self.scrub_repairs,
+            self.scrub_rejected,
+            self.scrub_ticks,
+            self.scrub_ms,
+            self.quarantined_after
+        )
     }
 }
 

@@ -35,6 +35,11 @@ pub fn render_table(rows: &[Vec<String>]) -> String {
     out
 }
 
+/// An all-literal row (typically the header) for [`render_table`].
+pub(crate) fn row<const N: usize>(cells: [&str; N]) -> Vec<String> {
+    cells.iter().map(|s| s.to_string()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,6 +34,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::table::{render_table, row};
+
 use pga_dataflow::Dataflow;
 use pga_detect::{model_divergence, FleetTrainer};
 use pga_sensorgen::{Fleet, FleetConfig};
@@ -163,6 +165,55 @@ impl TrainBenchReport {
             && self.max_divergence <= 1e-9
             && self.incremental_speedup >= 5.0
             && (self.cores < 4 || self.parallel_speedup >= 3.0)
+    }
+
+    /// The two E23 tables and the measured summary (no verdict line).
+    pub fn render(&self) -> String {
+        let mut rounds = vec![row([
+            "round",
+            "dirty units",
+            "full ms",
+            "incremental ms",
+            "divergence",
+        ])];
+        for r in &self.rounds {
+            rounds.push(vec![
+                r.round.to_string(),
+                r.dirty.len().to_string(),
+                format!("{:.2}", r.full_ms),
+                format!("{:.2}", r.incremental_ms),
+                format!("{:.2e}", r.max_divergence),
+            ]);
+        }
+        let mut scaling = vec![row([
+            "workers",
+            "elapsed ms",
+            "speedup",
+            "tasks",
+            "steals",
+            "max depth",
+        ])];
+        for r in &self.scaling {
+            scaling.push(vec![
+                r.workers.to_string(),
+                format!("{:.2}", r.elapsed_ms),
+                format!("{:.2}x", r.speedup),
+                r.tasks.to_string(),
+                r.steals.to_string(),
+                r.max_queue_depth.to_string(),
+            ]);
+        }
+        format!(
+            "{}\n{}\ntrain: incremental {:.1}x faster than full rebuild, parallel {:.1}x over \
+             sequential ({} cores), {} mismatches, worst divergence {:.2e}",
+            render_table(&rounds),
+            render_table(&scaling),
+            self.incremental_speedup,
+            self.parallel_speedup,
+            self.cores,
+            self.mismatches,
+            self.max_divergence
+        )
     }
 }
 

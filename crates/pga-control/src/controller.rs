@@ -19,7 +19,57 @@ use pga_minibase::{Master, RegionId, Request, Response, ServerConfig};
 use crate::policy::{
     ClusterObservation, HotRegionDetector, RegionLoad, ScalingDecision, ScalingPolicy,
 };
-use crate::telemetry::{publish, FleetSnapshot, NodeStats};
+use crate::telemetry::{publish, FleetSnapshot, Metric, NodeStats};
+
+/// Sample one storage node's stats: queue, shed and write counters from
+/// its RPC surface, replication placement from the master. `None` when
+/// the master has never hosted `node`.
+pub fn collect_node_stats(master: &Master, node: NodeId, tick: u64) -> Option<NodeStats> {
+    let server = master.server(node)?;
+    let handle = server.handle();
+    let mut stats = NodeStats::new(node.0, tick);
+    stats.crashed = handle.state() == ServerState::Crashed;
+    // Region-level counters; a crashed server can't answer RPC, so
+    // fall back to the assignment-surface totals.
+    let (flushes, compactions) = if stats.crashed {
+        (0, 0)
+    } else {
+        match handle.call(Request::Metrics) {
+            Ok(Response::Metrics(per_region)) => per_region
+                .iter()
+                .fold((0, 0), |(f, c), (_, m)| (f + m.flushes, c + m.compactions)),
+            _ => (0, 0),
+        }
+    };
+    // Replication plane: worst follower lag and region count for the
+    // regions this node leads, plus the promotions that made it a
+    // primary — all from the master's authoritative view, so they
+    // stay correct even while the node itself is unreachable.
+    let (repl_lag_batches, repl_regions) = master
+        .replication_report()
+        .iter()
+        .filter(|s| s.primary == node)
+        .fold((0u64, 0u64), |(lag, n), s| (lag.max(s.max_lag()), n + 1));
+    let repl_failovers = master
+        .failover_events()
+        .iter()
+        .filter(|e| e.to == node)
+        .count() as u64;
+    stats
+        .set(Metric::QueueDepth, handle.queue_depth() as u64)
+        .set(Metric::QueueCapacity, handle.queue_capacity() as u64)
+        .set(Metric::SamplesWritten, server.total_cells_written())
+        .set(Metric::Flushes, flushes)
+        .set(Metric::Compactions, compactions)
+        .set(Metric::Overloads, handle.overloads())
+        .set(Metric::ShedWrites, handle.shed_writes())
+        .set(Metric::ShedReads, handle.shed_reads())
+        .set(Metric::DeadlineExpired, handle.deadline_expired())
+        .set(Metric::ReplLagBatches, repl_lag_batches)
+        .set(Metric::ReplRegions, repl_regions)
+        .set(Metric::ReplFailovers, repl_failovers);
+    Some(stats)
+}
 
 /// What one control tick did.
 #[derive(Debug, Clone)]
@@ -76,89 +126,6 @@ impl<P: ScalingPolicy> ElasticController<P> {
     /// The wrapped policy.
     pub fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// Collect one node's stats straight from its RPC surface.
-    fn collect(master: &Master, node: NodeId, tick: u64) -> Option<NodeStats> {
-        let server = master.server(node)?;
-        let handle = server.handle();
-        let crashed = handle.state() == ServerState::Crashed;
-        // Region-level counters; a crashed server can't answer RPC, so
-        // fall back to the assignment-surface totals.
-        let (flushes, compactions) = if crashed {
-            (0, 0)
-        } else {
-            match handle.call(Request::Metrics) {
-                Ok(Response::Metrics(per_region)) => per_region
-                    .iter()
-                    .fold((0, 0), |(f, c), (_, m)| (f + m.flushes, c + m.compactions)),
-                _ => (0, 0),
-            }
-        };
-        // Replication plane: worst follower lag and region count for the
-        // regions this node leads, plus the promotions that made it a
-        // primary — all from the master's authoritative view, so they
-        // stay correct even while the node itself is unreachable.
-        let (repl_lag_batches, repl_regions) = master
-            .replication_report()
-            .iter()
-            .filter(|s| s.primary == node)
-            .fold((0u64, 0u64), |(lag, n), s| (lag.max(s.max_lag()), n + 1));
-        let repl_failovers = master
-            .failover_events()
-            .iter()
-            .filter(|e| e.to == node)
-            .count() as u64;
-        Some(NodeStats {
-            node: node.0,
-            tick,
-            queue_depth: handle.queue_depth() as u64,
-            queue_capacity: handle.queue_capacity() as u64,
-            samples_written: server.total_cells_written(),
-            memstore_bytes: 0,
-            flushes,
-            compactions,
-            overloads: handle.overloads(),
-            crashed,
-            mean_batch: 0.0,
-            is_proxy: false,
-            shed_writes: handle.shed_writes(),
-            shed_reads: handle.shed_reads(),
-            deadline_expired: handle.deadline_expired(),
-            breaker_trips: 0,
-            ingest_buffer_depth: 0,
-            ingest_buffer_capacity: 0,
-            // Region servers run no serving-layer engine; TSD-side
-            // registries publish the query counters.
-            query_cache_hits: 0,
-            query_cache_misses: 0,
-            query_fanout: 0,
-            query_partials: 0,
-            repl_lag_batches,
-            repl_regions,
-            repl_failovers,
-            // Fencing and follower reads are observed client-side; the
-            // TSD registries mirror them via `record_replication`.
-            repl_fence_rejections: 0,
-            repl_follower_reads: 0,
-            repl_hedged_scans: 0,
-            // Scrub runs in the TSD layer; its registries mirror the
-            // counters via `record_scrub`.
-            scrub_cells: 0,
-            scrub_corrupt_blocks: 0,
-            scrub_quarantined: 0,
-            scrub_repairs: 0,
-            scrub_rejected: 0,
-            scrub_salvaged_reads: 0,
-            // The batch scheduler lives in the platform monitor; its
-            // registry mirrors the counters via `record_sched`.
-            sched_tasks: 0,
-            sched_steals: 0,
-            sched_steal_attempts: 0,
-            sched_max_queue_depth: 0,
-            sched_task_ns: 0,
-            sched_dirty_units: 0,
-        })
     }
 
     /// Report ingest-proxy stats for the next tick. The proxy is not a
@@ -223,7 +190,7 @@ impl<P: ScalingPolicy> ElasticController<P> {
         // 1. Telemetry: publish every live node's stats under /stats.
         for node in master.live_nodes() {
             if let (Some(stats), Some(session)) =
-                (Self::collect(master, node, tick), master.session(node))
+                (collect_node_stats(master, node, tick), master.session(node))
             {
                 let _ = publish(master.coordinator(), session, &stats);
             }
@@ -238,7 +205,7 @@ impl<P: ScalingPolicy> ElasticController<P> {
         //    Backlog pressure is the ingest side backing up: proxy buffer
         //    occupancy is the leading indicator that offered load exceeds
         //    what admission control is letting through.
-        let total_written = snapshot.total_samples_written();
+        let total_written = snapshot.fold(Metric::SamplesWritten);
         let wrote_something = total_written > self.prev_total_written;
         self.prev_total_written = total_written;
         let observation = ClusterObservation {
@@ -364,48 +331,13 @@ mod tests {
     fn reported_ingest_stats_drive_backlog_pressure() {
         let mut master = boot(2, &[b"m"]);
         let mut ctl = ElasticController::new(Scripted(Vec::new()), ServerConfig::default());
-        let mut proxy = NodeStats {
-            node: 1000,
-            tick: 0,
-            queue_depth: 0,
-            queue_capacity: 0,
-            samples_written: 0,
-            memstore_bytes: 0,
-            flushes: 0,
-            compactions: 0,
-            overloads: 0,
-            crashed: false,
-            mean_batch: 0.0,
-            is_proxy: true,
-            shed_writes: 7,
-            shed_reads: 0,
-            deadline_expired: 0,
-            breaker_trips: 1,
-            ingest_buffer_depth: 80,
-            ingest_buffer_capacity: 100,
-            query_cache_hits: 0,
-            query_cache_misses: 0,
-            query_fanout: 0,
-            query_partials: 0,
-            repl_lag_batches: 0,
-            repl_regions: 0,
-            repl_failovers: 0,
-            repl_fence_rejections: 0,
-            repl_follower_reads: 0,
-            repl_hedged_scans: 0,
-            scrub_cells: 0,
-            scrub_corrupt_blocks: 0,
-            scrub_quarantined: 0,
-            scrub_repairs: 0,
-            scrub_rejected: 0,
-            scrub_salvaged_reads: 0,
-            sched_tasks: 0,
-            sched_steals: 0,
-            sched_steal_attempts: 0,
-            sched_max_queue_depth: 0,
-            sched_task_ns: 0,
-            sched_dirty_units: 0,
-        };
+        let mut proxy = NodeStats::new(1000, 0);
+        proxy.is_proxy = true;
+        proxy
+            .set(Metric::ShedWrites, 7)
+            .set(Metric::BreakerTrips, 1)
+            .set(Metric::IngestBufferDepth, 80)
+            .set(Metric::IngestBufferCapacity, 100);
         ctl.report_ingest(proxy.clone());
         let r = ctl.step(&mut master, 1000);
         assert!((r.observation.backlog_pressure - 0.8).abs() < 1e-9);
@@ -413,7 +345,7 @@ mod tests {
         assert!(r.snapshot.nodes.iter().any(|n| n.is_proxy));
         assert_eq!(r.observation.active_nodes, 2);
         // Re-reporting the same proxy replaces, not duplicates.
-        proxy.ingest_buffer_depth = 10;
+        proxy.set(Metric::IngestBufferDepth, 10);
         ctl.report_ingest(proxy);
         let r = ctl.step(&mut master, 2000);
         assert!((r.observation.backlog_pressure - 0.1).abs() < 1e-9);

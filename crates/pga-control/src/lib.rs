@@ -10,9 +10,13 @@
 //!
 //! Three layers:
 //!
-//! * [`telemetry`] — a lock-free metrics registry embedded in each node,
-//!   published as ephemeral znodes under `/stats` in the coordinator and
-//!   scraped into a [`telemetry::FleetSnapshot`];
+//! * [`telemetry`] — one metric table ([`METRICS`]) from which the
+//!   per-node [`NodeStats`] record, its `/stats` JSON, the fleet folds
+//!   ([`telemetry::FleetSnapshot::fold`]), the `/cluster` tiles and the
+//!   `/metrics` exposition are all derived. The layers that own the
+//!   counters keep their own atomics; [`collect_node_stats`] (storage
+//!   nodes) and the platform monitor's front-end sample read them, and
+//!   samples are published as ephemeral znodes under `/stats`;
 //! * [`policy`] — the pluggable [`policy::ScalingPolicy`] trait with a
 //!   hysteresis default (EMA smoothing, high/low water marks, K
 //!   consecutive ticks, cooldown) plus a hot-region detector proposing
@@ -29,10 +33,10 @@ pub mod elastic;
 pub mod policy;
 pub mod telemetry;
 
-pub use controller::{ControlReport, ElasticController};
+pub use controller::{collect_node_stats, ControlReport, ElasticController};
 pub use elastic::{run_elastic, ElasticRunReport, ElasticSimConfig, ScaleEvent};
 pub use policy::{
     ClusterObservation, HysteresisConfig, HysteresisPolicy, ScalingDecision, ScalingPolicy,
     StaticPolicy,
 };
-pub use telemetry::{FleetSnapshot, MetricsRegistry, NodeStats};
+pub use telemetry::{FleetSnapshot, Metric, MetricDef, NodeStats, METRICS};

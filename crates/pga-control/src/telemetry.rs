@@ -1,17 +1,21 @@
-//! Per-node telemetry: a lock-free metrics registry, its serialized
-//! snapshot form, and fleet-wide scraping through the coordinator.
+//! Per-node telemetry: one metric table, the `/stats/<node>` record built
+//! from it, and fleet-wide scraping and folding through the coordinator.
 //!
-//! Each node embeds a [`MetricsRegistry`] (atomic counters, gauges and a
-//! power-of-two histogram — nothing on the hot path takes a lock) and
-//! periodically publishes a [`NodeStats`] snapshot to the coordinator as
-//! an **ephemeral** znode under `/stats/<node>`, bound to the node's
-//! session. A node that dies takes its stat znode with it, so the control
-//! plane's [`FleetSnapshot::scrape`] view never contains ghosts, and the
-//! coordinator's watch API streams churn under `/stats` without polling.
+//! Every metric is declared once, as a row of the `metrics!` table
+//! below; [`NodeStats`] serde, [`FleetSnapshot::fold`], the `/cluster`
+//! tiles and the `/metrics` exposition are all loops over [`METRICS`].
+//! The layers that own the counters keep their own atomics; the control
+//! plane *samples* them into a [`NodeStats`] and publishes it to the
+//! coordinator as an **ephemeral** znode under `/stats/<node>`, bound to
+//! the node's session. A node that dies takes its stat znode with it, so
+//! the control plane's [`FleetSnapshot::scrape`] view never contains
+//! ghosts, and the coordinator's watch API streams churn under `/stats`
+//! without polling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
+use serde_json::{Error, Map, Value};
 
 use pga_cluster::coordinator::{Coordinator, CoordinatorError, SessionId};
 
@@ -99,418 +103,234 @@ impl Histogram {
     }
 }
 
-/// Lock-free per-node metrics. Counters only go up; gauges are set to the
-/// latest value. One registry lives in each region-server/TSD pairing and
-/// one in the ingest proxy.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    /// Gauge: requests waiting in the node's RPC queue right now.
-    pub queue_depth: AtomicU64,
-    /// Gauge: configured RPC queue capacity.
-    pub queue_capacity: AtomicU64,
-    /// Counter: samples durably written by this node.
-    pub samples_written: AtomicU64,
-    /// Gauge: bytes held in memstores.
-    pub memstore_bytes: AtomicU64,
-    /// Counter: memstore flushes.
-    pub flushes: AtomicU64,
-    /// Counter: compactions.
-    pub compactions: AtomicU64,
-    /// Counter: overload strikes (rejected RPCs).
-    pub overloads: AtomicU64,
-    /// Counter: crash events observed on this node (0 or 1 per life).
-    pub crash_events: AtomicU64,
-    /// Histogram of admitted batch sizes.
-    pub batch_sizes: Histogram,
-    /// Flag (0/1): this registry belongs to an ingest proxy, not a
-    /// region server. Proxy stats are excluded from serving-fleet
-    /// aggregates and feed the backlog-pressure signal instead.
-    pub is_proxy: AtomicU64,
-    /// Counter: write RPCs shed by admission control.
-    pub shed_writes: AtomicU64,
-    /// Counter: read RPCs shed by admission control.
-    pub shed_reads: AtomicU64,
-    /// Counter: requests dropped because their deadline expired.
-    pub deadline_expired: AtomicU64,
-    /// Counter: circuit-breaker trips observed (proxy side).
-    pub breaker_trips: AtomicU64,
-    /// Gauge: batches buffered in the ingest proxy right now.
-    pub ingest_buffer_depth: AtomicU64,
-    /// Gauge: ingest proxy buffer capacity.
-    pub ingest_buffer_capacity: AtomicU64,
-    /// Gauge: serving-layer result-cache hits (cumulative; mirrored from
-    /// the query engine's counters at publish time).
-    pub query_cache_hits: AtomicU64,
-    /// Gauge: serving-layer result-cache misses.
-    pub query_cache_misses: AtomicU64,
-    /// Gauge: serving-layer scatter-gather shard scans fanned out.
-    pub query_fanout: AtomicU64,
-    /// Gauge: serving-layer queries answered with partial results.
-    pub query_partials: AtomicU64,
-    /// Gauge: worst follower lag (WAL batches behind the primary) across
-    /// the replicated regions this node leads.
-    pub repl_lag_batches: AtomicU64,
-    /// Gauge: replicated regions this node is the primary for.
-    pub repl_regions: AtomicU64,
-    /// Gauge: promotions that made this node a primary (cumulative at
-    /// the source — the master's failover log).
-    pub repl_failovers: AtomicU64,
-    /// Gauge: epoch-fenced replication RPCs observed by this node's
-    /// clients (deposed writers denied a vote).
-    pub repl_fence_rejections: AtomicU64,
-    /// Gauge: scans served from a follower copy under the bounded-
-    /// staleness read policy.
-    pub repl_follower_reads: AtomicU64,
-    /// Gauge: scans hedged to a follower after a slow/dead primary.
-    pub repl_hedged_scans: AtomicU64,
-    /// Gauge: cells checksum-verified by the background scrub walk.
-    pub scrub_cells: AtomicU64,
-    /// Gauge: corrupt blocks ever detected (scrub walk plus read path).
-    pub scrub_corrupt_blocks: AtomicU64,
-    /// Gauge: spans sitting in quarantine right now.
-    pub scrub_quarantined: AtomicU64,
-    /// Gauge: blocks repaired from a healthy replica (CRC round-trip
-    /// passed before install).
-    pub scrub_repairs: AtomicU64,
-    /// Gauge: fetched repair payloads rejected by pre-install
-    /// verification.
-    pub scrub_rejected: AtomicU64,
-    /// Gauge: reads transparently answered from a replica after the
-    /// local copy failed verification.
-    pub scrub_salvaged_reads: AtomicU64,
-    /// Gauge: tasks executed by this node's batch scheduler.
-    pub sched_tasks: AtomicU64,
-    /// Gauge: successful work steals in the batch scheduler.
-    pub sched_steals: AtomicU64,
-    /// Gauge: steal probes (successful or not) in the batch scheduler.
-    pub sched_steal_attempts: AtomicU64,
-    /// Gauge: high-water mark of any scheduler worker's deque depth.
-    pub sched_max_queue_depth: AtomicU64,
-    /// Gauge: total nanoseconds spent inside scheduler task bodies.
-    pub sched_task_ns: AtomicU64,
-    /// Gauge: units whose sufficient statistics changed since their last
-    /// model finish (pending incremental retrain work).
-    pub sched_dirty_units: AtomicU64,
+/// How a metric combines across the fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Add every counted node's value.
+    Sum,
+    /// Take the worst (largest) counted node's value.
+    Max,
 }
 
-impl MetricsRegistry {
-    /// Fresh registry with a known queue capacity.
-    pub fn new(queue_capacity: u64) -> Self {
-        let r = MetricsRegistry::default();
-        r.queue_capacity.store(queue_capacity, Ordering::Relaxed);
-        r
-    }
+/// Which published samples a fleet fold counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Every sample: crashed nodes' history, proxies and front ends too.
+    All,
+    /// Live region servers only — not crashed, not a proxy or front end.
+    Serving,
+}
 
-    /// Mirror the serving layer's cumulative query counters into this
-    /// registry so the next published [`NodeStats`] carries them. The
-    /// engine owns the counters; telemetry only reflects the latest
-    /// totals, so these are gauges despite being monotonic at the source.
-    pub fn record_query_serving(&self, hits: u64, misses: u64, fanout: u64, partials: u64) {
-        self.query_cache_hits.store(hits, Ordering::Relaxed);
-        self.query_cache_misses.store(misses, Ordering::Relaxed);
-        self.query_fanout.store(fanout, Ordering::Relaxed);
-        self.query_partials.store(partials, Ordering::Relaxed);
-    }
+/// One row of the metric table.
+#[derive(Debug)]
+pub struct MetricDef {
+    /// The variant this row declares.
+    pub metric: Metric,
+    /// Wire name: the JSON key in `/stats/<node>` and the sample name on
+    /// `/metrics`.
+    pub name: &'static str,
+    /// What the value counts (also the variant's rustdoc).
+    pub help: &'static str,
+    /// How [`FleetSnapshot::fold`] combines it across nodes.
+    pub fold: Fold,
+    /// Which nodes that fold counts.
+    pub scope: Scope,
+    /// `/cluster` tile label; `None` keeps the metric off the page.
+    pub tile: Option<&'static str>,
+}
 
-    /// Mirror replication-plane counters into this registry so the next
-    /// published [`NodeStats`] carries them. Lag and region count come
-    /// from the master's replication report; the read-path counters come
-    /// from the client-side lag book. Gauges despite being monotonic at
-    /// the source, like [`MetricsRegistry::record_query_serving`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_replication(
-        &self,
-        lag_batches: u64,
-        regions: u64,
-        failovers: u64,
-        fence_rejections: u64,
-        follower_reads: u64,
-        hedged_scans: u64,
-    ) {
-        self.repl_lag_batches.store(lag_batches, Ordering::Relaxed);
-        self.repl_regions.store(regions, Ordering::Relaxed);
-        self.repl_failovers.store(failovers, Ordering::Relaxed);
-        self.repl_fence_rejections
-            .store(fence_rejections, Ordering::Relaxed);
-        self.repl_follower_reads
-            .store(follower_reads, Ordering::Relaxed);
-        self.repl_hedged_scans
-            .store(hedged_scans, Ordering::Relaxed);
-    }
-
-    /// Mirror corruption-resilience counters into this registry so the
-    /// next published [`NodeStats`] carries them. Cells/corrupt/repairs
-    /// come from the TSD scrub state and metrics; salvaged reads from
-    /// the read path. Gauges despite being monotonic at the source, like
-    /// [`MetricsRegistry::record_query_serving`].
-    pub fn record_scrub(
-        &self,
-        cells: u64,
-        corrupt_blocks: u64,
-        quarantined: u64,
-        repairs: u64,
-        rejected: u64,
-        salvaged_reads: u64,
-    ) {
-        self.scrub_cells.store(cells, Ordering::Relaxed);
-        self.scrub_corrupt_blocks
-            .store(corrupt_blocks, Ordering::Relaxed);
-        self.scrub_quarantined.store(quarantined, Ordering::Relaxed);
-        self.scrub_repairs.store(repairs, Ordering::Relaxed);
-        self.scrub_rejected.store(rejected, Ordering::Relaxed);
-        self.scrub_salvaged_reads
-            .store(salvaged_reads, Ordering::Relaxed);
-    }
-
-    /// Mirror the batch scheduler's cumulative counters (and the
-    /// incremental trainer's dirty-unit gauge) into this registry so the
-    /// next published [`NodeStats`] carries them. Gauges despite being
-    /// monotonic at the source, like
-    /// [`MetricsRegistry::record_query_serving`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_sched(
-        &self,
-        tasks: u64,
-        steals: u64,
-        steal_attempts: u64,
-        max_queue_depth: u64,
-        task_ns: u64,
-        dirty_units: u64,
-    ) {
-        self.sched_tasks.store(tasks, Ordering::Relaxed);
-        self.sched_steals.store(steals, Ordering::Relaxed);
-        self.sched_steal_attempts
-            .store(steal_attempts, Ordering::Relaxed);
-        self.sched_max_queue_depth
-            .store(max_queue_depth, Ordering::Relaxed);
-        self.sched_task_ns.store(task_ns, Ordering::Relaxed);
-        self.sched_dirty_units.store(dirty_units, Ordering::Relaxed);
-    }
-
-    /// Snapshot the registry into the serializable wire form.
-    ///
-    /// The fields are independent gauges and monotonic counters with no
-    /// cross-field invariant — a scrape races the hot path by design and
-    /// tolerates one field being a beat ahead of another, so Relaxed
-    /// loads are sufficient here (the histogram is the one structure
-    /// with a cross-field invariant, and it has its own Release/Acquire
-    /// protocol).
-    pub fn snapshot(&self, node: u32, tick: u64) -> NodeStats {
-        NodeStats {
-            node,
-            tick,
-            // pga-allow(relaxed-atomics): independent gauges/counters; scrape tolerates inter-field skew
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_capacity: self.queue_capacity.load(Ordering::Relaxed),
-            samples_written: self.samples_written.load(Ordering::Relaxed),
-            memstore_bytes: self.memstore_bytes.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            overloads: self.overloads.load(Ordering::Relaxed),
-            crashed: self.crash_events.load(Ordering::Relaxed) > 0,
-            mean_batch: self.batch_sizes.mean(),
-            is_proxy: self.is_proxy.load(Ordering::Relaxed) > 0,
-            shed_writes: self.shed_writes.load(Ordering::Relaxed),
-            shed_reads: self.shed_reads.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            ingest_buffer_depth: self.ingest_buffer_depth.load(Ordering::Relaxed),
-            ingest_buffer_capacity: self.ingest_buffer_capacity.load(Ordering::Relaxed),
-            query_cache_hits: self.query_cache_hits.load(Ordering::Relaxed),
-            query_cache_misses: self.query_cache_misses.load(Ordering::Relaxed),
-            query_fanout: self.query_fanout.load(Ordering::Relaxed),
-            query_partials: self.query_partials.load(Ordering::Relaxed),
-            repl_lag_batches: self.repl_lag_batches.load(Ordering::Relaxed),
-            repl_regions: self.repl_regions.load(Ordering::Relaxed),
-            repl_failovers: self.repl_failovers.load(Ordering::Relaxed),
-            repl_fence_rejections: self.repl_fence_rejections.load(Ordering::Relaxed),
-            repl_follower_reads: self.repl_follower_reads.load(Ordering::Relaxed),
-            repl_hedged_scans: self.repl_hedged_scans.load(Ordering::Relaxed),
-            scrub_cells: self.scrub_cells.load(Ordering::Relaxed),
-            scrub_corrupt_blocks: self.scrub_corrupt_blocks.load(Ordering::Relaxed),
-            scrub_quarantined: self.scrub_quarantined.load(Ordering::Relaxed),
-            scrub_repairs: self.scrub_repairs.load(Ordering::Relaxed),
-            scrub_rejected: self.scrub_rejected.load(Ordering::Relaxed),
-            scrub_salvaged_reads: self.scrub_salvaged_reads.load(Ordering::Relaxed),
-            sched_tasks: self.sched_tasks.load(Ordering::Relaxed),
-            sched_steals: self.sched_steals.load(Ordering::Relaxed),
-            sched_steal_attempts: self.sched_steal_attempts.load(Ordering::Relaxed),
-            sched_max_queue_depth: self.sched_max_queue_depth.load(Ordering::Relaxed),
-            sched_task_ns: self.sched_task_ns.load(Ordering::Relaxed),
-            sched_dirty_units: self.sched_dirty_units.load(Ordering::Relaxed),
+/// Declares every per-node metric once. A row expands to a [`Metric`]
+/// variant and its [`MetricDef`] in [`METRICS`]; the `/stats` JSON key,
+/// the fleet fold, the `/metrics` sample and the `/cluster` tile are all
+/// derived from the row, so adding a metric is one row here plus one
+/// [`NodeStats::set`] where the value is known.
+macro_rules! metrics {
+    ($($variant:ident, $name:literal, $fold:ident, $scope:ident, $tile:expr, $help:literal;)*) => {
+        /// A per-node metric: one row of [`METRICS`], indexing
+        /// [`NodeStats`] values and selecting a [`FleetSnapshot::fold`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $(#[doc = $help] $variant,)*
         }
+
+        /// The metric table, in wire order: `METRICS[m as usize].metric == m`.
+        pub const METRICS: &[MetricDef] = &[
+            $(MetricDef {
+                metric: Metric::$variant,
+                name: $name,
+                help: $help,
+                fold: Fold::$fold,
+                scope: Scope::$scope,
+                tile: $tile,
+            },)*
+        ];
+    };
+}
+
+metrics! {
+    QueueDepth, "queue_depth", Sum, Serving, None, "RPC queue depth at snapshot time.";
+    QueueCapacity, "queue_capacity", Sum, Serving, None, "RPC queue capacity.";
+    SamplesWritten, "samples_written", Sum, All, None, "Cumulative samples written.";
+    MemstoreBytes, "memstore_bytes", Sum, Serving, None, "Memstore bytes held.";
+    Flushes, "flushes", Sum, All, None, "Cumulative flushes.";
+    Compactions, "compactions", Sum, All, None, "Cumulative compactions.";
+    Overloads, "overloads", Sum, All, None, "Cumulative overload strikes.";
+    ShedWrites, "shed_writes", Sum, All, None, "Cumulative write RPCs shed by admission control.";
+    ShedReads, "shed_reads", Sum, All, None, "Cumulative read RPCs shed by admission control.";
+    DeadlineExpired, "deadline_expired", Sum, All, None, "Cumulative requests dropped on deadline expiry.";
+    BreakerTrips, "breaker_trips", Sum, All, None, "Cumulative circuit-breaker trips (proxy side).";
+    IngestBufferDepth, "ingest_buffer_depth", Sum, All, None, "Batches buffered in the ingest proxy at snapshot time.";
+    IngestBufferCapacity, "ingest_buffer_capacity", Sum, All, None, "Ingest proxy buffer capacity.";
+    ReplLagBatches, "repl_lag_batches", Max, All, Some("worst lag (batches)"), "Worst follower lag (WAL batches behind the primary) across the replicated regions this node leads.";
+    ReplRegions, "repl_regions", Sum, All, None, "Replicated regions this node is the primary for.";
+    ReplFailovers, "repl_failovers", Sum, All, Some("failovers"), "Promotions that made this node a primary.";
+    ReplFenceRejections, "repl_fence_rejections", Sum, All, Some("fence rejections"), "Epoch-fenced replication RPCs (deposed writers denied a vote).";
+    ReplFollowerReads, "repl_follower_reads", Sum, All, Some("follower reads"), "Scans served from a follower copy under bounded staleness.";
+    ReplHedgedScans, "repl_hedged_scans", Sum, All, Some("hedged scans"), "Scans hedged to a follower after a slow/dead primary.";
+    ScrubCells, "scrub_cells", Sum, All, None, "Cells checksum-verified by the background scrub walk.";
+    ScrubCorruptBlocks, "scrub_corrupt_blocks", Sum, All, Some("corrupt blocks"), "Corrupt blocks ever detected (scrub walk plus read path).";
+    ScrubQuarantined, "scrub_quarantined", Sum, All, Some("quarantined spans"), "Spans sitting in quarantine at snapshot time.";
+    ScrubRepairs, "scrub_repairs", Sum, All, Some("blocks repaired"), "Blocks repaired from a healthy replica (CRC round-trip passed before install).";
+    ScrubRejected, "scrub_rejected", Sum, All, None, "Fetched repair payloads rejected by pre-install verification.";
+    ScrubSalvagedReads, "scrub_salvaged_reads", Sum, All, Some("salvaged reads"), "Reads transparently answered from a replica after the local copy failed verification.";
+    SchedTasks, "sched_tasks", Sum, All, Some("sched tasks"), "Tasks executed by the node's batch scheduler.";
+    SchedSteals, "sched_steals", Sum, All, Some("tasks stolen"), "Successful work steals in the batch scheduler.";
+    SchedStealAttempts, "sched_steal_attempts", Sum, All, None, "Steal probes (successful or not) in the batch scheduler.";
+    SchedMaxQueueDepth, "sched_max_queue_depth", Max, All, Some("max queue depth"), "High-water mark of any scheduler worker's deque depth.";
+    SchedTaskNs, "sched_task_ns", Sum, All, None, "Total nanoseconds spent inside scheduler task bodies.";
+    SchedDirtyUnits, "sched_dirty_units", Sum, All, Some("dirty units"), "Units with pending incremental retrain work at snapshot time.";
+    QueryCacheHits, "query_cache_hits", Sum, All, None, "Cumulative serving-layer result-cache hits.";
+    QueryCacheMisses, "query_cache_misses", Sum, All, None, "Cumulative serving-layer result-cache misses.";
+    QueryFanout, "query_fanout", Sum, All, Some("query fan-out"), "Cumulative scatter-gather shard scans fanned out by the serving layer.";
+    QueryPartials, "query_partials", Sum, All, Some("partial results"), "Cumulative queries answered with partial results.";
+}
+
+/// `num / den`, or 0 when nothing has been counted yet (never NaN).
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
-/// One node's published stats — the JSON payload of `/stats/<node>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `depth / capacity` in `[0, 1]` (0 when capacity is unknown/unbounded).
+fn occupancy(depth: u64, capacity: u64) -> f64 {
+    if capacity == u64::MAX {
+        0.0
+    } else {
+        ratio(depth, capacity)
+    }
+}
+
+/// One node's published stats — the JSON payload of `/stats/<node>`: a
+/// flat object of the five header fields below plus one key per
+/// [`METRICS`] row. The owning layers keep their own counters; whoever
+/// can see them samples them into one of these with [`NodeStats::set`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeStats {
     /// Node id.
     pub node: u32,
     /// Publisher's control tick when the snapshot was taken.
     pub tick: u64,
-    /// RPC queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// RPC queue capacity.
-    pub queue_capacity: u64,
-    /// Cumulative samples written.
-    pub samples_written: u64,
-    /// Memstore bytes held.
-    pub memstore_bytes: u64,
-    /// Cumulative flushes.
-    pub flushes: u64,
-    /// Cumulative compactions.
-    pub compactions: u64,
-    /// Cumulative overload strikes.
-    pub overloads: u64,
     /// Whether the node has crashed.
     pub crashed: bool,
+    /// This snapshot comes from an ingest proxy or a TSD/query front
+    /// end, not a region server: it is excluded from
+    /// [`Scope::Serving`] folds and feeds the backlog-pressure signal.
+    pub is_proxy: bool,
     /// Mean admitted batch size.
     pub mean_batch: f64,
-    /// This snapshot comes from an ingest proxy, not a region server.
-    /// Defaults (and all the fields below) keep pre-overload snapshots
-    /// parseable: an old publisher simply reports no overload activity.
-    #[serde(default)]
-    pub is_proxy: bool,
-    /// Cumulative write RPCs shed by admission control.
-    #[serde(default)]
-    pub shed_writes: u64,
-    /// Cumulative read RPCs shed by admission control.
-    #[serde(default)]
-    pub shed_reads: u64,
-    /// Cumulative requests dropped on deadline expiry.
-    #[serde(default)]
-    pub deadline_expired: u64,
-    /// Cumulative circuit-breaker trips (proxy side).
-    #[serde(default)]
-    pub breaker_trips: u64,
-    /// Batches buffered in the ingest proxy at snapshot time.
-    #[serde(default)]
-    pub ingest_buffer_depth: u64,
-    /// Ingest proxy buffer capacity.
-    #[serde(default)]
-    pub ingest_buffer_capacity: u64,
-    /// Cumulative serving-layer result-cache hits. Defaults (with the
-    /// three fields below) keep pre-serving snapshots parseable: an old
-    /// publisher simply reports no query-serving activity.
-    #[serde(default)]
-    pub query_cache_hits: u64,
-    /// Cumulative serving-layer result-cache misses.
-    #[serde(default)]
-    pub query_cache_misses: u64,
-    /// Cumulative scatter-gather shard scans fanned out by the serving
-    /// layer.
-    #[serde(default)]
-    pub query_fanout: u64,
-    /// Cumulative queries answered with partial results.
-    #[serde(default)]
-    pub query_partials: u64,
-    /// Worst follower lag (WAL batches behind the primary) across the
-    /// replicated regions this node leads. Defaults (with the five
-    /// fields below) keep pre-replication snapshots parseable: an old
-    /// publisher simply reports an unreplicated node.
-    #[serde(default)]
-    pub repl_lag_batches: u64,
-    /// Replicated regions this node is the primary for.
-    #[serde(default)]
-    pub repl_regions: u64,
-    /// Promotions that made this node a primary.
-    #[serde(default)]
-    pub repl_failovers: u64,
-    /// Epoch-fenced replication RPCs (deposed writers denied a vote).
-    #[serde(default)]
-    pub repl_fence_rejections: u64,
-    /// Scans served from a follower copy under bounded staleness.
-    #[serde(default)]
-    pub repl_follower_reads: u64,
-    /// Scans hedged to a follower after a slow/dead primary.
-    #[serde(default)]
-    pub repl_hedged_scans: u64,
-    /// Cells checksum-verified by the background scrub walk. Defaults
-    /// (with the five fields below) keep pre-scrub snapshots parseable:
-    /// an old publisher simply reports no scrub activity.
-    #[serde(default)]
-    pub scrub_cells: u64,
-    /// Corrupt blocks ever detected (scrub walk plus read path).
-    #[serde(default)]
-    pub scrub_corrupt_blocks: u64,
-    /// Spans sitting in quarantine at snapshot time.
-    #[serde(default)]
-    pub scrub_quarantined: u64,
-    /// Blocks repaired from a healthy replica (CRC round-trip passed
-    /// before install).
-    #[serde(default)]
-    pub scrub_repairs: u64,
-    /// Fetched repair payloads rejected by pre-install verification.
-    #[serde(default)]
-    pub scrub_rejected: u64,
-    /// Reads transparently answered from a replica after the local copy
-    /// failed verification.
-    #[serde(default)]
-    pub scrub_salvaged_reads: u64,
-    /// Tasks executed by the node's batch scheduler. Defaults (with the
-    /// five fields below) keep pre-scheduler snapshots parseable: an old
-    /// publisher simply reports no batch activity.
-    #[serde(default)]
-    pub sched_tasks: u64,
-    /// Successful work steals in the batch scheduler.
-    #[serde(default)]
-    pub sched_steals: u64,
-    /// Steal probes (successful or not) in the batch scheduler.
-    #[serde(default)]
-    pub sched_steal_attempts: u64,
-    /// High-water mark of any scheduler worker's deque depth.
-    #[serde(default)]
-    pub sched_max_queue_depth: u64,
-    /// Total nanoseconds spent inside scheduler task bodies.
-    #[serde(default)]
-    pub sched_task_ns: u64,
-    /// Units with pending incremental retrain work at snapshot time.
-    #[serde(default)]
-    pub sched_dirty_units: u64,
+    values: [u64; METRICS.len()],
 }
 
 impl NodeStats {
+    /// An all-zero sample for `node` at `tick`.
+    pub fn new(node: u32, tick: u64) -> Self {
+        NodeStats {
+            node,
+            tick,
+            crashed: false,
+            is_proxy: false,
+            mean_batch: 0.0,
+            values: [0; METRICS.len()],
+        }
+    }
+
+    /// The sampled value of `metric` (0 until set).
+    pub fn get(&self, metric: Metric) -> u64 {
+        self.values[metric as usize]
+    }
+
+    /// Record the sampled value of `metric`; chains.
+    pub fn set(&mut self, metric: Metric, value: u64) -> &mut Self {
+        self.values[metric as usize] = value;
+        self
+    }
+
     /// Queue occupancy in `[0, 1]` (0 when capacity is unknown/unbounded).
     pub fn queue_utilization(&self) -> f64 {
-        if self.queue_capacity == 0 || self.queue_capacity == u64::MAX {
-            0.0
-        } else {
-            self.queue_depth as f64 / self.queue_capacity as f64
-        }
+        occupancy(
+            self.get(Metric::QueueDepth),
+            self.get(Metric::QueueCapacity),
+        )
     }
 
     /// Ingest buffer occupancy in `[0, 1]` (0 when capacity is unknown).
     pub fn ingest_buffer_utilization(&self) -> f64 {
-        if self.ingest_buffer_capacity == 0 || self.ingest_buffer_capacity == u64::MAX {
-            0.0
-        } else {
-            self.ingest_buffer_depth as f64 / self.ingest_buffer_capacity as f64
-        }
+        occupancy(
+            self.get(Metric::IngestBufferDepth),
+            self.get(Metric::IngestBufferCapacity),
+        )
     }
 
     /// Total RPCs this node shed under admission control.
     pub fn total_sheds(&self) -> u64 {
-        self.shed_writes + self.shed_reads
+        self.get(Metric::ShedWrites) + self.get(Metric::ShedReads)
     }
+}
 
-    /// Serving-layer cache hit ratio in `[0, 1]` (0 before any query).
-    pub fn query_cache_hit_ratio(&self) -> f64 {
-        let total = self.query_cache_hits + self.query_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.query_cache_hits as f64 / total as f64
+impl Serialize for NodeStats {
+    fn to_value(&self) -> Value {
+        let mut map = Map::new();
+        map.insert("node".into(), self.node.to_value());
+        map.insert("tick".into(), self.tick.to_value());
+        map.insert("crashed".into(), self.crashed.to_value());
+        map.insert("is_proxy".into(), self.is_proxy.to_value());
+        map.insert("mean_batch".into(), self.mean_batch.to_value());
+        for (def, value) in METRICS.iter().zip(&self.values) {
+            map.insert(def.name.into(), value.to_value());
         }
+        Value::Object(map)
     }
+}
 
-    /// Mean scheduler task latency in microseconds (0 before any task).
-    pub fn sched_mean_task_us(&self) -> f64 {
-        if self.sched_tasks == 0 {
-            0.0
-        } else {
-            self.sched_task_ns as f64 / self.sched_tasks as f64 / 1_000.0
+/// The four founding header keys are required; `is_proxy` and every
+/// metric key default to `false`/0 and unknown keys are ignored, so a
+/// snapshot from an older or newer publisher still loads.
+impl Deserialize for NodeStats {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| Error::msg("expected object for NodeStats"))?;
+        fn required<T: Deserialize>(obj: &Map, key: &str) -> Result<T, Error> {
+            let value = obj
+                .get(key)
+                .ok_or_else(|| Error::msg(format!("missing field `{key}` in NodeStats")))?;
+            T::from_value(value)
         }
+        let mut stats = NodeStats::new(required(obj, "node")?, required(obj, "tick")?);
+        stats.crashed = required(obj, "crashed")?;
+        stats.mean_batch = required(obj, "mean_batch")?;
+        if let Some(v) = obj.get("is_proxy") {
+            stats.is_proxy = bool::from_value(v)?;
+        }
+        for (def, slot) in METRICS.iter().zip(&mut stats.values) {
+            if let Some(v) = obj.get(def.name) {
+                *slot = u64::from_value(v)?;
+            }
+        }
+        Ok(stats)
     }
 }
 
@@ -553,20 +373,29 @@ impl FleetSnapshot {
         FleetSnapshot { nodes }
     }
 
-    /// Live serving nodes: not crashed and not an ingest proxy. Scaling
-    /// decisions size the region-server fleet, so proxies never count.
-    fn serving(&self) -> impl Iterator<Item = &NodeStats> {
-        self.nodes.iter().filter(|n| !n.crashed && !n.is_proxy)
+    /// The samples `scope` counts. Serving nodes are live region servers:
+    /// scaling decisions size that fleet, so crashed nodes, proxies and
+    /// front ends never count there.
+    fn counted(&self, scope: Scope) -> impl Iterator<Item = &NodeStats> {
+        self.nodes
+            .iter()
+            .filter(move |n| scope == Scope::All || (!n.crashed && !n.is_proxy))
+    }
+
+    /// Fleet-wide value of `metric`: its row's [`Fold`] over the nodes
+    /// its row's [`Scope`] counts (0 for an empty fleet).
+    pub fn fold(&self, metric: Metric) -> u64 {
+        let def = &METRICS[metric as usize];
+        let values = self.counted(def.scope).map(|n| n.get(metric));
+        match def.fold {
+            Fold::Sum => values.sum(),
+            Fold::Max => values.max().unwrap_or(0),
+        }
     }
 
     /// Number of live (non-crashed, non-proxy) serving nodes.
     pub fn live_nodes(&self) -> usize {
-        self.serving().count()
-    }
-
-    /// Sum of queue depths across live serving nodes.
-    pub fn total_queue_depth(&self) -> u64 {
-        self.serving().map(|n| n.queue_depth).sum()
+        self.counted(Scope::Serving).count()
     }
 
     /// Mean queue occupancy across live serving nodes (0 when empty).
@@ -575,19 +404,17 @@ impl FleetSnapshot {
         if live == 0 {
             return 0.0;
         }
-        self.serving().map(|n| n.queue_utilization()).sum::<f64>() / live as f64
+        self.counted(Scope::Serving)
+            .map(|n| n.queue_utilization())
+            .sum::<f64>()
+            / live as f64
     }
 
     /// Highest queue occupancy across live serving nodes.
     pub fn max_queue_utilization(&self) -> f64 {
-        self.serving()
+        self.counted(Scope::Serving)
             .map(|n| n.queue_utilization())
             .fold(0.0, f64::max)
-    }
-
-    /// Total samples written by the fleet.
-    pub fn total_samples_written(&self) -> u64 {
-        self.nodes.iter().map(|n| n.samples_written).sum()
     }
 
     /// Nodes flagged crashed (proxies included — a dead proxy matters).
@@ -608,299 +435,224 @@ impl FleetSnapshot {
     /// Cumulative admission sheds across the whole fleet (servers and
     /// proxies alike).
     pub fn total_sheds(&self) -> u64 {
-        self.nodes.iter().map(|n| n.total_sheds()).sum()
-    }
-
-    /// Cumulative deadline expiries across the fleet.
-    pub fn total_deadline_expired(&self) -> u64 {
-        self.nodes.iter().map(|n| n.deadline_expired).sum()
-    }
-
-    /// Cumulative circuit-breaker trips across the fleet.
-    pub fn total_breaker_trips(&self) -> u64 {
-        self.nodes.iter().map(|n| n.breaker_trips).sum()
+        self.nodes.iter().map(NodeStats::total_sheds).sum()
     }
 
     /// Fleet-wide serving-layer cache hit ratio in `[0, 1]` (0 before
     /// any query anywhere).
     pub fn query_cache_hit_ratio(&self) -> f64 {
-        let hits: u64 = self.nodes.iter().map(|n| n.query_cache_hits).sum();
-        let misses: u64 = self.nodes.iter().map(|n| n.query_cache_misses).sum();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
-
-    /// Cumulative scatter-gather fan-out across the fleet's serving
-    /// layer.
-    pub fn total_query_fanout(&self) -> u64 {
-        self.nodes.iter().map(|n| n.query_fanout).sum()
-    }
-
-    /// Cumulative partial-result queries across the fleet.
-    pub fn total_query_partials(&self) -> u64 {
-        self.nodes.iter().map(|n| n.query_partials).sum()
-    }
-
-    /// Worst follower lag (WAL batches) across every replicated region
-    /// in the fleet.
-    pub fn max_replication_lag(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.repl_lag_batches)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Replicated regions led across the fleet (each region counted once,
-    /// on its primary).
-    pub fn replicated_regions(&self) -> u64 {
-        self.nodes.iter().map(|n| n.repl_regions).sum()
-    }
-
-    /// Cumulative primary failovers across the fleet (each promotion
-    /// counted once, on the promoted node).
-    pub fn total_failovers(&self) -> u64 {
-        self.nodes.iter().map(|n| n.repl_failovers).sum()
-    }
-
-    /// Cumulative epoch-fence rejections observed across the fleet.
-    pub fn total_fence_rejections(&self) -> u64 {
-        self.nodes.iter().map(|n| n.repl_fence_rejections).sum()
+        let hits = self.fold(Metric::QueryCacheHits);
+        ratio(hits, hits + self.fold(Metric::QueryCacheMisses))
     }
 
     /// Cumulative follower-served reads (bounded-staleness plus hedged)
     /// across the fleet.
     pub fn total_follower_reads(&self) -> u64 {
-        self.nodes
+        self.fold(Metric::ReplFollowerReads) + self.fold(Metric::ReplHedgedScans)
+    }
+
+    /// Mean scheduler task latency in microseconds across the fleet's
+    /// schedulers (0 before any task).
+    pub fn sched_mean_task_us(&self) -> f64 {
+        ratio(
+            self.fold(Metric::SchedTaskNs),
+            self.fold(Metric::SchedTasks),
+        ) / 1_000.0
+    }
+
+    /// The `/cluster` stat strip as `(label, value)`: the fleet fold of
+    /// every labelled table row, in table order, then the two signals
+    /// that combine rows.
+    pub fn tiles(&self) -> Vec<(&'static str, String)> {
+        let mut tiles: Vec<_> = METRICS
             .iter()
-            .map(|n| n.repl_follower_reads + n.repl_hedged_scans)
-            .sum()
+            .filter_map(|def| Some((def.tile?, self.fold(def.metric).to_string())))
+            .collect();
+        tiles.push((
+            "mean task latency",
+            format!("{:.1}µs", self.sched_mean_task_us()),
+        ));
+        tiles.push((
+            "cache hit ratio",
+            format!("{:.0}%", 100.0 * self.query_cache_hit_ratio()),
+        ));
+        tiles
     }
 
-    /// Spans quarantined across the fleet right now — the "corruption
-    /// awaiting repair" health signal.
-    pub fn quarantined_spans(&self) -> u64 {
-        self.nodes.iter().map(|n| n.scrub_quarantined).sum()
-    }
-
-    /// Cumulative replica-backed block repairs across the fleet.
-    pub fn total_scrub_repairs(&self) -> u64 {
-        self.nodes.iter().map(|n| n.scrub_repairs).sum()
-    }
-
-    /// Cumulative corrupt blocks detected across the fleet (scrub walks
-    /// plus read paths).
-    pub fn total_corrupt_blocks(&self) -> u64 {
-        self.nodes.iter().map(|n| n.scrub_corrupt_blocks).sum()
-    }
-
-    /// Cumulative reads salvaged from a replica across the fleet.
-    pub fn total_salvaged_reads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.scrub_salvaged_reads).sum()
-    }
-
-    /// Cumulative batch-scheduler tasks executed across the fleet.
-    pub fn total_sched_tasks(&self) -> u64 {
-        self.nodes.iter().map(|n| n.sched_tasks).sum()
-    }
-
-    /// Cumulative successful work steals across the fleet's schedulers.
-    pub fn total_sched_steals(&self) -> u64 {
-        self.nodes.iter().map(|n| n.sched_steals).sum()
-    }
-
-    /// Units with pending incremental retrain work across the fleet —
-    /// the "how stale are the models" health signal.
-    pub fn total_dirty_units(&self) -> u64 {
-        self.nodes.iter().map(|n| n.sched_dirty_units).sum()
-    }
-
-    /// Deepest scheduler worker deque observed anywhere in the fleet.
-    pub fn max_sched_queue_depth(&self) -> u64 {
-        self.nodes
+    /// Prometheus text exposition for `/metrics`: one fleet-fold sample
+    /// per table row. Every row is a gauge — the values are sampled
+    /// mirrors of counters their layers own, not counters of this
+    /// process.
+    pub fn prometheus_text(&self) -> String {
+        METRICS
             .iter()
-            .map(|n| n.sched_max_queue_depth)
-            .max()
-            .unwrap_or(0)
+            .map(|def| {
+                format!(
+                    "# HELP {0} {1}\n# TYPE {0} gauge\n{0} {2}\n",
+                    def.name,
+                    def.help,
+                    self.fold(def.metric)
+                )
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn stats(node: u32, depth: u64, cap: u64) -> NodeStats {
-        NodeStats {
-            node,
-            tick: 1,
-            queue_depth: depth,
-            queue_capacity: cap,
-            samples_written: 100 * node as u64,
-            memstore_bytes: 0,
-            flushes: 0,
-            compactions: 0,
-            overloads: 0,
-            crashed: false,
-            mean_batch: 0.0,
-            is_proxy: false,
-            shed_writes: 0,
-            shed_reads: 0,
-            deadline_expired: 0,
-            breaker_trips: 0,
-            ingest_buffer_depth: 0,
-            ingest_buffer_capacity: 0,
-            query_cache_hits: 0,
-            query_cache_misses: 0,
-            query_fanout: 0,
-            query_partials: 0,
-            repl_lag_batches: 0,
-            repl_regions: 0,
-            repl_failovers: 0,
-            repl_fence_rejections: 0,
-            repl_follower_reads: 0,
-            repl_hedged_scans: 0,
-            scrub_cells: 0,
-            scrub_corrupt_blocks: 0,
-            scrub_quarantined: 0,
-            scrub_repairs: 0,
-            scrub_rejected: 0,
-            scrub_salvaged_reads: 0,
-            sched_tasks: 0,
-            sched_steals: 0,
-            sched_steal_attempts: 0,
-            sched_max_queue_depth: 0,
-            sched_task_ns: 0,
-            sched_dirty_units: 0,
-        }
+        let mut s = NodeStats::new(node, 1);
+        s.set(Metric::QueueDepth, depth)
+            .set(Metric::QueueCapacity, cap)
+            .set(Metric::SamplesWritten, 100 * node as u64);
+        s
+    }
+
+    /// `/stats/<node>` payload exactly as the parent commit's derived
+    /// serializer wrote it: 40 keys in struct order.
+    const PARENT_STATS_JSON: &str = r#"{"node":7,"tick":3,"queue_depth":37,"queue_capacity":1024,
+        "samples_written":4200,"memstore_bytes":1,"flushes":2,"compactions":3,"overloads":4,
+        "crashed":false,"mean_batch":100.0,"is_proxy":true,"shed_writes":5,"shed_reads":6,
+        "deadline_expired":7,"breaker_trips":8,"ingest_buffer_depth":9,
+        "ingest_buffer_capacity":10,"query_cache_hits":11,"query_cache_misses":12,
+        "query_fanout":13,"query_partials":14,"repl_lag_batches":15,"repl_regions":16,
+        "repl_failovers":17,"repl_fence_rejections":18,"repl_follower_reads":19,
+        "repl_hedged_scans":20,"scrub_cells":21,"scrub_corrupt_blocks":22,
+        "scrub_quarantined":23,"scrub_repairs":24,"scrub_rejected":25,
+        "scrub_salvaged_reads":26,"sched_tasks":27,"sched_steals":28,
+        "sched_steal_attempts":29,"sched_max_queue_depth":30,"sched_task_ns":31,
+        "sched_dirty_units":32}"#;
+
+    fn keys(v: &serde_json::Value) -> BTreeSet<String> {
+        v.as_object()
+            .expect("NodeStats must serialize to an object")
+            .keys()
+            .cloned()
+            .collect()
     }
 
     #[test]
     fn registry_snapshot_round_trips_through_json() {
-        let reg = MetricsRegistry::new(1024);
-        reg.queue_depth.store(37, Ordering::Relaxed);
-        reg.samples_written.fetch_add(4200, Ordering::Relaxed);
-        reg.batch_sizes.record(50);
-        reg.batch_sizes.record(150);
-        let snap = reg.snapshot(7, 3);
-        assert_eq!(snap.node, 7);
-        assert_eq!(snap.queue_depth, 37);
-        assert_eq!(snap.samples_written, 4200);
-        assert!((snap.mean_batch - 100.0).abs() < 1e-9);
+        let mut snap = NodeStats::new(7, 3);
+        snap.mean_batch = 100.0;
+        for (i, def) in METRICS.iter().enumerate() {
+            snap.set(def.metric, 1000 + i as u64);
+        }
+        assert_eq!(snap.get(Metric::QueueDepth), 1000);
         let json = serde_json::to_string(&snap).unwrap();
         let back: NodeStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
     }
 
     #[test]
-    fn replication_counters_flow_into_fleet_aggregates() {
-        let reg = MetricsRegistry::new(64);
-        reg.record_replication(5, 2, 1, 3, 40, 7);
-        let a = reg.snapshot(0, 1);
-        assert_eq!(
-            (a.repl_lag_batches, a.repl_regions, a.repl_failovers),
-            (5, 2, 1)
-        );
-        let mut b = stats(1, 0, 64);
-        b.repl_lag_batches = 9;
-        b.repl_regions = 1;
-        b.repl_fence_rejections = 2;
-        b.repl_hedged_scans = 6;
-        let fleet = FleetSnapshot {
-            nodes: vec![a.clone(), b],
+    fn parent_commit_snapshot_parses_and_key_set_is_unchanged() {
+        let s: NodeStats = serde_json::from_str(PARENT_STATS_JSON).unwrap();
+        assert_eq!((s.node, s.tick, s.crashed, s.is_proxy), (7, 3, false, true));
+        assert_eq!(s.mean_batch, 100.0);
+        assert_eq!(s.get(Metric::QueueDepth), 37);
+        assert_eq!(s.get(Metric::ReplFenceRejections), 18);
+        assert_eq!(s.get(Metric::SchedDirtyUnits), 32);
+        let parent: serde_json::Value = serde_json::from_str(PARENT_STATS_JSON).unwrap();
+        assert_eq!(keys(&serde_json::to_value(&s)), keys(&parent));
+        // Keys this build has never heard of are skipped, not fatal.
+        let newer = PARENT_STATS_JSON.replacen('{', r#"{"added_later":9,"#, 1);
+        assert_eq!(serde_json::from_str::<NodeStats>(&newer).unwrap(), s);
+    }
+
+    /// Two serving nodes, one crashed node and one proxy, every metric
+    /// set to a distinct per-node value: each table row must come out of
+    /// serde, the fleet fold, `/metrics` and the tile strip as declared.
+    #[test]
+    fn every_metric_row_is_wired_end_to_end() {
+        let node = |id: u32, base: u64| {
+            let mut s = NodeStats::new(id, 1);
+            for (i, def) in METRICS.iter().enumerate() {
+                s.set(def.metric, base + i as u64);
+            }
+            s
         };
-        assert_eq!(fleet.max_replication_lag(), 9);
-        assert_eq!(fleet.replicated_regions(), 3);
-        assert_eq!(fleet.total_failovers(), 1);
-        assert_eq!(fleet.total_fence_rejections(), 5);
+        let (a, b, mut dead, mut proxy) = (node(0, 100), node(1, 300), node(2, 5000), node(9, 700));
+        dead.crashed = true;
+        proxy.is_proxy = true;
+        let fleet = FleetSnapshot {
+            nodes: vec![a.clone(), b, dead, proxy],
+        };
+        let text = fleet.prometheus_text();
+        let tiles = fleet.tiles();
+        let wire = serde_json::to_value(&a);
+        let max_rows = [Metric::ReplLagBatches, Metric::SchedMaxQueueDepth];
+        let serving_rows = [
+            Metric::QueueDepth,
+            Metric::QueueCapacity,
+            Metric::MemstoreBytes,
+        ];
+        for (i, def) in METRICS.iter().enumerate() {
+            let m = def.metric;
+            assert_eq!(m as usize, i, "{}: table order is index order", def.name);
+            // Serde: the key is written, and a snapshot without it reads 0.
+            assert_eq!(wire[def.name].as_u64(), Some(100 + i as u64));
+            let mut pruned = serde_json::Map::new();
+            for (k, v) in wire.as_object().unwrap().iter() {
+                if k != def.name {
+                    pruned.insert(k.clone(), v.clone());
+                }
+            }
+            let back: NodeStats =
+                serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
+            assert_eq!(back.get(m), 0, "{} defaults to 0", def.name);
+            assert_eq!(back.tick, a.tick);
+            // Fold kind and scope.
+            let i = i as u64;
+            let want = match (max_rows.contains(&m), serving_rows.contains(&m)) {
+                (false, false) => (100 + i) + (300 + i) + (5000 + i) + (700 + i),
+                (false, true) => (100 + i) + (300 + i),
+                (true, false) => 5000 + i,
+                (true, true) => 300 + i,
+            };
+            assert_eq!(fleet.fold(m), want, "{} fold", def.name);
+            // Exposition and tile.
+            let sample = format!("# TYPE {0} gauge\n{0} {want}\n", def.name);
+            assert!(text.contains(&sample), "{} sample line", def.name);
+            assert!(text.contains(&format!("# HELP {} {}\n", def.name, def.help)));
+            let tile = tiles.iter().find(|(label, _)| Some(*label) == def.tile);
+            assert_eq!(
+                tile.map(|(_, v)| v.clone()),
+                def.tile.map(|_| want.to_string())
+            );
+        }
+        assert_eq!(text.lines().count(), 3 * METRICS.len());
+        let labelled = METRICS.iter().filter(|d| d.tile.is_some()).count();
+        assert_eq!(tiles.len(), labelled + 2, "labelled rows plus two ratios");
+        assert_eq!(FleetSnapshot::default().fold(Metric::ReplLagBatches), 0);
+    }
+
+    #[test]
+    fn combined_signals_fold_across_the_fleet() {
+        let mut a = stats(0, 0, 64);
+        a.set(Metric::QueryCacheHits, 60)
+            .set(Metric::QueryCacheMisses, 20)
+            .set(Metric::ReplFollowerReads, 40)
+            .set(Metric::ReplHedgedScans, 7)
+            .set(Metric::SchedTasks, 1700)
+            .set(Metric::SchedTaskNs, 3_400_000);
+        let mut b = stats(1, 0, 64);
+        b.set(Metric::QueryCacheHits, 20)
+            .set(Metric::QueryCacheMisses, 20)
+            .set(Metric::ReplHedgedScans, 6);
+        let fleet = FleetSnapshot { nodes: vec![a, b] };
+        // (60 + 20) hits over (80 + 40) lookups.
+        assert!((fleet.query_cache_hit_ratio() - 80.0 / 120.0).abs() < 1e-9);
         assert_eq!(fleet.total_follower_reads(), 53);
-        // Pre-replication snapshots (no repl fields at all) still parse.
-        let serde_json::Value::Object(obj) = serde_json::to_value(&a) else {
-            panic!("NodeStats must serialize to an object");
-        };
-        let mut pruned = serde_json::Map::new();
-        for (k, val) in obj.iter() {
-            if !k.starts_with("repl_") {
-                pruned.insert(k.clone(), val.clone());
-            }
-        }
-        let back: NodeStats = serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
-        assert_eq!(back.repl_lag_batches, 0);
-        assert_eq!(back.repl_regions, 0);
-    }
-
-    #[test]
-    fn scrub_counters_flow_into_fleet_aggregates() {
-        let reg = MetricsRegistry::new(64);
-        reg.record_scrub(500, 3, 1, 2, 1, 4);
-        let a = reg.snapshot(0, 1);
-        assert_eq!(a.scrub_cells, 500);
-        assert_eq!(a.scrub_corrupt_blocks, 3);
-        assert_eq!(a.scrub_quarantined, 1);
-        let mut b = stats(1, 0, 64);
-        b.scrub_quarantined = 2;
-        b.scrub_repairs = 5;
-        b.scrub_salvaged_reads = 1;
-        let fleet = FleetSnapshot {
-            nodes: vec![a.clone(), b],
-        };
-        assert_eq!(fleet.quarantined_spans(), 3);
-        assert_eq!(fleet.total_scrub_repairs(), 7);
-        assert_eq!(fleet.total_corrupt_blocks(), 3);
-        assert_eq!(fleet.total_salvaged_reads(), 5);
-        // Pre-scrub snapshots (no scrub fields at all) still parse.
-        let serde_json::Value::Object(obj) = serde_json::to_value(&a) else {
-            panic!("NodeStats must serialize to an object");
-        };
-        let mut pruned = serde_json::Map::new();
-        for (k, val) in obj.iter() {
-            if !k.starts_with("scrub_") {
-                pruned.insert(k.clone(), val.clone());
-            }
-        }
-        let back: NodeStats = serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
-        assert_eq!(back.scrub_quarantined, 0);
-        assert_eq!(back.scrub_repairs, 0);
-    }
-
-    #[test]
-    fn sched_counters_flow_into_fleet_aggregates() {
-        let reg = MetricsRegistry::new(64);
-        reg.record_sched(1700, 42, 90, 12, 3_400_000, 5);
-        let a = reg.snapshot(0, 1);
-        assert_eq!(a.sched_tasks, 1700);
-        assert_eq!(a.sched_steals, 42);
-        assert_eq!(a.sched_steal_attempts, 90);
-        assert_eq!(a.sched_max_queue_depth, 12);
-        assert!((a.sched_mean_task_us() - 2.0).abs() < 1e-9);
-        let mut b = stats(1, 0, 64);
-        b.sched_tasks = 300;
-        b.sched_steals = 8;
-        b.sched_max_queue_depth = 30;
-        b.sched_dirty_units = 2;
-        let fleet = FleetSnapshot {
-            nodes: vec![a.clone(), b],
-        };
-        assert_eq!(fleet.total_sched_tasks(), 2000);
-        assert_eq!(fleet.total_sched_steals(), 50);
-        assert_eq!(fleet.total_dirty_units(), 7);
-        assert_eq!(fleet.max_sched_queue_depth(), 30);
-        // Pre-scheduler snapshots (no sched fields at all) still parse.
-        let serde_json::Value::Object(obj) = serde_json::to_value(&a) else {
-            panic!("NodeStats must serialize to an object");
-        };
-        let mut pruned = serde_json::Map::new();
-        for (k, val) in obj.iter() {
-            if !k.starts_with("sched_") {
-                pruned.insert(k.clone(), val.clone());
-            }
-        }
-        let back: NodeStats = serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
-        assert_eq!(back.sched_tasks, 0);
-        assert_eq!(back.sched_dirty_units, 0);
-        assert_eq!(back.sched_mean_task_us(), 0.0);
+        assert!((fleet.sched_mean_task_us() - 2.0).abs() < 1e-9);
+        let tiles = fleet.tiles();
+        assert!(tiles.contains(&("mean task latency", "2.0µs".to_string())));
+        assert!(tiles.contains(&("cache hit ratio", "67%".to_string())));
+        // A fleet that never queried or scheduled reports 0, not NaN.
+        assert_eq!(FleetSnapshot { nodes: vec![] }.query_cache_hit_ratio(), 0.0);
+        assert_eq!(FleetSnapshot { nodes: vec![] }.sched_mean_task_us(), 0.0);
     }
 
     #[test]
@@ -972,7 +724,7 @@ mod tests {
         publish(&coord, s1, &stats(1, 90, 100)).unwrap();
         let snap = FleetSnapshot::scrape(&coord);
         assert_eq!(snap.nodes.len(), 2);
-        assert_eq!(snap.total_queue_depth(), 100);
+        assert_eq!(snap.fold(Metric::QueueDepth), 100);
         assert!((snap.mean_queue_utilization() - 0.5).abs() < 1e-9);
         assert!((snap.max_queue_utilization() - 0.9).abs() < 1e-9);
         // Republish updates in place (ephemeral upsert, version bumps).
@@ -984,32 +736,34 @@ mod tests {
         let snap = FleetSnapshot::scrape(&coord);
         assert_eq!(snap.nodes.len(), 1);
         assert_eq!(snap.nodes[0].node, 0);
-        assert_eq!(snap.nodes[0].queue_depth, 20);
+        assert_eq!(snap.nodes[0].get(Metric::QueueDepth), 20);
     }
 
     #[test]
     fn proxy_stats_feed_pressure_but_not_serving_aggregates() {
         let mut proxy = stats(100, 0, 0);
         proxy.is_proxy = true;
-        proxy.ingest_buffer_depth = 90;
-        proxy.ingest_buffer_capacity = 100;
-        proxy.shed_writes = 5;
-        proxy.breaker_trips = 2;
+        proxy
+            .set(Metric::IngestBufferDepth, 90)
+            .set(Metric::IngestBufferCapacity, 100)
+            .set(Metric::ShedWrites, 5)
+            .set(Metric::BreakerTrips, 2);
         let mut server = stats(0, 10, 100);
-        server.shed_reads = 3;
-        server.deadline_expired = 4;
+        server
+            .set(Metric::ShedReads, 3)
+            .set(Metric::DeadlineExpired, 4);
         let snap = FleetSnapshot {
             nodes: vec![server, proxy],
         };
         // Serving aggregates exclude the proxy.
         assert_eq!(snap.live_nodes(), 1);
-        assert_eq!(snap.total_queue_depth(), 10);
+        assert_eq!(snap.fold(Metric::QueueDepth), 10);
         assert!((snap.max_queue_utilization() - 0.1).abs() < 1e-9);
         // Overload signals come through.
         assert!((snap.ingest_pressure() - 0.9).abs() < 1e-9);
         assert_eq!(snap.total_sheds(), 8);
-        assert_eq!(snap.total_deadline_expired(), 4);
-        assert_eq!(snap.total_breaker_trips(), 2);
+        assert_eq!(snap.fold(Metric::DeadlineExpired), 4);
+        assert_eq!(snap.fold(Metric::BreakerTrips), 2);
     }
 
     #[test]
@@ -1024,38 +778,15 @@ mod tests {
         assert_eq!(s.total_sheds(), 0);
         assert_eq!(s.ingest_buffer_utilization(), 0.0);
         // Pre-serving snapshots report no query activity either.
-        assert_eq!(s.query_cache_hits + s.query_cache_misses, 0);
-        assert_eq!(s.query_cache_hit_ratio(), 0.0);
-        assert_eq!(s.query_fanout, 0);
-    }
-
-    #[test]
-    fn query_serving_telemetry_flows_registry_to_fleet() {
-        let reg = MetricsRegistry::new(64);
-        reg.record_query_serving(30, 10, 160, 2);
-        let snap = reg.snapshot(4, 7);
-        assert_eq!(snap.query_cache_hits, 30);
-        assert_eq!(snap.query_cache_misses, 10);
-        assert!((snap.query_cache_hit_ratio() - 0.75).abs() < 1e-9);
-        // Re-publishing newer engine totals overwrites the gauges.
-        reg.record_query_serving(60, 20, 320, 2);
-        let snap2 = reg.snapshot(4, 8);
-        assert_eq!(snap2.query_fanout, 320);
-
-        let mut other = stats(5, 0, 64);
-        other.query_cache_hits = 20;
-        other.query_cache_misses = 20;
-        other.query_fanout = 80;
-        other.query_partials = 1;
-        let fleet = FleetSnapshot {
-            nodes: vec![snap2, other],
-        };
-        // (60 + 20) hits over (80 + 40) lookups.
-        assert!((fleet.query_cache_hit_ratio() - 80.0 / 120.0).abs() < 1e-9);
-        assert_eq!(fleet.total_query_fanout(), 400);
-        assert_eq!(fleet.total_query_partials(), 3);
-        // A fleet that never queried reports ratio 0, not NaN.
-        assert_eq!(FleetSnapshot { nodes: vec![] }.query_cache_hit_ratio(), 0.0);
+        assert_eq!(
+            s.get(Metric::QueryCacheHits) + s.get(Metric::QueryCacheMisses),
+            0
+        );
+        assert_eq!(s.get(Metric::QueryFanout), 0);
+        assert_eq!(
+            FleetSnapshot { nodes: vec![s] }.query_cache_hit_ratio(),
+            0.0
+        );
     }
 
     #[test]
@@ -1063,14 +794,14 @@ mod tests {
         let mut a = stats(0, 50, 100);
         let mut b = stats(1, 100, 100);
         b.crashed = true;
-        a.samples_written = 10;
-        b.samples_written = 20;
+        a.set(Metric::SamplesWritten, 10);
+        b.set(Metric::SamplesWritten, 20);
         let snap = FleetSnapshot { nodes: vec![a, b] };
         assert_eq!(snap.live_nodes(), 1);
         assert_eq!(snap.crashed_nodes(), 1);
-        assert_eq!(snap.total_queue_depth(), 50);
+        assert_eq!(snap.fold(Metric::QueueDepth), 50);
         assert!((snap.max_queue_utilization() - 0.5).abs() < 1e-9);
         // Written totals still count the crashed node's history.
-        assert_eq!(snap.total_samples_written(), 30);
+        assert_eq!(snap.fold(Metric::SamplesWritten), 30);
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pga_platform::{Monitor, PlatformConfig};
+use pga_platform::{dashboard_routes, Monitor, PlatformConfig};
 use pga_sensorgen::{Fleet, FleetConfig};
 use pga_viz::server::{DashboardServer, HttpRequest, HttpResponse, RequestHandler};
 
@@ -167,7 +167,6 @@ fn cmd_dashboard(map: &HashMap<String, String>) {
     let ticks = 700u64;
     let mut config = PlatformConfig::demo(get(map, "seed", 7u64));
     config.fleet = fleet_config(map);
-    let units = config.fleet.units;
     let mut monitor = Monitor::new(config).expect("valid config");
     monitor.ingest_range(0, ticks);
     monitor.train(149).expect("train");
@@ -175,56 +174,7 @@ fn cmd_dashboard(map: &HashMap<String, String>) {
         monitor.evaluate_at(k).expect("evaluate");
     }
     let monitor = Arc::new(Mutex::new(monitor));
-    let routes: RequestHandler = {
-        let monitor = monitor.clone();
-        Arc::new(move |req: &HttpRequest| {
-            let m = monitor.lock();
-            match (req.method.as_str(), req.path.as_str()) {
-                ("GET", "/") => Some(HttpResponse::html(m.fleet_overview_html(0.0))),
-                // pga-allow(lock-discipline): monitor → directory matches the platform order; the read-only page build never takes monitor locks re-entrantly
-                ("GET", "/cluster") => Some(HttpResponse::html(m.cluster_page_html())),
-                ("GET", "/heatmap") => Some(HttpResponse::html(m.heatmap_html(0, ticks - 1, 50))),
-                ("GET", p) if p.starts_with("/machine/") => {
-                    // Typed JSON errors instead of empty 404 pages: a bad
-                    // unit is a client error, a storage/shard failure is a
-                    // degraded backend — clients must be able to tell.
-                    let Ok(unit) = p["/machine/".len()..].parse::<u32>() else {
-                        return Some(HttpResponse::error_json(
-                            404,
-                            "not_found",
-                            "machine id must be a non-negative integer",
-                        ));
-                    };
-                    if unit >= units {
-                        return Some(HttpResponse::error_json(
-                            404,
-                            "not_found",
-                            &format!("unit {unit} outside fleet of {units}"),
-                        ));
-                    }
-                    Some(match m.machine_page_html(unit, ticks - 1, 300, 24) {
-                        Ok(html) => HttpResponse::html(html),
-                        Err(e) => HttpResponse::error_json(503, "degraded", &e.to_string()),
-                    })
-                }
-                ("POST", "/api/put") => Some(match pga_tsdb::handle_put(m.tsd(), &req.body) {
-                    Ok(n) => HttpResponse::json(format!("{{\"success\":{n}}}")),
-                    Err(e) => HttpResponse::json_status(e.status(), e.to_json()),
-                }),
-                ("POST", "/api/query") => {
-                    // Served by the pga-query engine: rollup planning,
-                    // scatter-gather with shard deadlines, result cache.
-                    Some(
-                        match pga_tsdb::handle_query_with(&**m.engine(), &req.body) {
-                            Ok(json) => HttpResponse::json(json),
-                            Err(e) => HttpResponse::json_status(e.status(), e.to_json()),
-                        },
-                    )
-                }
-                _ => None,
-            }
-        })
-    };
+    let routes = dashboard_routes(monitor.clone(), ticks - 1, 300, 24, 0.0);
     let port = get(map, "port", 8087u16);
     let server = DashboardServer::start_with(port, routes.clone())
         .or_else(|_| DashboardServer::start_with(0, routes))
@@ -585,54 +535,11 @@ fn cmd_overload(map: &HashMap<String, String>) {
 /// scans against single-copy lease recovery. Exits non-zero unless every
 /// campaign is clean and the 10x availability bar is met.
 fn cmd_failover(map: &HashMap<String, String>) {
-    use pga_bench::{failover_experiment, render_table, AVAILABILITY_BAR};
+    use pga_bench::failover_experiment;
 
     let seeds = get(map, "seeds", 32u64).max(1);
     let report = failover_experiment(seeds);
-    let mut rows = vec![vec![
-        "RF".to_string(),
-        "seeds".to_string(),
-        "acked loss".to_string(),
-        "failovers".to_string(),
-        "replica checks".to_string(),
-        "fence rejections".to_string(),
-    ]];
-    for c in &report.campaigns {
-        rows.push(vec![
-            c.factor.to_string(),
-            c.seeds_run.to_string(),
-            if c.passed {
-                "0".to_string()
-            } else {
-                format!("{} FAILING SEEDS", c.failures.len())
-            },
-            c.failovers.to_string(),
-            c.replica_checks.to_string(),
-            c.fence_rejections.to_string(),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    let mut rows = vec![vec![
-        "RF".to_string(),
-        "unavailability (sim ms)".to_string(),
-        "scan p50 (ms)".to_string(),
-        "scan p99 (ms)".to_string(),
-        "hedged scans".to_string(),
-    ]];
-    for r in &report.availability {
-        rows.push(vec![
-            r.factor.to_string(),
-            r.unavailability_ms.to_string(),
-            r.scan_p50_ms.to_string(),
-            r.scan_p99_ms.to_string(),
-            r.hedged_scans.to_string(),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!(
-        "replicated scans recover {:.0}x faster than single-copy lease recovery (bar: {AVAILABILITY_BAR}x)",
-        report.availability_speedup
-    );
+    println!("{}", report.render());
     if !report.passed() {
         for c in &report.campaigns {
             for replay in &c.failures {
@@ -654,7 +561,7 @@ fn cmd_failover(map: &HashMap<String, String>) {
 /// reflects fresh flags after invalidation, and the rollup+cache arm
 /// clears the 10x bar on sustained QPS or p99 latency.
 fn cmd_queries(map: &HashMap<String, String>) {
-    use pga_bench::{query_serving_experiment, render_table, QueryArm, QueryBenchConfig};
+    use pga_bench::{query_serving_experiment, QueryBenchConfig};
 
     let base = if map.get("mode").map(String::as_str) == Some("full") {
         QueryBenchConfig::full()
@@ -676,47 +583,7 @@ fn cmd_queries(map: &HashMap<String, String>) {
         cfg.units, cfg.sensors_per_unit, cfg.history_secs, cfg.queries
     );
     let rep = query_serving_experiment(&cfg);
-    let arm = |a: &QueryArm| {
-        vec![
-            a.label.clone(),
-            format!("{:.2}", a.p50_ms),
-            format!("{:.2}", a.p99_ms),
-            format!("{:.0}", a.sustained_qps),
-            a.rollup_plans.to_string(),
-            a.cache_hits.to_string(),
-            a.partials.to_string(),
-        ]
-    };
-    let rows = vec![
-        [
-            "arm",
-            "p50 (ms)",
-            "p99 (ms)",
-            "QPS",
-            "rollup plans",
-            "cache hits",
-            "partials",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        arm(&rep.raw),
-        arm(&rep.rollup),
-        arm(&rep.cached),
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "concurrent ingest: {} samples at {:.0} samples/s",
-        rep.ingest_samples, rep.ingest_throughput
-    );
-    println!(
-        "speedups vs raw: rollup {:.1}x QPS, rollup+cache {:.1}x QPS / {:.1}x p99",
-        rep.qps_speedup_rollup, rep.qps_speedup_cached, rep.p99_speedup_cached
-    );
-    println!(
-        "oracles: {} answer mismatches, {} stale anomaly flags",
-        rep.answer_mismatches, rep.stale_anomaly_flags
-    );
+    println!("{}", rep.render());
     if rep.passed() {
         println!("serving-layer verdict held: exact answers, fresh flags, >= 10x");
     } else {
@@ -733,7 +600,7 @@ fn cmd_queries(map: &HashMap<String, String>) {
 /// row-major evaluator's, and both speedups clear the 10x bar. With
 /// `--smoke`, also writes `target/experiments/BENCH_blocks.json`.
 fn cmd_blocks(map: &HashMap<String, String>, smoke: bool) {
-    use pga_bench::{block_format_experiment, render_table, BlockBenchConfig};
+    use pga_bench::{block_format_experiment, write_report, BlockBenchConfig};
 
     let base = if map.get("mode").map(String::as_str) == Some("full") {
         BlockBenchConfig::full()
@@ -757,47 +624,9 @@ fn cmd_blocks(map: &HashMap<String, String>, smoke: bool) {
         cfg.units, cfg.sensors_per_unit, cfg.history_secs, cfg.row_span_secs
     );
     let rep = block_format_experiment(&cfg);
-    let rows = vec![
-        ["arm", "pass (ms)", "throughput"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        vec![
-            rep.scan_legacy.label.clone(),
-            format!("{:.2}", rep.scan_legacy.pass_ms),
-            format!("{:.1} MB/s", rep.scan_legacy.bytes_per_sec / 1e6),
-        ],
-        vec![
-            rep.scan_blocks.label.clone(),
-            format!("{:.2}", rep.scan_blocks.pass_ms),
-            format!("{:.1} MB/s", rep.scan_blocks.bytes_per_sec / 1e6),
-        ],
-        vec![
-            rep.detect_rowmajor.label.clone(),
-            format!("{:.2}", rep.detect_rowmajor.pass_ms),
-            format!("{:.0} samples/s", rep.detect_rowmajor.samples_per_sec),
-        ],
-        vec![
-            rep.detect_columnar.label.clone(),
-            format!("{:.2}", rep.detect_columnar.pass_ms),
-            format!("{:.0} samples/s", rep.detect_columnar.samples_per_sec),
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "speedups: scan {:.1}x bytes/s, detect {:.1}x samples/s (bar: 10x)",
-        rep.scan_speedup, rep.detect_speedup
-    );
-    println!(
-        "oracles: {} scan mismatches, {} verdict mismatches",
-        rep.scan_mismatches, rep.eval_mismatches
-    );
+    println!("{}", rep.render());
     if smoke {
-        std::fs::create_dir_all("target/experiments").expect("create experiments dir");
-        let json = serde_json::to_string_pretty(&rep).expect("report serialises");
-        std::fs::write("target/experiments/BENCH_blocks.json", json)
-            .expect("write BENCH_blocks.json");
-        println!("wrote target/experiments/BENCH_blocks.json");
+        println!("wrote {}", write_report("BENCH_blocks", &rep));
     }
     if rep.passed() {
         println!("block verdict held: exact answers, bit-identical verdicts, >= 10x");
@@ -816,7 +645,7 @@ fn cmd_blocks(map: &HashMap<String, String>, smoke: bool) {
 /// oracle holds. With `--smoke`, also writes
 /// `target/experiments/BENCH_scrub.json`.
 fn cmd_scrub(map: &HashMap<String, String>, smoke: bool) {
-    use pga_bench::{render_table, scrub_resilience_experiment, ScrubBenchConfig};
+    use pga_bench::{scrub_resilience_experiment, write_report, ScrubBenchConfig};
 
     let base = if map.get("mode").map(String::as_str) == Some("full") {
         ScrubBenchConfig::full()
@@ -839,42 +668,9 @@ fn cmd_scrub(map: &HashMap<String, String>, smoke: bool) {
         cfg.units, cfg.sensors_per_unit, cfg.history_secs, cfg.corruptions
     );
     let rep = scrub_resilience_experiment(&cfg);
-    let arm_row = |a: &pga_bench::ScrubArm| {
-        vec![
-            a.label.clone(),
-            a.queries.to_string(),
-            a.exact.to_string(),
-            a.typed_errors.to_string(),
-            a.wrong_answers.to_string(),
-        ]
-    };
-    let rows = vec![
-        ["arm", "queries", "exact", "typed errors", "wrong answers"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        arm_row(&rep.before),
-        arm_row(&rep.after),
-        arm_row(&rep.post_scrub),
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "scrub: {} blocks corrupted, {} reads salvaged, {} repairs ({} rejected) in {} ticks \
-         ({:.1} ms), {} still quarantined",
-        rep.corrupted_blocks,
-        rep.salvaged_reads,
-        rep.scrub_repairs,
-        rep.scrub_rejected,
-        rep.scrub_ticks,
-        rep.scrub_ms,
-        rep.quarantined_after
-    );
+    println!("{}", rep.render());
     if smoke {
-        std::fs::create_dir_all("target/experiments").expect("create experiments dir");
-        let json = serde_json::to_string_pretty(&rep).expect("report serialises");
-        std::fs::write("target/experiments/BENCH_scrub.json", json)
-            .expect("write BENCH_scrub.json");
-        println!("wrote target/experiments/BENCH_scrub.json");
+        println!("wrote {}", write_report("BENCH_scrub", &rep));
     }
     if rep.passed() {
         println!("scrub verdict held: no wrong answers, quarantine drained via verified repairs");
@@ -892,7 +688,7 @@ fn cmd_scrub(map: &HashMap<String, String>, smoke: bool) {
 /// bar holds (the ≥3x parallel bar is gated on a ≥4-core host). With
 /// `--smoke`, also writes `target/experiments/BENCH_train.json`.
 fn cmd_train(map: &HashMap<String, String>, smoke: bool) {
-    use pga_bench::{render_table, train_retrain_experiment, TrainBenchConfig};
+    use pga_bench::{train_retrain_experiment, write_report, TrainBenchConfig};
 
     let base = if map.get("mode").map(String::as_str) == Some("full") {
         TrainBenchConfig::full()
@@ -915,63 +711,9 @@ fn cmd_train(map: &HashMap<String, String>, smoke: bool) {
         cfg.units, cfg.sensors, cfg.rounds, cfg.dirty_units, cfg.delta_rows, cfg.workers
     );
     let rep = train_retrain_experiment(&cfg);
-    let mut rows = vec![[
-        "round",
-        "dirty units",
-        "full ms",
-        "incremental ms",
-        "divergence",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>()];
-    for r in &rep.rounds {
-        rows.push(vec![
-            r.round.to_string(),
-            r.dirty.len().to_string(),
-            format!("{:.2}", r.full_ms),
-            format!("{:.2}", r.incremental_ms),
-            format!("{:.2e}", r.max_divergence),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    let mut rows = vec![[
-        "workers",
-        "elapsed ms",
-        "speedup",
-        "tasks",
-        "steals",
-        "max depth",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>()];
-    for r in &rep.scaling {
-        rows.push(vec![
-            r.workers.to_string(),
-            format!("{:.2}", r.elapsed_ms),
-            format!("{:.2}x", r.speedup),
-            r.tasks.to_string(),
-            r.steals.to_string(),
-            r.max_queue_depth.to_string(),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!(
-        "train: incremental {:.1}x faster than full rebuild, parallel {:.1}x over sequential \
-         ({} cores), {} mismatches, worst divergence {:.2e}",
-        rep.incremental_speedup,
-        rep.parallel_speedup,
-        rep.cores,
-        rep.mismatches,
-        rep.max_divergence
-    );
+    println!("{}", rep.render());
     if smoke {
-        std::fs::create_dir_all("target/experiments").expect("create experiments dir");
-        let json = serde_json::to_string_pretty(&rep).expect("report serialises");
-        std::fs::write("target/experiments/BENCH_train.json", json)
-            .expect("write BENCH_train.json");
-        println!("wrote target/experiments/BENCH_train.json");
+        println!("wrote {}", write_report("BENCH_train", &rep));
     }
     if rep.passed() {
         println!("train verdict held: incremental equals full recompute and beats it >=5x");

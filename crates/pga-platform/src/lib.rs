@@ -24,7 +24,9 @@
 mod alerts;
 mod config;
 mod monitor;
+mod routes;
 
 pub use alerts::{rank_alerts, Alert};
 pub use config::{PlatformConfig, QueryConfig};
 pub use monitor::{AnomalyRecord, Monitor, MonitorError};
+pub use routes::dashboard_routes;

@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use pga_cluster::NodeId;
+use pga_control::{collect_node_stats, FleetSnapshot, Metric, NodeStats};
 use pga_dataflow::Dataflow;
 use pga_detect::{
     train_unit, BrownoutGate, EvalMode, EvalOutcome, FleetTrainer, OnlineEvaluator, UnitModel,
@@ -17,7 +19,7 @@ use pga_sensorgen::Fleet;
 use pga_tsdb::QueryFilter;
 use pga_viz::{
     cluster_page, fleet_overview_page, machine_page, ClusterNodeRow, ClusterView, FleetOverview,
-    Health, MachinePage, SensorPanel, UnitStatus,
+    Health, MachinePage, SensorPanel, StatTile, UnitStatus,
 };
 
 use crate::config::PlatformConfig;
@@ -80,6 +82,9 @@ impl std::fmt::Display for MonitorError {
 
 impl std::error::Error for MonitorError {}
 
+/// Node id of the monitor's own telemetry sample: no storage node's id.
+const FRONT_END_NODE: u32 = u32::MAX;
+
 /// The integrated monitoring platform.
 pub struct Monitor {
     config: PlatformConfig,
@@ -88,7 +93,7 @@ pub struct Monitor {
     engine: Arc<QueryEngine>,
     /// One work-stealing dataflow engine for the monitor's lifetime, so
     /// its scheduler counters accumulate across training rounds and feed
-    /// the `/cluster` page.
+    /// the front-end telemetry sample.
     dataflow: Dataflow,
     evaluators: Vec<OnlineEvaluator>,
     /// Resident per-unit sufficient statistics for incremental
@@ -527,82 +532,111 @@ impl Monitor {
         fleet_overview_page(&self.fleet_overview_data(eval_rate))
     }
 
-    /// Build the cluster replication view from the storage control
-    /// plane: region placement and failover history from the master,
-    /// read-path counters (follower reads, hedged scans, fence
-    /// rejections) summed over every storage client's lag book — the
-    /// ingest TSDs plus the serving engine — plus the batch scheduler's
-    /// counters (tasks, steals, queue depth, latency, dirty units) from
-    /// the monitor's dataflow engine.
-    pub fn cluster_view_data(&self) -> ClusterView {
+    /// Sample the counters only this process can see — the serving
+    /// engine's, every storage client's lag book (the ingest TSDs plus
+    /// the engine), the TSDs' scrub state and the training scheduler's —
+    /// as one non-serving telemetry sample.
+    fn front_end_stats(&self) -> NodeStats {
+        let mut stats = NodeStats::new(FRONT_END_NODE, 0);
+        stats.is_proxy = true;
+        let query = self.engine.stats();
+        let mut books = self.engine.client().repl_book().snapshot();
+        // The scrub state owns detection/quarantine/repair totals (the
+        // read path quarantines through the same state, so `corrupt_found`
+        // counts each span once) and the TSD metrics own salvaged reads.
+        use std::sync::atomic::Ordering::Relaxed;
+        let (mut cells, mut corrupt, mut quarantined) = (0u64, 0u64, 0u64);
+        let (mut repairs, mut rejected, mut salvaged) = (0u64, 0u64, 0u64);
+        for tsd in self.pipeline.tsds() {
+            books = books.merge(&tsd.client().repl_book().snapshot());
+            let scrub = tsd.scrub_state();
+            // pga-allow(relaxed-atomics): independent monotonic counters; reporting tolerates skew
+            cells += scrub.cells_scrubbed.load(Relaxed);
+            corrupt += scrub.corrupt_found.load(Relaxed);
+            quarantined += scrub.len() as u64;
+            repairs += scrub.repairs_ok.load(Relaxed);
+            rejected += scrub.repairs_rejected.load(Relaxed);
+            salvaged += tsd.metrics().salvaged_reads.load(Relaxed);
+        }
+        // Every training graph the dataflow engine ran since construction.
+        let sched = self.dataflow.stats();
+        stats
+            .set(Metric::QueryCacheHits, query.cache_hits)
+            .set(Metric::QueryCacheMisses, query.cache_misses)
+            .set(Metric::QueryFanout, query.fanout_total)
+            .set(Metric::QueryPartials, query.partials)
+            .set(Metric::ReplFenceRejections, books.fence_rejections)
+            .set(Metric::ReplFollowerReads, books.follower_reads)
+            .set(Metric::ReplHedgedScans, books.hedged_scans)
+            .set(Metric::ScrubCells, cells)
+            .set(Metric::ScrubCorruptBlocks, corrupt)
+            .set(Metric::ScrubQuarantined, quarantined)
+            .set(Metric::ScrubRepairs, repairs)
+            .set(Metric::ScrubRejected, rejected)
+            .set(Metric::ScrubSalvagedReads, salvaged)
+            .set(Metric::SchedTasks, sched.tasks_run)
+            .set(Metric::SchedSteals, sched.steals)
+            .set(Metric::SchedStealAttempts, sched.steal_attempts)
+            .set(Metric::SchedMaxQueueDepth, sched.max_queue_depth)
+            .set(Metric::SchedTaskNs, sched.task_ns_total)
+            .set(Metric::SchedDirtyUnits, self.dirty_units() as u64);
+        stats
+    }
+
+    /// The fleet's telemetry right now: one sample per storage node (the
+    /// control plane's [`collect_node_stats`]) plus this process's
+    /// front-end sample. `/cluster` and `/metrics` both render from it.
+    pub fn fleet_snapshot(&self) -> FleetSnapshot {
         let master = self.pipeline.master();
-        let live: std::collections::BTreeSet<_> = master.live_nodes().into_iter().collect();
-        let report = master.replication_report();
-        let directory = master.directory().read().clone();
-        let nodes = master
+        let mut nodes: Vec<NodeStats> = master
             .nodes()
             .into_iter()
-            .map(|node| {
-                let (lag, _) = report
-                    .iter()
-                    .filter(|s| s.primary == node)
-                    .fold((0u64, 0u64), |(lag, n), s| (lag.max(s.max_lag()), n + 1));
+            .filter_map(|node| collect_node_stats(master, node, 0))
+            .collect();
+        nodes.push(self.front_end_stats());
+        FleetSnapshot { nodes }
+    }
+
+    /// Build the cluster replication view: region placement from the
+    /// master's directory, each node's lag and failover columns from its
+    /// telemetry sample, and the stat strip from the fleet folds.
+    pub fn cluster_view_data(&self) -> ClusterView {
+        let master = self.pipeline.master();
+        let fleet = self.fleet_snapshot();
+        let live: std::collections::BTreeSet<_> = master.live_nodes().into_iter().collect();
+        let directory = master.directory().read().clone();
+        let nodes = fleet
+            .nodes
+            .iter()
+            .filter(|stats| !stats.is_proxy)
+            .map(|stats| {
+                let node = NodeId(stats.node);
                 ClusterNodeRow {
-                    node: node.0,
+                    node: stats.node,
                     alive: live.contains(&node),
                     primary_regions: directory.iter().filter(|r| r.server == node).count(),
                     follower_regions: directory
                         .iter()
                         .filter(|r| r.followers.contains(&node))
                         .count(),
-                    replication_lag: lag,
-                    failovers: master
-                        .failover_events()
-                        .iter()
-                        .filter(|e| e.to == node)
-                        .count() as u64,
+                    replication_lag: stats.get(Metric::ReplLagBatches),
+                    failovers: stats.get(Metric::ReplFailovers),
                 }
             })
             .collect();
-        let mut books = pga_repl::LagSnapshot::default();
-        for tsd in self.pipeline.tsds() {
-            books = books.merge(&tsd.client().repl_book().snapshot());
-        }
-        books = books.merge(&self.engine.client().repl_book().snapshot());
-        // Corruption-resilience counters, summed over every TSD daemon:
-        // the scrub state owns detection/quarantine/repair totals (the
-        // read path quarantines through the same state, so `corrupt_found`
-        // counts each span once) and the TSD metrics own salvaged reads.
-        use std::sync::atomic::Ordering::Relaxed;
-        let (mut corrupt, mut quarantined, mut repairs, mut salvaged) = (0u64, 0u64, 0u64, 0u64);
-        for tsd in self.pipeline.tsds() {
-            let scrub = tsd.scrub_state();
-            // pga-allow(relaxed-atomics): independent monotonic counters; reporting tolerates skew
-            corrupt += scrub.corrupt_found.load(Relaxed);
-            quarantined += scrub.len() as u64;
-            repairs += scrub.repairs_ok.load(Relaxed);
-            salvaged += tsd.metrics().salvaged_reads.load(Relaxed);
-        }
-        // Batch-scheduler counters come from the monitor's own dataflow
-        // engine — every training graph it ran since construction.
-        let sched = self.dataflow.stats();
+        let tiles = fleet
+            .tiles()
+            .into_iter()
+            .map(|(label, value)| StatTile {
+                label: label.to_string(),
+                value,
+            })
+            .collect();
         ClusterView {
             replication_factor: master.replication_factor(),
             nodes,
             lag_alert: self.config.replication.follower_read_max_lag,
-            total_failovers: master.failovers(),
-            fence_rejections: books.fence_rejections,
-            follower_reads: books.follower_reads,
-            hedged_scans: books.hedged_scans,
-            corrupt_blocks: corrupt,
-            quarantined_spans: quarantined,
-            scrub_repairs: repairs,
-            salvaged_reads: salvaged,
-            sched_tasks: sched.tasks_run,
-            sched_steals: sched.steals,
-            sched_mean_task_us: sched.mean_task_us(),
-            sched_max_queue_depth: sched.max_queue_depth,
-            dirty_units: self.dirty_units() as u64,
+            tiles,
         }
     }
 
@@ -702,15 +736,26 @@ mod tests {
         let followers: usize = view.nodes.iter().map(|n| n.follower_regions).sum();
         assert!(primaries > 0);
         assert_eq!(primaries, followers);
-        assert_eq!(view.total_failovers, 0);
+        let fleet = m.fleet_snapshot();
+        assert_eq!(fleet.live_nodes(), 4, "the front end is not a serving node");
+        assert_eq!(fleet.fold(Metric::ReplFailovers), 0);
+        assert_eq!(fleet.fold(Metric::ReplRegions) as usize, primaries);
         // Clean cluster: nothing detected, quarantined, or repaired.
-        assert_eq!(view.corrupt_blocks, 0);
-        assert_eq!(view.quarantined_spans, 0);
-        assert_eq!(view.scrub_repairs, 0);
+        assert_eq!(fleet.fold(Metric::ScrubCorruptBlocks), 0);
+        assert_eq!(fleet.fold(Metric::ScrubQuarantined), 0);
+        assert_eq!(fleet.fold(Metric::ScrubRepairs), 0);
+        assert!(fleet.fold(Metric::SamplesWritten) > 0);
         let html = m.cluster_page_html();
         assert!(html.contains("Cluster replication"));
         assert!(html.contains("RF 2"));
-        assert!(html.contains("quarantined spans"));
+        for (label, value) in fleet.tiles() {
+            assert!(
+                html.contains(&format!("{value}</div><div class=\"k\">{label}</div>")),
+                "tile {label} renders"
+            );
+        }
+        assert!(html.contains("<div class=\"k\">corrupt blocks</div>"));
+        assert!(html.contains("<div class=\"k\">quarantined spans</div>"));
         m.shutdown();
     }
 
@@ -729,11 +774,14 @@ mod tests {
         assert_eq!(m.train_incremental(149).unwrap(), 0);
         // New ticks dirty every unit that saw data.
         assert_eq!(m.train_incremental(180).unwrap(), 2);
-        // Scheduler counters from the training graphs reach the cluster
-        // view, and the retrain left no unit dirty.
-        let view = m.cluster_view_data();
-        assert!(view.sched_tasks > 0, "training ran scheduler tasks");
-        assert_eq!(view.dirty_units, 0);
+        // Scheduler counters from the training graphs reach the fleet
+        // snapshot, and the retrain left no unit dirty.
+        let fleet = m.fleet_snapshot();
+        assert!(
+            fleet.fold(Metric::SchedTasks) > 0,
+            "training ran scheduler tasks"
+        );
+        assert_eq!(fleet.fold(Metric::SchedDirtyUnits), 0);
         assert!(m.dataflow_stats().graphs_run > 0);
         // Evaluation runs off the incrementally trained models.
         let out = m.evaluate_at(205).unwrap();

@@ -1,11 +1,11 @@
 //! Cluster replication page: per-node replication health for the
 //! storage tier — regions led, follower copies hosted, WAL shipping
-//! lag, and failover history — plus fleet-wide replication counters.
+//! lag, and failover history — plus a strip of fleet-wide stat tiles.
 //!
 //! Pure data in ([`ClusterView`]), HTML out ([`cluster_page`]), like the
 //! machine page and fleet overview: the platform layer maps its control
-//! plane (master directory, telemetry scrape, client lag books) into the
-//! view struct and this module only renders.
+//! plane (master directory, fleet telemetry snapshot) into the view
+//! struct and this module only renders.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,6 +44,15 @@ impl ClusterNodeRow {
     }
 }
 
+/// One fleet-wide stat in the page's analytics strip.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StatTile {
+    /// Caption under the value.
+    pub label: String,
+    /// Pre-formatted value (count, ratio, latency with unit).
+    pub value: String,
+}
+
 /// Input to the cluster replication page.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterView {
@@ -54,59 +63,15 @@ pub struct ClusterView {
     /// Follower lag (WAL batches) above which a primary shows as
     /// lagging rather than healthy.
     pub lag_alert: u64,
-    /// Cumulative primary promotions across the cluster.
-    pub total_failovers: u64,
-    /// Cumulative epoch-fenced replication RPCs (deposed writers denied
-    /// a vote).
-    pub fence_rejections: u64,
-    /// Cumulative scans served from a follower under bounded staleness.
-    pub follower_reads: u64,
-    /// Cumulative scans hedged to a follower after a slow primary.
-    pub hedged_scans: u64,
-    /// Corrupt blocks detected so far (scrub walks plus read paths).
-    /// Defaults (with the three fields below) keep pre-scrub view JSON
-    /// parseable: an old producer simply reports no corruption activity.
+    /// Fleet-wide stat tiles, rendered in order after the replication
+    /// factor and live-node tiles. The producer decides which
+    /// stats exist; defaulted so view JSON from before the tile strip
+    /// still parses.
     #[serde(default)]
-    pub corrupt_blocks: u64,
-    /// Spans sitting in quarantine right now, awaiting repair.
-    #[serde(default)]
-    pub quarantined_spans: u64,
-    /// Cumulative blocks repaired from a healthy replica.
-    #[serde(default)]
-    pub scrub_repairs: u64,
-    /// Cumulative reads transparently answered from a replica after the
-    /// local copy failed verification.
-    #[serde(default)]
-    pub salvaged_reads: u64,
-    /// Cumulative batch-scheduler tasks executed across the fleet.
-    /// Defaults (with the four fields below) keep pre-scheduler view
-    /// JSON parseable: an old producer simply reports no batch activity.
-    #[serde(default)]
-    pub sched_tasks: u64,
-    /// Cumulative tasks a worker stole from another worker's deque.
-    #[serde(default)]
-    pub sched_steals: u64,
-    /// Mean task latency in microseconds across the fleet's schedulers.
-    #[serde(default)]
-    pub sched_mean_task_us: f64,
-    /// Deepest per-worker queue observed across the fleet.
-    #[serde(default)]
-    pub sched_max_queue_depth: u64,
-    /// Units whose retraining is pending (dirty sufficient statistics).
-    #[serde(default)]
-    pub dirty_units: u64,
+    pub tiles: Vec<StatTile>,
 }
 
 impl ClusterView {
-    /// Worst follower lag across every primary in the cluster.
-    pub fn max_replication_lag(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.replication_lag)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Live nodes.
     pub fn live_nodes(&self) -> usize {
         self.nodes.iter().filter(|n| n.alive).count()
@@ -114,46 +79,30 @@ impl ClusterView {
 }
 
 /// Render the cluster replication page: an analytics strip (replication
-/// factor, worst lag, failovers, follower-served reads) over a per-node
-/// table with the same status palette and text labels as the fleet
-/// overview.
+/// factor, live nodes, then every tile the view carries) over a
+/// per-node table with the same status palette and text labels as the
+/// fleet overview.
 pub fn cluster_page(view: &ClusterView) -> String {
-    let mut body = String::from("<h1>Cluster replication</h1>");
-    body.push_str(&format!(
-        "<div class=\"analytics\">\
-         <div class=\"stat\"><div class=\"v\">RF {}</div><div class=\"k\">replication factor</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}/{}</div><div class=\"k\">nodes live</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">worst lag (batches)</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">failovers</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">fence rejections</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">follower reads</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">hedged scans</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">quarantined spans</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">blocks repaired</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">salvaged reads</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">sched tasks</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">tasks stolen</div></div>\
-         <div class=\"stat\"><div class=\"v\">{:.1}&#181;s</div><div class=\"k\">mean task latency</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">max queue depth</div></div>\
-         <div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">dirty units</div></div>\
-         </div>",
-        view.replication_factor,
-        view.live_nodes(),
-        view.nodes.len(),
-        view.max_replication_lag(),
-        view.total_failovers,
-        view.fence_rejections,
-        view.follower_reads,
-        view.hedged_scans,
-        view.quarantined_spans,
-        view.scrub_repairs,
-        view.salvaged_reads,
-        view.sched_tasks,
-        view.sched_steals,
-        view.sched_mean_task_us,
-        view.sched_max_queue_depth,
-        view.dirty_units,
-    ));
+    let mut body = String::from("<h1>Cluster replication</h1><div class=\"analytics\">");
+    let mut stat = |value: &str, label: &str| {
+        body.push_str(&format!(
+            "<div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">{}</div></div>",
+            escape(value),
+            escape(label)
+        ));
+    };
+    stat(
+        &format!("RF {}", view.replication_factor),
+        "replication factor",
+    );
+    stat(
+        &format!("{}/{}", view.live_nodes(), view.nodes.len()),
+        "nodes live",
+    );
+    for tile in &view.tiles {
+        stat(&tile.value, &tile.label);
+    }
+    body.push_str("</div>");
     body.push_str(
         "<table class=\"units\"><tr><th>node</th><th>status</th>\
          <th>primary regions</th><th>follower copies</th>\
@@ -217,19 +166,13 @@ mod tests {
                 },
             ],
             lag_alert: 4,
-            total_failovers: 1,
-            fence_rejections: 3,
-            follower_reads: 25,
-            hedged_scans: 6,
-            corrupt_blocks: 2,
-            quarantined_spans: 1,
-            scrub_repairs: 1,
-            salvaged_reads: 4,
-            sched_tasks: 1234,
-            sched_steals: 56,
-            sched_mean_task_us: 12.5,
-            sched_max_queue_depth: 9,
-            dirty_units: 3,
+            tiles: [("fence rejections", "3"), ("mean task latency", "12.5µs")]
+                .iter()
+                .map(|(label, value)| StatTile {
+                    label: label.to_string(),
+                    value: value.to_string(),
+                })
+                .collect(),
         }
     }
 
@@ -240,16 +183,10 @@ mod tests {
         assert!(html.contains("<h1>Cluster replication</h1>"));
         assert!(html.contains("RF 2"));
         assert!(html.contains("2/3"));
-        assert!(html.contains("fence rejections"));
-        assert!(html.contains("hedged scans"));
-        assert!(html.contains("quarantined spans"));
-        assert!(html.contains("blocks repaired"));
-        assert!(html.contains("salvaged reads"));
-        assert!(html.contains("sched tasks"));
-        assert!(html.contains("tasks stolen"));
-        assert!(html.contains("12.5&#181;s"));
-        assert!(html.contains("max queue depth"));
-        assert!(html.contains("dirty units"));
+        // Every tile the view carries renders, value over label.
+        assert!(html.contains("<div class=\"v\">3</div><div class=\"k\">fence rejections</div>"));
+        assert!(html.contains("12.5µs</div><div class=\"k\">mean task latency"));
+        assert_eq!(html.matches("class=\"stat\"").count(), 2 + view.tiles.len());
         // Status is text, never color alone.
         assert!(html.contains("healthy"));
         assert!(html.contains("warning"));
@@ -262,7 +199,6 @@ mod tests {
         assert_eq!(view.nodes[0].health(view.lag_alert), Health::Good);
         assert_eq!(view.nodes[1].health(view.lag_alert), Health::Warning);
         assert_eq!(view.nodes[2].health(view.lag_alert), Health::Critical);
-        assert_eq!(view.max_replication_lag(), 7);
         assert_eq!(view.live_nodes(), 2);
     }
 
@@ -276,18 +212,15 @@ mod tests {
 
     #[test]
     fn pre_scheduler_view_json_still_parses() {
-        // A producer built before the scheduler panel emits no sched_*
-        // fields; the serde defaults must fill them in as zeroes.
+        // A producer built before the tile strip emits the old scalar
+        // fields and no `tiles`: the scalars are skipped as unknown keys
+        // and the strip defaults to empty.
         let legacy = r#"{"replication_factor":2,"nodes":[],"lag_alert":4,
             "total_failovers":1,"fence_rejections":3,"follower_reads":25,
             "hedged_scans":6}"#;
         let back: ClusterView = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.sched_tasks, 0);
-        assert_eq!(back.sched_steals, 0);
-        assert_eq!(back.sched_mean_task_us, 0.0);
-        assert_eq!(back.sched_max_queue_depth, 0);
-        assert_eq!(back.dirty_units, 0);
-        assert_eq!(back.corrupt_blocks, 0);
-        assert_eq!(back.total_failovers, 1);
+        assert!(back.tiles.is_empty());
+        assert_eq!(back.replication_factor, 2);
+        assert_eq!(back.lag_alert, 4);
     }
 }

@@ -31,7 +31,7 @@ pub mod server;
 pub mod svg;
 
 pub use charts::{detail_chart, sparkline, ChartConfig};
-pub use cluster::{cluster_page, ClusterNodeRow, ClusterView};
+pub use cluster::{cluster_page, ClusterNodeRow, ClusterView, StatTile};
 pub use dashboard::{
     fleet_overview_page, machine_page, FleetOverview, Health, MachinePage, SensorPanel, UnitStatus,
 };

@@ -2,12 +2,9 @@
 //! (§V-A: "a web application that is available on both desktop and mobile
 //! devices").
 //!
-//! Routes:
-//!   GET  /              — fleet overview
-//!   GET  /cluster       — cluster replication page
-//!   GET  /machine/<id>  — machine page (Figure 3)
-//!   POST /api/put       — OpenTSDB-style datapoint ingestion (JSON)
-//!   POST /api/query     — OpenTSDB-style range query (JSON)
+//! Routes are [`pga_platform::dashboard_routes`] — the same table
+//! `pga dashboard` serves: `/`, `/cluster`, `/heatmap`, `/machine/<id>`,
+//! `/metrics`, and `POST /api/put` / `POST /api/query`.
 //!
 //! ```text
 //! cargo run --release --example dashboard_server            # serve 30 s on :8087
@@ -21,8 +18,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pga_platform::{Monitor, PlatformConfig};
-use pga_viz::server::{DashboardServer, HttpRequest, HttpResponse, RequestHandler};
+use pga_platform::{dashboard_routes, Monitor, PlatformConfig};
+use pga_viz::server::DashboardServer;
 
 fn main() {
     let mut config = PlatformConfig::demo(7);
@@ -37,35 +34,7 @@ fn main() {
     let evaluated: u64 = 4 * 10 * 48 * 50;
     let monitor = Arc::new(Mutex::new(monitor));
 
-    let routes: RequestHandler = {
-        let monitor = monitor.clone();
-        Arc::new(move |req: &HttpRequest| {
-            let m = monitor.lock();
-            match (req.method.as_str(), req.path.as_str()) {
-                ("GET", "/") => Some(HttpResponse::html(m.fleet_overview_html(evaluated as f64))),
-                ("GET", "/cluster") => Some(HttpResponse::html(m.cluster_page_html())),
-                ("GET", "/heatmap") => Some(HttpResponse::html(m.heatmap_html(0, 699, 50))),
-                ("GET", p) if p.starts_with("/machine/") => {
-                    let unit: u32 = p["/machine/".len()..].parse().ok()?;
-                    if unit >= m.config().fleet.units {
-                        return None;
-                    }
-                    m.machine_page_html(unit, 699, 300, 24)
-                        .ok()
-                        .map(HttpResponse::html)
-                }
-                ("POST", "/api/put") => Some(match pga_tsdb::handle_put(m.tsd(), &req.body) {
-                    Ok(n) => HttpResponse::json(format!("{{\"success\":{n}}}")),
-                    Err(e) => HttpResponse::json_status(e.status(), e.to_json()),
-                }),
-                ("POST", "/api/query") => Some(match pga_tsdb::handle_query(m.tsd(), &req.body) {
-                    Ok(json) => HttpResponse::json(json),
-                    Err(e) => HttpResponse::json_status(e.status(), e.to_json()),
-                }),
-                _ => None,
-            }
-        })
-    };
+    let routes = dashboard_routes(monitor.clone(), 699, 300, 24, evaluated as f64);
 
     let server = DashboardServer::start_with(8087, routes.clone())
         .or_else(|_| DashboardServer::start_with(0, routes))
@@ -74,6 +43,7 @@ fn main() {
     println!("machine pages at http://{}/machine/<0..9>", server.addr());
     println!("anomaly heatmap at http://{}/heatmap", server.addr());
     println!("cluster replication at http://{}/cluster", server.addr());
+    println!("fleet telemetry at http://{}/metrics", server.addr());
     println!(
         "OpenTSDB-style API at http://{}/api/put and /api/query",
         server.addr()

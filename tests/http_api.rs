@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pga_platform::{Monitor, PlatformConfig};
-use pga_viz::server::{DashboardServer, HttpRequest, HttpResponse, RequestHandler};
+use pga_platform::{dashboard_routes, Monitor, PlatformConfig};
+use pga_viz::server::DashboardServer;
 
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).unwrap();
@@ -42,51 +42,7 @@ fn serving_monitor() -> (DashboardServer, Arc<Mutex<Monitor>>) {
     monitor.train(149).unwrap();
     monitor.evaluate_at(599).unwrap();
     let monitor = Arc::new(Mutex::new(monitor));
-    let routes: RequestHandler = {
-        let monitor = monitor.clone();
-        Arc::new(move |req: &HttpRequest| {
-            let m = monitor.lock();
-            match (req.method.as_str(), req.path.as_str()) {
-                ("GET", "/") => Some(HttpResponse::html(m.fleet_overview_html(0.0))),
-                ("GET", "/cluster") => Some(HttpResponse::html(m.cluster_page_html())),
-                ("GET", "/heatmap") => Some(HttpResponse::html(m.heatmap_html(0, 599, 50))),
-                ("GET", p) if p.starts_with("/machine/") => {
-                    let Ok(unit) = p["/machine/".len()..].parse::<u32>() else {
-                        return Some(HttpResponse::error_json(
-                            404,
-                            "not_found",
-                            "machine id must be a non-negative integer",
-                        ));
-                    };
-                    if unit >= 4 {
-                        return Some(HttpResponse::error_json(
-                            404,
-                            "not_found",
-                            &format!("unit {unit} outside fleet of 4"),
-                        ));
-                    }
-                    Some(match m.machine_page_html(unit, 599, 100, 8) {
-                        Ok(html) => HttpResponse::html(html),
-                        Err(e) => HttpResponse::error_json(503, "degraded", &e.to_string()),
-                    })
-                }
-                ("POST", "/api/put") => Some(match pga_tsdb::handle_put(m.tsd(), &req.body) {
-                    Ok(n) => HttpResponse::json(format!("{{\"success\":{n}}}")),
-                    Err(e) => HttpResponse::json_status(e.status(), e.to_json()),
-                }),
-                ("POST", "/api/query") => {
-                    // Served by the pga-query engine, like the pga CLI.
-                    Some(
-                        match pga_tsdb::handle_query_with(&**m.engine(), &req.body) {
-                            Ok(json) => HttpResponse::json(json),
-                            Err(e) => HttpResponse::json_status(e.status(), e.to_json()),
-                        },
-                    )
-                }
-                _ => None,
-            }
-        })
-    };
+    let routes = dashboard_routes(monitor.clone(), 599, 100, 8, 0.0);
     let server = DashboardServer::start_with(0, routes).unwrap();
     (server, monitor)
 }
@@ -181,23 +137,27 @@ fn dashboard_and_api_over_one_socket() {
     assert_eq!(status, 404);
     assert!(body.contains("\"error\""));
 
-    // The serving engine answered the API traffic, and its counters flow
-    // into control-plane telemetry (cache hit ratio, scatter-gather
-    // fan-out in NodeStats).
+    // The serving engine answered the API traffic, and its counters reach
+    // the control plane's exposition through the real sampling path.
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
     let stats = monitor.lock().engine().stats();
     assert!(stats.queries > 0);
     assert!(stats.fanout_total > 0, "queries scatter across salt shards");
-    let reg = pga_control::MetricsRegistry::new(0);
-    reg.record_query_serving(
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.fanout_total,
-        stats.partials,
+    let sample = |line: String| metrics.lines().any(|l| l == line);
+    assert!(sample(format!("query_fanout {}", stats.fanout_total)));
+    assert!(sample(format!("query_cache_hits {}", stats.cache_hits)));
+    assert!(
+        sample("query_partials 0".to_string()),
+        "healthy stack serves no partials"
     );
-    let node = reg.snapshot(0, 0);
-    assert_eq!(node.query_fanout, stats.fanout_total);
-    assert_eq!(node.query_cache_hits, stats.cache_hits);
-    assert_eq!(node.query_partials, 0, "healthy stack serves no partials");
+    assert_eq!(
+        metrics.lines().filter(|l| !l.starts_with('#')).count(),
+        pga_control::METRICS.len(),
+        "one sample per table row"
+    );
+    let (_, cluster) = request(addr, "GET", "/cluster", "");
+    assert!(cluster.contains("query fan-out"));
 
     server.stop();
     monitor.lock().shutdown();
