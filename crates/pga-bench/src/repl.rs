@@ -233,7 +233,7 @@ fn availability_probe(factor: usize) -> AvailabilityRow {
             // hedge window is what the latency model charges below.
             let wall = default_clock_ms();
             client.scan_hedged(
-                &RowRange::all(),
+                &RowRange::all().into(),
                 Some(wall + HEDGE_DELAY_MS),
                 Some(wall + HEDGE_DELAY_MS),
             )

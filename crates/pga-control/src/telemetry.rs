@@ -203,6 +203,8 @@ metrics! {
     QueryCacheMisses, "query_cache_misses", Sum, All, None, "Cumulative serving-layer result-cache misses.";
     QueryFanout, "query_fanout", Sum, All, Some("query fan-out"), "Cumulative scatter-gather shard scans fanned out by the serving layer.";
     QueryPartials, "query_partials", Sum, All, Some("partial results"), "Cumulative queries answered with partial results.";
+    QueryCellsScanned, "query_cells_scanned", Sum, All, None, "Cumulative cells the region servers returned to serving-layer scans (over query_points_served: read amplification).";
+    QueryPointsServed, "query_points_served", Sum, All, None, "Cumulative points in the answers the serving layer executed (cache hits excluded).";
 }
 
 /// `num / den`, or 0 when nothing has been counted yet (never NaN).
@@ -555,8 +557,12 @@ mod tests {
         assert_eq!(s.get(Metric::QueueDepth), 37);
         assert_eq!(s.get(Metric::ReplFenceRejections), 18);
         assert_eq!(s.get(Metric::SchedDirtyUnits), 32);
-        let parent: serde_json::Value = serde_json::from_str(PARENT_STATS_JSON).unwrap();
-        assert_eq!(keys(&serde_json::to_value(&s)), keys(&parent));
+        // Every key of that snapshot is still written; rows added since
+        // (which it reads as 0) are the only other keys.
+        let mut expected = keys(&serde_json::from_str(PARENT_STATS_JSON).unwrap());
+        expected.extend(["query_cells_scanned", "query_points_served"].map(String::from));
+        assert_eq!(keys(&serde_json::to_value(&s)), expected);
+        assert_eq!(s.get(Metric::QueryCellsScanned), 0);
         // Keys this build has never heard of are skipped, not fatal.
         let newer = PARENT_STATS_JSON.replacen('{', r#"{"added_later":9,"#, 1);
         assert_eq!(serde_json::from_str::<NodeStats>(&newer).unwrap(), s);

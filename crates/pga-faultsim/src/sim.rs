@@ -1360,7 +1360,7 @@ impl<'a> Driver<'a> {
             };
             let primary_cells: BTreeSet<_> = match primary.handle().call(Request::Scan {
                 region: status.region,
-                range: RowRange::all(),
+                scan: RowRange::all().into(),
             }) {
                 Ok(Response::Cells(cells)) => cells.into_iter().collect(),
                 _ => continue, // primary crashed post-drain: nothing to anchor on
@@ -1371,7 +1371,7 @@ impl<'a> Driver<'a> {
                 };
                 let reply = server.handle().call(Request::FollowerScan {
                     region: status.region,
-                    range: RowRange::all(),
+                    scan: RowRange::all().into(),
                 });
                 let Ok(Response::FollowerCells { cells, applied_seq }) = reply else {
                     continue;

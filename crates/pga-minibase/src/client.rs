@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::kv::{KeyValue, RowRange};
+use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::master::{locate, Directory, Master, RegionInfo};
 use crate::region::RegionId;
 use crate::server::{Request, Response};
@@ -448,54 +448,96 @@ impl Client {
         (position >= target_seq).then_some(position)
     }
 
+    /// Directory entries of the regions overlapping `rows`.
+    fn regions_overlapping(&self, rows: &RowRange) -> Vec<RegionInfo> {
+        let dir = self.directory.read();
+        dir.iter()
+            .filter(|i| i.range.overlaps(rows))
+            .cloned()
+            .collect()
+    }
+
+    /// One region's shard of `scan` from its primary: blocking when
+    /// `admitted` is `None`, else admission-controlled under that
+    /// deadline. No cells when a split raced us — the daughters are in the
+    /// directory and cover the range.
+    fn scan_primary(
+        &self,
+        info: &RegionInfo,
+        scan: &ScanSpec,
+        admitted: Option<Option<u64>>,
+    ) -> Result<Vec<KeyValue>, RpcError> {
+        let handle = self.handles.get(&info.server).ok_or(RpcError::Stopped)?;
+        let req = Request::Scan {
+            region: info.id,
+            scan: scan.clone(),
+        };
+        let sent = match admitted {
+            None => handle.call(req),
+            Some(deadline_ms) => handle.call_with(req, RequestClass::Read, deadline_ms),
+        };
+        match sent? {
+            Response::Cells(cells) => Ok(cells),
+            Response::WrongRegion => Ok(Vec::new()),
+            _ => Err(RpcError::Stopped),
+        }
+    }
+
+    /// The same shard from the follower copy on `node`, with the copy's
+    /// applied WAL sequence; `None` when that copy cannot answer.
+    fn scan_follower(
+        &self,
+        info: &RegionInfo,
+        node: NodeId,
+        scan: &ScanSpec,
+        deadline_ms: Option<u64>,
+    ) -> Option<(Vec<KeyValue>, u64)> {
+        let req = Request::FollowerScan {
+            region: info.id,
+            scan: scan.clone(),
+        };
+        match self
+            .handles
+            .get(&node)?
+            .call_with(req, RequestClass::Read, deadline_ms)
+        {
+            Ok(Response::FollowerCells { cells, applied_seq }) => Some((cells, applied_seq)),
+            _ => None,
+        }
+    }
+
     /// Admission-controlled scan: sheds with [`ClientError::Busy`] only
     /// past the *read* watermark — higher than the write watermark, so the
     /// fleet view outlives ingest under overload.
     pub fn scan_admitted(
         &self,
-        range: &RowRange,
+        scan: &ScanSpec,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        self.scan_inner(range, Some(deadline_ms))
+        self.scan_inner(scan, Some(deadline_ms))
     }
 
-    /// Scan a row range across every overlapping region, merged in order.
+    /// Scan whole rows of a row range across every overlapping region,
+    /// merged in order. What row compaction, scrub and the reference read
+    /// path use: they need every cell of a row, not a window of it.
     pub fn scan(&self, range: &RowRange) -> Result<Vec<KeyValue>, ClientError> {
-        self.scan_inner(range, None)
+        self.scan_inner(&range.clone().into(), None)
+    }
+
+    /// Blocking scan of whatever `scan` selects (rows and, when set, the
+    /// column window the region servers seek to).
+    pub fn scan_spec(&self, scan: &ScanSpec) -> Result<Vec<KeyValue>, ClientError> {
+        self.scan_inner(scan, None)
     }
 
     fn scan_inner(
         &self,
-        range: &RowRange,
+        scan: &ScanSpec,
         admitted: Option<Option<u64>>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let infos: Vec<_> = {
-            let dir = self.directory.read();
-            dir.iter()
-                .filter(|i| i.range.overlaps(range))
-                .cloned()
-                .collect()
-        };
         let mut out = Vec::new();
-        for info in infos {
-            let handle = self
-                .handles
-                .get(&info.server)
-                .ok_or(ClientError::Rpc(RpcError::Stopped))?;
-            let req = Request::Scan {
-                region: info.id,
-                range: range.clone(),
-            };
-            let sent = match admitted {
-                None => handle.call(req),
-                Some(deadline_ms) => handle.call_with(req, RequestClass::Read, deadline_ms),
-            };
-            match sent {
-                Ok(Response::Cells(cells)) => out.extend(cells),
-                Ok(Response::WrongRegion) => {} // split raced us; daughters cover it
-                Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
-                Err(e) => return Err(map_rpc(e)),
-            }
+        for info in self.regions_overlapping(scan.rows()) {
+            out.extend(self.scan_primary(&info, scan, admitted).map_err(map_rpc)?);
         }
         out.sort();
         Ok(out)
@@ -510,59 +552,22 @@ impl Client {
     /// staleness use [`Client::scan_bounded`].
     pub fn scan_hedged(
         &self,
-        range: &RowRange,
+        scan: &ScanSpec,
         primary_deadline_ms: Option<u64>,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let infos: Vec<_> = {
-            let dir = self.directory.read();
-            dir.iter()
-                .filter(|i| i.range.overlaps(range))
-                .cloned()
-                .collect()
-        };
         let mut out = Vec::new();
-        for info in infos {
-            let primary = match self.handles.get(&info.server) {
-                Some(h) => h.call_with(
-                    Request::Scan {
-                        region: info.id,
-                        range: range.clone(),
-                    },
-                    RequestClass::Read,
-                    primary_deadline_ms,
-                ),
-                None => Err(RpcError::Stopped),
-            };
-            match primary {
-                Ok(Response::Cells(cells)) => {
-                    out.extend(cells);
-                    continue;
-                }
-                Ok(Response::WrongRegion) => continue, // split raced us
-                Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
-                Err(e) if info.followers.is_empty() => return Err(map_rpc(e)),
+        for info in self.regions_overlapping(scan.rows()) {
+            match self.scan_primary(&info, scan, Some(primary_deadline_ms)) {
+                Ok(cells) => out.extend(cells),
                 Err(primary_err) => {
                     // Hedge: first follower copy that answers wins.
-                    let mut hedged = None;
-                    for &f in &info.followers {
-                        let Some(h) = self.handles.get(&f) else {
-                            continue;
-                        };
-                        if let Ok(Response::FollowerCells { cells, .. }) = h.call_with(
-                            Request::FollowerScan {
-                                region: info.id,
-                                range: range.clone(),
-                            },
-                            RequestClass::Read,
-                            deadline_ms,
-                        ) {
-                            hedged = Some(cells);
-                            break;
-                        }
-                    }
+                    let hedged = info
+                        .followers
+                        .iter()
+                        .find_map(|&f| self.scan_follower(&info, f, scan, deadline_ms));
                     match hedged {
-                        Some(cells) => {
+                        Some((cells, _)) => {
                             self.repl.record_hedged_scan();
                             out.extend(cells);
                         }
@@ -587,19 +592,12 @@ impl Client {
     /// typed `Busy`/`DeadlineExpired` error rather than stale data.
     pub fn scan_bounded(
         &self,
-        range: &RowRange,
+        scan: &ScanSpec,
         policy: &FollowerReadPolicy,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let infos: Vec<_> = {
-            let dir = self.directory.read();
-            dir.iter()
-                .filter(|i| i.range.overlaps(range))
-                .cloned()
-                .collect()
-        };
         let mut out = Vec::new();
-        for info in infos {
+        for info in self.regions_overlapping(scan.rows()) {
             let mut served = false;
             if !info.followers.is_empty() {
                 let view = match self.handles.get(&info.server) {
@@ -617,54 +615,34 @@ impl Client {
                 // the typed error instead of waiving the bound.
                 if view != PrimaryView::Transient {
                     for &f in &info.followers {
-                        let Some(h) = self.handles.get(&f) else {
+                        let Some((cells, applied_seq)) =
+                            self.scan_follower(&info, f, scan, deadline_ms)
+                        else {
                             continue;
                         };
-                        if let Ok(Response::FollowerCells { cells, applied_seq }) = h.call_with(
-                            Request::FollowerScan {
-                                region: info.id,
-                                range: range.clone(),
-                            },
-                            RequestClass::Read,
-                            deadline_ms,
-                        ) {
-                            let fresh_enough = match view {
-                                PrimaryView::At(p) => policy.allow(p, applied_seq),
-                                // Primary gone for good: availability mode.
-                                PrimaryView::Gone => true,
-                                PrimaryView::Transient => false,
-                            };
-                            if fresh_enough {
-                                if let PrimaryView::At(p) = view {
-                                    self.repl.observe(info.id.0, p, applied_seq);
-                                }
-                                self.repl.record_follower_read();
-                                out.extend(cells);
-                                served = true;
-                                break;
+                        let fresh_enough = match view {
+                            PrimaryView::At(p) => policy.allow(p, applied_seq),
+                            // Primary gone for good: availability mode.
+                            PrimaryView::Gone => true,
+                            PrimaryView::Transient => false,
+                        };
+                        if fresh_enough {
+                            if let PrimaryView::At(p) = view {
+                                self.repl.observe(info.id.0, p, applied_seq);
                             }
+                            self.repl.record_follower_read();
+                            out.extend(cells);
+                            served = true;
+                            break;
                         }
                     }
                 }
             }
             if !served {
-                let handle = self
-                    .handles
-                    .get(&info.server)
-                    .ok_or(ClientError::Rpc(RpcError::Stopped))?;
-                match handle.call_with(
-                    Request::Scan {
-                        region: info.id,
-                        range: range.clone(),
-                    },
-                    RequestClass::Read,
-                    deadline_ms,
-                ) {
-                    Ok(Response::Cells(cells)) => out.extend(cells),
-                    Ok(Response::WrongRegion) => {} // split raced us
-                    Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
-                    Err(e) => return Err(map_rpc(e)),
-                }
+                out.extend(
+                    self.scan_primary(&info, scan, Some(deadline_ms))
+                        .map_err(map_rpc)?,
+                );
             }
         }
         out.sort();
@@ -680,15 +658,8 @@ impl Client {
     /// refreshes its view from the shared directory and retries that
     /// copy once under the new epoch.
     pub fn repair_fetch(&self, range: &RowRange) -> Vec<RepairCopy> {
-        let infos: Vec<_> = {
-            let dir = self.directory.read();
-            dir.iter()
-                .filter(|i| i.range.overlaps(range))
-                .cloned()
-                .collect()
-        };
         let mut copies = Vec::new();
-        for info in infos {
+        for info in self.regions_overlapping(range) {
             let mut epoch = info.epoch;
             for node in info.replicas() {
                 let Some(handle) = self.handles.get(&node) else {
@@ -888,7 +859,7 @@ mod tests {
                 .handle()
                 .call(Request::FollowerScan {
                     region: info.id,
-                    range: RowRange::all(),
+                    scan: RowRange::all().into(),
                 })
                 .unwrap()
             {
@@ -991,7 +962,7 @@ mod tests {
             .handle()
             .call(Request::FollowerScan {
                 region: info.id,
-                range: RowRange::all(),
+                scan: RowRange::all().into(),
             })
             .unwrap()
         {
@@ -1050,7 +1021,11 @@ mod tests {
         // Deadlines are absolute on the servers' shared clock.
         let wall = pga_cluster::rpc::default_clock_ms();
         let cells = c
-            .scan_hedged(&RowRange::all(), Some(wall + 1000), Some(wall + 1000))
+            .scan_hedged(
+                &RowRange::all().into(),
+                Some(wall + 1000),
+                Some(wall + 1000),
+            )
             .unwrap();
         assert_eq!(cells.len(), 2);
         assert_eq!(c.repl_book().snapshot().hedged_scans, 1);
@@ -1066,7 +1041,7 @@ mod tests {
         let deadline = || Some(pga_cluster::rpc::default_clock_ms() + 1000);
         let policy = FollowerReadPolicy { max_lag: 0 };
         let cells = c
-            .scan_bounded(&RowRange::all(), &policy, deadline())
+            .scan_bounded(&RowRange::all().into(), &policy, deadline())
             .unwrap();
         assert_eq!(cells.len(), 1);
         assert_eq!(c.repl_book().snapshot().follower_reads, 1);
@@ -1088,7 +1063,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let cells = c
-            .scan_bounded(&RowRange::all(), &policy, deadline())
+            .scan_bounded(&RowRange::all().into(), &policy, deadline())
             .unwrap();
         assert_eq!(
             cells.len(),
@@ -1099,10 +1074,56 @@ mod tests {
         // A lag budget of one batch accepts the trailing follower again.
         let relaxed = FollowerReadPolicy { max_lag: 1 };
         let cells = c
-            .scan_bounded(&RowRange::all(), &relaxed, deadline())
+            .scan_bounded(&RowRange::all().into(), &relaxed, deadline())
             .unwrap();
         assert_eq!(cells.len(), 1, "follower view trails by the direct write");
         assert_eq!(c.repl_book().snapshot().follower_reads, 2);
+        m.shutdown();
+    }
+
+    /// A column window is answered alike by every read path: blocking,
+    /// admitted, bounded-staleness (served by the follower) and hedged
+    /// (served by the follower once the primary is down) all return the
+    /// whole-row scan filtered by qualifier, across regions.
+    #[test]
+    fn column_windows_are_answered_alike_by_primaries_and_followers() {
+        use crate::kv::ColumnRange;
+        let (m, c) = replicated_cluster(3, 2, &[b"m"], 1000);
+        let cell = |row: &str, q: u8| KeyValue::new(row.as_bytes().to_vec(), vec![q], 1, vec![q]);
+        c.put(
+            ["a", "b", "x"]
+                .iter()
+                .flat_map(|row| (0u8..8).map(move |q| cell(row, q)))
+                .collect(),
+        )
+        .unwrap();
+        let window = vec![
+            ColumnRange::new(vec![2u8], vec![4u8]),
+            ColumnRange::new(vec![6u8], vec![7u8]),
+        ];
+        let spec = ScanSpec::windowed(RowRange::all(), window);
+        let expect: Vec<KeyValue> = c
+            .scan(&RowRange::all())
+            .unwrap()
+            .into_iter()
+            .filter(|kv| matches!(kv.qualifier[0], 2 | 3 | 6))
+            .collect();
+        assert_eq!(expect.len(), 9);
+        let deadline = || Some(pga_cluster::rpc::default_clock_ms() + 1000);
+        assert_eq!(c.scan_spec(&spec).unwrap(), expect);
+        assert_eq!(c.scan_admitted(&spec, deadline()).unwrap(), expect);
+        let policy = FollowerReadPolicy { max_lag: 0 };
+        assert_eq!(c.scan_bounded(&spec, &policy, deadline()).unwrap(), expect);
+        assert_eq!(c.repl_book().snapshot().follower_reads, 2, "one per region");
+        // One node down: every region it led still has its follower, on
+        // another node.
+        let down = m.directory().read()[0].server;
+        m.server(down).unwrap().shutdown();
+        assert_eq!(
+            c.scan_hedged(&spec, deadline(), deadline()).unwrap(),
+            expect
+        );
+        assert!(c.repl_book().snapshot().hedged_scans >= 1);
         m.shutdown();
     }
 

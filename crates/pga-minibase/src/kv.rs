@@ -110,9 +110,109 @@ impl RowRange {
     }
 }
 
+/// A half-open qualifier range `[start, end)` in byte order; `end <=
+/// start` selects nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnRange {
+    /// Inclusive first qualifier.
+    pub start: Bytes,
+    /// Exclusive end qualifier.
+    pub end: Bytes,
+}
+
+impl ColumnRange {
+    /// Range `[start, end)`.
+    pub fn new(start: impl Into<Bytes>, end: impl Into<Bytes>) -> Self {
+        ColumnRange {
+            start: start.into(),
+            end: end.into(),
+        }
+    }
+}
+
+/// What a scan reads: a row range and, optionally, a *column window* —
+/// the qualifier ranges to return from each row (HBase's
+/// `ColumnRangeFilter`). A region seeks to the window in every row rather
+/// than walking the row, so a windowed scan costs what it returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanSpec {
+    rows: RowRange,
+    /// `None` = whole rows. Otherwise sorted, non-empty and disjoint, so
+    /// that visiting the ranges in order yields qualifiers in order.
+    columns: Option<Vec<ColumnRange>>,
+}
+
+impl ScanSpec {
+    /// Only the cells of `rows` whose qualifier lies in one of `columns`
+    /// (any order, overlaps allowed; no ranges selects nothing).
+    pub fn windowed(rows: RowRange, mut columns: Vec<ColumnRange>) -> Self {
+        columns.retain(|c| c.start < c.end);
+        columns.sort_by(|a, b| a.start.cmp(&b.start));
+        let mut disjoint: Vec<ColumnRange> = Vec::with_capacity(columns.len());
+        for c in columns {
+            match disjoint.last_mut() {
+                Some(last) if c.start <= last.end => {
+                    if c.end > last.end {
+                        last.end = c.end;
+                    }
+                }
+                _ => disjoint.push(c),
+            }
+        }
+        ScanSpec {
+            rows,
+            columns: Some(disjoint),
+        }
+    }
+
+    /// The rows scanned.
+    pub fn rows(&self) -> &RowRange {
+        &self.rows
+    }
+
+    /// The column window: `None` for whole rows, else sorted disjoint
+    /// non-empty ranges.
+    pub fn columns(&self) -> Option<&[ColumnRange]> {
+        self.columns.as_deref()
+    }
+}
+
+/// Every cell of every row in `rows`.
+impl From<RowRange> for ScanSpec {
+    fn from(rows: RowRange) -> Self {
+        ScanSpec {
+            rows,
+            columns: None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn column_window_is_normalised() {
+        let r = |s: &[u8], e: &[u8]| ColumnRange::new(s.to_vec(), e.to_vec());
+        let spec = ScanSpec::windowed(
+            RowRange::all(),
+            vec![
+                r(b"m", b"p"),
+                r(b"x", b"x"),
+                r(b"a", b"c"),
+                r(b"b", b"d"),
+                r(b"d", b"e"),
+            ],
+        );
+        // Sorted; the empty range dropped; overlapping and touching
+        // ranges coalesced.
+        assert_eq!(spec.columns(), Some(&[r(b"a", b"e"), r(b"m", b"p")][..]));
+        assert_eq!(
+            ScanSpec::windowed(RowRange::all(), vec![]).columns(),
+            Some(&[][..])
+        );
+        assert_eq!(ScanSpec::from(RowRange::all()).columns(), None);
+    }
 
     fn kv(row: &str, qual: &str, ts: u64) -> KeyValue {
         KeyValue::new(

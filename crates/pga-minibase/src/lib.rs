@@ -52,7 +52,7 @@ pub use diskstore::{
     load_store_files, persist_store_files, read_store_file, write_store_file, DiskStoreError,
 };
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
-pub use kv::{KeyValue, RowRange};
+pub use kv::{ColumnRange, KeyValue, RowRange, ScanSpec};
 pub use master::{locate, Master, RegionInfo, TableDescriptor};
 pub use memstore::MemStore;
 pub use region::{Region, RegionConfig, RegionId};

@@ -897,7 +897,7 @@ mod tests {
             .handle()
             .call(Request::Scan {
                 region: info.id,
-                range: RowRange::all(),
+                scan: RowRange::all().into(),
             })
             .unwrap()
         {
@@ -968,14 +968,14 @@ mod tests {
         // Source now answers WrongRegion; target serves the datapoint.
         match m.server(source).unwrap().handle().call(Request::Scan {
             region: info.id,
-            range: RowRange::all(),
+            scan: RowRange::all().into(),
         }) {
             Ok(Response::WrongRegion) => {}
             other => panic!("unexpected {other:?}"),
         }
         match m.server(target).unwrap().handle().call(Request::Scan {
             region: info.id,
-            range: RowRange::all(),
+            scan: RowRange::all().into(),
         }) {
             Ok(Response::Cells(cells)) => assert_eq!(cells.len(), 1),
             other => panic!("unexpected {other:?}"),

@@ -1,10 +1,11 @@
 //! In-memory sorted write buffer (the HBase MemStore analog).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::kv::{KeyValue, RowRange};
+use crate::kv::{ColumnRange, KeyValue, RowRange};
 
 /// Sort key inside the memstore: row, qualifier, reverse timestamp.
 type CellKey = (Bytes, Bytes, std::cmp::Reverse<u64>);
@@ -55,12 +56,28 @@ impl MemStore {
         self.cells
             .range(range_bounds(range))
             .filter(move |((row, _, _), _)| range.contains(row))
-            .map(|((row, qual, ts), value)| KeyValue {
-                row: row.clone(),
-                qualifier: qual.clone(),
-                timestamp: ts.0,
-                value: value.clone(),
-            })
+            .map(cell)
+    }
+
+    /// The cells of `rows` whose qualifier lies in one of `columns`
+    /// (sorted and disjoint), in order. Seeks to each range of each row,
+    /// so the cost is per row and per cell returned, not per cell stored.
+    pub(crate) fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
+        let (mut next, end) = range_bounds(rows);
+        let mut out = Vec::new();
+        // The first cell at or after `next` names the next row to visit.
+        while let Some(((row, _, _), _)) = self.cells.range((next, end.clone())).next() {
+            for c in columns {
+                let at = |qualifier: &Bytes| (row.clone(), qualifier.clone(), FIRST_VERSION);
+                out.extend(self.cells.range(at(&c.start)..at(&c.end)).map(cell));
+            }
+            // `row ++ 0x00` is the smallest key after `row`.
+            let mut after = BytesMut::with_capacity(row.len() + 1);
+            after.put_slice(row);
+            after.put_u8(0);
+            next = Bound::Included((after.freeze(), Bytes::new(), FIRST_VERSION));
+        }
+        out
     }
 
     /// Drain everything into a sorted vector (used by flushes); the
@@ -79,21 +96,28 @@ impl MemStore {
     }
 }
 
-fn range_bounds(range: &RowRange) -> impl std::ops::RangeBounds<CellKey> {
-    use std::ops::Bound;
-    let start: Bound<CellKey> = if range.start.is_empty() {
+/// Versions sort newest first, so this is the least third key component.
+const FIRST_VERSION: std::cmp::Reverse<u64> = std::cmp::Reverse(u64::MAX);
+
+fn cell((key, value): (&CellKey, &Bytes)) -> KeyValue {
+    KeyValue {
+        row: key.0.clone(),
+        qualifier: key.1.clone(),
+        timestamp: key.2 .0,
+        value: value.clone(),
+    }
+}
+
+fn range_bounds(range: &RowRange) -> (Bound<CellKey>, Bound<CellKey>) {
+    let start = if range.start.is_empty() {
         Bound::Unbounded
     } else {
-        Bound::Included((
-            range.start.clone(),
-            Bytes::new(),
-            std::cmp::Reverse(u64::MAX),
-        ))
+        Bound::Included((range.start.clone(), Bytes::new(), FIRST_VERSION))
     };
-    let end: Bound<CellKey> = if range.end.is_empty() {
+    let end = if range.end.is_empty() {
         Bound::Unbounded
     } else {
-        Bound::Excluded((range.end.clone(), Bytes::new(), std::cmp::Reverse(u64::MAX)))
+        Bound::Excluded((range.end.clone(), Bytes::new(), FIRST_VERSION))
     };
     (start, end)
 }

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use pga_repl::{Epoch, ReplicaRole, ShipOutcome};
 
 use crate::fault::{no_faults, FaultHandle};
-use crate::kv::{KeyValue, RowRange};
+use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
 use crate::rewrite::{RewriteContext, RewriterHandle};
 use crate::scanner::merge_scan;
@@ -413,17 +413,34 @@ impl Region {
         self.files = vec![StoreFile::from_sorted(merged, seq)];
     }
 
-    /// Scan cells in `range` (clipped to the region's own range), merged
-    /// across the memstore and all store files, sorted, deduplicated.
+    /// Scan whole rows in `range`; see [`Region::scan_spec`].
     pub fn scan(&self, range: &RowRange) -> Vec<KeyValue> {
-        let clipped = clip(range, &self.range);
+        self.scan_spec(&range.clone().into())
+    }
+
+    /// Scan the cells `spec` selects (rows clipped to the region's own
+    /// range), merged across the memstore and all store files, sorted,
+    /// deduplicated. With a column window every source seeks to the
+    /// window in each row, so the scan costs `O(rows · log n + cells
+    /// returned)` however full the rows are.
+    pub fn scan_spec(&self, spec: &ScanSpec) -> Vec<KeyValue> {
+        let rows = clip(spec.rows(), &self.range);
+        if !rows.end.is_empty() && rows.start >= rows.end {
+            return Vec::new(); // the request lies wholly outside this region
+        }
         let mut sources = Vec::with_capacity(self.files.len() + 1);
         let mut priorities = Vec::with_capacity(self.files.len() + 1);
         for f in &self.files {
-            sources.push(f.scan(&clipped).cloned().collect());
+            sources.push(match spec.columns() {
+                Some(columns) => f.scan_columns(&rows, columns),
+                None => f.scan(&rows).cloned().collect(),
+            });
             priorities.push(f.sequence());
         }
-        sources.push(self.memstore.scan(&clipped).collect());
+        sources.push(match spec.columns() {
+            Some(columns) => self.memstore.scan_columns(&rows, columns),
+            None => self.memstore.scan(&rows).collect(),
+        });
         priorities.push(u64::MAX); // memstore always wins collisions
         merge_scan(sources, priorities)
     }

@@ -1,7 +1,6 @@
 //! K-way merge scans across the memstore and store files.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::kv::KeyValue;
 
@@ -40,37 +39,40 @@ pub fn merge_scan(sources: Vec<Vec<KeyValue>>, priorities: Vec<u64>) -> Vec<KeyV
         }
     }
 
-    let mut iters: Vec<std::vec::IntoIter<KeyValue>> =
-        sources.into_iter().map(|s| s.into_iter()).collect();
-    let mut heap = BinaryHeap::new();
-    for (i, it) in iters.iter_mut().enumerate() {
+    // Empty sources never reach the heap, and a lone source is its own
+    // merge: no source holds an exact duplicate of its own (the memstore
+    // replaces on write, store files are built from merged output).
+    let mut live: Vec<(Vec<KeyValue>, u64)> = sources
+        .into_iter()
+        .zip(priorities)
+        .filter(|(cells, _)| !cells.is_empty())
+        .collect();
+    if live.len() <= 1 {
+        return live.pop().map(|(cells, _)| cells).unwrap_or_default();
+    }
+    let mut out: Vec<KeyValue> = Vec::with_capacity(live.iter().map(|(c, _)| c.len()).sum());
+    let mut iters: Vec<std::vec::IntoIter<KeyValue>> = Vec::with_capacity(live.len());
+    let mut heap = BinaryHeap::with_capacity(live.len());
+    for (source, (cells, priority)) in live.into_iter().enumerate() {
+        let mut it = cells.into_iter();
         if let Some(kv) = it.next() {
             heap.push(HeapItem {
                 kv,
-                source: i,
-                priority: priorities[i],
+                source,
+                priority,
             });
         }
+        iters.push(it);
     }
-    let mut out: Vec<KeyValue> = Vec::new();
-    let mut last_key: Option<(bytes::Bytes, bytes::Bytes, Reverse<u64>)> = None;
-    while let Some(item) = heap.pop() {
-        let key = (
-            item.kv.row.clone(),
-            item.kv.qualifier.clone(),
-            Reverse(item.kv.timestamp),
-        );
-        let duplicate = last_key.as_ref() == Some(&key);
-        if !duplicate {
-            out.push(item.kv);
-            last_key = Some(key);
-        }
-        if let Some(next) = iters[item.source].next() {
-            heap.push(HeapItem {
-                kv: next,
-                source: item.source,
-                priority: item.priority,
-            });
+    while let Some(mut top) = heap.peek_mut() {
+        // Refill the top slot in place (one sift) rather than pop + push.
+        let kv = match iters[top.source].next() {
+            Some(next) => std::mem::replace(&mut top.kv, next),
+            None => PeekMut::pop(top).kv,
+        };
+        // Equal keys leave the heap highest priority first: keep that one.
+        if out.last().is_none_or(|last| last.cmp(&kv).is_ne()) {
+            out.push(kv);
         }
     }
     out

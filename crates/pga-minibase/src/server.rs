@@ -14,7 +14,7 @@ use parking_lot::RwLock;
 use pga_cluster::rpc::{AdmissionConfig, RequestClass, RpcHandle, RpcServerBuilder, ServerRunner};
 use pga_cluster::NodeId;
 
-use crate::kv::{KeyValue, RowRange};
+use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::region::{Region, RegionId, RegionMetrics};
 
 /// Region-server tunables.
@@ -77,12 +77,12 @@ pub enum Request {
         /// Cells to write.
         kvs: Vec<KeyValue>,
     },
-    /// Scan a row range within a region.
+    /// Scan a row range within a region, whole rows or a column window.
     Scan {
         /// Target region.
         region: RegionId,
-        /// Row range to scan.
-        range: RowRange,
+        /// Rows and columns to scan.
+        scan: ScanSpec,
     },
     /// Write a batch into a replicated region's primary, fenced by the
     /// writer's epoch. Answers [`Response::Appended`] with the WAL
@@ -111,8 +111,8 @@ pub enum Request {
     FollowerScan {
         /// Target region.
         region: RegionId,
-        /// Row range to scan.
-        range: RowRange,
+        /// Rows and columns to scan.
+        scan: ScanSpec,
     },
     /// Ask a replica for its replication position (last durable WAL
     /// sequence and epoch).
@@ -423,10 +423,10 @@ fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request
                 None => Response::WrongRegion,
             }
         }
-        Request::Scan { region, range } => {
+        Request::Scan { region, scan } => {
             let map = regions.read();
             match map.get(&region) {
-                Some(r) => Response::Cells(r.scan(&range)),
+                Some(r) => Response::Cells(r.scan_spec(&scan)),
                 None => Response::WrongRegion,
             }
         }
@@ -509,11 +509,11 @@ fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request
                 None => Response::WrongRegion,
             }
         }
-        Request::FollowerScan { region, range } => {
+        Request::FollowerScan { region, scan } => {
             let map = regions.read();
             match map.get(&region) {
                 Some(r) => Response::FollowerCells {
-                    cells: r.scan(&range),
+                    cells: r.scan_spec(&scan),
                     // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
                     applied_seq: r.applied_seq(),
                 },
@@ -613,7 +613,7 @@ mod tests {
         match h
             .call(Request::Scan {
                 region: RegionId(1),
-                range: RowRange::all(),
+                scan: RowRange::all().into(),
             })
             .unwrap()
         {
@@ -683,7 +683,7 @@ mod tests {
             .handle()
             .call(Request::Scan {
                 region: RegionId(1),
-                range: RowRange::all(),
+                scan: RowRange::all().into(),
             })
             .unwrap()
         {
@@ -738,7 +738,7 @@ mod tests {
             .handle()
             .call(Request::FollowerScan {
                 region: RegionId(1),
-                range: RowRange::all(),
+                scan: RowRange::all().into(),
             })
             .unwrap()
         {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::kv::{KeyValue, RowRange};
+use crate::kv::{ColumnRange, KeyValue, RowRange};
 
 /// How many cells between sparse-index entries. Real HFiles index block
 /// boundaries; 64 cells per "block" keeps seeks cheap without bloating the
@@ -65,22 +65,46 @@ impl StoreFile {
         self.cells.last().map(|kv| &kv.row[..])
     }
 
+    /// Position of the first cell whose row is at or after `row`.
+    fn seek_row(&self, row: &[u8]) -> usize {
+        if row.is_empty() {
+            return 0;
+        }
+        // Last index entry with row < start, then search from there.
+        let idx = self.index.partition_point(|(_, r)| r[..] < *row);
+        let block = idx.saturating_sub(1);
+        let from = self.index.get(block).map_or(0, |&(pos, _)| pos);
+        from + self.cells[from..].partition_point(|kv| kv.row[..] < *row)
+    }
+
     /// Iterate cells within `range`, using the sparse index to skip ahead.
     pub fn scan<'a>(&'a self, range: &'a RowRange) -> impl Iterator<Item = &'a KeyValue> + 'a {
-        let start_pos = if range.start.is_empty() {
-            0
-        } else {
-            // Seek: last index entry with row < start, then linear from there.
-            let idx = self
-                .index
-                .partition_point(|(_, row)| row[..] < range.start[..]);
-            let block = idx.saturating_sub(1);
-            let from = self.index.get(block).map_or(0, |&(pos, _)| pos);
-            from + self.cells[from..].partition_point(|kv| kv.row[..] < range.start[..])
-        };
-        self.cells[start_pos..]
+        self.cells[self.seek_row(&range.start)..]
             .iter()
             .take_while(move |kv| range.end.is_empty() || kv.row[..] < range.end[..])
+    }
+
+    /// The cells of `rows` whose qualifier lies in one of `columns`
+    /// (sorted and disjoint), in order. Binary-searches each row's end
+    /// and each range's ends inside the row, so the cost is per row and
+    /// per cell returned, not per cell stored.
+    pub(crate) fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
+        let mut out = Vec::new();
+        let mut rest = &self.cells[self.seek_row(&rows.start)..];
+        while let Some(first) = rest.first() {
+            if !rows.end.is_empty() && first.row[..] >= rows.end[..] {
+                break;
+            }
+            let (mut row, after) = rest.split_at(rest.partition_point(|kv| kv.row == first.row));
+            for c in columns {
+                row = &row[row.partition_point(|kv| kv.qualifier < c.start)..];
+                let n = row.partition_point(|kv| kv.qualifier < c.end);
+                out.extend_from_slice(&row[..n]);
+                row = &row[n..];
+            }
+            rest = after;
+        }
+        out
     }
 
     /// Total payload bytes (diagnostics / compaction policy).

@@ -7,7 +7,9 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use pga_minibase::{KeyValue, Region, RegionConfig, RegionId, RowRange};
+use pga_minibase::{
+    merge_scan, ColumnRange, KeyValue, Region, RegionConfig, RegionId, RowRange, ScanSpec,
+};
 
 type ModelKey = (Vec<u8>, Vec<u8>, std::cmp::Reverse<u64>);
 
@@ -46,8 +48,111 @@ fn apply(region: &mut Region, model: &mut BTreeMap<ModelKey, u8>, op: &Op) {
     }
 }
 
+/// A qualifier or a window edge, one or two bytes long. Stored qualifiers
+/// take even first bytes (`step` 2) and edges every value, so an edge can
+/// land on a stored qualifier, between two, or on a prefix of one.
+fn qualifier(step: u8) -> impl Strategy<Value = Vec<u8>> {
+    (0u8..12 / step, 0u8..3).prop_map(move |(q, tail)| match tail {
+        0 => vec![q * step],
+        _ => vec![q * step, tail],
+    })
+}
+
+#[derive(Debug, Clone)]
+enum WideOp {
+    Put {
+        row: u8,
+        qual: Vec<u8>,
+        ts: u64,
+        val: u8,
+    },
+    Flush,
+    Compact,
+}
+
+fn wide_op() -> impl Strategy<Value = WideOp> {
+    prop_oneof![
+        10 => (0u8..6, qualifier(2), 0u64..3, any::<u8>())
+            .prop_map(|(row, qual, ts, val)| WideOp::Put { row, qual, ts, val }),
+        1 => Just(WideOp::Flush),
+        1 => Just(WideOp::Compact),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A column-window scan is the whole-row scan filtered by qualifier:
+    /// whatever mix of memstore and store files holds the rows, however
+    /// many versions a cell has, wherever the window edges fall, with
+    /// none, one or several ranges per row.
+    #[test]
+    fn column_window_scan_equals_filtered_whole_row_scan(
+        ops in proptest::collection::vec(wide_op(), 1..160),
+        windows in proptest::collection::vec((qualifier(1), qualifier(1)), 0..4),
+        lo in 0u8..6,
+        span in 0u8..7,
+    ) {
+        let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
+            memstore_flush_bytes: 512, // force frequent automatic flushes
+            compaction_file_threshold: 4,
+            max_versions: usize::MAX,
+        });
+        for o in &ops {
+            match o {
+                WideOp::Put { row, qual, ts, val } => region
+                    .put_batch(vec![KeyValue::new(vec![b'r', *row], qual.clone(), *ts, vec![*val])])
+                    .unwrap(),
+                WideOp::Flush => region.flush(),
+                WideOp::Compact => region.compact(),
+            }
+        }
+        // span 0 scans every row; otherwise a sub-range (possibly past the data).
+        let rows = match span {
+            0 => RowRange::all(),
+            _ => RowRange::new(vec![b'r', lo], vec![b'r', lo + span]),
+        };
+        let columns: Vec<ColumnRange> = windows
+            .iter()
+            .map(|(start, end)| ColumnRange::new(start.clone(), end.clone()))
+            .collect();
+        let expect: Vec<KeyValue> = region
+            .scan(&rows)
+            .into_iter()
+            .filter(|kv| columns.iter().any(|c| kv.qualifier >= c.start && kv.qualifier < c.end))
+            .collect();
+        let got = region.scan_spec(&ScanSpec::windowed(rows, columns));
+        prop_assert_eq!(got, expect);
+    }
+
+    /// `merge_scan` against the naive model: concatenate, sort by cell key
+    /// with the highest priority first, keep the first cell of each key.
+    #[test]
+    fn merge_scan_equals_concat_sort_dedup_by_priority(
+        sources in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, 0u8..3, 0u64..3), 0..12),
+            0..5,
+        ),
+    ) {
+        // Each source sorted and without a duplicate key of its own; its
+        // index is both its priority and the value its cells carry.
+        let sources: Vec<Vec<KeyValue>> = sources
+            .iter()
+            .enumerate()
+            .map(|(i, keys)| {
+                let keys: std::collections::BTreeSet<_> =
+                    keys.iter().map(|&(r, q, ts)| (r, q, std::cmp::Reverse(ts))).collect();
+                keys.into_iter()
+                    .map(|(r, q, ts)| KeyValue::new(vec![r], vec![q], ts.0, vec![i as u8]))
+                    .collect()
+            })
+            .collect();
+        let mut model: Vec<KeyValue> = sources.iter().flatten().cloned().collect();
+        model.sort_by(|a, b| a.cmp(b).then_with(|| b.value.cmp(&a.value)));
+        model.dedup_by(|b, a| (*a).cmp(b).is_eq());
+        let priorities = (0..sources.len() as u64).collect();
+        prop_assert_eq!(merge_scan(sources, priorities), model);
+    }
 
     #[test]
     fn region_matches_model_under_arbitrary_ops(ops in proptest::collection::vec(op(), 1..120)) {

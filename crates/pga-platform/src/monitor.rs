@@ -1,6 +1,6 @@
 //! The integrated monitor: ingest → store → query → detect → visualize.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,7 @@ use pga_linalg::Matrix;
 use pga_minibase::Client;
 use pga_query::{QueryEngine, RollupWriter};
 use pga_sensorgen::Fleet;
-use pga_tsdb::QueryFilter;
+use pga_tsdb::{DataPoint, QueryFilter};
 use pga_viz::{
     cluster_page, fleet_overview_page, machine_page, ClusterNodeRow, ClusterView, FleetOverview,
     Health, MachinePage, SensorPanel, StatTile, UnitStatus,
@@ -230,31 +230,30 @@ impl Monitor {
                 p.total_shards
             )));
         }
-        let series = out.series;
         let p = self.config.fleet.sensors_per_unit as usize;
+        // The fleet's own series, looked up by sensor tag. `POST /api/put`
+        // lets anyone write other `energy{unit=…}` series — a sensor id the
+        // fleet lacks, extra tags — which are no part of the model: they
+        // fill no column and never index the matrix.
+        let own: HashMap<&str, &[DataPoint]> = out
+            .series
+            .iter()
+            .filter(|s| s.tags.len() == 2)
+            .filter_map(|s| Some((s.tags.get("sensor")?.as_str(), &s.points[..])))
+            .collect();
         let mut m = Matrix::zeros(len, p);
-        let mut seen = vec![0usize; p];
-        for s in &series {
-            let sensor: u32 = s
-                .tags
-                .get("sensor")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| MonitorError::Storage("series missing sensor tag".into()))?;
-            let j = sensor as usize;
-            for pt in &s.points {
-                let tick = pt.timestamp / period;
-                let row = (tick - start_tick) as usize;
-                m.set(row, j, pt.value);
-                seen[j] += 1;
-            }
-        }
-        for (j, &n) in seen.iter().enumerate() {
-            if n != len {
+        for j in 0..p {
+            // One point per tick of the window, or the window is incomplete.
+            let points = own.get(j.to_string().as_str()).copied().unwrap_or_default();
+            if points.len() != len {
                 return Err(MonitorError::IncompleteWindow {
                     unit,
                     sensor: j as u32,
-                    found: n,
+                    found: points.len(),
                 });
+            }
+            for pt in points {
+                m.set((pt.timestamp / period - start_tick) as usize, j, pt.value);
             }
         }
         Ok(m)
@@ -565,6 +564,8 @@ impl Monitor {
             .set(Metric::QueryCacheMisses, query.cache_misses)
             .set(Metric::QueryFanout, query.fanout_total)
             .set(Metric::QueryPartials, query.partials)
+            .set(Metric::QueryCellsScanned, query.cells_scanned)
+            .set(Metric::QueryPointsServed, query.points_served)
             .set(Metric::ReplFenceRejections, books.fence_rejections)
             .set(Metric::ReplFollowerReads, books.follower_reads)
             .set(Metric::ReplHedgedScans, books.hedged_scans)

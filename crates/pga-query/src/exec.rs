@@ -69,8 +69,20 @@ pub struct ExecResult {
     /// when the range is too short or the tier has no data yet).
     pub plan: Plan,
     /// Scans fanned out (shards × regions weighting excluded; one unit per
-    /// salt bucket).
+    /// salt bucket, however many segment scans the shard issued).
     pub fanout: u32,
+    /// Cells the region servers returned to this execution: every segment
+    /// of every shard, raw and rollup scans alike. Against
+    /// [`ExecResult::points_served`] it is the read amplification, and it
+    /// repeats exactly for one store and query on any machine.
+    pub cells_scanned: u64,
+}
+
+impl ExecResult {
+    /// Points in the answer.
+    pub fn points_served(&self) -> u64 {
+        self.series.iter().map(|s| s.points.len() as u64).sum()
+    }
 }
 
 /// Classify a storage error the way the API layer does.
@@ -141,10 +153,13 @@ fn splice_bounds(
     (ru_lo < ru_hi).then_some((ru_lo, ru_hi))
 }
 
-/// Scan `[start, end]` of `metric` on one salt, admission-controlled.
-/// Empty result for a metric the UID table has never seen. With a hedge
+/// Scan `[start, end]` of `metric` on one salt, admission-controlled: one
+/// scan per segment of [`KeyCodec::scan_segments`], so the region servers
+/// return only the cells inside the range; every segment runs under the
+/// same deadline, and the cells come back in storage scan order. Empty
+/// result for a metric the UID table has never seen. With a hedge
 /// trigger, a primary that is slow or shedding past the trigger fails
-/// the shard over to a follower replica under the full deadline.
+/// the segment over to a follower replica under the full deadline.
 #[allow(clippy::too_many_arguments)]
 fn scan_salt(
     client: &Client,
@@ -156,17 +171,16 @@ fn scan_salt(
     deadline: u64,
     hedge_trigger: Option<u64>,
 ) -> Result<Vec<KeyValue>, ClientError> {
-    let (s, e) = codec.scan_range(salt, metric, start, end);
-    if s.is_empty() && e.is_empty() {
-        return Ok(Vec::new());
+    let mut cells = Vec::new();
+    for segment in codec.scan_segments(salt, metric, start, end) {
+        cells.extend(match hedge_trigger {
+            Some(primary_deadline) => {
+                client.scan_hedged(&segment, Some(primary_deadline), Some(deadline))?
+            }
+            None => client.scan_admitted(&segment, Some(deadline))?,
+        });
     }
-    let range = RowRange::new(s, e);
-    match hedge_trigger {
-        Some(primary_deadline) => {
-            client.scan_hedged(&range, Some(primary_deadline), Some(deadline))
-        }
-        None => client.scan_admitted(&range, Some(deadline)),
-    }
+    Ok(cells)
 }
 
 /// Absolute primary-scan deadline acting as the hedge trigger: the hedge
@@ -198,7 +212,8 @@ where
     })
 }
 
-/// Group scanned cells into per-series point lists, mirroring the TSD's
+/// Group scanned cells into per-series point lists holding the points
+/// inside `windows` (inclusive, ascending, disjoint), mirroring the TSD's
 /// block-aware read-path semantics (skip blob/rollup qualifiers, newest
 /// version wins, sealed blocks spliced with raw cells — raw wins ties).
 ///
@@ -215,16 +230,22 @@ fn assemble_raw(
     codec: &KeyCodec,
     cells: &[KeyValue],
     filter: &QueryFilter,
-    keep: impl Fn(u64) -> bool,
+    windows: &[(u64, u64)],
 ) -> (SeriesPoints, Vec<ShardError>) {
+    let (Some(&(lo, _)), Some(&(_, hi))) = (windows.first(), windows.last()) else {
+        return (BTreeMap::new(), Vec::new());
+    };
+    let keep = |ts: u64| windows.iter().any(|&(from, to)| from <= ts && ts <= to);
     let mut assembled = BTreeMap::new();
     let mut corrupt = Vec::new();
+    // The span of the windows lets assembly skip sealed blocks whose
+    // header puts them wholly outside it without decoding them.
     pga_tsdb::query::assemble_columns_salvage(
         codec,
         cells,
         filter,
-        0,
-        u64::MAX,
+        lo,
+        hi,
         &mut assembled,
         &mut corrupt,
     );
@@ -342,14 +363,14 @@ fn execute_raw(
     // An unsalvageable corrupt block marks the answer partial (typed
     // `corrupt_block`); healthy rows are still served — same contract as
     // a shed or timed-out shard.
-    let (grouped, corrupt) =
-        assemble_raw(client, codec, &cells, filter, |ts| ts >= start && ts <= end);
+    let (grouped, corrupt) = assemble_raw(client, codec, &cells, filter, &[(start, end)]);
     errors.extend(corrupt);
     ExecResult {
         series: to_series(metric, grouped, downsample),
         partial: partial_from(errors, fanout),
         plan: Plan::Raw,
         fanout,
+        cells_scanned: cells.len() as u64,
     }
 }
 
@@ -395,6 +416,14 @@ fn execute_rollup(
     let now = clock();
     let deadline = now + cfg.shard_deadline_ms;
     let hedge = hedge_trigger(cfg, now);
+    // The raw patches: the partial leading window and the tail horizon.
+    let mut patches = Vec::with_capacity(2);
+    if start < ru_lo {
+        patches.push((start, ru_lo - 1));
+    }
+    if ru_hi <= end {
+        patches.push((ru_hi, end));
+    }
     // One thread per salt runs the rollup scan plus the raw head/tail
     // patches under a single deadline.
     let shards = scatter(codec, |salt| {
@@ -409,21 +438,9 @@ fn execute_rollup(
             hedge,
         )?;
         let mut raw = Vec::new();
-        if start < ru_lo {
+        for &(from, to) in &patches {
             raw.extend(scan_salt(
-                client,
-                codec,
-                salt,
-                metric,
-                start,
-                ru_lo - 1,
-                deadline,
-                hedge,
-            )?);
-        }
-        if ru_hi <= end {
-            raw.extend(scan_salt(
-                client, codec, salt, metric, ru_hi, end, deadline, hedge,
+                client, codec, salt, metric, from, to, deadline, hedge,
             )?);
         }
         Ok((ru, raw))
@@ -441,6 +458,7 @@ fn execute_rollup(
             Err(e) => errors.push(shard_error(salt, &e)),
         }
     }
+    let mut cells_scanned = (rollup_cells.len() + raw_cells.len()) as u64;
 
     // Version resolution: for re-sealed buckets several cells share a
     // (row, qualifier); the KeyValue order puts the newest version first,
@@ -521,8 +539,8 @@ fn execute_rollup(
                 }
             }
         }
-        let (grouped, corrupt) =
-            assemble_raw(client, codec, &cells, filter, |ts| ts >= w && ts < w + d);
+        cells_scanned += cells.len() as u64;
+        let (grouped, corrupt) = assemble_raw(client, codec, &cells, filter, &[(w, w + d - 1)]);
         if !corrupt.is_empty() {
             // The recompute itself hit unsalvageable corruption: the
             // tainted window cannot be trusted from either source.
@@ -564,9 +582,7 @@ fn execute_rollup(
 
     // Raw head/tail patches, downsampled; windows are disjoint from the
     // rollup region by alignment.
-    let (grouped, corrupt) = assemble_raw(client, codec, &raw_cells, filter, |ts| {
-        (ts >= start && ts < ru_lo) || (ts >= ru_hi && ts <= end)
-    });
+    let (grouped, corrupt) = assemble_raw(client, codec, &raw_cells, filter, &patches);
     errors.extend(corrupt);
     let mut out: BTreeMap<Vec<(String, String)>, BTreeMap<u64, f64>> = BTreeMap::new();
     for (tags, points) in grouped {
@@ -605,6 +621,7 @@ fn execute_rollup(
         partial: partial_from(errors, fanout),
         plan: Plan::Rollup { tier },
         fanout,
+        cells_scanned,
     }
 }
 

@@ -70,6 +70,10 @@ pub struct EngineStats {
     pub fanout_total: AtomicU64,
     /// Queries that returned partial results.
     pub partials: AtomicU64,
+    /// Cells the region servers returned to executed queries.
+    pub cells_scanned: AtomicU64,
+    /// Points in the answers of executed queries.
+    pub points_served: AtomicU64,
 }
 
 /// Point-in-time copy of every counter the engine exposes.
@@ -91,6 +95,12 @@ pub struct EngineStatsSnapshot {
     pub fanout_total: u64,
     /// Queries that returned partial results.
     pub partials: u64,
+    /// Cells the region servers returned to executed queries (every
+    /// segment, raw and rollup). Over `points_served` it is the serving
+    /// layer's read amplification; cache hits scan and count nothing.
+    pub cells_scanned: u64,
+    /// Points in the answers of executed queries.
+    pub points_served: u64,
 }
 
 /// What a [`QueryEngine::query`] call produced.
@@ -219,6 +229,12 @@ impl QueryEngine {
         self.stats
             .fanout_total
             .fetch_add(r.fanout as u64, Ordering::Relaxed);
+        self.stats
+            .cells_scanned
+            .fetch_add(r.cells_scanned, Ordering::Relaxed);
+        self.stats
+            .points_served
+            .fetch_add(r.points_served(), Ordering::Relaxed);
         if r.partial.is_some() {
             self.stats.partials.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -252,6 +268,8 @@ impl QueryEngine {
             rollup_plans: self.stats.rollup_plans.load(Ordering::Relaxed),
             fanout_total: self.stats.fanout_total.load(Ordering::Relaxed),
             partials: self.stats.partials.load(Ordering::Relaxed),
+            cells_scanned: self.stats.cells_scanned.load(Ordering::Relaxed),
+            points_served: self.stats.points_served.load(Ordering::Relaxed),
         }
     }
 }
@@ -444,6 +462,67 @@ mod tests {
             }
         }
         master.shutdown();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3))]
+
+        /// Sub-windows (ISSUE 19): on ranges aligned to neither the minute
+        /// nor the hour — so the raw scan, the rollup-tier scan and both
+        /// raw patches each read a row-hour part-way — a raw plan equals
+        /// `Tsd::query` and a rollup plan equals `Tsd::query` + `downsample`,
+        /// and a raw plan has the region servers return exactly the points
+        /// it serves.
+        #[test]
+        fn plans_on_unaligned_windows_equal_tsd_query(
+            windows in proptest::collection::vec((0u64..8_900, 1u64..9_000), 10),
+            agg in proptest::prop_oneof![
+                proptest::Just(Aggregator::Avg),
+                proptest::Just(Aggregator::Sum),
+                proptest::Just(Aggregator::Max),
+                proptest::Just(Aggregator::Count),
+            ],
+        ) {
+            let (master, tsd) = stack(3, 4);
+            tsd.set_observer(Arc::new(RollupWriter::new(
+                tsd.codec().clone(),
+                vec![60, 600],
+                0,
+            )));
+            ingest(&tsd, 9_000); // two row-hour seams
+            tsd.flush_observer().unwrap();
+            let engine = engine_for(&master, &tsd);
+            let any = QueryFilter::any();
+            // Each seam straddled closely, then the drawn windows.
+            let fixed = [(3_590, 3_650), (130, 7_300), (3_601, 7_199), (59, 8_941)];
+            let drawn = windows.iter().map(|&(start, len)| (start, (start + len).min(8_999)));
+            for (start, end) in fixed.into_iter().chain(drawn) {
+                let truth = tsd.query("energy", &any, start, end).unwrap();
+                let before = engine.stats();
+                let raw = engine.query("energy", &any, start, end, None);
+                let after = engine.stats();
+                assert_eq!(raw.plan, Plan::Raw);
+                assert_eq!(raw.series, truth, "raw [{start}, {end}]");
+                let served = after.points_served - before.points_served;
+                assert_eq!(served, 2 * (end - start + 1));
+                assert_eq!(after.cells_scanned - before.cells_scanned, served);
+                let rolled = engine.query("energy", &any, start, end, Some((60, agg)));
+                assert!(rolled.partial.is_none());
+                let downsampled: Vec<TimeSeries> =
+                    truth.iter().map(|s| s.downsample(60, agg)).collect();
+                assert_eq!(rolled.series, downsampled, "{agg:?} [{start}, {end}]");
+                // Long enough for a whole window outside the tail horizon:
+                // the rollup tier served the middle.
+                if end - start >= 300 {
+                    assert_eq!(rolled.plan, Plan::Rollup { tier: 60 });
+                }
+            }
+            // An open end (the API's default, far past any row key) reads
+            // to the end of the data.
+            let open = engine.query("energy", &any, 8_990, u64::MAX / 2, None);
+            assert_eq!(open.series, tsd.query("energy", &any, 8_990, 8_999).unwrap());
+            master.shutdown();
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! OpenTSDB); the qualifier stores the offset within the row.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use pga_minibase::{ColumnRange, RowRange, ScanSpec};
 
+use crate::block::BLOCK_QUALIFIER;
 use crate::uid::{Uid, UidKind, UidTable};
 
 /// `(metric, sorted tags, row base time)` decoded from a row key.
@@ -191,7 +193,7 @@ impl KeyCodec {
     }
 
     /// Scan boundaries for one salt bucket of one metric over
-    /// `[start, end]`: `(start_row, end_row_exclusive)`.
+    /// `[start, end]`: `(start_row, end_row_exclusive)`, whole row-spans.
     pub fn scan_range(&self, salt: u8, metric: &str, start: u64, end: u64) -> (Bytes, Bytes) {
         let metric_uid = match self.uids.lookup(UidKind::Metric, metric) {
             Some(u) => u,
@@ -200,15 +202,51 @@ impl KeyCodec {
         let span = self.config.row_span_secs;
         let base_start = start - start % span;
         let base_end = end - end % span + span; // exclusive
-        let mut s = BytesMut::with_capacity(8);
-        s.put_u8(salt);
-        s.put_slice(&metric_uid.0);
-        s.put_u32(base_start as u32);
-        let mut e = BytesMut::with_capacity(8);
-        e.put_u8(salt);
-        e.put_slice(&metric_uid.0);
-        e.put_u32(base_end as u32);
-        (s.freeze(), e.freeze())
+        (
+            row_prefix(salt, metric_uid, base_start),
+            row_prefix(salt, metric_uid, base_end),
+        )
+    }
+
+    /// The scans that read exactly `[start, end]` of one metric from one
+    /// salt bucket, in row order — at most three. A first row-span entered
+    /// part-way is read through the column window `[offset(start), span)`,
+    /// a last one left part-way through `[0, offset(end)]` (one window
+    /// when both are the same row), and the row-spans between as whole
+    /// rows. Nothing to scan (an empty vector) for a metric the UID table
+    /// has never seen or an empty range.
+    pub fn scan_segments(&self, salt: u8, metric: &str, start: u64, end: u64) -> Vec<ScanSpec> {
+        let Some(uid) = self.uids.lookup(UidKind::Metric, metric) else {
+            return Vec::new();
+        };
+        let span = self.config.row_span_secs;
+        // Row keys carry the base time in four bytes; no row starts later.
+        let end = end.min(u32::MAX as u64 / span * span - 1);
+        if start > end {
+            return Vec::new();
+        }
+        let rows = |from, to| RowRange::new(row_prefix(salt, uid, from), row_prefix(salt, uid, to));
+        let window =
+            |base, lo, hi| ScanSpec::windowed(rows(base, base + span), column_window(lo, hi));
+        let (first, last) = (start - start % span, end - end % span);
+        let (lo, hi) = (start % span, end % span);
+        let (partial_head, partial_tail) = (lo > 0, hi < span - 1);
+        if first == last && partial_head && partial_tail {
+            return vec![window(first, lo, hi)];
+        }
+        let mut segments = Vec::with_capacity(3);
+        if partial_head {
+            segments.push(window(first, lo, span - 1));
+        }
+        let whole_from = first + if partial_head { span } else { 0 };
+        let whole_to = last + if partial_tail { 0 } else { span };
+        if whole_from < whole_to {
+            segments.push(rows(whole_from, whole_to).into());
+        }
+        if partial_tail {
+            segments.push(window(last, 0, hi));
+        }
+        segments
     }
 
     /// Salt buckets to scan (always at least bucket 0).
@@ -226,6 +264,33 @@ impl KeyCodec {
             .map(|b| Bytes::copy_from_slice(&[b]))
             .collect()
     }
+}
+
+/// `[salt][metric uid][base time]`: the least row key of a row-span.
+fn row_prefix(salt: u8, metric: Uid, base: u64) -> Bytes {
+    let mut key = BytesMut::with_capacity(8);
+    key.put_u8(salt);
+    key.put_slice(&metric.0);
+    key.put_u32(base as u32);
+    key.freeze()
+}
+
+/// The column window for offsets `[lo, hi]` of a row: the big-endian
+/// offset range — which by prefix order also takes the 4-byte
+/// `[offset][writer][gen]` rollup qualifiers of the shadow metrics — plus
+/// every sealed block, because a block cell holds its whole row and must
+/// come back for any window that overlaps the row. (The `0xFFFF` blob of
+/// write-path compaction lies outside both ranges; every reader skips it.)
+fn column_window(lo: u64, hi: u64) -> Vec<ColumnRange> {
+    // An offset past two bytes can only be `hi + 1` on a 65 536 s row;
+    // the end then stops at the blob marker, which is no offset.
+    let offset =
+        |o: u64| Bytes::copy_from_slice(&u16::try_from(o).unwrap_or(u16::MAX).to_be_bytes());
+    let [block, ..] = BLOCK_QUALIFIER;
+    vec![
+        ColumnRange::new(offset(lo), offset(hi + 1)),
+        ColumnRange::new(vec![block], vec![block + 1]),
+    ]
 }
 
 #[cfg(test)]
@@ -340,6 +405,71 @@ mod tests {
         if old[0] == salt {
             assert!(old < s);
         }
+    }
+
+    /// `(first row base, exclusive last row base, offset window)`.
+    type SegmentShape = (u32, u32, Option<(u16, u16)>);
+
+    fn segment_shapes(c: &KeyCodec, start: u64, end: u64) -> Vec<SegmentShape> {
+        let base = |row: &[u8]| u32::from_be_bytes([row[4], row[5], row[6], row[7]]);
+        let offset = |q: &[u8]| u16::from_be_bytes([q[0], q[1]]);
+        c.scan_segments(2, "energy", start, end)
+            .iter()
+            .map(|s| {
+                assert_eq!((s.rows().start[0], s.rows().end[0]), (2, 2), "one salt");
+                let window = s.columns().map(|cols| {
+                    assert_eq!(cols.len(), 2, "offsets, then sealed blocks");
+                    let (from, to) = (&cols[1].start[..], &cols[1].end[..]);
+                    assert_eq!((from, to), (&[0xFB][..], &[0xFC][..]));
+                    assert!(from <= &BLOCK_QUALIFIER[..] && &BLOCK_QUALIFIER[..] < to);
+                    (offset(&cols[0].start), offset(&cols[0].end))
+                });
+                (base(&s.rows().start), base(&s.rows().end), window)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scan_segments_window_partial_rows_and_leave_whole_ones_whole() {
+        let c = codec(4);
+        c.row_key("energy", &[("unit", "1")], 0);
+        // Inside one row-hour: one window, inclusive of both ends.
+        assert_eq!(
+            segment_shapes(&c, 3700, 3749),
+            [(3600, 7200, Some((100, 150)))]
+        );
+        assert_eq!(segment_shapes(&c, 5, 5), [(0, 3600, Some((5, 6)))]);
+        // Straddling one seam: head to the end of its row, tail from 0.
+        assert_eq!(
+            segment_shapes(&c, 3590, 3639),
+            [(0, 3600, Some((3590, 3600))), (3600, 7200, Some((0, 40)))]
+        );
+        // Head, whole middle hours, tail.
+        assert_eq!(
+            segment_shapes(&c, 100, 10_900),
+            [
+                (0, 3600, Some((100, 3600))),
+                (3600, 10_800, None),
+                (10_800, 14_400, Some((0, 101))),
+            ]
+        );
+        // Aligned edges fold into the whole-row segment.
+        assert_eq!(segment_shapes(&c, 0, 7199), [(0, 7200, None)]);
+        assert_eq!(
+            segment_shapes(&c, 0, 3700),
+            [(0, 3600, None), (3600, 7200, Some((0, 101)))]
+        );
+        assert_eq!(
+            segment_shapes(&c, 3599, 7199),
+            [(0, 3600, Some((3599, 3600))), (3600, 7200, None)]
+        );
+        // Nothing to read: unknown metric, empty range.
+        assert!(c.scan_segments(0, "nope", 0, 100).is_empty());
+        assert!(c.scan_segments(0, "energy", 10, 9).is_empty());
+        // A range past the last representable row stops there instead of
+        // overflowing the four-byte base time.
+        let last = segment_shapes(&c, 0, u64::MAX);
+        assert_eq!(last, [(0, u32::MAX / 3600 * 3600, None)]);
     }
 
     #[test]

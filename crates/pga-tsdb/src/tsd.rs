@@ -483,26 +483,26 @@ impl Tsd {
     ) -> Result<Vec<ColumnSeries>, TsdError> {
         let mut assembled = AssembledColumns::new();
         let mut corrupt: Vec<CorruptBlock> = Vec::new();
+        // Segments come back in row order (salt, then base time), so the
+        // cells reach assembly in storage scan order one segment at a time.
         for salt in self.codec.salt_range() {
-            let (s, e) = self.codec.scan_range(salt, metric, start, end);
-            if s.is_empty() && e.is_empty() {
-                continue; // unknown metric
-            }
-            let cells = self.client.scan(&RowRange::new(s, e))?;
-            self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
-            if self.config.salvage_reads {
-                assemble_columns_salvage(
-                    &self.codec,
-                    &cells,
-                    filter,
-                    start,
-                    end,
-                    &mut assembled,
-                    &mut corrupt,
-                );
-            } else {
-                assemble_columns(&self.codec, &cells, filter, start, end, &mut assembled)
-                    .map_err(TsdError::Corrupt)?;
+            for segment in self.codec.scan_segments(salt, metric, start, end) {
+                let cells = self.client.scan_spec(&segment)?;
+                self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
+                if self.config.salvage_reads {
+                    assemble_columns_salvage(
+                        &self.codec,
+                        &cells,
+                        filter,
+                        start,
+                        end,
+                        &mut assembled,
+                        &mut corrupt,
+                    );
+                } else {
+                    assemble_columns(&self.codec, &cells, filter, start, end, &mut assembled)
+                        .map_err(TsdError::Corrupt)?;
+                }
             }
         }
         self.salvage_corrupt_blocks(corrupt, start, end, &mut assembled)?;

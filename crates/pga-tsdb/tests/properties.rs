@@ -11,7 +11,7 @@ use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
 use pga_tsdb::{
     decode_block, encode_block, is_block_qualifier, BlockError, KeyCodec, KeyCodecConfig,
-    QueryFilter, Tsd, TsdConfig, TsdError, UidTable,
+    QueryFilter, TimeSeries, Tsd, TsdConfig, TsdError, UidTable,
 };
 
 fn codec(buckets: u8) -> KeyCodec {
@@ -180,9 +180,121 @@ fn block_roundtrip_at_max_size() {
     ));
 }
 
+/// A timestamp in the first three row-hours: anywhere, or within ten
+/// seconds of a row-hour seam.
+fn seam_heavy_ts() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        2 => 0u64..10_800,
+        1 => (1u64..3, 0u64..20).prop_map(|(hour, d)| hour * 3600 - 10 + d),
+    ]
+}
+
+/// A query window `[a, b]` over those hours: any two such timestamps, one
+/// instant, inside a single row-hour, or from the first hour to the third
+/// (so a whole row-hour lies between head and tail).
+fn window() -> impl Strategy<Value = (u64, u64)> {
+    prop_oneof![
+        3 => (seam_heavy_ts(), seam_heavy_ts()).prop_map(|(a, b)| (a.min(b), a.max(b))),
+        1 => seam_heavy_ts().prop_map(|t| (t, t)),
+        1 => (0u64..3, 0u64..3600, 0u64..3600)
+            .prop_map(|(hour, a, b)| (hour * 3600 + a.min(b), hour * 3600 + a.max(b))),
+        1 => (0u64..3600, 7200u64..10_800),
+    ]
+}
+
+/// `(unit, sensor) → timestamp → value bits`: what a store should hold,
+/// last write winning. Bits, so that NaN payloads compare.
+type Model = BTreeMap<(u32, u32), BTreeMap<u64, u64>>;
+
+/// `model` clipped to `[a, b]`, series with no point inside dropped.
+fn clip(model: &Model, (a, b): (u64, u64)) -> Model {
+    model
+        .iter()
+        .map(|(k, pts)| (*k, pts.range(a..=b).map(|(&t, &v)| (t, v)).collect()))
+        .filter(|(_, pts): &(_, BTreeMap<u64, u64>)| !pts.is_empty())
+        .collect()
+}
+
+/// A query answer in [`Model`] form; `None` unless every series has its
+/// points strictly ascending.
+fn answer(series: &[TimeSeries]) -> Option<Model> {
+    let mut out = Model::new();
+    for s in series {
+        let key = (
+            s.tags.get("unit")?.parse().ok()?,
+            s.tags.get("sensor")?.parse().ok()?,
+        );
+        if !s.points.windows(2).all(|w| w[0].timestamp < w[1].timestamp) {
+            return None;
+        }
+        let points = s.points.iter().map(|p| (p.timestamp, p.value.to_bits()));
+        out.insert(key, points.collect());
+    }
+    (out.len() == series.len()).then_some(out)
+}
+
 proptest! {
     // The full-stack model check is heavier: fewer cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Sub-windows (ISSUE 19): the region servers return only the cells a
+    /// window names, so for windows inside one row-hour, straddling one
+    /// seam or two, covering a whole middle hour, or one instant wide, the
+    /// answer must be the store's contents clipped to the window — while
+    /// everything is raw (where the whole-row reference path must agree),
+    /// after sealing, and with late raw writes over sealed rows, before
+    /// and after they are sealed in turn.
+    #[test]
+    fn windowed_query_equals_store_clipped_to_the_window(
+        points in proptest::collection::vec(
+            (0u32..2, 0u32..3, seam_heavy_ts(), any::<u64>()),
+            1..120
+        ),
+        late in proptest::collection::vec(
+            (0u32..2, 0u32..3, seam_heavy_ts(), any::<u64>()),
+            0..10
+        ),
+        windows in proptest::collection::vec(window(), 8),
+        buckets in 1u8..4,
+    ) {
+        let c = codec(buckets);
+        let coord = Coordinator::new(60_000);
+        let mut master = Master::bootstrap(2, ServerConfig::default(), coord, 0);
+        master.create_table(&TableDescriptor {
+            name: "t".into(),
+            split_points: c.split_points(),
+            region_config: RegionConfig::default(),
+        });
+        let tsd = Tsd::new(c, Client::connect(&master), TsdConfig::default());
+        master.set_compaction_rewriter(tsd.block_rewriter());
+        let mut model = Model::new();
+        let put = |batch: &[(u32, u32, u64, u64)], model: &mut Model| {
+            for &(unit, sensor, ts, bits) in batch {
+                let (u, s) = (unit.to_string(), sensor.to_string());
+                tsd.put("energy", &[("unit", &u), ("sensor", &s)], ts, f64::from_bits(bits)).unwrap();
+                model.entry((unit, sensor)).or_default().insert(ts, bits);
+            }
+        };
+        let check = |model: &Model, stage: &str| {
+            for &w in &windows {
+                let got = tsd.query("energy", &QueryFilter::any(), w.0, w.1).unwrap();
+                prop_assert_eq!(answer(&got), Some(clip(model, w)), "{} window {:?}", stage, w);
+            }
+        };
+        put(&points, &mut model);
+        check(&model, "raw");
+        for &w in &windows {
+            let legacy = tsd.query_legacy("energy", &QueryFilter::any(), w.0, w.1).unwrap();
+            prop_assert_eq!(answer(&legacy), Some(clip(&model, w)), "legacy window {:?}", w);
+        }
+        tsd.compact_now().unwrap();
+        check(&model, "sealed");
+        put(&late, &mut model);
+        check(&model, "late raw over sealed");
+        tsd.compact_now().unwrap();
+        check(&model, "resealed");
+        master.shutdown();
+    }
 
     #[test]
     fn put_query_equals_naive_model(

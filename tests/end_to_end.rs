@@ -1,5 +1,6 @@
 //! End-to-end integration: generator → proxy → TSDB → detector → viz.
 
+use pga_control::Metric;
 use pga_platform::{Monitor, PlatformConfig};
 use pga_sensorgen::FaultClass;
 
@@ -154,5 +155,31 @@ fn repeated_evaluation_is_idempotent_on_history() {
         assert_eq!(a.p_values, b.p_values);
         assert_eq!(a.rejected, b.rejected);
     }
+    m.shutdown();
+}
+
+/// Window pushdown, held to an exact count that repeats on any machine: a
+/// 50-tick window read makes the region servers return 50 cells per
+/// series of the metric (the unit tag is filtered after the scan, so every
+/// unit's series), however full the row-hour is and whether or not the
+/// window crosses into the next one — never the whole row-hour.
+#[test]
+fn a_window_read_scans_exactly_the_cells_of_its_time_range() {
+    let mut config = PlatformConfig::demo(131);
+    config.fleet.units = 2;
+    config.fleet.sensors_per_unit = 4;
+    let mut m = Monitor::new(config).unwrap();
+    m.ingest_range(0, 3700);
+    let scanned = |m: &Monitor| m.fleet_snapshot().fold(Metric::QueryCellsScanned);
+    let t_ends = [1000, 2000, 2999, 3599, 3600, 3620, 3649, 3699];
+    for t_end in t_ends {
+        let before = scanned(&m);
+        let w = m.window_from_store(1, t_end, 50).unwrap();
+        assert_eq!(w.get(49, 3), m.fleet().sample(1, 3, t_end));
+        assert_eq!(scanned(&m) - before, 2 * 4 * 50, "window ending at {t_end}");
+    }
+    // Served: the one unit's four sensors.
+    let served = m.fleet_snapshot().fold(Metric::QueryPointsServed);
+    assert_eq!(served, t_ends.len() as u64 * 4 * 50);
     m.shutdown();
 }

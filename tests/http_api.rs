@@ -162,3 +162,55 @@ fn dashboard_and_api_over_one_socket() {
     server.stop();
     monitor.lock().shutdown();
 }
+
+/// One external datapoint must not end detection for a unit: `energy`
+/// series the fleet does not have (a sensor id past the fleet's, an extra
+/// tag on a sensor it has) arrive through `POST /api/put` like any other
+/// point, and every later window read for the unit must leave them out —
+/// not index the observation matrix with them.
+#[test]
+fn stray_series_from_the_put_api_do_not_reach_the_model() {
+    let (server, monitor) = serving_monitor();
+    let addr = server.addr();
+    let (status, page) = request(addr, "GET", "/machine/0", "");
+    assert_eq!(status, 200);
+
+    for tags in [
+        r#"{"unit":"0","sensor":"999"}"#,
+        r#"{"unit":"0","sensor":"3","site":"x"}"#,
+    ] {
+        let body = format!(r#"{{"metric":"energy","timestamp":590,"value":1e9,"tags":{tags}}}"#);
+        let (status, _) = request(addr, "POST", "/api/put", &body);
+        assert_eq!(status, 200);
+    }
+    // The page's window is in the result cache; drop it, as an anomaly on
+    // the unit would, so that the next render reads the store again.
+    let stray = [("unit", "0"), ("sensor", "999")].map(|(k, v)| (k.to_string(), v.to_string()));
+    assert!(
+        monitor
+            .lock()
+            .engine()
+            .invalidate_series("energy", &stray.into())
+            >= 1
+    );
+
+    let (status, again) = request(addr, "GET", "/machine/0", "");
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, page, "the stray points change nothing on the page");
+    let mut m = monitor.lock();
+    // A window no earlier call has cached, the stray timestamp inside it.
+    let w = m.window_from_store(0, 598, 60).unwrap();
+    for (row, tick) in (539..=598u64).enumerate() {
+        for sensor in 0..24u32 {
+            assert_eq!(
+                w.get(row, sensor as usize),
+                m.fleet().sample(0, sensor, tick)
+            );
+        }
+    }
+    assert_eq!(m.evaluate_at(598).unwrap().len(), 4);
+    m.train(598).unwrap();
+    drop(m);
+    server.stop();
+    monitor.lock().shutdown();
+}
