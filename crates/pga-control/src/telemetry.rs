@@ -205,6 +205,7 @@ metrics! {
     QueryPartials, "query_partials", Sum, All, Some("partial results"), "Cumulative queries answered with partial results.";
     QueryCellsScanned, "query_cells_scanned", Sum, All, None, "Cumulative cells the region servers returned to serving-layer scans (over query_points_served: read amplification).";
     QueryPointsServed, "query_points_served", Sum, All, None, "Cumulative points in the answers the serving layer executed (cache hits excluded).";
+    TsdSeries, "tsd_series", Sum, All, Some("series"), "Series in the front end's series table at snapshot time: cardinality, not volume, and what bounds the table's memory.";
 }
 
 /// `num / den`, or 0 when nothing has been counted yet (never NaN).
@@ -560,7 +561,8 @@ mod tests {
         // Every key of that snapshot is still written; rows added since
         // (which it reads as 0) are the only other keys.
         let mut expected = keys(&serde_json::from_str(PARENT_STATS_JSON).unwrap());
-        expected.extend(["query_cells_scanned", "query_points_served"].map(String::from));
+        expected
+            .extend(["query_cells_scanned", "query_points_served", "tsd_series"].map(String::from));
         assert_eq!(keys(&serde_json::to_value(&s)), expected);
         assert_eq!(s.get(Metric::QueryCellsScanned), 0);
         // Keys this build has never heard of are skipped, not fatal.

@@ -1326,8 +1326,9 @@ impl<'a> Driver<'a> {
         // Newest version of each (row, qualifier) wins, like the read path.
         cells.sort();
         cells.dedup_by(|a, b| a.row == b.row && a.qualifier == b.qualifier);
+        let mut decoder = rollup::CellDecoder::new(&codec, tier);
         for kv in &cells {
-            match rollup::decode_cell(&codec, tier, kv) {
+            match decoder.decode(kv) {
                 Some(cell) => {
                     self.stats.rollup_cells += 1;
                     self.check_rollup_cell(&cell);
@@ -1420,16 +1421,16 @@ impl<'a> Driver<'a> {
     /// count, and for untainted series every claimed second must map to
     /// an acked sample whose values reproduce the cell's aggregates.
     fn check_rollup_cell(&mut self, cell: &RollupCell) {
+        let tags = cell.series.tags();
         let tag = |k: &str| {
-            cell.tags
-                .iter()
+            tags.iter()
                 .find(|(a, _)| a == k)
                 .and_then(|(_, v)| v.parse::<u32>().ok())
         };
         let (Some(unit), Some(sensor)) = (tag("unit"), tag("sensor")) else {
             self.violations.push(Violation::RollupInconsistent {
                 series: "rollup".into(),
-                detail: format!("cell with foreign tags {:?}", cell.tags),
+                detail: format!("cell with foreign tags {tags:?}"),
             });
             return;
         };

@@ -580,7 +580,12 @@ impl Monitor {
             .set(Metric::SchedStealAttempts, sched.steal_attempts)
             .set(Metric::SchedMaxQueueDepth, sched.max_queue_depth)
             .set(Metric::SchedTaskNs, sched.task_ns_total)
-            .set(Metric::SchedDirtyUnits, self.dirty_units() as u64);
+            .set(Metric::SchedDirtyUnits, self.dirty_units() as u64)
+            // Every TSD encodes through a clone of one codec: one table.
+            .set(
+                Metric::TsdSeries,
+                self.pipeline.tsd().codec().series_count() as u64,
+            );
         stats
     }
 

@@ -16,15 +16,18 @@
 //! from raw data; window edges are epoch-aligned on both sides, so the
 //! three regions never overlap and never split a window.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pga_cluster::rpc::ClockMs;
 use pga_minibase::{Client, ClientError, KeyValue, RowRange};
 use pga_repl::HedgePolicy;
-use pga_tsdb::{Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, ShardError, TimeSeries};
+use pga_tsdb::{
+    Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, ShardError, TimeSeries,
+};
 
 use crate::plan::{self, Plan};
-use crate::rollup::{decode_cell, merge_cells, tier_metric, RollupCell};
+use crate::rollup::{merge_cells, tier_metric, CellDecoder, RollupCell};
 
 /// Assembled raw reads: codec-order tag pairs → windowed points.
 type SeriesPoints = BTreeMap<Vec<(String, String)>, Vec<DataPoint>>;
@@ -467,32 +470,38 @@ fn execute_rollup(
     rollup_cells.dedup_by(|a, b| a.row == b.row && a.qualifier == b.qualifier);
 
     // Merge cells per (series, bucket), then fold buckets into d-windows.
-    type BucketKey = (Vec<(String, String)>, u64);
-    let mut per_bucket: HashMap<BucketKey, Vec<RollupCell>> = HashMap::new();
+    // The cells are sorted by row, so a series' cells are consecutive: the
+    // tag filter runs when the series changes, and the ordered map folds a
+    // window's buckets in time order.
+    let mut per_bucket: BTreeMap<(u32, u64), Vec<RollupCell>> = BTreeMap::new();
+    let mut decoder = CellDecoder::new(codec, tier);
+    let mut admitted: Option<(u32, bool)> = None;
     for kv in &rollup_cells {
-        if let Some(cell) = decode_cell(codec, tier, kv) {
-            if cell.bucket < ru_lo || cell.bucket + tier > ru_hi {
-                continue; // row-span rounding over-fetches; clip to region
-            }
-            let tag_map: BTreeMap<String, String> = cell.tags.iter().cloned().collect();
-            if !filter.matches(&tag_map) {
-                continue;
-            }
-            per_bucket
-                .entry((cell.tags.clone(), cell.bucket))
-                .or_default()
-                .push(cell);
+        let Some(cell) = decoder.decode(kv) else {
+            continue;
+        };
+        if cell.bucket < ru_lo || cell.bucket + tier > ru_hi {
+            continue; // row-span rounding over-fetches; clip to region
+        }
+        let id = cell.series.id();
+        if admitted.is_none_or(|(last, _)| last != id) {
+            admitted = Some((id, filter.matches_pairs(cell.series.tags())));
+        }
+        if admitted == Some((id, true)) {
+            per_bucket.entry((id, cell.bucket)).or_default().push(cell);
         }
     }
-    let mut windows: BTreeMap<Vec<(String, String)>, BTreeMap<u64, WindowAcc>> = BTreeMap::new();
-    for ((tags, bucket), mut cells) in per_bucket {
-        let Some(m) = merge_cells(&mut cells) else {
+    let mut windows_by_series: BTreeMap<u32, (Arc<Series>, BTreeMap<u64, WindowAcc>)> =
+        BTreeMap::new();
+    for ((id, bucket), mut cells) in per_bucket {
+        let (Some(m), Some(first)) = (merge_cells(&mut cells), cells.first()) else {
             continue;
         };
         let w = bucket - bucket % d;
-        let acc = windows
-            .entry(tags)
-            .or_default()
+        let acc = windows_by_series
+            .entry(id)
+            .or_insert_with(|| (first.series.clone(), BTreeMap::new()))
+            .1
             .entry(w)
             .or_insert(WindowAcc {
                 min: f64::INFINITY,
@@ -507,6 +516,10 @@ fn execute_rollup(
         acc.count += m.count;
         acc.tainted |= m.tainted;
     }
+    let mut windows: BTreeMap<Vec<(String, String)>, BTreeMap<u64, WindowAcc>> = windows_by_series
+        .into_values()
+        .map(|(series, accs)| (series.tags().to_vec(), accs))
+        .collect();
 
     // Tainted windows (overlapping writer bitmaps — some point was
     // delivered twice) are recomputed from raw data rather than served

@@ -39,12 +39,13 @@
 //! serving a double-counted aggregate.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use pga_minibase::KeyValue;
 use pga_tsdb::uid::RESERVED_PREFIX;
-use pga_tsdb::{BatchPoint, KeyCodec, PutObserver};
+use pga_tsdb::{KeyCodec, PutObserver, Series, SeriesPoint};
 
 /// Largest allowed tier width in seconds. Bounded so a bucket's point
 /// count (at one point per second per series) fits the `bucket * 1000`
@@ -108,8 +109,9 @@ pub fn decode_value(tier: u64, v: &[u8]) -> Option<(f64, f64, f64, u64, Vec<u8>)
 /// A decoded rollup cell: one writer's view of one `(series, bucket)`.
 #[derive(Debug, Clone)]
 pub struct RollupCell {
-    /// Sorted `(tag key, tag value)` pairs identifying the series.
-    pub tags: Vec<(String, String)>,
+    /// The shadow-metric series the cell belongs to (its tags are the raw
+    /// series' tags).
+    pub series: Arc<Series>,
     /// Bucket start timestamp in seconds.
     pub bucket: u64,
     /// Writer id that sealed the cell.
@@ -128,23 +130,57 @@ pub struct RollupCell {
     pub bitmap: Vec<u8>,
 }
 
-/// Decode a scanned cell of a tier shadow metric. `None` for malformed
-/// cells and for raw-format (2-byte qualifier) strays.
+/// Decoder for the scanned cells of one tier shadow metric. A scan returns
+/// a row's cells together, so the series is resolved when the row changes
+/// rather than for every cell.
+pub struct CellDecoder<'a> {
+    codec: &'a KeyCodec,
+    tier: u64,
+    /// The row last seen and the series and base time it resolved to
+    /// (`None`: not decodable; no row is empty).
+    row: Bytes,
+    series: Option<(Arc<Series>, u64)>,
+}
+
+impl<'a> CellDecoder<'a> {
+    /// A decoder for `tier`-second cells.
+    pub fn new(codec: &'a KeyCodec, tier: u64) -> Self {
+        CellDecoder {
+            codec,
+            tier,
+            row: Bytes::new(),
+            series: None,
+        }
+    }
+
+    /// Decode one scanned cell. `None` for malformed cells and for
+    /// raw-format (2-byte qualifier) strays.
+    pub fn decode(&mut self, kv: &KeyValue) -> Option<RollupCell> {
+        let (offset, writer, gen) = decode_qualifier(&kv.qualifier)?;
+        let (min, max, sum, count, bitmap) = decode_value(self.tier, &kv.value)?;
+        if self.row != kv.row {
+            self.row = kv.row.clone();
+            self.series = self.codec.series_of_row(&kv.row);
+        }
+        let (series, base) = self.series.as_ref()?;
+        Some(RollupCell {
+            series: series.clone(),
+            bucket: base + offset as u64,
+            writer,
+            gen,
+            min,
+            max,
+            sum,
+            count,
+            bitmap,
+        })
+    }
+}
+
+/// Decode one scanned cell of a tier shadow metric on its own; a loop over
+/// scanned cells keeps a [`CellDecoder`] instead.
 pub fn decode_cell(codec: &KeyCodec, tier: u64, kv: &KeyValue) -> Option<RollupCell> {
-    let (offset, writer, gen) = decode_qualifier(&kv.qualifier)?;
-    let (_, tags, base) = codec.decode_row(&kv.row)?;
-    let (min, max, sum, count, bitmap) = decode_value(tier, &kv.value)?;
-    Some(RollupCell {
-        tags,
-        bucket: base + offset as u64,
-        writer,
-        gen,
-        min,
-        max,
-        sum,
-        count,
-        bitmap,
-    })
+    CellDecoder::new(codec, tier).decode(kv)
 }
 
 /// The read-time merge of every cell of one `(series, bucket)`.
@@ -242,8 +278,8 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
     ) -> Option<Vec<KeyValue>> {
         let tier = self
             .codec
-            .decode_row(ctx.row)
-            .and_then(|(metric, _, _)| parse_tier_metric(&metric).map(|(t, _)| t));
+            .series_of_row(ctx.row)
+            .and_then(|(series, _)| parse_tier_metric(series.metric()).map(|(t, _)| t));
         let Some(tier) = tier else {
             // Not a rollup shadow row: the chained rewriter decides.
             return self.inner.as_ref()?.rewrite_row(ctx, cells);
@@ -270,6 +306,7 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
 
         let mut out = passthrough;
         let mut changed = false;
+        let mut decoder = CellDecoder::new(&self.codec, tier);
         let mut offsets: Vec<u16> = buckets.keys().copied().collect();
         offsets.sort_unstable();
         for offset in offsets {
@@ -278,7 +315,7 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
             };
             let mut decoded: Vec<(&KeyValue, RollupCell)> = Vec::new();
             for &kv in group {
-                let Some(cell) = decode_cell(&self.codec, tier, kv) else {
+                let Some(cell) = decoder.decode(kv) else {
                     decoded.clear();
                     break;
                 };
@@ -320,25 +357,40 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
     }
 }
 
-struct OpenBucket {
+/// The accumulators of one bucket.
+#[derive(Default)]
+struct Bucket {
     start: u64,
     gen: u8,
-    row: Bytes,
     min: f64,
     max: f64,
     sum: f64,
     count: u64,
-    bitmap: Vec<u8>,
 }
 
+/// Write-side state of one `(series, tier)`.
 #[derive(Default)]
-struct SeriesState {
-    open: Option<OpenBucket>,
+struct TierState {
+    /// The bucket opened last — kept after it is sealed, see `entered` —
+    /// and whether it is open.
+    bucket: Bucket,
+    open: bool,
+    /// Presence bitmap of `bucket`.
+    bitmap: Vec<u8>,
+    /// Shadow-metric row of the row-hour last opened, `(base time, key)`;
+    /// `None` until the first bucket opens.
+    row: Option<(u64, Bytes)>,
+    /// Generations run per series and tier, across buckets.
     next_gen: u8,
+    /// Generation of the first opening of `bucket` since the series
+    /// entered it. A bucket that [`RollupWriter::flush`] keeps sealing and
+    /// the next point re-opens takes a new generation each time; once
+    /// `next_gen` is back at this one, one more would reuse the qualifier
+    /// of the bucket's first cell and replace it. From then on a
+    /// re-opening resumes the sealed bucket instead: same generation, same
+    /// accumulators, and its next cell supersedes its last by version.
+    entered: u8,
 }
-
-/// Key: `(tier, metric, sorted tags)`.
-type SeriesKey = (u64, String, Vec<(String, String)>);
 
 /// Write-path rollup maintainer: a [`PutObserver`] that accumulates every
 /// acknowledged point into per-tier open buckets and emits sealed cells.
@@ -346,7 +398,8 @@ pub struct RollupWriter {
     codec: KeyCodec,
     tiers: Vec<u64>,
     writer_id: u8,
-    state: Mutex<HashMap<SeriesKey, SeriesState>>,
+    /// `[series id][tier]`, flattened; grown as series appear.
+    state: Mutex<Vec<TierState>>,
 }
 
 impl RollupWriter {
@@ -368,7 +421,7 @@ impl RollupWriter {
             codec,
             tiers,
             writer_id,
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(Vec::new()),
         }
     }
 
@@ -377,88 +430,101 @@ impl RollupWriter {
         &self.tiers
     }
 
-    fn seal(&self, b: OpenBucket) -> KeyValue {
+    /// Seal the bucket of `state`, if open, into its cell.
+    fn seal(&self, state: &mut TierState) -> Option<KeyValue> {
+        let (_, row) = state.row.as_ref().filter(|_| state.open)?;
+        state.open = false;
+        let b = &state.bucket;
         let span = self.codec.config().row_span_secs;
-        KeyValue::new(
-            b.row,
+        Some(KeyValue::new(
+            row.clone(),
             encode_qualifier((b.start % span) as u16, self.writer_id, b.gen),
             b.start * 1000 + b.count,
-            encode_value(b.min, b.max, b.sum, b.count, &b.bitmap),
-        )
+            encode_value(b.min, b.max, b.sum, b.count, &state.bitmap),
+        ))
+    }
+
+    /// The row of `series`' tier-`tier` shadow series that holds `bucket`.
+    fn shadow_row(&self, series: &Series, tier: u64, bucket: u64) -> Bytes {
+        let tags: Vec<(&str, &str)> = series
+            .tags()
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        self.codec
+            .row_key(&tier_metric(tier, series.metric()), &tags, bucket)
     }
 }
 
 impl PutObserver for RollupWriter {
-    fn on_batch(&self, metric: &str, points: &[BatchPoint<'_>]) -> Vec<KeyValue> {
-        if metric.starts_with(RESERVED_PREFIX) {
-            return Vec::new(); // never roll up a rollup
-        }
+    fn on_batch(&self, points: &[SeriesPoint]) -> Vec<KeyValue> {
+        let span = self.codec.config().row_span_secs;
         let mut sealed = Vec::new();
-        let mut state = self.state.lock();
-        for &(tags, ts, value) in points {
-            let mut owned: Vec<(String, String)> = tags
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect();
-            owned.sort();
-            for &tier in &self.tiers {
+        let mut states = self.state.lock();
+        for (series, ts, value) in points {
+            let (ts, value) = (*ts, *value);
+            let first = series.id() as usize * self.tiers.len();
+            if states.len() < first + self.tiers.len() {
+                states.resize_with(first + self.tiers.len(), TierState::default);
+            }
+            for (&tier, state) in self.tiers.iter().zip(&mut states[first..]) {
                 let bucket = ts - ts % tier;
-                let key = (tier, metric.to_string(), owned.clone());
-                let series = state.entry(key).or_default();
-                match &mut series.open {
-                    Some(open) if open.start == bucket => {
-                        let bit = (ts - bucket) as usize;
-                        if open.bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
-                            continue; // second already counted (duplicate)
-                        }
-                        open.bitmap[bit / 8] |= 1 << (bit % 8);
-                        open.min = open.min.min(value);
-                        open.max = open.max.max(value);
-                        open.sum += value;
-                        open.count += 1;
+                let bit = (ts - bucket) as usize;
+                if !(state.open && state.bucket.start == bucket) {
+                    if series.metric().starts_with(RESERVED_PREFIX) {
+                        break; // never roll up a rollup
                     }
-                    open_slot => {
-                        if let Some(prev) = open_slot.take() {
-                            sealed.push(self.seal(prev));
+                    sealed.extend(self.seal(state));
+                    let reopens = state.row.is_some() && state.bucket.start == bucket;
+                    state.open = true;
+                    // A fresh bucket under the next generation — unless this
+                    // one has spent them all: then fall through and resume
+                    // it where it was sealed.
+                    if !reopens || state.next_gen != state.entered {
+                        let base = bucket - bucket % span;
+                        if state.row.as_ref().is_none_or(|&(open, _)| open != base) {
+                            state.row = Some((base, self.shadow_row(series, tier, bucket)));
                         }
-                        let refs: Vec<(&str, &str)> = owned
-                            .iter()
-                            .map(|(k, v)| (k.as_str(), v.as_str()))
-                            .collect();
-                        let row = self
-                            .codec
-                            .row_key(&tier_metric(tier, metric), &refs, bucket);
-                        let gen = series.next_gen;
-                        series.next_gen = series.next_gen.wrapping_add(1);
-                        let mut bitmap = vec![0u8; bitmap_len(tier)];
-                        let bit = (ts - bucket) as usize;
-                        bitmap[bit / 8] |= 1 << (bit % 8);
-                        series.open = Some(OpenBucket {
+                        let gen = state.next_gen;
+                        state.next_gen = gen.wrapping_add(1);
+                        if !reopens {
+                            state.entered = gen;
+                        }
+                        state.bitmap.clear();
+                        state.bitmap.resize(bitmap_len(tier), 0);
+                        state.bitmap[bit / 8] |= 1 << (bit % 8);
+                        state.bucket = Bucket {
                             start: bucket,
                             gen,
-                            row,
                             min: value,
                             max: value,
                             sum: value,
                             count: 1,
-                            bitmap,
-                        });
+                        };
+                        continue;
                     }
                 }
+                if state.bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
+                    continue; // second already counted (duplicate)
+                }
+                state.bitmap[bit / 8] |= 1 << (bit % 8);
+                let open = &mut state.bucket;
+                open.min = open.min.min(value);
+                open.max = open.max.max(value);
+                open.sum += value;
+                open.count += 1;
             }
         }
         sealed
     }
 
+    /// Seals in series-id order, tier by tier.
     fn flush(&self) -> Vec<KeyValue> {
-        let mut state = self.state.lock();
-        let mut sealed = Vec::new();
-        for series in state.values_mut() {
-            if let Some(open) = series.open.take() {
-                sealed.push(self.seal(open));
-            }
-        }
-        sealed
+        let mut states = self.state.lock();
+        states
+            .iter_mut()
+            .filter_map(|state| self.seal(state))
+            .collect()
     }
 }
 
@@ -478,6 +544,13 @@ mod tests {
     }
 
     const TAGS: &[(&str, &str)] = &[("unit", "1"), ("sensor", "2")];
+
+    /// `(timestamp, value)` points of `metric{TAGS}`, resolved as the TSD
+    /// resolves a batch before its observer sees it.
+    fn points(c: &KeyCodec, metric: &str, points: &[(u64, f64)]) -> Vec<SeriesPoint> {
+        let resolve = |&(ts, value)| (c.resolve(metric, TAGS), ts, value);
+        points.iter().map(resolve).collect()
+    }
 
     #[test]
     fn tier_metric_roundtrip() {
@@ -511,9 +584,9 @@ mod tests {
         let w = RollupWriter::new(c.clone(), vec![60], 0);
         // Two points in bucket 0, then one in bucket 60 seals the first.
         assert!(w
-            .on_batch("energy", &[(TAGS, 10, 2.0), (TAGS, 20, 4.0)])
+            .on_batch(&points(&c, "energy", &[(10, 2.0), (20, 4.0)]))
             .is_empty());
-        let sealed = w.on_batch("energy", &[(TAGS, 61, 7.0)]);
+        let sealed = w.on_batch(&points(&c, "energy", &[(61, 7.0)]));
         assert_eq!(sealed.len(), 1);
         let cell = decode_cell(&c, 60, &sealed[0]).unwrap();
         assert_eq!(cell.bucket, 0);
@@ -532,7 +605,7 @@ mod tests {
     fn duplicate_second_is_counted_once() {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 0);
-        w.on_batch("energy", &[(TAGS, 5, 1.0), (TAGS, 5, 100.0)]);
+        w.on_batch(&points(&c, "energy", &[(5, 1.0), (5, 100.0)]));
         let sealed = w.flush();
         let cell = decode_cell(&c, 60, &sealed[0]).unwrap();
         assert_eq!(cell.count, 1, "same second must not double-count");
@@ -543,12 +616,12 @@ mod tests {
     fn flush_seals_and_reopen_gets_fresh_generation() {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 2);
-        w.on_batch("energy", &[(TAGS, 5, 1.0)]);
+        w.on_batch(&points(&c, "energy", &[(5, 1.0)]));
         let first = w.flush();
         assert_eq!(first.len(), 1);
         assert!(w.flush().is_empty(), "nothing left open");
         // Same bucket again: different generation, distinct qualifier.
-        w.on_batch("energy", &[(TAGS, 6, 2.0)]);
+        w.on_batch(&points(&c, "energy", &[(6, 2.0)]));
         let second = w.flush();
         let a = decode_cell(&c, 60, &first[0]).unwrap();
         let b = decode_cell(&c, 60, &second[0]).unwrap();
@@ -560,8 +633,9 @@ mod tests {
 
     #[test]
     fn rollup_metrics_are_never_rolled_up() {
-        let w = RollupWriter::new(codec(), vec![60], 0);
-        w.on_batch(&tier_metric(60, "energy"), &[(TAGS, 5, 1.0)]);
+        let c = codec();
+        let w = RollupWriter::new(c.clone(), vec![60], 0);
+        w.on_batch(&points(&c, &tier_metric(60, "energy"), &[(5, 1.0)]));
         assert!(w.flush().is_empty());
     }
 
@@ -570,8 +644,8 @@ mod tests {
         let c = codec();
         let a_writer = RollupWriter::new(c.clone(), vec![60], 0);
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
-        a_writer.on_batch("energy", &[(TAGS, 1, 1.0), (TAGS, 3, 3.0)]);
-        b_writer.on_batch("energy", &[(TAGS, 2, 10.0)]);
+        a_writer.on_batch(&points(&c, "energy", &[(1, 1.0), (3, 3.0)]));
+        b_writer.on_batch(&points(&c, "energy", &[(2, 10.0)]));
         let mut cells: Vec<RollupCell> = a_writer
             .flush()
             .iter()
@@ -589,8 +663,8 @@ mod tests {
         let a_writer = RollupWriter::new(c.clone(), vec![60], 0);
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
         // Both writers saw second 7 — a retried batch delivered twice.
-        a_writer.on_batch("energy", &[(TAGS, 7, 1.0)]);
-        b_writer.on_batch("energy", &[(TAGS, 7, 1.0)]);
+        a_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
+        b_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
         let mut cells: Vec<RollupCell> = a_writer
             .flush()
             .iter()
@@ -604,9 +678,9 @@ mod tests {
     fn version_timestamp_prefers_larger_count() {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 0);
-        w.on_batch("energy", &[(TAGS, 5, 1.0)]);
+        w.on_batch(&points(&c, "energy", &[(5, 1.0)]));
         let short = w.flush();
-        w.on_batch("energy", &[(TAGS, 6, 1.0), (TAGS, 7, 1.0)]);
+        w.on_batch(&points(&c, "energy", &[(6, 1.0), (7, 1.0)]));
         let long = w.flush();
         assert!(long[0].timestamp > short[0].timestamp);
     }
@@ -624,8 +698,8 @@ mod tests {
         let c = codec();
         let a_writer = RollupWriter::new(c.clone(), vec![60], 0);
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
-        a_writer.on_batch("energy", &[(TAGS, 1, 1.0), (TAGS, 3, 3.0)]);
-        b_writer.on_batch("energy", &[(TAGS, 2, 10.0)]);
+        a_writer.on_batch(&points(&c, "energy", &[(1, 1.0), (3, 3.0)]));
+        b_writer.on_batch(&points(&c, "energy", &[(2, 10.0)]));
         let mut cells: Vec<KeyValue> = a_writer
             .flush()
             .into_iter()
@@ -662,8 +736,8 @@ mod tests {
         let c = codec();
         let a_writer = RollupWriter::new(c.clone(), vec![60], 0);
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
-        a_writer.on_batch("energy", &[(TAGS, 7, 1.0)]);
-        b_writer.on_batch("energy", &[(TAGS, 7, 1.0)]);
+        a_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
+        b_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
         let mut cells: Vec<KeyValue> = a_writer
             .flush()
             .into_iter()

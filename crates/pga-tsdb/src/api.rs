@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::query::{Aggregator, QueryFilter, TimeSeries};
 use crate::tsd::{Tsd, TsdError};
+use crate::uid::RESERVED_PREFIX;
 
 /// One datapoint of an `/api/put` body (OpenTSDB's schema).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -254,9 +255,23 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
+impl From<TsdError> for ApiError {
+    /// A put the TSD refuses as malformed is the client's error (400);
+    /// anything else is the storage layer's (500).
+    fn from(e: TsdError) -> Self {
+        match e {
+            TsdError::TimestampOutOfRange { .. } => ApiError::BadRequest(e.to_string()),
+            _ => ApiError::Storage(e),
+        }
+    }
+}
+
 /// Handle an `/api/put` body: a single datapoint object or an array of
 /// them (both accepted, like OpenTSDB). Returns the number of points
-/// written.
+/// written. The whole body is validated before anything is written: a
+/// point without tags, with a non-finite value, with a timestamp no row
+/// key can hold, or with an empty or reserved ([`RESERVED_PREFIX`]) metric
+/// or tag name rejects the request.
 pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
     let points: Vec<PutDatapoint> = if body.trim_start().starts_with('[') {
         serde_json::from_str(body).map_err(|e| ApiError::BadRequest(e.to_string()))?
@@ -275,6 +290,17 @@ pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
         if !p.value.is_finite() {
             return Err(ApiError::BadRequest("non-finite value".into()));
         }
+        tsd.check_timestamp(p.timestamp)?;
+        // The reserved prefix names the system's own series (rollup shadow
+        // metrics); only the TSD's observers may write those.
+        let names = p.tags.iter().flat_map(|(k, v)| [k, v]);
+        for name in std::iter::once(&p.metric).chain(names) {
+            if name.is_empty() || name.starts_with(RESERVED_PREFIX) {
+                return Err(ApiError::BadRequest(format!(
+                    "empty or reserved metric or tag name {name:?}"
+                )));
+            }
+        }
     }
     for p in &points {
         let tags: Vec<(&str, &str)> = p
@@ -282,8 +308,7 @@ pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        tsd.put(&p.metric, &tags, p.timestamp, p.value)
-            .map_err(ApiError::Storage)?;
+        tsd.put(&p.metric, &tags, p.timestamp, p.value)?;
     }
     Ok(points.len())
 }

@@ -18,10 +18,13 @@
 //! `base_time` is the timestamp rounded down to the row span (1 hour, like
 //! OpenTSDB); the qualifier stores the offset within the row.
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes, BytesMut};
 use pga_minibase::{ColumnRange, RowRange, ScanSpec};
 
 use crate::block::BLOCK_QUALIFIER;
+use crate::series::{Series, SeriesTable};
 use crate::uid::{Uid, UidKind, UidTable};
 
 /// `(metric, sorted tags, row base time)` decoded from a row key.
@@ -64,6 +67,8 @@ impl Default for KeyCodecConfig {
 pub struct KeyCodec {
     config: KeyCodecConfig,
     uids: UidTable,
+    /// Every series this codec (or a clone of it) has encoded or decoded.
+    series: SeriesTable,
 }
 
 /// A decoded data point key.
@@ -83,7 +88,11 @@ impl KeyCodec {
     /// Build a codec over a shared UID table.
     pub fn new(config: KeyCodecConfig, uids: UidTable) -> Self {
         assert!(config.row_span_secs > 0, "row span must be positive");
-        KeyCodec { config, uids }
+        KeyCodec {
+            config,
+            uids,
+            series: SeriesTable::default(),
+        }
     }
 
     /// Borrow the configuration.
@@ -96,27 +105,33 @@ impl KeyCodec {
         &self.uids
     }
 
-    /// Encode the row key for `(metric, tags, timestamp)`. Tags are sorted
-    /// by key UID (OpenTSDB's canonical order) before encoding.
-    pub fn row_key(&self, metric: &str, tags: &[(&str, &str)], timestamp: u64) -> Bytes {
+    /// The series named `(metric, tags)`, tags in any order. First sight
+    /// interns the names and builds the entry; afterwards this is one
+    /// lookup on the borrowed strings, with no allocation.
+    pub fn resolve(&self, metric: &str, tags: &[(&str, &str)]) -> Arc<Series> {
+        self.series
+            .resolve(metric, tags, || self.encode_series(metric, tags))
+    }
+
+    /// The row-key encoder, run once per series: `(tags in row-key order,
+    /// TSUID)`. Tags are sorted by key UID (OpenTSDB's canonical order)
+    /// before encoding.
+    fn encode_series(&self, metric: &str, tags: &[(&str, &str)]) -> (Vec<(String, String)>, Bytes) {
         let metric_uid = self.uids.get_or_create(UidKind::Metric, metric);
-        let mut tag_uids: Vec<(Uid, Uid)> = tags
+        let mut tag_uids: Vec<(Uid, Uid, &str, &str)> = tags
             .iter()
-            .map(|(k, v)| {
-                (
-                    self.uids.get_or_create(UidKind::TagKey, k),
-                    self.uids.get_or_create(UidKind::TagValue, v),
-                )
+            .map(|&(k, v)| {
+                let key = self.uids.get_or_create(UidKind::TagKey, k);
+                (key, self.uids.get_or_create(UidKind::TagValue, v), k, v)
             })
             .collect();
         tag_uids.sort();
-        let base = timestamp - timestamp % self.config.row_span_secs;
         let mut key = BytesMut::with_capacity(1 + 3 + 4 + tag_uids.len() * 6);
         // Salt placeholder; filled after the identity bytes are known.
         key.put_u8(0);
         key.put_slice(&metric_uid.0);
-        key.put_u32(base as u32);
-        for (k, v) in &tag_uids {
+        key.put_u32(0); // base time: blank in the TSUID
+        for (k, v, ..) in &tag_uids {
             key.put_slice(&k.0);
             key.put_slice(&v.0);
         }
@@ -131,7 +146,57 @@ impl KeyCodec {
             }
             key[0] = (h % self.config.salt_buckets as u64) as u8;
         }
-        key.freeze()
+        let tags = tag_uids
+            .iter()
+            .map(|&(_, _, k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        (tags, key.freeze())
+    }
+
+    /// The row of `series` that holds `timestamp`: its TSUID with the row
+    /// base time filled in.
+    pub fn row_of(&self, series: &Series, timestamp: u64) -> Bytes {
+        let base = timestamp - timestamp % self.config.row_span_secs;
+        let tsuid = series.tsuid();
+        tsuid[..4]
+            .iter()
+            .chain(&(base as u32).to_be_bytes())
+            .chain(&tsuid[8..])
+            .copied()
+            .collect()
+    }
+
+    /// Encode the row key for `(metric, tags, timestamp)`, tags in any
+    /// order. `timestamp` must not exceed [`KeyCodec::max_timestamp`].
+    pub fn row_key(&self, metric: &str, tags: &[(&str, &str)], timestamp: u64) -> Bytes {
+        self.row_of(&self.resolve(metric, tags), timestamp)
+    }
+
+    /// The last timestamp a row key can hold. The base time is four bytes
+    /// and a scan names the row after its last one, so the last row is the
+    /// one before the last base time that fits.
+    pub fn max_timestamp(&self) -> u64 {
+        let span = self.config.row_span_secs;
+        u32::MAX as u64 / span * span - 1
+    }
+
+    /// Series seen so far — by a write through this codec or a clone, or
+    /// by a read that found their rows in the store.
+    pub fn series_count(&self) -> usize {
+        self.series.len()
+    }
+
+    /// The series and row base time of a row key. A row this process never
+    /// wrote is decoded by UID ([`KeyCodec::decode_row`]) and interned;
+    /// `None` if it is malformed or names an unknown UID.
+    pub fn series_of_row(&self, row: &[u8]) -> Option<(Arc<Series>, u64)> {
+        let base = u32::from_be_bytes(row.get(4..8)?.try_into().ok()?) as u64;
+        if let Some(series) = self.series.of_row(row) {
+            return Some((series, base));
+        }
+        let (metric, tags, _) = self.decode_row(row)?;
+        let refs: Vec<(&str, &str)> = tags.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        Some((self.resolve(&metric, &refs), base))
     }
 
     /// Qualifier: 2 bytes of offset-within-row in seconds (OpenTSDB packs
@@ -220,8 +285,7 @@ impl KeyCodec {
             return Vec::new();
         };
         let span = self.config.row_span_secs;
-        // Row keys carry the base time in four bytes; no row starts later.
-        let end = end.min(u32::MAX as u64 / span * span - 1);
+        let end = end.min(self.max_timestamp());
         if start > end {
             return Vec::new();
         }

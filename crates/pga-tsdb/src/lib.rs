@@ -11,6 +11,9 @@
 //! * [`codec`] — the binary row-key layout, **including the salt byte**
 //!   whose addition §III-B credits with "a dramatic increase to the
 //!   ingestion rate", plus qualifier/value encoding.
+//! * [`series`] — the series table: a `(metric, tags)` name resolved once
+//!   into a dense id and its TSUID, so the write path stops re-encoding
+//!   the same names for every sample.
 //! * [`tsd`] — the TSD daemon: put/query over a MiniBase client, RPC
 //!   accounting, optional write-path row compaction (the paper disables it
 //!   "to reduce RPC calls to HBase"; the ablation E8 measures exactly
@@ -31,6 +34,7 @@ pub mod block;
 pub mod codec;
 pub mod compact;
 pub mod query;
+pub mod series;
 pub mod tsd;
 pub mod uid;
 
@@ -48,7 +52,9 @@ pub use compact::BlockRewriter;
 pub use query::{
     aggregate_series, Aggregator, ColumnSeries, CorruptBlock, DataPoint, QueryFilter, TimeSeries,
 };
+pub use series::Series;
 pub use tsd::{
-    block_verifier, BatchPoint, BlockVerifier, PutObserver, Tsd, TsdConfig, TsdError, TsdMetrics,
+    block_verifier, BatchPoint, BlockVerifier, PutObserver, SeriesPoint, Tsd, TsdConfig, TsdError,
+    TsdMetrics,
 };
 pub use uid::{Uid, UidTable};

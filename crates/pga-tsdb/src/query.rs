@@ -506,6 +506,14 @@ impl QueryFilter {
             .iter()
             .all(|(k, v)| tags.get(k).is_some_and(|tv| tv == v))
     }
+
+    /// [`QueryFilter::matches`] on a series' tag pairs as they are
+    /// ([`crate::Series::tags`]), without building a map of them.
+    pub fn matches_pairs(&self, tags: &[(String, String)]) -> bool {
+        self.tags
+            .iter()
+            .all(|(k, v)| tags.iter().any(|(tk, tv)| tk == k && tv == v))
+    }
 }
 
 #[cfg(test)]

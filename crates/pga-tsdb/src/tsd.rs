@@ -12,7 +12,6 @@
 //! paper eliminated; experiment E8 measures the difference.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -27,9 +26,13 @@ use crate::query::{
     assemble_columns, assemble_columns_salvage, finish_columns, AssembledColumns, ColumnSeries,
     CorruptBlock, DataPoint, QueryFilter, TimeSeries,
 };
+use crate::series::Series;
 
 /// One `(tags, timestamp, value)` element of a batched put.
 pub type BatchPoint<'a> = (&'a [(&'a str, &'a str)], u64, f64);
+
+/// A batch point after its name was resolved: `(series, timestamp, value)`.
+pub type SeriesPoint = (Arc<Series>, u64, f64);
 
 /// Write-path observer: sees every **successfully acknowledged** batch and
 /// may derive extra cells (rollup pre-aggregates, indexes) to be persisted
@@ -39,10 +42,12 @@ pub type BatchPoint<'a> = (&'a [(&'a str, &'a str)], u64, f64);
 /// acked, and buffered cells are retried until a put succeeds (or
 /// [`Tsd::flush_observer`] writes them out).
 pub trait PutObserver: Send + Sync {
-    /// `points` of `metric` were durably acknowledged. Returns derived
-    /// cells now ready to persist (typically aggregate buckets sealed by
-    /// this batch's arrival).
-    fn on_batch(&self, metric: &str, points: &[BatchPoint<'_>]) -> Vec<KeyValue>;
+    /// `points` were durably acknowledged. Returns derived cells now ready
+    /// to persist (typically aggregate buckets sealed by this batch's
+    /// arrival). Every series comes from one table — the codec's of the
+    /// TSD the observer is installed on — so state may be kept by
+    /// [`Series::id`].
+    fn on_batch(&self, points: &[SeriesPoint]) -> Vec<KeyValue>;
 
     /// Seal and return every open accumulator (shutdown / idle flush).
     fn flush(&self) -> Vec<KeyValue>;
@@ -117,6 +122,15 @@ pub enum TsdError {
     /// A sealed block failed to decode — corrupt storage surfaced as a
     /// typed error instead of a silent wrong answer.
     Corrupt(BlockError),
+    /// A put named a timestamp past the last row a key can hold
+    /// ([`KeyCodec::max_timestamp`]) — milliseconds where seconds were
+    /// meant, typically. Nothing of its batch was written.
+    TimestampOutOfRange {
+        /// The offending timestamp.
+        timestamp: u64,
+        /// The last timestamp the row key can hold.
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for TsdError {
@@ -124,6 +138,10 @@ impl std::fmt::Display for TsdError {
         match self {
             TsdError::Storage(e) => write!(f, "storage error: {e}"),
             TsdError::Corrupt(e) => write!(f, "corrupt sealed block: {e}"),
+            TsdError::TimestampOutOfRange { timestamp, max } => write!(
+                f,
+                "timestamp {timestamp} out of range: seconds, at most {max}"
+            ),
         }
     }
 }
@@ -139,7 +157,7 @@ impl TsdError {
     pub fn retry_after_ms(&self) -> Option<u64> {
         match self {
             TsdError::Storage(e) => e.retry_after_ms(),
-            TsdError::Corrupt(_) => None,
+            TsdError::Corrupt(_) | TsdError::TimestampOutOfRange { .. } => None,
         }
     }
 
@@ -185,9 +203,11 @@ pub struct Tsd {
     client: Client,
     config: TsdConfig,
     metrics: Arc<TsdMetrics>,
-    /// Last row key seen per series hash — detects row rollover for the
-    /// write-path compaction model.
-    open_rows: Mutex<HashMap<u64, Bytes>>,
+    /// By series id, the row the series last wrote to: `(row base time,
+    /// row key)`. Every cell a series writes in a row-hour shares this one
+    /// key buffer, and a series moving off its row is the rollover the
+    /// write-path compaction model acts on.
+    rows: Mutex<Vec<Option<(u64, Bytes)>>>,
     /// Write-path observer (rollup maintenance), if installed.
     observer: parking_lot::RwLock<Option<Arc<dyn PutObserver>>>,
     /// Observer-derived cells awaiting the next successful put.
@@ -210,7 +230,7 @@ impl Tsd {
             client,
             config,
             metrics: Arc::new(TsdMetrics::default()),
-            open_rows: Mutex::new(HashMap::new()),
+            rows: Mutex::new(Vec::new()),
             observer: parking_lot::RwLock::new(None),
             pending_derived: Mutex::new(Vec::new()),
             seal_watermark: Arc::new(AtomicU64::new(0)),
@@ -312,6 +332,16 @@ impl Tsd {
         self.metrics.clone()
     }
 
+    /// `Err` for a timestamp past the last row a key can hold. A put
+    /// checks its whole batch with this before it writes anything.
+    pub fn check_timestamp(&self, timestamp: u64) -> Result<(), TsdError> {
+        let max = self.codec.max_timestamp();
+        if timestamp > max {
+            return Err(TsdError::TimestampOutOfRange { timestamp, max });
+        }
+        Ok(())
+    }
+
     /// Write one data point.
     pub fn put(
         &self,
@@ -353,18 +383,18 @@ impl Tsd {
         if points.is_empty() {
             return Ok(());
         }
-        let mut kvs = Vec::with_capacity(points.len());
-        for &(tags, ts, value) in points {
-            let row = self.codec.row_key(metric, tags, ts);
-            if self.config.write_path_compaction {
-                self.maybe_compact_previous_row(tags, &row)?;
+        for &(_, timestamp, _) in points {
+            self.check_timestamp(timestamp)?;
+        }
+        let resolved: Vec<SeriesPoint> = points
+            .iter()
+            .map(|&(tags, ts, value)| (self.codec.resolve(metric, tags), ts, value))
+            .collect();
+        let (mut kvs, finished) = self.raw_cells(&resolved);
+        if self.config.write_path_compaction {
+            for row in finished {
+                self.compact_row(row)?;
             }
-            kvs.push(KeyValue::new(
-                row,
-                self.codec.qualifier(ts),
-                ts * 1000,
-                self.codec.value(value),
-            ));
         }
         let n = kvs.len() as u64;
         // Derived cells buffered by the observer ride along with this RPC.
@@ -396,7 +426,7 @@ impl Tsd {
         // cannot double-count its contribution.
         let observer = self.observer.read().clone();
         if let Some(obs) = observer {
-            let sealed = obs.on_batch(metric, points);
+            let sealed = obs.on_batch(&resolved);
             if !sealed.is_empty() {
                 self.pending_derived.lock().extend(sealed);
             }
@@ -404,50 +434,65 @@ impl Tsd {
         Ok(())
     }
 
-    /// Row-rollover hook for the write-path compaction model: when a series
-    /// moves to a new row, read the finished row back and rewrite it as one
-    /// consolidated cell.
-    fn maybe_compact_previous_row(
-        &self,
-        tags: &[(&str, &str)],
-        new_row: &Bytes,
-    ) -> Result<(), TsdError> {
-        let mut h = 0xcbf29ce484222325u64;
-        for (k, v) in tags {
-            for b in k.bytes().chain(v.bytes()) {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
+    /// The raw cell of every point, plus the rows a series of the batch
+    /// moved off (its previous row-hour, finished unless data arrives
+    /// late). A cell takes its row key from the series' slot in `rows`;
+    /// only the first cell of a series in a row-hour builds one.
+    fn raw_cells(&self, points: &[SeriesPoint]) -> (Vec<KeyValue>, Vec<Bytes>) {
+        let span = self.codec.config().row_span_secs;
+        let mut kvs = Vec::with_capacity(points.len());
+        let mut finished = Vec::new();
+        let mut rows = self.rows.lock();
+        for (series, ts, value) in points {
+            let (id, base) = (series.id() as usize, ts - ts % span);
+            if rows.len() <= id {
+                rows.resize(id + 1, None);
             }
-        }
-        let mut open = self.open_rows.lock();
-        let prev = open.insert(h, new_row.clone());
-        drop(open);
-        if let Some(prev_row) = prev {
-            if &prev_row != new_row {
-                // Read the finished row…
-                let mut end = prev_row.to_vec();
-                end.push(0);
-                let cells = self.client.scan(&RowRange::new(prev_row.clone(), end))?;
-                self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
-                // …and rewrite it as one consolidated cell (qualifier 0xFFFF
-                // marks a compacted column, mirroring OpenTSDB's wide column).
-                if !cells.is_empty() {
-                    let mut blob = Vec::with_capacity(cells.len() * 10);
-                    for c in &cells {
-                        blob.extend_from_slice(&c.qualifier);
-                        blob.extend_from_slice(&c.value);
+            let row = match &rows[id] {
+                Some((open, row)) if *open == base => row.clone(),
+                _ => {
+                    let row = self.codec.row_of(series, base);
+                    if let Some((_, previous)) = rows[id].replace((base, row.clone())) {
+                        finished.push(previous);
                     }
-                    self.client.put(vec![KeyValue::new(
-                        prev_row,
-                        Bytes::copy_from_slice(&[0xFF, 0xFF]),
-                        u64::MAX / 2,
-                        blob,
-                    )])?;
-                    self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.row_compactions.fetch_add(1, Ordering::Relaxed);
+                    row
                 }
-            }
+            };
+            kvs.push(KeyValue::new(
+                row,
+                self.codec.qualifier(*ts),
+                ts * 1000,
+                self.codec.value(*value),
+            ));
         }
+        (kvs, finished)
+    }
+
+    /// The write-path compaction model: read a finished row back and
+    /// rewrite it as one consolidated cell.
+    fn compact_row(&self, row: Bytes) -> Result<(), TsdError> {
+        let mut end = row.to_vec();
+        end.push(0);
+        let cells = self.client.scan(&RowRange::new(row.clone(), end))?;
+        self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
+        if cells.is_empty() {
+            return Ok(());
+        }
+        // Qualifier 0xFFFF marks a compacted column, mirroring OpenTSDB's
+        // wide column.
+        let mut blob = Vec::with_capacity(cells.len() * 10);
+        for c in &cells {
+            blob.extend_from_slice(&c.qualifier);
+            blob.extend_from_slice(&c.value);
+        }
+        self.client.put(vec![KeyValue::new(
+            row,
+            Bytes::copy_from_slice(&[0xFF, 0xFF]),
+            u64::MAX / 2,
+            blob,
+        )])?;
+        self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
+        self.metrics.row_compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 

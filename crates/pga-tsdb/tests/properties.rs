@@ -9,9 +9,10 @@ use proptest::prelude::*;
 
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
+use pga_tsdb::uid::UidKind;
 use pga_tsdb::{
     decode_block, encode_block, is_block_qualifier, BlockError, KeyCodec, KeyCodecConfig,
-    QueryFilter, TimeSeries, Tsd, TsdConfig, TsdError, UidTable,
+    QueryFilter, TimeSeries, Tsd, TsdConfig, TsdError, Uid, UidTable,
 };
 
 fn codec(buckets: u8) -> KeyCodec {
@@ -468,4 +469,318 @@ proptest! {
         }
         master.shutdown();
     }
+}
+
+// ---------------------------------------------------------------------------
+// The series table (ISSUE 20): the encoder it replaced is the model.
+// ---------------------------------------------------------------------------
+
+/// The row-key encoder as it was before the series table: five UID
+/// look-ups, a sort and an FNV salt for every call. Kept here, over a UID
+/// table of its own, as the model `KeyCodec::row_key` must equal byte for
+/// byte — UIDs included, so a put sequence must also assign them in the
+/// same order.
+fn reference_row_key(
+    uids: &UidTable,
+    config: KeyCodecConfig,
+    metric: &str,
+    tags: &[(&str, &str)],
+    timestamp: u64,
+) -> Vec<u8> {
+    let metric_uid = uids.get_or_create(UidKind::Metric, metric);
+    let mut tag_uids: Vec<(Uid, Uid)> = tags
+        .iter()
+        .map(|(k, v)| {
+            (
+                uids.get_or_create(UidKind::TagKey, k),
+                uids.get_or_create(UidKind::TagValue, v),
+            )
+        })
+        .collect();
+    tag_uids.sort();
+    let base = timestamp - timestamp % config.row_span_secs;
+    let mut key = vec![0u8];
+    key.extend_from_slice(&metric_uid.0);
+    key.extend_from_slice(&(base as u32).to_be_bytes());
+    for (k, v) in &tag_uids {
+        key.extend_from_slice(&k.0);
+        key.extend_from_slice(&v.0);
+    }
+    if config.salt_buckets > 0 {
+        let mut h = 0xcbf29ce484222325u64;
+        for &b in key[1..4].iter().chain(key[8..].iter()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        key[0] = (h % config.salt_buckets as u64) as u8;
+    }
+    key
+}
+
+const METRICS: &[&str] = &["energy", "anomaly", "température", "\u{1}ru:60:energy"];
+const TAG_KEYS: &[&str] = &["unit", "sensor", "站", "ключ"];
+/// Values shared across keys, one that is also a key, one empty.
+const TAG_VALUES: &[&str] = &["0", "1", "17", "unit", "值", ""];
+
+/// A name by pool indices: `(metric, [(tag key, tag value)])`, one to four
+/// tags, keys distinct or not.
+fn name() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (
+        0..METRICS.len(),
+        proptest::collection::vec((0..TAG_KEYS.len(), 0..TAG_VALUES.len()), 1..=4),
+    )
+}
+
+fn tag_refs(tags: &[(usize, usize)]) -> Vec<(&'static str, &'static str)> {
+    tags.iter()
+        .map(|&(k, v)| (TAG_KEYS[k], TAG_VALUES[v]))
+        .collect()
+}
+
+/// Every order of `items`.
+fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for i in 0..items.len() {
+        let mut rest = items.to_vec();
+        let head = rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, head.clone());
+            out.push(tail);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn row_key_equals_the_encoder_it_replaced(
+        puts in proptest::collection::vec((name(), 0u64..=u32::MAX as u64, any::<bool>()), 1..40),
+        buckets in prop_oneof![Just(0u8), Just(1u8), Just(20u8)],
+    ) {
+        let c = codec(buckets);
+        let reference = UidTable::new();
+        for ((metric, tags), ts, reversed) in &puts {
+            // Up to the last row a key can hold, and on it.
+            let ts = if *reversed { c.max_timestamp() - ts % 7200 } else { ts % (c.max_timestamp() + 1) };
+            let mut tags = tag_refs(tags);
+            if *reversed {
+                tags.reverse();
+            }
+            let want = reference_row_key(&reference, *c.config(), METRICS[*metric], &tags, ts);
+            let got = c.row_key(METRICS[*metric], &tags, ts);
+            prop_assert_eq!(&got[..], &want[..], "{} {:?} at {}", METRICS[*metric], tags, ts);
+            let (series, base) = c.series_of_row(&got).expect("a row just written");
+            prop_assert_eq!(base, ts - ts % 3600);
+            prop_assert_eq!(series.id(), c.resolve(METRICS[*metric], &tags).id());
+        }
+        // The same puts assigned the same UIDs in the same order.
+        for (kind, pool) in [
+            (UidKind::Metric, METRICS),
+            (UidKind::TagKey, TAG_KEYS),
+            (UidKind::TagValue, TAG_VALUES),
+        ] {
+            for name in pool {
+                prop_assert_eq!(c.uids().lookup(kind, name), reference.lookup(kind, name));
+            }
+        }
+    }
+
+    #[test]
+    fn a_series_is_one_entry_in_every_tag_order_and_ids_are_dense(
+        names in proptest::collection::vec(name(), 1..12),
+        ts in 0u64..100_000_000,
+    ) {
+        let c = codec(20);
+        let clone = c.clone();
+        let mut ids = std::collections::BTreeSet::new();
+        for (metric, tags) in &names {
+            let tags = tag_refs(tags);
+            let first = c.resolve(METRICS[*metric], &tags);
+            let row = c.row_key(METRICS[*metric], &tags, ts);
+            for order in permutations(&tags) {
+                let again = clone.resolve(METRICS[*metric], &order);
+                prop_assert_eq!(again.id(), first.id(), "{:?} vs {:?}", order, tags);
+                prop_assert_eq!(clone.row_key(METRICS[*metric], &order, ts), row.clone());
+            }
+            // The entry names the series as `decode_row` does.
+            let (metric_name, decoded_tags, _) = c.decode_row(&row).unwrap();
+            prop_assert_eq!(first.metric(), metric_name);
+            prop_assert_eq!(first.tags(), &decoded_tags[..]);
+            ids.insert(first.id());
+        }
+        // Dense: n series hold the ids 0..n, on the codec and its clone.
+        prop_assert_eq!(c.series_count(), ids.len());
+        prop_assert_eq!(clone.series_count(), ids.len());
+        prop_assert!(ids.iter().copied().eq(0..ids.len() as u32));
+    }
+}
+
+#[test]
+fn threads_racing_a_first_sight_agree_on_one_entry_each() {
+    let c = codec(20);
+    let sensors: Vec<String> = (0..64).map(|s| s.to_string()).collect();
+    let barrier = std::sync::Barrier::new(8);
+    let seen: Vec<Vec<u32>> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..8)
+            .map(|t| {
+                let (c, sensors, barrier) = (&c, &sensors, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    // Half the threads spell the tags the other way round.
+                    let ids = sensors.iter().map(|s| {
+                        let mut tags = [("unit", "3"), ("sensor", s.as_str())];
+                        if t % 2 == 1 {
+                            tags.reverse();
+                        }
+                        c.resolve("energy", &tags).id()
+                    });
+                    ids.collect()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(c.series_count(), 64);
+    for ids in &seen {
+        assert_eq!(ids, &seen[0], "every thread got the same id per series");
+    }
+    let mut ids = seen[0].clone();
+    ids.sort_unstable();
+    assert!(ids.into_iter().eq(0..64), "64 ids, each once");
+}
+
+fn stack(c: KeyCodec, config: TsdConfig) -> (Master, Tsd) {
+    let coord = Coordinator::new(60_000);
+    let mut master = Master::bootstrap(2, ServerConfig::default(), coord, 0);
+    master.create_table(&TableDescriptor {
+        name: "t".into(),
+        split_points: c.split_points(),
+        region_config: RegionConfig::default(),
+    });
+    let tsd = Tsd::new(c, Client::connect(&master), config);
+    (master, tsd)
+}
+
+#[test]
+fn asking_for_a_name_nobody_wrote_creates_no_entry() {
+    let (master, tsd) = stack(codec(4), TsdConfig::default());
+    tsd.put("energy", &[("unit", "1")], 10, 1.0).unwrap();
+    let c = tsd.codec();
+    let before = c.series_count();
+    assert_eq!(before, 1);
+    assert!(tsd
+        .query("nope", &QueryFilter::any(), 0, 100)
+        .unwrap()
+        .is_empty());
+    let unit_9 = QueryFilter::any().with("unit", "9").with("absent", "x");
+    assert!(tsd.query("energy", &unit_9, 0, 100).unwrap().is_empty());
+    assert!(c.scan_segments(0, "nope", 0, 100).is_empty());
+    assert!(c.scan_range(0, "nope", 0, 100).0.is_empty());
+    assert!(c.uids().lookup(UidKind::Metric, "nope").is_none());
+    assert!(c.series_of_row(&[0; 3]).is_none());
+    assert!(c.series_of_row(&[0, 9, 9, 9, 0, 0, 0, 0]).is_none());
+    assert_eq!(c.series_count(), before);
+    // A read that finds the series' rows does not add one either.
+    assert_eq!(
+        tsd.query("energy", &QueryFilter::any(), 0, 100)
+            .unwrap()
+            .len(),
+        1
+    );
+    assert_eq!(c.series_count(), before);
+    master.shutdown();
+}
+
+/// The row slot is kept per series, not per tag set: two metrics with
+/// equal tags written alternately inside one row-hour are two series that
+/// each stay on their row. (Keyed by a hash of the tags alone, every put
+/// looked like a rollover: 19 scans and 19 extra puts for these 20.)
+#[test]
+fn metrics_sharing_tags_do_not_look_like_row_rollovers() {
+    let compacting = TsdConfig {
+        write_path_compaction: true,
+        ..TsdConfig::default()
+    };
+    let (master, tsd) = stack(codec(2), compacting);
+    for ts in 0..10u64 {
+        tsd.put("energy", &[("unit", "1")], ts, 1.0).unwrap();
+        tsd.put("temp", &[("unit", "1")], ts, 2.0).unwrap();
+    }
+    let m = tsd.metrics();
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(load(&m.row_compactions), 0);
+    assert_eq!(load(&m.scan_rpcs), 0);
+    assert_eq!(load(&m.put_rpcs), 20);
+    // A real rollover still compacts the row the series left.
+    tsd.put("energy", &[("unit", "1")], 3600, 1.0).unwrap();
+    assert_eq!(load(&m.row_compactions), 1);
+    master.shutdown();
+}
+
+/// The up to 3 600 cells a series writes in a row-hour share one row-key
+/// buffer, from the TSD's slot through WAL, memstore and scan.
+#[test]
+fn cells_of_a_series_in_a_row_hour_share_one_row_buffer() {
+    let (master, tsd) = stack(codec(2), TsdConfig::default());
+    let tags: &[(&str, &str)] = &[("unit", "1"), ("sensor", "2")];
+    for tick in 0..3u64 {
+        tsd.put_batch("energy", &[(tags, 100 + tick, tick as f64)])
+            .unwrap();
+    }
+    tsd.put_batch("energy", &[(tags, 3600, 9.0)]).unwrap();
+    let cells = tsd.client().scan(&pga_minibase::RowRange::all()).unwrap();
+    assert_eq!(cells.len(), 4);
+    let (hour_0, hour_1) = cells.split_at(3);
+    for pair in hour_0.windows(2) {
+        assert_eq!(pair[0].row.as_ptr(), pair[1].row.as_ptr());
+    }
+    assert_ne!(hour_0[0].row.as_ptr(), hour_1[0].row.as_ptr());
+    assert_ne!(hour_0[0].row, hour_1[0].row);
+    master.shutdown();
+}
+
+/// A timestamp whose row base does not fit the key's four bytes — or any
+/// millisecond timestamp — used to be acked and read back at another time
+/// (`base as u32`). The whole batch is refused, before any RPC.
+#[test]
+fn put_batch_refuses_timestamps_no_row_key_can_hold() {
+    let (master, tsd) = stack(codec(2), TsdConfig::default());
+    let tags: &[(&str, &str)] = &[("unit", "1")];
+    let max = tsd.codec().max_timestamp();
+    assert_eq!(max, u32::MAX as u64 / 3600 * 3600 - 1);
+    tsd.put_batch("energy", &[(tags, max, 1.0)]).unwrap();
+    let watermark = tsd.seal_watermark();
+    for bad in [
+        max + 1,
+        (1 << 32) + 7261,
+        1_700_000_000_000,
+        u64::MAX / 500,
+        u64::MAX,
+    ] {
+        let err = tsd
+            .put_batch("energy", &[(tags, 5, 2.0), (tags, bad, 3.0)])
+            .unwrap_err();
+        assert!(
+            matches!(err, TsdError::TimestampOutOfRange { timestamp, max: m } if timestamp == bad && m == max),
+            "{bad}: {err}"
+        );
+    }
+    let m = tsd.metrics();
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!((load(&m.put_rpcs), load(&m.points_written)), (1, 1));
+    assert_eq!(load(&watermark), max);
+    // Nothing of a refused batch was stored, its good point included, and
+    // the one good put reads back at its own time.
+    let all = tsd
+        .query("energy", &QueryFilter::any(), 0, u64::MAX)
+        .unwrap();
+    assert_eq!(all.len(), 1);
+    let stored: Vec<u64> = all[0].points.iter().map(|p| p.timestamp).collect();
+    assert_eq!(stored, [max]);
+    master.shutdown();
 }

@@ -183,3 +183,91 @@ fn a_window_read_scans_exactly_the_cells_of_its_time_range() {
     assert_eq!(served, t_ends.len() as u64 * 4 * 50);
     m.shutdown();
 }
+
+/// `tsd_series` is the cardinality of the store — what bounds the series
+/// table's memory — not its volume: ten times the ticks leave it where it
+/// was, and so does every read, down to a query for a metric nobody
+/// wrote. Only a write of a series not seen before moves it.
+#[test]
+fn tsd_series_counts_series_not_samples_and_reads_leave_it_alone() {
+    let mut config = PlatformConfig::demo(211);
+    config.fleet.units = 2;
+    config.fleet.sensors_per_unit = 8;
+    let mut m = Monitor::new(config).unwrap();
+    let series = |m: &Monitor| m.fleet_snapshot().fold(Metric::TsdSeries);
+    assert_eq!(series(&m), 0);
+    m.ingest_range(0, 100);
+    let after_100 = series(&m);
+    // Every raw series, and its shadow series in the two rollup tiers.
+    assert_eq!(after_100, 2 * 8 * 3);
+    m.ingest_range(100, 1000);
+    assert_eq!(series(&m), after_100, "cardinality, not volume");
+
+    m.train(149).unwrap();
+    m.evaluate_at(999).unwrap();
+    // A flag is a write: the `anomaly` series of each flagged sensor, and
+    // its two shadow series.
+    let flagged: std::collections::BTreeSet<_> =
+        m.anomalies().iter().map(|a| (a.unit, a.sensor)).collect();
+    assert_eq!(series(&m), after_100 + 3 * flagged.len() as u64);
+    let before_reads = series(&m);
+    m.machine_page_html(1, 999, 100, 8).unwrap();
+    m.heatmap_html(0, 999, 50);
+    for metric in ["energy", "nobody.wrote.this"] {
+        let body = format!(
+            r#"{{"start":0,"end":999,"queries":[{{"metric":"{metric}","tags":{{"unit":"7"}},"downsample":"60s-avg"}}]}}"#
+        );
+        assert_eq!(
+            pga_tsdb::handle_query_with(&**m.engine(), &body).unwrap(),
+            "[]"
+        );
+    }
+    assert_eq!(series(&m), before_reads, "reads create no entry");
+    let line = format!("tsd_series {before_reads}");
+    assert!(m
+        .fleet_snapshot()
+        .prometheus_text()
+        .lines()
+        .any(|l| l == line));
+    m.shutdown();
+}
+
+/// A live deployment steps `ingest_range` a tick at a time, and every call
+/// flushes the rollup writers: a 600 s bucket is re-opened 600 times, and
+/// its cells' generation is one byte. The 257th cell used to replace the
+/// first, and the rollup plan answered `600s-count` = 256 for `[0, 600)`,
+/// untainted, where the raw answer is 600.
+#[test]
+fn stepping_ingest_a_tick_at_a_time_keeps_the_600s_rollup_whole() {
+    use pga_tsdb::{Aggregator, QueryFilter};
+    let mut config = PlatformConfig::demo(223);
+    config.fleet.units = 1;
+    config.fleet.sensors_per_unit = 2;
+    let mut m = Monitor::new(config).unwrap();
+    for t in 0..2000 {
+        m.ingest_range(t, t + 1);
+    }
+    let count = Some((600, Aggregator::Count));
+    let rollup = m
+        .engine()
+        .query("energy", &QueryFilter::any(), 0, 1999, count);
+    assert_eq!(rollup.plan, pga_query::Plan::Rollup { tier: 600 });
+    assert!(rollup.partial.is_none());
+    let raw = m
+        .tsd()
+        .query("energy", &QueryFilter::any(), 0, 1999)
+        .unwrap();
+    assert_eq!(rollup.series.len(), 2);
+    for (from_rollup, from_raw) in rollup.series.iter().zip(&raw) {
+        assert_eq!(from_rollup.tags, from_raw.tags);
+        assert_eq!(
+            from_rollup.points,
+            from_raw.downsample(600, Aggregator::Count).points
+        );
+        assert_eq!(
+            from_rollup.points[0].value, 600.0,
+            "[0, 600) holds 600 points"
+        );
+    }
+    m.shutdown();
+}

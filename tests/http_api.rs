@@ -214,3 +214,80 @@ fn stray_series_from_the_put_api_do_not_reach_the_model() {
     server.stop();
     monitor.lock().shutdown();
 }
+
+/// A put the row key cannot hold, or one that names the system's own
+/// series, is the client's error — and refused whole, before any RPC. A
+/// timestamp past the key's four bytes of base time (or any millisecond
+/// timestamp) used to be acked, read back at another time (`2^32 + 7261`
+/// at t = 7261) and drag the seal watermark along with it; a
+/// reserved-prefix metric landed in the rollup shadow rows.
+#[test]
+fn puts_the_store_cannot_hold_are_refused_whole() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let (server, monitor) = serving_monitor();
+    let addr = server.addr();
+    let query = r#"{"start":0,"end":10000,"queries":[{"metric":"energy","tags":{"unit":"0","sensor":"1"}}]}"#;
+    let (status, answer) = request(addr, "POST", "/api/query", query);
+    assert_eq!(status, 200);
+    let (_, page) = request(addr, "GET", "/machine/0", "");
+    let state = |m: &Monitor| {
+        let metrics = m.tsd().metrics();
+        (
+            m.tsd().seal_watermark().load(Relaxed),
+            metrics.points_written.load(Relaxed),
+            metrics.put_rpcs.load(Relaxed),
+            m.tsd().codec().series_count(),
+        )
+    };
+    let before = state(&monitor.lock());
+
+    let point = |metric: &str, timestamp: u64, tags: &str| {
+        format!(r#"{{"metric":"{metric}","timestamp":{timestamp},"value":1.5,"tags":{tags}}}"#)
+    };
+    let own = r#"{"unit":"0","sensor":"1"}"#;
+    let good = point("energy", 7000, own);
+    // The reserved prefix as JSON spells it.
+    let reserved = concat!("\\", "u0001");
+    let late = "out of range";
+    let name = "empty or reserved";
+    let refused = [
+        (point("energy", (1 << 32) + 7261, own), late),
+        (point("energy", u32::MAX as u64 / 3600 * 3600, own), late),
+        (point("energy", 1_700_000_000_000, own), late),
+        (point("energy", u64::MAX / 500, own), late),
+        (format!("[{good},{}]", point("energy", 1 << 40, own)), late),
+        (point(&format!("{reserved}ru:60:energy"), 7000, own), name),
+        (point("", 7000, own), name),
+        (point("energy", 7000, r#"{"unit":"0","sensor":""}"#), name),
+        (point("energy", 7000, r#"{"":"0"}"#), name),
+        (
+            point("energy", 7000, &format!(r#"{{"unit":"{reserved}0"}}"#)),
+            name,
+        ),
+        (
+            format!("[{good},{}]", point("energy", 7001, r#"{"":"0"}"#)),
+            name,
+        ),
+    ];
+    for (body, why) in &refused {
+        let (status, reply) = request(addr, "POST", "/api/put", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(
+            reply.contains(r#""code":400"#) && reply.contains(why),
+            "{reply}"
+        );
+    }
+
+    let after = state(&monitor.lock());
+    assert_eq!(after, before, "nothing written, watermark unmoved");
+    let (_, again) = request(addr, "POST", "/api/query", query);
+    assert_eq!(again, answer, "no phantom point");
+    let (_, again) = request(addr, "GET", "/machine/0", "");
+    assert_eq!(again, page);
+    // The last timestamp a row key can hold is a good one.
+    let last = u32::MAX as u64 / 3600 * 3600 - 1;
+    let (status, _) = request(addr, "POST", "/api/put", &point("energy", last, own));
+    assert_eq!(status, 200);
+    server.stop();
+    monitor.lock().shutdown();
+}
