@@ -18,7 +18,11 @@
 //! block-path answers must equal the legacy answers byte-for-byte before
 //! *and* after sealing, and the batched columnar verdicts must be
 //! bit-identical to the row-major evaluator's. The E21 acceptance bar is
-//! ≥10× on both throughputs with zero mismatches.
+//! ≥10× on both throughputs with zero mismatches. The throughput ratios
+//! are of wall-clock timings and score full-size runs only
+//! ([`BlockBenchReport::passed`]); unit tests and the CI smoke gate on
+//! what repeats exactly ([`BlockBenchReport::exact`]): the oracles, the
+//! points each arm serves and the cells it is fed per point.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -30,7 +34,7 @@ use crate::table::{render_table, row};
 use pga_cluster::coordinator::Coordinator;
 use pga_detect::{train_unit, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
 use pga_linalg::Matrix;
-use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
+use pga_minibase::{Client, Master, RegionConfig, RowRange, ServerConfig, TableDescriptor};
 use pga_sensorgen::{Fleet, FleetConfig};
 use pga_stats::Procedure;
 use pga_tsdb::{
@@ -110,6 +114,9 @@ pub struct ScanArm {
     pub label: String,
     /// Points returned per pass.
     pub points_per_pass: u64,
+    /// Cells the region servers return per pass: what the store holds
+    /// for the scanned range while this arm runs.
+    pub cells_per_pass: u64,
     /// Mean wall-clock per pass in milliseconds.
     pub pass_ms: f64,
     /// Logical payload throughput in bytes per second.
@@ -155,13 +162,25 @@ pub struct BlockBenchReport {
 }
 
 impl BlockBenchReport {
-    /// E21 verdict: exact answers, bit-identical verdicts, and ≥10× on
-    /// both scan bytes/sec and detector samples/sec.
-    pub fn passed(&self) -> bool {
+    /// The part of the verdict that repeats exactly on any host: exact
+    /// answers, bit-identical verdicts, every ingested point served by
+    /// both scan arms, and the sealed arm fed by at most a tenth of the
+    /// legacy arm's cells per point. Unit tests and the CI smoke gate on
+    /// this; the timing ratios are printed beside it.
+    pub fn exact(&self) -> bool {
+        let ingested =
+            u64::from(self.config.units * self.config.sensors_per_unit) * self.config.history_secs;
         self.scan_mismatches == 0
             && self.eval_mismatches == 0
-            && self.scan_speedup >= 10.0
-            && self.detect_speedup >= 10.0
+            && self.scan_legacy.points_per_pass == ingested
+            && self.scan_blocks.points_per_pass == ingested
+            && self.scan_blocks.cells_per_pass * 10 <= self.scan_legacy.cells_per_pass
+    }
+
+    /// E21 verdict for a full-size run: [`Self::exact`] and ≥10× on both
+    /// scan bytes/sec and detector samples/sec.
+    pub fn passed(&self) -> bool {
+        self.exact() && self.scan_speedup >= 10.0 && self.detect_speedup >= 10.0
     }
 
     /// The E21 table and measured summary (no verdict line).
@@ -171,6 +190,10 @@ impl BlockBenchReport {
                 a.label.clone(),
                 format!("{:.2}", a.pass_ms),
                 format!("{:.1} MB/s", a.bytes_per_sec / 1e6),
+                format!(
+                    "{:.4}",
+                    a.cells_per_pass as f64 / a.points_per_pass.max(1) as f64
+                ),
             ]
         };
         let detect = |a: &DetectArm| {
@@ -178,10 +201,11 @@ impl BlockBenchReport {
                 a.label.clone(),
                 format!("{:.2}", a.pass_ms),
                 format!("{:.0} samples/s", a.samples_per_sec),
+                String::new(),
             ]
         };
         let rows = [
-            row(["arm", "pass (ms)", "throughput"]),
+            row(["arm", "pass (ms)", "throughput", "cells/point"]),
             scan(&self.scan_legacy),
             scan(&self.scan_blocks),
             detect(&self.detect_rowmajor),
@@ -277,6 +301,10 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
         region_config: RegionConfig::default(),
     });
     let tsd = Tsd::new(codec, Client::connect(&master), TsdConfig::default());
+    // A second client, to count what the region servers hold (and so
+    // return to a whole-history scan) while each arm runs.
+    let store = Client::connect(&master);
+    let stored_cells = || store.scan(&RowRange::all()).expect("store scan").len() as u64;
     master.set_compaction_rewriter(tsd.block_rewriter());
 
     let fleet = Fleet::new(FleetConfig {
@@ -309,6 +337,7 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
         .query_legacy("energy", &any, 0, end)
         .expect("legacy scan");
     let points_per_pass: u64 = legacy_answer.iter().map(|s| s.points.len() as u64).sum();
+    let legacy_cells = stored_cells();
     let started = Instant::now();
     for _ in 0..cfg.scan_iters {
         let out = tsd
@@ -370,6 +399,13 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
     }
 
     // ----- scan arm B: sealed blocks spliced with the raw tail ---------
+    let sealed_cells = stored_cells();
+    let sealed_points: u64 = tsd
+        .query_columns("energy", &any, 0, end)
+        .expect("block scan")
+        .iter()
+        .map(|s| s.values.len() as u64)
+        .sum();
     let started = Instant::now();
     for _ in 0..cfg.scan_iters {
         let out = tsd
@@ -413,12 +449,14 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
     let scan_legacy = ScanArm {
         label: "legacy-cells".into(),
         points_per_pass,
+        cells_per_pass: legacy_cells,
         pass_ms: legacy_secs * 1e3 / cfg.scan_iters as f64,
         bytes_per_sec: scan_bytes / legacy_secs.max(1e-9),
     };
     let scan_blocks = ScanArm {
         label: "sealed-blocks".into(),
-        points_per_pass,
+        points_per_pass: sealed_points,
+        cells_per_pass: sealed_cells,
         pass_ms: blocks_secs * 1e3 / cfg.scan_iters as f64,
         bytes_per_sec: scan_bytes / blocks_secs.max(1e-9),
     };
@@ -468,12 +506,15 @@ mod tests {
         let rep = block_format_experiment(&cfg);
         assert_eq!(rep.scan_mismatches, 0, "block path must equal legacy");
         assert_eq!(rep.eval_mismatches, 0, "verdicts must be bit-identical");
-        assert_eq!(
-            rep.scan_legacy.points_per_pass,
-            (cfg.units * cfg.sensors_per_unit) as u64 * cfg.history_secs
-        );
-        // Timing is asserted by `pga blocks` / report_all, not here — but
-        // the block path must at least not be slower than legacy.
-        assert!(rep.scan_speedup > 1.0, "speedup {}", rep.scan_speedup);
+        let series = u64::from(cfg.units * cfg.sensors_per_unit);
+        assert_eq!(rep.scan_legacy.points_per_pass, series * cfg.history_secs);
+        assert_eq!(rep.scan_blocks.points_per_pass, series * cfg.history_secs);
+        // Before sealing a cell is a point; after, a series keeps one
+        // block per full 300 s row and the last 100 s as raw cells.
+        assert_eq!(rep.scan_legacy.cells_per_pass, series * cfg.history_secs);
+        assert_eq!(rep.scan_blocks.cells_per_pass, series * (2 + 100));
+        // Timing is scored by `pga blocks` / report_all on full-size
+        // runs (`passed()`), not here; and with a seventh of this short
+        // history still raw, neither is `exact()`'s tenth.
     }
 }

@@ -27,7 +27,9 @@
 //! sequential executor at full worker count. The parallel bar is gated
 //! on core count because a single-core host serializes the workers and
 //! the wall-clock ratio measures the OS scheduler, not ours;
-//! EXPERIMENTS.md records the gate.
+//! EXPERIMENTS.md records the gate. The two ratios are of wall-clock
+//! timings and score full-size runs only ([`TrainBenchReport::passed`]);
+//! unit tests and the CI smoke gate on [`TrainBenchReport::exact`].
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -98,6 +100,9 @@ pub struct RetrainRound {
     pub round: usize,
     /// Units that received fresh samples (and were therefore dirty).
     pub dirty: Vec<u32>,
+    /// Units the incremental pass re-finished: the trainer's dirty count
+    /// going in (it must be back at zero coming out).
+    pub retrained: usize,
     /// Wall-clock of the from-scratch rebuild, milliseconds.
     pub full_ms: f64,
     /// Wall-clock of the dirty-only incremental pass, milliseconds.
@@ -156,13 +161,28 @@ pub struct TrainBenchReport {
 }
 
 impl TrainBenchReport {
-    /// E23 verdict: the differential oracle held everywhere, dirty-only
+    /// The part of the verdict that repeats exactly on any host: the
+    /// differential oracle held everywhere, every round re-finished its
+    /// dirty units and no others, and every point of the scaling sweep
+    /// ran one task per partition (`FleetTrainer` cuts two per worker).
+    /// Unit tests and the CI smoke gate on this; the timing ratios are
+    /// printed beside it.
+    pub fn exact(&self) -> bool {
+        self.mismatches == 0
+            && self.max_divergence <= 1e-9
+            && self
+                .rounds
+                .iter()
+                .all(|r| r.retrained == self.config.dirty_units)
+            && self.scaling.iter().all(|r| r.tasks == 2 * r.workers as u64)
+    }
+
+    /// E23 verdict for a full-size run: [`Self::exact`], dirty-only
     /// retraining beat the full rebuild ≥ 5×, and — when the host has
     /// the cores to show it — work stealing beat the sequential
     /// executor ≥ 3×.
     pub fn passed(&self) -> bool {
-        self.mismatches == 0
-            && self.max_divergence <= 1e-9
+        self.exact()
             && self.incremental_speedup >= 5.0
             && (self.cores < 4 || self.parallel_speedup >= 3.0)
     }
@@ -172,6 +192,7 @@ impl TrainBenchReport {
         let mut rounds = vec![row([
             "round",
             "dirty units",
+            "retrained",
             "full ms",
             "incremental ms",
             "divergence",
@@ -180,6 +201,7 @@ impl TrainBenchReport {
             rounds.push(vec![
                 r.round.to_string(),
                 r.dirty.len().to_string(),
+                format!("{} of {}", r.retrained, self.config.units),
                 format!("{:.2}", r.full_ms),
                 format!("{:.2}", r.incremental_ms),
                 format!("{:.2e}", r.max_divergence),
@@ -288,10 +310,12 @@ pub fn train_retrain_experiment(cfg: &TrainBenchConfig) -> TrainBenchReport {
         }
 
         // Incremental arm: dirty-only re-finish on resident statistics.
+        let retrained = incremental.dirty_count();
         let started = Instant::now();
         let errors = incremental.retrain_dirty(&dataflow);
         let incremental_ms = started.elapsed().as_secs_f64() * 1e3;
         assert!(errors.is_empty(), "incremental retrain failed: {errors:?}");
+        assert_eq!(incremental.dirty_count(), 0, "a finished unit is clean");
 
         // Full arm: the from-scratch batch rebuild over the same data.
         let started = Instant::now();
@@ -319,6 +343,7 @@ pub fn train_retrain_experiment(cfg: &TrainBenchConfig) -> TrainBenchReport {
         rounds.push(RetrainRound {
             round,
             dirty,
+            retrained,
             full_ms,
             incremental_ms,
             max_divergence: round_worst,
@@ -393,23 +418,16 @@ mod tests {
             "divergence {} above the bar",
             rep.max_divergence
         );
-        assert!(
-            rep.incremental_speedup >= 5.0,
-            "incremental speedup {} below 5x",
-            rep.incremental_speedup
-        );
         assert_eq!(rep.rounds.len(), 3);
+        assert!(rep.rounds.iter().all(|r| r.retrained == 1), "1 unit of 8");
         assert_eq!(rep.scaling.len(), 4);
         assert!((rep.scaling[0].speedup - 1.0).abs() < 1e-12);
         assert_eq!(rep.scaling[0].steals, 0, "1 worker runs sequentially");
-        assert!(rep.scaling.iter().all(|r| r.tasks > 0));
-        // The parallel bar only scores on multi-core hosts; the oracle
-        // and incremental bars always score.
-        if rep.cores >= 4 {
-            assert!(rep.passed(), "report failed on a {}-core host", rep.cores);
-        } else {
-            assert!(rep.passed() || rep.parallel_speedup < 3.0);
-        }
+        let tasks: Vec<u64> = rep.scaling.iter().map(|r| r.tasks).collect();
+        assert_eq!(tasks, [2, 4, 6, 8]);
+        // What a shared host's clock says (`incremental_speedup`,
+        // `parallel_speedup`) is scored by `passed()` on full-size runs.
+        assert!(rep.exact());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the backpressure the paper added); worker threads drain the buffer and
 //! forward each batch to the next TSD in round-robin order.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -451,12 +451,26 @@ fn forward_one(
     jitter_seq: u64,
 ) {
     let n = qb.samples.len() as u64;
-    let unit_strs: Vec<String> = qb.samples.iter().map(|s| s.unit.to_string()).collect();
-    let sensor_strs: Vec<String> = qb.samples.iter().map(|s| s.sensor.to_string()).collect();
-    let tag_pairs: Vec<[(&str, &str); 2]> = unit_strs
+    // Every sample's tag values as text, in one buffer: unit digits then
+    // sensor digits, cut apart again at the recorded ends.
+    let mut digits = String::new();
+    let mut ends: Vec<(usize, usize)> = Vec::with_capacity(qb.samples.len());
+    for s in &qb.samples {
+        // Writing to a `String` cannot fail.
+        let _ = write!(digits, "{}", s.unit);
+        let unit_end = digits.len();
+        let _ = write!(digits, "{}", s.sensor);
+        ends.push((unit_end, digits.len()));
+    }
+    let mut start = 0;
+    let tag_pairs: Vec<[(&str, &str); 2]> = ends
         .iter()
-        .zip(&sensor_strs)
-        .map(|(u, s)| [("unit", u.as_str()), ("sensor", s.as_str())])
+        .map(|&(unit_end, end)| {
+            let unit = digits.get(start..unit_end).unwrap_or_default();
+            let sensor = digits.get(unit_end..end).unwrap_or_default();
+            start = end;
+            [("unit", unit), ("sensor", sensor)]
+        })
         .collect();
     let points: Vec<pga_tsdb::BatchPoint> = qb
         .samples

@@ -14,8 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::kv::{KeyValue, RowRange, ScanSpec};
-use crate::master::{locate, Directory, Master, RegionInfo};
-use crate::region::RegionId;
+use crate::master::{Directory, Master, RegionInfo};
 use crate::server::{Request, Response};
 use pga_cluster::rpc::{RequestClass, RpcError, RpcHandle};
 use pga_cluster::NodeId;
@@ -213,21 +212,35 @@ impl Client {
             if pending.is_empty() {
                 return Ok(total);
             }
-            // Group by region under the current directory (the entry
-            // carries the primary and any follower copies).
-            let mut groups: HashMap<RegionId, (RegionInfo, Vec<KeyValue>)> = HashMap::new();
-            for kv in pending.drain(..) {
-                let info = locate(&self.directory, &kv.row)
-                    .ok_or_else(|| ClientError::NoRegionForRow(kv.row.to_vec()))?;
-                groups
-                    .entry(info.id)
-                    .or_insert_with(|| (info, Vec::new()))
-                    .1
-                    .push(kv);
-            }
+            // Group by region under one read of the current directory (an
+            // entry carries the primary and any follower copies). The
+            // guard is gone before the first RPC, which then leave in
+            // directory order.
+            let groups: Vec<(RegionInfo, Vec<KeyValue>)> = {
+                let dir = self.directory.read();
+                let mut batches: Vec<Vec<KeyValue>> = vec![Vec::new(); dir.len()];
+                // Neighbouring cells mostly share a region: try the
+                // previous cell's entry before searching.
+                let mut at = 0;
+                for kv in pending.drain(..) {
+                    let serves = |info: &RegionInfo| info.range.contains(&kv.row);
+                    if !dir.get(at).is_some_and(serves) {
+                        at = dir
+                            .iter()
+                            .position(serves)
+                            .ok_or_else(|| ClientError::NoRegionForRow(kv.row.to_vec()))?;
+                    }
+                    batches[at].push(kv);
+                }
+                dir.iter()
+                    .zip(batches)
+                    .filter(|(_, batch)| !batch.is_empty())
+                    .map(|(info, batch)| (info.clone(), batch))
+                    .collect()
+            };
             let mut retry = Vec::new();
             quorum_failed = false;
-            for (region, (info, batch)) in groups {
+            for (info, batch) in groups {
                 if !info.followers.is_empty() {
                     match self.put_replicated(&info, &batch, mode)? {
                         ReplPut::Done => {}
@@ -243,7 +256,7 @@ impl Client {
                     .get(&info.server)
                     .ok_or(ClientError::Rpc(RpcError::Stopped))?;
                 let req = Request::Put {
-                    region,
+                    region: info.id,
                     kvs: batch.clone(),
                 };
                 let sent = match mode {
@@ -748,7 +761,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::master::TableDescriptor;
-    use crate::region::RegionConfig;
+    use crate::region::{RegionConfig, RegionId};
     use crate::server::{Request, Response, ServerConfig};
     use bytes::Bytes;
     use pga_cluster::coordinator::Coordinator;

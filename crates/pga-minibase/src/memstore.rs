@@ -1,21 +1,50 @@
 //! In-memory sorted write buffer (the HBase MemStore analog).
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::btree_map::{self, BTreeMap};
 use std::ops::Bound;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::kv::{ColumnRange, KeyValue, RowRange};
 
-/// Sort key inside the memstore: row, qualifier, reverse timestamp.
-type CellKey = (Bytes, Bytes, std::cmp::Reverse<u64>);
+/// One cell of a row's run; its row key is the map key the run hangs off.
+#[derive(Debug, Clone)]
+struct Cell {
+    qualifier: Bytes,
+    version: u64,
+    value: Bytes,
+}
+
+impl Cell {
+    /// Order inside a run: qualifier ascending, newest version first.
+    fn key(&self) -> (&[u8], Reverse<u64>) {
+        (&self.qualifier, Reverse(self.version))
+    }
+
+    fn to_kv(&self, row: &Bytes) -> KeyValue {
+        KeyValue {
+            row: row.clone(),
+            qualifier: self.qualifier.clone(),
+            timestamp: self.version,
+            value: self.value.clone(),
+        }
+    }
+}
 
 /// A sorted in-memory buffer of recent writes. Writes land here (after the
 /// WAL) and are served from here until a flush turns the contents into an
 /// immutable [`crate::storefile::StoreFile`].
+///
+/// Cells are grouped by row: a map from row key to that row's sorted run.
+/// A put searches among the rows — hundreds, not every cell buffered — and
+/// a time series only ever appends to its row's run, so the usual insert
+/// is one short tree walk and a `Vec::push`. A row's cells share the map's
+/// one key buffer, whatever buffers the writer sent.
 #[derive(Debug, Default, Clone)]
 pub struct MemStore {
-    cells: BTreeMap<CellKey, Bytes>,
+    rows: BTreeMap<Bytes, Vec<Cell>>,
+    cells: usize,
     heap_size: usize,
 }
 
@@ -28,54 +57,87 @@ impl MemStore {
     /// Insert one cell. A write to an existing `(row, qualifier,
     /// timestamp)` replaces the previous value (HBase semantics).
     pub fn put(&mut self, kv: KeyValue) {
-        self.heap_size += kv.heap_size();
-        let key = (kv.row, kv.qualifier, std::cmp::Reverse(kv.timestamp));
-        if let Some(old) = self.cells.insert(key, kv.value) {
-            // Replacement: refund the old value's bytes (keys are equal).
-            self.heap_size -= old.len();
-        }
+        let accounted = kv.heap_size();
+        let cell = Cell {
+            qualifier: kv.qualifier,
+            version: kv.timestamp,
+            value: kv.value,
+        };
+        // A known row keeps its own key; the incoming buffer is dropped.
+        let run = self.rows.entry(kv.row).or_default();
+        let at = if run.last().is_none_or(|last| last.key() < cell.key()) {
+            run.len() // the traffic: a series appends to its row-hour
+        } else {
+            // Out of order (a backfill, a retry): O(run) moves at worst.
+            match run.binary_search_by(|c| c.key().cmp(&cell.key())) {
+                Ok(at) => {
+                    // Keys are equal, so the replaced cell was accounted
+                    // at the new one's size but for its value: only a
+                    // change of value length moves `heap_size`.
+                    let slot = &mut run[at];
+                    self.heap_size = self.heap_size + cell.value.len() - slot.value.len();
+                    *slot = cell;
+                    return;
+                }
+                Err(at) => at,
+            }
+        };
+        run.insert(at, cell);
+        self.cells += 1;
+        self.heap_size += accounted;
     }
 
     /// Number of cells buffered.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells
     }
 
     /// True when no cells are buffered.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cells == 0
     }
 
-    /// Approximate heap footprint in bytes (drives flush decisions).
+    /// Approximate heap footprint in bytes (drives flush decisions). A
+    /// logical size — every cell counts its row key, as it will in a
+    /// store file — so a flush happens at the same cell however the
+    /// buffer is laid out.
     pub fn heap_size(&self) -> usize {
         self.heap_size
     }
 
+    /// The rows inside `range`, in order, each with its run.
+    fn rows_in(&self, range: &RowRange) -> btree_map::Range<'_, Bytes, Vec<Cell>> {
+        let start = match &range.start[..] {
+            [] => Bound::Unbounded,
+            row => Bound::Included(row),
+        };
+        let end = match &range.end[..] {
+            [] => Bound::Unbounded,
+            row => Bound::Excluded(row),
+        };
+        self.rows.range::<[u8], _>((start, end))
+    }
+
     /// Sorted iteration over cells within a row range.
     pub fn scan<'a>(&'a self, range: &'a RowRange) -> impl Iterator<Item = KeyValue> + 'a {
-        self.cells
-            .range(range_bounds(range))
-            .filter(move |((row, _, _), _)| range.contains(row))
-            .map(cell)
+        self.rows_in(range)
+            .flat_map(|(row, run)| run.iter().map(move |cell| cell.to_kv(row)))
     }
 
     /// The cells of `rows` whose qualifier lies in one of `columns`
-    /// (sorted and disjoint), in order. Seeks to each range of each row,
-    /// so the cost is per row and per cell returned, not per cell stored.
-    pub(crate) fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
-        let (mut next, end) = range_bounds(rows);
+    /// (sorted and disjoint), in order. Seeks to each row and to each
+    /// range's ends inside the row's run, so the cost is per row and per
+    /// cell returned, not per cell stored.
+    pub fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
         let mut out = Vec::new();
-        // The first cell at or after `next` names the next row to visit.
-        while let Some(((row, _, _), _)) = self.cells.range((next, end.clone())).next() {
+        for (row, run) in self.rows_in(rows) {
+            let mut rest = &run[..];
             for c in columns {
-                let at = |qualifier: &Bytes| (row.clone(), qualifier.clone(), FIRST_VERSION);
-                out.extend(self.cells.range(at(&c.start)..at(&c.end)).map(cell));
+                rest = &rest[rest.partition_point(|cell| cell.qualifier < c.start)..];
+                let n = rest.partition_point(|cell| cell.qualifier < c.end);
+                out.extend(rest[..n].iter().map(|cell| cell.to_kv(row)));
+                rest = &rest[n..];
             }
-            // `row ++ 0x00` is the smallest key after `row`.
-            let mut after = BytesMut::with_capacity(row.len() + 1);
-            after.put_slice(row);
-            after.put_u8(0);
-            next = Bound::Included((after.freeze(), Bytes::new(), FIRST_VERSION));
         }
         out
     }
@@ -83,43 +145,17 @@ impl MemStore {
     /// Drain everything into a sorted vector (used by flushes); the
     /// memstore is empty afterwards.
     pub fn drain_sorted(&mut self) -> Vec<KeyValue> {
-        self.heap_size = 0;
-        std::mem::take(&mut self.cells)
-            .into_iter()
-            .map(|((row, qual, ts), value)| KeyValue {
-                row,
-                qualifier: qual,
-                timestamp: ts.0,
-                value,
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.cells);
+        for (row, run) in std::mem::take(self).rows {
+            out.extend(run.into_iter().map(|cell| KeyValue {
+                row: row.clone(),
+                qualifier: cell.qualifier,
+                timestamp: cell.version,
+                value: cell.value,
+            }));
+        }
+        out
     }
-}
-
-/// Versions sort newest first, so this is the least third key component.
-const FIRST_VERSION: std::cmp::Reverse<u64> = std::cmp::Reverse(u64::MAX);
-
-fn cell((key, value): (&CellKey, &Bytes)) -> KeyValue {
-    KeyValue {
-        row: key.0.clone(),
-        qualifier: key.1.clone(),
-        timestamp: key.2 .0,
-        value: value.clone(),
-    }
-}
-
-fn range_bounds(range: &RowRange) -> (Bound<CellKey>, Bound<CellKey>) {
-    let start = if range.start.is_empty() {
-        Bound::Unbounded
-    } else {
-        Bound::Included((range.start.clone(), Bytes::new(), FIRST_VERSION))
-    };
-    let end = if range.end.is_empty() {
-        Bound::Unbounded
-    } else {
-        Bound::Excluded((range.end.clone(), Bytes::new(), FIRST_VERSION))
-    };
-    (start, end)
 }
 
 #[cfg(test)]
@@ -196,6 +232,24 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(m.heap_size(), 0);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn overwriting_a_cell_moves_heap_size_by_the_value_length_only() {
+        let mut m = MemStore::new();
+        m.put(kv("row", "a", 1, "v"));
+        m.put(kv("row", "b", 1, "value"));
+        m.put(kv("row", "c", 1, "v"));
+        let (size, len) = (m.heap_size(), m.len());
+        // A retry storm re-puts what is already held: nothing grows.
+        for _ in 0..1000 {
+            m.put(kv("row", "b", 1, "value"));
+        }
+        assert_eq!((m.heap_size(), m.len()), (size, len));
+        m.put(kv("row", "b", 1, "a longer value"));
+        assert_eq!(m.heap_size(), size + "a longer value".len() - "value".len());
+        m.put(kv("row", "b", 1, ""));
+        assert_eq!((m.heap_size(), m.len()), (size - "value".len(), len));
     }
 
     #[test]

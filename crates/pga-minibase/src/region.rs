@@ -342,75 +342,90 @@ impl Region {
     /// [`crate::rewrite::CompactionRewriter`] installed, every row of the
     /// merged output is offered to it — even a single-file compaction is
     /// worthwhile then, because the rewriter may seal rows.
+    ///
+    /// The merge goes one row at a time over the files' sorted cells, by
+    /// reference: a cell that survives is cloned once, into the output.
     pub fn compact(&mut self) {
         if self.files.is_empty() || (self.files.len() <= 1 && self.rewriter.is_none()) {
             return;
         }
-        let priorities: Vec<u64> = self.files.iter().map(|f| f.sequence()).collect();
-        let sources: Vec<Vec<KeyValue>> = self
-            .files
+        // Oldest file first: a later run wins an exact-key collision.
+        let mut by_age: Vec<&StoreFile> = self.files.iter().collect();
+        by_age.sort_by_key(|f| f.sequence());
+        let mut rests: Vec<&[KeyValue]> = by_age.iter().map(|f| f.cells()).collect();
+        let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
+        let mut out: Vec<KeyValue> = Vec::with_capacity(rests.iter().map(|r| r.len()).sum());
+        let mut runs: Vec<&[KeyValue]> = Vec::with_capacity(rests.len());
+        let mut merged: Vec<KeyValue> = Vec::new();
+        while let Some(row) = rests
             .iter()
-            .map(|f| f.scan(&RowRange::all()).cloned().collect())
-            .collect();
-        let mut merged = merge_scan(sources, priorities);
-        // Version GC: merge_scan yields newest-first within a cell, so
-        // retain only the first `max_versions` occurrences of each
-        // (row, qualifier).
-        if self.config.max_versions != usize::MAX {
-            let mut last_cell: Option<(bytes::Bytes, bytes::Bytes)> = None;
-            let mut kept = 0usize;
-            merged.retain(|kv| {
-                let cell = (kv.row.clone(), kv.qualifier.clone());
-                if last_cell.as_ref() == Some(&cell) {
-                    kept += 1;
-                } else {
-                    last_cell = Some(cell);
-                    kept = 1;
+            .filter_map(|r| r.first())
+            .map(|kv| &kv.row)
+            .min()
+        {
+            runs.clear();
+            for rest in &mut rests {
+                if rest.first().is_some_and(|kv| kv.row == *row) {
+                    let (run, after) = rest.split_at(rest.partition_point(|kv| kv.row == *row));
+                    runs.push(run);
+                    *rest = after;
                 }
-                kept <= self.config.max_versions
+            }
+            merged.clear();
+            // Files are flushed in time order, so the runs of a raw row
+            // follow one another and the merge is their concatenation.
+            let in_order = runs.windows(2).all(|w| match w {
+                [a, b] => a.last() < b.first(),
+                _ => true,
             });
-        }
-        if let Some(rewriter) = self.rewriter.clone() {
-            let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
-            let mut rewritten: Vec<KeyValue> = Vec::with_capacity(merged.len());
-            let mut changed = false;
-            let mut i = 0;
-            while i < merged.len() {
-                let Some(row) = merged.get(i).map(|kv| kv.row.clone()) else {
-                    break;
-                };
-                let mut j = i;
-                while merged.get(j).map(|kv| &kv.row) == Some(&row) {
-                    j += 1;
-                }
-                let group = merged.get(i..j).unwrap_or(&[]);
-                let ctx = RewriteContext {
-                    region: self.id,
-                    row: &row,
-                    drop_sealed_overlap,
-                };
-                match rewriter.rewrite_row(&ctx, group) {
-                    Some(replacement) => {
-                        changed = true;
-                        self.metrics.rewritten_rows += 1;
-                        rewritten.extend(replacement);
-                    }
-                    None => rewritten.extend_from_slice(group),
-                }
-                i = j;
+            if in_order {
+                runs.iter().for_each(|run| merged.extend_from_slice(run));
+            } else {
+                // The read path's merge; a run's age is its priority.
+                let sources = runs.iter().map(|run| run.to_vec()).collect();
+                merged = merge_scan(sources, (0..runs.len() as u64).collect());
             }
-            if changed {
-                // Rewriters emit qualifiers in their own order; restore
-                // the global sort before building the store file.
-                rewritten.sort();
-                merged = rewritten;
+            // Version GC: newest first within a cell, so keep the first
+            // `max_versions` cells of each qualifier (`kept` counts the
+            // cells seen of the qualifier the last kept cell has).
+            if self.config.max_versions != usize::MAX {
+                let mut kept = 1usize;
+                merged.dedup_by(|later, last_kept| {
+                    kept = match later.qualifier == last_kept.qualifier {
+                        true => kept + 1,
+                        false => 1,
+                    };
+                    kept > self.config.max_versions
+                });
+            }
+            let ctx = RewriteContext {
+                region: self.id,
+                row,
+                drop_sealed_overlap,
+            };
+            let replacement = self
+                .rewriter
+                .as_ref()
+                .and_then(|rewriter| rewriter.rewrite_row(&ctx, &merged))
+                // The output is sorted row by row: cells under another
+                // row would break it, so such an answer is not taken and
+                // the merged row stays (nothing is discarded behind it).
+                .filter(|cells| cells.iter().all(|kv| kv.row == *row));
+            match replacement {
+                Some(mut cells) => {
+                    // Rewriters emit qualifiers in their own order.
+                    cells.sort();
+                    self.metrics.rewritten_rows += 1;
+                    out.append(&mut cells);
+                }
+                None => out.append(&mut merged),
             }
         }
-        self.metrics.compacted_cells += merged.len() as u64;
+        self.metrics.compacted_cells += out.len() as u64;
         self.metrics.compactions += 1;
         let seq = self.next_file_seq;
         self.next_file_seq += 1;
-        self.files = vec![StoreFile::from_sorted(merged, seq)];
+        self.files = vec![StoreFile::from_sorted(out, seq)];
     }
 
     /// Scan whole rows in `range`; see [`Region::scan_spec`].

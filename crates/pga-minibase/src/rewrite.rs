@@ -42,8 +42,10 @@ pub trait CompactionRewriter: Send + Sync + std::fmt::Debug {
     /// version first within a qualifier, exactly as compaction merged
     /// them). Return `Some(replacement)` to substitute the row's cells, or
     /// `None` to keep the row unchanged. Replacement cells must keep the
-    /// same row key; compaction re-sorts the full output afterwards, so
-    /// qualifier order within the returned vector is free.
+    /// same row key — compaction builds its output row by row, so a
+    /// replacement with a cell under another row is refused whole and the
+    /// merged row kept; it sorts the replacement itself, so qualifier
+    /// order within the returned vector is free.
     fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &[KeyValue]) -> Option<Vec<KeyValue>>;
 }
 
@@ -104,6 +106,54 @@ mod tests {
         let cells = r.scan(&RowRange::all());
         assert_eq!(cells.len(), 1);
         assert_eq!(&cells[0].qualifier[..], b"sealed");
+    }
+
+    /// Rewriter that answers row `a` with a cell of row `zz`.
+    #[derive(Debug)]
+    struct Stray;
+    impl CompactionRewriter for Stray {
+        fn rewrite_row(
+            &self,
+            ctx: &RewriteContext<'_>,
+            cells: &[KeyValue],
+        ) -> Option<Vec<KeyValue>> {
+            let mut out = Collapse.rewrite_row(ctx, cells)?;
+            if ctx.row == b"a" {
+                out.push(kv("zz", b"stray", 9));
+            }
+            Some(out)
+        }
+    }
+
+    #[test]
+    fn a_replacement_under_another_row_is_refused_and_the_row_kept() {
+        let mut r = Region::new(RegionId(1), RowRange::all(), RegionConfig::default());
+        r.set_compaction_rewriter(Arc::new(Stray));
+        r.put_batch(vec![kv("a", b"q1", 1), kv("b", b"q1", 1)])
+            .unwrap();
+        r.flush();
+        r.put_batch(vec![kv("a", b"q2", 2), kv("c", b"q1", 1)])
+            .unwrap();
+        r.flush();
+        r.compact();
+        let cells = r.scan(&RowRange::all());
+        let keys: Vec<(&[u8], &[u8])> = cells
+            .iter()
+            .map(|c| (&c.row[..], &c.qualifier[..]))
+            .collect();
+        // Row `a` keeps its merged cells; `b` and `c` are collapsed; the
+        // store file is still sorted (`from_sorted` asserts it in debug).
+        assert_eq!(
+            keys,
+            [
+                (&b"a"[..], &b"q1"[..]),
+                (b"a", b"q2"),
+                (b"b", b"sealed"),
+                (b"c", b"sealed"),
+            ]
+        );
+        assert_eq!(r.metrics().rewritten_rows, 2);
+        assert_eq!(r.metrics().compacted_cells, 4);
     }
 
     /// Rewriter that declines every row.

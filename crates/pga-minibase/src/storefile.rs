@@ -65,6 +65,11 @@ impl StoreFile {
         self.cells.last().map(|kv| &kv.row[..])
     }
 
+    /// Every cell, in order.
+    pub(crate) fn cells(&self) -> &[KeyValue] {
+        &self.cells
+    }
+
     /// Position of the first cell whose row is at or after `row`.
     fn seek_row(&self, row: &[u8]) -> usize {
         if row.is_empty() {

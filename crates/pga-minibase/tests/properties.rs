@@ -2,13 +2,17 @@
 //! `(row, qualifier, timestamp) → value` under arbitrary interleavings of
 //! puts, flushes, compactions and scans.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use pga_minibase::{
-    merge_scan, ColumnRange, KeyValue, Region, RegionConfig, RegionId, RowRange, ScanSpec,
+    merge_scan, ColumnRange, CompactionRewriter, KeyValue, MemStore, Region, RegionConfig,
+    RegionId, RewriteContext, RowRange, ScanSpec,
 };
 
 type ModelKey = (Vec<u8>, Vec<u8>, std::cmp::Reverse<u64>);
@@ -255,4 +259,335 @@ proptest! {
         let got = recovered.scan(&RowRange::all());
         prop_assert_eq!(got.len(), model.len());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Row groups (ISSUE 21): the cell-keyed memstore and the cell-by-cell
+// compaction that the region ran before are the models the row-grouped
+// ones are held to.
+// ---------------------------------------------------------------------------
+
+type FlatKey = (Bytes, Bytes, Reverse<u64>);
+
+/// Versions sort newest first, so this is the least third key component.
+const FIRST_VERSION: Reverse<u64> = Reverse(u64::MAX);
+
+/// The memstore as it was: one ordered map keyed by whole cell keys.
+#[derive(Default)]
+struct FlatMemStore {
+    cells: BTreeMap<FlatKey, Bytes>,
+    heap_size: usize,
+}
+
+impl FlatMemStore {
+    /// Returns whether the put replaced a cell.
+    fn put(&mut self, kv: KeyValue) -> bool {
+        self.heap_size += kv.heap_size();
+        let key = (kv.row, kv.qualifier, Reverse(kv.timestamp));
+        match self.cells.insert(key, kv.value) {
+            Some(old) => {
+                self.heap_size -= old.len();
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn bounds(range: &RowRange) -> (Bound<FlatKey>, Bound<FlatKey>) {
+        let at = |row: &Bytes| (row.clone(), Bytes::new(), FIRST_VERSION);
+        let start = match range.start.is_empty() {
+            true => Bound::Unbounded,
+            false => Bound::Included(at(&range.start)),
+        };
+        let end = match range.end.is_empty() {
+            true => Bound::Unbounded,
+            false => Bound::Excluded(at(&range.end)),
+        };
+        (start, end)
+    }
+
+    fn cell((key, value): (&FlatKey, &Bytes)) -> KeyValue {
+        KeyValue::new(key.0.clone(), key.1.clone(), key.2 .0, value.clone())
+    }
+
+    fn scan(&self, range: &RowRange) -> Vec<KeyValue> {
+        self.cells
+            .range(Self::bounds(range))
+            .map(Self::cell)
+            .collect()
+    }
+
+    fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
+        let (mut next, end) = Self::bounds(rows);
+        let mut out = Vec::new();
+        // The first cell at or after `next` names the next row to visit.
+        while let Some(((row, _, _), _)) = self.cells.range((next, end.clone())).next() {
+            for c in columns {
+                let at = |qualifier: &Bytes| (row.clone(), qualifier.clone(), FIRST_VERSION);
+                out.extend(self.cells.range(at(&c.start)..at(&c.end)).map(Self::cell));
+            }
+            // `row ++ 0x00` is the smallest key after `row`.
+            let mut after = row.to_vec();
+            after.push(0);
+            next = Bound::Included((Bytes::from(after), Bytes::new(), FIRST_VERSION));
+        }
+        out
+    }
+
+    fn drain_sorted(&mut self) -> Vec<KeyValue> {
+        self.heap_size = 0;
+        let cells = std::mem::take(&mut self.cells);
+        cells.iter().map(Self::cell).collect()
+    }
+}
+
+/// Compaction as it was: clone every file, heap-merge cell by cell, GC
+/// versions over the whole output, offer each row to the rewriter, and
+/// sort everything again if any row changed. Returns the output and the
+/// number of rows rewritten; `None` where `compact` does nothing.
+fn flat_compact(
+    files: &[Vec<KeyValue>],
+    max_versions: usize,
+    rewriter: Option<&dyn CompactionRewriter>,
+) -> Option<(Vec<KeyValue>, u64)> {
+    if files.is_empty() || (files.len() <= 1 && rewriter.is_none()) {
+        return None;
+    }
+    let priorities = (1..=files.len() as u64).collect();
+    let mut merged = merge_scan(files.to_vec(), priorities);
+    if max_versions != usize::MAX {
+        let mut last_cell: Option<(Bytes, Bytes)> = None;
+        let mut kept = 0usize;
+        merged.retain(|kv| {
+            let cell = (kv.row.clone(), kv.qualifier.clone());
+            if last_cell.as_ref() == Some(&cell) {
+                kept += 1;
+            } else {
+                last_cell = Some(cell);
+                kept = 1;
+            }
+            kept <= max_versions
+        });
+    }
+    let mut rewritten_rows = 0;
+    if let Some(rewriter) = rewriter {
+        let mut rewritten = Vec::with_capacity(merged.len());
+        for group in merged.chunk_by(|a, b| a.row == b.row) {
+            let ctx = RewriteContext {
+                region: RegionId(1),
+                row: &group[0].row,
+                drop_sealed_overlap: false,
+            };
+            match rewriter.rewrite_row(&ctx, group) {
+                Some(replacement) => {
+                    rewritten_rows += 1;
+                    rewritten.extend(replacement);
+                }
+                None => rewritten.extend_from_slice(group),
+            }
+        }
+        rewritten.sort();
+        merged = rewritten;
+    }
+    Some((merged, rewritten_rows))
+}
+
+/// Replaces rows whose key ends in an even byte by two summary cells,
+/// emitted out of qualifier order; passes the others.
+#[derive(Debug)]
+struct CollapseEvenRows;
+
+impl CompactionRewriter for CollapseEvenRows {
+    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &[KeyValue]) -> Option<Vec<KeyValue>> {
+        if ctx.row.last()? % 2 != 0 {
+            return None;
+        }
+        let newest = cells.iter().map(|c| c.timestamp).max()?;
+        let first = cells.first()?;
+        Some(vec![
+            KeyValue::new(
+                ctx.row.to_vec(),
+                b"z-count".to_vec(),
+                newest,
+                vec![cells.len() as u8],
+            ),
+            KeyValue::new(
+                ctx.row.to_vec(),
+                b"a-first".to_vec(),
+                newest,
+                first.value.clone(),
+            ),
+        ])
+    }
+}
+
+/// Row keys that are prefixes and `0x00`-successors of one another.
+const ROWS: [&[u8]; 7] = [b"", b"a", b"ab", b"ab\0", b"ab\0\0", b"ac", b"b"];
+/// Qualifiers likewise, the empty one included.
+const QUALIFIERS: [&[u8]; 6] = [b"", b"\0", b"q", b"q\0", b"q\0\x01", b"r"];
+
+fn flat_cell() -> impl Strategy<Value = KeyValue> {
+    (
+        0..ROWS.len(),
+        0..QUALIFIERS.len(),
+        0u64..3,
+        proptest::collection::vec(any::<u8>(), 0..3),
+    )
+        .prop_map(|(r, q, ts, value)| {
+            KeyValue::new(ROWS[r].to_vec(), QUALIFIERS[q].to_vec(), ts, value)
+        })
+}
+
+/// A row range between two of `ROWS`' keys (`ROWS[0]` is the open end).
+fn row_range() -> impl Strategy<Value = RowRange> {
+    (0..ROWS.len(), 0..ROWS.len()).prop_map(|(a, b)| {
+        let (start, end) = (ROWS[a], ROWS[b]);
+        match !end.is_empty() && start > end {
+            true => RowRange::new(end.to_vec(), start.to_vec()),
+            false => RowRange::new(start.to_vec(), end.to_vec()),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Whatever the order of the puts — rows interleaved, qualifiers
+    /// descending or shuffled, several versions, exact re-puts — the
+    /// row-grouped memstore holds and returns what the flat one did.
+    #[test]
+    fn row_grouped_memstore_equals_the_flat_one(
+        puts in proptest::collection::vec(flat_cell(), 0..120),
+        ranges in proptest::collection::vec(row_range(), 1..4),
+        windows in proptest::collection::vec((0..QUALIFIERS.len(), 0..QUALIFIERS.len()), 0..4),
+    ) {
+        let mut flat = FlatMemStore::default();
+        let mut grouped = MemStore::new();
+        let mut overwrote = false;
+        for kv in &puts {
+            overwrote |= flat.put(kv.clone());
+            grouped.put(kv.clone());
+            prop_assert_eq!(grouped.len(), flat.cells.len());
+            if !overwrote {
+                prop_assert_eq!(grouped.heap_size(), flat.heap_size);
+            }
+        }
+        // The logical size: what the cells held would account for afresh.
+        let held: usize = flat.scan(&RowRange::all()).iter().map(KeyValue::heap_size).sum();
+        prop_assert_eq!(grouped.heap_size(), held);
+        let windows = windows
+            .iter()
+            .map(|&(a, b)| ColumnRange::new(QUALIFIERS[a].to_vec(), QUALIFIERS[b].to_vec()))
+            .collect();
+        // Sorted and disjoint, as every caller's are.
+        let spec = ScanSpec::windowed(RowRange::all(), windows);
+        let columns = spec.columns().unwrap();
+        for range in &ranges {
+            prop_assert_eq!(grouped.scan(range).collect::<Vec<_>>(), flat.scan(range));
+            prop_assert_eq!(grouped.scan_columns(range, columns), flat.scan_columns(range, columns));
+        }
+        prop_assert_eq!(grouped.drain_sorted(), flat.drain_sorted());
+        prop_assert_eq!((grouped.len(), grouped.heap_size()), (0, 0));
+    }
+
+    /// `Region::compact` against the old pipeline on random file sets:
+    /// rows whose runs follow one another across files (`staggered`) and
+    /// rows whose runs interleave, exact-duplicate keys across files,
+    /// version GC, with and without a rewriter, one file or several.
+    #[test]
+    fn row_at_a_time_compaction_equals_the_cell_by_cell_one(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..5, 0u8..6, 0u64..3, any::<u8>()), 0..24),
+            1..6,
+        ),
+        staggered in any::<bool>(),
+        max_versions in prop_oneof![Just(1usize), Just(2usize), Just(usize::MAX)],
+        with_rewriter in any::<bool>(),
+    ) {
+        let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
+            memstore_flush_bytes: usize::MAX,
+            compaction_file_threshold: usize::MAX,
+            max_versions,
+        });
+        if with_rewriter {
+            region.set_compaction_rewriter(Arc::new(CollapseEvenRows));
+        }
+        // One flush per batch; the model file is the batch as a map.
+        let mut files: Vec<Vec<KeyValue>> = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let cells: Vec<KeyValue> = batch
+                .iter()
+                .map(|&(row, qual, ts, val)| {
+                    let qual = if staggered { 8 * i as u8 + qual } else { qual };
+                    KeyValue::new(vec![b'r', row], vec![qual], ts, vec![val])
+                })
+                .collect();
+            let mut file = FlatMemStore::default();
+            cells.iter().for_each(|kv| { file.put(kv.clone()); });
+            region.put_batch(cells).unwrap();
+            region.flush();
+            files.extend(Some(file.drain_sorted()).filter(|f| !f.is_empty()));
+        }
+        let rewriter = with_rewriter.then_some(&CollapseEvenRows as &dyn CompactionRewriter);
+        let before = region.scan(&RowRange::all());
+        region.compact();
+        let got = region.scan(&RowRange::all());
+        let metrics = region.metrics();
+        match flat_compact(&files, max_versions, rewriter) {
+            Some((expect, rewritten_rows)) => {
+                prop_assert_eq!(metrics.compacted_cells, expect.len() as u64);
+                prop_assert_eq!(got, expect);
+                prop_assert_eq!(metrics.rewritten_rows, rewritten_rows);
+                prop_assert_eq!(metrics.compactions, 1);
+            }
+            None => {
+                prop_assert_eq!(got, before);
+                prop_assert_eq!(metrics.compactions, 0);
+            }
+        }
+    }
+}
+
+/// A structural guard that needs no clock: however many buffers the
+/// writer sent for a row, the memstore holds — and hands out — one.
+#[test]
+fn cells_of_a_row_share_one_row_buffer() {
+    let mut m = MemStore::new();
+    for i in 0..100u8 {
+        // A fresh allocation of the same row key for every cell.
+        m.put(KeyValue::new(b"series-hour".to_vec(), vec![i], 1, vec![i]));
+    }
+    let cells: Vec<KeyValue> = m.scan(&RowRange::all()).collect();
+    assert_eq!(cells.len(), 100);
+    let first = cells[0].row.as_ptr();
+    assert!(cells.iter().all(|kv| kv.row.as_ptr() == first));
+}
+
+/// The worst case of a sorted run: a row-hour backfilled newest sample
+/// first shifts the whole run on every put — n²/2 moves of a 40-byte
+/// cell, n ≤ 3 600 raw cells a row (DESIGN §6 records what it costs).
+/// It must still be right.
+#[test]
+fn a_row_hour_written_in_descending_order_is_correct() {
+    let cell = |offset: u16| {
+        let value = f64::from(offset).to_be_bytes().to_vec();
+        KeyValue::new(
+            b"series-hour".to_vec(),
+            offset.to_be_bytes().to_vec(),
+            1,
+            value,
+        )
+    };
+    let mut m = MemStore::new();
+    for offset in (0..3600u16).rev() {
+        m.put(cell(offset));
+    }
+    let expect: Vec<KeyValue> = (0..3600u16).map(cell).collect();
+    assert_eq!(m.len(), 3600);
+    assert_eq!(
+        m.heap_size(),
+        expect.iter().map(KeyValue::heap_size).sum::<usize>()
+    );
+    assert_eq!(m.scan(&RowRange::all()).collect::<Vec<_>>(), expect);
+    assert_eq!(m.drain_sorted(), expect);
 }
