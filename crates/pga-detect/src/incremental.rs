@@ -123,8 +123,9 @@ impl FleetTrainer {
             return Vec::new();
         }
         // Snapshot the per-unit statistics so the finish tasks can run
-        // on worker threads; each task is covariance expansion + Jacobi
-        // SVD, which dwarfs the clone of the packed accumulators.
+        // on worker threads; each task is covariance expansion plus an
+        // eigendecomposition, which dwarfs the clone of the packed
+        // accumulators.
         let snapshots: Vec<(u32, StreamingTrainer)> = units
             .iter()
             .filter_map(|u| self.trainers.get(u).map(|t| (*u, t.clone())))
@@ -161,9 +162,9 @@ impl FleetTrainer {
 
 /// Worst-case absolute divergence between two models of the same unit:
 /// the max over per-sensor means, per-sensor stds, and per-block
-/// eigenvalues of the elementwise absolute difference. Eigenvector signs
-/// are Jacobi-rotation artifacts, so columns are compared up to sign
-/// (`min(|a-b|, |a+b|)`). Returns `f64::INFINITY` on shape mismatch.
+/// eigenvalues of the elementwise absolute difference. An eigenvector's
+/// sign is the solver's accident, not the data's, so columns are compared
+/// up to sign (`min(|a-b|, |a+b|)`). Returns `f64::INFINITY` on shape mismatch.
 pub fn model_divergence(a: &UnitModel, b: &UnitModel) -> f64 {
     if a.means.len() != b.means.len() || a.blocks.len() != b.blocks.len() {
         return f64::INFINITY;

@@ -24,7 +24,7 @@
 //! [`BatchEvaluator`]) accept that shape directly — many units per pass,
 //! bit-identical to the row-major paths.
 //!
-//! Blocks: with 1000 sensors per unit a full 1000×1000 Jacobi SVD is
+//! Blocks: with 1000 sensors per unit a full 1000×1000 decomposition is
 //! wasteful — fault correlation in the generator (and in the physical
 //! systems the paper describes) is local to small sensor groups, so models
 //! use a block-diagonal covariance with blocks of [`BLOCK_SENSORS`]

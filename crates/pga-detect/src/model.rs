@@ -6,7 +6,7 @@ use pga_linalg::Matrix;
 
 /// Sensors per covariance block. Fault groups in the generator span 8
 /// sensors; 32 gives each block several groups of headroom while keeping
-/// the Jacobi SVD of a block (32×32) trivially fast.
+/// the eigendecomposition of a block (32×32) trivially fast.
 pub const BLOCK_SENSORS: usize = 32;
 
 /// Eigen-model of one contiguous sensor block.

@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pga_linalg::{eigh, symmetric_from_packed_lower, JacobiOptions};
+use pga_linalg::{eigh, symmetric_from_packed_lower};
 
 use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
 use crate::trainer::TrainError;
@@ -121,8 +121,7 @@ impl StreamingTrainer {
             for i in 0..len {
                 stds[start + i] = cov.get(i, i).max(0.0).sqrt();
             }
-            let eig = eigh(&cov, JacobiOptions::default())
-                .map_err(|e| TrainError::Decomposition(e.to_string()))?;
+            let eig = eigh(&cov).map_err(|e| TrainError::Decomposition(e.to_string()))?;
             blocks.push(BlockModel {
                 start,
                 len,
@@ -137,7 +136,7 @@ impl StreamingTrainer {
             blocks,
             trained_rows: self.count as usize,
         };
-        debug_assert!(model.validate().is_ok());
+        model.validate().map_err(TrainError::InvalidModel)?;
         Ok(model)
     }
 

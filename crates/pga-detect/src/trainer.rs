@@ -1,7 +1,7 @@
 //! Offline (batch) training — the Spark stage of §IV-A.
 
 use pga_dataflow::{Dataflow, DiskCache};
-use pga_linalg::{covariance_matrix, eigh, JacobiOptions, Matrix};
+use pga_linalg::{covariance_matrix, eigh, Matrix};
 use pga_sensorgen::Fleet;
 
 use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
@@ -16,6 +16,9 @@ pub enum TrainError {
     },
     /// The eigendecomposition failed to converge or errored.
     Decomposition(String),
+    /// The fitted model fails [`UnitModel::validate`] — a finite but huge
+    /// sample overflowed a variance, say — and must not reach an evaluator.
+    InvalidModel(String),
 }
 
 impl std::fmt::Display for TrainError {
@@ -25,6 +28,7 @@ impl std::fmt::Display for TrainError {
                 write!(f, "need at least 2 observation rows, got {rows}")
             }
             TrainError::Decomposition(e) => write!(f, "decomposition failed: {e}"),
+            TrainError::InvalidModel(e) => write!(f, "trained model is invalid: {e}"),
         }
     }
 }
@@ -55,8 +59,7 @@ pub fn train_unit(unit: u32, observations: &Matrix) -> Result<UnitModel, TrainEr
         let cov = covariance_matrix(&sub).map_err(|e| TrainError::Decomposition(e.to_string()))?;
         // The paper performs SVD on the covariance; for a symmetric PSD
         // matrix this is the eigendecomposition, computed directly.
-        let eig = eigh(&cov, JacobiOptions::default())
-            .map_err(|e| TrainError::Decomposition(e.to_string()))?;
+        let eig = eigh(&cov).map_err(|e| TrainError::Decomposition(e.to_string()))?;
         blocks.push(BlockModel {
             start,
             len,
@@ -72,7 +75,7 @@ pub fn train_unit(unit: u32, observations: &Matrix) -> Result<UnitModel, TrainEr
         blocks,
         trained_rows: n,
     };
-    debug_assert!(model.validate().is_ok());
+    model.validate().map_err(TrainError::InvalidModel)?;
     Ok(model)
 }
 
@@ -198,6 +201,29 @@ mod tests {
             train_unit(0, &obs),
             Err(TrainError::InsufficientData { rows: 1 })
         ));
+    }
+
+    #[test]
+    fn overflowing_sample_is_a_typed_error() {
+        // Finite, so the put API lets it in; its square is not.
+        let fleet = Fleet::new(FleetConfig::small(5));
+        let mut obs = fleet.observation_window(0, 99, 100);
+        obs.set(40, 3, 1e200);
+        let mut streaming = crate::StreamingTrainer::new(0, obs.cols());
+        for r in 0..obs.rows() {
+            streaming.update(obs.row(r));
+        }
+        for err in [
+            train_unit(0, &obs).unwrap_err(),
+            streaming.finish().unwrap_err(),
+        ] {
+            // The solver refuses the infinite covariance before validation
+            // sees the infinite σ; either way it is an error, not a model.
+            assert!(matches!(
+                err,
+                TrainError::Decomposition(_) | TrainError::InvalidModel(_)
+            ));
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ use pga_minibase::{
     TableDescriptor,
 };
 use pga_query::rollup::{self, RollupCell, RollupWriter};
-use pga_stats::distributions::normal_cdf;
 use pga_stats::multiple::Procedure;
+use pga_stats::two_sided_p_from_z;
 use pga_tsdb::{
     is_block_qualifier, verify_block, BatchPoint, BlockRewriter, KeyCodec, KeyCodecConfig,
     QueryFilter, Tsd, TsdConfig, TsdError, UidTable,
@@ -1506,7 +1506,7 @@ fn detection_flags(stored: &BTreeMap<SeriesKey, Vec<(u64, f64)>>) -> Vec<(String
             let tail = &values[n - (n / 4).max(2)..];
             let tail_mean = tail.iter().sum::<f64>() / tail.len() as f64;
             let z = (tail_mean - mean) / (sd / (tail.len() as f64).sqrt());
-            2.0 * (1.0 - normal_cdf(z.abs()))
+            two_sided_p_from_z(z)
         })
         .collect();
     if ps.is_empty() {

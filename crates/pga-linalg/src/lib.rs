@@ -15,8 +15,9 @@
 //!   computed as a cache-tiled Gram update over column tiles;
 //!   [`covariance_naive`] is the unblocked reference it is verified
 //!   against.
-//! * [`eigh`] — cyclic Jacobi eigendecomposition of symmetric matrices.
-//! * [`svd`] — one-sided Jacobi SVD built on the same rotations.
+//! * [`eigh`] — eigendecomposition of symmetric matrices: Householder
+//!   tridiagonalisation, then implicit-shift QL.
+//! * [`svd`] — one-sided Jacobi SVD.
 //! * [`CholeskyFactor`] — Cholesky factorisation, used by the data
 //!   generator to impose cross-sensor correlation on injected faults.
 //!
@@ -34,7 +35,7 @@ mod svd;
 mod vector;
 
 pub use cholesky::{equicorrelation, CholeskyError, CholeskyFactor};
-pub use eig::{eigh, EigResult, JacobiOptions};
+pub use eig::{eigh, EigResult};
 pub use matrix::Matrix;
 pub use stat::{
     column_means, column_variances, covariance_matrix, covariance_naive, standardize_columns,
@@ -70,6 +71,13 @@ pub enum LinalgError {
         /// Minimum required.
         required: usize,
     },
+    /// The input holds a NaN or an infinity.
+    NonFinite,
+    /// An iteration hit its cap without converging.
+    NoConvergence {
+        /// Iterations spent on the element that did not converge.
+        iterations: usize,
+    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -87,6 +95,10 @@ impl std::fmt::Display for LinalgError {
                 f,
                 "insufficient data: {rows} observation(s), need at least {required}"
             ),
+            LinalgError::NonFinite => write!(f, "matrix has a non-finite entry"),
+            LinalgError::NoConvergence { iterations } => {
+                write!(f, "no convergence after {iterations} iterations")
+            }
         }
     }
 }

@@ -150,7 +150,7 @@ fn rotate_cols(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eigh, JacobiOptions};
+    use crate::eigh;
 
     fn pseudo_random_matrix(m: usize, n: usize, seed: u64) -> Matrix {
         let mut x = seed | 1;
@@ -196,7 +196,7 @@ mod tests {
         let a = pseudo_random_matrix(20, 6, 5);
         let b = a.transpose().matmul(&a).unwrap();
         let d = svd(&b).unwrap();
-        let e = eigh(&b, JacobiOptions::default()).unwrap();
+        let e = eigh(&b).unwrap();
         for (s, l) in d.singular_values.iter().zip(&e.values) {
             assert!((s - l).abs() < 1e-8, "σ {s} vs λ {l}");
         }

@@ -1,6 +1,6 @@
 //! Property-based tests over the linear algebra kernels.
 
-use pga_linalg::{covariance_matrix, eigh, svd, CholeskyFactor, JacobiOptions, Matrix};
+use pga_linalg::{covariance_matrix, eigh, svd, CholeskyFactor, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with bounded entries and shape.
@@ -67,7 +67,7 @@ proptest! {
 
     #[test]
     fn eigh_reconstructs_symmetric_input(s in symmetric(8)) {
-        let e = eigh(&s, JacobiOptions::default()).unwrap();
+        let e = eigh(&s).unwrap();
         let n = e.values.len();
         let mut lam = Matrix::zeros(n, n);
         for i in 0..n {

@@ -80,6 +80,28 @@ fn map_rpc(e: RpcError) -> ClientError {
     }
 }
 
+/// Join per-region scan answers — each sorted, handed over in directory
+/// order — into one sorted answer. Regions partition the row space, so only
+/// the seams are compared: the last cell of one answer against the first of
+/// the next. A directory caught mid-split can hand back overlapping
+/// answers, and only then is the whole sorted (stably: the result is what
+/// sorting the concatenation gives in every case).
+pub fn concat_region_scans(parts: Vec<Vec<KeyValue>>) -> Vec<KeyValue> {
+    let mut parts = parts.into_iter().filter(|p| !p.is_empty());
+    let Some(mut out) = parts.next() else {
+        return Vec::new();
+    };
+    let mut in_order = true;
+    for part in parts {
+        in_order &= out.last() <= part.first();
+        out.extend(part);
+    }
+    if !in_order {
+        out.sort();
+    }
+    out
+}
+
 /// What a bounded-staleness read learned about a region's primary when it
 /// asked for the replication position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -548,12 +570,11 @@ impl Client {
         scan: &ScanSpec,
         admitted: Option<Option<u64>>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let mut out = Vec::new();
+        let mut parts = Vec::new();
         for info in self.regions_overlapping(scan.rows()) {
-            out.extend(self.scan_primary(&info, scan, admitted).map_err(map_rpc)?);
+            parts.push(self.scan_primary(&info, scan, admitted).map_err(map_rpc)?);
         }
-        out.sort();
-        Ok(out)
+        Ok(concat_region_scans(parts))
     }
 
     /// Hedged scan: try each region's primary under `primary_deadline_ms`
@@ -569,10 +590,10 @@ impl Client {
         primary_deadline_ms: Option<u64>,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let mut out = Vec::new();
+        let mut parts = Vec::new();
         for info in self.regions_overlapping(scan.rows()) {
             match self.scan_primary(&info, scan, Some(primary_deadline_ms)) {
-                Ok(cells) => out.extend(cells),
+                Ok(cells) => parts.push(cells),
                 Err(primary_err) => {
                     // Hedge: first follower copy that answers wins.
                     let hedged = info
@@ -582,15 +603,14 @@ impl Client {
                     match hedged {
                         Some((cells, _)) => {
                             self.repl.record_hedged_scan();
-                            out.extend(cells);
+                            parts.push(cells);
                         }
                         None => return Err(map_rpc(primary_err)),
                     }
                 }
             }
         }
-        out.sort();
-        Ok(out)
+        Ok(concat_region_scans(parts))
     }
 
     /// Bounded-staleness follower read: serve each region's shard from a
@@ -609,7 +629,7 @@ impl Client {
         policy: &FollowerReadPolicy,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let mut out = Vec::new();
+        let mut parts = Vec::new();
         for info in self.regions_overlapping(scan.rows()) {
             let mut served = false;
             if !info.followers.is_empty() {
@@ -644,7 +664,7 @@ impl Client {
                                 self.repl.observe(info.id.0, p, applied_seq);
                             }
                             self.repl.record_follower_read();
-                            out.extend(cells);
+                            parts.push(cells);
                             served = true;
                             break;
                         }
@@ -652,14 +672,13 @@ impl Client {
                 }
             }
             if !served {
-                out.extend(
+                parts.push(
                     self.scan_primary(&info, scan, Some(deadline_ms))
                         .map_err(map_rpc)?,
                 );
             }
         }
-        out.sort();
-        Ok(out)
+        Ok(concat_region_scans(parts))
     }
 
     /// Fetch a span from **every reachable copy** of the region(s)

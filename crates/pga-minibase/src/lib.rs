@@ -47,7 +47,7 @@ pub mod server;
 pub mod storefile;
 pub mod wal;
 
-pub use client::{Client, ClientError, RepairCopy};
+pub use client::{concat_region_scans, Client, ClientError, RepairCopy};
 pub use diskstore::{
     load_store_files, persist_store_files, read_store_file, write_store_file, DiskStoreError,
 };

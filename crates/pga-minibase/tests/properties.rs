@@ -11,8 +11,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use pga_minibase::{
-    merge_scan, ColumnRange, CompactionRewriter, KeyValue, MemStore, Region, RegionConfig,
-    RegionId, RewriteContext, RowRange, ScanSpec,
+    concat_region_scans, merge_scan, ColumnRange, CompactionRewriter, KeyValue, MemStore, Region,
+    RegionConfig, RegionId, RewriteContext, RowRange, ScanSpec,
 };
 
 type ModelKey = (Vec<u8>, Vec<u8>, std::cmp::Reverse<u64>);
@@ -545,6 +545,65 @@ proptest! {
                 prop_assert_eq!(metrics.compactions, 0);
             }
         }
+    }
+}
+
+/// A sorted table cut into region answers at `cuts`; `overlaps[i]` extra
+/// cells past a cut are answered by both neighbours, as a directory caught
+/// mid-split does, and `swap` (when its halves differ and both exist) hands
+/// two answers over in the wrong order.
+fn region_answers() -> impl Strategy<Value = Vec<Vec<KeyValue>>> {
+    (
+        proptest::collection::vec((0u8..30, 0u8..3, 0u64..3), 0..60),
+        proptest::collection::vec(0usize..60, 0..6),
+        proptest::collection::vec(0usize..4, 6),
+        (0usize..12, 0usize..12),
+    )
+        .prop_map(|(keys, mut cuts, overlaps, swap)| {
+            // The part a cell came from goes in its value, which the
+            // ordering ignores: a stable sort has to keep them in order.
+            let mut table: Vec<KeyValue> = keys
+                .into_iter()
+                .map(|(row, qual, ts)| KeyValue::new(vec![row], vec![qual], ts, vec![]))
+                .collect();
+            table.sort();
+            table.dedup();
+            cuts.push(0);
+            cuts.push(table.len());
+            cuts.iter_mut().for_each(|c| *c = (*c).min(table.len()));
+            cuts.sort_unstable();
+            let mut parts: Vec<Vec<KeyValue>> = cuts
+                .windows(2)
+                .zip(&overlaps)
+                .enumerate()
+                .map(|(part, (w, &overlap))| {
+                    let end = (w[1] + overlap).min(table.len());
+                    let mut cells = table[w[0]..end].to_vec();
+                    for kv in &mut cells {
+                        kv.value = Bytes::from(vec![part as u8]);
+                    }
+                    cells
+                })
+                .collect();
+            if swap.0 < parts.len() && swap.1 < parts.len() {
+                parts.swap(swap.0, swap.1);
+            }
+            parts
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The client's seam check is `sort()` by other means: whatever the
+    /// regions answered — a clean partition, overlapping or duplicated
+    /// cells, empty answers, answers out of directory order — the joined
+    /// scan equals the stably sorted concatenation, values included.
+    #[test]
+    fn seam_checked_concatenation_equals_sorting(parts in region_answers()) {
+        let mut expect: Vec<KeyValue> = parts.iter().flatten().cloned().collect();
+        expect.sort();
+        prop_assert_eq!(concat_region_scans(parts), expect);
     }
 }
 

@@ -5,13 +5,14 @@
 //! sampling distribution. Rejection = potential anomaly; the p-values feed
 //! the multiple-testing procedures in [`crate::multiple`].
 
-use crate::distributions::{chi_square_cdf, normal_cdf, students_t_cdf};
+use crate::distributions::{chi_square_cdf, erfc, students_t_cdf};
 
-/// Two-sided p-value of a standard-normal z statistic.
+/// Two-sided p-value of a standard-normal z statistic: `2·P(Z > |z|)`,
+/// taken from the tail itself (not as `1 − Φ`), so it keeps full relative
+/// precision out to 37 σ and strong anomalies stay ranked by strength.
 #[inline]
 pub fn two_sided_p_from_z(z: f64) -> f64 {
-    // 2 * P(Z > |z|), clamped for numerical safety.
-    (2.0 * (1.0 - normal_cdf(z.abs()))).clamp(0.0, 1.0)
+    erfc(z.abs() * std::f64::consts::FRAC_1_SQRT_2)
 }
 
 /// A one-sample z-test of a window mean against a trained baseline with
@@ -136,10 +137,36 @@ mod unit_tests {
 
     #[test]
     fn two_sided_p_symmetry() {
-        assert!((two_sided_p_from_z(1.5) - two_sided_p_from_z(-1.5)).abs() < 1e-15);
-        assert!((two_sided_p_from_z(0.0) - 1.0).abs() < 1e-12);
+        assert_eq!(two_sided_p_from_z(1.5), two_sided_p_from_z(-1.5));
+        assert_eq!(two_sided_p_from_z(0.0), 1.0);
         // z = 1.96 → p ≈ 0.05.
         assert!((two_sided_p_from_z(1.959964) - 0.05).abs() < 1e-5);
+    }
+
+    #[test]
+    fn two_sided_p_keeps_its_tail() {
+        // 2·(1 − Φ(z)) from an independent libm; `1 − Φ` itself reads
+        // 1.97317540e-9 at 6 σ and exactly 0 from 8.3 σ on.
+        for (z, p) in [
+            (6.0, 1.973_175_290_075_4e-9),
+            (10.0, 1.523_970_604_832_1e-23),
+            (30.0, 9.813_427_854_297_5e-198),
+        ] {
+            let got = two_sided_p_from_z(z);
+            assert!((got / p - 1.0).abs() < 1e-12, "p({z}) = {got:e}");
+        }
+        // Strictly decreasing, never 0, all the way to 37 σ.
+        let mut last = 2.0;
+        for i in 0..=3700 {
+            let p = two_sided_p_from_z(i as f64 * 0.01);
+            assert!(
+                p < last && p > 0.0,
+                "p({}) = {p:e} after {last:e}",
+                i as f64 * 0.01
+            );
+            last = p;
+        }
+        assert!(last < 1e-298);
     }
 
     #[test]

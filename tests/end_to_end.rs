@@ -71,6 +71,47 @@ fn anomalies_are_written_back_to_the_tsdb() {
     m.shutdown();
 }
 
+/// The written-back strength is −log10(p), and p keeps its tail: a 10 σ
+/// shift reads 22.8, where `2·(1 − Φ(10))` is exactly 0 and read 300 — the
+/// clamp — as a 9 σ and a 30 σ fault did alike.
+#[test]
+fn a_ten_sigma_shift_is_written_back_with_its_own_strength() {
+    use pga_tsdb::QueryFilter;
+    let mut m = monitor(103);
+    m.ingest_range(0, 650);
+    m.train(149).unwrap();
+    let unit = m.fleet().units_with_class(FaultClass::Healthy)[0];
+    let sensor = 5u32;
+    // What training saw of the sensor, and the level that sits 10 standard
+    // errors of (window mean − trained mean) above it.
+    let seen: Vec<f64> = (0..150)
+        .map(|t| m.fleet().sample(unit, sensor, t))
+        .collect();
+    let mean = seen.iter().sum::<f64>() / 150.0;
+    let var = seen.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 149.0;
+    let level = mean + 10.0 * var.sqrt() * (1.0f64 / 50.0 + 1.0 / 150.0).sqrt();
+    let (u, s) = (unit.to_string(), sensor.to_string());
+    let tags = [("unit", u.as_str()), ("sensor", s.as_str())];
+    for t in 600..650 {
+        m.tsd().put("energy", &tags, t, level).unwrap();
+    }
+    let outcomes = m.evaluate_at(649).unwrap();
+    let flag = outcomes[unit as usize]
+        .flags
+        .iter()
+        .find(|f| f.sensor == sensor)
+        .expect("a 10 σ sensor is flagged");
+    assert!(
+        (flag.p_value / 1.523_970_6e-23 - 1.0).abs() < 1e-6,
+        "{flag:?}"
+    );
+    let filter = QueryFilter::any().with("unit", &u).with("sensor", &s);
+    let written = m.tsd().query("anomaly", &filter, 649, 650).unwrap();
+    let strength = written[0].points[0].value;
+    assert!((strength - 22.817).abs() < 1e-3, "strength {strength}");
+    m.shutdown();
+}
+
 #[test]
 fn machine_page_html_renders_flags_in_critical_color() {
     let mut m = monitor(107);

@@ -215,6 +215,48 @@ fn stray_series_from_the_put_api_do_not_reach_the_model() {
     monitor.lock().shutdown();
 }
 
+/// A finite value is a legal put, whatever its size — and `1e200` squared
+/// is not finite. The variance it overflows used to come back from
+/// `train_unit` inside an `Ok` model in release builds (the check was a
+/// `debug_assert!`), and the evaluator built from it panicked under the
+/// monitor's lock. Training must fail with a typed error and leave the
+/// models of the last good training in place.
+#[test]
+fn a_sample_that_overflows_the_variance_fails_training_not_the_monitor() {
+    use pga_platform::MonitorError;
+    let (server, monitor) = serving_monitor();
+    let addr = server.addr();
+    let before = monitor.lock().evaluate_at(598).unwrap();
+
+    let body =
+        r#"{"metric":"energy","timestamp":590,"value":1e200,"tags":{"unit":"0","sensor":"3"}}"#;
+    let (status, _) = request(addr, "POST", "/api/put", body);
+    assert_eq!(status, 200);
+
+    let mut m = monitor.lock();
+    assert_eq!(m.window_from_store(0, 598, 60).unwrap().get(51, 3), 1e200);
+    let err = m.train(598).unwrap_err();
+    assert!(matches!(err, MonitorError::Train(_)), "{err}");
+    let err = m.train_incremental(598).unwrap_err();
+    assert!(matches!(err, MonitorError::Train(_)), "{err}");
+    // Still trained, still the old models: every sensor but the one that
+    // was written to scores exactly as it did.
+    let again = m.evaluate_at(598).unwrap();
+    assert_eq!(again.len(), before.len());
+    for (a, b) in again.iter().zip(&before) {
+        for (sensor, (pa, pb)) in a.p_values.iter().zip(&b.p_values).enumerate() {
+            if (a.unit, sensor) == (0, 3) {
+                assert_eq!(*pa, 0.0, "1e200 is infinitely many σ out");
+            } else {
+                assert_eq!(pa, pb, "unit {} sensor {sensor}", a.unit);
+            }
+        }
+    }
+    drop(m);
+    server.stop();
+    monitor.lock().shutdown();
+}
+
 /// A put the row key cannot hold, or one that names the system's own
 /// series, is the client's error — and refused whole, before any RPC. A
 /// timestamp past the key's four bytes of base time (or any millisecond
