@@ -25,17 +25,21 @@ pub struct BlockModel {
 impl BlockModel {
     /// Project a centred observation slice into the eigenbasis — the
     /// "single matrix multiplication per iteration" of §IV-A. Returns the
-    /// principal-component scores.
+    /// principal-component scores `Vᵀx`.
+    ///
+    /// Accumulated one contiguous row of `V` at a time
+    /// (`scores[c] += V[r][c] · x[r]`), so the inner loop is independent
+    /// adds over adjacent memory; every score still adds its terms in `r`
+    /// order, from the `-0.0` that `Iterator::sum::<f64>` starts at.
     pub fn project(&self, centered: &[f64]) -> Vec<f64> {
         assert_eq!(centered.len(), self.len, "block width mismatch");
-        // scores = Vᵀ x
-        (0..self.len)
-            .map(|c| {
-                (0..self.len)
-                    .map(|r| self.eigenvectors.get(r, c) * centered[r])
-                    .sum()
-            })
-            .collect()
+        let mut scores = vec![-0.0; self.len];
+        for (r, &x) in centered.iter().enumerate() {
+            for (score, &v) in scores.iter_mut().zip(self.eigenvectors.row(r)) {
+                *score += v * x;
+            }
+        }
+        scores
     }
 }
 

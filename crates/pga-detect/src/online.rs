@@ -135,29 +135,38 @@ impl OnlineEvaluator {
         self.score_means(n, means)
     }
 
+    /// Standard-error factor of (window mean − trained mean) over an
+    /// `n`-sample window. The baseline mean is itself an estimate from
+    /// `trained_rows` observations, so the standard error is
+    /// σ·√(1/n + 1/n_train); ignoring the training term miscalibrates the
+    /// nulls and lets borderline sensors free-ride on the BH threshold.
+    fn var_factor(&self, n: usize) -> f64 {
+        (1.0 / n as f64 + 1.0 / self.model.trained_rows.max(1) as f64).sqrt()
+    }
+
+    /// Two-sided z-test p-value of sensor `j`'s window mean — the one test
+    /// both the full and the brownout evaluation run. A sensor that never
+    /// moved in training (σ = 0) is certain: 1 on its baseline, 0 off it.
+    fn sensor_p_value(&self, j: usize, window_mean: f64, var_factor: f64) -> f64 {
+        let std = self.model.stds[j];
+        if std == 0.0 {
+            return if window_mean == self.model.means[j] {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        let z = (window_mean - self.model.means[j]) / (std * var_factor);
+        pga_stats::two_sided_p_from_z(z)
+    }
+
     /// Shared scoring core: per-sensor z-tests, FDR control, and block T²
     /// from a window-mean vector computed over `n` samples.
     fn score_means(&self, n: usize, means: Vec<f64>) -> EvalOutcome {
         let p = means.len();
-        // Per-sensor z-test p-values. The baseline mean is itself an
-        // estimate from `trained_rows` observations, so the standard error
-        // of (window mean − trained mean) is σ·√(1/n + 1/n_train);
-        // ignoring the training term miscalibrates the nulls and lets
-        // borderline sensors free-ride on the BH threshold.
-        let var_factor = (1.0 / n as f64 + 1.0 / self.model.trained_rows.max(1) as f64).sqrt();
+        let var_factor = self.var_factor(n);
         let p_values: Vec<f64> = (0..p)
-            .map(|j| {
-                let std = self.model.stds[j];
-                if std == 0.0 {
-                    return if means[j] == self.model.means[j] {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                }
-                let z = (means[j] - self.model.means[j]) / (std * var_factor);
-                pga_stats::two_sided_p_from_z(z)
-            })
+            .map(|j| self.sensor_p_value(j, means[j], var_factor))
             .collect();
         let rej = self.procedure.apply(&p_values, self.alpha);
         let flags: Vec<SensorFlag> = rej
@@ -232,21 +241,10 @@ impl OnlineEvaluator {
         for &j in &sampled {
             means[j] *= inv;
         }
-        let var_factor = (1.0 / n as f64 + 1.0 / self.model.trained_rows.max(1) as f64).sqrt();
+        let var_factor = self.var_factor(n);
         let sampled_p: Vec<f64> = sampled
             .iter()
-            .map(|&j| {
-                let std = self.model.stds[j];
-                if std == 0.0 {
-                    return if means[j] == self.model.means[j] {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                }
-                let z = (means[j] - self.model.means[j]) / (std * var_factor);
-                pga_stats::two_sided_p_from_z(z)
-            })
+            .map(|&j| self.sensor_p_value(j, means[j], var_factor))
             .collect();
         let rej = self.procedure.apply(&sampled_p, self.alpha);
         // Expand back to full width: unsampled sensors are unknown.

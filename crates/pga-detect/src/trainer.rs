@@ -1,7 +1,7 @@
 //! Offline (batch) training — the Spark stage of §IV-A.
 
 use pga_dataflow::{Dataflow, DiskCache};
-use pga_linalg::{covariance_matrix, eigh, Matrix};
+use pga_linalg::{centre_columns, centred_covariance, eigh, Matrix};
 use pga_sensorgen::Fleet;
 
 use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
@@ -42,21 +42,18 @@ pub fn train_unit(unit: u32, observations: &Matrix) -> Result<UnitModel, TrainEr
     if n < 2 {
         return Err(TrainError::InsufficientData { rows: n });
     }
-    let means = pga_linalg::column_means(observations);
-    let vars = pga_linalg::column_variances(observations)
-        .map_err(|e| TrainError::Decomposition(e.to_string()))?;
-    let stds: Vec<f64> = vars.iter().map(|v| v.max(0.0).sqrt()).collect();
+    // Centre the whole window once; every block's covariance is then read
+    // in place out of it, and its diagonal is the block's sensor variances.
+    let mut centred = observations.clone();
+    let means = centre_columns(&mut centred);
+    let mut stds = Vec::with_capacity(p);
     let mut blocks = Vec::with_capacity(p.div_ceil(BLOCK_SENSORS));
     let mut start = 0usize;
     while start < p {
         let len = BLOCK_SENSORS.min(p - start);
-        // Slice the block's columns into a dense sub-matrix.
-        let mut sub = Matrix::zeros(n, len);
-        for r in 0..n {
-            let row = observations.row(r);
-            sub.row_mut(r).copy_from_slice(&row[start..start + len]);
-        }
-        let cov = covariance_matrix(&sub).map_err(|e| TrainError::Decomposition(e.to_string()))?;
+        let cov = centred_covariance(&centred, start..start + len)
+            .map_err(|e| TrainError::Decomposition(e.to_string()))?;
+        stds.extend((0..len).map(|k| cov.get(k, k).max(0.0).sqrt()));
         // The paper performs SVD on the covariance; for a symmetric PSD
         // matrix this is the eigendecomposition, computed directly.
         let eig = eigh(&cov).map_err(|e| TrainError::Decomposition(e.to_string()))?;

@@ -11,8 +11,10 @@
 //!   and [rayon]-parallel variants share one band kernel and agree
 //!   bit-for-bit), with a textbook [`Matrix::naive_matmul`] kept as the
 //!   differential baseline.
-//! * [`covariance_matrix`] — sample covariance of an observation matrix,
-//!   computed as a cache-tiled Gram update over column tiles;
+//! * [`covariance_matrix`] — sample covariance of an observation matrix:
+//!   [`centre_columns`], then [`centred_covariance`], a register-tiled Gram
+//!   kernel over a column range of the centred data (a trainer centres a
+//!   window once and runs the kernel per sensor block);
 //!   [`covariance_naive`] is the unblocked reference it is verified
 //!   against.
 //! * [`eigh`] — eigendecomposition of symmetric matrices: Householder
@@ -38,8 +40,8 @@ pub use cholesky::{equicorrelation, CholeskyError, CholeskyFactor};
 pub use eig::{eigh, EigResult};
 pub use matrix::Matrix;
 pub use stat::{
-    column_means, column_variances, covariance_matrix, covariance_naive, standardize_columns,
-    symmetric_from_packed_lower,
+    centre_columns, centred_covariance, column_means, column_variances, covariance_matrix,
+    covariance_naive, standardize_columns, symmetric_from_packed_lower,
 };
 pub use svd::{svd, SvdResult};
 pub use vector::{axpy, dot, norm2, scale};

@@ -3,7 +3,7 @@
 //! Observation matrices are laid out the way the detector consumes sensor
 //! windows: one row per time step, one column per sensor.
 
-use rayon::prelude::*;
+use std::ops::Range;
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -44,11 +44,23 @@ pub fn column_variances(obs: &Matrix) -> Result<Vec<f64>> {
     Ok(ss)
 }
 
-/// Column-block edge (in sensors) for the tiled Gram kernel. A pair of
-/// tiles plus the accumulator panel is `3 × 64 × 64 × 8 B ≈ 96 KiB` in the
-/// worst case, sized for L2; each inner `axpy` touches two contiguous
-/// 64-double slices, sized for L1.
-const COV_BLOCK: usize = 64;
+/// Subtract every column's mean ([`column_means`]) from it in place and
+/// return the means — the one pass over a window that both
+/// [`covariance_matrix`] and a trainer cutting the window into blocks
+/// ([`centred_covariance`]) need.
+pub fn centre_columns(obs: &mut Matrix) -> Vec<f64> {
+    let means = column_means(obs);
+    for r in 0..obs.rows() {
+        for (v, m) in obs.row_mut(r).iter_mut().zip(&means) {
+            *v -= m;
+        }
+    }
+    means
+}
+
+/// Edge of the Gram kernel's accumulator tile: 4 × 4 sums fit the register
+/// file, so the row loop runs over them without touching memory.
+const TILE: usize = 4;
 
 /// Sample covariance matrix of an observation matrix (`n` rows of `p`
 /// sensors), with the usual `n - 1` denominator.
@@ -56,79 +68,87 @@ const COV_BLOCK: usize = 64;
 /// This is the first step of the paper's offline training: "model estimation
 /// of each sensor on each unit begins by calculating the covariance matrix
 /// of each data set" (§IV-A). The computation is `Xc' * Xc / (n-1)` where
-/// `Xc` is the column-centred data, evaluated as a **cache-tiled Gram
-/// update**: the upper triangle is cut into `COV_BLOCK × COV_BLOCK` column
-/// tiles, and each tile accumulates rank-1 updates row by row — the two
-/// row slices it reads are contiguous in the row-major data, so one pass
-/// over `Xc` serves a whole tile from cache instead of re-streaming two
-/// full `n`-length columns per output element the way the naive transpose
-/// kernel does. Tiles are independent and computed in parallel.
+/// `Xc` is the column-centred data: [`centre_columns`] on a copy, then
+/// [`centred_covariance`] over all of its columns.
 ///
 /// Verified against [`covariance_naive`] to `1e-9` by the differential
 /// suite.
 pub fn covariance_matrix(obs: &Matrix) -> Result<Matrix> {
-    let (n, p) = obs.shape();
+    let mut centred = obs.clone();
+    centre_columns(&mut centred);
+    centred_covariance(&centred, 0..obs.cols())
+}
+
+/// Sample covariance (`n - 1` denominator) of the columns `cols` of an
+/// **already centred** matrix ([`centre_columns`]): a `cols.len()`-square
+/// matrix, read in place out of the wider one.
+///
+/// A **register-tiled Gram kernel**: the upper triangle is cut into
+/// `TILE × TILE` tiles and each tile's sums stay in locals while the row
+/// loop runs innermost, reading two short contiguous runs of every row.
+/// Each element adds its `n` products in row order, multiply then add, so
+/// the result does not depend on the tiling (nor on which columns surround
+/// `cols`); the lower triangle is the mirror of the upper one, exactly.
+///
+/// # Panics
+/// Panics if `cols` reaches past the matrix's last column.
+pub fn centred_covariance(centred: &Matrix, cols: Range<usize>) -> Result<Matrix> {
+    let (n, p) = centred.shape();
     if n < 2 {
         return Err(LinalgError::InsufficientData {
             rows: n,
             required: 2,
         });
     }
-    let means = column_means(obs);
-    // Centre into a scratch matrix: columns become zero-mean.
-    let mut centred = obs.clone();
-    for r in 0..n {
-        for (v, m) in centred.row_mut(r).iter_mut().zip(&means) {
-            *v -= m;
-        }
-    }
+    assert!(cols.end <= p, "column range past the matrix");
     let inv = 1.0 / (n - 1) as f64;
-    // Upper-triangle tile coordinates.
-    let nb = p.div_ceil(COV_BLOCK);
-    let tiles: Vec<(usize, usize)> = (0..nb)
-        .flat_map(|bi| (bi..nb).map(move |bj| (bi * COV_BLOCK, bj * COV_BLOCK)))
-        .collect();
-    let centred = &centred;
-    let done: Vec<((usize, usize), Vec<f64>)> = tiles
-        .into_par_iter()
-        .map(|(i0, j0)| {
-            let i1 = (i0 + COV_BLOCK).min(p);
-            let j1 = (j0 + COV_BLOCK).min(p);
-            let w = j1 - j0;
-            // acc[(i - i0) * w + (j - j0)] accumulates sum_r x[r][i]*x[r][j].
-            let mut acc = vec![0.0; (i1 - i0) * w];
-            for r in 0..n {
-                let row = centred.row(r);
-                let xj = &row[j0..j1];
-                for (bi, &xi) in row[i0..i1].iter().enumerate() {
-                    if xi == 0.0 {
-                        continue;
+    let mut cov = Matrix::zeros(cols.len(), cols.len());
+    for i0 in cols.clone().step_by(TILE) {
+        for j0 in (i0..cols.end).step_by(TILE) {
+            let acc = gram_tile(centred, i0, j0, cols.end);
+            for (i, acc_row) in (i0..cols.end).zip(&acc) {
+                for (j, &sum) in (j0..cols.end).zip(acc_row) {
+                    if j >= i {
+                        let v = sum * inv;
+                        cov.set(i - cols.start, j - cols.start, v);
+                        cov.set(j - cols.start, i - cols.start, v);
                     }
-                    crate::vector::axpy(xi, xj, &mut acc[bi * w..(bi + 1) * w]);
-                }
-            }
-            for v in &mut acc {
-                *v *= inv;
-            }
-            ((i0, j0), acc)
-        })
-        .collect();
-    let mut cov = Matrix::zeros(p, p);
-    for ((i0, j0), acc) in done {
-        let i1 = (i0 + COV_BLOCK).min(p);
-        let j1 = (j0 + COV_BLOCK).min(p);
-        let w = j1 - j0;
-        for i in i0..i1 {
-            for j in j0..j1 {
-                let v = acc[(i - i0) * w + (j - j0)];
-                if j >= i {
-                    cov.set(i, j, v);
-                    cov.set(j, i, v);
                 }
             }
         }
     }
     Ok(cov)
+}
+
+/// `acc[a][b] = Σ_r x[r][i0 + a] · x[r][j0 + b]` over every row, for the
+/// up to `TILE` columns from `i0` and from `j0` that lie before `end`
+/// (sums past it stay zero).
+fn gram_tile(x: &Matrix, i0: usize, j0: usize, end: usize) -> [[f64; TILE]; TILE] {
+    let mut acc = [[0.0; TILE]; TILE];
+    let rows = x.as_slice().chunks_exact(x.cols());
+    if i0 + TILE <= end && j0 + TILE <= end {
+        for row in rows {
+            let xi: &[f64; TILE] = row[i0..i0 + TILE].try_into().expect("TILE wide");
+            let xj: &[f64; TILE] = row[j0..j0 + TILE].try_into().expect("TILE wide");
+            for (acc_row, &a) in acc.iter_mut().zip(xi) {
+                for (sum, &b) in acc_row.iter_mut().zip(xj) {
+                    *sum += a * b;
+                }
+            }
+        }
+    } else {
+        // Edge tiles of a width that is no multiple of TILE.
+        let (i1, j1) = ((i0 + TILE).min(end), (j0 + TILE).min(end));
+        for row in rows {
+            let xj = &row[j0..j1];
+            for (acc_row, &a) in acc.iter_mut().zip(&row[i0..i1]) {
+                for (sum, &b) in acc_row.iter_mut().zip(xj) {
+                    *sum += a * b;
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// Unblocked reference covariance: explicit transpose, one full-length dot
@@ -290,7 +310,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
         };
-        // p values straddling the COV_BLOCK tile edge.
+        // p below, at and off a multiple of the kernel's tile edge.
         for (n, p) in [(50, 7), (40, 64), (30, 65), (25, 130)] {
             let data: Vec<f64> = (0..n * p).map(|_| next()).collect();
             let obs = Matrix::from_vec(n, p, data).unwrap();

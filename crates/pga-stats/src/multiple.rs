@@ -211,7 +211,12 @@ pub fn hochberg(p_values: &[f64], alpha: f64) -> Rejections {
 /// dependence). This is the algorithm the paper adopts (§IV, refs [7], [8]).
 ///
 /// Find the largest rank `k` with `p_(k) ≤ (k/m) · alpha`; reject the `k`
-/// smallest p-values.
+/// smallest p-values. Only the p-values at or under `alpha` can hold such a
+/// rank, so only those are sorted: under the null that is `alpha · m` of
+/// them, and the cost per family is one pass plus that small sort.
+///
+/// # Panics
+/// Panics on a NaN p-value.
 ///
 /// ```
 /// use pga_stats::benjamini_hochberg;
@@ -235,25 +240,36 @@ pub fn benjamini_yekutieli(p_values: &[f64], alpha: f64) -> Rejections {
     step_up_fdr(p_values, alpha, harmonic)
 }
 
+/// The step-up walk shared by BH and BY, thresholds `(k/m) · alpha / deflate`.
+///
+/// Only p-values at or under the largest threshold (rank `m`'s) can pass
+/// any: thresholds grow with the rank, in floating point too. Those
+/// candidates are exactly the smallest ranks, so they alone are sorted and
+/// the walk starts at their count — O(m + c log c) for `c` candidates.
 fn step_up_fdr(p_values: &[f64], alpha: f64, deflate: f64) -> Rejections {
     validate(p_values, alpha);
     let m = p_values.len();
-    let order = ascending_order(p_values);
-    let mut rejected = vec![false; m];
-    let mut threshold = 0.0;
-    let mut cut = None;
-    for k in (1..=m).rev() {
-        let idx = order[k - 1];
-        let t = (k as f64 / m as f64) * alpha / deflate;
-        if p_values[idx] <= t {
-            cut = Some(k);
-            threshold = t;
-            break;
+    let threshold_at = |k: usize| (k as f64 / m as f64) * alpha / deflate;
+    let bound = threshold_at(m);
+    let mut candidates = Vec::new();
+    for (idx, &p) in p_values.iter().enumerate() {
+        // The comparison below would drop a NaN silently.
+        assert!(!p.is_nan(), "NaN p-value");
+        if p <= bound {
+            candidates.push(idx);
         }
     }
-    if let Some(k) = cut {
-        for &idx in &order[..k] {
-            rejected[idx] = true;
+    candidates.sort_by(|&a, &b| p_values[a].partial_cmp(&p_values[b]).expect("NaN p-value"));
+    let mut rejected = vec![false; m];
+    let mut threshold = 0.0;
+    for k in (1..=candidates.len()).rev() {
+        let t = threshold_at(k);
+        if p_values[candidates[k - 1]] <= t {
+            threshold = t;
+            for &idx in &candidates[..k] {
+                rejected[idx] = true;
+            }
+            break;
         }
     }
     Rejections {
