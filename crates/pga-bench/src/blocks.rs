@@ -3,8 +3,9 @@
 //!
 //! Two arms, each timed storage→answer:
 //!
-//! * **Scan** — the pre-block cell-by-cell decode ([`Tsd::query_legacy`],
-//!   one cell and one full tag decode per point) against the sealed
+//! * **Scan** — the pre-block cell-by-cell decode (`query_legacy`, a test
+//!   model shared by path with `pga-tsdb/tests/legacy/`; one cell and one
+//!   full tag decode per point) against the sealed
 //!   block-path scan ([`Tsd::query_columns`], one cell and one flat
 //!   delta-of-delta/XOR decode per row). Throughput is logical payload
 //!   bytes per second (16 bytes per point: timestamp + value).
@@ -24,12 +25,16 @@
 //! what repeats exactly ([`BlockBenchReport::exact`]): the oracles, the
 //! points each arm serves and the cells it is fed per point.
 
+#[path = "../../pga-tsdb/tests/legacy/mod.rs"]
+mod legacy;
+
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::Serialize;
 
 use crate::table::{render_table, row};
+use legacy::query_legacy;
 
 use pga_cluster::coordinator::Coordinator;
 use pga_detect::{train_unit, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
@@ -333,16 +338,12 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
     let any = QueryFilter::any();
 
     // ----- scan arm A: legacy per-cell decode over the raw store -------
-    let legacy_answer = tsd
-        .query_legacy("energy", &any, 0, end)
-        .expect("legacy scan");
+    let legacy_answer = query_legacy(&tsd, "energy", &any, 0, end).expect("legacy scan");
     let points_per_pass: u64 = legacy_answer.iter().map(|s| s.points.len() as u64).sum();
     let legacy_cells = stored_cells();
     let started = Instant::now();
     for _ in 0..cfg.scan_iters {
-        let out = tsd
-            .query_legacy("energy", &any, 0, end)
-            .expect("legacy scan");
+        let out = query_legacy(&tsd, "energy", &any, 0, end).expect("legacy scan");
         assert!(!out.is_empty());
     }
     let legacy_secs = started.elapsed().as_secs_f64();
@@ -363,9 +364,7 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
     let batch = BatchEvaluator::new(models, Procedure::BenjaminiHochberg, 0.05);
 
     let rowmajor_pass = || -> Vec<EvalOutcome> {
-        let answer = tsd
-            .query_legacy("energy", &any, 0, end)
-            .expect("legacy scan");
+        let answer = query_legacy(&tsd, "energy", &any, 0, end).expect("legacy scan");
         let mut by_unit: BTreeMap<u32, Vec<(u32, &TimeSeries)>> = BTreeMap::new();
         for s in &answer {
             let unit: u32 = s.tags["unit"].parse().expect("numeric unit tag");

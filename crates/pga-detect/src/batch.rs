@@ -49,9 +49,9 @@ impl BatchEvaluator {
         &self.evaluators
     }
 
-    /// Evaluate one columnar window per unit, in parallel. `windows[i]`
-    /// feeds evaluator `i`; a unit with no fresh window passes `None` and
-    /// yields `None`.
+    /// Evaluate one columnar window per unit (through the `rayon` shim,
+    /// which runs sequentially). `windows[i]` feeds evaluator `i`; a unit
+    /// with no fresh window passes `None` and yields `None`.
     pub fn evaluate_columns(
         &self,
         windows: &[Option<ColumnWindow<'_>>],

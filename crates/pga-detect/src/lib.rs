@@ -18,11 +18,13 @@
 //!    [`pga_stats::multiple`]) to decide which sensors to flag.
 //!
 //! Columnar path: the block store serves windows as per-sensor column
-//! slices, so training ([`train_unit_columns`],
-//! [`StreamingTrainer::update_columns`]) and evaluation
-//! ([`OnlineEvaluator::evaluate_columns`], fleet-wide via
-//! [`BatchEvaluator`]) accept that shape directly — many units per pass,
-//! bit-identical to the row-major paths.
+//! slices, and the platform's monitor reads one fleet-wide window per
+//! cycle in that shape. Training ([`train_unit_columns`]) and evaluation
+//! ([`BatchEvaluator`] over [`OnlineEvaluator::evaluate_columns`], and
+//! the brownout [`OnlineEvaluator::evaluate_sampled`]) accept it directly —
+//! many units per pass, bit-identical to the row-major
+//! [`train_unit`] / [`OnlineEvaluator::evaluate`], which stay as the
+//! oracle the tests, benchmarks and experiments score against.
 //!
 //! Blocks: with 1000 sensors per unit a full 1000×1000 decomposition is
 //! wasteful — fault correlation in the generator (and in the physical

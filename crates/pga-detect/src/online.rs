@@ -1,7 +1,6 @@
 //! Online evaluation: score new windows against a trained model and flag
 //! anomalies under FDR control.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pga_linalg::Matrix;
@@ -220,45 +219,50 @@ impl OnlineEvaluator {
     /// view is omitted (it needs every sensor in a block). FDR control is
     /// applied to the sampled p-values only, preserving calibration on
     /// the subset actually tested.
-    pub fn evaluate_sampled(&self, window: &Matrix, stride: usize) -> EvalOutcome {
+    ///
+    /// Takes the window as per-sensor column slices, like
+    /// [`OnlineEvaluator::evaluate_columns`]: a sampled column sums in
+    /// sample order, so each sampled sensor gets exactly the mean and
+    /// p-value the full evaluation gives it.
+    pub fn evaluate_sampled(&self, columns: &[&[f64]], stride: usize) -> EvalOutcome {
         let stride = stride.max(1);
         if stride == 1 {
-            return self.evaluate(window);
+            return self.evaluate_columns(columns);
         }
-        let (n, p) = window.shape();
+        let p = columns.len();
         assert_eq!(p, self.model.sensors(), "sensor count mismatch");
+        let n = columns.first().map_or(0, |c| c.len());
         assert!(n > 0, "window must be non-empty");
-        let sampled: Vec<usize> = (0..p).step_by(stride).collect();
-        // Window means for sampled sensors only.
-        let mut means = vec![0.0; p];
-        for r in 0..n {
-            let row = window.row(r);
-            for &j in &sampled {
-                means[j] += row[j];
-            }
-        }
+        assert!(
+            columns.iter().all(|c| c.len() == n),
+            "ragged columns: every sensor needs {n} samples"
+        );
         let inv = 1.0 / n as f64;
-        for &j in &sampled {
-            means[j] *= inv;
-        }
         let var_factor = self.var_factor(n);
-        let sampled_p: Vec<f64> = sampled
+        // `(sensor, window mean, p-value)` of the sampled sensors only.
+        let sampled: Vec<(usize, f64, f64)> = columns
             .iter()
-            .map(|&j| self.sensor_p_value(j, means[j], var_factor))
+            .enumerate()
+            .step_by(stride)
+            .map(|(j, col)| {
+                let mean = col.iter().fold(0.0, |acc, &x| acc + x) * inv;
+                (j, mean, self.sensor_p_value(j, mean, var_factor))
+            })
             .collect();
+        let sampled_p: Vec<f64> = sampled.iter().map(|&(_, _, pv)| pv).collect();
         let rej = self.procedure.apply(&sampled_p, self.alpha);
         // Expand back to full width: unsampled sensors are unknown.
         let mut p_values = vec![1.0; p];
         let mut rejected = vec![false; p];
         let mut flags = Vec::new();
-        for (k, &j) in sampled.iter().enumerate() {
-            p_values[j] = sampled_p[k];
-            rejected[j] = rej.rejected[k];
-            if rej.rejected[k] {
+        for (&(j, mean, pv), &r) in sampled.iter().zip(&rej.rejected) {
+            p_values[j] = pv;
+            rejected[j] = r;
+            if r {
                 flags.push(SensorFlag {
                     sensor: j as u32,
-                    p_value: sampled_p[k],
-                    window_mean: means[j],
+                    p_value: pv,
+                    window_mean: mean,
                     baseline_mean: self.model.means[j],
                 });
             }
@@ -273,13 +277,6 @@ impl OnlineEvaluator {
             degraded: true,
             sensors_evaluated: sampled.len() as u64,
         }
-    }
-
-    /// Evaluate many windows in parallel (one per unit-evaluator pair is
-    /// the common shape; this helper parallelises over windows for the
-    /// throughput benchmark E3).
-    pub fn evaluate_many(&self, windows: &[Matrix]) -> Vec<EvalOutcome> {
-        windows.par_iter().map(|w| self.evaluate(w)).collect()
     }
 }
 
@@ -393,19 +390,13 @@ mod tests {
         assert!(bon.flags.len() <= bh.flags.len());
     }
 
-    #[test]
-    fn evaluate_many_matches_single() {
-        let fleet = Fleet::new(FleetConfig::small(47));
-        let ev = trained_evaluator(&fleet, 0);
-        let w1 = fleet.observation_window(0, 199, 25);
-        let w2 = fleet.observation_window(0, 299, 25);
-        let batch = ev.evaluate_many(&[w1.clone(), w2.clone()]);
-        assert_eq!(batch[0].p_values, ev.evaluate(&w1).p_values);
-        assert_eq!(batch[1].p_values, ev.evaluate(&w2).p_values);
-        assert_eq!(
-            batch[0].samples_scored,
-            25 * fleet.config().sensors_per_unit as u64
-        );
+    /// `window` as per-sensor columns, the shape the monitor reads.
+    fn columns_of(window: &Matrix) -> Vec<Vec<f64>> {
+        (0..window.cols()).map(|c| window.col(c)).collect()
+    }
+
+    fn slices(columns: &[Vec<f64>]) -> Vec<&[f64]> {
+        columns.iter().map(Vec::as_slice).collect()
     }
 
     #[test]
@@ -431,7 +422,8 @@ mod tests {
         assert_eq!(full.sensors_evaluated, p as u64);
 
         let stride = 4usize;
-        let out = ev.evaluate_sampled(&w, stride);
+        let columns = columns_of(&w);
+        let out = ev.evaluate_sampled(&slices(&columns), stride);
         assert!(out.degraded, "sampled outcome must carry the degraded flag");
         let expected = (0..p).step_by(stride).count() as u64;
         assert_eq!(out.sensors_evaluated, expected);
@@ -441,8 +433,16 @@ mod tests {
         for (s, pv) in out.p_values.iter().enumerate() {
             if s % stride != 0 {
                 assert_eq!(*pv, 1.0, "unsampled sensor {s} must not carry evidence");
+            } else {
+                // A sampled sensor carries the full evaluation's exact test.
+                assert_eq!(pv.to_bits(), full.p_values[s].to_bits(), "sensor {s}");
             }
         }
+        // FDR control over the sampled family only.
+        let family: Vec<f64> = full.p_values.iter().copied().step_by(stride).collect();
+        let rej = Procedure::BenjaminiHochberg.apply(&family, 0.05);
+        let sampled_rejected: Vec<bool> = out.rejected.iter().copied().step_by(stride).collect();
+        assert_eq!(sampled_rejected, rej.rejected);
         assert!(out
             .flags
             .iter()
@@ -466,7 +466,8 @@ mod tests {
         let ev = trained_evaluator(&fleet, 0);
         let w = fleet.observation_window(0, 199, 25);
         let full = ev.evaluate(&w);
-        let sampled = ev.evaluate_sampled(&w, 1);
+        let columns = columns_of(&w);
+        let sampled = ev.evaluate_sampled(&slices(&columns), 1);
         assert_eq!(sampled.p_values, full.p_values);
         assert!(!sampled.degraded, "stride 1 is full fidelity");
     }

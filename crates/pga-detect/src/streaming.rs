@@ -84,25 +84,6 @@ impl StreamingTrainer {
         }
     }
 
-    /// Ingest a whole window presented as per-sensor column slices (the
-    /// columnar block store's shape), row by row — exactly equivalent to
-    /// calling [`StreamingTrainer::update`] on each transposed row.
-    pub fn update_columns(&mut self, columns: &[&[f64]]) {
-        assert_eq!(columns.len(), self.sensors, "column count mismatch");
-        let n = columns.first().map_or(0, |c| c.len());
-        assert!(
-            columns.iter().all(|c| c.len() == n),
-            "ragged columns: every sensor needs {n} samples"
-        );
-        let mut row = vec![0.0; self.sensors];
-        for r in 0..n {
-            for (slot, col) in row.iter_mut().zip(columns) {
-                *slot = col[r];
-            }
-            self.update(&row);
-        }
-    }
-
     /// Produce a model from the moments accumulated so far.
     pub fn finish(&self) -> Result<UnitModel, TrainError> {
         if self.count < 2 {
@@ -258,20 +239,6 @@ mod tests {
         let a = empty.finish().unwrap();
         let b = full.finish().unwrap();
         assert_eq!(a.means, b.means);
-    }
-
-    #[test]
-    fn columnar_ingest_equals_row_ingest() {
-        let fleet = Fleet::new(FleetConfig::small(73));
-        let obs = fleet.observation_window(0, 79, 80);
-        let mut by_rows = StreamingTrainer::new(0, obs.cols());
-        feed(&mut by_rows, &obs);
-        let cols: Vec<Vec<f64>> = (0..obs.cols()).map(|c| obs.col(c)).collect();
-        let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mut by_cols = StreamingTrainer::new(0, obs.cols());
-        by_cols.update_columns(&refs);
-        assert_eq!(by_cols.count(), by_rows.count());
-        assert_eq!(by_cols.finish().unwrap(), by_rows.finish().unwrap());
     }
 
     #[test]

@@ -70,13 +70,18 @@ fn checksum(bytes: &[u8]) -> u64 {
     acc
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven — the same
-/// construction the sealed-block codec uses. Re-implemented here rather
-/// than imported because the dependency arrow points the other way
-/// (`pga-tsdb` builds on this crate).
+/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven — the one
+/// checksum of the workspace: store files here, sealed blocks in
+/// `pga-tsdb`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
+}
+
+/// Continue a CRC-32 across a further buffer: `crc32_extend(crc32(a), b)`
+/// is `crc32(a ++ b)`, without concatenating.
+pub fn crc32_extend(prev: u32, bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = build_crc_table();
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !prev;
     for &b in bytes {
         let idx = ((crc ^ b as u32) & 0xFF) as usize;
         let entry = TABLE.get(idx).copied().unwrap_or(0); // idx < 256 by construction
@@ -431,6 +436,11 @@ mod tests {
         // Standard check value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Split anywhere, the continued CRC is the whole buffer's.
+        for cut in 0..=9 {
+            let (a, b) = b"123456789".split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), 0xCBF4_3926, "cut at {cut}");
+        }
     }
 
     #[test]

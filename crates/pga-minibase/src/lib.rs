@@ -49,7 +49,8 @@ pub mod wal;
 
 pub use client::{concat_region_scans, Client, ClientError, RepairCopy};
 pub use diskstore::{
-    load_store_files, persist_store_files, read_store_file, write_store_file, DiskStoreError,
+    crc32, crc32_extend, load_store_files, persist_store_files, read_store_file, write_store_file,
+    DiskStoreError,
 };
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
 pub use kv::{ColumnRange, KeyValue, RowRange, ScanSpec};

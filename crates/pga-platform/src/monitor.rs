@@ -1,6 +1,6 @@
 //! The integrated monitor: ingest → store → query → detect → visualize.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -9,7 +9,8 @@ use pga_cluster::NodeId;
 use pga_control::{collect_node_stats, FleetSnapshot, Metric, NodeStats};
 use pga_dataflow::Dataflow;
 use pga_detect::{
-    train_unit, BrownoutGate, EvalMode, EvalOutcome, FleetTrainer, OnlineEvaluator, UnitModel,
+    train_unit_columns, BatchEvaluator, BrownoutGate, ColumnWindow, EvalMode, EvalOutcome,
+    FleetTrainer, UnitModel,
 };
 use pga_ingest::{IngestionPipeline, PipelineReport};
 use pga_linalg::Matrix;
@@ -85,6 +86,37 @@ impl std::error::Error for MonitorError {}
 /// Node id of the monitor's own telemetry sample: no storage node's id.
 const FRONT_END_NODE: u32 = u32::MAX;
 
+/// A window read back from the store column by column: sensor `j` of the
+/// `k`-th unit read is `values[(k · sensors + j) · len ..][..len]`, oldest
+/// tick first.
+struct Columns {
+    sensors: usize,
+    len: usize,
+    values: Vec<f64>,
+}
+
+impl Columns {
+    /// The `k`-th unit read, as per-sensor column slices.
+    fn unit(&self, k: usize) -> ColumnWindow<'_> {
+        let width = self.sensors * self.len;
+        self.values[k * width..][..width].chunks(self.len).collect()
+    }
+}
+
+/// `tag` as an index, if it is exactly the decimal the fleet writes for
+/// one (`i.to_string()`: no sign, no leading zero).
+fn tag_index(tag: &str) -> Option<u32> {
+    let canonical = !tag.starts_with('+') && (tag == "0" || !tag.starts_with('0'));
+    tag.parse().ok().filter(|_| canonical)
+}
+
+/// The tags of the fleet series `(unit, sensor)`, as the cache matches them.
+fn series_tags(unit: u32, sensor: u32) -> BTreeMap<String, String> {
+    [("unit", unit), ("sensor", sensor)]
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .into()
+}
+
 /// The integrated monitoring platform.
 pub struct Monitor {
     config: PlatformConfig,
@@ -95,7 +127,9 @@ pub struct Monitor {
     /// its scheduler counters accumulate across training rounds and feed
     /// the front-end telemetry sample.
     dataflow: Dataflow,
-    evaluators: Vec<OnlineEvaluator>,
+    /// One evaluator per trained unit, scoring a cycle's columnar window
+    /// in one pass; empty until training.
+    evaluator: BatchEvaluator,
     /// Resident per-unit sufficient statistics for incremental
     /// retraining; seeded lazily by [`Monitor::train_incremental`].
     trainer: Option<FleetTrainer>,
@@ -138,13 +172,14 @@ impl Monitor {
         ));
         let brownout = BrownoutGate::new(config.brownout);
         let dataflow = Dataflow::new(config.workers);
+        let evaluator = BatchEvaluator::new(Vec::new(), config.procedure, config.alpha);
         Ok(Monitor {
             config,
             fleet,
             pipeline,
             engine,
             dataflow,
-            evaluators: Vec::new(),
+            evaluator,
             trainer: None,
             trained_through: None,
             anomalies: Vec::new(),
@@ -201,28 +236,35 @@ impl Monitor {
         report
     }
 
-    /// Read one unit's observation window back **from the TSDB** — the
-    /// full storage round-trip, not a shortcut through the generator.
-    /// Rows are ticks `(t_end - len, t_end]`.
-    pub fn window_from_store(
+    /// The monitor's one window read: a single engine query over ticks
+    /// `(t_end - len, t_end]` for the whole fleet (`unit` = `None`) or for
+    /// one unit under a `unit` tag filter — the full storage round-trip,
+    /// not a shortcut through the generator.
+    ///
+    /// A series fills a column only if its tags are exactly `unit` and
+    /// `sensor`, each the decimal the fleet writes for one of its indices;
+    /// whatever else `POST /api/put` lets in (a sensor id the fleet lacks,
+    /// `unit="00"`, a third tag) is no part of the model. Every column must
+    /// hold one point per tick, checked unit by unit and sensor by sensor.
+    fn read_columns(
         &self,
-        unit: u32,
+        unit: Option<u32>,
         t_end: u64,
         len: usize,
-    ) -> Result<Matrix, MonitorError> {
+    ) -> Result<Columns, MonitorError> {
         assert!(len > 0);
         let period = self.config.fleet.sample_period_secs;
         let start_tick = t_end + 1 - len as u64;
+        let (filter, first, units) = match unit {
+            Some(u) => (QueryFilter::any().with("unit", &u.to_string()), u, 1),
+            None => (QueryFilter::any(), 0, self.config.fleet.units),
+        };
         // Full-resolution read through the serving engine: a raw plan, but
         // scatter-gathered across shards and result-cached for the
         // dashboard's repeated renders of the same window.
-        let out = self.engine.query(
-            "energy",
-            &QueryFilter::any().with("unit", &unit.to_string()),
-            start_tick * period,
-            t_end * period,
-            None,
-        );
+        let out = self
+            .engine
+            .query("energy", &filter, start_tick * period, t_end * period, None);
         if let Some(p) = out.partial {
             return Err(MonitorError::Storage(format!(
                 "partial result: {}/{} shards failed",
@@ -230,60 +272,82 @@ impl Monitor {
                 p.total_shards
             )));
         }
-        let p = self.config.fleet.sensors_per_unit as usize;
-        // The fleet's own series, looked up by sensor tag. `POST /api/put`
-        // lets anyone write other `energy{unit=…}` series — a sensor id the
-        // fleet lacks, extra tags — which are no part of the model: they
-        // fill no column and never index the matrix.
-        let own: HashMap<&str, &[DataPoint]> = out
-            .series
-            .iter()
-            .filter(|s| s.tags.len() == 2)
-            .filter_map(|s| Some((s.tags.get("sensor")?.as_str(), &s.points[..])))
-            .collect();
-        let mut m = Matrix::zeros(len, p);
-        for j in 0..p {
+        let sensors = self.config.fleet.sensors_per_unit;
+        let p = sensors as usize;
+        let mut placed: Vec<&[DataPoint]> = vec![&[]; units as usize * p];
+        for s in out.series.iter().filter(|s| s.tags.len() == 2) {
+            let index = |key: &str| s.tags.get(key).and_then(|tag| tag_index(tag));
+            let unit = index("unit")
+                .and_then(|u| u.checked_sub(first))
+                .filter(|&k| k < units);
+            let sensor = index("sensor").filter(|&j| j < sensors);
+            if let (Some(k), Some(j)) = (unit, sensor) {
+                placed[k as usize * p + j as usize] = &s.points;
+            }
+        }
+        let mut values = vec![0.0; placed.len() * len];
+        for (slot, (points, column)) in placed.iter().zip(values.chunks_mut(len)).enumerate() {
             // One point per tick of the window, or the window is incomplete.
-            let points = own.get(j.to_string().as_str()).copied().unwrap_or_default();
             if points.len() != len {
+                let (unit, sensor) = (first + (slot / p) as u32, (slot % p) as u32);
+                // The missing points may yet arrive: drop the short answer
+                // from the cache so that a retry reads the store again.
+                self.engine
+                    .invalidate_series("energy", &series_tags(unit, sensor));
                 return Err(MonitorError::IncompleteWindow {
                     unit,
-                    sensor: j as u32,
+                    sensor,
                     found: points.len(),
                 });
             }
-            for pt in points {
-                m.set((pt.timestamp / period - start_tick) as usize, j, pt.value);
+            for pt in *points {
+                column[(pt.timestamp / period - start_tick) as usize] = pt.value;
+            }
+        }
+        Ok(Columns {
+            sensors: p,
+            len,
+            values,
+        })
+    }
+
+    /// Read one unit's observation window back from the TSDB (the
+    /// one-unit case of the monitor's window read). Rows are ticks
+    /// `(t_end - len, t_end]`.
+    pub fn window_from_store(
+        &self,
+        unit: u32,
+        t_end: u64,
+        len: usize,
+    ) -> Result<Matrix, MonitorError> {
+        let read = self.read_columns(Some(unit), t_end, len)?;
+        let mut m = Matrix::zeros(len, read.sensors);
+        for (j, column) in read.unit(0).iter().enumerate() {
+            for (r, &v) in column.iter().enumerate() {
+                m.set(r, j, v);
             }
         }
         Ok(m)
     }
 
-    /// Offline training: read each unit's training window from storage and
-    /// fit models in parallel on the dataflow engine.
+    /// Offline training: read the fleet's training window from storage in
+    /// one query and fit models in parallel on the dataflow engine.
     pub fn train(&mut self, t_end: u64) -> Result<(), MonitorError> {
-        let window = self.config.training_window;
-        let units: Vec<u32> = (0..self.config.fleet.units).collect();
-        // Windows are fetched serially (one storage client), models fitted
-        // in parallel.
-        let mut observations = Vec::with_capacity(units.len());
-        for &u in &units {
-            observations.push((u, self.window_from_store(u, t_end, window)?));
-        }
+        let units = self.config.fleet.units;
+        let read = self.read_columns(None, t_end, self.config.training_window)?;
+        let windows: Vec<(u32, ColumnWindow<'_>)> =
+            (0..units).map(|u| (u, read.unit(u as usize))).collect();
         let results: Vec<Result<UnitModel, String>> = self
             .dataflow
-            .parallelize(observations, self.config.workers * 2)
-            .map(|(u, obs)| train_unit(u, &obs).map_err(|e| e.to_string()))
+            .parallelize(windows, self.config.workers * 2)
+            .map(|(u, columns)| train_unit_columns(u, &columns).map_err(|e| e.to_string()))
             .collect();
-        let mut models = Vec::with_capacity(results.len());
-        for r in results {
-            models.push(r.map_err(MonitorError::Train)?);
-        }
-        models.sort_by_key(|m| m.unit);
-        self.evaluators = models
+        let mut models = results
             .into_iter()
-            .map(|m| OnlineEvaluator::new(m, self.config.procedure, self.config.alpha))
-            .collect();
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(MonitorError::Train)?;
+        models.sort_by_key(|m| m.unit);
+        self.evaluator = BatchEvaluator::new(models, self.config.procedure, self.config.alpha);
         Ok(())
     }
 
@@ -298,30 +362,32 @@ impl Monitor {
     /// incrementality invariant). Returns the number of units that were
     /// dirty and therefore retrained.
     pub fn train_incremental(&mut self, t_end: u64) -> Result<usize, MonitorError> {
-        let window = self.config.training_window;
-        if self.trainer.is_none() {
-            let units: Vec<u32> = (0..self.config.fleet.units).collect();
-            self.trainer = Some(FleetTrainer::new(
-                &units,
-                self.config.fleet.sensors_per_unit as usize,
-            ));
-        }
-        // New ticks since the last call (the whole window on first use).
+        let units = self.config.fleet.units;
+        let sensors = self.config.fleet.sensors_per_unit as usize;
+        // New ticks since the last call (the whole window on first use),
+        // read for the whole fleet in one query.
         let start_tick = match self.trained_through {
             Some(prev) => prev + 1,
-            None => t_end + 1 - window as u64,
+            None => t_end + 1 - self.config.training_window as u64,
         };
-        let mut fresh: Vec<(u32, Vec<Vec<f64>>)> = Vec::new();
-        if start_tick <= t_end {
+        let fresh = if start_tick <= t_end {
             let len = (t_end - start_tick + 1) as usize;
-            for u in 0..self.config.fleet.units {
-                let w = self.window_from_store(u, t_end, len)?;
-                fresh.push((u, (0..w.rows()).map(|r| w.row(r).to_vec()).collect()));
+            Some(self.read_columns(None, t_end, len)?)
+        } else {
+            None
+        };
+        let trainer = self
+            .trainer
+            .get_or_insert_with(|| FleetTrainer::new(&(0..units).collect::<Vec<_>>(), sensors));
+        if let Some(read) = &fresh {
+            for u in 0..units {
+                // The trainer takes rows: transpose the unit's columns.
+                let columns = read.unit(u as usize);
+                let rows: Vec<Vec<f64>> = (0..read.len)
+                    .map(|r| columns.iter().map(|c| c[r]).collect())
+                    .collect();
+                trainer.ingest(u, &rows);
             }
-        }
-        let trainer = self.trainer.as_mut().expect("trainer seeded above");
-        for (u, rows) in &fresh {
-            trainer.ingest(*u, rows);
         }
         let dirty = trainer.dirty_count();
         let failures = trainer.retrain_dirty(&self.dataflow);
@@ -329,12 +395,8 @@ impl Monitor {
             return Err(MonitorError::Train(format!("unit {unit}: {e}")));
         }
         self.trained_through = Some(t_end.max(self.trained_through.unwrap_or(0)));
-        self.evaluators = trainer
-            .models()
-            .values()
-            .cloned()
-            .map(|m| OnlineEvaluator::new(m, self.config.procedure, self.config.alpha))
-            .collect();
+        let models = trainer.models().values().cloned().collect();
+        self.evaluator = BatchEvaluator::new(models, self.config.procedure, self.config.alpha);
         Ok(dirty)
     }
 
@@ -352,7 +414,7 @@ impl Monitor {
 
     /// Whether training has produced evaluators.
     pub fn is_trained(&self) -> bool {
-        !self.evaluators.is_empty()
+        self.evaluator.units() > 0
     }
 
     /// Feed the brownout gate the current ingest-overload pressure
@@ -368,27 +430,44 @@ impl Monitor {
         self.brownout.mode()
     }
 
-    /// Evaluate every unit's window ending at `t_end` against its model.
-    /// Detected anomalies are recorded and written back to the TSDB under
-    /// the `anomaly` metric. Under brownout (see
+    /// Evaluate every unit's window ending at `t_end` against its model:
+    /// one read of the whole fleet's window, scored in one
+    /// [`BatchEvaluator`] pass. Detected anomalies are recorded and written
+    /// back to the TSDB under the `anomaly` metric. Under brownout (see
     /// [`Monitor::observe_pressure`]) evaluation runs on the sampled
     /// sensor subset and outcomes are flagged degraded.
+    ///
+    /// The read comes first, so an incomplete window fails the cycle
+    /// before any flag is recorded or written back.
     pub fn evaluate_at(&mut self, t_end: u64) -> Result<Vec<EvalOutcome>, MonitorError> {
-        if self.evaluators.is_empty() {
+        if !self.is_trained() {
             return Err(MonitorError::NotTrained);
         }
-        let len = self.config.eval_window;
         let period = self.config.fleet.sample_period_secs;
-        let mode = self.brownout.mode();
-        let stride = self.brownout.stride();
-        let mut outcomes = Vec::with_capacity(self.evaluators.len());
-        for ev in &self.evaluators {
-            let unit = ev.model().unit;
-            let w = self.window_from_store(unit, t_end, len)?;
-            let out = match mode {
-                EvalMode::Full => ev.evaluate(&w),
-                EvalMode::Degraded => ev.evaluate_sampled(&w, stride),
-            };
+        let read = self.read_columns(None, t_end, self.config.eval_window)?;
+        let evaluators = self.evaluator.evaluators();
+        let outcomes: Vec<EvalOutcome> = match self.brownout.mode() {
+            EvalMode::Full => {
+                let windows: Vec<Option<ColumnWindow<'_>>> = evaluators
+                    .iter()
+                    .map(|ev| Some(read.unit(ev.model().unit as usize)))
+                    .collect();
+                self.evaluator
+                    .evaluate_columns(&windows)
+                    .into_iter()
+                    .flatten()
+                    .collect()
+            }
+            EvalMode::Degraded => {
+                let stride = self.brownout.stride();
+                evaluators
+                    .iter()
+                    .map(|ev| ev.evaluate_sampled(&read.unit(ev.model().unit as usize), stride))
+                    .collect()
+            }
+        };
+        for out in &outcomes {
+            let unit = out.unit;
             for flag in &out.flags {
                 self.anomalies.push(AnomalyRecord {
                     unit,
@@ -415,15 +494,10 @@ impl Monitor {
                     .map_err(|e| MonitorError::Storage(e.to_string()))?;
                 // A freshly flagged series must never hide behind a stale
                 // chart: drop every cached result covering it.
-                let flagged: BTreeMap<String, String> = [
-                    ("unit".to_string(), u.clone()),
-                    ("sensor".to_string(), s.clone()),
-                ]
-                .into();
+                let flagged = series_tags(unit, flag.sensor);
                 self.engine.invalidate_series("energy", &flagged);
                 self.engine.invalidate_series("anomaly", &flagged);
             }
-            outcomes.push(out);
         }
         Ok(outcomes)
     }

@@ -28,6 +28,8 @@
 
 use std::fmt;
 
+use pga_minibase::{crc32, crc32_extend};
+
 /// Magic bytes opening every sealed block.
 pub const BLOCK_MAGIC: [u8; 4] = *b"PGBK";
 
@@ -99,40 +101,6 @@ impl fmt::Display for BlockError {
 }
 
 impl std::error::Error for BlockError {}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Hand-rolled:
-/// the workspace vendors no checksum crate.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = build_crc_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        let entry = TABLE.get(idx).copied().unwrap_or(0); // idx < 256 by construction
-        crc = (crc >> 8) ^ entry;
-    }
-    !crc
-}
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        // pga-allow(panic-path): i < 256 by the loop bound; const fn cannot use get_mut
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
 
 /// MSB-first bit writer over a growable byte buffer.
 struct BitWriter {
@@ -358,19 +326,6 @@ pub fn encode_block(timestamps: &[u64], values: &[f64]) -> Result<Vec<u8>, Block
     out.extend_from_slice(&crc.to_be_bytes());
     out.extend_from_slice(&payload);
     Ok(out)
-}
-
-/// Continue a CRC-32 across a second buffer (`crc32(a ++ b)` without
-/// concatenating).
-fn crc32_extend(prev: u32, bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = build_crc_table();
-    let mut crc = !prev;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        let entry = TABLE.get(idx).copied().unwrap_or(0);
-        crc = (crc >> 8) ^ entry;
-    }
-    !crc
 }
 
 fn read_u32(buf: &[u8], at: usize) -> Result<u32, BlockError> {

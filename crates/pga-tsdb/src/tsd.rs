@@ -11,8 +11,6 @@
 //! (one extra scan RPC + one extra put RPC), exactly the extra chatter the
 //! paper eliminated; experiment E8 measures the difference.
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +22,7 @@ use crate::block::BlockError;
 use crate::codec::KeyCodec;
 use crate::query::{
     assemble_columns, assemble_columns_salvage, finish_columns, AssembledColumns, ColumnSeries,
-    CorruptBlock, DataPoint, QueryFilter, TimeSeries,
+    CorruptBlock, QueryFilter, TimeSeries,
 };
 use crate::series::Series;
 
@@ -613,60 +611,6 @@ impl Tsd {
         }
         Ok(())
     }
-
-    /// The pre-block cell-by-cell read path, kept as the differential
-    /// baseline: byte-for-byte equal to [`Tsd::query`] on any store, and
-    /// the E21 benchmark's "before" side. Sealed blocks are invisible to
-    /// it (their 3-byte qualifier is skipped like any non-raw column), so
-    /// it only answers completely on stores that never sealed — exactly
-    /// the legacy deployments it represents.
-    pub fn query_legacy(
-        &self,
-        metric: &str,
-        filter: &QueryFilter,
-        start: u64,
-        end: u64,
-    ) -> Result<Vec<TimeSeries>, TsdError> {
-        let mut series: BTreeMap<Vec<(String, String)>, Vec<DataPoint>> = BTreeMap::new();
-        for salt in self.codec.salt_range() {
-            let (s, e) = self.codec.scan_range(salt, metric, start, end);
-            if s.is_empty() && e.is_empty() {
-                continue; // unknown metric
-            }
-            let cells = self.client.scan(&RowRange::new(s, e))?;
-            self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
-            for cell in cells {
-                if cell.qualifier.len() != 2 || cell.qualifier[..] == [0xFF, 0xFF] {
-                    continue; // compacted blob column: raw cells carry the data
-                }
-                if let Some(p) = self.codec.decode(&cell.row, &cell.qualifier, &cell.value) {
-                    if p.timestamp < start || p.timestamp > end {
-                        continue;
-                    }
-                    let tag_map: BTreeMap<String, String> = p.tags.iter().cloned().collect();
-                    if !filter.matches(&tag_map) {
-                        continue;
-                    }
-                    series.entry(p.tags.clone()).or_default().push(DataPoint {
-                        timestamp: p.timestamp,
-                        value: p.value,
-                    });
-                }
-            }
-        }
-        Ok(series
-            .into_iter()
-            .map(|(tags, mut points)| {
-                points.sort_by_key(|p| p.timestamp);
-                points.dedup_by_key(|p| p.timestamp);
-                TimeSeries {
-                    metric: metric.to_string(),
-                    tags: tags.into_iter().collect(),
-                    points,
-                }
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -856,37 +800,6 @@ mod tests {
         assert_eq!(s.len(), 1);
         let vals: Vec<f64> = s[0].points.iter().map(|p| p.value).collect();
         assert_eq!(vals, vec![5.0, 6.0]);
-        m.shutdown();
-    }
-
-    #[test]
-    fn sealing_compaction_preserves_query_results() {
-        let (mut m, t) = tsd(2, 4, false);
-        m.set_compaction_rewriter(t.block_rewriter());
-        let tags = [("unit", "1"), ("sensor", "a")];
-        // Two full rows plus a partial third (watermark sits inside it).
-        for ts in (0..9000u64).step_by(600) {
-            t.put("energy", &tags, ts, (ts as f64).sin()).unwrap();
-        }
-        let before = t.query("energy", &QueryFilter::any(), 0, 20_000).unwrap();
-        let legacy_before = t
-            .query_legacy("energy", &QueryFilter::any(), 0, 20_000)
-            .unwrap();
-        assert_eq!(before, legacy_before, "paths agree pre-seal");
-        t.compact_now().unwrap();
-        let after = t.query("energy", &QueryFilter::any(), 0, 20_000).unwrap();
-        assert_eq!(before, after, "sealing must not change query answers");
-        // The legacy path cannot see sealed blocks — rows 0 and 1 are gone
-        // from it, proving the seal physically replaced raw cells.
-        let legacy_after = t
-            .query_legacy("energy", &QueryFilter::any(), 0, 20_000)
-            .unwrap();
-        let legacy_pts: usize = legacy_after.iter().map(|s| s.points.len()).sum();
-        let all_pts: usize = after.iter().map(|s| s.points.len()).sum();
-        assert!(
-            legacy_pts < all_pts,
-            "expected sealed rows to vanish from the legacy path ({legacy_pts} vs {all_pts})"
-        );
         m.shutdown();
     }
 

@@ -3,10 +3,14 @@
 //! over adversarial series, corruption/truncation behaviour, and the
 //! sealed-block vs legacy-scan differential.
 
+#[path = "legacy/mod.rs"]
+mod legacy;
+
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use legacy::query_legacy;
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
 use pga_tsdb::uid::UidKind;
@@ -285,7 +289,7 @@ proptest! {
         put(&points, &mut model);
         check(&model, "raw");
         for &w in &windows {
-            let legacy = tsd.query_legacy("energy", &QueryFilter::any(), w.0, w.1).unwrap();
+            let legacy = query_legacy(&tsd, "energy", &QueryFilter::any(), w.0, w.1).unwrap();
             prop_assert_eq!(answer(&legacy), Some(clip(&model, w)), "legacy window {:?}", w);
         }
         tsd.compact_now().unwrap();
@@ -371,7 +375,7 @@ proptest! {
             let s = sensor.to_string();
             tsd.put("energy", &[("unit", &u), ("sensor", &s)], ts, value).unwrap();
         }
-        let legacy_before = tsd.query_legacy("energy", &QueryFilter::any(), 0, 10_000).unwrap();
+        let legacy_before = query_legacy(&tsd, "energy", &QueryFilter::any(), 0, 10_000).unwrap();
         let block_before = tsd.query("energy", &QueryFilter::any(), 0, 10_000).unwrap();
         prop_assert_eq!(&legacy_before, &block_before, "paths must agree pre-seal");
         tsd.compact_now().unwrap();
@@ -664,6 +668,33 @@ fn stack(c: KeyCodec, config: TsdConfig) -> (Master, Tsd) {
     });
     let tsd = Tsd::new(c, Client::connect(&master), config);
     (master, tsd)
+}
+
+#[test]
+fn sealing_compaction_preserves_query_results() {
+    let (mut m, t) = stack(codec(4), TsdConfig::default());
+    m.set_compaction_rewriter(t.block_rewriter());
+    let tags = [("unit", "1"), ("sensor", "a")];
+    // Two full rows plus a partial third (watermark sits inside it).
+    for ts in (0..9000u64).step_by(600) {
+        t.put("energy", &tags, ts, (ts as f64).sin()).unwrap();
+    }
+    let before = t.query("energy", &QueryFilter::any(), 0, 20_000).unwrap();
+    let legacy_before = query_legacy(&t, "energy", &QueryFilter::any(), 0, 20_000).unwrap();
+    assert_eq!(before, legacy_before, "paths agree pre-seal");
+    t.compact_now().unwrap();
+    let after = t.query("energy", &QueryFilter::any(), 0, 20_000).unwrap();
+    assert_eq!(before, after, "sealing must not change query answers");
+    // The legacy path cannot see sealed blocks — rows 0 and 1 are gone
+    // from it, proving the seal physically replaced raw cells.
+    let legacy_after = query_legacy(&t, "energy", &QueryFilter::any(), 0, 20_000).unwrap();
+    let legacy_pts: usize = legacy_after.iter().map(|s| s.points.len()).sum();
+    let all_pts: usize = after.iter().map(|s| s.points.len()).sum();
+    assert!(
+        legacy_pts < all_pts,
+        "expected sealed rows to vanish from the legacy path ({legacy_pts} vs {all_pts})"
+    );
+    m.shutdown();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end integration: generator → proxy → TSDB → detector → viz.
 
 use pga_control::Metric;
-use pga_platform::{Monitor, PlatformConfig};
+use pga_platform::{Monitor, MonitorError, PlatformConfig};
 use pga_sensorgen::FaultClass;
 
 fn monitor(seed: u64) -> Monitor {
@@ -222,6 +222,99 @@ fn a_window_read_scans_exactly_the_cells_of_its_time_range() {
     // Served: the one unit's four sensors.
     let served = m.fleet_snapshot().fold(Metric::QueryPointsServed);
     assert_eq!(served, t_ends.len() as u64 * 4 * 50);
+    m.shutdown();
+}
+
+/// `call` makes exactly one engine query, which scans `cells` cells and
+/// serves every one of them.
+fn one_read(m: &mut Monitor, what: &str, cells: u64, call: impl FnOnce(&mut Monitor)) {
+    let before = m.engine().stats();
+    call(m);
+    let after = m.engine().stats();
+    assert_eq!(after.queries - before.queries, 1, "{what}: one query");
+    let scanned = after.cells_scanned - before.cells_scanned;
+    assert_eq!(scanned, cells, "{what}: cells scanned");
+    let served = after.points_served - before.points_served;
+    assert_eq!(served, cells, "{what}: points served");
+}
+
+/// One read per cycle, held to exact counts: `train`, `train_incremental`
+/// and `evaluate_at` each make one engine query, which scans the window's
+/// cells of every series once and serves all of them — where a per-unit
+/// read scanned the whole fleet's window once per unit.
+#[test]
+fn a_cycle_reads_the_fleet_window_once() {
+    let mut config = PlatformConfig::demo(137);
+    config.fleet.units = 3;
+    config.fleet.sensors_per_unit = 4;
+    let (train, eval) = (config.training_window as u64, config.eval_window as u64);
+    let series = 3 * 4;
+    let mut m = Monitor::new(config).unwrap();
+    m.ingest_range(0, 400);
+    one_read(&mut m, "train", series * train, |m| m.train(299).unwrap());
+    one_read(&mut m, "evaluate_at", series * eval, |m| {
+        assert_eq!(m.evaluate_at(399).unwrap().len(), 3);
+    });
+    one_read(&mut m, "train_incremental", series * train, |m| {
+        assert_eq!(m.train_incremental(349).unwrap(), 3);
+    });
+    one_read(&mut m, "train_incremental, new ticks", series * 40, |m| {
+        assert_eq!(m.train_incremental(389).unwrap(), 3);
+    });
+    m.shutdown();
+}
+
+/// A cycle is all-or-nothing: an incomplete window fails `evaluate_at`
+/// before any unit's flags are recorded or written back, so retrying the
+/// same `t_end` once the data is in records each flag exactly once.
+#[test]
+fn an_incomplete_window_fails_the_cycle_before_anything_is_recorded() {
+    let mut m = monitor(101);
+    m.ingest_range(0, 600);
+    m.train(149).unwrap();
+    let last = m.config().fleet.units - 1;
+    let put = |m: &Monitor, keep: &dyn Fn(u32) -> bool| {
+        for t in 600..650 {
+            for s in m.fleet().tick(t).into_iter().filter(|s| keep(s.unit)) {
+                let (u, j) = (s.unit.to_string(), s.sensor.to_string());
+                let tags = [("unit", u.as_str()), ("sensor", j.as_str())];
+                m.tsd().put("energy", &tags, s.timestamp, s.value).unwrap();
+            }
+        }
+    };
+    put(&m, &|u| u != last);
+    match m.evaluate_at(649) {
+        Err(MonitorError::IncompleteWindow {
+            unit,
+            sensor: 0,
+            found: 0,
+        }) => assert_eq!(unit, last),
+        other => panic!("expected the last unit's window to be incomplete: {other:?}"),
+    }
+    assert!(
+        m.anomalies().is_empty(),
+        "nothing recorded from a failed cycle"
+    );
+    let any = pga_tsdb::QueryFilter::any();
+    let written = m.tsd().query("anomaly", &any, 0, 1000).unwrap();
+    assert!(
+        written.is_empty(),
+        "nothing written back from a failed cycle"
+    );
+
+    put(&m, &|u| u == last);
+    m.evaluate_at(649).unwrap();
+    let records: Vec<_> = m
+        .anomalies()
+        .iter()
+        .map(|a| (a.unit, a.sensor, a.timestamp))
+        .collect();
+    let once: std::collections::BTreeSet<_> = records.iter().copied().collect();
+    assert_eq!(once.len(), records.len(), "each flag recorded once");
+    assert!(
+        records.iter().any(|&(unit, _, _)| unit < last),
+        "a unit before the incomplete one is flagged"
+    );
     m.shutdown();
 }
 

@@ -163,11 +163,33 @@ fn dashboard_and_api_over_one_socket() {
     monitor.lock().shutdown();
 }
 
+/// Every bit a monitor's evaluation reports per unit.
+type Verdicts = Vec<(u32, Vec<u64>, Vec<bool>, Vec<(usize, u64)>)>;
+
+fn verdicts(outcomes: &[pga_detect::EvalOutcome]) -> Verdicts {
+    outcomes
+        .iter()
+        .map(|o| {
+            (
+                o.unit,
+                o.p_values.iter().map(|p| p.to_bits()).collect(),
+                o.rejected.clone(),
+                o.block_p_values
+                    .iter()
+                    .map(|&(b, p)| (b, p.to_bits()))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
 /// One external datapoint must not end detection for a unit: `energy`
-/// series the fleet does not have (a sensor id past the fleet's, an extra
-/// tag on a sensor it has) arrive through `POST /api/put` like any other
-/// point, and every later window read for the unit must leave them out —
-/// not index the observation matrix with them.
+/// series the fleet does not have (a sensor id past the fleet's, a unit or
+/// sensor tag that parses to one of the fleet's ids but is not how the
+/// fleet spells it, a unit past the fleet's, an extra tag on a sensor it
+/// has) arrive through `POST /api/put` like any other point, and every
+/// later window read — of one unit or of the whole fleet — must leave them
+/// out, not index the observation window with them.
 #[test]
 fn stray_series_from_the_put_api_do_not_reach_the_model() {
     let (server, monitor) = serving_monitor();
@@ -178,6 +200,10 @@ fn stray_series_from_the_put_api_do_not_reach_the_model() {
     for tags in [
         r#"{"unit":"0","sensor":"999"}"#,
         r#"{"unit":"0","sensor":"3","site":"x"}"#,
+        r#"{"unit":"00","sensor":"3"}"#,
+        r#"{"unit":"99","sensor":"3"}"#,
+        r#"{"unit":"0","sensor":"03"}"#,
+        r#"{"unit":"1","sensor":"2","site":"y"}"#,
     ] {
         let body = format!(r#"{{"metric":"energy","timestamp":590,"value":1e9,"tags":{tags}}}"#);
         let (status, _) = request(addr, "POST", "/api/put", &body);
@@ -208,8 +234,26 @@ fn stray_series_from_the_put_api_do_not_reach_the_model() {
             );
         }
     }
-    assert_eq!(m.evaluate_at(598).unwrap().len(), 4);
+    // Whole-fleet reads: the same verdicts, bit for bit, as a monitor
+    // that never saw the strays — before and after retraining on a window
+    // that holds them.
+    let (clean_server, clean) = serving_monitor();
+    let mut clean = clean.lock();
+    let evaluated = m.evaluate_at(598).unwrap();
+    assert_eq!(evaluated.len(), 4);
+    assert_eq!(
+        verdicts(&evaluated),
+        verdicts(&clean.evaluate_at(598).unwrap())
+    );
     m.train(598).unwrap();
+    clean.train(598).unwrap();
+    assert_eq!(
+        verdicts(&m.evaluate_at(599).unwrap()),
+        verdicts(&clean.evaluate_at(599).unwrap())
+    );
+    clean.shutdown();
+    drop(clean);
+    clean_server.stop();
     drop(m);
     server.stop();
     monitor.lock().shutdown();
