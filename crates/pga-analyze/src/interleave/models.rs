@@ -121,7 +121,7 @@ impl Model for HistogramModel {
 }
 
 /// A source-owned telemetry counter (the kind every layer keeps and the
-/// control plane samples) incremented from two threads. The real code
+/// fleet telemetry samples) incremented from two threads. The real code
 /// uses `fetch_add` — one atomic read-modify-write step. The seeded
 /// bug splits it into a `load` step and a `store` step, the classic lost
 /// update.

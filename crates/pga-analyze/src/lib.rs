@@ -7,7 +7,8 @@
 //! the token streams:
 //!
 //! - `determinism` — no ambient time/entropy on the deterministic-replay
-//!   surface (`pga-cluster::sim`, `pga-control::elastic`, `pga-sensorgen`)
+//!   surface (`pga-sensorgen`, `pga-faultsim`, `pga-repl`, `pga-sched`,
+//!   `pga-query`, `pga-cluster::sim`, `pga-minibase::scrub`)
 //! - `panic-path` — no `unwrap`/`expect`/direct indexing in
 //!   request-serving modules
 //! - `lock-discipline` — acyclic static lock-order graph, no guard held

@@ -57,20 +57,6 @@ const BASELINE: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "HysteresisConfig",
-        &[
-            "high_water",
-            "low_water",
-            "k_ticks",
-            "cooldown_ticks",
-            "ema_alpha",
-            "scale_out_step",
-            "scale_in_step",
-            "min_nodes",
-            "max_nodes",
-        ],
-    ),
-    (
         "BrownoutConfig",
         &["enter_pressure", "exit_pressure", "stride"],
     ),

@@ -1,9 +1,9 @@
-//! R1 `determinism`: the deterministic-replay surface (the elastic
-//! simulator, the cluster simulator, the sensor generator, the serving
-//! query engine, and the whole fault-injection harness) must never read
-//! ambient time or entropy.
+//! R1 `determinism`: the deterministic-replay surface (the cluster
+//! simulator, the sensor generator, the serving query engine, and the
+//! whole fault-injection harness) must never read ambient time or
+//! entropy.
 //! Replays diverge silently otherwise — the exact failure class the
-//! elastic experiments and `pga crashtest --seed N` reproducers depend
+//! simulated experiments and `pga crashtest --seed N` reproducers depend
 //! on not having.
 
 use crate::rules::{Rule, Violation, Workspace};
@@ -37,7 +37,6 @@ fn in_scope(f: &SourceFile) -> bool {
         // reproducers diverge.
         "pga-minibase" => top == Some("scrub"),
         "pga-cluster" => top == Some("sim"),
-        "pga-control" => top == Some("elastic"),
         _ => false,
     }
 }

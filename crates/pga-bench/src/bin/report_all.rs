@@ -8,9 +8,8 @@
 //! ```
 
 use pga_bench::{
-    compaction_ablation, elastic_scaling_experiment, eval_throughput_experiment, fdr_experiment,
-    fig2_report, pipeline_throughput_experiment, render_table, training_scaling_experiment,
-    write_report,
+    compaction_ablation, eval_throughput_experiment, fdr_experiment, fig2_report,
+    pipeline_throughput_experiment, render_table, training_scaling_experiment, write_report,
 };
 use pga_ingest::{proxy_ablation, salting_ablation};
 
@@ -364,42 +363,6 @@ fn main() {
     }
     println!("{}", render_table(&rows));
     save("training_scaling", &tr);
-
-    // ---------------------------------------------------------------- E16
-    println!("== E16: elastic scaling under load surges (pga-control) ==");
-    let elastic = elastic_scaling_experiment(if quick { 120.0 } else { 300.0 });
-    println!(
-        "calibration: {:.0} samples/s effective per node; surge 80k -> 250k samples/s",
-        elastic.per_node_rate
-    );
-    let mut rows = vec![vec![
-        "pattern".to_string(),
-        "fleet".to_string(),
-        "crashes".to_string(),
-        "delivered".to_string(),
-        "drain (s)".to_string(),
-        "max backlog".to_string(),
-        "peak nodes".to_string(),
-        "node-seconds".to_string(),
-        "samples/s/node".to_string(),
-    ]];
-    for row in &elastic.rows {
-        let r = &row.report;
-        rows.push(vec![
-            r.pattern.clone(),
-            row.scenario.clone(),
-            r.crashes.to_string(),
-            format!("{:.1}%", r.delivery_ratio() * 100.0),
-            format!("{:.0}", r.drain_secs),
-            format!("{:.0}", r.max_backlog),
-            r.peak_active_nodes.to_string(),
-            format!("{:.0}", r.node_seconds),
-            format!("{:.0}", r.per_node_throughput()),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!("paper §III-B: \"data nodes would crash when the data ingestion rate was increased beyond a certain threshold\" — the static no-proxy rows reproduce that; the autoscaled rows absorb the same surge with zero crashes.");
-    save("elastic_scaling", &elastic);
 
     // ---------------------------------------------------------------- E17
     println!("== E17: durability under injected faults (pga-faultsim) ==");

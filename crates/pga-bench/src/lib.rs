@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
-pub mod elastic;
 pub mod experiments;
 pub mod faults;
 pub mod overload;
@@ -20,7 +19,6 @@ pub mod table;
 pub mod train;
 
 pub use blocks::{block_format_experiment, BlockBenchConfig, BlockBenchReport, DetectArm, ScanArm};
-pub use elastic::{elastic_scaling_experiment, ElasticScalingReport, ElasticScenarioRow};
 pub use experiments::{
     alpha_sweep_experiment, compaction_ablation, compaction_ablation_single,
     detection_latency_experiment, eval_throughput_experiment, fdr_experiment,

@@ -56,7 +56,7 @@ struct SessionState {
 ///
 /// Mirrors ZooKeeper's persistent recursive watches: one registration keeps
 /// delivering every event under its prefix (no re-arming), which is what
-/// the control plane needs to track `/stats` and `/rs` churn.
+/// tracking `/rs` membership churn needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WatchEvent {
     /// A znode was created under the watched prefix.
@@ -305,45 +305,6 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Create the znode if absent, otherwise overwrite it. Returns the new
-    /// version (0 on create). This is the idiom stat-publishing uses every
-    /// tick, so it avoids the create-then-set race under one lock.
-    pub fn upsert_ephemeral(
-        &self,
-        path: &str,
-        data: Vec<u8>,
-        session: SessionId,
-    ) -> Result<u64, CoordinatorError> {
-        let mut st = self.state.lock();
-        match st.sessions.get(&session) {
-            Some(s) if !s.expired => {}
-            _ => return Err(CoordinatorError::SessionExpired(session)),
-        }
-        if let Some(z) = st.znodes.get_mut(path) {
-            z.data = data;
-            z.version += 1;
-            let version = z.version;
-            // pga-allow(lock-discipline): state → watch-queue is the one global order; firing under the state lock keeps event order matching mutation order
-            st.fire(WatchEvent::DataChanged {
-                path: path.to_string(),
-                version,
-            });
-            Ok(version)
-        } else {
-            st.znodes.insert(
-                path.to_string(),
-                Znode {
-                    data,
-                    version: 0,
-                    ephemeral_owner: Some(session),
-                },
-            );
-            // pga-allow(lock-discipline): state → watch-queue is the one global order; firing under the state lock keeps event order matching mutation order
-            st.fire(WatchEvent::Created(path.to_string()));
-            Ok(0)
-        }
-    }
-
     /// List znodes directly under `prefix` (children, ZooKeeper-style).
     pub fn children(&self, prefix: &str) -> Vec<String> {
         let norm = if prefix.ends_with('/') {
@@ -514,26 +475,6 @@ mod tests {
         let w2 = c.watch("/a");
         c.create("/a/y", vec![]).unwrap();
         assert_eq!(w2.pending(), 1);
-    }
-
-    #[test]
-    fn upsert_ephemeral_creates_then_updates() {
-        let c = Coordinator::new(1000);
-        let s = c.connect(0);
-        let w = c.watch("/stats");
-        assert_eq!(
-            c.upsert_ephemeral("/stats/n1", b"a".to_vec(), s).unwrap(),
-            0
-        );
-        assert_eq!(
-            c.upsert_ephemeral("/stats/n1", b"b".to_vec(), s).unwrap(),
-            1
-        );
-        assert_eq!(c.get("/stats/n1").unwrap().0, b"b".to_vec());
-        assert_eq!(w.poll().len(), 2);
-        // Ephemeral: dies with the session.
-        c.expire_stale_sessions(5000);
-        assert!(c.get("/stats/n1").is_err());
     }
 
     #[test]

@@ -410,7 +410,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
     }
 
     /// Requests currently waiting in the RPC queue — the telemetry signal
-    /// the control plane scales on (§III-B's overload precursor).
+    /// of §III-B's overload precursor.
     pub fn queue_depth(&self) -> usize {
         self.tx.len()
     }

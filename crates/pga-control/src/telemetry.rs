@@ -1,23 +1,18 @@
-//! Per-node telemetry: one metric table, the `/stats/<node>` record built
-//! from it, and fleet-wide scraping and folding through the coordinator.
+//! Per-node telemetry: one metric table, the per-node sample built from
+//! it, and the fleet-wide folds over those samples.
 //!
 //! Every metric is declared once, as a row of the `metrics!` table
-//! below; [`NodeStats`] serde, [`FleetSnapshot::fold`], the `/cluster`
-//! tiles and the `/metrics` exposition are all loops over [`METRICS`].
-//! The layers that own the counters keep their own atomics; the control
-//! plane *samples* them into a [`NodeStats`] and publishes it to the
-//! coordinator as an **ephemeral** znode under `/stats/<node>`, bound to
-//! the node's session. A node that dies takes its stat znode with it, so
-//! the control plane's [`FleetSnapshot::scrape`] view never contains
-//! ghosts, and the coordinator's watch API streams churn under `/stats`
-//! without polling.
+//! below; [`FleetSnapshot::fold`], the `/cluster` tiles and the
+//! `/metrics` exposition are all loops over [`METRICS`]. The layers that
+//! own the counters keep their own atomics; whoever can see them
+//! *samples* them into a [`NodeStats`] — [`collect_node_stats`] for a
+//! storage node, the platform monitor for its own front end.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-use serde_json::{Error, Map, Value};
-
-use pga_cluster::coordinator::{Coordinator, CoordinatorError, SessionId};
+use pga_cluster::rpc::ServerState;
+use pga_cluster::NodeId;
+use pga_minibase::Master;
 
 /// Number of power-of-two histogram buckets: bucket `i` counts values in
 /// `[2^i, 2^(i+1))`, with bucket 0 also holding zeros and ones.
@@ -112,12 +107,13 @@ pub enum Fold {
     Max,
 }
 
-/// Which published samples a fleet fold counts.
+/// Which samples a fleet fold counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Every sample: crashed nodes' history, proxies and front ends too.
     All,
-    /// Live region servers only — not crashed, not a proxy or front end.
+    /// Live region servers only — not crashed, not a proxy or front end:
+    /// the fleet whose RPC queues these rows describe.
     Serving,
 }
 
@@ -126,8 +122,7 @@ pub enum Scope {
 pub struct MetricDef {
     /// The variant this row declares.
     pub metric: Metric,
-    /// Wire name: the JSON key in `/stats/<node>` and the sample name on
-    /// `/metrics`.
+    /// Wire name: the sample name on `/metrics`.
     pub name: &'static str,
     /// What the value counts (also the variant's rustdoc).
     pub help: &'static str,
@@ -140,10 +135,10 @@ pub struct MetricDef {
 }
 
 /// Declares every per-node metric once. A row expands to a [`Metric`]
-/// variant and its [`MetricDef`] in [`METRICS`]; the `/stats` JSON key,
-/// the fleet fold, the `/metrics` sample and the `/cluster` tile are all
-/// derived from the row, so adding a metric is one row here plus one
-/// [`NodeStats::set`] where the value is known.
+/// variant and its [`MetricDef`] in [`METRICS`]; the fleet fold, the
+/// `/metrics` sample and the `/cluster` tile are all derived from the
+/// row, so adding a metric is one row here plus one [`NodeStats::set`]
+/// where the value is known.
 macro_rules! metrics {
     ($($variant:ident, $name:literal, $fold:ident, $scope:ident, $tile:expr, $help:literal;)*) => {
         /// A per-node metric: one row of [`METRICS`], indexing
@@ -171,16 +166,12 @@ metrics! {
     QueueDepth, "queue_depth", Sum, Serving, None, "RPC queue depth at snapshot time.";
     QueueCapacity, "queue_capacity", Sum, Serving, None, "RPC queue capacity.";
     SamplesWritten, "samples_written", Sum, All, None, "Cumulative samples written.";
-    MemstoreBytes, "memstore_bytes", Sum, Serving, None, "Memstore bytes held.";
     Flushes, "flushes", Sum, All, None, "Cumulative flushes.";
     Compactions, "compactions", Sum, All, None, "Cumulative compactions.";
     Overloads, "overloads", Sum, All, None, "Cumulative overload strikes.";
     ShedWrites, "shed_writes", Sum, All, None, "Cumulative write RPCs shed by admission control.";
     ShedReads, "shed_reads", Sum, All, None, "Cumulative read RPCs shed by admission control.";
     DeadlineExpired, "deadline_expired", Sum, All, None, "Cumulative requests dropped on deadline expiry.";
-    BreakerTrips, "breaker_trips", Sum, All, None, "Cumulative circuit-breaker trips (proxy side).";
-    IngestBufferDepth, "ingest_buffer_depth", Sum, All, None, "Batches buffered in the ingest proxy at snapshot time.";
-    IngestBufferCapacity, "ingest_buffer_capacity", Sum, All, None, "Ingest proxy buffer capacity.";
     ReplLagBatches, "repl_lag_batches", Max, All, Some("worst lag (batches)"), "Worst follower lag (WAL batches behind the primary) across the replicated regions this node leads.";
     ReplRegions, "repl_regions", Sum, All, None, "Replicated regions this node is the primary for.";
     ReplFailovers, "repl_failovers", Sum, All, Some("failovers"), "Promotions that made this node a primary.";
@@ -217,45 +208,28 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// `depth / capacity` in `[0, 1]` (0 when capacity is unknown/unbounded).
-fn occupancy(depth: u64, capacity: u64) -> f64 {
-    if capacity == u64::MAX {
-        0.0
-    } else {
-        ratio(depth, capacity)
-    }
-}
-
-/// One node's published stats — the JSON payload of `/stats/<node>`: a
-/// flat object of the five header fields below plus one key per
+/// One node's sampled stats: the header fields below plus one value per
 /// [`METRICS`] row. The owning layers keep their own counters; whoever
 /// can see them samples them into one of these with [`NodeStats::set`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeStats {
     /// Node id.
     pub node: u32,
-    /// Publisher's control tick when the snapshot was taken.
-    pub tick: u64,
     /// Whether the node has crashed.
     pub crashed: bool,
-    /// This snapshot comes from an ingest proxy or a TSD/query front
-    /// end, not a region server: it is excluded from
-    /// [`Scope::Serving`] folds and feeds the backlog-pressure signal.
+    /// This sample comes from an ingest proxy or a TSD/query front end,
+    /// not a region server: it is excluded from [`Scope::Serving`] folds.
     pub is_proxy: bool,
-    /// Mean admitted batch size.
-    pub mean_batch: f64,
     values: [u64; METRICS.len()],
 }
 
 impl NodeStats {
-    /// An all-zero sample for `node` at `tick`.
-    pub fn new(node: u32, tick: u64) -> Self {
+    /// An all-zero sample for `node`.
+    pub fn new(node: u32) -> Self {
         NodeStats {
             node,
-            tick,
             crashed: false,
             is_proxy: false,
-            mean_batch: 0.0,
             values: [0; METRICS.len()],
         }
     }
@@ -270,115 +244,60 @@ impl NodeStats {
         self.values[metric as usize] = value;
         self
     }
-
-    /// Queue occupancy in `[0, 1]` (0 when capacity is unknown/unbounded).
-    pub fn queue_utilization(&self) -> f64 {
-        occupancy(
-            self.get(Metric::QueueDepth),
-            self.get(Metric::QueueCapacity),
-        )
-    }
-
-    /// Ingest buffer occupancy in `[0, 1]` (0 when capacity is unknown).
-    pub fn ingest_buffer_utilization(&self) -> f64 {
-        occupancy(
-            self.get(Metric::IngestBufferDepth),
-            self.get(Metric::IngestBufferCapacity),
-        )
-    }
-
-    /// Total RPCs this node shed under admission control.
-    pub fn total_sheds(&self) -> u64 {
-        self.get(Metric::ShedWrites) + self.get(Metric::ShedReads)
-    }
 }
 
-impl Serialize for NodeStats {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("node".into(), self.node.to_value());
-        map.insert("tick".into(), self.tick.to_value());
-        map.insert("crashed".into(), self.crashed.to_value());
-        map.insert("is_proxy".into(), self.is_proxy.to_value());
-        map.insert("mean_batch".into(), self.mean_batch.to_value());
-        for (def, value) in METRICS.iter().zip(&self.values) {
-            map.insert(def.name.into(), value.to_value());
-        }
-        Value::Object(map)
-    }
+/// Sample one storage node's stats: queue and shed counters from its RPC
+/// handle, write, flush and compaction totals from the regions it hosts,
+/// replication placement from the master. Nothing is asked of the node
+/// over RPC, so a full queue cannot stall the sample and a crashed or
+/// stopped node keeps reporting its cumulative counters. `None` when the
+/// master has never hosted `node`.
+pub fn collect_node_stats(master: &Master, node: NodeId) -> Option<NodeStats> {
+    let server = master.server(node)?;
+    let handle = server.handle();
+    let mut stats = NodeStats::new(node.0);
+    stats.crashed = handle.state() == ServerState::Crashed;
+    let regions = server.total_metrics();
+    // Replication plane: worst follower lag and region count for the
+    // regions this node leads, plus the promotions that made it a
+    // primary — all from the master's authoritative view, so they
+    // stay correct even while the node itself is unreachable.
+    let (repl_lag_batches, repl_regions) = master
+        .replication_report()
+        .iter()
+        .filter(|s| s.primary == node)
+        .fold((0u64, 0u64), |(lag, n), s| (lag.max(s.max_lag()), n + 1));
+    let repl_failovers = master
+        .failover_events()
+        .iter()
+        .filter(|e| e.to == node)
+        .count() as u64;
+    stats
+        .set(Metric::QueueDepth, handle.queue_depth() as u64)
+        .set(Metric::QueueCapacity, handle.queue_capacity() as u64)
+        .set(Metric::SamplesWritten, regions.cells_written)
+        .set(Metric::Flushes, regions.flushes)
+        .set(Metric::Compactions, regions.compactions)
+        .set(Metric::Overloads, handle.overloads())
+        .set(Metric::ShedWrites, handle.shed_writes())
+        .set(Metric::ShedReads, handle.shed_reads())
+        .set(Metric::DeadlineExpired, handle.deadline_expired())
+        .set(Metric::ReplLagBatches, repl_lag_batches)
+        .set(Metric::ReplRegions, repl_regions)
+        .set(Metric::ReplFailovers, repl_failovers);
+    Some(stats)
 }
 
-/// The four founding header keys are required; `is_proxy` and every
-/// metric key default to `false`/0 and unknown keys are ignored, so a
-/// snapshot from an older or newer publisher still loads.
-impl Deserialize for NodeStats {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::msg("expected object for NodeStats"))?;
-        fn required<T: Deserialize>(obj: &Map, key: &str) -> Result<T, Error> {
-            let value = obj
-                .get(key)
-                .ok_or_else(|| Error::msg(format!("missing field `{key}` in NodeStats")))?;
-            T::from_value(value)
-        }
-        let mut stats = NodeStats::new(required(obj, "node")?, required(obj, "tick")?);
-        stats.crashed = required(obj, "crashed")?;
-        stats.mean_batch = required(obj, "mean_batch")?;
-        if let Some(v) = obj.get("is_proxy") {
-            stats.is_proxy = bool::from_value(v)?;
-        }
-        for (def, slot) in METRICS.iter().zip(&mut stats.values) {
-            if let Some(v) = obj.get(def.name) {
-                *slot = u64::from_value(v)?;
-            }
-        }
-        Ok(stats)
-    }
-}
-
-/// Znode prefix stats are published under.
-pub const STATS_PREFIX: &str = "/stats";
-
-/// Publish `stats` as `/stats/<node>`, creating or updating the ephemeral
-/// znode bound to `session`. Returns the znode version.
-pub fn publish(
-    coord: &Coordinator,
-    session: SessionId,
-    stats: &NodeStats,
-) -> Result<u64, CoordinatorError> {
-    let path = format!("{}/{}", STATS_PREFIX, stats.node);
-    let bytes = serde_json::to_vec(stats).expect("NodeStats serializes");
-    coord.upsert_ephemeral(&path, bytes, session)
-}
-
-/// Fleet-wide view assembled from every `/stats/*` znode.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Fleet-wide view: one sample per node.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSnapshot {
-    /// Per-node stats, sorted by node id.
+    /// Per-node stats.
     pub nodes: Vec<NodeStats>,
 }
 
 impl FleetSnapshot {
-    /// Scrape all published stats from the coordinator. Unparseable or
-    /// concurrently-deleted znodes are skipped — a scrape races session
-    /// expiry by design and must tolerate it.
-    pub fn scrape(coord: &Coordinator) -> FleetSnapshot {
-        let mut nodes: Vec<NodeStats> = coord
-            .children(STATS_PREFIX)
-            .into_iter()
-            .filter_map(|path| {
-                let (bytes, _version) = coord.get(&path).ok()?;
-                serde_json::from_slice::<NodeStats>(&bytes).ok()
-            })
-            .collect();
-        nodes.sort_by_key(|s| s.node);
-        FleetSnapshot { nodes }
-    }
-
     /// The samples `scope` counts. Serving nodes are live region servers:
-    /// scaling decisions size that fleet, so crashed nodes, proxies and
-    /// front ends never count there.
+    /// crashed nodes, proxies and front ends never count there.
     fn counted(&self, scope: Scope) -> impl Iterator<Item = &NodeStats> {
         self.nodes
             .iter()
@@ -401,57 +320,11 @@ impl FleetSnapshot {
         self.counted(Scope::Serving).count()
     }
 
-    /// Mean queue occupancy across live serving nodes (0 when empty).
-    pub fn mean_queue_utilization(&self) -> f64 {
-        let live = self.live_nodes();
-        if live == 0 {
-            return 0.0;
-        }
-        self.counted(Scope::Serving)
-            .map(|n| n.queue_utilization())
-            .sum::<f64>()
-            / live as f64
-    }
-
-    /// Highest queue occupancy across live serving nodes.
-    pub fn max_queue_utilization(&self) -> f64 {
-        self.counted(Scope::Serving)
-            .map(|n| n.queue_utilization())
-            .fold(0.0, f64::max)
-    }
-
-    /// Nodes flagged crashed (proxies included — a dead proxy matters).
-    pub fn crashed_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.crashed).count()
-    }
-
-    /// Highest ingest-proxy buffer occupancy in `[0, 1]` — the primary
-    /// "storm is backing up" signal for the scaling policy.
-    pub fn ingest_pressure(&self) -> f64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_proxy && !n.crashed)
-            .map(|n| n.ingest_buffer_utilization())
-            .fold(0.0, f64::max)
-    }
-
-    /// Cumulative admission sheds across the whole fleet (servers and
-    /// proxies alike).
-    pub fn total_sheds(&self) -> u64 {
-        self.nodes.iter().map(NodeStats::total_sheds).sum()
-    }
-
     /// Fleet-wide serving-layer cache hit ratio in `[0, 1]` (0 before
     /// any query anywhere).
     pub fn query_cache_hit_ratio(&self) -> f64 {
         let hits = self.fold(Metric::QueryCacheHits);
         ratio(hits, hits + self.fold(Metric::QueryCacheMisses))
-    }
-
-    /// Cumulative follower-served reads (bounded-staleness plus hedged)
-    /// across the fleet.
-    pub fn total_follower_reads(&self) -> u64 {
-        self.fold(Metric::ReplFollowerReads) + self.fold(Metric::ReplHedgedScans)
     }
 
     /// Mean scheduler task latency in microseconds across the fleet's
@@ -504,79 +377,25 @@ impl FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use pga_cluster::coordinator::Coordinator;
+    use pga_cluster::rpc::RpcError;
+    use pga_minibase::{KeyValue, RegionConfig, Request, ServerConfig, TableDescriptor};
 
     fn stats(node: u32, depth: u64, cap: u64) -> NodeStats {
-        let mut s = NodeStats::new(node, 1);
+        let mut s = NodeStats::new(node);
         s.set(Metric::QueueDepth, depth)
             .set(Metric::QueueCapacity, cap)
             .set(Metric::SamplesWritten, 100 * node as u64);
         s
     }
 
-    /// `/stats/<node>` payload exactly as the parent commit's derived
-    /// serializer wrote it: 40 keys in struct order.
-    const PARENT_STATS_JSON: &str = r#"{"node":7,"tick":3,"queue_depth":37,"queue_capacity":1024,
-        "samples_written":4200,"memstore_bytes":1,"flushes":2,"compactions":3,"overloads":4,
-        "crashed":false,"mean_batch":100.0,"is_proxy":true,"shed_writes":5,"shed_reads":6,
-        "deadline_expired":7,"breaker_trips":8,"ingest_buffer_depth":9,
-        "ingest_buffer_capacity":10,"query_cache_hits":11,"query_cache_misses":12,
-        "query_fanout":13,"query_partials":14,"repl_lag_batches":15,"repl_regions":16,
-        "repl_failovers":17,"repl_fence_rejections":18,"repl_follower_reads":19,
-        "repl_hedged_scans":20,"scrub_cells":21,"scrub_corrupt_blocks":22,
-        "scrub_quarantined":23,"scrub_repairs":24,"scrub_rejected":25,
-        "scrub_salvaged_reads":26,"sched_tasks":27,"sched_steals":28,
-        "sched_steal_attempts":29,"sched_max_queue_depth":30,"sched_task_ns":31,
-        "sched_dirty_units":32}"#;
-
-    fn keys(v: &serde_json::Value) -> BTreeSet<String> {
-        v.as_object()
-            .expect("NodeStats must serialize to an object")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    #[test]
-    fn registry_snapshot_round_trips_through_json() {
-        let mut snap = NodeStats::new(7, 3);
-        snap.mean_batch = 100.0;
-        for (i, def) in METRICS.iter().enumerate() {
-            snap.set(def.metric, 1000 + i as u64);
-        }
-        assert_eq!(snap.get(Metric::QueueDepth), 1000);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: NodeStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn parent_commit_snapshot_parses_and_key_set_is_unchanged() {
-        let s: NodeStats = serde_json::from_str(PARENT_STATS_JSON).unwrap();
-        assert_eq!((s.node, s.tick, s.crashed, s.is_proxy), (7, 3, false, true));
-        assert_eq!(s.mean_batch, 100.0);
-        assert_eq!(s.get(Metric::QueueDepth), 37);
-        assert_eq!(s.get(Metric::ReplFenceRejections), 18);
-        assert_eq!(s.get(Metric::SchedDirtyUnits), 32);
-        // Every key of that snapshot is still written; rows added since
-        // (which it reads as 0) are the only other keys.
-        let mut expected = keys(&serde_json::from_str(PARENT_STATS_JSON).unwrap());
-        expected
-            .extend(["query_cells_scanned", "query_points_served", "tsd_series"].map(String::from));
-        assert_eq!(keys(&serde_json::to_value(&s)), expected);
-        assert_eq!(s.get(Metric::QueryCellsScanned), 0);
-        // Keys this build has never heard of are skipped, not fatal.
-        let newer = PARENT_STATS_JSON.replacen('{', r#"{"added_later":9,"#, 1);
-        assert_eq!(serde_json::from_str::<NodeStats>(&newer).unwrap(), s);
-    }
-
     /// Two serving nodes, one crashed node and one proxy, every metric
     /// set to a distinct per-node value: each table row must come out of
-    /// serde, the fleet fold, `/metrics` and the tile strip as declared.
+    /// the fleet fold, `/metrics` and the tile strip as declared.
     #[test]
     fn every_metric_row_is_wired_end_to_end() {
         let node = |id: u32, base: u64| {
-            let mut s = NodeStats::new(id, 1);
+            let mut s = NodeStats::new(id);
             for (i, def) in METRICS.iter().enumerate() {
                 s.set(def.metric, base + i as u64);
             }
@@ -586,32 +405,15 @@ mod tests {
         dead.crashed = true;
         proxy.is_proxy = true;
         let fleet = FleetSnapshot {
-            nodes: vec![a.clone(), b, dead, proxy],
+            nodes: vec![a, b, dead, proxy],
         };
         let text = fleet.prometheus_text();
         let tiles = fleet.tiles();
-        let wire = serde_json::to_value(&a);
         let max_rows = [Metric::ReplLagBatches, Metric::SchedMaxQueueDepth];
-        let serving_rows = [
-            Metric::QueueDepth,
-            Metric::QueueCapacity,
-            Metric::MemstoreBytes,
-        ];
+        let serving_rows = [Metric::QueueDepth, Metric::QueueCapacity];
         for (i, def) in METRICS.iter().enumerate() {
             let m = def.metric;
             assert_eq!(m as usize, i, "{}: table order is index order", def.name);
-            // Serde: the key is written, and a snapshot without it reads 0.
-            assert_eq!(wire[def.name].as_u64(), Some(100 + i as u64));
-            let mut pruned = serde_json::Map::new();
-            for (k, v) in wire.as_object().unwrap().iter() {
-                if k != def.name {
-                    pruned.insert(k.clone(), v.clone());
-                }
-            }
-            let back: NodeStats =
-                serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
-            assert_eq!(back.get(m), 0, "{} defaults to 0", def.name);
-            assert_eq!(back.tick, a.tick);
             // Fold kind and scope.
             let i = i as u64;
             let want = match (max_rows.contains(&m), serving_rows.contains(&m)) {
@@ -631,7 +433,19 @@ mod tests {
                 def.tile.map(|_| want.to_string())
             );
         }
+        // 34 rows, three lines each; the four rows nothing ever set
+        // (memstore bytes, breaker trips, ingest buffer depth/capacity)
+        // are gone from the exposition.
+        assert_eq!(METRICS.len(), 34);
         assert_eq!(text.lines().count(), 3 * METRICS.len());
+        for retired in [
+            "memstore_bytes",
+            "breaker_trips",
+            "ingest_buffer_depth",
+            "ingest_buffer_capacity",
+        ] {
+            assert!(!text.contains(retired), "{retired} is retired");
+        }
         let labelled = METRICS.iter().filter(|d| d.tile.is_some()).count();
         assert_eq!(tiles.len(), labelled + 2, "labelled rows plus two ratios");
         assert_eq!(FleetSnapshot::default().fold(Metric::ReplLagBatches), 0);
@@ -642,18 +456,14 @@ mod tests {
         let mut a = stats(0, 0, 64);
         a.set(Metric::QueryCacheHits, 60)
             .set(Metric::QueryCacheMisses, 20)
-            .set(Metric::ReplFollowerReads, 40)
-            .set(Metric::ReplHedgedScans, 7)
             .set(Metric::SchedTasks, 1700)
             .set(Metric::SchedTaskNs, 3_400_000);
         let mut b = stats(1, 0, 64);
         b.set(Metric::QueryCacheHits, 20)
-            .set(Metric::QueryCacheMisses, 20)
-            .set(Metric::ReplHedgedScans, 6);
+            .set(Metric::QueryCacheMisses, 20);
         let fleet = FleetSnapshot { nodes: vec![a, b] };
         // (60 + 20) hits over (80 + 40) lookups.
         assert!((fleet.query_cache_hit_ratio() - 80.0 / 120.0).abs() < 1e-9);
-        assert_eq!(fleet.total_follower_reads(), 53);
         assert!((fleet.sched_mean_task_us() - 2.0).abs() < 1e-9);
         let tiles = fleet.tiles();
         assert!(tiles.contains(&("mean task latency", "2.0µs".to_string())));
@@ -724,38 +534,10 @@ mod tests {
     }
 
     #[test]
-    fn publish_scrape_round_trip_and_expiry_removes_ghosts() {
-        let coord = Coordinator::new(100);
-        let s0 = coord.connect(0);
-        let s1 = coord.connect(0);
-        publish(&coord, s0, &stats(0, 10, 100)).unwrap();
-        publish(&coord, s1, &stats(1, 90, 100)).unwrap();
-        let snap = FleetSnapshot::scrape(&coord);
-        assert_eq!(snap.nodes.len(), 2);
-        assert_eq!(snap.fold(Metric::QueueDepth), 100);
-        assert!((snap.mean_queue_utilization() - 0.5).abs() < 1e-9);
-        assert!((snap.max_queue_utilization() - 0.9).abs() < 1e-9);
-        // Republish updates in place (ephemeral upsert, version bumps).
-        let v = publish(&coord, s0, &stats(0, 20, 100)).unwrap();
-        assert!(v >= 1);
-        // Node 1 goes silent past the lease: its stats vanish.
-        coord.heartbeat(s0, 50).unwrap();
-        coord.expire_stale_sessions(150);
-        let snap = FleetSnapshot::scrape(&coord);
-        assert_eq!(snap.nodes.len(), 1);
-        assert_eq!(snap.nodes[0].node, 0);
-        assert_eq!(snap.nodes[0].get(Metric::QueueDepth), 20);
-    }
-
-    #[test]
-    fn proxy_stats_feed_pressure_but_not_serving_aggregates() {
+    fn proxy_stats_count_in_all_folds_but_not_serving_aggregates() {
         let mut proxy = stats(100, 0, 0);
         proxy.is_proxy = true;
-        proxy
-            .set(Metric::IngestBufferDepth, 90)
-            .set(Metric::IngestBufferCapacity, 100)
-            .set(Metric::ShedWrites, 5)
-            .set(Metric::BreakerTrips, 2);
+        proxy.set(Metric::ShedWrites, 5);
         let mut server = stats(0, 10, 100);
         server
             .set(Metric::ShedReads, 3)
@@ -766,35 +548,10 @@ mod tests {
         // Serving aggregates exclude the proxy.
         assert_eq!(snap.live_nodes(), 1);
         assert_eq!(snap.fold(Metric::QueueDepth), 10);
-        assert!((snap.max_queue_utilization() - 0.1).abs() < 1e-9);
-        // Overload signals come through.
-        assert!((snap.ingest_pressure() - 0.9).abs() < 1e-9);
-        assert_eq!(snap.total_sheds(), 8);
+        // Overload counters from either side come through.
+        assert_eq!(snap.fold(Metric::ShedWrites), 5);
+        assert_eq!(snap.fold(Metric::ShedReads), 3);
         assert_eq!(snap.fold(Metric::DeadlineExpired), 4);
-        assert_eq!(snap.fold(Metric::BreakerTrips), 2);
-    }
-
-    #[test]
-    fn pre_overload_snapshots_still_parse() {
-        // A snapshot published before the overload fields existed must
-        // deserialize with all-default overload telemetry.
-        let legacy = r#"{"node":3,"tick":9,"queue_depth":5,"queue_capacity":64,
-            "samples_written":12,"memstore_bytes":0,"flushes":1,"compactions":0,
-            "overloads":0,"crashed":false,"mean_batch":2.5}"#;
-        let s: NodeStats = serde_json::from_str(legacy).unwrap();
-        assert!(!s.is_proxy);
-        assert_eq!(s.total_sheds(), 0);
-        assert_eq!(s.ingest_buffer_utilization(), 0.0);
-        // Pre-serving snapshots report no query activity either.
-        assert_eq!(
-            s.get(Metric::QueryCacheHits) + s.get(Metric::QueryCacheMisses),
-            0
-        );
-        assert_eq!(s.get(Metric::QueryFanout), 0);
-        assert_eq!(
-            FleetSnapshot { nodes: vec![s] }.query_cache_hit_ratio(),
-            0.0
-        );
     }
 
     #[test]
@@ -806,10 +563,59 @@ mod tests {
         b.set(Metric::SamplesWritten, 20);
         let snap = FleetSnapshot { nodes: vec![a, b] };
         assert_eq!(snap.live_nodes(), 1);
-        assert_eq!(snap.crashed_nodes(), 1);
         assert_eq!(snap.fold(Metric::QueueDepth), 50);
-        assert!((snap.max_queue_utilization() - 0.5).abs() < 1e-9);
         // Written totals still count the crashed node's history.
         assert_eq!(snap.fold(Metric::SamplesWritten), 30);
+    }
+
+    /// The sample reads the server's regions, not its RPC queue: a node
+    /// that crashed after flushing and compacting still reports those
+    /// cumulative counts beside its cells written.
+    #[test]
+    fn a_crashed_node_still_reports_its_flushes_and_compactions() {
+        let config = ServerConfig {
+            queue_capacity: 2,
+            crash_after_overloads: 5,
+            ..ServerConfig::default()
+        };
+        let mut master = Master::bootstrap(1, config, Coordinator::new(60_000), 0);
+        master.create_table(&TableDescriptor {
+            name: "tsdb".into(),
+            split_points: Vec::new(),
+            region_config: RegionConfig::default(),
+        });
+        let node = NodeId(0);
+        let region = master.directory().read()[0].id;
+        let handle = master.server(node).unwrap().handle();
+        let put = |row: String| Request::Put {
+            region,
+            kvs: vec![KeyValue::new(
+                row.into_bytes(),
+                b"q".to_vec(),
+                1,
+                b"v".to_vec(),
+            )],
+        };
+        for row in ["a", "b"] {
+            handle.call(put(row.to_string())).unwrap();
+            handle.call(Request::Flush { region }).unwrap();
+        }
+        handle.call(Request::Compact { region }).unwrap();
+        let before = collect_node_stats(&master, node).unwrap();
+        assert!(!before.crashed);
+        assert_eq!(before.get(Metric::Flushes), 2);
+        assert_eq!(before.get(Metric::Compactions), 1);
+
+        // Unthrottled casts overflow the two-slot queue until it crashes.
+        let crashed =
+            (0..10_000).any(|i| handle.cast(put(format!("r{i}"))) == Err(RpcError::Crashed));
+        assert!(crashed, "the server must crash from sustained overload");
+        let after = collect_node_stats(&master, node).unwrap();
+        assert!(after.crashed);
+        assert_eq!(after.get(Metric::Flushes), 2);
+        assert_eq!(after.get(Metric::Compactions), 1);
+        assert!(after.get(Metric::SamplesWritten) >= before.get(Metric::SamplesWritten));
+        assert!(after.get(Metric::Overloads) >= 5);
+        master.shutdown();
     }
 }

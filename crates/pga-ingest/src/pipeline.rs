@@ -140,7 +140,11 @@ impl IngestionPipeline {
             .master
             .nodes()
             .iter()
-            .map(|&n| self.master.server(n).map_or(0, |s| s.total_cells_written()))
+            .map(|&n| {
+                self.master
+                    .server(n)
+                    .map_or(0, |s| s.total_metrics().cells_written)
+            })
             .sum();
         assert_eq!(
             metrics

@@ -616,9 +616,8 @@ impl Master {
     }
 
     /// Add a fresh region server at time `now_ms` and register it with the
-    /// coordinator. Returns the new node id. This is the scale-out actuator
-    /// the elastic control plane drives; the node starts empty and receives
-    /// regions through [`Master::move_region`] (or future reassignment).
+    /// coordinator. Returns the new node id. The node starts empty and
+    /// receives regions through [`Master::move_region`].
     pub fn add_server(&mut self, server_config: ServerConfig, now_ms: u64) -> NodeId {
         let next = self.servers.keys().map(|n| n.0 + 1).max().unwrap_or(0);
         let node = NodeId(next);
@@ -705,8 +704,7 @@ impl Master {
             .any(|i| !i.followers.is_empty() && i.hosts_copy(node))
         {
             // Draining a node that hosts replicated copies would need
-            // follower hand-off; the elastic tier runs unreplicated, so
-            // refuse rather than orphan copies.
+            // follower hand-off, so refuse rather than orphan copies.
             return None;
         }
         let targets: Vec<NodeId> = self
@@ -788,13 +786,6 @@ impl Master {
     /// The coordinator this master registers servers with.
     pub fn coordinator(&self) -> &Coordinator {
         &self.coordinator
-    }
-
-    /// The coordinator session a node registered under, if still tracked.
-    /// Telemetry publishers bind stat znodes to this session so a node's
-    /// stats expire with its lease.
-    pub fn session(&self, node: NodeId) -> Option<SessionId> {
-        self.sessions.get(&node).copied()
     }
 
     /// Shut every server down.

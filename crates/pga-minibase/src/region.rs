@@ -71,6 +71,19 @@ pub struct RegionMetrics {
     pub rewritten_rows: u64,
 }
 
+/// Field-wise totals, e.g. over the regions one server hosts.
+impl std::iter::Sum for RegionMetrics {
+    fn sum<I: Iterator<Item = RegionMetrics>>(iter: I) -> Self {
+        iter.fold(RegionMetrics::default(), |a, m| RegionMetrics {
+            cells_written: a.cells_written + m.cells_written,
+            flushes: a.flushes + m.flushes,
+            compactions: a.compactions + m.compactions,
+            compacted_cells: a.compacted_cells + m.compacted_cells,
+            rewritten_rows: a.rewritten_rows + m.rewritten_rows,
+        })
+    }
+}
+
 /// One region of the table.
 #[derive(Debug)]
 pub struct Region {

@@ -390,13 +390,12 @@ impl RegionServer {
         }
     }
 
-    /// Cells written across all hosted regions (monitoring).
-    pub fn total_cells_written(&self) -> u64 {
-        self.regions
-            .read()
-            .values()
-            .map(|r| r.metrics().cells_written)
-            .sum()
+    /// [`RegionMetrics`] summed over the hosted regions (monitoring). Read
+    /// from the assignment surface, not over RPC, so it answers at once
+    /// while the queue is full and keeps a crashed or stopped server's
+    /// totals.
+    pub fn total_metrics(&self) -> RegionMetrics {
+        self.regions.read().values().map(Region::metrics).sum()
     }
 
     /// Stop serving.
@@ -908,14 +907,14 @@ mod tests {
                 kvs: vec![kv("a"), kv("b"), kv("c")],
             })
             .unwrap();
-        match server.handle().call(Request::Metrics).unwrap() {
-            Response::Metrics(m) => {
-                assert_eq!(m.len(), 1);
-                assert_eq!(m[0].1.cells_written, 3);
-            }
+        let per_region = match server.handle().call(Request::Metrics).unwrap() {
+            Response::Metrics(m) => m,
             other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(server.total_cells_written(), 3);
+        };
+        assert_eq!(per_region.len(), 1);
+        assert_eq!(per_region[0].1.cells_written, 3);
+        // The assignment-surface total is the same answer, with no RPC.
+        assert_eq!(server.total_metrics(), per_region[0].1);
         server.shutdown();
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests for live region migration under coordinator watches and
 //! session-lease expiry: for any interleaving of writes, master-driven
 //! region moves and one lease expiry, **no datapoint is lost and none is
-//! served twice** — the invariant the elastic control plane's rebalancer
-//! depends on — and the coordinator watch stream reports the expiry.
+//! served twice** — the invariant every region move (split, drain,
+//! fault-harness migration) depends on — and the coordinator watch
+//! stream reports the expiry.
 
 use std::collections::BTreeSet;
 

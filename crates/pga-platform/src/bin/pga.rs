@@ -50,10 +50,6 @@ fn usage() -> ! {
            import     load OpenTSDB-style JSONL datapoints into a fresh\n\
                       store and serve the query API over them\n\
                       (--file path --nodes N --port P --secs S)\n\
-           elastic    simulate the autoscaled storage tier under a load\n\
-                      surge and print the scaling timeline\n\
-                      (--nodes N --base R --peak R --surge-at S --secs S\n\
-                       [--ramp-secs S] [--static true])\n\
            analyze    run the workspace lint engine (see ANALYSIS.md)\n\
                       ([--deny-all] [--root path] [--rule id] [--list])\n\
            crashtest  deterministic fault-injection campaign against the\n\
@@ -287,67 +283,6 @@ fn cmd_import(map: &HashMap<String, String>) {
         server.stop();
     }
     master.shutdown();
-}
-
-/// Simulate the elastic storage tier under a configurable load surge,
-/// using the platform's scaling policy, and print the decisions it took.
-fn cmd_elastic(map: &HashMap<String, String>) {
-    use pga_control::{run_elastic, ElasticSimConfig, HysteresisPolicy, StaticPolicy};
-    use pga_sensorgen::ArrivalPattern;
-
-    let nodes = get(map, "nodes", 8usize).max(1);
-    let base = get(map, "base", 80_000.0f64);
-    let peak = get(map, "peak", 250_000.0f64);
-    let secs = get(map, "secs", 120.0f64);
-    let surge_at = get(map, "surge-at", secs / 3.0);
-    let ramp_secs = get(map, "ramp-secs", 0.0f64);
-    let pattern = if ramp_secs > 0.0 {
-        ArrivalPattern::Ramp {
-            base,
-            from_secs: surge_at,
-            until_secs: surge_at + ramp_secs,
-            to: peak,
-        }
-    } else {
-        ArrivalPattern::Step {
-            base,
-            at_secs: surge_at,
-            to: peak,
-        }
-    };
-
-    let cfg = ElasticSimConfig::paper_calibration(nodes);
-    let scaling = PlatformConfig::demo(get(map, "seed", 42u64)).scaling;
-    let report = if get(map, "static", false) {
-        run_elastic(&cfg, &pattern, secs, &mut StaticPolicy)
-    } else {
-        run_elastic(&cfg, &pattern, secs, &mut HysteresisPolicy::new(scaling))
-    };
-
-    println!("pattern: {}  policy: {}", report.pattern, report.policy);
-    for e in &report.scale_events {
-        println!(
-            "  t={:>6.1}s  {:<14} active {} -> fleet {}",
-            e.t_secs, e.action, e.active_before, e.fleet_after
-        );
-    }
-    if report.scale_events.is_empty() {
-        println!("  (no scaling actions)");
-    }
-    println!(
-        "offered {:.0}  ingested {:.0}  dropped {:.0}  ({:.1}% delivered)",
-        report.offered,
-        report.ingested,
-        report.dropped,
-        report.delivery_ratio() * 100.0
-    );
-    println!(
-        "crashes {}  peak nodes {}  node-seconds {:.0}  {:.0} samples/s/node",
-        report.crashes,
-        report.peak_active_nodes,
-        report.node_seconds,
-        report.per_node_throughput()
-    );
 }
 
 /// Run the deterministic fault-injection harness: either one seed (with
@@ -753,7 +688,6 @@ fn main() {
         "demo" => cmd_demo(&map),
         "dashboard" => cmd_dashboard(&map),
         "import" => cmd_import(&map),
-        "elastic" => cmd_elastic(&map),
         "crashtest" => cmd_crashtest(&map),
         "overload" => cmd_overload(&map),
         "failover" => cmd_failover(&map),

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use pga_control::HysteresisConfig;
 use pga_detect::BrownoutConfig;
 use pga_sensorgen::FleetConfig;
 use pga_stats::Procedure;
@@ -28,10 +27,6 @@ pub struct PlatformConfig {
     pub procedure: Procedure,
     /// Dataflow worker threads for training.
     pub workers: usize,
-    /// Elastic-scaling policy for the storage tier (pga-control). Absent
-    /// in older configs, so it defaults.
-    #[serde(default)]
-    pub scaling: HysteresisConfig,
     /// Brownout gate for online evaluation under ingest overload
     /// (pga-detect). Absent in pre-overload configs, so it defaults.
     #[serde(default)]
@@ -153,7 +148,6 @@ impl PlatformConfig {
             alpha: 0.05,
             procedure: Procedure::BenjaminiHochberg,
             workers: 4,
-            scaling: HysteresisConfig::default(),
             brownout: BrownoutConfig::default(),
             query: QueryConfig::default(),
             replication: pga_repl::ReplicationConfig::default(),
@@ -190,25 +184,6 @@ impl PlatformConfig {
         }
         if self.workers == 0 {
             return Err("need at least one worker".into());
-        }
-        let s = &self.scaling;
-        if s.low_water >= s.high_water {
-            return Err(format!(
-                "scaling water marks inverted: low {} >= high {}",
-                s.low_water, s.high_water
-            ));
-        }
-        if !(0.0 < s.ema_alpha && s.ema_alpha <= 1.0) {
-            return Err(format!("scaling ema_alpha {} outside (0,1]", s.ema_alpha));
-        }
-        if s.min_nodes == 0 || s.min_nodes > s.max_nodes {
-            return Err(format!(
-                "scaling fleet bounds invalid: min {} max {}",
-                s.min_nodes, s.max_nodes
-            ));
-        }
-        if s.scale_out_step == 0 || s.scale_in_step == 0 {
-            return Err("scaling steps must be positive".into());
         }
         self.brownout.validate()?;
         self.query.validate()?;
@@ -248,15 +223,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = PlatformConfig::demo(1);
-        c.scaling.low_water = 0.9; // above high_water
-        assert!(c.validate().is_err());
-
-        let mut c = PlatformConfig::demo(1);
-        c.scaling.min_nodes = 10;
-        c.scaling.max_nodes = 2;
-        assert!(c.validate().is_err());
-
-        let mut c = PlatformConfig::demo(1);
         c.brownout.exit_pressure = c.brownout.enter_pressure + 0.1;
         assert!(c.validate().is_err());
 
@@ -277,22 +243,27 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// `PlatformConfig::demo(3)` exactly as the last build with an elastic
+    /// control plane serialized it, `scaling` section included.
+    const ELASTIC_ERA_DEMO3_JSON: &str = r#"{"fleet":{"units":8,"sensors_per_unit":64,"seed":3,
+        "sample_period_secs":1,"noise_std":1.0,"baseline_mean":50.0,
+        "degradation_fraction":0.3333333333333333,"shift_fraction":0.3333333333333333,
+        "degradation_slope_per_100":0.5,"shift_magnitude":3.0,"group_correlation":0.6},
+        "storage_nodes":4,"tsd_count":2,"batch_size":256,"training_window":150,"eval_window":50,
+        "alpha":0.05,"procedure":"BenjaminiHochberg","workers":4,
+        "scaling":{"high_water":0.75,"low_water":0.25,"k_ticks":3,"cooldown_ticks":5,
+        "ema_alpha":0.5,"scale_out_step":2,"scale_in_step":1,"min_nodes":1,"max_nodes":64},
+        "brownout":{"enter_pressure":0.75,"exit_pressure":0.5,"stride":4},
+        "query":{"rollups_enabled":true,"tiers":[60,600],"shard_deadline_ms":250,"tail_buckets":2,
+        "cache_ttl_ms":5000,"cache_shards":8,"cache_capacity_per_shard":256},
+        "replication":{"factor":1,"write_quorum":0,"follower_read_max_lag":4,"hedge_delay_ms":40}}"#;
+
     #[test]
-    fn configs_without_scaling_section_still_parse() {
-        // A config serialized before the elastic control plane existed.
-        let serde_json::Value::Object(obj) = serde_json::to_value(&PlatformConfig::demo(3)) else {
-            panic!("config must serialize to an object");
-        };
-        let mut pruned = serde_json::Map::new();
-        for (k, val) in obj.iter() {
-            if k != "scaling" {
-                pruned.insert(k.clone(), val.clone());
-            }
-        }
-        let back: PlatformConfig =
-            serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
-        assert_eq!(back.scaling, HysteresisConfig::default());
-        assert!(back.validate().is_ok());
+    fn configs_with_a_retired_scaling_section_still_parse() {
+        // The retired section is an unknown key now: skipped, not fatal.
+        let old: PlatformConfig = serde_json::from_str(ELASTIC_ERA_DEMO3_JSON).unwrap();
+        assert_eq!(old, PlatformConfig::demo(3));
+        assert!(old.validate().is_ok());
     }
 
     #[test]

@@ -418,9 +418,9 @@ impl Monitor {
     }
 
     /// Feed the brownout gate the current ingest-overload pressure
-    /// (0..=1) — typically [`pga_control`]'s `FleetSnapshot::ingest_pressure`
-    /// or a proxy buffer-utilization reading. Returns the evaluation
-    /// fidelity subsequent [`Monitor::evaluate_at`] calls will use.
+    /// (0..=1), e.g. a proxy buffer-utilization reading; nothing in the
+    /// running system produces one yet. Returns the evaluation fidelity
+    /// subsequent [`Monitor::evaluate_at`] calls will use.
     pub fn observe_pressure(&mut self, pressure: f64) -> EvalMode {
         self.brownout.observe(pressure)
     }
@@ -610,7 +610,7 @@ impl Monitor {
     /// the engine), the TSDs' scrub state and the training scheduler's —
     /// as one non-serving telemetry sample.
     fn front_end_stats(&self) -> NodeStats {
-        let mut stats = NodeStats::new(FRONT_END_NODE, 0);
+        let mut stats = NodeStats::new(FRONT_END_NODE);
         stats.is_proxy = true;
         let query = self.engine.stats();
         let mut books = self.engine.client().repl_book().snapshot();
@@ -663,15 +663,15 @@ impl Monitor {
         stats
     }
 
-    /// The fleet's telemetry right now: one sample per storage node (the
-    /// control plane's [`collect_node_stats`]) plus this process's
+    /// The fleet's telemetry right now: one sample per storage node
+    /// ([`collect_node_stats`]) plus this process's
     /// front-end sample. `/cluster` and `/metrics` both render from it.
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
         let master = self.pipeline.master();
         let mut nodes: Vec<NodeStats> = master
             .nodes()
             .into_iter()
-            .filter_map(|node| collect_node_stats(master, node, 0))
+            .filter_map(|node| collect_node_stats(master, node))
             .collect();
         nodes.push(self.front_end_stats());
         FleetSnapshot { nodes }

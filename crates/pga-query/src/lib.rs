@@ -56,8 +56,8 @@ pub struct QueryEngineConfig {
     pub cache: CacheConfig,
 }
 
-/// Monotone engine counters, mirrored into the control plane's node
-/// telemetry so autoscaling dashboards see serving-layer health.
+/// Monotone engine counters, sampled into the fleet telemetry so
+/// `/cluster` and `/metrics` show serving-layer health.
 #[derive(Default)]
 pub struct EngineStats {
     /// Queries answered (cached or executed).

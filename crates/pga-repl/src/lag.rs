@@ -1,7 +1,7 @@
 //! Replication-lag and failover bookkeeping.
 //!
 //! The client-side replication driver and the master both feed this
-//! book; the control plane snapshots it into `NodeStats` so fleet
+//! book; the fleet telemetry samples it into `NodeStats` so fleet
 //! dashboards can show per-node replication health (max follower lag,
 //! failovers performed, fencing rejections observed).
 

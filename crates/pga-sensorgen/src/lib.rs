@@ -27,12 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arrival;
 mod config;
 mod fault;
 mod fleet;
 
-pub use arrival::ArrivalPattern;
 pub use config::{FleetConfig, FAULT_GROUP_SIZE};
 pub use fault::{FaultClass, FaultSpec};
 pub use fleet::{Fleet, FleetStream, SensorSample};

@@ -764,7 +764,7 @@ mod tests {
         }
         let mut busy = 0;
         for node in m.nodes() {
-            if m.server(node).unwrap().total_cells_written() > 0 {
+            if m.server(node).unwrap().total_metrics().cells_written > 0 {
                 busy += 1;
             }
         }
@@ -783,7 +783,7 @@ mod tests {
         let writes: Vec<u64> = m
             .nodes()
             .iter()
-            .map(|&n| m.server(n).unwrap().total_cells_written())
+            .map(|&n| m.server(n).unwrap().total_metrics().cells_written)
             .collect();
         let busy = writes.iter().filter(|&&w| w > 0).count();
         assert_eq!(busy, 1, "unsalted keys must land on one region: {writes:?}");

@@ -138,7 +138,7 @@ fn dashboard_and_api_over_one_socket() {
     assert!(body.contains("\"error\""));
 
     // The serving engine answered the API traffic, and its counters reach
-    // the control plane's exposition through the real sampling path.
+    // the `/metrics` exposition through the real sampling path.
     let (status, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let stats = monitor.lock().engine().stats();
@@ -156,6 +156,17 @@ fn dashboard_and_api_over_one_socket() {
         pga_control::METRICS.len(),
         "one sample per table row"
     );
+    // 34 rows of HELP, TYPE and sample; the four rows nothing ever set
+    // are retired, not exported as a permanent 0.
+    assert_eq!(metrics.lines().count(), 102);
+    for retired in [
+        "memstore_bytes",
+        "breaker_trips",
+        "ingest_buffer_depth",
+        "ingest_buffer_capacity",
+    ] {
+        assert!(!metrics.contains(retired), "{retired} is retired");
+    }
     let (_, cluster) = request(addr, "GET", "/cluster", "");
     assert!(cluster.contains("query fan-out"));
 
