@@ -5,6 +5,7 @@
 //! the queueing-model experiments in [`crate::experiment`]; it validates
 //! that the actual storage stack sustains high sample rates on the host.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -13,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
 use pga_repl::ReplicationConfig;
-use pga_sensorgen::Fleet;
+use pga_sensorgen::{Fleet, SensorSample};
 use pga_tsdb::{KeyCodec, KeyCodecConfig, Tsd, TsdConfig, UidTable};
 
 use crate::proxy::{ProxyConfig, ReverseProxy};
@@ -37,6 +38,9 @@ pub struct PipelineReport {
     pub throughput: f64,
     /// Cells visible in the storage layer afterwards.
     pub stored_cells: u64,
+    /// Batches the proxy forwarded: `ceil(samples / batch_size)`.
+    #[serde(default)]
+    pub batches: u64,
 }
 
 impl IngestionPipeline {
@@ -118,21 +122,40 @@ impl IngestionPipeline {
     }
 
     /// Ingest fleet ticks `[t0, t1)`, returning the measured throughput.
+    ///
+    /// Samples are moved into batches of `batch_size` whatever the tick
+    /// they belong to, so a batch may span ticks; only the range's last
+    /// batch may be short. Every batch costs the same hand-offs (producer →
+    /// proxy worker → TSD → one RPC per region) however few samples it
+    /// carries, so a small fleet is not cut into one short batch a tick.
     pub fn run_range(&self, fleet: &Fleet, t0: u64, t1: u64) -> PipelineReport {
         let proxy = ReverseProxy::spawn(self.tsds.clone(), self.proxy_config)
             .expect("pipeline constructs a non-empty TSD pool");
         let start = Instant::now();
-        let mut samples = 0u64;
-        let mut buffer = Vec::with_capacity(fleet.config().total_sensors() as usize);
+        let (mut samples, mut submitted) = (0u64, 0u64);
+        let mut submit = |batch: Vec<SensorSample>| {
+            samples += batch.len() as u64;
+            submitted += 1;
+            proxy
+                .submit(batch)
+                .expect("proxy stays up for the whole run");
+        };
+        let mut tick = Vec::with_capacity(fleet.config().total_sensors() as usize);
+        let mut batch = Vec::with_capacity(self.batch_size);
         for t in t0..t1 {
-            fleet.tick_into(t, &mut buffer);
-            for chunk in buffer.chunks(self.batch_size) {
-                samples += chunk.len() as u64;
-                proxy
-                    .submit(chunk.to_vec())
-                    .expect("proxy stays up for the whole run");
+            fleet.tick_into(t, &mut tick);
+            for sample in tick.drain(..) {
+                batch.push(sample);
+                if batch.len() == self.batch_size {
+                    submit(std::mem::replace(
+                        &mut batch,
+                        Vec::with_capacity(self.batch_size),
+                    ));
+                }
             }
-            buffer.clear();
+        }
+        if !batch.is_empty() {
+            submit(batch);
         }
         let metrics = proxy.drain_and_join();
         let elapsed = start.elapsed().as_secs_f64();
@@ -146,18 +169,16 @@ impl IngestionPipeline {
                     .map_or(0, |s| s.total_metrics().cells_written)
             })
             .sum();
-        assert_eq!(
-            metrics
-                .samples_out
-                .load(std::sync::atomic::Ordering::Relaxed),
-            samples,
-            "proxy must forward every sample"
-        );
+        // A batch is forwarded whole or not at all, so every batch
+        // forwarded is every sample forwarded.
+        let batches = metrics.batches_out.load(Ordering::Relaxed);
+        assert_eq!(batches, submitted, "proxy must forward every batch");
         PipelineReport {
             samples,
             elapsed_secs: elapsed,
             throughput: samples as f64 / elapsed,
             stored_cells,
+            batches,
         }
     }
 
@@ -220,6 +241,47 @@ mod tests {
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].points.len(), 4);
         pipeline.shutdown();
+    }
+
+    /// A batch fills across ticks: `ceil(samples / batch_size)` batches,
+    /// where cutting at every tick sent 50 (one short batch a tick) and
+    /// 150 (two full and one short a tick). Every sample is stored once
+    /// and reads back bit for bit.
+    #[test]
+    fn batches_fill_across_ticks() {
+        for (units, sensors, batches) in [(2, 16, 7), (7, 75, 103)] {
+            let fleet = Fleet::new(FleetConfig {
+                units,
+                sensors_per_unit: sensors,
+                ..FleetConfig::small(29)
+            });
+            let pipeline = IngestionPipeline::new(2, 2, 256);
+            let report = pipeline.run_range(&fleet, 100, 150);
+            let samples = u64::from(units * sensors) * 50;
+            assert_eq!(report.samples, samples);
+            assert_eq!(report.batches, batches, "{units} × {sensors}");
+            assert_eq!(report.batches, samples.div_ceil(256));
+            assert_eq!(report.stored_cells, samples);
+            let series = pipeline
+                .tsd()
+                .query("energy", &QueryFilter::any(), 0, 1000)
+                .unwrap();
+            assert_eq!(series.len() as u32, units * sensors);
+            for s in &series {
+                let unit: u32 = s.tags["unit"].parse().unwrap();
+                let sensor: u32 = s.tags["sensor"].parse().unwrap();
+                let stored: Vec<(u64, u64)> = s
+                    .points
+                    .iter()
+                    .map(|p| (p.timestamp, p.value.to_bits()))
+                    .collect();
+                let generated: Vec<(u64, u64)> = (100..150)
+                    .map(|t| (t, fleet.sample(unit, sensor, t).to_bits()))
+                    .collect();
+                assert_eq!(stored, generated, "unit {unit} sensor {sensor}");
+            }
+            pipeline.shutdown();
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@ pub struct PlatformConfig {
     pub storage_nodes: usize,
     /// TSD daemon instances behind the reverse proxy.
     pub tsd_count: usize,
-    /// Samples per ingestion batch.
+    /// Samples per ingestion batch. Batches are filled across ticks (one
+    /// may carry the end of one tick and the start of the next); only the
+    /// last batch of an ingested range may be short.
     pub batch_size: usize,
     /// Rows of data used for offline training.
     pub training_window: usize,

@@ -17,7 +17,7 @@ use pga_linalg::Matrix;
 use pga_minibase::Client;
 use pga_query::{QueryEngine, RollupWriter};
 use pga_sensorgen::Fleet;
-use pga_tsdb::{DataPoint, QueryFilter};
+use pga_tsdb::{BatchPoint, DataPoint, QueryFilter};
 use pga_viz::{
     cluster_page, fleet_overview_page, machine_page, ClusterNodeRow, ClusterView, FleetOverview,
     Health, MachinePage, SensorPanel, StatTile, UnitStatus,
@@ -432,13 +432,16 @@ impl Monitor {
 
     /// Evaluate every unit's window ending at `t_end` against its model:
     /// one read of the whole fleet's window, scored in one
-    /// [`BatchEvaluator`] pass. Detected anomalies are recorded and written
-    /// back to the TSDB under the `anomaly` metric. Under brownout (see
-    /// [`Monitor::observe_pressure`]) evaluation runs on the sampled
-    /// sensor subset and outcomes are flagged degraded.
+    /// [`BatchEvaluator`] pass. Detected anomalies are written back to the
+    /// TSDB under the `anomaly` metric, all of a cycle's in one put, and
+    /// recorded. Under brownout (see [`Monitor::observe_pressure`])
+    /// evaluation runs on the sampled sensor subset and outcomes are
+    /// flagged degraded.
     ///
-    /// The read comes first, so an incomplete window fails the cycle
-    /// before any flag is recorded or written back.
+    /// A cycle is all or nothing: the read comes first, so an incomplete
+    /// window fails the cycle before any flag is written back, and flags
+    /// are recorded (and their cached series dropped) only once the
+    /// write-back has landed, so a failed write records nothing.
     pub fn evaluate_at(&mut self, t_end: u64) -> Result<Vec<EvalOutcome>, MonitorError> {
         if !self.is_trained() {
             return Err(MonitorError::NotTrained);
@@ -466,39 +469,52 @@ impl Monitor {
                     .collect()
             }
         };
-        for out in &outcomes {
-            let unit = out.unit;
-            for flag in &out.flags {
-                self.anomalies.push(AnomalyRecord {
-                    unit,
+        let timestamp = t_end * period;
+        let flags: Vec<AnomalyRecord> = outcomes
+            .iter()
+            .flat_map(|out| {
+                out.flags.iter().map(|flag| AnomalyRecord {
+                    unit: out.unit,
                     sensor: flag.sensor,
-                    timestamp: t_end * period,
+                    timestamp,
                     p_value: flag.p_value,
-                });
-                // Report back to the TSDB: value = −log10(p), clamped.
-                let strength = if flag.p_value > 0.0 {
-                    (-flag.p_value.log10()).min(300.0)
+                })
+            })
+            .collect();
+        // Report back to the TSDB, every flag of the cycle in one put (they
+        // share metric and timestamp): value = −log10(p), clamped.
+        let names: Vec<[String; 2]> = flags
+            .iter()
+            .map(|a| [a.unit.to_string(), a.sensor.to_string()])
+            .collect();
+        let tags: Vec<[(&str, &str); 2]> = names
+            .iter()
+            .map(|[u, s]| [("unit", u.as_str()), ("sensor", s.as_str())])
+            .collect();
+        let points: Vec<BatchPoint<'_>> = flags
+            .iter()
+            .zip(&tags)
+            .map(|(a, tags)| {
+                let strength = if a.p_value > 0.0 {
+                    (-a.p_value.log10()).min(300.0)
                 } else {
                     300.0
                 };
-                let u = unit.to_string();
-                let s = flag.sensor.to_string();
-                self.pipeline
-                    .tsd()
-                    .put(
-                        "anomaly",
-                        &[("unit", u.as_str()), ("sensor", s.as_str())],
-                        t_end * period,
-                        strength,
-                    )
-                    .map_err(|e| MonitorError::Storage(e.to_string()))?;
-                // A freshly flagged series must never hide behind a stale
-                // chart: drop every cached result covering it.
-                let flagged = series_tags(unit, flag.sensor);
-                self.engine.invalidate_series("energy", &flagged);
-                self.engine.invalidate_series("anomaly", &flagged);
-            }
+                (&tags[..], timestamp, strength)
+            })
+            .collect();
+        self.pipeline
+            .tsd()
+            .put_batch("anomaly", &points)
+            .map_err(|e| MonitorError::Storage(e.to_string()))?;
+        // Written, so recorded; and a freshly flagged series must never hide
+        // behind a stale chart: drop every cached result covering it.
+        for a in &flags {
+            let flagged = series_tags(a.unit, a.sensor);
+            self.engine.invalidate_series("energy", &flagged);
+            self.engine.invalidate_series("anomaly", &flagged);
         }
+        self.anomalies.extend(flags);
         Ok(outcomes)
     }
 
@@ -866,6 +882,53 @@ mod tests {
         // Evaluation runs off the incrementally trained models.
         let out = m.evaluate_at(205).unwrap();
         assert_eq!(out.len(), 2);
+        m.shutdown();
+    }
+
+    /// The write side of an all-or-nothing cycle: the read succeeds (the
+    /// followers serve the crashed primary's regions) but the flags'
+    /// write-back cannot land, so the cycle fails and records nothing —
+    /// where recording each flag before its own put left the flags up to
+    /// the failing one recorded, and again on every retry.
+    #[test]
+    fn a_failed_write_back_records_nothing() {
+        let mut config = PlatformConfig::demo(103);
+        config.fleet.units = 4;
+        config.fleet.sensors_per_unit = 16;
+        config.replication.factor = 2;
+        let mut m = Monitor::new(config).unwrap();
+        m.ingest_range(0, 650);
+        m.train(149).unwrap();
+        m.evaluate_at(649).unwrap();
+        let recorded = m.anomalies().to_vec();
+        assert!(!recorded.is_empty(), "the fleet has faulted units");
+
+        // Crash the primary of the region the first flag's anomaly row is
+        // written to.
+        let (u, s) = (recorded[0].unit.to_string(), recorded[0].sensor.to_string());
+        let tags = [("unit", u.as_str()), ("sensor", s.as_str())];
+        let row = m.tsd().codec().row_key("anomaly", &tags, 649);
+        let master = m.pipeline.master();
+        let primary = master
+            .directory()
+            .read()
+            .iter()
+            .find(|info| info.range.contains(&row))
+            .map(|info| info.server)
+            .unwrap();
+        master.server(primary).unwrap().shutdown();
+
+        // The store still serves reads, off the followers.
+        assert_eq!(m.window_from_store(3, 649, 50).unwrap().rows(), 50);
+        // Same window, same model: the same flags, whose write now fails
+        // after the read succeeded (a failed read is a partial result).
+        for _ in 0..2 {
+            match m.evaluate_at(649) {
+                Err(MonitorError::Storage(e)) => assert!(!e.starts_with("partial"), "{e}"),
+                other => panic!("expected the write-back to fail: {other:?}"),
+            }
+            assert_eq!(m.anomalies(), &recorded[..], "nothing recorded");
+        }
         m.shutdown();
     }
 

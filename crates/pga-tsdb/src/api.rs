@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::query::{Aggregator, QueryFilter, TimeSeries};
-use crate::tsd::{Tsd, TsdError};
+use crate::tsd::{BatchPoint, Tsd, TsdError};
 use crate::uid::RESERVED_PREFIX;
 
 /// One datapoint of an `/api/put` body (OpenTSDB's schema).
@@ -271,7 +271,8 @@ impl From<TsdError> for ApiError {
 /// written. The whole body is validated before anything is written: a
 /// point without tags, with a non-finite value, with a timestamp no row
 /// key can hold, or with an empty or reserved ([`RESERVED_PREFIX`]) metric
-/// or tag name rejects the request.
+/// or tag name rejects the request. A valid body is written with one
+/// [`Tsd::put_batch`] per distinct metric, in body order.
 pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
     let points: Vec<PutDatapoint> = if body.trim_start().starts_with('[') {
         serde_json::from_str(body).map_err(|e| ApiError::BadRequest(e.to_string()))?
@@ -302,13 +303,26 @@ pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
             }
         }
     }
-    for p in &points {
-        let tags: Vec<(&str, &str)> = p
-            .tags
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        tsd.put(&p.metric, &tags, p.timestamp, p.value)?;
+    // One batched put per distinct metric, metrics in order of first
+    // appearance and each metric's points in body order.
+    let tags: Vec<Vec<(&str, &str)>> = points
+        .iter()
+        .map(|p| {
+            p.tags
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect()
+        })
+        .collect();
+    let mut by_metric: BTreeMap<&str, (usize, Vec<BatchPoint<'_>>)> = BTreeMap::new();
+    for (i, (p, tags)) in points.iter().zip(&tags).enumerate() {
+        let (_, batch) = by_metric.entry(&p.metric).or_insert((i, Vec::new()));
+        batch.push((tags, p.timestamp, p.value));
+    }
+    let mut batches: Vec<_> = by_metric.into_iter().collect();
+    batches.sort_unstable_by_key(|&(_, (first, _))| first);
+    for (metric, (_, batch)) in &batches {
+        tsd.put_batch(metric, batch)?;
     }
     Ok(points.len())
 }
@@ -478,6 +492,57 @@ mod tests {
             {"metric":"energy","timestamp":7,"value":3.5,"tags":{"unit":"1","sensor":"3"}}
         ]"#;
         assert_eq!(handle_put(&t, many).unwrap(), 2);
+        m.shutdown();
+    }
+
+    /// An array body is one batched put per metric, not one per point; a
+    /// body refused whole issues none.
+    #[test]
+    fn put_bodies_write_one_batch_per_metric() {
+        use std::sync::atomic::Ordering;
+        let (m, t) = tsd();
+        let rpcs = || t.metrics().put_rpcs.load(Ordering::Relaxed);
+        let point = |metric: &str, ts: u64, sensor: u32| {
+            format!(
+                r#"{{"metric":"{metric}","timestamp":{ts},"value":{ts}.5,"tags":{{"unit":"1","sensor":"{sensor}"}}}}"#
+            )
+        };
+        let body = |points: Vec<String>| format!("[{}]", points.join(","));
+
+        let one_metric: Vec<String> = (0..40)
+            .map(|i| point("energy", 10 + i, i as u32 % 7))
+            .collect();
+        let before = rpcs();
+        assert_eq!(handle_put(&t, &body(one_metric)).unwrap(), 40);
+        assert_eq!(rpcs() - before, 1, "40 points of one metric");
+
+        let two_metrics: Vec<String> = (0..12)
+            .map(|i| point(["energy", "anomaly", "energy"][i % 3], 100 + i as u64, 2))
+            .collect();
+        let before = rpcs();
+        assert_eq!(handle_put(&t, &body(two_metrics)).unwrap(), 12);
+        assert_eq!(rpcs() - before, 2, "two metrics, interleaved");
+
+        let mut refused: Vec<String> = (0..5).map(|i| point("energy", 200 + i, 3)).collect();
+        refused.push(r#"{"metric":"energy","timestamp":205,"value":1.0,"tags":{}}"#.into());
+        let before = rpcs();
+        assert!(matches!(
+            handle_put(&t, &body(refused)),
+            Err(ApiError::BadRequest(_))
+        ));
+        assert_eq!(rpcs(), before, "a refused body issues no put");
+
+        let any = QueryFilter::any();
+        let energy: usize = t
+            .query("energy", &any, 0, 1000)
+            .unwrap()
+            .iter()
+            .map(|s| s.points.len())
+            .sum();
+        assert_eq!(energy, 40 + 8, "every accepted point, nothing refused");
+        let anomaly = t.query("anomaly", &any, 0, 1000).unwrap();
+        let stamps: Vec<u64> = anomaly[0].points.iter().map(|p| p.timestamp).collect();
+        assert_eq!(stamps, [101, 104, 107, 110]);
         m.shutdown();
     }
 

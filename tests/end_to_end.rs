@@ -318,6 +318,46 @@ fn an_incomplete_window_fails_the_cycle_before_anything_is_recorded() {
     m.shutdown();
 }
 
+/// A cycle writes its flags back in one put: k > 0 flags add exactly one
+/// put RPC to the daemon that writes them (a put per flag added k), each
+/// flagged series holds its one point, and a cycle without flags adds none.
+#[test]
+fn a_cycle_writes_its_flags_back_in_one_put() {
+    use std::sync::atomic::Ordering;
+    let put_rpcs = |m: &Monitor| m.tsd().metrics().put_rpcs.load(Ordering::Relaxed);
+    let cycle = |m: &mut Monitor, t_end: u64| -> (usize, u64) {
+        let before = put_rpcs(m);
+        let out = m.evaluate_at(t_end).unwrap();
+        let flags = out.iter().map(|o| o.flags.len()).sum();
+        (flags, put_rpcs(m) - before)
+    };
+
+    let mut m = monitor(103);
+    m.ingest_range(0, 650);
+    m.train(149).unwrap();
+    let (flags, rpcs) = cycle(&mut m, 649);
+    assert!(flags > 1, "the fleet has faulted units: {flags} flags");
+    assert_eq!(rpcs, 1, "{flags} flags, one put");
+    assert_eq!(m.anomalies().len(), flags);
+    let any = pga_tsdb::QueryFilter::any();
+    let written = m.tsd().query("anomaly", &any, 0, 1000).unwrap();
+    assert_eq!(written.len(), flags, "one series a flag");
+    assert!(written.iter().all(|s| s.points.len() == 1));
+    m.shutdown();
+
+    let mut config = PlatformConfig::demo(103);
+    config.fleet.units = 2;
+    config.fleet.sensors_per_unit = 16;
+    config.fleet.degradation_fraction = 0.0;
+    config.fleet.shift_fraction = 0.0;
+    let mut m = Monitor::new(config).unwrap();
+    m.ingest_range(0, 250);
+    m.train(149).unwrap();
+    assert_eq!(cycle(&mut m, 249), (0, 0), "no flags, no put");
+    assert!(m.anomalies().is_empty());
+    m.shutdown();
+}
+
 /// `tsd_series` is the cardinality of the store — what bounds the series
 /// table's memory — not its volume: ten times the ticks leave it where it
 /// was, and so does every read, down to a query for a metric nobody
