@@ -1,5 +1,6 @@
-//! Regenerate every table and figure of the paper's evaluation and print
-//! paper-style tables. JSON copies land in `target/experiments/` for
+//! Regenerate every table and figure of the paper's evaluation: each row
+//! of the experiment table (`pga_bench::registry`) in order, printed as a
+//! paper-style section. JSON copies land in `target/experiments/` for
 //! EXPERIMENTS.md.
 //!
 //! ```text
@@ -7,528 +8,20 @@
 //! cargo run --release -p pga-bench --bin report_all -- --quick
 //! ```
 
-use pga_bench::{
-    compaction_ablation, eval_throughput_experiment, fdr_experiment, fig2_report,
-    pipeline_throughput_experiment, render_table, training_scaling_experiment, write_report,
-};
-use pga_ingest::{proxy_ablation, salting_ablation};
-
-fn save(name: &str, value: &impl serde::Serialize) {
-    println!("  [saved {}]\n", write_report(name, value));
-}
-
-fn verdict(passed: bool) -> &'static str {
-    if passed {
-        "HELD"
-    } else {
-        "FAILED"
-    }
-}
+use pga_bench::registry::{Size, EXPERIMENTS};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let fig2_samples = if quick { 1_000_000.0 } else { 20_000_000.0 };
-
-    // ---------------------------------------------------------------- E1/E2
-    println!("== E1/E2: Figure 2 — ingestion scale-up (queueing model, real key routing) ==");
-    let fig2 = fig2_report(fig2_samples, false);
-    let mut rows = vec![vec![
-        "nodes".to_string(),
-        "throughput (samples/s)".to_string(),
-        "paper (samples/s)".to_string(),
-    ]];
-    for (row, &(pn, pt)) in fig2.rows.iter().zip(&fig2.paper_reference) {
-        assert_eq!(row.nodes, pn);
-        rows.push(vec![
-            row.nodes.to_string(),
-            format!("{:.0}", row.throughput),
-            format!("{pt:.0}"),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    let (a, b, r2) = fig2.fit;
-    println!("linear fit: throughput = {a:.0} + {b:.0}·nodes  (r² = {r2:.4})");
-    println!("paper: \"scales linearly, with each added machine increasing throughput by 11K samples per second\"");
-    // Fig 2 right: rate stability per configuration.
-    println!("\nFig 2 (right) — rate stability (max slope deviation from mean):");
-    for row in &fig2.rows {
-        let t = row.throughput;
-        let max_dev = row
-            .timeline
-            .windows(2)
-            .take(row.timeline.len().saturating_sub(2))
-            .map(|w| ((w[1].1 - w[0].1) / (w[1].0 - w[0].0) - t).abs() / t)
-            .fold(0.0, f64::max);
-        println!(
-            "  {:>2} nodes: {:.1}% deviation over {} snapshots",
-            row.nodes,
-            max_dev * 100.0,
-            row.timeline.len()
-        );
-    }
-    save("fig2", &fig2);
-
-    // ---------------------------------------------------------------- E12
-    println!("== E12: extension — scaling to 70 nodes (§VI ongoing work) ==");
-    let ext = fig2_report(fig2_samples, true);
-    let mut rows = vec![vec![
-        "nodes".to_string(),
-        "throughput (samples/s)".to_string(),
-    ]];
-    for row in &ext.rows {
-        rows.push(vec![
-            row.nodes.to_string(),
-            format!("{:.0}", row.throughput),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    save("fig2_extended", &ext);
-
-    // ---------------------------------------------------------------- E6
-    println!("== E6: §III-B ablation — row-key salting ==");
-    let salt = salting_ablation(30, if quick { 500_000.0 } else { 5_000_000.0 });
-    let rows = vec![
-        vec![
-            "keys".to_string(),
-            "throughput (samples/s)".to_string(),
-            "busiest server share".to_string(),
-        ],
-        vec![
-            "salted".to_string(),
-            format!("{:.0}", salt.salted_throughput),
-            format!("{:.3}", salt.salted_max_share),
-        ],
-        vec![
-            "unsalted".to_string(),
-            format!("{:.0}", salt.unsalted_throughput),
-            format!("{:.3}", salt.unsalted_max_share),
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    println!(
-        "salting speedup: {:.1}x  (paper: \"a dramatic increase to the ingestion rate\")",
-        salt.speedup()
-    );
-    save("salting_ablation", &salt);
-
-    // ---------------------------------------------------------------- E7
-    println!("== E7: §III-B ablation — reverse proxy backpressure ==");
-    let proxy = proxy_ablation(10, if quick { 1_000_000.0 } else { 5_000_000.0 });
-    let rows = vec![
-        vec![
-            "config".to_string(),
-            "ingested".to_string(),
-            "dropped".to_string(),
-            "server crashes".to_string(),
-        ],
-        vec![
-            "with proxy".to_string(),
-            format!("{:.0}", proxy.with_proxy.ingested),
-            format!("{:.0}", proxy.with_proxy.dropped),
-            proxy.with_proxy.crashes.to_string(),
-        ],
-        vec![
-            "without proxy".to_string(),
-            format!("{:.0}", proxy.without_proxy.ingested),
-            format!("{:.0}", proxy.without_proxy.dropped),
-            proxy.without_proxy.crashes.to_string(),
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    println!("paper: \"frequent crashes of Regionservers due to overloaded RPC Queues\" without buffering");
-    save("proxy_ablation", &proxy);
-
-    // ---------------------------------------------------------------- E8
-    println!("== E8: §III-B ablation — OpenTSDB write-path compaction ==");
-    let comp = compaction_ablation(if quick { 4 } else { 16 }, 8, 7);
-    let mut rows = vec![vec![
-        "compaction".to_string(),
-        "RPCs per datapoint".to_string(),
-        "wall secs".to_string(),
-    ]];
-    for r in &comp {
-        rows.push(vec![
-            if r.compaction {
-                "enabled"
-            } else {
-                "disabled (paper)"
-            }
-            .to_string(),
-            format!("{:.3}", r.rpcs_per_point),
-            format!("{:.3}", r.elapsed_secs),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    save("compaction_ablation", &comp);
-
-    // ---------------------------------------------------------------- E5
-    println!("== E5: §IV — multiple-testing procedures on the synthetic fleet ==");
-    let (units, sensors) = if quick { (12, 64) } else { (50, 200) };
-    let fdr = fdr_experiment(units, sensors, 560, 0.5, 2024);
-    let mut rows = vec![vec![
-        "procedure".to_string(),
-        "false alarms/window".to_string(),
-        "empirical FDR".to_string(),
-        "empirical FWER".to_string(),
-        "power".to_string(),
-    ]];
-    for r in &fdr {
-        rows.push(vec![
-            r.procedure.clone(),
-            format!("{:.2}", r.mean_false_alarms),
-            format!("{:.3}", r.empirical_fdr),
-            format!("{:.3}", r.empirical_fwer),
-            format!("{:.3}", r.power),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!("paper: FDR \"significantly reduces the number of false alarms\" while balancing type I/II errors");
-    save("fdr_procedures", &fdr);
-
-    // -------------------------------------------------------------- E5b
-    println!("== E5b: weak-signal power study (Monte Carlo, m=1000, 50 signals at z=3) ==");
-    let weak =
-        pga_bench::fdr_weak_signal_experiment(1000, 50, 3.0, if quick { 40 } else { 200 }, 77);
-    let mut rows = vec![vec![
-        "procedure".to_string(),
-        "empirical FDR".to_string(),
-        "empirical FWER".to_string(),
-        "power".to_string(),
-    ]];
-    for r in &weak {
-        rows.push(vec![
-            r.procedure.clone(),
-            format!("{:.3}", r.empirical_fdr),
-            format!("{:.3}", r.empirical_fwer),
-            format!("{:.3}", r.power),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!(
-        "paper on FWER control: \"provided much less detection power and was overly conservative\""
-    );
-    save("fdr_weak_signal", &weak);
-
-    // ---------------------------------------------------------------- E15
-    println!("== E15: operating characteristic — power vs FDR across alpha ==");
-    let sweep = pga_bench::alpha_sweep_experiment(
-        if quick { 12 } else { 30 },
-        64,
-        620,
-        0.5,
-        &[0.01, 0.05, 0.10, 0.20],
-        2024,
-    );
-    let mut rows = vec![vec![
-        "procedure".to_string(),
-        "alpha".to_string(),
-        "empirical FDR".to_string(),
-        "power".to_string(),
-        "false alarms/window".to_string(),
-    ]];
-    for r in &sweep {
-        rows.push(vec![
-            r.procedure.clone(),
-            format!("{:.2}", r.alpha),
-            format!("{:.3}", r.empirical_fdr),
-            format!("{:.3}", r.power),
-            format!("{:.2}", r.mean_false_alarms),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!("BH tracks the target FDR across levels; uncorrected false alarms grow linearly with alpha\n");
-    save("alpha_sweep", &sweep);
-
-    // ---------------------------------------------------------------- E13
-    println!("== E13: detection latency — ticks from onset to first true flag ==");
-    let (lat_units, lat_sensors) = if quick { (9, 48) } else { (24, 96) };
-    let lat = pga_bench::detection_latency_experiment(lat_units, lat_sensors, 50, 10, 1500, 31);
-    let mut rows = vec![vec![
-        "procedure".to_string(),
-        "fault class".to_string(),
-        "mean delay (ticks)".to_string(),
-        "detected".to_string(),
-    ]];
-    for r in &lat {
-        rows.push(vec![
-            r.procedure.clone(),
-            r.fault_class.clone(),
-            if r.mean_delay_ticks.is_nan() {
-                "-".into()
-            } else {
-                format!("{:.0}", r.mean_delay_ticks)
-            },
-            format!("{}/{}", r.detected, r.total),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!(
-        "sharp shifts are caught within ~1 window; gradual degradation is caught once the drift"
-    );
-    println!(
-        "accumulates — the incipient-fault detection the paper targets. The classical per-sensor"
-    );
-    println!(
-        "CUSUM is fastest but carries NO multiplicity control: on a healthy 1000-sensor unit it"
-    );
-    println!("false-alarms on hundreds of sensors (see pga-detect cusum tests) — the paper's §IV problem.\n");
-    save("detection_latency", &lat);
-
-    // ---------------------------------------------------------------- E14
-    println!("== E14: design ablation — evaluation window length ==");
-    let wab = pga_bench::window_ablation_experiment(
-        if quick { 9 } else { 18 },
-        48,
-        &[10, 25, 50, 100],
-        47,
-    );
-    let mut rows = vec![vec![
-        "window (ticks)".to_string(),
-        "sharp-shift delay (ticks)".to_string(),
-        "false flags / healthy window".to_string(),
-    ]];
-    for r in &wab {
-        rows.push(vec![
-            r.window.to_string(),
-            if r.sharp_delay_ticks.is_nan() {
-                "-".into()
-            } else {
-                format!("{:.0}", r.sharp_delay_ticks)
-            },
-            format!("{:.3}", r.healthy_false_flags),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    save("window_ablation", &wab);
-
-    // ---------------------------------------------------------------- E4
-    println!("== E4: §IV arithmetic — P(≥1 false alarm) = 1 − (1−α)^m ==");
-    let mut rows = vec![vec![
-        "sensors (m)".to_string(),
-        "analytic".to_string(),
-        "Monte-Carlo".to_string(),
-    ]];
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-    for m in [1usize, 5, 10, 50, 100] {
-        let analytic = pga_stats::family_wise_false_alarm_probability(0.05, m);
-        let trials = 20_000;
-        let mut hits = 0;
-        for _ in 0..trials {
-            if (0..m).any(|_| rng.gen::<f64>() <= 0.05) {
-                hits += 1;
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let size = match args.as_slice() {
+        [] => Size::Full,
+        [flag] if flag == "--quick" => Size::Quick,
+        _ => {
+            eprintln!("usage: report_all [--quick]");
+            std::process::exit(2);
         }
-        rows.push(vec![
-            m.to_string(),
-            format!("{analytic:.4}"),
-            format!("{:.4}", hits as f64 / trials as f64),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    println!("paper: α=0.05, m=10 → \"that probability jumps to 40%\"\n");
-
-    // ---------------------------------------------------------------- E3
-    println!("== E3: §IV-A — online evaluation throughput ==");
-    let eval = eval_throughput_experiment(1000, 50, if quick { 20 } else { 100 }, 9);
-    println!(
-        "evaluated {} samples in {:.3}s → {:.0} samples/s parallel ({:.0} serial)",
-        eval.samples, eval.elapsed_secs, eval.throughput, eval.serial_throughput
-    );
-    println!(
-        "paper: \"we can evaluate for anomalies at a rate of 939,000 sensor samples per second\""
-    );
-    save("eval_throughput", &eval);
-
-    // ---------------------------------------------------------------- E10
-    println!("== E10: §IV-A — offline training scaling (Spark-analog workers) ==");
-    let tr = training_scaling_experiment(
-        if quick { 16 } else { 48 },
-        if quick { 64 } else { 200 },
-        150,
-        &[1, 2, 4, 8],
-        13,
-    );
-    let mut rows = vec![vec![
-        "workers".to_string(),
-        "wall secs".to_string(),
-        "speedup".to_string(),
-    ]];
-    for r in &tr {
-        rows.push(vec![
-            r.workers.to_string(),
-            format!("{:.3}", r.elapsed_secs),
-            format!("{:.2}x", r.speedup),
-        ]);
-    }
-    println!("{}", render_table(&rows));
-    save("training_scaling", &tr);
-
-    // ---------------------------------------------------------------- E17
-    println!("== E17: durability under injected faults (pga-faultsim) ==");
-    let faults = pga_bench::fault_durability_experiment(if quick { 16 } else { 64 });
-    let t = &faults.totals;
-    let rows = vec![
-        vec![
-            "seeds".to_string(),
-            "acked batches".to_string(),
-            "retries".to_string(),
-            "crashes (torn)".to_string(),
-            "partitions".to_string(),
-            "skews".to_string(),
-            "splits".to_string(),
-            "moves".to_string(),
-            "ack drops".to_string(),
-            "reassigned".to_string(),
-            "violations".to_string(),
-        ],
-        vec![
-            faults.seeds_run.to_string(),
-            t.batches_acked.to_string(),
-            t.retries.to_string(),
-            format!("{} ({})", t.crashes, t.torn_crashes),
-            t.partitions.to_string(),
-            t.skews.to_string(),
-            t.splits.to_string(),
-            t.moves.to_string(),
-            t.rpc_drops.to_string(),
-            t.reassigned.to_string(),
-            if faults.passed {
-                "0".to_string()
-            } else {
-                format!("{} FAILING SEEDS", faults.failures.len())
-            },
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    for replay in &faults.failures {
-        println!("  {replay}");
-    }
-    println!("paper §III: the HBase/OpenTSDB substrate keeps acknowledged data through node failure — every seeded crash/partition/torn-WAL schedule above recovered with zero acked samples lost and baseline-identical detection output.");
-    save("fault_durability", &faults);
-
-    // ---------------------------------------------------------------- E18
-    println!("== E18: overload control under storm load (3x capacity, one slow server) ==");
-    let overload = pga_bench::overload_storm_experiment(if quick { 16 } else { 64 });
-    let arm_row = |r: &pga_cluster::OverloadReport| {
-        vec![
-            format!("{:?}", r.mode),
-            format!("{:.0}%", r.goodput_fraction * 100.0),
-            format!("{:.2}s", r.p99_latency_secs),
-            format!("{:.1}s", r.max_latency_secs),
-            format!("{:.0}", r.busy_rejected),
-            format!("{:.0}", r.deadline_expired),
-            format!("{:.0}", r.dropped + r.lost_in_queue),
-            r.crashes.to_string(),
-        ]
     };
-    let rows = vec![
-        vec![
-            "stack".to_string(),
-            "goodput".to_string(),
-            "p99".to_string(),
-            "max lat".to_string(),
-            "busy (typed)".to_string(),
-            "expired (typed)".to_string(),
-            "silent loss".to_string(),
-            "crashes".to_string(),
-        ],
-        arm_row(&overload.controlled),
-        arm_row(&overload.seed_buffered),
-        arm_row(&overload.seed_direct),
-    ];
-    println!("{}", render_table(&rows));
-    let st = &overload.storm_totals;
-    println!(
-        "live-stack storm campaign: {} seeds, {} storms, {} slow-server windows, {} Busy rejections, {}/{} batches acked — {}",
-        overload.storm_seeds_run,
-        st.storms,
-        st.slow_faults,
-        st.busy_rejections,
-        st.batches_acked,
-        st.batches_generated,
-        if overload.storm_campaign_passed {
-            "all oracles held"
-        } else {
-            "ORACLE FAILURES"
-        }
-    );
-    for replay in &overload.storm_failures {
-        println!("  {replay}");
+    for experiment in EXPERIMENTS {
+        experiment.execute(size);
     }
-    println!("overload control keeps goodput >= {:.0}% of calibrated capacity with a bounded tail while both seed stacks collapse (unbounded latency / crashed servers); every rejected sample is typed, nothing acked is lost.\n",
-        pga_bench::GOODPUT_FLOOR * 100.0);
-    save("e18_overload", &overload);
-
-    // ---------------------------------------------------------------- E19
-    println!("== E19: serving-layer queries — raw scans vs rollups vs result cache ==");
-    let qcfg = if quick {
-        pga_bench::QueryBenchConfig::quick()
-    } else {
-        pga_bench::QueryBenchConfig::full()
-    };
-    let queries = pga_bench::query_serving_experiment(&qcfg);
-    println!("{}", queries.render());
-    println!("verdict {}", verdict(queries.passed()));
-    println!("paper §V: dashboards need interactive latency over months of retained data; write-time rollups plus an invalidated result cache serve repeated panel refreshes without rescanning raw cells.");
-    save("BENCH_queries", &queries);
-
-    // ---------------------------------------------------------------- E20
-    println!("== E20: failover availability under replication (pga-repl) ==");
-    let failover = pga_bench::failover_experiment(if quick { 16 } else { 128 });
-    println!("{}", failover.render());
-    for c in &failover.campaigns {
-        for replay in &c.failures {
-            println!("  {replay}");
-        }
-    }
-    println!("verdict {}\n", verdict(failover.passed()));
-    save("BENCH_failover", &failover);
-
-    // ---------------------------------------------------------------- E21
-    println!("== E21: sealed-block scans + batched columnar detection vs legacy ==");
-    let bcfg = if quick {
-        pga_bench::BlockBenchConfig::quick()
-    } else {
-        pga_bench::BlockBenchConfig::full()
-    };
-    let blocks = pga_bench::block_format_experiment(&bcfg);
-    println!("{}", blocks.render());
-    println!("verdict {}\n", verdict(blocks.passed()));
-    save("BENCH_blocks", &blocks);
-
-    // ---------------------------------------------------------------- E22
-    println!("== E22: corruption resilience — salvage reads + background scrub ==");
-    let scfg = if quick {
-        pga_bench::ScrubBenchConfig::quick()
-    } else {
-        pga_bench::ScrubBenchConfig::full()
-    };
-    let scrub = pga_bench::scrub_resilience_experiment(&scfg);
-    println!("{}", scrub.render());
-    println!("verdict {}\n", verdict(scrub.passed()));
-    save("BENCH_scrub", &scrub);
-
-    // ---------------------------------------------------------------- E23
-    println!("== E23: incremental retraining + work-stealing scheduler scaling ==");
-    let tcfg = if quick {
-        pga_bench::TrainBenchConfig::quick()
-    } else {
-        pga_bench::TrainBenchConfig::full()
-    };
-    let train = pga_bench::train_retrain_experiment(&tcfg);
-    println!("{}", train.render());
-    println!("verdict {}\n", verdict(train.passed()));
-    save("BENCH_train", &train);
-
-    // ------------------------------------------------- real pipeline sanity
-    println!("== real thread-scale pipeline (storage stack on this host) ==");
-    let pipe = pipeline_throughput_experiment(4, if quick { 20 } else { 100 }, 17);
-    println!(
-        "{} samples through proxy → TSD → region servers at {:.0} samples/s\n",
-        pipe.samples, pipe.throughput
-    );
-    save("pipeline_throughput", &pipe);
-
     println!("all experiment JSON written to target/experiments/");
 }

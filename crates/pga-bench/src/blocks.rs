@@ -210,7 +210,7 @@ impl BlockBenchReport {
             ]
         };
         let rows = [
-            row(["arm", "pass (ms)", "throughput", "cells/point"]),
+            row("arm|pass (ms)|throughput|cells/point"),
             scan(&self.scan_legacy),
             scan(&self.scan_blocks),
             detect(&self.detect_rowmajor),

@@ -58,14 +58,13 @@ pub struct EvalThroughput {
     pub samples: u64,
     /// Wall seconds.
     pub elapsed_secs: f64,
-    /// Samples per second, every window scored in one batch.
-    pub throughput: f64,
     /// Samples per second on one thread.
-    pub serial_throughput: f64,
+    pub throughput: f64,
 }
 
 /// Measure online evaluation throughput over `windows` windows of
-/// `window_rows × sensors` observations.
+/// `window_rows × sensors` observations: one timed pass of
+/// `OnlineEvaluator::evaluate` over every window, on one thread.
 pub fn eval_throughput_experiment(
     sensors: u32,
     window_rows: usize,
@@ -86,25 +85,17 @@ pub fn eval_throughput_experiment(
             fleet.observation_window(0, t_end, window_rows)
         })
         .collect();
-    // Serial baseline.
     let start = Instant::now();
-    let mut samples = 0u64;
-    for w in &ws {
-        samples += ev.evaluate(w).samples_scored;
-    }
-    let serial = start.elapsed().as_secs_f64();
-    // Batched: every window scored in one pass, outcomes kept.
-    let start = Instant::now();
-    let outs: Vec<_> = ws.iter().map(|w| ev.evaluate(w)).collect();
+    let samples: u64 = ws
+        .iter()
+        .map(|w| std::hint::black_box(ev.evaluate(w)).samples_scored)
+        .sum();
     let elapsed = start.elapsed().as_secs_f64();
-    let par_samples: u64 = outs.iter().map(|o| o.samples_scored).sum();
-    assert_eq!(par_samples, samples);
     EvalThroughput {
         windows,
         samples,
         elapsed_secs: elapsed,
         throughput: samples as f64 / elapsed,
-        serial_throughput: samples as f64 / serial,
     }
 }
 
@@ -521,9 +512,8 @@ pub fn compaction_ablation(series: u32, hours: u64, seed: u64) -> Vec<Compaction
         .collect()
 }
 
-/// One configuration of the compaction ablation (also used as a Criterion
-/// bench body).
-pub fn compaction_ablation_single(series: u32, hours: u64, compaction: bool) -> CompactionRow {
+/// One configuration of the compaction ablation.
+fn compaction_ablation_single(series: u32, hours: u64, compaction: bool) -> CompactionRow {
     use pga_cluster::coordinator::Coordinator;
     use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
     use pga_tsdb::{KeyCodec, KeyCodecConfig, Tsd, TsdConfig, UidTable};
@@ -669,7 +659,6 @@ mod tests {
         let r = eval_throughput_experiment(64, 25, 8, 3);
         assert_eq!(r.samples, 8 * 25 * 64);
         assert!(r.throughput > 0.0);
-        assert!(r.serial_throughput > 0.0);
     }
 
     #[test]

@@ -164,15 +164,7 @@ impl QueryServingReport {
             ]
         };
         let rows = [
-            row([
-                "arm",
-                "p50 (ms)",
-                "p99 (ms)",
-                "QPS",
-                "rollup plans",
-                "cache hits",
-                "partials",
-            ]),
+            row("arm|p50 (ms)|p99 (ms)|QPS|rollup plans|cache hits|partials"),
             arm(&self.raw),
             arm(&self.rollup),
             arm(&self.cached),

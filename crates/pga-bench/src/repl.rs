@@ -107,14 +107,9 @@ impl FailoverReport {
 
     /// The two E20 tables and the measured speedup (no verdict line).
     pub fn render(&self) -> String {
-        let mut campaigns = vec![row([
-            "RF",
-            "seeds",
-            "acked loss",
-            "failovers",
-            "replica checks",
-            "fence rejections",
-        ])];
+        let mut campaigns = vec![row(
+            "RF|seeds|acked loss|failovers|replica checks|fence rejections",
+        )];
         for c in &self.campaigns {
             campaigns.push(vec![
                 c.factor.to_string(),
@@ -129,13 +124,9 @@ impl FailoverReport {
                 c.fence_rejections.to_string(),
             ]);
         }
-        let mut availability = vec![row([
-            "RF",
-            "unavailability (sim ms)",
-            "scan p50 (ms)",
-            "scan p99 (ms)",
-            "hedged scans",
-        ])];
+        let mut availability = vec![row(
+            "RF|unavailability (sim ms)|scan p50 (ms)|scan p99 (ms)|hedged scans",
+        )];
         for r in &self.availability {
             availability.push(vec![
                 r.factor.to_string(),

@@ -171,7 +171,7 @@ impl ScrubBenchReport {
             ]
         };
         let rows = [
-            row(["arm", "queries", "exact", "typed errors", "wrong answers"]),
+            row("arm|queries|exact|typed errors|wrong answers"),
             arm(&self.before),
             arm(&self.after),
             arm(&self.post_scrub),

@@ -35,9 +35,9 @@ pub fn render_table(rows: &[Vec<String>]) -> String {
     out
 }
 
-/// An all-literal row (typically the header) for [`render_table`].
-pub(crate) fn row<const N: usize>(cells: [&str; N]) -> Vec<String> {
-    cells.iter().map(|s| s.to_string()).collect()
+/// A header row for [`render_table`] from `|`-separated column titles.
+pub(crate) fn row(titles: &str) -> Vec<String> {
+    titles.split('|').map(str::to_string).collect()
 }
 
 #[cfg(test)]

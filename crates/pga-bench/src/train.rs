@@ -189,14 +189,9 @@ impl TrainBenchReport {
 
     /// The two E23 tables and the measured summary (no verdict line).
     pub fn render(&self) -> String {
-        let mut rounds = vec![row([
-            "round",
-            "dirty units",
-            "retrained",
-            "full ms",
-            "incremental ms",
-            "divergence",
-        ])];
+        let mut rounds = vec![row(
+            "round|dirty units|retrained|full ms|incremental ms|divergence",
+        )];
         for r in &self.rounds {
             rounds.push(vec![
                 r.round.to_string(),
@@ -207,14 +202,7 @@ impl TrainBenchReport {
                 format!("{:.2e}", r.max_divergence),
             ]);
         }
-        let mut scaling = vec![row([
-            "workers",
-            "elapsed ms",
-            "speedup",
-            "tasks",
-            "steals",
-            "max depth",
-        ])];
+        let mut scaling = vec![row("workers|elapsed ms|speedup|tasks|steals|max depth")];
         for r in &self.scaling {
             scaling.push(vec![
                 r.workers.to_string(),

@@ -4,121 +4,148 @@
 //! pga gen       --units 4 --sensors 16 --ticks 10 --seed 7      # JSONL samples to stdout
 //! pga demo      --units 8 --sensors 64 --ticks 700 --seed 42    # full monitoring loop
 //! pga dashboard --port 8087 --secs 30                           # serve dashboard + API
+//! pga queries   --smoke                                         # one experiment (E19)
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free: `--key value` pairs
-//! after a subcommand.
+//! Argument parsing is dependency-free and strict: each command names the
+//! `--key value` options and bare `--switch` flags it takes, and anything
+//! else (an unknown flag, a missing or unparsable value) prints usage and
+//! exits 2. Every command but `gen`, `demo`, `dashboard`, `import` and
+//! `analyze` is a row of the experiment table, `pga_bench::registry`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use pga_bench::registry::{self, Experiment, Size, EXPERIMENTS};
 use pga_platform::{dashboard_routes, Monitor, PlatformConfig};
 use pga_sensorgen::{Fleet, FleetConfig};
 use pga_viz::server::{DashboardServer, HttpRequest, HttpResponse, RequestHandler};
 
-fn parse_args(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i + 1 < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            map.insert(key.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    map
-}
+const USAGE: &str = "\
+usage: pga <command> [options]
 
-fn get<T: std::str::FromStr>(map: &HashMap<String, String>, key: &str, default: T) -> T {
-    map.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+commands:
+  gen        print synthetic sensor samples as JSON lines
+             (--units N --sensors N --ticks N --seed N)
+  demo       run the full monitoring loop and print flagged anomalies
+             (--units N --sensors N --ticks N --seed N)
+  dashboard  serve the dashboard and the OpenTSDB-style API
+             (--units N --sensors N --port P --secs S --seed N)
+  import     load OpenTSDB-style JSONL datapoints into a fresh
+             store and serve the query API over them
+             (--file path --nodes N --port P --secs S)
+  analyze    run the workspace lint engine (see ANALYSIS.md)
+             ([--deny-all] [--root path] [--rule id] [--list])
+  crashtest --seed N [--schedule 12:crash:1,30:tear:0,...]
+             replay one fault-injection seed and print its trace
+
+experiments: pga <name> [--smoke | --full]
+  Without a size flag an experiment runs at report_all --quick size;
+  --smoke is the CI size. Exits 1 when the verdict fails. The JSON
+  artifact lands in target/experiments/; report_all runs every row.
+";
+
+/// `USAGE` followed by one line per experiment.
+fn usage_text() -> String {
+    let mut text = USAGE.to_string();
+    for e in EXPERIMENTS {
+        let _ = writeln!(text, "  {:<14}{:<8}{}", e.name, e.id, e.help);
+    }
+    text
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: pga <command> [--key value ...]\n\
-         \n\
-         commands:\n\
-           gen        print synthetic sensor samples as JSON lines\n\
-                      (--units N --sensors N --ticks N --seed N)\n\
-           demo       run the full monitoring loop and print flagged anomalies\n\
-                      (--units N --sensors N --ticks N --seed N)\n\
-           dashboard  serve the dashboard and the OpenTSDB-style API\n\
-                      (--units N --sensors N --port P --secs S --seed N)\n\
-           import     load OpenTSDB-style JSONL datapoints into a fresh\n\
-                      store and serve the query API over them\n\
-                      (--file path --nodes N --port P --secs S)\n\
-           analyze    run the workspace lint engine (see ANALYSIS.md)\n\
-                      ([--deny-all] [--root path] [--rule id] [--list])\n\
-           crashtest  deterministic fault-injection campaign against the\n\
-                      live storage stack (see DESIGN.md, Fault model)\n\
-                      (--seeds N [--start-seed N] | --seed N\n\
-                       [--schedule 12:crash:1,30:tear:0,...])\n\
-           overload   storm showdown: the overload-controlled stack vs\n\
-                      both seed stacks at Nx calibrated capacity with one\n\
-                      slow server, plus a live-stack storm campaign\n\
-                      (--nodes N --factor F --secs S --storm-seeds N)\n\
-           failover   E20 replication showdown: seeded crash campaigns at\n\
-                      RF=2 and RF=3 (zero acked-write loss through\n\
-                      promotion) plus the availability probe comparing\n\
-                      hedged replicated scans against single-copy lease\n\
-                      recovery; fails unless every oracle holds and the\n\
-                      10x availability bar is met\n\
-                      (--seeds N)\n\
-           queries    E19 serving-layer showdown: raw scans vs rollups vs\n\
-                      rollup+cache (p50/p99, sustained QPS) while ingest\n\
-                      keeps running; fails unless rollup answers match raw\n\
-                      exactly, no cached anomaly view is stale, and the\n\
-                      10x bar holds\n\
-                      (--mode quick|full --nodes N --tsds N --units N\n\
-                       --sensors N --history S --queries N --seed N)\n\
-           blocks     E21 sealed-block showdown: columnar block scans +\n\
-                      batched columnar detection vs the legacy\n\
-                      cell-by-cell decode + row-major loop; fails unless\n\
-                      answers match byte-for-byte, verdicts are\n\
-                      bit-identical, and both 10x bars hold\n\
-                      (--mode quick|full --nodes N --units N --sensors N\n\
-                       --history S --row-span S --seed N [--smoke])\n\
-           scrub      E22 corruption-resilience campaign: bit-flip sealed\n\
-                      blocks on primary copies, then prove no arm ever\n\
-                      returns a wrong answer — strict reads fail typed,\n\
-                      salvaging reads answer exactly from the replica,\n\
-                      and background scrub repairs the local copies\n\
-                      (--mode quick|full --nodes N --units N --sensors N\n\
-                       --history S --corruptions N --seed N [--smoke])\n\
-           train      E23 incremental-retrain showdown: dirty-only\n\
-                      retraining vs the from-scratch batch rebuild under\n\
-                      live ingest (identical models, divergence <= 1e-9)\n\
-                      plus the work-stealing scheduler's 1..N worker\n\
-                      scaling sweep; fails unless the oracle holds, the\n\
-                      5x incremental bar holds, and — on >=4-core hosts —\n\
-                      the 3x parallel bar holds\n\
-                      (--mode quick|full --units N --sensors N\n\
-                       --base-rows N --rounds N --dirty-units N\n\
-                       --delta-rows N --workers N --seed N [--smoke])\n\
-         \n\
-         experiment reproduction lives in the bench crate:\n\
-           cargo run --release -p pga-bench --bin report_all"
-    );
+    eprint!("{}", usage_text());
     std::process::exit(2);
 }
 
-fn fleet_config(map: &HashMap<String, String>) -> FleetConfig {
-    FleetConfig {
-        units: get(map, "units", 8u32),
-        sensors_per_unit: get(map, "sensors", 64u32),
-        ..FleetConfig::paper_scale(get(map, "seed", 42u64))
+/// A command's options, parsed against the keys and switches it takes.
+#[derive(Debug, Default)]
+struct Args {
+    values: HashMap<String, String>,
+    switches: HashSet<String>,
+}
+
+impl Args {
+    /// Every token must be a `--key` in `keys` followed by its value, or a
+    /// `--switch` in `switches`, which takes none.
+    fn parse(args: &[String], keys: &[&str], switches: &[&str]) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut tokens = args.iter();
+        while let Some(arg) = tokens.next() {
+            let name = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("unexpected argument `{arg}`"))?;
+            if switches.contains(&name) {
+                parsed.switches.insert(name.to_string());
+            } else if keys.contains(&name) {
+                let value = tokens
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{name} needs a value"))?;
+                parsed.values.insert(name.to_string(), value.clone());
+            } else {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        Ok(parsed)
+    }
+
+    fn require<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        let value = self
+            .values
+            .get(key)
+            .ok_or_else(|| format!("--{key} is required"))?;
+        value
+            .parse()
+            .map_err(|_| format!("--{key}: cannot parse `{value}`"))
+    }
+
+    fn get<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        if self.values.contains_key(key) {
+            self.require(key)
+        } else {
+            Ok(default)
+        }
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(switch)
     }
 }
 
-fn cmd_gen(map: &HashMap<String, String>) {
-    let fleet = Fleet::new(fleet_config(map));
-    let ticks = get(map, "ticks", 10u64);
+/// The experiment size the `--smoke` / `--full` switches select.
+fn size(args: &Args) -> Result<Size, String> {
+    match (args.has("smoke"), args.has("full")) {
+        (true, true) => Err("--smoke and --full exclude each other".into()),
+        (true, false) => Ok(Size::Smoke),
+        (false, true) => Ok(Size::Full),
+        (false, false) => Ok(Size::Quick),
+    }
+}
+
+const SIZE_SWITCHES: [&str; 2] = ["smoke", "full"];
+const FLEET_KEYS: [&str; 4] = ["units", "sensors", "ticks", "seed"];
+
+fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
+    Ok(FleetConfig {
+        units: args.get("units", 8u32)?,
+        sensors_per_unit: args.get("sensors", 64u32)?,
+        ..FleetConfig::paper_scale(args.get("seed", 42u64)?)
+    })
+}
+
+fn cmd_gen(rest: &[String]) -> Result<(), String> {
+    use std::io::Write;
+    let args = Args::parse(rest, &FLEET_KEYS, &[])?;
+    let fleet = Fleet::new(fleet_config(&args)?);
+    let ticks = args.get("ticks", 10u64)?;
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    use std::io::Write;
     for t in 0..ticks {
         for s in fleet.tick(t) {
             writeln!(
@@ -129,12 +156,14 @@ fn cmd_gen(map: &HashMap<String, String>) {
             .expect("write sample");
         }
     }
+    Ok(())
 }
 
-fn cmd_demo(map: &HashMap<String, String>) {
-    let ticks = get(map, "ticks", 700u64).max(300);
-    let mut config = PlatformConfig::demo(get(map, "seed", 42u64));
-    config.fleet = fleet_config(map);
+fn cmd_demo(rest: &[String]) -> Result<(), String> {
+    let args = Args::parse(rest, &FLEET_KEYS, &[])?;
+    let ticks = args.get("ticks", 700u64)?.max(300);
+    let mut config = PlatformConfig::demo(args.get("seed", 42u64)?);
+    config.fleet = fleet_config(&args)?;
     let mut monitor = Monitor::new(config).expect("valid config");
     let report = monitor.ingest_range(0, ticks);
     eprintln!(
@@ -157,12 +186,16 @@ fn cmd_demo(map: &HashMap<String, String>) {
     }
     eprintln!("{} anomaly records total", monitor.anomalies().len());
     monitor.shutdown();
+    Ok(())
 }
 
-fn cmd_dashboard(map: &HashMap<String, String>) {
+fn cmd_dashboard(rest: &[String]) -> Result<(), String> {
+    let args = Args::parse(rest, &["units", "sensors", "port", "secs", "seed"], &[])?;
     let ticks = 700u64;
-    let mut config = PlatformConfig::demo(get(map, "seed", 7u64));
-    config.fleet = fleet_config(map);
+    let mut config = PlatformConfig::demo(args.get("seed", 7u64)?);
+    config.fleet = fleet_config(&args)?;
+    let port = args.get("port", 8087u16)?;
+    let secs = args.get("secs", 300u64)?;
     let mut monitor = Monitor::new(config).expect("valid config");
     monitor.ingest_range(0, ticks);
     monitor.train(149).expect("train");
@@ -171,33 +204,32 @@ fn cmd_dashboard(map: &HashMap<String, String>) {
     }
     let monitor = Arc::new(Mutex::new(monitor));
     let routes = dashboard_routes(monitor.clone(), ticks - 1, 300, 24, 0.0);
-    let port = get(map, "port", 8087u16);
     let server = DashboardServer::start_with(port, routes.clone())
         .or_else(|_| DashboardServer::start_with(0, routes))
         .expect("bind");
     println!("dashboard at http://{}/", server.addr());
-    let secs = get(map, "secs", 300u64);
     println!("serving for {secs} seconds (ctrl-c to stop sooner)…");
     std::thread::sleep(std::time::Duration::from_secs(secs));
     server.stop();
     monitor.lock().shutdown();
+    Ok(())
 }
 
 /// Import external data (the paper's §VI plan of evaluating on industry
 /// datasets): read OpenTSDB-style JSONL datapoints from a file, ingest
 /// them into a fresh storage cluster, print a summary, and serve the
 /// query API over the imported data.
-fn cmd_import(map: &HashMap<String, String>) {
+fn cmd_import(rest: &[String]) -> Result<(), String> {
     use pga_cluster::coordinator::Coordinator;
     use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
     use pga_tsdb::{KeyCodec, KeyCodecConfig, Tsd, TsdConfig, UidTable};
     use std::io::BufRead;
 
-    let Some(file) = map.get("file") else {
-        eprintln!("import requires --file <path>");
-        std::process::exit(2);
-    };
-    let nodes = get(map, "nodes", 4usize);
+    let args = Args::parse(rest, &["file", "nodes", "port", "secs"], &[])?;
+    let file: String = args.require("file")?;
+    let nodes = args.get("nodes", 4usize)?;
+    let port = args.get("port", 8087u16)?;
+    let secs = args.get("secs", 0u64)?;
     let codec = KeyCodec::new(
         KeyCodecConfig {
             salt_buckets: nodes as u8,
@@ -218,7 +250,7 @@ fn cmd_import(map: &HashMap<String, String>) {
         TsdConfig::default(),
     ));
 
-    let reader = std::io::BufReader::new(std::fs::File::open(file).unwrap_or_else(|e| {
+    let reader = std::io::BufReader::new(std::fs::File::open(&file).unwrap_or_else(|e| {
         eprintln!("cannot open {file}: {e}");
         std::process::exit(1);
     }));
@@ -246,7 +278,6 @@ fn cmd_import(map: &HashMap<String, String>) {
         imported as f64 / elapsed
     );
 
-    let secs = get(map, "secs", 0u64);
     if secs > 0 {
         let routes: RequestHandler = {
             let tsd = tsd.clone();
@@ -271,7 +302,6 @@ fn cmd_import(map: &HashMap<String, String>) {
                 },
             )
         };
-        let port = get(map, "port", 8087u16);
         let server = DashboardServer::start_with(port, routes.clone())
             .or_else(|_| DashboardServer::start_with(0, routes))
             .expect("bind");
@@ -283,418 +313,181 @@ fn cmd_import(map: &HashMap<String, String>) {
         server.stop();
     }
     master.shutdown();
+    Ok(())
 }
 
-/// Run the deterministic fault-injection harness: either one seed (with
-/// an optional explicit schedule, for replaying a reported failure) or a
-/// campaign over a seed range with shrinking. Exits non-zero on any
-/// oracle violation.
-fn cmd_crashtest(map: &HashMap<String, String>) {
+/// Run one row of the experiment table, exiting 1 when its verdict
+/// fails. `crashtest --seed N` instead replays one seed.
+fn cmd_experiment(experiment: &Experiment, rest: &[String]) -> Result<(), String> {
+    let keys: &[&str] = if experiment.name == "crashtest" {
+        &["seed", "schedule"]
+    } else {
+        &[]
+    };
+    let args = Args::parse(rest, keys, &SIZE_SWITCHES)?;
+    if !args.values.is_empty() {
+        if !args.switches.is_empty() {
+            return Err("a --seed replay takes no size flag".into());
+        }
+        return cmd_replay(&args);
+    }
+    if experiment.execute(size(&args)?) == Some(false) {
+        std::process::exit(1);
+    }
+    Ok(())
+}
+
+/// Replay one fault-injection seed — with its generated schedule, or an
+/// explicit `--schedule` from a failing campaign's report — printing the
+/// full trace. Exits 1 on any oracle violation.
+fn cmd_replay(args: &Args) -> Result<(), String> {
     use pga_faultsim::{
-        format_schedule, generate, parse_schedule, run_campaign, run_with_baseline, CampaignConfig,
-        GeneratorConfig, SimConfig,
+        format_schedule, generate, parse_schedule, run_with_baseline, GeneratorConfig, SimConfig,
     };
 
     let sim = SimConfig::default();
-    if map.contains_key("seed") && !map.contains_key("seeds") {
-        // Single-run mode: replay one seed, printing the full trace.
-        let seed = get(map, "seed", 0u64);
-        let schedule = match map.get("schedule") {
-            Some(text) => parse_schedule(text).unwrap_or_else(|e| {
-                eprintln!("bad --schedule: {e}");
-                std::process::exit(2);
-            }),
-            None => generate(
-                seed,
-                &GeneratorConfig {
-                    nodes: sim.nodes as u32,
-                    steps: sim.steps,
-                    max_ops: 6,
-                    lease_ms: sim.lease_ms,
-                },
-            ),
-        };
-        let outcome = run_with_baseline(seed, &schedule, &sim);
-        println!(
-            "seed {seed}  schedule {}",
-            if outcome.schedule.is_empty() {
-                "(baseline)"
-            } else {
-                &outcome.schedule
-            }
-        );
-        for event in &outcome.events {
-            println!("  {event}");
-        }
-        println!(
-            "acked {} batches / {} samples, {} retries, {} faults injected",
-            outcome.stats.batches_acked,
-            outcome.stats.samples_acked,
-            outcome.stats.retries,
-            outcome.stats.faults_injected()
-        );
-        if outcome.violations.is_empty() {
-            println!("all invariants held");
+    let seed: u64 = args.require("seed")?;
+    let schedule = match args.values.get("schedule") {
+        Some(text) => parse_schedule(text).map_err(|e| format!("bad --schedule: {e}"))?,
+        None => generate(
+            seed,
+            &GeneratorConfig {
+                nodes: sim.nodes as u32,
+                steps: sim.steps,
+                max_ops: 6,
+                lease_ms: sim.lease_ms,
+            },
+        ),
+    };
+    let outcome = run_with_baseline(seed, &schedule, &sim);
+    println!(
+        "seed {seed}  schedule {}",
+        if outcome.schedule.is_empty() {
+            "(baseline)"
         } else {
-            for v in &outcome.violations {
-                println!("VIOLATION: {v}");
-            }
-            println!(
-                "replay: pga crashtest --seed {seed} --schedule {}",
-                format_schedule(&schedule)
-            );
-            std::process::exit(1);
+            &outcome.schedule
         }
-        return;
-    }
-
-    // Campaign mode.
-    let config = CampaignConfig {
-        start_seed: get(map, "start-seed", 0u64),
-        seeds: get(map, "seeds", 64u64),
-        ..CampaignConfig::default()
-    };
-    let report = run_campaign(&config);
-    println!(
-        "{} seeds: {} batches acked, {} retries, {} crashes ({} torn), \
-         {} partitions, {} skews, {} splits, {} moves, {} ack drops, \
-         {} reassignments",
-        report.seeds_run,
-        report.totals.batches_acked,
-        report.totals.retries,
-        report.totals.crashes,
-        report.totals.torn_crashes,
-        report.totals.partitions,
-        report.totals.skews,
-        report.totals.splits,
-        report.totals.moves,
-        report.totals.rpc_drops,
-        report.totals.reassigned,
     );
-    if report.passed() {
-        println!("all invariants held across {} seeds", report.seeds_run);
-    } else {
-        for case in &report.failures {
-            println!("seed {} FAILED (shrunk: {})", case.seed, case.shrunk);
-            for v in &case.violations {
-                println!("  {v}");
-            }
-            println!("  {}", case.replay);
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Reproduce the E18 overload showdown: the full overload-control stack
-/// and both seed stacks under a storm at `--factor` times calibrated
-/// capacity with one slow server, followed by a deterministic storm
-/// campaign against the live storage stack. Exits non-zero when the
-/// goodput floor, conservation ledger, or any storm oracle fails.
-fn cmd_overload(map: &HashMap<String, String>) {
-    use pga_cluster::{simulate_overload, OverloadConfig, OverloadMode, OverloadReport};
-    use pga_faultsim::{run_storm_campaign, CampaignConfig};
-
-    let nodes = get(map, "nodes", 5usize).max(2);
-    let factor = get(map, "factor", 3.0f64).max(1.0);
-    let secs = get(map, "secs", 30.0f64).max(1.0);
-    let storm_seeds = get(map, "storm-seeds", 16u64).max(1);
-
-    let run = |mode: OverloadMode| -> OverloadReport {
-        let mut cfg = OverloadConfig::e18(nodes, mode);
-        cfg.overload_factor = factor;
-        cfg.storm_secs = secs;
-        simulate_overload(&cfg)
-    };
-    let controlled = run(OverloadMode::Controlled);
-    let buffered = run(OverloadMode::SeedBuffered);
-    let direct = run(OverloadMode::SeedDirect);
-
-    println!(
-        "storm: {factor:.1}x calibrated capacity for {secs:.0}s over {nodes} nodes, node 0 slow"
-    );
-    let show = |label: &str, r: &OverloadReport| {
-        println!(
-            "  {label:<12} goodput {:>5.1}%  p99 {:>8.2}s  busy {:>9.0}  expired {:>8.0}  \
-             silent loss {:>9.0}  crashes {}",
-            r.goodput_fraction * 100.0,
-            r.p99_latency_secs,
-            r.busy_rejected,
-            r.deadline_expired,
-            r.dropped + r.lost_in_queue,
-            r.crashes
-        );
-    };
-    show("controlled", &controlled);
-    show("seed-buffer", &buffered);
-    show("seed-direct", &direct);
-
-    println!("storm campaign: {storm_seeds} seeds against the live storage stack…");
-    let campaign = run_storm_campaign(&CampaignConfig {
-        seeds: storm_seeds,
-        ..CampaignConfig::default()
-    });
-    println!(
-        "  {} storms, {} slow-server windows, {} Busy rejections, {}/{} batches acked",
-        campaign.totals.storms,
-        campaign.totals.slow_faults,
-        campaign.totals.busy_rejections,
-        campaign.totals.batches_acked,
-        campaign.totals.batches_generated
-    );
-    let held = controlled.goodput_fraction >= 0.8
-        && controlled.conserves_samples()
-        && controlled.dropped == 0.0
-        && controlled.lost_in_queue == 0.0
-        && campaign.passed();
-    if held {
-        println!(
-            "overload control held: goodput >= 80% of calibrated capacity, \
-             every sample delivered or typed-rejected, no silent loss"
-        );
-    } else {
-        for case in &campaign.failures {
-            println!("  seed {} FAILED: {}", case.seed, case.replay);
-        }
-        println!(
-            "OVERLOAD VERDICT FAILED (controlled goodput {:.1}%)",
-            controlled.goodput_fraction * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Reproduce E20 from the CLI: seeded crash/partition campaigns at RF=2
-/// and RF=3 (the faultsim replication oracles must all hold — no acked
-/// loss through promotion, no replica divergence, no double-ack past a
-/// fence) followed by the availability probe comparing hedged replicated
-/// scans against single-copy lease recovery. Exits non-zero unless every
-/// campaign is clean and the 10x availability bar is met.
-fn cmd_failover(map: &HashMap<String, String>) {
-    use pga_bench::failover_experiment;
-
-    let seeds = get(map, "seeds", 32u64).max(1);
-    let report = failover_experiment(seeds);
-    println!("{}", report.render());
-    if !report.passed() {
-        for c in &report.campaigns {
-            for replay in &c.failures {
-                println!("  {replay}");
-            }
-        }
-        std::process::exit(1);
+    for event in &outcome.events {
+        println!("  {event}");
     }
     println!(
-        "all replication oracles held across {} seeds per factor",
-        seeds
+        "acked {} batches / {} samples, {} retries, {} faults injected",
+        outcome.stats.batches_acked,
+        outcome.stats.samples_acked,
+        outcome.stats.retries,
+        outcome.stats.faults_injected()
     );
-}
-
-/// Reproduce E19 from the CLI: measure the serving layer (rollups,
-/// scatter-gather, result cache) against raw scans on the live storage
-/// stack while a background writer keeps ingesting. Exits non-zero unless
-/// rollup answers equal raw answers exactly, every cached anomaly view
-/// reflects fresh flags after invalidation, and the rollup+cache arm
-/// clears the 10x bar on sustained QPS or p99 latency.
-fn cmd_queries(map: &HashMap<String, String>) {
-    use pga_bench::{query_serving_experiment, QueryBenchConfig};
-
-    let base = if map.get("mode").map(String::as_str) == Some("full") {
-        QueryBenchConfig::full()
-    } else {
-        QueryBenchConfig::quick()
-    };
-    let cfg = QueryBenchConfig {
-        nodes: get(map, "nodes", base.nodes),
-        tsd_count: get(map, "tsds", base.tsd_count),
-        units: get(map, "units", base.units),
-        sensors_per_unit: get(map, "sensors", base.sensors_per_unit),
-        history_secs: get(map, "history", base.history_secs),
-        queries: get(map, "queries", base.queries),
-        downsample_secs: get(map, "downsample", base.downsample_secs),
-        seed: get(map, "seed", base.seed),
-    };
+    if outcome.violations.is_empty() {
+        println!("all invariants held");
+        return Ok(());
+    }
+    for v in &outcome.violations {
+        println!("VIOLATION: {v}");
+    }
     println!(
-        "serving-layer showdown: {} units x {} sensors, {}s history, {} queries/arm",
-        cfg.units, cfg.sensors_per_unit, cfg.history_secs, cfg.queries
+        "replay: pga crashtest --seed {seed} --schedule {}",
+        format_schedule(&schedule)
     );
-    let rep = query_serving_experiment(&cfg);
-    println!("{}", rep.render());
-    if rep.passed() {
-        println!("serving-layer verdict held: exact answers, fresh flags, >= 10x");
-    } else {
-        println!("QUERY VERDICT FAILED");
-        std::process::exit(1);
-    }
-}
-
-/// Reproduce E21 from the CLI: seal the ingested history into columnar
-/// blocks and race the block-path scan + columnar batch detector against
-/// the legacy cell-by-cell decode + row-major loop, storage to verdict.
-/// Exits non-zero unless block answers equal legacy answers byte-for-byte
-/// (before and after sealing), batched verdicts are bit-identical to the
-/// row-major evaluator's, and both speedups clear the 10x bar. With
-/// `--smoke`, also writes `target/experiments/BENCH_blocks.json` and
-/// scores the exact counters in place of the two timing ratios.
-fn cmd_blocks(map: &HashMap<String, String>, smoke: bool) {
-    use pga_bench::{block_format_experiment, write_report, BlockBenchConfig};
-
-    let base = if map.get("mode").map(String::as_str) == Some("full") {
-        BlockBenchConfig::full()
-    } else {
-        BlockBenchConfig::quick()
-    };
-    let cfg = BlockBenchConfig {
-        nodes: get(map, "nodes", base.nodes),
-        salt_buckets: get(map, "salts", base.salt_buckets),
-        row_span_secs: get(map, "row-span", base.row_span_secs),
-        units: get(map, "units", base.units),
-        sensors_per_unit: get(map, "sensors", base.sensors_per_unit),
-        history_secs: get(map, "history", base.history_secs),
-        scan_iters: get(map, "scan-iters", base.scan_iters),
-        eval_iters: get(map, "eval-iters", base.eval_iters),
-        train_window: get(map, "train-window", base.train_window),
-        seed: get(map, "seed", base.seed),
-    };
-    println!(
-        "sealed-block showdown: {} units x {} sensors, {}s history, {}s rows",
-        cfg.units, cfg.sensors_per_unit, cfg.history_secs, cfg.row_span_secs
-    );
-    let rep = block_format_experiment(&cfg);
-    println!("{}", rep.render());
-    if smoke {
-        println!("wrote {}", write_report("BENCH_blocks", &rep));
-    }
-    // A smoke run gates on what repeats exactly; the 10x bars score
-    // full-size runs, whose timings a shared CI host does not decide.
-    if smoke && rep.exact() {
-        println!(
-            "block verdict held: exact answers, bit-identical verdicts, sealed scan fed <= 1/10 \
-             the cells (timed: scan {:.1}x, detect {:.1}x)",
-            rep.scan_speedup, rep.detect_speedup
-        );
-    } else if rep.passed() {
-        println!("block verdict held: exact answers, bit-identical verdicts, >= 10x");
-    } else {
-        println!("BLOCK VERDICT FAILED");
-        std::process::exit(1);
-    }
-}
-
-/// Reproduce E22 from the CLI: corrupt sealed blocks on primary copies
-/// of a replicated cluster, then check the three arms — strict reads
-/// fail with the typed corruption error, salvaging reads answer exactly
-/// by splicing the healthy replica, and background scrub ticks drain
-/// the quarantine through CRC-verified replica-backed repairs, after
-/// which strict reads answer exactly again. Exits non-zero unless every
-/// oracle holds. With `--smoke`, also writes
-/// `target/experiments/BENCH_scrub.json`.
-fn cmd_scrub(map: &HashMap<String, String>, smoke: bool) {
-    use pga_bench::{scrub_resilience_experiment, write_report, ScrubBenchConfig};
-
-    let base = if map.get("mode").map(String::as_str) == Some("full") {
-        ScrubBenchConfig::full()
-    } else {
-        ScrubBenchConfig::quick()
-    };
-    let cfg = ScrubBenchConfig {
-        nodes: get(map, "nodes", base.nodes),
-        salt_buckets: get(map, "salts", base.salt_buckets),
-        row_span_secs: get(map, "row-span", base.row_span_secs),
-        units: get(map, "units", base.units),
-        sensors_per_unit: get(map, "sensors", base.sensors_per_unit),
-        history_secs: get(map, "history", base.history_secs),
-        corruptions: get(map, "corruptions", base.corruptions),
-        scrub_tick_budget: get(map, "scrub-ticks", base.scrub_tick_budget),
-        seed: get(map, "seed", base.seed),
-    };
-    println!(
-        "corruption-resilience campaign: {} units x {} sensors, {}s history, RF 2, {} bit-flips",
-        cfg.units, cfg.sensors_per_unit, cfg.history_secs, cfg.corruptions
-    );
-    let rep = scrub_resilience_experiment(&cfg);
-    println!("{}", rep.render());
-    if smoke {
-        println!("wrote {}", write_report("BENCH_scrub", &rep));
-    }
-    if rep.passed() {
-        println!("scrub verdict held: no wrong answers, quarantine drained via verified repairs");
-    } else {
-        println!("SCRUB VERDICT FAILED");
-        std::process::exit(1);
-    }
-}
-
-/// Reproduce E23 from the CLI: live-ingest retrain rounds comparing
-/// the from-scratch batch rebuild against dirty-only incremental
-/// retraining (differential oracle: identical models, divergence ≤
-/// 1e-9), then sweep the work-stealing scheduler from 1 to N workers
-/// over the full-fleet re-finish workload. Exits non-zero unless every
-/// bar holds (the ≥3x parallel bar is gated on a ≥4-core host). With
-/// `--smoke`, also writes `target/experiments/BENCH_train.json` and
-/// scores the exact counters in place of the timing ratios.
-fn cmd_train(map: &HashMap<String, String>, smoke: bool) {
-    use pga_bench::{train_retrain_experiment, write_report, TrainBenchConfig};
-
-    let base = if map.get("mode").map(String::as_str) == Some("full") {
-        TrainBenchConfig::full()
-    } else {
-        TrainBenchConfig::quick()
-    };
-    let cfg = TrainBenchConfig {
-        units: get(map, "units", base.units),
-        sensors: get(map, "sensors", base.sensors),
-        base_rows: get(map, "base-rows", base.base_rows),
-        rounds: get(map, "rounds", base.rounds),
-        dirty_units: get(map, "dirty-units", base.dirty_units),
-        delta_rows: get(map, "delta-rows", base.delta_rows),
-        workers: get(map, "workers", base.workers),
-        seed: get(map, "seed", base.seed),
-    };
-    println!(
-        "incremental retrain campaign: {} units x {} sensors, {} rounds of {} dirty x {} rows, \
-         up to {} workers",
-        cfg.units, cfg.sensors, cfg.rounds, cfg.dirty_units, cfg.delta_rows, cfg.workers
-    );
-    let rep = train_retrain_experiment(&cfg);
-    println!("{}", rep.render());
-    if smoke {
-        println!("wrote {}", write_report("BENCH_train", &rep));
-    }
-    // As for `blocks`: exact gates for a smoke run, timing bars beside.
-    if smoke && rep.exact() {
-        println!(
-            "train verdict held: incremental equals full recompute, retrains dirty units only \
-             (timed: {:.1}x)",
-            rep.incremental_speedup
-        );
-    } else if rep.passed() {
-        println!("train verdict held: incremental equals full recompute and beats it >=5x");
-    } else {
-        println!("TRAIN VERDICT FAILED");
-        std::process::exit(1);
-    }
+    std::process::exit(1);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
-    // `analyze` has boolean flags, so it keeps its own argument grammar.
-    if command == "analyze" {
-        std::process::exit(pga_analyze::cli::run(&args[1..]));
+    let rest = &args[1..];
+    let result = match command.as_str() {
+        // `analyze` keeps its own argument grammar.
+        "analyze" => std::process::exit(pga_analyze::cli::run(rest)),
+        "gen" => cmd_gen(rest),
+        "demo" => cmd_demo(rest),
+        "dashboard" => cmd_dashboard(rest),
+        "import" => cmd_import(rest),
+        name => match registry::find(name) {
+            Some(experiment) => cmd_experiment(experiment, rest),
+            None => Err(format!("unknown command `{name}`")),
+        },
+    };
+    if let Err(e) = result {
+        eprintln!("pga {command}: {e}\n");
+        usage();
     }
-    let map = parse_args(&args[1..]);
-    match command.as_str() {
-        "gen" => cmd_gen(&map),
-        "demo" => cmd_demo(&map),
-        "dashboard" => cmd_dashboard(&map),
-        "import" => cmd_import(&map),
-        "crashtest" => cmd_crashtest(&map),
-        "overload" => cmd_overload(&map),
-        "failover" => cmd_failover(&map),
-        "queries" => cmd_queries(&map),
-        "blocks" => cmd_blocks(&map, args.iter().any(|a| a == "--smoke")),
-        "scrub" => cmd_scrub(&map, args.iter().any(|a| a == "--smoke")),
-        "train" => cmd_train(&map, args.iter().any(|a| a == "--smoke")),
-        _ => usage(),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The commands implemented here; every other command is an experiment.
+    const COMMANDS: [&str; 5] = ["gen", "demo", "dashboard", "import", "analyze"];
+
+    fn parse(line: &str, keys: &[&str], switches: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse(&argv, keys, switches)
+    }
+
+    fn experiment_size(line: &str) -> Result<Size, String> {
+        size(&parse(line, &[], &SIZE_SWITCHES)?)
+    }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        // `--mode` is not a flag any more, and `--smoke` cannot swallow it.
+        assert!(parse("--smoke --mode full", &[], &SIZE_SWITCHES).is_err());
+        assert_eq!(experiment_size("--smoke"), Ok(Size::Smoke));
+        assert_eq!(experiment_size("--full"), Ok(Size::Full));
+        assert_eq!(experiment_size(""), Ok(Size::Quick));
+    }
+
+    #[test]
+    fn smoke_and_full_exclude_each_other_in_either_order() {
+        assert!(experiment_size("--smoke --full").is_err());
+        assert!(experiment_size("--full --smoke").is_err());
+    }
+
+    #[test]
+    fn an_unparsable_value_is_an_error() {
+        let args = parse("--seed 3x", &["seed", "schedule"], &SIZE_SWITCHES).unwrap();
+        assert!(args.get("seed", 0u64).is_err());
+        assert!(args.require::<u64>("seed").is_err());
+        let args = parse("--units 4", &FLEET_KEYS, &[]).unwrap();
+        assert_eq!(args.get("units", 8u32), Ok(4));
+        assert_eq!(args.get("ticks", 10u64), Ok(10));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        // Misspelt (`--sensor`) or retired (`--seeds`, `--storm-seeds`).
+        assert!(parse("--sensor 6", &FLEET_KEYS, &[]).is_err());
+        assert!(parse("--seeds 3x", &["seed", "schedule"], &SIZE_SWITCHES).is_err());
+        assert!(parse("--storm-seeds 16", &[], &SIZE_SWITCHES).is_err());
+        assert!(parse("units 4", &FLEET_KEYS, &[]).is_err());
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        assert!(parse("--units", &FLEET_KEYS, &[]).is_err());
+        assert!(parse("--units --seed 3", &FLEET_KEYS, &[]).is_err());
+        let args = parse("--nodes 2", &["file", "nodes"], &[]).unwrap();
+        assert!(args.require::<String>("file").is_err());
+    }
+
+    #[test]
+    fn usage_lists_every_experiment_and_commands_are_not_experiments() {
+        let text = usage_text();
+        let generated = &text[USAGE.len()..];
+        for e in EXPERIMENTS {
+            assert!(
+                generated
+                    .lines()
+                    .any(|l| l.split_whitespace().next() == Some(e.name)),
+                "{} missing from usage",
+                e.name
+            );
+        }
+        for command in COMMANDS {
+            assert!(registry::find(command).is_none(), "{command}");
+            assert!(text.contains(&format!("  {command} ")), "{command}");
+        }
     }
 }
