@@ -18,7 +18,10 @@
 //! contention. Two oracles gate the verdict: rollup answers must equal raw
 //! answers bit-for-bit under an order-insensitive aggregator, and a cached
 //! anomaly view must reflect a freshly flagged series immediately after
-//! the engine's explicit invalidation (zero stale anomaly flags).
+//! the engine's explicit invalidation (zero stale anomaly flags). An exact
+//! counter gates it too: a raw panel query must scan fewer than twice the
+//! cells its one unit holds, which only holds while the tag filter reaches
+//! the region servers.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -108,6 +111,9 @@ pub struct QueryArm {
     pub cache_hits: u64,
     /// Queries that returned partial results (must be 0 for a pass).
     pub partials: u64,
+    /// Cells the region servers returned over the timed loop (the cached
+    /// arm's untimed warm pass excluded).
+    pub cells_scanned: u64,
 }
 
 /// E19 artifact: the three arms plus the correctness/staleness oracles.
@@ -141,12 +147,27 @@ pub struct QueryServingReport {
 }
 
 impl QueryServingReport {
+    /// Raw cells one unit holds over the history: what a raw panel query
+    /// reads when only its own unit's rows come back.
+    fn unit_cells(&self) -> u64 {
+        u64::from(self.config.sensors_per_unit) * self.config.history_secs
+    }
+
+    /// Cells the raw arm scanned per query.
+    fn raw_cells_per_query(&self) -> f64 {
+        self.raw.cells_scanned as f64 / self.config.queries as f64
+    }
+
     /// E19 verdict: exact answers, no stale flags, no partial results,
-    /// and the serving layer clears the 10x bar on sustained QPS or p99.
+    /// a raw panel query that scans under twice its own unit's cells (the
+    /// tag filter reached the region servers; a stray duplicate version is
+    /// tolerated), and the serving layer clears the 10x bar on sustained
+    /// QPS or p99.
     pub fn passed(&self) -> bool {
         self.answer_mismatches == 0
             && self.stale_anomaly_flags == 0
             && self.raw.partials + self.rollup.partials + self.cached.partials == 0
+            && self.raw_cells_per_query() < 2.0 * self.unit_cells() as f64
             && (self.qps_speedup_cached >= 10.0 || self.p99_speedup_cached >= 10.0)
     }
 
@@ -161,21 +182,25 @@ impl QueryServingReport {
                 a.rollup_plans.to_string(),
                 a.cache_hits.to_string(),
                 a.partials.to_string(),
+                a.cells_scanned.to_string(),
             ]
         };
         let rows = [
-            row("arm|p50 (ms)|p99 (ms)|QPS|rollup plans|cache hits|partials"),
+            row("arm|p50 (ms)|p99 (ms)|QPS|rollup plans|cache hits|partials|cells scanned"),
             arm(&self.raw),
             arm(&self.rollup),
             arm(&self.cached),
         ];
         format!(
             "{}\nconcurrent ingest: {} samples at {:.0} samples/s\n\
+             raw scan: {:.0} cells per query for a unit holding {} (bar: under 2x)\n\
              speedups vs raw: rollup {:.1}x QPS, rollup+cache {:.1}x QPS / {:.1}x p99\n\
              oracles: {} answer mismatches, {} stale anomaly flags",
             render_table(&rows),
             self.ingest_samples,
             self.ingest_throughput,
+            self.raw_cells_per_query(),
+            self.unit_cells(),
             self.qps_speedup_rollup,
             self.qps_speedup_cached,
             self.p99_speedup_cached,
@@ -230,6 +255,7 @@ fn run_arm(label: &str, engine: &QueryEngine, cfg: &QueryBenchConfig, warm: bool
         }
     }
     let mut latencies_ms = Vec::with_capacity(cfg.queries);
+    let before = engine.stats();
     let started = Instant::now();
     for i in 0..cfg.queries {
         let filter = panel_filter(i, cfg.units);
@@ -257,6 +283,7 @@ fn run_arm(label: &str, engine: &QueryEngine, cfg: &QueryBenchConfig, warm: bool
         rollup_plans: stats.rollup_plans,
         cache_hits: stats.cache_hits,
         partials: stats.partials,
+        cells_scanned: stats.cells_scanned - before.cells_scanned,
     }
 }
 
@@ -418,6 +445,12 @@ mod tests {
             0
         );
         assert_eq!(rep.raw.rollup_plans, 0, "raw arm must never plan rollups");
+        assert!(
+            rep.raw_cells_per_query() < 2.0 * rep.unit_cells() as f64,
+            "a panel query scans its own unit: {} cells for {}",
+            rep.raw_cells_per_query(),
+            rep.unit_cells()
+        );
         assert_eq!(rep.rollup.rollup_plans, cfg.queries as u64);
         assert!(rep.cached.cache_hits > 0, "dashboard refreshes must hit");
         assert!(

@@ -1113,17 +1113,20 @@ mod tests {
         m.shutdown();
     }
 
-    /// A column window is answered alike by every read path: blocking,
-    /// admitted, bounded-staleness (served by the follower) and hedged
-    /// (served by the follower once the primary is down) all return the
-    /// whole-row scan filtered by qualifier, across regions.
+    /// A column window and a row-word filter are answered alike by every
+    /// read path: blocking, admitted, bounded-staleness (served by the
+    /// follower) and hedged (served by the follower once the primary is
+    /// down) all return the whole-row scan filtered by qualifier and by
+    /// row key, across regions.
     #[test]
     fn column_windows_are_answered_alike_by_primaries_and_followers() {
-        use crate::kv::ColumnRange;
+        use crate::kv::{ColumnRange, RowWords};
         let (m, c) = replicated_cluster(3, 2, &[b"m"], 1000);
         let cell = |row: &str, q: u8| KeyValue::new(row.as_bytes().to_vec(), vec![q], 1, vec![q]);
+        // Two-byte words: `ab` in a row of each region, and spelled across
+        // a word boundary in `xaby`, which does not hold it.
         c.put(
-            ["a", "b", "x"]
+            ["abxy", "xaby", "xyab"]
                 .iter()
                 .flat_map(|row| (0u8..8).map(move |q| cell(row, q)))
                 .collect(),
@@ -1134,27 +1137,47 @@ mod tests {
             ColumnRange::new(vec![6u8], vec![7u8]),
         ];
         let spec = ScanSpec::windowed(RowRange::all(), window);
-        let expect: Vec<KeyValue> = c
-            .scan(&RowRange::all())
-            .unwrap()
-            .into_iter()
-            .filter(|kv| matches!(kv.qualifier[0], 2 | 3 | 6))
-            .collect();
-        assert_eq!(expect.len(), 9);
+        let ab = RowWords::new(0, 2, [b"ab"]);
+        let whole = c.scan(&RowRange::all()).unwrap();
+        let in_window = |kv: &KeyValue| matches!(kv.qualifier[0], 2 | 3 | 6);
+        let pick = |keep: &dyn Fn(&KeyValue) -> bool| -> Vec<KeyValue> {
+            whole.iter().filter(|kv| keep(kv)).cloned().collect()
+        };
+        let cases = [
+            (spec.clone(), pick(&in_window)),
+            (
+                spec.with_words(ab.clone()),
+                pick(&|kv| in_window(kv) && ab.matches(&kv.row)),
+            ),
+            (
+                ScanSpec::from(RowRange::all()).with_words(ab.clone()),
+                pick(&|kv| ab.matches(&kv.row)),
+            ),
+        ];
+        let lens: Vec<usize> = cases.iter().map(|(_, expect)| expect.len()).collect();
+        assert_eq!(lens, [9, 6, 16]);
         let deadline = || Some(pga_cluster::rpc::default_clock_ms() + 1000);
-        assert_eq!(c.scan_spec(&spec).unwrap(), expect);
-        assert_eq!(c.scan_admitted(&spec, deadline()).unwrap(), expect);
         let policy = FollowerReadPolicy { max_lag: 0 };
-        assert_eq!(c.scan_bounded(&spec, &policy, deadline()).unwrap(), expect);
-        assert_eq!(c.repl_book().snapshot().follower_reads, 2, "one per region");
+        for (spec, expect) in &cases {
+            assert_eq!(&c.scan_spec(spec).unwrap(), expect);
+            assert_eq!(&c.scan_admitted(spec, deadline()).unwrap(), expect);
+            assert_eq!(&c.scan_bounded(spec, &policy, deadline()).unwrap(), expect);
+        }
+        assert_eq!(
+            c.repl_book().snapshot().follower_reads,
+            2 * cases.len() as u64,
+            "one per region"
+        );
         // One node down: every region it led still has its follower, on
         // another node.
         let down = m.directory().read()[0].server;
         m.server(down).unwrap().shutdown();
-        assert_eq!(
-            c.scan_hedged(&spec, deadline(), deadline()).unwrap(),
-            expect
-        );
+        for (spec, expect) in &cases {
+            assert_eq!(
+                &c.scan_hedged(spec, deadline(), deadline()).unwrap(),
+                expect
+            );
+        }
         assert!(c.repl_book().snapshot().hedged_scans >= 1);
         m.shutdown();
     }

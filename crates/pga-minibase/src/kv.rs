@@ -130,16 +130,73 @@ impl ColumnRange {
     }
 }
 
+/// A row-key word filter: the row key after `skip` bytes, read as
+/// `width`-byte words, must contain every listed word (HBase's
+/// `FuzzyRowFilter` and OpenTSDB's tag-UID row regex do this job). Only
+/// aligned words count: bytes that spell a word across a word boundary do
+/// not, nor does a trailing partial word. A row shorter than `skip` holds
+/// no words. With no words listed every row passes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowWords {
+    skip: usize,
+    width: usize,
+    /// The words, concatenated.
+    words: Bytes,
+}
+
+impl RowWords {
+    /// Rows whose key holds each of `words` (each `width` bytes long) as a
+    /// word after the first `skip` bytes.
+    pub fn new<W: AsRef<[u8]>>(
+        skip: usize,
+        width: usize,
+        words: impl IntoIterator<Item = W>,
+    ) -> Self {
+        assert!(width > 0, "a row word is at least one byte");
+        let mut all = Vec::new();
+        for word in words {
+            assert_eq!(
+                word.as_ref().len(),
+                width,
+                "every row word is `width` bytes"
+            );
+            all.extend_from_slice(word.as_ref());
+        }
+        RowWords {
+            skip,
+            width,
+            words: all.into(),
+        }
+    }
+
+    /// True when no word is listed (every row passes).
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Does `row` hold every word at a word boundary?
+    pub fn matches(&self, row: &[u8]) -> bool {
+        let tail = row.get(self.skip..).unwrap_or_default();
+        self.words
+            .chunks_exact(self.width)
+            .all(|word| tail.chunks_exact(self.width).any(|w| w == word))
+    }
+}
+
 /// What a scan reads: a row range and, optionally, a *column window* —
 /// the qualifier ranges to return from each row (HBase's
-/// `ColumnRangeFilter`). A region seeks to the window in every row rather
-/// than walking the row, so a windowed scan costs what it returns.
+/// `ColumnRangeFilter`) — and a [`RowWords`] filter on the row keys. A
+/// region seeks to the window in every row rather than walking the row,
+/// and tests the row key once before taking any of its cells, so a scan
+/// costs what it returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanSpec {
     rows: RowRange,
     /// `None` = whole rows. Otherwise sorted, non-empty and disjoint, so
     /// that visiting the ranges in order yields qualifiers in order.
     columns: Option<Vec<ColumnRange>>,
+    /// `None` = every row of the range. Never an empty word list.
+    words: Option<RowWords>,
 }
 
 impl ScanSpec {
@@ -162,7 +219,15 @@ impl ScanSpec {
         ScanSpec {
             rows,
             columns: Some(disjoint),
+            words: None,
         }
+    }
+
+    /// Only the rows whose key `words` accepts. An empty word list accepts
+    /// every row and leaves the spec as it was.
+    pub fn with_words(mut self, words: RowWords) -> Self {
+        self.words = (!words.is_empty()).then_some(words);
+        self
     }
 
     /// The rows scanned.
@@ -175,6 +240,11 @@ impl ScanSpec {
     pub fn columns(&self) -> Option<&[ColumnRange]> {
         self.columns.as_deref()
     }
+
+    /// The row-key filter: `None` for every row of the range.
+    pub fn words(&self) -> Option<&RowWords> {
+        self.words.as_ref()
+    }
 }
 
 /// Every cell of every row in `rows`.
@@ -183,6 +253,7 @@ impl From<RowRange> for ScanSpec {
         ScanSpec {
             rows,
             columns: None,
+            words: None,
         }
     }
 }
@@ -212,6 +283,29 @@ mod tests {
             Some(&[][..])
         );
         assert_eq!(ScanSpec::from(RowRange::all()).columns(), None);
+    }
+
+    #[test]
+    fn row_words_match_whole_aligned_words_only() {
+        let ab = RowWords::new(1, 2, [b"ab"]);
+        // At every aligned position, alone or repeated.
+        for row in [&b"sab"[..], b"sxyab", b"sabxy", b"sabab"] {
+            assert!(ab.matches(row), "{row:?}");
+        }
+        // Across a word boundary, inside the skipped prefix, as a partial
+        // trailing word, or in a row shorter than the skip: no match.
+        for row in [&b"sxaby"[..], b"abxy", b"sxya", b"s", b""] {
+            assert!(!ab.matches(row), "{row:?}");
+        }
+        let both = RowWords::new(1, 2, [b"xy", b"ab"]);
+        assert!(both.matches(b"sabxy") && both.matches(b"sxyab"));
+        assert!(!both.matches(b"sabab"));
+        // No words: every row passes, and the spec keeps no filter.
+        let none = RowWords::new(1, 2, Vec::<Vec<u8>>::new());
+        assert!(none.matches(b"") && none.matches(b"sxy"));
+        let spec = ScanSpec::from(RowRange::all());
+        assert_eq!(spec.clone().with_words(none), spec);
+        assert_eq!(spec.with_words(ab.clone()).words(), Some(&ab));
     }
 
     fn kv(row: &str, qual: &str, ts: u64) -> KeyValue {

@@ -53,7 +53,7 @@ pub use diskstore::{
     DiskStoreError,
 };
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
-pub use kv::{ColumnRange, KeyValue, RowRange, ScanSpec};
+pub use kv::{ColumnRange, KeyValue, RowRange, RowWords, ScanSpec};
 pub use master::{locate, Master, RegionInfo, TableDescriptor};
 pub use memstore::MemStore;
 pub use region::{Region, RegionConfig, RegionId};

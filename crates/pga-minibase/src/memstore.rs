@@ -6,7 +6,7 @@ use std::ops::Bound;
 
 use bytes::Bytes;
 
-use crate::kv::{ColumnRange, KeyValue, RowRange};
+use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
 
 /// One cell of a row's run; its row key is the map key the run hangs off.
 #[derive(Debug, Clone)]
@@ -118,19 +118,27 @@ impl MemStore {
         self.rows.range::<[u8], _>((start, end))
     }
 
-    /// Sorted iteration over cells within a row range.
-    pub fn scan<'a>(&'a self, range: &'a RowRange) -> impl Iterator<Item = KeyValue> + 'a {
-        self.rows_in(range)
-            .flat_map(|(row, run)| run.iter().map(move |cell| cell.to_kv(row)))
-    }
-
-    /// The cells of `rows` whose qualifier lies in one of `columns`
-    /// (sorted and disjoint), in order. Seeks to each row and to each
+    /// The cells of the rows in `rows` that `words` accepts (every row
+    /// when `None`) whose qualifier lies in one of `columns` (sorted and
+    /// disjoint; `None` = the whole row), in order. A row key is tested
+    /// once, before any of its cells is copied, and the scan seeks to each
     /// range's ends inside the row's run, so the cost is per row and per
     /// cell returned, not per cell stored.
-    pub fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
+    pub fn select(
+        &self,
+        rows: &RowRange,
+        columns: Option<&[ColumnRange]>,
+        words: Option<&RowWords>,
+    ) -> Vec<KeyValue> {
         let mut out = Vec::new();
-        for (row, run) in self.rows_in(rows) {
+        let accepted = self
+            .rows_in(rows)
+            .filter(|(row, _)| words.is_none_or(|w| w.matches(row)));
+        for (row, run) in accepted {
+            let Some(columns) = columns else {
+                out.extend(run.iter().map(|cell| cell.to_kv(row)));
+                continue;
+            };
             let mut rest = &run[..];
             for c in columns {
                 rest = &rest[rest.partition_point(|cell| cell.qualifier < c.start)..];
@@ -178,7 +186,8 @@ mod tests {
         m.put(kv("a", "q", 1, "va"));
         m.put(kv("c", "q", 1, "vc"));
         let rows: Vec<_> = m
-            .scan(&RowRange::all())
+            .select(&RowRange::all(), None, None)
+            .into_iter()
             .map(|k| String::from_utf8(k.row.to_vec()).unwrap())
             .collect();
         assert_eq!(rows, vec!["a", "b", "c"]);
@@ -190,7 +199,8 @@ mod tests {
         m.put(kv("a", "q", 1, "old"));
         m.put(kv("a", "q", 9, "new"));
         let vals: Vec<_> = m
-            .scan(&RowRange::all())
+            .select(&RowRange::all(), None, None)
+            .into_iter()
             .map(|k| (k.timestamp, String::from_utf8(k.value.to_vec()).unwrap()))
             .collect();
         assert_eq!(vals, vec![(9, "new".to_string()), (1, "old".to_string())]);
@@ -202,7 +212,11 @@ mod tests {
         m.put(kv("a", "q", 5, "first"));
         m.put(kv("a", "q", 5, "second"));
         assert_eq!(m.len(), 1);
-        let only = m.scan(&RowRange::all()).next().unwrap();
+        let only = m
+            .select(&RowRange::all(), None, None)
+            .into_iter()
+            .next()
+            .unwrap();
         assert_eq!(&only.value[..], b"second");
     }
 
@@ -213,7 +227,8 @@ mod tests {
             m.put(kv(r, "q", 1, "v"));
         }
         let rows: Vec<_> = m
-            .scan(&RowRange::new(b"b".to_vec(), b"d".to_vec()))
+            .select(&RowRange::new(b"b".to_vec(), b"d".to_vec()), None, None)
+            .into_iter()
             .map(|k| k.row)
             .collect();
         assert_eq!(rows, vec![Bytes::from("b"), Bytes::from("c")]);

@@ -448,27 +448,23 @@ impl Region {
 
     /// Scan the cells `spec` selects (rows clipped to the region's own
     /// range), merged across the memstore and all store files, sorted,
-    /// deduplicated. With a column window every source seeks to the
-    /// window in each row, so the scan costs `O(rows · log n + cells
-    /// returned)` however full the rows are.
+    /// deduplicated. Every source tests a row key against the spec's word
+    /// filter once, before it copies a cell of the row, and with a column
+    /// window seeks to the window in each row, so the scan costs
+    /// `O(rows · log n + cells returned)` however full the rows are.
     pub fn scan_spec(&self, spec: &ScanSpec) -> Vec<KeyValue> {
         let rows = clip(spec.rows(), &self.range);
         if !rows.end.is_empty() && rows.start >= rows.end {
             return Vec::new(); // the request lies wholly outside this region
         }
+        let (columns, words) = (spec.columns(), spec.words());
         let mut sources = Vec::with_capacity(self.files.len() + 1);
         let mut priorities = Vec::with_capacity(self.files.len() + 1);
         for f in &self.files {
-            sources.push(match spec.columns() {
-                Some(columns) => f.scan_columns(&rows, columns),
-                None => f.scan(&rows).cloned().collect(),
-            });
+            sources.push(f.select(&rows, columns, words));
             priorities.push(f.sequence());
         }
-        sources.push(match spec.columns() {
-            Some(columns) => self.memstore.scan_columns(&rows, columns),
-            None => self.memstore.scan(&rows).collect(),
-        });
+        sources.push(self.memstore.select(&rows, columns, words));
         priorities.push(u64::MAX); // memstore always wins collisions
         merge_scan(sources, priorities)
     }

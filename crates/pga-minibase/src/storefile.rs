@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::kv::{ColumnRange, KeyValue, RowRange};
+use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
 
 /// How many cells between sparse-index entries. Real HFiles index block
 /// boundaries; 64 cells per "block" keeps seeks cheap without bloating the
@@ -89,11 +89,21 @@ impl StoreFile {
             .take_while(move |kv| range.end.is_empty() || kv.row[..] < range.end[..])
     }
 
-    /// The cells of `rows` whose qualifier lies in one of `columns`
-    /// (sorted and disjoint), in order. Binary-searches each row's end
-    /// and each range's ends inside the row, so the cost is per row and
-    /// per cell returned, not per cell stored.
-    pub(crate) fn scan_columns(&self, rows: &RowRange, columns: &[ColumnRange]) -> Vec<KeyValue> {
+    /// The cells of the rows in `rows` that `words` accepts (every row
+    /// when `None`) whose qualifier lies in one of `columns` (sorted and
+    /// disjoint; `None` = the whole row), in order. Binary-searches each
+    /// row's end — skipping a rejected row in one step — and each range's
+    /// ends inside the row, so the cost is per row and per cell returned,
+    /// not per cell stored.
+    pub(crate) fn select(
+        &self,
+        rows: &RowRange,
+        columns: Option<&[ColumnRange]>,
+        words: Option<&RowWords>,
+    ) -> Vec<KeyValue> {
+        if columns.is_none() && words.is_none() {
+            return self.scan(rows).cloned().collect();
+        }
         let mut out = Vec::new();
         let mut rest = &self.cells[self.seek_row(&rows.start)..];
         while let Some(first) = rest.first() {
@@ -101,13 +111,20 @@ impl StoreFile {
                 break;
             }
             let (mut row, after) = rest.split_at(rest.partition_point(|kv| kv.row == first.row));
+            rest = after;
+            if words.is_some_and(|w| !w.matches(&first.row)) {
+                continue;
+            }
+            let Some(columns) = columns else {
+                out.extend_from_slice(row);
+                continue;
+            };
             for c in columns {
                 row = &row[row.partition_point(|kv| kv.qualifier < c.start)..];
                 let n = row.partition_point(|kv| kv.qualifier < c.end);
                 out.extend_from_slice(&row[..n]);
                 row = &row[n..];
             }
-            rest = after;
         }
         out
     }

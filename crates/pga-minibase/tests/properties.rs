@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use pga_minibase::{
     concat_region_scans, merge_scan, ColumnRange, CompactionRewriter, KeyValue, MemStore, Region,
-    RegionConfig, RegionId, RewriteContext, RowRange, ScanSpec,
+    RegionConfig, RegionId, RewriteContext, RowRange, RowWords, ScanSpec,
 };
 
 type ModelKey = (Vec<u8>, Vec<u8>, std::cmp::Reverse<u64>);
@@ -83,6 +83,41 @@ fn wide_op() -> impl Strategy<Value = WideOp> {
     ]
 }
 
+/// Row keys for a word filter with skip 1 and width 2, in key order: keys
+/// shorter than the skip, partial words, `ab` at every aligned position,
+/// and words spelled only across a word boundary (`sxaby` holds no `ab`,
+/// `sabab` no `ba`).
+const WORD_ROWS: [&[u8]; 10] = [
+    b"", b"s", b"sa", b"sab", b"sabab", b"sabxy", b"sxaby", b"sxyab", b"sxyxy", b"tab",
+];
+/// The words each of [`WORD_ROWS`] holds, worked out by hand: the model
+/// the filter is held to.
+const HELD: [&[&str]; 10] = [
+    &[],
+    &[],
+    &[],
+    &["ab"],
+    &["ab"],
+    &["ab", "xy"],
+    &[],
+    &["xy", "ab"],
+    &["xy"],
+    &["ab"],
+];
+/// The words a filter draws from.
+const WORDS: [&str; 3] = ["ab", "xy", "ba"];
+
+/// A put to one of [`WORD_ROWS`] (its index in `row`), a flush or a
+/// compaction.
+fn word_op() -> impl Strategy<Value = WideOp> {
+    prop_oneof![
+        10 => (0..WORD_ROWS.len() as u8, qualifier(2), 0u64..3, any::<u8>())
+            .prop_map(|(row, qual, ts, val)| WideOp::Put { row, qual, ts, val }),
+        1 => Just(WideOp::Flush),
+        1 => Just(WideOp::Compact),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -127,6 +162,62 @@ proptest! {
             .collect();
         let got = region.scan_spec(&ScanSpec::windowed(rows, columns));
         prop_assert_eq!(got, expect);
+    }
+
+    /// A row-word scan is the same scan unfiltered with its rows kept by
+    /// `words.matches(row)`: windowed or whole-row, over any mix of
+    /// memstore and store files, with overwritten and older versions, and
+    /// with row keys shorter than the skip, words at every aligned
+    /// position, and words spelled only across a word boundary — where
+    /// `matches` agrees with the words each key holds by hand.
+    #[test]
+    fn a_row_word_scan_is_the_unfiltered_scan_filtered_row_by_row(
+        ops in proptest::collection::vec(word_op(), 1..160),
+        words in proptest::collection::vec(0..WORDS.len(), 0..3),
+        windows in proptest::collection::vec((qualifier(1), qualifier(1)), 0..3),
+        windowed in any::<bool>(),
+        (a, b) in (0..WORD_ROWS.len(), 0..WORD_ROWS.len()),
+    ) {
+        let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
+            memstore_flush_bytes: 512, // force frequent automatic flushes
+            compaction_file_threshold: 4,
+            max_versions: usize::MAX,
+        });
+        for o in &ops {
+            match o {
+                WideOp::Put { row, qual, ts, val } => region
+                    .put_batch(vec![KeyValue::new(
+                        WORD_ROWS[*row as usize].to_vec(),
+                        qual.clone(),
+                        *ts,
+                        vec![*val],
+                    )])
+                    .unwrap(),
+                WideOp::Flush => region.flush(),
+                WideOp::Compact => region.compact(),
+            }
+        }
+        // Between two of the keys; the empty first key is an open end.
+        let (start, end) = (WORD_ROWS[a.min(b)], WORD_ROWS[a.max(b)]);
+        let rows = RowRange::new(start.to_vec(), end.to_vec());
+        let spec = match windowed {
+            true => ScanSpec::windowed(
+                rows,
+                windows.iter().map(|(s, e)| ColumnRange::new(s.clone(), e.clone())).collect(),
+            ),
+            false => rows.into(),
+        };
+        let filter = RowWords::new(1, 2, words.iter().map(|&w| WORDS[w]));
+        for (row, held) in WORD_ROWS.iter().zip(HELD) {
+            let model = words.iter().all(|&w| held.contains(&WORDS[w]));
+            prop_assert_eq!(filter.matches(row), model, "{:?} {:?}", row, words);
+        }
+        let expect: Vec<KeyValue> = region
+            .scan_spec(&spec)
+            .into_iter()
+            .filter(|kv| filter.matches(&kv.row))
+            .collect();
+        prop_assert_eq!(region.scan_spec(&spec.with_words(filter)), expect);
     }
 
     /// `merge_scan` against the naive model: concatenate, sort by cell key
@@ -483,8 +574,8 @@ proptest! {
         let spec = ScanSpec::windowed(RowRange::all(), windows);
         let columns = spec.columns().unwrap();
         for range in &ranges {
-            prop_assert_eq!(grouped.scan(range).collect::<Vec<_>>(), flat.scan(range));
-            prop_assert_eq!(grouped.scan_columns(range, columns), flat.scan_columns(range, columns));
+            prop_assert_eq!(grouped.select(range, None, None), flat.scan(range));
+            prop_assert_eq!(grouped.select(range, Some(columns), None), flat.scan_columns(range, columns));
         }
         prop_assert_eq!(grouped.drain_sorted(), flat.drain_sorted());
         prop_assert_eq!((grouped.len(), grouped.heap_size()), (0, 0));
@@ -616,7 +707,7 @@ fn cells_of_a_row_share_one_row_buffer() {
         // A fresh allocation of the same row key for every cell.
         m.put(KeyValue::new(b"series-hour".to_vec(), vec![i], 1, vec![i]));
     }
-    let cells: Vec<KeyValue> = m.scan(&RowRange::all()).collect();
+    let cells = m.select(&RowRange::all(), None, None);
     assert_eq!(cells.len(), 100);
     let first = cells[0].row.as_ptr();
     assert!(cells.iter().all(|kv| kv.row.as_ptr() == first));
@@ -647,6 +738,6 @@ fn a_row_hour_written_in_descending_order_is_correct() {
         m.heap_size(),
         expect.iter().map(KeyValue::heap_size).sum::<usize>()
     );
-    assert_eq!(m.scan(&RowRange::all()).collect::<Vec<_>>(), expect);
+    assert_eq!(m.select(&RowRange::all(), None, None), expect);
     assert_eq!(m.drain_sorted(), expect);
 }

@@ -7,6 +7,14 @@
 //! is reported in a [`PartialInfo`] alongside whatever the healthy shards
 //! returned, reusing the overload-control vocabulary of the ingest path.
 //!
+//! ## Tag pushdown
+//!
+//! Every scan carries the query's tag filter as row-key words
+//! ([`KeyCodec::row_words`]), so a region server skips the rows of other
+//! series before it copies a cell. The words accept every row of a
+//! matching series, and assembly still applies the filter itself, so
+//! they only ever remove rows the answer would have dropped.
+//!
 //! ## Splicing
 //!
 //! A rollup plan serves only downsample windows that are (a) entirely
@@ -20,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pga_cluster::rpc::ClockMs;
-use pga_minibase::{Client, ClientError, KeyValue, RowRange};
+use pga_minibase::{Client, ClientError, KeyValue, RowRange, RowWords};
 use pga_repl::HedgePolicy;
 use pga_tsdb::{
     Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, ShardError, TimeSeries,
@@ -103,6 +111,10 @@ fn shard_error(salt: u8, e: &ClientError) -> ShardError {
 }
 
 /// Run one query. See the module docs for the execution shape.
+///
+/// `end` is clamped to the last timestamp a row key can hold, where
+/// writes stop too; a range that starts past it, or a filter naming a tag
+/// the UID table has never seen, is answered empty without a scan.
 #[allow(clippy::too_many_arguments)]
 pub fn execute(
     client: &Client,
@@ -115,6 +127,19 @@ pub fn execute(
     end: u64,
     downsample: Option<(u64, Aggregator)>,
 ) -> ExecResult {
+    let end = end.min(codec.max_timestamp());
+    let words = match codec.row_words(filter) {
+        Some(words) if start <= end => words,
+        _ => {
+            return ExecResult {
+                series: Vec::new(),
+                partial: None,
+                plan: Plan::Raw,
+                fanout: 0,
+                cells_scanned: 0,
+            }
+        }
+    };
     let mut plan = plan::choose(&cfg.tiers, downsample.map(|(d, _)| d));
     let mut splice = None;
     if let Plan::Rollup { tier } = plan {
@@ -126,10 +151,11 @@ pub fn execute(
     }
     match (plan, splice) {
         (Plan::Rollup { tier }, Some((ru_lo, ru_hi))) => execute_rollup(
-            client, codec, cfg, clock, metric, filter, start, end, downsample, tier, ru_lo, ru_hi,
+            client, codec, cfg, clock, metric, filter, &words, start, end, downsample, tier, ru_lo,
+            ru_hi,
         ),
         _ => execute_raw(
-            client, codec, cfg, clock, metric, filter, start, end, downsample,
+            client, codec, cfg, clock, metric, filter, &words, start, end, downsample,
         ),
     }
 }
@@ -157,18 +183,20 @@ fn splice_bounds(
 }
 
 /// Scan `[start, end]` of `metric` on one salt, admission-controlled: one
-/// scan per segment of [`KeyCodec::scan_segments`], so the region servers
-/// return only the cells inside the range; every segment runs under the
-/// same deadline, and the cells come back in storage scan order. Empty
-/// result for a metric the UID table has never seen. With a hedge
-/// trigger, a primary that is slow or shedding past the trigger fails
-/// the segment over to a follower replica under the full deadline.
+/// scan per segment of [`KeyCodec::scan_segments`], each carrying the tag
+/// filter's row-key `words`, so the region servers return only the cells
+/// inside the range of the rows the filter can accept; every segment runs
+/// under the same deadline, and the cells come back in storage scan
+/// order. Empty result for a metric the UID table has never seen. With a
+/// hedge trigger, a primary that is slow or shedding past the trigger
+/// fails the segment over to a follower replica under the full deadline.
 #[allow(clippy::too_many_arguments)]
 fn scan_salt(
     client: &Client,
     codec: &KeyCodec,
     salt: u8,
     metric: &str,
+    words: &RowWords,
     start: u64,
     end: u64,
     deadline: u64,
@@ -176,6 +204,7 @@ fn scan_salt(
 ) -> Result<Vec<KeyValue>, ClientError> {
     let mut cells = Vec::new();
     for segment in codec.scan_segments(salt, metric, start, end) {
+        let segment = segment.with_words(words.clone());
         cells.extend(match hedge_trigger {
             Some(primary_deadline) => {
                 client.scan_hedged(&segment, Some(primary_deadline), Some(deadline))?
@@ -344,6 +373,7 @@ fn execute_raw(
     clock: &ClockMs,
     metric: &str,
     filter: &QueryFilter,
+    words: &RowWords,
     start: u64,
     end: u64,
     downsample: Option<(u64, Aggregator)>,
@@ -352,7 +382,9 @@ fn execute_raw(
     let deadline = now + cfg.shard_deadline_ms;
     let hedge = hedge_trigger(cfg, now);
     let shards = scatter(codec, |salt| {
-        scan_salt(client, codec, salt, metric, start, end, deadline, hedge)
+        scan_salt(
+            client, codec, salt, metric, words, start, end, deadline, hedge,
+        )
     });
     let fanout = shards.len() as u32;
     let mut errors = Vec::new();
@@ -407,6 +439,7 @@ fn execute_rollup(
     clock: &ClockMs,
     metric: &str,
     filter: &QueryFilter,
+    words: &RowWords,
     start: u64,
     end: u64,
     downsample: Option<(u64, Aggregator)>,
@@ -435,6 +468,7 @@ fn execute_rollup(
             codec,
             salt,
             &shadow,
+            words,
             ru_lo,
             ru_hi - 1,
             deadline,
@@ -443,7 +477,7 @@ fn execute_rollup(
         let mut raw = Vec::new();
         for &(from, to) in &patches {
             raw.extend(scan_salt(
-                client, codec, salt, metric, from, to, deadline, hedge,
+                client, codec, salt, metric, words, from, to, deadline, hedge,
             )?);
         }
         Ok((ru, raw))
@@ -539,7 +573,17 @@ fn execute_rollup(
         let deadline = now + cfg.shard_deadline_ms;
         let hedge = hedge_trigger(cfg, now);
         let shards = scatter(codec, |salt| {
-            scan_salt(client, codec, salt, metric, w, w + d - 1, deadline, hedge)
+            scan_salt(
+                client,
+                codec,
+                salt,
+                metric,
+                words,
+                w,
+                w + d - 1,
+                deadline,
+                hedge,
+            )
         });
         let mut cells = Vec::new();
         let mut failed = false;

@@ -21,9 +21,10 @@
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use pga_minibase::{ColumnRange, RowRange, ScanSpec};
+use pga_minibase::{ColumnRange, RowRange, RowWords, ScanSpec};
 
 use crate::block::BLOCK_QUALIFIER;
+use crate::query::QueryFilter;
 use crate::series::{Series, SeriesTable};
 use crate::uid::{Uid, UidKind, UidTable};
 
@@ -313,6 +314,23 @@ impl KeyCodec {
         segments
     }
 
+    /// The row-key words every row of a series `filter` accepts holds: one
+    /// `tagk uid ++ tagv uid` word per required pair, aligned after the
+    /// salt, metric and base time. The pairs of a row are whole words
+    /// there and UIDs are unique, so a scan that keeps only rows holding
+    /// every word drops no row of a matching series. Names are looked up,
+    /// never interned: `None` when one has no UID, so that no series can
+    /// match. An unconstrained filter gives no words.
+    pub fn row_words(&self, filter: &QueryFilter) -> Option<RowWords> {
+        let mut words = Vec::with_capacity(filter.tags.len());
+        for (k, v) in &filter.tags {
+            let k = self.uids.lookup(UidKind::TagKey, k)?;
+            let v = self.uids.lookup(UidKind::TagValue, v)?;
+            words.push([k.0, v.0].concat());
+        }
+        Some(RowWords::new(ROW_PREFIX_LEN, TAG_PAIR_LEN, words))
+    }
+
     /// Salt buckets to scan (always at least bucket 0).
     pub fn salt_range(&self) -> std::ops::Range<u8> {
         0..self.config.salt_buckets.max(1)
@@ -329,6 +347,11 @@ impl KeyCodec {
             .collect()
     }
 }
+
+/// Bytes of `[salt][metric uid][base time]`, before a row key's tag pairs.
+const ROW_PREFIX_LEN: usize = 8;
+/// Bytes of one `[tagk uid][tagv uid]` pair.
+const TAG_PAIR_LEN: usize = 6;
 
 /// `[salt][metric uid][base time]`: the least row key of a row-span.
 fn row_prefix(salt: u8, metric: Uid, base: u64) -> Bytes {
@@ -534,6 +557,48 @@ mod tests {
         // overflowing the four-byte base time.
         let last = segment_shapes(&c, 0, u64::MAX);
         assert_eq!(last, [(0, u32::MAX / 3600 * 3600, None)]);
+    }
+
+    #[test]
+    fn row_words_select_exactly_the_rows_of_matching_series() {
+        let c = codec(4);
+        let rows: Vec<(Vec<(&str, &str)>, Bytes)> = [
+            vec![("unit", "1"), ("sensor", "2")],
+            vec![("sensor", "1"), ("unit", "2")],
+            vec![("unit", "1"), ("sensor", "1"), ("site", "x")],
+            vec![("sensor", "1")],
+        ]
+        .into_iter()
+        .map(|tags| {
+            let row = c.row_key("energy", &tags, 7261);
+            (tags, row)
+        })
+        .collect();
+        let filters = [
+            QueryFilter::any(),
+            QueryFilter::any().with("unit", "1"),
+            QueryFilter::any().with("sensor", "1").with("unit", "1"),
+            QueryFilter::any().with("site", "x"),
+            QueryFilter::any().with("unit", "2").with("sensor", "2"),
+        ];
+        for filter in &filters {
+            let words = c.row_words(filter).unwrap();
+            assert_eq!(words.is_empty(), filter.tags.is_empty());
+            for (tags, row) in &rows {
+                let tags: std::collections::BTreeMap<String, String> =
+                    tags.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+                assert_eq!(
+                    words.matches(row),
+                    filter.matches(&tags),
+                    "{filter:?} {tags:?}"
+                );
+            }
+        }
+        // A name the table has never seen: no series can match.
+        assert!(c
+            .row_words(&QueryFilter::any().with("unit", "99"))
+            .is_none());
+        assert!(c.row_words(&QueryFilter::any().with("rack", "1")).is_none());
     }
 
     #[test]

@@ -517,6 +517,15 @@ impl Tsd {
 
     /// [`Tsd::query`] in columnar form: flat timestamp/value slices per
     /// series, the shape the batch detector kernels consume directly.
+    ///
+    /// The tag filter runs at assembly, after the scan: every series of
+    /// the metric comes back from the region servers, where the serving
+    /// engine (`pga-query`) sends [`KeyCodec::row_words`] with its scans.
+    /// That is deliberate. This read is the unfiltered reference the
+    /// engine's answers are tested against, and the benchmark ladder nests
+    /// it under the whole-range client scan (`tsdb.query_columns ≥ 0.8 ×
+    /// minibase.client_scan`); it can take the filter once that rung is
+    /// redefined.
     pub fn query_columns(
         &self,
         metric: &str,

@@ -199,11 +199,12 @@ fn repeated_evaluation_is_idempotent_on_history() {
     m.shutdown();
 }
 
-/// Window pushdown, held to an exact count that repeats on any machine: a
-/// 50-tick window read makes the region servers return 50 cells per
-/// series of the metric (the unit tag is filtered after the scan, so every
-/// unit's series), however full the row-hour is and whether or not the
-/// window crosses into the next one — never the whole row-hour.
+/// Window and tag pushdown, held to an exact count that repeats on any
+/// machine: a 50-tick window read of one unit makes the region servers
+/// return 50 cells per series of that unit — the `unit` tag travels with
+/// the scan, so no other unit's rows come back — however full the
+/// row-hour is and whether or not the window crosses into the next one:
+/// never the whole row-hour, and exactly the points served.
 #[test]
 fn a_window_read_scans_exactly_the_cells_of_its_time_range() {
     let mut config = PlatformConfig::demo(131);
@@ -217,11 +218,31 @@ fn a_window_read_scans_exactly_the_cells_of_its_time_range() {
         let before = scanned(&m);
         let w = m.window_from_store(1, t_end, 50).unwrap();
         assert_eq!(w.get(49, 3), m.fleet().sample(1, 3, t_end));
-        assert_eq!(scanned(&m) - before, 2 * 4 * 50, "window ending at {t_end}");
+        assert_eq!(scanned(&m) - before, 4 * 50, "window ending at {t_end}");
     }
     // Served: the one unit's four sensors.
     let served = m.fleet_snapshot().fold(Metric::QueryPointsServed);
     assert_eq!(served, t_ends.len() as u64 * 4 * 50);
+    m.shutdown();
+}
+
+/// The dashboard's raw drill-down, held to an exact count: an
+/// `/api/query` read of one `(unit, sensor)` has the region servers
+/// return exactly the points it serves, none of another series.
+#[test]
+fn an_api_read_of_one_series_scans_exactly_the_points_it_serves() {
+    let mut config = PlatformConfig::demo(139);
+    config.fleet.units = 3;
+    config.fleet.sensors_per_unit = 4;
+    let mut m = Monitor::new(config).unwrap();
+    m.ingest_range(0, 700);
+    let body = r#"{"start":100,"end":699,"queries":[{"metric":"energy","tags":{"unit":"2","sensor":"1"}}]}"#;
+    let before = m.engine().stats();
+    let answer = pga_tsdb::handle_query_with(m.engine().as_ref(), body).unwrap();
+    let after = m.engine().stats();
+    assert!(answer.contains(r#""sensor":"1""#) && answer.contains(r#""unit":"2""#));
+    assert_eq!(after.points_served - before.points_served, 600);
+    assert_eq!(after.cells_scanned - before.cells_scanned, 600);
     m.shutdown();
 }
 
