@@ -1,9 +1,10 @@
 //! R8 `config-compat`: every field later added to a serde struct
 //! reachable from `PlatformConfig` must deserialize when absent —
 //! `#[serde(default)]` on the field (or the container), or an `Option`
-//! type. PRs 4–6 each made this fix by hand when adding the `brownout`,
-//! `query`, and `replication` sections; the rule keeps on-disk configs
-//! from older deployments parsing without anyone having to remember.
+//! type. The sections added after the first release (`query`,
+//! `replication`) each needed this fix by hand; the rule keeps on-disk
+//! configs from older deployments parsing without anyone having to
+//! remember.
 //!
 //! Mechanics: parse every `#[derive(.. Deserialize ..)]` struct in the
 //! workspace (name, container/field attributes, field types), build the
@@ -55,10 +56,6 @@ const BASELINE: &[(&str, &[&str])] = &[
             "shift_magnitude",
             "group_correlation",
         ],
-    ),
-    (
-        "BrownoutConfig",
-        &["enter_pressure", "exit_pressure", "stride"],
     ),
     (
         "QueryConfig",

@@ -18,7 +18,7 @@ pub struct PlatformConfig {
     pub opt_knob: Option<u64>,
     // Defaulted addition pulling another struct into reachability.
     #[serde(default)]
-    pub brownout: BrownoutConfig,
+    pub query: QueryConfig,
     // Bare addition: an old on-disk config is missing it and fails to parse.
     pub bare_knob: u64, // V:config-compat
     // Waived addition: the operator migration rewrites configs in lockstep.
@@ -36,8 +36,8 @@ pub struct FleetConfig {
 // Container-level default: every field is defaulted at once, clean.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default)]
-pub struct BrownoutConfig {
-    pub enter_pressure: f64,
+pub struct QueryConfig {
+    pub rollups_enabled: bool,
     pub brand_new: u64,
 }
 

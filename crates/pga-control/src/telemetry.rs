@@ -189,7 +189,6 @@ metrics! {
     SchedStealAttempts, "sched_steal_attempts", Sum, All, None, "Steal probes (successful or not) in the batch scheduler.";
     SchedMaxQueueDepth, "sched_max_queue_depth", Max, All, Some("max queue depth"), "High-water mark of any scheduler worker's deque depth.";
     SchedTaskNs, "sched_task_ns", Sum, All, None, "Total nanoseconds spent inside scheduler task bodies.";
-    SchedDirtyUnits, "sched_dirty_units", Sum, All, Some("dirty units"), "Units with pending incremental retrain work at snapshot time.";
     QueryCacheHits, "query_cache_hits", Sum, All, None, "Cumulative serving-layer result-cache hits.";
     QueryCacheMisses, "query_cache_misses", Sum, All, None, "Cumulative serving-layer result-cache misses.";
     QueryFanout, "query_fanout", Sum, All, Some("query fan-out"), "Cumulative scatter-gather shard scans fanned out by the serving layer.";
@@ -433,16 +432,17 @@ mod tests {
                 def.tile.map(|_| want.to_string())
             );
         }
-        // 34 rows, three lines each; the four rows nothing ever set
-        // (memstore bytes, breaker trips, ingest buffer depth/capacity)
-        // are gone from the exposition.
-        assert_eq!(METRICS.len(), 34);
+        // 33 rows, three lines each; the five rows nothing ever set
+        // (memstore bytes, breaker trips, ingest buffer depth/capacity,
+        // dirty units) are gone from the exposition.
+        assert_eq!(METRICS.len(), 33);
         assert_eq!(text.lines().count(), 3 * METRICS.len());
         for retired in [
             "memstore_bytes",
             "breaker_trips",
             "ingest_buffer_depth",
             "ingest_buffer_capacity",
+            "sched_dirty_units",
         ] {
             assert!(!text.contains(retired), "{retired} is retired");
         }

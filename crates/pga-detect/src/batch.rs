@@ -8,8 +8,6 @@
 //! row-major windows (the columnar mean sums in the same sample order) —
 //! the differential suite pins this.
 
-use rayon::prelude::*;
-
 use pga_stats::Procedure;
 
 use crate::model::UnitModel;
@@ -49,9 +47,9 @@ impl BatchEvaluator {
         &self.evaluators
     }
 
-    /// Evaluate one columnar window per unit (through the `rayon` shim,
-    /// which runs sequentially). `windows[i]` feeds evaluator `i`; a unit
-    /// with no fresh window passes `None` and yields `None`.
+    /// Evaluate one columnar window per unit, in unit order. `windows[i]`
+    /// feeds evaluator `i`; a unit with no fresh window passes `None` and
+    /// yields `None`.
     pub fn evaluate_columns(
         &self,
         windows: &[Option<ColumnWindow<'_>>],
@@ -62,8 +60,8 @@ impl BatchEvaluator {
             "one window slot per unit"
         );
         self.evaluators
-            .par_iter()
-            .zip(windows.par_iter())
+            .iter()
+            .zip(windows)
             .map(|(ev, w)| w.as_ref().map(|cols| ev.evaluate_columns(cols)))
             .collect()
     }

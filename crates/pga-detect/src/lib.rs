@@ -20,9 +20,8 @@
 //! Columnar path: the block store serves windows as per-sensor column
 //! slices, and the platform's monitor reads one fleet-wide window per
 //! cycle in that shape. Training ([`train_unit_columns`]) and evaluation
-//! ([`BatchEvaluator`] over [`OnlineEvaluator::evaluate_columns`], and
-//! the brownout [`OnlineEvaluator::evaluate_sampled`]) accept it directly —
-//! many units per pass, bit-identical to the row-major
+//! ([`BatchEvaluator`] over [`OnlineEvaluator::evaluate_columns`]) accept
+//! it directly — many units per pass, bit-identical to the row-major
 //! [`train_unit`] / [`OnlineEvaluator::evaluate`], which stay as the
 //! oracle the tests, benchmarks and experiments score against.
 //!
@@ -36,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-pub mod brownout;
 mod cusum;
 mod incremental;
 mod model;
@@ -45,7 +43,6 @@ mod streaming;
 mod trainer;
 
 pub use batch::{BatchEvaluator, ColumnWindow};
-pub use brownout::{BrownoutConfig, BrownoutGate, EvalMode};
 pub use cusum::{CusumDetector, CusumState};
 pub use incremental::{model_divergence, FleetTrainer};
 pub use model::{BlockModel, UnitModel, BLOCK_SENSORS};

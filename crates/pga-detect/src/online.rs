@@ -37,15 +37,6 @@ pub struct EvalOutcome {
     pub block_p_values: Vec<(usize, f64)>,
     /// Samples scored (rows × sensors).
     pub samples_scored: u64,
-    /// `true` when this outcome was produced in brownout mode from a
-    /// sampled sensor subset — consumers must treat unsampled sensors as
-    /// *unknown*, not healthy.
-    #[serde(default)]
-    pub degraded: bool,
-    /// Sensors actually scored (equals `p_values.len()` in full mode;
-    /// the stride subset size in brownout mode).
-    #[serde(default)]
-    pub sensors_evaluated: u64,
 }
 
 /// Evaluator bound to one trained unit model.
@@ -143,9 +134,9 @@ impl OnlineEvaluator {
         (1.0 / n as f64 + 1.0 / self.model.trained_rows.max(1) as f64).sqrt()
     }
 
-    /// Two-sided z-test p-value of sensor `j`'s window mean — the one test
-    /// both the full and the brownout evaluation run. A sensor that never
-    /// moved in training (σ = 0) is certain: 1 on its baseline, 0 off it.
+    /// Two-sided z-test p-value of sensor `j`'s window mean. A sensor that
+    /// never moved in training (σ = 0) is certain: 1 on its baseline, 0
+    /// off it.
     fn sensor_p_value(&self, j: usize, window_mean: f64, var_factor: f64) -> f64 {
         let std = self.model.stds[j];
         if std == 0.0 {
@@ -204,78 +195,6 @@ impl OnlineEvaluator {
             rejected: rej.rejected,
             block_p_values,
             samples_scored: (n * p) as u64,
-            degraded: false,
-            sensors_evaluated: p as u64,
-        }
-    }
-
-    /// Brownout evaluation: score only every `stride`-th sensor (the
-    /// documented sampled subset `{0, stride, 2·stride, …}`) so the fleet
-    /// view keeps refreshing under overload at a fraction of the cost.
-    ///
-    /// Contract: unsampled sensors get `p = 1.0` and are never rejected —
-    /// they are *unknown*, not cleared; the outcome is marked
-    /// [`EvalOutcome::degraded`] so dashboards can badge it; the block T²
-    /// view is omitted (it needs every sensor in a block). FDR control is
-    /// applied to the sampled p-values only, preserving calibration on
-    /// the subset actually tested.
-    ///
-    /// Takes the window as per-sensor column slices, like
-    /// [`OnlineEvaluator::evaluate_columns`]: a sampled column sums in
-    /// sample order, so each sampled sensor gets exactly the mean and
-    /// p-value the full evaluation gives it.
-    pub fn evaluate_sampled(&self, columns: &[&[f64]], stride: usize) -> EvalOutcome {
-        let stride = stride.max(1);
-        if stride == 1 {
-            return self.evaluate_columns(columns);
-        }
-        let p = columns.len();
-        assert_eq!(p, self.model.sensors(), "sensor count mismatch");
-        let n = columns.first().map_or(0, |c| c.len());
-        assert!(n > 0, "window must be non-empty");
-        assert!(
-            columns.iter().all(|c| c.len() == n),
-            "ragged columns: every sensor needs {n} samples"
-        );
-        let inv = 1.0 / n as f64;
-        let var_factor = self.var_factor(n);
-        // `(sensor, window mean, p-value)` of the sampled sensors only.
-        let sampled: Vec<(usize, f64, f64)> = columns
-            .iter()
-            .enumerate()
-            .step_by(stride)
-            .map(|(j, col)| {
-                let mean = col.iter().fold(0.0, |acc, &x| acc + x) * inv;
-                (j, mean, self.sensor_p_value(j, mean, var_factor))
-            })
-            .collect();
-        let sampled_p: Vec<f64> = sampled.iter().map(|&(_, _, pv)| pv).collect();
-        let rej = self.procedure.apply(&sampled_p, self.alpha);
-        // Expand back to full width: unsampled sensors are unknown.
-        let mut p_values = vec![1.0; p];
-        let mut rejected = vec![false; p];
-        let mut flags = Vec::new();
-        for (&(j, mean, pv), &r) in sampled.iter().zip(&rej.rejected) {
-            p_values[j] = pv;
-            rejected[j] = r;
-            if r {
-                flags.push(SensorFlag {
-                    sensor: j as u32,
-                    p_value: pv,
-                    window_mean: mean,
-                    baseline_mean: self.model.means[j],
-                });
-            }
-        }
-        EvalOutcome {
-            unit: self.model.unit,
-            p_values,
-            flags,
-            rejected,
-            block_p_values: Vec::new(),
-            samples_scored: (n * sampled.len()) as u64,
-            degraded: true,
-            sensors_evaluated: sampled.len() as u64,
         }
     }
 }
@@ -390,15 +309,6 @@ mod tests {
         assert!(bon.flags.len() <= bh.flags.len());
     }
 
-    /// `window` as per-sensor columns, the shape the monitor reads.
-    fn columns_of(window: &Matrix) -> Vec<Vec<f64>> {
-        (0..window.cols()).map(|c| window.col(c)).collect()
-    }
-
-    fn slices(columns: &[Vec<f64>]) -> Vec<&[f64]> {
-        columns.iter().map(Vec::as_slice).collect()
-    }
-
     #[test]
     #[should_panic(expected = "sensor count mismatch")]
     fn wrong_width_window_panics() {
@@ -406,69 +316,5 @@ mod tests {
         let ev = trained_evaluator(&fleet, 0);
         let w = Matrix::zeros(5, 3);
         ev.evaluate(&w);
-    }
-
-    #[test]
-    fn sampled_evaluation_is_flagged_degraded_and_scores_subset() {
-        let fleet = Fleet::new(FleetConfig::paper_scale(59));
-        let unit = fleet.units_with_class(FaultClass::SharpShift)[0];
-        let spec = *fleet.fault(unit);
-        let ev = trained_evaluator(&fleet, unit);
-        let w = fleet.observation_window(unit, spec.onset + 49, 50);
-        let p = fleet.config().sensors_per_unit as usize;
-
-        let full = ev.evaluate(&w);
-        assert!(!full.degraded);
-        assert_eq!(full.sensors_evaluated, p as u64);
-
-        let stride = 4usize;
-        let columns = columns_of(&w);
-        let out = ev.evaluate_sampled(&slices(&columns), stride);
-        assert!(out.degraded, "sampled outcome must carry the degraded flag");
-        let expected = (0..p).step_by(stride).count() as u64;
-        assert_eq!(out.sensors_evaluated, expected);
-        assert_eq!(out.samples_scored, 50 * expected);
-        assert_eq!(out.p_values.len(), p, "full-width p-value family");
-        // Unsampled sensors are unknown, never flagged healthy-or-faulty.
-        for (s, pv) in out.p_values.iter().enumerate() {
-            if s % stride != 0 {
-                assert_eq!(*pv, 1.0, "unsampled sensor {s} must not carry evidence");
-            } else {
-                // A sampled sensor carries the full evaluation's exact test.
-                assert_eq!(pv.to_bits(), full.p_values[s].to_bits(), "sensor {s}");
-            }
-        }
-        // FDR control over the sampled family only.
-        let family: Vec<f64> = full.p_values.iter().copied().step_by(stride).collect();
-        let rej = Procedure::BenjaminiHochberg.apply(&family, 0.05);
-        let sampled_rejected: Vec<bool> = out.rejected.iter().copied().step_by(stride).collect();
-        assert_eq!(sampled_rejected, rej.rejected);
-        assert!(out
-            .flags
-            .iter()
-            .all(|f| (f.sensor as usize).is_multiple_of(stride)));
-        // The fault group spans >= stride sensors, so sampled scoring must
-        // still land flags inside it.
-        let sampled_fault_hits = out.flags.iter().filter(|f| spec.affects(f.sensor)).count();
-        assert!(
-            sampled_fault_hits > 0,
-            "brownout evaluation must still surface the fault group"
-        );
-        assert!(
-            out.block_p_values.is_empty(),
-            "block T² omitted in brownout"
-        );
-    }
-
-    #[test]
-    fn stride_one_sampling_matches_full_evaluation() {
-        let fleet = Fleet::new(FleetConfig::small(61));
-        let ev = trained_evaluator(&fleet, 0);
-        let w = fleet.observation_window(0, 199, 25);
-        let full = ev.evaluate(&w);
-        let columns = columns_of(&w);
-        let sampled = ev.evaluate_sampled(&slices(&columns), 1);
-        assert_eq!(sampled.p_values, full.p_values);
-        assert!(!sampled.degraded, "stride 1 is full fidelity");
     }
 }

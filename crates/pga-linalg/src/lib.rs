@@ -7,10 +7,8 @@
 //! provides the equivalent dense kernels from scratch:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual algebra;
-//!   the multiply is cache-tiled over all three loop dimensions (serial
-//!   and [rayon]-parallel variants share one band kernel and agree
-//!   bit-for-bit), with a textbook [`Matrix::naive_matmul`] kept as the
-//!   differential baseline.
+//!   the multiply is cache-tiled over all three loop dimensions, with a
+//!   textbook [`Matrix::naive_matmul`] kept as the differential baseline.
 //! * [`covariance_matrix`] — sample covariance of an observation matrix:
 //!   [`centre_columns`], then [`centred_covariance`], a register-tiled Gram
 //!   kernel over a column range of the centred data (a trainer centres a

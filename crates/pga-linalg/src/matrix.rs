@@ -1,6 +1,5 @@
-//! Row-major dense matrix with serial and parallel kernels.
+//! Row-major dense matrix with a cache-tiled multiply kernel.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::{LinalgError, Result};
@@ -275,9 +274,7 @@ impl Matrix {
     /// Serial cache-tiled matrix multiply `self * other`.
     ///
     /// One band of `BLOCK` output rows at a time through
-    /// [`Matrix::matmul_band`] — identical arithmetic to [`Matrix::par_matmul`]
-    /// modulo thread scheduling (each output element's summation order is
-    /// the same, so the two agree bit-for-bit).
+    /// [`Matrix::matmul_band`].
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -291,31 +288,6 @@ impl Matrix {
         for (band, chunk) in out.data.chunks_mut(BLOCK * n.max(1)).enumerate() {
             self.matmul_band(other, band * BLOCK, chunk);
         }
-        Ok(out)
-    }
-
-    /// Cache-tiled, rayon-parallel matrix multiply.
-    ///
-    /// Bands of `BLOCK` output rows are independent, so they are farmed
-    /// out with `par_chunks_mut`; within a band the kernel is the tiled
-    /// [`Matrix::matmul_band`], so results are bit-identical to the serial
-    /// [`Matrix::matmul`].
-    pub fn par_matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "par_matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let n = other.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        out.data
-            .par_chunks_mut(BLOCK * n.max(1))
-            .enumerate()
-            .for_each(|(band, chunk)| {
-                self.matmul_band(other, band * BLOCK, chunk);
-            });
         Ok(out)
     }
 
@@ -402,21 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matmul_is_bit_identical_to_serial() {
-        let mut seed = 1u64;
-        // Sizes straddling the BLOCK boundary in every dimension.
-        for (m, k, n) in [(37, 53, 29), (64, 64, 64), (65, 130, 67), (1, 200, 1)] {
-            let mut a = Matrix::zeros(m, k);
-            let mut b = Matrix::zeros(k, n);
-            fill(&mut a, &mut seed);
-            fill(&mut b, &mut seed);
-            let serial = a.matmul(&b).unwrap();
-            let parallel = a.par_matmul(&b).unwrap();
-            assert_eq!(serial, parallel, "{m}x{k}x{n}: same kernel, same bits");
-        }
-    }
-
-    #[test]
     fn tiled_matmul_matches_naive_reference() {
         let mut seed = 7u64;
         for (m, k, n) in [(37, 53, 29), (70, 64, 70), (128, 100, 3)] {
@@ -457,7 +414,6 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 4);
         assert_eq!(a.matmul(&b).unwrap(), Matrix::zeros(3, 4));
-        assert_eq!(a.par_matmul(&b).unwrap(), Matrix::zeros(3, 4));
         let e = Matrix::zeros(0, 5);
         let f = Matrix::zeros(5, 0);
         assert_eq!(e.matmul(&f).unwrap(), Matrix::zeros(0, 0));

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use pga_detect::BrownoutConfig;
 use pga_sensorgen::FleetConfig;
 use pga_stats::Procedure;
 
@@ -29,10 +28,6 @@ pub struct PlatformConfig {
     pub procedure: Procedure,
     /// Dataflow worker threads for training.
     pub workers: usize,
-    /// Brownout gate for online evaluation under ingest overload
-    /// (pga-detect). Absent in pre-overload configs, so it defaults.
-    #[serde(default)]
-    pub brownout: BrownoutConfig,
     /// Serving-layer query engine (pga-query): rollup tiers, shard
     /// deadlines, result cache. Absent in pre-serving configs, so it
     /// defaults.
@@ -150,7 +145,6 @@ impl PlatformConfig {
             alpha: 0.05,
             procedure: Procedure::BenjaminiHochberg,
             workers: 4,
-            brownout: BrownoutConfig::default(),
             query: QueryConfig::default(),
             replication: pga_repl::ReplicationConfig::default(),
         }
@@ -187,7 +181,6 @@ impl PlatformConfig {
         if self.workers == 0 {
             return Err("need at least one worker".into());
         }
-        self.brownout.validate()?;
         self.query.validate()?;
         self.replication.validate()?;
         if self.replication.factor > self.storage_nodes {
@@ -222,10 +215,6 @@ mod tests {
 
         let mut c = PlatformConfig::demo(1);
         c.training_window = 1;
-        assert!(c.validate().is_err());
-
-        let mut c = PlatformConfig::demo(1);
-        c.brownout.exit_pressure = c.brownout.enter_pressure + 0.1;
         assert!(c.validate().is_err());
 
         let mut c = PlatformConfig::demo(1);
@@ -268,22 +257,31 @@ mod tests {
         assert!(old.validate().is_ok());
     }
 
+    /// `PlatformConfig::demo(3)` exactly as the last build with a brownout
+    /// gate serialized it, `brownout` section included.
+    const BROWNOUT_ERA_DEMO3_JSON: &str = r#"{"fleet":{"units":8,"sensors_per_unit":64,"seed":3,
+        "sample_period_secs":1,"noise_std":1.0,"baseline_mean":50.0,
+        "degradation_fraction":0.3333333333333333,"shift_fraction":0.3333333333333333,
+        "degradation_slope_per_100":0.5,"shift_magnitude":3.0,"group_correlation":0.6},
+        "storage_nodes":4,"tsd_count":2,"batch_size":256,"training_window":150,"eval_window":50,
+        "alpha":0.05,"procedure":"BenjaminiHochberg","workers":4,
+        "brownout":{"enter_pressure":0.75,"exit_pressure":0.5,"stride":4},
+        "query":{"rollups_enabled":true,"tiers":[60,600],"shard_deadline_ms":250,"tail_buckets":2,
+        "cache_ttl_ms":5000,"cache_shards":8,"cache_capacity_per_shard":256},
+        "replication":{"factor":1,"write_quorum":0,"follower_read_max_lag":4,"hedge_delay_ms":40}}"#;
+
     #[test]
-    fn configs_without_brownout_section_still_parse() {
-        // A config serialized before overload control existed.
-        let serde_json::Value::Object(obj) = serde_json::to_value(&PlatformConfig::demo(3)) else {
-            panic!("config must serialize to an object");
-        };
-        let mut pruned = serde_json::Map::new();
-        for (k, val) in obj.iter() {
-            if k != "brownout" {
-                pruned.insert(k.clone(), val.clone());
-            }
+    fn configs_with_a_retired_brownout_section_still_parse() {
+        // The retired section is an unknown key now: skipped, not fatal,
+        // and no longer validated (exit ≥ enter was an error).
+        let invalid =
+            BROWNOUT_ERA_DEMO3_JSON.replace("\"exit_pressure\":0.5", "\"exit_pressure\":0.9");
+        assert_ne!(invalid, BROWNOUT_ERA_DEMO3_JSON);
+        for json in [BROWNOUT_ERA_DEMO3_JSON, invalid.as_str()] {
+            let old: PlatformConfig = serde_json::from_str(json).unwrap();
+            assert_eq!(old, PlatformConfig::demo(3));
+            assert!(old.validate().is_ok());
         }
-        let back: PlatformConfig =
-            serde_json::from_value(serde_json::Value::Object(pruned)).unwrap();
-        assert_eq!(back.brownout, BrownoutConfig::default());
-        assert!(back.validate().is_ok());
     }
 
     #[test]

@@ -8,10 +8,7 @@ use serde::{Deserialize, Serialize};
 use pga_cluster::NodeId;
 use pga_control::{collect_node_stats, FleetSnapshot, Metric, NodeStats};
 use pga_dataflow::Dataflow;
-use pga_detect::{
-    train_unit_columns, BatchEvaluator, BrownoutGate, ColumnWindow, EvalMode, EvalOutcome,
-    FleetTrainer, UnitModel,
-};
+use pga_detect::{train_unit_columns, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
 use pga_ingest::{IngestionPipeline, PipelineReport};
 use pga_linalg::Matrix;
 use pga_minibase::Client;
@@ -55,7 +52,8 @@ pub enum MonitorError {
         unit: u32,
         /// Sensor with missing data.
         sensor: u32,
-        /// Points found (expected the window length).
+        /// Points found (expected the window length); for a window that
+        /// would start before tick 0, the ticks that exist up to its end.
         found: usize,
     },
     /// Offline training failed.
@@ -130,14 +128,8 @@ pub struct Monitor {
     /// One evaluator per trained unit, scoring a cycle's columnar window
     /// in one pass; empty until training.
     evaluator: BatchEvaluator,
-    /// Resident per-unit sufficient statistics for incremental
-    /// retraining; seeded lazily by [`Monitor::train_incremental`].
-    trainer: Option<FleetTrainer>,
-    /// Last tick the incremental trainer has ingested through.
-    trained_through: Option<u64>,
     anomalies: Vec<AnomalyRecord>,
     last_ingest: Option<PipelineReport>,
-    brownout: BrownoutGate,
 }
 
 impl Monitor {
@@ -170,7 +162,6 @@ impl Monitor {
             Client::connect(pipeline.master()),
             config.query.engine_config(config.hedge_policy()),
         ));
-        let brownout = BrownoutGate::new(config.brownout);
         let dataflow = Dataflow::new(config.workers);
         let evaluator = BatchEvaluator::new(Vec::new(), config.procedure, config.alpha);
         Ok(Monitor {
@@ -180,11 +171,8 @@ impl Monitor {
             engine,
             dataflow,
             evaluator,
-            trainer: None,
-            trained_through: None,
             anomalies: Vec::new(),
             last_ingest: None,
-            brownout,
         })
     }
 
@@ -245,7 +233,8 @@ impl Monitor {
     /// `sensor`, each the decimal the fleet writes for one of its indices;
     /// whatever else `POST /api/put` lets in (a sensor id the fleet lacks,
     /// `unit="00"`, a third tag) is no part of the model. Every column must
-    /// hold one point per tick, checked unit by unit and sensor by sensor.
+    /// hold one point per tick, checked unit by unit and sensor by sensor;
+    /// a window that would start before tick 0 fails before any query.
     fn read_columns(
         &self,
         unit: Option<u32>,
@@ -254,10 +243,16 @@ impl Monitor {
     ) -> Result<Columns, MonitorError> {
         assert!(len > 0);
         let period = self.config.fleet.sample_period_secs;
-        let start_tick = t_end + 1 - len as u64;
         let (filter, first, units) = match unit {
             Some(u) => (QueryFilter::any().with("unit", &u.to_string()), u, 1),
             None => (QueryFilter::any(), 0, self.config.fleet.units),
+        };
+        let Some(start_tick) = t_end.checked_sub(len as u64 - 1) else {
+            return Err(MonitorError::IncompleteWindow {
+                unit: first,
+                sensor: 0,
+                found: t_end as usize + 1,
+            });
         };
         // Full-resolution read through the serving engine: a raw plan, but
         // scatter-gathered across shards and result-cached for the
@@ -351,92 +346,16 @@ impl Monitor {
         Ok(())
     }
 
-    /// Incremental training under live ingest: per-unit Welford
-    /// sufficient statistics stay resident across calls, and only units
-    /// whose statistics changed since the previous call (the *dirty*
-    /// units) get their covariance/SVD finish tasks re-enqueued on the
-    /// work-stealing scheduler. The first call seeds the trainer with
-    /// the full training window ending at `t_end`; later calls ingest
-    /// just the new ticks `(trained_through, t_end]`, so unchanged
-    /// units keep their models without recomputation (the DESIGN.md §13
-    /// incrementality invariant). Returns the number of units that were
-    /// dirty and therefore retrained.
-    pub fn train_incremental(&mut self, t_end: u64) -> Result<usize, MonitorError> {
-        let units = self.config.fleet.units;
-        let sensors = self.config.fleet.sensors_per_unit as usize;
-        // New ticks since the last call (the whole window on first use),
-        // read for the whole fleet in one query.
-        let start_tick = match self.trained_through {
-            Some(prev) => prev + 1,
-            None => t_end + 1 - self.config.training_window as u64,
-        };
-        let fresh = if start_tick <= t_end {
-            let len = (t_end - start_tick + 1) as usize;
-            Some(self.read_columns(None, t_end, len)?)
-        } else {
-            None
-        };
-        let trainer = self
-            .trainer
-            .get_or_insert_with(|| FleetTrainer::new(&(0..units).collect::<Vec<_>>(), sensors));
-        if let Some(read) = &fresh {
-            for u in 0..units {
-                // The trainer takes rows: transpose the unit's columns.
-                let columns = read.unit(u as usize);
-                let rows: Vec<Vec<f64>> = (0..read.len)
-                    .map(|r| columns.iter().map(|c| c[r]).collect())
-                    .collect();
-                trainer.ingest(u, &rows);
-            }
-        }
-        let dirty = trainer.dirty_count();
-        let failures = trainer.retrain_dirty(&self.dataflow);
-        if let Some((unit, e)) = failures.first() {
-            return Err(MonitorError::Train(format!("unit {unit}: {e}")));
-        }
-        self.trained_through = Some(t_end.max(self.trained_through.unwrap_or(0)));
-        let models = trainer.models().values().cloned().collect();
-        self.evaluator = BatchEvaluator::new(models, self.config.procedure, self.config.alpha);
-        Ok(dirty)
-    }
-
-    /// Scheduler counters accumulated by the monitor's dataflow engine
-    /// (training task graphs): tasks, steals, queue depth, latency.
-    pub fn dataflow_stats(&self) -> pga_dataflow::DataflowStats {
-        self.dataflow.stats()
-    }
-
-    /// Units whose sufficient statistics changed since their last
-    /// finish (0 when incremental training has never run).
-    pub fn dirty_units(&self) -> usize {
-        self.trainer.as_ref().map_or(0, FleetTrainer::dirty_count)
-    }
-
     /// Whether training has produced evaluators.
     pub fn is_trained(&self) -> bool {
         self.evaluator.units() > 0
-    }
-
-    /// Feed the brownout gate the current ingest-overload pressure
-    /// (0..=1), e.g. a proxy buffer-utilization reading; nothing in the
-    /// running system produces one yet. Returns the evaluation fidelity
-    /// subsequent [`Monitor::evaluate_at`] calls will use.
-    pub fn observe_pressure(&mut self, pressure: f64) -> EvalMode {
-        self.brownout.observe(pressure)
-    }
-
-    /// Current evaluation fidelity chosen by the brownout gate.
-    pub fn eval_mode(&self) -> EvalMode {
-        self.brownout.mode()
     }
 
     /// Evaluate every unit's window ending at `t_end` against its model:
     /// one read of the whole fleet's window, scored in one
     /// [`BatchEvaluator`] pass. Detected anomalies are written back to the
     /// TSDB under the `anomaly` metric, all of a cycle's in one put, and
-    /// recorded. Under brownout (see [`Monitor::observe_pressure`])
-    /// evaluation runs on the sampled sensor subset and outcomes are
-    /// flagged degraded.
+    /// recorded.
     ///
     /// A cycle is all or nothing: the read comes first, so an incomplete
     /// window fails the cycle before any flag is written back, and flags
@@ -448,27 +367,18 @@ impl Monitor {
         }
         let period = self.config.fleet.sample_period_secs;
         let read = self.read_columns(None, t_end, self.config.eval_window)?;
-        let evaluators = self.evaluator.evaluators();
-        let outcomes: Vec<EvalOutcome> = match self.brownout.mode() {
-            EvalMode::Full => {
-                let windows: Vec<Option<ColumnWindow<'_>>> = evaluators
-                    .iter()
-                    .map(|ev| Some(read.unit(ev.model().unit as usize)))
-                    .collect();
-                self.evaluator
-                    .evaluate_columns(&windows)
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-            EvalMode::Degraded => {
-                let stride = self.brownout.stride();
-                evaluators
-                    .iter()
-                    .map(|ev| ev.evaluate_sampled(&read.unit(ev.model().unit as usize), stride))
-                    .collect()
-            }
-        };
+        let windows: Vec<Option<ColumnWindow<'_>>> = self
+            .evaluator
+            .evaluators()
+            .iter()
+            .map(|ev| Some(read.unit(ev.model().unit as usize)))
+            .collect();
+        let outcomes: Vec<EvalOutcome> = self
+            .evaluator
+            .evaluate_columns(&windows)
+            .into_iter()
+            .flatten()
+            .collect();
         let timestamp = t_end * period;
         let flags: Vec<AnomalyRecord> = outcomes
             .iter()
@@ -670,7 +580,6 @@ impl Monitor {
             .set(Metric::SchedStealAttempts, sched.steal_attempts)
             .set(Metric::SchedMaxQueueDepth, sched.max_queue_depth)
             .set(Metric::SchedTaskNs, sched.task_ns_total)
-            .set(Metric::SchedDirtyUnits, self.dirty_units() as u64)
             // Every TSD encodes through a clone of one codec: one table.
             .set(
                 Metric::TsdSeries,
@@ -856,32 +765,47 @@ mod tests {
     }
 
     #[test]
-    fn incremental_training_retrains_only_dirty_units() {
+    fn training_runs_scheduler_tasks() {
         let mut config = PlatformConfig::demo(13);
         config.fleet.units = 2;
         config.fleet.sensors_per_unit = 8;
         let mut m = Monitor::new(config).unwrap();
         m.ingest_range(0, 210);
-        // First call seeds the trainer: every unit dirty, full window.
-        assert_eq!(m.train_incremental(149).unwrap(), 2);
+        assert_eq!(m.fleet_snapshot().fold(Metric::SchedTasks), 0);
+        m.train(149).unwrap();
         assert!(m.is_trained());
-        assert_eq!(m.dirty_units(), 0);
-        // Same tick again: no new rows, nothing retrained.
-        assert_eq!(m.train_incremental(149).unwrap(), 0);
-        // New ticks dirty every unit that saw data.
-        assert_eq!(m.train_incremental(180).unwrap(), 2);
-        // Scheduler counters from the training graphs reach the fleet
-        // snapshot, and the retrain left no unit dirty.
-        let fleet = m.fleet_snapshot();
+        // Scheduler counters from the training graph reach the fleet
+        // snapshot.
         assert!(
-            fleet.fold(Metric::SchedTasks) > 0,
+            m.fleet_snapshot().fold(Metric::SchedTasks) > 0,
             "training ran scheduler tasks"
         );
-        assert_eq!(fleet.fold(Metric::SchedDirtyUnits), 0);
-        assert!(m.dataflow_stats().graphs_run > 0);
-        // Evaluation runs off the incrementally trained models.
         let out = m.evaluate_at(205).unwrap();
         assert_eq!(out.len(), 2);
+        m.shutdown();
+    }
+
+    /// A window longer than the ticks up to its end fails typed, before
+    /// any query: its first tick would be negative.
+    #[test]
+    fn a_window_starting_before_tick_0_is_incomplete() {
+        let mut config = PlatformConfig::demo(17);
+        config.fleet.units = 2;
+        config.fleet.sensors_per_unit = 8;
+        let mut m = Monitor::new(config).unwrap();
+        m.ingest_range(0, 210);
+        let early = |r: Result<_, MonitorError>, ticks: usize| match r {
+            Err(MonitorError::IncompleteWindow { unit: 0, found, .. }) => assert_eq!(found, ticks),
+            Err(e) => panic!("expected an incomplete window, got {e}"),
+            Ok(_) => panic!("expected an incomplete window"),
+        };
+        early(m.train(100), 101);
+        early(m.window_from_store(0, 9, 50).map(|_| ()), 10);
+        m.train(149).unwrap();
+        early(m.evaluate_at(10).map(|_| ()), 11);
+        // The windows that do fit still read.
+        assert_eq!(m.window_from_store(1, 49, 50).unwrap().rows(), 50);
+        assert_eq!(m.evaluate_at(49).unwrap().len(), 2);
         m.shutdown();
     }
 
@@ -937,35 +861,5 @@ mod tests {
         let mut c = PlatformConfig::demo(1);
         c.tsd_count = 0;
         assert!(matches!(Monitor::new(c), Err(MonitorError::Config(_))));
-    }
-
-    #[test]
-    fn brownout_degrades_evaluation_and_recovers() {
-        let mut config = PlatformConfig::demo(11);
-        config.fleet.units = 2;
-        config.fleet.sensors_per_unit = 16;
-        let p = config.fleet.sensors_per_unit as usize;
-        let stride = config.brownout.stride;
-        let mut m = Monitor::new(config).unwrap();
-        m.ingest_range(0, 210);
-        m.train(149).unwrap();
-
-        // Overload pressure above the enter mark: degraded, sampled subset.
-        assert_eq!(m.observe_pressure(0.9), EvalMode::Degraded);
-        let degraded = m.evaluate_at(205).unwrap();
-        for out in &degraded {
-            assert!(out.degraded);
-            assert_eq!(out.sensors_evaluated, (0..p).step_by(stride).count() as u64);
-            assert_eq!(out.p_values.len(), p, "full width, unsampled p = 1");
-        }
-
-        // Pressure back below the exit mark: full fidelity again.
-        assert_eq!(m.observe_pressure(0.2), EvalMode::Full);
-        let full = m.evaluate_at(208).unwrap();
-        for out in &full {
-            assert!(!out.degraded);
-            assert_eq!(out.sensors_evaluated, p as u64);
-        }
-        m.shutdown();
     }
 }

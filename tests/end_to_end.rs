@@ -259,10 +259,10 @@ fn one_read(m: &mut Monitor, what: &str, cells: u64, call: impl FnOnce(&mut Moni
     assert_eq!(served, cells, "{what}: points served");
 }
 
-/// One read per cycle, held to exact counts: `train`, `train_incremental`
-/// and `evaluate_at` each make one engine query, which scans the window's
-/// cells of every series once and serves all of them — where a per-unit
-/// read scanned the whole fleet's window once per unit.
+/// One read per cycle, held to exact counts: `train` and `evaluate_at`
+/// each make one engine query, which scans the window's cells of every
+/// series once and serves all of them — where a per-unit read scanned the
+/// whole fleet's window once per unit.
 #[test]
 fn a_cycle_reads_the_fleet_window_once() {
     let mut config = PlatformConfig::demo(137);
@@ -275,12 +275,6 @@ fn a_cycle_reads_the_fleet_window_once() {
     one_read(&mut m, "train", series * train, |m| m.train(299).unwrap());
     one_read(&mut m, "evaluate_at", series * eval, |m| {
         assert_eq!(m.evaluate_at(399).unwrap().len(), 3);
-    });
-    one_read(&mut m, "train_incremental", series * train, |m| {
-        assert_eq!(m.train_incremental(349).unwrap(), 3);
-    });
-    one_read(&mut m, "train_incremental, new ticks", series * 40, |m| {
-        assert_eq!(m.train_incremental(389).unwrap(), 3);
     });
     m.shutdown();
 }
