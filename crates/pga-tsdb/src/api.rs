@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use serde::json::{escape_into, number_into, Number};
 use serde::{Deserialize, Serialize};
 
 use crate::query::{Aggregator, QueryFilter, TimeSeries};
@@ -58,7 +59,8 @@ pub struct SubQuery {
 }
 
 /// One output series (OpenTSDB's response element: `dps` maps timestamp
-/// strings to values).
+/// strings to values), as a client parses it. The server writes the same
+/// shape straight from the engine's series ([`handle_query_with`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueryResponseSeries {
     /// Metric name.
@@ -183,12 +185,12 @@ pub fn shard_error_kind(e: &TsdError) -> String {
 /// Body of a degraded (HTTP 503) query response: the typed partial-result
 /// descriptor plus every series that *was* assembled, so clients can
 /// render a degraded chart rather than an empty one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegradedBody {
     /// Which shards failed, out of how many.
     pub partial: PartialInfo,
     /// Series that were assembled despite the failures.
-    pub series: Vec<QueryResponseSeries>,
+    pub series: Vec<TimeSeries>,
 }
 
 /// API failure, rendered as an OpenTSDB-style error JSON.
@@ -224,14 +226,14 @@ impl ApiError {
                     d.partial.failed_shards.len(),
                     d.partial.total_shards
                 );
-                let partial = serde_json::to_value(&d.partial);
-                let series = serde_json::to_value(&d.series);
-                let body = serde_json::json!({
-                    "error": {"code": 503, "message": msg},
-                    "partial": partial,
-                    "series": series,
-                });
-                return serde_json::to_string(&body).unwrap_or_default();
+                let mut out = String::from("{\"error\":{\"code\":503,\"message\":");
+                escape_into(&msg, &mut out);
+                out.push_str("},\"partial\":");
+                out.push_str(&serde_json::to_string(&d.partial).unwrap_or_default());
+                out.push_str(",\"series\":");
+                series_json_into(&d.series, &mut out);
+                out.push('}');
+                return out;
             }
         };
         serde_json::json!({"error": {"code": code, "message": msg}}).to_string()
@@ -413,7 +415,7 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
     if req.end < req.start {
         return Err(ApiError::BadRequest("end before start".into()));
     }
-    let mut out: Vec<QueryResponseSeries> = Vec::new();
+    let mut series: Vec<TimeSeries> = Vec::new();
     let mut partial: Option<PartialInfo> = None;
     for sub in &req.queries {
         let mut filter = QueryFilter::any();
@@ -426,17 +428,7 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
             .map(parse_downsample)
             .transpose()?;
         let outcome = exec.execute(&sub.metric, &filter, req.start, req.end, downsample);
-        for s in outcome.series {
-            out.push(QueryResponseSeries {
-                metric: s.metric.clone(),
-                tags: s.tags.clone(),
-                dps: s
-                    .points
-                    .iter()
-                    .map(|p| (p.timestamp.to_string(), p.value))
-                    .collect(),
-            });
-        }
+        series.extend(outcome.series);
         if let Some(p) = outcome.partial {
             match &mut partial {
                 Some(acc) => acc.merge(p),
@@ -447,10 +439,79 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
     if let Some(partial) = partial {
         return Err(ApiError::Degraded(Box::new(DegradedBody {
             partial,
-            series: out,
+            series,
         })));
     }
-    serde_json::to_string(&out).map_err(|e| ApiError::BadRequest(e.to_string()))
+    let mut out = String::new();
+    series_json_into(&series, &mut out);
+    Ok(out)
+}
+
+/// Append `series` to `out` as the JSON array of OpenTSDB response
+/// elements — `[{"metric":…,"tags":{…},"dps":{"<ts>":<value>,…}},…]` —
+/// written straight from the engine's series, byte for byte what
+/// serialising them as [`QueryResponseSeries`] gives. Both the 200 body
+/// and a degraded body's `series` come from here.
+///
+/// `dps` keys are in string order, as a `BTreeMap<String, f64>` keeps
+/// them, and a repeated timestamp keeps its last value. String order is
+/// the points' order whenever their timestamps strictly ascend within one
+/// number of decimal digits, so such a series streams as it comes; any
+/// other (one crossing a power of ten) is sorted first.
+fn series_json_into(series: &[TimeSeries], out: &mut String) {
+    // About 96 bytes a series and 28 a point.
+    let points: usize = series.iter().map(|s| s.points.len()).sum();
+    out.reserve(2 + 96 * series.len() + 28 * points);
+    out.push('[');
+    for (i, s) in series.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"metric\":");
+        escape_into(&s.metric, out);
+        out.push_str(",\"tags\":{");
+        for (j, (k, v)) in s.tags.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            escape_into(k, out);
+            out.push(':');
+            escape_into(v, out);
+        }
+        out.push_str("},\"dps\":{");
+        let digits = |t: u64| t.max(1).ilog10();
+        let streams = s.points.windows(2).all(|w| match w {
+            [a, b] => a.timestamp < b.timestamp && digits(a.timestamp) == digits(b.timestamp),
+            _ => true,
+        });
+        let mut dp = |j: usize, key: &str, value: f64| {
+            if j > 0 {
+                out.push(',');
+            }
+            escape_into(key, out);
+            out.push(':');
+            number_into(&Number::F(value), out);
+        };
+        if streams {
+            let mut key = String::new();
+            for (j, p) in s.points.iter().enumerate() {
+                key.clear();
+                number_into(&Number::U(p.timestamp), &mut key);
+                dp(j, &key, p.value);
+            }
+        } else {
+            let sorted: BTreeMap<String, f64> = s
+                .points
+                .iter()
+                .map(|p| (p.timestamp.to_string(), p.value))
+                .collect();
+            for (j, (key, &value)) in sorted.iter().enumerate() {
+                dp(j, key, value);
+            }
+        }
+        out.push_str("}}");
+    }
+    out.push(']');
 }
 
 #[cfg(test)]

@@ -41,140 +41,137 @@ impl Default for ChartConfig {
 ///
 /// `points` are `(timestamp, value)` ascending; `anomalies` are the
 /// timestamps flagged by the detector (must be a subset of the points'
-/// timestamps to be drawn). Returns a standalone `<svg>` fragment.
+/// timestamps to be drawn). Appends a standalone `<svg>` fragment to `out`.
 pub fn sparkline(
+    out: &mut String,
     points: &[(u64, f64)],
     anomalies: &[u64],
     width: u32,
     height: u32,
     cfg: &ChartConfig,
-) -> String {
-    let mut doc = document(width, height);
-    if points.is_empty() {
-        return doc.render();
-    }
-    let x = LinearScale::from_values(
-        points.iter().map(|p| p.0 as f64),
-        2.0,
-        width as f64 - 2.0,
-        0.0,
-    );
-    let y = LinearScale::from_values(points.iter().map(|p| p.1), height as f64 - 3.0, 3.0, 0.15);
-    let line_pts: Vec<(f64, f64)> = points
-        .iter()
-        .map(|&(t, v)| (x.map(t as f64), y.map(v)))
-        .collect();
-    doc = doc.child(
-        el::polyline(&line_pts)
-            .attr("stroke", &cfg.series_color)
-            .attr("stroke-width", "1.5")
-            .attr("stroke-linejoin", "round"),
-    );
-    let anomaly_set: std::collections::HashSet<u64> = anomalies.iter().copied().collect();
-    for &(t, v) in points {
-        if anomaly_set.contains(&t) {
-            doc = doc.child(
-                el::circle(x.map(t as f64), y.map(v), 3.5)
+) {
+    document(out, width, height).children(|out| {
+        if points.is_empty() {
+            return;
+        }
+        let x = LinearScale::from_values(
+            points.iter().map(|p| p.0 as f64),
+            2.0,
+            width as f64 - 2.0,
+            0.0,
+        );
+        let y =
+            LinearScale::from_values(points.iter().map(|p| p.1), height as f64 - 3.0, 3.0, 0.15);
+        el::polyline(
+            out,
+            points.iter().map(|&(t, v)| (x.map(t as f64), y.map(v))),
+        )
+        .attr("stroke", &cfg.series_color)
+        .attr("stroke-width", "1.5")
+        .attr("stroke-linejoin", "round")
+        .empty();
+        let anomaly_set: std::collections::HashSet<u64> = anomalies.iter().copied().collect();
+        for &(t, v) in points {
+            if anomaly_set.contains(&t) {
+                el::circle(out, x.map(t as f64), y.map(v), 3.5)
                     .attr("fill", &cfg.anomaly_color)
                     .attr("stroke", &cfg.surface_color)
                     .attr("stroke-width", "2")
-                    .child(el::title(format!("anomaly at t={t}, value {v:.2}"))),
-            );
+                    .children(|out| el::title(out, format_args!("anomaly at t={t}, value {v:.2}")));
+            }
         }
-    }
-    doc.render()
+    });
 }
 
 /// The drill-down detail chart: axes with ticks, the full series, anomaly
 /// markers with tooltips, and a caption. `title` names the sensor.
+/// Appends a standalone `<svg>` fragment to `out`.
 pub fn detail_chart(
-    title: &str,
+    out: &mut String,
+    title: impl std::fmt::Display,
     points: &[(u64, f64)],
     anomalies: &[u64],
     width: u32,
     height: u32,
     cfg: &ChartConfig,
-) -> String {
+) {
     const M_LEFT: f64 = 48.0;
     const M_RIGHT: f64 = 12.0;
     const M_TOP: f64 = 28.0;
     const M_BOTTOM: f64 = 28.0;
-    let mut doc = document(width, height);
-    // Title in primary ink.
-    doc = doc.child(
-        el::text(M_LEFT, 18.0, title)
+    document(out, width, height).children(|out| {
+        // Title in primary ink.
+        el::text(out, M_LEFT, 18.0)
             .attr("fill", "var(--text-primary)")
             .attr("font-size", "13")
-            .attr("font-weight", "600"),
-    );
-    if points.is_empty() {
-        return doc
-            .child(
-                el::text(width as f64 / 2.0, height as f64 / 2.0, "no data")
-                    .attr("fill", &cfg.label_color)
-                    .attr("text-anchor", "middle"),
-            )
-            .render();
-    }
-    let x = LinearScale::from_values(
-        points.iter().map(|p| p.0 as f64),
-        M_LEFT,
-        width as f64 - M_RIGHT,
-        0.0,
-    );
-    let y = LinearScale::from_values(
-        points.iter().map(|p| p.1),
-        height as f64 - M_BOTTOM,
-        M_TOP,
-        0.1,
-    );
-    // Recessive grid + tick labels in secondary ink.
-    let mut grid = el::group()
-        .attr("stroke", &cfg.grid_color)
-        .attr("stroke-width", "1");
-    let mut labels = el::group()
-        .attr("fill", &cfg.label_color)
-        .attr("font-size", "10");
-    for tick in y.ticks(4) {
-        let py = y.map(tick);
-        grid = grid.child(el::line(M_LEFT, py, width as f64 - M_RIGHT, py));
-        labels = labels.child(
-            el::text(M_LEFT - 6.0, py + 3.0, format!("{tick:.1}")).attr("text-anchor", "end"),
+            .attr("font-weight", "600")
+            .text(title);
+        if points.is_empty() {
+            el::text(out, width as f64 / 2.0, height as f64 / 2.0)
+                .attr("fill", &cfg.label_color)
+                .attr("text-anchor", "middle")
+                .text("no data");
+            return;
+        }
+        let x = LinearScale::from_values(
+            points.iter().map(|p| p.0 as f64),
+            M_LEFT,
+            width as f64 - M_RIGHT,
+            0.0,
         );
-    }
-    for tick in x.ticks(6) {
-        let px = x.map(tick);
-        labels = labels.child(
-            el::text(px, height as f64 - M_BOTTOM + 16.0, format!("{tick:.0}"))
-                .attr("text-anchor", "middle"),
+        let y = LinearScale::from_values(
+            points.iter().map(|p| p.1),
+            height as f64 - M_BOTTOM,
+            M_TOP,
+            0.1,
         );
-    }
-    doc = doc.child(grid).child(labels);
-    // Series line (2px per mark spec).
-    let line_pts: Vec<(f64, f64)> = points
-        .iter()
-        .map(|&(t, v)| (x.map(t as f64), y.map(v)))
-        .collect();
-    doc = doc.child(
-        el::polyline(&line_pts)
-            .attr("stroke", &cfg.series_color)
-            .attr("stroke-width", "2")
-            .attr("stroke-linejoin", "round"),
-    );
-    // Anomaly markers with tooltips and a surface ring.
-    let anomaly_set: std::collections::HashSet<u64> = anomalies.iter().copied().collect();
-    for &(t, v) in points {
-        if anomaly_set.contains(&t) {
-            doc = doc.child(
-                el::circle(x.map(t as f64), y.map(v), 4.5)
+        // Recessive grid + tick labels in secondary ink.
+        let (y_ticks, x_ticks) = (y.ticks(4), x.ticks(6));
+        el::group(out)
+            .attr("stroke", &cfg.grid_color)
+            .attr("stroke-width", "1")
+            .children(|out| {
+                for &tick in &y_ticks {
+                    let py = y.map(tick);
+                    el::line(out, M_LEFT, py, width as f64 - M_RIGHT, py).empty();
+                }
+            });
+        el::group(out)
+            .attr("fill", &cfg.label_color)
+            .attr("font-size", "10")
+            .children(|out| {
+                for &tick in &y_ticks {
+                    el::text(out, M_LEFT - 6.0, y.map(tick) + 3.0)
+                        .attr("text-anchor", "end")
+                        .text(format_args!("{tick:.1}"));
+                }
+                for &tick in &x_ticks {
+                    el::text(out, x.map(tick), height as f64 - M_BOTTOM + 16.0)
+                        .attr("text-anchor", "middle")
+                        .text(format_args!("{tick:.0}"));
+                }
+            });
+        // Series line (2px per mark spec).
+        el::polyline(
+            out,
+            points.iter().map(|&(t, v)| (x.map(t as f64), y.map(v))),
+        )
+        .attr("stroke", &cfg.series_color)
+        .attr("stroke-width", "2")
+        .attr("stroke-linejoin", "round")
+        .empty();
+        // Anomaly markers with tooltips and a surface ring.
+        let anomaly_set: std::collections::HashSet<u64> = anomalies.iter().copied().collect();
+        for &(t, v) in points {
+            if anomaly_set.contains(&t) {
+                el::circle(out, x.map(t as f64), y.map(v), 4.5)
                     .attr("fill", &cfg.anomaly_color)
                     .attr("stroke", &cfg.surface_color)
                     .attr("stroke-width", "2")
-                    .child(el::title(format!("anomaly at t={t}, value {v:.3}"))),
-            );
+                    .children(|out| el::title(out, format_args!("anomaly at t={t}, value {v:.3}")));
+            }
         }
-    }
-    doc.render()
+    });
 }
 
 #[cfg(test)]
@@ -185,9 +182,29 @@ mod tests {
         (0..n).map(|t| (t, (t as f64 * 0.3).sin())).collect()
     }
 
+    fn spark(points: &[(u64, f64)], anomalies: &[u64]) -> String {
+        let mut out = String::new();
+        sparkline(
+            &mut out,
+            points,
+            anomalies,
+            320,
+            48,
+            &ChartConfig::default(),
+        );
+        out
+    }
+
+    fn detail(title: &str, points: &[(u64, f64)], anomalies: &[u64]) -> String {
+        let cfg = ChartConfig::default();
+        let mut out = String::new();
+        detail_chart(&mut out, title, points, anomalies, 640, 240, &cfg);
+        out
+    }
+
     #[test]
     fn sparkline_contains_line_and_markers() {
-        let s = sparkline(&pts(50), &[10, 20], 320, 48, &ChartConfig::default());
+        let s = spark(&pts(50), &[10, 20]);
         assert!(s.contains("<polyline"));
         assert_eq!(s.matches("<circle").count(), 2);
         assert!(s.contains("anomaly at t=10"));
@@ -196,33 +213,26 @@ mod tests {
 
     #[test]
     fn sparkline_without_anomalies_has_no_markers() {
-        let s = sparkline(&pts(20), &[], 320, 48, &ChartConfig::default());
+        let s = spark(&pts(20), &[]);
         assert!(!s.contains("<circle"));
     }
 
     #[test]
     fn empty_sparkline_is_valid_svg() {
-        let s = sparkline(&[], &[100], 320, 48, &ChartConfig::default());
+        let s = spark(&[], &[100]);
         assert!(s.starts_with("<svg"));
         assert!(!s.contains("polyline"));
     }
 
     #[test]
     fn anomaly_not_in_points_is_not_drawn() {
-        let s = sparkline(&pts(10), &[999], 320, 48, &ChartConfig::default());
+        let s = spark(&pts(10), &[999]);
         assert!(!s.contains("<circle"));
     }
 
     #[test]
     fn detail_chart_has_axes_title_and_markers() {
-        let s = detail_chart(
-            "sensor 917",
-            &pts(100),
-            &[30],
-            640,
-            240,
-            &ChartConfig::default(),
-        );
+        let s = detail("sensor 917", &pts(100), &[30]);
         assert!(s.contains("sensor 917"));
         assert!(s.contains("<line"), "grid lines expected");
         assert!(s.contains("text-anchor"));
@@ -233,13 +243,13 @@ mod tests {
 
     #[test]
     fn detail_chart_empty_shows_placeholder() {
-        let s = detail_chart("s", &[], &[], 640, 240, &ChartConfig::default());
+        let s = detail("s", &[], &[]);
         assert!(s.contains("no data"));
     }
 
     #[test]
     fn marker_coordinates_inside_viewbox() {
-        let s = sparkline(&pts(50), &[0, 49], 320, 48, &ChartConfig::default());
+        let s = spark(&pts(50), &[0, 49]);
         // Extract cx values and check bounds.
         for cap in s.split("cx=\"").skip(1) {
             let v: f64 = cap.split('"').next().unwrap().parse().unwrap();

@@ -9,8 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dashboard::Health;
-use crate::svg::escape;
+use crate::dashboard::{page_end, page_start, Health};
+use crate::svg::escape_into;
 
 /// One storage node's replication row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,13 +83,15 @@ impl ClusterView {
 /// per-node table with the same status palette and text labels as the
 /// fleet overview.
 pub fn cluster_page(view: &ClusterView) -> String {
-    let mut body = String::from("<h1>Cluster replication</h1><div class=\"analytics\">");
+    let mut body = String::new();
+    page_start(&mut body, "Cluster replication");
+    body.push_str("<h1>Cluster replication</h1><div class=\"analytics\">");
     let mut stat = |value: &str, label: &str| {
-        body.push_str(&format!(
-            "<div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">{}</div></div>",
-            escape(value),
-            escape(label)
-        ));
+        body.push_str("<div class=\"stat\"><div class=\"v\">");
+        escape_into(&mut body, value);
+        body.push_str("</div><div class=\"k\">");
+        escape_into(&mut body, label);
+        body.push_str("</div></div>");
     };
     stat(
         &format!("RF {}", view.replication_factor),
@@ -110,18 +112,14 @@ pub fn cluster_page(view: &ClusterView) -> String {
     );
     for n in &view.nodes {
         let health = n.health(view.lag_alert);
-        let status = if n.alive {
-            health.label().to_string()
-        } else {
-            "down".to_string()
-        };
+        let status = if n.alive { health.label() } else { "down" };
         body.push_str(&format!(
             "<tr><td>{}</td>\
              <td><span class=\"dot\" style=\"background:{}\"></span> {}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             n.node,
             health.color_var(),
-            escape(&status),
+            status,
             n.primary_regions,
             n.follower_regions,
             n.replication_lag,
@@ -129,7 +127,8 @@ pub fn cluster_page(view: &ClusterView) -> String {
         ));
     }
     body.push_str("</table>");
-    crate::dashboard::page_shell("Cluster replication", &body)
+    page_end(&mut body);
+    body
 }
 
 #[cfg(test)]

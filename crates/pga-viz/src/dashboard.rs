@@ -1,10 +1,12 @@
 //! Dashboard page assembly: the machine page (Figure 3) and the fleet
 //! overview.
 
+use std::fmt::{Display, Write};
+
 use serde::{Deserialize, Serialize};
 
 use crate::charts::{detail_chart, sparkline, ChartConfig};
-use crate::svg::escape;
+use crate::svg::escape_into;
 
 /// Health state of a unit, driven by the detector's flags. Maps to the
 /// reserved status palette and is always shown with a text label (never
@@ -96,9 +98,9 @@ pub struct FleetOverview {
     pub eval_rate: f64,
 }
 
-/// Palette + base styles shared by both pages: light and dark values of a
+/// Palette + base styles shared by every page: light and dark values of a
 /// validated palette, swapped via `prefers-color-scheme`.
-const STYLE: &str = r#"
+pub const STYLE: &str = r#"
 :root { color-scheme: light dark; }
 .viz-root {
   --surface-1: #fcfcfb; --surface-2: #f0efec;
@@ -141,75 +143,104 @@ table.units th { color: var(--text-secondary); font-weight: 600; }
 .stat .k { font-size: 12px; color: var(--text-secondary); }
 "#;
 
-pub(crate) fn page_shell(title: &str, body: &str) -> String {
-    format!(
+/// Append the page head and the opening `<body>`; [`page_end`] closes.
+pub(crate) fn page_start(out: &mut String, title: impl Display) {
+    out.push_str(
         "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\
          <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\
-         <title>{}</title><style>{}</style></head>\
-         <body class=\"viz-root\">{}</body></html>",
-        escape(title),
-        STYLE,
-        body
-    )
+         <title>",
+    );
+    escape_into(out, title);
+    out.push_str("</title><style>");
+    out.push_str(STYLE);
+    out.push_str("</style></head><body class=\"viz-root\">");
 }
 
-fn status_pill(status: &UnitStatus) -> String {
-    format!(
-        "<span class=\"pill\"><span class=\"dot\" style=\"background:{}\"></span>\
-         unit {} &middot; {} &middot; {} flagged</span>",
-        status.health.color_var(),
-        status.unit,
-        status.health.label(),
-        status.flagged_sensors
-    )
+/// Close the page [`page_start`] opened.
+pub(crate) fn page_end(out: &mut String) {
+    out.push_str("</body></html>");
+}
+
+/// Append formatted text to a page.
+fn put(out: &mut String, args: std::fmt::Arguments) {
+    out.write_fmt(args).expect("a String takes any write");
+}
+
+fn status_pill(out: &mut String, status: &UnitStatus) {
+    put(
+        out,
+        format_args!(
+            "<span class=\"pill\"><span class=\"dot\" style=\"background:{}\"></span>\
+             unit {} &middot; {} &middot; {} flagged</span>",
+            status.health.color_var(),
+            status.unit,
+            status.health.label(),
+            status.flagged_sensors
+        ),
+    );
 }
 
 /// Render the machine page (Figure 3): status bar, sparkline grid with
-/// anomalies flagged in red, optional drill-down detail chart.
+/// anomalies flagged in red, optional drill-down detail chart. Every
+/// chart is written straight into the page.
 pub fn machine_page(page: &MachinePage) -> String {
     let cfg = ChartConfig::default();
-    let mut body = format!(
-        "<h1>Machine {}</h1><div class=\"statusbar\">{}{}</div>",
-        page.unit,
-        status_pill(&page.status),
-        page.status
-            .last_anomaly
-            .map(|t| format!("<span class=\"pill\">last anomaly at t={t}</span>"))
-            .unwrap_or_default(),
+    let detail = page.detail.and_then(|idx| page.panels.get(idx));
+    // About 14 bytes a sparkline point, 20 a detail point, 700 a panel.
+    let points: usize = page.panels.iter().map(|p| p.points.len()).sum();
+    let mut html = String::with_capacity(
+        STYLE.len()
+            + 4096
+            + 700 * page.panels.len()
+            + 14 * points
+            + detail.map_or(0, |p| 4096 + 20 * p.points.len()),
     );
-    body.push_str("<h2>Sensor readings</h2><div class=\"grid\">");
-    for panel in &page.panels {
-        let spark = sparkline(&panel.points, &panel.anomalies, 340, 48, &cfg);
-        body.push_str(&format!(
-            "<div class=\"panel\"><div class=\"label\"><span>sensor {}</span><span>{}</span></div>{}</div>",
-            panel.sensor,
-            if panel.anomalies.is_empty() {
-                String::new()
-            } else {
-                format!("{} anomalies", panel.anomalies.len())
-            },
-            spark
-        ));
+    let out = &mut html;
+    page_start(out, format_args!("Machine {}", page.unit));
+    put(
+        out,
+        format_args!("<h1>Machine {}</h1><div class=\"statusbar\">", page.unit),
+    );
+    status_pill(out, &page.status);
+    if let Some(t) = page.status.last_anomaly {
+        put(
+            out,
+            format_args!("<span class=\"pill\">last anomaly at t={t}</span>"),
+        );
     }
-    body.push_str("</div>");
-    if let Some(idx) = page.detail {
-        if let Some(panel) = page.panels.get(idx) {
-            body.push_str(&format!(
-                "<div class=\"detail\">{}</div>",
-                detail_chart(
-                    &format!("sensor {} — detail", panel.sensor),
-                    &panel.points,
-                    &panel.anomalies,
-                    900,
-                    260,
-                    &cfg
-                )
-            ));
+    out.push_str("</div><h2>Sensor readings</h2><div class=\"grid\">");
+    for panel in &page.panels {
+        put(
+            out,
+            format_args!(
+                "<div class=\"panel\"><div class=\"label\"><span>sensor {}</span><span>",
+                panel.sensor
+            ),
+        );
+        if !panel.anomalies.is_empty() {
+            put(out, format_args!("{} anomalies", panel.anomalies.len()));
         }
+        out.push_str("</span></div>");
+        sparkline(out, &panel.points, &panel.anomalies, 340, 48, &cfg);
+        out.push_str("</div>");
+    }
+    out.push_str("</div>");
+    if let Some(panel) = detail {
+        out.push_str("<div class=\"detail\">");
+        detail_chart(
+            out,
+            format_args!("sensor {} — detail", panel.sensor),
+            &panel.points,
+            &panel.anomalies,
+            900,
+            260,
+            &cfg,
+        );
+        out.push_str("</div>");
     }
     // Accessibility: a table view of the same data, so nothing is
     // conveyed by the charts alone.
-    body.push_str(
+    out.push_str(
         "<details><summary>Data table</summary>\
          <table class=\"units\"><tr><th>sensor</th><th>latest value</th>\
          <th>min</th><th>max</th><th>anomalies</th></tr>",
@@ -226,14 +257,18 @@ pub fn machine_page(page: &MachinePage) -> String {
             .iter()
             .map(|p| p.1)
             .fold(f64::NEG_INFINITY, f64::max);
-        body.push_str(&format!(
-            "<tr><td>{}</td><td>{latest:.3}</td><td>{min:.3}</td><td>{max:.3}</td><td>{}</td></tr>",
-            panel.sensor,
-            panel.anomalies.len()
-        ));
+        put(
+            out,
+            format_args!(
+                "<tr><td>{}</td><td>{latest:.3}</td><td>{min:.3}</td><td>{max:.3}</td><td>{}</td></tr>",
+                panel.sensor,
+                panel.anomalies.len()
+            ),
+        );
     }
-    body.push_str("</table></details>");
-    page_shell(&format!("Machine {}", page.unit), &body)
+    out.push_str("</table></details>");
+    page_end(out);
+    html
 }
 
 /// Render the fleet overview: analytics strip plus a unit table with
@@ -254,7 +289,9 @@ pub fn fleet_overview_page(overview: &FleetOverview) -> String {
         .iter()
         .filter(|u| u.health == Health::Critical)
         .count();
-    let mut body = String::from("<h1>Fleet overview</h1>");
+    let mut body = String::new();
+    page_start(&mut body, "Fleet overview");
+    body.push_str("<h1>Fleet overview</h1>");
     body.push_str(&format!(
         "<div class=\"analytics\">\
          <div class=\"stat\"><div class=\"v\">{:.0}</div><div class=\"k\">samples/sec ingested</div></div>\
@@ -286,7 +323,8 @@ pub fn fleet_overview_page(overview: &FleetOverview) -> String {
         ));
     }
     body.push_str("</table>");
-    page_shell("Fleet overview", &body)
+    page_end(&mut body);
+    body
 }
 
 #[cfg(test)]

@@ -78,62 +78,63 @@ pub fn anomaly_heatmap(data: &HeatmapData, cell: u32) -> String {
     let cols = data.bucket_starts.len() as u32;
     let width = label_w + cols * cell + 8;
     let height = label_h + rows * cell + 8;
-    let mut doc = document(width, height);
     let max = data.max_count().max(1);
-    for (r, &unit) in data.units.iter().enumerate() {
-        // Row label in secondary ink.
-        doc = doc.child(
+    // About 200 bytes a cell.
+    let mut out = String::with_capacity(1024 + 200 * data.units.len() * data.bucket_starts.len());
+    document(&mut out, width, height).children(|out| {
+        for (r, &unit) in data.units.iter().enumerate() {
+            // Row label in secondary ink.
             el::text(
+                out,
                 label_w as f64 - 6.0,
                 label_h as f64 + r as f64 * cell as f64 + cell as f64 * 0.7,
-                format!("u{unit}"),
             )
             .attr("fill", "var(--text-secondary)")
             .attr("font-size", "10")
-            .attr("text-anchor", "end"),
-        );
-        for (b, &count) in data.counts[r].iter().enumerate() {
-            let x = label_w as f64 + b as f64 * cell as f64;
-            let y = label_h as f64 + r as f64 * cell as f64;
-            let color = if count == 0 {
-                "var(--surface-2)".to_string()
-            } else {
-                // Map 1..=max onto the ramp.
-                let idx = ((count as f64 / max as f64) * (RAMP.len() - 1) as f64).ceil() as usize;
-                RAMP[idx.min(RAMP.len() - 1)].to_string()
-            };
-            doc = doc.child(
+            .attr("text-anchor", "end")
+            .text(format_args!("u{unit}"));
+            for (b, &count) in data.counts[r].iter().enumerate() {
+                let x = label_w as f64 + b as f64 * cell as f64;
+                let y = label_h as f64 + r as f64 * cell as f64;
+                let color = if count == 0 {
+                    "var(--surface-2)"
+                } else {
+                    // Map 1..=max onto the ramp.
+                    let idx =
+                        ((count as f64 / max as f64) * (RAMP.len() - 1) as f64).ceil() as usize;
+                    RAMP[idx.min(RAMP.len() - 1)]
+                };
                 // 1px gap = the spacer between adjacent fills.
-                el::rect(x, y, cell as f64 - 1.0, cell as f64 - 1.0)
+                el::rect(out, x, y, cell as f64 - 1.0, cell as f64 - 1.0)
                     .attr("fill", color)
                     .attr("rx", "1.5")
-                    .child(el::title(format!(
-                        "unit {unit}, t={}..{}: {count} anomalies",
-                        data.bucket_starts[b],
-                        data.bucket_starts[b]
-                            + data
-                                .bucket_starts
-                                .get(1)
-                                .map_or(0, |s| s - data.bucket_starts[0]),
-                    ))),
-            );
+                    .children(|out| {
+                        el::title(
+                            out,
+                            format_args!(
+                                "unit {unit}, t={}..{}: {count} anomalies",
+                                data.bucket_starts[b],
+                                data.bucket_starts[b]
+                                    + data
+                                        .bucket_starts
+                                        .get(1)
+                                        .map_or(0, |s| s - data.bucket_starts[0]),
+                            ),
+                        )
+                    });
+            }
         }
-    }
-    // Column labels: first, middle, last bucket starts.
-    for b in [0usize, (cols as usize) / 2, cols as usize - 1] {
-        if b < data.bucket_starts.len() {
-            doc = doc.child(
-                el::text(
-                    label_w as f64 + b as f64 * cell as f64,
-                    12.0,
-                    format!("t={}", data.bucket_starts[b]),
-                )
-                .attr("fill", "var(--text-secondary)")
-                .attr("font-size", "9"),
-            );
+        // Column labels: first, middle, last bucket starts.
+        for b in [0usize, (cols as usize) / 2, cols as usize - 1] {
+            if b < data.bucket_starts.len() {
+                el::text(out, label_w as f64 + b as f64 * cell as f64, 12.0)
+                    .attr("fill", "var(--text-secondary)")
+                    .attr("font-size", "9")
+                    .text(format_args!("t={}", data.bucket_starts[b]));
+            }
         }
-    }
-    doc.render()
+    });
+    out
 }
 
 #[cfg(test)]

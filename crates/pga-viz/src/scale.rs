@@ -76,7 +76,13 @@ impl LinearScale {
         while t <= hi + step * 1e-9 {
             // Snap tiny float error to zero.
             ticks.push(if t.abs() < step * 1e-9 { 0.0 } else { t });
-            t += step;
+            // A step below half the float spacing at `t` no longer moves it
+            // (a narrow domain of large values): stop there.
+            let next = t + step;
+            if next == t {
+                break;
+            }
+            t = next;
         }
         ticks
     }
@@ -147,6 +153,17 @@ mod tests {
         let t = s.ticks(4);
         assert!(!t.is_empty());
         assert!(t.iter().all(|v| (47.3 - 1e-9..=53.1 + 1e-9).contains(v)));
+    }
+
+    /// 1e17's float spacing is 16, so a 5-wide step never moves a tick:
+    /// generation must end, not grow until the process is killed.
+    #[test]
+    fn ticks_end_on_a_narrow_domain_of_large_values() {
+        let s = LinearScale::from_values([1e17, 1e17 + 16.0], 0.0, 1.0, 0.1);
+        let t = s.ticks(4);
+        assert!(!t.is_empty() && t.len() <= 8, "{t:?}");
+        let (lo, hi) = s.domain();
+        assert!(t.iter().all(|v| (lo..=hi).contains(v)), "{t:?}");
     }
 
     #[test]

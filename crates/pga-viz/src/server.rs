@@ -11,6 +11,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use serde::json::escape_into;
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct HttpRequest {
@@ -68,32 +70,13 @@ impl HttpResponse {
     /// data" from "degraded backend" (mirrors the partial-result envelope
     /// of the query API).
     pub fn error_json(status: u16, kind: &str, message: &str) -> Self {
-        HttpResponse::json_status(
-            status,
-            format!(
-                "{{\"error\":{{\"code\":{status},\"type\":\"{}\",\"message\":\"{}\"}}}}",
-                escape_json(kind),
-                escape_json(message)
-            ),
-        )
+        let mut body = format!("{{\"error\":{{\"code\":{status},\"type\":");
+        escape_into(kind, &mut body);
+        body.push_str(",\"message\":");
+        escape_into(message, &mut body);
+        body.push_str("}}");
+        HttpResponse::json_status(status, body)
     }
-}
-
-/// Minimal JSON string escaping for error payloads.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn status_text(code: u16) -> &'static str {
@@ -368,13 +351,17 @@ mod tests {
 
     #[test]
     fn error_json_is_typed_and_escaped() {
-        let r = HttpResponse::error_json(503, "degraded", "1/4 shards \"busy\"\nretry later");
+        let r = HttpResponse::error_json(
+            503,
+            "degraded",
+            "1/4 shards \"busy\"\nretry later\u{8}\u{c}\u{1}",
+        );
         assert_eq!(r.status, 503);
         assert_eq!(r.content_type, "application/json");
         assert_eq!(
             r.body,
             "{\"error\":{\"code\":503,\"type\":\"degraded\",\
-             \"message\":\"1/4 shards \\\"busy\\\"\\nretry later\"}}"
+             \"message\":\"1/4 shards \\\"busy\\\"\\nretry later\\b\\f\\u0001\"}}"
         );
         // Parses back as JSON with the fields intact.
         let v: serde_json::Value = serde_json::from_str(&r.body).unwrap();

@@ -112,20 +112,34 @@ fn a_ten_sigma_shift_is_written_back_with_its_own_strength() {
     m.shutdown();
 }
 
+/// The page of a flagged unit, and a raw `/api/query` answer whose keys
+/// cross a power of ten, are byte for byte what the element-tree renderer
+/// and the typed serde path wrote (`tests/golden/`, captured from them).
 #[test]
 fn machine_page_html_renders_flags_in_critical_color() {
     let mut m = monitor(107);
     m.ingest_range(0, 650);
     m.train(149).unwrap();
     m.evaluate_at(649).unwrap();
-    let unit = m.anomalies()[0].unit;
-    let html = m.machine_page_html(unit, 649, 200, 16).unwrap();
-    assert!(html.contains(&format!("Machine {unit}")));
+    let rec = m.anomalies()[0].clone();
+    let html = m.machine_page_html(rec.unit, 649, 200, 16).unwrap();
+    assert!(html.contains(&format!("Machine {}", rec.unit)));
     assert!(
         html.contains("var(--status-critical)"),
         "anomaly markers styled"
     );
     assert!(html.contains("<svg"), "sparklines rendered");
+    assert!(html.contains("— detail"), "drill-down drawn");
+    assert_eq!(html, include_str!("golden/machine_page_seed107.html"));
+
+    let body = format!(
+        r#"{{"start":95,"end":1000,"queries":[
+            {{"metric":"energy","tags":{{"unit":"{}","sensor":"{}"}}}},
+            {{"metric":"anomaly","tags":{{"unit":"{}"}}}}]}}"#,
+        rec.unit, rec.sensor, rec.unit
+    );
+    let answer = pga_tsdb::handle_query_with(m.engine().as_ref(), &body).unwrap();
+    assert_eq!(answer, include_str!("golden/api_query_raw_seed107.json"));
     m.shutdown();
 }
 

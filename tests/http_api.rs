@@ -311,6 +311,38 @@ fn a_sample_that_overflows_the_variance_fails_training_not_the_monitor() {
     monitor.lock().shutdown();
 }
 
+/// A put may overwrite a fleet sensor's whole page window (the newest
+/// version of a cell wins) with huge values in a narrow band. The next
+/// evaluation flags the sensor, so its page draws a detail chart whose
+/// tick step is below the values' float spacing: tick generation used to
+/// spin there, growing its list until the process was killed, with the
+/// monitor locked and every route hung behind it.
+#[test]
+fn a_detail_chart_over_a_narrow_band_of_huge_values_renders() {
+    let (server, monitor) = serving_monitor();
+    let addr = server.addr();
+    // The routes' page window is ticks 500..=599.
+    let points: Vec<String> = (500..=599u64)
+        .map(|t| {
+            let value = 1e17 + 16.0 * (t % 2) as f64;
+            format!(
+                r#"{{"metric":"energy","timestamp":{t},"value":{value},"tags":{{"unit":"2","sensor":"0"}}}}"#
+            )
+        })
+        .collect();
+    let (status, reply) = request(addr, "POST", "/api/put", &format!("[{}]", points.join(",")));
+    assert_eq!((status, reply.as_str()), (200, r#"{"success":100}"#));
+    let flagged = monitor.lock().evaluate_at(598).unwrap();
+    assert!(flagged[2].flags.iter().any(|f| f.sensor == 0));
+
+    let (status, page) = request(addr, "GET", "/machine/2", "");
+    assert_eq!(status, 200, "{page}");
+    assert!(page.contains("sensor 0 — detail"));
+    assert!(page.contains("anomaly at t=598, value 100000000000000000.000"));
+    server.stop();
+    monitor.lock().shutdown();
+}
+
 /// A put the row key cannot hold, or one that names the system's own
 /// series, is the client's error — and refused whole, before any RPC. A
 /// timestamp past the key's four bytes of base time (or any millisecond

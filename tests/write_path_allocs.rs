@@ -1,19 +1,23 @@
-//! An exact, host-independent guard on the write path: how often a
-//! steady-state `Tsd::put_batch` allocates, counted, not timed.
+//! Exact, host-independent guards on the write path and the dashboard's
+//! text path: how often a steady-state `Tsd::put_batch`, a machine-page
+//! render and a warm `/api/query` answer allocate, counted, not timed.
 //!
 //! Before the series table (ISSUE 20) a sample cost about 22 allocations
 //! between the row-key encoder and the rollup observer — for names that
 //! are the same on every tick. What is left is the qualifier and value
 //! buffer of each cell plus a handful of vectors per batch; a change that
-//! brings per-sample name handling back fails here on any machine.
+//! brings per-sample name handling back fails here on any machine. The
+//! same holds for a string per number or per `dps` key on the text path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use pga_ingest::IngestionPipeline;
+use pga_platform::{Monitor, PlatformConfig};
 use pga_query::RollupWriter;
 use pga_tsdb::BatchPoint;
+use pga_viz::{machine_page, Health, MachinePage, SensorPanel, UnitStatus};
 
 thread_local! {
     /// Allocations of this thread since it armed the counter, if it has.
@@ -94,4 +98,74 @@ fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
     assert_eq!(count, 1);
     assert_eq!(row, codec.row_of(&series, 102));
     stack.shutdown();
+}
+
+/// The dashboard's text path writes into one buffer: a 24-panel ×
+/// 300-point machine page, flags and a detail chart included, allocated
+/// 15 622 times through an element tree of per-number strings.
+#[test]
+fn a_machine_page_renders_into_one_buffer() {
+    let panels = (0..24u32)
+        .map(|sensor| SensorPanel {
+            sensor,
+            points: (5_000..5_300u64)
+                .map(|t| (t, 40.0 + (t as f64 * 0.01 + f64::from(sensor)).sin() * 3.0))
+                .collect(),
+            anomalies: if sensor < 3 {
+                vec![5_049, 5_099, 5_149, 5_199, 5_249, 5_299]
+            } else {
+                Vec::new()
+            },
+        })
+        .collect();
+    let page = MachinePage {
+        unit: 2,
+        status: UnitStatus {
+            unit: 2,
+            health: Health::Warning,
+            flagged_sensors: 3,
+            last_anomaly: Some(5_299),
+        },
+        panels,
+        detail: Some(0),
+    };
+    let (html, count) = allocations(|| machine_page(&page));
+    assert!(html.contains("— detail") && html.matches("<circle").count() == 24);
+    // 14: the page buffer, sized up front, plus a flag set per flagged
+    // panel and the detail chart's tick lists. One more per panel fails.
+    assert!(count <= 32, "{count} allocations for one page");
+}
+
+/// A warm `/api/query` answer — 32 series of 61 one-minute averages from
+/// the result cache — is written straight from the engine's series,
+/// where a `dps` map per series and a value tree cloning every key took
+/// 9 005 allocations.
+#[test]
+fn a_warm_rollup_answer_writes_straight_from_the_series() {
+    let mut config = PlatformConfig::demo(5);
+    config.fleet.units = 1;
+    config.fleet.sensors_per_unit = 32;
+    let m = Monitor::new(config).unwrap();
+    let sensors: Vec<String> = (0..32).map(|s| s.to_string()).collect();
+    let tags: Vec<[(&str, &str); 2]> = sensors
+        .iter()
+        .map(|s| [("unit", "0"), ("sensor", s.as_str())])
+        .collect();
+    // Four-digit timestamps: keys in string order as they come.
+    for minute in 20..=80u64 {
+        let ts = 60 * minute;
+        let points: Vec<BatchPoint> = tags.iter().map(|t| (&t[..], ts, ts as f64)).collect();
+        m.tsd().put_batch("energy", &points).unwrap();
+    }
+    m.tsd().flush_observer().unwrap();
+    let body = r#"{"start":1200,"end":4800,"queries":[{"metric":"energy","tags":{"unit":"0"},"downsample":"60s-avg"}]}"#;
+    let cold = pga_tsdb::handle_query_with(m.engine().as_ref(), body).unwrap();
+    let (warm, count) = allocations(|| pga_tsdb::handle_query_with(m.engine().as_ref(), body));
+    assert_eq!(warm.unwrap(), cold);
+    assert_eq!(cold.matches("\"metric\"").count(), 32);
+    assert_eq!(cold.matches(':').count(), 32 * (3 + 2 + 61));
+    // 287: the cached series' copy (a handful per series), the request's
+    // parse and one body buffer. One more per point fails.
+    assert!(count <= 500, "{count} allocations for one warm answer");
+    m.shutdown();
 }
