@@ -28,7 +28,7 @@ pub mod sim;
 
 pub use coordinator::{Coordinator, CoordinatorError, SessionId};
 pub use rpc::{
-    default_clock_ms, AdmissionConfig, ClockMs, RequestClass, RpcError, RpcHandle,
+    default_clock_ms, AdmissionConfig, ClockMs, PendingReply, RequestClass, RpcError, RpcHandle,
     RpcServerBuilder, RpcStats, ServerState,
 };
 pub use sim::{

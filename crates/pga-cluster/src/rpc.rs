@@ -10,7 +10,7 @@
 //!   server. Once strikes reach the configured threshold the server
 //!   *crashes* (stops serving), modelling the paper's observed region
 //!   server failures under unthrottled OpenTSDB write storms.
-//! * [`RpcHandle::call_with`] — admission-controlled send: once queue
+//! * [`RpcHandle::send_with`] — admission-controlled send: once queue
 //!   occupancy crosses a per-class watermark the request is rejected with
 //!   a typed [`RpcError::Busy`] carrying a `retry_after_ms` hint, instead
 //!   of blocking the producer forever. Ingest writes degrade first (lower
@@ -18,7 +18,10 @@
 //!   reads are shed only past a higher critical watermark so the fleet
 //!   view stays alive as long as possible. Requests may also carry an
 //!   absolute deadline: the server drops expired work with a typed
-//!   [`RpcError::DeadlineExpired`] rather than serving dead requests.
+//!   [`RpcError::DeadlineExpired`] rather than serving dead requests. An
+//!   admitted request returns a [`PendingReply`], so a caller can send to
+//!   several servers before it waits on any; [`RpcHandle::call_with`] is
+//!   the send followed by the wait.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -26,7 +29,7 @@ use std::sync::OnceLock;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam_channel::{bounded, Sender, TrySendError};
+use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 
 /// Millisecond clock used for deadlines and admission `retry_after` hints.
 /// Injectable so deterministic simulations can drive it from sim time.
@@ -187,6 +190,15 @@ impl Shared {
     fn state(&self) -> ServerState {
         ServerState::from_u8(self.state.load(Ordering::Acquire))
     }
+
+    /// `Ok` while the server accepts requests, else why it does not.
+    fn serving(&self) -> Result<(), RpcError> {
+        match self.state() {
+            ServerState::Healthy => Ok(()),
+            ServerState::Crashed => Err(RpcError::Crashed),
+            ServerState::Stopped => Err(RpcError::Stopped),
+        }
+    }
 }
 
 struct Envelope<Req, Resp> {
@@ -196,6 +208,29 @@ struct Envelope<Req, Resp> {
     deadline_ms: Option<u64>,
     /// `None` for one-way casts: the response is discarded.
     reply: Option<Sender<Result<Resp, RpcError>>>,
+}
+
+/// The answer to one request that is queued or in service. Replies can be
+/// waited on in any order; dropping one abandons its answer (the server
+/// still serves the request and discards the reply).
+pub struct PendingReply<Resp> {
+    rx: Receiver<Result<Resp, RpcError>>,
+    shared: Arc<Shared>,
+}
+
+impl<Resp> PendingReply<Resp> {
+    /// Block until the server answers. A server that crashes or stops
+    /// before answering resolves the wait to [`RpcError::Crashed`] or
+    /// [`RpcError::Stopped`].
+    pub fn wait(self) -> Result<Resp, RpcError> {
+        match self.rx.recv() {
+            Ok(result) => result,
+            Err(_) => Err(match self.shared.state() {
+                ServerState::Crashed => RpcError::Crashed,
+                _ => RpcError::Stopped,
+            }),
+        }
+    }
 }
 
 /// Client handle to a spawned RPC server. Cloneable; the server thread
@@ -423,12 +458,8 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
     /// Blocking call: waits for queue space (backpressure), then for the
     /// response.
     pub fn call(&self, req: Req) -> Result<Resp, RpcError> {
-        match self.shared.state() {
-            ServerState::Healthy => {}
-            ServerState::Crashed => return Err(RpcError::Crashed),
-            ServerState::Stopped => return Err(RpcError::Stopped),
-        }
-        let (reply_tx, reply_rx) = bounded(1);
+        self.shared.serving()?;
+        let (reply_tx, rx) = bounded(1);
         self.tx
             .send(Envelope {
                 req,
@@ -436,32 +467,28 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
                 reply: Some(reply_tx),
             })
             .map_err(|_| RpcError::Stopped)?;
-        match reply_rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(match self.shared.state() {
-                ServerState::Crashed => RpcError::Crashed,
-                _ => RpcError::Stopped,
-            }),
+        PendingReply {
+            rx,
+            shared: self.shared.clone(),
         }
+        .wait()
     }
 
-    /// Admission-controlled call: never blocks the producer on a full or
+    /// Admission-controlled send: never blocks the producer on a full or
     /// over-watermark queue. Sheds the request with a typed
     /// [`RpcError::Busy`] (plus a `retry_after_ms` hint) once occupancy
     /// crosses the watermark for `class`, and tags the enqueued request
     /// with an optional absolute deadline (server-clock milliseconds) past
-    /// which the server drops it as [`RpcError::DeadlineExpired`].
-    pub fn call_with(
+    /// which the server drops it as [`RpcError::DeadlineExpired`]. Every
+    /// refusal is decided here, before anything is queued; an admitted
+    /// request answers through the returned [`PendingReply`].
+    pub fn send_with(
         &self,
         req: Req,
         class: RequestClass,
         deadline_ms: Option<u64>,
-    ) -> Result<Resp, RpcError> {
-        match self.shared.state() {
-            ServerState::Healthy => {}
-            ServerState::Crashed => return Err(RpcError::Crashed),
-            ServerState::Stopped => return Err(RpcError::Stopped),
-        }
+    ) -> Result<PendingReply<Resp>, RpcError> {
+        self.shared.serving()?;
         if let Some(d) = deadline_ms {
             if (self.shared.clock)() >= d {
                 // Already dead on arrival: don't waste queue space.
@@ -477,24 +504,31 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
         if occupancy >= self.shared.admission.watermark(class) {
             return Err(self.shed(class, occupancy));
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, rx) = bounded(1);
         match self.tx.try_send(Envelope {
             req,
             deadline_ms,
             reply: Some(reply_tx),
         }) {
-            Ok(()) => match reply_rx.recv() {
-                Ok(result) => result,
-                Err(_) => Err(match self.shared.state() {
-                    ServerState::Crashed => RpcError::Crashed,
-                    _ => RpcError::Stopped,
-                }),
-            },
+            Ok(()) => Ok(PendingReply {
+                rx,
+                shared: self.shared.clone(),
+            }),
             // Queue filled between the occupancy probe and the send: the
             // same shed path, never a blocking producer.
             Err(TrySendError::Full(_)) => Err(self.shed(class, 1.0)),
             Err(TrySendError::Disconnected(_)) => Err(RpcError::Stopped),
         }
+    }
+
+    /// [`RpcHandle::send_with`], then wait for the answer.
+    pub fn call_with(
+        &self,
+        req: Req,
+        class: RequestClass,
+        deadline_ms: Option<u64>,
+    ) -> Result<Resp, RpcError> {
+        self.send_with(req, class, deadline_ms)?.wait()
     }
 
     fn shed(&self, class: RequestClass, occupancy: f64) -> RpcError {
@@ -514,11 +548,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
     /// threshold) crash the server — the paper's unprotected ingestion
     /// path.
     pub fn cast(&self, req: Req) -> Result<(), RpcError> {
-        match self.shared.state() {
-            ServerState::Healthy => {}
-            ServerState::Crashed => return Err(RpcError::Crashed),
-            ServerState::Stopped => return Err(RpcError::Stopped),
-        }
+        self.shared.serving()?;
         match self.tx.try_send(Envelope {
             req,
             deadline_ms: None,
@@ -795,6 +825,127 @@ mod tests {
         assert!(start.elapsed() < Duration::from_millis(50));
         drop(h);
         runner.join();
+    }
+
+    #[test]
+    fn replies_can_be_awaited_in_any_order() {
+        let (a, runner_a) = RpcServerBuilder::new("a").spawn(|x: u32| x * 2);
+        let (b, runner_b) = RpcServerBuilder::new("b").spawn(|x: u32| x + 100);
+        let mut sent = Vec::new();
+        for i in 0..4u32 {
+            sent.push((i * 2, a.send_with(i, RequestClass::Read, None).unwrap()));
+            sent.push((i + 100, b.send_with(i, RequestClass::Read, None).unwrap()));
+        }
+        // Last sent, first awaited; and one reply abandoned unread.
+        let abandoned = a.send_with(9, RequestClass::Read, None).unwrap();
+        drop(abandoned);
+        for (expect, reply) in sent.into_iter().rev() {
+            assert_eq!(reply.wait().unwrap(), expect);
+        }
+        assert_eq!(a.call_with(5, RequestClass::Read, None).unwrap(), 10);
+        drop((a, b));
+        runner_a.join();
+        runner_b.join();
+    }
+
+    #[test]
+    fn shedding_and_an_expired_deadline_surface_at_send_time() {
+        use std::sync::atomic::AtomicU64 as Clock;
+        let now = Arc::new(Clock::new(100));
+        let clock_now = now.clone();
+        let (open, gate) = bounded::<()>(0);
+        let (entered_tx, entered) = bounded::<u32>(4);
+        let (h, runner) = RpcServerBuilder::new("send-time")
+            .queue_capacity(4)
+            .admission(AdmissionConfig {
+                write_shed_watermark: 0.25,
+                read_shed_watermark: 0.5,
+                retry_after_base_ms: 1,
+            })
+            .clock(Arc::new(move || clock_now.load(Ordering::SeqCst)))
+            .spawn(move |x: u32| {
+                let _ = entered_tx.send(x);
+                let _ = gate.recv();
+                x
+            });
+        // One request held in service, two queued: occupancy 2 / 4.
+        let held = h.send_with(0, RequestClass::Read, None).unwrap();
+        assert_eq!(entered.recv().unwrap(), 0);
+        h.cast(1).unwrap();
+        h.cast(2).unwrap();
+        // Refused by the send itself: no reply to wait on.
+        assert!(matches!(
+            h.send_with(3, RequestClass::Read, None),
+            Err(RpcError::Busy { .. })
+        ));
+        assert!(matches!(
+            h.send_with(4, RequestClass::Write, Some(500)),
+            Err(RpcError::Busy { .. })
+        ));
+        now.store(1_000, Ordering::SeqCst);
+        assert!(matches!(
+            h.send_with(5, RequestClass::Read, Some(500)),
+            Err(RpcError::DeadlineExpired)
+        ));
+        assert_eq!(
+            (h.shed_reads(), h.shed_writes(), h.deadline_expired()),
+            (1, 1, 1)
+        );
+        for _ in 0..3 {
+            open.send(()).unwrap();
+        }
+        assert_eq!(held.wait().unwrap(), 0);
+        drop(h);
+        runner.join();
+    }
+
+    #[test]
+    fn a_crash_with_a_send_outstanding_resolves_the_wait_to_crashed() {
+        let (open, gate) = bounded::<()>(0);
+        let (entered_tx, entered) = bounded::<()>(1);
+        let (h, runner) = RpcServerBuilder::new("crash-pending")
+            .queue_capacity(1)
+            .crash_after_overloads(1)
+            .spawn(move |x: u32| {
+                if x == 0 {
+                    let _ = entered_tx.send(());
+                    let _ = gate.recv();
+                }
+                x
+            });
+        let in_service = h.send_with(0, RequestClass::Read, None).unwrap();
+        entered.recv().unwrap();
+        let queued = h.send_with(1, RequestClass::Read, None).unwrap();
+        // The queue is full: one overload strike crashes the server.
+        assert_eq!(h.cast(2).unwrap_err(), RpcError::Overloaded);
+        assert_eq!(h.state(), ServerState::Crashed);
+        open.send(()).unwrap();
+        assert_eq!(in_service.wait().unwrap(), 0, "already in service");
+        assert_eq!(queued.wait().unwrap_err(), RpcError::Crashed);
+        drop(h);
+        runner.join();
+    }
+
+    /// Two servers whose handlers meet at one barrier answer only if both
+    /// requests are in service at once: sending both before waiting on
+    /// either is what lets them overlap.
+    #[test]
+    fn sends_to_two_servers_overlap_before_either_is_awaited() {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let spawn = |name: &str| {
+            let barrier = barrier.clone();
+            RpcServerBuilder::new(name).spawn(move |x: u32| {
+                barrier.wait();
+                x
+            })
+        };
+        let ((a, runner_a), (b, runner_b)) = (spawn("left"), spawn("right"));
+        let left = a.send_with(1, RequestClass::Read, None).unwrap();
+        let right = b.send_with(2, RequestClass::Read, None).unwrap();
+        assert_eq!((left.wait().unwrap(), right.wait().unwrap()), (1, 2));
+        drop((a, b));
+        runner_a.join();
+        runner_b.join();
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! bounded-staleness scans ([`Client::scan_bounded`]) and hedged scans
 //! fail over to a replica when the primary is slow or gone
 //! ([`Client::scan_hedged`]).
+//!
+//! Admitted and hedged scans come in two steps: the send step queues one
+//! request per overlapping region and returns a [`PendingScan`], and its
+//! wait step collects the replies. A caller with several scans to make
+//! sends them all before it waits on any, so the region servers — each
+//! its own thread — serve them at once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +22,7 @@ use std::sync::Arc;
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::master::{Directory, Master, RegionInfo};
 use crate::server::{Request, Response};
-use pga_cluster::rpc::{RequestClass, RpcError, RpcHandle};
+use pga_cluster::rpc::{PendingReply, RequestClass, RpcError, RpcHandle};
 use pga_cluster::NodeId;
 use pga_repl::{FollowerReadPolicy, LagBook, QuorumDecision, QuorumTracker};
 
@@ -100,6 +106,61 @@ pub fn concat_region_scans(parts: Vec<Vec<KeyValue>>) -> Vec<KeyValue> {
         out.sort();
     }
     out
+}
+
+/// A region server's answer to one shard scan. No cells when a split raced
+/// the scan — the daughters are in the directory and cover the range.
+fn scan_cells(answer: Result<Response, RpcError>) -> Result<Vec<KeyValue>, RpcError> {
+    match answer? {
+        Response::Cells(cells) => Ok(cells),
+        Response::WrongRegion => Ok(Vec::new()),
+        _ => Err(RpcError::Stopped),
+    }
+}
+
+/// Shard scans sent and not yet awaited ([`Client::send_scan_admitted`],
+/// [`Client::send_scan_hedged`]): one reply per overlapping region, in
+/// directory order.
+pub struct PendingScan<'c> {
+    client: &'c Client,
+    regions: Vec<(RegionInfo, Result<PendingReply<Response>, RpcError>)>,
+    /// For a hedged scan, the spec and deadline its followers answer under.
+    hedge: Option<(ScanSpec, Option<u64>)>,
+}
+
+impl PendingScan<'_> {
+    /// Collect the replies in directory order into what the blocking scan
+    /// returns: the first region that fails — refused at send time or
+    /// failed in service — is the error, unless a hedged scan's follower
+    /// answers for it.
+    pub fn wait(self) -> Result<Vec<KeyValue>, ClientError> {
+        let mut parts = Vec::with_capacity(self.regions.len());
+        for (info, sent) in self.regions {
+            let primary_err = match sent.and_then(|reply| scan_cells(reply.wait())) {
+                Ok(cells) => {
+                    parts.push(cells);
+                    continue;
+                }
+                Err(e) => e,
+            };
+            let Some((scan, deadline_ms)) = &self.hedge else {
+                return Err(map_rpc(primary_err));
+            };
+            // Hedge: first follower copy that answers wins.
+            let hedged = info
+                .followers
+                .iter()
+                .find_map(|&f| self.client.scan_follower(&info, f, scan, *deadline_ms));
+            match hedged {
+                Some((cells, _)) => {
+                    self.client.repl.record_hedged_scan();
+                    parts.push(cells);
+                }
+                None => return Err(map_rpc(primary_err)),
+            }
+        }
+        Ok(concat_region_scans(parts))
+    }
 }
 
 /// What a bounded-staleness read learned about a region's primary when it
@@ -492,30 +553,20 @@ impl Client {
             .collect()
     }
 
-    /// One region's shard of `scan` from its primary: blocking when
-    /// `admitted` is `None`, else admission-controlled under that
-    /// deadline. No cells when a split raced us — the daughters are in the
-    /// directory and cover the range.
-    fn scan_primary(
+    /// Send one region's shard of `scan` to its primary,
+    /// admission-controlled under `deadline_ms`.
+    fn send_primary(
         &self,
         info: &RegionInfo,
         scan: &ScanSpec,
-        admitted: Option<Option<u64>>,
-    ) -> Result<Vec<KeyValue>, RpcError> {
+        deadline_ms: Option<u64>,
+    ) -> Result<PendingReply<Response>, RpcError> {
         let handle = self.handles.get(&info.server).ok_or(RpcError::Stopped)?;
         let req = Request::Scan {
             region: info.id,
             scan: scan.clone(),
         };
-        let sent = match admitted {
-            None => handle.call(req),
-            Some(deadline_ms) => handle.call_with(req, RequestClass::Read, deadline_ms),
-        };
-        match sent? {
-            Response::Cells(cells) => Ok(cells),
-            Response::WrongRegion => Ok(Vec::new()),
-            _ => Err(RpcError::Stopped),
-        }
+        handle.send_with(req, RequestClass::Read, deadline_ms)
     }
 
     /// The same shard from the follower copy on `node`, with the copy's
@@ -549,30 +600,51 @@ impl Client {
         scan: &ScanSpec,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        self.scan_inner(scan, Some(deadline_ms))
+        self.send_scan_admitted(scan, deadline_ms).wait()
+    }
+
+    /// The send step of [`Client::scan_admitted`]: one request per
+    /// overlapping region, in directory order. Sending stops at the first
+    /// region refused, as the blocking scan stops there.
+    pub fn send_scan_admitted(&self, scan: &ScanSpec, deadline_ms: Option<u64>) -> PendingScan<'_> {
+        let mut regions = Vec::new();
+        for info in self.regions_overlapping(scan.rows()) {
+            let sent = self.send_primary(&info, scan, deadline_ms);
+            let refused = sent.is_err();
+            regions.push((info, sent));
+            if refused {
+                break;
+            }
+        }
+        PendingScan {
+            client: self,
+            regions,
+            hedge: None,
+        }
     }
 
     /// Scan whole rows of a row range across every overlapping region,
     /// merged in order. What row compaction, scrub and the reference read
     /// path use: they need every cell of a row, not a window of it.
     pub fn scan(&self, range: &RowRange) -> Result<Vec<KeyValue>, ClientError> {
-        self.scan_inner(&range.clone().into(), None)
+        self.scan_spec(&range.clone().into())
     }
 
     /// Blocking scan of whatever `scan` selects (rows and, when set, the
-    /// column window the region servers seek to).
+    /// column window the region servers seek to): a full server queue
+    /// makes this call wait.
     pub fn scan_spec(&self, scan: &ScanSpec) -> Result<Vec<KeyValue>, ClientError> {
-        self.scan_inner(scan, None)
-    }
-
-    fn scan_inner(
-        &self,
-        scan: &ScanSpec,
-        admitted: Option<Option<u64>>,
-    ) -> Result<Vec<KeyValue>, ClientError> {
         let mut parts = Vec::new();
         for info in self.regions_overlapping(scan.rows()) {
-            parts.push(self.scan_primary(&info, scan, admitted).map_err(map_rpc)?);
+            let handle = self
+                .handles
+                .get(&info.server)
+                .ok_or(ClientError::Rpc(RpcError::Stopped))?;
+            let req = Request::Scan {
+                region: info.id,
+                scan: scan.clone(),
+            };
+            parts.push(scan_cells(handle.call(req)).map_err(map_rpc)?);
         }
         Ok(concat_region_scans(parts))
     }
@@ -590,27 +662,32 @@ impl Client {
         primary_deadline_ms: Option<u64>,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<KeyValue>, ClientError> {
-        let mut parts = Vec::new();
-        for info in self.regions_overlapping(scan.rows()) {
-            match self.scan_primary(&info, scan, Some(primary_deadline_ms)) {
-                Ok(cells) => parts.push(cells),
-                Err(primary_err) => {
-                    // Hedge: first follower copy that answers wins.
-                    let hedged = info
-                        .followers
-                        .iter()
-                        .find_map(|&f| self.scan_follower(&info, f, scan, deadline_ms));
-                    match hedged {
-                        Some((cells, _)) => {
-                            self.repl.record_hedged_scan();
-                            parts.push(cells);
-                        }
-                        None => return Err(map_rpc(primary_err)),
-                    }
-                }
-            }
+        self.send_scan_hedged(scan, primary_deadline_ms, deadline_ms)
+            .wait()
+    }
+
+    /// The send step of [`Client::scan_hedged`]: one primary request per
+    /// overlapping region under `primary_deadline_ms`. A primary that
+    /// refuses or fails is failed over to its followers in the wait step.
+    pub fn send_scan_hedged(
+        &self,
+        scan: &ScanSpec,
+        primary_deadline_ms: Option<u64>,
+        deadline_ms: Option<u64>,
+    ) -> PendingScan<'_> {
+        let regions = self
+            .regions_overlapping(scan.rows())
+            .into_iter()
+            .map(|info| {
+                let sent = self.send_primary(&info, scan, primary_deadline_ms);
+                (info, sent)
+            })
+            .collect();
+        PendingScan {
+            client: self,
+            regions,
+            hedge: Some((scan.clone(), deadline_ms)),
         }
-        Ok(concat_region_scans(parts))
     }
 
     /// Bounded-staleness follower read: serve each region's shard from a
@@ -672,10 +749,10 @@ impl Client {
                 }
             }
             if !served {
-                parts.push(
-                    self.scan_primary(&info, scan, Some(deadline_ms))
-                        .map_err(map_rpc)?,
-                );
+                let cells = self
+                    .send_primary(&info, scan, deadline_ms)
+                    .and_then(|reply| scan_cells(reply.wait()));
+                parts.push(cells.map_err(map_rpc)?);
             }
         }
         Ok(concat_region_scans(parts))

@@ -47,7 +47,7 @@ pub mod server;
 pub mod storefile;
 pub mod wal;
 
-pub use client::{concat_region_scans, Client, ClientError, RepairCopy};
+pub use client::{concat_region_scans, Client, ClientError, PendingScan, RepairCopy};
 pub use diskstore::{
     crc32, crc32_extend, load_store_files, persist_store_files, read_store_file, write_store_file,
     DiskStoreError,

@@ -9,11 +9,12 @@
 //! series that matter.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use pga_cluster::rpc::ClockMs;
-use pga_tsdb::{QueryFilter, TimeSeries};
+use pga_tsdb::{Aggregator, QueryFilter, TimeSeries};
 
 /// Cache sizing and lifetime knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +38,43 @@ impl Default for CacheConfig {
     }
 }
 
+/// What a cached answer answers: the whole request, field by field. No
+/// delimiter joins the fields, so no two different requests share a key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    /// Metric queried.
+    pub metric: String,
+    /// Required tag pairs.
+    pub filter: QueryFilter,
+    /// Range start, inclusive.
+    pub start: u64,
+    /// Range end, inclusive.
+    pub end: u64,
+    /// Downsample window and aggregator, if any.
+    pub downsample: Option<(u64, Aggregator)>,
+}
+
+impl CacheKey {
+    /// The key of one request.
+    pub fn new(
+        metric: &str,
+        filter: &QueryFilter,
+        start: u64,
+        end: u64,
+        downsample: Option<(u64, Aggregator)>,
+    ) -> Self {
+        CacheKey {
+            metric: metric.to_string(),
+            filter: filter.clone(),
+            start,
+            end,
+            downsample,
+        }
+    }
+}
+
 struct Entry {
     at_ms: u64,
-    metric: String,
-    filter: QueryFilter,
     series: Vec<TimeSeries>,
 }
 
@@ -57,11 +91,10 @@ pub struct CacheStats {
     pub admission_drops: AtomicU64,
 }
 
-/// The sharded cache. Keys are opaque strings built by the engine from the
-/// full request tuple; each entry remembers its `(metric, filter)` so
-/// anomaly invalidation can match affected results without parsing keys.
+/// The sharded cache, keyed by the full request ([`CacheKey`]); anomaly
+/// invalidation matches affected results on the key's metric and tags.
 pub struct ResultCache {
-    shards: Vec<Mutex<HashMap<String, Entry>>>,
+    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
     config: CacheConfig,
     clock: ClockMs,
     stats: CacheStats,
@@ -80,18 +113,15 @@ impl ResultCache {
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
-        // FNV-1a; any stable spread works, the shards only split the lock.
-        let mut h = 0xcbf29ce484222325u64;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry>> {
+        // Any stable spread works: the shards only split the lock.
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
     /// Fetch a live entry's series, counting a hit or miss.
-    pub fn get(&self, key: &str) -> Option<Vec<TimeSeries>> {
+    pub fn get(&self, key: &CacheKey) -> Option<Vec<TimeSeries>> {
         let now = (self.clock)();
         let shard = self.shard(key).lock();
         match shard.get(key) {
@@ -107,7 +137,7 @@ impl ResultCache {
     }
 
     /// Insert a complete (non-partial) result.
-    pub fn insert(&self, key: String, metric: &str, filter: &QueryFilter, series: Vec<TimeSeries>) {
+    pub fn insert(&self, key: CacheKey, series: Vec<TimeSeries>) {
         let now = (self.clock)();
         let mut shard = self.shard(&key).lock();
         if shard.len() >= self.config.capacity_per_shard && !shard.contains_key(&key) {
@@ -118,15 +148,7 @@ impl ResultCache {
                 return;
             }
         }
-        shard.insert(
-            key,
-            Entry {
-                at_ms: now,
-                metric: metric.to_string(),
-                filter: filter.clone(),
-                series,
-            },
-        );
+        shard.insert(key, Entry { at_ms: now, series });
     }
 
     /// Drop every cached result that covers the series `(metric, tags)` —
@@ -137,7 +159,7 @@ impl ResultCache {
         for shard in &self.shards {
             let mut shard = shard.lock();
             let before = shard.len();
-            shard.retain(|_, e| e.metric != metric || !e.filter.matches(tags));
+            shard.retain(|key, _| key.metric != metric || !key.filter.matches(tags));
             removed += before - shard.len();
         }
         self.stats
@@ -174,6 +196,15 @@ mod tests {
         (t, Arc::new(move || c.load(Ordering::SeqCst)))
     }
 
+    /// The key of `metric{unit=…}` (no unit: any) over one fixed range.
+    fn key(metric: &str, unit: Option<&str>) -> CacheKey {
+        let filter = match unit {
+            Some(u) => QueryFilter::any().with("unit", u),
+            None => QueryFilter::any(),
+        };
+        CacheKey::new(metric, &filter, 0, 100, None)
+    }
+
     fn series(unit: &str) -> Vec<TimeSeries> {
         vec![TimeSeries {
             metric: "energy".into(),
@@ -192,12 +223,13 @@ mod tests {
             },
             clock,
         );
-        cache.insert("k".into(), "energy", &QueryFilter::any(), series("1"));
-        assert!(cache.get("k").is_some());
+        let k = key("energy", None);
+        cache.insert(k.clone(), series("1"));
+        assert!(cache.get(&k).is_some());
         t.store(99, Ordering::SeqCst);
-        assert!(cache.get("k").is_some());
+        assert!(cache.get(&k).is_some());
         t.store(100, Ordering::SeqCst);
-        assert!(cache.get("k").is_none(), "expired at ttl");
+        assert!(cache.get(&k).is_none(), "expired at ttl");
         assert_eq!(cache.stats().hits.load(Ordering::Relaxed), 2);
         assert_eq!(cache.stats().misses.load(Ordering::Relaxed), 1);
     }
@@ -207,19 +239,14 @@ mod tests {
         let (_t, clock) = fixed_clock();
         let cache = ResultCache::new(CacheConfig::default(), clock);
         // Three cached results: unit 1, unit 2, and a fleet-wide view.
-        cache.insert(
-            "u1".into(),
-            "energy",
-            &QueryFilter::any().with("unit", "1"),
-            series("1"),
+        let (u1, u2, fleet) = (
+            key("energy", Some("1")),
+            key("energy", Some("2")),
+            key("energy", None),
         );
-        cache.insert(
-            "u2".into(),
-            "energy",
-            &QueryFilter::any().with("unit", "2"),
-            series("2"),
-        );
-        cache.insert("fleet".into(), "energy", &QueryFilter::any(), series("*"));
+        cache.insert(u1.clone(), series("1"));
+        cache.insert(u2.clone(), series("2"));
+        cache.insert(fleet.clone(), series("*"));
         // Anomaly on unit 1 sensor 3: kills unit-1 view and the fleet view
         // (both cover the flagged series); unit-2 view survives.
         let flagged: BTreeMap<String, String> = [
@@ -228,9 +255,9 @@ mod tests {
         ]
         .into();
         assert_eq!(cache.invalidate("energy", &flagged), 2);
-        assert!(cache.get("u1").is_none());
-        assert!(cache.get("fleet").is_none());
-        assert!(cache.get("u2").is_some());
+        assert!(cache.get(&u1).is_none());
+        assert!(cache.get(&fleet).is_none());
+        assert!(cache.get(&u2).is_some());
         // Different metric never matches.
         assert_eq!(cache.invalidate("temperature", &flagged), 0);
     }
@@ -246,14 +273,75 @@ mod tests {
             },
             clock,
         );
-        cache.insert("a".into(), "m", &QueryFilter::any(), vec![]);
-        cache.insert("b".into(), "m", &QueryFilter::any(), vec![]);
-        cache.insert("c".into(), "m", &QueryFilter::any(), vec![]);
+        cache.insert(key("a", None), vec![]);
+        cache.insert(key("b", None), vec![]);
+        cache.insert(key("c", None), vec![]);
         assert_eq!(cache.len(), 2, "third insert dropped");
         assert_eq!(cache.stats().admission_drops.load(Ordering::Relaxed), 1);
         // Once the residents expire, the purge on insert makes room.
         t.store(60, Ordering::SeqCst);
-        cache.insert("c".into(), "m", &QueryFilter::any(), vec![]);
-        assert!(cache.get("c").is_some());
+        cache.insert(key("c", None), vec![]);
+        assert!(cache.get(&key("c", None)).is_some());
+    }
+
+    /// A key is the request itself: field values that would spell one
+    /// delimited string the same way are still different keys.
+    #[test]
+    fn requests_that_spell_alike_keep_apart() {
+        let (_t, clock) = fixed_clock();
+        let cache = ResultCache::new(CacheConfig::default(), clock);
+        let forged = [
+            // A tag value holding the pair that would follow it.
+            CacheKey::new(
+                "energy",
+                &QueryFilter::any().with("sensor", "2,unit=1"),
+                0,
+                100,
+                None,
+            ),
+            // A metric holding the key's field separator and the range.
+            CacheKey::new(
+                "energy|sensor=2,unit=1,|0",
+                &QueryFilter::any(),
+                0,
+                100,
+                None,
+            ),
+            CacheKey::new(
+                "energy|",
+                &QueryFilter::any().with("sensor", "2"),
+                0,
+                100,
+                None,
+            ),
+        ];
+        let real = CacheKey::new(
+            "energy",
+            &QueryFilter::any().with("unit", "1").with("sensor", "2"),
+            0,
+            100,
+            None,
+        );
+        for k in &forged {
+            cache.insert(k.clone(), vec![]);
+            assert_ne!(k, &real);
+        }
+        assert!(
+            cache.get(&real).is_none(),
+            "no forged key answers the real one"
+        );
+        cache.insert(real.clone(), series("1"));
+        assert_eq!(cache.get(&real), Some(series("1")));
+        for k in &forged {
+            assert_eq!(cache.get(k), Some(vec![]));
+        }
+        // Invalidation reads the key's own metric and tags.
+        let flagged: BTreeMap<String, String> = [
+            ("unit".to_string(), "1".to_string()),
+            ("sensor".to_string(), "2".to_string()),
+        ]
+        .into();
+        assert_eq!(cache.invalidate("energy", &flagged), 1);
+        assert!(cache.get(&real).is_none());
     }
 }

@@ -1,11 +1,14 @@
-//! Parallel scatter-gather execution across salt shards, with per-shard
-//! deadlines, typed partial results, and rollup/raw splicing.
+//! Scatter-gather execution across salt shards, with per-shard deadlines,
+//! typed partial results, and rollup/raw splicing.
 //!
-//! One thread per salt bucket issues admission-controlled scans against
-//! the storage layer with an absolute deadline; a shard that is shed
-//! (`Busy`), times out, or fails does **not** sink the query — its error
-//! is reported in a [`PartialInfo`] alongside whatever the healthy shards
-//! returned, reusing the overload-control vocabulary of the ingest path.
+//! A query sends every segment scan of every salt shard to the region
+//! servers — admission-controlled, under one absolute deadline — before it
+//! waits on any, then collects the replies in salt order. The region
+//! servers are threads of their own, so the shards are served in parallel
+//! and nothing is spawned per query. A shard that is shed (`Busy`), times
+//! out, or fails does **not** sink the query — its error is reported in a
+//! [`PartialInfo`] alongside whatever the healthy shards returned, reusing
+//! the overload-control vocabulary of the ingest path.
 //!
 //! ## Tag pushdown
 //!
@@ -23,19 +26,26 @@
 //! writers. The head (a partial leading window) and the tail are patched
 //! from raw data; window edges are epoch-aligned on both sides, so the
 //! three regions never overlap and never split a window.
+//!
+//! ## Rollup fold
+//!
+//! The rollup cells are folded in one pass in the order the scans return
+//! them ([`fold_buckets`]): each bucket's cells merge as they come, and
+//! each merged bucket, then each raw patch point, is added to its series'
+//! window in window order.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use pga_cluster::rpc::ClockMs;
-use pga_minibase::{Client, ClientError, KeyValue, RowRange, RowWords};
+use pga_minibase::{Client, ClientError, KeyValue, PendingScan, RowRange, RowWords};
 use pga_repl::HedgePolicy;
 use pga_tsdb::{
     Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, ShardError, TimeSeries,
 };
 
 use crate::plan::{self, Plan};
-use crate::rollup::{merge_cells, tier_metric, CellDecoder, RollupCell};
+use crate::rollup::{fold_buckets, tier_metric, MergedBucket};
 
 /// Assembled raw reads: codec-order tag pairs → windowed points.
 type SeriesPoints = BTreeMap<Vec<(String, String)>, Vec<DataPoint>>;
@@ -182,17 +192,18 @@ fn splice_bounds(
     (ru_lo < ru_hi).then_some((ru_lo, ru_hi))
 }
 
-/// Scan `[start, end]` of `metric` on one salt, admission-controlled: one
-/// scan per segment of [`KeyCodec::scan_segments`], each carrying the tag
-/// filter's row-key `words`, so the region servers return only the cells
-/// inside the range of the rows the filter can accept; every segment runs
-/// under the same deadline, and the cells come back in storage scan
-/// order. Empty result for a metric the UID table has never seen. With a
-/// hedge trigger, a primary that is slow or shedding past the trigger
-/// fails the segment over to a follower replica under the full deadline.
+/// Send the scans of `[start, end]` of `metric` on one salt,
+/// admission-controlled: one scan per segment of
+/// [`KeyCodec::scan_segments`], each carrying the tag filter's row-key
+/// `words`, so the region servers return only the cells inside the range
+/// of the rows the filter can accept; every segment runs under the same
+/// deadline. Nothing is sent for a metric the UID table has never seen.
+/// With a hedge trigger, a primary that is slow or shedding past the
+/// trigger fails the segment over to a follower replica under the full
+/// deadline.
 #[allow(clippy::too_many_arguments)]
-fn scan_salt(
-    client: &Client,
+fn send_salt<'c>(
+    client: &'c Client,
     codec: &KeyCodec,
     salt: u8,
     metric: &str,
@@ -201,18 +212,65 @@ fn scan_salt(
     end: u64,
     deadline: u64,
     hedge_trigger: Option<u64>,
-) -> Result<Vec<KeyValue>, ClientError> {
-    let mut cells = Vec::new();
-    for segment in codec.scan_segments(salt, metric, start, end) {
-        let segment = segment.with_words(words.clone());
-        cells.extend(match hedge_trigger {
-            Some(primary_deadline) => {
-                client.scan_hedged(&segment, Some(primary_deadline), Some(deadline))?
+) -> Vec<PendingScan<'c>> {
+    codec
+        .scan_segments(salt, metric, start, end)
+        .into_iter()
+        .map(|segment| {
+            let segment = segment.with_words(words.clone());
+            match hedge_trigger {
+                Some(primary_deadline) => {
+                    client.send_scan_hedged(&segment, Some(primary_deadline), Some(deadline))
+                }
+                None => client.send_scan_admitted(&segment, Some(deadline)),
             }
-            None => client.scan_admitted(&segment, Some(deadline))?,
-        });
+        })
+        .collect()
+}
+
+/// Wait on `scans` in the order they were sent, appending their cells —
+/// in storage scan order — to `cells`. The first failure is the error and
+/// abandons the scans after it; the caller drops what the shard appended.
+fn wait_all(scans: Vec<PendingScan<'_>>, cells: &mut Vec<KeyValue>) -> Result<(), ClientError> {
+    for scan in scans {
+        cells.append(&mut scan.wait()?);
     }
-    Ok(cells)
+    Ok(())
+}
+
+/// Send the scans of `[start, end]` of `metric` on every salt, then wait
+/// on them salt by salt: the cells of the shards that answered, in
+/// storage scan order, and an error per shard that did not.
+#[allow(clippy::too_many_arguments)]
+fn scatter(
+    client: &Client,
+    codec: &KeyCodec,
+    metric: &str,
+    words: &RowWords,
+    start: u64,
+    end: u64,
+    deadline: u64,
+    hedge: Option<u64>,
+    errors: &mut Vec<ShardError>,
+) -> Vec<KeyValue> {
+    let sent: Vec<_> = codec
+        .salt_range()
+        .map(|salt| {
+            let scans = send_salt(
+                client, codec, salt, metric, words, start, end, deadline, hedge,
+            );
+            (salt, scans)
+        })
+        .collect();
+    let mut cells = Vec::new();
+    for (salt, scans) in sent {
+        let mark = cells.len();
+        if let Err(e) = wait_all(scans, &mut cells) {
+            cells.truncate(mark);
+            errors.push(shard_error(salt, &e));
+        }
+    }
+    cells
 }
 
 /// Absolute primary-scan deadline acting as the hedge trigger: the hedge
@@ -220,28 +278,6 @@ fn scan_salt(
 fn hedge_trigger(cfg: &ExecConfig, now: u64) -> Option<u64> {
     cfg.hedge
         .map(|h| now + h.delay_ms.min(cfg.shard_deadline_ms))
-}
-
-/// Fan scans out, one thread per salt; results come back indexed by salt
-/// so assembly order is deterministic.
-fn scatter<F, T>(codec: &KeyCodec, run: F) -> Vec<(u8, Result<T, ClientError>)>
-where
-    F: Fn(u8) -> Result<T, ClientError> + Sync,
-    T: Send,
-{
-    let salts: Vec<u8> = codec.salt_range().collect();
-    let run = &run;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = salts
-            .iter()
-            .map(|&salt| scope.spawn(move || run(salt)))
-            .collect();
-        salts
-            .iter()
-            .zip(handles)
-            .map(|(&salt, h)| (salt, h.join().expect("shard scan panicked")))
-            .collect()
-    })
 }
 
 /// Group scanned cells into per-series point lists holding the points
@@ -381,20 +417,19 @@ fn execute_raw(
     let now = clock();
     let deadline = now + cfg.shard_deadline_ms;
     let hedge = hedge_trigger(cfg, now);
-    let shards = scatter(codec, |salt| {
-        scan_salt(
-            client, codec, salt, metric, words, start, end, deadline, hedge,
-        )
-    });
-    let fanout = shards.len() as u32;
+    let fanout = codec.salt_range().len() as u32;
     let mut errors = Vec::new();
-    let mut cells = Vec::new();
-    for (salt, r) in shards {
-        match r {
-            Ok(mut c) => cells.append(&mut c),
-            Err(e) => errors.push(shard_error(salt, &e)),
-        }
-    }
+    let cells = scatter(
+        client,
+        codec,
+        metric,
+        words,
+        start,
+        end,
+        deadline,
+        hedge,
+        &mut errors,
+    );
     // An unsalvageable corrupt block marks the answer partial (typed
     // `corrupt_block`); healthy rows are still served — same contract as
     // a shed or timed-out shard.
@@ -409,7 +444,8 @@ fn execute_raw(
     }
 }
 
-/// Per-window aggregate state assembled from merged tier buckets.
+/// Per-window aggregate state, folded from merged tier buckets or from raw
+/// points with the arithmetic of [`TimeSeries::downsample`].
 #[derive(Clone, Copy)]
 struct WindowAcc {
     min: f64,
@@ -420,6 +456,31 @@ struct WindowAcc {
 }
 
 impl WindowAcc {
+    const EMPTY: WindowAcc = WindowAcc {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        sum: 0.0,
+        count: 0,
+        tainted: false,
+    };
+
+    /// Fold in one raw point.
+    fn add(&mut self, v: f64) {
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.count += 1;
+    }
+
+    /// Fold in one merged tier bucket.
+    fn add_bucket(&mut self, m: &MergedBucket) {
+        self.min = self.min.min(m.min);
+        self.max = self.max.max(m.max);
+        self.sum += m.sum;
+        self.count += m.count;
+        self.tainted |= m.tainted;
+    }
+
     fn finish(&self, agg: Aggregator) -> f64 {
         match agg {
             Aggregator::Avg => self.sum / self.count as f64,
@@ -429,6 +490,63 @@ impl WindowAcc {
             Aggregator::Count => self.count as f64,
         }
     }
+}
+
+/// One series' windows, ascending by start.
+type Windows = Vec<(u64, WindowAcc)>;
+
+/// The accumulator of window `w` in `windows`, which reach at most `w`:
+/// the last one when it is `w`, else a new empty one.
+fn window_at(windows: &mut Windows, w: u64) -> &mut WindowAcc {
+    if windows.last().is_none_or(|&(last, _)| last != w) {
+        windows.push((w, WindowAcc::EMPTY));
+    }
+    let last = windows.len() - 1;
+    &mut windows[last].1
+}
+
+/// Fold scanned rollup cells into `d`-second windows per series: each
+/// merged bucket ([`fold_buckets`]) is added to its series' window, in
+/// the ascending bucket order the scan returns a series' buckets in.
+/// Series the filter rejects and buckets outside `[ru_lo, ru_hi)`
+/// (row-span rounding over-fetches) are skipped.
+#[allow(clippy::too_many_arguments)]
+fn fold_rollup(
+    codec: &KeyCodec,
+    filter: &QueryFilter,
+    tier: u64,
+    d: u64,
+    ru_lo: u64,
+    ru_hi: u64,
+    cells: &mut [KeyValue],
+) -> BTreeMap<Vec<(String, String)>, Windows> {
+    let mut series: Vec<(Arc<Series>, Windows)> = Vec::new();
+    let mut slots: HashMap<u32, usize> = HashMap::new();
+    // The series of the last bucket, with its slot when the filter admits
+    // it: a series' buckets come together, row by row.
+    let mut current: Option<(u32, Option<usize>)> = None;
+    fold_buckets(codec, tier, cells, |s, bucket, merged| {
+        if bucket < ru_lo || bucket + tier > ru_hi {
+            return;
+        }
+        let id = s.id();
+        if current.is_none_or(|(last, _)| last != id) {
+            let slot = filter.matches_pairs(s.tags()).then(|| {
+                *slots.entry(id).or_insert_with(|| {
+                    series.push((s.clone(), Vec::new()));
+                    series.len() - 1
+                })
+            });
+            current = Some((id, slot));
+        }
+        if let Some((_, Some(slot))) = current {
+            window_at(&mut series[slot].1, bucket - bucket % d).add_bucket(merged);
+        }
+    });
+    series
+        .into_iter()
+        .map(|(s, windows)| (s.tags().to_vec(), windows))
+        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -460,109 +578,58 @@ fn execute_rollup(
     if ru_hi <= end {
         patches.push((ru_hi, end));
     }
-    // One thread per salt runs the rollup scan plus the raw head/tail
-    // patches under a single deadline.
-    let shards = scatter(codec, |salt| {
-        let ru = scan_salt(
-            client,
-            codec,
-            salt,
-            &shadow,
-            words,
-            ru_lo,
-            ru_hi - 1,
-            deadline,
-            hedge,
-        )?;
-        let mut raw = Vec::new();
-        for &(from, to) in &patches {
-            raw.extend(scan_salt(
-                client, codec, salt, metric, words, from, to, deadline, hedge,
-            )?);
-        }
-        Ok((ru, raw))
-    });
-    let fanout = shards.len() as u32;
+    // Every salt's rollup scan and raw head/tail patches go out under a
+    // single deadline before any is awaited.
+    let sent: Vec<_> = codec
+        .salt_range()
+        .map(|salt| {
+            let rollup = send_salt(
+                client,
+                codec,
+                salt,
+                &shadow,
+                words,
+                ru_lo,
+                ru_hi - 1,
+                deadline,
+                hedge,
+            );
+            let mut raw = Vec::new();
+            for &(from, to) in &patches {
+                raw.extend(send_salt(
+                    client, codec, salt, metric, words, from, to, deadline, hedge,
+                ));
+            }
+            (salt, rollup, raw)
+        })
+        .collect();
+    let fanout = sent.len() as u32;
     let mut errors = Vec::new();
     let mut rollup_cells = Vec::new();
     let mut raw_cells = Vec::new();
-    for (salt, r) in shards {
-        match r {
-            Ok((mut ru, mut raw)) => {
-                rollup_cells.append(&mut ru);
-                raw_cells.append(&mut raw);
-            }
-            Err(e) => errors.push(shard_error(salt, &e)),
+    for (salt, rollup, raw) in sent {
+        let marks = (rollup_cells.len(), raw_cells.len());
+        let waited =
+            wait_all(rollup, &mut rollup_cells).and_then(|()| wait_all(raw, &mut raw_cells));
+        if let Err(e) = waited {
+            rollup_cells.truncate(marks.0);
+            raw_cells.truncate(marks.1);
+            errors.push(shard_error(salt, &e));
         }
     }
     let mut cells_scanned = (rollup_cells.len() + raw_cells.len()) as u64;
-
-    // Version resolution: for re-sealed buckets several cells share a
-    // (row, qualifier); the KeyValue order puts the newest version first,
-    // so a sort + dedup keeps exactly the winning cell.
-    rollup_cells.sort();
-    rollup_cells.dedup_by(|a, b| a.row == b.row && a.qualifier == b.qualifier);
-
-    // Merge cells per (series, bucket), then fold buckets into d-windows.
-    // The cells are sorted by row, so a series' cells are consecutive: the
-    // tag filter runs when the series changes, and the ordered map folds a
-    // window's buckets in time order.
-    let mut per_bucket: BTreeMap<(u32, u64), Vec<RollupCell>> = BTreeMap::new();
-    let mut decoder = CellDecoder::new(codec, tier);
-    let mut admitted: Option<(u32, bool)> = None;
-    for kv in &rollup_cells {
-        let Some(cell) = decoder.decode(kv) else {
-            continue;
-        };
-        if cell.bucket < ru_lo || cell.bucket + tier > ru_hi {
-            continue; // row-span rounding over-fetches; clip to region
-        }
-        let id = cell.series.id();
-        if admitted.is_none_or(|(last, _)| last != id) {
-            admitted = Some((id, filter.matches_pairs(cell.series.tags())));
-        }
-        if admitted == Some((id, true)) {
-            per_bucket.entry((id, cell.bucket)).or_default().push(cell);
-        }
-    }
-    let mut windows_by_series: BTreeMap<u32, (Arc<Series>, BTreeMap<u64, WindowAcc>)> =
-        BTreeMap::new();
-    for ((id, bucket), mut cells) in per_bucket {
-        let (Some(m), Some(first)) = (merge_cells(&mut cells), cells.first()) else {
-            continue;
-        };
-        let w = bucket - bucket % d;
-        let acc = windows_by_series
-            .entry(id)
-            .or_insert_with(|| (first.series.clone(), BTreeMap::new()))
-            .1
-            .entry(w)
-            .or_insert(WindowAcc {
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                sum: 0.0,
-                count: 0,
-                tainted: false,
-            });
-        acc.min = acc.min.min(m.min);
-        acc.max = acc.max.max(m.max);
-        acc.sum += m.sum;
-        acc.count += m.count;
-        acc.tainted |= m.tainted;
-    }
-    let mut windows: BTreeMap<Vec<(String, String)>, BTreeMap<u64, WindowAcc>> = windows_by_series
-        .into_values()
-        .map(|(series, accs)| (series.tags().to_vec(), accs))
-        .collect();
+    let mut windows = fold_rollup(codec, filter, tier, d, ru_lo, ru_hi, &mut rollup_cells);
 
     // Tainted windows (overlapping writer bitmaps — some point was
     // delivered twice) are recomputed from raw data rather than served
-    // double-counted. One scan per distinct window, shared by every
+    // double-counted. One scatter per distinct window, shared by every
     // tainted series in it.
     let tainted_windows: Vec<u64> = {
         let mut ws: Vec<u64> = windows
             .values()
-            .flat_map(|m| m.iter().filter(|(_, a)| a.tainted).map(|(&w, _)| w))
+            .flatten()
+            .filter(|(_, a)| a.tainted)
+            .map(|&(w, _)| w)
             .collect();
         ws.sort_unstable();
         ws.dedup();
@@ -572,30 +639,19 @@ fn execute_rollup(
         let now = clock();
         let deadline = now + cfg.shard_deadline_ms;
         let hedge = hedge_trigger(cfg, now);
-        let shards = scatter(codec, |salt| {
-            scan_salt(
-                client,
-                codec,
-                salt,
-                metric,
-                words,
-                w,
-                w + d - 1,
-                deadline,
-                hedge,
-            )
-        });
-        let mut cells = Vec::new();
-        let mut failed = false;
-        for (salt, r) in shards {
-            match r {
-                Ok(mut c) => cells.append(&mut c),
-                Err(e) => {
-                    errors.push(shard_error(salt, &e));
-                    failed = true;
-                }
-            }
-        }
+        let before = errors.len();
+        let cells = scatter(
+            client,
+            codec,
+            metric,
+            words,
+            w,
+            w + d - 1,
+            deadline,
+            hedge,
+            &mut errors,
+        );
+        let mut failed = errors.len() > before;
         cells_scanned += cells.len() as u64;
         let (grouped, corrupt) = assemble_raw(client, codec, &cells, filter, &[(w, w + d - 1)]);
         if !corrupt.is_empty() {
@@ -605,71 +661,57 @@ fn execute_rollup(
             failed = true;
         }
         for (tags, accs) in windows.iter_mut() {
-            let Some(acc) = accs.get_mut(&w) else {
+            let Ok(i) = accs.binary_search_by_key(&w, |&(start, _)| start) else {
                 continue;
             };
-            if !acc.tainted {
+            if !accs[i].1.tainted {
                 continue;
             }
             match grouped.get(tags) {
                 Some(points) if !failed => {
-                    let mut fresh = WindowAcc {
-                        min: f64::INFINITY,
-                        max: f64::NEG_INFINITY,
-                        sum: 0.0,
-                        count: 0,
-                        tainted: false,
-                    };
+                    let mut fresh = WindowAcc::EMPTY;
                     for p in points {
-                        fresh.min = fresh.min.min(p.value);
-                        fresh.max = fresh.max.max(p.value);
-                        fresh.sum += p.value;
-                        fresh.count += 1;
+                        fresh.add(p.value);
                     }
-                    *acc = fresh;
+                    accs[i].1 = fresh;
                 }
                 // Recompute impossible (shard failure) or no raw points
                 // survived: drop the window rather than serve a bad value.
                 _ => {
-                    accs.remove(&w);
+                    accs.remove(i);
                 }
             }
         }
     }
 
-    // Raw head/tail patches, downsampled; windows are disjoint from the
-    // rollup region by alignment.
+    // Raw head/tail patches, folded into the same windows; they are
+    // disjoint from the rollup region by alignment, the head's before it
+    // and the tail's after.
     let (grouped, corrupt) = assemble_raw(client, codec, &raw_cells, filter, &patches);
     errors.extend(corrupt);
-    let mut out: BTreeMap<Vec<(String, String)>, BTreeMap<u64, f64>> = BTreeMap::new();
     for (tags, points) in grouped {
-        let ds = TimeSeries {
-            metric: metric.to_string(),
-            tags: BTreeMap::new(),
-            points,
+        let mut raw = Windows::new();
+        for p in &points {
+            window_at(&mut raw, p.timestamp - p.timestamp % d).add(p.value);
         }
-        .downsample(d, agg);
-        let entry = out.entry(tags).or_default();
-        for p in ds.points {
-            entry.insert(p.timestamp, p.value);
-        }
-    }
-    for (tags, accs) in windows {
-        let entry = out.entry(tags).or_default();
-        for (w, acc) in accs {
-            entry.insert(w, acc.finish(agg));
-        }
+        let accs = windows.entry(tags).or_default();
+        let head = raw.partition_point(|&(w, _)| w < ru_lo);
+        raw.splice(head..head, accs.drain(..));
+        *accs = raw;
     }
 
-    let series = out
+    let series = windows
         .into_iter()
-        .filter(|(_, points)| !points.is_empty())
-        .map(|(tags, points)| TimeSeries {
+        .filter(|(_, accs)| !accs.is_empty())
+        .map(|(tags, accs)| TimeSeries {
             metric: metric.to_string(),
             tags: tags.into_iter().collect(),
-            points: points
-                .into_iter()
-                .map(|(timestamp, value)| DataPoint { timestamp, value })
+            points: accs
+                .iter()
+                .map(|&(timestamp, acc)| DataPoint {
+                    timestamp,
+                    value: acc.finish(agg),
+                })
                 .collect(),
         })
         .collect();

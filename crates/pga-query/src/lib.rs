@@ -42,7 +42,7 @@ use pga_tsdb::{
 use serde::Serialize;
 use std::sync::Arc;
 
-pub use cache::{CacheConfig, ResultCache};
+pub use cache::{CacheConfig, CacheKey, ResultCache};
 pub use exec::{ExecConfig, ExecResult};
 pub use plan::Plan;
 pub use rollup::{RollupCompactor, RollupWriter};
@@ -163,33 +163,6 @@ impl QueryEngine {
         &self.client
     }
 
-    fn cache_key(
-        metric: &str,
-        filter: &QueryFilter,
-        start: u64,
-        end: u64,
-        downsample: Option<(u64, Aggregator)>,
-    ) -> String {
-        use std::fmt::Write;
-        let mut key = String::with_capacity(64);
-        let _ = write!(key, "{metric}|");
-        for (k, v) in &filter.tags {
-            let _ = write!(key, "{k}={v},");
-        }
-        let _ = write!(key, "|{start}|{end}|");
-        if let Some((d, agg)) = downsample {
-            let agg = match agg {
-                Aggregator::Avg => "avg",
-                Aggregator::Sum => "sum",
-                Aggregator::Min => "min",
-                Aggregator::Max => "max",
-                Aggregator::Count => "count",
-            };
-            let _ = write!(key, "{d}:{agg}");
-        }
-        key
-    }
-
     /// Answer one query, consulting the cache first. Complete results are
     /// cached; partial results are returned but never cached.
     pub fn query(
@@ -202,7 +175,7 @@ impl QueryEngine {
     ) -> QueryOutcome {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         let plan = plan::choose(&self.config.exec.tiers, downsample.map(|(d, _)| d));
-        let key = Self::cache_key(metric, filter, start, end, downsample);
+        let key = CacheKey::new(metric, filter, start, end, downsample);
         if let Some(series) = self.cache.get(&key) {
             return QueryOutcome {
                 series,
@@ -238,7 +211,7 @@ impl QueryEngine {
         if r.partial.is_some() {
             self.stats.partials.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.cache.insert(key, metric, filter, r.series.clone());
+            self.cache.insert(key, r.series.clone());
         }
         QueryOutcome {
             series: r.series,
@@ -672,6 +645,48 @@ mod tests {
             .map(|s| s.downsample(60, Aggregator::Sum))
             .collect();
         assert_eq!(got.series, raw, "tainted windows must match raw exactly");
+        master.shutdown();
+    }
+
+    /// A query for a metric nobody wrote has no segment to scan: it sends
+    /// no RPC, raw or rollup, and still counts one fan-out unit per salt.
+    #[test]
+    fn a_never_written_metric_sends_no_rpc() {
+        let (master, tsd) = stack(3, 4);
+        tsd.set_observer(Arc::new(RollupWriter::new(
+            tsd.codec().clone(),
+            vec![60],
+            0,
+        )));
+        ingest(&tsd, 600);
+        tsd.flush_observer().unwrap();
+        let engine = engine_for(&master, &tsd);
+        let served = || -> u64 {
+            master
+                .nodes()
+                .into_iter()
+                .map(|n| master.server(n).unwrap().handle().processed())
+                .sum()
+        };
+        let before = served();
+        let raw = engine.query("never.written", &QueryFilter::any(), 0, 599, None);
+        let ds = Some((60, Aggregator::Avg));
+        let rolled = engine.query("never.written", &QueryFilter::any(), 0, 599, ds);
+        assert_eq!(served(), before, "no request reached a server");
+        for out in [&raw, &rolled] {
+            assert!(out.series.is_empty() && out.partial.is_none());
+        }
+        let s = engine.stats();
+        assert_eq!((s.fanout_total, s.cells_scanned), (8, 0));
+        // The written metric, for contrast, is served by the servers.
+        assert_eq!(
+            engine
+                .query("energy", &QueryFilter::any(), 0, 599, ds)
+                .series
+                .len(),
+            2
+        );
+        assert!(served() > before);
         master.shutdown();
     }
 

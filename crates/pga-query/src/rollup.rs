@@ -37,8 +37,15 @@
 //! (duplicate delivery after a retried batch) and the bucket is *tainted* —
 //! the executor recomputes the affected window from raw data instead of
 //! serving a double-counted aggregate.
+//!
+//! ## One merge rule
+//!
+//! A scan returns a row's cells in qualifier order, so the cells of one
+//! bucket are adjacent and already in `(writer, generation)` order, the
+//! newest version of each first. `BucketMerge` folds them in that order,
+//! reading each value blob in place; the executor and the
+//! [`RollupCompactor`] both merge through it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -96,14 +103,46 @@ pub fn encode_value(min: f64, max: f64, sum: f64, count: u64, bitmap: &[u8]) -> 
     Bytes::from(v)
 }
 
-/// Decode a rollup value blob for a `tier`-second bucket.
-pub fn decode_value(tier: u64, v: &[u8]) -> Option<(f64, f64, f64, u64, Vec<u8>)> {
+/// A rollup value blob read in place.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CellValue<'a> {
+    /// Minimum of the bucket's points.
+    pub min: f64,
+    /// Maximum of the bucket's points.
+    pub max: f64,
+    /// Sum of the bucket's points, in arrival order.
+    pub sum: f64,
+    /// Number of points aggregated.
+    pub count: u64,
+    /// Presence bitmap, one bit per second of the bucket.
+    pub bitmap: &'a [u8],
+}
+
+/// Read a rollup value blob of a `tier`-second bucket without copying it;
+/// `None` when its length is not that tier's.
+pub(crate) fn read_value(tier: u64, v: &[u8]) -> Option<CellValue<'_>> {
     if v.len() != 32 + bitmap_len(tier) {
         return None;
     }
-    let f = |i: usize| f64::from_be_bytes(v[i..i + 8].try_into().unwrap());
-    let count = u64::from_be_bytes(v[24..32].try_into().unwrap());
-    Some((f(0), f(8), f(16), count, v[32..].to_vec()))
+    let (head, bitmap) = v.split_at(32);
+    let word = |i: usize| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&head[i..i + 8]);
+        u64::from_be_bytes(b)
+    };
+    Some(CellValue {
+        min: f64::from_bits(word(0)),
+        max: f64::from_bits(word(8)),
+        sum: f64::from_bits(word(16)),
+        count: word(24),
+        bitmap,
+    })
+}
+
+/// Decode a rollup value blob for a `tier`-second bucket.
+pub fn decode_value(tier: u64, v: &[u8]) -> Option<(f64, f64, f64, u64, Vec<u8>)> {
+    let c = read_value(tier, v)?;
+    Some((c.min, c.max, c.sum, c.count, c.bitmap.to_vec()))
 }
 
 /// A decoded rollup cell: one writer's view of one `(series, bucket)`.
@@ -158,11 +197,7 @@ impl<'a> CellDecoder<'a> {
     pub fn decode(&mut self, kv: &KeyValue) -> Option<RollupCell> {
         let (offset, writer, gen) = decode_qualifier(&kv.qualifier)?;
         let (min, max, sum, count, bitmap) = decode_value(self.tier, &kv.value)?;
-        if self.row != kv.row {
-            self.row = kv.row.clone();
-            self.series = self.codec.series_of_row(&kv.row);
-        }
-        let (series, base) = self.series.as_ref()?;
+        let (series, base) = self.row(&kv.row)?;
         Some(RollupCell {
             series: series.clone(),
             bucket: base + offset as u64,
@@ -174,6 +209,16 @@ impl<'a> CellDecoder<'a> {
             count,
             bitmap,
         })
+    }
+
+    /// The series and base time of `row`, resolved only when the row
+    /// differs from the last one asked about.
+    pub(crate) fn row(&mut self, row: &Bytes) -> Option<(&Arc<Series>, u64)> {
+        if self.row != *row {
+            self.row = row.clone();
+            self.series = self.codec.series_of_row(row);
+        }
+        self.series.as_ref().map(|(series, base)| (series, *base))
     }
 }
 
@@ -200,39 +245,126 @@ pub struct MergedBucket {
     pub tainted: bool,
 }
 
-/// Merge the cells of one `(series, bucket)`. Cells are folded in
-/// `(writer, generation)` order so the floating-point sum is deterministic
-/// regardless of scan interleaving.
-pub fn merge_cells(cells: &mut [RollupCell]) -> Option<MergedBucket> {
-    if cells.is_empty() {
-        return None;
-    }
-    cells.sort_by_key(|c| (c.writer, c.gen));
-    let mut seen = vec![0u8; cells[0].bitmap.len()];
-    let mut merged = MergedBucket {
+/// The merge of one `(series, bucket)`, fed its cells one at a time in
+/// `(writer, generation)` order — scan order within a row — so the
+/// floating-point sum is the same however the writers' cells were
+/// interleaved on the way in. One merge can be cleared
+/// and reused for the next bucket; it keeps its bitmap buffer.
+#[derive(Debug, Clone)]
+pub(crate) struct BucketMerge {
+    merged: MergedBucket,
+    /// The union of the presence bitmaps folded so far.
+    seen: Vec<u8>,
+}
+
+impl BucketMerge {
+    const EMPTY: MergedBucket = MergedBucket {
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
         sum: 0.0,
         count: 0,
         tainted: false,
     };
-    for c in cells.iter() {
-        if c.bitmap.len() != seen.len() {
-            merged.tainted = true; // mixed tier widths: malformed, recompute
-            continue;
+
+    /// An empty merge for `tier`-second buckets.
+    pub fn new(tier: u64) -> Self {
+        BucketMerge {
+            merged: Self::EMPTY,
+            seen: vec![0; bitmap_len(tier)],
         }
-        for (s, b) in seen.iter_mut().zip(&c.bitmap) {
-            if *s & *b != 0 {
-                merged.tainted = true;
-            }
+    }
+
+    /// Empty the merge for the next bucket.
+    pub fn clear(&mut self) {
+        self.merged = Self::EMPTY;
+        self.seen.fill(0);
+    }
+
+    /// Fold in the next cell. A bitmap of another tier's width taints the
+    /// bucket and folds nothing.
+    pub fn add(&mut self, cell: &CellValue<'_>) {
+        let m = &mut self.merged;
+        if cell.bitmap.len() != self.seen.len() {
+            m.tainted = true; // mixed tier widths: malformed, recompute
+            return;
+        }
+        for (s, b) in self.seen.iter_mut().zip(cell.bitmap) {
+            m.tainted |= *s & *b != 0;
             *s |= *b;
         }
-        merged.min = merged.min.min(c.min);
-        merged.max = merged.max.max(c.max);
-        merged.sum += c.sum;
-        merged.count += c.count;
+        m.min = m.min.min(cell.min);
+        m.max = m.max.max(cell.max);
+        m.sum += cell.sum;
+        m.count += cell.count;
     }
-    Some(merged)
+
+    /// The merge so far.
+    pub fn merged(&self) -> MergedBucket {
+        self.merged
+    }
+
+    /// The union of the presence bitmaps folded so far.
+    pub fn bitmap(&self) -> &[u8] {
+        &self.seen
+    }
+}
+
+/// Merge scanned cells of a tier shadow metric bucket by bucket, in one
+/// pass, handing each `(series, bucket start, merge)` to `bucket` in scan
+/// order.
+///
+/// Shard scans come back in storage order, which is checked the way
+/// [`pga_minibase::concat_region_scans`] checks its seams and restored by
+/// a sort only when broken. In that order a superseded version directly
+/// follows the newest one, so it is skipped by comparing each cell with
+/// the one before it; the cells of one `(series, bucket)` are adjacent and
+/// in `(writer, generation)` merge order; and each series' buckets ascend.
+/// Value blobs are read in place. Malformed cells, raw-format (2-byte
+/// qualifier) strays and rows of unknown series are skipped.
+pub fn fold_buckets(
+    codec: &KeyCodec,
+    tier: u64,
+    cells: &mut [KeyValue],
+    mut bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
+) {
+    if !cells.windows(2).all(|pair| pair[0] <= pair[1]) {
+        cells.sort();
+    }
+    let mut decoder = CellDecoder::new(codec, tier);
+    let mut merge = BucketMerge::new(tier);
+    // The bucket being merged: its row's series and its start.
+    let mut open: Option<(Arc<Series>, u64)> = None;
+    let mut prev: Option<&KeyValue> = None;
+    for kv in cells.iter() {
+        let superseded = prev.is_some_and(|p| p.row == kv.row && p.qualifier == kv.qualifier);
+        prev = Some(kv);
+        if superseded {
+            continue;
+        }
+        let (Some((offset, _, _)), Some(value)) =
+            (decode_qualifier(&kv.qualifier), read_value(tier, &kv.value))
+        else {
+            continue;
+        };
+        let Some((series, base)) = decoder.row(&kv.row) else {
+            continue;
+        };
+        let start = base + offset as u64;
+        let same = open
+            .as_ref()
+            .is_some_and(|(s, b)| *b == start && s.id() == series.id());
+        if !same {
+            let series = series.clone();
+            if let Some((s, b)) = open.replace((series, start)) {
+                bucket(&s, b, &merge.merged());
+            }
+            merge.clear();
+        }
+        merge.add(&value);
+    }
+    if let Some((s, b)) = open {
+        bucket(&s, b, &merge.merged());
+    }
 }
 
 /// Compaction-time canonicalizer for rollup shadow rows, chaining to an
@@ -240,11 +372,12 @@ pub fn merge_cells(cells: &mut [RollupCell]) -> Option<MergedBucket> {
 ///
 /// A bucket written by several TSDs carries one cell per `(writer,
 /// generation)`. Once sealed they never change individually, so compaction
-/// folds each bucket's cells into **one canonical cell** — same merge the
-/// read path performs ([`merge_cells`]), applied once instead of on every
-/// query. The canonical cell keeps the *first* `(writer, gen)` qualifier
-/// in merge order, so a late straggler cell still folds against it in the
-/// exact floating-point order the un-compacted read would have used.
+/// folds each bucket's cells into **one canonical cell** — through the
+/// same `BucketMerge` the read path uses, applied once instead of on
+/// every query. The canonical cell keeps the *first* `(writer, gen)`
+/// qualifier in merge order, so a late straggler cell still folds against
+/// it in the exact floating-point order the un-compacted read would have
+/// used.
 ///
 /// Buckets whose bitmaps overlap (tainted — a duplicate delivery) are left
 /// **untouched**: collapsing them would OR the overlap away and hide the
@@ -276,80 +409,65 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
         ctx: &pga_minibase::RewriteContext<'_>,
         cells: &[KeyValue],
     ) -> Option<Vec<KeyValue>> {
-        let tier = self
+        let shadow = self
             .codec
             .series_of_row(ctx.row)
-            .and_then(|(series, _)| parse_tier_metric(series.metric()).map(|(t, _)| t));
-        let Some(tier) = tier else {
+            .and_then(|(series, base)| {
+                parse_tier_metric(series.metric()).map(|(tier, _)| (tier, base))
+            });
+        let Some((tier, base)) = shadow else {
             // Not a rollup shadow row: the chained rewriter decides.
             return self.inner.as_ref()?.rewrite_row(ctx, cells);
         };
 
-        // Newest version per qualifier, grouped by bucket offset. Cells we
-        // cannot parse pass through untouched.
-        let mut buckets: HashMap<u16, Vec<&KeyValue>> = HashMap::new();
-        let mut passthrough: Vec<KeyValue> = Vec::new();
+        // The newest version of each qualifier, in qualifier order, so a
+        // bucket's cells are adjacent and in merge order. Cells we cannot
+        // parse pass through untouched.
+        let mut out: Vec<KeyValue> = Vec::new();
+        let mut valid: Vec<(u16, &KeyValue, CellValue<'_>)> = Vec::new();
         let mut last_qual: Option<&[u8]> = None;
         for cell in cells {
-            let newest = last_qual != Some(&cell.qualifier[..]);
-            last_qual = Some(&cell.qualifier[..]);
-            if !newest {
+            if last_qual == Some(&cell.qualifier[..]) {
                 continue; // superseded version
             }
-            match decode_qualifier(&cell.qualifier) {
-                Some((offset, _, _)) if decode_value(tier, &cell.value).is_some() => {
-                    buckets.entry(offset).or_default().push(cell);
-                }
-                _ => passthrough.push(cell.clone()),
+            last_qual = Some(&cell.qualifier[..]);
+            match (
+                decode_qualifier(&cell.qualifier),
+                read_value(tier, &cell.value),
+            ) {
+                (Some((offset, _, _)), Some(value)) => valid.push((offset, cell, value)),
+                _ => out.push(cell.clone()),
             }
         }
 
-        let mut out = passthrough;
         let mut changed = false;
-        let mut decoder = CellDecoder::new(&self.codec, tier);
-        let mut offsets: Vec<u16> = buckets.keys().copied().collect();
-        offsets.sort_unstable();
-        for offset in offsets {
-            let Some(group) = buckets.get(&offset) else {
+        let mut merge = BucketMerge::new(tier);
+        for group in valid.chunk_by(|a, b| a.0 == b.0) {
+            let &[(offset, first, _), _, ..] = group else {
+                out.extend(group.iter().map(|(_, kv, _)| (*kv).clone()));
                 continue;
             };
-            let mut decoded: Vec<(&KeyValue, RollupCell)> = Vec::new();
-            for &kv in group {
-                let Some(cell) = decoder.decode(kv) else {
-                    decoded.clear();
-                    break;
-                };
-                decoded.push((kv, cell));
+            merge.clear();
+            for (_, _, value) in group {
+                merge.add(value);
             }
-            if decoded.len() < 2 {
-                out.extend(group.iter().map(|&kv| kv.clone()));
-                continue;
-            }
-            decoded.sort_by_key(|(_, c)| (c.writer, c.gen));
-            let mut cells_only: Vec<RollupCell> = decoded.iter().map(|(_, c)| c.clone()).collect();
-            let Some(merged) = merge_cells(&mut cells_only) else {
-                out.extend(group.iter().map(|&kv| kv.clone()));
-                continue;
-            };
+            let merged = merge.merged();
             if merged.tainted {
                 // Keep the overlap visible: the executor must recompute.
-                out.extend(group.iter().map(|&kv| kv.clone()));
+                out.extend(group.iter().map(|(_, kv, _)| (*kv).clone()));
                 continue;
             }
-            let mut bitmap = vec![0u8; bitmap_len(tier)];
-            for (_, c) in &decoded {
-                for (b, cb) in bitmap.iter_mut().zip(&c.bitmap) {
-                    *b |= *cb;
-                }
-            }
-            let Some((first_kv, first)) = decoded.first() else {
-                continue;
-            };
             out.push(KeyValue {
-                row: first_kv.row.clone(),
-                qualifier: encode_qualifier(offset, first.writer, first.gen),
-                timestamp: first.bucket * 1000 + merged.count,
-                value: encode_value(merged.min, merged.max, merged.sum, merged.count, &bitmap),
+                row: first.row.clone(),
+                qualifier: first.qualifier.clone(),
+                timestamp: (base + offset as u64) * 1000 + merged.count,
+                value: encode_value(
+                    merged.min,
+                    merged.max,
+                    merged.sum,
+                    merged.count,
+                    merge.bitmap(),
+                ),
             });
             changed = true;
         }
@@ -639,6 +757,17 @@ mod tests {
         assert!(w.flush().is_empty());
     }
 
+    /// One bucket's cells merged in scan order.
+    fn merge(cells: &[KeyValue]) -> MergedBucket {
+        let mut sorted = cells.to_vec();
+        sorted.sort();
+        let mut merge = BucketMerge::new(60);
+        for kv in &sorted {
+            merge.add(&read_value(60, &kv.value).unwrap());
+        }
+        merge.merged()
+    }
+
     #[test]
     fn merge_disjoint_cells_sums() {
         let c = codec();
@@ -646,13 +775,12 @@ mod tests {
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
         a_writer.on_batch(&points(&c, "energy", &[(1, 1.0), (3, 3.0)]));
         b_writer.on_batch(&points(&c, "energy", &[(2, 10.0)]));
-        let mut cells: Vec<RollupCell> = a_writer
+        let cells: Vec<KeyValue> = b_writer
             .flush()
-            .iter()
-            .chain(b_writer.flush().iter())
-            .map(|kv| decode_cell(&c, 60, kv).unwrap())
+            .into_iter()
+            .chain(a_writer.flush())
             .collect();
-        let m = merge_cells(&mut cells).unwrap();
+        let m = merge(&cells);
         assert!(!m.tainted);
         assert_eq!((m.min, m.max, m.sum, m.count), (1.0, 10.0, 14.0, 3));
     }
@@ -665,13 +793,30 @@ mod tests {
         // Both writers saw second 7 — a retried batch delivered twice.
         a_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
         b_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
-        let mut cells: Vec<RollupCell> = a_writer
+        let cells: Vec<KeyValue> = a_writer
             .flush()
-            .iter()
-            .chain(b_writer.flush().iter())
-            .map(|kv| decode_cell(&c, 60, kv).unwrap())
+            .into_iter()
+            .chain(b_writer.flush())
             .collect();
-        assert!(merge_cells(&mut cells).unwrap().tainted);
+        assert!(merge(&cells).tainted);
+        // A bitmap of another tier's width taints too, and folds nothing.
+        let mut m = BucketMerge::new(60);
+        m.add(&read_value(600, &encode_value(1.0, 1.0, 1.0, 1, &[0; 75])).unwrap());
+        assert!(m.merged().tainted);
+        assert_eq!(m.merged().count, 0);
+    }
+
+    #[test]
+    fn read_value_reads_what_decode_value_copies() {
+        let bm = vec![0b0100_0001u8; bitmap_len(60)];
+        let blob = encode_value(-0.0, f64::MAX, 1e-300, u64::MAX, &bm);
+        let v = read_value(60, &blob).unwrap();
+        assert_eq!(
+            Some((v.min, v.max, v.sum, v.count, v.bitmap.to_vec())),
+            decode_value(60, &blob)
+        );
+        assert!(v.min.is_sign_negative());
+        assert!(read_value(60, &blob[1..]).is_none());
     }
 
     #[test]
@@ -707,13 +852,7 @@ mod tests {
             .collect();
         cells.sort();
         let row = cells[0].row.clone();
-        let expected = {
-            let mut dec: Vec<RollupCell> = cells
-                .iter()
-                .map(|kv| decode_cell(&c, 60, kv).unwrap())
-                .collect();
-            merge_cells(&mut dec).unwrap()
-        };
+        let expected = merge(&cells);
         let compactor = RollupCompactor::new(c.clone(), None);
         use pga_minibase::CompactionRewriter;
         let out = compactor
@@ -727,8 +866,7 @@ mod tests {
         );
         assert_eq!((canon.writer, canon.gen), (0, 0), "first in merge order");
         // The canonical cell alone merges to the same (untainted) result.
-        let merged = merge_cells(&mut [canon]).unwrap();
-        assert_eq!(merged, expected);
+        assert_eq!(merge(&out), expected);
     }
 
     #[test]

@@ -16,9 +16,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use pga_minibase::KeyValue;
-use pga_query::rollup::{
-    bitmap_len, decode_cell, encode_qualifier, encode_value, merge_cells, tier_metric,
-};
+use pga_query::rollup::{bitmap_len, encode_qualifier, encode_value, fold_buckets, tier_metric};
 use pga_query::RollupWriter;
 use pga_tsdb::uid::{UidKind, RESERVED_PREFIX};
 use pga_tsdb::{BatchPoint, KeyCodec, KeyCodecConfig, PutObserver, SeriesPoint, UidTable};
@@ -319,22 +317,19 @@ fn six_hundred_single_point_flushes_into_one_bucket_lose_nothing() {
             .uids()
             .lookup(UidKind::Metric, &tier_metric(tier, "energy"))
             .unwrap();
-        let mut of_tier: Vec<_> = cells
+        let mut of_tier: Vec<KeyValue> = cells
             .iter()
             .filter(|kv| kv.row[1..4] == shadow.0)
-            .map(|kv| decode_cell(&c, tier, kv).unwrap())
+            .cloned()
             .collect();
-        let starts: std::collections::BTreeSet<u64> = of_tier.iter().map(|c| c.bucket).collect();
-        assert_eq!(starts.len(), buckets, "tier {tier}");
+        let mut starts = std::collections::BTreeSet::new();
         let mut total = 0;
-        for start in starts {
-            let (mut bucket, rest): (Vec<_>, Vec<_>) =
-                of_tier.into_iter().partition(|c| c.bucket == start);
-            of_tier = rest;
-            let merged = merge_cells(&mut bucket).unwrap();
+        fold_buckets(&c, tier, &mut of_tier, |_, start, merged| {
             assert!(!merged.tainted);
+            assert!(starts.insert(start), "one merge per bucket");
             total += merged.count;
-        }
+        });
+        assert_eq!(starts.len(), buckets, "tier {tier}");
         assert_eq!(total, 600, "tier {tier}: every point counted once");
     }
 }

@@ -69,7 +69,7 @@ impl TimeSeries {
 }
 
 /// Downsampling / aggregation operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Aggregator {
     /// Arithmetic mean.
     Avg,
@@ -482,7 +482,7 @@ pub fn canonicalize_columns(timestamps: Vec<u64>, values: Vec<f64>) -> (Vec<u64>
 
 /// Tag filter for queries: every listed pair must match exactly; unlisted
 /// tags are unconstrained (and series are grouped by their full tag set).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct QueryFilter {
     /// Required `(tag key, tag value)` pairs.
     pub tags: BTreeMap<String, String>,

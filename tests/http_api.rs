@@ -175,6 +175,31 @@ fn dashboard_and_api_over_one_socket() {
     monitor.lock().shutdown();
 }
 
+/// Two filters used to share a result-cache key (tag pairs joined as
+/// `{k}={v},`): a query whose tag value spelled `2,unit=1` cached its empty
+/// answer, and the real unit-1/sensor-2 query over the same range was then
+/// answered from it.
+#[test]
+fn a_tag_value_that_spells_another_filter_does_not_poison_its_answer() {
+    let (server, monitor) = serving_monitor();
+    let addr = server.addr();
+    let query = |tags: &str| {
+        let body =
+            format!(r#"{{"start":0,"end":300,"queries":[{{"metric":"energy","tags":{tags}}}]}}"#);
+        let (status, body) = request(addr, "POST", "/api/query", &body);
+        assert_eq!(status, 200);
+        serde_json::from_str::<serde_json::Value>(&body).unwrap()
+    };
+    let forged = query(r#"{"sensor":"2,unit=1"}"#);
+    assert!(forged.as_array().unwrap().is_empty(), "no such tag value");
+    let real = query(r#"{"unit":"1","sensor":"2"}"#);
+    assert_eq!(real.as_array().unwrap().len(), 1);
+    assert_eq!(real[0]["tags"]["unit"], "1");
+    assert_eq!(real[0]["dps"].as_object().unwrap().len(), 301);
+    server.stop();
+    monitor.lock().shutdown();
+}
+
 /// Every bit a monitor's evaluation reports per unit.
 type Verdicts = Vec<(u32, Vec<u64>, Vec<bool>, Vec<(usize, u64)>)>;
 
