@@ -594,7 +594,7 @@ pub fn training_scaling_experiment(
     for &w in workers {
         let df = Dataflow::new(w);
         let start = Instant::now();
-        let models = train_fleet(&fleet, window, &df, None).unwrap();
+        let models = train_fleet(&fleet, window, &df).unwrap();
         let elapsed = start.elapsed().as_secs_f64();
         assert_eq!(models.len(), units as usize);
         let base_time = *base.get_or_insert(elapsed);

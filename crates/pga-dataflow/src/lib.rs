@@ -1,8 +1,7 @@
 //! A small Spark-analog batch compute engine.
 //!
 //! The paper trains offline "in the Spark framework … in batch mode"
-//! (§II, §IV-A), caching SVD results to HDFS. This crate supplies the
-//! equivalent substrate:
+//! (§II, §IV-A). This crate supplies the equivalent substrate:
 //!
 //! * [`Dataflow`] / [`Dataset`] — partitioned collections with parallel
 //!   `map`, `filter`, `flat_map`, `map_partitions`, `reduce`, `count`,
@@ -13,18 +12,16 @@
 //!   scheduler (or the sequential executor with one worker).
 //! * [`DataflowStats`] — cumulative scheduler counters (tasks, steals,
 //!   queue depth, task latency) for the platform observability panel.
-//! * [`DiskCache`] — a directory-backed object cache standing in for HDFS
-//!   ("results from the decomposition are cached to HDFS").
 //!
 //! The engine is eager (each transformation runs immediately, in
 //! parallel); lineage/laziness is orthogonal to everything the paper's
-//! workload needs. DESIGN.md §13 describes the scheduler substrate.
+//! workload needs. The paper caches its decompositions to HDFS; here the
+//! trained models stay in memory, held by the monitor's evaluator.
+//! DESIGN.md §13 describes the scheduler substrate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod dataset;
 
-pub use cache::{CacheError, DiskCache};
 pub use dataset::{Dataflow, DataflowStats, Dataset};

@@ -52,11 +52,6 @@ impl FleetTrainer {
         self.sensors
     }
 
-    /// Units tracked.
-    pub fn unit_count(&self) -> usize {
-        self.trainers.len()
-    }
-
     /// Ingest one observation row for `unit`, marking it dirty. Rows for
     /// unknown units are ignored (returns `false`).
     pub fn ingest_row(&mut self, unit: u32, row: &[f64]) -> bool {

@@ -1,6 +1,6 @@
 //! Offline (batch) training — the Spark stage of §IV-A.
 
-use pga_dataflow::{Dataflow, DiskCache};
+use pga_dataflow::Dataflow;
 use pga_linalg::{centre_columns, centred_covariance, eigh, Matrix};
 use pga_sensorgen::Fleet;
 
@@ -100,8 +100,7 @@ pub fn train_unit_columns(unit: u32, columns: &[&[f64]]) -> Result<UnitModel, Tr
     train_unit(unit, &obs)
 }
 
-/// Train the whole fleet in parallel on the dataflow engine, optionally
-/// caching each model ("results … are cached to HDFS").
+/// Train the whole fleet in parallel on the dataflow engine.
 ///
 /// The training window is samples `[0, window)` of each unit — the
 /// pre-fault head of every stream (fault onsets start at sample 200, so a
@@ -111,27 +110,18 @@ pub fn train_fleet(
     fleet: &Fleet,
     window: usize,
     dataflow: &Dataflow,
-    cache: Option<&DiskCache>,
 ) -> Result<Vec<UnitModel>, TrainError> {
     let units: Vec<u32> = (0..fleet.config().units).collect();
     let partitions = dataflow.workers().max(1) * 2;
-    let results: Vec<Result<UnitModel, TrainError>> = dataflow
+    let mut models = dataflow
         .parallelize(units, partitions)
         .map(|unit| {
             let obs = fleet.observation_window(unit, window as u64 - 1, window);
             train_unit(unit, &obs)
         })
-        .collect();
-    let mut models = Vec::with_capacity(results.len());
-    for r in results {
-        let model = r?;
-        if let Some(cache) = cache {
-            cache
-                .store(&format!("unit-model-{}", model.unit), &model)
-                .map_err(|e| TrainError::Decomposition(e.to_string()))?;
-        }
-        models.push(model);
-    }
+        .collect()
+        .into_iter()
+        .collect::<Result<Vec<UnitModel>, TrainError>>()?;
     models.sort_by_key(|m| m.unit);
     Ok(models)
 }
@@ -224,28 +214,22 @@ mod tests {
     }
 
     #[test]
-    fn fleet_training_covers_every_unit_and_caches() {
+    fn fleet_training_covers_every_unit() {
         let fleet = Fleet::new(FleetConfig::small(11));
-        let dir = std::env::temp_dir().join(format!("pga-train-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::open(&dir).unwrap();
         let df = Dataflow::new(4);
-        let models = train_fleet(&fleet, 100, &df, Some(&cache)).unwrap();
+        let models = train_fleet(&fleet, 100, &df).unwrap();
         assert_eq!(models.len(), fleet.config().units as usize);
         for (i, m) in models.iter().enumerate() {
             assert_eq!(m.unit, i as u32);
         }
-        // Cached copies round-trip.
-        let back: UnitModel = cache.load("unit-model-0").unwrap().unwrap();
-        assert_eq!(back, models[0]);
     }
 
     #[test]
     fn training_is_deterministic() {
         let fleet = Fleet::new(FleetConfig::small(13));
         let df = Dataflow::new(2);
-        let a = train_fleet(&fleet, 80, &df, None).unwrap();
-        let b = train_fleet(&fleet, 80, &df, None).unwrap();
+        let a = train_fleet(&fleet, 80, &df).unwrap();
+        let b = train_fleet(&fleet, 80, &df).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -33,5 +33,5 @@ pub use experiment::{
 pub use pipeline::{IngestionPipeline, PipelineReport};
 pub use proxy::{
     choose_routable, choose_target, AlwaysHealthy, HealthFn, ProxyClock, ProxyConfig, ProxyError,
-    ProxyMetrics, ProxyOverloadSnapshot, ReverseProxy, TargetHealth,
+    ProxyMetrics, ReverseProxy, TargetHealth,
 };

@@ -15,7 +15,7 @@ use pga_sensorgen::SensorSample;
 use pga_tsdb::Tsd;
 
 use crate::backoff::{BackoffPolicy, RetryBudget};
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 
 /// Typed proxy failures — the request path never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,40 +140,6 @@ pub struct ProxyMetrics {
     pub submit_rejections: AtomicU64,
 }
 
-/// Point-in-time overload view of the proxy, for control-plane scraping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ProxyOverloadSnapshot {
-    /// Batches currently waiting in the intake buffer.
-    pub buffer_depth: u64,
-    /// Intake buffer capacity.
-    pub buffer_capacity: u64,
-    /// Total `Busy` rejections from storage admission control.
-    pub busy_rejections: u64,
-    /// Total hedged re-routes.
-    pub hedged: u64,
-    /// Total deadline expirations.
-    pub deadline_expired: u64,
-    /// Total breaker trips.
-    pub breaker_trips: u64,
-    /// Breakers currently not Closed (Open or HalfOpen).
-    pub breakers_open: u64,
-    /// Total producer-side `try_submit` rejections.
-    pub submit_rejections: u64,
-    /// Total forwarding retries.
-    pub retries: u64,
-}
-
-impl ProxyOverloadSnapshot {
-    /// Intake buffer occupancy in `[0, 1]`.
-    pub fn buffer_utilization(&self) -> f64 {
-        if self.buffer_capacity == 0 {
-            0.0
-        } else {
-            self.buffer_depth as f64 / self.buffer_capacity as f64
-        }
-    }
-}
-
 /// Health view over the TSD pool, indexed like the `tsds` slice given to
 /// [`ReverseProxy::spawn_with_health`]. Workers consult it per batch so the
 /// proxy stops routing to nodes whose region server crashed or whose
@@ -235,9 +201,7 @@ struct QueuedBatch {
 pub struct ReverseProxy {
     tx: Option<Sender<QueuedBatch>>,
     metrics: Arc<ProxyMetrics>,
-    breakers: Arc<Vec<CircuitBreaker>>,
     clock: ProxyClock,
-    buffer_capacity: usize,
     batch_deadline_ms: Option<u64>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -338,9 +302,7 @@ impl ReverseProxy {
         Ok(ReverseProxy {
             tx: Some(tx),
             metrics,
-            breakers,
             clock,
-            buffer_capacity: config.buffer_capacity,
             batch_deadline_ms: config.batch_deadline_ms,
             workers,
         })
@@ -393,31 +355,6 @@ impl ReverseProxy {
     /// Batches currently waiting in the intake buffer.
     pub fn buffer_depth(&self) -> usize {
         self.tx.as_ref().map(|t| t.len()).unwrap_or(0)
-    }
-
-    /// Point-in-time overload view for control-plane scraping.
-    pub fn overload_snapshot(&self) -> ProxyOverloadSnapshot {
-        ProxyOverloadSnapshot {
-            buffer_depth: self.buffer_depth() as u64,
-            buffer_capacity: self.buffer_capacity as u64,
-            // pga-allow(relaxed-atomics): independent monotonic counters read for telemetry; skew between them is tolerated
-            busy_rejections: self.metrics.busy_rejections.load(Ordering::Relaxed),
-            hedged: self.metrics.hedged.load(Ordering::Relaxed),
-            deadline_expired: self.metrics.deadline_expired.load(Ordering::Relaxed),
-            breaker_trips: self.metrics.breaker_trips.load(Ordering::Relaxed),
-            breakers_open: self
-                .breakers
-                .iter()
-                .filter(|b| b.state() != BreakerState::Closed)
-                .count() as u64,
-            submit_rejections: self.metrics.submit_rejections.load(Ordering::Relaxed),
-            retries: self.metrics.retries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// State of the breaker guarding target `index`, if it exists.
-    pub fn breaker_state(&self, index: usize) -> Option<BreakerState> {
-        self.breakers.get(index).map(|b| b.state())
     }
 
     /// Close the intake and wait for workers to drain everything.

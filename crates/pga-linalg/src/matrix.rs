@@ -141,11 +141,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consume the matrix, returning its row-major backing vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transpose into a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -188,13 +183,6 @@ impl Matrix {
             .map(|(&a, &b)| f(a, b))
             .collect();
         Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Multiply every element by a scalar, in place.
-    pub fn scale_mut(&mut self, k: f64) {
-        for v in &mut self.data {
-            *v *= k;
-        }
     }
 
     /// Matrix–vector product `self * x`.

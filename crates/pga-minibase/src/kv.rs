@@ -40,15 +40,6 @@ impl KeyValue {
     pub fn heap_size(&self) -> usize {
         self.row.len() + self.qualifier.len() + self.value.len() + 8 + 3 * 16
     }
-
-    /// The sort key of this cell (excludes the value).
-    pub fn cell_key(&self) -> (&[u8], &[u8], std::cmp::Reverse<u64>) {
-        (
-            &self.row,
-            &self.qualifier,
-            std::cmp::Reverse(self.timestamp),
-        )
-    }
 }
 
 impl Ord for KeyValue {

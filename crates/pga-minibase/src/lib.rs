@@ -9,7 +9,7 @@
 //! * [`memstore`] — the in-memory sorted write buffer.
 //! * [`wal`] — a write-ahead log enabling crash recovery of unflushed data.
 //! * [`storefile`] — immutable sorted runs with a sparse seek index (the
-//!   HFile analog).
+//!   HFile analog), held in memory.
 //! * [`scanner`] — k-way merge scans across the memstore and store files.
 //! * [`region`] — a contiguous row range: WAL + memstore + store files,
 //!   with flush, compaction and midpoint splits.
@@ -29,12 +29,17 @@
 //!   from healthy replicas (CRC round-trip before install).
 //! * [`fault`] — injectable fault plane (no-op by default) used by the
 //!   `pga-faultsim` deterministic crash/partition harness.
+//!
+//! Nothing here touches disk. The paper's durability comes from HDFS;
+//! here it is the WAL plus region replicas, in process: a crashed server
+//! loses its memstore, its unflushed writes replay from the WAL, and a
+//! dead primary's regions fail over to a follower copy. The
+//! `pga-faultsim` campaigns check that no acked write is lost.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod diskstore;
 pub mod fault;
 pub mod kv;
 pub mod master;
@@ -48,10 +53,6 @@ pub mod storefile;
 pub mod wal;
 
 pub use client::{concat_region_scans, Client, ClientError, PendingScan, RepairCopy};
-pub use diskstore::{
-    crc32, crc32_extend, load_store_files, persist_store_files, read_store_file, write_store_file,
-    DiskStoreError,
-};
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
 pub use kv::{ColumnRange, KeyValue, RowRange, RowWords, ScanSpec};
 pub use master::{locate, Master, RegionInfo, TableDescriptor};

@@ -615,27 +615,6 @@ impl Master {
         }
     }
 
-    /// Add a fresh region server at time `now_ms` and register it with the
-    /// coordinator. Returns the new node id. The node starts empty and
-    /// receives regions through [`Master::move_region`].
-    pub fn add_server(&mut self, server_config: ServerConfig, now_ms: u64) -> NodeId {
-        let next = self.servers.keys().map(|n| n.0 + 1).max().unwrap_or(0);
-        let node = NodeId(next);
-        let server = RegionServer::spawn(node, server_config);
-        let session = self.coordinator.connect(now_ms);
-        self.coordinator
-            .create_ephemeral(
-                &format!("/rs/{}", node.0),
-                node.0.to_le_bytes().to_vec(),
-                session,
-            )
-            // pga-allow(panic-path): node id is max(existing)+1, so its znode cannot pre-exist
-            .expect("node id is fresh");
-        self.servers.insert(node, server);
-        self.sessions.insert(node, session);
-        node
-    }
-
     /// Migrate one region to `target` while clients keep writing.
     ///
     /// The directory write lock is held across unassign → assign → update,
@@ -685,52 +664,6 @@ impl Master {
             }
         }
         true
-    }
-
-    /// Drain and retire a server: migrate every hosted region to the
-    /// remaining live nodes (round-robin), delete its coordinator znode
-    /// (an explicit `Deleted` event, distinct from the `SessionExpired`
-    /// a crash produces), and stop the RPC thread. Returns the migrated
-    /// region ids, or `None` if the node is unknown, already dead, or the
-    /// last live node.
-    pub fn decommission_server(&mut self, node: NodeId) -> Option<Vec<RegionId>> {
-        if self.dead.contains(&node) || !self.servers.contains_key(&node) {
-            return None;
-        }
-        if self
-            .directory
-            .read()
-            .iter()
-            .any(|i| !i.followers.is_empty() && i.hosts_copy(node))
-        {
-            // Draining a node that hosts replicated copies would need
-            // follower hand-off, so refuse rather than orphan copies.
-            return None;
-        }
-        let targets: Vec<NodeId> = self
-            .live_nodes()
-            .into_iter()
-            .filter(|&n| n != node)
-            .collect();
-        if targets.is_empty() {
-            return None;
-        }
-        // pga-allow(panic-path): node membership checked on entry
-        let rids = self.servers[&node].hosted_regions();
-        let mut moved = Vec::with_capacity(rids.len());
-        for (i, rid) in rids.into_iter().enumerate() {
-            // pga-allow(panic-path): targets checked non-empty above
-            if self.move_region(rid, targets[i % targets.len()]) {
-                moved.push(rid);
-            }
-        }
-        self.dead.insert(node);
-        let _ = self.coordinator.delete(&format!("/rs/{}", node.0));
-        self.sessions.remove(&node);
-        if let Some(s) = self.servers.get(&node) {
-            s.shutdown();
-        }
-        Some(moved)
     }
 
     /// Promotions performed across all liveness sweeps.
@@ -975,27 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn add_server_then_decommission_round_trips_regions() {
-        let coord = Coordinator::new(1000);
-        let mut m = Master::bootstrap(1, ServerConfig::default(), coord, 0);
-        m.create_table(&table(&[b"m"]));
-        let added = m.add_server(ServerConfig::default(), 10);
-        assert_eq!(added, NodeId(1));
-        assert_eq!(m.live_nodes(), vec![NodeId(0), NodeId(1)]);
-        let dir = m.directory();
-        let rid = dir.read()[0].id;
-        assert!(m.move_region(rid, added));
-        // Draining the new node sends its region back to node 0.
-        let moved = m.decommission_server(added).unwrap();
-        assert_eq!(moved, vec![rid]);
-        assert_eq!(m.live_nodes(), vec![NodeId(0)]);
-        assert!(dir.read().iter().all(|i| i.server == NodeId(0)));
-        // Cannot drain the last node.
-        assert!(m.decommission_server(NodeId(0)).is_none());
-        m.shutdown();
-    }
-
-    #[test]
     fn split_of_empty_region_is_refused_and_region_survives() {
         let coord = Coordinator::new(1000);
         let mut m = Master::bootstrap(1, ServerConfig::default(), coord, 0);
@@ -1153,7 +1065,6 @@ mod tests {
         let info = m.directory().read()[0].clone();
         assert!(m.split_region(info.id).is_none());
         assert!(!m.move_region(info.id, info.followers[0]));
-        assert!(m.decommission_server(info.followers[0]).is_none());
         m.shutdown();
     }
 }

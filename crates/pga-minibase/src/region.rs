@@ -163,11 +163,6 @@ impl Region {
         self.rewriter = Some(rewriter);
     }
 
-    /// Whether a compaction rewriter is installed.
-    pub fn has_compaction_rewriter(&self) -> bool {
-        self.rewriter.is_some()
-    }
-
     /// Region id.
     pub fn id(&self) -> RegionId {
         self.id
@@ -469,12 +464,6 @@ impl Region {
         merge_scan(sources, priorities)
     }
 
-    /// Total cells currently visible (memstore + files; versions counted
-    /// separately, duplicates across files counted once).
-    pub fn approximate_cells(&self) -> usize {
-        self.memstore.len() + self.files.iter().map(|f| f.len()).sum::<usize>()
-    }
-
     /// Scrub pass: verify every store-file cell the `verifier` covers,
     /// returning how many were checked and the `(row, qualifier)` keys
     /// that failed. Read-only and sequential — the low-priority walk the
@@ -638,15 +627,6 @@ impl Region {
         Ok((left, right))
     }
 
-    /// Rebuild the memstore from the WAL (crash recovery: the region's
-    /// files + WAL live in shared "HDFS" memory, the memstore died with
-    /// the serving thread).
-    pub fn recover_from_wal(&mut self) {
-        for kv in self.wal.replay() {
-            self.memstore.put(kv);
-        }
-    }
-
     /// Full crash recovery: the memstore is **dropped** (it died with the
     /// serving process), the WAL is read back through its byte encoding —
     /// exposed to [`crate::fault::FaultPlane::tear_wal`] so harnesses can
@@ -671,45 +651,6 @@ impl Region {
     /// [`crate::fault::FaultPlane::drop_memstore_on_move`]).
     pub(crate) fn clear_memstore(&mut self) {
         self.memstore = MemStore::new();
-    }
-
-    /// Spill the current store files to `dir` (the HDFS-analog durability
-    /// path; see [`crate::diskstore`]). Stale files obsoleted by
-    /// compaction are removed.
-    pub fn persist_store_files(
-        &self,
-        dir: &std::path::Path,
-    ) -> Result<(), crate::diskstore::DiskStoreError> {
-        crate::diskstore::persist_store_files(dir, &self.files)
-    }
-
-    /// Rebuild a region after a full process restart: store files come
-    /// back from `dir`, unflushed writes replay from the surviving WAL.
-    pub fn restore_from_disk(
-        id: RegionId,
-        range: RowRange,
-        config: RegionConfig,
-        dir: &std::path::Path,
-        wal: WriteAheadLog,
-    ) -> Result<Region, crate::diskstore::DiskStoreError> {
-        let files = crate::diskstore::load_store_files(dir)?;
-        let next_file_seq = files.iter().map(|f| f.sequence()).max().unwrap_or(0) + 1;
-        let mut region = Region {
-            id,
-            range,
-            config,
-            wal,
-            memstore: MemStore::new(),
-            files,
-            next_file_seq,
-            metrics: RegionMetrics::default(),
-            fault: no_faults(),
-            rewriter: None,
-            epoch: 1,
-            role: ReplicaRole::Primary,
-        };
-        region.recover_from_wal();
-        Ok(region)
     }
 }
 
@@ -874,7 +815,7 @@ mod tests {
         recovered.files = r.files.clone();
         recovered.next_file_seq = r.next_file_seq;
         recovered.wal = wal;
-        recovered.recover_from_wal();
+        recovered.crash_recover();
         let cells = recovered.scan(&RowRange::all());
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().any(|c| &c.value[..] == b"unflushed"));
@@ -905,32 +846,6 @@ mod tests {
             .collect();
         assert_eq!(a_versions, vec![5, 4]);
         assert!(cells.iter().any(|c| &c.row[..] == b"b"));
-    }
-
-    #[test]
-    fn full_restart_cycle_from_disk_and_wal() {
-        let dir = std::env::temp_dir().join(format!("pga-region-restart-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut r = region();
-        r.put_batch(vec![kv("a", 1, "flushed-a"), kv("b", 1, "flushed-b")])
-            .unwrap();
-        r.flush();
-        r.put_batch(vec![kv("c", 1, "unflushed-c")]).unwrap();
-        r.persist_store_files(&dir).unwrap();
-        let wal = r.wal();
-        drop(r); // the process "dies": memstore gone, disk + WAL survive
-        let restored = Region::restore_from_disk(
-            RegionId(1),
-            RowRange::all(),
-            RegionConfig::default(),
-            &dir,
-            wal,
-        )
-        .unwrap();
-        let cells = restored.scan(&RowRange::all());
-        assert_eq!(cells.len(), 3);
-        assert!(cells.iter().any(|c| &c.value[..] == b"unflushed-c"));
-        assert!(cells.iter().any(|c| &c.value[..] == b"flushed-a"));
     }
 
     #[test]

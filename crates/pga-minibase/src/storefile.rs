@@ -128,11 +128,6 @@ impl StoreFile {
         }
         out
     }
-
-    /// Total payload bytes (diagnostics / compaction policy).
-    pub fn byte_size(&self) -> usize {
-        self.cells.iter().map(|kv| kv.heap_size()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ commands:
              (--units N --sensors N --port P --secs S --seed N)
   import     load OpenTSDB-style JSONL datapoints into a fresh
              store and serve the query API over them
-             (--file path --nodes N --port P --secs S)
+             (--file path --nodes 1..255 --port P --secs S)
   analyze    run the workspace lint engine (see ANALYSIS.md)
              ([--deny-all] [--root path] [--rule id] [--list])
   crashtest --seed N [--schedule 12:crash:1,30:tear:0,...]
@@ -215,6 +215,15 @@ fn cmd_dashboard(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `pga import --nodes`: one region server and one salt bucket per node,
+/// so 1..=255 — a salt is one byte, and a table needs a live server.
+fn import_nodes(args: &Args) -> Result<u8, String> {
+    args.get("nodes", 4u8)
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| "--nodes takes 1..=255".to_string())
+}
+
 /// Import external data (the paper's §VI plan of evaluating on industry
 /// datasets): read OpenTSDB-style JSONL datapoints from a file, ingest
 /// them into a fresh storage cluster, print a summary, and serve the
@@ -227,18 +236,18 @@ fn cmd_import(rest: &[String]) -> Result<(), String> {
 
     let args = Args::parse(rest, &["file", "nodes", "port", "secs"], &[])?;
     let file: String = args.require("file")?;
-    let nodes = args.get("nodes", 4usize)?;
+    let nodes = import_nodes(&args)?;
     let port = args.get("port", 8087u16)?;
     let secs = args.get("secs", 0u64)?;
     let codec = KeyCodec::new(
         KeyCodecConfig {
-            salt_buckets: nodes as u8,
+            salt_buckets: nodes,
             row_span_secs: 3600,
         },
         UidTable::new(),
     );
     let coord = Coordinator::new(60_000);
-    let mut master = Master::bootstrap(nodes, ServerConfig::default(), coord, 0);
+    let mut master = Master::bootstrap(usize::from(nodes), ServerConfig::default(), coord, 0);
     master.create_table(&TableDescriptor {
         name: "tsdb".into(),
         split_points: codec.split_points(),
@@ -470,6 +479,19 @@ mod tests {
         assert!(parse("--units --seed 3", &FLEET_KEYS, &[]).is_err());
         let args = parse("--nodes 2", &["file", "nodes"], &[]).unwrap();
         assert!(args.require::<String>("file").is_err());
+    }
+
+    #[test]
+    fn import_nodes_outside_one_byte_of_salt_are_refused() {
+        let nodes = |line: &str| import_nodes(&parse(line, &["file", "nodes"], &[]).unwrap());
+        // 0 has no server to host the table; 256 and 300 would wrap the
+        // one-byte salt to 0 and 44 buckets.
+        for bad in ["--nodes 0", "--nodes 256", "--nodes 300", "--nodes -1"] {
+            assert!(nodes(bad).is_err(), "{bad}");
+        }
+        assert_eq!(nodes("--nodes 1"), Ok(1));
+        assert_eq!(nodes("--nodes 255"), Ok(255));
+        assert_eq!(nodes(""), Ok(4));
     }
 
     #[test]

@@ -28,8 +28,6 @@
 
 use std::fmt;
 
-use pga_minibase::{crc32, crc32_extend};
-
 /// Magic bytes opening every sealed block.
 pub const BLOCK_MAGIC: [u8; 4] = *b"PGBK";
 
@@ -101,6 +99,48 @@ impl fmt::Display for BlockError {
 }
 
 impl std::error::Error for BlockError {}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven — the one
+/// checksum of the workspace: sealed blocks here, and the scrub verifier
+/// through [`verify_block`].
+fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
+}
+
+/// Continue a CRC-32 across a further buffer: `crc32_extend(crc32(a), b)`
+/// is `crc32(a ++ b)`, without concatenating.
+fn crc32_extend(prev: u32, bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = build_crc_table();
+    let mut crc = !prev;
+    for &b in bytes {
+        let idx = ((crc ^ b as u32) & 0xFF) as usize;
+        let entry = TABLE.get(idx).copied().unwrap_or(0); // idx < 256 by construction
+        crc = (crc >> 8) ^ entry;
+    }
+    !crc
+}
+
+const fn build_crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut rest: &mut [u32] = &mut table;
+    let mut i = 0u32;
+    while let Some((slot, tail)) = rest.split_first_mut() {
+        let mut c = i;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        *slot = c;
+        rest = tail;
+        i += 1;
+    }
+    table
+}
 
 /// MSB-first bit writer over a growable byte buffer.
 struct BitWriter {
@@ -615,6 +655,61 @@ mod tests {
         let enc = encode_block(&ts, &vs).unwrap();
         let (count, min, max) = peek_header(&enc).unwrap();
         assert_eq!((count, min, max), (3, 10, 30));
+    }
+
+    #[test]
+    fn crc32_matches_ieee_vectors() {
+        // Standard check value for "123456789" under CRC-32/IEEE.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        // Split anywhere, the continued CRC is the whole buffer's.
+        for cut in 0..=9 {
+            let (a, b) = b"123456789".split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), 0xCBF4_3926, "cut at {cut}");
+        }
+    }
+
+    /// The sealed-block format, byte for byte, CRC word included: a
+    /// change to the codec or the checksum that moves any stored byte
+    /// fails here.
+    #[test]
+    fn sealed_block_bytes_are_pinned() {
+        const PINNED: &str = "5047424b0100000010000000005f5e1000000000005f5e10\
+                              00000000005f5e1e7ea05e67ae8a10281c0a271e424700de\
+                              8700de7a01ac000000000003440e707ec03e00ff03effb09\
+                              9999999999b00380000000000008006aaaaaaaaaaabcfdfb\
+                              6f666666666ac12e8480000000014000000000000000900c\
+                              400000000000400030000000000020000c00000000001000\
+                              03000000000000";
+        let base = 1_600_000_000u64;
+        let ts: Vec<u64> = [
+            0, 10, 20, 30, 41, 50, 60, 60, 75, 90, 100, 110, 120, 130, 3700, 3710,
+        ]
+        .iter()
+        .map(|d| base + d)
+        .collect();
+        let vs = [
+            21.5,
+            21.5,
+            21.75,
+            22.0,
+            22.0,
+            -3.125,
+            0.1,
+            0.2,
+            0.30000000000000004,
+            1.0e6,
+            -0.0,
+            0.0,
+            17.0,
+            16.5,
+            16.25,
+            16.125,
+        ];
+        let enc = encode_block(&ts, &vs).unwrap();
+        let hex: String = enc.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
+        assert_eq!(read_u32(&enc, 33).unwrap(), 0xa05e_67ae, "the CRC word");
     }
 
     #[test]
