@@ -11,7 +11,7 @@
 //! type-reference graph from field type identifiers, and walk it from
 //! `PlatformConfig`. For each reachable struct the *founding* fields —
 //! the ones present when the struct first shipped — are recorded in
-//! [`BASELINE`]; any other non-defaulted, non-`Option` field is a
+//! `BASELINE`; any other non-defaulted, non-`Option` field is a
 //! finding. A reachable struct absent from `BASELINE` is treated as
 //! founding-complete: its fields all arrived together behind a
 //! `#[serde(default)]` parent field, which is what guards old configs.
@@ -60,7 +60,6 @@ const BASELINE: &[(&str, &[&str])] = &[
     (
         "QueryConfig",
         &[
-            "rollups_enabled",
             "tiers",
             "shard_deadline_ms",
             "tail_buckets",

@@ -27,9 +27,10 @@ use crate::tokenizer::TokenKind;
 fn in_scope(f: &SourceFile) -> bool {
     let top = f.module.first().map(String::as_str);
     match f.krate.as_str() {
-        // The ingest pipeline originates deadlines for admitted writes.
+        // The ingest proxy: writes block rather than expire today, but a
+        // deadline it ever takes must flow downstream.
         "pga-ingest" => true,
-        // The storage client threads them into every admitted RPC.
+        // The storage client threads them into every read RPC.
         "pga-minibase" => top == Some("client"),
         // The TSD layer serves reads under the same budgets.
         "pga-tsdb" => true,

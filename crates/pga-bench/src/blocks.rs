@@ -10,7 +10,7 @@
 //!   delta-of-delta/XOR decode per row). Throughput is logical payload
 //!   bytes per second (16 bytes per point: timestamp + value).
 //! * **Detect** — the row-major loop (per unit: legacy query, transpose
-//!   into a `Matrix`, [`OnlineEvaluator::evaluate`]) against the columnar
+//!   into a `Matrix`, [`OnlineEvaluator::evaluate`](pga_detect::OnlineEvaluator::evaluate)) against the columnar
 //!   batch pass (one block-path query, per-sensor column slices fed to
 //!   [`BatchEvaluator::evaluate_columns`], all units per pass).
 //!   Throughput is detector samples (points scored) per second.

@@ -28,8 +28,8 @@ pub mod sim;
 
 pub use coordinator::{Coordinator, CoordinatorError, SessionId};
 pub use rpc::{
-    default_clock_ms, AdmissionConfig, ClockMs, PendingReply, RequestClass, RpcError, RpcHandle,
-    RpcServerBuilder, RpcStats, ServerState,
+    default_clock_ms, ClockMs, PendingReply, RpcError, RpcHandle, RpcServerBuilder, RpcStats,
+    ServerState, FULL_QUEUE_RETRY_AFTER_MS,
 };
 pub use sim::{
     hotspot_shares, simulate_ingestion, simulate_overload, uniform_shares, IngestReport,

@@ -1,7 +1,7 @@
 //! Typed in-process RPC with bounded queues and overload crash semantics.
 //!
 //! Each server is one OS thread draining a bounded crossbeam channel — the
-//! analog of an HBase region server's RPC queue. Two call paths exist:
+//! analog of an HBase region server's RPC queue. Three call paths exist:
 //!
 //! * [`RpcHandle::call`] — blocking send: the caller waits for queue space.
 //!   This is what the reverse proxy's backpressure gives the system.
@@ -10,18 +10,14 @@
 //!   server. Once strikes reach the configured threshold the server
 //!   *crashes* (stops serving), modelling the paper's observed region
 //!   server failures under unthrottled OpenTSDB write storms.
-//! * [`RpcHandle::send_with`] — admission-controlled send: once queue
-//!   occupancy crosses a per-class watermark the request is rejected with
-//!   a typed [`RpcError::Busy`] carrying a `retry_after_ms` hint, instead
-//!   of blocking the producer forever. Ingest writes degrade first (lower
-//!   watermark — the proxy buffers and retries them without loss); scan
-//!   reads are shed only past a higher critical watermark so the fleet
-//!   view stays alive as long as possible. Requests may also carry an
-//!   absolute deadline: the server drops expired work with a typed
-//!   [`RpcError::DeadlineExpired`] rather than serving dead requests. An
-//!   admitted request returns a [`PendingReply`], so a caller can send to
-//!   several servers before it waits on any; [`RpcHandle::call_with`] is
-//!   the send followed by the wait.
+//! * [`RpcHandle::send_with`] — non-blocking read send: a full queue
+//!   refuses the request with a typed [`RpcError::Busy`] carrying a
+//!   [`FULL_QUEUE_RETRY_AFTER_MS`] hint instead of blocking the caller.
+//!   Requests may also carry an absolute deadline: the server drops expired
+//!   work with a typed [`RpcError::DeadlineExpired`] rather than serving
+//!   dead requests. An accepted request returns a [`PendingReply`], so a
+//!   caller can send to several servers before it waits on any;
+//!   [`RpcHandle::call_with`] is the send followed by the wait.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -31,8 +27,8 @@ use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 
-/// Millisecond clock used for deadlines and admission `retry_after` hints.
-/// Injectable so deterministic simulations can drive it from sim time.
+/// Millisecond clock used for deadlines. Injectable so deterministic
+/// simulations can drive it from sim time.
 pub type ClockMs = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Milliseconds since the first call in this process — the default
@@ -43,66 +39,9 @@ pub fn default_clock_ms() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_millis() as u64
 }
 
-/// Priority class of an admission-controlled request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestClass {
-    /// Ingest write: degraded *first* (lower watermark). Writes are
-    /// buffered and retried by the proxy, so shedding them converts
-    /// overload into delay, never loss.
-    Write,
-    /// Detection/scan read: shed only past the higher critical watermark,
-    /// keeping the operator fleet view alive while writes back off.
-    Read,
-}
-
-/// Watermark-based admission policy for one server queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionConfig {
-    /// Queue occupancy (0..=1) at which writes get `Busy`.
-    pub write_shed_watermark: f64,
-    /// Queue occupancy (0..=1) at which reads get `Busy`. Must be ≥ the
-    /// write watermark: reads are shed *after* writes degrade.
-    pub read_shed_watermark: f64,
-    /// Base of the `retry_after_ms` hint; scaled up with occupancy.
-    pub retry_after_base_ms: u64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            write_shed_watermark: 0.75,
-            read_shed_watermark: 0.90,
-            retry_after_base_ms: 2,
-        }
-    }
-}
-
-impl AdmissionConfig {
-    /// Admission control disabled: nothing is ever shed pre-queue. This is
-    /// the seed-equivalent configuration used as the E18 control arm.
-    pub fn disabled() -> Self {
-        AdmissionConfig {
-            write_shed_watermark: f64::INFINITY,
-            read_shed_watermark: f64::INFINITY,
-            retry_after_base_ms: 2,
-        }
-    }
-
-    /// Watermark for a request class.
-    pub fn watermark(&self, class: RequestClass) -> f64 {
-        match class {
-            RequestClass::Write => self.write_shed_watermark,
-            RequestClass::Read => self.read_shed_watermark,
-        }
-    }
-
-    /// Deterministic `retry_after_ms` hint: grows with occupancy so
-    /// callers back off harder the deeper the queue is.
-    pub fn retry_after_ms(&self, occupancy: f64) -> u64 {
-        let scale = 1 + (occupancy.clamp(0.0, 2.0) * 4.0) as u64;
-        self.retry_after_base_ms.max(1) * scale
-    }
-}
+/// The `retry_after_ms` hint of the [`RpcError::Busy`] that
+/// [`RpcHandle::send_with`] returns when the queue is full.
+pub const FULL_QUEUE_RETRY_AFTER_MS: u64 = 10;
 
 /// Lifecycle of an RPC server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,8 +69,8 @@ impl ServerState {
 pub enum RpcError {
     /// The queue was full (only from [`RpcHandle::cast`]).
     Overloaded,
-    /// Admission control shed the request: queue occupancy crossed the
-    /// watermark for this request's class. Retry after the hinted delay.
+    /// A non-blocking send found the queue full (only from
+    /// [`RpcHandle::send_with`]). Retry after the hinted delay.
     Busy {
         /// Suggested minimum backoff before retrying, in milliseconds.
         retry_after_ms: u64,
@@ -170,9 +109,7 @@ pub struct RpcStats {
     pub overloads: AtomicU64,
     /// Nanoseconds spent inside the handler.
     pub busy_ns: AtomicU64,
-    /// Writes shed by admission control (`Busy`).
-    pub shed_writes: AtomicU64,
-    /// Reads shed by admission control (`Busy`).
+    /// Reads refused at a full queue (`Busy`).
     pub shed_reads: AtomicU64,
     /// Requests dropped because their deadline expired.
     pub deadline_expired: AtomicU64,
@@ -182,7 +119,6 @@ struct Shared {
     state: AtomicU8,
     stats: RpcStats,
     crash_threshold: u64,
-    admission: AdmissionConfig,
     clock: ClockMs,
 }
 
@@ -256,7 +192,6 @@ pub struct RpcServerBuilder {
     name: String,
     queue_capacity: usize,
     crash_threshold: u64,
-    admission: AdmissionConfig,
     clock: Option<ClockMs>,
 }
 
@@ -267,21 +202,12 @@ impl RpcServerBuilder {
             name: name.into(),
             queue_capacity: 1024,
             crash_threshold: u64::MAX,
-            admission: AdmissionConfig::disabled(),
             clock: None,
         }
     }
 
-    /// Enable watermark-based admission control for [`RpcHandle::call_with`]
-    /// callers. Default: disabled (seed behavior).
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
-        self
-    }
-
-    /// Override the millisecond clock used for deadline checks and
-    /// `retry_after` hints. Default: [`default_clock_ms`]. Deterministic
-    /// simulations inject sim time here.
+    /// Override the millisecond clock used for deadline checks. Default:
+    /// [`default_clock_ms`]. Deterministic simulations inject sim time here.
     pub fn clock(mut self, clock: ClockMs) -> Self {
         self.clock = Some(clock);
         self
@@ -296,7 +222,7 @@ impl RpcServerBuilder {
     }
 
     /// Number of overload strikes after which the server crashes. Default:
-    /// never (only meaningful for `try_call` workloads).
+    /// never (only meaningful for [`RpcHandle::cast`] workloads).
     pub fn crash_after_overloads(mut self, strikes: u64) -> Self {
         self.crash_threshold = strikes;
         self
@@ -314,7 +240,6 @@ impl RpcServerBuilder {
             state: AtomicU8::new(0),
             stats: RpcStats::default(),
             crash_threshold: self.crash_threshold,
-            admission: self.admission,
             clock: self.clock.unwrap_or_else(|| Arc::new(default_clock_ms)),
         });
         let worker_shared = shared.clone();
@@ -424,12 +349,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
         self.shared.stats.busy_ns.load(Ordering::Relaxed)
     }
 
-    /// Writes shed by admission control.
-    pub fn shed_writes(&self) -> u64 {
-        self.shared.stats.shed_writes.load(Ordering::Relaxed)
-    }
-
-    /// Reads shed by admission control.
+    /// Reads refused at a full queue.
     pub fn shed_reads(&self) -> u64 {
         self.shared.stats.shed_reads.load(Ordering::Relaxed)
     }
@@ -437,11 +357,6 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
     /// Requests dropped because their deadline expired.
     pub fn deadline_expired(&self) -> u64 {
         self.shared.stats.deadline_expired.load(Ordering::Relaxed)
-    }
-
-    /// Milliseconds on this server's deadline clock right now.
-    pub fn now_ms(&self) -> u64 {
-        (self.shared.clock)()
     }
 
     /// Requests currently waiting in the RPC queue — the telemetry signal
@@ -474,18 +389,16 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
         .wait()
     }
 
-    /// Admission-controlled send: never blocks the producer on a full or
-    /// over-watermark queue. Sheds the request with a typed
-    /// [`RpcError::Busy`] (plus a `retry_after_ms` hint) once occupancy
-    /// crosses the watermark for `class`, and tags the enqueued request
-    /// with an optional absolute deadline (server-clock milliseconds) past
-    /// which the server drops it as [`RpcError::DeadlineExpired`]. Every
-    /// refusal is decided here, before anything is queued; an admitted
-    /// request answers through the returned [`PendingReply`].
+    /// Non-blocking send: never waits for queue space. A full queue
+    /// refuses the request with a typed [`RpcError::Busy`] (hint
+    /// [`FULL_QUEUE_RETRY_AFTER_MS`]), and the queued request carries an
+    /// optional absolute deadline (server-clock milliseconds) past which
+    /// the server drops it as [`RpcError::DeadlineExpired`]. Every refusal
+    /// is decided here, before anything is queued; an accepted request
+    /// answers through the returned [`PendingReply`].
     pub fn send_with(
         &self,
         req: Req,
-        class: RequestClass,
         deadline_ms: Option<u64>,
     ) -> Result<PendingReply<Resp>, RpcError> {
         self.shared.serving()?;
@@ -499,11 +412,6 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
                 return Err(RpcError::DeadlineExpired);
             }
         }
-        let capacity = self.tx.capacity().unwrap_or(usize::MAX).max(1);
-        let occupancy = self.tx.len() as f64 / capacity as f64;
-        if occupancy >= self.shared.admission.watermark(class) {
-            return Err(self.shed(class, occupancy));
-        }
         let (reply_tx, rx) = bounded(1);
         match self.tx.try_send(Envelope {
             req,
@@ -514,32 +422,19 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
                 rx,
                 shared: self.shared.clone(),
             }),
-            // Queue filled between the occupancy probe and the send: the
-            // same shed path, never a blocking producer.
-            Err(TrySendError::Full(_)) => Err(self.shed(class, 1.0)),
+            Err(TrySendError::Full(_)) => {
+                self.shared.stats.shed_reads.fetch_add(1, Ordering::Relaxed);
+                Err(RpcError::Busy {
+                    retry_after_ms: FULL_QUEUE_RETRY_AFTER_MS,
+                })
+            }
             Err(TrySendError::Disconnected(_)) => Err(RpcError::Stopped),
         }
     }
 
     /// [`RpcHandle::send_with`], then wait for the answer.
-    pub fn call_with(
-        &self,
-        req: Req,
-        class: RequestClass,
-        deadline_ms: Option<u64>,
-    ) -> Result<Resp, RpcError> {
-        self.send_with(req, class, deadline_ms)?.wait()
-    }
-
-    fn shed(&self, class: RequestClass, occupancy: f64) -> RpcError {
-        let counter = match class {
-            RequestClass::Write => &self.shared.stats.shed_writes,
-            RequestClass::Read => &self.shared.stats.shed_reads,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        RpcError::Busy {
-            retry_after_ms: self.shared.admission.retry_after_ms(occupancy),
-        }
+    pub fn call_with(&self, req: Req, deadline_ms: Option<u64>) -> Result<Resp, RpcError> {
+        self.send_with(req, deadline_ms)?.wait()
     }
 
     /// One-way, non-blocking cast: enqueue the request and return without
@@ -682,65 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_sheds_writes_before_reads() {
-        // Slow handler, capacity 10: writes shed at 40%, reads at 80%.
-        let (h, runner) = RpcServerBuilder::new("admit")
-            .queue_capacity(10)
-            .admission(AdmissionConfig {
-                write_shed_watermark: 0.4,
-                read_shed_watermark: 0.8,
-                retry_after_base_ms: 2,
-            })
-            .spawn(|x: u32| {
-                std::thread::sleep(Duration::from_millis(30));
-                x
-            });
-        // Fill the queue past the write watermark with one-way casts.
-        for i in 0..6 {
-            h.cast(i).unwrap();
-        }
-        // Writes now get Busy with a retry hint…
-        let w = h.call_with(99, RequestClass::Write, None);
-        match w {
-            Err(RpcError::Busy { retry_after_ms }) => assert!(retry_after_ms >= 2),
-            other => panic!("expected Busy for write, got {other:?}"),
-        }
-        // …while reads are still admitted (occupancy below read watermark).
-        let depth_before = h.queue_depth();
-        assert!(depth_before < 8, "test setup: below read watermark");
-        assert_eq!(h.call_with(7, RequestClass::Read, None).unwrap(), 7);
-        assert!(h.shed_writes() >= 1);
-        assert_eq!(h.shed_reads(), 0);
-        drop(h);
-        runner.join();
-    }
-
-    #[test]
-    fn reads_shed_past_critical_watermark() {
-        let (h, runner) = RpcServerBuilder::new("admit-read")
-            .queue_capacity(4)
-            .admission(AdmissionConfig {
-                write_shed_watermark: 0.25,
-                read_shed_watermark: 0.5,
-                retry_after_base_ms: 1,
-            })
-            .spawn(|x: u32| {
-                std::thread::sleep(Duration::from_millis(100));
-                x
-            });
-        for i in 0..3 {
-            h.cast(i).unwrap();
-        }
-        assert!(matches!(
-            h.call_with(8, RequestClass::Read, None),
-            Err(RpcError::Busy { .. })
-        ));
-        assert!(h.shed_reads() >= 1);
-        drop(h);
-        runner.join();
-    }
-
-    #[test]
     fn expired_deadline_is_a_typed_error_not_service() {
         use std::sync::atomic::AtomicU64 as Clock;
         let now = Arc::new(Clock::new(100));
@@ -749,11 +585,11 @@ mod tests {
             .clock(Arc::new(move || clock_now.load(Ordering::SeqCst)))
             .spawn(|x: u32| x);
         // Deadline in the future: served.
-        assert_eq!(h.call_with(1, RequestClass::Write, Some(500)).unwrap(), 1);
+        assert_eq!(h.call_with(1, Some(500)).unwrap(), 1);
         // Deadline in the past: typed rejection before enqueue.
         now.store(1_000, Ordering::SeqCst);
         assert_eq!(
-            h.call_with(2, RequestClass::Write, Some(500)).unwrap_err(),
+            h.call_with(2, Some(500)).unwrap_err(),
             RpcError::DeadlineExpired
         );
         assert_eq!(h.deadline_expired(), 1);
@@ -781,9 +617,7 @@ mod tests {
         let mut joins = Vec::new();
         for i in 0..4u32 {
             let h = h.clone();
-            joins.push(std::thread::spawn(move || {
-                h.call_with(i, RequestClass::Write, Some(5_000))
-            }));
+            joins.push(std::thread::spawn(move || h.call_with(i, Some(5_000))));
         }
         let mut served = 0u32;
         let mut expired = 0u32;
@@ -817,12 +651,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         h.cast(1).unwrap();
-        // Even with admission disabled, call_with resolves immediately
-        // with Busy instead of blocking the producer.
+        // A full queue refuses the send at once with the fixed hint,
+        // instead of blocking the producer, and queues nothing.
         let start = Instant::now();
-        let r = h.call_with(2, RequestClass::Write, None);
-        assert!(matches!(r, Err(RpcError::Busy { .. })));
+        let r = h.call_with(2, None);
+        assert_eq!(r, Err(RpcError::Busy { retry_after_ms: 10 }));
         assert!(start.elapsed() < Duration::from_millis(50));
+        assert_eq!(h.shed_reads(), 1);
+        assert_eq!(h.queue_depth(), 1, "only the cast waits in the queue");
         drop(h);
         runner.join();
     }
@@ -833,16 +669,16 @@ mod tests {
         let (b, runner_b) = RpcServerBuilder::new("b").spawn(|x: u32| x + 100);
         let mut sent = Vec::new();
         for i in 0..4u32 {
-            sent.push((i * 2, a.send_with(i, RequestClass::Read, None).unwrap()));
-            sent.push((i + 100, b.send_with(i, RequestClass::Read, None).unwrap()));
+            sent.push((i * 2, a.send_with(i, None).unwrap()));
+            sent.push((i + 100, b.send_with(i, None).unwrap()));
         }
         // Last sent, first awaited; and one reply abandoned unread.
-        let abandoned = a.send_with(9, RequestClass::Read, None).unwrap();
+        let abandoned = a.send_with(9, None).unwrap();
         drop(abandoned);
         for (expect, reply) in sent.into_iter().rev() {
             assert_eq!(reply.wait().unwrap(), expect);
         }
-        assert_eq!(a.call_with(5, RequestClass::Read, None).unwrap(), 10);
+        assert_eq!(a.call_with(5, None).unwrap(), 10);
         drop((a, b));
         runner_a.join();
         runner_b.join();
@@ -856,41 +692,26 @@ mod tests {
         let (open, gate) = bounded::<()>(0);
         let (entered_tx, entered) = bounded::<u32>(4);
         let (h, runner) = RpcServerBuilder::new("send-time")
-            .queue_capacity(4)
-            .admission(AdmissionConfig {
-                write_shed_watermark: 0.25,
-                read_shed_watermark: 0.5,
-                retry_after_base_ms: 1,
-            })
+            .queue_capacity(2)
             .clock(Arc::new(move || clock_now.load(Ordering::SeqCst)))
             .spawn(move |x: u32| {
                 let _ = entered_tx.send(x);
                 let _ = gate.recv();
                 x
             });
-        // One request held in service, two queued: occupancy 2 / 4.
-        let held = h.send_with(0, RequestClass::Read, None).unwrap();
+        // One request held in service, two queued: the queue is full.
+        let held = h.send_with(0, None).unwrap();
         assert_eq!(entered.recv().unwrap(), 0);
         h.cast(1).unwrap();
         h.cast(2).unwrap();
         // Refused by the send itself: no reply to wait on.
-        assert!(matches!(
-            h.send_with(3, RequestClass::Read, None),
-            Err(RpcError::Busy { .. })
-        ));
-        assert!(matches!(
-            h.send_with(4, RequestClass::Write, Some(500)),
-            Err(RpcError::Busy { .. })
-        ));
+        assert!(matches!(h.send_with(3, None), Err(RpcError::Busy { .. })));
         now.store(1_000, Ordering::SeqCst);
         assert!(matches!(
-            h.send_with(5, RequestClass::Read, Some(500)),
+            h.send_with(4, Some(500)),
             Err(RpcError::DeadlineExpired)
         ));
-        assert_eq!(
-            (h.shed_reads(), h.shed_writes(), h.deadline_expired()),
-            (1, 1, 1)
-        );
+        assert_eq!((h.shed_reads(), h.deadline_expired()), (1, 1));
         for _ in 0..3 {
             open.send(()).unwrap();
         }
@@ -913,9 +734,9 @@ mod tests {
                 }
                 x
             });
-        let in_service = h.send_with(0, RequestClass::Read, None).unwrap();
+        let in_service = h.send_with(0, None).unwrap();
         entered.recv().unwrap();
-        let queued = h.send_with(1, RequestClass::Read, None).unwrap();
+        let queued = h.send_with(1, None).unwrap();
         // The queue is full: one overload strike crashes the server.
         assert_eq!(h.cast(2).unwrap_err(), RpcError::Overloaded);
         assert_eq!(h.state(), ServerState::Crashed);
@@ -940,8 +761,8 @@ mod tests {
             })
         };
         let ((a, runner_a), (b, runner_b)) = (spawn("left"), spawn("right"));
-        let left = a.send_with(1, RequestClass::Read, None).unwrap();
-        let right = b.send_with(2, RequestClass::Read, None).unwrap();
+        let left = a.send_with(1, None).unwrap();
+        let right = b.send_with(2, None).unwrap();
         assert_eq!((left.wait().unwrap(), right.wait().unwrap()), (1, 2));
         drop((a, b));
         runner_a.join();

@@ -169,8 +169,7 @@ metrics! {
     Flushes, "flushes", Sum, All, None, "Cumulative flushes.";
     Compactions, "compactions", Sum, All, None, "Cumulative compactions.";
     Overloads, "overloads", Sum, All, None, "Cumulative overload strikes.";
-    ShedWrites, "shed_writes", Sum, All, None, "Cumulative write RPCs shed by admission control.";
-    ShedReads, "shed_reads", Sum, All, None, "Cumulative read RPCs shed by admission control.";
+    ShedReads, "shed_reads", Sum, All, None, "Cumulative read RPCs refused at a full RPC queue.";
     DeadlineExpired, "deadline_expired", Sum, All, None, "Cumulative requests dropped on deadline expiry.";
     ReplLagBatches, "repl_lag_batches", Max, All, Some("worst lag (batches)"), "Worst follower lag (WAL batches behind the primary) across the replicated regions this node leads.";
     ReplRegions, "repl_regions", Sum, All, None, "Replicated regions this node is the primary for.";
@@ -278,7 +277,6 @@ pub fn collect_node_stats(master: &Master, node: NodeId) -> Option<NodeStats> {
         .set(Metric::Flushes, regions.flushes)
         .set(Metric::Compactions, regions.compactions)
         .set(Metric::Overloads, handle.overloads())
-        .set(Metric::ShedWrites, handle.shed_writes())
         .set(Metric::ShedReads, handle.shed_reads())
         .set(Metric::DeadlineExpired, handle.deadline_expired())
         .set(Metric::ReplLagBatches, repl_lag_batches)
@@ -432,10 +430,10 @@ mod tests {
                 def.tile.map(|_| want.to_string())
             );
         }
-        // 33 rows, three lines each; the five rows nothing ever set
+        // 32 rows, three lines each; the six rows nothing ever set
         // (memstore bytes, breaker trips, ingest buffer depth/capacity,
-        // dirty units) are gone from the exposition.
-        assert_eq!(METRICS.len(), 33);
+        // dirty units, shed writes) are gone from the exposition.
+        assert_eq!(METRICS.len(), 32);
         assert_eq!(text.lines().count(), 3 * METRICS.len());
         for retired in [
             "memstore_bytes",
@@ -443,6 +441,7 @@ mod tests {
             "ingest_buffer_depth",
             "ingest_buffer_capacity",
             "sched_dirty_units",
+            "shed_writes",
         ] {
             assert!(!text.contains(retired), "{retired} is retired");
         }
@@ -537,7 +536,7 @@ mod tests {
     fn proxy_stats_count_in_all_folds_but_not_serving_aggregates() {
         let mut proxy = stats(100, 0, 0);
         proxy.is_proxy = true;
-        proxy.set(Metric::ShedWrites, 5);
+        proxy.set(Metric::ShedReads, 5);
         let mut server = stats(0, 10, 100);
         server
             .set(Metric::ShedReads, 3)
@@ -549,8 +548,7 @@ mod tests {
         assert_eq!(snap.live_nodes(), 1);
         assert_eq!(snap.fold(Metric::QueueDepth), 10);
         // Overload counters from either side come through.
-        assert_eq!(snap.fold(Metric::ShedWrites), 5);
-        assert_eq!(snap.fold(Metric::ShedReads), 3);
+        assert_eq!(snap.fold(Metric::ShedReads), 8);
         assert_eq!(snap.fold(Metric::DeadlineExpired), 4);
     }
 
@@ -576,7 +574,6 @@ mod tests {
         let config = ServerConfig {
             queue_capacity: 2,
             crash_after_overloads: 5,
-            ..ServerConfig::default()
         };
         let mut master = Master::bootstrap(1, config, Coordinator::new(60_000), 0);
         master.create_table(&TableDescriptor {

@@ -95,7 +95,7 @@ impl OnlineEvaluator {
     }
 
     /// Evaluate a window presented as **per-sensor column slices** — the
-    /// shape the columnar block store hands back ([`pga_tsdb`]'s
+    /// shape the columnar block store hands back (`pga_tsdb`'s
     /// `ColumnSeries::values`) — without materialising a row-major window.
     ///
     /// Each column sums in sample order, the exact addition sequence the

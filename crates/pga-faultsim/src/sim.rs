@@ -19,7 +19,8 @@
 //!   move, a full read-your-writes check over all acked series.
 //! * **Monotone WAL sequence ids** — every WAL image observed at crash
 //!   recovery decodes with strictly increasing batch sequences (checked
-//!   inside [`SimFaultPlane::tear_wal`]).
+//!   inside `SimFaultPlane`'s
+//!   [`tear_wal`](pga_minibase::FaultPlane::tear_wal)).
 //! * **Detection equivalence** — Benjamini–Hochberg anomaly flags over the
 //!   surviving data are identical with and without faults
 //!   ([`run_with_baseline`]).

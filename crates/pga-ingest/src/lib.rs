@@ -32,6 +32,6 @@ pub use experiment::{
 };
 pub use pipeline::{IngestionPipeline, PipelineReport};
 pub use proxy::{
-    choose_routable, choose_target, AlwaysHealthy, HealthFn, ProxyClock, ProxyConfig, ProxyError,
-    ProxyMetrics, ReverseProxy, TargetHealth,
+    choose_routable, choose_target, AlwaysHealthy, HealthFn, ProxyConfig, ProxyError, ProxyMetrics,
+    ReverseProxy, TargetHealth,
 };

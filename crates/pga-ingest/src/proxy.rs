@@ -9,8 +9,9 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam_channel::{bounded, Receiver, Sender};
 
+use pga_cluster::rpc::default_clock_ms;
 use pga_sensorgen::SensorSample;
 use pga_tsdb::Tsd;
 
@@ -26,12 +27,6 @@ pub enum ProxyError {
     NoWorkers,
     /// The OS refused to spawn a worker thread.
     SpawnFailed(String),
-    /// `try_submit` found the buffer full: the producer should back off
-    /// and resubmit — typed rejection instead of indefinite blocking.
-    Busy {
-        /// Suggested minimum backoff before resubmitting, in milliseconds.
-        retry_after_ms: u64,
-    },
     /// The proxy has been shut down; the batch was not accepted.
     Stopped,
 }
@@ -42,18 +37,12 @@ impl fmt::Display for ProxyError {
             ProxyError::EmptyPool => write!(f, "proxy needs at least one TSD"),
             ProxyError::NoWorkers => write!(f, "proxy needs at least one worker"),
             ProxyError::SpawnFailed(e) => write!(f, "failed to spawn proxy worker: {e}"),
-            ProxyError::Busy { retry_after_ms } => {
-                write!(f, "proxy buffer full, retry after {retry_after_ms}ms")
-            }
             ProxyError::Stopped => write!(f, "proxy is stopped"),
         }
     }
 }
 
 impl std::error::Error for ProxyError {}
-
-/// Millisecond clock used for deadlines and breaker cooldowns.
-pub type ProxyClock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Proxy tunables.
 #[derive(Debug, Clone, Copy)]
@@ -84,14 +73,6 @@ pub struct ProxyConfig {
     pub retry_budget_refill: f64,
     /// Per-target circuit breaker tunables.
     pub breaker: BreakerConfig,
-    /// Per-batch deadline budget in milliseconds, measured from `submit`.
-    /// `None` (default) disables deadlines. Expired batches are dropped
-    /// with a typed count in [`ProxyMetrics::deadline_expired`] — they
-    /// were never acked downstream, so nothing acked is lost.
-    pub batch_deadline_ms: Option<u64>,
-    /// Route writes through storage admission control (`Busy` shedding +
-    /// deadline tags) instead of the seed's blocking path.
-    pub admission_control: bool,
 }
 
 impl Default for ProxyConfig {
@@ -105,8 +86,6 @@ impl Default for ProxyConfig {
             retry_budget: 32,
             retry_budget_refill: 0.1,
             breaker: BreakerConfig::default(),
-            batch_deadline_ms: None,
-            admission_control: false,
         }
     }
 }
@@ -126,18 +105,10 @@ pub struct ProxyMetrics {
     pub rerouted: AtomicU64,
     /// Failed forwarding attempts that were retried on another pick.
     pub retries: AtomicU64,
-    /// Typed `Busy` rejections received from storage admission control.
-    pub busy_rejections: AtomicU64,
-    /// Busy batches immediately re-routed to another target (no sleep).
-    pub hedged: AtomicU64,
-    /// Batches dropped because their deadline expired (typed, pre-ack).
-    pub deadline_expired: AtomicU64,
     /// Retries that found the retry budget empty (slowed to the cap).
     pub budget_exhausted: AtomicU64,
     /// Circuit-breaker trips (Closed/HalfOpen → Open transitions).
     pub breaker_trips: AtomicU64,
-    /// `try_submit` rejections (producer-side buffer full).
-    pub submit_rejections: AtomicU64,
 }
 
 /// Health view over the TSD pool, indexed like the `tsds` slice given to
@@ -190,19 +161,10 @@ pub fn choose_routable(pick: usize, len: usize, routable: impl Fn(usize) -> bool
         .unwrap_or(pick)
 }
 
-/// One queued unit of work: the batch plus its absolute deadline (proxy
-/// clock ms), stamped at submission.
-struct QueuedBatch {
-    samples: Vec<SensorSample>,
-    deadline_ms: Option<u64>,
-}
-
 /// The reverse proxy. Submission blocks when the buffer is full.
 pub struct ReverseProxy {
-    tx: Option<Sender<QueuedBatch>>,
+    tx: Option<Sender<Vec<SensorSample>>>,
     metrics: Arc<ProxyMetrics>,
-    clock: ProxyClock,
-    batch_deadline_ms: Option<u64>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -223,30 +185,13 @@ impl ReverseProxy {
         config: ProxyConfig,
         health: Arc<dyn TargetHealth>,
     ) -> Result<Self, ProxyError> {
-        Self::spawn_with_clock(
-            tsds,
-            config,
-            health,
-            Arc::new(pga_cluster::rpc::default_clock_ms),
-        )
-    }
-
-    /// Spawn with an explicit millisecond clock (deadlines and breaker
-    /// cooldowns). Deterministic harnesses inject sim time here; the
-    /// default is the process-wide wall clock shared with the RPC layer.
-    pub fn spawn_with_clock(
-        tsds: Vec<Arc<Tsd>>,
-        config: ProxyConfig,
-        health: Arc<dyn TargetHealth>,
-        clock: ProxyClock,
-    ) -> Result<Self, ProxyError> {
         if tsds.is_empty() {
             return Err(ProxyError::EmptyPool);
         }
         if config.workers == 0 {
             return Err(ProxyError::NoWorkers);
         }
-        let (tx, rx): (Sender<QueuedBatch>, Receiver<QueuedBatch>) =
+        let (tx, rx): (Sender<Vec<SensorSample>>, Receiver<Vec<SensorSample>>) =
             bounded(config.buffer_capacity);
         let metrics = Arc::new(ProxyMetrics::default());
         let breakers: Arc<Vec<CircuitBreaker>> = Arc::new(
@@ -272,17 +217,16 @@ impl ReverseProxy {
             let health = health.clone();
             let breakers = breakers.clone();
             let budget = budget.clone();
-            let clock = clock.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("proxy-worker-{w}"))
                 .spawn(move || {
                     // Per-worker jitter stream: deterministic, decorrelated
                     // from other workers.
                     let mut jitter_seq = (w as u64) << 32;
-                    for qb in rx.iter() {
+                    for samples in rx.iter() {
                         jitter_seq += 1;
                         forward_one(
-                            qb,
+                            &samples,
                             &tsds,
                             &metrics,
                             &rr,
@@ -290,7 +234,6 @@ impl ReverseProxy {
                             &breakers,
                             &budget,
                             &backoff,
-                            &clock,
                             &config,
                             jitter_seq,
                         );
@@ -302,8 +245,6 @@ impl ReverseProxy {
         Ok(ReverseProxy {
             tx: Some(tx),
             metrics,
-            clock,
-            batch_deadline_ms: config.batch_deadline_ms,
             workers,
         })
     }
@@ -313,48 +254,14 @@ impl ReverseProxy {
     /// workers are gone — the caller decides whether that is fatal.
     pub fn submit(&self, batch: Vec<SensorSample>) -> Result<(), ProxyError> {
         let tx = self.tx.as_ref().ok_or(ProxyError::Stopped)?;
-        tx.send(self.stamp(batch))
-            .map_err(|_| ProxyError::Stopped)?;
+        tx.send(batch).map_err(|_| ProxyError::Stopped)?;
         self.metrics.batches_in.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Non-blocking submit: a full buffer is a typed [`ProxyError::Busy`]
-    /// rejection with a retry hint, never an indefinitely blocked
-    /// producer. Overload-aware producers use this and back off.
-    pub fn try_submit(&self, batch: Vec<SensorSample>) -> Result<(), ProxyError> {
-        let tx = self.tx.as_ref().ok_or(ProxyError::Stopped)?;
-        match tx.try_send(self.stamp(batch)) {
-            Ok(()) => {
-                self.metrics.batches_in.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics
-                    .submit_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(ProxyError::Busy { retry_after_ms: 2 })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ProxyError::Stopped),
-        }
-    }
-
-    fn stamp(&self, samples: Vec<SensorSample>) -> QueuedBatch {
-        let deadline_ms = self.batch_deadline_ms.map(|budget| (self.clock)() + budget);
-        QueuedBatch {
-            samples,
-            deadline_ms,
-        }
     }
 
     /// Shared metrics handle.
     pub fn metrics(&self) -> Arc<ProxyMetrics> {
         self.metrics.clone()
-    }
-
-    /// Batches currently waiting in the intake buffer.
-    pub fn buffer_depth(&self) -> usize {
-        self.tx.as_ref().map(|t| t.len()).unwrap_or(0)
     }
 
     /// Close the intake and wait for workers to drain everything.
@@ -368,14 +275,13 @@ impl ReverseProxy {
 }
 
 /// Forward one queued batch: health- and breaker-aware round-robin with
-/// jittered exponential backoff, hedged re-routing on `Busy`, and deadline
-/// enforcement. Every attempt re-picks a target, so a batch caught by a
-/// crash is re-forwarded once recovery catches up. Re-putting identical
-/// samples is safe — the store deduplicates identical cells, so retried
-/// batches land exactly once.
+/// jittered exponential backoff. Every attempt re-picks a target, so a
+/// batch caught by a crash is re-forwarded once recovery catches up.
+/// Re-putting identical samples is safe — the store deduplicates identical
+/// cells, so retried batches land exactly once.
 #[allow(clippy::too_many_arguments)]
 fn forward_one(
-    qb: QueuedBatch,
+    samples: &[SensorSample],
     tsds: &[Arc<Tsd>],
     metrics: &ProxyMetrics,
     rr: &AtomicUsize,
@@ -383,16 +289,15 @@ fn forward_one(
     breakers: &[CircuitBreaker],
     budget: &RetryBudget,
     backoff: &BackoffPolicy,
-    clock: &ProxyClock,
     config: &ProxyConfig,
     jitter_seq: u64,
 ) {
-    let n = qb.samples.len() as u64;
+    let n = samples.len() as u64;
     // Every sample's tag values as text, in one buffer: unit digits then
     // sensor digits, cut apart again at the recorded ends.
     let mut digits = String::new();
-    let mut ends: Vec<(usize, usize)> = Vec::with_capacity(qb.samples.len());
-    for s in &qb.samples {
+    let mut ends: Vec<(usize, usize)> = Vec::with_capacity(samples.len());
+    for s in samples {
         // Writing to a `String` cannot fail.
         let _ = write!(digits, "{}", s.unit);
         let unit_end = digits.len();
@@ -409,27 +314,14 @@ fn forward_one(
             [("unit", unit), ("sensor", sensor)]
         })
         .collect();
-    let points: Vec<pga_tsdb::BatchPoint> = qb
-        .samples
+    let points: Vec<pga_tsdb::BatchPoint> = samples
         .iter()
         .zip(&tag_pairs)
         .map(|(s, tags)| (&tags[..], s.timestamp, s.value))
         .collect();
     let mut attempt = 0usize;
-    // Busy rejections hedge to another target immediately (no sleep) up
-    // to pool-size-1 times per batch; past that they back off like any
-    // other failure so a fleet-wide storm cannot spin the worker.
-    let mut hedges_left = tsds.len().saturating_sub(1);
     loop {
-        let now_ms = (clock)();
-        if let Some(d) = qb.deadline_ms {
-            if now_ms >= d {
-                // Typed expiry: the batch was never acked downstream, so
-                // this is surfaced load shedding, not silent loss.
-                metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
+        let now_ms = default_clock_ms();
         let pick = rr.fetch_add(1, Ordering::Relaxed) % tsds.len();
         // A target is routable when it is healthy *and* its breaker
         // admits traffic right now (Closed, or Open past cooldown /
@@ -442,76 +334,33 @@ fn forward_one(
         }
         // `target` is reduced modulo `tsds.len()`, but the serving path
         // still refuses to panic on a miss: treat it as a failed attempt.
-        let result = tsds.get(target).map(|t| {
-            if config.admission_control {
-                t.put_batch_admitted("energy", &points, qb.deadline_ms)
-            } else {
-                t.put_batch("energy", &points)
+        if let Some(Ok(())) = tsds.get(target).map(|t| t.put_batch("energy", &points)) {
+            if let Some(b) = breakers.get(target) {
+                b.on_success();
             }
-        });
-        match result {
-            Some(Ok(())) => {
-                if let Some(b) = breakers.get(target) {
-                    b.on_success();
-                }
-                budget.on_success();
-                metrics.batches_out.fetch_add(1, Ordering::Relaxed);
-                metrics.samples_out.fetch_add(n, Ordering::Relaxed);
-                return;
+            budget.on_success();
+            metrics.batches_out.fetch_add(1, Ordering::Relaxed);
+            metrics.samples_out.fetch_add(n, Ordering::Relaxed);
+            return;
+        }
+        attempt += 1;
+        if let Some(b) = breakers.get(target) {
+            if b.on_failure(now_ms) {
+                metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
             }
-            Some(Err(e)) => {
-                attempt += 1;
-                if e.is_deadline_expired() {
-                    // The server refused dead work — same typed contract.
-                    metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                if let Some(b) = breakers.get(target) {
-                    if b.on_failure(now_ms) {
-                        metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if attempt >= config.max_forward_attempts.max(1) {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                let retry_after = e.retry_after_ms();
-                if retry_after.is_some() {
-                    metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    if hedges_left > 0 {
-                        // Hedge: the batch was *rejected*, not lost — send
-                        // it to a different target right away.
-                        hedges_left -= 1;
-                        metrics.hedged.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-                metrics.retries.fetch_add(1, Ordering::Relaxed);
-                let seed = jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64;
-                if budget.try_spend() {
-                    match retry_after {
-                        Some(floor) => backoff.pause_at_least(attempt as u32, seed, floor),
-                        None => backoff.pause(attempt as u32, seed),
-                    }
-                } else {
-                    // Budget empty: retry at the slowest pace. Never drop.
-                    metrics.budget_exhausted.fetch_add(1, Ordering::Relaxed);
-                    backoff.pause_at_least(attempt as u32, seed, backoff.cap.as_millis() as u64);
-                }
-            }
-            None => {
-                attempt += 1;
-                if attempt >= config.max_forward_attempts.max(1) {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                metrics.retries.fetch_add(1, Ordering::Relaxed);
-                let seed = jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64;
-                if !budget.try_spend() {
-                    metrics.budget_exhausted.fetch_add(1, Ordering::Relaxed);
-                }
-                backoff.pause(attempt as u32, seed);
-            }
+        }
+        if attempt >= config.max_forward_attempts.max(1) {
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        metrics.retries.fetch_add(1, Ordering::Relaxed);
+        let seed = jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64;
+        if budget.try_spend() {
+            backoff.pause(attempt as u32, seed);
+        } else {
+            // Budget empty: retry at the slowest pace. Never drop.
+            metrics.budget_exhausted.fetch_add(1, Ordering::Relaxed);
+            backoff.pause_at_least(attempt as u32, seed, backoff.cap.as_millis() as u64);
         }
     }
 }
@@ -726,64 +575,6 @@ mod tests {
             .unwrap();
         let total: usize = series.iter().map(|s| s.points.len()).sum();
         assert_eq!(total, 160);
-        master.shutdown();
-    }
-
-    /// Deadline propagation: a batch whose deadline budget is already
-    /// exhausted when the worker dequeues it is dropped with a typed
-    /// count — never served, never silently lost (it was never acked).
-    #[test]
-    fn expired_batches_are_counted_not_served() {
-        let (master, tsds) = stack(1, 1);
-        let proxy = ReverseProxy::spawn(
-            tsds.clone(),
-            ProxyConfig {
-                buffer_capacity: 64,
-                workers: 1,
-                batch_deadline_ms: Some(0),
-                ..ProxyConfig::default()
-            },
-        )
-        .unwrap();
-        for t in 0..10u64 {
-            proxy.submit(vec![sample(1, 1, t)]).unwrap();
-        }
-        let metrics = proxy.drain_and_join();
-        assert_eq!(metrics.deadline_expired.load(Ordering::Relaxed), 10);
-        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 0);
-        assert_eq!(metrics.errors.load(Ordering::Relaxed), 0);
-        master.shutdown();
-    }
-
-    /// Producer-side admission: `try_submit` on a full buffer resolves to
-    /// a typed `Busy` rejection immediately instead of blocking forever.
-    #[test]
-    fn try_submit_rejects_full_buffer_with_typed_busy() {
-        let (master, tsds) = stack(1, 1);
-        // Stall the worker: the only region server is down, so each batch
-        // burns slow retry attempts while the buffer stays full.
-        master.server(pga_cluster::NodeId(0)).unwrap().shutdown();
-        let proxy = ReverseProxy::spawn(
-            tsds,
-            ProxyConfig {
-                buffer_capacity: 2,
-                workers: 1,
-                max_forward_attempts: 3,
-                retry_backoff: std::time::Duration::from_millis(100),
-                backoff_cap: std::time::Duration::from_millis(100),
-                ..ProxyConfig::default()
-            },
-        )
-        .unwrap();
-        // Fill: one batch in the worker, two in the buffer.
-        for t in 0..3u64 {
-            proxy.submit(vec![sample(1, 1, t)]).unwrap();
-        }
-        let start = std::time::Instant::now();
-        let r = proxy.try_submit(vec![sample(1, 1, 99)]);
-        assert!(matches!(r, Err(ProxyError::Busy { .. })), "got {r:?}");
-        assert!(start.elapsed() < std::time::Duration::from_millis(50));
-        assert!(proxy.metrics().submit_rejections.load(Ordering::Relaxed) >= 1);
         master.shutdown();
     }
 

@@ -262,7 +262,7 @@ impl Matrix {
     /// Serial cache-tiled matrix multiply `self * other`.
     ///
     /// One band of `BLOCK` output rows at a time through
-    /// [`Matrix::matmul_band`].
+    /// `Matrix::matmul_band`.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::master::{Directory, Master, RegionInfo};
 use crate::server::{Request, Response};
-use pga_cluster::rpc::{PendingReply, RequestClass, RpcError, RpcHandle};
+use pga_cluster::rpc::{PendingReply, RpcError, RpcHandle};
 use pga_cluster::NodeId;
 use pga_repl::{FollowerReadPolicy, LagBook, QuorumDecision, QuorumTracker};
 
@@ -33,9 +33,8 @@ pub enum ClientError {
     NoRegionForRow(Vec<u8>),
     /// RPC to a region server failed.
     Rpc(RpcError),
-    /// Admission control shed the request; retry after the hinted delay.
-    /// The batch is safe to resubmit whole: duplicate cells are idempotent
-    /// (same row/qualifier/timestamp) and readers dedup by timestamp.
+    /// A read found the server's queue full; retry after the hinted
+    /// delay.
     Busy {
         /// Suggested minimum backoff before retrying, in milliseconds.
         retry_after_ms: u64,
@@ -173,17 +172,17 @@ enum PrimaryView {
     /// here may a follower answer bypass the staleness check —
     /// availability over freshness, the documented failover-read mode.
     Gone,
-    /// The primary is alive but could not answer right now (admission
-    /// shed, deadline miss, saturated queue, or a nonsense reply). The
-    /// staleness bound must NOT be waived — under overload an unchecked
-    /// follower could be arbitrarily stale while the primary is healthy —
-    /// so the read goes to the primary path and surfaces its typed error.
+    /// The primary is alive but could not answer right now (full queue,
+    /// deadline miss, or a nonsense reply). The staleness bound must NOT
+    /// be waived — under overload an unchecked follower could be
+    /// arbitrarily stale while the primary is healthy — so the read goes
+    /// to the primary path and surfaces its typed error.
     Transient,
 }
 
 /// Classify the primary's answer to a `ReplicaStatus` probe. Split out of
 /// [`Client::scan_bounded`] so the gone-vs-transient distinction is unit
-/// testable without staging real admission shedding.
+/// testable without staging a real full queue.
 fn classify_primary_status(result: Result<Response, RpcError>) -> PrimaryView {
     match result {
         Ok(Response::Status { last_seq, .. }) => PrimaryView::At(last_seq),
@@ -232,17 +231,6 @@ enum ReplPut {
     },
 }
 
-#[derive(Clone, Copy)]
-enum PutMode {
-    /// Seed semantics: wait for queue space (producer-side backpressure).
-    Blocking,
-    /// Overload-control semantics: typed `Busy` shed + deadline tag.
-    Admitted {
-        /// Absolute server-clock deadline in milliseconds.
-        deadline_ms: Option<u64>,
-    },
-}
-
 impl Client {
     /// Build a client from a master (grabs every live server handle).
     pub fn connect(master: &Master) -> Self {
@@ -267,27 +255,9 @@ impl Client {
     }
 
     /// Write a batch of cells, routing each to its region. Returns the
-    /// number of cells written. Blocking path (seed semantics): a full
-    /// server queue applies backpressure by making this call wait.
+    /// number of cells written. A full server queue applies backpressure
+    /// by making this call wait.
     pub fn put(&self, kvs: Vec<KeyValue>) -> Result<usize, ClientError> {
-        self.put_inner(kvs, PutMode::Blocking)
-    }
-
-    /// Admission-controlled write: never blocks on a saturated server.
-    /// Over-watermark queues reject with [`ClientError::Busy`] and an
-    /// optional absolute deadline (server-clock ms) rides with the batch
-    /// so the server drops it as [`ClientError::DeadlineExpired`] instead
-    /// of serving dead work. On `Busy`, resubmit the whole batch: cells
-    /// already written are idempotent and readers dedup by timestamp.
-    pub fn put_admitted(
-        &self,
-        kvs: Vec<KeyValue>,
-        deadline_ms: Option<u64>,
-    ) -> Result<usize, ClientError> {
-        self.put_inner(kvs, PutMode::Admitted { deadline_ms })
-    }
-
-    fn put_inner(&self, kvs: Vec<KeyValue>, mode: PutMode) -> Result<usize, ClientError> {
         let total = kvs.len();
         let mut pending = kvs;
         let mut quorum_failed = false;
@@ -325,7 +295,7 @@ impl Client {
             quorum_failed = false;
             for (info, batch) in groups {
                 if !info.followers.is_empty() {
-                    match self.put_replicated(&info, &batch, mode)? {
+                    match self.put_replicated(&info, &batch)? {
                         ReplPut::Done => {}
                         ReplPut::Refresh { quorum } => {
                             quorum_failed |= quorum;
@@ -342,13 +312,7 @@ impl Client {
                     region: info.id,
                     kvs: batch.clone(),
                 };
-                let sent = match mode {
-                    PutMode::Blocking => handle.call(req),
-                    PutMode::Admitted { deadline_ms } => {
-                        handle.call_with(req, RequestClass::Write, deadline_ms)
-                    }
-                };
-                match sent {
+                match handle.call(req) {
                     Ok(Response::Ok) => {}
                     Ok(Response::WrongRegion) => retry.extend(batch),
                     Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
@@ -375,7 +339,6 @@ impl Client {
         &self,
         info: &RegionInfo,
         batch: &[KeyValue],
-        mode: PutMode,
     ) -> Result<ReplPut, ClientError> {
         // The effective write quorum was resolved from the deployment's
         // ReplicationConfig when the table was created and rides on the
@@ -392,13 +355,7 @@ impl Client {
             epoch: info.epoch,
             kvs: batch.to_vec(),
         };
-        let sent = match mode {
-            PutMode::Blocking => handle.call(req),
-            PutMode::Admitted { deadline_ms } => {
-                handle.call_with(req, RequestClass::Write, deadline_ms)
-            }
-        };
-        let seq = match sent {
+        let seq = match handle.call(req) {
             Ok(Response::Appended { seq }) => {
                 tracker.record_ack(info.server);
                 seq
@@ -422,13 +379,7 @@ impl Client {
                 seq,
                 kvs: batch.to_vec(),
             };
-            let sent = match mode {
-                PutMode::Blocking => h.call(req),
-                PutMode::Admitted { deadline_ms } => {
-                    h.call_with(req, RequestClass::Write, deadline_ms)
-                }
-            };
-            match sent {
+            match h.call(req) {
                 Ok(Response::ShipAck { applied_seq }) => {
                     tracker.record_ack(follower);
                     applied.push(applied_seq);
@@ -439,9 +390,7 @@ impl Client {
                     // Backfill the missing batches from the primary's
                     // retained tail — a caught-up follower still earns
                     // its quorum vote for this batch.
-                    if let Some(pos) =
-                        self.backfill_follower(info, follower, applied_seq, seq, mode)
-                    {
+                    if let Some(pos) = self.backfill_follower(info, follower, applied_seq, seq) {
                         tracker.record_ack(follower);
                         applied.push(pos);
                     }
@@ -473,23 +422,20 @@ impl Client {
     ///
     /// `follower_at` is the follower's contiguous position, `target_seq`
     /// the batch whose ship was refused as a gap. Reads the primary's
-    /// tail past `follower_at` (a read-class repair RPC, so it survives
-    /// the write-side shedding that likely caused the gap), verifies it
-    /// runs contiguously from `follower_at + 1` through at least
-    /// `target_seq`, and re-ships every batch in order. Returns the
-    /// follower's new position once caught up; `None` when backfill
-    /// could not complete — the tail was flushed away, the follower died
-    /// or re-gapped mid-stream, or a promotion fenced the epoch. Failing
-    /// is safe: the follower's WAL stays a contiguous prefix, so its
-    /// applied sequence keeps honestly reporting what it holds and it
-    /// simply casts no vote for this put.
+    /// tail past `follower_at`, verifies it runs contiguously from
+    /// `follower_at + 1` through at least `target_seq`, and re-ships
+    /// every batch in order. Returns the follower's new position once
+    /// caught up; `None` when backfill could not complete — the tail was
+    /// flushed away, the follower died or re-gapped mid-stream, or a
+    /// promotion fenced the epoch. Failing is safe: the follower's WAL
+    /// stays a contiguous prefix, so its applied sequence keeps honestly
+    /// reporting what it holds and it simply casts no vote for this put.
     fn backfill_follower(
         &self,
         info: &RegionInfo,
         follower: NodeId,
         follower_at: u64,
         target_seq: u64,
-        mode: PutMode,
     ) -> Option<u64> {
         let primary = self.handles.get(&info.server)?;
         let req = Request::WalTail {
@@ -497,13 +443,7 @@ impl Client {
             epoch: info.epoch,
             from_seq: follower_at,
         };
-        let sent = match mode {
-            PutMode::Blocking => primary.call(req),
-            PutMode::Admitted { deadline_ms } => {
-                primary.call_with(req, RequestClass::Read, deadline_ms)
-            }
-        };
-        let batches = match sent {
+        let batches = match primary.call(req) {
             Ok(Response::WalBatches { batches }) => batches,
             _ => return None,
         };
@@ -530,13 +470,7 @@ impl Client {
                 seq: s,
                 kvs,
             };
-            let sent = match mode {
-                PutMode::Blocking => h.call(req),
-                PutMode::Admitted { deadline_ms } => {
-                    h.call_with(req, RequestClass::Write, deadline_ms)
-                }
-            };
-            match sent {
+            match h.call(req) {
                 Ok(Response::ShipAck { applied_seq }) => position = applied_seq,
                 _ => return None,
             }
@@ -553,8 +487,8 @@ impl Client {
             .collect()
     }
 
-    /// Send one region's shard of `scan` to its primary,
-    /// admission-controlled under `deadline_ms`.
+    /// Send one region's shard of `scan` to its primary under
+    /// `deadline_ms`, refused with `Busy` if its queue is full.
     fn send_primary(
         &self,
         info: &RegionInfo,
@@ -566,7 +500,7 @@ impl Client {
             region: info.id,
             scan: scan.clone(),
         };
-        handle.send_with(req, RequestClass::Read, deadline_ms)
+        handle.send_with(req, deadline_ms)
     }
 
     /// The same shard from the follower copy on `node`, with the copy's
@@ -582,19 +516,16 @@ impl Client {
             region: info.id,
             scan: scan.clone(),
         };
-        match self
-            .handles
-            .get(&node)?
-            .call_with(req, RequestClass::Read, deadline_ms)
-        {
+        match self.handles.get(&node)?.call_with(req, deadline_ms) {
             Ok(Response::FollowerCells { cells, applied_seq }) => Some((cells, applied_seq)),
             _ => None,
         }
     }
 
-    /// Admission-controlled scan: sheds with [`ClientError::Busy`] only
-    /// past the *read* watermark — higher than the write watermark, so the
-    /// fleet view outlives ingest under overload.
+    /// Non-blocking scan: a region whose server queue is full refuses its
+    /// shard with [`ClientError::Busy`] instead of making the reader wait,
+    /// and `deadline_ms` bounds how long a queued shard stays worth
+    /// serving.
     pub fn scan_admitted(
         &self,
         scan: &ScanSpec,
@@ -697,7 +628,7 @@ impl Client {
     /// the primary is gone for good (stopped or crashed) is a follower
     /// answer accepted without the check — availability over freshness,
     /// the documented failover-read mode. A merely *transient* status
-    /// failure (admission shed, deadline miss) does not waive the bound:
+    /// failure (full queue, deadline miss) does not waive the bound:
     /// the shard is read from the primary path instead, surfacing its
     /// typed `Busy`/`DeadlineExpired` error rather than stale data.
     pub fn scan_bounded(
@@ -714,11 +645,9 @@ impl Client {
                     // No handle at all: the server is gone from this
                     // client's world, same as stopped.
                     None => PrimaryView::Gone,
-                    Some(h) => classify_primary_status(h.call_with(
-                        Request::ReplicaStatus { region: info.id },
-                        RequestClass::Read,
-                        deadline_ms,
-                    )),
+                    Some(h) => classify_primary_status(
+                        h.call_with(Request::ReplicaStatus { region: info.id }, deadline_ms),
+                    ),
                 };
                 // A transient status failure skips follower serving
                 // entirely — the primary-path fallback below surfaces
@@ -783,7 +712,6 @@ impl Client {
                             range: range.clone(),
                             epoch,
                         },
-                        RequestClass::Read,
                         None,
                     ) {
                         Ok(Response::RepairCells { cells, applied_seq }) => {

@@ -19,7 +19,7 @@
 //!   coordinator heartbeats, modelling clock drift that can expire a
 //!   healthy lease.
 //! * [`FaultPlane::drop_ship`] — loses a replication ship in transit
-//!   while the follower stays live, modelling admission shedding or a
+//!   while the follower stays live, modelling a
 //!   transient partition on the ship path.
 //! * [`FaultPlane::allow_ship_gap`] — a follower accepts ships past a
 //!   missing batch, leaving a hole in its WAL (seeded mutant D: the

@@ -64,6 +64,6 @@ pub use scrub::{
     scrub_tick, CellVerifier, QuarantineKey, ScrubFinding, ScrubState, ScrubTickReport,
     VerifierHandle,
 };
-pub use server::{request_class, RegionServer, Request, Response, ServerConfig};
+pub use server::{RegionServer, Request, Response, ServerConfig};
 pub use storefile::StoreFile;
 pub use wal::{WalDecodeReport, WriteAheadLog};

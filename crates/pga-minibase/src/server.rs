@@ -4,14 +4,14 @@
 //! a **bounded** request queue, exactly one per node like the paper's
 //! deployment ("each node is also running an instance of a TSD Daemon";
 //! the region server is its storage-side peer). Overload semantics come
-//! from the RPC layer: unthrottled `try_call` traffic can crash the server.
+//! from the RPC layer: unthrottled `cast` traffic can crash the server.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use pga_cluster::rpc::{AdmissionConfig, RequestClass, RpcHandle, RpcServerBuilder, ServerRunner};
+use pga_cluster::rpc::{RpcHandle, RpcServerBuilder, ServerRunner};
 use pga_cluster::NodeId;
 
 use crate::kv::{KeyValue, RowRange, ScanSpec};
@@ -24,11 +24,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Overload strikes before the server crashes (u64::MAX = never).
     pub crash_after_overloads: u64,
-    /// Watermark admission policy for admission-controlled callers
-    /// ([`RpcHandle::call_with`]). Disabled by default (seed behavior);
-    /// overload-aware deployments enable it so producers get typed
-    /// `Busy{retry_after}` rejections instead of blocking forever.
-    pub admission: AdmissionConfig,
 }
 
 impl Default for ServerConfig {
@@ -36,34 +31,7 @@ impl Default for ServerConfig {
         ServerConfig {
             queue_capacity: 1024,
             crash_after_overloads: u64::MAX,
-            admission: AdmissionConfig::disabled(),
         }
-    }
-}
-
-/// Admission class of a request: puts/flushes/compactions degrade first
-/// (the proxy retries them losslessly); scans and metrics reads keep the
-/// fleet view alive until the critical watermark.
-pub fn request_class(req: &Request) -> RequestClass {
-    match req {
-        Request::Put { .. }
-        | Request::PutReplicated { .. }
-        | Request::Ship { .. }
-        | Request::Flush { .. }
-        | Request::Compact { .. } => RequestClass::Write,
-        // WalTail is repair traffic: it reads the primary's retained WAL
-        // so a gapped follower can rejoin the quorum. Classing it as a
-        // read keeps backfill alive under the very overload that shed
-        // the ship in the first place.
-        // RepairFetch is scrub-repair traffic: like WalTail it reads an
-        // authoritative copy so corruption elsewhere can be healed, and
-        // it must stay admissible under the write-shedding watermark.
-        Request::Scan { .. }
-        | Request::FollowerScan { .. }
-        | Request::ReplicaStatus { .. }
-        | Request::WalTail { .. }
-        | Request::RepairFetch { .. }
-        | Request::Metrics => RequestClass::Read,
     }
 }
 
@@ -243,7 +211,6 @@ impl RegionServer {
         let (handle, runner) = RpcServerBuilder::new(format!("rs-{}", node.0))
             .queue_capacity(config.queue_capacity)
             .crash_after_overloads(config.crash_after_overloads)
-            .admission(config.admission)
             .spawn(move |req: Request| handle_request(&serving, req));
         RegionServer {
             node,

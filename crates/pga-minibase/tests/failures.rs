@@ -119,7 +119,6 @@ fn overloaded_server_crash_is_observable() {
         ServerConfig {
             queue_capacity: 2,
             crash_after_overloads: 5,
-            ..ServerConfig::default()
         },
     );
     server.assign(Region::new(

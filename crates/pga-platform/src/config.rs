@@ -43,10 +43,6 @@ pub struct PlatformConfig {
 /// Serving-layer (pga-query) settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryConfig {
-    /// Maintain write-time rollups and route dashboard queries through the
-    /// serving engine. Off = every query is a raw scan (the pre-serving
-    /// behaviour).
-    pub rollups_enabled: bool,
     /// Rollup tier widths in seconds, ascending. Each must divide the
     /// 3600 s row span and stay within `pga_query::rollup::MAX_TIER_SECS`.
     pub tiers: Vec<u64>,
@@ -66,7 +62,6 @@ pub struct QueryConfig {
 impl Default for QueryConfig {
     fn default() -> Self {
         QueryConfig {
-            rollups_enabled: true,
             tiers: vec![60, 600],
             shard_deadline_ms: 250,
             tail_buckets: 2,
@@ -252,9 +247,16 @@ mod tests {
     #[test]
     fn configs_with_a_retired_scaling_section_still_parse() {
         // The retired section is an unknown key now: skipped, not fatal.
-        let old: PlatformConfig = serde_json::from_str(ELASTIC_ERA_DEMO3_JSON).unwrap();
-        assert_eq!(old, PlatformConfig::demo(3));
-        assert!(old.validate().is_ok());
+        // So is the retired rollups switch, even set to off: rollups are
+        // always maintained.
+        let rollups_off =
+            ELASTIC_ERA_DEMO3_JSON.replace("\"rollups_enabled\":true", "\"rollups_enabled\":false");
+        assert_ne!(rollups_off, ELASTIC_ERA_DEMO3_JSON);
+        for json in [ELASTIC_ERA_DEMO3_JSON, rollups_off.as_str()] {
+            let old: PlatformConfig = serde_json::from_str(json).unwrap();
+            assert_eq!(old, PlatformConfig::demo(3));
+            assert!(old.validate().is_ok());
+        }
     }
 
     /// `PlatformConfig::demo(3)` exactly as the last build with a brownout

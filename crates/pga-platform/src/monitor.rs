@@ -146,14 +146,12 @@ impl Monitor {
         // Write-time rollup maintenance: one observer per TSD daemon, the
         // daemon index doubling as the rollup writer id so concurrent
         // writers never collide on a cell.
-        if config.query.rollups_enabled {
-            for (i, tsd) in pipeline.tsds().iter().enumerate() {
-                tsd.set_observer(Arc::new(RollupWriter::new(
-                    tsd.codec().clone(),
-                    config.query.tiers.clone(),
-                    i as u8,
-                )));
-            }
+        for (i, tsd) in pipeline.tsds().iter().enumerate() {
+            tsd.set_observer(Arc::new(RollupWriter::new(
+                tsd.codec().clone(),
+                config.query.tiers.clone(),
+                i as u8,
+            )));
         }
         // The serving-layer engine reads through its own storage client so
         // dashboard scatter-gather never contends on the ingest clients.

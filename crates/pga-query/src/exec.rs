@@ -2,13 +2,13 @@
 //! typed partial results, and rollup/raw splicing.
 //!
 //! A query sends every segment scan of every salt shard to the region
-//! servers — admission-controlled, under one absolute deadline — before it
-//! waits on any, then collects the replies in salt order. The region
-//! servers are threads of their own, so the shards are served in parallel
-//! and nothing is spawned per query. A shard that is shed (`Busy`), times
-//! out, or fails does **not** sink the query — its error is reported in a
-//! [`PartialInfo`] alongside whatever the healthy shards returned, reusing
-//! the overload-control vocabulary of the ingest path.
+//! servers — never waiting for queue space, under one absolute deadline —
+//! before it waits on any, then collects the replies in salt order. The
+//! region servers are threads of their own, so the shards are served in
+//! parallel and nothing is spawned per query. A shard refused at a full
+//! queue (`Busy`), timed out, or failed does **not** sink the query — its
+//! error is reported in a [`PartialInfo`] alongside whatever the healthy
+//! shards returned.
 //!
 //! ## Tag pushdown
 //!
@@ -192,8 +192,8 @@ fn splice_bounds(
     (ru_lo < ru_hi).then_some((ru_lo, ru_hi))
 }
 
-/// Send the scans of `[start, end]` of `metric` on one salt,
-/// admission-controlled: one scan per segment of
+/// Send the scans of `[start, end]` of `metric` on one salt, without
+/// waiting for queue space: one scan per segment of
 /// [`KeyCodec::scan_segments`], each carrying the tag filter's row-key
 /// `words`, so the region servers return only the cells inside the range
 /// of the rows the filter can accept; every segment runs under the same

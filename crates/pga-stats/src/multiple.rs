@@ -208,7 +208,7 @@ pub fn hochberg(p_values: &[f64], alpha: f64) -> Rejections {
 
 /// Benjamini–Hochberg step-up procedure: controls the false discovery rate
 /// at level `alpha` (valid under independence and positive regression
-/// dependence). This is the algorithm the paper adopts (§IV, refs [7], [8]).
+/// dependence). This is the algorithm the paper adopts (§IV, refs \[7\], \[8\]).
 ///
 /// Find the largest rank `k` with `p_(k) ≤ (k/m) · alpha`; reject the `k`
 /// smallest p-values. Only the p-values at or under `alpha` can hold such a

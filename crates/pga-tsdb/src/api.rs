@@ -2,7 +2,7 @@
 //!
 //! Transport-agnostic: these functions map JSON request bodies to TSD
 //! operations and produce JSON responses in OpenTSDB's wire format, so any
-//! HTTP layer (the platform mounts them on [`pga-viz`]'s server) or test
+//! HTTP layer (the platform mounts them on `pga-viz`'s server) or test
 //! can drive them directly. Downstream tools that speak OpenTSDB's HTTP
 //! API — the point of building on OpenTSDB in the first place — work
 //! against this endpoint.

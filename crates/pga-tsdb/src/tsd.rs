@@ -35,7 +35,7 @@ pub type SeriesPoint = (Arc<Series>, u64, f64);
 /// Write-path observer: sees every **successfully acknowledged** batch and
 /// may derive extra cells (rollup pre-aggregates, indexes) to be persisted
 /// alongside the raw data. Derived cells are buffered by the TSD and ride
-/// along with the *next* storage RPC, so a failed or shed batch never
+/// along with the *next* storage RPC, so a failed batch never
 /// contributes — the observer only accumulates data the storage layer has
 /// acked, and buffered cells are retried until a put succeeds (or
 /// [`Tsd::flush_observer`] writes them out).
@@ -145,8 +145,8 @@ impl std::fmt::Display for TsdError {
 }
 
 impl TsdError {
-    /// `true` when the storage layer shed the request with a typed `Busy`
-    /// (admission control) — safe to retry after the hinted delay.
+    /// `true` when a read found a server's queue full (a typed `Busy`) —
+    /// safe to retry after the hinted delay.
     pub fn is_busy(&self) -> bool {
         self.retry_after_ms().is_some()
     }
@@ -355,29 +355,6 @@ impl Tsd {
     /// per region (OpenTSDB's batched `put`). Each element is
     /// `(tags, timestamp, value)`.
     pub fn put_batch(&self, metric: &str, points: &[BatchPoint<'_>]) -> Result<(), TsdError> {
-        self.put_batch_inner(metric, points, None)
-    }
-
-    /// Admission-controlled batched put: the storage layer sheds with a
-    /// typed `Busy` instead of blocking, and an optional absolute deadline
-    /// (server-clock ms) rides with the batch so servers drop expired work
-    /// rather than serving it. Duplicate resubmission after `Busy` is safe:
-    /// the read path dedups by timestamp.
-    pub fn put_batch_admitted(
-        &self,
-        metric: &str,
-        points: &[BatchPoint<'_>],
-        deadline_ms: Option<u64>,
-    ) -> Result<(), TsdError> {
-        self.put_batch_inner(metric, points, Some(deadline_ms))
-    }
-
-    fn put_batch_inner(
-        &self,
-        metric: &str,
-        points: &[BatchPoint<'_>],
-        admitted: Option<Option<u64>>,
-    ) -> Result<(), TsdError> {
         if points.is_empty() {
             return Ok(());
         }
@@ -399,11 +376,7 @@ impl Tsd {
         let carried: Vec<KeyValue> = std::mem::take(&mut *self.pending_derived.lock());
         let carried_n = carried.len();
         kvs.extend(carried.iter().cloned());
-        let result = match admitted {
-            None => self.client.put(kvs),
-            Some(deadline_ms) => self.client.put_admitted(kvs, deadline_ms),
-        };
-        if let Err(e) = result {
+        if let Err(e) = self.client.put(kvs) {
             // Re-buffer the derived cells (ahead of any buffered since);
             // the raw batch itself is the caller's to retry.
             if carried_n > 0 {
@@ -419,8 +392,8 @@ impl Tsd {
         if let Some(max_ts) = points.iter().map(|&(_, ts, _)| ts).max() {
             self.seal_watermark.fetch_max(max_ts, Ordering::AcqRel);
         }
-        // Only acknowledged points reach the observer: a shed or failed
-        // batch above returned early, so a proxy retrying it elsewhere
+        // Only acknowledged points reach the observer: a failed batch
+        // above returned early, so a proxy retrying it elsewhere
         // cannot double-count its contribution.
         let observer = self.observer.read().clone();
         if let Some(obs) = observer {

@@ -10,8 +10,18 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use serde::json::escape_into;
+
+/// How long a connection may keep the server waiting for request bytes.
+/// One thread serves every connection in turn, so a client that connects
+/// and sends nothing (a browser preconnect) holds up the others for at
+/// most this long.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long a connection may keep the server waiting to take its response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -94,9 +104,6 @@ fn status_text(code: u16) -> &'static str {
 /// Route handler: maps a request to a response, or `None` for 404.
 pub type RequestHandler = Arc<dyn Fn(&HttpRequest) -> Option<HttpResponse> + Send + Sync>;
 
-/// Simpler GET-only handler (path → HTML), kept for dashboard routes.
-pub type Handler = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
-
 /// A running dashboard server.
 pub struct DashboardServer {
     addr: std::net::SocketAddr,
@@ -105,23 +112,8 @@ pub struct DashboardServer {
 }
 
 impl DashboardServer {
-    /// Bind to `127.0.0.1:port` (0 = ephemeral) and serve a GET-only HTML
-    /// handler on a background thread.
-    pub fn start(port: u16, handler: Handler) -> std::io::Result<Self> {
-        let full: RequestHandler = Arc::new(move |req: &HttpRequest| {
-            if req.method != "GET" {
-                return Some(HttpResponse {
-                    status: 405,
-                    content_type: "text/html; charset=utf-8".into(),
-                    body: "<h1>405</h1>".into(),
-                });
-            }
-            handler(&req.path).map(HttpResponse::html)
-        });
-        DashboardServer::start_with(port, full)
-    }
-
-    /// Bind and serve a full request handler (GET + POST).
+    /// Bind to `127.0.0.1:port` (0 = ephemeral) and serve `handler` (GET
+    /// and POST) on a background thread.
     pub fn start_with(port: u16, handler: RequestHandler) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
@@ -175,6 +167,8 @@ impl Drop for DashboardServer {
 }
 
 fn serve_one(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -259,17 +253,17 @@ mod tests {
     }
 
     fn test_server() -> DashboardServer {
-        let handler: Handler = Arc::new(|path: &str| match path {
-            "/" => Some("<h1>home</h1>".to_string()),
-            p if p.starts_with("/machine/") => {
-                let id = &p["/machine/".len()..];
-                id.parse::<u32>()
-                    .ok()
-                    .map(|u| format!("<h1>machine {u}</h1>"))
-            }
-            _ => None,
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| {
+            let html = match req.path.as_str() {
+                "/" => Some("<h1>home</h1>".to_string()),
+                p => p
+                    .strip_prefix("/machine/")
+                    .and_then(|id| id.parse::<u32>().ok())
+                    .map(|u| format!("<h1>machine {u}</h1>")),
+            };
+            html.map(HttpResponse::html)
         });
-        DashboardServer::start(0, handler).unwrap()
+        DashboardServer::start_with(0, handler).unwrap()
     }
 
     #[test]
@@ -293,12 +287,33 @@ mod tests {
         server.stop();
     }
 
+    /// A client that connects and sends nothing (a browser preconnect)
+    /// must not keep the next client waiting, nor keep `stop` from
+    /// returning. Both waits are bounded, so a stall fails the test
+    /// instead of hanging it.
     #[test]
-    fn post_to_get_only_handler_is_405() {
+    fn an_idle_connection_stalls_neither_other_clients_nor_stop() {
+        use std::sync::mpsc;
         let server = test_server();
-        let (head, _) = post(server.addr(), "/", "");
-        assert!(head.starts_with("HTTP/1.1 405"));
-        server.stop();
+        let addr = server.addr();
+        let _idle = TcpStream::connect(addr).unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(get(addr, "/"));
+        });
+        let (head, body) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("second client answered");
+        assert!(head.starts_with("HTTP/1.1 200"));
+        assert_eq!(body, "<h1>home</h1>");
+        let _idle_again = TcpStream::connect(addr).unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("stop returned");
     }
 
     #[test]

@@ -156,15 +156,16 @@ fn dashboard_and_api_over_one_socket() {
         pga_control::METRICS.len(),
         "one sample per table row"
     );
-    // 33 rows of HELP, TYPE and sample; the five rows nothing ever set
+    // 32 rows of HELP, TYPE and sample; the six rows nothing ever set
     // are retired, not exported as a permanent 0.
-    assert_eq!(metrics.lines().count(), 99);
+    assert_eq!(metrics.lines().count(), 96);
     for retired in [
         "memstore_bytes",
         "breaker_trips",
         "ingest_buffer_depth",
         "ingest_buffer_capacity",
         "sched_dirty_units",
+        "shed_writes",
     ] {
         assert!(!metrics.contains(retired), "{retired} is retired");
     }
