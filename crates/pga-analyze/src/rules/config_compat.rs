@@ -70,12 +70,7 @@ const BASELINE: &[(&str, &[&str])] = &[
     ),
     (
         "ReplicationConfig",
-        &[
-            "factor",
-            "write_quorum",
-            "follower_read_max_lag",
-            "hedge_delay_ms",
-        ],
+        &["factor", "write_quorum", "hedge_delay_ms"],
     ),
 ];
 

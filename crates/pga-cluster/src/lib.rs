@@ -6,18 +6,19 @@
 //! equivalent building blocks for an in-process cluster:
 //!
 //! * [`rpc`] — typed RPC servers backed by real threads and **bounded**
-//!   request queues. Queue overflow is a first-class event: sustained
-//!   overload *crashes* the server, reproducing the paper's §III-B finding
-//!   that "Regionservers \[crash\] due to overloaded RPC Queues" when no
-//!   backpressure is applied.
-//! * [`coordinator`] — a ZooKeeper analog: a namespace of znodes with
-//!   ephemeral ownership, session leases and heartbeats, used by the
-//!   storage master for liveness detection and leader election.
+//!   request queues. A full queue makes a blocking caller wait
+//!   (backpressure) and refuses a non-blocking send with a typed `Busy`;
+//!   a server stops only when it is shut down.
+//! * [`coordinator`] — a ZooKeeper analog reduced to what the storage
+//!   master uses for liveness: session leases, heartbeats, and ephemeral
+//!   znodes that vanish when their session's lease lapses.
 //! * [`sim`] — a deterministic discrete-time queueing simulator for
 //!   cluster-scale experiments (10–70 nodes). Experiments that sweep node
 //!   counts beyond the host's core count (Fig. 2 reproduction, salting and
 //!   proxy ablations) use this model, fed with *real* per-server key
-//!   routing shares computed by the storage layer.
+//!   routing shares computed by the storage layer. It is also where the
+//!   paper's §III-B finding that "Regionservers \[crash\] due to
+//!   overloaded RPC Queues" without backpressure is reproduced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,10 @@
-//! Typed in-process RPC with bounded queues and overload crash semantics.
+//! Typed in-process RPC with bounded queues.
 //!
 //! Each server is one OS thread draining a bounded crossbeam channel — the
-//! analog of an HBase region server's RPC queue. Three call paths exist:
+//! analog of an HBase region server's RPC queue. Two call paths exist:
 //!
 //! * [`RpcHandle::call`] — blocking send: the caller waits for queue space.
 //!   This is what the reverse proxy's backpressure gives the system.
-//! * [`RpcHandle::cast`] — non-blocking send: a full queue returns
-//!   [`RpcError::Overloaded`] and charges an overload strike against the
-//!   server. Once strikes reach the configured threshold the server
-//!   *crashes* (stops serving), modelling the paper's observed region
-//!   server failures under unthrottled OpenTSDB write storms.
 //! * [`RpcHandle::send_with`] — non-blocking read send: a full queue
 //!   refuses the request with a typed [`RpcError::Busy`] carrying a
 //!   [`FULL_QUEUE_RETRY_AFTER_MS`] hint instead of blocking the caller.
@@ -18,8 +13,12 @@
 //!   dead requests. An accepted request returns a [`PendingReply`], so a
 //!   caller can send to several servers before it waits on any;
 //!   [`RpcHandle::call_with`] is the send followed by the wait.
+//!
+//! A server stops only through [`RpcHandle::shutdown`]. The paper's
+//! §III-B crash under an unthrottled RPC queue is reproduced by the
+//! queueing model in [`crate::sim`], not by these threads.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::thread::JoinHandle;
@@ -48,27 +47,13 @@ pub const FULL_QUEUE_RETRY_AFTER_MS: u64 = 10;
 pub enum ServerState {
     /// Serving normally.
     Healthy,
-    /// Crashed after sustained queue overload; no longer serving.
-    Crashed,
-    /// Shut down cleanly.
+    /// Shut down ([`RpcHandle::shutdown`]); no longer accepting requests.
     Stopped,
-}
-
-impl ServerState {
-    fn from_u8(v: u8) -> ServerState {
-        match v {
-            0 => ServerState::Healthy,
-            1 => ServerState::Crashed,
-            _ => ServerState::Stopped,
-        }
-    }
 }
 
 /// Errors surfaced to RPC callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
-    /// The queue was full (only from [`RpcHandle::cast`]).
-    Overloaded,
     /// A non-blocking send found the queue full (only from
     /// [`RpcHandle::send_with`]). Retry after the hinted delay.
     Busy {
@@ -77,21 +62,17 @@ pub enum RpcError {
     },
     /// The request's deadline expired before the server could serve it.
     DeadlineExpired,
-    /// The server has crashed from overload.
-    Crashed,
-    /// The server was stopped cleanly.
+    /// The server was stopped.
     Stopped,
 }
 
 impl std::fmt::Display for RpcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RpcError::Overloaded => write!(f, "rpc queue full"),
             RpcError::Busy { retry_after_ms } => {
                 write!(f, "server busy, retry after {retry_after_ms}ms")
             }
             RpcError::DeadlineExpired => write!(f, "deadline expired before service"),
-            RpcError::Crashed => write!(f, "server crashed from overload"),
             RpcError::Stopped => write!(f, "server stopped"),
         }
     }
@@ -105,8 +86,6 @@ impl std::error::Error for RpcError {}
 pub struct RpcStats {
     /// Requests fully processed.
     pub processed: AtomicU64,
-    /// Cast attempts rejected because the queue was full.
-    pub overloads: AtomicU64,
     /// Nanoseconds spent inside the handler.
     pub busy_ns: AtomicU64,
     /// Reads refused at a full queue (`Busy`).
@@ -116,22 +95,24 @@ pub struct RpcStats {
 }
 
 struct Shared {
-    state: AtomicU8,
+    stopped: AtomicBool,
     stats: RpcStats,
-    crash_threshold: u64,
     clock: ClockMs,
 }
 
 impl Shared {
     fn state(&self) -> ServerState {
-        ServerState::from_u8(self.state.load(Ordering::Acquire))
+        if self.stopped.load(Ordering::Acquire) {
+            ServerState::Stopped
+        } else {
+            ServerState::Healthy
+        }
     }
 
     /// `Ok` while the server accepts requests, else why it does not.
     fn serving(&self) -> Result<(), RpcError> {
         match self.state() {
             ServerState::Healthy => Ok(()),
-            ServerState::Crashed => Err(RpcError::Crashed),
             ServerState::Stopped => Err(RpcError::Stopped),
         }
     }
@@ -142,8 +123,7 @@ struct Envelope<Req, Resp> {
     /// Absolute deadline on the server's [`ClockMs`]; expired envelopes
     /// are dropped with a typed error instead of being served.
     deadline_ms: Option<u64>,
-    /// `None` for one-way casts: the response is discarded.
-    reply: Option<Sender<Result<Resp, RpcError>>>,
+    reply: Sender<Result<Resp, RpcError>>,
 }
 
 /// The answer to one request that is queued or in service. Replies can be
@@ -151,21 +131,13 @@ struct Envelope<Req, Resp> {
 /// still serves the request and discards the reply).
 pub struct PendingReply<Resp> {
     rx: Receiver<Result<Resp, RpcError>>,
-    shared: Arc<Shared>,
 }
 
 impl<Resp> PendingReply<Resp> {
-    /// Block until the server answers. A server that crashes or stops
-    /// before answering resolves the wait to [`RpcError::Crashed`] or
-    /// [`RpcError::Stopped`].
+    /// Block until the server answers. A reply dropped unanswered (the
+    /// server thread is gone) resolves the wait to [`RpcError::Stopped`].
     pub fn wait(self) -> Result<Resp, RpcError> {
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(match self.shared.state() {
-                ServerState::Crashed => RpcError::Crashed,
-                _ => RpcError::Stopped,
-            }),
-        }
+        self.rx.recv().unwrap_or(Err(RpcError::Stopped))
     }
 }
 
@@ -191,7 +163,6 @@ impl<Req, Resp> Clone for RpcHandle<Req, Resp> {
 pub struct RpcServerBuilder {
     name: String,
     queue_capacity: usize,
-    crash_threshold: u64,
     clock: Option<ClockMs>,
 }
 
@@ -201,7 +172,6 @@ impl RpcServerBuilder {
         RpcServerBuilder {
             name: name.into(),
             queue_capacity: 1024,
-            crash_threshold: u64::MAX,
             clock: None,
         }
     }
@@ -221,13 +191,6 @@ impl RpcServerBuilder {
         self
     }
 
-    /// Number of overload strikes after which the server crashes. Default:
-    /// never (only meaningful for [`RpcHandle::cast`] workloads).
-    pub fn crash_after_overloads(mut self, strikes: u64) -> Self {
-        self.crash_threshold = strikes;
-        self
-    }
-
     /// Spawn the server thread with the given request handler.
     pub fn spawn<Req, Resp, H>(self, mut handler: H) -> (RpcHandle<Req, Resp>, ServerRunner)
     where
@@ -237,9 +200,8 @@ impl RpcServerBuilder {
     {
         let (tx, rx) = bounded::<Envelope<Req, Resp>>(self.queue_capacity);
         let shared = Arc::new(Shared {
-            state: AtomicU8::new(0),
+            stopped: AtomicBool::new(false),
             stats: RpcStats::default(),
-            crash_threshold: self.crash_threshold,
             clock: self.clock.unwrap_or_else(|| Arc::new(default_clock_ms)),
         });
         let worker_shared = shared.clone();
@@ -248,11 +210,6 @@ impl RpcServerBuilder {
             .name(thread_name)
             .spawn(move || {
                 for env in rx.iter() {
-                    if worker_shared.state() == ServerState::Crashed {
-                        // Crashed mid-flight: drop remaining requests.
-                        drop(env.reply);
-                        continue;
-                    }
                     if let Some(d) = env.deadline_ms {
                         if (worker_shared.clock)() >= d {
                             // Dead request: reply typed, never serve it.
@@ -260,9 +217,7 @@ impl RpcServerBuilder {
                                 .stats
                                 .deadline_expired
                                 .fetch_add(1, Ordering::Relaxed);
-                            if let Some(reply) = env.reply {
-                                let _ = reply.send(Err(RpcError::DeadlineExpired));
-                            }
+                            let _ = env.reply.send(Err(RpcError::DeadlineExpired));
                             continue;
                         }
                     }
@@ -276,11 +231,8 @@ impl RpcServerBuilder {
                         .stats
                         .processed
                         .fetch_add(1, Ordering::Relaxed);
-                    // Caller may have given up (or cast one-way); ignore
-                    // send failures.
-                    if let Some(reply) = env.reply {
-                        let _ = reply.send(Ok(resp));
-                    }
+                    // The caller may have given up; ignore send failures.
+                    let _ = env.reply.send(Ok(resp));
                 }
             })
             // pga-allow(panic-path): server startup, before any request is accepted — not a serving path
@@ -339,11 +291,6 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
         self.shared.stats.processed.load(Ordering::Relaxed)
     }
 
-    /// Overload strikes recorded so far.
-    pub fn overloads(&self) -> u64 {
-        self.shared.stats.overloads.load(Ordering::Relaxed)
-    }
-
     /// Nanoseconds the handler has been busy.
     pub fn busy_ns(&self) -> u64 {
         self.shared.stats.busy_ns.load(Ordering::Relaxed)
@@ -379,14 +326,10 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
             .send(Envelope {
                 req,
                 deadline_ms: None,
-                reply: Some(reply_tx),
+                reply: reply_tx,
             })
             .map_err(|_| RpcError::Stopped)?;
-        PendingReply {
-            rx,
-            shared: self.shared.clone(),
-        }
-        .wait()
+        PendingReply { rx }.wait()
     }
 
     /// Non-blocking send: never waits for queue space. A full queue
@@ -416,12 +359,9 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
         match self.tx.try_send(Envelope {
             req,
             deadline_ms,
-            reply: Some(reply_tx),
+            reply: reply_tx,
         }) {
-            Ok(()) => Ok(PendingReply {
-                rx,
-                shared: self.shared.clone(),
-            }),
+            Ok(()) => Ok(PendingReply { rx }),
             Err(TrySendError::Full(_)) => {
                 self.shared.stats.shed_reads.fetch_add(1, Ordering::Relaxed);
                 Err(RpcError::Busy {
@@ -437,34 +377,11 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
         self.send_with(req, deadline_ms)?.wait()
     }
 
-    /// One-way, non-blocking cast: enqueue the request and return without
-    /// waiting for a response (asynchronous OpenTSDB-style writes). A full
-    /// queue is an overload strike; sustained strikes (≥ the configured
-    /// threshold) crash the server — the paper's unprotected ingestion
-    /// path.
-    pub fn cast(&self, req: Req) -> Result<(), RpcError> {
-        self.shared.serving()?;
-        match self.tx.try_send(Envelope {
-            req,
-            deadline_ms: None,
-            reply: None,
-        }) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                let strikes = self.shared.stats.overloads.fetch_add(1, Ordering::AcqRel) + 1;
-                if strikes >= self.shared.crash_threshold {
-                    self.shared.state.store(1, Ordering::Release);
-                }
-                Err(RpcError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(RpcError::Stopped),
-        }
-    }
-
-    /// Signal shutdown: subsequent calls fail, the thread drains and exits
+    /// Signal shutdown: later sends fail with [`RpcError::Stopped`];
+    /// requests already queued are still served, and the thread exits
     /// once all clones of this handle are dropped.
     pub fn shutdown(&self) {
-        self.shared.state.store(2, Ordering::Release);
+        self.shared.stopped.store(true, Ordering::Release);
     }
 }
 
@@ -504,72 +421,33 @@ mod tests {
     }
 
     #[test]
-    fn cast_overflow_strikes_and_crashes() {
-        // Slow handler + capacity 1 + unthrottled casts → overload strikes
-        // → crash: the §III-B failure mode.
-        let (h, runner) = RpcServerBuilder::new("slow")
-            .queue_capacity(1)
-            .crash_after_overloads(3)
-            .spawn(|_: u32| {
-                std::thread::sleep(Duration::from_millis(20));
-                0u32
-            });
-        let mut overloads = 0;
-        let mut crashed = false;
-        for i in 0..200 {
-            match h.cast(i) {
-                Err(RpcError::Overloaded) => overloads += 1,
-                Err(RpcError::Crashed) => {
-                    crashed = true;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        assert!(overloads >= 3, "expected strikes, got {overloads}");
-        assert!(crashed, "server should have crashed");
-        assert_eq!(h.state(), ServerState::Crashed);
-        // Blocking calls now refuse too.
-        assert_eq!(h.call(1).unwrap_err(), RpcError::Crashed);
-        drop(h);
-        runner.join();
-    }
-
-    #[test]
-    fn cast_is_fire_and_forget() {
-        let (h, runner) = RpcServerBuilder::new("counter")
-            .queue_capacity(64)
-            .spawn(|x: u32| x);
-        for i in 0..50 {
-            h.cast(i).unwrap();
-        }
-        drop(h.clone()); // clones do not end the service
-                         // Drain by dropping the last handle; the thread then exits.
-        let probe = h.clone();
-        drop(h);
-        // The queued casts are all processed before exit.
-        while probe.processed() < 50 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(probe.overloads(), 0);
-        drop(probe);
-        runner.join();
-    }
-
-    #[test]
     fn blocking_call_applies_backpressure_without_crashing() {
-        // Same slow server, but blocking calls: no overloads, no crash.
-        let (h, runner) = RpcServerBuilder::new("slow-bp")
-            .queue_capacity(1)
-            .crash_after_overloads(3)
-            .spawn(|x: u32| {
-                std::thread::sleep(Duration::from_millis(1));
-                x
-            });
-        for i in 0..50 {
-            assert_eq!(h.call(i).unwrap(), i);
+        // One request held in service and one queued fill the one-slot
+        // queue: a blocking call waits for space instead of failing.
+        let (open, gate) = bounded::<()>(0);
+        let (entered_tx, entered) = bounded::<u32>(4);
+        let (h, runner) =
+            RpcServerBuilder::new("slow-bp")
+                .queue_capacity(1)
+                .spawn(move |x: u32| {
+                    let _ = entered_tx.send(x);
+                    let _ = gate.recv();
+                    x
+                });
+        let in_service = h.send_with(0, None).unwrap();
+        assert_eq!(entered.recv().unwrap(), 0);
+        let queued = h.send_with(1, None).unwrap();
+        let caller = {
+            let h = h.clone();
+            std::thread::spawn(move || h.call(2))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!caller.is_finished(), "the call waits for queue space");
+        for _ in 0..3 {
+            open.send(()).unwrap();
         }
-        assert_eq!(h.overloads(), 0);
+        assert_eq!(caller.join().unwrap(), Ok(2));
+        assert_eq!((in_service.wait(), queued.wait()), (Ok(0), Ok(1)));
         assert_eq!(h.state(), ServerState::Healthy);
         assert!(h.busy_ns() > 0);
         drop(h);
@@ -646,11 +524,11 @@ mod tests {
                 x
             });
         // Saturate: one in service, one queued.
-        h.cast(0).unwrap();
+        let in_service = h.send_with(0, None).unwrap();
         while h.queue_depth() > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        h.cast(1).unwrap();
+        let queued = h.send_with(1, None).unwrap();
         // A full queue refuses the send at once with the fixed hint,
         // instead of blocking the producer, and queues nothing.
         let start = Instant::now();
@@ -658,7 +536,8 @@ mod tests {
         assert_eq!(r, Err(RpcError::Busy { retry_after_ms: 10 }));
         assert!(start.elapsed() < Duration::from_millis(50));
         assert_eq!(h.shed_reads(), 1);
-        assert_eq!(h.queue_depth(), 1, "only the cast waits in the queue");
+        assert_eq!(h.queue_depth(), 1, "only the held send waits in the queue");
+        assert_eq!((in_service.wait(), queued.wait()), (Ok(0), Ok(1)));
         drop(h);
         runner.join();
     }
@@ -702,8 +581,7 @@ mod tests {
         // One request held in service, two queued: the queue is full.
         let held = h.send_with(0, None).unwrap();
         assert_eq!(entered.recv().unwrap(), 0);
-        h.cast(1).unwrap();
-        h.cast(2).unwrap();
+        let queued = [h.send_with(1, None).unwrap(), h.send_with(2, None).unwrap()];
         // Refused by the send itself: no reply to wait on.
         assert!(matches!(h.send_with(3, None), Err(RpcError::Busy { .. })));
         now.store(1_000, Ordering::SeqCst);
@@ -716,17 +594,21 @@ mod tests {
             open.send(()).unwrap();
         }
         assert_eq!(held.wait().unwrap(), 0);
+        for (want, reply) in (1..).zip(queued) {
+            assert_eq!(reply.wait().unwrap(), want);
+        }
         drop(h);
         runner.join();
     }
 
+    /// A stop refuses new work but still answers what was queued: the
+    /// server loop drains its queue.
     #[test]
-    fn a_crash_with_a_send_outstanding_resolves_the_wait_to_crashed() {
+    fn a_send_queued_at_shutdown_is_answered_and_a_new_send_is_stopped() {
         let (open, gate) = bounded::<()>(0);
         let (entered_tx, entered) = bounded::<()>(1);
-        let (h, runner) = RpcServerBuilder::new("crash-pending")
+        let (h, runner) = RpcServerBuilder::new("stop-pending")
             .queue_capacity(1)
-            .crash_after_overloads(1)
             .spawn(move |x: u32| {
                 if x == 0 {
                     let _ = entered_tx.send(());
@@ -737,12 +619,14 @@ mod tests {
         let in_service = h.send_with(0, None).unwrap();
         entered.recv().unwrap();
         let queued = h.send_with(1, None).unwrap();
-        // The queue is full: one overload strike crashes the server.
-        assert_eq!(h.cast(2).unwrap_err(), RpcError::Overloaded);
-        assert_eq!(h.state(), ServerState::Crashed);
+        h.shutdown();
+        assert_eq!(h.state(), ServerState::Stopped);
+        assert!(matches!(h.send_with(2, None), Err(RpcError::Stopped)));
+        assert_eq!(h.call(3).unwrap_err(), RpcError::Stopped);
         open.send(()).unwrap();
         assert_eq!(in_service.wait().unwrap(), 0, "already in service");
-        assert_eq!(queued.wait().unwrap_err(), RpcError::Crashed);
+        assert_eq!(queued.wait().unwrap(), 1, "queued before the stop");
+        assert_eq!(h.processed(), 2);
         drop(h);
         runner.join();
     }

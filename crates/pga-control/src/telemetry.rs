@@ -110,9 +110,9 @@ pub enum Fold {
 /// Which samples a fleet fold counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
-    /// Every sample: crashed nodes' history, proxies and front ends too.
+    /// Every sample: stopped nodes' history, proxies and front ends too.
     All,
-    /// Live region servers only — not crashed, not a proxy or front end:
+    /// Live region servers only — not stopped, not a proxy or front end:
     /// the fleet whose RPC queues these rows describe.
     Serving,
 }
@@ -168,14 +168,12 @@ metrics! {
     SamplesWritten, "samples_written", Sum, All, None, "Cumulative samples written.";
     Flushes, "flushes", Sum, All, None, "Cumulative flushes.";
     Compactions, "compactions", Sum, All, None, "Cumulative compactions.";
-    Overloads, "overloads", Sum, All, None, "Cumulative overload strikes.";
     ShedReads, "shed_reads", Sum, All, None, "Cumulative read RPCs refused at a full RPC queue.";
     DeadlineExpired, "deadline_expired", Sum, All, None, "Cumulative requests dropped on deadline expiry.";
     ReplLagBatches, "repl_lag_batches", Max, All, Some("worst lag (batches)"), "Worst follower lag (WAL batches behind the primary) across the replicated regions this node leads.";
     ReplRegions, "repl_regions", Sum, All, None, "Replicated regions this node is the primary for.";
     ReplFailovers, "repl_failovers", Sum, All, Some("failovers"), "Promotions that made this node a primary.";
     ReplFenceRejections, "repl_fence_rejections", Sum, All, Some("fence rejections"), "Epoch-fenced replication RPCs (deposed writers denied a vote).";
-    ReplFollowerReads, "repl_follower_reads", Sum, All, Some("follower reads"), "Scans served from a follower copy under bounded staleness.";
     ReplHedgedScans, "repl_hedged_scans", Sum, All, Some("hedged scans"), "Scans hedged to a follower after a slow/dead primary.";
     ScrubCells, "scrub_cells", Sum, All, None, "Cells checksum-verified by the background scrub walk.";
     ScrubCorruptBlocks, "scrub_corrupt_blocks", Sum, All, Some("corrupt blocks"), "Corrupt blocks ever detected (scrub walk plus read path).";
@@ -213,8 +211,9 @@ fn ratio(num: u64, den: u64) -> f64 {
 pub struct NodeStats {
     /// Node id.
     pub node: u32,
-    /// Whether the node has crashed.
-    pub crashed: bool,
+    /// Whether the node's server is stopped (its lease expired, or the
+    /// harness shut it down): it is excluded from [`Scope::Serving`] folds.
+    pub stopped: bool,
     /// This sample comes from an ingest proxy or a TSD/query front end,
     /// not a region server: it is excluded from [`Scope::Serving`] folds.
     pub is_proxy: bool,
@@ -226,7 +225,7 @@ impl NodeStats {
     pub fn new(node: u32) -> Self {
         NodeStats {
             node,
-            crashed: false,
+            stopped: false,
             is_proxy: false,
             values: [0; METRICS.len()],
         }
@@ -247,14 +246,14 @@ impl NodeStats {
 /// Sample one storage node's stats: queue and shed counters from its RPC
 /// handle, write, flush and compaction totals from the regions it hosts,
 /// replication placement from the master. Nothing is asked of the node
-/// over RPC, so a full queue cannot stall the sample and a crashed or
-/// stopped node keeps reporting its cumulative counters. `None` when the
-/// master has never hosted `node`.
+/// over RPC, so a full queue cannot stall the sample and a stopped node
+/// keeps reporting its cumulative counters. `None` when the master has
+/// never hosted `node`.
 pub fn collect_node_stats(master: &Master, node: NodeId) -> Option<NodeStats> {
     let server = master.server(node)?;
     let handle = server.handle();
     let mut stats = NodeStats::new(node.0);
-    stats.crashed = handle.state() == ServerState::Crashed;
+    stats.stopped = handle.state() == ServerState::Stopped;
     let regions = server.total_metrics();
     // Replication plane: worst follower lag and region count for the
     // regions this node leads, plus the promotions that made it a
@@ -276,7 +275,6 @@ pub fn collect_node_stats(master: &Master, node: NodeId) -> Option<NodeStats> {
         .set(Metric::SamplesWritten, regions.cells_written)
         .set(Metric::Flushes, regions.flushes)
         .set(Metric::Compactions, regions.compactions)
-        .set(Metric::Overloads, handle.overloads())
         .set(Metric::ShedReads, handle.shed_reads())
         .set(Metric::DeadlineExpired, handle.deadline_expired())
         .set(Metric::ReplLagBatches, repl_lag_batches)
@@ -294,11 +292,11 @@ pub struct FleetSnapshot {
 
 impl FleetSnapshot {
     /// The samples `scope` counts. Serving nodes are live region servers:
-    /// crashed nodes, proxies and front ends never count there.
+    /// stopped nodes, proxies and front ends never count there.
     fn counted(&self, scope: Scope) -> impl Iterator<Item = &NodeStats> {
         self.nodes
             .iter()
-            .filter(move |n| scope == Scope::All || (!n.crashed && !n.is_proxy))
+            .filter(move |n| scope == Scope::All || (!n.stopped && !n.is_proxy))
     }
 
     /// Fleet-wide value of `metric`: its row's [`Fold`] over the nodes
@@ -312,7 +310,7 @@ impl FleetSnapshot {
         }
     }
 
-    /// Number of live (non-crashed, non-proxy) serving nodes.
+    /// Number of live (non-stopped, non-proxy) serving nodes.
     pub fn live_nodes(&self) -> usize {
         self.counted(Scope::Serving).count()
     }
@@ -375,7 +373,6 @@ impl FleetSnapshot {
 mod tests {
     use super::*;
     use pga_cluster::coordinator::Coordinator;
-    use pga_cluster::rpc::RpcError;
     use pga_minibase::{KeyValue, RegionConfig, Request, ServerConfig, TableDescriptor};
 
     fn stats(node: u32, depth: u64, cap: u64) -> NodeStats {
@@ -386,7 +383,7 @@ mod tests {
         s
     }
 
-    /// Two serving nodes, one crashed node and one proxy, every metric
+    /// Two serving nodes, one stopped node and one proxy, every metric
     /// set to a distinct per-node value: each table row must come out of
     /// the fleet fold, `/metrics` and the tile strip as declared.
     #[test]
@@ -399,7 +396,7 @@ mod tests {
             s
         };
         let (a, b, mut dead, mut proxy) = (node(0, 100), node(1, 300), node(2, 5000), node(9, 700));
-        dead.crashed = true;
+        dead.stopped = true;
         proxy.is_proxy = true;
         let fleet = FleetSnapshot {
             nodes: vec![a, b, dead, proxy],
@@ -430,10 +427,11 @@ mod tests {
                 def.tile.map(|_| want.to_string())
             );
         }
-        // 32 rows, three lines each; the six rows nothing ever set
+        // 30 rows, three lines each; the eight rows nothing ever set
         // (memstore bytes, breaker trips, ingest buffer depth/capacity,
-        // dirty units, shed writes) are gone from the exposition.
-        assert_eq!(METRICS.len(), 32);
+        // dirty units, shed writes, overloads, follower reads) are gone
+        // from the exposition.
+        assert_eq!(METRICS.len(), 30);
         assert_eq!(text.lines().count(), 3 * METRICS.len());
         for retired in [
             "memstore_bytes",
@@ -442,6 +440,8 @@ mod tests {
             "ingest_buffer_capacity",
             "sched_dirty_units",
             "shed_writes",
+            "overloads",
+            "repl_follower_reads",
         ] {
             assert!(!text.contains(retired), "{retired} is retired");
         }
@@ -556,63 +556,101 @@ mod tests {
     fn aggregation_ignores_crashed_nodes() {
         let mut a = stats(0, 50, 100);
         let mut b = stats(1, 100, 100);
-        b.crashed = true;
+        b.stopped = true;
         a.set(Metric::SamplesWritten, 10);
         b.set(Metric::SamplesWritten, 20);
         let snap = FleetSnapshot { nodes: vec![a, b] };
         assert_eq!(snap.live_nodes(), 1);
         assert_eq!(snap.fold(Metric::QueueDepth), 50);
-        // Written totals still count the crashed node's history.
+        // Written totals still count the crashed (stopped) node's history.
         assert_eq!(snap.fold(Metric::SamplesWritten), 30);
     }
 
-    /// The sample reads the server's regions, not its RPC queue: a node
-    /// that crashed after flushing and compacting still reports those
-    /// cumulative counts beside its cells written.
-    #[test]
-    fn a_crashed_node_still_reports_its_flushes_and_compactions() {
-        let config = ServerConfig {
-            queue_capacity: 2,
-            crash_after_overloads: 5,
-        };
-        let mut master = Master::bootstrap(1, config, Coordinator::new(60_000), 0);
+    /// Two nodes, a 10 s lease, one single-region table.
+    fn two_node_master() -> Master {
+        let mut master = Master::bootstrap(2, ServerConfig::default(), Coordinator::new(10_000), 0);
         master.create_table(&TableDescriptor {
             name: "tsdb".into(),
             split_points: Vec::new(),
             region_config: RegionConfig::default(),
         });
-        let node = NodeId(0);
+        master
+    }
+
+    fn snapshot(master: &Master) -> FleetSnapshot {
+        FleetSnapshot {
+            nodes: master
+                .nodes()
+                .into_iter()
+                .filter_map(|node| collect_node_stats(master, node))
+                .collect(),
+        }
+    }
+
+    /// Node 1 stops heartbeating: once `tick` expires its lease and
+    /// stops its server, the snapshot still samples it, but the serving
+    /// folds no longer count its queue.
+    #[test]
+    fn a_lease_expired_node_leaves_the_serving_folds() {
+        let mut master = two_node_master();
+        assert_eq!(snapshot(&master).live_nodes(), 2);
+        master.heartbeat(NodeId(0), 15_000);
+        master.tick(20_000);
+        let fleet = snapshot(&master);
+        assert_eq!(fleet.nodes.len(), 2, "the dead node is still sampled");
+        assert!(fleet.nodes[1].stopped && !fleet.nodes[0].stopped);
+        assert_eq!(fleet.live_nodes(), 1);
+        assert_eq!(fleet.fold(Metric::QueueCapacity), 1024);
+        master.shutdown();
+    }
+
+    /// The sample reads the server's regions, not its RPC queue: a node
+    /// whose server was stopped (a harness crash) still reports the
+    /// flushes and compactions of the regions it holds. Once lease expiry
+    /// moves those regions to the survivor, their counts move with them,
+    /// and the fleet totals neither drop nor double.
+    #[test]
+    fn a_crashed_node_still_reports_its_flushes_and_compactions() {
+        let mut master = two_node_master();
         let region = master.directory().read()[0].id;
+        let node = master.directory().read()[0].server;
+        let survivor = NodeId(1 - node.0);
         let handle = master.server(node).unwrap().handle();
-        let put = |row: String| Request::Put {
+        let put = |row: &str| Request::Put {
             region,
             kvs: vec![KeyValue::new(
-                row.into_bytes(),
+                row.as_bytes().to_vec(),
                 b"q".to_vec(),
                 1,
                 b"v".to_vec(),
             )],
         };
         for row in ["a", "b"] {
-            handle.call(put(row.to_string())).unwrap();
+            handle.call(put(row)).unwrap();
             handle.call(Request::Flush { region }).unwrap();
         }
         handle.call(Request::Compact { region }).unwrap();
         let before = collect_node_stats(&master, node).unwrap();
-        assert!(!before.crashed);
-        assert_eq!(before.get(Metric::Flushes), 2);
-        assert_eq!(before.get(Metric::Compactions), 1);
+        assert!(!before.stopped);
 
-        // Unthrottled casts overflow the two-slot queue until it crashes.
-        let crashed =
-            (0..10_000).any(|i| handle.cast(put(format!("r{i}"))) == Err(RpcError::Crashed));
-        assert!(crashed, "the server must crash from sustained overload");
+        master.server(node).unwrap().shutdown();
         let after = collect_node_stats(&master, node).unwrap();
-        assert!(after.crashed);
+        assert!(after.stopped);
         assert_eq!(after.get(Metric::Flushes), 2);
         assert_eq!(after.get(Metric::Compactions), 1);
-        assert!(after.get(Metric::SamplesWritten) >= before.get(Metric::SamplesWritten));
-        assert!(after.get(Metric::Overloads) >= 5);
+        assert_eq!(after.get(Metric::SamplesWritten), 2);
+
+        master.heartbeat(survivor, 15_000);
+        master.tick(20_000);
+        let fleet = snapshot(&master);
+        assert_eq!(master.directory().read()[0].server, survivor);
+        for (metric, total) in [
+            (Metric::Flushes, 2),
+            (Metric::Compactions, 1),
+            (Metric::SamplesWritten, 2),
+        ] {
+            assert_eq!(fleet.fold(metric), total, "{metric:?}");
+        }
         master.shutdown();
     }
 }

@@ -55,10 +55,9 @@ use crate::schedule::{format_schedule, FaultOp, ScheduledFault};
 /// Stream separator for the workload RNG.
 pub const WORKLOAD_STREAM: u64 = 0x17f2_9c8b_e5d0_4a31;
 
-/// Rollup tier installed on every simulated daemon when
-/// [`SimConfig::rollups`] is on. One short tier keeps buckets sealing
-/// every minute of workload time, so crash schedules reliably catch
-/// sealed cells mid-flight.
+/// Rollup tier installed on every simulated daemon. One short tier keeps
+/// buckets sealing every minute of workload time, so crash schedules
+/// reliably catch sealed cells mid-flight.
 pub const ROLLUP_TIER: u64 = 60;
 
 /// Row span (seconds) used when [`SimConfig::block_compaction`] is on —
@@ -100,11 +99,6 @@ pub struct SimConfig {
     /// failed attempt advances simulated time one step so leases can
     /// expire and recovery can run.
     pub max_write_attempts: usize,
-    /// Install write-time rollup maintenance (one [`ROLLUP_TIER`]-second
-    /// tier per daemon) and run the rollup durability oracle after the
-    /// drain: persisted rollup cells must survive crashes and agree with
-    /// the acked raw history.
-    pub rollups: bool,
     /// Copies per region (primary + followers). `1` is the classic
     /// single-copy stack — byte-identical traces to pre-replication
     /// builds. At `factor > 1` puts quorum-ack through WAL shipping, a
@@ -133,7 +127,6 @@ impl Default for SimConfig {
             lease_ms: 10_000,
             step_ms: 1_000,
             max_write_attempts: 40,
-            rollups: true,
             replication_factor: 1,
             block_compaction: false,
         }
@@ -550,18 +543,16 @@ impl<'a> Driver<'a> {
                 ))
             })
             .collect();
-        if config.rollups {
-            // Every daemon maintains the serving-layer pre-aggregates on
-            // its own put path, exactly like production: distinct writer
-            // ids keep concurrently sealed cells distinguishable at read.
-            let tier = rollup_tier(config);
-            for (i, tsd) in tsds.iter().enumerate() {
-                tsd.set_observer(Arc::new(RollupWriter::new(
-                    codec.clone(),
-                    vec![tier],
-                    i as u8,
-                )));
-            }
+        // Every daemon maintains the serving-layer pre-aggregates on its
+        // own put path, exactly like production: distinct writer ids keep
+        // concurrently sealed cells distinguishable at read.
+        let tier = rollup_tier(config);
+        for (i, tsd) in tsds.iter().enumerate() {
+            tsd.set_observer(Arc::new(RollupWriter::new(
+                codec.clone(),
+                vec![tier],
+                i as u8,
+            )));
         }
         Driver {
             config,
@@ -1593,11 +1584,9 @@ pub(crate) fn run_inner(
             });
         }
     }
-    if config.rollups {
-        // Before the raw checks, so the flush puts are also covered by
-        // the WAL-monotonicity sweep inside `final_checks`.
-        driver.rollup_checks();
-    }
+    // Before the raw checks, so the flush puts are also covered by the
+    // WAL-monotonicity sweep inside `final_checks`.
+    driver.rollup_checks();
     if config.replication_factor > 1 {
         driver.replication_checks();
         driver.stats.failovers = driver.master.failovers();
@@ -1693,7 +1682,6 @@ mod tests {
     #[test]
     fn rollup_rows_survive_region_server_crash() {
         let config = SimConfig::default();
-        assert!(config.rollups, "rollups are on by default");
         // Crash late enough that several buckets sealed and persisted
         // first (the workload clock passes 120 s around step 30).
         let schedule = parse_schedule("30:crash:1").unwrap();
@@ -1847,17 +1835,5 @@ mod tests {
         let b = run(13, &schedule, &config);
         assert_eq!(a, b);
         assert!(a.stats.late_fills > 0);
-    }
-
-    /// A raw-only stack (no serving layer) is still a supported shape.
-    #[test]
-    fn rollups_can_be_disabled() {
-        let config = SimConfig {
-            rollups: false,
-            ..SimConfig::default()
-        };
-        let outcome = run(7, &[], &config);
-        assert_eq!(outcome.violations, vec![]);
-        assert_eq!(outcome.stats.rollup_cells, 0);
     }
 }

@@ -5,16 +5,18 @@
 //! goes to the primary (one durable vote), ships to every follower under
 //! the primary-assigned WAL sequence, and the put is acknowledged only
 //! once a write quorum of copies is durable. Epoch fencing keeps a
-//! deposed primary's acks out of the quorum. Read-side, followers serve
-//! bounded-staleness scans ([`Client::scan_bounded`]) and hedged scans
-//! fail over to a replica when the primary is slow or gone
-//! ([`Client::scan_hedged`]).
+//! deposed primary's acks out of the quorum. Read-side, scans go to the
+//! primary; a hedged scan ([`Client::scan_hedged`]) fails a shard over to
+//! a follower copy when its primary is slow or gone.
 //!
-//! Admitted and hedged scans come in two steps: the send step queues one
-//! request per overlapping region and returns a [`PendingScan`], and its
-//! wait step collects the replies. A caller with several scans to make
-//! sends them all before it waits on any, so the region servers — each
-//! its own thread — serve them at once.
+//! Three scans exist: the blocking [`Client::scan_spec`] (a full queue
+//! makes it wait), the admitted [`Client::send_scan_admitted`] (a full
+//! queue refuses it with `Busy`) and the hedged scan. Admitted and hedged
+//! scans come in two steps: the send step queues one request per
+//! overlapping region and returns a [`PendingScan`], and its wait step
+//! collects the replies. A caller with several scans to make sends them
+//! all before it waits on any, so the region servers — each its own
+//! thread — serve them at once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +26,7 @@ use crate::master::{Directory, Master, RegionInfo};
 use crate::server::{Request, Response};
 use pga_cluster::rpc::{PendingReply, RpcError, RpcHandle};
 use pga_cluster::NodeId;
-use pga_repl::{FollowerReadPolicy, LagBook, QuorumDecision, QuorumTracker};
+use pga_repl::{LagBook, QuorumDecision, QuorumTracker};
 
 /// Client-side errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,7 +153,7 @@ impl PendingScan<'_> {
                 .iter()
                 .find_map(|&f| self.client.scan_follower(&info, f, scan, *deadline_ms));
             match hedged {
-                Some((cells, _)) => {
+                Some(cells) => {
                     self.client.repl.record_hedged_scan();
                     parts.push(cells);
                 }
@@ -159,37 +161,6 @@ impl PendingScan<'_> {
             }
         }
         Ok(concat_region_scans(parts))
-    }
-}
-
-/// What a bounded-staleness read learned about a region's primary when it
-/// asked for the replication position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PrimaryView {
-    /// The primary answered: its last assigned WAL sequence.
-    At(u64),
-    /// The primary is gone for good (server stopped or crashed). Only
-    /// here may a follower answer bypass the staleness check —
-    /// availability over freshness, the documented failover-read mode.
-    Gone,
-    /// The primary is alive but could not answer right now (full queue,
-    /// deadline miss, or a nonsense reply). The staleness bound must NOT
-    /// be waived — under overload an unchecked follower could be
-    /// arbitrarily stale while the primary is healthy — so the read goes
-    /// to the primary path and surfaces its typed error.
-    Transient,
-}
-
-/// Classify the primary's answer to a `ReplicaStatus` probe. Split out of
-/// [`Client::scan_bounded`] so the gone-vs-transient distinction is unit
-/// testable without staging a real full queue.
-fn classify_primary_status(result: Result<Response, RpcError>) -> PrimaryView {
-    match result {
-        Ok(Response::Status { last_seq, .. }) => PrimaryView::At(last_seq),
-        Err(RpcError::Stopped | RpcError::Crashed) => PrimaryView::Gone,
-        // Busy / DeadlineExpired / Overloaded, or a mis-routed answer:
-        // the primary exists, it just did not answer this probe.
-        Err(_) | Ok(_) => PrimaryView::Transient,
     }
 }
 
@@ -203,7 +174,7 @@ pub struct Client {
     handles: HashMap<NodeId, RpcHandle<Request, Response>>,
     max_retries: usize,
     /// Replication health observed by this client (lag per region,
-    /// fence rejections, follower/hedged reads) — telemetry scrapes it.
+    /// fence rejections, hedged scans) — telemetry scrapes it.
     repl: Arc<LagBook>,
 }
 
@@ -503,40 +474,31 @@ impl Client {
         handle.send_with(req, deadline_ms)
     }
 
-    /// The same shard from the follower copy on `node`, with the copy's
-    /// applied WAL sequence; `None` when that copy cannot answer.
+    /// The same shard from the follower copy on `node`; `None` when that
+    /// copy cannot answer.
     fn scan_follower(
         &self,
         info: &RegionInfo,
         node: NodeId,
         scan: &ScanSpec,
         deadline_ms: Option<u64>,
-    ) -> Option<(Vec<KeyValue>, u64)> {
+    ) -> Option<Vec<KeyValue>> {
         let req = Request::FollowerScan {
             region: info.id,
             scan: scan.clone(),
         };
         match self.handles.get(&node)?.call_with(req, deadline_ms) {
-            Ok(Response::FollowerCells { cells, applied_seq }) => Some((cells, applied_seq)),
+            Ok(Response::FollowerCells { cells, .. }) => Some(cells),
             _ => None,
         }
     }
 
-    /// Non-blocking scan: a region whose server queue is full refuses its
+    /// Send a non-blocking scan: one request per overlapping region, in
+    /// directory order. A region whose server queue is full refuses its
     /// shard with [`ClientError::Busy`] instead of making the reader wait,
     /// and `deadline_ms` bounds how long a queued shard stays worth
-    /// serving.
-    pub fn scan_admitted(
-        &self,
-        scan: &ScanSpec,
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<KeyValue>, ClientError> {
-        self.send_scan_admitted(scan, deadline_ms).wait()
-    }
-
-    /// The send step of [`Client::scan_admitted`]: one request per
-    /// overlapping region, in directory order. Sending stops at the first
-    /// region refused, as the blocking scan stops there.
+    /// serving. Sending stops at the first region refused, as the
+    /// blocking scan stops there; [`PendingScan::wait`] collects.
     pub fn send_scan_admitted(&self, scan: &ScanSpec, deadline_ms: Option<u64>) -> PendingScan<'_> {
         let mut regions = Vec::new();
         for info in self.regions_overlapping(scan.rows()) {
@@ -585,8 +547,7 @@ impl Client {
     /// primary is saturated, late, or gone, fail the shard over to its
     /// follower copies under `deadline_ms`. Unreplicated regions
     /// propagate the primary's error unchanged. A hedged answer may
-    /// trail the primary by in-flight ships; callers that need bounded
-    /// staleness use [`Client::scan_bounded`].
+    /// trail the primary by in-flight ships.
     pub fn scan_hedged(
         &self,
         scan: &ScanSpec,
@@ -619,72 +580,6 @@ impl Client {
             regions,
             hedge: Some((scan.clone(), deadline_ms)),
         }
-    }
-
-    /// Bounded-staleness follower read: serve each region's shard from a
-    /// follower copy when its applied WAL sequence trails the primary by
-    /// at most `policy.max_lag` batches (checked against the primary's
-    /// live position), falling back to the primary otherwise. Only when
-    /// the primary is gone for good (stopped or crashed) is a follower
-    /// answer accepted without the check — availability over freshness,
-    /// the documented failover-read mode. A merely *transient* status
-    /// failure (full queue, deadline miss) does not waive the bound:
-    /// the shard is read from the primary path instead, surfacing its
-    /// typed `Busy`/`DeadlineExpired` error rather than stale data.
-    pub fn scan_bounded(
-        &self,
-        scan: &ScanSpec,
-        policy: &FollowerReadPolicy,
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<KeyValue>, ClientError> {
-        let mut parts = Vec::new();
-        for info in self.regions_overlapping(scan.rows()) {
-            let mut served = false;
-            if !info.followers.is_empty() {
-                let view = match self.handles.get(&info.server) {
-                    // No handle at all: the server is gone from this
-                    // client's world, same as stopped.
-                    None => PrimaryView::Gone,
-                    Some(h) => classify_primary_status(
-                        h.call_with(Request::ReplicaStatus { region: info.id }, deadline_ms),
-                    ),
-                };
-                // A transient status failure skips follower serving
-                // entirely — the primary-path fallback below surfaces
-                // the typed error instead of waiving the bound.
-                if view != PrimaryView::Transient {
-                    for &f in &info.followers {
-                        let Some((cells, applied_seq)) =
-                            self.scan_follower(&info, f, scan, deadline_ms)
-                        else {
-                            continue;
-                        };
-                        let fresh_enough = match view {
-                            PrimaryView::At(p) => policy.allow(p, applied_seq),
-                            // Primary gone for good: availability mode.
-                            PrimaryView::Gone => true,
-                            PrimaryView::Transient => false,
-                        };
-                        if fresh_enough {
-                            if let PrimaryView::At(p) = view {
-                                self.repl.observe(info.id.0, p, applied_seq);
-                            }
-                            self.repl.record_follower_read();
-                            parts.push(cells);
-                            served = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !served {
-                let cells = self
-                    .send_primary(&info, scan, deadline_ms)
-                    .and_then(|reply| scan_cells(reply.wait()));
-                parts.push(cells.map_err(map_rpc)?);
-            }
-        }
-        Ok(concat_region_scans(parts))
     }
 
     /// Fetch a span from **every reachable copy** of the region(s)
@@ -739,20 +634,6 @@ impl Client {
             }
         }
         copies
-    }
-
-    /// Flush every region (test/bench hygiene).
-    pub fn flush_all(&self) -> Result<(), ClientError> {
-        let infos: Vec<_> = self.directory.read().clone();
-        for info in infos {
-            if let Some(handle) = self.handles.get(&info.server) {
-                match handle.call(Request::Flush { region: info.id }) {
-                    Ok(_) => {}
-                    Err(e) => return Err(ClientError::Rpc(e)),
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Flush then major-compact every region copy — with a compaction
@@ -850,15 +731,6 @@ mod tests {
         let c = Client::connect(&m);
         let err = c.put(vec![kv("a", 1)]).unwrap_err();
         assert!(matches!(err, ClientError::NoRegionForRow(_)));
-        m.shutdown();
-    }
-
-    #[test]
-    fn flush_all_keeps_data_visible() {
-        let (m, c) = cluster(2, &[b"m"]);
-        c.put(vec![kv("a", 1), kv("z", 1)]).unwrap();
-        c.flush_all().unwrap();
-        assert_eq!(c.scan(&RowRange::all()).unwrap().len(), 2);
         m.shutdown();
     }
 
@@ -1012,44 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn primary_status_classification_distinguishes_gone_from_transient() {
-        // Dead-for-good errors waive the staleness bound...
-        assert_eq!(
-            classify_primary_status(Err(RpcError::Stopped)),
-            PrimaryView::Gone
-        );
-        assert_eq!(
-            classify_primary_status(Err(RpcError::Crashed)),
-            PrimaryView::Gone
-        );
-        // ...transient overload must NOT (the read falls back to the
-        // primary path and surfaces the typed error instead).
-        assert_eq!(
-            classify_primary_status(Err(RpcError::Busy { retry_after_ms: 5 })),
-            PrimaryView::Transient
-        );
-        assert_eq!(
-            classify_primary_status(Err(RpcError::DeadlineExpired)),
-            PrimaryView::Transient
-        );
-        assert_eq!(
-            classify_primary_status(Err(RpcError::Overloaded)),
-            PrimaryView::Transient
-        );
-        assert_eq!(
-            classify_primary_status(Ok(Response::WrongRegion)),
-            PrimaryView::Transient
-        );
-        assert_eq!(
-            classify_primary_status(Ok(Response::Status {
-                last_seq: 7,
-                epoch: 1
-            })),
-            PrimaryView::At(7)
-        );
-    }
-
-    #[test]
     fn scan_hedged_serves_from_follower_when_primary_is_down() {
         let (m, c) = replicated_cluster(3, 2, &[], 1000);
         c.put(vec![kv("a", 1), kv("z", 1)]).unwrap();
@@ -1069,60 +903,10 @@ mod tests {
         m.shutdown();
     }
 
-    #[test]
-    fn bounded_staleness_read_prefers_follower_within_lag_budget() {
-        let (m, c) = replicated_cluster(3, 2, &[], 1000);
-        c.put(vec![kv("a", 1)]).unwrap();
-        // Fresh follower: served from the replica. Deadlines are absolute
-        // on the servers' shared clock.
-        let deadline = || Some(pga_cluster::rpc::default_clock_ms() + 1000);
-        let policy = FollowerReadPolicy { max_lag: 0 };
-        let cells = c
-            .scan_bounded(&RowRange::all().into(), &policy, deadline())
-            .unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(c.repl_book().snapshot().follower_reads, 1);
-        // Write straight to the primary (bypassing replication) so the
-        // follower trails by one batch; a zero-lag policy must fall back
-        // to the primary and observe the new row.
-        let info = m.directory().read()[0].clone();
-        match m
-            .server(info.server)
-            .unwrap()
-            .handle()
-            .call(Request::Put {
-                region: info.id,
-                kvs: vec![kv("b", 1)],
-            })
-            .unwrap()
-        {
-            Response::Ok => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        let cells = c
-            .scan_bounded(&RowRange::all().into(), &policy, deadline())
-            .unwrap();
-        assert_eq!(
-            cells.len(),
-            2,
-            "stale follower must not serve zero-lag read"
-        );
-        assert_eq!(c.repl_book().snapshot().follower_reads, 1);
-        // A lag budget of one batch accepts the trailing follower again.
-        let relaxed = FollowerReadPolicy { max_lag: 1 };
-        let cells = c
-            .scan_bounded(&RowRange::all().into(), &relaxed, deadline())
-            .unwrap();
-        assert_eq!(cells.len(), 1, "follower view trails by the direct write");
-        assert_eq!(c.repl_book().snapshot().follower_reads, 2);
-        m.shutdown();
-    }
-
     /// A column window and a row-word filter are answered alike by every
-    /// read path: blocking, admitted, bounded-staleness (served by the
-    /// follower) and hedged (served by the follower once the primary is
-    /// down) all return the whole-row scan filtered by qualifier and by
-    /// row key, across regions.
+    /// read path: blocking, admitted and hedged (served by the follower
+    /// once the primary is down) all return the whole-row scan filtered by
+    /// qualifier and by row key, across regions.
     #[test]
     fn column_windows_are_answered_alike_by_primaries_and_followers() {
         use crate::kv::{ColumnRange, RowWords};
@@ -1162,17 +946,13 @@ mod tests {
         let lens: Vec<usize> = cases.iter().map(|(_, expect)| expect.len()).collect();
         assert_eq!(lens, [9, 6, 16]);
         let deadline = || Some(pga_cluster::rpc::default_clock_ms() + 1000);
-        let policy = FollowerReadPolicy { max_lag: 0 };
         for (spec, expect) in &cases {
             assert_eq!(&c.scan_spec(spec).unwrap(), expect);
-            assert_eq!(&c.scan_admitted(spec, deadline()).unwrap(), expect);
-            assert_eq!(&c.scan_bounded(spec, &policy, deadline()).unwrap(), expect);
+            assert_eq!(
+                &c.send_scan_admitted(spec, deadline()).wait().unwrap(),
+                expect
+            );
         }
-        assert_eq!(
-            c.repl_book().snapshot().follower_reads,
-            2 * cases.len() as u64,
-            "one per region"
-        );
         // One node down: every region it led still has its follower, on
         // another node.
         let down = m.directory().read()[0].server;

@@ -16,14 +16,15 @@
 //! * [`rewrite`] — pluggable compaction rewriters (HBase-coprocessor
 //!   style); `pga-tsdb` uses this to seal finished rows into columnar
 //!   blocks.
-//! * [`server`] — a region server: an RPC thread (bounded queue, crash
-//!   semantics from [`pga_cluster::rpc`]) serving puts/scans over the
-//!   regions assigned to it.
+//! * [`server`] — a region server: an RPC thread (bounded queue from
+//!   [`pga_cluster::rpc`]) serving puts/scans over the regions assigned
+//!   to it.
 //! * [`master`] — region directory, table creation with pre-splits
 //!   (§III-B: "HBase regions were manually split to ensure each region
 //!   handled an equal proportion of the writes"), liveness via the
 //!   coordinator and reassignment of regions from dead servers.
-//! * [`client`] — routing client with retry-on-stale-directory.
+//! * [`client`] — routing client with retry-on-stale-directory, quorum
+//!   puts, and blocking, admitted and hedged scans.
 //! * [`scrub`] — background corruption scrub: a pluggable cell verifier,
 //!   a quarantine set, and a repair pass that re-fetches corrupt spans
 //!   from healthy replicas (CRC round-trip before install).

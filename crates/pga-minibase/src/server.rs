@@ -4,7 +4,9 @@
 //! a **bounded** request queue, exactly one per node like the paper's
 //! deployment ("each node is also running an instance of a TSD Daemon";
 //! the region server is its storage-side peer). Overload semantics come
-//! from the RPC layer: unthrottled `cast` traffic can crash the server.
+//! from the RPC layer: a full queue makes writers wait and refuses
+//! non-blocking reads with `Busy`. The server stops only when the master
+//! shuts it down.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,15 +24,12 @@ use crate::region::{Region, RegionId, RegionMetrics};
 pub struct ServerConfig {
     /// RPC queue capacity (requests).
     pub queue_capacity: usize,
-    /// Overload strikes before the server crashes (u64::MAX = never).
-    pub crash_after_overloads: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             queue_capacity: 1024,
-            crash_after_overloads: u64::MAX,
         }
     }
 }
@@ -74,19 +73,13 @@ pub enum Request {
         /// Cells in the batch.
         kvs: Vec<KeyValue>,
     },
-    /// Scan a follower copy; the answer carries the follower's applied
-    /// sequence so the reader can enforce its staleness bound.
+    /// Scan a follower copy (the hedged-scan fallback); the answer carries
+    /// the follower's applied sequence.
     FollowerScan {
         /// Target region.
         region: RegionId,
         /// Rows and columns to scan.
         scan: ScanSpec,
-    },
-    /// Ask a replica for its replication position (last durable WAL
-    /// sequence and epoch).
-    ReplicaStatus {
-        /// Target region.
-        region: RegionId,
     },
     /// Read the primary's retained WAL batches newer than `from_seq` —
     /// the backfill source for a follower whose ship was rejected as a
@@ -186,13 +179,6 @@ pub enum Response {
         /// The copy's last durable WAL sequence.
         applied_seq: u64,
     },
-    /// A replica's replication position.
-    Status {
-        /// Last durable WAL sequence on this replica.
-        last_seq: u64,
-        /// The replica's current epoch.
-        epoch: u64,
-    },
 }
 
 /// A running region server plus its assignment surface.
@@ -210,7 +196,6 @@ impl RegionServer {
         let serving = regions.clone();
         let (handle, runner) = RpcServerBuilder::new(format!("rs-{}", node.0))
             .queue_capacity(config.queue_capacity)
-            .crash_after_overloads(config.crash_after_overloads)
             .spawn(move |req: Request| handle_request(&serving, req));
         RegionServer {
             node,
@@ -359,8 +344,7 @@ impl RegionServer {
 
     /// [`RegionMetrics`] summed over the hosted regions (monitoring). Read
     /// from the assignment surface, not over RPC, so it answers at once
-    /// while the queue is full and keeps a crashed or stopped server's
-    /// totals.
+    /// while the queue is full and keeps a stopped server's totals.
     pub fn total_metrics(&self) -> RegionMetrics {
         self.regions.read().values().map(Region::metrics).sum()
     }
@@ -482,17 +466,6 @@ fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request
                     cells: r.scan_spec(&scan),
                     // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
                     applied_seq: r.applied_seq(),
-                },
-                None => Response::WrongRegion,
-            }
-        }
-        Request::ReplicaStatus { region } => {
-            let map = regions.read();
-            match map.get(&region) {
-                Some(r) => Response::Status {
-                    // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                    last_seq: r.applied_seq(),
-                    epoch: r.epoch(),
                 },
                 None => Response::WrongRegion,
             }
@@ -744,20 +717,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
 
-        // Status reflects position and epoch.
-        match primary
-            .handle()
-            .call(Request::ReplicaStatus {
-                region: RegionId(1),
-            })
-            .unwrap()
-        {
-            Response::Status { last_seq, epoch } => {
-                assert_eq!(last_seq, seq);
-                assert_eq!(epoch, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
         assert_eq!(primary.region_applied_seq(RegionId(1)), Some(seq));
         primary.shutdown();
         follower.shutdown();

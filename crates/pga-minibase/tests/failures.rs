@@ -110,40 +110,6 @@ fn old_client_keeps_working_after_reassignment() {
 }
 
 #[test]
-fn overloaded_server_crash_is_observable() {
-    use pga_minibase::{Region, RegionId};
-    use pga_minibase::{RegionServer, Request};
-    // A tiny queue and a crash budget: unthrottled casts kill the server.
-    let server = RegionServer::spawn(
-        NodeId(9),
-        ServerConfig {
-            queue_capacity: 2,
-            crash_after_overloads: 5,
-        },
-    );
-    server.assign(Region::new(
-        RegionId(1),
-        RowRange::all(),
-        RegionConfig::default(),
-    ));
-    let handle = server.handle();
-    let mut crashed = false;
-    for i in 0..10_000 {
-        let req = Request::Put {
-            region: RegionId(1),
-            kvs: vec![kv(&format!("r{i}"), 1, "x")],
-        };
-        if let Err(pga_cluster::rpc::RpcError::Crashed) = handle.cast(req) {
-            crashed = true;
-            break;
-        }
-    }
-    assert!(crashed, "server should crash from sustained overload");
-    assert_eq!(handle.state(), pga_cluster::rpc::ServerState::Crashed);
-    server.shutdown();
-}
-
-#[test]
 fn whole_cluster_restart_from_shutdown_is_clean() {
     // Shutdown → rebuild a new cluster: no shared-state leakage between
     // instances (fresh coordinator namespace).

@@ -248,11 +248,16 @@ mod tests {
     fn configs_with_a_retired_scaling_section_still_parse() {
         // The retired section is an unknown key now: skipped, not fatal.
         // So is the retired rollups switch, even set to off: rollups are
-        // always maintained.
+        // always maintained. So is the retired follower-read lag bound in
+        // the replication section, whatever its value: follower reads are
+        // gone.
         let rollups_off =
             ELASTIC_ERA_DEMO3_JSON.replace("\"rollups_enabled\":true", "\"rollups_enabled\":false");
+        let lag_bound = ELASTIC_ERA_DEMO3_JSON
+            .replace("\"follower_read_max_lag\":4", "\"follower_read_max_lag\":0");
         assert_ne!(rollups_off, ELASTIC_ERA_DEMO3_JSON);
-        for json in [ELASTIC_ERA_DEMO3_JSON, rollups_off.as_str()] {
+        assert_ne!(lag_bound, ELASTIC_ERA_DEMO3_JSON);
+        for json in [ELASTIC_ERA_DEMO3_JSON, &rollups_off, &lag_bound] {
             let old: PlatformConfig = serde_json::from_str(json).unwrap();
             assert_eq!(old, PlatformConfig::demo(3));
             assert!(old.validate().is_ok());

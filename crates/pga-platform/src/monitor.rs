@@ -84,6 +84,10 @@ impl std::error::Error for MonitorError {}
 /// Node id of the monitor's own telemetry sample: no storage node's id.
 const FRONT_END_NODE: u32 = u32::MAX;
 
+/// Follower lag, in WAL batches, past which the `/cluster` page marks a
+/// node's row as a warning.
+const LAG_ALERT_BATCHES: u64 = 4;
+
 /// A window read back from the store column by column: sensor `j` of the
 /// `k`-th unit read is `values[(k · sensors + j) · len ..][..len]`, oldest
 /// tick first.
@@ -565,7 +569,6 @@ impl Monitor {
             .set(Metric::QueryCellsScanned, query.cells_scanned)
             .set(Metric::QueryPointsServed, query.points_served)
             .set(Metric::ReplFenceRejections, books.fence_rejections)
-            .set(Metric::ReplFollowerReads, books.follower_reads)
             .set(Metric::ReplHedgedScans, books.hedged_scans)
             .set(Metric::ScrubCells, cells)
             .set(Metric::ScrubCorruptBlocks, corrupt)
@@ -638,7 +641,7 @@ impl Monitor {
         ClusterView {
             replication_factor: master.replication_factor(),
             nodes,
-            lag_alert: self.config.replication.follower_read_max_lag,
+            lag_alert: LAG_ALERT_BATCHES,
             tiles,
         }
     }

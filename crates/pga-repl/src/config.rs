@@ -16,9 +16,6 @@ pub struct ReplicationConfig {
     /// default that tolerates `factor - quorum` replica losses without
     /// losing acked data.
     pub write_quorum: usize,
-    /// A follower may serve a scan only when its applied sequence trails
-    /// the primary's last sequence by at most this many WAL batches.
-    pub follower_read_max_lag: u64,
     /// Hedge a shard scan to a replica when the primary has not answered
     /// within this many milliseconds — set this near the fleet's observed
     /// scan p99 so hedges fire only on genuine stragglers.
@@ -30,7 +27,6 @@ impl Default for ReplicationConfig {
         ReplicationConfig {
             factor: 1,
             write_quorum: 0,
-            follower_read_max_lag: 4,
             hedge_delay_ms: 40,
         }
     }
@@ -142,12 +138,10 @@ mod tests {
         // A config serialized before replication existed deserializes to
         // the single-copy default when the whole section is absent; the
         // platform wires this with #[serde(default)] on its field.
-        let c: ReplicationConfig = serde_json::from_str(
-            r#"{"factor":3,"write_quorum":0,"follower_read_max_lag":8,"hedge_delay_ms":25}"#,
-        )
-        .unwrap();
+        let c: ReplicationConfig =
+            serde_json::from_str(r#"{"factor":3,"write_quorum":0,"hedge_delay_ms":25}"#).unwrap();
         assert_eq!(c.factor, 3);
-        assert_eq!(c.follower_read_max_lag, 8);
+        assert_eq!(c.hedge_delay_ms, 25);
         let json = serde_json::to_string(&c).unwrap();
         let back: ReplicationConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);

@@ -1,9 +1,9 @@
-//! Replication-lag and failover bookkeeping.
+//! Replication-lag bookkeeping.
 //!
-//! The client-side replication driver and the master both feed this
-//! book; the fleet telemetry samples it into `NodeStats` so fleet
-//! dashboards can show per-node replication health (max follower lag,
-//! failovers performed, fencing rejections observed).
+//! The client-side replication driver feeds this book; the fleet
+//! telemetry samples it into `NodeStats` so fleet dashboards can show
+//! replication health (max follower lag, fencing rejections observed,
+//! hedged scans). Failover counts come from the master.
 
 use std::collections::BTreeMap;
 
@@ -40,12 +40,8 @@ pub struct LagSnapshot {
     pub max_lag_batches: u64,
     /// Regions currently tracked with at least one follower.
     pub replicated_regions: u64,
-    /// Primary promotions performed since startup.
-    pub failovers: u64,
     /// Writes or ships rejected because the sender's epoch was stale.
     pub fence_rejections: u64,
-    /// Scans served by followers under the staleness bound.
-    pub follower_reads: u64,
     /// Scans that hedged to a replica after primary silence.
     pub hedged_scans: u64,
 }
@@ -57,9 +53,7 @@ impl LagSnapshot {
         LagSnapshot {
             max_lag_batches: self.max_lag_batches.max(other.max_lag_batches),
             replicated_regions: self.replicated_regions.max(other.replicated_regions),
-            failovers: self.failovers + other.failovers,
             fence_rejections: self.fence_rejections + other.fence_rejections,
-            follower_reads: self.follower_reads + other.follower_reads,
             hedged_scans: self.hedged_scans + other.hedged_scans,
         }
     }
@@ -69,14 +63,12 @@ impl LagSnapshot {
 struct BookInner {
     /// region id → (primary last seq, min follower applied seq).
     lags: BTreeMap<u64, (u64, u64)>,
-    failovers: u64,
     fence_rejections: u64,
-    follower_reads: u64,
     hedged_scans: u64,
 }
 
-/// Mutable replication-health ledger shared between the replication
-/// driver (lag observations, fencing) and the master (failovers).
+/// Mutable replication-health ledger kept by the replication driver
+/// (lag observations, fencing, hedged scans).
 #[derive(Debug, Default)]
 pub struct LagBook {
     inner: Mutex<BookInner>,
@@ -97,24 +89,9 @@ impl LagBook {
         inner.lags.insert(region, (primary_seq, min_applied_seq));
     }
 
-    /// Forget a region (unassigned or collapsed to single-copy).
-    pub fn forget(&self, region: u64) {
-        self.inner.lock().lags.remove(&region);
-    }
-
-    /// Count a primary promotion.
-    pub fn record_failover(&self) {
-        self.inner.lock().failovers += 1;
-    }
-
     /// Count an epoch-fencing rejection observed by a writer.
     pub fn record_fence_rejection(&self) {
         self.inner.lock().fence_rejections += 1;
-    }
-
-    /// Count a follower-served scan.
-    pub fn record_follower_read(&self) {
-        self.inner.lock().follower_reads += 1;
     }
 
     /// Count a hedged scan.
@@ -133,9 +110,7 @@ impl LagBook {
                 .max()
                 .unwrap_or(0),
             replicated_regions: inner.lags.len() as u64,
-            failovers: inner.failovers,
             fence_rejections: inner.fence_rejections,
-            follower_reads: inner.follower_reads,
             hedged_scans: inner.hedged_scans,
         }
     }
@@ -157,22 +132,25 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_forget_drops_lag() {
+    fn counters_accumulate_and_merge() {
         let book = LagBook::new();
         book.observe(1, 4, 0);
-        book.record_failover();
-        book.record_failover();
         book.record_fence_rejection();
-        book.record_follower_read();
+        book.record_fence_rejection();
         book.record_hedged_scan();
-        book.forget(1);
         let snap = book.snapshot();
-        assert_eq!(snap.max_lag_batches, 0);
-        assert_eq!(snap.replicated_regions, 0);
-        assert_eq!(snap.failovers, 2);
-        assert_eq!(snap.fence_rejections, 1);
-        assert_eq!(snap.follower_reads, 1);
+        assert_eq!(snap.max_lag_batches, 4);
+        assert_eq!(snap.replicated_regions, 1);
+        assert_eq!(snap.fence_rejections, 2);
         assert_eq!(snap.hedged_scans, 1);
+        // Merging books adds counters and keeps the worst lag.
+        let other = LagBook::new();
+        other.observe(2, 9, 7);
+        other.record_hedged_scan();
+        let merged = snap.merge(&other.snapshot());
+        assert_eq!(merged.max_lag_batches, 4);
+        assert_eq!(merged.fence_rejections, 2);
+        assert_eq!(merged.hedged_scans, 2);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! the always-on dashboards the paper assumes go dark for the whole lease
 //! window. This crate holds the *protocol* side of the fix — the pure,
 //! mechanism-free rules for quorum-acked WAL shipping, epoch fencing,
-//! bounded-staleness follower reads, hedged scans, and failover
-//! promotion. The *mechanism* (region servers that apply shipped WAL,
+//! hedged scans, and failover promotion. The *mechanism* (region servers that apply shipped WAL,
 //! clients that collect quorums, a master that promotes) lives in
 //! `pga-minibase`, which depends on this crate; keeping the protocol
 //! dependency-free lets the master, the client, and the fault simulator
@@ -26,12 +25,9 @@
 //! * On primary failure the master promotes the **most-caught-up**
 //!   surviving follower ([`choose_promotee`]) and bumps the epoch, so a
 //!   deposed primary's acks can never reach quorum again (fencing).
-//! * Followers serve **bounded-staleness reads** ([`FollowerReadPolicy`]):
-//!   a scan is routed to a follower only when its applied sequence trails
-//!   the primary by at most a configured number of WAL batches.
 //! * Scatter-gather scans **hedge** ([`HedgePolicy`]): when the primary
-//!   has not answered within a p99-derived delay, the same scan is sent
-//!   to a replica and the first answer wins.
+//!   is refused, late, or gone, the same scan is sent to a follower copy
+//!   and the first copy that answers wins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +43,7 @@ pub use config::ReplicationConfig;
 pub use lag::{LagBook, LagSnapshot};
 pub use promote::choose_promotee;
 pub use quorum::{QuorumDecision, QuorumTracker};
-pub use read::{FollowerReadPolicy, HedgePolicy};
+pub use read::HedgePolicy;
 pub use repair::{rank_repair_sources, RepairSource, MAX_REPAIR_ATTEMPTS_PER_TICK};
 
 /// Epoch (generation) number of a region's replication group. Bumped on
@@ -60,7 +56,7 @@ pub type Epoch = u64;
 pub enum ReplicaRole {
     /// Serves writes, assigns WAL sequence ids, and is the scan authority.
     Primary,
-    /// Applies shipped WAL and serves bounded-staleness reads.
+    /// Applies shipped WAL and answers hedged scans.
     Follower,
 }
 

@@ -1,77 +1,14 @@
-//! Read-side policies: bounded-staleness follower reads and hedged scans.
+//! Read-side policy: hedged scans.
 
 use serde::{Deserialize, Serialize};
-
-/// Decides whether a follower is fresh enough to serve a scan.
-///
-/// Staleness is measured in WAL *batches*, not wall time: the follower
-/// reports the last sequence it applied, the primary reports the last
-/// sequence it assigned, and the gap is the number of shipped batches
-/// the follower has not yet replayed. Batch lag is exact under the
-/// deterministic simulator (no clock needed) and translates directly to
-/// "how many acked writes might this read miss".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FollowerReadPolicy {
-    /// Maximum batches a follower may trail the primary and still serve.
-    pub max_lag: u64,
-}
-
-impl FollowerReadPolicy {
-    /// `true` when a follower at `applied_seq` may answer a scan while
-    /// the primary is at `primary_seq`. A follower *ahead* of the last
-    /// sequence the reader observed (a promotion raced the read) is
-    /// trivially fresh.
-    pub fn allow(&self, primary_seq: u64, applied_seq: u64) -> bool {
-        primary_seq.saturating_sub(applied_seq) <= self.max_lag
-    }
-}
 
 /// Hedged-scan trigger: when the primary has not answered within
 /// `delay_ms`, re-issue the scan to a follower and take the first
 /// answer. The delay should sit near the fleet's scan p99 so hedges
-/// fire on genuine stragglers (a crashed or overloaded primary), not on
+/// fire on genuine stragglers (a stopped or overloaded primary), not on
 /// the latency body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HedgePolicy {
     /// Milliseconds to wait on the primary before hedging.
     pub delay_ms: u64,
-}
-
-impl HedgePolicy {
-    /// `true` when `elapsed_ms` of silence from the primary justifies
-    /// hedging to a replica.
-    pub fn should_hedge(&self, elapsed_ms: u64) -> bool {
-        elapsed_ms >= self.delay_ms
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn follower_read_allows_within_lag_bound() {
-        let p = FollowerReadPolicy { max_lag: 3 };
-        assert!(p.allow(10, 10));
-        assert!(p.allow(10, 7));
-        assert!(!p.allow(10, 6));
-        // Follower ahead of the observed primary seq: fresh.
-        assert!(p.allow(5, 9));
-    }
-
-    #[test]
-    fn zero_lag_means_fully_caught_up_only() {
-        let p = FollowerReadPolicy { max_lag: 0 };
-        assert!(p.allow(4, 4));
-        assert!(!p.allow(4, 3));
-    }
-
-    #[test]
-    fn hedge_fires_at_delay() {
-        let h = HedgePolicy { delay_ms: 40 };
-        assert!(!h.should_hedge(0));
-        assert!(!h.should_hedge(39));
-        assert!(h.should_hedge(40));
-        assert!(h.should_hedge(400));
-    }
 }

@@ -156,9 +156,9 @@ fn dashboard_and_api_over_one_socket() {
         pga_control::METRICS.len(),
         "one sample per table row"
     );
-    // 32 rows of HELP, TYPE and sample; the six rows nothing ever set
+    // 30 rows of HELP, TYPE and sample; the eight rows nothing ever set
     // are retired, not exported as a permanent 0.
-    assert_eq!(metrics.lines().count(), 96);
+    assert_eq!(metrics.lines().count(), 90);
     for retired in [
         "memstore_bytes",
         "breaker_trips",
@@ -166,11 +166,14 @@ fn dashboard_and_api_over_one_socket() {
         "ingest_buffer_capacity",
         "sched_dirty_units",
         "shed_writes",
+        "overloads",
+        "repl_follower_reads",
     ] {
         assert!(!metrics.contains(retired), "{retired} is retired");
     }
     let (_, cluster) = request(addr, "GET", "/cluster", "");
     assert!(cluster.contains("query fan-out"));
+    assert!(!cluster.contains("follower reads"), "its tile is retired");
 
     server.stop();
     monitor.lock().shutdown();
