@@ -23,7 +23,7 @@ fn in_scope(f: &SourceFile) -> bool {
         // accounting) replays inside the fault simulator; ambient time or
         // entropy would make failover schedules unreproducible.
         "pga-repl" => true,
-        // The task-graph scheduler takes its clock by injection (the
+        // The task-set scheduler takes its clock by injection (the
         // `Clock` closure) precisely so seeded runs replay; an ambient
         // `Instant::now` or `thread_rng` victim pick inside the crate
         // would break the replay-determinism proptests.

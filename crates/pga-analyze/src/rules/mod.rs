@@ -54,3 +54,22 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(config_compat::ConfigCompat),
     ]
 }
+
+/// Panic unless every `(crate, modules)` entry of a rule's scope table
+/// names a live workspace crate and, for each module, a `src/<m>.rs` or
+/// `src/<m>/` in it — so renaming a module without its scope entry
+/// fails a test instead of silently dropping the module from the rule.
+#[cfg(test)]
+pub(crate) fn assert_scope_exists(scope: &[(&str, &[&str])]) {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    for (krate, modules) in scope {
+        let src = crates.join(krate).join("src");
+        assert!(src.is_dir(), "scope names a missing crate `{krate}`");
+        for m in *modules {
+            assert!(
+                src.join(format!("{m}.rs")).is_file() || src.join(m).is_dir(),
+                "scope names a missing module `{krate}::{m}`"
+            );
+        }
+    }
+}

@@ -15,12 +15,12 @@ const SCOPE: &[(&str, &[&str])] = &[
     ("pga-minibase", &["server", "region", "master", "scrub"]),
     ("pga-tsdb", &["api", "block", "compact"]),
     ("pga-cluster", &["rpc"]),
-    // The scheduler's graph builder and deque run under every training
+    // The scheduler's task set and deque run under every training
     // round; a panic there poisons the whole batch. The executor module
     // is excluded: it *catches* task panics by design (`catch_unwind`)
     // and its own joins are infallible merges — ANALYSIS.md records the
     // rationale.
-    ("pga-sched", &["deque", "graph"]),
+    ("pga-sched", &["deque", "tasks"]),
 ];
 
 fn in_scope(f: &SourceFile) -> bool {
@@ -105,5 +105,13 @@ impl Rule for PanicPath {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_scoped_crate_and_module_exists() {
+        crate::rules::assert_scope_exists(super::SCOPE);
     }
 }

@@ -18,8 +18,9 @@ const SCOPE: &[(&str, &[&str])] = &[
     ("pga-cluster", &["rpc"]),
     ("pga-query", &[]),
     ("pga-repl", &[]),
-    // Idle scheduler workers must spin on `yield_now`, never a fixed
-    // sleep — a sleeping worker holds the whole graph's critical path.
+    // Scheduler workers never sleep: an idle worker ends after one empty
+    // probe pass, and a fixed sleep would hold the whole set's critical
+    // path.
     ("pga-sched", &[]),
 ];
 
@@ -116,5 +117,13 @@ impl Rule for RetryDiscipline {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_scoped_crate_and_module_exists() {
+        crate::rules::assert_scope_exists(super::SCOPE);
     }
 }

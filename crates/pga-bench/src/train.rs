@@ -130,8 +130,6 @@ pub struct WorkerScalingRow {
     pub steal_attempts: u64,
     /// Deepest worker deque observed.
     pub max_queue_depth: u64,
-    /// Idle yield loops across all workers.
-    pub idle_spins: u64,
 }
 
 /// E23 artifact: retrain rounds, the scaling sweep, and the verdict
@@ -366,7 +364,6 @@ pub fn train_retrain_experiment(cfg: &TrainBenchConfig) -> TrainBenchReport {
             steals: stats.steals,
             steal_attempts: stats.steal_attempts,
             max_queue_depth: stats.max_queue_depth,
-            idle_spins: stats.idle_spins,
         });
     }
     let parallel_speedup = scaling

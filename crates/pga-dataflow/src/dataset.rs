@@ -1,42 +1,39 @@
-//! Partitioned datasets compiled into `pga-sched` task graphs.
+//! Partitioned datasets whose `map` runs as a `pga-sched` task set.
 //!
-//! Each transformation builds a [`pga_sched::TaskGraph`] — one task per
-//! partition, plus explicit dependency edges for shuffles and merges —
-//! and hands it to the work-stealing scheduler ([`pga_sched::run`]) or,
-//! with a single worker, the deterministic sequential executor
-//! ([`pga_sched::run_sequential`]). Run counters accumulate on the
-//! [`Dataflow`] context and are exposed as [`DataflowStats`] for the
-//! platform's scheduler-observability panel.
+//! Each [`Dataset::map`] builds a [`pga_sched::TaskSet`] — one task per
+//! partition — and hands it to the work-stealing scheduler
+//! ([`pga_sched::run`]) or, with a single worker, the deterministic
+//! sequential executor ([`pga_sched::run_sequential`]). Run counters
+//! accumulate on the [`Dataflow`] context and are exposed as
+//! [`DataflowStats`] for the platform's scheduler-observability panel.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use pga_sched::{SchedulerConfig, TaskGraph};
+use pga_sched::{SchedulerConfig, TaskSet};
 use serde::Serialize;
+
+/// Base seed of the scheduler's victim-selection streams; each run adds
+/// its sequence number, so runs within one context use distinct but
+/// replayable streams.
+const SEED: u64 = 0xDA7A_F70E;
 
 /// Cumulative scheduler counters (atomics; shared by `Dataflow` clones).
 #[derive(Debug, Default)]
 struct EngineStats {
-    graphs: AtomicU64,
     tasks: AtomicU64,
     steals: AtomicU64,
     steal_attempts: AtomicU64,
     max_queue_depth: AtomicU64,
-    idle_spins: AtomicU64,
     task_ns: AtomicU64,
-    /// Per-graph sequence number: each graph gets `seed + seq` so runs
-    /// within one context use distinct but replayable RNG streams.
-    graph_seq: AtomicU64,
+    /// Runs started, the per-run offset added to [`SEED`].
+    run_seq: AtomicU64,
 }
 
 /// Snapshot of a context's cumulative scheduler counters.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct DataflowStats {
-    /// Task graphs executed.
-    pub graphs_run: u64,
-    /// Tasks executed across all graphs.
+    /// Tasks executed across all runs.
     pub tasks_run: u64,
     /// Successful steals.
     pub steals: u64,
@@ -44,46 +41,25 @@ pub struct DataflowStats {
     pub steal_attempts: u64,
     /// High-water mark of any worker deque depth.
     pub max_queue_depth: u64,
-    /// Idle yield loops across all workers.
-    pub idle_spins: u64,
     /// Total nanoseconds spent inside task bodies.
     pub task_ns_total: u64,
 }
 
-impl DataflowStats {
-    /// Mean task body latency in microseconds (0 when nothing ran).
-    pub fn mean_task_us(&self) -> f64 {
-        if self.tasks_run == 0 {
-            0.0
-        } else {
-            self.task_ns_total as f64 / self.tasks_run as f64 / 1_000.0
-        }
-    }
-}
-
-/// The execution context: worker count, scheduler seed, and cumulative
-/// run counters. Cloning shares the counters (clones observe each
-/// other's runs through [`Dataflow::stats`]).
+/// The execution context: worker count and cumulative run counters.
+/// Cloning shares the counters (clones observe each other's runs through
+/// [`Dataflow::stats`]).
 #[derive(Debug, Clone)]
 pub struct Dataflow {
     workers: usize,
-    seed: u64,
     stats: Arc<EngineStats>,
 }
 
 impl Dataflow {
-    /// A context with `workers` threads (≥ 1) and the default seed.
+    /// A context with `workers` threads (≥ 1).
     pub fn new(workers: usize) -> Self {
-        Self::with_seed(workers, 0xDA7A_F70E)
-    }
-
-    /// A context with an explicit scheduler seed, for replay harnesses
-    /// that need the steal-pressure profile reproducible end to end.
-    pub fn with_seed(workers: usize, seed: u64) -> Self {
         assert!(workers >= 1, "need at least one worker");
         Dataflow {
             workers,
-            seed,
             stats: Arc::new(EngineStats::default()),
         }
     }
@@ -97,76 +73,57 @@ impl Dataflow {
     pub fn stats(&self) -> DataflowStats {
         DataflowStats {
             // pga-allow(relaxed-atomics): independent monotonic counters; snapshot tolerates inter-field skew
-            graphs_run: self.stats.graphs.load(Ordering::Relaxed),
             tasks_run: self.stats.tasks.load(Ordering::Relaxed),
             steals: self.stats.steals.load(Ordering::Relaxed),
             steal_attempts: self.stats.steal_attempts.load(Ordering::Relaxed),
             max_queue_depth: self.stats.max_queue_depth.load(Ordering::Relaxed),
-            idle_spins: self.stats.idle_spins.load(Ordering::Relaxed),
             task_ns_total: self.stats.task_ns.load(Ordering::Relaxed),
         }
     }
 
-    /// Execute a task graph on the appropriate executor and fold its
-    /// report into the cumulative counters. Worker panics inside task
-    /// bodies resurface as a panic here (the pre-`pga-sched` engine let
-    /// scoped-thread panics propagate the same way); cycles cannot occur
-    /// in graphs this module builds.
-    fn execute(&self, graph: TaskGraph<'_>) {
-        if graph.is_empty() {
-            return;
-        }
+    /// Execute a task set on the appropriate executor and fold its
+    /// report into the cumulative counters. A panic inside a task body
+    /// resurfaces as a panic here, the way a scoped-thread panic would.
+    fn execute(&self, tasks: TaskSet<'_>) {
         let t0 = std::time::Instant::now();
         let clock: pga_sched::Clock = Arc::new(move || t0.elapsed().as_nanos() as u64);
-        let seq = self.stats.graph_seq.fetch_add(1, Ordering::Relaxed);
-        let workers = self.workers.min(graph.len()).max(1);
+        let seq = self.stats.run_seq.fetch_add(1, Ordering::Relaxed);
+        let workers = self.workers.min(tasks.len()).max(1);
         let result = if workers == 1 {
-            pga_sched::run_sequential(graph, Some(&clock))
+            pga_sched::run_sequential(tasks, Some(&clock))
         } else {
             let config = SchedulerConfig {
                 workers,
-                seed: self.seed.wrapping_add(seq),
+                seed: SEED.wrapping_add(seq),
             };
-            pga_sched::run(graph, &config, Some(&clock))
+            pga_sched::run(tasks, &config, Some(&clock))
         };
         let report = match result {
             Ok(report) => report,
-            Err(e) => panic!("dataflow task graph failed: {e}"),
+            Err(e) => panic!("dataflow task set failed: {e}"),
         };
-        self.stats.graphs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .tasks
-            .fetch_add(report.tasks_run, Ordering::Relaxed);
-        self.stats
-            .steals
-            .fetch_add(report.steals, Ordering::Relaxed);
-        self.stats
+        let stats = &self.stats;
+        stats.tasks.fetch_add(report.tasks_run, Ordering::Relaxed);
+        stats.steals.fetch_add(report.steals, Ordering::Relaxed);
+        stats
             .steal_attempts
             .fetch_add(report.steal_attempts, Ordering::Relaxed);
-        self.stats
+        stats
             .max_queue_depth
             .fetch_max(report.max_queue_depth, Ordering::Relaxed);
-        self.stats
-            .idle_spins
-            .fetch_add(report.idle_spins, Ordering::Relaxed);
-        let stage_ns: u64 = report.stages.iter().map(|s| s.total_ns).sum();
-        self.stats.task_ns.fetch_add(stage_ns, Ordering::Relaxed);
+        stats.task_ns.fetch_add(report.task_ns, Ordering::Relaxed);
     }
 
     /// Distribute a vector into `partitions` roughly equal chunks.
     pub fn parallelize<T: Send>(&self, data: Vec<T>, partitions: usize) -> Dataset<T> {
         assert!(partitions >= 1, "need at least one partition");
-        let n = data.len();
-        let per = n.div_ceil(partitions).max(1);
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(partitions);
+        let per = data.len().div_ceil(partitions).max(1);
         let mut it = data.into_iter();
-        for _ in 0..partitions {
-            let chunk: Vec<T> = it.by_ref().take(per).collect();
-            parts.push(chunk);
-        }
         Dataset {
             ctx: self.clone(),
-            partitions: parts,
+            partitions: (0..partitions)
+                .map(|_| it.by_ref().take(per).collect())
+                .collect(),
         }
     }
 }
@@ -177,12 +134,12 @@ impl Dataflow {
 /// use pga_dataflow::Dataflow;
 ///
 /// let df = Dataflow::new(4);
-/// let sum = df
+/// let squares = df
 ///     .parallelize((1..=100).collect(), 8)
 ///     .map(|x: i64| x * x)
-///     .filter(|x| x % 2 == 0)
-///     .reduce(|a, b| a + b);
-/// assert_eq!(sum, Some((1..=100i64).map(|x| x * x).filter(|x| x % 2 == 0).sum()));
+///     .collect();
+/// assert_eq!(squares, (1..=100i64).map(|x| x * x).collect::<Vec<_>>());
+/// assert_eq!(df.stats().tasks_run, 8, "one task per partition");
 /// ```
 #[derive(Debug)]
 pub struct Dataset<T> {
@@ -190,253 +147,32 @@ pub struct Dataset<T> {
     partitions: Vec<Vec<T>>,
 }
 
-/// Partition slots shared between graph construction and task bodies.
-type Slot<T> = Mutex<Option<T>>;
-
-/// Per-bucket pair lists produced by a shuffle-scatter task.
-type Buckets<K, V> = Vec<Vec<(K, V)>>;
-
-/// A gathered output partition: each key with its collected values.
-type Grouped<K, V> = Vec<(K, Vec<V>)>;
-
-fn take_slot<T>(slot: &Slot<T>) -> T {
-    slot.lock()
-        .expect("slot lock")
-        .take()
-        .expect("partition taken once")
-}
-
-fn fill_slot<T>(slot: &Slot<T>, value: T) {
-    *slot.lock().expect("slot lock") = Some(value);
-}
-
-fn drain_slots<T>(slots: Vec<Slot<T>>) -> Vec<T> {
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("task filled output")
-        })
-        .collect()
-}
-
 impl<T: Send> Dataset<T> {
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Total elements.
-    pub fn count(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
-    }
-
-    /// Run `f` over whole partitions in parallel, producing one output
-    /// partition per input partition. The fundamental parallel primitive —
-    /// everything else is built on it. Compiles to a flat task graph:
-    /// one independent `map_partitions` task per partition.
-    pub fn map_partitions<U, F>(self, f: F) -> Dataset<U>
-    where
-        U: Send,
-        F: Fn(Vec<T>) -> Vec<U> + Sync,
-    {
-        let ctx = self.ctx.clone();
-        let inputs: Vec<Slot<Vec<T>>> = self
-            .partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let outputs: Vec<Slot<Vec<U>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-        {
-            let f = &f;
-            let mut graph = TaskGraph::new();
-            for (input, output) in inputs.iter().zip(outputs.iter()) {
-                graph.add_task("map_partitions", move || {
-                    fill_slot(output, f(take_slot(input)));
-                });
-            }
-            ctx.execute(graph);
-        }
-        Dataset {
-            ctx,
-            partitions: drain_slots(outputs),
-        }
-    }
-
-    /// Parallel element-wise map.
+    /// Parallel element-wise map: one independent task per partition,
+    /// each producing the matching output partition.
     pub fn map<U, F>(self, f: F) -> Dataset<U>
     where
         U: Send,
         F: Fn(T) -> U + Sync,
     {
-        self.map_partitions(|part| part.into_iter().map(&f).collect())
-    }
-
-    /// Parallel filter.
-    pub fn filter<F>(self, f: F) -> Dataset<T>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.map_partitions(|part| part.into_iter().filter(|t| f(t)).collect())
-    }
-
-    /// Parallel flat map.
-    pub fn flat_map<U, I, F>(self, f: F) -> Dataset<U>
-    where
-        U: Send,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Sync,
-    {
-        self.map_partitions(|part| part.into_iter().flat_map(&f).collect())
-    }
-
-    /// Parallel reduce: `f` must be associative and commutative. Compiles
-    /// to per-partition `reduce-fold` tasks feeding one `reduce-merge`
-    /// task through explicit dependency edges; the merge folds partials
-    /// in partition order, matching the pre-`pga-sched` engine exactly.
-    pub fn reduce<F>(self, f: F) -> Option<T>
-    where
-        F: Fn(T, T) -> T + Sync,
-    {
-        let ctx = self.ctx.clone();
-        let inputs: Vec<Slot<Vec<T>>> = self
-            .partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let partials: Vec<Slot<T>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-        let result: Slot<T> = Mutex::new(None);
-        {
-            let f = &f;
-            let partials_ref = &partials;
-            let result_ref = &result;
-            let mut graph = TaskGraph::new();
-            let mut folds = Vec::with_capacity(inputs.len());
-            for (input, partial) in inputs.iter().zip(partials.iter()) {
-                folds.push(graph.add_task("reduce-fold", move || {
-                    let mut it = take_slot(input).into_iter();
-                    if let Some(first) = it.next() {
-                        fill_slot(partial, it.fold(first, f));
-                    }
-                }));
-            }
-            let merge = graph.add_task("reduce-merge", move || {
-                let mut acc: Option<T> = None;
-                for slot in partials_ref {
-                    if let Some(v) = slot.lock().expect("slot lock").take() {
-                        acc = Some(match acc {
-                            Some(a) => f(a, v),
-                            None => v,
-                        });
-                    }
-                }
-                if let Some(v) = acc {
-                    fill_slot(result_ref, v);
-                }
-            });
-            for fold in folds {
-                graph.add_edge(fold, merge).expect("valid edge");
-            }
-            ctx.execute(graph);
+        let mut outputs: Vec<Vec<U>> = Vec::new();
+        outputs.resize_with(self.partitions.len(), Vec::new);
+        let f = &f;
+        let mut tasks = TaskSet::new();
+        for (part, out) in self.partitions.into_iter().zip(outputs.iter_mut()) {
+            tasks.add(move || *out = part.into_iter().map(f).collect());
         }
-        result.into_inner().expect("slot lock")
+        self.ctx.execute(tasks);
+        Dataset {
+            ctx: self.ctx,
+            partitions: outputs,
+        }
     }
 
     /// Gather all elements (partition order preserved).
     pub fn collect(self) -> Vec<T> {
         self.partitions.into_iter().flatten().collect()
     }
-}
-
-impl<K, V> Dataset<(K, V)>
-where
-    K: Send + Hash + Eq + Clone,
-    V: Send,
-{
-    /// Hash shuffle: group values by key into `output_partitions`
-    /// partitions (all pairs of one key land in one partition), then
-    /// build per-key groups. The Spark `groupByKey` analog.
-    ///
-    /// Compiles to `shuffle-scatter` tasks (one per input partition,
-    /// bucketing pairs by key hash) feeding `shuffle-gather` tasks (one
-    /// per output partition) through a full bipartite edge set. Bucket
-    /// assignment is byte-identical to the pre-`pga-sched` engine, and
-    /// each key's values arrive in input-partition-then-row order as
-    /// before; key order *within* an output partition is now
-    /// deterministic (first occurrence) where the old engine exposed
-    /// `HashMap` iteration order.
-    pub fn group_by_key(self, output_partitions: usize) -> Dataset<(K, Vec<V>)> {
-        assert!(output_partitions >= 1);
-        let ctx = self.ctx.clone();
-        let inputs: Vec<Slot<Vec<(K, V)>>> = self
-            .partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        // scattered[input][bucket] holds that input partition's pairs for
-        // that bucket, in row order.
-        let scattered: Vec<Mutex<Buckets<K, V>>> =
-            inputs.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let outputs: Vec<Slot<Grouped<K, V>>> =
-            (0..output_partitions).map(|_| Mutex::new(None)).collect();
-        {
-            let scattered_ref = &scattered;
-            let mut graph = TaskGraph::new();
-            let mut scatters = Vec::with_capacity(inputs.len());
-            for (input, slot) in inputs.iter().zip(scattered.iter()) {
-                scatters.push(graph.add_task("shuffle-scatter", move || {
-                    let mut buckets: Vec<Vec<(K, V)>> =
-                        (0..output_partitions).map(|_| Vec::new()).collect();
-                    for (k, v) in take_slot(input) {
-                        buckets[bucket_for(&k, output_partitions)].push((k, v));
-                    }
-                    *slot.lock().expect("slot lock") = buckets;
-                }));
-            }
-            for (bucket, output) in outputs.iter().enumerate() {
-                let gather = graph.add_task("shuffle-gather", move || {
-                    let mut order: Vec<K> = Vec::new();
-                    let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-                    for slot in scattered_ref {
-                        let mut guard = slot.lock().expect("slot lock");
-                        if let Some(pairs) = guard.get_mut(bucket) {
-                            for (k, v) in std::mem::take(pairs) {
-                                if let Some(vs) = groups.get_mut(&k) {
-                                    vs.push(v);
-                                } else {
-                                    order.push(k.clone());
-                                    groups.insert(k, vec![v]);
-                                }
-                            }
-                        }
-                    }
-                    let grouped = order
-                        .into_iter()
-                        .filter_map(|k| groups.remove(&k).map(|vs| (k, vs)))
-                        .collect();
-                    fill_slot(output, grouped);
-                });
-                for &scatter in &scatters {
-                    graph.add_edge(scatter, gather).expect("valid edge");
-                }
-            }
-            ctx.execute(graph);
-        }
-        Dataset {
-            ctx,
-            partitions: drain_slots(outputs),
-        }
-    }
-}
-
-/// The shuffle's bucket assignment — kept byte-identical to the
-/// pre-`pga-sched` engine (same `DefaultHasher` construction, same
-/// modulo) so cached shuffle layouts and the pinning tests agree.
-fn bucket_for<K: Hash>(key: &K, output_partitions: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % output_partitions as u64) as usize
 }
 
 #[cfg(test)]
@@ -447,13 +183,14 @@ mod tests {
         Dataflow::new(4)
     }
 
+    fn sizes<T>(d: &Dataset<T>) -> Vec<usize> {
+        d.partitions.iter().map(Vec::len).collect()
+    }
+
     #[test]
     fn parallelize_partitions_evenly() {
         let d = ctx().parallelize((0..10).collect(), 3);
-        assert_eq!(d.num_partitions(), 3);
-        assert_eq!(d.count(), 10);
-        let sizes: Vec<usize> = d.partitions.iter().map(|p| p.len()).collect();
-        assert_eq!(sizes, vec![4, 4, 2]);
+        assert_eq!(sizes(&d), vec![4, 4, 2]);
     }
 
     #[test]
@@ -464,96 +201,24 @@ mod tests {
     }
 
     #[test]
-    fn filter_drops_elements() {
-        let d = ctx().parallelize((0..100).collect(), 5);
-        let out = d.filter(|x: &i32| x % 3 == 0).collect();
-        assert_eq!(out.len(), 34);
-        assert!(out.iter().all(|x| x % 3 == 0));
-    }
-
-    #[test]
-    fn flat_map_expands() {
-        let d = ctx().parallelize(vec![1, 2, 3], 2);
-        let out = d.flat_map(|x: i32| vec![x; x as usize]).collect();
-        assert_eq!(out, vec![1, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let d = ctx().parallelize((1..=100).collect(), 9);
-        assert_eq!(d.reduce(|a: i32, b| a + b), Some(5050));
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        let d = ctx().parallelize(Vec::<i32>::new(), 3);
-        assert_eq!(d.reduce(|a, b| a + b), None);
-    }
-
-    #[test]
-    fn reduce_with_empty_partitions() {
-        // 2 elements across 5 partitions: 3 empty partitions must not break.
-        let d = ctx().parallelize(vec![10, 20], 5);
-        assert_eq!(d.reduce(|a: i32, b| a + b), Some(30));
-    }
-
-    #[test]
-    fn group_by_key_collects_all_values() {
-        let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i % 7, i)).collect();
-        let d = ctx().parallelize(pairs, 6);
-        let grouped = d.group_by_key(4).collect();
-        assert_eq!(grouped.len(), 7);
-        let total: usize = grouped.iter().map(|(_, vs)| vs.len()).sum();
-        assert_eq!(total, 100);
-        for (k, vs) in &grouped {
-            assert!(vs.iter().all(|v| v % 7 == *k));
-        }
-    }
-
-    #[test]
-    fn group_by_key_single_output_partition() {
-        let d = ctx().parallelize(vec![(1, "a"), (2, "b"), (1, "c")], 2);
-        let grouped = d.group_by_key(1).collect();
-        assert_eq!(grouped.len(), 2);
-        let ones = grouped.iter().find(|(k, _)| *k == 1).unwrap();
-        assert_eq!(ones.1.len(), 2);
-    }
-
-    #[test]
-    fn map_partitions_sees_whole_partitions() {
-        let d = ctx().parallelize((0..12).collect(), 4);
-        let sums = d
-            .map_partitions(|p: Vec<i32>| vec![p.iter().sum::<i32>()])
-            .collect();
-        assert_eq!(sums.len(), 4);
-        assert_eq!(sums.iter().sum::<i32>(), 66);
-    }
-
-    #[test]
     fn single_worker_matches_many_workers() {
         let serial = Dataflow::new(1)
             .parallelize((0..1000).collect(), 8)
             .map(|x: i64| x * x)
-            .reduce(|a, b| a + b);
+            .collect();
         let parallel = Dataflow::new(8)
             .parallelize((0..1000).collect(), 8)
             .map(|x: i64| x * x)
-            .reduce(|a, b| a + b);
+            .collect();
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn more_partitions_than_elements() {
         let d = ctx().parallelize(vec![1, 2], 10);
-        assert_eq!(d.count(), 2);
+        assert_eq!(sizes(&d).len(), 10);
         assert_eq!(d.map(|x: i32| x + 1).collect(), vec![2, 3]);
     }
-
-    // ---- edge-case audit + old-vs-new engine pinning (ISSUE 10) ----
-    //
-    // The reference implementations below reproduce the pre-`pga-sched`
-    // bounded-pool engine's observable behavior partition by partition;
-    // the tests pin the task-graph engine against them byte-for-byte.
 
     #[test]
     #[should_panic(expected = "need at least one worker")]
@@ -567,13 +232,8 @@ mod tests {
         let _ = ctx().parallelize(vec![1, 2, 3], 0);
     }
 
-    #[test]
-    #[should_panic]
-    fn zero_output_partitions_rejected_by_group_by_key() {
-        let _ = ctx().parallelize(vec![(1u32, 1u32)], 2).group_by_key(0);
-    }
-
-    /// Old engine's `parallelize` chunking, reproduced serially.
+    /// The pre-`pga-sched` engine's `parallelize` chunking, reproduced
+    /// serially.
     fn reference_partitions<T>(data: Vec<T>, partitions: usize) -> Vec<Vec<T>> {
         let per = data.len().div_ceil(partitions).max(1);
         let mut parts = Vec::with_capacity(partitions);
@@ -585,16 +245,16 @@ mod tests {
     }
 
     #[test]
-    fn map_partitions_pins_old_engine_per_partition() {
+    fn map_keeps_partition_boundaries() {
         for parts in [1, 3, 7, 16] {
             for workers in [1, 2, 5] {
                 let data: Vec<i64> = (0..37).collect();
                 let got = Dataflow::new(workers)
                     .parallelize(data.clone(), parts)
-                    .map_partitions(|p| vec![p.iter().sum::<i64>(), p.len() as i64]);
+                    .map(|x| x * 3);
                 let expect: Vec<Vec<i64>> = reference_partitions(data, parts)
                     .into_iter()
-                    .map(|p| vec![p.iter().sum::<i64>(), p.len() as i64])
+                    .map(|p| p.into_iter().map(|x| x * 3).collect())
                     .collect();
                 assert_eq!(got.partitions, expect, "parts={parts} workers={workers}");
             }
@@ -603,121 +263,37 @@ mod tests {
 
     #[test]
     fn empty_dataset_flows_through_every_operation() {
-        let empty: Vec<i64> = Vec::new();
-        let d = ctx().parallelize(empty.clone(), 4);
-        assert_eq!(d.num_partitions(), 4);
-        assert_eq!(d.count(), 0);
-        assert_eq!(
-            ctx().parallelize(empty.clone(), 4).map(|x| x + 1).collect(),
-            Vec::<i64>::new()
-        );
-        assert_eq!(
-            ctx()
-                .parallelize(empty.clone(), 4)
-                .filter(|_| true)
-                .collect(),
-            Vec::<i64>::new()
-        );
-        assert_eq!(ctx().parallelize(empty, 4).reduce(|a, b| a + b), None);
-        let no_pairs: Vec<(u32, u32)> = Vec::new();
-        let grouped = ctx().parallelize(no_pairs, 3).group_by_key(5);
-        assert_eq!(grouped.num_partitions(), 5);
-        assert_eq!(grouped.collect(), Vec::<(u32, Vec<u32>)>::new());
-    }
-
-    #[test]
-    fn group_by_key_bucket_assignment_pins_old_engine() {
-        // The old engine computed `DefaultHasher(k) % output_partitions`;
-        // every key must land in exactly that output partition.
-        let pairs: Vec<(u64, u64)> = (0..200).map(|i| (i % 23, i)).collect();
-        let grouped = ctx().parallelize(pairs, 7).group_by_key(5);
-        assert_eq!(grouped.num_partitions(), 5);
-        for (idx, part) in grouped.partitions.iter().enumerate() {
-            for (k, _) in part {
-                assert_eq!(bucket_for(k, 5), idx, "key {k} in wrong bucket");
-            }
-        }
-    }
-
-    #[test]
-    fn group_by_key_pins_old_engine_per_partition() {
-        // Old-engine reference: scatter in partition-row order, serial
-        // redistribution, per-bucket HashMap grouping. Key order within a
-        // partition was HashMap-iteration (nondeterministic) there, so the
-        // comparison sorts pairs by key; value order per key was
-        // deterministic and must match exactly.
-        let pairs: Vec<(u32, i64)> = (0..150).map(|i| (i % 13, i as i64 * 3)).collect();
-        let (input_parts, output_parts) = (6, 4);
-
-        let mut buckets: Vec<Vec<(u32, i64)>> = (0..output_parts).map(|_| Vec::new()).collect();
-        for part in reference_partitions(pairs.clone(), input_parts) {
-            for (k, v) in part {
-                buckets[bucket_for(&k, output_parts)].push((k, v));
-            }
-        }
-        let expect: Vec<Vec<(u32, Vec<i64>)>> = buckets
-            .into_iter()
-            .map(|bucket| {
-                let mut groups: HashMap<u32, Vec<i64>> = HashMap::new();
-                for (k, v) in bucket {
-                    groups.entry(k).or_default().push(v);
-                }
-                let mut out: Vec<(u32, Vec<i64>)> = groups.into_iter().collect();
-                out.sort_by_key(|(k, _)| *k);
-                out
-            })
-            .collect();
-
-        for workers in [1, 4] {
-            let grouped = Dataflow::new(workers)
-                .parallelize(pairs.clone(), input_parts)
-                .group_by_key(output_parts);
-            let mut got = grouped.partitions.clone();
-            for part in &mut got {
-                part.sort_by_key(|(k, _)| *k);
-            }
-            assert_eq!(got, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn group_by_key_key_order_is_first_occurrence() {
-        // New-engine guarantee the old engine lacked: pair order within an
-        // output partition follows first key occurrence in scan order.
-        let pairs = vec![(5u32, "a"), (1, "b"), (5, "c"), (9, "d"), (1, "e")];
-        let grouped = ctx().parallelize(pairs, 1).group_by_key(1).collect();
-        let keys: Vec<u32> = grouped.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![5, 1, 9]);
-        assert_eq!(grouped[0].1, vec!["a", "c"]);
-        assert_eq!(grouped[1].1, vec!["b", "e"]);
+        let df = ctx();
+        let d = df.parallelize(Vec::<i64>::new(), 4);
+        assert_eq!(sizes(&d), vec![0; 4]);
+        assert_eq!(d.map(|x| x + 1).collect(), Vec::<i64>::new());
+        assert_eq!(df.stats().tasks_run, 4, "empty partitions still run");
     }
 
     #[test]
     fn stats_accumulate_across_operations() {
         let df = Dataflow::new(3);
-        let before = df.stats();
-        assert_eq!(before.graphs_run, 0);
-        let sum = df
+        assert_eq!(df.stats().tasks_run, 0);
+        let out = df
             .parallelize((0..100i64).collect(), 8)
             .map(|x| x + 1)
-            .reduce(|a, b| a + b);
-        assert_eq!(sum, Some(5050));
+            .map(|x| x * 2)
+            .collect();
+        assert_eq!(out.iter().sum::<i64>(), 10_100);
         let after = df.stats();
-        // map -> 8 tasks; reduce -> 8 folds + 1 merge.
-        assert_eq!(after.graphs_run, 2);
-        assert_eq!(after.tasks_run, 17);
+        assert_eq!(after.tasks_run, 16, "two maps of 8 partitions");
+        assert!(after.max_queue_depth >= 3, "8 tasks dealt to 3 deques");
         assert!(after.task_ns_total > 0);
-        assert!(after.mean_task_us() > 0.0);
     }
 
     #[test]
-    fn seeded_contexts_share_stats_across_clones() {
-        let df = Dataflow::with_seed(2, 99);
-        let clone = df.clone();
-        let _ = clone
+    fn clones_share_stats() {
+        let df = Dataflow::new(2);
+        let _ = df
+            .clone()
             .parallelize((0..10i32).collect(), 2)
             .map(|x| x)
             .collect();
-        assert_eq!(df.stats().graphs_run, 1);
+        assert_eq!(df.stats().tasks_run, 2);
     }
 }

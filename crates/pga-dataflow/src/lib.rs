@@ -1,23 +1,22 @@
 //! A small Spark-analog batch compute engine.
 //!
 //! The paper trains offline "in the Spark framework … in batch mode"
-//! (§II, §IV-A). This crate supplies the equivalent substrate:
+//! (§II, §IV-A), and that training is embarrassingly parallel per unit.
+//! This crate supplies the one shape it needs:
 //!
-//! * [`Dataflow`] / [`Dataset`] — partitioned collections with parallel
-//!   `map`, `filter`, `flat_map`, `map_partitions`, `reduce`, `count`,
-//!   `collect`, and a hash-shuffled `group_by_key` (the "concurrency of
-//!   Spark" §IV-A plans to exploit). Each transformation compiles into a
-//!   `pga-sched` task graph — one task per partition plus explicit
-//!   shuffle/merge edges — executed by the seeded work-stealing
-//!   scheduler (or the sequential executor with one worker).
+//! * [`Dataflow`] / [`Dataset`] — `parallelize` a vector into partitions,
+//!   `map` them in parallel, `collect` the results in order. Each `map`
+//!   becomes a `pga-sched` task set — one independent task per partition
+//!   — executed by the seeded work-stealing scheduler (or the sequential
+//!   executor with one worker).
 //! * [`DataflowStats`] — cumulative scheduler counters (tasks, steals,
-//!   queue depth, task latency) for the platform observability panel.
+//!   probes, queue depth, task time) for the platform observability panel.
 //!
-//! The engine is eager (each transformation runs immediately, in
-//! parallel); lineage/laziness is orthogonal to everything the paper's
-//! workload needs. The paper caches its decompositions to HDFS; here the
-//! trained models stay in memory, held by the monitor's evaluator.
-//! DESIGN.md §13 describes the scheduler substrate.
+//! The engine is eager (each `map` runs immediately, in parallel);
+//! lineage/laziness is orthogonal to everything the paper's workload
+//! needs. The paper caches its decompositions to HDFS; here the trained
+//! models stay in memory, held by the monitor's evaluator. DESIGN.md §13
+//! describes the scheduler substrate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,5 @@
-//! Property tests: every dataflow transformation agrees with its
-//! sequential `Vec` counterpart regardless of partitioning and worker
-//! count.
+//! Property tests: a dataflow `map` agrees with its sequential `Vec`
+//! counterpart regardless of partitioning and worker count.
 
 use proptest::prelude::*;
 
@@ -22,80 +21,12 @@ proptest! {
     }
 
     #[test]
-    fn filter_equals_sequential(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df.parallelize(d.clone(), parts).filter(|x| x % 3 == 0).collect();
-        let expect: Vec<i64> = d.iter().copied().filter(|x| x % 3 == 0).collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn flat_map_equals_sequential(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df
-            .parallelize(d.clone(), parts)
-            .flat_map(|x| if x % 2 == 0 { vec![x, x] } else { vec![] })
-            .collect();
-        let expect: Vec<i64> = d
-            .iter()
-            .flat_map(|&x| if x % 2 == 0 { vec![x, x] } else { vec![] })
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn reduce_equals_sequential_sum(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df.parallelize(d.clone(), parts).reduce(|a, b| a + b);
-        let expect = d.iter().copied().reduce(|a, b| a + b);
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
     fn count_is_preserved_through_partitioning(d in data(), parts in 1usize..16) {
+        // `parallelize` makes exactly `parts` partitions, and a `map` runs
+        // one task for each, empty or not.
         let df = Dataflow::new(3);
-        let ds = df.parallelize(d.clone(), parts);
-        prop_assert_eq!(ds.count(), d.len());
-        prop_assert!(ds.num_partitions() <= parts.max(1));
-    }
-
-    #[test]
-    fn group_by_key_partitions_pairs_completely(
-        pairs in proptest::collection::vec((0u8..12, -100i64..100), 0..150),
-        out_parts in 1usize..6,
-    ) {
-        let df = Dataflow::new(4);
-        let grouped = df
-            .parallelize(pairs.clone(), 5)
-            .group_by_key(out_parts)
-            .collect();
-        // Every key appears exactly once.
-        let mut keys: Vec<u8> = grouped.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        let mut expect_keys: Vec<u8> = pairs.iter().map(|(k, _)| *k).collect();
-        expect_keys.sort_unstable();
-        expect_keys.dedup();
-        prop_assert_eq!(keys, expect_keys);
-        // Multiset of values per key matches.
-        for (k, mut vs) in grouped {
-            vs.sort_unstable();
-            let mut expect: Vec<i64> = pairs
-                .iter()
-                .filter(|(pk, _)| *pk == k)
-                .map(|(_, v)| *v)
-                .collect();
-            expect.sort_unstable();
-            prop_assert_eq!(vs, expect);
-        }
-    }
-
-    #[test]
-    fn map_partitions_preserves_partition_structure(d in data(), parts in 1usize..8) {
-        let df = Dataflow::new(2);
-        let ds = df.parallelize(d.clone(), parts);
-        let n_parts = ds.num_partitions();
-        let counted = ds.map_partitions(|p| vec![p.len()]).collect();
-        prop_assert_eq!(counted.len(), n_parts);
-        prop_assert_eq!(counted.iter().sum::<usize>(), d.len());
+        let got = df.parallelize(d.clone(), parts).map(|x| x).collect();
+        prop_assert_eq!(got.len(), d.len());
+        prop_assert_eq!(df.stats().tasks_run, parts as u64);
     }
 }

@@ -98,7 +98,7 @@ impl FleetTrainer {
     }
 
     /// Re-finish covariance/SVD for the dirty units only, as a
-    /// `pga-sched` task graph (one finish task per dirty unit). Units
+    /// `pga-sched` task set (one finish task per dirty unit). Units
     /// whose statistics still hold fewer than 2 rows stay dirty and are
     /// reported as errors; successfully finished units are cleaned.
     pub fn retrain_dirty(&mut self, dataflow: &Dataflow) -> Vec<(u32, TrainError)> {

@@ -559,7 +559,7 @@ impl Monitor {
             rejected += scrub.repairs_rejected.load(Relaxed);
             salvaged += tsd.metrics().salvaged_reads.load(Relaxed);
         }
-        // Every training graph the dataflow engine ran since construction.
+        // Every training task set the dataflow engine ran since construction.
         let sched = self.dataflow.stats();
         stats
             .set(Metric::QueryCacheHits, query.cache_hits)
@@ -775,7 +775,7 @@ mod tests {
         assert_eq!(m.fleet_snapshot().fold(Metric::SchedTasks), 0);
         m.train(149).unwrap();
         assert!(m.is_trained());
-        // Scheduler counters from the training graph reach the fleet
+        // Scheduler counters from the training task sets reach the fleet
         // snapshot.
         assert!(
             m.fleet_snapshot().fold(Metric::SchedTasks) > 0,

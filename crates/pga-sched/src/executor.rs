@@ -2,24 +2,22 @@
 //! deterministic sequential executor used as its differential oracle.
 //!
 //! Determinism contract: task *outputs* are deterministic under both
-//! executors (every task runs exactly once, after all its dependencies),
-//! while the work-stealing *interleaving* varies run to run. Victim
-//! selection draws from per-worker `StdRng` streams seeded from
-//! [`SchedulerConfig::seed`], never ambient entropy, so fault-injection
-//! harnesses that replay a seed see the same steal pressure profile.
-//! Time never comes from `Instant::now` here — callers inject a [`Clock`].
+//! executors (every task runs exactly once), while the work-stealing
+//! *interleaving* varies run to run. Victim selection draws from
+//! per-worker `StdRng` streams seeded from [`SchedulerConfig::seed`],
+//! never ambient entropy, so fault-injection harnesses that replay a seed
+//! see the same steal pressure profile. Time never comes from
+//! `Instant::now` here — callers inject a [`Clock`].
 
 use crate::deque::WorkDeque;
-use crate::graph::{SchedError, TaskGraph};
+use crate::tasks::{SchedError, Task, TaskSet};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Monotonic nanosecond source injected by the caller. `pga-sched`
 /// itself never reads wall or monotonic clocks, which keeps the whole
@@ -46,19 +44,6 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Aggregated timing for one stage label across a run.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct StageTiming {
-    /// Stage label as passed to `TaskGraph::add_task`.
-    pub stage: String,
-    /// Tasks completed in this stage.
-    pub tasks: u64,
-    /// Total nanoseconds spent in this stage's task bodies (0 without a clock).
-    pub total_ns: u64,
-    /// Slowest single task in this stage, nanoseconds.
-    pub max_ns: u64,
-}
-
 /// Counters and timings from one executor run.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RunReport {
@@ -72,225 +57,69 @@ pub struct RunReport {
     pub steal_attempts: u64,
     /// High-water mark of any single worker's queue depth.
     pub max_queue_depth: u64,
-    /// Times a worker found no work anywhere and yielded.
-    pub idle_spins: u64,
-    /// Tasks executed per worker, indexed by worker id.
-    pub per_worker_tasks: Vec<u64>,
-    /// Per-stage timing, sorted by stage label.
-    pub stages: Vec<StageTiming>,
+    /// Total nanoseconds spent in task bodies (0 without a clock).
+    pub task_ns: u64,
 }
 
-#[derive(Default)]
-struct StageAcc {
-    tasks: u64,
-    total_ns: u64,
-    max_ns: u64,
-}
-
-#[derive(Default)]
-struct WorkerLocal {
-    tasks: u64,
-    steals: u64,
-    steal_attempts: u64,
-    max_depth: u64,
-    idle_spins: u64,
-    stages: BTreeMap<&'static str, StageAcc>,
-}
-
-/// Kahn pass over the dependency counts alone: rejects cyclic graphs up
-/// front so the parallel workers can treat "remaining > 0" as "progress
-/// is still possible" and never livelock on an unsatisfiable node.
-fn check_acyclic(children: &[Vec<usize>], indegree: &[usize]) -> Result<(), SchedError> {
-    let mut deg = indegree.to_vec();
-    let mut ready: Vec<usize> = deg
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut seen = 0usize;
-    while let Some(id) = ready.pop() {
-        seen += 1;
-        if let Some(kids) = children.get(id) {
-            for &c in kids {
-                if let Some(d) = deg.get_mut(c) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(c);
-                    }
-                }
-            }
-        }
-    }
-    if seen < children.len() {
-        Err(SchedError::Cycle {
-            remaining: children.len() - seen,
-        })
-    } else {
-        Ok(())
-    }
-}
-
-fn merge_stages(per_worker: Vec<BTreeMap<&'static str, StageAcc>>) -> Vec<StageTiming> {
-    let mut merged: BTreeMap<&'static str, StageAcc> = BTreeMap::new();
-    for stages in per_worker {
-        for (stage, acc) in stages {
-            let slot = merged.entry(stage).or_default();
-            slot.tasks += acc.tasks;
-            slot.total_ns += acc.total_ns;
-            slot.max_ns = slot.max_ns.max(acc.max_ns);
-        }
-    }
-    merged
-        .into_iter()
-        .map(|(stage, acc)| StageTiming {
-            stage: stage.to_string(),
-            tasks: acc.tasks,
-            total_ns: acc.total_ns,
-            max_ns: acc.max_ns,
-        })
-        .collect()
-}
-
-/// Execute the graph single-threaded, processing ready tasks in
-/// ascending `TaskId` order. This is the deterministic baseline the
-/// differential tests compare the work-stealing path against, and the
-/// engine `pga-dataflow` uses when configured with one worker.
-pub fn run_sequential(
-    graph: TaskGraph<'_>,
-    clock: Option<&Clock>,
-) -> Result<RunReport, SchedError> {
-    let total = graph.tasks.len();
-    let mut bodies = Vec::with_capacity(total);
-    let mut stages = Vec::with_capacity(total);
-    let mut children = Vec::with_capacity(total);
-    let mut indegree = Vec::with_capacity(total);
-    for node in graph.tasks {
-        stages.push(node.stage);
-        children.push(node.children);
-        indegree.push(node.indegree);
-        bodies.push(Some(node.body));
-    }
-
-    let mut ready: BinaryHeap<Reverse<usize>> = indegree
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| Reverse(i))
-        .collect();
-    let mut stage_acc: BTreeMap<&'static str, StageAcc> = BTreeMap::new();
-    let mut max_depth = ready.len() as u64;
-    let mut seen = 0u64;
-
-    while let Some(Reverse(id)) = ready.pop() {
-        let body = bodies.get_mut(id).and_then(Option::take);
-        let stage = stages.get(id).copied().unwrap_or("unknown");
-        if let Some(body) = body {
-            let start = clock.map(|c| c());
-            let outcome = catch_unwind(AssertUnwindSafe(body));
-            if outcome.is_err() {
-                return Err(SchedError::TaskPanicked { stage });
-            }
-            let elapsed = match (start, clock) {
-                (Some(s), Some(c)) => c().saturating_sub(s),
-                _ => 0,
-            };
-            let acc = stage_acc.entry(stage).or_default();
-            acc.tasks += 1;
-            acc.total_ns += elapsed;
-            acc.max_ns = acc.max_ns.max(elapsed);
-        }
-        seen += 1;
-        if let Some(kids) = children.get(id) {
-            for &c in kids {
-                if let Some(d) = indegree.get_mut(c) {
-                    *d = d.saturating_sub(1);
-                    if *d == 0 {
-                        ready.push(Reverse(c));
-                        max_depth = max_depth.max(ready.len() as u64);
-                    }
-                }
-            }
-        }
-    }
-
-    if (seen as usize) < total {
-        return Err(SchedError::Cycle {
-            remaining: total - seen as usize,
-        });
-    }
-
-    Ok(RunReport {
-        workers: 1,
-        tasks_run: seen,
-        steals: 0,
-        steal_attempts: 0,
-        max_queue_depth: max_depth,
-        idle_spins: 0,
-        per_worker_tasks: vec![seen],
-        stages: merge_stages(vec![stage_acc]),
+/// Run one task body: the nanoseconds it took (0 without a clock), or
+/// `None` if it panicked.
+fn run_task(body: Task<'_>, clock: Option<&Clock>) -> Option<u64> {
+    let start = clock.map(|c| c());
+    catch_unwind(AssertUnwindSafe(body)).ok()?;
+    Some(match (start, clock) {
+        (Some(s), Some(c)) => c().saturating_sub(s),
+        _ => 0,
     })
 }
 
-/// Execute the graph on `config.workers` threads with per-worker LIFO
-/// deques and randomized-victim stealing. Roots are dealt round-robin
-/// across the deques; a finished task's newly ready children go to the
-/// finishing worker's own deque (locality), and idle workers probe the
-/// other deques in an order shuffled by their seeded RNG stream.
+/// Execute the set single-threaded, in task index order. This is the
+/// deterministic baseline the differential tests compare the
+/// work-stealing path against, and the engine `pga-dataflow` uses when
+/// configured with one worker.
+pub fn run_sequential(tasks: TaskSet<'_>, clock: Option<&Clock>) -> Result<RunReport, SchedError> {
+    let mut report = RunReport {
+        workers: 1,
+        max_queue_depth: tasks.len() as u64,
+        ..RunReport::default()
+    };
+    for (index, body) in tasks.tasks.into_iter().enumerate() {
+        report.task_ns += run_task(body, clock).ok_or(SchedError::TaskPanicked { index })?;
+        report.tasks_run += 1;
+    }
+    Ok(report)
+}
+
+/// Execute the set on `config.workers` threads. Every task is dealt
+/// round-robin into per-worker LIFO deques before the threads start, so
+/// from then on the deques only shrink. A worker pops its own deque;
+/// when that is empty it probes the others once, in an order shuffled
+/// by its seeded RNG stream, and a pass that finds every deque empty
+/// ends the worker — no task can appear later.
 pub fn run(
-    graph: TaskGraph<'_>,
+    tasks: TaskSet<'_>,
     config: &SchedulerConfig,
     clock: Option<&Clock>,
 ) -> Result<RunReport, SchedError> {
-    let total = graph.tasks.len();
     let workers = config.workers.max(1);
-    if total == 0 {
-        return Ok(RunReport {
-            workers,
-            per_worker_tasks: vec![0; workers],
-            ..RunReport::default()
-        });
-    }
-
-    let mut bodies = Vec::with_capacity(total);
-    let mut stages = Vec::with_capacity(total);
-    let mut children = Vec::with_capacity(total);
-    let mut indegree0 = Vec::with_capacity(total);
-    for node in graph.tasks {
-        stages.push(node.stage);
-        children.push(node.children);
-        indegree0.push(node.indegree);
-        bodies.push(Mutex::new(Some(node.body)));
-    }
-    check_acyclic(&children, &indegree0)?;
-
-    let indegrees: Vec<AtomicUsize> = indegree0.iter().map(|&d| AtomicUsize::new(d)).collect();
     let deques: Vec<WorkDeque> = (0..workers).map(|_| WorkDeque::new()).collect();
-    let mut seed_depth = 0u64;
-    let mut slot = 0usize;
-    for (id, &d) in indegree0.iter().enumerate() {
-        if d == 0 {
-            if let Some(dq) = deques.get(slot) {
-                seed_depth = seed_depth.max(dq.push(id) as u64);
-            }
-            slot = (slot + 1) % workers;
-        }
+    let mut max_queue_depth = 0u64;
+    for (index, deque) in (0..tasks.len()).zip(deques.iter().cycle()) {
+        max_queue_depth = max_queue_depth.max(deque.push(index) as u64);
     }
-
-    let remaining = AtomicUsize::new(total);
+    let bodies: Vec<Mutex<Option<Task<'_>>>> = tasks
+        .tasks
+        .into_iter()
+        .map(|body| Mutex::new(Some(body)))
+        .collect();
     let poisoned = AtomicBool::new(false);
-    let panicked_stage: Mutex<Option<&'static str>> = Mutex::new(None);
+    let panicked: Mutex<Option<usize>> = Mutex::new(None);
 
     let bodies = &bodies;
-    let stages_ref = &stages;
-    let children = &children;
-    let indegrees = &indegrees;
     let deques = &deques;
-    let remaining = &remaining;
     let poisoned = &poisoned;
-    let panicked_stage = &panicked_stage;
+    let panicked = &panicked;
 
-    let locals: Vec<WorkerLocal> = std::thread::scope(|s| {
+    let locals: Vec<RunReport> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 s.spawn(move || {
@@ -302,70 +131,35 @@ pub fn run(
                             .wrapping_add((worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                     );
                     let mut victims: Vec<usize> = (0..workers).filter(|&w| w != worker).collect();
-                    let mut local = WorkerLocal::default();
-                    loop {
-                        if poisoned.load(Ordering::Acquire) {
-                            break;
-                        }
+                    let mut local = RunReport::default();
+                    while !poisoned.load(Ordering::Acquire) {
                         let mut task = deques.get(worker).and_then(WorkDeque::pop);
-                        if task.is_none() && workers > 1 {
+                        if task.is_none() {
                             victims.shuffle(&mut rng);
                             for &v in &victims {
                                 local.steal_attempts += 1;
-                                if let Some(t) = deques.get(v).and_then(WorkDeque::steal) {
+                                task = deques.get(v).and_then(WorkDeque::steal);
+                                if task.is_some() {
                                     local.steals += 1;
-                                    task = Some(t);
                                     break;
                                 }
                             }
                         }
-                        let Some(id) = task else {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            local.idle_spins += 1;
-                            std::thread::yield_now();
+                        let Some(index) = task else { break };
+                        let Some(body) = bodies.get(index).and_then(|slot| slot.lock().take())
+                        else {
                             continue;
                         };
-                        let body = bodies.get(id).and_then(|slot| slot.lock().take());
-                        let stage = stages_ref.get(id).copied().unwrap_or("unknown");
-                        if let Some(body) = body {
-                            let start = clock.map(|c| c());
-                            let outcome = catch_unwind(AssertUnwindSafe(body));
-                            let elapsed = match (start, clock) {
-                                (Some(st), Some(c)) => c().saturating_sub(st),
-                                _ => 0,
-                            };
-                            if outcome.is_err() {
-                                let mut slot = panicked_stage.lock();
-                                if slot.is_none() {
-                                    *slot = Some(stage);
-                                }
+                        match run_task(body, clock) {
+                            Some(ns) => {
+                                local.tasks_run += 1;
+                                local.task_ns += ns;
+                            }
+                            None => {
+                                panicked.lock().get_or_insert(index);
                                 poisoned.store(true, Ordering::Release);
-                                remaining.fetch_sub(1, Ordering::AcqRel);
-                                break;
-                            }
-                            local.tasks += 1;
-                            let acc = local.stages.entry(stage).or_default();
-                            acc.tasks += 1;
-                            acc.total_ns += elapsed;
-                            acc.max_ns = acc.max_ns.max(elapsed);
-                        }
-                        if let Some(kids) = children.get(id) {
-                            for &child in kids {
-                                let prior = indegrees
-                                    .get(child)
-                                    .map(|d| d.fetch_sub(1, Ordering::AcqRel))
-                                    .unwrap_or(0);
-                                if prior == 1 {
-                                    if let Some(dq) = deques.get(worker) {
-                                        local.max_depth =
-                                            local.max_depth.max(dq.push(child) as u64);
-                                    }
-                                }
                             }
                         }
-                        remaining.fetch_sub(1, Ordering::AcqRel);
                     }
                     local
                 })
@@ -377,28 +171,20 @@ pub fn run(
             .collect()
     });
 
-    if poisoned.load(Ordering::Acquire) {
-        let stage = panicked_stage.lock().take().unwrap_or("unknown");
-        return Err(SchedError::TaskPanicked { stage });
+    if let Some(index) = panicked.lock().take() {
+        return Err(SchedError::TaskPanicked { index });
     }
-
     let mut report = RunReport {
         workers,
-        max_queue_depth: seed_depth,
-        per_worker_tasks: Vec::with_capacity(workers),
+        max_queue_depth,
         ..RunReport::default()
     };
-    let mut stage_maps = Vec::with_capacity(workers);
     for local in locals {
-        report.tasks_run += local.tasks;
+        report.tasks_run += local.tasks_run;
         report.steals += local.steals;
         report.steal_attempts += local.steal_attempts;
-        report.max_queue_depth = report.max_queue_depth.max(local.max_depth);
-        report.idle_spins += local.idle_spins;
-        report.per_worker_tasks.push(local.tasks);
-        stage_maps.push(local.stages);
+        report.task_ns += local.task_ns;
     }
-    report.stages = merge_stages(stage_maps);
     Ok(report)
 }
 
@@ -413,132 +199,67 @@ mod tests {
         Arc::new(move || tick.fetch_add(1, Ordering::Relaxed))
     }
 
-    #[test]
-    fn empty_graph_runs() {
-        let rep = run(TaskGraph::new(), &SchedulerConfig::default(), None)
-            .expect("empty graph should run");
-        assert_eq!(rep.tasks_run, 0);
-        let rep = run_sequential(TaskGraph::new(), None).expect("empty graph should run");
-        assert_eq!(rep.tasks_run, 0);
+    fn config(workers: usize, seed: u64) -> SchedulerConfig {
+        SchedulerConfig { workers, seed }
     }
 
     #[test]
-    fn diamond_respects_dependencies() {
-        // a -> {b, c} -> d; d must observe both b's and c's writes.
-        let order: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-        let mut g = TaskGraph::new();
-        let a = g.add_task("root", || order.lock().push("a"));
-        let b = g.add_task("mid", || order.lock().push("b"));
-        let c = g.add_task("mid", || order.lock().push("c"));
-        let d = g.add_task("join", || order.lock().push("d"));
-        g.add_edge(a, b).expect("edge");
-        g.add_edge(a, c).expect("edge");
-        g.add_edge(b, d).expect("edge");
-        g.add_edge(c, d).expect("edge");
-        let rep = run(
-            g,
-            &SchedulerConfig {
-                workers: 4,
-                seed: 7,
-            },
-            None,
-        )
-        .expect("run");
-        assert_eq!(rep.tasks_run, 4);
-        let order = order.into_inner();
-        assert_eq!(order.first(), Some(&"a"));
-        assert_eq!(order.last(), Some(&"d"));
+    fn empty_set_runs() {
+        let rep = run(TaskSet::new(), &config(3, 0), None).expect("empty set should run");
+        assert_eq!((rep.tasks_run, rep.steals, rep.max_queue_depth), (0, 0, 0));
+        let rep = run_sequential(TaskSet::new(), None).expect("empty set should run");
+        assert_eq!(rep.tasks_run, 0);
     }
 
     #[test]
     fn sequential_runs_ready_tasks_in_id_order() {
         let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let order_ref = &order;
-        let mut g = TaskGraph::new();
+        let mut set = TaskSet::new();
         for i in 0..6 {
-            g.add_task("s", move || order_ref.lock().push(i));
+            set.add(move || order_ref.lock().push(i));
         }
-        let rep = run_sequential(g, None).expect("run");
+        let rep = run_sequential(set, None).expect("run");
         assert_eq!(rep.tasks_run, 6);
         assert_eq!(order.into_inner(), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn cycles_are_rejected_by_both_executors() {
-        for parallel in [false, true] {
-            let mut g = TaskGraph::new();
-            let a = g.add_task("s", || {});
-            let b = g.add_task("s", || {});
-            g.add_edge(a, b).expect("edge");
-            g.add_edge(b, a).expect("edge");
-            let err = if parallel {
-                run(
-                    g,
-                    &SchedulerConfig {
-                        workers: 2,
-                        seed: 0,
-                    },
-                    None,
-                )
-            } else {
-                run_sequential(g, None)
-            }
-            .expect_err("cycle must be rejected");
-            assert_eq!(err, SchedError::Cycle { remaining: 2 });
-        }
-    }
-
-    #[test]
     fn panics_become_typed_errors() {
         for parallel in [false, true] {
-            let mut g = TaskGraph::new();
-            g.add_task("calm", || {});
-            g.add_task("stormy", || panic!("boom"));
+            let mut set = TaskSet::new();
+            set.add(|| {});
+            set.add(|| panic!("boom"));
             let err = if parallel {
-                run(
-                    g,
-                    &SchedulerConfig {
-                        workers: 2,
-                        seed: 3,
-                    },
-                    None,
-                )
+                run(set, &config(2, 3), None)
             } else {
-                run_sequential(g, None)
+                run_sequential(set, None)
             }
             .expect_err("panic must surface");
-            assert_eq!(err, SchedError::TaskPanicked { stage: "stormy" });
+            assert_eq!(err, SchedError::TaskPanicked { index: 1 });
         }
     }
 
     #[test]
-    fn stage_timings_use_injected_clock() {
+    fn task_ns_uses_injected_clock() {
         let clock = counter_clock();
-        let mut g = TaskGraph::new();
-        g.add_task("alpha", || {});
-        g.add_task("alpha", || {});
-        g.add_task("beta", || {});
-        let rep = run_sequential(g, Some(&clock)).expect("run");
-        assert_eq!(rep.stages.len(), 2);
-        let alpha = rep.stages.first().expect("alpha stage");
-        assert_eq!(alpha.stage, "alpha");
-        assert_eq!(alpha.tasks, 2);
-        assert!(alpha.total_ns > 0, "counter clock advances between samples");
+        let mut set = TaskSet::new();
+        for _ in 0..3 {
+            set.add(|| {});
+        }
+        let rep = run_sequential(set, Some(&clock)).expect("run");
+        assert_eq!(rep.tasks_run, 3);
+        // The counter clock advances by one between a task's two samples.
+        assert_eq!(rep.task_ns, 3);
+        let rep = run_sequential(TaskSet::new(), None).expect("run");
+        assert_eq!(rep.task_ns, 0);
     }
 
     #[test]
     fn report_serializes() {
-        let mut g = TaskGraph::new();
-        g.add_task("s", || {});
-        let rep = run(
-            g,
-            &SchedulerConfig {
-                workers: 2,
-                seed: 1,
-            },
-            None,
-        )
-        .expect("run");
+        let mut set = TaskSet::new();
+        set.add(|| {});
+        let rep = run(set, &config(2, 1), None).expect("run");
         let json = serde_json::to_string(&rep).expect("serialize");
         assert!(json.contains("tasks_run"));
     }

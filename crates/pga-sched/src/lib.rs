@@ -1,23 +1,25 @@
-//! Dependency-aware task graphs with a work-stealing scheduler.
+//! A parallel map substrate: a set of independent tasks, executed by a
+//! work-stealing scheduler.
 //!
 //! The paper runs its training jobs as Spark batch stages (§II, §IV-A);
-//! `pga-dataflow` reproduces those stages eagerly on a bounded pool. This
-//! crate supplies the substrate underneath: batch work is compiled into a
-//! [`TaskGraph`] — typed [`TaskId`] nodes, explicit edges, topological
-//! readiness — and executed either by
+//! `pga-dataflow` reproduces those stages eagerly on a bounded pool, and
+//! per-unit training is embarrassingly parallel, so the work is a flat
+//! [`TaskSet`] — no dependencies between tasks — executed either by
 //!
-//! * [`run`], a **work-stealing scheduler**: one LIFO deque per worker,
-//!   idle workers stealing from the front of randomly chosen victims.
-//!   Victim choice comes from per-worker [`rand::rngs::StdRng`] streams
-//!   derived from a caller-supplied seed, never from ambient entropy, so
-//!   replay harnesses stay reproducible; or
+//! * [`run`], a **work-stealing scheduler**: every task is dealt
+//!   round-robin into per-worker LIFO deques before the threads start;
+//!   a worker whose deque is empty steals from the front of the others,
+//!   probed in an order shuffled by a per-worker [`rand::rngs::StdRng`]
+//!   stream derived from a caller-supplied seed (never ambient entropy,
+//!   so replay harnesses stay reproducible), and a pass that finds every
+//!   deque empty ends the worker; or
 //! * [`run_sequential`], a deterministic single-threaded executor that
-//!   processes ready tasks in ascending id order — the differential
-//!   oracle for the parallel path and the replay baseline.
+//!   runs tasks in index order — the differential oracle for the
+//!   parallel path and the replay baseline.
 //!
-//! Both report [`RunReport`] counters (tasks, steals, queue depths, idle
-//! spins, per-stage timings). Time is **injected** via [`Clock`] — this
-//! crate never reads `Instant::now`, keeping the whole crate inside the
+//! Both report [`RunReport`] counters (tasks, steals, probes, queue
+//! depth, task time). Time is **injected** via [`Clock`] — this crate
+//! never reads `Instant::now`, keeping the whole crate inside the
 //! `pga-analyze` determinism scope.
 //!
 //! The deque protocol (len-check and take under one lock section) is
@@ -29,8 +31,8 @@
 
 mod deque;
 mod executor;
-mod graph;
+mod tasks;
 
 pub use deque::WorkDeque;
-pub use executor::{run, run_sequential, Clock, RunReport, SchedulerConfig, StageTiming};
-pub use graph::{SchedError, TaskGraph, TaskId};
+pub use executor::{run, run_sequential, Clock, RunReport, SchedulerConfig};
+pub use tasks::{SchedError, TaskSet};

@@ -10,15 +10,19 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::json::escape_into;
 
-/// How long a connection may keep the server waiting for request bytes.
-/// One thread serves every connection in turn, so a client that connects
-/// and sends nothing (a browser preconnect) holds up the others for at
-/// most this long.
-const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a connection may take to deliver its whole request. One
+/// thread serves every connection in turn, so a client that connects and
+/// sends nothing (a browser preconnect), or drips its request a byte at
+/// a time, holds up the others for at most this long.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Most bytes a request line plus headers may take; a longer head drops
+/// the connection unanswered.
+const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
 /// How long a connection may keep the server waiting to take its response.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -166,17 +170,42 @@ impl Drop for DashboardServer {
     }
 }
 
+/// A connection's read half under one whole-request deadline: each read
+/// may block only for the time left, so slow bytes cannot extend it.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 fn serve_one(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + REQUEST_DEADLINE,
+    });
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     // Headers: we only care about Content-Length.
     let mut content_length = 0usize;
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        let read = head.read_line(&mut line)?;
+        if read == 0 && head.limit() == 0 {
+            return Err(std::io::ErrorKind::InvalidData.into());
+        }
+        if read == 0 || line == "\r\n" || line == "\n" {
             break;
         }
         if let Some(v) = line
@@ -194,7 +223,7 @@ fn serve_one(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()>
         reader.read_exact(&mut buf)?;
         body = String::from_utf8_lossy(&buf).into_owned();
     }
-    let mut stream = reader.into_inner();
+    let mut stream = reader.into_inner().stream;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("/").to_string();
@@ -314,6 +343,59 @@ mod tests {
         });
         rx.recv_timeout(Duration::from_secs(10))
             .expect("stop returned");
+    }
+
+    /// A client that drips its request a byte every 500 ms never lets a
+    /// per-read timeout fire; the whole-request deadline must still free
+    /// the server for the next client and for `stop`. Both waits are
+    /// bounded, so a stall fails the test instead of hanging it.
+    #[test]
+    fn a_slow_drip_client_stalls_neither_other_clients_nor_stop() {
+        use std::sync::mpsc;
+        let server = test_server();
+        let addr = server.addr();
+        let mut drip = TcpStream::connect(addr).unwrap();
+        std::thread::spawn(move || {
+            for _ in 0..40 {
+                if drip.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(get(addr, "/"));
+        });
+        let (head, body) = rx
+            .recv_timeout(Duration::from_secs(8))
+            .expect("second client answered");
+        assert!(head.starts_with("HTTP/1.1 200"));
+        assert_eq!(body, "<h1>home</h1>");
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(8))
+            .expect("stop returned");
+    }
+
+    /// A head longer than `MAX_HEAD_BYTES` is dropped unanswered, and the
+    /// next client is served.
+    #[test]
+    fn an_oversized_head_is_dropped() {
+        let server = test_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let _ = write!(s, "GET / HTTP/1.1\r\nX-Pad: ");
+        let _ = s.write_all(&[b'a'; MAX_HEAD_BYTES as usize]);
+        let mut buf = Vec::new();
+        let _ = s.read_to_end(&mut buf);
+        assert!(buf.is_empty(), "oversized head was answered");
+        let (head, _) = get(server.addr(), "/");
+        assert!(head.starts_with("HTTP/1.1 200"));
+        server.stop();
     }
 
     #[test]
