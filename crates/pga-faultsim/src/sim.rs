@@ -36,7 +36,7 @@ use serde::Serialize;
 
 use pga_cluster::coordinator::Coordinator;
 use pga_cluster::NodeId;
-use pga_ingest::{choose_target, HealthFn};
+use pga_ingest::{choose_target, HealthFn, SensorSeries};
 use pga_minibase::{
     Client, FaultHandle, Master, RegionConfig, Request, Response, RowRange, ServerConfig,
     TableDescriptor,
@@ -45,8 +45,8 @@ use pga_query::rollup::{self, RollupCell, RollupWriter};
 use pga_stats::multiple::Procedure;
 use pga_stats::two_sided_p_from_z;
 use pga_tsdb::{
-    is_block_qualifier, verify_block, BatchPoint, BlockRewriter, KeyCodec, KeyCodecConfig,
-    QueryFilter, Tsd, TsdConfig, TsdError, UidTable,
+    is_block_qualifier, verify_block, BlockRewriter, KeyCodec, KeyCodecConfig, QueryFilter, Tsd,
+    TsdConfig, TsdError, UidTable,
 };
 
 use crate::plane::SimFaultPlane;
@@ -437,6 +437,8 @@ struct Driver<'a> {
     fault: FaultHandle,
     master: Master,
     tsds: Vec<Arc<Tsd>>,
+    /// Each sensor's series, resolved once as the proxy resolves it.
+    names: SensorSeries,
     now_ms: u64,
     next_ts: u64,
     rr: usize,
@@ -560,6 +562,7 @@ impl<'a> Driver<'a> {
             fault,
             master,
             tsds,
+            names: SensorSeries::new(codec),
             now_ms: 0,
             next_ts: 0,
             rr: 0,
@@ -1033,18 +1036,10 @@ impl<'a> Driver<'a> {
                 (unit, sensor, ts, value)
             })
             .collect();
-        let tags: Vec<(String, String)> = batch
+        let names = &mut self.names;
+        let points: Vec<_> = batch
             .iter()
-            .map(|&(u, s, _, _)| (u.to_string(), s.to_string()))
-            .collect();
-        let pairs: Vec<[(&str, &str); 2]> = tags
-            .iter()
-            .map(|(u, s)| [("unit", u.as_str()), ("sensor", s.as_str())])
-            .collect();
-        let points: Vec<BatchPoint> = batch
-            .iter()
-            .zip(&pairs)
-            .map(|(&(_, _, ts, value), tags)| (&tags[..], ts, value))
+            .map(|&(u, s, ts, value)| (names.get(u, s).clone(), ts, value))
             .collect();
         self.stats.batches_generated += 1;
         for _ in 0..self.config.max_write_attempts.max(1) {
@@ -1068,10 +1063,7 @@ impl<'a> Driver<'a> {
                 // authorization, so forward anyway and eat the latency.
                 self.advance();
             }
-            let result = self
-                .tsds
-                .get(target)
-                .map(|t| t.put_batch("energy", &points));
+            let result = self.tsds.get(target).map(|t| t.put_series_batch(&points));
             let acked = match result {
                 Some(Ok(())) => {
                     if self.drop_budget > 0 {

@@ -9,6 +9,8 @@
 //! to the OpenTSDB nodes via a round-robin fashion").
 //!
 //! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale).
+//! * [`series`] — the proxy's series table: each sensor's series resolved
+//!   once per worker, so the proxy forwards resolved points.
 //! * [`pipeline`] — drive a [`pga_sensorgen::Fleet`] through the stack and
 //!   measure real wall-clock throughput.
 //! * [`experiment`] — cluster-scale experiment harnesses (Fig. 2, salting
@@ -23,6 +25,7 @@ pub mod breaker;
 pub mod experiment;
 pub mod pipeline;
 pub mod proxy;
+pub mod series;
 
 pub use backoff::{BackoffPolicy, RetryBudget};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -35,3 +38,4 @@ pub use proxy::{
     choose_routable, choose_target, AlwaysHealthy, HealthFn, ProxyConfig, ProxyError, ProxyMetrics,
     ReverseProxy, TargetHealth,
 };
+pub use series::SensorSeries;

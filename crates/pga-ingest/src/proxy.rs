@@ -4,8 +4,14 @@
 //! submit batches into a **bounded** buffer (blocking when full — that is
 //! the backpressure the paper added); worker threads drain the buffer and
 //! forward each batch to the next TSD in round-robin order.
+//!
+//! Every TSD of the pool resolves names through one series table (clones
+//! of one [`pga_tsdb::KeyCodec`]), so a worker resolves each sensor's
+//! series once, in its own [`SensorSeries`], and forwards resolved points:
+//! a series resolved through the first daemon's codec is valid on all of
+//! them, retries included.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -13,10 +19,11 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 
 use pga_cluster::rpc::default_clock_ms;
 use pga_sensorgen::SensorSample;
-use pga_tsdb::Tsd;
+use pga_tsdb::{SeriesPoint, Tsd};
 
 use crate::backoff::{BackoffPolicy, RetryBudget};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::series::SensorSeries;
 
 /// Typed proxy failures — the request path never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +177,11 @@ pub struct ReverseProxy {
 
 impl ReverseProxy {
     /// Spawn the proxy over a pool of TSD daemons. The daemon list must be
-    /// non-empty; batches are distributed round-robin across it.
+    /// non-empty; batches are distributed round-robin across it. Workers
+    /// resolve series through the first daemon's codec, so every daemon
+    /// must be built on a clone of it: one on another series table refuses
+    /// the points ([`pga_tsdb::TsdError::ForeignSeries`]) like any failed
+    /// forward.
     pub fn spawn(tsds: Vec<Arc<Tsd>>, config: ProxyConfig) -> Result<Self, ProxyError> {
         Self::spawn_with_health(tsds, config, Arc::new(AlwaysHealthy))
     }
@@ -185,9 +196,9 @@ impl ReverseProxy {
         config: ProxyConfig,
         health: Arc<dyn TargetHealth>,
     ) -> Result<Self, ProxyError> {
-        if tsds.is_empty() {
+        let Some(codec) = tsds.first().map(|t| t.codec()) else {
             return Err(ProxyError::EmptyPool);
-        }
+        };
         if config.workers == 0 {
             return Err(ProxyError::NoWorkers);
         }
@@ -217,16 +228,19 @@ impl ReverseProxy {
             let health = health.clone();
             let breakers = breakers.clone();
             let budget = budget.clone();
+            let mut names = SensorSeries::new(codec.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("proxy-worker-{w}"))
                 .spawn(move || {
                     // Per-worker jitter stream: deterministic, decorrelated
                     // from other workers.
                     let mut jitter_seq = (w as u64) << 32;
+                    let mut points = Vec::new();
                     for samples in rx.iter() {
                         jitter_seq += 1;
+                        points.extend(samples.iter().map(|s| names.point(s)));
                         forward_one(
-                            &samples,
+                            &points,
                             &tsds,
                             &metrics,
                             &rr,
@@ -237,6 +251,7 @@ impl ReverseProxy {
                             &config,
                             jitter_seq,
                         );
+                        points.clear();
                     }
                 })
                 .map_err(|e| ProxyError::SpawnFailed(e.to_string()))?;
@@ -281,7 +296,7 @@ impl ReverseProxy {
 /// cells, so retried batches land exactly once.
 #[allow(clippy::too_many_arguments)]
 fn forward_one(
-    samples: &[SensorSample],
+    points: &[SeriesPoint],
     tsds: &[Arc<Tsd>],
     metrics: &ProxyMetrics,
     rr: &AtomicUsize,
@@ -292,33 +307,7 @@ fn forward_one(
     config: &ProxyConfig,
     jitter_seq: u64,
 ) {
-    let n = samples.len() as u64;
-    // Every sample's tag values as text, in one buffer: unit digits then
-    // sensor digits, cut apart again at the recorded ends.
-    let mut digits = String::new();
-    let mut ends: Vec<(usize, usize)> = Vec::with_capacity(samples.len());
-    for s in samples {
-        // Writing to a `String` cannot fail.
-        let _ = write!(digits, "{}", s.unit);
-        let unit_end = digits.len();
-        let _ = write!(digits, "{}", s.sensor);
-        ends.push((unit_end, digits.len()));
-    }
-    let mut start = 0;
-    let tag_pairs: Vec<[(&str, &str); 2]> = ends
-        .iter()
-        .map(|&(unit_end, end)| {
-            let unit = digits.get(start..unit_end).unwrap_or_default();
-            let sensor = digits.get(unit_end..end).unwrap_or_default();
-            start = end;
-            [("unit", unit), ("sensor", sensor)]
-        })
-        .collect();
-    let points: Vec<pga_tsdb::BatchPoint> = samples
-        .iter()
-        .zip(&tag_pairs)
-        .map(|(s, tags)| (&tags[..], s.timestamp, s.value))
-        .collect();
+    let n = points.len() as u64;
     let mut attempt = 0usize;
     loop {
         let now_ms = default_clock_ms();
@@ -334,7 +323,7 @@ fn forward_one(
         }
         // `target` is reduced modulo `tsds.len()`, but the serving path
         // still refuses to panic on a miss: treat it as a failed attempt.
-        if let Some(Ok(())) = tsds.get(target).map(|t| t.put_batch("energy", &points)) {
+        if let Some(Ok(())) = tsds.get(target).map(|t| t.put_series_batch(points)) {
             if let Some(b) = breakers.get(target) {
                 b.on_success();
             }

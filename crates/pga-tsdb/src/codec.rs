@@ -114,6 +114,12 @@ impl KeyCodec {
             .resolve(metric, tags, || self.encode_series(metric, tags))
     }
 
+    /// Whether `series` was resolved through this codec or a clone of it:
+    /// only such an entry's id is valid for state kept by [`Series::id`].
+    pub(crate) fn owns(&self, series: &Series) -> bool {
+        self.series.owns(series)
+    }
+
     /// The row-key encoder, run once per series: `(tags in row-key order,
     /// TSUID)`. Tags are sorted by key UID (OpenTSDB's canonical order)
     /// before encoding.

@@ -9,9 +9,13 @@
 //! the borrowed strings under one read lock, with no allocation.
 //!
 //! Ids are local to one table — a [`crate::KeyCodec`] and its clones — and
-//! never reach storage, the wire or JSON.
+//! never reach storage, the wire or JSON. Each table is stamped with a
+//! process-unique identity that every one of its entries carries, so a
+//! writer handed an entry of another table can tell, and refuse it, before
+//! the entry's id indexes its own per-series state.
 
 use std::hash::{BuildHasher, Hasher, RandomState};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -21,6 +25,8 @@ use parking_lot::RwLock;
 #[derive(Debug)]
 pub struct Series {
     id: u32,
+    /// Identity of the table that made this entry.
+    table: u64,
     metric: String,
     tags: Vec<(String, String)>,
     tsuid: Bytes,
@@ -145,15 +151,33 @@ impl Inner {
 }
 
 /// Thread-safe series table, shared by clones like the UID table.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub(crate) struct SeriesTable {
     inner: Arc<RwLock<Inner>>,
+    /// Process-unique: stamped into every entry of this table.
+    id: u64,
     /// Names come from outside the program (`POST /api/put`), so they are
     /// hashed with the standard keyed hasher.
     hasher: RandomState,
 }
 
+impl Default for SeriesTable {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        SeriesTable {
+            inner: Arc::default(),
+            id: NEXT.fetch_add(1, Ordering::Relaxed),
+            hasher: RandomState::new(),
+        }
+    }
+}
+
 impl SeriesTable {
+    /// Whether `series` is an entry of this table (or of a clone of it).
+    pub(crate) fn owns(&self, series: &Series) -> bool {
+        series.table == self.id
+    }
+
     /// Hash of a row key that ignores its base time (bytes 4..8).
     fn tsuid_hash(&self, row: &[u8]) -> u64 {
         let mut h = self.hasher.build_hasher();
@@ -196,6 +220,7 @@ impl SeriesTable {
                 let id = u32::try_from(inner.series.len()).expect("fewer than 2^32 series");
                 let entry = Arc::new(Series {
                     id,
+                    table: self.id,
                     metric: metric.to_string(),
                     tags: tags_owned,
                     tsuid,

@@ -129,6 +129,10 @@ pub enum TsdError {
         /// The last timestamp the row key can hold.
         max: u64,
     },
+    /// A resolved put named a series of another codec's series table,
+    /// whose id means a different series here. Nothing of its batch was
+    /// written.
+    ForeignSeries,
 }
 
 impl std::fmt::Display for TsdError {
@@ -140,6 +144,9 @@ impl std::fmt::Display for TsdError {
                 f,
                 "timestamp {timestamp} out of range: seconds, at most {max}"
             ),
+            TsdError::ForeignSeries => {
+                write!(f, "series resolved through another codec's series table")
+            }
         }
     }
 }
@@ -155,7 +162,9 @@ impl TsdError {
     pub fn retry_after_ms(&self) -> Option<u64> {
         match self {
             TsdError::Storage(e) => e.retry_after_ms(),
-            TsdError::Corrupt(_) | TsdError::TimestampOutOfRange { .. } => None,
+            TsdError::Corrupt(_)
+            | TsdError::TimestampOutOfRange { .. }
+            | TsdError::ForeignSeries => None,
         }
     }
 
@@ -353,11 +362,10 @@ impl Tsd {
 
     /// Write a batch of points of one metric in a single storage RPC
     /// per region (OpenTSDB's batched `put`). Each element is
-    /// `(tags, timestamp, value)`.
+    /// `(tags, timestamp, value)`; each name is resolved through the
+    /// codec, then the batch is [`Tsd::put_series_batch`]'s.
     pub fn put_batch(&self, metric: &str, points: &[BatchPoint<'_>]) -> Result<(), TsdError> {
-        if points.is_empty() {
-            return Ok(());
-        }
+        // A batch that cannot be written interns none of its names.
         for &(_, timestamp, _) in points {
             self.check_timestamp(timestamp)?;
         }
@@ -365,7 +373,25 @@ impl Tsd {
             .iter()
             .map(|&(tags, ts, value)| (self.codec.resolve(metric, tags), ts, value))
             .collect();
-        let (mut kvs, finished) = self.raw_cells(&resolved);
+        self.put_series_batch(&resolved)
+    }
+
+    /// Write a batch of points whose names are already resolved, through
+    /// this daemon's codec or a clone of it, in a single storage RPC per
+    /// region. The batch is refused whole, before anything is written, for
+    /// a timestamp past [`KeyCodec::max_timestamp`] or a series of another
+    /// codec's table ([`TsdError::ForeignSeries`]).
+    pub fn put_series_batch(&self, points: &[SeriesPoint]) -> Result<(), TsdError> {
+        if points.is_empty() {
+            return Ok(());
+        }
+        for (series, timestamp, _) in points {
+            self.check_timestamp(*timestamp)?;
+            if !self.codec.owns(series) {
+                return Err(TsdError::ForeignSeries);
+            }
+        }
+        let (mut kvs, finished) = self.raw_cells(points);
         if self.config.write_path_compaction {
             for row in finished {
                 self.compact_row(row)?;
@@ -397,7 +423,7 @@ impl Tsd {
         // cannot double-count its contribution.
         let observer = self.observer.read().clone();
         if let Some(obs) = observer {
-            let sealed = obs.on_batch(&resolved);
+            let sealed = obs.on_batch(points);
             if !sealed.is_empty() {
                 self.pending_derived.lock().extend(sealed);
             }
@@ -644,6 +670,67 @@ mod tests {
         assert_eq!(series[0].points[3].value, 3.0);
         assert_eq!(series[0].tags.get("unit").unwrap(), "1");
         m.shutdown();
+    }
+
+    /// Series ids are local to one table: a series resolved through
+    /// another codec would index this daemon's row slots and observer
+    /// state as a different series. The batch is refused whole.
+    #[test]
+    fn a_series_of_another_table_is_refused_before_anything_is_written() {
+        struct Counting(AtomicU64);
+        impl PutObserver for Counting {
+            fn on_batch(&self, _: &[SeriesPoint]) -> Vec<KeyValue> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            }
+            fn flush(&self) -> Vec<KeyValue> {
+                Vec::new()
+            }
+        }
+        let stacks = [tsd(2, 4, false), tsd(2, 4, false)];
+        let observers: Vec<Arc<Counting>> = stacks
+            .iter()
+            .map(|(_, t)| {
+                let observer = Arc::new(Counting(AtomicU64::new(0)));
+                t.set_observer(observer.clone());
+                observer
+            })
+            .collect();
+        let [(ma, a), (mb, b)] = &stacks;
+        let own = a
+            .codec()
+            .resolve("energy", &[("unit", "1"), ("sensor", "2")]);
+        let theirs = b
+            .codec()
+            .resolve("energy", &[("unit", "7"), ("sensor", "9")]);
+        a.put_series_batch(&[(own.clone(), 5, 1.0)]).unwrap();
+        b.put_series_batch(&[(theirs.clone(), 5, 2.0)]).unwrap();
+        // Both are the first series of their table.
+        assert_eq!((own.id(), theirs.id()), (0, 0));
+        let state = |t: &Tsd, observer: &Counting| {
+            let m = t.metrics();
+            (
+                t.query("energy", &QueryFilter::any(), 0, 100).unwrap(),
+                m.points_written.load(Ordering::Relaxed),
+                m.put_rpcs.load(Ordering::Relaxed),
+                t.seal_watermark().load(Ordering::Relaxed),
+                observer.0.load(Ordering::Relaxed),
+            )
+        };
+        let before = [state(a, &observers[0]), state(b, &observers[1])];
+        for batch in [
+            vec![(theirs.clone(), 6, 3.0)],
+            vec![(own.clone(), 7, 4.0), (theirs.clone(), 7, 5.0)],
+        ] {
+            let err = a.put_series_batch(&batch).unwrap_err();
+            assert!(matches!(err, TsdError::ForeignSeries), "{err}");
+            let err = b.put_series_batch(&[(own.clone(), 8, 6.0)]).unwrap_err();
+            assert!(matches!(err, TsdError::ForeignSeries), "{err}");
+        }
+        let after = [state(a, &observers[0]), state(b, &observers[1])];
+        assert_eq!(after, before, "nothing written to either store");
+        ma.shutdown();
+        mb.shutdown();
     }
 
     #[test]

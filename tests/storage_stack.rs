@@ -5,6 +5,7 @@ use pga_cluster::coordinator::Coordinator;
 use pga_cluster::NodeId;
 use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
 use pga_tsdb::{Aggregator, KeyCodec, KeyCodecConfig, QueryFilter, Tsd, TsdConfig, UidTable};
+use std::sync::Arc;
 
 fn stack(nodes: usize, salt_buckets: u8) -> (Master, Tsd, Coordinator) {
     let codec = KeyCodec::new(
@@ -142,4 +143,158 @@ fn uid_table_shared_across_tsd_instances() {
     assert_eq!(series.len(), 1);
     assert_eq!(series[0].points[0].value, 42.0);
     master.shutdown();
+}
+
+/// Passes every acknowledged batch on to a rollup writer, and records its
+/// `(timestamp, value bits)` — which of a run's batches reached this
+/// daemon, in the order its writer saw them.
+struct Recording {
+    writer: pga_query::RollupWriter,
+    seen: std::sync::Mutex<Vec<Vec<(u64, u64)>>>,
+}
+
+impl pga_tsdb::PutObserver for Recording {
+    fn on_batch(&self, points: &[pga_tsdb::SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
+        let mut seen = self.seen.lock().unwrap();
+        seen.push(points.iter().map(|p| (p.1, p.2.to_bits())).collect());
+        self.writer.on_batch(points)
+    }
+
+    fn flush(&self) -> Vec<pga_minibase::KeyValue> {
+        self.writer.flush()
+    }
+}
+
+/// The proxy forwards series it resolved itself, by `(unit, sensor)`; a
+/// direct `put_batch` resolves tag strings. Both must store the same
+/// bytes: every raw cell and, after the observers flush, every rollup
+/// cell, by row key, qualifier, version and value. An odd × odd fleet over
+/// a row-hour boundary, two daemons and two proxy workers. Each daemon of
+/// the direct stack is fed the batches its twin was, in the same order,
+/// because a rollup cell is one writer's share of its bucket.
+#[test]
+fn the_forwarding_path_stores_what_the_string_path_stores() {
+    use pga_ingest::IngestionPipeline;
+    use pga_query::RollupWriter;
+    use pga_sensorgen::{Fleet, FleetConfig};
+
+    let fleet = Fleet::new(FleetConfig {
+        units: 7,
+        sensors_per_unit: 75,
+        ..FleetConfig::small(41)
+    });
+    let (t0, t1, batch) = (3_550, 3_650, 256);
+    let stack = || {
+        let stack = IngestionPipeline::new(3, 2, batch);
+        // UIDs in one order on both stacks: the proxy's two workers would
+        // otherwise race to name the fleet.
+        let codec = stack.tsd().codec();
+        for unit in 0..7u32 {
+            for sensor in 0..75u32 {
+                let (u, s) = (unit.to_string(), sensor.to_string());
+                codec.resolve("energy", &[("unit", &u), ("sensor", &s)]);
+            }
+        }
+        stack
+    };
+    let writer =
+        |tsd: &Tsd, id: usize| RollupWriter::new(tsd.codec().clone(), vec![60, 600], id as u8);
+
+    let proxied = stack();
+    let recorders: Vec<Arc<Recording>> = proxied
+        .tsds()
+        .iter()
+        .enumerate()
+        .map(|(i, tsd)| {
+            let recorder = Arc::new(Recording {
+                writer: writer(tsd, i),
+                seen: Default::default(),
+            });
+            tsd.set_observer(recorder.clone());
+            recorder
+        })
+        .collect();
+    let report = proxied.run_range(&fleet, t0, t1);
+    proxied.flush_observers().unwrap();
+    assert_eq!((report.samples, report.dropped_batches), (52_500, 0));
+
+    // The run's batches, cut as `run_range` cuts them.
+    let mut samples = Vec::new();
+    let mut tick = Vec::new();
+    for t in t0..t1 {
+        fleet.tick_into(t, &mut tick);
+        samples.append(&mut tick);
+    }
+    let batches: Vec<&[pga_sensorgen::SensorSample]> = samples.chunks(batch).collect();
+    let direct = stack();
+    let mut fed = vec![0; batches.len()];
+    for (i, (tsd, recorder)) in direct.tsds().iter().zip(&recorders).enumerate() {
+        tsd.set_observer(Arc::new(writer(tsd, i)));
+        for seen in recorder.seen.lock().unwrap().iter() {
+            let k = batches
+                .iter()
+                .position(|b| {
+                    b.iter()
+                        .map(|s| (s.timestamp, s.value.to_bits()))
+                        .eq(seen.iter().copied())
+                })
+                .expect("a recorded batch is one of the run's");
+            fed[k] += 1;
+            let tags: Vec<[(String, String); 2]> = batches[k]
+                .iter()
+                .map(|s| {
+                    [
+                        ("unit".to_string(), s.unit.to_string()),
+                        ("sensor".to_string(), s.sensor.to_string()),
+                    ]
+                })
+                .collect();
+            let tags: Vec<[(&str, &str); 2]> = tags
+                .iter()
+                .map(|[(uk, uv), (sk, sv)]| [(&uk[..], &uv[..]), (&sk[..], &sv[..])])
+                .collect();
+            let points: Vec<pga_tsdb::BatchPoint> = batches[k]
+                .iter()
+                .zip(&tags)
+                .map(|(s, tags)| (&tags[..], s.timestamp, s.value))
+                .collect();
+            tsd.put_batch("energy", &points).unwrap();
+        }
+    }
+    assert!(
+        fed.iter().all(|&n| n == 1),
+        "every batch reached one daemon once"
+    );
+    assert!(recorders.iter().all(|r| !r.seen.lock().unwrap().is_empty()));
+    direct.flush_observers().unwrap();
+
+    // Every cell of both stores, raw and rollup apart by metric UID.
+    let energy = proxied
+        .tsd()
+        .codec()
+        .row_key("energy", &[("unit", "0"), ("sensor", "0")], t0);
+    let cells = |stack: &IngestionPipeline| {
+        let all = Client::connect(stack.master())
+            .scan(&pga_minibase::RowRange::all())
+            .unwrap();
+        let cell = |kv: &pga_minibase::KeyValue| {
+            (
+                kv.row.to_vec(),
+                kv.qualifier.to_vec(),
+                kv.timestamp,
+                kv.value.to_vec(),
+            )
+        };
+        let (raw, rollup): (Vec<_>, Vec<_>) = all
+            .iter()
+            .map(cell)
+            .partition(|c| c.0[1..4] == energy[1..4]);
+        (raw, rollup)
+    };
+    let (raw, rollup) = cells(&proxied);
+    assert_eq!(raw.len(), 52_500);
+    assert!(!rollup.is_empty());
+    assert_eq!((raw, rollup), cells(&direct));
+    proxied.shutdown();
+    direct.shutdown();
 }

@@ -1,7 +1,8 @@
 //! Exact, host-independent guards on the write path, the dashboard's text
 //! path and the engine's rollup read: how often a steady-state
-//! `Tsd::put_batch`, a machine-page render, and a cold and a warm
-//! `/api/query` answer allocate, counted, not timed.
+//! `Tsd::put_batch` and `Tsd::put_series_batch`, a proxy's series lookup,
+//! a machine-page render, and a cold and a warm `/api/query` answer
+//! allocate, counted, not timed.
 //!
 //! Before the series table (ISSUE 20) a sample cost about 22 allocations
 //! between the row-key encoder and the rollup observer — for names that
@@ -14,10 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pga_ingest::IngestionPipeline;
+use pga_ingest::{IngestionPipeline, SensorSeries};
 use pga_platform::{Monitor, PlatformConfig};
 use pga_query::{QueryEngine, QueryEngineConfig, RollupWriter};
-use pga_tsdb::BatchPoint;
+use pga_tsdb::{BatchPoint, SeriesPoint};
 use pga_viz::{machine_page, Health, MachinePage, SensorPanel, UnitStatus};
 
 thread_local! {
@@ -98,6 +99,48 @@ fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
     let (row, count) = allocations(|| codec.row_key("energy", &tags[7], 102));
     assert_eq!(count, 1);
     assert_eq!(row, codec.row_of(&series, 102));
+    stack.shutdown();
+}
+
+/// The proxy's path: each sensor's series looked up in a worker's own
+/// table by `(unit, sensor)` and forwarded resolved. A repeat lookup
+/// allocates nothing, and a steady-state `put_series_batch` allocates for
+/// its cells only, like `put_batch` without the resolution.
+#[test]
+fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
+    const SERIES: u64 = 256;
+    let stack = IngestionPipeline::new(2, 1, SERIES as usize);
+    let tsd = stack.tsd();
+    tsd.set_observer(Arc::new(RollupWriter::new(
+        tsd.codec().clone(),
+        vec![60, 600],
+        0,
+    )));
+    let mut names = SensorSeries::new(tsd.codec().clone());
+    let batch = |names: &mut SensorSeries, ts: u64| -> Vec<SeriesPoint> {
+        (0..SERIES as u32)
+            .map(|s| (names.get(0, s).clone(), ts, ts as f64))
+            .collect()
+    };
+    for ts in [100, 101] {
+        tsd.put_series_batch(&batch(&mut names, ts)).unwrap();
+    }
+    let points = batch(&mut names, 102);
+    let (result, count) = allocations(|| tsd.put_series_batch(&points));
+    result.unwrap();
+    // Qualifier and value of each cell, plus the per-batch vectors.
+    assert!(
+        count <= 2 * SERIES + 64,
+        "{count} allocations for {SERIES} samples"
+    );
+    assert!(count >= 2 * SERIES, "the counter counts: {count}");
+
+    let (series, count) = allocations(|| names.get(0, 7).clone());
+    assert_eq!(count, 0);
+    let by_name = tsd
+        .codec()
+        .resolve("energy", &[("unit", "0"), ("sensor", "7")]);
+    assert!(Arc::ptr_eq(&series, &by_name));
     stack.shutdown();
 }
 
