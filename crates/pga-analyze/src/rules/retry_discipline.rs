@@ -1,9 +1,10 @@
 //! R5 `retry-discipline`: request-serving modules must not retry with a
 //! fixed sleep or buffer through unbounded channels. A fixed sleep in a
 //! retry loop synchronizes clients into retry storms exactly when the
-//! system is overloaded (use jittered exponential backoff with a retry
-//! budget — `pga-ingest`'s `BackoffPolicy`); an unbounded channel turns
-//! overload into unbounded memory growth instead of typed backpressure.
+//! system is overloaded (use jittered exponential backoff, as the
+//! `pga-ingest` proxy's `pause` between forwarding attempts does); an
+//! unbounded channel turns overload into unbounded memory growth instead
+//! of typed backpressure.
 
 use crate::rules::{Rule, Violation, Workspace};
 use crate::source::SourceFile;
@@ -91,7 +92,7 @@ impl Rule for RetryDiscipline {
                             file: f.path.clone(),
                             line: t.line,
                             message: "fixed sleep inside a retry loop; use jittered \
-                                      exponential backoff with a retry budget"
+                                      exponential backoff"
                                 .into(),
                         });
                     }

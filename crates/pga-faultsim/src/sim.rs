@@ -36,7 +36,7 @@ use serde::Serialize;
 
 use pga_cluster::coordinator::Coordinator;
 use pga_cluster::NodeId;
-use pga_ingest::{choose_target, HealthFn, SensorSeries};
+use pga_ingest::SensorSeries;
 use pga_minibase::{
     Client, FaultHandle, Master, RegionConfig, Request, Response, RowRange, ServerConfig,
     TableDescriptor,
@@ -897,6 +897,16 @@ impl<'a> Driver<'a> {
             .and_then(|i| self.tsds.get(i))
     }
 
+    /// The round-robin `pick`, advanced (wrapping) past TSDs on crashed
+    /// nodes; if every node is crashed, the pick itself.
+    fn skip_crashed(&self, pick: usize) -> usize {
+        let len = self.tsds.len().max(1);
+        (0..len)
+            .map(|off| (pick + off) % len)
+            .find(|&i| !self.crashed.contains(&(i as u32)))
+            .unwrap_or(pick % len)
+    }
+
     /// Query one series' stored points through a surviving TSD.
     fn query_series(&self, key: SeriesKey) -> Result<Vec<(u64, f64)>, QueryError> {
         let tsd = self.healthy_tsd().ok_or_else(|| QueryError {
@@ -1045,9 +1055,7 @@ impl<'a> Driver<'a> {
         for _ in 0..self.config.max_write_attempts.max(1) {
             let pick = self.rr;
             self.rr += 1;
-            let crashed = self.crashed.clone();
-            let health = HealthFn(move |i: usize| !crashed.contains(&(i as u32)));
-            let target = choose_target(pick, self.tsds.len(), &health);
+            let target = self.skip_crashed(pick);
             if self.slow.contains_key(&(target as u32)) {
                 let alternative = (0..self.tsds.len() as u32)
                     .any(|i| !self.crashed.contains(&i) && !self.slow.contains_key(&i));

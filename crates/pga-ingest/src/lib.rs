@@ -8,7 +8,9 @@
 //! ("Ingestion throughput scales horizontally by distributing the requests
 //! to the OpenTSDB nodes via a round-robin fashion").
 //!
-//! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale).
+//! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale): a
+//!   bounded blocking buffer, round-robin over the TSD pool, and bounded
+//!   retries of storage failures with jittered exponential backoff.
 //! * [`series`] — the proxy's series table: each sensor's series resolved
 //!   once per worker, so the proxy forwards resolved points.
 //! * [`pipeline`] — drive a [`pga_sensorgen::Fleet`] through the stack and
@@ -20,22 +22,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backoff;
-pub mod breaker;
 pub mod experiment;
 pub mod pipeline;
 pub mod proxy;
 pub mod series;
 
-pub use backoff::{BackoffPolicy, RetryBudget};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use experiment::{
     fig2_scaling_experiment, linear_fit, proxy_ablation, routing_shares, salting_ablation, Fig2Row,
     IngestReportSummary, ProxyAblationReport, SaltingAblationReport,
 };
 pub use pipeline::{IngestionPipeline, PipelineReport};
-pub use proxy::{
-    choose_routable, choose_target, AlwaysHealthy, HealthFn, ProxyConfig, ProxyError, ProxyMetrics,
-    ReverseProxy, TargetHealth,
-};
+pub use proxy::{ProxyConfig, ProxyError, ProxyMetrics, ReverseProxy};
 pub use series::SensorSeries;

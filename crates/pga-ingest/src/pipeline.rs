@@ -23,7 +23,6 @@ use crate::proxy::{ProxyConfig, ReverseProxy};
 pub struct IngestionPipeline {
     master: Master,
     tsds: Vec<Arc<Tsd>>,
-    proxy_config: ProxyConfig,
     batch_size: usize,
 }
 
@@ -54,35 +53,15 @@ impl IngestionPipeline {
     /// Assemble a stack: `nodes` region servers, `tsd_count` TSD daemons,
     /// salted keys with one bucket per node, pre-split table.
     pub fn new(nodes: usize, tsd_count: usize, batch_size: usize) -> Self {
-        Self::new_replicated(nodes, tsd_count, batch_size, 1)
+        Self::new_with_replication(nodes, tsd_count, batch_size, &ReplicationConfig::default())
     }
 
-    /// Like [`IngestionPipeline::new`], but every region gets `factor`
-    /// copies (primary + followers on distinct nodes): puts quorum-ack
-    /// through the client's WAL shipping, scans can hedge to followers.
-    /// `factor <= 1` is exactly [`IngestionPipeline::new`]; `factor`
-    /// must not exceed `nodes`.
-    pub fn new_replicated(
-        nodes: usize,
-        tsd_count: usize,
-        batch_size: usize,
-        factor: usize,
-    ) -> Self {
-        Self::new_with_replication(
-            nodes,
-            tsd_count,
-            batch_size,
-            &ReplicationConfig {
-                factor,
-                ..ReplicationConfig::default()
-            },
-        )
-    }
-
-    /// Like [`IngestionPipeline::new_replicated`], but honours the full
-    /// replication config — in particular an explicit `write_quorum` is
-    /// stamped onto every region so the client's quorum-acked write path
-    /// enforces it instead of the majority default.
+    /// Like [`IngestionPipeline::new`], but every region gets
+    /// `replication.factor` copies (primary + followers on distinct nodes,
+    /// so `factor` must not exceed `nodes`): puts quorum-ack through the
+    /// client's WAL shipping, scans can hedge to followers. An explicit
+    /// `write_quorum` is stamped onto every region so the client's
+    /// quorum-acked write path enforces it instead of the majority default.
     pub fn new_with_replication(
         nodes: usize,
         tsd_count: usize,
@@ -118,7 +97,6 @@ impl IngestionPipeline {
         IngestionPipeline {
             master,
             tsds,
-            proxy_config: ProxyConfig::default(),
             batch_size,
         }
     }
@@ -136,7 +114,7 @@ impl IngestionPipeline {
     /// proxy worker → TSD → one RPC per region) however few samples it
     /// carries, so a small fleet is not cut into one short batch a tick.
     pub fn run_range(&self, fleet: &Fleet, t0: u64, t1: u64) -> PipelineReport {
-        let proxy = ReverseProxy::spawn(self.tsds.clone(), self.proxy_config)
+        let proxy = ReverseProxy::spawn(self.tsds.clone(), ProxyConfig::default())
             .expect("pipeline constructs a non-empty TSD pool");
         let start = Instant::now();
         let mut samples = 0u64;

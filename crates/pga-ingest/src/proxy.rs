@@ -14,16 +14,19 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
-use pga_cluster::rpc::default_clock_ms;
 use pga_sensorgen::SensorSample;
-use pga_tsdb::{SeriesPoint, Tsd};
+use pga_tsdb::{SeriesPoint, Tsd, TsdError};
 
-use crate::backoff::{BackoffPolicy, RetryBudget};
-use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::series::SensorSeries;
+
+/// Delay before the first retry; each further retry doubles it.
+const BACKOFF_BASE_MS: u64 = 1;
+/// Upper bound on any single retry delay.
+const BACKOFF_CAP_MS: u64 = 100;
 
 /// Typed proxy failures — the request path never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,27 +62,12 @@ pub struct ProxyConfig {
     /// Forwarding worker threads.
     pub workers: usize,
     /// Forwarding attempts per batch before it is counted as an error.
-    /// Each retry re-picks a (healthy) target, so a batch submitted while
-    /// a region server is crashed lands once recovery reassigns its
+    /// Only storage failures are retried, each on the next TSD of the
+    /// round robin after a jittered exponential delay, so a batch submitted
+    /// while a region server is crashed lands once recovery reassigns its
     /// regions — never twice, since identical cells deduplicate in the
     /// store. Values below 1 behave as 1.
     pub max_forward_attempts: usize,
-    /// **Base** of the jittered exponential retry backoff. The field
-    /// keeps its historical name (it used to be a fixed per-retry sleep)
-    /// so existing configs and tests continue to work; the value now
-    /// seeds attempt 0 of the exponential schedule.
-    pub retry_backoff: std::time::Duration,
-    /// Upper bound on any single retry delay in the exponential schedule.
-    pub backoff_cap: std::time::Duration,
-    /// Retry-budget bucket size (tokens). Each retry spends one token and
-    /// each successful forward deposits [`ProxyConfig::retry_budget_refill`];
-    /// an empty bucket forces retries to the capped (slowest) pace — it
-    /// never authorises dropping a batch.
-    pub retry_budget: u32,
-    /// Fraction of a retry token deposited per successful forward.
-    pub retry_budget_refill: f64,
-    /// Per-target circuit breaker tunables.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ProxyConfig {
@@ -88,11 +76,6 @@ impl Default for ProxyConfig {
             buffer_capacity: 256,
             workers: 2,
             max_forward_attempts: 3,
-            retry_backoff: std::time::Duration::from_millis(1),
-            backoff_cap: std::time::Duration::from_millis(100),
-            retry_budget: 32,
-            retry_budget_refill: 0.1,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -106,66 +89,11 @@ pub struct ProxyMetrics {
     pub batches_out: AtomicU64,
     /// Samples forwarded.
     pub samples_out: AtomicU64,
-    /// Forwarding errors (storage failures after all attempts).
+    /// Batches given up on: a storage failure on every attempt, or a batch
+    /// the store refused for its content.
     pub errors: AtomicU64,
-    /// Round-robin picks rerouted past an unhealthy target.
-    pub rerouted: AtomicU64,
     /// Failed forwarding attempts that were retried on another pick.
     pub retries: AtomicU64,
-    /// Retries that found the retry budget empty (slowed to the cap).
-    pub budget_exhausted: AtomicU64,
-    /// Circuit-breaker trips (Closed/HalfOpen → Open transitions).
-    pub breaker_trips: AtomicU64,
-}
-
-/// Health view over the TSD pool, indexed like the `tsds` slice given to
-/// [`ReverseProxy::spawn_with_health`]. Workers consult it per batch so the
-/// proxy stops routing to nodes whose region server crashed or whose
-/// coordinator lease expired (§III-B: a downed node must not keep
-/// receiving its round-robin share).
-pub trait TargetHealth: Send + Sync + 'static {
-    /// Whether the TSD at `index` should receive traffic right now.
-    fn is_healthy(&self, index: usize) -> bool;
-}
-
-/// Every target healthy — the static-pool default.
-pub struct AlwaysHealthy;
-
-impl TargetHealth for AlwaysHealthy {
-    fn is_healthy(&self, _index: usize) -> bool {
-        true
-    }
-}
-
-/// Closure adapter for [`TargetHealth`].
-pub struct HealthFn<F>(pub F);
-
-impl<F: Fn(usize) -> bool + Send + Sync + 'static> TargetHealth for HealthFn<F> {
-    fn is_healthy(&self, index: usize) -> bool {
-        (self.0)(index)
-    }
-}
-
-/// Health-aware round-robin target choice: starting from `pick`, advance
-/// (wrapping) to the first index `health` reports up; if every target is
-/// down the original pick is returned — the caller forwards anyway and
-/// relies on retries. Shared by the proxy workers and the deterministic
-/// fault-simulation harness so both route identically.
-pub fn choose_target(pick: usize, len: usize, health: &dyn TargetHealth) -> usize {
-    choose_routable(pick, len, |i| health.is_healthy(i))
-}
-
-/// Closure form of [`choose_target`]: the proxy workers compose the
-/// external health view with per-target circuit-breaker state here.
-pub fn choose_routable(pick: usize, len: usize, routable: impl Fn(usize) -> bool) -> usize {
-    if len == 0 {
-        return pick;
-    }
-    let pick = pick % len;
-    (0..len)
-        .map(|off| (pick + off) % len)
-        .find(|&i| routable(i))
-        .unwrap_or(pick)
 }
 
 /// The reverse proxy. Submission blocks when the buffer is full.
@@ -180,22 +108,9 @@ impl ReverseProxy {
     /// non-empty; batches are distributed round-robin across it. Workers
     /// resolve series through the first daemon's codec, so every daemon
     /// must be built on a clone of it: one on another series table refuses
-    /// the points ([`pga_tsdb::TsdError::ForeignSeries`]) like any failed
-    /// forward.
+    /// the points ([`pga_tsdb::TsdError::ForeignSeries`]) and the batch
+    /// counts as an error.
     pub fn spawn(tsds: Vec<Arc<Tsd>>, config: ProxyConfig) -> Result<Self, ProxyError> {
-        Self::spawn_with_health(tsds, config, Arc::new(AlwaysHealthy))
-    }
-
-    /// Spawn with a health view: workers advance the round-robin pointer
-    /// past targets `health` reports down, so a crashed or lease-expired
-    /// node receives no new batches while healthy nodes absorb its share.
-    /// If every target is down the original pick is used anyway — the
-    /// proxy buffers and retries storage errors upward, it never drops.
-    pub fn spawn_with_health(
-        tsds: Vec<Arc<Tsd>>,
-        config: ProxyConfig,
-        health: Arc<dyn TargetHealth>,
-    ) -> Result<Self, ProxyError> {
         let Some(codec) = tsds.first().map(|t| t.codec()) else {
             return Err(ProxyError::EmptyPool);
         };
@@ -205,29 +120,14 @@ impl ReverseProxy {
         let (tx, rx): (Sender<Vec<SensorSample>>, Receiver<Vec<SensorSample>>) =
             bounded(config.buffer_capacity);
         let metrics = Arc::new(ProxyMetrics::default());
-        let breakers: Arc<Vec<CircuitBreaker>> = Arc::new(
-            (0..tsds.len())
-                .map(|_| CircuitBreaker::new(config.breaker))
-                .collect(),
-        );
-        let budget = Arc::new(RetryBudget::new(
-            config.retry_budget,
-            config.retry_budget_refill,
-        ));
-        let backoff = BackoffPolicy {
-            base: config.retry_backoff,
-            cap: config.backoff_cap.max(config.retry_backoff),
-        };
         let rr = Arc::new(AtomicUsize::new(0));
+        let max_attempts = config.max_forward_attempts.max(1);
         let mut workers = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
             let rx = rx.clone();
             let tsds = tsds.clone();
             let metrics = metrics.clone();
             let rr = rr.clone();
-            let health = health.clone();
-            let breakers = breakers.clone();
-            let budget = budget.clone();
             let mut names = SensorSeries::new(codec.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("proxy-worker-{w}"))
@@ -239,18 +139,7 @@ impl ReverseProxy {
                     for samples in rx.iter() {
                         jitter_seq += 1;
                         points.extend(samples.iter().map(|s| names.point(s)));
-                        forward_one(
-                            &points,
-                            &tsds,
-                            &metrics,
-                            &rr,
-                            health.as_ref(),
-                            &breakers,
-                            &budget,
-                            &backoff,
-                            &config,
-                            jitter_seq,
-                        );
+                        forward_one(&points, &tsds, &metrics, &rr, max_attempts, jitter_seq);
                         points.clear();
                     }
                 })
@@ -289,69 +178,77 @@ impl ReverseProxy {
     }
 }
 
-/// Forward one queued batch: health- and breaker-aware round-robin with
-/// jittered exponential backoff. Every attempt re-picks a target, so a
-/// batch caught by a crash is re-forwarded once recovery catches up.
-/// Re-putting identical samples is safe — the store deduplicates identical
-/// cells, so retried batches land exactly once.
-#[allow(clippy::too_many_arguments)]
+/// Forward one queued batch: round-robin with jittered exponential
+/// backoff. Every TSD fronts the same regions, so a storage failure is
+/// retried on the next pick once recovery may have caught up. Re-putting
+/// identical samples is safe — the store deduplicates identical cells, so
+/// retried batches land exactly once. Any other refusal is a property of
+/// the batch itself, so it counts as an error without a retry.
 fn forward_one(
     points: &[SeriesPoint],
     tsds: &[Arc<Tsd>],
     metrics: &ProxyMetrics,
     rr: &AtomicUsize,
-    health: &dyn TargetHealth,
-    breakers: &[CircuitBreaker],
-    budget: &RetryBudget,
-    backoff: &BackoffPolicy,
-    config: &ProxyConfig,
+    max_attempts: usize,
     jitter_seq: u64,
 ) {
     let n = points.len() as u64;
     let mut attempt = 0usize;
     loop {
-        let now_ms = default_clock_ms();
         let pick = rr.fetch_add(1, Ordering::Relaxed) % tsds.len();
-        // A target is routable when it is healthy *and* its breaker
-        // admits traffic right now (Closed, or Open past cooldown /
-        // HalfOpen with a free probe slot).
-        let target = choose_routable(pick, tsds.len(), |i| {
-            health.is_healthy(i) && breakers.get(i).map(|b| b.allow(now_ms)).unwrap_or(true)
-        });
-        if target != pick {
-            metrics.rerouted.fetch_add(1, Ordering::Relaxed);
-        }
-        // `target` is reduced modulo `tsds.len()`, but the serving path
+        // `pick` is reduced modulo `tsds.len()`, but the serving path
         // still refuses to panic on a miss: treat it as a failed attempt.
-        if let Some(Ok(())) = tsds.get(target).map(|t| t.put_series_batch(points)) {
-            if let Some(b) = breakers.get(target) {
-                b.on_success();
+        match tsds.get(pick).map(|t| t.put_series_batch(points)) {
+            Some(Ok(())) => {
+                metrics.batches_out.fetch_add(1, Ordering::Relaxed);
+                metrics.samples_out.fetch_add(n, Ordering::Relaxed);
+                return;
             }
-            budget.on_success();
-            metrics.batches_out.fetch_add(1, Ordering::Relaxed);
-            metrics.samples_out.fetch_add(n, Ordering::Relaxed);
-            return;
+            Some(Err(TsdError::Storage(_))) | None => {}
+            Some(Err(_)) => {
+                metrics.errors.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
         }
         attempt += 1;
-        if let Some(b) = breakers.get(target) {
-            if b.on_failure(now_ms) {
-                metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if attempt >= config.max_forward_attempts.max(1) {
+        if attempt >= max_attempts {
             metrics.errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
         metrics.retries.fetch_add(1, Ordering::Relaxed);
-        let seed = jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64;
-        if budget.try_spend() {
-            backoff.pause(attempt as u32, seed);
-        } else {
-            // Budget empty: retry at the slowest pace. Never drop.
-            metrics.budget_exhausted.fetch_add(1, Ordering::Relaxed);
-            backoff.pause_at_least(attempt as u32, seed, backoff.cap.as_millis() as u64);
-        }
+        pause(
+            attempt as u32,
+            jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64,
+        );
     }
+}
+
+/// SplitMix64: tiny deterministic hash for jitter. No global RNG state —
+/// the same (seed, attempt) pair always produces the same delay, which
+/// keeps retry traces replayable.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Delay before the `attempt`-th retry: `BACKOFF_BASE_MS * 2^attempt`,
+/// capped at `BACKOFF_CAP_MS`, with deterministic jitter into `[d/2, d]`
+/// so concurrent retriers decorrelate without ever waiting longer than
+/// the exponential schedule.
+fn delay(attempt: u32, seed: u64) -> Duration {
+    let exp = BACKOFF_BASE_MS
+        .saturating_mul(1u64 << attempt.min(20))
+        .min(BACKOFF_CAP_MS);
+    let half = (exp / 2).max(1);
+    let jitter = splitmix64(seed ^ u64::from(attempt)) % half;
+    Duration::from_millis(exp - jitter)
+}
+
+/// Block the current worker for the jittered delay of `attempt`.
+fn pause(attempt: u32, seed: u64) {
+    std::thread::sleep(delay(attempt, seed));
 }
 
 impl Drop for ReverseProxy {
@@ -500,9 +397,8 @@ mod tests {
         master.shutdown();
     }
 
-    /// Satellite: a batch submitted while a region server is crashed (its
-    /// lease not yet expired, so health checks still pass) is retried
-    /// until recovery reassigns the dead server's regions, and then lands
+    /// A batch submitted while a region server is crashed (its lease not
+    /// yet expired) is retried until recovery reassigns the dead server's regions, and then lands
     /// **exactly once** — no loss, and no duplicate samples in scans even
     /// though earlier attempts may have partially written.
     #[test]
@@ -521,11 +417,6 @@ mod tests {
                 buffer_capacity: 256,
                 workers: 1,
                 max_forward_attempts: 5000,
-                retry_backoff: std::time::Duration::from_millis(1),
-                // Keep retries fast: recovery is driven by the test thread
-                // and the worker must reach it promptly.
-                backoff_cap: std::time::Duration::from_millis(4),
-                ..ProxyConfig::default()
             },
         )
         .unwrap();
@@ -569,42 +460,37 @@ mod tests {
 
     /// Regression: round-robin used to keep sending every other batch to a
     /// node whose region server had crashed (lease expired), failing those
-    /// writes. With a health view the proxy must skip the dead node and
-    /// lose nothing.
+    /// writes. Every TSD fronts every region, so once the master has moved
+    /// the dead node's regions no TSD needs skipping: both take their
+    /// round-robin share and nothing is lost.
     #[test]
     fn lease_expired_node_is_skipped_without_sample_loss() {
         let (mut master, tsds) = stack(2, 2);
-        // TSD i fronts node i; healthy while its /rs znode (lease) exists.
-        let coord = master.coordinator().clone();
-        let health = Arc::new(HealthFn(move |i: usize| {
-            coord.get(&format!("/rs/{i}")).is_ok()
-        }));
         // Node 1 goes silent past its lease; node 0 keeps heartbeating.
         // tick() expires the session and reassigns node 1's regions.
         master.heartbeat(pga_cluster::NodeId(0), 15_000);
         master.tick(20_000);
         assert_eq!(master.live_nodes(), vec![pga_cluster::NodeId(0)]);
 
-        let proxy = ReverseProxy::spawn_with_health(
+        let proxy = ReverseProxy::spawn(
             tsds.clone(),
             ProxyConfig {
                 buffer_capacity: 64,
                 workers: 1,
                 ..ProxyConfig::default()
             },
-            health,
         )
         .unwrap();
         for t in 0..20u64 {
             proxy.submit(vec![sample(1, 1, t)]).unwrap();
         }
         let metrics = proxy.drain_and_join();
-        // The dead node's TSD received no new batches…
-        assert_eq!(tsds[1].metrics().put_rpcs.load(Ordering::Relaxed), 0);
-        // …its round-robin share was rerouted, not dropped…
-        assert_eq!(metrics.rerouted.load(Ordering::Relaxed), 10);
         assert_eq!(metrics.errors.load(Ordering::Relaxed), 0);
         assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 20);
+        // Both TSDs took their round-robin share…
+        for tsd in &tsds {
+            assert_eq!(tsd.metrics().put_rpcs.load(Ordering::Relaxed), 10);
+        }
         // …and every sample is queryable.
         let series = tsds[0]
             .query("energy", &QueryFilter::any(), 0, 100)
@@ -612,5 +498,50 @@ mod tests {
         let total: usize = series.iter().map(|s| s.points.len()).sum();
         assert_eq!(total, 20);
         master.shutdown();
+    }
+
+    /// A batch the store refuses for its content (here a timestamp past
+    /// the last row a key can hold) gets the same answer on every TSD, so
+    /// it is counted as an error at once, without retries or sleeps.
+    #[test]
+    fn a_batch_refused_for_its_content_is_not_retried() {
+        let (master, tsds) = stack(2, 2);
+        let late = tsds[0].codec().max_timestamp() + 1;
+        let proxy = ReverseProxy::spawn(
+            tsds.clone(),
+            ProxyConfig {
+                workers: 1,
+                ..ProxyConfig::default()
+            },
+        )
+        .unwrap();
+        proxy.submit(vec![sample(1, 1, late)]).unwrap();
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.retries.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.batches_out.load(Ordering::Relaxed), 0);
+        master.shutdown();
+    }
+
+    #[test]
+    fn delay_grows_exponentially_to_the_cap() {
+        // Jitter keeps each delay within [exp/2, exp].
+        for attempt in 0..12u32 {
+            let exp = (BACKOFF_BASE_MS << attempt).min(BACKOFF_CAP_MS);
+            let d = delay(attempt, 42).as_millis() as u64;
+            assert!(d <= exp, "attempt {attempt}: {d} > {exp}");
+            assert!(d >= exp / 2, "attempt {attempt}: {d} too small vs {exp}");
+        }
+        // Far attempts are capped.
+        assert!(delay(30, 7).as_millis() as u64 <= BACKOFF_CAP_MS);
+    }
+
+    #[test]
+    fn delay_is_deterministic_and_jittered() {
+        assert_eq!(delay(3, 99), delay(3, 99));
+        // Different seeds decorrelate (at least one pair differs across a
+        // few seeds — the jitter range at attempt 6 is 32 ms wide).
+        let differs = (0..8u64).any(|s| delay(6, s) != delay(6, s + 1000));
+        assert!(differs, "jitter should vary with seed");
     }
 }
