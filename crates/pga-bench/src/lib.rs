@@ -29,7 +29,9 @@ pub use experiments::{
     PipelineThroughput, TrainingRow, WindowAblationRow,
 };
 pub use faults::{fault_durability_experiment, FaultDurabilityReport};
-pub use overload::{overload_storm_experiment, OverloadStormReport, GOODPUT_FLOOR};
+pub use overload::{
+    goodput_fraction, overload_storm_experiment, OverloadStormReport, GOODPUT_FLOOR,
+};
 pub use queries::{query_serving_experiment, QueryArm, QueryBenchConfig, QueryServingReport};
 pub use repl::{
     failover_experiment, AvailabilityRow, CampaignSummary, FailoverReport, AVAILABILITY_BAR,

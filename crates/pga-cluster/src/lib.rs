@@ -12,13 +12,14 @@
 //! * [`coordinator`] — a ZooKeeper analog reduced to what the storage
 //!   master uses for liveness: session leases, heartbeats, and ephemeral
 //!   znodes that vanish when their session's lease lapses.
-//! * [`sim`] — a deterministic discrete-time queueing simulator for
-//!   cluster-scale experiments (10–70 nodes). Experiments that sweep node
+//! * [`sim`] — a deterministic, single-threaded discrete-time queueing
+//!   simulator for cluster-scale experiments (5–70 nodes). One loop,
+//!   [`simulate_ingestion`], serves every experiment that sweeps node
 //!   counts beyond the host's core count (Fig. 2 reproduction, salting and
-//!   proxy ablations) use this model, fed with *real* per-server key
-//!   routing shares computed by the storage layer. It is also where the
-//!   paper's §III-B finding that "Regionservers \[crash\] due to
-//!   overloaded RPC Queues" without backpressure is reproduced.
+//!   proxy ablations) and the E18 storm with a slow node, fed with *real*
+//!   per-server key routing shares computed by the storage layer. It is
+//!   also where the paper's §III-B finding that "Regionservers \[crash\]
+//!   due to overloaded RPC Queues" without backpressure is reproduced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,8 +34,8 @@ pub use rpc::{
     ServerState, FULL_QUEUE_RETRY_AFTER_MS,
 };
 pub use sim::{
-    hotspot_shares, simulate_ingestion, simulate_overload, uniform_shares, IngestReport,
-    OverloadConfig, OverloadMode, OverloadReport, ProxyMode, SimClusterConfig, SimServerState,
+    hotspot_shares, simulate_ingestion, uniform_shares, IngestReport, ProxyMode, SimClusterConfig,
+    SimServerState,
 };
 
 /// Identifier of a node (region server / TSD daemon) in the cluster.

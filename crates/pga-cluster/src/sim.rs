@@ -4,11 +4,14 @@
 //! The paper's Figure 2 sweeps a physical cluster from 10 to 30 storage
 //! nodes; this repository's host has far fewer cores, so the node-count
 //! sweeps run on a calibrated queueing model instead of wall-clock threads
-//! (DESIGN.md §6). The model is intentionally simple and fully
-//! deterministic:
+//! (DESIGN.md §6). Every queueing experiment — the Fig. 2 sweeps (E1, E2,
+//! E12), the salting and proxy ablations (E6, E7) and the overload storm
+//! (E18) — runs through the one loop in [`simulate_ingestion`]. The model
+//! is intentionally simple and fully deterministic:
 //!
 //! * each server drains its own bounded queue at a fixed service rate
-//!   (samples/sec, with a per-RPC overhead folded in);
+//!   (samples/sec, with a per-RPC overhead folded in), scaled by its
+//!   per-node speed (1.0 for a healthy node; E18 slows one down);
 //! * the workload is routed to servers by a *share vector* computed by the
 //!   caller from the real storage-layer key encoding — this is what makes
 //!   the salting ablation (E6) exercise the actual OpenTSDB key design;
@@ -17,6 +20,9 @@
 //!   strikes crash the server (§III-B's observed failure);
 //! * with the buffering reverse proxy, admission is clamped to available
 //!   queue space and the excess waits in the proxy buffer — backpressure.
+//!
+//! Every run keeps a conservation ledger: `offered = ingested + dropped +
+//! backlog_end` ([`IngestReport::conserves_samples`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -87,21 +93,26 @@ pub struct SimServerState {
     pub overloads: u64,
     /// Whether the server crashed.
     pub crashed: bool,
-    /// Seconds spent servicing requests.
-    pub busy_secs: f64,
 }
 
-/// Outcome of one simulated ingestion run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Outcome of one simulated ingestion run. The ledger holds to within a
+/// sample: `offered = ingested + dropped + backlog_end`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IngestReport {
-    /// Total samples offered to the cluster.
+    /// Samples the source offered to the cluster.
     pub offered: f64,
     /// Samples successfully ingested.
     pub ingested: f64,
-    /// Samples dropped.
+    /// Samples dropped (no-proxy overflow, or lost with a crashed server).
     pub dropped: f64,
+    /// Samples still queued or buffered when the run hit `max_steps`.
+    pub backlog_end: f64,
     /// Virtual seconds until the workload finished (or stalled).
     pub duration_secs: f64,
+    /// Virtual seconds until the source offered its last sample.
+    pub source_secs: f64,
+    /// Samples ingested by `source_secs`.
+    pub ingested_by_source_end: f64,
     /// Per-server terminal states.
     pub servers: Vec<SimServerState>,
     /// `(virtual seconds, cumulative ingested)` snapshots — the series
@@ -133,6 +144,27 @@ impl IngestReport {
             .map(|s| s.processed / total)
             .fold(0.0, f64::max)
     }
+
+    /// Samples/sec ingested while the source was still offering — the
+    /// goodput of a storm.
+    pub fn goodput(&self) -> f64 {
+        if self.source_secs == 0.0 {
+            0.0
+        } else {
+            self.ingested_by_source_end / self.source_secs
+        }
+    }
+
+    /// Virtual seconds the cluster kept draining after the source stopped.
+    pub fn drain_secs(&self) -> f64 {
+        self.duration_secs - self.source_secs
+    }
+
+    /// `true` when every offered sample is ingested, dropped or still in
+    /// flight, to within one sample.
+    pub fn conserves_samples(&self) -> bool {
+        (self.ingested + self.dropped + self.backlog_end - self.offered).abs() < 1.0
+    }
 }
 
 /// Run one ingestion workload through the simulated cluster.
@@ -140,26 +172,31 @@ impl IngestReport {
 /// * `shares` — fraction of the write stream routed to each server; must
 ///   have `cfg.nodes` entries summing to ≈ 1. Computed by the caller from
 ///   real row-key → region routing.
+/// * `speeds` — each server's service rate as a fraction of a healthy
+///   node's (`1.0` everywhere for a healthy cluster).
 /// * `total_samples` — workload size.
 /// * `offered_rate` — samples/sec the ingestion tier fires at the cluster
 ///   (effectively ∞ for a firehose benchmark).
 ///
 /// # Panics
-/// Panics if `shares.len() != cfg.nodes` or the shares are not a
-/// distribution.
+/// Panics if `shares` or `speeds` does not have `cfg.nodes` entries, the
+/// shares are not a distribution, or a speed is not positive.
 pub fn simulate_ingestion(
     cfg: &SimClusterConfig,
     shares: &[f64],
+    speeds: &[f64],
     total_samples: f64,
     offered_rate: f64,
     proxy: ProxyMode,
 ) -> IngestReport {
     assert_eq!(shares.len(), cfg.nodes, "one share per node required");
+    assert_eq!(speeds.len(), cfg.nodes, "one speed per node required");
     let share_sum: f64 = shares.iter().sum();
     assert!(
         (share_sum - 1.0).abs() < 1e-6 && shares.iter().all(|&s| s >= 0.0),
         "shares must form a distribution (sum {share_sum})"
     );
+    assert!(speeds.iter().all(|&v| v > 0.0), "speeds must be positive");
     let rate = cfg.effective_rate();
     let mut servers: Vec<SimServerState> = (0..cfg.nodes)
         .map(|_| SimServerState {
@@ -167,7 +204,6 @@ pub fn simulate_ingestion(
             dropped: 0.0,
             overloads: 0,
             crashed: false,
-            busy_secs: 0.0,
         })
         .collect();
     let mut queues = vec![0.0f64; cfg.nodes];
@@ -177,6 +213,8 @@ pub fn simulate_ingestion(
     let mut ingested = 0.0;
     let mut dropped = 0.0;
     let mut timeline = Vec::new();
+    // `(virtual seconds, ingested)` when the source ran dry.
+    let mut source_end = None;
     let snapshot_every = ((1.0 / cfg.dt_secs).round() as u64).max(1); // ~1 Hz
     let mut step = 0u64;
     let dt = cfg.dt_secs;
@@ -238,16 +276,18 @@ pub fn simulate_ingestion(
             if servers[s].crashed {
                 continue;
             }
-            let capacity = rate * dt;
+            let capacity = rate * speeds[s] * dt;
             let done = queues[s].min(capacity);
             queues[s] -= done;
             servers[s].processed += done;
-            servers[s].busy_secs += done / rate;
             ingested += done;
         }
         step += 1;
         if step.is_multiple_of(snapshot_every) {
             timeline.push((step as f64 * dt, ingested));
+        }
+        if remaining <= 0.0 && source_end.is_none() {
+            source_end = Some((step as f64 * dt, ingested));
         }
         // Done when nothing is left anywhere (or everything left is stuck
         // behind crashed servers).
@@ -277,460 +317,18 @@ pub fn simulate_ingestion(
     }
     let duration = step as f64 * dt;
     timeline.push((duration, ingested));
+    let (source_secs, ingested_by_source_end) = source_end.unwrap_or((duration, ingested));
     IngestReport {
-        offered: total_samples,
+        offered: total_samples - remaining,
         ingested,
         dropped,
+        backlog_end: queues.iter().sum::<f64>() + proxy_buffer.iter().sum::<f64>(),
         duration_secs: duration,
+        source_secs,
+        ingested_by_source_end,
         crashes: servers.iter().filter(|s| s.crashed).count(),
         servers,
         timeline,
-    }
-}
-
-/// Which overload-control stack a simulated storm runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OverloadMode {
-    /// Full overload control: bounded proxy buffer with typed submit
-    /// rejection, watermark admission at the servers, per-target circuit
-    /// breakers with hedged re-routing, and deadline expiry of stale
-    /// buffered work.
-    Controlled,
-    /// The seed stack: unbounded proxy buffers, fixed per-target routing,
-    /// no server pushback, no deadlines. Nothing is dropped — and nothing
-    /// tells the producer to slow down, so latency grows without bound.
-    SeedBuffered,
-    /// No proxy at all: producers fire at the servers directly; overflow
-    /// drops RPCs, strikes accumulate, servers crash (§III-B's failure).
-    SeedDirect,
-}
-
-/// Parameters of an E18 overload storm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OverloadConfig {
-    /// Underlying cluster shape and calibration.
-    pub cluster: SimClusterConfig,
-    /// Offered load as a multiple of calibrated (all-healthy) capacity.
-    pub overload_factor: f64,
-    /// Index of the slow server.
-    pub slow_node: usize,
-    /// Slow server's service rate as a fraction of a healthy node's.
-    pub slow_factor: f64,
-    /// Storm duration in virtual seconds (the source stops after this;
-    /// the run continues until all in-flight work resolves).
-    pub storm_secs: f64,
-    /// Which stack handles the storm.
-    pub mode: OverloadMode,
-    /// Server-side admission watermark: a put is Busy-rejected when queue
-    /// occupancy is at or above `watermark × queue_capacity`.
-    pub shed_watermark: f64,
-    /// Deadline budget per batch, from submit to server admission.
-    pub deadline_secs: f64,
-    /// Consecutive Busy responses that trip a target's breaker.
-    pub breaker_failure_threshold: u32,
-    /// Seconds an open breaker excludes its target.
-    pub breaker_cooldown_secs: f64,
-    /// Proxy buffer capacity in samples (Controlled mode only).
-    pub proxy_buffer_capacity: f64,
-}
-
-impl OverloadConfig {
-    /// The E18 shape: a small cluster at 3× offered load with one server
-    /// at quarter speed for a 30-second storm.
-    pub fn e18(nodes: usize, mode: OverloadMode) -> Self {
-        OverloadConfig {
-            cluster: SimClusterConfig::paper_calibration(nodes),
-            overload_factor: 3.0,
-            slow_node: 0,
-            slow_factor: 0.25,
-            storm_secs: 30.0,
-            mode,
-            shed_watermark: 0.75,
-            deadline_secs: 1.0,
-            breaker_failure_threshold: 3,
-            breaker_cooldown_secs: 0.5,
-            proxy_buffer_capacity: 80_000.0,
-        }
-    }
-
-    /// All-healthy cluster capacity in samples/sec — the goodput yardstick.
-    pub fn calibrated_capacity(&self) -> f64 {
-        self.cluster.nodes as f64 * self.cluster.effective_rate()
-    }
-}
-
-/// Outcome of one simulated overload storm. The conservation ledger holds
-/// exactly: `offered = completed + busy_rejected + deadline_expired +
-/// dropped + lost_in_queue + backlog_end`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OverloadReport {
-    /// Stack the storm ran against.
-    pub mode: OverloadMode,
-    /// Samples the source offered during the storm.
-    pub offered: f64,
-    /// Samples durably processed (acked).
-    pub completed: f64,
-    /// Samples rejected at submit with a typed Busy (producer retried or
-    /// shed knowingly — never silent).
-    pub busy_rejected: f64,
-    /// Samples dropped with a typed deadline expiry before admission.
-    pub deadline_expired: f64,
-    /// Samples dropped silently (SeedDirect overflow only).
-    pub dropped: f64,
-    /// Admitted-but-unacked samples lost to server crashes.
-    pub lost_in_queue: f64,
-    /// Samples still in flight when the run hit its step cap.
-    pub backlog_end: f64,
-    /// Completed samples/sec during the storm window.
-    pub goodput: f64,
-    /// `goodput / calibrated_capacity`.
-    pub goodput_fraction: f64,
-    /// 99th-percentile submit→ack latency over completed samples.
-    pub p99_latency_secs: f64,
-    /// Worst-case completed-sample latency.
-    pub max_latency_secs: f64,
-    /// Servers that crashed.
-    pub crashes: usize,
-    /// Circuit-breaker trips (Controlled mode).
-    pub breaker_trips: u64,
-    /// Virtual seconds until every in-flight sample resolved.
-    pub duration_secs: f64,
-}
-
-impl OverloadReport {
-    /// `true` when every offered sample is accounted for by the typed
-    /// ledger (no silent loss anywhere).
-    pub fn conserves_samples(&self) -> bool {
-        let ledger = self.completed
-            + self.busy_rejected
-            + self.deadline_expired
-            + self.dropped
-            + self.lost_in_queue
-            + self.backlog_end;
-        (ledger - self.offered).abs() < 1.0
-    }
-}
-
-/// Per-target step breaker for the overload model: consecutive Busy
-/// responses trip it open for a cooldown; any accepted put closes it.
-struct StepBreaker {
-    consecutive: u32,
-    open_until: f64,
-    trips: u64,
-}
-
-impl StepBreaker {
-    fn new() -> Self {
-        StepBreaker {
-            consecutive: 0,
-            open_until: 0.0,
-            trips: 0,
-        }
-    }
-
-    fn allow(&self, now: f64) -> bool {
-        now >= self.open_until
-    }
-
-    fn on_busy(&mut self, now: f64, threshold: u32, cooldown: f64) {
-        self.consecutive += 1;
-        if self.consecutive >= threshold && now >= self.open_until {
-            self.open_until = now + cooldown;
-            self.trips += 1;
-            self.consecutive = 0;
-        }
-    }
-
-    fn on_ok(&mut self) {
-        self.consecutive = 0;
-    }
-}
-
-/// One buffered batch: submit time plus sample count.
-#[derive(Clone, Copy)]
-struct Batch {
-    submitted: f64,
-    samples: f64,
-}
-
-/// Run one E18 overload storm: a source at `overload_factor ×` calibrated
-/// capacity against a cluster with one slow server, through the stack
-/// selected by `cfg.mode`. Batch-granular and fully deterministic.
-pub fn simulate_overload(cfg: &OverloadConfig) -> OverloadReport {
-    let n = cfg.cluster.nodes;
-    assert!(cfg.slow_node < n, "slow node must exist");
-    let rate = cfg.cluster.effective_rate();
-    let rates: Vec<f64> = (0..n)
-        .map(|s| {
-            if s == cfg.slow_node {
-                rate * cfg.slow_factor
-            } else {
-                rate
-            }
-        })
-        .collect();
-    let batch = cfg.cluster.samples_per_rpc;
-    let qcap = cfg.cluster.queue_capacity;
-    let watermark_cap = cfg.shed_watermark * qcap;
-    let offered_rate = cfg.overload_factor * cfg.calibrated_capacity();
-    let dt = cfg.cluster.dt_secs;
-
-    let mut queues: Vec<std::collections::VecDeque<Batch>> =
-        (0..n).map(|_| std::collections::VecDeque::new()).collect();
-    let mut queue_depth = vec![0.0f64; n];
-    let mut carry = vec![0.0f64; n]; // partial service progress
-    let mut strikes = vec![0u64; n];
-    let mut crashed = vec![false; n];
-    let mut breakers: Vec<StepBreaker> = (0..n).map(|_| StepBreaker::new()).collect();
-    // Controlled: one shared FIFO. Seed arms: per-target FIFOs.
-    let mut shared: std::collections::VecDeque<Batch> = std::collections::VecDeque::new();
-    let mut shared_depth = 0.0f64;
-    let mut per_target: Vec<std::collections::VecDeque<Batch>> =
-        (0..n).map(|_| std::collections::VecDeque::new()).collect();
-    let mut per_target_depth = vec![0.0f64; n];
-
-    let mut offered = 0.0;
-    let mut completed = 0.0;
-    let mut completed_in_window = 0.0;
-    let mut busy_rejected = 0.0;
-    let mut deadline_expired = 0.0;
-    let mut dropped = 0.0;
-    let mut lost_in_queue = 0.0;
-    let mut latencies: Vec<(f64, f64)> = Vec::new(); // (latency, samples)
-    let mut arrival_frac = 0.0f64;
-    let mut rr = 0usize;
-    let mut step = 0u64;
-
-    loop {
-        let now = step as f64 * dt;
-        let storming = now < cfg.storm_secs;
-        // 1. Source submits batches.
-        if storming {
-            arrival_frac += offered_rate * dt;
-            while arrival_frac >= batch {
-                arrival_frac -= batch;
-                offered += batch;
-                let b = Batch {
-                    submitted: now,
-                    samples: batch,
-                };
-                match cfg.mode {
-                    OverloadMode::Controlled => {
-                        if shared_depth + batch <= cfg.proxy_buffer_capacity {
-                            shared.push_back(b);
-                            shared_depth += batch;
-                        } else {
-                            // Typed Busy at submit: the producer knows.
-                            busy_rejected += batch;
-                        }
-                    }
-                    OverloadMode::SeedBuffered => {
-                        let t = rr % n;
-                        rr += 1;
-                        per_target[t].push_back(b);
-                        per_target_depth[t] += batch;
-                    }
-                    OverloadMode::SeedDirect => {
-                        let t = rr % n;
-                        rr += 1;
-                        if crashed[t] {
-                            dropped += batch;
-                            continue;
-                        }
-                        if queue_depth[t] + batch <= qcap {
-                            queues[t].push_back(b);
-                            queue_depth[t] += batch;
-                        } else {
-                            dropped += batch;
-                            strikes[t] += 1;
-                            if strikes[t] >= cfg.cluster.crash_overflow_threshold {
-                                crashed[t] = true;
-                                lost_in_queue += queue_depth[t];
-                                queues[t].clear();
-                                queue_depth[t] = 0.0;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // 2. Proxy admits buffered work into server queues.
-        match cfg.mode {
-            OverloadMode::Controlled => {
-                'admit: while let Some(&head) = shared.front() {
-                    if now - head.submitted > cfg.deadline_secs {
-                        // Stale work is dropped with a typed error, never
-                        // served late and never silently lost.
-                        shared.pop_front();
-                        shared_depth -= head.samples;
-                        deadline_expired += head.samples;
-                        continue;
-                    }
-                    // Hedged placement: rotate through targets, skipping
-                    // open breakers; a watermark refusal is a Busy.
-                    let mut placed = false;
-                    for _ in 0..n {
-                        let t = rr % n;
-                        rr += 1;
-                        if !breakers[t].allow(now) {
-                            continue;
-                        }
-                        if queue_depth[t] + head.samples <= watermark_cap {
-                            shared.pop_front();
-                            shared_depth -= head.samples;
-                            queues[t].push_back(head);
-                            queue_depth[t] += head.samples;
-                            breakers[t].on_ok();
-                            placed = true;
-                            break;
-                        }
-                        breakers[t].on_busy(
-                            now,
-                            cfg.breaker_failure_threshold,
-                            cfg.breaker_cooldown_secs,
-                        );
-                    }
-                    if !placed {
-                        break 'admit; // every routable target is saturated
-                    }
-                }
-            }
-            OverloadMode::SeedBuffered => {
-                for t in 0..n {
-                    while let Some(&head) = per_target[t].front() {
-                        if queue_depth[t] + head.samples > qcap {
-                            break;
-                        }
-                        per_target[t].pop_front();
-                        per_target_depth[t] -= head.samples;
-                        queues[t].push_back(head);
-                        queue_depth[t] += head.samples;
-                    }
-                }
-            }
-            OverloadMode::SeedDirect => {}
-        }
-        // 3. Servers drain.
-        let done_at = now + dt;
-        for t in 0..n {
-            if crashed[t] {
-                continue;
-            }
-            let mut budget = rates[t] * dt + carry[t];
-            while let Some(&head) = queues[t].front() {
-                if head.samples > budget {
-                    break;
-                }
-                budget -= head.samples;
-                queues[t].pop_front();
-                queue_depth[t] -= head.samples;
-                completed += head.samples;
-                if done_at <= cfg.storm_secs {
-                    completed_in_window += head.samples;
-                }
-                latencies.push((done_at - head.submitted, head.samples));
-            }
-            carry[t] = if queues[t].is_empty() { 0.0 } else { budget };
-        }
-        step += 1;
-        let in_flight =
-            shared_depth + per_target_depth.iter().sum::<f64>() + queue_depth.iter().sum::<f64>();
-        if !storming && in_flight < 1e-9 {
-            break;
-        }
-        if step >= cfg.cluster.max_steps {
-            // Whatever is still buffered is the terminal backlog.
-            let mut backlog = shared_depth + per_target_depth.iter().sum::<f64>();
-            backlog += queue_depth.iter().sum::<f64>();
-            return finish_overload(
-                cfg,
-                offered,
-                completed,
-                completed_in_window,
-                busy_rejected,
-                deadline_expired,
-                dropped,
-                lost_in_queue,
-                backlog,
-                &latencies,
-                &crashed,
-                &breakers,
-                step as f64 * dt,
-            );
-        }
-        // SeedDirect with everyone crashed: nothing will ever drain.
-        if !storming && crashed.iter().all(|&c| c) {
-            break;
-        }
-    }
-    finish_overload(
-        cfg,
-        offered,
-        completed,
-        completed_in_window,
-        busy_rejected,
-        deadline_expired,
-        dropped,
-        lost_in_queue,
-        0.0,
-        &latencies,
-        &crashed,
-        &breakers,
-        step as f64 * dt,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish_overload(
-    cfg: &OverloadConfig,
-    offered: f64,
-    completed: f64,
-    completed_in_window: f64,
-    busy_rejected: f64,
-    deadline_expired: f64,
-    dropped: f64,
-    lost_in_queue: f64,
-    backlog_end: f64,
-    latencies: &[(f64, f64)],
-    crashed: &[bool],
-    breakers: &[StepBreaker],
-    duration_secs: f64,
-) -> OverloadReport {
-    let total_mass: f64 = latencies.iter().map(|&(_, m)| m).sum();
-    let (p99, max) = if total_mass <= 0.0 {
-        (0.0, 0.0)
-    } else {
-        let mut sorted: Vec<(f64, f64)> = latencies.to_vec();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let target = 0.99 * total_mass;
-        let mut seen = 0.0;
-        let mut p99 = sorted.last().map(|&(l, _)| l).unwrap_or(0.0);
-        for &(lat, mass) in &sorted {
-            seen += mass;
-            if seen >= target {
-                p99 = lat;
-                break;
-            }
-        }
-        (p99, sorted.last().map(|&(l, _)| l).unwrap_or(0.0))
-    };
-    let goodput = completed_in_window / cfg.storm_secs;
-    OverloadReport {
-        mode: cfg.mode,
-        offered,
-        completed,
-        busy_rejected,
-        deadline_expired,
-        dropped,
-        lost_in_queue,
-        backlog_end,
-        goodput,
-        goodput_fraction: goodput / cfg.calibrated_capacity(),
-        p99_latency_secs: p99,
-        max_latency_secs: max,
-        crashes: crashed.iter().filter(|&&c| c).count(),
-        breaker_trips: breakers.iter().map(|b| b.trips).sum(),
-        duration_secs,
     }
 }
 
@@ -760,33 +358,36 @@ mod tests {
         SimClusterConfig::paper_calibration(nodes)
     }
 
+    /// A firehose through a cluster of healthy servers.
+    fn firehose(
+        c: &SimClusterConfig,
+        shares: &[f64],
+        samples: f64,
+        proxy: ProxyMode,
+    ) -> IngestReport {
+        let speeds = vec![1.0; c.nodes];
+        simulate_ingestion(c, shares, &speeds, samples, f64::INFINITY, proxy)
+    }
+
+    /// E18's shape: 5 nodes at 3× calibrated capacity for 30 s, node 0 at
+    /// quarter speed.
+    fn storm(proxy: ProxyMode) -> IngestReport {
+        let c = cfg(5);
+        let rate = 3.0 * 5.0 * c.effective_rate();
+        let speeds = [0.25, 1.0, 1.0, 1.0, 1.0];
+        simulate_ingestion(&c, &uniform_shares(5), &speeds, rate * 30.0, rate, proxy)
+    }
+
+    fn goodput_fraction(r: &IngestReport) -> f64 {
+        r.goodput() / (5.0 * cfg(5).effective_rate())
+    }
+
     #[test]
     fn balanced_cluster_scales_linearly() {
         let w = 2_000_000.0;
-        let t10 = simulate_ingestion(
-            &cfg(10),
-            &uniform_shares(10),
-            w,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        )
-        .throughput();
-        let t20 = simulate_ingestion(
-            &cfg(20),
-            &uniform_shares(20),
-            w,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        )
-        .throughput();
-        let t30 = simulate_ingestion(
-            &cfg(30),
-            &uniform_shares(30),
-            w,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        )
-        .throughput();
+        let t =
+            |n: usize| firehose(&cfg(n), &uniform_shares(n), w, ProxyMode::Buffered).throughput();
+        let (t10, t20, t30) = (t(10), t(20), t(30));
         assert!(
             t20 / t10 > 1.8 && t20 / t10 < 2.2,
             "10→20 ratio {}",
@@ -802,13 +403,7 @@ mod tests {
     #[test]
     fn paper_calibration_reaches_399k_at_30_nodes() {
         let w = 4_000_000.0;
-        let r = simulate_ingestion(
-            &cfg(30),
-            &uniform_shares(30),
-            w,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        );
+        let r = firehose(&cfg(30), &uniform_shares(30), w, ProxyMode::Buffered);
         let t = r.throughput();
         assert!(t > 350_000.0 && t < 450_000.0, "throughput {t}");
         assert_eq!(r.crashes, 0);
@@ -819,20 +414,8 @@ mod tests {
     #[test]
     fn hotspot_throttles_throughput_to_one_server() {
         let w = 1_000_000.0;
-        let hot = simulate_ingestion(
-            &cfg(30),
-            &hotspot_shares(30, 0.95),
-            w,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        );
-        let balanced = simulate_ingestion(
-            &cfg(30),
-            &uniform_shares(30),
-            w,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        );
+        let hot = firehose(&cfg(30), &hotspot_shares(30, 0.95), w, ProxyMode::Buffered);
+        let balanced = firehose(&cfg(30), &uniform_shares(30), w, ProxyMode::Buffered);
         // A 95% hotspot cannot beat ~1/0.95 of a single server's rate.
         assert!(hot.throughput() < balanced.throughput() / 10.0);
         assert!(hot.max_server_share() > 0.9);
@@ -843,13 +426,7 @@ mod tests {
     fn no_proxy_firehose_crashes_servers() {
         let mut c = cfg(5);
         c.crash_overflow_threshold = 10;
-        let r = simulate_ingestion(
-            &c,
-            &uniform_shares(5),
-            5_000_000.0,
-            f64::INFINITY,
-            ProxyMode::None,
-        );
+        let r = firehose(&c, &uniform_shares(5), 5_000_000.0, ProxyMode::None);
         assert!(r.crashes > 0, "expected crashes under unthrottled load");
         assert!(r.dropped > 0.0);
     }
@@ -858,13 +435,7 @@ mod tests {
     fn proxy_prevents_crashes_under_same_load() {
         let mut c = cfg(5);
         c.crash_overflow_threshold = 10;
-        let r = simulate_ingestion(
-            &c,
-            &uniform_shares(5),
-            5_000_000.0,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        );
+        let r = firehose(&c, &uniform_shares(5), 5_000_000.0, ProxyMode::Buffered);
         assert_eq!(r.crashes, 0);
         assert_eq!(r.dropped, 0.0);
         assert!((r.ingested - 5_000_000.0).abs() < 1.0);
@@ -877,6 +448,7 @@ mod tests {
         let r = simulate_ingestion(
             &c,
             &uniform_shares(10),
+            &[1.0; 10],
             500_000.0,
             50_000.0,
             ProxyMode::None,
@@ -887,11 +459,10 @@ mod tests {
 
     #[test]
     fn timeline_is_monotone_and_rate_stable() {
-        let r = simulate_ingestion(
+        let r = firehose(
             &cfg(15),
             &uniform_shares(15),
             3_000_000.0,
-            f64::INFINITY,
             ProxyMode::Buffered,
         );
         assert!(r.timeline.len() >= 3);
@@ -921,104 +492,61 @@ mod tests {
     #[test]
     #[should_panic(expected = "one share per node")]
     fn share_length_mismatch_panics() {
-        simulate_ingestion(&cfg(3), &[0.5, 0.5], 10.0, 1.0, ProxyMode::Buffered);
-    }
-
-    #[test]
-    fn e18_controlled_storm_keeps_goodput_and_bounded_p99() {
-        let r = simulate_overload(&OverloadConfig::e18(5, OverloadMode::Controlled));
-        assert!(r.conserves_samples(), "ledger leak: {r:?}");
-        assert!(
-            r.goodput_fraction >= 0.8,
-            "goodput fraction {} under storm",
-            r.goodput_fraction
+        simulate_ingestion(
+            &cfg(3),
+            &[0.5, 0.5],
+            &[1.0; 3],
+            10.0,
+            1.0,
+            ProxyMode::Buffered,
         );
-        // Bounded tail: proxy wait is capped by the deadline, queue wait
-        // by watermark backlog at the slowest node's rate.
-        let cfg = OverloadConfig::e18(5, OverloadMode::Controlled);
-        let slow_rate = cfg.cluster.effective_rate() * cfg.slow_factor;
-        let bound = cfg.deadline_secs
-            + cfg.shed_watermark * cfg.cluster.queue_capacity / slow_rate
-            + 2.0 * cfg.cluster.dt_secs;
-        assert!(
-            r.p99_latency_secs <= bound,
-            "p99 {} exceeds bound {bound}",
-            r.p99_latency_secs
-        );
-        // Every mechanism actually fired.
-        assert!(r.busy_rejected > 0.0, "submit admission never pushed back");
-        assert!(r.deadline_expired > 0.0, "deadlines never fired");
-        assert!(r.breaker_trips > 0, "breakers never tripped");
-        assert_eq!(r.crashes, 0);
-        assert_eq!(r.dropped, 0.0, "controlled mode never drops silently");
-        assert_eq!(r.lost_in_queue, 0.0, "no admitted work may die");
     }
 
     #[test]
     fn e18_seed_buffered_latency_collapses_without_feedback() {
-        let controlled = simulate_overload(&OverloadConfig::e18(5, OverloadMode::Controlled));
-        let seed = simulate_overload(&OverloadConfig::e18(5, OverloadMode::SeedBuffered));
-        assert!(seed.conserves_samples(), "ledger leak: {seed:?}");
-        // The seed stack tells the producer nothing...
-        assert_eq!(seed.busy_rejected, 0.0);
-        assert_eq!(seed.deadline_expired, 0.0);
-        // ...and pays with an unbounded tail: p99 an order of magnitude
-        // past the controlled stack's, max latency far past the storm.
+        let r = storm(ProxyMode::Buffered);
+        assert!(r.conserves_samples(), "ledger leak: {r:?}");
+        // The proxy holds everything: nothing is lost and no server dies...
+        assert_eq!(r.dropped, 0.0);
+        assert_eq!(r.crashes, 0);
         assert!(
-            seed.p99_latency_secs > 10.0 * controlled.p99_latency_secs,
-            "seed p99 {} vs controlled {}",
-            seed.p99_latency_secs,
-            controlled.p99_latency_secs
+            goodput_fraction(&r) >= 0.8,
+            "goodput fraction {} under storm",
+            goodput_fraction(&r)
         );
+        // ...but nothing tells the producer to slow down: the slow node's
+        // backlog drains long after the 30-second storm.
         assert!(
-            seed.max_latency_secs > 30.0,
-            "seed max latency {} should dwarf the storm",
-            seed.max_latency_secs
+            r.drain_secs() > r.source_secs,
+            "drain {} s should outlast the storm",
+            r.drain_secs()
         );
     }
 
     #[test]
     fn e18_seed_direct_storm_crashes_servers() {
-        let r = simulate_overload(&OverloadConfig::e18(5, OverloadMode::SeedDirect));
+        let r = storm(ProxyMode::None);
         assert!(r.conserves_samples(), "ledger leak: {r:?}");
         assert!(r.crashes > 0, "direct firehose must crash servers");
         assert!(r.dropped > 0.0, "direct overflow drops silently");
         assert!(
-            r.goodput_fraction < 0.8,
+            goodput_fraction(&r) < 0.8,
             "seed-direct goodput {} should collapse",
-            r.goodput_fraction
+            goodput_fraction(&r)
         );
     }
 
     #[test]
     fn e18_is_deterministic() {
-        for mode in [
-            OverloadMode::Controlled,
-            OverloadMode::SeedBuffered,
-            OverloadMode::SeedDirect,
-        ] {
-            let a = simulate_overload(&OverloadConfig::e18(5, mode));
-            let b = simulate_overload(&OverloadConfig::e18(5, mode));
-            assert_eq!(a, b, "mode {mode:?} replay diverged");
+        for mode in [ProxyMode::Buffered, ProxyMode::None] {
+            assert_eq!(storm(mode), storm(mode), "mode {mode:?} replay diverged");
         }
     }
 
     #[test]
     fn deterministic_repeatability() {
-        let a = simulate_ingestion(
-            &cfg(7),
-            &uniform_shares(7),
-            100_000.0,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        );
-        let b = simulate_ingestion(
-            &cfg(7),
-            &uniform_shares(7),
-            100_000.0,
-            f64::INFINITY,
-            ProxyMode::Buffered,
-        );
+        let run = || firehose(&cfg(7), &uniform_shares(7), 100_000.0, ProxyMode::Buffered);
+        let (a, b) = (run(), run());
         assert_eq!(a.ingested, b.ingested);
         assert_eq!(a.duration_secs, b.duration_secs);
         assert_eq!(a.timeline, b.timeline);

@@ -65,8 +65,14 @@ pub fn fig2_scaling_experiment(node_counts: &[usize], samples: f64) -> Vec<Fig2R
         .map(|&nodes| {
             let cfg = SimClusterConfig::paper_calibration(nodes);
             let shares = routing_shares(nodes, 100, 1000, true);
-            let report =
-                simulate_ingestion(&cfg, &shares, samples, f64::INFINITY, ProxyMode::Buffered);
+            let report = simulate_ingestion(
+                &cfg,
+                &shares,
+                &vec![1.0; nodes],
+                samples,
+                f64::INFINITY,
+                ProxyMode::Buffered,
+            );
             Fig2Row {
                 nodes,
                 throughput: report.throughput(),
@@ -128,9 +134,11 @@ pub fn salting_ablation(nodes: usize, samples: f64) -> SaltingAblationReport {
     let cfg = SimClusterConfig::paper_calibration(nodes);
     let salted_shares = routing_shares(nodes, 100, 1000, true);
     let unsalted_shares = routing_shares(nodes, 100, 1000, false);
+    let speeds = vec![1.0; nodes];
     let salted = simulate_ingestion(
         &cfg,
         &salted_shares,
+        &speeds,
         samples,
         f64::INFINITY,
         ProxyMode::Buffered,
@@ -138,6 +146,7 @@ pub fn salting_ablation(nodes: usize, samples: f64) -> SaltingAblationReport {
     let unsalted = simulate_ingestion(
         &cfg,
         &unsalted_shares,
+        &speeds,
         samples,
         f64::INFINITY,
         ProxyMode::Buffered,
@@ -194,8 +203,18 @@ pub fn proxy_ablation(nodes: usize, samples: f64) -> ProxyAblationReport {
     // a modest strike budget makes the run finite.
     cfg.crash_overflow_threshold = 100;
     let shares = routing_shares(nodes, 100, 1000, true);
-    let with = simulate_ingestion(&cfg, &shares, samples, f64::INFINITY, ProxyMode::Buffered);
-    let without = simulate_ingestion(&cfg, &shares, samples, f64::INFINITY, ProxyMode::None);
+    let run = |proxy| {
+        simulate_ingestion(
+            &cfg,
+            &shares,
+            &vec![1.0; nodes],
+            samples,
+            f64::INFINITY,
+            proxy,
+        )
+    };
+    let with = run(ProxyMode::Buffered);
+    let without = run(ProxyMode::None);
     ProxyAblationReport {
         nodes,
         with_proxy: (&with).into(),

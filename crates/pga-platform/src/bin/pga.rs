@@ -140,23 +140,29 @@ fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
 }
 
 fn cmd_gen(rest: &[String]) -> Result<(), String> {
-    use std::io::Write;
     let args = Args::parse(rest, &FLEET_KEYS, &[])?;
     let fleet = Fleet::new(fleet_config(&args)?);
     let ticks = args.get("ticks", 10u64)?;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    match write_samples(&fleet, ticks, std::io::stdout().lock()) {
+        // A reader that stops early (`pga gen | head`) ends the stream.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| format!("writing samples: {e}")),
+    }
+}
+
+fn write_samples(fleet: &Fleet, ticks: u64, out: impl std::io::Write) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::BufWriter::new(out);
     for t in 0..ticks {
         for s in fleet.tick(t) {
             writeln!(
                 out,
                 "{{\"metric\":\"energy\",\"timestamp\":{},\"value\":{},\"tags\":{{\"unit\":\"{}\",\"sensor\":\"{}\"}}}}",
                 s.timestamp, s.value, s.unit, s.sensor
-            )
-            .expect("write sample");
+            )?;
         }
     }
-    Ok(())
+    out.flush()
 }
 
 fn cmd_demo(rest: &[String]) -> Result<(), String> {
