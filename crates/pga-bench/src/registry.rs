@@ -74,22 +74,41 @@ pub struct Experiment {
 
 impl Experiment {
     /// Run the row at `size`, print its section and verdict, and write its
-    /// artifact. Returns the verdict, if the row has one.
+    /// artifact. Returns the verdict, if the row has one. A reader that
+    /// stops early (`pga fig2 | head -1`) ends the process quietly, with
+    /// success: nobody is left to read the rest.
     pub fn execute(&self, size: Size) -> Option<bool> {
-        println!("== {}: {} ==", self.id, self.title);
+        match self.execute_into(size) {
+            Ok(verdict) => verdict,
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            Err(e) => panic!("pga {}: writing stdout: {e}", self.name),
+        }
+    }
+
+    /// [`Experiment::execute`], with stdout's write errors returned. The
+    /// lock is taken per section, never across the run itself.
+    fn execute_into(&self, size: Size) -> std::io::Result<Option<bool>> {
+        use std::io::Write;
+        writeln!(
+            std::io::stdout().lock(),
+            "== {}: {} ==",
+            self.id,
+            self.title
+        )?;
         let run = (self.run)(size);
-        println!("{}", run.text.trim_end());
+        let mut out = std::io::stdout().lock();
+        writeln!(out, "{}", run.text.trim_end())?;
         if let Some(held) = run.verdict {
-            println!("verdict {}", if held { "HELD" } else { "FAILED" });
+            writeln!(out, "verdict {}", if held { "HELD" } else { "FAILED" })?;
         }
         if let (Some(name), Some(json)) = (self.artifact, &run.json) {
             std::fs::create_dir_all("target/experiments").expect("create experiments dir");
             let path = format!("target/experiments/{name}.json");
             std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("  [saved {path}]");
+            writeln!(out, "  [saved {path}]")?;
         }
-        println!();
-        run.verdict
+        writeln!(out)?;
+        Ok(run.verdict)
     }
 }
 

@@ -229,7 +229,7 @@ fn availability_probe(factor: usize) -> AvailabilityRow {
                 Some(wall + HEDGE_DELAY_MS),
             )
         } else {
-            client.scan(&RowRange::all())
+            client.scan_spec(&RowRange::all().into())
         };
         let complete = matches!(&scanned, Ok(cells) if cells.len() == rows);
         if complete {

@@ -1355,7 +1355,7 @@ impl<'a> Driver<'a> {
                 region: status.region,
                 scan: RowRange::all().into(),
             }) {
-                Ok(Response::Cells(cells)) => cells.into_iter().collect(),
+                Ok(Response::Cells(cells)) => cells.to_vec().into_iter().collect(),
                 _ => continue, // primary crashed post-drain: nothing to anchor on
             };
             for &(node, _) in &status.followers {

@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::master::{Directory, Master, RegionInfo};
+use crate::scanner::ScanCells;
 use crate::server::{Request, Response};
 use pga_cluster::rpc::{PendingReply, RpcError, RpcHandle};
 use pga_cluster::NodeId;
@@ -91,30 +92,37 @@ fn map_rpc(e: RpcError) -> ClientError {
 /// order — into one sorted answer. Regions partition the row space, so only
 /// the seams are compared: the last cell of one answer against the first of
 /// the next. A directory caught mid-split can hand back overlapping
-/// answers, and only then is the whole sorted (stably: the result is what
-/// sorting the concatenation gives in every case).
-pub fn concat_region_scans(parts: Vec<Vec<KeyValue>>) -> Vec<KeyValue> {
-    let mut parts = parts.into_iter().filter(|p| !p.is_empty());
-    let Some(mut out) = parts.next() else {
-        return Vec::new();
-    };
+/// answers, and only then are the cells sorted, by reference (stably: the
+/// result is what sorting the concatenation gives in every case).
+pub fn concat_region_scans(parts: Vec<ScanCells>) -> ScanCells {
+    let mut out = ScanCells::default();
     let mut in_order = true;
     for part in parts {
-        in_order &= out.last() <= part.first();
-        out.extend(part);
+        in_order &= part.is_empty() || out.last() <= part.first();
+        out.append(part);
     }
-    if !in_order {
-        out.sort();
+    if in_order {
+        return out;
     }
-    out
+    let mut cells: Vec<(&Arc<Vec<KeyValue>>, usize)> = out
+        .runs()
+        .iter()
+        .flat_map(|(cells, range)| range.clone().map(move |at| (cells, at)))
+        .collect();
+    cells.sort_by(|(a, i), (b, j)| a[*i].cmp(&b[*j]));
+    let mut sorted = ScanCells::default();
+    for (cells, at) in cells {
+        sorted.push(cells, at..at + 1);
+    }
+    sorted
 }
 
 /// A region server's answer to one shard scan. No cells when a split raced
 /// the scan — the daughters are in the directory and cover the range.
-fn scan_cells(answer: Result<Response, RpcError>) -> Result<Vec<KeyValue>, RpcError> {
+fn scan_cells(answer: Result<Response, RpcError>) -> Result<ScanCells, RpcError> {
     match answer? {
         Response::Cells(cells) => Ok(cells),
-        Response::WrongRegion => Ok(Vec::new()),
+        Response::WrongRegion => Ok(ScanCells::default()),
         _ => Err(RpcError::Stopped),
     }
 }
@@ -134,7 +142,7 @@ impl PendingScan<'_> {
     /// returns: the first region that fails — refused at send time or
     /// failed in service — is the error, unless a hedged scan's follower
     /// answers for it.
-    pub fn wait(self) -> Result<Vec<KeyValue>, ClientError> {
+    pub fn wait(self) -> Result<ScanCells, ClientError> {
         let mut parts = Vec::with_capacity(self.regions.len());
         for (info, sent) in self.regions {
             let primary_err = match sent.and_then(|reply| scan_cells(reply.wait())) {
@@ -482,7 +490,7 @@ impl Client {
         node: NodeId,
         scan: &ScanSpec,
         deadline_ms: Option<u64>,
-    ) -> Option<Vec<KeyValue>> {
+    ) -> Option<ScanCells> {
         let req = Request::FollowerScan {
             region: info.id,
             scan: scan.clone(),
@@ -517,16 +525,17 @@ impl Client {
     }
 
     /// Scan whole rows of a row range across every overlapping region,
-    /// merged in order. What row compaction, scrub and the reference read
-    /// path use: they need every cell of a row, not a window of it.
+    /// merged in order, into owned cells. What row compaction, scrub and
+    /// the reference read path use: they need every cell of a row, not a
+    /// window of it.
     pub fn scan(&self, range: &RowRange) -> Result<Vec<KeyValue>, ClientError> {
-        self.scan_spec(&range.clone().into())
+        Ok(self.scan_spec(&range.clone().into())?.to_vec())
     }
 
     /// Blocking scan of whatever `scan` selects (rows and, when set, the
     /// column window the region servers seek to): a full server queue
     /// makes this call wait.
-    pub fn scan_spec(&self, scan: &ScanSpec) -> Result<Vec<KeyValue>, ClientError> {
+    pub fn scan_spec(&self, scan: &ScanSpec) -> Result<ScanCells, ClientError> {
         let mut parts = Vec::new();
         for info in self.regions_overlapping(scan.rows()) {
             let handle = self
@@ -553,7 +562,7 @@ impl Client {
         scan: &ScanSpec,
         primary_deadline_ms: Option<u64>,
         deadline_ms: Option<u64>,
-    ) -> Result<Vec<KeyValue>, ClientError> {
+    ) -> Result<ScanCells, ClientError> {
         self.send_scan_hedged(scan, primary_deadline_ms, deadline_ms)
             .wait()
     }
@@ -947,9 +956,12 @@ mod tests {
         assert_eq!(lens, [9, 6, 16]);
         let deadline = || Some(pga_cluster::rpc::default_clock_ms() + 1000);
         for (spec, expect) in &cases {
-            assert_eq!(&c.scan_spec(spec).unwrap(), expect);
+            assert_eq!(&c.scan_spec(spec).unwrap().to_vec(), expect);
             assert_eq!(
-                &c.send_scan_admitted(spec, deadline()).wait().unwrap(),
+                &c.send_scan_admitted(spec, deadline())
+                    .wait()
+                    .unwrap()
+                    .to_vec(),
                 expect
             );
         }
@@ -959,7 +971,9 @@ mod tests {
         m.server(down).unwrap().shutdown();
         for (spec, expect) in &cases {
             assert_eq!(
-                &c.scan_hedged(spec, deadline(), deadline()).unwrap(),
+                &c.scan_hedged(spec, deadline(), deadline())
+                    .unwrap()
+                    .to_vec(),
                 expect
             );
         }

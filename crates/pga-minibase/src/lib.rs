@@ -10,7 +10,8 @@
 //! * [`wal`] — a write-ahead log enabling crash recovery of unflushed data.
 //! * [`storefile`] — immutable sorted runs with a sparse seek index (the
 //!   HFile analog), held in memory.
-//! * [`scanner`] — k-way merge scans across the memstore and store files.
+//! * [`scanner`] — scan replies as shared runs of cells, and the k-way
+//!   merge across the memstore and store files.
 //! * [`region`] — a contiguous row range: WAL + memstore + store files,
 //!   with flush, compaction and midpoint splits.
 //! * [`rewrite`] — pluggable compaction rewriters (HBase-coprocessor
@@ -60,7 +61,7 @@ pub use master::{locate, Master, RegionInfo, TableDescriptor};
 pub use memstore::MemStore;
 pub use region::{Region, RegionConfig, RegionId};
 pub use rewrite::{CompactionRewriter, RewriteContext, RewriterHandle};
-pub use scanner::merge_scan;
+pub use scanner::{merge_scan, ScanCells};
 pub use scrub::{
     scrub_tick, CellVerifier, QuarantineKey, ScrubFinding, ScrubState, ScrubTickReport,
     VerifierHandle,

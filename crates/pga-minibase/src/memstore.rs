@@ -7,6 +7,7 @@ use std::ops::Bound;
 use bytes::Bytes;
 
 use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
+use crate::scanner::ScanCells;
 
 /// One cell of a row's run; its row key is the map key the run hangs off.
 #[derive(Debug, Clone)]
@@ -120,16 +121,17 @@ impl MemStore {
 
     /// The cells of the rows in `rows` that `words` accepts (every row
     /// when `None`) whose qualifier lies in one of `columns` (sorted and
-    /// disjoint; `None` = the whole row), in order. A row key is tested
-    /// once, before any of its cells is copied, and the scan seeks to each
-    /// range's ends inside the row's run, so the cost is per row and per
-    /// cell returned, not per cell stored.
+    /// disjoint; `None` = the whole row), in order. The memstore keeps
+    /// changing, so the cells are copied, once, into one shared run. A
+    /// row key is tested once, before any of its cells is copied, and the
+    /// scan seeks to each range's ends inside the row's run, so the cost
+    /// is per row and per cell returned, not per cell stored.
     pub fn select(
         &self,
         rows: &RowRange,
         columns: Option<&[ColumnRange]>,
         words: Option<&RowWords>,
-    ) -> Vec<KeyValue> {
+    ) -> ScanCells {
         let mut out = Vec::new();
         let accepted = self
             .rows_in(rows)
@@ -147,7 +149,7 @@ impl MemStore {
                 rest = &rest[n..];
             }
         }
-        out
+        out.into()
     }
 
     /// Drain everything into a sorted vector (used by flushes); the
@@ -187,6 +189,7 @@ mod tests {
         m.put(kv("c", "q", 1, "vc"));
         let rows: Vec<_> = m
             .select(&RowRange::all(), None, None)
+            .to_vec()
             .into_iter()
             .map(|k| String::from_utf8(k.row.to_vec()).unwrap())
             .collect();
@@ -200,6 +203,7 @@ mod tests {
         m.put(kv("a", "q", 9, "new"));
         let vals: Vec<_> = m
             .select(&RowRange::all(), None, None)
+            .to_vec()
             .into_iter()
             .map(|k| (k.timestamp, String::from_utf8(k.value.to_vec()).unwrap()))
             .collect();
@@ -214,6 +218,7 @@ mod tests {
         assert_eq!(m.len(), 1);
         let only = m
             .select(&RowRange::all(), None, None)
+            .to_vec()
             .into_iter()
             .next()
             .unwrap();
@@ -228,6 +233,7 @@ mod tests {
         }
         let rows: Vec<_> = m
             .select(&RowRange::new(b"b".to_vec(), b"d".to_vec()), None, None)
+            .to_vec()
             .into_iter()
             .map(|k| k.row)
             .collect();

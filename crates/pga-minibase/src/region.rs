@@ -7,6 +7,8 @@
 //! (§III-B) is served by [`Region::split`] plus the master's pre-split
 //! table creation.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +18,7 @@ use crate::fault::{no_faults, FaultHandle};
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
 use crate::rewrite::{RewriteContext, RewriterHandle};
-use crate::scanner::merge_scan;
+use crate::scanner::{merge_scan, ScanCells};
 use crate::storefile::StoreFile;
 use crate::wal::{SequenceId, WriteAheadLog};
 
@@ -83,6 +85,10 @@ impl std::iter::Sum for RegionMetrics {
         })
     }
 }
+
+/// A row's run in one store file during [`Region::compact`]: the file's
+/// shared cells, the run, and the index the run starts at.
+type RowRun<'a> = (&'a Arc<Vec<KeyValue>>, &'a [KeyValue], usize);
 
 /// One region of the table.
 #[derive(Debug)]
@@ -360,10 +366,11 @@ impl Region {
         // Oldest file first: a later run wins an exact-key collision.
         let mut by_age: Vec<&StoreFile> = self.files.iter().collect();
         by_age.sort_by_key(|f| f.sequence());
-        let mut rests: Vec<&[KeyValue]> = by_age.iter().map(|f| f.cells()).collect();
+        let files: Vec<&Arc<Vec<KeyValue>>> = by_age.iter().map(|f| f.cells()).collect();
+        let mut rests: Vec<&[KeyValue]> = files.iter().map(|cells| &cells[..]).collect();
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
         let mut out: Vec<KeyValue> = Vec::with_capacity(rests.iter().map(|r| r.len()).sum());
-        let mut runs: Vec<&[KeyValue]> = Vec::with_capacity(rests.len());
+        let mut runs: Vec<RowRun<'_>> = Vec::with_capacity(rests.len());
         let mut merged: Vec<KeyValue> = Vec::new();
         while let Some(row) = rests
             .iter()
@@ -372,10 +379,10 @@ impl Region {
             .min()
         {
             runs.clear();
-            for rest in &mut rests {
+            for (&cells, rest) in files.iter().zip(&mut rests) {
                 if rest.first().is_some_and(|kv| kv.row == *row) {
                     let (run, after) = rest.split_at(rest.partition_point(|kv| kv.row == *row));
-                    runs.push(run);
+                    runs.push((cells, run, cells.len() - rest.len()));
                     *rest = after;
                 }
             }
@@ -383,15 +390,23 @@ impl Region {
             // Files are flushed in time order, so the runs of a raw row
             // follow one another and the merge is their concatenation.
             let in_order = runs.windows(2).all(|w| match w {
-                [a, b] => a.last() < b.first(),
+                [(_, a, _), (_, b, _)] => a.last() < b.first(),
                 _ => true,
             });
             if in_order {
-                runs.iter().for_each(|run| merged.extend_from_slice(run));
+                runs.iter()
+                    .for_each(|(_, run, _)| merged.extend_from_slice(run));
             } else {
                 // The read path's merge; a run's age is its priority.
-                let sources = runs.iter().map(|run| run.to_vec()).collect();
-                merged = merge_scan(sources, (0..runs.len() as u64).collect());
+                let sources = runs
+                    .iter()
+                    .map(|&(cells, run, start)| {
+                        let mut source = ScanCells::default();
+                        source.push(cells, start..start + run.len());
+                        source
+                    })
+                    .collect();
+                merged = merge_scan(sources, (0..runs.len() as u64).collect()).to_vec();
             }
             // Version GC: newest first within a cell, so keep the first
             // `max_versions` cells of each qualifier (`kept` counts the
@@ -436,21 +451,24 @@ impl Region {
         self.files = vec![StoreFile::from_sorted(out, seq)];
     }
 
-    /// Scan whole rows in `range`; see [`Region::scan_spec`].
+    /// Scan whole rows in `range` into owned cells; see
+    /// [`Region::scan_spec`].
     pub fn scan(&self, range: &RowRange) -> Vec<KeyValue> {
-        self.scan_spec(&range.clone().into())
+        self.scan_spec(&range.clone().into()).to_vec()
     }
 
     /// Scan the cells `spec` selects (rows clipped to the region's own
     /// range), merged across the memstore and all store files, sorted,
-    /// deduplicated. Every source tests a row key against the spec's word
-    /// filter once, before it copies a cell of the row, and with a column
-    /// window seeks to the window in each row, so the scan costs
-    /// `O(rows · log n + cells returned)` however full the rows are.
-    pub fn scan_spec(&self, spec: &ScanSpec) -> Vec<KeyValue> {
+    /// deduplicated. Store-file cells come back as ranges of the files'
+    /// shared cells; only memstore cells are copied. Every source tests a
+    /// row key against the spec's word filter once, before it takes a
+    /// cell of the row, and with a column window seeks to the window in
+    /// each row, so the scan costs `O(rows · log n + cells returned)`
+    /// however full the rows are.
+    pub fn scan_spec(&self, spec: &ScanSpec) -> ScanCells {
         let rows = clip(spec.rows(), &self.range);
         if !rows.end.is_empty() && rows.start >= rows.end {
-            return Vec::new(); // the request lies wholly outside this region
+            return ScanCells::default(); // the request lies wholly outside this region
         }
         let (columns, words) = (spec.columns(), spec.words());
         let mut sources = Vec::with_capacity(self.files.len() + 1);
@@ -671,6 +689,7 @@ fn clip(a: &RowRange, b: &RowRange) -> RowRange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::{ColumnRange, RowWords};
 
     fn kv(row: &str, ts: u64, val: &str) -> KeyValue {
         KeyValue::new(
@@ -693,6 +712,40 @@ mod tests {
         let cells = r.scan(&RowRange::all());
         assert_eq!(cells.len(), 2);
         assert_eq!(&cells[0].row[..], b"a");
+    }
+
+    #[test]
+    fn a_compacted_scan_points_into_the_store_file() {
+        let mut r = region();
+        for row in ["a1", "a2", "b1", "b2", "c1"] {
+            let cells = (0u8..8).map(|q| KeyValue::new(row.to_string(), vec![q], 1, vec![q]));
+            r.put_batch(cells.collect()).unwrap();
+            r.flush();
+        }
+        r.compact();
+        assert_eq!(r.files.len(), 1);
+        let file = r.files[0].cells().clone();
+        let window = vec![ColumnRange::new(vec![2u8], vec![5u8])];
+        let specs = [
+            ScanSpec::windowed(RowRange::all(), window.clone()),
+            ScanSpec::windowed(RowRange::new("a2", "c"), window).with_words(RowWords::new(
+                1,
+                1,
+                [b"2"],
+            )),
+            ScanSpec::from(RowRange::new("b", "")).with_words(RowWords::new(0, 1, [b"b"])),
+        ];
+        for (spec, (cells, rows)) in specs.iter().zip([(15, 5), (6, 2), (16, 2)]) {
+            let scanned = r.scan_spec(spec);
+            assert_eq!(scanned.len(), cells, "{spec:?}");
+            assert!(scanned.runs().len() <= rows, "{spec:?}");
+            assert!(scanned
+                .runs()
+                .iter()
+                .all(|(run, _)| Arc::ptr_eq(run, &file)));
+        }
+        // A whole-row scan of adjacent rows is one run.
+        assert_eq!(r.scan_spec(&RowRange::all().into()).runs().len(), 1);
     }
 
     #[test]

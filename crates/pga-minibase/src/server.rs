@@ -18,6 +18,7 @@ use pga_cluster::NodeId;
 
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::region::{Region, RegionId, RegionMetrics};
+use crate::scanner::ScanCells;
 
 /// Region-server tunables.
 #[derive(Debug, Clone, Copy)]
@@ -123,8 +124,8 @@ pub enum Request {
 pub enum Response {
     /// Operation succeeded.
     Ok,
-    /// Scan results.
-    Cells(Vec<KeyValue>),
+    /// Scan results, shared with the region's store files.
+    Cells(ScanCells),
     /// The region is not hosted here, or a row fell outside it — the
     /// caller's directory is stale and must be refreshed.
     WrongRegion,
@@ -167,7 +168,7 @@ pub enum Response {
     /// Follower scan results plus the follower's replication position.
     FollowerCells {
         /// Cells scanned.
-        cells: Vec<KeyValue>,
+        cells: ScanCells,
         /// The follower's last durable WAL sequence.
         applied_seq: u64,
     },

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
+use crate::scanner::ScanCells;
 
 /// How many cells between sparse-index entries. Real HFiles index block
 /// boundaries; 64 cells per "block" keeps seeks cheap without bloating the
@@ -10,7 +11,8 @@ use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
 const INDEX_STRIDE: usize = 64;
 
 /// An immutable, sorted run of cells produced by a memstore flush or a
-/// compaction. Cheap to clone (the data is shared).
+/// compaction. Cheap to clone (the data is shared), and scans hand out
+/// ranges of the same shared cells.
 #[derive(Debug, Clone)]
 pub struct StoreFile {
     cells: Arc<Vec<KeyValue>>,
@@ -65,8 +67,8 @@ impl StoreFile {
         self.cells.last().map(|kv| &kv.row[..])
     }
 
-    /// Every cell, in order.
-    pub(crate) fn cells(&self) -> &[KeyValue] {
+    /// Every cell, in order, shared.
+    pub(crate) fn cells(&self) -> &Arc<Vec<KeyValue>> {
         &self.cells
     }
 
@@ -91,40 +93,46 @@ impl StoreFile {
 
     /// The cells of the rows in `rows` that `words` accepts (every row
     /// when `None`) whose qualifier lies in one of `columns` (sorted and
-    /// disjoint; `None` = the whole row), in order. Binary-searches each
-    /// row's end — skipping a rejected row in one step — and each range's
-    /// ends inside the row, so the cost is per row and per cell returned,
-    /// not per cell stored.
+    /// disjoint; `None` = the whole row), in order, as ranges of this
+    /// file's shared cells: nothing is copied. Binary-searches each row's
+    /// end — skipping a rejected row in one step — and each range's ends
+    /// inside the row, so the cost is per row and per range returned, not
+    /// per cell stored.
     pub(crate) fn select(
         &self,
         rows: &RowRange,
         columns: Option<&[ColumnRange]>,
         words: Option<&RowWords>,
-    ) -> Vec<KeyValue> {
+    ) -> ScanCells {
+        let cells = &self.cells[..];
+        let mut at = self.seek_row(&rows.start);
+        let end = match &rows.end[..] {
+            [] => cells.len(),
+            last => at + cells[at..].partition_point(|kv| kv.row[..] < *last),
+        };
+        let mut out = ScanCells::default();
         if columns.is_none() && words.is_none() {
-            return self.scan(rows).cloned().collect();
+            out.push(&self.cells, at..end);
+            return out;
         }
-        let mut out = Vec::new();
-        let mut rest = &self.cells[self.seek_row(&rows.start)..];
-        while let Some(first) = rest.first() {
-            if !rows.end.is_empty() && first.row[..] >= rows.end[..] {
-                break;
+        while at < end {
+            let row = &cells[at].row;
+            let row_end = at + cells[at..end].partition_point(|kv| kv.row == *row);
+            if words.is_none_or(|w| w.matches(row)) {
+                let Some(columns) = columns else {
+                    out.push(&self.cells, at..row_end);
+                    at = row_end;
+                    continue;
+                };
+                let mut from = at;
+                for c in columns {
+                    from += cells[from..row_end].partition_point(|kv| kv.qualifier < c.start);
+                    let n = cells[from..row_end].partition_point(|kv| kv.qualifier < c.end);
+                    out.push(&self.cells, from..from + n);
+                    from += n;
+                }
             }
-            let (mut row, after) = rest.split_at(rest.partition_point(|kv| kv.row == first.row));
-            rest = after;
-            if words.is_some_and(|w| !w.matches(&first.row)) {
-                continue;
-            }
-            let Some(columns) = columns else {
-                out.extend_from_slice(row);
-                continue;
-            };
-            for c in columns {
-                row = &row[row.partition_point(|kv| kv.qualifier < c.start)..];
-                let n = row.partition_point(|kv| kv.qualifier < c.end);
-                out.extend_from_slice(&row[..n]);
-                row = &row[n..];
-            }
+            at = row_end;
         }
         out
     }
@@ -137,7 +145,7 @@ mod tests {
     fn file_of(rows: &[&str]) -> StoreFile {
         let mut cells: Vec<KeyValue> = rows
             .iter()
-            .map(|r| KeyValue::new(r.as_bytes().to_vec(), b"q".to_vec(), 1, b"v".to_vec()))
+            .map(|r| KeyValue::new(r.to_string(), "q", 1, "v"))
             .collect();
         cells.sort();
         StoreFile::from_sorted(cells, 1)
@@ -157,8 +165,8 @@ mod tests {
         let refs: Vec<&str> = rows.iter().map(|s| s.as_str()).collect();
         let f = file_of(&refs);
         let got: Vec<_> = f
-            .scan(&RowRange::new(b"row00100".to_vec(), b"row00110".to_vec()))
-            .map(|kv| String::from_utf8(kv.row.to_vec()).unwrap())
+            .scan(&RowRange::new("row00100", "row00110"))
+            .map(|kv| std::str::from_utf8(&kv.row).unwrap().to_string())
             .collect();
         assert_eq!(got.len(), 10);
         assert_eq!(got[0], "row00100");
@@ -168,18 +176,9 @@ mod tests {
     #[test]
     fn scan_start_before_first_and_after_last() {
         let f = file_of(&["m", "n"]);
-        assert_eq!(
-            f.scan(&RowRange::new(b"a".to_vec(), b"z".to_vec())).count(),
-            2
-        );
-        assert_eq!(
-            f.scan(&RowRange::new(b"x".to_vec(), b"z".to_vec())).count(),
-            0
-        );
-        assert_eq!(
-            f.scan(&RowRange::new(b"a".to_vec(), b"b".to_vec())).count(),
-            0
-        );
+        assert_eq!(f.scan(&RowRange::new("a", "z")).count(), 2);
+        assert_eq!(f.scan(&RowRange::new("x", "z")).count(), 0);
+        assert_eq!(f.scan(&RowRange::new("a", "b")).count(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use pga_cluster::coordinator::Coordinator;
 use pga_cluster::rpc::default_clock_ms;
 use pga_minibase::{
-    Client, ColumnRange, KeyValue, Master, RegionConfig, RowRange, RowWords, ScanSpec,
+    Client, ColumnRange, KeyValue, Master, RegionConfig, RowRange, RowWords, ScanCells, ScanSpec,
     ServerConfig, TableDescriptor,
 };
 
@@ -82,7 +82,7 @@ proptest! {
         let (master, client) = cluster(&splits, factor);
         client.put(cells.iter().map(cell).collect()).unwrap();
         let specs: Vec<ScanSpec> = specs.iter().map(spec).collect();
-        let blocking: Vec<Vec<KeyValue>> =
+        let blocking: Vec<ScanCells> =
             specs.iter().map(|s| client.scan_spec(s).unwrap()).collect();
         let deadline = || Some(default_clock_ms() + 5_000);
         // Every scan sent, admitted and hedged, before any is awaited.

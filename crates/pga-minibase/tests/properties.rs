@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use pga_minibase::{
     concat_region_scans, merge_scan, ColumnRange, CompactionRewriter, KeyValue, MemStore, Region,
-    RegionConfig, RegionId, RewriteContext, RowRange, RowWords, ScanSpec,
+    RegionConfig, RegionId, RewriteContext, RowRange, RowWords, ScanCells, ScanSpec,
 };
 
 type ModelKey = (Vec<u8>, Vec<u8>, std::cmp::Reverse<u64>);
@@ -161,7 +161,7 @@ proptest! {
             .filter(|kv| columns.iter().any(|c| kv.qualifier >= c.start && kv.qualifier < c.end))
             .collect();
         let got = region.scan_spec(&ScanSpec::windowed(rows, columns));
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got.to_vec(), expect);
     }
 
     /// A row-word scan is the same scan unfiltered with its rows kept by
@@ -214,10 +214,11 @@ proptest! {
         }
         let expect: Vec<KeyValue> = region
             .scan_spec(&spec)
+            .to_vec()
             .into_iter()
             .filter(|kv| filter.matches(&kv.row))
             .collect();
-        prop_assert_eq!(region.scan_spec(&spec.with_words(filter)), expect);
+        prop_assert_eq!(region.scan_spec(&spec.with_words(filter)).to_vec(), expect);
     }
 
     /// `merge_scan` against the naive model: concatenate, sort by cell key
@@ -246,7 +247,8 @@ proptest! {
         model.sort_by(|a, b| a.cmp(b).then_with(|| b.value.cmp(&a.value)));
         model.dedup_by(|b, a| (*a).cmp(b).is_eq());
         let priorities = (0..sources.len() as u64).collect();
-        prop_assert_eq!(merge_scan(sources, priorities), model);
+        let sources = sources.into_iter().map(ScanCells::from).collect();
+        prop_assert_eq!(merge_scan(sources, priorities).to_vec(), model);
     }
 
     #[test]
@@ -445,7 +447,8 @@ fn flat_compact(
         return None;
     }
     let priorities = (1..=files.len() as u64).collect();
-    let mut merged = merge_scan(files.to_vec(), priorities);
+    let sources = files.iter().cloned().map(ScanCells::from).collect();
+    let mut merged = merge_scan(sources, priorities).to_vec();
     if max_versions != usize::MAX {
         let mut last_cell: Option<(Bytes, Bytes)> = None;
         let mut kept = 0usize;
@@ -574,8 +577,8 @@ proptest! {
         let spec = ScanSpec::windowed(RowRange::all(), windows);
         let columns = spec.columns().unwrap();
         for range in &ranges {
-            prop_assert_eq!(grouped.select(range, None, None), flat.scan(range));
-            prop_assert_eq!(grouped.select(range, Some(columns), None), flat.scan_columns(range, columns));
+            prop_assert_eq!(grouped.select(range, None, None).to_vec(), flat.scan(range));
+            prop_assert_eq!(grouped.select(range, Some(columns), None).to_vec(), flat.scan_columns(range, columns));
         }
         prop_assert_eq!(grouped.drain_sorted(), flat.drain_sorted());
         prop_assert_eq!((grouped.len(), grouped.heap_size()), (0, 0));
@@ -627,7 +630,7 @@ proptest! {
         match flat_compact(&files, max_versions, rewriter) {
             Some((expect, rewritten_rows)) => {
                 prop_assert_eq!(metrics.compacted_cells, expect.len() as u64);
-                prop_assert_eq!(got, expect);
+                prop_assert_eq!(got.to_vec(), expect);
                 prop_assert_eq!(metrics.rewritten_rows, rewritten_rows);
                 prop_assert_eq!(metrics.compactions, 1);
             }
@@ -694,7 +697,8 @@ proptest! {
     fn seam_checked_concatenation_equals_sorting(parts in region_answers()) {
         let mut expect: Vec<KeyValue> = parts.iter().flatten().cloned().collect();
         expect.sort();
-        prop_assert_eq!(concat_region_scans(parts), expect);
+        let parts = parts.into_iter().map(ScanCells::from).collect();
+        prop_assert_eq!(concat_region_scans(parts).to_vec(), expect);
     }
 }
 
@@ -709,7 +713,7 @@ fn cells_of_a_row_share_one_row_buffer() {
     }
     let cells = m.select(&RowRange::all(), None, None);
     assert_eq!(cells.len(), 100);
-    let first = cells[0].row.as_ptr();
+    let first = cells.iter().next().unwrap().row.as_ptr();
     assert!(cells.iter().all(|kv| kv.row.as_ptr() == first));
 }
 
@@ -738,6 +742,6 @@ fn a_row_hour_written_in_descending_order_is_correct() {
         m.heap_size(),
         expect.iter().map(KeyValue::heap_size).sum::<usize>()
     );
-    assert_eq!(m.select(&RowRange::all(), None, None), expect);
+    assert_eq!(m.select(&RowRange::all(), None, None).to_vec(), expect);
     assert_eq!(m.drain_sorted(), expect);
 }

@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use pga_cluster::rpc::ClockMs;
-use pga_minibase::{Client, ClientError, KeyValue, PendingScan, RowRange, RowWords};
+use pga_minibase::{Client, ClientError, PendingScan, RowRange, RowWords, ScanCells};
 use pga_repl::HedgePolicy;
 use pga_tsdb::{
     Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, ShardError, TimeSeries,
@@ -228,14 +228,15 @@ fn send_salt<'c>(
         .collect()
 }
 
-/// Wait on `scans` in the order they were sent, appending their cells —
-/// in storage scan order — to `cells`. The first failure is the error and
-/// abandons the scans after it; the caller drops what the shard appended.
-fn wait_all(scans: Vec<PendingScan<'_>>, cells: &mut Vec<KeyValue>) -> Result<(), ClientError> {
+/// Wait on `scans` in the order they were sent: their cells, in storage
+/// scan order, as the shared runs the region servers returned. The first
+/// failure is the error and abandons the scans after it.
+fn wait_all(scans: Vec<PendingScan<'_>>) -> Result<ScanCells, ClientError> {
+    let mut cells = ScanCells::default();
     for scan in scans {
-        cells.append(&mut scan.wait()?);
+        cells.append(scan.wait()?);
     }
-    Ok(())
+    Ok(cells)
 }
 
 /// Send the scans of `[start, end]` of `metric` on every salt, then wait
@@ -252,7 +253,7 @@ fn scatter(
     deadline: u64,
     hedge: Option<u64>,
     errors: &mut Vec<ShardError>,
-) -> Vec<KeyValue> {
+) -> ScanCells {
     let sent: Vec<_> = codec
         .salt_range()
         .map(|salt| {
@@ -262,12 +263,11 @@ fn scatter(
             (salt, scans)
         })
         .collect();
-    let mut cells = Vec::new();
+    let mut cells = ScanCells::default();
     for (salt, scans) in sent {
-        let mark = cells.len();
-        if let Err(e) = wait_all(scans, &mut cells) {
-            cells.truncate(mark);
-            errors.push(shard_error(salt, &e));
+        match wait_all(scans) {
+            Ok(shard) => cells.append(shard),
+            Err(e) => errors.push(shard_error(salt, &e)),
         }
     }
     cells
@@ -296,7 +296,7 @@ fn hedge_trigger(cfg: &ExecConfig, now: u64) -> Option<u64> {
 fn assemble_raw(
     client: &Client,
     codec: &KeyCodec,
-    cells: &[KeyValue],
+    cells: &ScanCells,
     filter: &QueryFilter,
     windows: &[(u64, u64)],
 ) -> (SeriesPoints, Vec<ShardError>) {
@@ -518,7 +518,7 @@ fn fold_rollup(
     d: u64,
     ru_lo: u64,
     ru_hi: u64,
-    cells: &mut [KeyValue],
+    cells: &ScanCells,
 ) -> BTreeMap<Vec<(String, String)>, Windows> {
     let mut series: Vec<(Arc<Series>, Windows)> = Vec::new();
     let mut slots: HashMap<u32, usize> = HashMap::new();
@@ -605,20 +605,19 @@ fn execute_rollup(
         .collect();
     let fanout = sent.len() as u32;
     let mut errors = Vec::new();
-    let mut rollup_cells = Vec::new();
-    let mut raw_cells = Vec::new();
+    let mut rollup_cells = ScanCells::default();
+    let mut raw_cells = ScanCells::default();
     for (salt, rollup, raw) in sent {
-        let marks = (rollup_cells.len(), raw_cells.len());
-        let waited =
-            wait_all(rollup, &mut rollup_cells).and_then(|()| wait_all(raw, &mut raw_cells));
-        if let Err(e) = waited {
-            rollup_cells.truncate(marks.0);
-            raw_cells.truncate(marks.1);
-            errors.push(shard_error(salt, &e));
+        match wait_all(rollup).and_then(|rollup| Ok((rollup, wait_all(raw)?))) {
+            Ok((rollup, raw)) => {
+                rollup_cells.append(rollup);
+                raw_cells.append(raw);
+            }
+            Err(e) => errors.push(shard_error(salt, &e)),
         }
     }
     let mut cells_scanned = (rollup_cells.len() + raw_cells.len()) as u64;
-    let mut windows = fold_rollup(codec, filter, tier, d, ru_lo, ru_hi, &mut rollup_cells);
+    let mut windows = fold_rollup(codec, filter, tier, d, ru_lo, ru_hi, &rollup_cells);
 
     // Tainted windows (overlapping writer bitmaps — some point was
     // delivered twice) are recomputed from raw data rather than served

@@ -311,31 +311,54 @@ impl BucketMerge {
 
 /// Merge scanned cells of a tier shadow metric bucket by bucket, in one
 /// pass, handing each `(series, bucket start, merge)` to `bucket` in scan
-/// order.
+/// order. The cells are read by reference, where the scan reply holds
+/// them.
 ///
 /// Shard scans come back in storage order, which is checked the way
 /// [`pga_minibase::concat_region_scans`] checks its seams and restored by
-/// a sort only when broken. In that order a superseded version directly
-/// follows the newest one, so it is skipped by comparing each cell with
-/// the one before it; the cells of one `(series, bucket)` are adjacent and
-/// in `(writer, generation)` merge order; and each series' buckets ascend.
-/// Value blobs are read in place. Malformed cells, raw-format (2-byte
-/// qualifier) strays and rows of unknown series are skipped.
-pub fn fold_buckets(
+/// sorting references only when broken. In that order a superseded
+/// version directly follows the newest one, so it is skipped by comparing
+/// each cell with the one before it; the cells of one `(series, bucket)`
+/// are adjacent and in `(writer, generation)` merge order; and each
+/// series' buckets ascend. Value blobs are read in place. Malformed cells,
+/// raw-format (2-byte qualifier) strays and rows of unknown series are
+/// skipped.
+pub fn fold_buckets<'a, I>(
     codec: &KeyCodec,
     tier: u64,
-    cells: &mut [KeyValue],
+    cells: I,
+    bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
+) where
+    I: IntoIterator<Item = &'a KeyValue>,
+    I::IntoIter: Clone,
+{
+    let cells = cells.into_iter();
+    if cells
+        .clone()
+        .zip(cells.clone().skip(1))
+        .all(|(a, b)| a <= b)
+    {
+        fold_sorted(codec, tier, cells, bucket);
+    } else {
+        let mut sorted: Vec<&KeyValue> = cells.collect();
+        sorted.sort();
+        fold_sorted(codec, tier, sorted, bucket);
+    }
+}
+
+/// [`fold_buckets`] over cells already in storage order.
+fn fold_sorted<'a>(
+    codec: &KeyCodec,
+    tier: u64,
+    cells: impl IntoIterator<Item = &'a KeyValue>,
     mut bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
 ) {
-    if !cells.windows(2).all(|pair| pair[0] <= pair[1]) {
-        cells.sort();
-    }
     let mut decoder = CellDecoder::new(codec, tier);
     let mut merge = BucketMerge::new(tier);
     // The bucket being merged: its row's series and its start.
     let mut open: Option<(Arc<Series>, u64)> = None;
     let mut prev: Option<&KeyValue> = None;
-    for kv in cells.iter() {
+    for kv in cells {
         let superseded = prev.is_some_and(|p| p.row == kv.row && p.qualifier == kv.qualifier);
         prev = Some(kv);
         if superseded {

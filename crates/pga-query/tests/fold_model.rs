@@ -272,9 +272,9 @@ proptest! {
             .into_iter()
             .map(|(key, mut group)| (key, bits(&merge_cells(&mut group).unwrap())))
             .collect();
-        let mut scanned = arrange(cells, order, turn);
+        let scanned = arrange(cells, order, turn);
         let mut folded: BTreeMap<(u32, u64), Bits> = BTreeMap::new();
-        fold_buckets(&codec, TIER, &mut scanned, |series, bucket, merged| {
+        fold_buckets(&codec, TIER, &scanned, |series, bucket, merged| {
             let repeat = folded.insert((series.id(), bucket), bits(merged));
             assert!(repeat.is_none(), "bucket {bucket} merged twice");
         });
@@ -390,7 +390,12 @@ fn parent_rollup_answer(
         codec
             .scan_segments(salt, metric, from, to)
             .into_iter()
-            .flat_map(|s| client.scan_spec(&s.with_words(words.clone())).unwrap())
+            .flat_map(|s| {
+                client
+                    .scan_spec(&s.with_words(words.clone()))
+                    .unwrap()
+                    .to_vec()
+            })
             .collect()
     };
     let mut patches = Vec::new();

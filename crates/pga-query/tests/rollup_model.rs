@@ -317,14 +317,14 @@ fn six_hundred_single_point_flushes_into_one_bucket_lose_nothing() {
             .uids()
             .lookup(UidKind::Metric, &tier_metric(tier, "energy"))
             .unwrap();
-        let mut of_tier: Vec<KeyValue> = cells
+        let of_tier: Vec<KeyValue> = cells
             .iter()
             .filter(|kv| kv.row[1..4] == shadow.0)
             .cloned()
             .collect();
         let mut starts = std::collections::BTreeSet::new();
         let mut total = 0;
-        fold_buckets(&c, tier, &mut of_tier, |_, start, merged| {
+        fold_buckets(&c, tier, &of_tier, |_, start, merged| {
             assert!(!merged.tainted);
             assert!(starts.insert(start), "one merge per bucket");
             total += merged.count;

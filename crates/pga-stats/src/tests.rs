@@ -5,7 +5,7 @@
 //! sampling distribution. Rejection = potential anomaly; the p-values feed
 //! the multiple-testing procedures in [`crate::multiple`].
 
-use crate::distributions::{chi_square_cdf, erfc, students_t_cdf};
+use crate::distributions::{erfc, regularized_gamma_q, students_t_cdf};
 
 /// Two-sided p-value of a standard-normal z statistic: `2·P(Z > |z|)`,
 /// taken from the tail itself (not as `1 − Φ`), so it keeps full relative
@@ -99,13 +99,15 @@ pub fn t_square_statistic(scores: &[f64], lambda: &[f64], eps: f64) -> (f64, usi
     (t2, dof)
 }
 
-/// p-value of a T² statistic under the χ² null.
+/// p-value of a T² statistic under the χ² null: the upper tail
+/// `Q(dof/2, T²/2)`, taken from the tail itself (not as `1 − CDF`), so a
+/// strong block anomaly keeps its size instead of cancelling to 0.
 #[inline]
 pub fn t_square_p_value(t2: f64, dof: usize) -> f64 {
     if dof == 0 {
         return 1.0;
     }
-    (1.0 - chi_square_cdf(t2, dof as f64)).clamp(0.0, 1.0)
+    regularized_gamma_q(0.5 * dof as f64, 0.5 * t2).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -218,5 +220,34 @@ mod unit_tests {
         assert!(p_small < 1e-10);
         let p_large = t_square_p_value(0.1, 5);
         assert!(p_large > 0.99);
+    }
+
+    /// With an even number of degrees of freedom the χ² upper tail has a
+    /// closed form, `e^{−x/2} Σ_{i<k/2} (x/2)^i / i!`, summed here from
+    /// positive terms only: the p-value keeps full relative precision out
+    /// to T² = 1000, where `1 − CDF` read exactly 0.
+    #[test]
+    fn t_square_p_value_matches_the_even_dof_closed_form() {
+        let closed_form = |x: f64, k: usize| {
+            let mut term = (-0.5 * x).exp();
+            let mut sum = term;
+            for i in 1..k / 2 {
+                term *= 0.5 * x / i as f64;
+                sum += term;
+            }
+            sum
+        };
+        for k in [2, 4, 8, 16, 32, 64] {
+            for t2 in [
+                0.5, 1.0, 5.0, 20.0, 33.0, 34.0, 50.0, 100.0, 150.0, 200.0, 300.0, 1000.0,
+            ] {
+                let (got, want) = (t_square_p_value(t2, k), closed_form(t2, k));
+                assert!(want > 0.0, "T² {t2}, {k} dof");
+                assert!(
+                    ((got - want) / want).abs() < 1e-12,
+                    "T² {t2}, {k} dof: {got:e} vs {want:e}"
+                );
+            }
+        }
     }
 }

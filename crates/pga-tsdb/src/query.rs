@@ -229,10 +229,11 @@ pub struct CorruptBlock {
 /// a silent wrong answer.
 ///
 /// `cells` must arrive in storage scan order (row asc, qualifier asc,
-/// version desc), the order MiniBase scans already produce.
-pub fn assemble_columns(
+/// version desc), the order MiniBase scans already produce. They are read
+/// by reference, where the scan reply holds them.
+pub fn assemble_columns<'a>(
     codec: &KeyCodec,
-    cells: &[KeyValue],
+    cells: impl IntoIterator<Item = &'a KeyValue>,
     filter: &QueryFilter,
     start: u64,
     end: u64,
@@ -247,9 +248,9 @@ pub fn assemble_columns(
 /// The caller owns the consequence: quarantine the block, re-read its
 /// span from a healthy replica, or surface a typed partial — never
 /// silently drop it.
-pub fn assemble_columns_salvage(
+pub fn assemble_columns_salvage<'a>(
     codec: &KeyCodec,
-    cells: &[KeyValue],
+    cells: impl IntoIterator<Item = &'a KeyValue>,
     filter: &QueryFilter,
     start: u64,
     end: u64,
@@ -260,50 +261,46 @@ pub fn assemble_columns_salvage(
     let _ = assemble_columns_inner(codec, cells, filter, start, end, out, Some(corrupt));
 }
 
-fn assemble_columns_inner(
+fn assemble_columns_inner<'a>(
     codec: &KeyCodec,
-    cells: &[KeyValue],
+    cells: impl IntoIterator<Item = &'a KeyValue>,
     filter: &QueryFilter,
     start: u64,
     end: u64,
     out: &mut AssembledColumns,
     mut corrupt: Option<&mut Vec<CorruptBlock>>,
 ) -> Result<(), BlockError> {
-    let mut i = 0;
-    while i < cells.len() {
-        let Some(row) = cells.get(i).map(|kv| &kv.row) else {
-            break;
-        };
-        let mut j = i;
-        while cells.get(j).map(|kv| &kv.row) == Some(row) {
-            j += 1;
+    // One row's cells at a time, by reference.
+    let mut group: Vec<&KeyValue> = Vec::new();
+    for kv in cells {
+        if group.first().is_some_and(|first| first.row != kv.row) {
+            assemble_row(
+                codec,
+                &group,
+                filter,
+                start,
+                end,
+                out,
+                corrupt.as_deref_mut(),
+            )?;
+            group.clear();
         }
-        let group = cells.get(i..j).unwrap_or(&[]);
-        assemble_row(
-            codec,
-            group,
-            filter,
-            start,
-            end,
-            out,
-            corrupt.as_deref_mut(),
-        )?;
-        i = j;
+        group.push(kv);
     }
-    Ok(())
+    assemble_row(codec, &group, filter, start, end, out, corrupt)
 }
 
 /// One row's worth of [`assemble_columns`].
 fn assemble_row(
     codec: &KeyCodec,
-    group: &[KeyValue],
+    group: &[&KeyValue],
     filter: &QueryFilter,
     start: u64,
     end: u64,
     out: &mut AssembledColumns,
     mut corrupt: Option<&mut Vec<CorruptBlock>>,
 ) -> Result<(), BlockError> {
-    let Some(first) = group.first() else {
+    let Some(&first) = group.first() else {
         return Ok(());
     };
     let Some((_metric, tags, base)) = codec.decode_row(&first.row) else {
@@ -319,7 +316,7 @@ fn assemble_row(
     let mut raw: Vec<(u64, f64)> = Vec::new();
     let mut blocks: Vec<&KeyValue> = Vec::new();
     let mut last_qual: Option<&[u8]> = None;
-    for cell in group {
+    for &cell in group {
         if last_qual == Some(&cell.qualifier[..]) {
             continue; // older version of a cell we already took
         }
