@@ -16,7 +16,7 @@
 //! While the arms are measured, a background thread keeps ingesting fleet
 //! ticks through the reverse proxy, so latencies include write-path
 //! contention. Two oracles gate the verdict: rollup answers must equal raw
-//! answers bit-for-bit under an order-insensitive aggregator, and a cached
+//! answers bit-for-bit under every aggregator, and a cached
 //! anomaly view must reflect a freshly flagged series immediately after
 //! the engine's explicit invalidation (zero stale anomaly flags). An exact
 //! counter gates it too: a raw panel query must scan fewer than twice the
@@ -40,6 +40,15 @@ use pga_tsdb::{Aggregator, QueryFilter, TimeSeries};
 
 /// Rollup tier widths used by the serving arms.
 const TIERS: [u64; 2] = [60, 600];
+
+/// Every aggregator the answer oracle asks both engines.
+const AGGREGATORS: [Aggregator; 5] = [
+    Aggregator::Avg,
+    Aggregator::Sum,
+    Aggregator::Min,
+    Aggregator::Max,
+    Aggregator::Count,
+];
 
 /// Sizing for [`query_serving_experiment`].
 #[derive(Debug, Clone, Serialize)]
@@ -138,8 +147,8 @@ pub struct QueryServingReport {
     pub qps_speedup_cached: f64,
     /// p99 latency speedup (raw p99 / cached p99).
     pub p99_speedup_cached: f64,
-    /// Rollup answers disagreeing with raw answers under the Max
-    /// aggregator (order-insensitive, so must be 0).
+    /// Rollup answers disagreeing with raw answers, one panel per unit
+    /// under each aggregator (must be 0).
     pub answer_mismatches: u64,
     /// Cached anomaly views that missed a freshly flagged series after
     /// explicit invalidation (must be 0).
@@ -354,16 +363,19 @@ pub fn query_serving_experiment(cfg: &QueryBenchConfig) -> QueryServingReport {
         // into a phantom "mismatch".
         stop.store(true, Ordering::Relaxed);
 
-        // Oracle 1: rollup answers equal raw answers bit-for-bit under an
-        // order-insensitive aggregator (Max survives any merge order).
+        // Oracle 1: rollup answers equal raw answers bit-for-bit under
+        // every aggregator. Each series travels in one proxy lane, so one
+        // rollup writer folds its buckets in time order, as raw does.
         let mut answer_mismatches = 0u64;
         for u in 0..cfg.units as usize {
             let filter = panel_filter(u, cfg.units);
-            let ds = Some((cfg.downsample_secs, Aggregator::Max));
-            let a = raw_engine.query("energy", &filter, 0, cfg.history_secs - 1, ds);
-            let b = rollup_engine.query("energy", &filter, 0, cfg.history_secs - 1, ds);
-            if !same_answer(&a.series, &b.series) {
-                answer_mismatches += 1;
+            for agg in AGGREGATORS {
+                let ds = Some((cfg.downsample_secs, agg));
+                let a = raw_engine.query("energy", &filter, 0, cfg.history_secs - 1, ds);
+                let b = rollup_engine.query("energy", &filter, 0, cfg.history_secs - 1, ds);
+                if !same_answer(&a.series, &b.series) {
+                    answer_mismatches += 1;
+                }
             }
         }
 

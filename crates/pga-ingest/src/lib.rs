@@ -8,11 +8,12 @@
 //! ("Ingestion throughput scales horizontally by distributing the requests
 //! to the OpenTSDB nodes via a round-robin fashion").
 //!
-//! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale): a
-//!   bounded blocking buffer, round-robin over the TSD pool, and bounded
+//! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale):
+//!   bounded blocking queues, round-robin per series (one lane per TSD,
+//!   each series always in one lane, forwarded in order), and bounded
 //!   retries of storage failures with jittered exponential backoff.
 //! * [`series`] — the proxy's series table: each sensor's series resolved
-//!   once per worker, so the proxy forwards resolved points.
+//!   once per proxy, so the proxy forwards resolved points.
 //! * [`pipeline`] — drive a [`pga_sensorgen::Fleet`] through the stack and
 //!   measure real wall-clock throughput.
 //! * [`experiment`] — cluster-scale experiment harnesses (Fig. 2, salting

@@ -1,25 +1,36 @@
 //! The buffering reverse proxy.
 //!
 //! Sits between sample producers and a pool of TSD daemons. Producers
-//! submit batches into a **bounded** buffer (blocking when full — that is
-//! the backpressure the paper added); worker threads drain the buffer and
-//! forward each batch to the next TSD in round-robin order.
+//! submit batches into **bounded** queues (blocking when full — that is
+//! the backpressure the paper added); worker threads drain the queues and
+//! forward to the TSDs.
+//!
+//! The paper's proxy round-robins across TSDs; this one does so per
+//! series. There is one lane per TSD, and a series always travels in lane
+//! `salt % tsds.len()`, where the salt is the first byte of its row key.
+//! [`ReverseProxy::submit`] splits each batch into lane parts, and each
+//! lane belongs to one worker, which forwards its parts in submission
+//! order. So every series reaches one TSD — and that TSD's write-path
+//! observer — in the order it was submitted, and the TSDs take their
+//! salts' shares. When the TSD count divides the salt buckets, a lane's
+//! part lands on its own regions only.
 //!
 //! Every TSD of the pool resolves names through one series table (clones
-//! of one [`pga_tsdb::KeyCodec`]), so a worker resolves each sensor's
-//! series once, in its own [`SensorSeries`], and forwards resolved points:
+//! of one [`pga_tsdb::KeyCodec`]), so the proxy resolves each sensor's
+//! series once, in its [`SensorSeries`], and forwards resolved points:
 //! a series resolved through the first daemon's codec is valid on all of
-//! them, retries included.
+//! them.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{bounded, Receiver, Sender};
+use crossbeam_channel::{bounded, Sender};
+use parking_lot::Mutex;
 
 use pga_sensorgen::SensorSample;
-use pga_tsdb::{SeriesPoint, Tsd, TsdError};
+use pga_tsdb::{Series, SeriesPoint, Tsd, TsdError};
 
 use crate::series::SensorSeries;
 
@@ -57,14 +68,16 @@ impl std::error::Error for ProxyError {}
 /// Proxy tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ProxyConfig {
-    /// Buffered batches before producers block.
+    /// Lane parts (a batch's share for one TSD) buffered before producers
+    /// block, split evenly across the worker queues (at least one each).
     pub buffer_capacity: usize,
-    /// Forwarding worker threads.
+    /// Forwarding worker threads; no more are started than there are
+    /// lanes (TSDs). Lane `l` belongs to worker `l % workers`.
     pub workers: usize,
-    /// Forwarding attempts per batch before it is counted as an error.
-    /// Only storage failures are retried, each on the next TSD of the
-    /// round robin after a jittered exponential delay, so a batch submitted
-    /// while a region server is crashed lands once recovery reassigns its
+    /// Forwarding attempts per lane part before its batch is counted as
+    /// an error. Only storage failures are retried, each on the lane's own
+    /// TSD after a jittered exponential delay, so a batch submitted while
+    /// a region server is crashed lands once recovery reassigns its
     /// regions — never twice, since identical cells deduplicate in the
     /// store. Values below 1 behave as 1.
     pub max_forward_attempts: usize,
@@ -85,80 +98,156 @@ impl Default for ProxyConfig {
 pub struct ProxyMetrics {
     /// Batches accepted from producers.
     pub batches_in: AtomicU64,
-    /// Batches forwarded to TSDs.
+    /// Batches forwarded to TSDs: every lane part of the batch landed.
     pub batches_out: AtomicU64,
     /// Samples forwarded.
     pub samples_out: AtomicU64,
-    /// Batches given up on: a storage failure on every attempt, or a batch
-    /// the store refused for its content.
+    /// Batches given up on: some lane part met a storage failure on every
+    /// attempt, or was refused by the store for its content.
     pub errors: AtomicU64,
-    /// Failed forwarding attempts that were retried on another pick.
+    /// Failed forwarding attempts that were retried.
     pub retries: AtomicU64,
 }
 
-/// The reverse proxy. Submission blocks when the buffer is full.
+/// One lane's share of a submitted batch.
+struct Part {
+    lane: usize,
+    points: Vec<SeriesPoint>,
+    tally: Arc<Tally>,
+}
+
+/// The outcome of a submitted batch, shared by its lane parts until the
+/// last one lands or is given up on; that one counts the batch, once.
+struct Tally {
+    parts: AtomicUsize,
+    failed: AtomicBool,
+}
+
+impl Tally {
+    /// Settle one part of the batch; the last part counts the batch as
+    /// forwarded, or as an error if any part was given up on.
+    fn settle(&self, landed: bool, metrics: &ProxyMetrics) {
+        if !landed {
+            self.failed.store(true, Ordering::Release);
+        }
+        if self.parts.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let counter = if self.failed.load(Ordering::Acquire) {
+                &metrics.errors
+            } else {
+                &metrics.batches_out
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The lane of `series` among `lanes`: its salt byte, modulo.
+fn lane_of(series: &Series, lanes: usize) -> usize {
+    series
+        .tsuid()
+        .first()
+        .map_or(0, |&salt| salt as usize % lanes)
+}
+
+/// The reverse proxy. Submission blocks when a worker's queue is full.
 pub struct ReverseProxy {
-    tx: Option<Sender<Vec<SensorSample>>>,
+    /// One queue per worker.
+    queues: Option<Vec<Sender<Part>>>,
+    /// One lane per TSD.
+    lanes: usize,
+    names: Mutex<SensorSeries>,
     metrics: Arc<ProxyMetrics>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ReverseProxy {
-    /// Spawn the proxy over a pool of TSD daemons. The daemon list must be
-    /// non-empty; batches are distributed round-robin across it. Workers
-    /// resolve series through the first daemon's codec, so every daemon
-    /// must be built on a clone of it: one on another series table refuses
-    /// the points ([`pga_tsdb::TsdError::ForeignSeries`]) and the batch
-    /// counts as an error.
+    /// Spawn the proxy over a pool of TSD daemons, one lane per daemon.
+    /// The daemon list must be non-empty. The proxy resolves series
+    /// through the first daemon's codec, so every daemon must be built on
+    /// a clone of it: one on another series table refuses the points
+    /// ([`pga_tsdb::TsdError::ForeignSeries`]) and the batch counts as an
+    /// error.
     pub fn spawn(tsds: Vec<Arc<Tsd>>, config: ProxyConfig) -> Result<Self, ProxyError> {
-        let Some(codec) = tsds.first().map(|t| t.codec()) else {
+        let Some(codec) = tsds.first().map(|t| t.codec().clone()) else {
             return Err(ProxyError::EmptyPool);
         };
         if config.workers == 0 {
             return Err(ProxyError::NoWorkers);
         }
-        let (tx, rx): (Sender<Vec<SensorSample>>, Receiver<Vec<SensorSample>>) =
-            bounded(config.buffer_capacity);
+        let lanes = tsds.len();
+        let worker_count = config.workers.min(lanes);
+        let capacity = (config.buffer_capacity / worker_count).max(1);
         let metrics = Arc::new(ProxyMetrics::default());
-        let rr = Arc::new(AtomicUsize::new(0));
         let max_attempts = config.max_forward_attempts.max(1);
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let rx = rx.clone();
+        let mut queues = Vec::with_capacity(worker_count);
+        let mut workers = Vec::with_capacity(worker_count);
+        for w in 0..worker_count {
+            let (tx, rx) = bounded::<Part>(capacity);
             let tsds = tsds.clone();
             let metrics = metrics.clone();
-            let rr = rr.clone();
-            let mut names = SensorSeries::new(codec.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("proxy-worker-{w}"))
                 .spawn(move || {
                     // Per-worker jitter stream: deterministic, decorrelated
                     // from other workers.
-                    let mut jitter_seq = (w as u64) << 32;
-                    let mut points = Vec::new();
-                    for samples in rx.iter() {
-                        jitter_seq += 1;
-                        points.extend(samples.iter().map(|s| names.point(s)));
-                        forward_one(&points, &tsds, &metrics, &rr, max_attempts, jitter_seq);
-                        points.clear();
+                    let jitter = ((w as u64) << 32) + 1..;
+                    for (jitter_seq, part) in jitter.zip(rx.iter()) {
+                        let landed = tsds.get(part.lane).is_some_and(|tsd| {
+                            forward(&part.points, tsd, &metrics, max_attempts, jitter_seq)
+                        });
+                        part.tally.settle(landed, &metrics);
                     }
                 })
                 .map_err(|e| ProxyError::SpawnFailed(e.to_string()))?;
+            queues.push(tx);
             workers.push(handle);
         }
         Ok(ReverseProxy {
-            tx: Some(tx),
+            queues: Some(queues),
+            lanes,
+            names: Mutex::new(SensorSeries::new(codec)),
             metrics,
             workers,
         })
     }
 
-    /// Submit one batch; blocks while the buffer is full (backpressure).
-    /// Returns [`ProxyError::Stopped`] once the intake is closed or the
-    /// workers are gone — the caller decides whether that is fatal.
+    /// Submit one batch: resolve its samples, split it into lane parts and
+    /// queue each part on the worker that owns its lane. Blocks while that
+    /// queue is full (backpressure). Returns [`ProxyError::Stopped`] once
+    /// the intake is closed or the workers are gone — the caller decides
+    /// whether that is fatal.
     pub fn submit(&self, batch: Vec<SensorSample>) -> Result<(), ProxyError> {
-        let tx = self.tx.as_ref().ok_or(ProxyError::Stopped)?;
-        tx.send(batch).map_err(|_| ProxyError::Stopped)?;
+        let queues = self.queues.as_ref().ok_or(ProxyError::Stopped)?;
+        let mut parts: Vec<Vec<SeriesPoint>> = (0..self.lanes)
+            .map(|_| Vec::with_capacity(batch.len().div_ceil(self.lanes)))
+            .collect();
+        {
+            let mut names = self.names.lock();
+            for sample in &batch {
+                let point = names.point(sample);
+                // `lane_of` is below `self.lanes`: the part is always there.
+                if let Some(part) = parts.get_mut(lane_of(&point.0, self.lanes)) {
+                    part.push(point);
+                }
+            }
+        }
+        let tally = Arc::new(Tally {
+            parts: AtomicUsize::new(parts.iter().filter(|p| !p.is_empty()).count()),
+            failed: AtomicBool::new(false),
+        });
+        // Lane `l` to worker `l % workers`.
+        let owners = queues.iter().cycle();
+        for ((lane, points), queue) in parts.into_iter().enumerate().zip(owners) {
+            if !points.is_empty() {
+                let tally = tally.clone();
+                let part = Part {
+                    lane,
+                    points,
+                    tally,
+                };
+                queue.send(part).map_err(|_| ProxyError::Stopped)?;
+            }
+        }
         self.metrics.batches_in.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -170,50 +259,48 @@ impl ReverseProxy {
 
     /// Close the intake and wait for workers to drain everything.
     pub fn drain_and_join(mut self) -> Arc<ProxyMetrics> {
-        drop(self.tx.take());
+        self.close();
+        self.metrics.clone()
+    }
+
+    /// Close every queue and join the workers once they have drained.
+    fn close(&mut self) {
+        drop(self.queues.take());
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.metrics.clone()
     }
 }
 
-/// Forward one queued batch: round-robin with jittered exponential
-/// backoff. Every TSD fronts the same regions, so a storage failure is
-/// retried on the next pick once recovery may have caught up. Re-putting
-/// identical samples is safe — the store deduplicates identical cells, so
-/// retried batches land exactly once. Any other refusal is a property of
-/// the batch itself, so it counts as an error without a retry.
-fn forward_one(
+/// Forward one lane part to its TSD with jittered exponential backoff;
+/// `true` once it landed. Every TSD fronts the same regions, so a storage
+/// failure is retried on the lane's own TSD once recovery may have caught
+/// up, which keeps the lane in order. Re-putting identical samples is
+/// safe — the store deduplicates identical cells, so retried parts land
+/// exactly once. Any other refusal is a property of the points
+/// themselves, so the part is given up on without a retry.
+fn forward(
     points: &[SeriesPoint],
-    tsds: &[Arc<Tsd>],
+    tsd: &Tsd,
     metrics: &ProxyMetrics,
-    rr: &AtomicUsize,
     max_attempts: usize,
     jitter_seq: u64,
-) {
-    let n = points.len() as u64;
+) -> bool {
     let mut attempt = 0usize;
     loop {
-        let pick = rr.fetch_add(1, Ordering::Relaxed) % tsds.len();
-        // `pick` is reduced modulo `tsds.len()`, but the serving path
-        // still refuses to panic on a miss: treat it as a failed attempt.
-        match tsds.get(pick).map(|t| t.put_series_batch(points)) {
-            Some(Ok(())) => {
-                metrics.batches_out.fetch_add(1, Ordering::Relaxed);
-                metrics.samples_out.fetch_add(n, Ordering::Relaxed);
-                return;
+        match tsd.put_series_batch(points) {
+            Ok(()) => {
+                metrics
+                    .samples_out
+                    .fetch_add(points.len() as u64, Ordering::Relaxed);
+                return true;
             }
-            Some(Err(TsdError::Storage(_))) | None => {}
-            Some(Err(_)) => {
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+            Err(TsdError::Storage(_)) => {}
+            Err(_) => return false,
         }
         attempt += 1;
         if attempt >= max_attempts {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         }
         metrics.retries.fetch_add(1, Ordering::Relaxed);
         pause(
@@ -253,10 +340,7 @@ fn pause(attempt: u32, seed: u64) {
 
 impl Drop for ReverseProxy {
     fn drop(&mut self) {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.close();
     }
 }
 
@@ -327,25 +411,141 @@ mod tests {
         master.shutdown();
     }
 
+    /// Records every acknowledged point its TSD hands it.
+    #[derive(Default)]
+    struct Recorder(parking_lot::Mutex<Vec<SeriesPoint>>);
+
+    impl pga_tsdb::PutObserver for Recorder {
+        fn on_batch(&self, points: &[SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
+            self.0.lock().extend_from_slice(points);
+            Vec::new()
+        }
+
+        fn flush(&self) -> Vec<pga_minibase::KeyValue> {
+            Vec::new()
+        }
+    }
+
+    fn record(tsds: &[Arc<Tsd>]) -> Vec<Arc<Recorder>> {
+        tsds.iter()
+            .map(|tsd| {
+                let recorder = Arc::new(Recorder::default());
+                tsd.set_observer(recorder.clone());
+                recorder
+            })
+            .collect()
+    }
+
+    /// The lane of the series of `sample` among `lanes`, from its row key.
+    fn lane(tsds: &[Arc<Tsd>], sample: &SensorSample) -> usize {
+        let (unit, sensor) = (sample.unit.to_string(), sample.sensor.to_string());
+        let row = tsds[0]
+            .codec()
+            .row_key("energy", &[("unit", &unit), ("sensor", &sensor)], 0);
+        row[0] as usize % tsds.len()
+    }
+
+    /// Points each TSD wrote, by lane.
+    fn points_written(tsds: &[Arc<Tsd>]) -> Vec<u64> {
+        let written = |tsd: &Arc<Tsd>| tsd.metrics().points_written.load(Ordering::Relaxed);
+        tsds.iter().map(written).collect()
+    }
+
+    /// Every lane's share of `samples`: what each TSD must write.
+    fn lane_shares(tsds: &[Arc<Tsd>], samples: &[SensorSample]) -> Vec<u64> {
+        let mut shares = vec![0; tsds.len()];
+        for s in samples {
+            shares[lane(tsds, s)] += 1;
+        }
+        shares
+    }
+
+    /// Each series lands on exactly one TSD, the one its salt names, and
+    /// so the TSDs take their salts' shares of the points.
     #[test]
-    fn round_robin_spreads_batches_across_tsds() {
+    fn each_series_lands_on_the_tsd_of_its_lane() {
         let (master, tsds) = stack(2, 4);
+        let recorders = record(&tsds);
+        let proxy = ReverseProxy::spawn(tsds.clone(), ProxyConfig::default()).unwrap();
+        let mut submitted = Vec::new();
+        for t in 0..10u64 {
+            let batch: Vec<SensorSample> = (0..8u32)
+                .flat_map(|unit| (0..4u32).map(move |sensor| sample(unit, sensor, t)))
+                .collect();
+            submitted.extend_from_slice(&batch);
+            proxy.submit(batch).unwrap();
+        }
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.batches_out.load(Ordering::Relaxed), 10);
+        let shares = lane_shares(&tsds, &submitted);
+        assert_eq!(points_written(&tsds), shares);
+        assert!(shares.iter().filter(|&&n| n > 0).count() > 1, "{shares:?}");
+        for (l, recorder) in recorders.iter().enumerate() {
+            for (series, ..) in recorder.0.lock().iter() {
+                assert_eq!(series.tsuid()[0] as usize % tsds.len(), l);
+            }
+        }
+        master.shutdown();
+    }
+
+    /// Two workers over three TSDs: worker 0 owns lanes 0 and 2, worker 1
+    /// lane 1. Every series still reaches its TSD's observer point by
+    /// point in submission order, whatever the batches mixed.
+    #[test]
+    fn every_series_reaches_its_observer_in_submission_order() {
+        let (master, tsds) = stack(2, 3);
+        let recorders = record(&tsds);
         let proxy = ReverseProxy::spawn(
             tsds.clone(),
             ProxyConfig {
-                buffer_capacity: 64,
-                workers: 1,
+                buffer_capacity: 4,
+                workers: 2,
                 ..ProxyConfig::default()
             },
         )
         .unwrap();
-        for t in 0..40u64 {
-            proxy.submit(vec![sample(2, 3, t)]).unwrap();
+        let series: Vec<(u32, u32)> = (0..6u32)
+            .flat_map(|unit| (0..3u32).map(move |sensor| (unit, sensor)))
+            .collect();
+        let mut samples = Vec::new();
+        for t in 0..60u64 {
+            samples.extend(series.iter().map(|&(u, s)| sample(u, s, t)));
         }
-        proxy.drain_and_join();
-        for tsd in &tsds {
-            let rpcs = tsd.metrics().put_rpcs.load(Ordering::Relaxed);
-            assert_eq!(rpcs, 10, "round robin should be exact with one worker");
+        // Batches of uneven sizes, cutting across ticks.
+        let mut rest = &samples[..];
+        for size in [1, 7, 13, 29].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            proxy.submit(batch.to_vec()).unwrap();
+            rest = tail;
+        }
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 1080);
+        assert_eq!(points_written(&tsds), lane_shares(&tsds, &samples));
+        for &(unit, sensor) in &series {
+            let (u, s) = (unit.to_string(), sensor.to_string());
+            let seen: Vec<Vec<u64>> = recorders
+                .iter()
+                .map(|r| {
+                    let points = r.0.lock();
+                    let tags = |p: &&SeriesPoint| {
+                        p.0.tags()
+                            .iter()
+                            .all(|(k, v)| (k == "unit" && *v == u) || (k == "sensor" && *v == s))
+                    };
+                    points.iter().filter(tags).map(|p| p.1).collect()
+                })
+                .collect();
+            let lane = lane(&tsds, &sample(unit, sensor, 0));
+            for (l, timestamps) in seen.iter().enumerate() {
+                if l == lane {
+                    assert_eq!(*timestamps, (0..60).collect::<Vec<u64>>(), "{u}/{s}");
+                } else {
+                    assert!(timestamps.is_empty(), "{u}/{s} reached TSD {l}");
+                }
+            }
         }
         master.shutdown();
     }
@@ -461,8 +661,8 @@ mod tests {
     /// Regression: round-robin used to keep sending every other batch to a
     /// node whose region server had crashed (lease expired), failing those
     /// writes. Every TSD fronts every region, so once the master has moved
-    /// the dead node's regions no TSD needs skipping: both take their
-    /// round-robin share and nothing is lost.
+    /// the dead node's regions no TSD needs skipping: both lanes take their
+    /// salts' share and nothing is lost.
     #[test]
     fn lease_expired_node_is_skipped_without_sample_loss() {
         let (mut master, tsds) = stack(2, 2);
@@ -481,22 +681,25 @@ mod tests {
             },
         )
         .unwrap();
+        let mut submitted = Vec::new();
         for t in 0..20u64 {
-            proxy.submit(vec![sample(1, 1, t)]).unwrap();
+            let batch: Vec<SensorSample> = (0..8u32).map(|unit| sample(unit, 1, t)).collect();
+            submitted.extend_from_slice(&batch);
+            proxy.submit(batch).unwrap();
         }
         let metrics = proxy.drain_and_join();
         assert_eq!(metrics.errors.load(Ordering::Relaxed), 0);
-        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 20);
-        // Both TSDs took their round-robin share…
-        for tsd in &tsds {
-            assert_eq!(tsd.metrics().put_rpcs.load(Ordering::Relaxed), 10);
-        }
+        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 160);
+        // Both lanes took their salts' share…
+        let shares = lane_shares(&tsds, &submitted);
+        assert!(shares.iter().all(|&n| n > 0), "{shares:?}");
+        assert_eq!(points_written(&tsds), shares);
         // …and every sample is queryable.
         let series = tsds[0]
             .query("energy", &QueryFilter::any(), 0, 100)
             .unwrap();
         let total: usize = series.iter().map(|s| s.points.len()).sum();
-        assert_eq!(total, 20);
+        assert_eq!(total, 160);
         master.shutdown();
     }
 

@@ -1,5 +1,5 @@
 //! The proxy's series table: each sensor's series resolved once per
-//! worker.
+//! proxy.
 //!
 //! A fleet sample names its series by two numbers, `(unit, sensor)`. The
 //! store names it by `(metric, tags)` strings, resolved through the codec's
@@ -19,7 +19,7 @@ use pga_tsdb::{KeyCodec, Series, SeriesPoint};
 const METRIC: &str = "energy";
 
 /// `(unit, sensor) → Series` for fleet samples, dense by unit then
-/// sensor; one per thread that forwards samples.
+/// sensor; one per proxy, which resolves every sample it is submitted.
 ///
 /// The first lookup of a sensor resolves its name through the codec,
 /// spelled as every sample always was: metric `energy`, tags

@@ -34,7 +34,7 @@ pub struct PlatformConfig {
     #[serde(default)]
     pub query: QueryConfig,
     /// Storage-tier replication (pga-repl): copies per region, write
-    /// quorum, follower-read staleness budget, scan-hedge trigger.
+    /// quorum, scan-hedge trigger.
     /// Absent in pre-replication configs, so it defaults to single-copy.
     #[serde(default)]
     pub replication: pga_repl::ReplicationConfig,

@@ -155,7 +155,8 @@ pub struct RollupCell {
     pub bucket: u64,
     /// Writer id that sealed the cell.
     pub writer: u8,
-    /// Seal generation (distinguishes re-opened buckets of one writer).
+    /// Seal generation (distinguishes the cells of one bucket a writer
+    /// entered more than once).
     pub gen: u8,
     /// Minimum of the bucket's points.
     pub min: f64,
@@ -521,16 +522,13 @@ struct TierState {
     /// Shadow-metric row of the row-hour last opened, `(base time, key)`;
     /// `None` until the first bucket opens.
     row: Option<(u64, Bytes)>,
-    /// Generations run per series and tier, across buckets.
+    /// Generations run per series and tier, across buckets: each bucket a
+    /// series enters takes the next. A bucket that [`RollupWriter::flush`]
+    /// sealed and the next point re-opens is resumed instead — same
+    /// generation, same accumulators — so its next cell supersedes its
+    /// last by version, and its sum is folded point by point in arrival
+    /// order, as a raw downsample folds it.
     next_gen: u8,
-    /// Generation of the first opening of `bucket` since the series
-    /// entered it. A bucket that [`RollupWriter::flush`] keeps sealing and
-    /// the next point re-opens takes a new generation each time; once
-    /// `next_gen` is back at this one, one more would reuse the qualifier
-    /// of the bucket's first cell and replace it. From then on a
-    /// re-opening resumes the sealed bucket instead: same generation, same
-    /// accumulators, and its next cell supersedes its last by version.
-    entered: u8,
 }
 
 /// Write-path rollup maintainer: a [`PutObserver`] that accumulates every
@@ -616,21 +614,18 @@ impl PutObserver for RollupWriter {
                         break; // never roll up a rollup
                     }
                     sealed.extend(self.seal(state));
-                    let reopens = state.row.is_some() && state.bucket.start == bucket;
+                    let resumes = state.row.is_some() && state.bucket.start == bucket;
                     state.open = true;
                     // A fresh bucket under the next generation — unless this
-                    // one has spent them all: then fall through and resume
+                    // is the bucket just sealed: then fall through and resume
                     // it where it was sealed.
-                    if !reopens || state.next_gen != state.entered {
+                    if !resumes {
                         let base = bucket - bucket % span;
                         if state.row.as_ref().is_none_or(|&(open, _)| open != base) {
                             state.row = Some((base, self.shadow_row(series, tier, bucket)));
                         }
                         let gen = state.next_gen;
                         state.next_gen = gen.wrapping_add(1);
-                        if !reopens {
-                            state.entered = gen;
-                        }
                         state.bitmap.clear();
                         state.bitmap.resize(bitmap_len(tier), 0);
                         state.bitmap[bit / 8] |= 1 << (bit % 8);
@@ -753,23 +748,33 @@ mod tests {
         assert_eq!(cell.sum, 1.0);
     }
 
+    /// A bucket re-opened after a flush resumes where it was sealed: its
+    /// next cell has the same qualifier, holds every point so far and
+    /// supersedes the first by version.
     #[test]
-    fn flush_seals_and_reopen_gets_fresh_generation() {
+    fn flush_seals_and_reopen_resumes_the_bucket() {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 2);
         w.on_batch(&points(&c, "energy", &[(5, 1.0)]));
         let first = w.flush();
         assert_eq!(first.len(), 1);
         assert!(w.flush().is_empty(), "nothing left open");
-        // Same bucket again: different generation, distinct qualifier.
-        w.on_batch(&points(&c, "energy", &[(6, 2.0)]));
+        w.on_batch(&points(&c, "energy", &[(6, 2.0), (5, 9.0)]));
         let second = w.flush();
         let a = decode_cell(&c, 60, &first[0]).unwrap();
         let b = decode_cell(&c, 60, &second[0]).unwrap();
-        assert_eq!(a.bucket, b.bucket);
-        assert_eq!((a.writer, b.writer), (2, 2));
-        assert_ne!(a.gen, b.gen);
-        assert_ne!(first[0].qualifier, second[0].qualifier);
+        assert_eq!((a.bucket, a.writer, a.gen), (b.bucket, b.writer, b.gen));
+        assert_eq!(first[0].qualifier, second[0].qualifier);
+        assert!(second[0].timestamp > first[0].timestamp);
+        // Second 5 was counted before the flush; the duplicate is not.
+        assert_eq!((b.min, b.max, b.sum, b.count), (1.0, 2.0, 3.0, 2));
+        // Another bucket, then this one again: a fresh generation.
+        let minute = w.on_batch(&points(&c, "energy", &[(61, 1.0), (7, 4.0)]));
+        assert_eq!(decode_cell(&c, 60, &minute[0]).unwrap().bucket, 60);
+        let third = w.flush();
+        let late = decode_cell(&c, 60, &third[0]).unwrap();
+        assert_eq!((late.bucket, late.count), (0, 1));
+        assert_ne!(late.gen, a.gen);
     }
 
     #[test]

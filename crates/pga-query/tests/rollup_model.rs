@@ -7,9 +7,11 @@
 //! writer must seal the same cells — rows, qualifiers, versions, value
 //! blobs, generations — and leave the same UID table behind.
 //!
-//! The model is wrong in one place, which is why it is the model and not
-//! the code: a bucket re-opened 256 times reuses its first qualifier. The
-//! last two tests hold the writer to the truth there instead.
+//! One rule is newer than the model's code: a bucket that a flush sealed
+//! and the next point re-opens is resumed — same generation, same
+//! accumulators — not opened afresh, so the model keeps its last sealed
+//! bucket too. The last test also holds the writer to what a store keeps
+//! from a run that re-opens one bucket 600 times.
 
 use std::collections::HashMap;
 
@@ -22,6 +24,8 @@ use pga_tsdb::uid::{UidKind, RESERVED_PREFIX};
 use pga_tsdb::{BatchPoint, KeyCodec, KeyCodecConfig, PutObserver, SeriesPoint, UidTable};
 
 struct OpenBucket {
+    /// Sealed by a flush, kept for a re-opening to resume.
+    sealed: bool,
     start: u64,
     gen: u8,
     row: bytes::Bytes,
@@ -41,6 +45,16 @@ struct SeriesState {
 /// Key: `(tier, metric, sorted tags)`.
 type SeriesKey = (u64, String, Vec<(String, String)>);
 
+/// The cell of bucket `b`, sealed by writer `writer_id`.
+fn seal(span: u64, writer_id: u8, b: &OpenBucket) -> KeyValue {
+    KeyValue::new(
+        b.row.clone(),
+        encode_qualifier((b.start % span) as u16, writer_id, b.gen),
+        b.start * 1000 + b.count,
+        encode_value(b.min, b.max, b.sum, b.count, &b.bitmap),
+    )
+}
+
 struct NaiveRollup {
     codec: KeyCodec,
     tiers: Vec<u64>,
@@ -56,16 +70,6 @@ impl NaiveRollup {
             writer_id,
             state: HashMap::new(),
         }
-    }
-
-    fn seal(&self, b: OpenBucket) -> KeyValue {
-        let span = self.codec.config().row_span_secs;
-        KeyValue::new(
-            b.row,
-            encode_qualifier((b.start % span) as u16, self.writer_id, b.gen),
-            b.start * 1000 + b.count,
-            encode_value(b.min, b.max, b.sum, b.count, &b.bitmap),
-        )
     }
 
     fn on_batch(&mut self, metric: &str, points: &[BatchPoint<'_>]) -> Vec<KeyValue> {
@@ -85,6 +89,7 @@ impl NaiveRollup {
                 let mut series = self.state.remove(&key).unwrap_or_default();
                 match &mut series.open {
                     Some(open) if open.start == bucket => {
+                        open.sealed = false;
                         let bit = (ts - bucket) as usize;
                         if open.bitmap[bit / 8] & (1 << (bit % 8)) == 0 {
                             open.bitmap[bit / 8] |= 1 << (bit % 8);
@@ -95,8 +100,8 @@ impl NaiveRollup {
                         }
                     }
                     open_slot => {
-                        if let Some(prev) = open_slot.take() {
-                            sealed.push(self.seal(prev));
+                        if let Some(prev) = open_slot.take().filter(|b| !b.sealed) {
+                            sealed.push(seal(self.span(), self.writer_id, &prev));
                         }
                         let refs: Vec<(&str, &str)> = owned
                             .iter()
@@ -111,6 +116,7 @@ impl NaiveRollup {
                         let bit = (ts - bucket) as usize;
                         bitmap[bit / 8] |= 1 << (bit % 8);
                         series.open = Some(OpenBucket {
+                            sealed: false,
                             start: bucket,
                             gen,
                             row,
@@ -128,13 +134,20 @@ impl NaiveRollup {
         sealed
     }
 
+    fn span(&self) -> u64 {
+        self.codec.config().row_span_secs
+    }
+
     fn flush(&mut self) -> Vec<KeyValue> {
-        let open: Vec<OpenBucket> = self
-            .state
-            .values_mut()
-            .filter_map(|series| series.open.take())
-            .collect();
-        open.into_iter().map(|b| self.seal(b)).collect()
+        let span = self.span();
+        let mut cells = Vec::new();
+        for series in self.state.values_mut() {
+            if let Some(open) = series.open.as_mut().filter(|b| !b.sealed) {
+                open.sealed = true;
+                cells.push(seal(span, self.writer_id, open));
+            }
+        }
+        cells
     }
 }
 
@@ -270,7 +283,7 @@ proptest! {
 
 const TAGS: &[(&str, &str)] = &[("unit", "1"), ("sensor", "2")];
 
-/// 255 re-openings of one bucket — every generation a byte can hold —
+/// 255 re-openings of one bucket, each resumed in its one generation,
 /// and the counter wrapping on across buckets: still the model's cells.
 #[test]
 fn a_bucket_reopened_255_times_still_equals_the_model() {
@@ -296,9 +309,9 @@ fn a_bucket_reopened_255_times_still_equals_the_model() {
 /// a tick at a time re-opens a 600 s bucket 600 times. The generation is
 /// one byte of the qualifier and every one-point cell of a bucket has the
 /// same version, so the 257th cell used to replace the first: the bucket
-/// read back as 256 points, untainted. Now a bucket whose generations have
-/// come full circle is resumed, not re-opened: `flush` still seals
-/// everything, and the resumed bucket's cell supersedes its last one.
+/// read back as 256 points, untainted. Now a re-opened bucket is resumed
+/// in its own generation: `flush` still seals everything, and the resumed
+/// bucket's cell supersedes its last one.
 #[test]
 fn six_hundred_single_point_flushes_into_one_bucket_lose_nothing() {
     let c = codec();

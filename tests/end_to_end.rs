@@ -115,6 +115,7 @@ fn a_ten_sigma_shift_is_written_back_with_its_own_strength() {
 /// The page of a flagged unit, and a raw `/api/query` answer whose keys
 /// cross a power of ten, are byte for byte what the element-tree renderer
 /// and the typed serde path wrote (`tests/golden/`, captured from them).
+/// A rollup-planned answer is held to the raw path and to its own golden.
 #[test]
 fn machine_page_html_renders_flags_in_critical_color() {
     let mut m = monitor(107);
@@ -140,6 +141,18 @@ fn machine_page_html_renders_flags_in_critical_color() {
     );
     let answer = pga_tsdb::handle_query_with(m.engine().as_ref(), &body).unwrap();
     assert_eq!(answer, include_str!("golden/api_query_raw_seed107.json"));
+
+    // Downsampled, the engine plans rollups; its answer is the raw path's,
+    // byte for byte, under an order-sensitive and an order-free aggregator.
+    let body = format!(
+        r#"{{"start":0,"end":1000,"queries":[
+            {{"metric":"energy","tags":{{"unit":"{}","sensor":"{}"}},"downsample":"60s-avg"}},
+            {{"metric":"energy","tags":{{"unit":"{}"}},"downsample":"600s-max"}}]}}"#,
+        rec.unit, rec.sensor, rec.unit
+    );
+    let answer = pga_tsdb::handle_query_with(m.engine().as_ref(), &body).unwrap();
+    assert_eq!(answer, pga_tsdb::handle_query(m.tsd(), &body).unwrap());
+    assert_eq!(answer, include_str!("golden/api_query_rollup_seed107.json"));
     m.shutdown();
 }
 

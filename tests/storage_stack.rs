@@ -146,7 +146,7 @@ fn uid_table_shared_across_tsd_instances() {
 }
 
 /// Passes every acknowledged batch on to a rollup writer, and records its
-/// `(timestamp, value bits)` — which of a run's batches reached this
+/// `(timestamp, value bits)` — which of a run's lane parts reached this
 /// daemon, in the order its writer saw them.
 struct Recording {
     writer: pga_query::RollupWriter,
@@ -170,8 +170,8 @@ impl pga_tsdb::PutObserver for Recording {
 /// bytes: every raw cell and, after the observers flush, every rollup
 /// cell, by row key, qualifier, version and value. An odd × odd fleet over
 /// a row-hour boundary, two daemons and two proxy workers. Each daemon of
-/// the direct stack is fed the batches its twin was, in the same order,
-/// because a rollup cell is one writer's share of its bucket.
+/// the direct stack is fed the lane parts its twin was, in the same
+/// order, because a rollup cell is one writer's share of its bucket.
 #[test]
 fn the_forwarding_path_stores_what_the_string_path_stores() {
     use pga_ingest::IngestionPipeline;
@@ -186,8 +186,8 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
     let (t0, t1, batch) = (3_550, 3_650, 256);
     let stack = || {
         let stack = IngestionPipeline::new(3, 2, batch);
-        // UIDs in one order on both stacks: the proxy's two workers would
-        // otherwise race to name the fleet.
+        // UIDs in one order on both stacks: the direct stack, fed daemon
+        // by daemon, would otherwise name the fleet in another order.
         let codec = stack.tsd().codec();
         for unit in 0..7u32 {
             for sensor in 0..75u32 {
@@ -225,22 +225,40 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
         fleet.tick_into(t, &mut tick);
         samples.append(&mut tick);
     }
-    let batches: Vec<&[pga_sensorgen::SensorSample]> = samples.chunks(batch).collect();
+    // Each batch split into its lanes' parts: a series' lane is its salt
+    // modulo the daemon count.
+    let lanes = proxied.tsds().len();
+    let lane = |s: &pga_sensorgen::SensorSample| {
+        let (u, v) = (s.unit.to_string(), s.sensor.to_string());
+        let row = proxied
+            .tsd()
+            .codec()
+            .row_key("energy", &[("unit", &u), ("sensor", &v)], 0);
+        row[0] as usize % lanes
+    };
+    let parts: Vec<Vec<Vec<&pga_sensorgen::SensorSample>>> = samples
+        .chunks(batch)
+        .map(|b| {
+            (0..lanes)
+                .map(|l| b.iter().filter(|s| lane(s) == l).collect())
+                .collect()
+        })
+        .collect();
     let direct = stack();
-    let mut fed = vec![0; batches.len()];
+    let mut fed = vec![vec![0; lanes]; parts.len()];
     for (i, (tsd, recorder)) in direct.tsds().iter().zip(&recorders).enumerate() {
         tsd.set_observer(Arc::new(writer(tsd, i)));
         for seen in recorder.seen.lock().unwrap().iter() {
-            let k = batches
+            let k = parts
                 .iter()
                 .position(|b| {
-                    b.iter()
+                    b[i].iter()
                         .map(|s| (s.timestamp, s.value.to_bits()))
                         .eq(seen.iter().copied())
                 })
-                .expect("a recorded batch is one of the run's");
-            fed[k] += 1;
-            let tags: Vec<[(String, String); 2]> = batches[k]
+                .expect("a recorded part is one of the run's");
+            fed[k][i] += 1;
+            let tags: Vec<[(String, String); 2]> = parts[k][i]
                 .iter()
                 .map(|s| {
                     [
@@ -253,7 +271,7 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
                 .iter()
                 .map(|[(uk, uv), (sk, sv)]| [(&uk[..], &uv[..]), (&sk[..], &sv[..])])
                 .collect();
-            let points: Vec<pga_tsdb::BatchPoint> = batches[k]
+            let points: Vec<pga_tsdb::BatchPoint> = parts[k][i]
                 .iter()
                 .zip(&tags)
                 .map(|(s, tags)| (&tags[..], s.timestamp, s.value))
@@ -262,8 +280,11 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
         }
     }
     assert!(
-        fed.iter().all(|&n| n == 1),
-        "every batch reached one daemon once"
+        fed.iter().zip(&parts).all(|(n, b)| n
+            .iter()
+            .zip(b)
+            .all(|(&n, p)| n == usize::from(!p.is_empty()))),
+        "every lane part reached its daemon once"
     );
     assert!(recorders.iter().all(|r| !r.seen.lock().unwrap().is_empty()));
     direct.flush_observers().unwrap();
