@@ -6,7 +6,6 @@ use std::path::PathBuf;
 
 use crate::engine::{analyze, find_workspace_root, lex_workspace, Report};
 use crate::interleave::replication::{ReplMutant, ReplicationModel};
-use crate::interleave::worklist::WorklistModel;
 use crate::interleave::{explore_dedup_limits, ExploreLimits, SpaceOutcome};
 use crate::rules::{all_rules, Violation};
 
@@ -23,9 +22,8 @@ OPTIONS:
     --rule <id>           run only this rule (repeatable)
     --json                emit findings as a JSON array instead of text
     --list                list rules and exit
-    --model-check         explore the replication protocol and work-stealing
-                          deque models (faithful must pass, seeded mutants
-                          must be caught) and exit
+    --model-check         explore the replication protocol model (faithful
+                          must pass, seeded mutants must be caught) and exit
     --state-budget <n>    distinct-state budget for --model-check (default 200000)
     --help                show this help
 ";
@@ -196,28 +194,6 @@ fn model_check(state_budget: usize) -> i32 {
                 failed = true;
                 println!("model-check: mutant {mutant:?} ESCAPED: {other:?}");
             }
-        }
-    }
-
-    match explore_dedup_limits(&WorklistModel { seeded_bug: false }, limits) {
-        SpaceOutcome::Pass { states } => {
-            println!("model-check: faithful worklist-deque model PASS ({states} distinct states)");
-        }
-        other => {
-            failed = true;
-            println!("model-check: faithful worklist-deque model FAIL: {other:?}");
-        }
-    }
-    match explore_dedup_limits(&WorklistModel { seeded_bug: true }, limits) {
-        SpaceOutcome::Violation { schedule, message } => {
-            println!(
-                "model-check: mutant StealWithoutRecheck CAUGHT in {} steps: {message}",
-                schedule.len()
-            );
-        }
-        other => {
-            failed = true;
-            println!("model-check: mutant StealWithoutRecheck ESCAPED: {other:?}");
         }
     }
 

@@ -25,7 +25,6 @@
 
 pub mod models;
 pub mod replication;
-pub mod worklist;
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;

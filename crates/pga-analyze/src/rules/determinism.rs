@@ -24,9 +24,9 @@ fn in_scope(f: &SourceFile) -> bool {
         // entropy would make failover schedules unreproducible.
         "pga-repl" => true,
         // The task-set scheduler takes its clock by injection (the
-        // `Clock` closure) precisely so seeded runs replay; an ambient
-        // `Instant::now` or `thread_rng` victim pick inside the crate
-        // would break the replay-determinism proptests.
+        // `Clock` closure), so its counters stay a function of the task
+        // set; an ambient `Instant::now` inside the crate would undo
+        // that.
         "pga-sched" => true,
         // The serving engine injects its clock (`ClockMs`) so cache TTLs
         // and shard deadlines replay; ambient time would undo that.

@@ -15,12 +15,12 @@ const SCOPE: &[(&str, &[&str])] = &[
     ("pga-minibase", &["server", "region", "master", "scrub"]),
     ("pga-tsdb", &["api", "block", "compact"]),
     ("pga-cluster", &["rpc"]),
-    // The scheduler's task set and deque run under every training
-    // round; a panic there poisons the whole batch. The executor module
+    // The scheduler's task set runs under every training round; a
+    // panic there poisons the whole batch. The executor module
     // is excluded: it *catches* task panics by design (`catch_unwind`)
     // and its own joins are infallible merges — ANALYSIS.md records the
     // rationale.
-    ("pga-sched", &["deque", "tasks"]),
+    ("pga-sched", &["tasks"]),
 ];
 
 fn in_scope(f: &SourceFile) -> bool {

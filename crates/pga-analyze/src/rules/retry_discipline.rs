@@ -19,9 +19,9 @@ const SCOPE: &[(&str, &[&str])] = &[
     ("pga-cluster", &["rpc"]),
     ("pga-query", &[]),
     ("pga-repl", &[]),
-    // Scheduler workers never sleep: an idle worker ends after one empty
-    // probe pass, and a fixed sleep would hold the whole set's critical
-    // path.
+    // Scheduler workers never sleep: an idle worker ends as soon as the
+    // shared queue is empty, and a fixed sleep would hold the whole
+    // set's critical path.
     ("pga-sched", &[]),
 ];
 

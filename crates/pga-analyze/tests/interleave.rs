@@ -11,7 +11,6 @@ use pga_analyze::interleave::models::{
     bucket_index, HistogramModel, LeaseMigrationModel, RegistryCounterModel,
 };
 use pga_analyze::interleave::replication::{ReplMutant, ReplicationModel};
-use pga_analyze::interleave::worklist::WorklistModel;
 use pga_analyze::interleave::{explore, explore_dedup, Outcome, SpaceOutcome};
 
 #[test]
@@ -71,45 +70,6 @@ fn lease_expiry_vs_unlocked_migration_races() {
         }
         other => panic!("seeded lease race not caught: {other:?}"),
     }
-}
-
-#[test]
-fn worklist_single_critical_section_passes_every_schedule() {
-    // The real deque protocol: every taker's emptiness check and take
-    // share one lock hold, so no schedule of owner pushes/pops against
-    // a stealing thief can underflow or lose a task.
-    match explore(&WorklistModel { seeded_bug: false }) {
-        Outcome::Pass { schedules } => assert!(schedules > 4, "only {schedules} schedules"),
-        other => panic!("faithful deque protocol failed: {other:?}"),
-    }
-    match explore_dedup(&WorklistModel { seeded_bug: false }) {
-        SpaceOutcome::Pass { states } => assert!(states > 4),
-        other => panic!("dedup explorer rejected the faithful deque: {other:?}"),
-    }
-}
-
-#[test]
-fn worklist_steal_without_recheck_is_caught() {
-    // The mutant observes `len > 0`, drops the lock, and takes without
-    // re-checking — the owner's pop in between turns the stale
-    // observation into a steal from an empty deque.
-    match explore(&WorklistModel { seeded_bug: true }) {
-        Outcome::Violation { schedule, message } => {
-            assert!(!schedule.is_empty());
-            assert!(
-                message.contains("empty deque"),
-                "unexpected diagnostic: {message}"
-            );
-        }
-        other => panic!("seeded steal race not caught: {other:?}"),
-    }
-    assert!(
-        matches!(
-            explore_dedup(&WorklistModel { seeded_bug: true }),
-            SpaceOutcome::Violation { .. }
-        ),
-        "dedup explorer must agree the mutant is broken"
-    );
 }
 
 #[test]

@@ -181,7 +181,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "corruption resilience — salvage reads + background scrub",
         help: "bit-flipped blocks: typed errors, salvage reads, scrub repair" },
     Experiment { id: "E23", name: "train", run: train, artifact: Some("BENCH_train"),
-        title: "incremental retraining + work-stealing scheduler scaling",
+        title: "incremental retraining + scheduler scaling",
         help: "dirty-only retraining oracle + scheduler scaling sweep" },
     Experiment { id: "sanity", name: "pipeline", run: pipeline,
         artifact: Some("pipeline_throughput"),

@@ -1,12 +1,12 @@
-//! E23 — incremental fleet retraining throughput and work-stealing
-//! scheduler scaling.
+//! E23 — incremental fleet retraining throughput and scheduler
+//! scaling.
 //!
-//! The paper retrains offline in batch: every unit's covariance/SVD is
-//! recomputed on every pass even when only a handful of units saw new
-//! samples (§IV-A). This experiment measures what dirty-unit tracking
-//! buys under live ingest, and what the work-stealing scheduler buys
-//! over the sequential executor, with a differential oracle pinning
-//! both to the batch answer:
+//! The paper retrains offline in batch: every unit's covariance and its
+//! eigendecomposition are recomputed on every pass even when only a
+//! handful of units saw new samples (§IV-A). This experiment measures
+//! what dirty-unit tracking buys under live ingest, and what the
+//! parallel executor buys over the sequential one, with a differential
+//! oracle pinning both to the batch answer:
 //!
 //! * **Retrain rounds** — each round, a rotating subset of units
 //!   receives fresh samples. The *full* arm rebuilds the fleet from
@@ -19,12 +19,12 @@
 //!   above `1e-9` on any unit is a mismatch and fails the run.
 //! * **Scheduler scaling** — the full-fleet re-finish workload is then
 //!   run at 1..=N workers. One worker uses the sequential executor
-//!   (`run_sequential`); more workers use the work-stealing scheduler,
-//!   whose steal/queue-depth counters are captured per sweep point.
+//!   (`run_sequential`); more workers claim tasks from one shared
+//!   queue (`run`), and the run counters are captured per sweep point.
 //!
 //! Acceptance: zero oracle mismatches, incremental ≥ 5× the full
-//! rebuild, and — on machines with ≥ 4 cores — work stealing ≥ 3× the
-//! sequential executor at full worker count. The parallel bar is gated
+//! rebuild, and — on machines with ≥ 4 cores — the parallel executor
+//! ≥ 3× the sequential one at full worker count. The parallel bar is gated
 //! on core count because a single-core host serializes the workers and
 //! the wall-clock ratio measures the OS scheduler, not ours;
 //! EXPERIMENTS.md records the gate. The two ratios are of wall-clock
@@ -124,11 +124,10 @@ pub struct WorkerScalingRow {
     pub speedup: f64,
     /// Scheduler tasks executed at this point.
     pub tasks: u64,
-    /// Successful steals (0 for the sequential executor).
+    /// Tasks claimed beyond the workers' round-robin shares (0 for the
+    /// sequential executor).
     pub steals: u64,
-    /// Steal probes, successful or not.
-    pub steal_attempts: u64,
-    /// Deepest worker deque observed.
+    /// Most tasks queued at the start of one run.
     pub max_queue_depth: u64,
 }
 
@@ -177,7 +176,7 @@ impl TrainBenchReport {
 
     /// E23 verdict for a full-size run: [`Self::exact`], dirty-only
     /// retraining beat the full rebuild ≥ 5×, and — when the host has
-    /// the cores to show it — work stealing beat the sequential
+    /// the cores to show it — the parallel executor beat the sequential
     /// executor ≥ 3×.
     pub fn passed(&self) -> bool {
         self.exact()
@@ -362,7 +361,6 @@ pub fn train_retrain_experiment(cfg: &TrainBenchConfig) -> TrainBenchReport {
             },
             tasks: stats.tasks_run,
             steals: stats.steals,
-            steal_attempts: stats.steal_attempts,
             max_queue_depth: stats.max_queue_depth,
         });
     }

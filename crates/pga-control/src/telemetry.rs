@@ -182,9 +182,8 @@ metrics! {
     ScrubRejected, "scrub_rejected", Sum, All, None, "Fetched repair payloads rejected by pre-install verification.";
     ScrubSalvagedReads, "scrub_salvaged_reads", Sum, All, Some("salvaged reads"), "Reads transparently answered from a replica after the local copy failed verification.";
     SchedTasks, "sched_tasks", Sum, All, Some("sched tasks"), "Tasks executed by the node's batch scheduler.";
-    SchedSteals, "sched_steals", Sum, All, Some("tasks stolen"), "Successful work steals in the batch scheduler.";
-    SchedStealAttempts, "sched_steal_attempts", Sum, All, None, "Steal probes (successful or not) in the batch scheduler.";
-    SchedMaxQueueDepth, "sched_max_queue_depth", Max, All, Some("max queue depth"), "High-water mark of any scheduler worker's deque depth.";
+    SchedSteals, "sched_steals", Sum, All, Some("tasks stolen"), "Tasks the batch scheduler's workers claimed beyond their round-robin share of a run.";
+    SchedMaxQueueDepth, "sched_max_queue_depth", Max, All, Some("max queue depth"), "Most tasks queued at the start of any one batch-scheduler run.";
     SchedTaskNs, "sched_task_ns", Sum, All, None, "Total nanoseconds spent inside scheduler task bodies.";
     QueryCacheHits, "query_cache_hits", Sum, All, None, "Cumulative serving-layer result-cache hits.";
     QueryCacheMisses, "query_cache_misses", Sum, All, None, "Cumulative serving-layer result-cache misses.";
@@ -427,11 +426,11 @@ mod tests {
                 def.tile.map(|_| want.to_string())
             );
         }
-        // 30 rows, three lines each; the eight rows nothing ever set
+        // 29 rows, three lines each; the eight rows nothing ever set
         // (memstore bytes, breaker trips, ingest buffer depth/capacity,
         // dirty units, shed writes, overloads, follower reads) are gone
-        // from the exposition.
-        assert_eq!(METRICS.len(), 30);
+        // from the exposition, and so are the scheduler's steal probes.
+        assert_eq!(METRICS.len(), 29);
         assert_eq!(text.lines().count(), 3 * METRICS.len());
         for retired in [
             "memstore_bytes",

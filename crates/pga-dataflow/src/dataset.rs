@@ -1,7 +1,7 @@
 //! Partitioned datasets whose `map` runs as a `pga-sched` task set.
 //!
 //! Each [`Dataset::map`] builds a [`pga_sched::TaskSet`] — one task per
-//! partition — and hands it to the work-stealing scheduler
+//! partition — and hands it to the shared-queue executor
 //! ([`pga_sched::run`]) or, with a single worker, the deterministic
 //! sequential executor ([`pga_sched::run_sequential`]). Run counters
 //! accumulate on the [`Dataflow`] context and are exposed as
@@ -10,24 +10,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pga_sched::{SchedulerConfig, TaskSet};
+use pga_sched::TaskSet;
 use serde::Serialize;
-
-/// Base seed of the scheduler's victim-selection streams; each run adds
-/// its sequence number, so runs within one context use distinct but
-/// replayable streams.
-const SEED: u64 = 0xDA7A_F70E;
 
 /// Cumulative scheduler counters (atomics; shared by `Dataflow` clones).
 #[derive(Debug, Default)]
 struct EngineStats {
     tasks: AtomicU64,
     steals: AtomicU64,
-    steal_attempts: AtomicU64,
     max_queue_depth: AtomicU64,
     task_ns: AtomicU64,
-    /// Runs started, the per-run offset added to [`SEED`].
-    run_seq: AtomicU64,
 }
 
 /// Snapshot of a context's cumulative scheduler counters.
@@ -35,11 +27,11 @@ struct EngineStats {
 pub struct DataflowStats {
     /// Tasks executed across all runs.
     pub tasks_run: u64,
-    /// Successful steals.
+    /// Tasks workers claimed beyond their round-robin share of a run,
+    /// summed over runs ([`pga_sched::RunReport::steals`]); 0 with one
+    /// worker.
     pub steals: u64,
-    /// Steal probes, successful or not.
-    pub steal_attempts: u64,
-    /// High-water mark of any worker deque depth.
+    /// Most tasks queued at the start of any one run.
     pub max_queue_depth: u64,
     /// Total nanoseconds spent inside task bodies.
     pub task_ns_total: u64,
@@ -75,7 +67,6 @@ impl Dataflow {
             // pga-allow(relaxed-atomics): independent monotonic counters; snapshot tolerates inter-field skew
             tasks_run: self.stats.tasks.load(Ordering::Relaxed),
             steals: self.stats.steals.load(Ordering::Relaxed),
-            steal_attempts: self.stats.steal_attempts.load(Ordering::Relaxed),
             max_queue_depth: self.stats.max_queue_depth.load(Ordering::Relaxed),
             task_ns_total: self.stats.task_ns.load(Ordering::Relaxed),
         }
@@ -87,16 +78,11 @@ impl Dataflow {
     fn execute(&self, tasks: TaskSet<'_>) {
         let t0 = std::time::Instant::now();
         let clock: pga_sched::Clock = Arc::new(move || t0.elapsed().as_nanos() as u64);
-        let seq = self.stats.run_seq.fetch_add(1, Ordering::Relaxed);
         let workers = self.workers.min(tasks.len()).max(1);
         let result = if workers == 1 {
             pga_sched::run_sequential(tasks, Some(&clock))
         } else {
-            let config = SchedulerConfig {
-                workers,
-                seed: SEED.wrapping_add(seq),
-            };
-            pga_sched::run(tasks, &config, Some(&clock))
+            pga_sched::run(tasks, workers, Some(&clock))
         };
         let report = match result {
             Ok(report) => report,
@@ -105,9 +91,6 @@ impl Dataflow {
         let stats = &self.stats;
         stats.tasks.fetch_add(report.tasks_run, Ordering::Relaxed);
         stats.steals.fetch_add(report.steals, Ordering::Relaxed);
-        stats
-            .steal_attempts
-            .fetch_add(report.steal_attempts, Ordering::Relaxed);
         stats
             .max_queue_depth
             .fetch_max(report.max_queue_depth, Ordering::Relaxed);
@@ -282,7 +265,7 @@ mod tests {
         assert_eq!(out.iter().sum::<i64>(), 10_100);
         let after = df.stats();
         assert_eq!(after.tasks_run, 16, "two maps of 8 partitions");
-        assert!(after.max_queue_depth >= 3, "8 tasks dealt to 3 deques");
+        assert_eq!(after.max_queue_depth, 8, "8 tasks queued per map");
         assert!(after.task_ns_total > 0);
     }
 

@@ -7,10 +7,11 @@
 //! * [`Dataflow`] / [`Dataset`] — `parallelize` a vector into partitions,
 //!   `map` them in parallel, `collect` the results in order. Each `map`
 //!   becomes a `pga-sched` task set — one independent task per partition
-//!   — executed by the seeded work-stealing scheduler (or the sequential
-//!   executor with one worker).
-//! * [`DataflowStats`] — cumulative scheduler counters (tasks, steals,
-//!   probes, queue depth, task time) for the platform observability panel.
+//!   — executed by workers claiming from one shared queue (or the
+//!   sequential executor with one worker).
+//! * [`DataflowStats`] — cumulative scheduler counters (tasks, claims
+//!   beyond the round-robin share, queue depth, task time) for the
+//!   platform observability panel.
 //!
 //! The engine is eager (each `map` runs immediately, in parallel);
 //! lineage/laziness is orthogonal to everything the paper's workload

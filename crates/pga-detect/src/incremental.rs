@@ -5,8 +5,8 @@
 //! unit keeps its Welford/Chan sufficient statistics
 //! ([`StreamingTrainer`]) resident; ingesting samples marks the unit
 //! *dirty*, and [`FleetTrainer::retrain_dirty`] re-enqueues
-//! covariance/SVD finish tasks for dirty units only, on the
-//! `pga-dataflow` → `pga-sched` work-stealing substrate. The
+//! covariance/eigendecomposition finish tasks for dirty units only, on the
+//! `pga-dataflow` → `pga-sched` task-set substrate. The
 //! incrementality invariant (DESIGN.md §13): a unit's model is a pure
 //! function of its sufficient statistics, so re-finishing only dirty
 //! units yields models identical to a full recompute — which

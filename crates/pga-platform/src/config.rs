@@ -161,6 +161,20 @@ impl PlatformConfig {
         if self.storage_nodes == 0 || self.tsd_count == 0 {
             return Err("need at least one storage node and one TSD".into());
         }
+        // The key codec takes one salt byte per storage node, and each TSD
+        // index doubles as a one-byte rollup writer id.
+        if self.storage_nodes > 255 {
+            return Err(format!(
+                "{} storage nodes exceed the 255 salt buckets of a key byte",
+                self.storage_nodes
+            ));
+        }
+        if self.tsd_count > 256 {
+            return Err(format!(
+                "{} TSDs exceed the 256 one-byte rollup writer ids",
+                self.tsd_count
+            ));
+        }
         if self.batch_size == 0 {
             return Err("batch size must be positive".into());
         }
@@ -202,6 +216,18 @@ mod tests {
     fn validation_catches_problems() {
         let mut c = PlatformConfig::demo(1);
         c.storage_nodes = 0;
+        assert!(c.validate().is_err());
+
+        // A node count must fit the salt byte, a TSD index the rollup
+        // writer id byte.
+        let mut c = PlatformConfig::demo(1);
+        c.storage_nodes = 255;
+        c.tsd_count = 256;
+        assert!(c.validate().is_ok());
+        c.storage_nodes = 256;
+        assert!(c.validate().is_err());
+        c.storage_nodes = 255;
+        c.tsd_count = 257;
         assert!(c.validate().is_err());
 
         let mut c = PlatformConfig::demo(1);

@@ -125,7 +125,7 @@ pub struct Monitor {
     fleet: Fleet,
     pipeline: IngestionPipeline,
     engine: Arc<QueryEngine>,
-    /// One work-stealing dataflow engine for the monitor's lifetime, so
+    /// One dataflow engine for the monitor's lifetime, so
     /// its scheduler counters accumulate across training rounds and feed
     /// the front-end telemetry sample.
     dataflow: Dataflow,
@@ -578,7 +578,6 @@ impl Monitor {
             .set(Metric::ScrubSalvagedReads, salvaged)
             .set(Metric::SchedTasks, sched.tasks_run)
             .set(Metric::SchedSteals, sched.steals)
-            .set(Metric::SchedStealAttempts, sched.steal_attempts)
             .set(Metric::SchedMaxQueueDepth, sched.max_queue_depth)
             .set(Metric::SchedTaskNs, sched.task_ns_total)
             // Every TSD encodes through a clone of one codec: one table.

@@ -1,20 +1,14 @@
-//! The two executors: a seeded work-stealing scheduler and a
-//! deterministic sequential executor used as its differential oracle.
+//! The two executors: a parallel executor whose workers claim tasks from
+//! one shared queue, and a deterministic sequential executor used as its
+//! differential oracle.
 //!
 //! Determinism contract: task *outputs* are deterministic under both
-//! executors (every task runs exactly once), while the work-stealing
-//! *interleaving* varies run to run. Victim selection draws from
-//! per-worker `StdRng` streams seeded from [`SchedulerConfig::seed`],
-//! never ambient entropy, so fault-injection harnesses that replay a seed
-//! see the same steal pressure profile. Time never comes from
-//! `Instant::now` here — callers inject a [`Clock`].
+//! executors (every task runs exactly once), while which worker claims
+//! which task varies run to run. Time never comes from `Instant::now`
+//! here — callers inject a [`Clock`].
 
-use crate::deque::WorkDeque;
 use crate::tasks::{SchedError, Task, TaskSet};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,24 +20,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// counter.
 pub type Clock = std::sync::Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// Work-stealing scheduler parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// Worker thread count (clamped to at least 1).
-    pub workers: usize,
-    /// Seed for the per-worker victim-selection RNG streams.
-    pub seed: u64,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            workers: 1,
-            seed: 0,
-        }
-    }
-}
-
 /// Counters and timings from one executor run.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RunReport {
@@ -51,11 +27,12 @@ pub struct RunReport {
     pub workers: usize,
     /// Tasks executed.
     pub tasks_run: u64,
-    /// Successful steals (always 0 for the sequential executor).
+    /// Tasks workers claimed beyond their round-robin share (⌈n/W⌉ or
+    /// ⌊n/W⌋ of n tasks on W workers): the work a scheduler that dealt
+    /// the set out up front would have had to move. Always 0 with one
+    /// worker.
     pub steals: u64,
-    /// Steal probes, successful or not.
-    pub steal_attempts: u64,
-    /// High-water mark of any single worker's queue depth.
+    /// Tasks queued at the start of the run.
     pub max_queue_depth: u64,
     /// Total nanoseconds spent in task bodies (0 without a clock).
     pub task_ns: u64,
@@ -73,9 +50,9 @@ fn run_task(body: Task<'_>, clock: Option<&Clock>) -> Option<u64> {
 }
 
 /// Execute the set single-threaded, in task index order. This is the
-/// deterministic baseline the differential tests compare the
-/// work-stealing path against, and the engine `pga-dataflow` uses when
-/// configured with one worker.
+/// deterministic baseline the differential tests compare the parallel
+/// path against, and the engine `pga-dataflow` uses when configured
+/// with one worker.
 pub fn run_sequential(tasks: TaskSet<'_>, clock: Option<&Clock>) -> Result<RunReport, SchedError> {
     let mut report = RunReport {
         workers: 1,
@@ -89,67 +66,32 @@ pub fn run_sequential(tasks: TaskSet<'_>, clock: Option<&Clock>) -> Result<RunRe
     Ok(report)
 }
 
-/// Execute the set on `config.workers` threads. Every task is dealt
-/// round-robin into per-worker LIFO deques before the threads start, so
-/// from then on the deques only shrink. A worker pops its own deque;
-/// when that is empty it probes the others once, in an order shuffled
-/// by its seeded RNG stream, and a pass that finds every deque empty
-/// ends the worker — no task can appear later.
+/// Execute the set on `workers` threads (at least 1). Each worker claims
+/// the next task from one shared queue, runs it outside the lock, and
+/// stops when the queue is empty or a task has panicked.
 pub fn run(
     tasks: TaskSet<'_>,
-    config: &SchedulerConfig,
+    workers: usize,
     clock: Option<&Clock>,
 ) -> Result<RunReport, SchedError> {
-    let workers = config.workers.max(1);
-    let deques: Vec<WorkDeque> = (0..workers).map(|_| WorkDeque::new()).collect();
-    let mut max_queue_depth = 0u64;
-    for (index, deque) in (0..tasks.len()).zip(deques.iter().cycle()) {
-        max_queue_depth = max_queue_depth.max(deque.push(index) as u64);
-    }
-    let bodies: Vec<Mutex<Option<Task<'_>>>> = tasks
-        .tasks
-        .into_iter()
-        .map(|body| Mutex::new(Some(body)))
-        .collect();
+    let workers = workers.max(1);
+    let n = tasks.len();
+    let queue = Mutex::new(tasks.tasks.into_iter().enumerate());
     let poisoned = AtomicBool::new(false);
     let panicked: Mutex<Option<usize>> = Mutex::new(None);
 
-    let bodies = &bodies;
-    let deques = &deques;
+    let queue = &queue;
     let poisoned = &poisoned;
     let panicked = &panicked;
 
     let locals: Vec<RunReport> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|worker| {
+            .map(|_| {
                 s.spawn(move || {
-                    // Distinct deterministic stream per worker: same seed +
-                    // same worker id => same victim sequence on replay.
-                    let mut rng = StdRng::seed_from_u64(
-                        config
-                            .seed
-                            .wrapping_add((worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    );
-                    let mut victims: Vec<usize> = (0..workers).filter(|&w| w != worker).collect();
                     let mut local = RunReport::default();
                     while !poisoned.load(Ordering::Acquire) {
-                        let mut task = deques.get(worker).and_then(WorkDeque::pop);
-                        if task.is_none() {
-                            victims.shuffle(&mut rng);
-                            for &v in &victims {
-                                local.steal_attempts += 1;
-                                task = deques.get(v).and_then(WorkDeque::steal);
-                                if task.is_some() {
-                                    local.steals += 1;
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(index) = task else { break };
-                        let Some(body) = bodies.get(index).and_then(|slot| slot.lock().take())
-                        else {
-                            continue;
-                        };
+                        let next = queue.lock().next();
+                        let Some((index, body)) = next else { break };
                         match run_task(body, clock) {
                             Some(ns) => {
                                 local.tasks_run += 1;
@@ -176,13 +118,15 @@ pub fn run(
     }
     let mut report = RunReport {
         workers,
-        max_queue_depth,
+        max_queue_depth: n as u64,
         ..RunReport::default()
     };
-    for local in locals {
+    for (worker, local) in locals.into_iter().enumerate() {
+        // Dealt round-robin, worker w would get ⌈n/W⌉ tasks when
+        // w < n mod W and ⌊n/W⌋ otherwise.
+        let share = (n / workers + usize::from(worker < n % workers)) as u64;
+        report.steals += local.tasks_run.saturating_sub(share);
         report.tasks_run += local.tasks_run;
-        report.steals += local.steals;
-        report.steal_attempts += local.steal_attempts;
         report.task_ns += local.task_ns;
     }
     Ok(report)
@@ -199,13 +143,9 @@ mod tests {
         Arc::new(move || tick.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn config(workers: usize, seed: u64) -> SchedulerConfig {
-        SchedulerConfig { workers, seed }
-    }
-
     #[test]
     fn empty_set_runs() {
-        let rep = run(TaskSet::new(), &config(3, 0), None).expect("empty set should run");
+        let rep = run(TaskSet::new(), 3, None).expect("empty set should run");
         assert_eq!((rep.tasks_run, rep.steals, rep.max_queue_depth), (0, 0, 0));
         let rep = run_sequential(TaskSet::new(), None).expect("empty set should run");
         assert_eq!(rep.tasks_run, 0);
@@ -231,7 +171,7 @@ mod tests {
             set.add(|| {});
             set.add(|| panic!("boom"));
             let err = if parallel {
-                run(set, &config(2, 3), None)
+                run(set, 2, None)
             } else {
                 run_sequential(set, None)
             }
@@ -259,7 +199,7 @@ mod tests {
     fn report_serializes() {
         let mut set = TaskSet::new();
         set.add(|| {});
-        let rep = run(set, &config(2, 1), None).expect("run");
+        let rep = run(set, 2, None).expect("run");
         let json = serde_json::to_string(&rep).expect("serialize");
         assert!(json.contains("tasks_run"));
     }

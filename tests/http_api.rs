@@ -156,9 +156,10 @@ fn dashboard_and_api_over_one_socket() {
         pga_control::METRICS.len(),
         "one sample per table row"
     );
-    // 30 rows of HELP, TYPE and sample; the eight rows nothing ever set
-    // are retired, not exported as a permanent 0.
-    assert_eq!(metrics.lines().count(), 90);
+    // 29 rows of HELP, TYPE and sample; retired rows (the eight nothing
+    // ever set, and the scheduler's steal probes) are not exported as a
+    // permanent 0.
+    assert_eq!(metrics.lines().count(), 87);
     for retired in [
         "memstore_bytes",
         "breaker_trips",
@@ -168,6 +169,7 @@ fn dashboard_and_api_over_one_socket() {
         "shed_writes",
         "overloads",
         "repl_follower_reads",
+        "sched_steal_attempts",
     ] {
         assert!(!metrics.contains(retired), "{retired} is retired");
     }
