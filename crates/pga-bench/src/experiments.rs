@@ -5,11 +5,12 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use pga_dataflow::Dataflow;
-use pga_detect::{train_fleet, train_unit, OnlineEvaluator};
+use pga_detect::{train_units, BatchEvaluator, CusumDetector, EvalOutcome};
 use pga_ingest::{fig2_scaling_experiment, linear_fit, Fig2Row, IngestionPipeline};
-use pga_linalg::Matrix;
-use pga_sensorgen::{Fleet, FleetConfig};
+use pga_sensorgen::{FaultClass, Fleet};
 use pga_stats::{evaluate_procedure, Procedure, TrialAggregate};
+
+use crate::detection::{paper_fleet, Detection};
 
 /// E1/E2/E12 — Figure 2 reproduction: throughput vs node count with
 /// per-configuration timelines and the linear fit.
@@ -63,32 +64,28 @@ pub struct EvalThroughput {
 }
 
 /// Measure online evaluation throughput over `windows` windows of
-/// `window_rows × sensors` observations: one timed pass of
-/// `OnlineEvaluator::evaluate` over every window, on one thread.
+/// `window_rows × sensors` observations: one timed pass of the batch
+/// evaluator over every window, on one thread.
 pub fn eval_throughput_experiment(
     sensors: u32,
     window_rows: usize,
     windows: usize,
     seed: u64,
 ) -> EvalThroughput {
-    let fleet = Fleet::new(FleetConfig {
-        units: 1,
-        sensors_per_unit: sensors,
-        ..FleetConfig::paper_scale(seed)
-    });
-    let obs = fleet.observation_window(0, 199, 200);
-    let model = train_unit(0, &obs).unwrap();
-    let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
-    let ws: Vec<Matrix> = (0..windows)
-        .map(|k| {
-            let t_end = 300 + (k as u64 + 1) * window_rows as u64;
-            fleet.observation_window(0, t_end, window_rows)
-        })
+    let ends: Vec<u64> = (1..=windows as u64)
+        .map(|k| 300 + k * window_rows as u64)
         .collect();
+    let det = Detection::new(
+        paper_fleet(1, sensors, seed),
+        ends.last().map_or(0, |t| t + 1),
+    );
     let start = Instant::now();
-    let samples: u64 = ws
+    let samples: u64 = ends
         .iter()
-        .map(|w| std::hint::black_box(ev.evaluate(w)).samples_scored)
+        .map(|&t| {
+            let outcomes = std::hint::black_box(det.score(&[Some(t)], window_rows));
+            BatchEvaluator::samples_scored(&outcomes)
+        })
         .sum();
     let elapsed = start.elapsed().as_secs_f64();
     EvalThroughput {
@@ -114,6 +111,18 @@ pub struct FdrRow {
     pub power: f64,
 }
 
+impl FdrRow {
+    fn new(procedure: Procedure, a: &TrialAggregate) -> Self {
+        FdrRow {
+            procedure: procedure.name().to_string(),
+            mean_false_alarms: a.mean_false_positives,
+            empirical_fdr: a.empirical_fdr,
+            empirical_fwer: a.empirical_fwer,
+            power: a.mean_power,
+        }
+    }
+}
+
 /// Run the procedure comparison on a fresh fleet: per-unit p-value
 /// families at `eval_t`, scored against ground truth.
 ///
@@ -130,41 +139,50 @@ pub fn fdr_experiment(
     truth_sigma: f64,
     seed: u64,
 ) -> Vec<FdrRow> {
-    let fleet = Fleet::new(FleetConfig {
-        units,
-        sensors_per_unit: sensors,
-        ..FleetConfig::paper_scale(seed)
-    });
-    let mut aggs: Vec<(Procedure, TrialAggregate)> = Procedure::all()
+    // Several evaluation windows around eval_t: drifting units cross the
+    // detectability threshold at different times, so a spread of windows
+    // samples the marginal regime for every unit.
+    let ends: Vec<u64> = (0..4).map(|k| eval_t + k * 60).collect();
+    let families = families(paper_fleet(units, sensors, seed), &ends, truth_sigma);
+    Procedure::all()
         .into_iter()
-        .map(|p| (p, TrialAggregate::default()))
+        .map(|p| FdrRow::new(p, &aggregate(&families, p, 0.05)))
+        .collect()
+}
+
+/// Every unit's 50-tick p-value family at each of `ends`, with its ground
+/// truth, unit-major.
+fn families(fleet: Fleet, ends: &[u64], truth_sigma: f64) -> Vec<(Vec<f64>, Vec<bool>)> {
+    let det = Detection::new(fleet, ends.iter().max().map_or(0, |t| t + 1));
+    let scored: Vec<Vec<Option<EvalOutcome>>> = ends
+        .iter()
+        .map(|&t| det.score(&vec![Some(t); det.units()], 50))
         .collect();
-    for unit in 0..units {
-        let obs = fleet.observation_window(unit, 149, 150);
-        let model = train_unit(unit, &obs).unwrap();
-        let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
-        // Several evaluation windows around eval_t: drifting units cross
-        // the detectability threshold at different times, so a spread of
-        // windows samples the marginal regime for every unit.
-        for k in 0..4u64 {
-            let t = eval_t + k * 60;
-            let out = ev.evaluate(&fleet.observation_window(unit, t, 50));
-            let truth = fleet.truth_row(unit, t, truth_sigma);
-            for (proc, agg) in aggs.iter_mut() {
-                let rej = proc.apply(&out.p_values, 0.05);
-                agg.add(&evaluate_procedure(*proc, &rej, &truth));
-            }
-        }
-    }
-    aggs.into_iter()
-        .map(|(p, a)| FdrRow {
-            procedure: p.name().to_string(),
-            mean_false_alarms: a.mean_false_positives,
-            empirical_fdr: a.empirical_fdr,
-            empirical_fwer: a.empirical_fwer,
-            power: a.mean_power,
+    (0..det.units())
+        .flat_map(|u| ends.iter().zip(&scored).map(move |(&t, s)| (u, t, s)))
+        .map(|(u, t, scored)| {
+            let p_values = scored[u]
+                .as_ref()
+                .expect("every unit scored")
+                .p_values
+                .clone();
+            (p_values, det.fleet().truth_row(u as u32, t, truth_sigma))
         })
         .collect()
+}
+
+/// `procedure` at level `alpha` over every family, in order.
+fn aggregate(
+    families: &[(Vec<f64>, Vec<bool>)],
+    procedure: Procedure,
+    alpha: f64,
+) -> TrialAggregate {
+    let mut agg = TrialAggregate::default();
+    for (p_values, truth) in families {
+        let rej = procedure.apply(p_values, alpha);
+        agg.add(&evaluate_procedure(procedure, &rej, truth));
+    }
+    agg
 }
 
 /// E5b — weak-signal power study: Monte-Carlo families with marginal
@@ -203,15 +221,7 @@ pub fn fdr_weak_signal_experiment(
             agg.add(&evaluate_procedure(*proc, &rej, &truth));
         }
     }
-    aggs.into_iter()
-        .map(|(p, a)| FdrRow {
-            procedure: p.name().to_string(),
-            mean_false_alarms: a.mean_false_positives,
-            empirical_fdr: a.empirical_fdr,
-            empirical_fwer: a.empirical_fwer,
-            power: a.mean_power,
-        })
-        .collect()
+    aggs.iter().map(|(p, a)| FdrRow::new(*p, a)).collect()
 }
 
 /// E15 — operating characteristic row: one `(procedure, α)` point of the
@@ -241,34 +251,11 @@ pub fn alpha_sweep_experiment(
     alphas: &[f64],
     seed: u64,
 ) -> Vec<AlphaSweepRow> {
-    let fleet = Fleet::new(FleetConfig {
-        units,
-        sensors_per_unit: sensors,
-        ..FleetConfig::paper_scale(seed)
-    });
-    let procedures = [
-        Procedure::Uncorrected,
-        Procedure::Bonferroni,
-        Procedure::BenjaminiHochberg,
-    ];
-    // Precompute (p-value family, truth) per unit.
-    let mut families = Vec::with_capacity(units as usize);
-    for unit in 0..units {
-        let obs = fleet.observation_window(unit, 149, 150);
-        let model = train_unit(unit, &obs).unwrap();
-        let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
-        let out = ev.evaluate(&fleet.observation_window(unit, eval_t, 50));
-        let truth = fleet.truth_row(unit, eval_t, truth_sigma);
-        families.push((out.p_values, truth));
-    }
+    let families = families(paper_fleet(units, sensors, seed), &[eval_t], truth_sigma);
     let mut rows = Vec::new();
-    for proc in procedures {
+    for proc in PROCEDURES {
         for &alpha in alphas {
-            let mut agg = TrialAggregate::default();
-            for (p_values, truth) in &families {
-                let rej = proc.apply(p_values, alpha);
-                agg.add(&evaluate_procedure(proc, &rej, truth));
-            }
+            let agg = aggregate(&families, proc, alpha);
             rows.push(AlphaSweepRow {
                 procedure: proc.name().to_string(),
                 alpha,
@@ -298,6 +285,22 @@ pub struct LatencyRow {
     pub total: usize,
 }
 
+/// Uncorrected, Bonferroni and BH: the procedures E13 and E15 compare.
+const PROCEDURES: [Procedure; 3] = [
+    Procedure::Uncorrected,
+    Procedure::Bonferroni,
+    Procedure::BenjaminiHochberg,
+];
+
+/// Mean of `delays` in ticks, NaN when there are none.
+fn mean_delay(delays: &[f64]) -> f64 {
+    if delays.is_empty() {
+        f64::NAN
+    } else {
+        delays.iter().sum::<f64>() / delays.len() as f64
+    }
+}
+
 /// Measure detection latency: slide an evaluation window forward from each
 /// unit's onset in steps of `stride` ticks and record when the detector
 /// first flags a truly faulted sensor.
@@ -309,101 +312,75 @@ pub fn detection_latency_experiment(
     horizon: u64,
     seed: u64,
 ) -> Vec<LatencyRow> {
-    use pga_sensorgen::FaultClass;
-    let fleet = Fleet::new(FleetConfig {
-        units,
-        sensors_per_unit: sensors,
-        ..FleetConfig::paper_scale(seed)
-    });
-    let procedures = [
-        Procedure::Uncorrected,
-        Procedure::Bonferroni,
-        Procedure::BenjaminiHochberg,
-    ];
+    let fleet = paper_fleet(units, sensors, seed);
     let classes = [FaultClass::SharpShift, FaultClass::GradualDegradation];
-    let mut rows = Vec::new();
-    for proc in procedures {
-        for class in classes {
-            let mut delays = Vec::new();
-            let mut total = 0usize;
-            for unit in fleet.units_with_class(class) {
-                total += 1;
-                let spec = *fleet.fault(unit);
-                let obs = fleet.observation_window(unit, 149, 150);
-                let model = match train_unit(unit, &obs) {
-                    Ok(m) => m,
-                    Err(_) => continue,
-                };
-                let ev = OnlineEvaluator::new(model, proc, 0.05);
-                let mut t = spec.onset + window as u64;
-                let mut detected_at = None;
-                while t <= spec.onset + horizon {
-                    let out = ev.evaluate(&fleet.observation_window(unit, t, window));
-                    let hit = out.flags.iter().any(|f| spec.affects(f.sensor));
-                    if hit {
-                        detected_at = Some(t - spec.onset);
-                        break;
-                    }
-                    t += stride;
-                }
-                if let Some(d) = detected_at {
-                    delays.push(d as f64);
-                }
+    let faulted: Vec<u32> = classes
+        .iter()
+        .flat_map(|&c| fleet.units_with_class(c))
+        .collect();
+    let last_onset = faulted.iter().map(|&u| fleet.fault(u).onset).max();
+    let det = Detection::new(fleet, last_onset.map_or(0, |t| t + horizon + 1));
+    let fleet = det.fleet();
+    // delays[procedure][unit]: onset → first window whose rejections
+    // touch the faulted group. One scored family serves all procedures.
+    let mut delays = vec![vec![None; det.units()]; PROCEDURES.len()];
+    let spans: Vec<(u32, u64, u64)> = faulted
+        .iter()
+        .map(|&u| {
+            let onset = fleet.fault(u).onset;
+            (u, onset + window as u64, onset + horizon)
+        })
+        .collect();
+    det.slide(&spans, window, stride, |u, t, out| {
+        let spec = fleet.fault(u);
+        for (proc, delays) in PROCEDURES.iter().zip(delays.iter_mut()) {
+            let rejected = proc.apply(&out.p_values, 0.05).rejected;
+            let hit = rejected
+                .iter()
+                .enumerate()
+                .any(|(j, &r)| r && spec.affects(j as u32));
+            if hit && delays[u as usize].is_none() {
+                delays[u as usize] = Some((t - spec.onset) as f64);
             }
-            let detected = delays.len();
+        }
+        delays.iter().all(|d| d[u as usize].is_some())
+    });
+    // The classical SPC baseline: per-sensor two-sided CUSUM (k=0.5σ,
+    // h=5σ) on the same models, fed sample by sample from onset. Fast on
+    // persistent shifts — and with no multiplicity control at all (see the
+    // cusum tests for its fleet-wide false-alarm behaviour).
+    let cusum: Vec<Option<f64>> = (0..det.units() as u32)
+        .map(|u| {
+            let spec = fleet.fault(u);
+            if !faulted.contains(&u) {
+                return None;
+            }
+            let mut cusum = CusumDetector::new(det.model(u).clone(), 0.5, 5.0);
+            (spec.onset..spec.onset + horizon)
+                .find(|&t| {
+                    let row: Vec<f64> = det.window(u, t, 1).iter().map(|c| c[0]).collect();
+                    cusum.update(&row).iter().any(|&s| spec.affects(s))
+                })
+                .map(|t| (t - spec.onset) as f64)
+        })
+        .collect();
+    let names = PROCEDURES
+        .iter()
+        .map(|p| p.name())
+        .chain(["cusum (k=0.5, h=5)"]);
+    let mut rows = Vec::new();
+    for (name, delays) in names.zip(delays.iter().chain([&cusum])) {
+        for class in classes {
+            let members = fleet.units_with_class(class);
+            let found: Vec<f64> = members.iter().filter_map(|&u| delays[u as usize]).collect();
             rows.push(LatencyRow {
-                procedure: proc.name().to_string(),
+                procedure: name.to_string(),
                 fault_class: class.name().to_string(),
-                mean_delay_ticks: if detected == 0 {
-                    f64::NAN
-                } else {
-                    delays.iter().sum::<f64>() / detected as f64
-                },
-                detected,
-                total,
+                mean_delay_ticks: mean_delay(&found),
+                detected: found.len(),
+                total: members.len(),
             });
         }
-    }
-    // The classical SPC baseline: per-sensor two-sided CUSUM (k=0.5σ,
-    // h=5σ) fed sample by sample from onset. Fast on persistent shifts —
-    // and with no multiplicity control at all (see the cusum tests for
-    // its fleet-wide false-alarm behaviour).
-    for class in classes {
-        let mut delays = Vec::new();
-        let mut total = 0usize;
-        for unit in fleet.units_with_class(class) {
-            total += 1;
-            let spec = *fleet.fault(unit);
-            let obs = fleet.observation_window(unit, 149, 150);
-            let Ok(model) = train_unit(unit, &obs) else {
-                continue;
-            };
-            let mut det = pga_detect::CusumDetector::new(model, 0.5, 5.0);
-            let p = fleet.config().sensors_per_unit;
-            let mut detected_at = None;
-            for t in spec.onset..spec.onset + horizon {
-                let row: Vec<f64> = (0..p).map(|s| fleet.sample(unit, s, t)).collect();
-                if det.update(&row).iter().any(|&s| spec.affects(s)) {
-                    detected_at = Some(t - spec.onset);
-                    break;
-                }
-            }
-            if let Some(d) = detected_at {
-                delays.push(d as f64);
-            }
-        }
-        let detected = delays.len();
-        rows.push(LatencyRow {
-            procedure: "cusum (k=0.5, h=5)".to_string(),
-            fault_class: class.name().to_string(),
-            mean_delay_ticks: if detected == 0 {
-                f64::NAN
-            } else {
-                delays.iter().sum::<f64>() / detected as f64
-            },
-            detected,
-            total,
-        });
     }
     rows
 }
@@ -428,59 +405,51 @@ pub fn window_ablation_experiment(
     windows: &[usize],
     seed: u64,
 ) -> Vec<WindowAblationRow> {
-    use pga_sensorgen::FaultClass;
-    let fleet = Fleet::new(FleetConfig {
-        units,
-        sensors_per_unit: sensors,
-        ..FleetConfig::paper_scale(seed)
-    });
+    let fleet = paper_fleet(units, sensors, seed);
+    let sharp = fleet.units_with_class(FaultClass::SharpShift);
+    let healthy = fleet.units_with_class(FaultClass::Healthy);
+    // Sharp shifts are searched up to 400 ticks past onset; healthy units
+    // are scored at four windows ending at ticks 600–900.
+    let healthy_ends = [600, 700, 800, 900];
+    let last_sharp = sharp.iter().map(|&u| fleet.fault(u).onset + 400).max();
+    let det = Detection::new(fleet, last_sharp.unwrap_or(0).max(900) + 1);
+    let fleet = det.fleet();
     windows
         .iter()
         .map(|&window| {
             // Detection delay on sharp shifts, stride 5.
-            let mut delays = Vec::new();
-            for unit in fleet.units_with_class(FaultClass::SharpShift) {
-                let spec = *fleet.fault(unit);
-                let obs = fleet.observation_window(unit, 149, 150);
-                let Ok(model) = train_unit(unit, &obs) else {
-                    continue;
-                };
-                let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
-                let mut t = spec.onset + 1;
-                while t <= spec.onset + 400 {
-                    let out = ev.evaluate(&fleet.observation_window(unit, t, window));
-                    if out.flags.iter().any(|f| spec.affects(f.sensor)) {
-                        delays.push((t - spec.onset) as f64);
-                        break;
-                    }
-                    t += 5;
+            let mut delays = vec![None; det.units()];
+            let spans: Vec<(u32, u64, u64)> = sharp
+                .iter()
+                .map(|&u| (u, fleet.fault(u).onset + 1, fleet.fault(u).onset + 400))
+                .collect();
+            det.slide(&spans, window, 5, |u, t, out| {
+                let spec = fleet.fault(u);
+                let hit = out.flags.iter().any(|f| spec.affects(f.sensor));
+                if hit {
+                    delays[u as usize] = Some((t - spec.onset) as f64);
                 }
-            }
+                hit
+            });
+            let found: Vec<f64> = sharp.iter().filter_map(|&u| delays[u as usize]).collect();
             // False flags on healthy units over several windows.
             let mut false_flags = 0usize;
-            let mut healthy_windows = 0usize;
-            for unit in fleet.units_with_class(FaultClass::Healthy) {
-                let obs = fleet.observation_window(unit, 149, 150);
-                let Ok(model) = train_unit(unit, &obs) else {
-                    continue;
-                };
-                let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
-                for k in 0..4u64 {
-                    let t = 600 + k * 100;
-                    false_flags += ev
-                        .evaluate(&fleet.observation_window(unit, t, window))
-                        .flags
-                        .len();
-                    healthy_windows += 1;
+            for t in healthy_ends {
+                let mut ends = vec![None; det.units()];
+                for &u in &healthy {
+                    ends[u as usize] = Some(t);
                 }
+                false_flags += det
+                    .score(&ends, window)
+                    .iter()
+                    .flatten()
+                    .map(|out| out.flags.len())
+                    .sum::<usize>();
             }
+            let healthy_windows = healthy.len() * healthy_ends.len();
             WindowAblationRow {
                 window,
-                sharp_delay_ticks: if delays.is_empty() {
-                    f64::NAN
-                } else {
-                    delays.iter().sum::<f64>() / delays.len() as f64
-                },
+                sharp_delay_ticks: mean_delay(&found),
                 healthy_false_flags: if healthy_windows == 0 {
                     0.0
                 } else {
@@ -576,25 +545,21 @@ pub struct TrainingRow {
     pub speedup: f64,
 }
 
-/// Measure offline training wall time vs worker count.
+/// Measure offline training wall time vs worker count: the whole fleet's
+/// training windows through `train_units` on each dataflow size.
 pub fn training_scaling_experiment(
     units: u32,
     sensors: u32,
-    window: usize,
     workers: &[usize],
     seed: u64,
 ) -> Vec<TrainingRow> {
-    let fleet = Fleet::new(FleetConfig {
-        units,
-        sensors_per_unit: sensors,
-        ..FleetConfig::paper_scale(seed)
-    });
+    let det = Detection::new(paper_fleet(units, sensors, seed), 0);
     let mut rows = Vec::new();
     let mut base = None;
     for &w in workers {
         let df = Dataflow::new(w);
         let start = Instant::now();
-        let models = train_fleet(&fleet, window, &df).unwrap();
+        let models = train_units(det.training_windows(), &df).unwrap();
         let elapsed = start.elapsed().as_secs_f64();
         assert_eq!(models.len(), units as usize);
         let base_time = *base.get_or_insert(elapsed);
@@ -621,11 +586,7 @@ pub struct PipelineThroughput {
 
 /// Run the real pipeline at thread scale.
 pub fn pipeline_throughput_experiment(nodes: usize, ticks: u64, seed: u64) -> PipelineThroughput {
-    let fleet = Fleet::new(FleetConfig {
-        units: 20,
-        sensors_per_unit: 100,
-        ..FleetConfig::paper_scale(seed)
-    });
+    let fleet = paper_fleet(20, 100, seed);
     let pipeline = IngestionPipeline::new(nodes, 2, 500);
     let report = pipeline.run(&fleet, ticks);
     pipeline.shutdown();
@@ -689,7 +650,7 @@ mod tests {
 
     #[test]
     fn training_rows_report_speedup() {
-        let rows = training_scaling_experiment(8, 32, 60, &[1, 4], 5);
+        let rows = training_scaling_experiment(8, 32, &[1, 4], 5);
         assert_eq!(rows.len(), 2);
         assert!((rows[0].speedup - 1.0).abs() < 1e-9);
         assert!(rows[1].speedup > 0.0);

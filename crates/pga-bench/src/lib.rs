@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
+pub mod detection;
 pub mod experiments;
 pub mod faults;
 pub mod overload;

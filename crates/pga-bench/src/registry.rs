@@ -460,13 +460,8 @@ fn eval(size: Size) -> Run {
 }
 
 fn training(size: Size) -> Run {
-    let tr = training_scaling_experiment(
-        pick(size, 16, 48),
-        pick(size, 64, 200),
-        150,
-        &[1, 2, 4, 8],
-        13,
-    );
+    let tr =
+        training_scaling_experiment(pick(size, 16, 48), pick(size, 64, 200), &[1, 2, 4, 8], 13);
     let mut rows = vec![row("workers|wall secs|speedup")];
     for r in &tr {
         rows.push(vec![

@@ -48,4 +48,4 @@ pub use incremental::{model_divergence, FleetTrainer};
 pub use model::{BlockModel, UnitModel, BLOCK_SENSORS};
 pub use online::{EvalOutcome, OnlineEvaluator, SensorFlag};
 pub use streaming::StreamingTrainer;
-pub use trainer::{train_fleet, train_unit, train_unit_columns, TrainError};
+pub use trainer::{train_unit, train_unit_columns, train_units, TrainError};

@@ -2,8 +2,8 @@
 
 use pga_dataflow::Dataflow;
 use pga_linalg::{centre_columns, centred_covariance, eigh, Matrix};
-use pga_sensorgen::Fleet;
 
+use crate::batch::ColumnWindow;
 use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
 
 /// Training failures.
@@ -100,36 +100,53 @@ pub fn train_unit_columns(unit: u32, columns: &[&[f64]]) -> Result<UnitModel, Tr
     train_unit(unit, &obs)
 }
 
-/// Train the whole fleet in parallel on the dataflow engine.
-///
-/// The training window is samples `[0, window)` of each unit — the
-/// pre-fault head of every stream (fault onsets start at sample 200, so a
-/// window ≤ 200 is guaranteed clean; larger windows model realistic
-/// contaminated training).
-pub fn train_fleet(
-    fleet: &Fleet,
-    window: usize,
+/// Train every `(unit, window)` pair in parallel on the dataflow engine,
+/// two partitions per worker, each window through
+/// [`train_unit_columns`]. Models come back in input order; the first
+/// unit that fails to train fails the call.
+pub fn train_units(
+    windows: Vec<(u32, ColumnWindow<'_>)>,
     dataflow: &Dataflow,
 ) -> Result<Vec<UnitModel>, TrainError> {
-    let units: Vec<u32> = (0..fleet.config().units).collect();
-    let partitions = dataflow.workers().max(1) * 2;
-    let mut models = dataflow
-        .parallelize(units, partitions)
-        .map(|unit| {
-            let obs = fleet.observation_window(unit, window as u64 - 1, window);
-            train_unit(unit, &obs)
-        })
+    dataflow
+        .parallelize(windows, dataflow.workers() * 2)
+        .map(|(unit, columns)| train_unit_columns(unit, &columns))
         .collect()
         .into_iter()
-        .collect::<Result<Vec<UnitModel>, TrainError>>()?;
-    models.sort_by_key(|m| m.unit);
-    Ok(models)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pga_sensorgen::FleetConfig;
+    use pga_sensorgen::{Fleet, FleetConfig};
+
+    /// Every unit's per-sensor columns over ticks `[0, len)`.
+    fn fleet_columns(fleet: &Fleet, len: usize) -> Vec<Vec<Vec<f64>>> {
+        (0..fleet.config().units)
+            .map(|u| {
+                let obs = fleet.observation_window(u, len as u64 - 1, len);
+                (0..obs.cols()).map(|c| obs.col(c)).collect()
+            })
+            .collect()
+    }
+
+    /// The `(unit, window)` pairs [`train_units`] takes.
+    fn windows(columns: &[Vec<Vec<f64>>]) -> Vec<(u32, ColumnWindow<'_>)> {
+        columns
+            .iter()
+            .enumerate()
+            .map(|(u, cols)| (u as u32, cols.iter().map(Vec::as_slice).collect()))
+            .collect()
+    }
+
+    /// Each model equals sequential row-major training on the same ticks.
+    fn assert_matches_train_unit(fleet: &Fleet, len: usize, models: &[UnitModel]) {
+        for m in models {
+            let obs = fleet.observation_window(m.unit, len as u64 - 1, len);
+            assert_eq!(*m, train_unit(m.unit, &obs).unwrap(), "unit {}", m.unit);
+        }
+    }
 
     #[test]
     fn trained_model_matches_data_moments() {
@@ -216,20 +233,23 @@ mod tests {
     #[test]
     fn fleet_training_covers_every_unit() {
         let fleet = Fleet::new(FleetConfig::small(11));
-        let df = Dataflow::new(4);
-        let models = train_fleet(&fleet, 100, &df).unwrap();
+        let columns = fleet_columns(&fleet, 100);
+        let models = train_units(windows(&columns), &Dataflow::new(4)).unwrap();
         assert_eq!(models.len(), fleet.config().units as usize);
         for (i, m) in models.iter().enumerate() {
             assert_eq!(m.unit, i as u32);
         }
+        assert_matches_train_unit(&fleet, 100, &models);
     }
 
     #[test]
     fn training_is_deterministic() {
         let fleet = Fleet::new(FleetConfig::small(13));
+        let columns = fleet_columns(&fleet, 80);
         let df = Dataflow::new(2);
-        let a = train_fleet(&fleet, 80, &df).unwrap();
-        let b = train_fleet(&fleet, 80, &df).unwrap();
+        let a = train_units(windows(&columns), &df).unwrap();
+        let b = train_units(windows(&columns), &df).unwrap();
         assert_eq!(a, b);
+        assert_matches_train_unit(&fleet, 80, &a);
     }
 }

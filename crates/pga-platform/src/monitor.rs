@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use pga_cluster::NodeId;
 use pga_control::{collect_node_stats, FleetSnapshot, Metric, NodeStats};
 use pga_dataflow::Dataflow;
-use pga_detect::{train_unit_columns, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
+use pga_detect::{train_units, BatchEvaluator, ColumnWindow, EvalOutcome};
 use pga_ingest::{IngestionPipeline, PipelineReport};
 use pga_linalg::Matrix;
 use pga_minibase::Client;
@@ -332,18 +332,9 @@ impl Monitor {
     pub fn train(&mut self, t_end: u64) -> Result<(), MonitorError> {
         let units = self.config.fleet.units;
         let read = self.read_columns(None, t_end, self.config.training_window)?;
-        let windows: Vec<(u32, ColumnWindow<'_>)> =
-            (0..units).map(|u| (u, read.unit(u as usize))).collect();
-        let results: Vec<Result<UnitModel, String>> = self
-            .dataflow
-            .parallelize(windows, self.config.workers * 2)
-            .map(|(u, columns)| train_unit_columns(u, &columns).map_err(|e| e.to_string()))
-            .collect();
-        let mut models = results
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(MonitorError::Train)?;
-        models.sort_by_key(|m| m.unit);
+        let windows = (0..units).map(|u| (u, read.unit(u as usize))).collect();
+        let models =
+            train_units(windows, &self.dataflow).map_err(|e| MonitorError::Train(e.to_string()))?;
         self.evaluator = BatchEvaluator::new(models, self.config.procedure, self.config.alpha);
         Ok(())
     }
