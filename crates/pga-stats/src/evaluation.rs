@@ -39,13 +39,10 @@ impl ProcedureOutcome {
         }
     }
 
-    /// Detection power: TP / true anomalies (1.0 when there are none).
-    pub fn power(&self) -> f64 {
-        if self.true_anomalies == 0 {
-            1.0
-        } else {
-            self.true_positives as f64 / self.true_anomalies as f64
-        }
+    /// Detection power: TP / true anomalies, undefined (`None`) for a
+    /// family that holds none.
+    pub fn power(&self) -> Option<f64> {
+        (self.true_anomalies > 0).then(|| self.true_positives as f64 / self.true_anomalies as f64)
     }
 
     /// Whether at least one false alarm occurred (the FWER event).
@@ -101,7 +98,8 @@ pub fn evaluate_procedure(
 }
 
 /// Aggregate of repeated trials: averages the per-trial false discovery
-/// proportion (the empirical FDR), the FWER indicator and the power.
+/// proportion (the empirical FDR) and the FWER indicator over every
+/// trial, and the power over the trials that hold a true anomaly.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrialAggregate {
     /// Trials accumulated.
@@ -110,7 +108,10 @@ pub struct TrialAggregate {
     pub empirical_fdr: f64,
     /// Fraction of trials with at least one false alarm (empirical FWER).
     pub empirical_fwer: f64,
-    /// Mean detection power.
+    /// Trials whose family held at least one true anomaly.
+    pub anomalous_trials: usize,
+    /// Mean detection power over the `anomalous_trials` (0 while there
+    /// are none).
     pub mean_power: f64,
     /// Mean raw false alarms per trial.
     pub mean_false_positives: f64,
@@ -123,7 +124,11 @@ impl TrialAggregate {
         let w = 1.0 / (n + 1.0);
         self.empirical_fdr += (outcome.false_discovery_proportion() - self.empirical_fdr) * w;
         self.empirical_fwer += ((outcome.any_false_alarm() as u8 as f64) - self.empirical_fwer) * w;
-        self.mean_power += (outcome.power() - self.mean_power) * w;
+        if let Some(power) = outcome.power() {
+            self.anomalous_trials += 1;
+            let w = 1.0 / self.anomalous_trials as f64;
+            self.mean_power += (power - self.mean_power) * w;
+        }
         self.mean_false_positives +=
             (outcome.false_positives as f64 - self.mean_false_positives) * w;
         self.trials += 1;
@@ -167,7 +172,7 @@ mod tests {
         assert_eq!(o.false_negatives, 1);
         assert_eq!(o.rejections, 2);
         assert!((o.false_discovery_proportion() - 0.5).abs() < 1e-12);
-        assert!((o.power() - 0.5).abs() < 1e-12);
+        assert_eq!(o.power(), Some(0.5));
         assert!(o.any_false_alarm());
         assert!((o.false_alarm_rate() - 0.5).abs() < 1e-12);
     }
@@ -180,19 +185,47 @@ mod tests {
         };
         let o = evaluate_procedure(Procedure::Bonferroni, &rej, &[true, false]);
         assert_eq!(o.false_discovery_proportion(), 0.0);
-        assert_eq!(o.power(), 0.0);
+        assert_eq!(o.power(), Some(0.0));
         assert!(!o.any_false_alarm());
     }
 
     #[test]
-    fn power_is_one_when_no_anomalies() {
+    fn power_is_undefined_without_anomalies() {
         let rej = Rejections {
             rejected: vec![false, false],
             threshold: 0.0,
         };
         let o = evaluate_procedure(Procedure::Holm, &rej, &[false, false]);
-        assert_eq!(o.power(), 1.0);
+        assert_eq!(o.power(), None);
         assert_eq!(o.false_alarm_rate(), 0.0);
+    }
+
+    /// An anomaly-free family has no power to average in: one such trial
+    /// beside one that finds half its anomalies reads 0.5, not 0.75.
+    #[test]
+    fn mean_power_skips_anomaly_free_trials() {
+        let mut agg = TrialAggregate::default();
+        let none_found = Rejections {
+            rejected: vec![false, false],
+            threshold: 0.05,
+        };
+        let one_found = Rejections {
+            rejected: vec![true, false],
+            threshold: 0.05,
+        };
+        agg.add(&evaluate_procedure(
+            Procedure::Uncorrected,
+            &none_found,
+            &[false, false],
+        ));
+        agg.add(&evaluate_procedure(
+            Procedure::Uncorrected,
+            &one_found,
+            &[true, true],
+        ));
+        assert_eq!(agg.trials, 2);
+        assert_eq!(agg.anomalous_trials, 1);
+        assert!((agg.mean_power - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -210,6 +243,7 @@ mod tests {
         agg.add(&evaluate_procedure(Procedure::Uncorrected, &r1, &truth));
         agg.add(&evaluate_procedure(Procedure::Uncorrected, &r2, &truth));
         assert_eq!(agg.trials, 2);
+        assert_eq!(agg.anomalous_trials, 2);
         assert!((agg.empirical_fdr - 0.25).abs() < 1e-12); // (0.5 + 0)/2
         assert!((agg.empirical_fwer - 0.5).abs() < 1e-12);
         assert!((agg.mean_power - 1.0).abs() < 1e-12);
