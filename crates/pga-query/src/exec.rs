@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use pga_cluster::rpc::ClockMs;
-use pga_minibase::{Client, ClientError, PendingScan, RowRange, RowWords, ScanCells};
+use pga_minibase::{Client, ClientError, PendingScan, RowWords, ScanCells};
 use pga_repl::HedgePolicy;
 use pga_tsdb::{
     Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, ShardError, TimeSeries,
@@ -317,43 +317,15 @@ fn assemble_raw(
         &mut assembled,
         &mut corrupt,
     );
-    let mut errors = Vec::new();
-    for cb in corrupt {
-        let mut row_end = cb.row.clone();
-        row_end.push(0);
-        let copies = client.repair_fetch(&RowRange::new(cb.row.clone(), row_end));
-        let mut healed = false;
-        for copy in &copies {
-            let Some(cell) = copy
-                .cells
-                .iter()
-                .find(|kv| kv.row == cb.row[..] && kv.qualifier == cb.qualifier[..])
-            else {
-                continue;
-            };
-            let Ok(decoded) = pga_tsdb::decode_block(&cell.value) else {
-                continue;
-            };
-            // Appended after the locally-assembled points, so a local raw
-            // cell still wins a duplicate timestamp (canonicalization
-            // keeps the first point in push order).
-            let (timestamps, values) = assembled.entry(cb.tags.clone()).or_default();
-            for (&ts, &v) in decoded.timestamps.iter().zip(decoded.values.iter()) {
-                timestamps.push(ts);
-                values.push(v);
-            }
-            healed = true;
-            break;
-        }
-        if !healed {
-            errors.push(ShardError {
-                // Attribute to the serving shard: the row's salt byte.
-                shard: cb.row.first().copied().unwrap_or(0),
-                kind: "corrupt_block".to_string(),
-                retry_after_ms: None,
-            });
-        }
-    }
+    let errors = pga_tsdb::query::salvage_from_replicas(client, corrupt, lo, hi, &mut assembled)
+        .into_iter()
+        .map(|cb| ShardError {
+            // Attribute to the serving shard: the row's salt byte.
+            shard: cb.row.first().copied().unwrap_or(0),
+            kind: "corrupt_block".to_string(),
+            retry_after_ms: None,
+        })
+        .collect();
     let mut series = BTreeMap::new();
     for (tags, (timestamps, values)) in assembled {
         let (timestamps, values) = pga_tsdb::query::canonicalize_columns(timestamps, values);

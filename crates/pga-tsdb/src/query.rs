@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use pga_minibase::KeyValue;
+use pga_minibase::{Client, KeyValue, RowRange};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{self, BlockError};
@@ -259,6 +259,49 @@ pub fn assemble_columns_salvage<'a>(
 ) {
     // With a corrupt sink installed, assembly never returns an error.
     let _ = assemble_columns_inner(codec, cells, filter, start, end, out, Some(corrupt));
+}
+
+/// Replica salvage for the blocks [`assemble_columns_salvage`] reported:
+/// re-read each block's cell from the region's other copies
+/// (`Client::repair_fetch`) and splice the first copy that decodes into
+/// `out`, keeping its points in `[start, end]`. They land after
+/// everything assembly produced, so a local raw cell still wins a
+/// duplicate timestamp (canonicalization keeps the first point in push
+/// order). Returns the blocks no copy could heal; what those mean is the
+/// caller's to decide.
+pub fn salvage_from_replicas(
+    client: &Client,
+    corrupt: Vec<CorruptBlock>,
+    start: u64,
+    end: u64,
+    out: &mut AssembledColumns,
+) -> Vec<CorruptBlock> {
+    corrupt
+        .into_iter()
+        .filter(|cb| {
+            let mut row_end = cb.row.clone();
+            row_end.push(0);
+            let copies = client.repair_fetch(&RowRange::new(cb.row.clone(), row_end));
+            let healthy = copies.iter().find_map(|copy| {
+                let cell = copy
+                    .cells
+                    .iter()
+                    .find(|kv| kv.row == cb.row[..] && kv.qualifier == cb.qualifier[..])?;
+                block::decode_block(&cell.value).ok()
+            });
+            let Some(decoded) = healthy else {
+                return true;
+            };
+            let (timestamps, values) = out.entry(cb.tags.clone()).or_default();
+            for (&ts, &v) in decoded.timestamps.iter().zip(&decoded.values) {
+                if ts >= start && ts <= end {
+                    timestamps.push(ts);
+                    values.push(v);
+                }
+            }
+            false
+        })
+        .collect()
 }
 
 fn assemble_columns_inner<'a>(

@@ -21,8 +21,8 @@ use pga_minibase::{Client, ClientError, KeyValue, RowRange};
 use crate::block::BlockError;
 use crate::codec::KeyCodec;
 use crate::query::{
-    assemble_columns, assemble_columns_salvage, finish_columns, AssembledColumns, ColumnSeries,
-    CorruptBlock, QueryFilter, TimeSeries,
+    assemble_columns, assemble_columns_salvage, finish_columns, salvage_from_replicas,
+    AssembledColumns, ColumnSeries, CorruptBlock, QueryFilter, TimeSeries,
 };
 use crate::series::Series;
 
@@ -573,51 +573,27 @@ impl Tsd {
         end: u64,
         assembled: &mut AssembledColumns,
     ) -> Result<(), TsdError> {
-        for cb in corrupt {
-            self.metrics
-                .corrupt_blocks_seen
-                .fetch_add(1, Ordering::Relaxed);
+        if corrupt.is_empty() {
+            return Ok(());
+        }
+        let seen = corrupt.len() as u64;
+        self.metrics
+            .corrupt_blocks_seen
+            .fetch_add(seen, Ordering::Relaxed);
+        for cb in &corrupt {
             self.scrub.quarantine(
                 Bytes::copy_from_slice(&cb.row),
                 Bytes::copy_from_slice(&cb.qualifier),
             );
-            let mut row_end = cb.row.clone();
-            row_end.push(0);
-            let copies = self
-                .client
-                .repair_fetch(&RowRange::new(cb.row.clone(), row_end));
-            let mut healed = false;
-            for copy in &copies {
-                let Some(cell) = copy
-                    .cells
-                    .iter()
-                    .find(|kv| kv.row == cb.row[..] && kv.qualifier == cb.qualifier[..])
-                else {
-                    continue;
-                };
-                let Ok(decoded) = crate::block::decode_block(&cell.value) else {
-                    continue;
-                };
-                // Splice the healthy copy's windowed points in. They are
-                // appended *after* everything assembly produced, so at a
-                // duplicate timestamp the local raw cell still wins
-                // (canonicalization keeps the first point in push order).
-                let (timestamps, values) = assembled.entry(cb.tags.clone()).or_default();
-                for (&ts, &v) in decoded.timestamps.iter().zip(decoded.values.iter()) {
-                    if ts >= start && ts <= end {
-                        timestamps.push(ts);
-                        values.push(v);
-                    }
-                }
-                healed = true;
-                self.metrics.salvaged_reads.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            if !healed {
-                return Err(TsdError::Corrupt(cb.error));
-            }
         }
-        Ok(())
+        let unhealed = salvage_from_replicas(&self.client, corrupt, start, end, assembled);
+        self.metrics
+            .salvaged_reads
+            .fetch_add(seen - unhealed.len() as u64, Ordering::Relaxed);
+        match unhealed.into_iter().next() {
+            Some(cb) => Err(TsdError::Corrupt(cb.error)),
+            None => Ok(()),
+        }
     }
 }
 
