@@ -8,6 +8,8 @@
 //!   HBase's ordering (rows ascending, newest timestamp first).
 //! * [`memstore`] — the in-memory sorted write buffer.
 //! * [`wal`] — a write-ahead log enabling crash recovery of unflushed data.
+//! * [`crc`] — the workspace's one checksum, CRC-32: over WAL records here
+//!   and over `pga-tsdb`'s sealed blocks.
 //! * [`storefile`] — immutable sorted runs with a sparse seek index (the
 //!   HFile analog), held in memory.
 //! * [`scanner`] — scan replies as shared runs of cells, and the k-way
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod crc;
 pub mod fault;
 pub mod kv;
 pub mod master;
@@ -55,6 +58,7 @@ pub mod storefile;
 pub mod wal;
 
 pub use client::{concat_region_scans, Client, ClientError, PendingScan, RepairCopy};
+pub use crc::{crc32, crc32_extend};
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
 pub use kv::{ColumnRange, KeyValue, RowRange, RowWords, ScanSpec};
 pub use master::{locate, Master, RegionInfo, TableDescriptor};

@@ -12,6 +12,7 @@ use bytes::Bytes;
 
 use pga_repl::ShipOutcome;
 
+use crate::crc::crc32;
 use crate::kv::KeyValue;
 
 /// Sequence number assigned to each appended batch.
@@ -20,7 +21,7 @@ pub type SequenceId = u64;
 /// Magic prefix of an encoded WAL image.
 const WAL_MAGIC: &[u8; 4] = b"PGWL";
 /// Encoded-format version.
-const WAL_VERSION: u8 = 1;
+const WAL_VERSION: u8 = 2;
 
 /// What [`WriteAheadLog::decode_report`] found while parsing an encoded
 /// WAL image. Used by recovery oracles: a torn tail is survivable (the
@@ -197,7 +198,7 @@ impl WriteAheadLog {
     /// ```text
     /// magic "PGWL" | version u8 | flushed_through u64
     /// repeat per batch record:
-    ///   seq u64 | cell_count u32 | cells | checksum u64 (over seq..cells)
+    ///   seq u64 | cell_count u32 | cells | crc32 u32 (over seq..cells)
     /// cell: row_len u16 | row | qual_len u16 | qual | ts u64 | val_len u32 | value
     /// ```
     pub fn encode(&self) -> Vec<u8> {
@@ -229,7 +230,7 @@ impl WriteAheadLog {
                 record.extend_from_slice(&(kv.value.len() as u32).to_le_bytes());
                 record.extend_from_slice(&kv.value);
             }
-            let sum = wal_checksum(&record);
+            let sum = crc32(&record);
             out.extend_from_slice(&record);
             out.extend_from_slice(&sum.to_le_bytes());
             i += batch.len();
@@ -268,17 +269,6 @@ impl WriteAheadLog {
         }
         out
     }
-}
-
-fn wal_checksum(bytes: &[u8]) -> u64 {
-    // Same xor-fold FNV-style accumulator as the store-file format:
-    // cheap, order-sensitive, catches truncation and bit rot.
-    let mut acc = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        acc ^= b as u64;
-        acc = acc.wrapping_mul(0x100000001b3);
-    }
-    acc
 }
 
 /// Cursor-based reader that returns `None` instead of slicing past the
@@ -343,12 +333,8 @@ fn decode_record(r: &mut WalReader<'_>) -> Option<(SequenceId, Vec<KeyValue>)> {
         });
     }
     let body_end = r.pos;
-    let stored = r.u64()?;
-    let computed = r
-        .bytes
-        .get(start..body_end)
-        .map(wal_checksum)
-        .unwrap_or_default();
+    let stored = r.u32()?;
+    let computed = r.bytes.get(start..body_end).map(crc32).unwrap_or_default();
     if stored != computed {
         return None;
     }
@@ -520,6 +506,21 @@ mod tests {
             WriteAheadLog::from_encoded(&full_bytes).replay(),
             full.replay()
         );
+    }
+
+    /// A record ends in the CRC-32 of its bytes, and an image of the
+    /// older format (version 1, whose records ended in a 64-bit fold) is
+    /// refused whole rather than misread.
+    #[test]
+    fn records_carry_the_crc32_of_their_bytes() {
+        let bytes = wal_with_batches(1).encode();
+        let header = WAL_MAGIC.len() + 1 + 8;
+        let (record, sum) = bytes[header..].split_at(bytes.len() - header - 4);
+        assert_eq!(sum, crc32(record).to_le_bytes());
+        let mut old = bytes.clone();
+        old[WAL_MAGIC.len()] = 1;
+        let report = WriteAheadLog::decode_report(&old);
+        assert_eq!((report.records, report.torn), (0, true));
     }
 
     #[test]
