@@ -33,6 +33,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::detection::paper_fleet;
 use crate::table::{render_table, row};
 use legacy::query_legacy;
 
@@ -40,7 +41,6 @@ use pga_cluster::coordinator::Coordinator;
 use pga_detect::{train_unit, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
 use pga_linalg::Matrix;
 use pga_minibase::{Client, Master, RegionConfig, RowRange, ServerConfig, TableDescriptor};
-use pga_sensorgen::{Fleet, FleetConfig};
 use pga_stats::Procedure;
 use pga_tsdb::{
     BatchPoint, ColumnSeries, KeyCodec, KeyCodecConfig, QueryFilter, TimeSeries, Tsd, TsdConfig,
@@ -312,11 +312,7 @@ pub fn block_format_experiment(cfg: &BlockBenchConfig) -> BlockBenchReport {
     let stored_cells = || store.scan(&RowRange::all()).expect("store scan").len() as u64;
     master.set_compaction_rewriter(tsd.block_rewriter());
 
-    let fleet = Fleet::new(FleetConfig {
-        units: cfg.units,
-        sensors_per_unit: cfg.sensors_per_unit,
-        ..FleetConfig::paper_scale(cfg.seed)
-    });
+    let fleet = paper_fleet(cfg.units, cfg.sensors_per_unit, cfg.seed);
     for t in 0..cfg.history_secs {
         let samples = fleet.tick(t);
         let tags: Vec<(String, String)> = samples

@@ -1,18 +1,14 @@
 //! One detection harness, on the monitor's own detection path.
 //!
-//! The paper's §IV pipeline is "train offline, evaluate online, apply BH".
-//! The monitor runs it as [`train_units`] on the dataflow engine, then
-//! [`BatchEvaluator::evaluate_columns`] over per-sensor column slices.
-//! [`Detection`] runs the same two calls on a seeded fleet held in memory,
-//! with no storage (as the `batch_compute` benchmark workload does): it
-//! generates every unit's columns once, trains every unit once on ticks
-//! `[0, TRAIN_TICKS)`, and scores any window through the batch evaluator
-//! under Benjamini–Hochberg at q = 0.05.
-//!
-//! A window's p-values do not depend on the procedure (the evaluator
-//! flags exactly `procedure.apply(p_values, α)`), so an experiment that
-//! compares procedures applies each one to the same scored family.
-//! E3, E5, E10, E13, E14 and E15 are aggregations over this harness.
+//! The monitor runs the paper's §IV pipeline as [`train_units`] on the
+//! dataflow engine, then [`BatchEvaluator::evaluate_columns`] over
+//! per-sensor column slices. [`Detection`] runs the same two calls on a
+//! seeded fleet held in memory, with no storage: it generates every unit's
+//! columns once, trains every unit once on ticks `[0, TRAIN_TICKS)` and
+//! scores windows under Benjamini–Hochberg at q = 0.05. A window's
+//! p-values do not depend on the procedure, so an experiment that compares
+//! procedures applies each one to the same scored family. E3, E5, E10 and
+//! E13–E15 are aggregations over this harness.
 
 use pga_dataflow::Dataflow;
 use pga_detect::{train_units, BatchEvaluator, ColumnWindow, EvalOutcome, UnitModel};
@@ -21,9 +17,6 @@ use pga_stats::Procedure;
 
 /// Ticks every unit trains on: `[0, TRAIN_TICKS)`, before any fault onset.
 pub const TRAIN_TICKS: usize = 150;
-
-/// Dataflow workers the harness trains with.
-const WORKERS: usize = 2;
 
 /// The paper-scale fleet generator at `units × sensors`.
 pub fn paper_fleet(units: u32, sensors: u32, seed: u64) -> Fleet {
@@ -57,13 +50,17 @@ impl Detection {
                     .collect()
             })
             .collect();
-        let models = train_units(training_windows(&columns), &Dataflow::new(WORKERS))
-            .expect("every unit of a generated fleet trains");
-        Detection {
+        // Untrained until the models are fitted on its own columns, as a
+        // new monitor is.
+        let mut detection = Detection {
             fleet,
             columns,
-            evaluator: BatchEvaluator::new(models, Procedure::BenjaminiHochberg, 0.05),
-        }
+            evaluator: BatchEvaluator::new(Vec::new(), Procedure::BenjaminiHochberg, 0.05),
+        };
+        let models = train_units(detection.training_windows(), &Dataflow::new(2))
+            .expect("every unit of a generated fleet trains");
+        detection.evaluator = BatchEvaluator::new(models, Procedure::BenjaminiHochberg, 0.05);
+        detection
     }
 
     /// The generator (fault specs and ground truth).
@@ -84,12 +81,18 @@ impl Detection {
     /// `unit`'s window of `len` ticks ending at `t_end` inclusive, one
     /// slice per sensor (the rows of `Fleet::observation_window`).
     pub fn window(&self, unit: u32, t_end: u64, len: usize) -> ColumnWindow<'_> {
-        window(&self.columns[unit as usize], t_end, len)
+        let from = t_end as usize + 1 - len;
+        self.columns[unit as usize]
+            .iter()
+            .map(|column| &column[from..=t_end as usize])
+            .collect()
     }
 
-    /// Every unit's training window, for [`train_units`].
+    /// Every unit's ticks `[0, TRAIN_TICKS)`, for [`train_units`].
     pub fn training_windows(&self) -> Vec<(u32, ColumnWindow<'_>)> {
-        training_windows(&self.columns)
+        (0..self.units() as u32)
+            .map(|u| (u, self.window(u, TRAIN_TICKS as u64 - 1, TRAIN_TICKS)))
+            .collect()
     }
 
     /// Score one `len`-tick window per unit in one batch: `ends[u]` is
@@ -102,55 +105,6 @@ impl Detection {
             .collect();
         self.evaluator.evaluate_columns(&windows)
     }
-
-    /// Slide a `len`-tick window over each `(unit, first end, last end)`
-    /// span in steps of `stride`, scoring every searching unit's window in
-    /// one batch a step. `visit(unit, t_end, outcome)` returns whether the
-    /// unit is done; a unit also stops past its last end.
-    pub fn slide(
-        &self,
-        spans: &[(u32, u64, u64)],
-        len: usize,
-        stride: u64,
-        mut visit: impl FnMut(u32, u64, &EvalOutcome) -> bool,
-    ) {
-        let mut live: Vec<(u32, u64, u64)> = spans
-            .iter()
-            .copied()
-            .filter(|&(_, first, last)| first <= last)
-            .collect();
-        while !live.is_empty() {
-            let mut ends = vec![None; self.units()];
-            for &(u, t, _) in &live {
-                ends[u as usize] = Some(t);
-            }
-            let outcomes = self.score(&ends, len);
-            live.retain_mut(|(u, t, last)| {
-                let outcome = outcomes[*u as usize].as_ref().expect("scored this step");
-                let done = visit(*u, *t, outcome);
-                *t += stride;
-                !done && *t <= *last
-            });
-        }
-    }
-}
-
-/// The `len` ticks ending at `t_end` inclusive of one unit's columns.
-fn window(columns: &[Vec<f64>], t_end: u64, len: usize) -> ColumnWindow<'_> {
-    let from = t_end as usize + 1 - len;
-    columns
-        .iter()
-        .map(|column| &column[from..=t_end as usize])
-        .collect()
-}
-
-/// Every unit's ticks `[0, TRAIN_TICKS)`.
-fn training_windows(columns: &[Vec<Vec<f64>>]) -> Vec<(u32, ColumnWindow<'_>)> {
-    columns
-        .iter()
-        .enumerate()
-        .map(|(u, unit)| (u as u32, window(unit, TRAIN_TICKS as u64 - 1, TRAIN_TICKS)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -186,26 +140,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn slide_stops_each_unit_when_done_or_past_its_span() {
-        let det = Detection::new(paper_fleet(3, 8, 5), 400);
-        let mut visits = Vec::new();
-        det.slide(
-            &[(0, 200, 240), (2, 300, 310), (1, 50, 40)],
-            10,
-            10,
-            |u, t, out| {
-                assert_eq!(out.unit, u);
-                visits.push((u, t));
-                u == 2
-            },
-        );
-        visits.sort_unstable();
-        assert_eq!(
-            visits,
-            [(0, 200), (0, 210), (0, 220), (0, 230), (0, 240), (2, 300)]
-        );
     }
 }

@@ -5,7 +5,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use pga_dataflow::Dataflow;
-use pga_detect::{train_units, BatchEvaluator, CusumDetector, EvalOutcome};
+use pga_detect::{train_units, BatchEvaluator, CusumDetector};
 use pga_ingest::{fig2_scaling_experiment, linear_fit, Fig2Row, IngestionPipeline};
 use pga_sensorgen::{FaultClass, Fleet};
 use pga_stats::{evaluate_procedure, Procedure, TrialAggregate};
@@ -72,18 +72,12 @@ pub fn eval_throughput_experiment(
     windows: usize,
     seed: u64,
 ) -> EvalThroughput {
-    let ends: Vec<u64> = (1..=windows as u64)
-        .map(|k| 300 + k * window_rows as u64)
-        .collect();
-    let det = Detection::new(
-        paper_fleet(1, sensors, seed),
-        ends.last().map_or(0, |t| t + 1),
-    );
+    let rows = window_rows as u64;
+    let det = Detection::new(paper_fleet(1, sensors, seed), 301 + windows as u64 * rows);
     let start = Instant::now();
-    let samples: u64 = ends
-        .iter()
-        .map(|&t| {
-            let outcomes = std::hint::black_box(det.score(&[Some(t)], window_rows));
+    let samples: u64 = (1..=windows as u64)
+        .map(|k| {
+            let outcomes = std::hint::black_box(det.score(&[Some(300 + k * rows)], window_rows));
             BatchEvaluator::samples_scored(&outcomes)
         })
         .sum();
@@ -154,21 +148,22 @@ pub fn fdr_experiment(
 /// truth, unit-major.
 fn families(fleet: Fleet, ends: &[u64], truth_sigma: f64) -> Vec<(Vec<f64>, Vec<bool>)> {
     let det = Detection::new(fleet, ends.iter().max().map_or(0, |t| t + 1));
-    let scored: Vec<Vec<Option<EvalOutcome>>> = ends
+    let mut scored: Vec<_> = ends
         .iter()
-        .map(|&t| det.score(&vec![Some(t); det.units()], 50))
-        .collect();
-    (0..det.units())
-        .flat_map(|u| ends.iter().zip(&scored).map(move |(&t, s)| (u, t, s)))
-        .map(|(u, t, scored)| {
-            let p_values = scored[u]
-                .as_ref()
-                .expect("every unit scored")
-                .p_values
-                .clone();
-            (p_values, det.fleet().truth_row(u as u32, t, truth_sigma))
+        .map(|&t| {
+            det.score(&vec![Some(t); det.units()], 50)
+                .into_iter()
+                .flatten()
         })
-        .collect()
+        .collect();
+    let mut families = Vec::new();
+    for u in 0..det.units() as u32 {
+        for (&t, outcomes) in ends.iter().zip(&mut scored) {
+            let p_values = outcomes.next().expect("every unit scored").p_values;
+            families.push((p_values, det.fleet().truth_row(u, t, truth_sigma)));
+        }
+    }
+    families
 }
 
 /// `procedure` at level `alpha` over every family, in order.
@@ -292,13 +287,9 @@ const PROCEDURES: [Procedure; 3] = [
     Procedure::BenjaminiHochberg,
 ];
 
-/// Mean of `delays` in ticks, NaN when there are none.
+/// Mean of `delays` in ticks: NaN (0 / 0) when there are none.
 fn mean_delay(delays: &[f64]) -> f64 {
-    if delays.is_empty() {
-        f64::NAN
-    } else {
-        delays.iter().sum::<f64>() / delays.len() as f64
-    }
+    delays.iter().sum::<f64>() / delays.len() as f64
 }
 
 /// Measure detection latency: slide an evaluation window forward from each
@@ -321,35 +312,13 @@ pub fn detection_latency_experiment(
     let last_onset = faulted.iter().map(|&u| fleet.fault(u).onset).max();
     let det = Detection::new(fleet, last_onset.map_or(0, |t| t + horizon + 1));
     let fleet = det.fleet();
-    // delays[procedure][unit]: onset → first window whose rejections
-    // touch the faulted group. One scored family serves all procedures.
-    let mut delays = vec![vec![None; det.units()]; PROCEDURES.len()];
-    let spans: Vec<(u32, u64, u64)> = faulted
-        .iter()
-        .map(|&u| {
-            let onset = fleet.fault(u).onset;
-            (u, onset + window as u64, onset + horizon)
-        })
-        .collect();
-    det.slide(&spans, window, stride, |u, t, out| {
-        let spec = fleet.fault(u);
-        for (proc, delays) in PROCEDURES.iter().zip(delays.iter_mut()) {
-            let rejected = proc.apply(&out.p_values, 0.05).rejected;
-            let hit = rejected
-                .iter()
-                .enumerate()
-                .any(|(j, &r)| r && spec.affects(j as u32));
-            if hit && delays[u as usize].is_none() {
-                delays[u as usize] = Some((t - spec.onset) as f64);
-            }
-        }
-        delays.iter().all(|d| d[u as usize].is_some())
-    });
+    let search = (window as u64, horizon);
+    let mut delays = first_detections(&det, &faulted, window, stride, search, &PROCEDURES);
     // The classical SPC baseline: per-sensor two-sided CUSUM (k=0.5σ,
     // h=5σ) on the same models, fed sample by sample from onset. Fast on
     // persistent shifts — and with no multiplicity control at all (see the
     // cusum tests for its fleet-wide false-alarm behaviour).
-    let cusum: Vec<Option<f64>> = (0..det.units() as u32)
+    let cusum = (0..det.units() as u32)
         .map(|u| {
             let spec = fleet.fault(u);
             if !faulted.contains(&u) {
@@ -364,12 +333,13 @@ pub fn detection_latency_experiment(
                 .map(|t| (t - spec.onset) as f64)
         })
         .collect();
+    delays.push(cusum);
     let names = PROCEDURES
         .iter()
         .map(|p| p.name())
         .chain(["cusum (k=0.5, h=5)"]);
     let mut rows = Vec::new();
-    for (name, delays) in names.zip(delays.iter().chain([&cusum])) {
+    for (name, delays) in names.zip(&delays) {
         for class in classes {
             let members = fleet.units_with_class(class);
             let found: Vec<f64> = members.iter().filter_map(|&u| delays[u as usize]).collect();
@@ -383,6 +353,47 @@ pub fn detection_latency_experiment(
         }
     }
     rows
+}
+
+/// Ticks from onset to the first `len`-tick window, ending every
+/// `stride` ticks over `onset + first ..= onset + last`, whose rejections
+/// under each of `procedures` at q = 0.05 touch the unit's faulted group:
+/// `delays[procedure][unit]`. Each step scores every searching unit's
+/// window in one batch, once for all procedures; a unit stops searching
+/// once every procedure has detected it.
+fn first_detections(
+    det: &Detection,
+    units: &[u32],
+    len: usize,
+    stride: u64,
+    (first, last): (u64, u64),
+    procedures: &[Procedure],
+) -> Vec<Vec<Option<f64>>> {
+    let fleet = det.fleet();
+    let mut delays = vec![vec![None; det.units()]; procedures.len()];
+    let mut searching = units.to_vec();
+    let mut delay = first;
+    while !searching.is_empty() && delay <= last {
+        let ends: Vec<Option<u64>> = (0..det.units() as u32)
+            .map(|u| searching.contains(&u).then(|| fleet.fault(u).onset + delay))
+            .collect();
+        let scored = det.score(&ends, len);
+        searching.retain(|&u| {
+            let (p_values, spec) = (
+                &scored[u as usize].as_ref().unwrap().p_values,
+                fleet.fault(u),
+            );
+            for (proc, delays) in procedures.iter().zip(delays.iter_mut()) {
+                let rejected = proc.apply(p_values, 0.05).rejected;
+                if (0..rejected.len()).any(|j| rejected[j] && spec.affects(j as u32)) {
+                    delays[u as usize].get_or_insert(delay as f64);
+                }
+            }
+            delays.iter().any(|d| d[u as usize].is_none())
+        });
+        delay += stride;
+    }
+    delays
 }
 
 /// E14 — evaluation-window ablation row (design choice: window length
@@ -413,39 +424,28 @@ pub fn window_ablation_experiment(
     let healthy_ends = [600, 700, 800, 900];
     let last_sharp = sharp.iter().map(|&u| fleet.fault(u).onset + 400).max();
     let det = Detection::new(fleet, last_sharp.unwrap_or(0).max(900) + 1);
-    let fleet = det.fleet();
+    let bh = [Procedure::BenjaminiHochberg];
     windows
         .iter()
         .map(|&window| {
             // Detection delay on sharp shifts, stride 5.
-            let mut delays = vec![None; det.units()];
-            let spans: Vec<(u32, u64, u64)> = sharp
-                .iter()
-                .map(|&u| (u, fleet.fault(u).onset + 1, fleet.fault(u).onset + 400))
-                .collect();
-            det.slide(&spans, window, 5, |u, t, out| {
-                let spec = fleet.fault(u);
-                let hit = out.flags.iter().any(|f| spec.affects(f.sensor));
-                if hit {
-                    delays[u as usize] = Some((t - spec.onset) as f64);
-                }
-                hit
-            });
+            let delays = first_detections(&det, &sharp, window, 5, (1, 400), &bh).remove(0);
             let found: Vec<f64> = sharp.iter().filter_map(|&u| delays[u as usize]).collect();
             // False flags on healthy units over several windows.
-            let mut false_flags = 0usize;
-            for t in healthy_ends {
-                let mut ends = vec![None; det.units()];
-                for &u in &healthy {
-                    ends[u as usize] = Some(t);
-                }
-                false_flags += det
-                    .score(&ends, window)
-                    .iter()
-                    .flatten()
-                    .map(|out| out.flags.len())
-                    .sum::<usize>();
-            }
+            let false_flags: usize = healthy_ends
+                .iter()
+                .map(|&t| {
+                    let ends: Vec<Option<u64>> = (0..det.units() as u32)
+                        .map(|u| healthy.contains(&u).then_some(t))
+                        .collect();
+                    let scored = det.score(&ends, window);
+                    scored
+                        .iter()
+                        .flatten()
+                        .map(|out| out.flags.len())
+                        .sum::<usize>()
+                })
+                .sum();
             let healthy_windows = healthy.len() * healthy_ends.len();
             WindowAblationRow {
                 window,

@@ -30,12 +30,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::detection::paper_fleet;
 use crate::table::{render_table, row};
 
 use pga_ingest::IngestionPipeline;
 use pga_minibase::Client;
 use pga_query::{CacheConfig, ExecConfig, QueryEngine, QueryEngineConfig, RollupWriter};
-use pga_sensorgen::{Fleet, FleetConfig};
 use pga_tsdb::{Aggregator, QueryFilter, TimeSeries};
 
 /// Rollup tier widths used by the serving arms.
@@ -318,11 +318,7 @@ pub fn query_serving_experiment(cfg: &QueryBenchConfig) -> QueryServingReport {
             i as u8,
         )));
     }
-    let fleet = Fleet::new(FleetConfig {
-        units: cfg.units,
-        sensors_per_unit: cfg.sensors_per_unit,
-        ..FleetConfig::paper_scale(cfg.seed)
-    });
+    let fleet = paper_fleet(cfg.units, cfg.sensors_per_unit, cfg.seed);
 
     // Prefill the retained history and seal the rollup buckets covering it.
     pipeline.run_range(&fleet, 0, cfg.history_secs);

@@ -26,11 +26,11 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::detection::paper_fleet;
 use crate::table::{render_table, row};
 
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{no_faults, Client, Master, RegionConfig, ServerConfig, TableDescriptor};
-use pga_sensorgen::{Fleet, FleetConfig};
 use pga_tsdb::{
     is_block_qualifier, BatchPoint, KeyCodec, KeyCodecConfig, QueryFilter, TimeSeries, Tsd,
     TsdConfig, TsdError, UidTable,
@@ -261,11 +261,7 @@ pub fn scrub_resilience_experiment(cfg: &ScrubBenchConfig) -> ScrubBenchReport {
     let tsd = Tsd::new(codec, Client::connect(&master), TsdConfig::default());
     master.set_compaction_rewriter(tsd.block_rewriter());
 
-    let fleet = Fleet::new(FleetConfig {
-        units: cfg.units,
-        sensors_per_unit: cfg.sensors_per_unit,
-        ..FleetConfig::paper_scale(cfg.seed)
-    });
+    let fleet = paper_fleet(cfg.units, cfg.sensors_per_unit, cfg.seed);
     for t in 0..cfg.history_secs {
         let samples = fleet.tick(t);
         let tags: Vec<(String, String)> = samples

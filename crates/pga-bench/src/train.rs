@@ -36,11 +36,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::detection::paper_fleet;
 use crate::table::{render_table, row};
 
 use pga_dataflow::Dataflow;
 use pga_detect::{model_divergence, FleetTrainer};
-use pga_sensorgen::{Fleet, FleetConfig};
+use pga_sensorgen::Fleet;
 
 /// Sizing for [`train_retrain_experiment`].
 #[derive(Debug, Clone, Serialize)]
@@ -255,11 +256,7 @@ fn full_rebuild(
 pub fn train_retrain_experiment(cfg: &TrainBenchConfig) -> TrainBenchReport {
     assert!(cfg.units > 0 && cfg.rounds > 0 && cfg.workers > 0);
     assert!(cfg.dirty_units as u32 <= cfg.units);
-    let fleet = Fleet::new(FleetConfig {
-        units: cfg.units,
-        sensors_per_unit: cfg.sensors,
-        ..FleetConfig::paper_scale(cfg.seed)
-    });
+    let fleet = paper_fleet(cfg.units, cfg.sensors, cfg.seed);
     let units: Vec<u32> = (0..cfg.units).collect();
     let sensors = cfg.sensors as usize;
     let dataflow = Dataflow::new(cfg.workers);

@@ -97,7 +97,7 @@ impl FleetTrainer {
         self.trainers.get(&unit).map(StreamingTrainer::count)
     }
 
-    /// Re-finish covariance/SVD for the dirty units only, as a
+    /// Re-finish covariance and eigendecomposition for the dirty units only, as a
     /// `pga-sched` task set (one finish task per dirty unit). Units
     /// whose statistics still hold fewer than 2 rows stay dirty and are
     /// reported as errors; successfully finished units are cleaned.

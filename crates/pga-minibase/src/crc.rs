@@ -1,6 +1,5 @@
-//! The workspace's one checksum: CRC-32 (IEEE 802.3), over WAL records
-//! here and over sealed blocks in `pga-tsdb`, whose scrub verifier checks
-//! it too.
+//! The workspace's one checksum, CRC-32 (IEEE 802.3): over WAL records
+//! here and over `pga-tsdb`'s sealed blocks.
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
 pub fn crc32(bytes: &[u8]) -> u32 {

@@ -49,16 +49,6 @@ impl ProcedureOutcome {
     pub fn any_false_alarm(&self) -> bool {
         self.false_positives > 0
     }
-
-    /// Per-null false alarm rate: FP / #nulls (0 when all are anomalous).
-    pub fn false_alarm_rate(&self) -> f64 {
-        let nulls = self.tested - self.true_anomalies;
-        if nulls == 0 {
-            0.0
-        } else {
-            self.false_positives as f64 / nulls as f64
-        }
-    }
 }
 
 /// Score one rejection mask against ground-truth anomaly labels.
@@ -174,7 +164,6 @@ mod tests {
         assert!((o.false_discovery_proportion() - 0.5).abs() < 1e-12);
         assert_eq!(o.power(), Some(0.5));
         assert!(o.any_false_alarm());
-        assert!((o.false_alarm_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -197,7 +186,6 @@ mod tests {
         };
         let o = evaluate_procedure(Procedure::Holm, &rej, &[false, false]);
         assert_eq!(o.power(), None);
-        assert_eq!(o.false_alarm_rate(), 0.0);
     }
 
     /// An anomaly-free family has no power to average in: one such trial

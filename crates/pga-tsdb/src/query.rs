@@ -262,13 +262,10 @@ pub fn assemble_columns_salvage<'a>(
 }
 
 /// Replica salvage for the blocks [`assemble_columns_salvage`] reported:
-/// re-read each block's cell from the region's other copies
-/// (`Client::repair_fetch`) and splice the first copy that decodes into
-/// `out`, keeping its points in `[start, end]`. They land after
-/// everything assembly produced, so a local raw cell still wins a
-/// duplicate timestamp (canonicalization keeps the first point in push
-/// order). Returns the blocks no copy could heal; what those mean is the
-/// caller's to decide.
+/// re-read each from the region's other copies (`Client::repair_fetch`)
+/// and splice the first copy that decodes into `out`, its points in
+/// `[start, end]` after the local ones, so a local raw cell still wins a
+/// duplicate timestamp. Returns the blocks no copy could heal.
 pub fn salvage_from_replicas(
     client: &Client,
     corrupt: Vec<CorruptBlock>,
@@ -282,14 +279,13 @@ pub fn salvage_from_replicas(
             let mut row_end = cb.row.clone();
             row_end.push(0);
             let copies = client.repair_fetch(&RowRange::new(cb.row.clone(), row_end));
-            let healthy = copies.iter().find_map(|copy| {
+            let Some(decoded) = copies.iter().find_map(|copy| {
                 let cell = copy
                     .cells
                     .iter()
                     .find(|kv| kv.row == cb.row[..] && kv.qualifier == cb.qualifier[..])?;
                 block::decode_block(&cell.value).ok()
-            });
-            let Some(decoded) = healthy else {
+            }) else {
                 return true;
             };
             let (timestamps, values) = out.entry(cb.tags.clone()).or_default();

@@ -556,44 +556,29 @@ impl Tsd {
                 }
             }
         }
-        self.salvage_corrupt_blocks(corrupt, start, end, &mut assembled)?;
+        // Salvage: quarantine each corrupt block for the scrubber, and
+        // re-read it from another copy now so this query still answers
+        // exactly. Only a block no copy heals fails it, with a typed error.
+        if !corrupt.is_empty() {
+            let seen = corrupt.len() as u64;
+            self.metrics
+                .corrupt_blocks_seen
+                .fetch_add(seen, Ordering::Relaxed);
+            for cb in &corrupt {
+                self.scrub.quarantine(
+                    Bytes::copy_from_slice(&cb.row),
+                    Bytes::copy_from_slice(&cb.qualifier),
+                );
+            }
+            let unhealed = salvage_from_replicas(&self.client, corrupt, start, end, &mut assembled);
+            self.metrics
+                .salvaged_reads
+                .fetch_add(seen - unhealed.len() as u64, Ordering::Relaxed);
+            if let Some(cb) = unhealed.into_iter().next() {
+                return Err(TsdError::Corrupt(cb.error));
+            }
+        }
         Ok(finish_columns(metric, assembled))
-    }
-
-    /// Replica-backed read salvage: every corrupt block the assembly
-    /// reported is quarantined (the scrubber repairs it in the
-    /// background), and its span is re-read from the region's other
-    /// copies right now so *this* query still answers exactly. Only when
-    /// no copy decodes does the original typed error surface — partial
-    /// silence is never an option.
-    fn salvage_corrupt_blocks(
-        &self,
-        corrupt: Vec<CorruptBlock>,
-        start: u64,
-        end: u64,
-        assembled: &mut AssembledColumns,
-    ) -> Result<(), TsdError> {
-        if corrupt.is_empty() {
-            return Ok(());
-        }
-        let seen = corrupt.len() as u64;
-        self.metrics
-            .corrupt_blocks_seen
-            .fetch_add(seen, Ordering::Relaxed);
-        for cb in &corrupt {
-            self.scrub.quarantine(
-                Bytes::copy_from_slice(&cb.row),
-                Bytes::copy_from_slice(&cb.qualifier),
-            );
-        }
-        let unhealed = salvage_from_replicas(&self.client, corrupt, start, end, assembled);
-        self.metrics
-            .salvaged_reads
-            .fetch_add(seen - unhealed.len() as u64, Ordering::Relaxed);
-        match unhealed.into_iter().next() {
-            Some(cb) => Err(TsdError::Corrupt(cb.error)),
-            None => Ok(()),
-        }
     }
 }
 
