@@ -379,13 +379,11 @@ fn first_detections(
             .collect();
         let scored = det.score(&ends, len);
         searching.retain(|&u| {
-            let (p_values, spec) = (
-                &scored[u as usize].as_ref().unwrap().p_values,
-                fleet.fault(u),
-            );
+            let p_values = &scored[u as usize].as_ref().expect("scored").p_values;
+            let spec = fleet.fault(u);
             for (proc, delays) in procedures.iter().zip(delays.iter_mut()) {
                 let rejected = proc.apply(p_values, 0.05).rejected;
-                if (0..rejected.len()).any(|j| rejected[j] && spec.affects(j as u32)) {
+                if rejected.iter().zip(0..).any(|(&r, j)| r && spec.affects(j)) {
                     delays[u as usize].get_or_insert(delay as f64);
                 }
             }
