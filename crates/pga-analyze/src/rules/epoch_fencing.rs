@@ -32,7 +32,7 @@ use crate::tokenizer::{Token, TokenKind};
 /// a deposed primary's bytes masquerade as a verified repair.
 const MUTATORS: &[&str] = &[
     "apply_replicated",
-    "put_batch_assign",
+    "put_batch",
     "append_batch_with_seq",
     "wal_batches_after",
     "repair_region_cell",

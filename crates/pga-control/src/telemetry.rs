@@ -615,8 +615,9 @@ mod tests {
         let node = master.directory().read()[0].server;
         let survivor = NodeId(1 - node.0);
         let handle = master.server(node).unwrap().handle();
-        let put = |row: &str| Request::Put {
+        let put = |row: &str| Request::PutReplicated {
             region,
+            epoch: 1,
             kvs: vec![KeyValue::new(
                 row.as_bytes().to_vec(),
                 b"q".to_vec(),

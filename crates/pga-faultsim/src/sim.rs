@@ -99,9 +99,10 @@ pub struct SimConfig {
     /// failed attempt advances simulated time one step so leases can
     /// expire and recovery can run.
     pub max_write_attempts: usize,
-    /// Copies per region (primary + followers). `1` is the classic
-    /// single-copy stack — byte-identical traces to pre-replication
-    /// builds. At `factor > 1` puts quorum-ack through WAL shipping, a
+    /// Copies per region (primary + followers). At `1` every region is a
+    /// replication group of one: puts ack on the primary alone and a
+    /// crashed primary is recovered from its WAL under a bumped epoch.
+    /// At `factor > 1` puts quorum-ack through WAL shipping, a
     /// primary crash is survived by promoting the most-caught-up
     /// follower, and the replication oracles run after the drain.
     pub replication_factor: usize,
@@ -1767,10 +1768,11 @@ mod tests {
         );
     }
 
-    /// `replication_factor: 1` must not change a single byte of the
-    /// classic trace: same events, same stats, same flags.
+    /// At `replication_factor: 1` a seed and schedule replay byte for
+    /// byte — same events, same stats, same flags — and a crash is
+    /// recovered, never promoted around.
     #[test]
-    fn factor_one_is_byte_identical_to_the_classic_stack() {
+    fn factor_one_replays_byte_for_byte() {
         let config = SimConfig::default();
         assert_eq!(config.replication_factor, 1);
         let schedule = parse_schedule("10:crash:2,20:move:1:0").unwrap();

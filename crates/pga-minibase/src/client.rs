@@ -1,13 +1,14 @@
 //! Routing client: groups batches by region, retries on stale directory.
 //!
-//! When a directory entry carries follower copies, the client runs the
-//! replication protocol transparently inside [`Client::put`]: the batch
-//! goes to the primary (one durable vote), ships to every follower under
-//! the primary-assigned WAL sequence, and the put is acknowledged only
-//! once a write quorum of copies is durable. Epoch fencing keeps a
-//! deposed primary's acks out of the quorum. Read-side, scans go to the
-//! primary; a hedged scan ([`Client::scan_hedged`]) fails a shard over to
-//! a follower copy when its primary is slow or gone.
+//! Every region is a replication group — a single-copy region is a group
+//! of one — and the client runs the protocol inside [`Client::put`]: the
+//! batch goes to the primary under the group's epoch (one durable vote),
+//! ships to every follower under the primary-assigned WAL sequence, and
+//! the put is acknowledged only once a write quorum of copies is durable.
+//! Epoch fencing keeps a deposed primary's acks out of the quorum.
+//! Read-side, scans go to the primary; a hedged scan
+//! ([`Client::scan_hedged`]) fails a shard over to a follower copy when
+//! its primary is slow or gone.
 //!
 //! Three scans exist: the blocking [`Client::scan_spec`] (a full queue
 //! makes it wait), the admitted [`Client::send_scan_admitted`] (a full
@@ -273,29 +274,12 @@ impl Client {
             let mut retry = Vec::new();
             quorum_failed = false;
             for (info, batch) in groups {
-                if !info.followers.is_empty() {
-                    match self.put_replicated(&info, &batch)? {
-                        ReplPut::Done => {}
-                        ReplPut::Refresh { quorum } => {
-                            quorum_failed |= quorum;
-                            retry.extend(batch);
-                        }
+                match self.put_replicated(&info, &batch)? {
+                    ReplPut::Done => {}
+                    ReplPut::Refresh { quorum } => {
+                        quorum_failed |= quorum;
+                        retry.extend(batch);
                     }
-                    continue;
-                }
-                let handle = self
-                    .handles
-                    .get(&info.server)
-                    .ok_or(ClientError::Rpc(RpcError::Stopped))?;
-                let req = Request::Put {
-                    region: info.id,
-                    kvs: batch.clone(),
-                };
-                match handle.call(req) {
-                    Ok(Response::Ok) => {}
-                    Ok(Response::WrongRegion) => retry.extend(batch),
-                    Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
-                    Err(e) => return Err(map_rpc(e)),
                 }
             }
             pending = retry;
@@ -309,11 +293,13 @@ impl Client {
         }
     }
 
-    /// One replicated-put attempt under the directory's current view of
-    /// the region: primary append (one vote), follower ships, quorum
-    /// decision. `Refresh` means the view was stale (fenced, mis-routed,
-    /// or quorum short) — the caller re-locates and retries the batch,
-    /// which is safe because shipped copies are idempotent.
+    /// One put attempt under the directory's current view of the region's
+    /// replication group: primary append (one vote), follower ships,
+    /// quorum decision. A single-copy region is a group of one, so its
+    /// put is the primary append alone. `Refresh` means the view was
+    /// stale (fenced, mis-routed, or quorum short) — the caller
+    /// re-locates and retries the batch, which is safe because shipped
+    /// copies are idempotent.
     fn put_replicated(
         &self,
         info: &RegionInfo,
@@ -322,8 +308,14 @@ impl Client {
         // The effective write quorum was resolved from the deployment's
         // ReplicationConfig when the table was created and rides on the
         // directory entry — an explicit quorum == factor must bind here,
-        // not be silently replaced by the default majority.
-        let quorum = info.write_quorum.max(1);
+        // not be silently replaced by the default majority. A group with
+        // no followers left (never replicated, or every follower pruned
+        // and none re-forked yet) acks on its primary alone.
+        let quorum = if info.followers.is_empty() {
+            1
+        } else {
+            info.write_quorum.max(1)
+        };
         let mut tracker = QuorumTracker::new(quorum);
         let handle = self
             .handles
@@ -796,12 +788,24 @@ mod tests {
 
     #[test]
     fn dead_follower_denies_quorum_at_factor_two() {
-        let (m, c) = replicated_cluster(2, 2, &[], 1000);
+        let (mut m, c) = replicated_cluster(2, 2, &[], 1000);
         let info = m.directory().read()[0].clone();
         // Kill the only follower: quorum is 2, the primary alone has 1 vote.
         m.server(info.followers[0]).unwrap().shutdown();
         let err = c.put(vec![kv("a", 1)]).unwrap_err();
         assert!(matches!(err, ClientError::NoQuorum), "got {err:?}");
+        // Once the liveness sweep prunes the dead follower and no spare
+        // node can take a new copy, the group is its primary alone: the
+        // stamped quorum stays 2, yet a put acks on the primary's vote.
+        m.heartbeat(info.server, 1500);
+        m.tick(1500);
+        let pruned = m.directory().read()[0].clone();
+        assert_eq!((pruned.server, pruned.epoch), (info.server, info.epoch));
+        assert!(pruned.followers.is_empty(), "no spare node to re-fork onto");
+        assert_eq!(pruned.write_quorum, 2);
+        assert_eq!(c.put(vec![kv("b", 1)]).unwrap(), 1);
+        let cells = c.scan(&RowRange::all()).unwrap();
+        assert!(cells.iter().any(|kv| kv.row == "b"));
         m.shutdown();
     }
 

@@ -354,9 +354,13 @@ impl Master {
         }
     }
 
-    /// Liveness sweep at `now_ms`: expire silent servers and reassign
-    /// their regions to the remaining live ones (recovering unflushed data
-    /// through each region's shared WAL). Returns reassigned region ids.
+    /// Liveness sweep at `now_ms`: expire silent servers and move their
+    /// regions' copies onto live ones. Every region is a replication
+    /// group — a single-copy region is a group of one — and one sweep
+    /// over the directory handles them all: dead followers are pruned, a
+    /// dead primary is promoted around when a follower survives, and
+    /// recovered from its shared WAL under a bumped epoch when none does.
+    /// Returns the ids of the regions the sweep touched.
     pub fn tick(&mut self, now_ms: u64) -> Vec<RegionId> {
         let removed = self.coordinator.expire_stale_sessions(now_ms);
         let mut reassigned = Vec::new();
@@ -386,19 +390,14 @@ impl Master {
         let dead_set: std::collections::HashSet<NodeId> = dead_nodes.iter().copied().collect();
         let mut dir = self.directory.write();
         let mut rr = 0usize;
-        // Phase 1 — replicated regions. A dead primary is *promoted
-        // around*, not recovered: the most-caught-up surviving follower
-        // (which holds every quorum-acked write by construction) becomes
-        // primary under a bumped epoch, fencing the deposed primary's
-        // writer out of future quorums. Dead follower copies are pruned.
-        // No WAL replay happens on this path — the survivor's memstore is
-        // intact, which is exactly the availability win over lease
-        // recovery.
-        let mut handled: std::collections::HashSet<RegionId> = std::collections::HashSet::new();
+        // A dead primary is *promoted around* when a follower survives:
+        // the most-caught-up surviving follower (which holds every
+        // quorum-acked write by construction) becomes primary under a
+        // bumped epoch, fencing the deposed primary's writer out of
+        // future quorums. No WAL replay happens on that path — the
+        // survivor's memstore is intact, which is exactly the
+        // availability win over lease recovery.
         for info in dir.iter_mut() {
-            if info.followers.is_empty() {
-                continue;
-            }
             let primary_dead = dead_set.contains(&info.server);
             let dead_followers: Vec<NodeId> = info
                 .followers
@@ -409,7 +408,6 @@ impl Master {
             if !primary_dead && dead_followers.is_empty() {
                 continue;
             }
-            handled.insert(info.id);
             for &n in &dead_followers {
                 if let Some(s) = self.servers.get(&n) {
                     // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
@@ -438,13 +436,11 @@ impl Master {
                     // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
                     s.unassign(info.id);
                 }
-                // pga-allow(panic-path, lock-discipline): promotee ∈ info.followers ⊆ servers.keys(); directory → server-regions is the global lock order
-                self.servers[&promotee].promote_region(info.id, new_epoch);
+                // The promotee and every other survivor take the new
+                // epoch; the directory records which copy leads.
                 for &(n, _) in &survivors {
-                    if n != promotee {
-                        // pga-allow(panic-path, lock-discipline): survivor nodes were just read from servers; directory → server-regions is the global lock order
-                        self.servers[&n].set_region_epoch(info.id, new_epoch);
-                    }
+                    // pga-allow(panic-path, lock-discipline): survivor nodes were just read from servers; directory → server-regions is the global lock order
+                    self.servers[&n].set_region_epoch(info.id, new_epoch);
                 }
                 self.failovers += 1;
                 self.failover_log.push(FailoverEvent {
@@ -464,9 +460,12 @@ impl Master {
                 // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
                 .and_then(|s| s.unassign(info.id))
             {
-                // Every copy died in one sweep: fall back to single-copy
-                // lease recovery from the primary's shared WAL, still
-                // under a bumped epoch so stragglers stay fenced.
+                // No copy survives (always so for a single-copy region):
+                // lease recovery. A real crash loses the memstore with the
+                // process: crash_recover drops it, reads the WAL back
+                // through its byte encoding (where the fault plane may
+                // tear the tail) and replays the surviving records. The
+                // epoch still bumps, so stragglers stay fenced.
                 // pga-allow(lock-discipline): directory → region-WAL is the global lock order (see above)
                 region.crash_recover();
                 region.set_epoch(new_epoch);
@@ -481,9 +480,9 @@ impl Master {
                 reassigned.push(info.id);
             }
         }
-        // Phase 1b — re-replication: restore the desired factor by
-        // forking fresh follower copies from each primary onto live
-        // nodes not yet hosting a copy.
+        // Re-replication: restore the desired factor by forking fresh
+        // follower copies from each primary onto live nodes not yet
+        // hosting a copy.
         if self.desired_factor > 1 {
             for info in dir.iter_mut() {
                 while 1 + info.followers.len() < self.desired_factor {
@@ -509,41 +508,6 @@ impl Master {
                     // pga-allow(panic-path, lock-discipline): target ∈ live ⊆ servers.keys(); directory → server-regions is the global lock order
                     self.servers[&target].assign(fork);
                     info.followers.push(target);
-                }
-            }
-        }
-        // Phase 2 — unreplicated regions: the original crash-recovery
-        // sweep (drop memstore, replay the shared WAL through its byte
-        // encoding, reassign round-robin).
-        for dead in &dead_nodes {
-            let dead_server = match self.servers.get(dead) {
-                Some(s) => s,
-                None => continue,
-            };
-            // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-            for rid in dead_server.hosted_regions() {
-                if handled.contains(&rid) {
-                    continue;
-                }
-                // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-                if let Some(mut region) = dead_server.unassign(rid) {
-                    // A real crash loses the memstore with the process:
-                    // crash_recover drops it, reads the WAL back through
-                    // its byte encoding (where the fault plane may tear
-                    // the tail) and replays the surviving records.
-                    // pga-allow(lock-discipline): directory → region-WAL is the global lock order (see above)
-                    region.crash_recover();
-                    // pga-allow(panic-path): live is asserted non-empty above
-                    let target = live[rr % live.len()];
-                    rr += 1;
-                    // pga-allow(panic-path, lock-discipline): target ∈ live ⊆ servers.keys(); directory → server-regions order (see above)
-                    self.servers[&target].assign(region);
-                    for info in dir.iter_mut() {
-                        if info.id == rid {
-                            info.server = target;
-                        }
-                    }
-                    reassigned.push(rid);
                 }
             }
         }
@@ -799,13 +763,14 @@ mod tests {
         };
         match server
             .handle()
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: info.id,
+                epoch: 1,
                 kvs: vec![KeyValue::new(row.to_vec(), b"q".to_vec(), 1, b"v".to_vec())],
             })
             .unwrap()
         {
-            Response::Ok => {}
+            Response::Appended { .. } => {}
             other => panic!("unexpected {other:?}"),
         }
         // Node 1 heartbeats; node 0 goes silent past the lease.
@@ -831,6 +796,51 @@ mod tests {
         m.shutdown();
     }
 
+    /// A single-copy region is a replication group of one: lease
+    /// recovery bumps its epoch in the directory and on the region alike,
+    /// so a writer still holding the old epoch is fenced.
+    #[test]
+    fn lease_recovery_bumps_a_single_copy_regions_epoch_and_fences_the_old_one() {
+        let coord = Coordinator::new(100);
+        let mut m = Master::bootstrap(2, ServerConfig::default(), coord, 0);
+        m.create_table(&table(&[]));
+        let dir = m.directory();
+        let before = dir.read()[0].clone();
+        assert_eq!(before.epoch, 1);
+        let survivor = NodeId(1 - before.server.0);
+        m.heartbeat(survivor, 500);
+        assert_eq!(m.tick(500), vec![before.id]);
+        let after = dir.read()[0].clone();
+        assert_eq!((after.server, after.epoch), (survivor, 2));
+        assert!(after.followers.is_empty());
+        assert_eq!(m.failovers(), 0, "recovery is not a promotion");
+        let put = |epoch: u64| {
+            m.server(survivor)
+                .unwrap()
+                .handle()
+                .call(Request::PutReplicated {
+                    region: after.id,
+                    epoch,
+                    kvs: vec![KeyValue::new(
+                        b"k".to_vec(),
+                        b"q".to_vec(),
+                        1,
+                        b"v".to_vec(),
+                    )],
+                })
+                .unwrap()
+        };
+        match put(1) {
+            Response::Fenced { epoch } => assert_eq!(epoch, 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        match put(2) {
+            Response::Appended { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        m.shutdown();
+    }
+
     #[test]
     fn split_region_updates_directory() {
         let coord = Coordinator::new(1000);
@@ -843,8 +853,9 @@ mod tests {
         for i in 0..50 {
             server
                 .handle()
-                .call(Request::Put {
+                .call(Request::PutReplicated {
                     region: rid,
+                    epoch: 1,
                     kvs: vec![KeyValue::new(
                         format!("row{i:03}").into_bytes(),
                         b"q".to_vec(),
@@ -876,8 +887,9 @@ mod tests {
         m.server(source)
             .unwrap()
             .handle()
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: info.id,
+                epoch: 1,
                 kvs: vec![KeyValue::new(
                     b"k".to_vec(),
                     b"q".to_vec(),

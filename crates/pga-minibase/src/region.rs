@@ -12,7 +12,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use pga_repl::{Epoch, ReplicaRole, ShipOutcome};
+use pga_repl::{Epoch, ShipOutcome};
 
 use crate::fault::{no_faults, FaultHandle};
 use crate::kv::{KeyValue, RowRange, ScanSpec};
@@ -109,8 +109,6 @@ pub struct Region {
     /// other epoch are rejected (fencing). Starts at 1 so epoch 0 can
     /// never match.
     epoch: Epoch,
-    /// Whether this copy serves writes or replays shipped WAL.
-    role: ReplicaRole,
 }
 
 /// Errors from region operations.
@@ -152,7 +150,6 @@ impl Region {
             fault: no_faults(),
             rewriter: None,
             epoch: 1,
-            role: ReplicaRole::Primary,
         }
     }
 
@@ -190,16 +187,11 @@ impl Region {
     }
 
     /// Write a batch: WAL first, then memstore; flushes/compacts if
-    /// thresholds are crossed. Rejects rows outside the region.
-    pub fn put_batch(&mut self, kvs: Vec<KeyValue>) -> Result<(), RegionError> {
-        // pga-allow(epoch-fencing): single-copy Put path — the RPC carries no epoch; replicated writes route through PutReplicated, which fences before put_batch_assign, and lease expiry bounds a deposed primary here
-        self.put_batch_assign(kvs).map(|_| ())
-    }
-
-    /// [`Region::put_batch`] returning the WAL sequence id assigned to
-    /// the batch — the id the replication driver stamps on follower
-    /// ships so every replica agrees on batch ordering.
-    pub fn put_batch_assign(&mut self, kvs: Vec<KeyValue>) -> Result<SequenceId, RegionError> {
+    /// thresholds are crossed. Rejects rows outside the region. Returns
+    /// the WAL sequence id assigned to the batch — the id the replication
+    /// driver stamps on follower ships so every replica agrees on batch
+    /// ordering.
+    pub fn put_batch(&mut self, kvs: Vec<KeyValue>) -> Result<SequenceId, RegionError> {
         for kv in &kvs {
             if !self.range.contains(&kv.row) {
                 return Err(RegionError::WrongRegion {
@@ -232,16 +224,6 @@ impl Region {
     /// Install a new epoch (promotion or route refresh, master-driven).
     pub fn set_epoch(&mut self, epoch: Epoch) {
         self.epoch = epoch;
-    }
-
-    /// This copy's role in the replication group.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-
-    /// Change the role (promotion, or demotion when forking followers).
-    pub fn set_role(&mut self, role: ReplicaRole) {
-        self.role = role;
     }
 
     /// Last WAL sequence this copy has durable — on a primary the last
@@ -332,7 +314,6 @@ impl Region {
             fault: self.fault.clone(),
             rewriter: self.rewriter.clone(),
             epoch: self.epoch,
-            role: ReplicaRole::Follower,
         }
     }
 
@@ -943,8 +924,7 @@ mod tests {
     fn replicated_apply_mirrors_primary_and_dedups_ships() {
         let mut primary = region();
         let mut follower = primary.fork_follower();
-        assert_eq!(follower.role(), ReplicaRole::Follower);
-        let seq = primary.put_batch_assign(vec![kv("a", 1, "v1")]).unwrap();
+        let seq = primary.put_batch(vec![kv("a", 1, "v1")]).unwrap();
         assert_eq!(
             follower
                 .apply_replicated(seq, vec![kv("a", 1, "v1")])
@@ -968,7 +948,7 @@ mod tests {
     #[test]
     fn fork_follower_snapshots_existing_data_and_rejects_old_ships() {
         let mut primary = region();
-        let s1 = primary.put_batch_assign(vec![kv("a", 1, "va")]).unwrap();
+        let s1 = primary.put_batch(vec![kv("a", 1, "va")]).unwrap();
         primary.flush();
         primary.put_batch(vec![kv("b", 1, "vb")]).unwrap();
         let mut follower = primary.fork_follower();
@@ -983,7 +963,7 @@ mod tests {
             ShipOutcome::Stale
         );
         // New writes ship normally.
-        let s3 = primary.put_batch_assign(vec![kv("c", 1, "vc")]).unwrap();
+        let s3 = primary.put_batch(vec![kv("c", 1, "vc")]).unwrap();
         assert_eq!(
             follower
                 .apply_replicated(s3, vec![kv("c", 1, "vc")])
@@ -997,9 +977,9 @@ mod tests {
     fn gapped_ship_is_rejected_and_backfill_heals_it() {
         let mut primary = region();
         let mut follower = primary.fork_follower();
-        let s1 = primary.put_batch_assign(vec![kv("a", 1, "va")]).unwrap();
-        let s2 = primary.put_batch_assign(vec![kv("b", 1, "vb")]).unwrap();
-        let s3 = primary.put_batch_assign(vec![kv("c", 1, "vc")]).unwrap();
+        let s1 = primary.put_batch(vec![kv("a", 1, "va")]).unwrap();
+        let s2 = primary.put_batch(vec![kv("b", 1, "vb")]).unwrap();
+        let s3 = primary.put_batch(vec![kv("c", 1, "vc")]).unwrap();
         follower
             .apply_replicated(s1, vec![kv("a", 1, "va")])
             .unwrap();
@@ -1038,7 +1018,7 @@ mod tests {
         let mut follower = primary.fork_follower();
         for i in 0..5 {
             let seq = primary
-                .put_batch_assign(vec![kv(&format!("r{i}"), 1, "v")])
+                .put_batch(vec![kv(&format!("r{i}"), 1, "v")])
                 .unwrap();
             follower
                 .apply_replicated(seq, vec![kv(&format!("r{i}"), 1, "v")])
@@ -1057,8 +1037,6 @@ mod tests {
         assert_eq!(r.epoch(), 4);
         let f = r.fork_follower();
         assert_eq!(f.epoch(), 4, "forked follower inherits the epoch");
-        r.set_role(ReplicaRole::Follower);
-        assert_eq!(r.role(), ReplicaRole::Follower);
     }
 
     #[test]

@@ -38,13 +38,6 @@ impl Default for ServerConfig {
 /// RPC requests served by a region server.
 #[derive(Debug)]
 pub enum Request {
-    /// Write a batch into a region.
-    Put {
-        /// Target region.
-        region: RegionId,
-        /// Cells to write.
-        kvs: Vec<KeyValue>,
-    },
     /// Scan a row range within a region, whole rows or a column window.
     Scan {
         /// Target region.
@@ -52,8 +45,9 @@ pub enum Request {
         /// Rows and columns to scan.
         scan: ScanSpec,
     },
-    /// Write a batch into a replicated region's primary, fenced by the
-    /// writer's epoch. Answers [`Response::Appended`] with the WAL
+    /// Write a batch into a region's primary, fenced by the writer's
+    /// epoch (every region is a replication group, a single-copy region
+    /// a group of one). Answers [`Response::Appended`] with the WAL
     /// sequence id the writer must stamp on follower ships.
     PutReplicated {
         /// Target region.
@@ -226,9 +220,9 @@ impl RegionServer {
         self.regions.write().remove(&id)
     }
 
-    /// Ids of regions currently hosted, sorted — callers (the master's
-    /// reassignment sweep, the fault harness) rely on a deterministic
-    /// order for replayable traces.
+    /// Ids of regions currently hosted, sorted — callers (the scrubber,
+    /// the fault harness) rely on a deterministic order for replayable
+    /// traces.
     pub fn hosted_regions(&self) -> Vec<RegionId> {
         let mut ids: Vec<RegionId> = self.regions.read().keys().copied().collect();
         ids.sort();
@@ -261,24 +255,11 @@ impl RegionServer {
         self.regions.read().get(&id).map(|r| r.applied_seq())
     }
 
-    /// Promote a hosted follower copy of `id` to primary under
-    /// `new_epoch` (master-driven failover). Returns `false` when the
-    /// region is not hosted here.
-    pub fn promote_region(&self, id: RegionId, new_epoch: u64) -> bool {
-        let mut map = self.regions.write();
-        match map.get_mut(&id) {
-            Some(r) => {
-                r.set_role(pga_repl::ReplicaRole::Primary);
-                r.set_epoch(new_epoch);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Install `new_epoch` on a hosted copy of `id` (master-driven after
-    /// a promotion elsewhere, so surviving followers fence the deposed
-    /// primary's writer too). Returns `false` when not hosted.
+    /// Install `new_epoch` on a hosted copy of `id` (master-driven
+    /// failover: the promoted copy and every other survivor take the new
+    /// epoch, so the deposed primary's writer is fenced everywhere; the
+    /// directory records which copy leads). Returns `false` when not
+    /// hosted.
     pub fn set_region_epoch(&self, id: RegionId, new_epoch: u64) -> bool {
         let mut map = self.regions.write();
         match map.get_mut(&id) {
@@ -363,17 +344,6 @@ impl RegionServer {
 // server's fixed order and nothing acquires them the other way around.
 fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request) -> Response {
     match req {
-        Request::Put { region, kvs } => {
-            let mut map = regions.write();
-            match map.get_mut(&region) {
-                // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                Some(r) => match r.put_batch(kvs) {
-                    Ok(()) => Response::Ok,
-                    Err(_) => Response::WrongRegion,
-                },
-                None => Response::WrongRegion,
-            }
-        }
         Request::Scan { region, scan } => {
             let map = regions.read();
             match map.get(&region) {
@@ -389,7 +359,7 @@ fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request
                         return Response::Fenced { epoch: r.epoch() };
                     }
                     // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                    match r.put_batch_assign(kvs) {
+                    match r.put_batch(kvs) {
                         Ok(seq) => Response::Appended { seq },
                         Err(_) => Response::WrongRegion,
                     }
@@ -541,13 +511,14 @@ mod tests {
         ));
         let h = server.handle();
         match h
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: RegionId(1),
+                epoch: 1,
                 kvs: vec![kv("a"), kv("b")],
             })
             .unwrap()
         {
-            Response::Ok => {}
+            Response::Appended { seq } => assert_eq!(seq, 1),
             other => panic!("unexpected {other:?}"),
         }
         match h
@@ -568,8 +539,9 @@ mod tests {
         let server = RegionServer::spawn(NodeId(0), ServerConfig::default());
         let h = server.handle();
         match h
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: RegionId(9),
+                epoch: 1,
                 kvs: vec![kv("a")],
             })
             .unwrap()
@@ -590,8 +562,9 @@ mod tests {
         ));
         let h = server.handle();
         match h
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: RegionId(1),
+                epoch: 1,
                 kvs: vec![kv("z")],
             })
             .unwrap()
@@ -612,8 +585,9 @@ mod tests {
             RegionConfig::default(),
         ));
         a.handle()
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: RegionId(1),
+                epoch: 1,
                 kvs: vec![kv("x")],
             })
             .unwrap();
@@ -704,7 +678,7 @@ mod tests {
             Response::Fenced { epoch } => assert_eq!(epoch, 2),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(primary.promote_region(RegionId(1), 2));
+        assert!(primary.set_region_epoch(RegionId(1), 2));
         match primary
             .handle()
             .call(Request::PutReplicated {
@@ -829,8 +803,9 @@ mod tests {
         ));
         server
             .handle()
-            .call(Request::Put {
+            .call(Request::PutReplicated {
                 region: RegionId(1),
+                epoch: 1,
                 kvs: vec![kv("a"), kv("b"), kv("c")],
             })
             .unwrap();

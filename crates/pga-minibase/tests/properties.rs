@@ -139,9 +139,11 @@ proptest! {
         });
         for o in &ops {
             match o {
-                WideOp::Put { row, qual, ts, val } => region
-                    .put_batch(vec![KeyValue::new(vec![b'r', *row], qual.clone(), *ts, vec![*val])])
-                    .unwrap(),
+                WideOp::Put { row, qual, ts, val } => {
+                    region
+                        .put_batch(vec![KeyValue::new(vec![b'r', *row], qual.clone(), *ts, vec![*val])])
+                        .unwrap();
+                }
                 WideOp::Flush => region.flush(),
                 WideOp::Compact => region.compact(),
             }
@@ -185,14 +187,16 @@ proptest! {
         });
         for o in &ops {
             match o {
-                WideOp::Put { row, qual, ts, val } => region
-                    .put_batch(vec![KeyValue::new(
-                        WORD_ROWS[*row as usize].to_vec(),
-                        qual.clone(),
-                        *ts,
-                        vec![*val],
-                    )])
-                    .unwrap(),
+                WideOp::Put { row, qual, ts, val } => {
+                    region
+                        .put_batch(vec![KeyValue::new(
+                            WORD_ROWS[*row as usize].to_vec(),
+                            qual.clone(),
+                            *ts,
+                            vec![*val],
+                        )])
+                        .unwrap();
+                }
                 WideOp::Flush => region.flush(),
                 WideOp::Compact => region.compact(),
             }

@@ -14,8 +14,8 @@
 //!
 //! Protocol summary:
 //!
-//! * Every replicated region has one **primary** and `factor - 1`
-//!   **followers**, each on a distinct server. The region's route entry
+//! * Every region has one **primary** and `factor - 1` **followers**,
+//!   each on a distinct server (a single-copy region is a group of one). The region's route entry
 //!   carries an **epoch**; every write and ship is stamped with the epoch
 //!   the writer believes is current, and replicas reject mismatches.
 //! * A put is acknowledged only once a **write quorum** (majority of
@@ -51,15 +51,6 @@ pub use repair::{rank_repair_sources, RepairSource, MAX_REPAIR_ATTEMPTS_PER_TICK
 /// other epoch, which fences a deposed primary out of the quorum.
 pub type Epoch = u64;
 
-/// A replica's role within a region's replication group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ReplicaRole {
-    /// Serves writes, assigns WAL sequence ids, and is the scan authority.
-    Primary,
-    /// Applies shipped WAL and answers hedged scans.
-    Follower,
-}
-
 /// Outcome of applying a primary-assigned WAL batch on a replica.
 ///
 /// The promotion rule ([`choose_promotee`]) trusts a replica's applied
@@ -78,18 +69,4 @@ pub enum ShipOutcome {
     /// was applied. The shipper must backfill `(last, seq)` from the
     /// primary's WAL tail before this replica can vote.
     Gap,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roles_roundtrip_through_serde() {
-        for role in [ReplicaRole::Primary, ReplicaRole::Follower] {
-            let json = serde_json::to_string(&role).unwrap();
-            let back: ReplicaRole = serde_json::from_str(&json).unwrap();
-            assert_eq!(role, back);
-        }
-    }
 }
