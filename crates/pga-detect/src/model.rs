@@ -32,14 +32,23 @@ impl BlockModel {
     /// adds over adjacent memory; every score still adds its terms in `r`
     /// order, from the `-0.0` that `Iterator::sum::<f64>` starts at.
     pub fn project(&self, centered: &[f64]) -> Vec<f64> {
+        let mut scores = vec![0.0; self.len];
+        self.project_into(centered, &mut scores);
+        scores
+    }
+
+    /// [`BlockModel::project`] into a caller's buffer of `len` scores,
+    /// which it overwrites — so a scorer walking many blocks allocates
+    /// one buffer, not one per block.
+    pub fn project_into(&self, centered: &[f64], scores: &mut [f64]) {
         assert_eq!(centered.len(), self.len, "block width mismatch");
-        let mut scores = vec![-0.0; self.len];
+        assert_eq!(scores.len(), self.len, "score buffer width mismatch");
+        scores.fill(-0.0);
         for (r, &x) in centered.iter().enumerate() {
             for (score, &v) in scores.iter_mut().zip(self.eigenvectors.row(r)) {
                 *score += v * x;
             }
         }
-        scores
     }
 }
 

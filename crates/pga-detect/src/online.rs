@@ -173,18 +173,35 @@ impl OnlineEvaluator {
             .collect();
         // Per-block T² on the mean vector (centred, projected, whitened).
         // Var(mean difference) = Σ(1/n + 1/n_train), so scores scale by
-        // 1/var_factor before the χ² comparison.
+        // 1/var_factor before the χ² comparison. One centred vector and
+        // one score buffer serve every block.
         let inv_vf = 1.0 / var_factor;
+        let width = self.model.blocks.iter().map(|b| b.len).max().unwrap_or(0);
+        let mut centred = Vec::with_capacity(width);
+        let mut scores = vec![0.0; width];
         let block_p_values: Vec<(usize, f64)> = self
             .model
             .blocks
             .iter()
             .map(|b| {
-                let centered: Vec<f64> = (0..b.len)
-                    .map(|k| (means[b.start + k] - self.model.means[b.start + k]) * inv_vf)
-                    .collect();
-                let scores = b.project(&centered);
-                let (t2, dof) = t_square_statistic(&scores, &b.eigenvalues, 1e-9);
+                let span = b.start..b.start + b.len;
+                centred.clear();
+                centred.extend(
+                    means[span.clone()]
+                        .iter()
+                        .zip(&self.model.means[span])
+                        .map(|(&x, &m)| (x - m) * inv_vf),
+                );
+                // An infinite window mean (finite samples whose sum
+                // overflowed) is as far off baseline as a mean can be, as
+                // its sensors' z-tests read too; projected, ∞ − ∞ or 0 · ∞
+                // would make T² NaN.
+                if centred.iter().any(|x| x.is_infinite()) {
+                    return (b.start, 0.0);
+                }
+                let scores = &mut scores[..b.len];
+                b.project_into(&centred, scores);
+                let (t2, dof) = t_square_statistic(scores, &b.eigenvalues, 1e-9);
                 (b.start, t_square_p_value(t2, dof))
             })
             .collect();
@@ -307,6 +324,37 @@ mod tests {
             OnlineEvaluator::new(model.clone(), Procedure::BenjaminiHochberg, 0.05).evaluate(&w);
         let bon = OnlineEvaluator::new(model, Procedure::Bonferroni, 0.05).evaluate(&w);
         assert!(bon.flags.len() <= bh.flags.len());
+    }
+
+    #[test]
+    fn an_overflowing_window_mean_reads_p_zero() {
+        // Finite, so the put API lets both in; 50 of either sum to ±∞.
+        let fleet = Fleet::new(FleetConfig::paper_scale(31));
+        let ev = trained_evaluator(&fleet, 0);
+        let clean = fleet.observation_window(0, 249, 50);
+        let mut w = clean.clone();
+        for r in 0..w.rows() {
+            w.set(r, 3, 1e308);
+            w.set(r, 4, -1e308);
+        }
+        let columns: Vec<Vec<f64>> = (0..w.cols()).map(|c| w.col(c)).collect();
+        let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let want = ev.evaluate(&clean);
+        for out in [ev.evaluate(&w), ev.evaluate_columns(&refs)] {
+            assert_eq!((out.p_values[3], out.p_values[4]), (0.0, 0.0));
+            assert!(out.rejected[3] && out.rejected[4]);
+            for j in (0..w.cols()).filter(|j| ![3, 4].contains(j)) {
+                assert_eq!(out.p_values[j].to_bits(), want.p_values[j].to_bits());
+            }
+            assert_eq!(out.block_p_values[0], (0, 0.0));
+            // Every other block keeps its bits.
+            for (got, want) in out.block_p_values[1..]
+                .iter()
+                .zip(&want.block_p_values[1..])
+            {
+                assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline (batch) training — the Spark stage of §IV-A.
 
 use pga_dataflow::Dataflow;
-use pga_linalg::{centre_columns, centred_covariance, eigh, Matrix};
+use pga_linalg::{centred_covariance, column_means, eigh, Matrix};
 
 use crate::batch::ColumnWindow;
 use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
@@ -42,16 +42,25 @@ pub fn train_unit(unit: u32, observations: &Matrix) -> Result<UnitModel, TrainEr
     if n < 2 {
         return Err(TrainError::InsufficientData { rows: n });
     }
-    // Centre the whole window once; every block's covariance is then read
-    // in place out of it, and its diagonal is the block's sensor variances.
-    let mut centred = observations.clone();
-    let means = centre_columns(&mut centred);
+    // Each block is centred into a panel of its own, `n × len`, and its
+    // covariance read out of that; the panel's diagonal is the block's
+    // sensor variances. Cells are `x − m` and the Gram sums add in row
+    // order, so the model does not depend on how the window is cut
+    // (`tests/kernel_model.rs` holds it bit for bit).
+    let means = column_means(observations);
     let mut stds = Vec::with_capacity(p);
     let mut blocks = Vec::with_capacity(p.div_ceil(BLOCK_SENSORS));
     let mut start = 0usize;
     while start < p {
         let len = BLOCK_SENSORS.min(p - start);
-        let cov = centred_covariance(&centred, start..start + len)
+        let block_means = &means[start..start + len];
+        let mut cells = Vec::with_capacity(n * len);
+        for r in 0..n {
+            let row = &observations.row(r)[start..start + len];
+            cells.extend(row.iter().zip(block_means).map(|(&x, &m)| x - m));
+        }
+        let panel = Matrix::from_vec(n, len, cells).expect("n × len cells");
+        let cov = centred_covariance(&panel, 0..len)
             .map_err(|e| TrainError::Decomposition(e.to_string()))?;
         stds.extend((0..len).map(|k| cov.get(k, k).max(0.0).sqrt()));
         // The paper performs SVD on the covariance; for a symmetric PSD

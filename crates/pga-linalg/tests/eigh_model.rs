@@ -179,6 +179,29 @@ fn extreme_scales_keep_their_accuracy() {
     }
 }
 
+/// A QL rotation takes `√(p² + e²)` directly only while `max(|p|, |e|)`
+/// lies in `[2^-500, 2^500)`, and falls back to `hypot` outside. The
+/// operands are of the size of the entries and eigenvalues, so matrices
+/// scaled across `2^±500` exercise both sides of each edge within one
+/// decomposition, and at `2^±520` the fallback does nearly every rotation.
+#[test]
+fn rotations_on_both_sides_of_the_guard_keep_their_accuracy() {
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut exps: Vec<i32> = (496..=504).chain([520]).collect();
+    exps.extend(exps.clone().iter().map(|e| -e));
+    for exp in exps {
+        check(
+            &scaled(&random_symmetric(32, &mut rng), exp),
+            exp,
+            &format!("sym 2^{exp}"),
+        );
+        let cov = block_covariance(32, 200, 0.6, &mut rng);
+        check(&scaled(&cov, exp), exp, &format!("cov 2^{exp}"));
+        let equi = scaled(&equicorrelation(24, 0.5), exp);
+        check(&equi, exp, &format!("equicorrelation 2^{exp}"));
+    }
+}
+
 #[test]
 fn asymmetric_input_is_averaged() {
     let a = Matrix::from_rows(&[&[2.0, 1.5], &[0.5, 2.0]]).unwrap();

@@ -101,11 +101,15 @@ pub fn t_square_statistic(scores: &[f64], lambda: &[f64], eps: f64) -> (f64, usi
 
 /// p-value of a T² statistic under the χ² null: the upper tail
 /// `Q(dof/2, T²/2)`, taken from the tail itself (not as `1 − CDF`), so a
-/// strong block anomaly keeps its size instead of cancelling to 0.
+/// strong block anomaly keeps its size instead of cancelling to 0. An
+/// overflowed `T² = +∞` is past every threshold: p = 0.
 #[inline]
 pub fn t_square_p_value(t2: f64, dof: usize) -> f64 {
     if dof == 0 {
         return 1.0;
+    }
+    if t2 == f64::INFINITY {
+        return 0.0;
     }
     regularized_gamma_q(0.5 * dof as f64, 0.5 * t2).clamp(0.0, 1.0)
 }
@@ -249,5 +253,14 @@ mod unit_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_overflowed_t_square_reads_zero() {
+        for dof in [1, 2, 31, 32] {
+            assert_eq!(t_square_p_value(f64::INFINITY, dof).to_bits(), 0);
+            assert!(t_square_p_value(f64::MAX, dof) < 1e-300);
+        }
+        assert_eq!(t_square_p_value(f64::INFINITY, 0), 1.0);
     }
 }

@@ -10,14 +10,18 @@
 //! buffer of each cell plus a handful of vectors per batch; a change that
 //! brings per-sample name handling back fails here on any machine. The
 //! same holds for a string per number or per `dps` key on the text path.
+//! Scoring a window allocates per call, not per covariance block.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use pga_detect::{train_unit, OnlineEvaluator};
 use pga_ingest::{IngestionPipeline, SensorSeries};
 use pga_platform::{Monitor, PlatformConfig};
 use pga_query::{QueryEngine, QueryEngineConfig, RollupWriter};
+use pga_sensorgen::{Fleet, FleetConfig};
+use pga_stats::Procedure;
 use pga_tsdb::{BatchPoint, SeriesPoint};
 use pga_viz::{machine_page, Health, MachinePage, SensorPanel, UnitStatus};
 
@@ -262,4 +266,32 @@ fn a_cold_rollup_answer_folds_cells_in_place() {
     // 9 745; one more per scanned cell (3 712 rollup cells, 160 raw) fails.
     assert!(count <= 3_248, "{count} allocations for one cold answer");
     stack.shutdown();
+}
+
+/// A window scored by block T² reuses one centred vector and one score
+/// buffer across its covariance blocks, so a 256-sensor unit (8 blocks)
+/// allocates exactly as often as a 64-sensor one (2 blocks); two vectors
+/// per block made that 12 more.
+#[test]
+fn scoring_a_window_allocates_per_call_not_per_block() {
+    let count_for = |sensors: u32| {
+        let fleet = Fleet::new(FleetConfig {
+            units: 1,
+            sensors_per_unit: sensors,
+            ..FleetConfig::small(5)
+        });
+        let model = train_unit(0, &fleet.observation_window(0, 149, 150)).unwrap();
+        // Every sensor on its baseline: no candidate for BH, no flag, so
+        // nothing but the block count differs between the two units.
+        let columns: Vec<Vec<f64>> = model.means.iter().map(|&m| vec![m; 50]).collect();
+        let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
+        let (out, count) = allocations(|| ev.evaluate_columns(&refs));
+        assert!(out.flags.is_empty(), "{sensors} sensors flagged");
+        assert_eq!(out.block_p_values.len(), sensors as usize / 32);
+        count
+    };
+    let (narrow, wide) = (count_for(64), count_for(256));
+    assert!(narrow > 0, "the counter counts");
+    assert_eq!(narrow, wide, "64 sensors: {narrow}, 256 sensors: {wide}");
 }
