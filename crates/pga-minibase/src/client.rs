@@ -202,12 +202,14 @@ pub struct RepairCopy {
 enum ReplPut {
     /// Quorum durable; the batch is acknowledged.
     Done,
-    /// Stale view — re-locate and retry. `quorum` marks a genuine
-    /// quorum shortfall (dead/unreachable followers) as opposed to
-    /// fencing or mis-routing, so exhaustion can report `NoQuorum`.
+    /// Stale view — re-locate and retry the cells. `quorum` marks a
+    /// genuine quorum shortfall (dead/unreachable followers) as opposed
+    /// to fencing or mis-routing, so exhaustion can report `NoQuorum`.
     Refresh {
         /// Whether the failure was a quorum shortfall.
         quorum: bool,
+        /// The batch, back for the retry.
+        kvs: Vec<KeyValue>,
     },
 }
 
@@ -274,11 +276,11 @@ impl Client {
             let mut retry = Vec::new();
             quorum_failed = false;
             for (info, batch) in groups {
-                match self.put_replicated(&info, &batch)? {
+                match self.put_replicated(&info, batch)? {
                     ReplPut::Done => {}
-                    ReplPut::Refresh { quorum } => {
+                    ReplPut::Refresh { quorum, kvs } => {
                         quorum_failed |= quorum;
-                        retry.extend(batch);
+                        retry.extend(kvs);
                     }
                 }
             }
@@ -296,14 +298,17 @@ impl Client {
     /// One put attempt under the directory's current view of the region's
     /// replication group: primary append (one vote), follower ships,
     /// quorum decision. A single-copy region is a group of one, so its
-    /// put is the primary append alone. `Refresh` means the view was
-    /// stale (fenced, mis-routed, or quorum short) — the caller
-    /// re-locates and retries the batch, which is safe because shipped
-    /// copies are idempotent.
+    /// put is the primary append alone, and the batch goes to the primary
+    /// by value; a group with followers sends the primary a copy and
+    /// ships one copy per follower. `Refresh` means the view was stale
+    /// (fenced, mis-routed, or quorum short) and hands the batch back —
+    /// a refusing primary returns it in its answer — so the caller
+    /// re-locates and retries it, which is safe because shipped copies
+    /// are idempotent.
     fn put_replicated(
         &self,
         info: &RegionInfo,
-        batch: &[KeyValue],
+        batch: Vec<KeyValue>,
     ) -> Result<ReplPut, ClientError> {
         // The effective write quorum was resolved from the deployment's
         // ReplicationConfig when the table was created and rides on the
@@ -321,21 +326,26 @@ impl Client {
             .handles
             .get(&info.server)
             .ok_or(ClientError::Rpc(RpcError::Stopped))?;
+        let (kvs, batch) = match info.followers.is_empty() {
+            true => (batch, Vec::new()),
+            false => (batch.clone(), batch),
+        };
         let req = Request::PutReplicated {
             region: info.id,
             epoch: info.epoch,
-            kvs: batch.to_vec(),
+            kvs,
         };
         let seq = match handle.call(req) {
             Ok(Response::Appended { seq }) => {
                 tracker.record_ack(info.server);
                 seq
             }
-            Ok(Response::Fenced { .. }) => {
-                self.repl.record_fence_rejection();
-                return Ok(ReplPut::Refresh { quorum: false });
+            Ok(Response::PutRefused { fenced, kvs }) => {
+                if fenced.is_some() {
+                    self.repl.record_fence_rejection();
+                }
+                return Ok(ReplPut::Refresh { quorum: false, kvs });
             }
-            Ok(Response::WrongRegion) => return Ok(ReplPut::Refresh { quorum: false }),
             Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
             Err(e) => return Err(map_rpc(e)),
         };
@@ -348,7 +358,7 @@ impl Client {
                 region: info.id,
                 epoch: info.epoch,
                 seq,
-                kvs: batch.to_vec(),
+                kvs: batch.clone(),
             };
             match h.call(req) {
                 Ok(Response::ShipAck { applied_seq }) => {
@@ -384,8 +394,14 @@ impl Client {
                 }
                 Ok(ReplPut::Done)
             }
-            QuorumDecision::Fenced(_) => Ok(ReplPut::Refresh { quorum: false }),
-            QuorumDecision::Pending => Ok(ReplPut::Refresh { quorum: true }),
+            QuorumDecision::Fenced(_) => Ok(ReplPut::Refresh {
+                quorum: false,
+                kvs: batch,
+            }),
+            QuorumDecision::Pending => Ok(ReplPut::Refresh {
+                quorum: true,
+                kvs: batch,
+            }),
         }
     }
 

@@ -831,7 +831,14 @@ mod tests {
                 .unwrap()
         };
         match put(1) {
-            Response::Fenced { epoch } => assert_eq!(epoch, 2),
+            Response::PutRefused {
+                fenced: Some(epoch),
+                kvs,
+            } => {
+                assert_eq!(epoch, 2);
+                assert_eq!(kvs.len(), 1);
+                assert_eq!(&kvs[0].row[..], b"k");
+            }
             other => panic!("unexpected {other:?}"),
         }
         match put(2) {

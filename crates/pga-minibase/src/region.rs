@@ -7,8 +7,6 @@
 //! (§III-B) is served by [`Region::split`] plus the master's pre-split
 //! table creation.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -85,10 +83,6 @@ impl std::iter::Sum for RegionMetrics {
         })
     }
 }
-
-/// A row's run in one store file during [`Region::compact`]: the file's
-/// shared cells, the run, and the index the run starts at.
-type RowRun<'a> = (&'a Arc<Vec<KeyValue>>, &'a [KeyValue], usize);
 
 /// One region of the table.
 #[derive(Debug)]
@@ -187,17 +181,17 @@ impl Region {
     }
 
     /// Write a batch: WAL first, then memstore; flushes/compacts if
-    /// thresholds are crossed. Rejects rows outside the region. Returns
-    /// the WAL sequence id assigned to the batch — the id the replication
-    /// driver stamps on follower ships so every replica agrees on batch
-    /// ordering.
-    pub fn put_batch(&mut self, kvs: Vec<KeyValue>) -> Result<SequenceId, RegionError> {
-        for kv in &kvs {
-            if !self.range.contains(&kv.row) {
-                return Err(RegionError::WrongRegion {
-                    row: kv.row.clone(),
-                });
-            }
+    /// thresholds are crossed. Returns the WAL sequence id assigned to
+    /// the batch — the id the replication driver stamps on follower
+    /// ships so every replica agrees on batch ordering. A batch with a
+    /// row outside the region is refused whole and handed back.
+    pub fn put_batch(
+        &mut self,
+        kvs: Vec<KeyValue>,
+    ) -> Result<SequenceId, (RegionError, Vec<KeyValue>)> {
+        if let Some(kv) = kvs.iter().find(|kv| !self.range.contains(&kv.row)) {
+            let row = kv.row.clone();
+            return Err((RegionError::WrongRegion { row }, kvs));
         }
         // Deliberate injection site: mutant A (ack-before-WAL-append)
         // suppresses the append; the faithful plane never does.
@@ -338,56 +332,52 @@ impl Region {
     /// merged output is offered to it — even a single-file compaction is
     /// worthwhile then, because the rewriter may seal rows.
     ///
-    /// The merge goes one row at a time over the files' sorted cells, by
-    /// reference: a cell that survives is cloned once, into the output.
+    /// The merge takes the files by value and goes one row at a time,
+    /// moving each row's cells out of the files into the output: a file
+    /// no scan reply still shares gives its cells up without a copy, and
+    /// only a shared one is cloned (the reply keeps reading its cells).
     pub fn compact(&mut self) {
         if self.files.is_empty() || (self.files.len() <= 1 && self.rewriter.is_none()) {
             return;
         }
-        // Oldest file first: a later run wins an exact-key collision.
-        let mut by_age: Vec<&StoreFile> = self.files.iter().collect();
-        by_age.sort_by_key(|f| f.sequence());
-        let files: Vec<&Arc<Vec<KeyValue>>> = by_age.iter().map(|f| f.cells()).collect();
-        let mut rests: Vec<&[KeyValue]> = files.iter().map(|cells| &cells[..]).collect();
+        let mut files = std::mem::take(&mut self.files);
+        // Oldest file first: runs are concatenated in file age order.
+        files.sort_by_key(StoreFile::sequence);
+        let mut rests: Vec<std::vec::IntoIter<KeyValue>> = files
+            .into_iter()
+            .map(|f| f.into_cells().into_iter())
+            .collect();
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
         let mut out: Vec<KeyValue> = Vec::with_capacity(rests.iter().map(|r| r.len()).sum());
-        let mut runs: Vec<RowRun<'_>> = Vec::with_capacity(rests.len());
         let mut merged: Vec<KeyValue> = Vec::new();
         while let Some(row) = rests
             .iter()
-            .filter_map(|r| r.first())
+            .filter_map(|r| r.as_slice().first())
             .map(|kv| &kv.row)
             .min()
+            .cloned()
         {
-            runs.clear();
-            for (&cells, rest) in files.iter().zip(&mut rests) {
-                if rest.first().is_some_and(|kv| kv.row == *row) {
-                    let (run, after) = rest.split_at(rest.partition_point(|kv| kv.row == *row));
-                    runs.push((cells, run, cells.len() - rest.len()));
-                    *rest = after;
-                }
-            }
             merged.clear();
             // Files are flushed in time order, so the runs of a raw row
             // follow one another and the merge is their concatenation.
-            let in_order = runs.windows(2).all(|w| match w {
-                [(_, a, _), (_, b, _)] => a.last() < b.first(),
-                _ => true,
-            });
-            if in_order {
-                runs.iter()
-                    .for_each(|(_, run, _)| merged.extend_from_slice(run));
-            } else {
-                // The read path's merge; a run's age is its priority.
-                let sources = runs
-                    .iter()
-                    .map(|&(cells, run, start)| {
-                        let mut source = ScanCells::default();
-                        source.push(cells, start..start + run.len());
-                        source
-                    })
-                    .collect();
-                merged = merge_scan(sources, (0..runs.len() as u64).collect()).to_vec();
+            let mut in_order = true;
+            for rest in &mut rests {
+                let n = rest.as_slice().partition_point(|kv| kv.row == row);
+                let Some(first) = rest.as_slice().first().filter(|_| n > 0) else {
+                    continue;
+                };
+                in_order &= merged.last().is_none_or(|last| last < first);
+                merged.extend(rest.by_ref().take(n));
+            }
+            if !in_order {
+                // What the read path's merge answers: reversed, the runs
+                // stand newest file first, so a stable sort keeps the
+                // newest copy of an exact key ahead of the older ones and
+                // the dedup keeps it. (A file holds no exact key twice,
+                // so reversing a run orders no tie.)
+                merged.reverse();
+                merged.sort();
+                merged.dedup_by(|later, kept| KeyValue::cmp(later, kept).is_eq());
             }
             // Version GC: newest first within a cell, so keep the first
             // `max_versions` cells of each qualifier (`kept` counts the
@@ -404,7 +394,7 @@ impl Region {
             }
             let ctx = RewriteContext {
                 region: self.id,
-                row,
+                row: &row,
                 drop_sealed_overlap,
             };
             let replacement = self
@@ -414,7 +404,7 @@ impl Region {
                 // The output is sorted row by row: cells under another
                 // row would break it, so such an answer is not taken and
                 // the merged row stays (nothing is discarded behind it).
-                .filter(|cells| cells.iter().all(|kv| kv.row == *row));
+                .filter(|cells| cells.iter().all(|kv| kv.row == row));
             match replacement {
                 Some(mut cells) => {
                     // Rewriters emit qualifiers in their own order.
@@ -671,6 +661,7 @@ fn clip(a: &RowRange, b: &RowRange) -> RowRange {
 mod tests {
     use super::*;
     use crate::kv::{ColumnRange, RowWords};
+    use std::sync::Arc;
 
     fn kv(row: &str, ts: u64, val: &str) -> KeyValue {
         KeyValue::new(
@@ -736,8 +727,9 @@ mod tests {
             RowRange::new(b"a".to_vec(), b"m".to_vec()),
             RegionConfig::default(),
         );
-        let err = r.put_batch(vec![kv("z", 1, "v")]).unwrap_err();
+        let (err, refused) = r.put_batch(vec![kv("z", 1, "v")]).unwrap_err();
         assert!(matches!(err, RegionError::WrongRegion { .. }));
+        assert_eq!(refused, vec![kv("z", 1, "v")], "the batch is handed back");
         // Whole batch is rejected atomically.
         assert_eq!(r.scan(&RowRange::all()).len(), 0);
     }

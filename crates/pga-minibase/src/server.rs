@@ -48,7 +48,8 @@ pub enum Request {
     /// Write a batch into a region's primary, fenced by the writer's
     /// epoch (every region is a replication group, a single-copy region
     /// a group of one). Answers [`Response::Appended`] with the WAL
-    /// sequence id the writer must stamp on follower ships.
+    /// sequence id the writer must stamp on follower ships, or
+    /// [`Response::PutRefused`] with the batch handed back.
     PutReplicated {
         /// Target region.
         region: RegionId,
@@ -125,6 +126,17 @@ pub enum Response {
     WrongRegion,
     /// Region metrics by id.
     Metrics(Vec<(RegionId, RegionMetrics)>),
+    /// A put the primary did not take, its cells handed back so the
+    /// writer re-routes them without having kept a copy of its own.
+    PutRefused {
+        /// `Some(epoch)` when the writer's epoch is stale: a promotion
+        /// moved the group on, and this is the replica's current epoch.
+        /// `None` when the region is not hosted here or a row lies
+        /// outside it: the writer's directory is stale.
+        fenced: Option<u64>,
+        /// The batch, as it was sent.
+        kvs: Vec<KeyValue>,
+    },
     /// A replicated put is durable on the primary under this WAL
     /// sequence id (one quorum vote; ship it to followers next).
     Appended {
@@ -356,15 +368,16 @@ fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request
             match map.get_mut(&region) {
                 Some(r) => {
                     if r.epoch() != epoch {
-                        return Response::Fenced { epoch: r.epoch() };
+                        let fenced = Some(r.epoch());
+                        return Response::PutRefused { fenced, kvs };
                     }
                     // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
                     match r.put_batch(kvs) {
                         Ok(seq) => Response::Appended { seq },
-                        Err(_) => Response::WrongRegion,
+                        Err((_, kvs)) => Response::PutRefused { fenced: None, kvs },
                     }
                 }
-                None => Response::WrongRegion,
+                None => Response::PutRefused { fenced: None, kvs },
             }
         }
         Request::Ship {
@@ -546,7 +559,7 @@ mod tests {
             })
             .unwrap()
         {
-            Response::WrongRegion => {}
+            Response::PutRefused { fenced: None, kvs } => assert_eq!(kvs, vec![kv("a")]),
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
@@ -569,7 +582,7 @@ mod tests {
             })
             .unwrap()
         {
-            Response::WrongRegion => {}
+            Response::PutRefused { fenced: None, kvs } => assert_eq!(kvs, vec![kv("z")]),
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
@@ -688,7 +701,13 @@ mod tests {
             })
             .unwrap()
         {
-            Response::Fenced { epoch } => assert_eq!(epoch, 2),
+            Response::PutRefused {
+                fenced: Some(epoch),
+                kvs,
+            } => {
+                assert_eq!(epoch, 2);
+                assert_eq!(kvs, vec![kv("c")]);
+            }
             other => panic!("unexpected {other:?}"),
         }
 

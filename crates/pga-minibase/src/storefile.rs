@@ -68,8 +68,16 @@ impl StoreFile {
     }
 
     /// Every cell, in order, shared.
+    #[cfg(test)]
     pub(crate) fn cells(&self) -> &Arc<Vec<KeyValue>> {
         &self.cells
+    }
+
+    /// Every cell, in order, owned: moved out when no scan reply still
+    /// shares the file, cloned when one does (it keeps reading the old
+    /// cells).
+    pub(crate) fn into_cells(self) -> Vec<KeyValue> {
+        Arc::unwrap_or_clone(self.cells)
     }
 
     /// Position of the first cell whose row is at or after `row`.

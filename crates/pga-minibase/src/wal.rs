@@ -4,6 +4,14 @@
 //! whose server dies can be rebuilt by replay (the master's reassignment
 //! path exercises this). The log lives in shared memory — the stand-in for
 //! the paper's HDFS — so it survives the serving thread.
+//!
+//! The log keeps one record per batch: the batch's cells encoded in the
+//! image's cell layout, written once at append. So an append copies the
+//! cells' bytes and shares no buffer with the memstore, a flush frees one
+//! buffer per batch, and [`WriteAheadLog::encode`] frames each record
+//! with its sequence id, cell count and CRC-32 without re-encoding a cell.
+//! Replay, backfill ([`WriteAheadLog::batches_after`]) and
+//! [`WriteAheadLog::from_encoded`] decode cells when they need them.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -41,13 +49,80 @@ pub struct WalDecodeReport {
     pub monotone: bool,
 }
 
+/// One appended batch, held as its cells encoded in the image's cell
+/// layout: an append copies bytes, a flush frees one buffer per batch,
+/// and [`WriteAheadLog::encode`] only frames the bytes.
+#[derive(Debug)]
+struct Batch {
+    seq: SequenceId,
+    cells: u32,
+    bytes: Vec<u8>,
+}
+
+impl Batch {
+    /// The batch's cells, decoded into owned buffers.
+    fn decode(&self) -> Vec<KeyValue> {
+        let mut r = WalReader {
+            bytes: &self.bytes,
+            pos: 0,
+        };
+        (0..self.cells).map_while(|_| decode_cell(&mut r)).collect()
+    }
+}
+
 #[derive(Debug, Default)]
 struct WalInner {
-    entries: Vec<(SequenceId, KeyValue)>,
+    /// Retained batches, ascending by sequence id. A batch with no cells
+    /// leaves no record (it still takes its sequence id).
+    batches: Vec<Batch>,
     next_seq: SequenceId,
     /// Sequence ids at or below this mark are durably flushed to store
     /// files and can be discarded.
     flushed_through: SequenceId,
+}
+
+impl WalInner {
+    /// Record `kvs` as batch `seq`, the new last sequence.
+    fn push(&mut self, seq: SequenceId, kvs: &[KeyValue]) {
+        self.next_seq = seq;
+        if kvs.is_empty() {
+            return;
+        }
+        let len = kvs.iter().map(encoded_len).sum();
+        let mut bytes = Vec::with_capacity(len);
+        for kv in kvs {
+            encode_cell(kv, &mut bytes);
+        }
+        self.batches.push(Batch {
+            seq,
+            cells: kvs.len() as u32,
+            bytes,
+        });
+    }
+
+    /// Batches newer than the flush mark, in append order.
+    fn unflushed(&self) -> impl Iterator<Item = &Batch> {
+        self.batches
+            .iter()
+            .filter(move |b| b.seq > self.flushed_through)
+    }
+}
+
+/// Bytes one cell takes in the encoded layout.
+fn encoded_len(kv: &KeyValue) -> usize {
+    2 + kv.row.len() + 2 + kv.qualifier.len() + 8 + 4 + kv.value.len()
+}
+
+/// Append one cell: `row_len u16 | row | qual_len u16 | qual | ts u64 |
+/// val_len u32 | value`, little-endian.
+fn encode_cell(kv: &KeyValue, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(kv.row.len() as u16).to_le_bytes());
+    out.extend_from_slice(&kv.row);
+    out.extend_from_slice(&(kv.qualifier.len() as u16).to_le_bytes());
+    out.extend_from_slice(&kv.qualifier);
+    out.extend_from_slice(&kv.timestamp.to_le_bytes());
+    out.extend_from_slice(&(kv.value.len() as u32).to_le_bytes());
+    out.extend_from_slice(&kv.value);
 }
 
 /// A shareable write-ahead log for one region.
@@ -65,12 +140,8 @@ impl WriteAheadLog {
     /// Append a batch atomically; returns the batch's sequence id.
     pub fn append_batch(&self, kvs: &[KeyValue]) -> SequenceId {
         let mut inner = self.inner.lock();
-        inner.next_seq += 1;
-        let seq = inner.next_seq;
-        inner.entries.reserve(kvs.len());
-        for kv in kvs {
-            inner.entries.push((seq, kv.clone()));
-        }
+        let seq = inner.next_seq + 1;
+        inner.push(seq, kvs);
         seq
     }
 
@@ -92,11 +163,7 @@ impl WriteAheadLog {
         if seq != inner.next_seq + 1 {
             return ShipOutcome::Gap;
         }
-        inner.next_seq = seq;
-        inner.entries.reserve(kvs.len());
-        for kv in kvs {
-            inner.entries.push((seq, kv.clone()));
-        }
+        inner.push(seq, kvs);
         ShipOutcome::Applied
     }
 
@@ -114,11 +181,7 @@ impl WriteAheadLog {
         if seq <= inner.next_seq {
             return ShipOutcome::Stale;
         }
-        inner.next_seq = seq;
-        inner.entries.reserve(kvs.len());
-        for kv in kvs {
-            inner.entries.push((seq, kv.clone()));
-        }
+        inner.push(seq, kvs);
         ShipOutcome::Applied
     }
 
@@ -130,17 +193,12 @@ impl WriteAheadLog {
     /// behind (safe — its applied sequence honestly reports its prefix).
     pub fn batches_after(&self, after: SequenceId) -> Vec<(SequenceId, Vec<KeyValue>)> {
         let inner = self.inner.lock();
-        let mut out: Vec<(SequenceId, Vec<KeyValue>)> = Vec::new();
-        for (seq, kv) in inner.entries.iter() {
-            if *seq <= after {
-                continue;
-            }
-            match out.last_mut() {
-                Some((s, kvs)) if *s == *seq => kvs.push(kv.clone()),
-                _ => out.push((*seq, vec![kv.clone()])),
-            }
-        }
-        out
+        inner
+            .batches
+            .iter()
+            .filter(|b| b.seq > after)
+            .map(|b| (b.seq, b.decode()))
+            .collect()
     }
 
     /// Empty log whose sequence numbering starts after `seq`. Used when
@@ -150,7 +208,7 @@ impl WriteAheadLog {
     pub fn with_start_sequence(seq: SequenceId) -> Self {
         WriteAheadLog {
             inner: Arc::new(Mutex::new(WalInner {
-                entries: Vec::new(),
+                batches: Vec::new(),
                 next_seq: seq,
                 flushed_through: seq,
             })),
@@ -161,30 +219,21 @@ impl WriteAheadLog {
     /// recovering server must replay into a fresh memstore.
     pub fn replay(&self) -> Vec<KeyValue> {
         let inner = self.inner.lock();
-        inner
-            .entries
-            .iter()
-            .filter(|(seq, _)| *seq > inner.flushed_through)
-            .map(|(_, kv)| kv.clone())
-            .collect()
+        inner.unflushed().flat_map(Batch::decode).collect()
     }
 
-    /// Mark everything up to `seq` as flushed and drop those entries.
+    /// Mark everything up to `seq` as flushed and drop those batches.
     pub fn mark_flushed(&self, seq: SequenceId) {
         let mut inner = self.inner.lock();
         inner.flushed_through = inner.flushed_through.max(seq);
         let cutoff = inner.flushed_through;
-        inner.entries.retain(|(s, _)| *s > cutoff);
+        inner.batches.retain(|b| b.seq > cutoff);
     }
 
     /// Number of unflushed entries.
     pub fn unflushed_len(&self) -> usize {
         let inner = self.inner.lock();
-        inner
-            .entries
-            .iter()
-            .filter(|(seq, _)| *seq > inner.flushed_through)
-            .count()
+        inner.unflushed().map(|b| b.cells as usize).sum()
     }
 
     /// Latest assigned sequence id.
@@ -201,39 +250,27 @@ impl WriteAheadLog {
     ///   seq u64 | cell_count u32 | cells | crc32 u32 (over seq..cells)
     /// cell: row_len u16 | row | qual_len u16 | qual | ts u64 | val_len u32 | value
     /// ```
+    ///
+    /// A batch already holds its cells in this layout, so a record is its
+    /// bytes framed by the sequence id, the count and the checksum.
     pub fn encode(&self) -> Vec<u8> {
         let inner = self.inner.lock();
-        let mut out = Vec::with_capacity(32 + inner.entries.len() * 48);
+        let len = inner
+            .batches
+            .iter()
+            .map(|b| 16 + b.bytes.len())
+            .sum::<usize>();
+        let mut out = Vec::with_capacity(13 + len);
         out.extend_from_slice(WAL_MAGIC);
         out.push(WAL_VERSION);
         out.extend_from_slice(&inner.flushed_through.to_le_bytes());
-        let mut i = 0;
-        while i < inner.entries.len() {
-            let seq = match inner.entries.get(i) {
-                Some(&(s, _)) => s,
-                None => break,
-            };
-            let mut record = Vec::new();
-            record.extend_from_slice(&seq.to_le_bytes());
-            let batch: Vec<&KeyValue> = inner.entries[i..]
-                .iter()
-                .take_while(|(s, _)| *s == seq)
-                .map(|(_, kv)| kv)
-                .collect();
-            record.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-            for kv in &batch {
-                record.extend_from_slice(&(kv.row.len() as u16).to_le_bytes());
-                record.extend_from_slice(&kv.row);
-                record.extend_from_slice(&(kv.qualifier.len() as u16).to_le_bytes());
-                record.extend_from_slice(&kv.qualifier);
-                record.extend_from_slice(&kv.timestamp.to_le_bytes());
-                record.extend_from_slice(&(kv.value.len() as u32).to_le_bytes());
-                record.extend_from_slice(&kv.value);
-            }
-            let sum = crc32(&record);
-            out.extend_from_slice(&record);
+        for batch in &inner.batches {
+            let start = out.len();
+            out.extend_from_slice(&batch.seq.to_le_bytes());
+            out.extend_from_slice(&batch.cells.to_le_bytes());
+            out.extend_from_slice(&batch.bytes);
+            let sum = crc32(&out[start..]);
             out.extend_from_slice(&sum.to_le_bytes());
-            i += batch.len();
         }
         out
     }
@@ -260,14 +297,7 @@ impl WriteAheadLog {
 
     /// Distinct batch sequence ids currently retained, in append order.
     pub fn batch_sequences(&self) -> Vec<SequenceId> {
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        for &(seq, _) in &inner.entries {
-            if out.last() != Some(&seq) {
-                out.push(seq);
-            }
-        }
-        out
+        self.inner.lock().batches.iter().map(|b| b.seq).collect()
     }
 }
 
@@ -311,26 +341,43 @@ impl<'a> WalReader<'a> {
     }
 }
 
-/// One record parsed from the image, or `None` when the tail is torn.
-fn decode_record(r: &mut WalReader<'_>) -> Option<(SequenceId, Vec<KeyValue>)> {
+/// An encoded cell's `(row, qualifier, ts, value)`, borrowed.
+type CellFields<'a> = (&'a [u8], &'a [u8], u64, &'a [u8]);
+
+/// The fields of the next encoded cell, or `None` when the bytes end
+/// inside it.
+fn read_cell<'a>(r: &mut WalReader<'a>) -> Option<CellFields<'a>> {
+    let row_len = r.u16()? as usize;
+    let row = r.take(row_len)?;
+    let qual_len = r.u16()? as usize;
+    let qualifier = r.take(qual_len)?;
+    let timestamp = r.u64()?;
+    let val_len = r.u32()? as usize;
+    let value = r.take(val_len)?;
+    Some((row, qualifier, timestamp, value))
+}
+
+/// The next encoded cell as an owned [`KeyValue`].
+fn decode_cell(r: &mut WalReader<'_>) -> Option<KeyValue> {
+    let (row, qualifier, timestamp, value) = read_cell(r)?;
+    Some(KeyValue {
+        row: Bytes::copy_from_slice(row),
+        qualifier: Bytes::copy_from_slice(qualifier),
+        timestamp,
+        value: Bytes::copy_from_slice(value),
+    })
+}
+
+/// One record parsed from the image, or `None` when the tail is torn: the
+/// record's cells are walked to find its end, then its checksum checked,
+/// and the cell bytes kept as they are.
+fn decode_record(r: &mut WalReader<'_>) -> Option<Batch> {
     let start = r.pos;
     let seq = r.u64()?;
-    let count = r.u32()?;
-    let mut kvs = Vec::with_capacity(count.min(4096) as usize);
-    for _ in 0..count {
-        let row_len = r.u16()? as usize;
-        let row = Bytes::copy_from_slice(r.take(row_len)?);
-        let qual_len = r.u16()? as usize;
-        let qualifier = Bytes::copy_from_slice(r.take(qual_len)?);
-        let timestamp = r.u64()?;
-        let val_len = r.u32()? as usize;
-        let value = Bytes::copy_from_slice(r.take(val_len)?);
-        kvs.push(KeyValue {
-            row,
-            qualifier,
-            timestamp,
-            value,
-        });
+    let cells = r.u32()?;
+    let body = r.pos;
+    for _ in 0..cells {
+        read_cell(r)?;
     }
     let body_end = r.pos;
     let stored = r.u32()?;
@@ -338,7 +385,11 @@ fn decode_record(r: &mut WalReader<'_>) -> Option<(SequenceId, Vec<KeyValue>)> {
     if stored != computed {
         return None;
     }
-    Some((seq, kvs))
+    Some(Batch {
+        seq,
+        cells,
+        bytes: r.bytes.get(body..body_end)?.to_vec(),
+    })
 }
 
 fn decode_inner(bytes: &[u8]) -> (WalInner, WalDecodeReport) {
@@ -362,21 +413,20 @@ fn decode_inner(bytes: &[u8]) -> (WalInner, WalDecodeReport) {
     };
     inner.flushed_through = flushed_through;
     inner.next_seq = flushed_through;
-    let mut last_seq = flushed_through;
     while r.pos < bytes.len() {
         match decode_record(&mut r) {
-            Some((seq, kvs)) => {
-                if seq <= last_seq {
+            Some(batch) => {
+                if batch.seq <= inner.next_seq {
                     // Sequence regression: a protocol violation, not a
                     // torn tail. Keep the valid prefix, flag it.
                     report.monotone = false;
                     break;
                 }
-                last_seq = seq;
+                inner.next_seq = batch.seq;
                 report.records += 1;
-                report.cells += kvs.len();
-                for kv in kvs {
-                    inner.entries.push((seq, kv));
+                report.cells += batch.cells as usize;
+                if batch.cells > 0 {
+                    inner.batches.push(batch);
                 }
             }
             None => {
@@ -385,7 +435,6 @@ fn decode_inner(bytes: &[u8]) -> (WalInner, WalDecodeReport) {
             }
         }
     }
-    inner.next_seq = last_seq;
     (inner, report)
 }
 
@@ -671,5 +720,102 @@ mod tests {
         assert_eq!(report.records, 1, "only the valid prefix is kept");
         let recovered = WriteAheadLog::from_encoded(&doubled);
         assert_eq!(recovered.replay(), wal.replay());
+    }
+
+    /// The pinned sequence: two local appends, an empty batch (it takes
+    /// a sequence id and leaves no record), a flush of the first batch, a
+    /// shipped batch under the next sequence id, and an append after it.
+    /// Cells cover an empty row, qualifier and value, binary bytes and
+    /// `u64::MAX`.
+    fn pinned_wal() -> WriteAheadLog {
+        let cell = |row: &str, qual: &[u8], ts: u64, value: &[u8]| {
+            KeyValue::new(row.as_bytes().to_vec(), qual.to_vec(), ts, value.to_vec())
+        };
+        let wal = WriteAheadLog::new();
+        wal.append_batch(&[cell("r1", b"a", 1, b"x"), cell("r2", b"bb", 2, b"yy")]);
+        wal.append_batch(&[cell("r3", b"\x00\x01", 3, b"")]);
+        wal.append_batch(&[]);
+        wal.mark_flushed(1);
+        let shipped = [cell("r4", b"q", u64::MAX, b"\xff\xfe\xfd")];
+        assert_eq!(wal.append_batch_with_seq(4, &shipped), ShipOutcome::Applied);
+        wal.append_batch(&[cell("", b"", 0, b"v"), cell("r5", b"q", 5, b"w")]);
+        wal
+    }
+
+    /// The image of [`pinned_wal`], byte for byte as the log encoded it
+    /// when it still held one cloned cell per entry.
+    const PINNED_IMAGE: &str = "5047574c020100000000000000\
+        0200000000000000010000000200723302000001030000000000000000000000cd6a58e1\
+        04000000000000000100000002007234010071ffffffffffffffff03000000fffefd2d60dc27\
+        05000000000000000200000000000000000000000000000001000000760200723501007105000000000000000100000077b5221301";
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn encoded_image_is_pinned_and_reads_back_per_batch() {
+        let wal = pinned_wal();
+        let image = wal.encode();
+        assert_eq!(hex(&image), PINNED_IMAGE);
+        assert_eq!(wal.batch_sequences(), vec![2, 4, 5]);
+        assert_eq!((wal.last_sequence(), wal.unflushed_len()), (5, 4));
+        let rows = |cells: &[KeyValue]| -> Vec<Vec<u8>> {
+            cells.iter().map(|kv| kv.row.to_vec()).collect()
+        };
+        let tail = wal.batches_after(0);
+        let per_batch: Vec<(SequenceId, Vec<Vec<u8>>)> =
+            tail.iter().map(|(s, kvs)| (*s, rows(kvs))).collect();
+        assert_eq!(
+            per_batch,
+            vec![
+                (2, vec![b"r3".to_vec()]),
+                (4, vec![b"r4".to_vec()]),
+                (5, vec![b"".to_vec(), b"r5".to_vec()]),
+            ]
+        );
+        assert_eq!(tail[1].1[0].timestamp, u64::MAX);
+        assert_eq!(&tail[1].1[0].value[..], b"\xff\xfe\xfd");
+        assert_eq!(
+            wal.replay(),
+            tail.iter()
+                .flat_map(|(_, kvs)| kvs.clone())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(wal.batches_after(4).len(), 1);
+        // Each flush drops whole batches; what stays reads the same.
+        for (flushed, left) in [(2, 3), (4, 2), (5, 0)] {
+            let wal = pinned_wal();
+            wal.mark_flushed(flushed);
+            assert_eq!(wal.unflushed_len(), left);
+            assert_eq!(wal.replay().len(), left);
+            let back = WriteAheadLog::from_encoded(&wal.encode());
+            assert_eq!(back.replay(), wal.replay());
+            assert_eq!(back.batch_sequences(), wal.batch_sequences());
+            assert_eq!(back.last_sequence(), flushed.max(5));
+        }
+        // A torn tail recovers exactly the batches whose records are
+        // whole, and encodes back to the image up to the last of them.
+        let mut ends = vec![13];
+        for (_, kvs) in &tail {
+            let cells: usize = kvs.iter().map(encoded_len).sum();
+            ends.push(ends[ends.len() - 1] + 16 + cells);
+        }
+        assert_eq!(ends.last(), Some(&image.len()));
+        for cut in 13..image.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count() - 1;
+            let torn = WriteAheadLog::from_encoded(&image[..cut]);
+            assert_eq!(torn.batch_sequences(), wal.batch_sequences()[..whole]);
+            let expected: Vec<KeyValue> = tail[..whole]
+                .iter()
+                .flat_map(|(_, kvs)| kvs.clone())
+                .collect();
+            assert_eq!(torn.replay(), expected, "cut at {cut}");
+            assert_eq!(torn.unflushed_len(), expected.len());
+            assert_eq!(torn.encode(), image[..ends[whole]]);
+            let report = WriteAheadLog::decode_report(&image[..cut]);
+            assert_eq!(report.torn, !ends.contains(&cut), "cut at {cut}");
+            assert_eq!((report.records, report.cells), (whole, expected.len()));
+        }
     }
 }

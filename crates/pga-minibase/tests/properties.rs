@@ -359,6 +359,135 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Compaction by move: the merge moves cells out of the files no scan reply
+// shares and clones those one does. Either way the region must answer as
+// the read path's merge did before it, version GC and rewriter applied.
+// ---------------------------------------------------------------------------
+
+/// Span of a TSDB row-hour, and the seal watermark the block case runs
+/// under: rows 0..=2 of [`tsdb_row`] are finished and seal, rows 3 and 4
+/// are not.
+const ROW_SPAN: u64 = 3600;
+const WATERMARK: u64 = 3 * ROW_SPAN;
+
+/// A well-formed TSDB row key (salt, metric, base time, one tag) for
+/// row-hour `hour`, so the block sealer accepts it.
+fn tsdb_row(hour: u8) -> Vec<u8> {
+    let mut row = vec![0, 0, 0, 1];
+    row.extend_from_slice(&(u32::from(hour) * ROW_SPAN as u32).to_be_bytes());
+    row.extend_from_slice(&[0, 0, 1, 0, 0, 1]);
+    row
+}
+
+/// A raw TSDB cell: offset qualifier, `f64` value.
+fn tsdb_cell((hour, offset, version, value): (u8, u8, u64, u8)) -> KeyValue {
+    KeyValue::new(
+        tsdb_row(hour),
+        (u16::from(offset) << 4).to_be_bytes().to_vec(),
+        version,
+        f64::from(value).to_be_bytes().to_vec(),
+    )
+}
+
+/// What a major compaction must leave, from the region's answer before
+/// it: per row, the newest `max_versions` cells of each qualifier, then
+/// the rewriter's replacement, sorted, where it gives one.
+fn compacted_answer(
+    before: &[KeyValue],
+    max_versions: usize,
+    rewriter: Option<&dyn CompactionRewriter>,
+) -> Vec<KeyValue> {
+    let mut out = Vec::new();
+    for row in before.chunk_by(|a, b| a.row == b.row) {
+        let mut cells: Vec<KeyValue> = row
+            .chunk_by(|a, b| a.qualifier == b.qualifier)
+            .flat_map(|versions| versions.iter().take(max_versions).cloned())
+            .collect();
+        let ctx = RewriteContext {
+            region: RegionId(1),
+            row: &row[0].row,
+            drop_sealed_overlap: false,
+        };
+        if let Some(mut replacement) = rewriter.and_then(|r| r.rewrite_row(&ctx, &cells)) {
+            replacement.sort();
+            cells = replacement;
+        }
+        out.extend(cells);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random flush sequences — a batch's rows out of order against the
+    /// files before it, retried batches that put exact keys again, a
+    /// finite `max_versions`, the block sealer or no rewriter — compacted
+    /// now and then. After each compaction `scan(all)` is what it was
+    /// before, GC and rewriter applied, cell for cell; and a reply taken
+    /// before it, still held across it, reads its original cells.
+    #[test]
+    fn compaction_answers_as_before_and_a_held_scan_keeps_its_cells(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..5, 0u8..6, 0u64..3, 0u8..8), 0..16),
+                (any::<bool>(), 0usize..8),
+                any::<bool>(),
+                any::<bool>(),
+            ),
+            1..8,
+        ),
+        max_versions in prop_oneof![Just(1usize), Just(2usize), Just(usize::MAX)],
+        seal in any::<bool>(),
+    ) {
+        let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
+            memstore_flush_bytes: usize::MAX,
+            compaction_file_threshold: usize::MAX,
+            max_versions,
+        });
+        let sealer = pga_tsdb::BlockRewriter::new(ROW_SPAN, Arc::default());
+        sealer.advance(WATERMARK);
+        let sealer = Arc::new(sealer);
+        if seal {
+            region.set_compaction_rewriter(sealer.clone());
+        }
+        let rewriter = seal.then_some(&*sealer as &dyn CompactionRewriter);
+        let mut sent: Vec<Vec<KeyValue>> = Vec::new();
+        let (mut files, mut compactions) = (0usize, 0u64);
+        for (cells, retry, compact, hold) in rounds {
+            let mut batch: Vec<KeyValue> = cells.into_iter().map(tsdb_cell).collect();
+            // A retry puts an earlier batch again, exact keys and values.
+            let (retried, earlier) = retry;
+            if let Some(earlier) = sent.get(earlier % sent.len().max(1)).filter(|_| retried) {
+                batch.extend(earlier.iter().cloned());
+            }
+            sent.push(batch.clone());
+            files += usize::from(!batch.is_empty());
+            region.put_batch(batch).unwrap();
+            region.flush();
+            if !compact {
+                continue;
+            }
+            let before = region.scan(&RowRange::all());
+            let held = hold.then(|| region.scan_spec(&RowRange::all().into()));
+            region.compact();
+            let after = region.scan(&RowRange::all());
+            if files > 1 || (seal && files == 1) {
+                compactions += 1;
+                files = 1;
+                prop_assert_eq!(after, compacted_answer(&before, max_versions, rewriter));
+            } else {
+                prop_assert_eq!(after, before.clone());
+            }
+            prop_assert_eq!(region.metrics().compactions, compactions);
+            if let Some(held) = held {
+                prop_assert_eq!(held.to_vec(), before);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Row groups (ISSUE 21): the cell-keyed memstore and the cell-by-cell
 // compaction that the region ran before are the models the row-grouped
 // ones are held to.

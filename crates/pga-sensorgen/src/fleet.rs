@@ -143,16 +143,38 @@ impl Fleet {
 
     /// All samples of the fleet at sample index `t`, appended to `out`.
     ///
-    /// The timestamp is `t * sample_period_secs`.
+    /// The timestamp is `t * sample_period_secs`. Each value equals
+    /// [`Fleet::sample`]'s bit for bit; a faulted unit's group draws its
+    /// i.i.d. normals once for the tick, where `sample` redraws the
+    /// group's first `row + 1` for every cell it colours.
     pub fn tick_into(&self, t: u64, out: &mut Vec<SensorSample>) {
         let ts = t * self.config.sample_period_secs;
-        for unit in 0..self.config.units {
+        let l = self.group_chol.lower();
+        let mut draws = Vec::new();
+        for (unit, fault) in (0..self.config.units).zip(&self.faults) {
+            draws.clear();
+            if fault.class != FaultClass::Healthy {
+                let group = fault.group_start..fault.group_start + fault.group_len;
+                draws.extend(group.map(|s| cell_normal(self.config.seed, unit, s, t, 1)));
+            }
             for sensor in 0..self.config.sensors_per_unit {
+                let noise = if fault.affects(sensor) {
+                    let row = (sensor - fault.group_start) as usize;
+                    let mut acc = 0.0;
+                    for (k, z) in draws.iter().enumerate().take(row + 1) {
+                        acc += l.get(row, k) * z;
+                    }
+                    acc
+                } else {
+                    cell_normal(self.config.seed, unit, sensor, t, 0)
+                };
                 out.push(SensorSample {
                     unit,
                     sensor,
                     timestamp: ts,
-                    value: self.sample(unit, sensor, t),
+                    value: self.config.baseline_mean
+                        + self.config.noise_std * noise
+                        + fault.signal(sensor, t),
                 });
             }
         }
@@ -413,6 +435,46 @@ mod tests {
         }
         let rho_z = cxz / (cx * cz).sqrt();
         assert!(rho_z.abs() < 0.1, "unrelated sensor correlated: {rho_z}");
+    }
+
+    /// `tick_into` draws a faulted group's normals once per tick;
+    /// `sample` is the per-cell oracle it must equal bit for bit, on
+    /// faulted and healthy units, full and short groups (3 × 5), at the
+    /// first and last ticks and on both sides of every onset.
+    #[test]
+    fn tick_into_equals_sample_bit_for_bit() {
+        for seed in [7, 11, 31] {
+            for (units, sensors) in [(2, 16), (4, 32), (7, 75), (3, 5)] {
+                let f = Fleet::new(FleetConfig {
+                    units,
+                    sensors_per_unit: sensors,
+                    ..FleetConfig::paper_scale(seed)
+                });
+                let mut ticks = vec![0, 1, 199, 700];
+                for unit in 0..units {
+                    let onset = f.fault(unit).onset;
+                    if onset != u64::MAX {
+                        ticks.extend([onset - 1, onset, onset + 1]);
+                    }
+                }
+                assert!(ticks.len() > 4, "seed {seed}: no faulted unit");
+                let mut batch = Vec::new();
+                for t in ticks {
+                    batch.clear();
+                    f.tick_into(t, &mut batch);
+                    assert_eq!(batch.len() as u64, f.config().total_sensors());
+                    for s in &batch {
+                        assert_eq!(
+                            s.value.to_bits(),
+                            f.sample(s.unit, s.sensor, t).to_bits(),
+                            "seed {seed}, {units}x{sensors}, unit {} sensor {} t {t}",
+                            s.unit,
+                            s.sensor
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

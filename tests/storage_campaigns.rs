@@ -1,0 +1,32 @@
+//! The two storage campaigns that replay and ship WALs, at smoke size,
+//! through the experiment table: E17 (`pga crashtest`, seeded crashes,
+//! torn WAL tails and replay) and E20 (`pga failover`, replicated puts,
+//! WAL ships and backfill across a primary crash). Each must hold its
+//! verdict and print its tables character for character as captured in
+//! `tests/golden/`: a storage change that moves a recovered cell, a retry
+//! or a sim-clock reading shows here as a diff.
+
+use pga_bench::registry::{find, Size};
+
+/// Run the row `name` at smoke size; its verdict must hold and its text
+/// (as `pga <name> --smoke` prints it) must equal `golden`.
+fn campaign_matches(name: &str, golden: &str) {
+    let experiment = find(name).unwrap_or_else(|| panic!("no experiment row `{name}`"));
+    let run = (experiment.run)(Size::Smoke);
+    assert_eq!(run.verdict, Some(true), "{name}: verdict\n{}", run.text);
+    let text = format!("{}\n", run.text.trim_end());
+    assert!(
+        text == golden,
+        "{name} --smoke drifted from its golden:\n--- golden\n{golden}\n--- now\n{text}"
+    );
+}
+
+#[test]
+fn crashtest_smoke_holds_and_prints_its_golden() {
+    campaign_matches("crashtest", include_str!("golden/crashtest_smoke.txt"));
+}
+
+#[test]
+fn failover_smoke_holds_and_prints_its_golden() {
+    campaign_matches("failover", include_str!("golden/failover_smoke.txt"));
+}
