@@ -26,16 +26,17 @@ use crate::tokenizer::{Token, TokenKind};
 /// Region-mutating / WAL-exposing entry points that must sit behind a
 /// fence. `wal_batches_after` is read-only but leaks WAL contents a
 /// deposed primary must not serve as backfill authority, so it counts.
-/// `repair_region_cell` is the `RepairFetch` apply path: the scrubber
-/// installs a payload it fetched under some epoch, so the install must
-/// re-check that epoch — otherwise a promotion racing the repair lets
-/// a deposed primary's bytes masquerade as a verified repair.
+/// `replace_cell_value` is the repair install the region server makes for
+/// a `Repair` request: the scrubber installs a payload it fetched under
+/// some epoch, so the install must re-check that epoch — otherwise a
+/// promotion racing the repair lets a deposed primary's bytes masquerade
+/// as a verified repair.
 const MUTATORS: &[&str] = &[
     "apply_replicated",
     "put_batch",
     "append_batch_with_seq",
     "wal_batches_after",
-    "repair_region_cell",
+    "replace_cell_value",
 ];
 
 /// Crates forming the replication plane.

@@ -50,9 +50,9 @@ impl FxRegion {
         self.apply_replicated(seq)
     }
 
-    // The repair-install mutator (`RepairFetch` apply path): its name
-    // puts every call to it under the rule, like the WAL mutators.
-    pub fn repair_region_cell(&mut self, seq: u64) -> u64 {
+    // The repair-install mutator (the `Repair` request's apply path): its
+    // name puts every call to it under the rule, like the WAL mutators.
+    pub fn replace_cell_value(&mut self, seq: u64) -> u64 {
         self.applied = seq;
         self.applied
     }
@@ -63,13 +63,13 @@ impl FxRegion {
         if fetch_epoch != self.epoch {
             return 0;
         }
-        self.repair_region_cell(seq)
+        self.replace_cell_value(seq)
     }
 
     // Unfenced install: the payload was fetched under some epoch, but
     // nothing re-checks it — a deposed primary's bytes could masquerade
     // as a verified repair.
     pub fn install_repair_unfenced(&mut self, seq: u64) -> u64 {
-        self.repair_region_cell(seq) // V:epoch-fencing
+        self.replace_cell_value(seq) // V:epoch-fencing
     }
 }

@@ -30,7 +30,10 @@ use crate::detection::paper_fleet;
 use crate::table::{render_table, row};
 
 use pga_cluster::coordinator::Coordinator;
-use pga_minibase::{no_faults, Client, Master, RegionConfig, ServerConfig, TableDescriptor};
+use pga_minibase::{
+    no_faults, Client, KeyValue, Master, RegionConfig, Request, Response, ServerConfig,
+    TableDescriptor,
+};
 use pga_tsdb::{
     is_block_qualifier, BatchPoint, KeyCodec, KeyCodecConfig, QueryFilter, TimeSeries, Tsd,
     TsdConfig, TsdError, UidTable,
@@ -310,19 +313,17 @@ pub fn scrub_resilience_experiment(cfg: &ScrubBenchConfig) -> ScrubBenchReport {
             continue;
         };
         let pick = i as u64;
-        let hit = server.corrupt_region_cell(
-            info.id,
-            pick,
-            &|kv| is_block_qualifier(&kv.qualifier),
-            &|value: &mut Vec<u8>| {
-                if value.is_empty() {
-                    return;
-                }
+        let flip = move |value: &mut Vec<u8>| {
+            if !value.is_empty() {
                 let idx = (pick as usize / 8) % value.len();
                 value[idx] ^= 1 << (pick % 8);
-            },
-        );
-        if hit.is_some() {
+            }
+        };
+        let selector = |kv: &KeyValue| is_block_qualifier(&kv.qualifier);
+        let hit = server
+            .handle()
+            .call(Request::Corrupt(info.id, pick, selector, Box::new(flip)));
+        if matches!(hit, Ok(Response::Corrupted(Some(_)))) {
             corrupted_blocks += 1;
         }
     }

@@ -321,6 +321,11 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
     /// response.
     pub fn call(&self, req: Req) -> Result<Resp, RpcError> {
         self.shared.serving()?;
+        self.enqueue(req)
+    }
+
+    /// Queue `req`, stopped or not, and wait for the answer.
+    fn enqueue(&self, req: Req) -> Result<Resp, RpcError> {
         let (reply_tx, rx) = bounded(1);
         self.tx
             .send(Envelope {
@@ -382,6 +387,13 @@ impl<Req: Send + 'static, Resp: Send + 'static> RpcHandle<Req, Resp> {
     /// once all clones of this handle are dropped.
     pub fn shutdown(&self) {
         self.shared.stopped.store(true, Ordering::Release);
+    }
+
+    /// [`RpcHandle::shutdown`], then one last request, served after what
+    /// was queued before the stop: the server's parting answer.
+    pub fn shutdown_with(&self, last: Req) -> Result<Resp, RpcError> {
+        self.shutdown();
+        self.enqueue(last)
     }
 }
 
@@ -627,6 +639,19 @@ mod tests {
         assert_eq!(in_service.wait().unwrap(), 0, "already in service");
         assert_eq!(queued.wait().unwrap(), 1, "queued before the stop");
         assert_eq!(h.processed(), 2);
+        drop(h);
+        runner.join();
+    }
+
+    /// The parting request is served behind the queue, even though the
+    /// server refuses every other request from the stop on.
+    #[test]
+    fn shutdown_with_answers_its_last_request_after_the_queue() {
+        let (h, runner) = RpcServerBuilder::new("parting").spawn(|x: u32| x * 2);
+        let queued = h.send_with(1, None).unwrap();
+        assert_eq!(h.shutdown_with(5).unwrap(), 10);
+        assert_eq!(queued.wait().unwrap(), 2);
+        assert_eq!(h.call(3).unwrap_err(), RpcError::Stopped);
         drop(h);
         runner.join();
     }

@@ -253,7 +253,7 @@ pub fn collect_node_stats(master: &Master, node: NodeId) -> Option<NodeStats> {
     let handle = server.handle();
     let mut stats = NodeStats::new(node.0);
     stats.stopped = handle.state() == ServerState::Stopped;
-    let regions = server.total_metrics();
+    let regions = server.published_totals();
     // Replication plane: worst follower lag and region count for the
     // regions this node leads, plus the promotions that made it a
     // primary — all from the master's authoritative view, so they

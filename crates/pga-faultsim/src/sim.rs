@@ -38,8 +38,8 @@ use pga_cluster::coordinator::Coordinator;
 use pga_cluster::NodeId;
 use pga_ingest::SensorSeries;
 use pga_minibase::{
-    Client, FaultHandle, Master, RegionConfig, Request, Response, RowRange, ServerConfig,
-    TableDescriptor,
+    Client, FaultHandle, KeyValue, Master, RegionConfig, RegionId, Request, Response, RowRange,
+    ServerConfig, TableDescriptor,
 };
 use pga_query::rollup::{self, RollupCell, RollupWriter};
 use pga_stats::multiple::Procedure;
@@ -693,6 +693,14 @@ impl<'a> Driver<'a> {
             .any(|n| n.0 != node && !self.doomed.contains(&n.0))
     }
 
+    /// The region in directory slot `slot` (modulo the directory size).
+    fn region_at(&self, slot: u32) -> Option<RegionId> {
+        let dir = self.master.directory();
+        let dir = dir.read();
+        let n = dir.len();
+        (n > 0).then(|| dir[slot as usize % n].id)
+    }
+
     fn apply_op(&mut self, fault: &ScheduledFault) {
         let now = self.now_ms;
         match fault.op {
@@ -703,12 +711,12 @@ impl<'a> Driver<'a> {
                     return;
                 }
                 if let FaultOp::TornCrash { .. } = fault.op {
-                    // Arm a torn tail for every region the victim hosts:
-                    // their WAL images are what recovery will read back.
-                    if let Some(server) = self.master.server(NodeId(node)) {
-                        for rid in server.hosted_regions() {
-                            self.plane.arm_tear(rid);
-                        }
+                    // Arm a torn tail for every region the victim hosts a
+                    // copy of: their WAL images are what recovery will
+                    // read back.
+                    let dir = self.master.directory();
+                    for info in dir.read().iter().filter(|i| i.hosts_copy(NodeId(node))) {
+                        self.plane.arm_tear(info.id);
                     }
                     self.stats.torn_crashes += 1;
                 }
@@ -744,16 +752,11 @@ impl<'a> Driver<'a> {
                 self.log(format!("t={now} skew node {node} by -{delta_ms}ms"));
             }
             FaultOp::Split { slot } => {
-                let rid = {
-                    let dir = self.master.directory();
-                    let dir = dir.read();
-                    if dir.is_empty() {
-                        return;
-                    }
-                    dir[slot as usize % dir.len()].id
+                let Some(rid) = self.region_at(slot) else {
+                    return;
                 };
                 match self.master.split_region(rid) {
-                    Some((l, r)) => {
+                    Ok((l, r)) => {
                         self.stats.splits += 1;
                         self.log(format!(
                             "t={now} split region {} into {}/{}",
@@ -761,17 +764,12 @@ impl<'a> Driver<'a> {
                         ));
                         self.scan_check("post-split");
                     }
-                    None => self.log(format!("t={now} split region {} refused", rid.0)),
+                    Err(_) => self.log(format!("t={now} split region {} refused", rid.0)),
                 }
             }
             FaultOp::Move { slot, node } => {
-                let rid = {
-                    let dir = self.master.directory();
-                    let dir = dir.read();
-                    if dir.is_empty() {
-                        return;
-                    }
-                    dir[slot as usize % dir.len()].id
+                let Some(rid) = self.region_at(slot) else {
+                    return;
                 };
                 let target = NodeId(node);
                 if self.crashed.contains(&node) || !self.master.live_nodes().contains(&target) {
@@ -779,7 +777,7 @@ impl<'a> Driver<'a> {
                     self.log(format!("t={now} skip move to dead node {node}"));
                     return;
                 }
-                if self.master.move_region(rid, target) {
+                if self.master.move_region(rid, target).is_ok() {
                     self.stats.moves += 1;
                     self.log(format!("t={now} move region {} to node {node}", rid.0));
                     self.scan_check("post-move");
@@ -850,30 +848,25 @@ impl<'a> Driver<'a> {
             let Some(server) = self.master.server(info.server) else {
                 continue;
             };
-            let mutate: &dyn Fn(&mut Vec<u8>) = if scribble {
-                &|value: &mut Vec<u8>| {
+            let mutate = move |value: &mut Vec<u8>| {
+                if scribble {
                     for (i, byte) in value.iter_mut().enumerate() {
                         *byte ^= 0xa5u8
                             .wrapping_add((i as u8).wrapping_mul(13))
                             .wrapping_add(pick as u8)
                             | 0x01;
                     }
-                }
-            } else {
-                &|value: &mut Vec<u8>| {
-                    if value.is_empty() {
-                        return;
-                    }
+                } else if !value.is_empty() {
                     let idx = (pick as usize / 8) % value.len();
                     value[idx] ^= 1 << (pick % 8);
                 }
             };
-            let hit = server.corrupt_region_cell(
-                info.id,
-                u64::from(pick),
-                &|kv| is_block_qualifier(&kv.qualifier),
-                mutate,
-            );
+            let selector = |kv: &KeyValue| is_block_qualifier(&kv.qualifier);
+            let corrupt = Request::Corrupt(info.id, u64::from(pick), selector, Box::new(mutate));
+            let hit = match server.handle().call(corrupt) {
+                Ok(Response::Corrupted(hit)) => hit,
+                _ => None,
+            };
             if let Some((row, _)) = hit {
                 self.stats.corrupt_ops += 1;
                 self.plane.arm_repair_scribbles(1);

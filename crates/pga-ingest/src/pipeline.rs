@@ -150,7 +150,7 @@ impl IngestionPipeline {
             .map(|&n| {
                 self.master
                     .server(n)
-                    .map_or(0, |s| s.total_metrics().cells_written)
+                    .map_or(0, |s| s.published_totals().cells_written)
             })
             .sum();
         // A batch is forwarded whole or dropped whole. The workers are

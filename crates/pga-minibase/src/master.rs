@@ -7,22 +7,25 @@
 //! The master tracks which server hosts which row range, pre-splits tables
 //! so "each region handle\[s\] an equal proportion of the writes" (§III-B),
 //! and uses coordinator leases to detect dead servers and reassign their
-//! regions.
+//! regions. It places them by message on the servers' RPC queues, so a
+//! stopped server refuses placement ([`PlacementError`]) until its lease
+//! expires and [`Master::tick`] recovers what it left.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 
 use pga_cluster::coordinator::{Coordinator, SessionId};
+use pga_cluster::rpc::ServerState;
 use pga_cluster::NodeId;
 use pga_repl::{choose_promotee, ReplicationConfig};
 
 use crate::fault::{no_faults, FaultHandle};
 use crate::kv::RowRange;
 use crate::region::{Region, RegionConfig, RegionId};
-use crate::server::{RegionServer, ServerConfig};
+use crate::server::{RegionServer, Request, Response, ServerConfig};
 
 /// Descriptor used to create a table.
 #[derive(Debug, Clone)]
@@ -71,6 +74,22 @@ impl RegionInfo {
     pub fn hosts_copy(&self, node: NodeId) -> bool {
         self.server == node || self.followers.contains(&node)
     }
+}
+
+/// Why the master refused a placement change; the directory is as it was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementError {
+    /// No directory entry has this id, or its server does not host it.
+    UnknownRegion(RegionId),
+    /// The node does not serve: stopped, its lease expired, or unknown.
+    NodeDown(NodeId),
+    /// The target already hosts a copy of the region.
+    HostsCopy(NodeId),
+    /// A replicated region: a split would have to cut every copy at one
+    /// WAL point.
+    Replicated(RegionId),
+    /// Too little data to split.
+    Unsplittable(RegionId),
 }
 
 /// One failover performed by [`Master::tick`]: a dead primary's region
@@ -126,7 +145,7 @@ pub struct Master {
     servers: HashMap<NodeId, RegionServer>,
     sessions: HashMap<NodeId, SessionId>,
     /// Nodes whose sessions have expired — never assignment targets again.
-    dead: std::collections::HashSet<NodeId>,
+    dead: HashSet<NodeId>,
     directory: Directory,
     coordinator: Coordinator,
     next_region: u64,
@@ -140,10 +159,10 @@ pub struct Master {
     desired_factor: usize,
     /// Round-robin cursor for re-replication placement.
     repl_rr: usize,
-    /// Promotions performed across all ticks.
-    failovers: u64,
     /// Every promotion, in sweep order.
     failover_log: Vec<FailoverEvent>,
+    /// Lease recoveries whose replayed WAL image decoded torn.
+    torn_replays: u64,
 }
 
 impl Master {
@@ -175,7 +194,7 @@ impl Master {
         Master {
             servers,
             sessions,
-            dead: std::collections::HashSet::new(),
+            dead: HashSet::new(),
             directory: Arc::new(RwLock::new(Vec::new())),
             coordinator,
             next_region: 0,
@@ -183,8 +202,8 @@ impl Master {
             rewriter: None,
             desired_factor: 1,
             repl_rr: 0,
-            failovers: 0,
             failover_log: Vec::new(),
+            torn_replays: 0,
         }
     }
 
@@ -192,19 +211,25 @@ impl Master {
     /// (simulation harnesses only; the default plane is a no-op). Regions
     /// created or split later inherit the handle.
     pub fn set_fault_plane(&mut self, fault: FaultHandle) {
-        self.fault = fault.clone();
-        for server in self.servers.values() {
-            server.set_fault_plane(fault.clone());
-        }
+        self.fault = fault;
+        self.equip_all();
     }
 
     /// Install a compaction rewriter on every hosted region; regions
     /// created or split later inherit it, mirroring
     /// [`Master::set_fault_plane`].
     pub fn set_compaction_rewriter(&mut self, rewriter: crate::rewrite::RewriterHandle) {
-        self.rewriter = Some(rewriter.clone());
-        for server in self.servers.values() {
-            server.set_compaction_rewriter(rewriter.clone());
+        self.rewriter = Some(rewriter);
+        self.equip_all();
+    }
+
+    /// Send the fault plane and rewriter to every serving node.
+    fn equip_all(&self) {
+        for node in self.nodes() {
+            let _ = self.request(
+                node,
+                Request::Equip(self.fault.clone(), self.rewriter.clone()),
+            );
         }
     }
 
@@ -222,11 +247,7 @@ impl Master {
         boundaries.push(Bytes::new());
         boundaries.extend(desc.split_points.iter().cloned());
         boundaries.push(Bytes::new());
-        let nodes: Vec<NodeId> = {
-            let mut v: Vec<NodeId> = self.servers.keys().copied().collect();
-            v.sort();
-            v
-        };
+        let nodes = self.nodes();
         assert!(!nodes.is_empty(), "create_table needs a live server pool");
         let mut dir = Vec::new();
         let ranges = boundaries.iter().zip(boundaries.iter().skip(1));
@@ -242,8 +263,10 @@ impl Master {
             if let Some(rewriter) = &self.rewriter {
                 region.set_compaction_rewriter(rewriter.clone());
             }
-            // pga-allow(panic-path): node is drawn from servers.keys(), so the entry exists
-            self.servers[&node].assign(region);
+            assert!(
+                self.open(node, region).is_ok(),
+                "create_table needs every server serving"
+            );
             dir.push(RegionInfo {
                 id,
                 range,
@@ -261,9 +284,9 @@ impl Master {
     /// and `factor - 1` follower copies (forked empty from the primary)
     /// land on the next distinct nodes in the rotation. Requires at
     /// least `factor` live servers so every copy sits on its own node —
-    /// the region map is keyed by id, so two copies on one server would
-    /// silently collide. `factor <= 1` degenerates to an unreplicated
-    /// table.
+    /// a server's regions are keyed by id, so two copies on one server
+    /// would silently collide. `factor <= 1` degenerates to an
+    /// unreplicated table.
     pub fn create_replicated_table(&mut self, desc: &TableDescriptor, factor: usize) {
         self.create_replicated_table_cfg(
             desc,
@@ -297,19 +320,13 @@ impl Master {
         let mut dir = self.directory.write();
         for info in dir.iter_mut() {
             info.write_quorum = quorum;
-            // pga-allow(panic-path): create_table just assigned this region to info.server
-            let primary_pos = nodes.iter().position(|&n| n == info.server).unwrap();
-            for k in 1..factor {
-                // pga-allow(panic-path): index is taken modulo nodes.len(), non-empty at bootstrap
-                let target = nodes[(primary_pos + k) % nodes.len()];
-                // pga-allow(panic-path): the primary server hosts the region it was just assigned
-                let fork = self.servers[&info.server]
-                    // pga-allow(lock-discipline): bootstrap-time; directory → server-regions is the global lock order
-                    .fork_region_follower(info.id)
-                    // pga-allow(panic-path): the primary server hosts the region it was just assigned
-                    .expect("primary hosts the region");
-                // pga-allow(panic-path, lock-discipline): target ∈ nodes ⊆ servers.keys(); directory → server-regions is the global lock order
-                self.servers[&target].assign(fork);
+            let primary_pos = nodes.iter().position(|&n| n == info.server).unwrap_or(0);
+            let targets = nodes.iter().cycle().skip(primary_pos + 1).take(factor - 1);
+            for &target in targets {
+                assert!(
+                    self.fork_onto(info, target),
+                    "create_replicated_table needs every server serving"
+                );
                 info.followers.push(target);
             }
         }
@@ -334,14 +351,65 @@ impl Master {
 
     /// Live node ids, sorted — the only valid assignment targets.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .servers
-            .keys()
-            .copied()
-            .filter(|n| !self.dead.contains(n))
-            .collect();
-        v.sort();
+        let mut v = self.nodes();
+        v.retain(|n| !self.dead.contains(n));
         v
+    }
+
+    /// Whether `node` takes requests: lease alive, server not stopped.
+    fn serving(&self, node: NodeId) -> bool {
+        !self.dead.contains(&node)
+            && self
+                .servers
+                .get(&node)
+                .is_some_and(|s| s.handle().state() == ServerState::Healthy)
+    }
+
+    /// Send `req` to `node`'s server; a node that does not serve refuses.
+    fn request(&self, node: NodeId, req: Request) -> Result<Response, PlacementError> {
+        let down = PlacementError::NodeDown(node);
+        let server = self
+            .servers
+            .get(&node)
+            .filter(|_| !self.dead.contains(&node));
+        server.ok_or(down)?.handle().call(req).map_err(|_| down)
+    }
+
+    /// Open `region` on `node`; callers check [`Master::serving`] first,
+    /// as a refused open loses the region.
+    fn open(&self, node: NodeId, region: Region) -> Result<(), PlacementError> {
+        self.request(node, Request::Open(Box::new(region), None))
+            .map(drop)
+    }
+
+    /// Close region `id` on `node`, taking it over.
+    fn close(&self, node: NodeId, id: RegionId) -> Result<Region, PlacementError> {
+        match self.request(node, Request::Close(id))? {
+            Response::Region(region) => Ok(*region),
+            _ => Err(PlacementError::UnknownRegion(id)),
+        }
+    }
+
+    /// Fork a follower of `info`'s region onto `target`; `false` if refused.
+    fn fork_onto(&self, info: &RegionInfo, target: NodeId) -> bool {
+        if !self.serving(target) {
+            return false;
+        }
+        match self.request(info.server, Request::Fork(info.id)) {
+            Ok(Response::Region(fork)) => self.open(target, *fork).is_ok(),
+            _ => false,
+        }
+    }
+
+    /// A copy of the directory.
+    fn entries(&self) -> Vec<RegionInfo> {
+        self.directory.read().clone()
+    }
+
+    /// A copy of `id`'s directory entry.
+    fn entry(&self, id: RegionId) -> Result<RegionInfo, PlacementError> {
+        let entry = self.entries().into_iter().find(|i| i.id == id);
+        entry.ok_or(PlacementError::UnknownRegion(id))
     }
 
     /// Heartbeat one server's coordinator session (driven by the harness).
@@ -359,8 +427,8 @@ impl Master {
     /// group — a single-copy region is a group of one — and one sweep
     /// over the directory handles them all: dead followers are pruned, a
     /// dead primary is promoted around when a follower survives, and
-    /// recovered from its shared WAL under a bumped epoch when none does.
-    /// Returns the ids of the regions the sweep touched.
+    /// recovered from the WAL it left under a bumped epoch when none
+    /// does. Returns the ids of the regions the sweep touched.
     pub fn tick(&mut self, now_ms: u64) -> Vec<RegionId> {
         let removed = self.coordinator.expire_stale_sessions(now_ms);
         let mut reassigned = Vec::new();
@@ -381,68 +449,49 @@ impl Master {
         self.dead.extend(dead_nodes.iter().copied());
         let live = self.live_nodes();
         assert!(!live.is_empty(), "entire cluster died");
-        // The directory write lock is deliberately held across the whole
-        // unassign → recover → assign sweep: clients must never observe a
-        // directory entry pointing at a dead server mid-reassignment. The
-        // server-side locks acquired inside these calls (each server's
-        // region map, each region's WAL) always nest *under* the directory
-        // lock, here and in move_region — one global order, no cycle.
-        let dead_set: std::collections::HashSet<NodeId> = dead_nodes.iter().copied().collect();
+        // Stop each dead server and take what it left (WAL and store
+        // files), by node: a region's copies may die together.
+        let mut left: HashMap<(NodeId, RegionId), Region> = HashMap::new();
+        for &node in &dead_nodes {
+            let regions = self.servers.get_mut(&node).map(RegionServer::take_left);
+            for (id, region) in regions.into_iter().flatten() {
+                left.insert((node, id), region);
+            }
+        }
+        let dead_set: HashSet<NodeId> = dead_nodes.iter().copied().collect();
+        // The directory write lock is held across the sweep: clients never
+        // see an entry pointing at a dead server mid-reassignment.
         let mut dir = self.directory.write();
         let mut rr = 0usize;
         // A dead primary is *promoted around* when a follower survives:
-        // the most-caught-up surviving follower (which holds every
-        // quorum-acked write by construction) becomes primary under a
-        // bumped epoch, fencing the deposed primary's writer out of
-        // future quorums. No WAL replay happens on that path — the
-        // survivor's memstore is intact, which is exactly the
-        // availability win over lease recovery.
+        // the most-caught-up one (which holds every quorum-acked write)
+        // leads under a bumped epoch that fences the deposed writer. Its
+        // memstore is intact, so nothing replays — the availability win
+        // over lease recovery.
         for info in dir.iter_mut() {
             let primary_dead = dead_set.contains(&info.server);
-            let dead_followers: Vec<NodeId> = info
-                .followers
-                .iter()
-                .copied()
-                .filter(|n| dead_set.contains(n))
-                .collect();
-            if !primary_dead && dead_followers.is_empty() {
-                continue;
-            }
-            for &n in &dead_followers {
-                if let Some(s) = self.servers.get(&n) {
-                    // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-                    s.unassign(info.id);
-                }
-            }
+            let followers_before = info.followers.len();
             info.followers.retain(|n| !dead_set.contains(n));
             if !primary_dead {
-                reassigned.push(info.id);
+                if info.followers.len() < followers_before {
+                    reassigned.push(info.id);
+                }
                 continue;
             }
+            // Every serving follower takes the new epoch and answers with
+            // its position.
+            let new_epoch = info.epoch + 1;
             let survivors: Vec<(NodeId, u64)> = info
                 .followers
                 .iter()
-                .filter_map(|&n| {
-                    self.servers
-                        .get(&n)
-                        // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-                        .and_then(|s| s.region_applied_seq(info.id))
-                        .map(|seq| (n, seq))
-                })
+                .filter_map(
+                    |&n| match self.request(n, Request::SetEpoch(info.id, new_epoch)) {
+                        Ok(Response::EpochSet(seq)) => Some((n, seq)),
+                        _ => None,
+                    },
+                )
                 .collect();
-            let new_epoch = info.epoch + 1;
             if let Some(promotee) = choose_promotee(&survivors) {
-                if let Some(s) = self.servers.get(&info.server) {
-                    // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-                    s.unassign(info.id);
-                }
-                // The promotee and every other survivor take the new
-                // epoch; the directory records which copy leads.
-                for &(n, _) in &survivors {
-                    // pga-allow(panic-path, lock-discipline): survivor nodes were just read from servers; directory → server-regions is the global lock order
-                    self.servers[&n].set_region_epoch(info.id, new_epoch);
-                }
-                self.failovers += 1;
                 self.failover_log.push(FailoverEvent {
                     region: info.id,
                     from: info.server,
@@ -454,190 +503,157 @@ impl Master {
                 info.followers.retain(|&n| n != promotee);
                 info.epoch = new_epoch;
                 reassigned.push(info.id);
-            } else if let Some(mut region) = self
-                .servers
-                .get(&info.server)
-                // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-                .and_then(|s| s.unassign(info.id))
-            {
-                // No copy survives (always so for a single-copy region):
-                // lease recovery. A real crash loses the memstore with the
-                // process: crash_recover drops it, reads the WAL back
-                // through its byte encoding (where the fault plane may
-                // tear the tail) and replays the surviving records. The
-                // epoch still bumps, so stragglers stay fenced.
-                // pga-allow(lock-discipline): directory → region-WAL is the global lock order (see above)
-                region.crash_recover();
-                region.set_epoch(new_epoch);
-                // pga-allow(panic-path): live is asserted non-empty above
-                let target = live[rr % live.len()];
-                rr += 1;
-                // pga-allow(panic-path, lock-discipline): target ∈ live ⊆ servers.keys(); directory → server-regions is the global lock order
-                self.servers[&target].assign(region);
-                info.server = target;
-                info.followers.clear();
-                info.epoch = new_epoch;
-                reassigned.push(info.id);
+                continue;
             }
+            // No copy survives (always so for a single-copy region): lease
+            // recovery on a serving node replays the WAL the dead node left
+            // (its memstore died with it) under the bumped epoch.
+            let Some(region) = left.remove(&(info.server, info.id)) else {
+                continue;
+            };
+            let Some(target) = (0..live.len())
+                .filter_map(|i| live.get((rr + i) % live.len()).copied())
+                .find(|&n| self.serving(n))
+            else {
+                continue;
+            };
+            rr += 1;
+            let recover = Request::Open(Box::new(region), Some(new_epoch));
+            if let Ok(Response::Opened(torn)) = self.request(target, recover) {
+                self.torn_replays += u64::from(torn);
+            }
+            info.server = target;
+            info.followers.clear();
+            info.epoch = new_epoch;
+            reassigned.push(info.id);
         }
-        // Re-replication: restore the desired factor by forking fresh
-        // follower copies from each primary onto live nodes not yet
-        // hosting a copy.
+        // Re-replication: fork fresh followers from each primary onto
+        // serving nodes without a copy, back up to the desired factor.
         if self.desired_factor > 1 {
             for info in dir.iter_mut() {
                 while 1 + info.followers.len() < self.desired_factor {
-                    let mut target = None;
-                    for i in 0..live.len() {
-                        // pga-allow(panic-path): index is taken modulo live.len(), non-zero inside this loop
-                        let cand = live[(self.repl_rr + i) % live.len()];
-                        if !info.hosts_copy(cand) {
-                            target = Some(cand);
-                            self.repl_rr += i + 1;
-                            break;
-                        }
-                    }
-                    let Some(target) = target else { break };
-                    let Some(fork) = self
-                        .servers
-                        .get(&info.server)
-                        // pga-allow(lock-discipline): directory → server-regions is the global lock order (see above)
-                        .and_then(|s| s.fork_region_follower(info.id))
+                    let Some((i, target)) = (0..live.len())
+                        .filter_map(|i| live.get((self.repl_rr + i) % live.len()).map(|&n| (i, n)))
+                        .find(|&(_, n)| !info.hosts_copy(n) && self.serving(n))
                     else {
                         break;
                     };
-                    // pga-allow(panic-path, lock-discipline): target ∈ live ⊆ servers.keys(); directory → server-regions is the global lock order
-                    self.servers[&target].assign(fork);
+                    self.repl_rr += i + 1;
+                    if !self.fork_onto(info, target) {
+                        break;
+                    }
                     info.followers.push(target);
                 }
-            }
-        }
-        for dead in dead_nodes {
-            if let Some(s) = self.servers.get(&dead) {
-                s.shutdown();
             }
         }
         reassigned
     }
 
-    /// Split one region in place: unassign, split at the median row,
-    /// assign daughters (left stays, right goes to the next node round-
-    /// robin), update the directory. Returns the daughter ids on success.
-    pub fn split_region(&mut self, rid: RegionId) -> Option<(RegionId, RegionId)> {
-        let info = {
-            let dir = self.directory.read();
-            dir.iter().find(|i| i.id == rid)?.clone()
-        };
+    /// Split one region in place: close it, split it at the median row,
+    /// open the daughters (left stays, right goes to the next node round-
+    /// robin) and update the directory. Returns the daughter ids.
+    pub fn split_region(&mut self, rid: RegionId) -> Result<(RegionId, RegionId), PlacementError> {
+        let info = self.entry(rid)?;
         if !info.followers.is_empty() {
             // Splitting a replicated region would need a coordinated
             // multi-copy split (every replica at the same WAL point);
             // refuse rather than diverge the copies.
-            return None;
+            return Err(PlacementError::Replicated(rid));
         }
-        let server = self.servers.get(&info.server)?;
-        let region = server.unassign(rid)?;
+        let nodes = self.live_nodes();
+        let pos = nodes.iter().position(|&n| n == info.server).unwrap_or(0);
+        let right_node = nodes
+            .iter()
+            .cycle()
+            .nth(pos + 1)
+            .copied()
+            .unwrap_or(info.server);
+        for node in [info.server, right_node] {
+            if !self.serving(node) {
+                return Err(PlacementError::NodeDown(node));
+            }
+        }
+        let region = self.close(info.server, rid)?;
         self.next_region += 1;
         let left_id = RegionId(self.next_region);
         self.next_region += 1;
         let right_id = RegionId(self.next_region);
-        match region.split(left_id, right_id) {
-            Ok((left, right)) => {
-                let nodes = self.live_nodes();
-                let pos = nodes.iter().position(|&n| n == info.server).unwrap_or(0);
-                // pga-allow(panic-path): the hosting server just answered unassign, so the live set is non-empty
-                let right_node = nodes[(pos + 1) % nodes.len()];
-                let left_info = RegionInfo {
-                    id: left_id,
-                    range: left.range().clone(),
-                    server: info.server,
-                    followers: Vec::new(),
-                    epoch: 1,
-                    write_quorum: 1,
-                };
-                let right_info = RegionInfo {
-                    id: right_id,
-                    range: right.range().clone(),
-                    server: right_node,
-                    followers: Vec::new(),
-                    epoch: 1,
-                    write_quorum: 1,
-                };
-                server.assign(left);
-                // pga-allow(panic-path): right_node is drawn from live_nodes() ⊆ servers.keys()
-                self.servers[&right_node].assign(right);
-                let mut dir = self.directory.write();
-                dir.retain(|i| i.id != rid);
-                dir.push(left_info);
-                dir.push(right_info);
-                dir.sort_by(|a, b| a.range.start.cmp(&b.range.start));
-                Some((left_id, right_id))
-            }
+        let (left, right) = match region.split(left_id, right_id) {
+            Ok(daughters) => daughters,
             Err(region) => {
                 // Could not split: put it back untouched.
-                server.assign(region);
-                None
+                self.open(info.server, region)?;
+                return Err(PlacementError::Unsplittable(rid));
             }
-        }
+        };
+        let daughter = |id: RegionId, region: &Region, server: NodeId| RegionInfo {
+            id,
+            range: region.range().clone(),
+            server,
+            followers: Vec::new(),
+            epoch: 1,
+            write_quorum: 1,
+        };
+        let left_info = daughter(left_id, &left, info.server);
+        let right_info = daughter(right_id, &right, right_node);
+        self.open(info.server, left)?;
+        self.open(right_node, right)?;
+        let mut dir = self.directory.write();
+        dir.retain(|i| i.id != rid);
+        dir.push(left_info);
+        dir.push(right_info);
+        dir.sort_by(|a, b| a.range.start.cmp(&b.range.start));
+        Ok((left_id, right_id))
     }
 
     /// Migrate one region to `target` while clients keep writing.
     ///
-    /// The directory write lock is held across unassign → assign → update,
-    /// so clients either see the old entry (and get `WrongRegion` from the
+    /// The directory write lock is held across close → open → update, so
+    /// clients either see the old entry (and get `WrongRegion` from the
     /// source, triggering their retry-with-refresh loop) or the new entry
-    /// pointing at a server that already hosts the region. The in-process
-    /// `Region` struct moves with its memstore and files, so no datapoint
-    /// is lost or double-served.
-    pub fn move_region(&mut self, rid: RegionId, target: NodeId) -> bool {
-        if self.dead.contains(&target) || !self.servers.contains_key(&target) {
-            return false;
+    /// pointing at a server that already hosts the region. The region
+    /// moves with its memstore and files, so no datapoint is lost or
+    /// double-served. Both ends must serve: a stopped source keeps its
+    /// regions for lease recovery, which replays them from the WAL.
+    pub fn move_region(&mut self, rid: RegionId, target: NodeId) -> Result<(), PlacementError> {
+        if !self.serving(target) {
+            return Err(PlacementError::NodeDown(target));
         }
-        let source = {
-            let dir = self.directory.read();
-            match dir.iter().find(|i| i.id == rid) {
-                Some(info) => {
-                    if info.followers.contains(&target) {
-                        // The target already hosts a follower copy; the
-                        // region map is keyed by id, so assigning the
-                        // primary there would silently overwrite it.
-                        return false;
-                    }
-                    info.server
-                }
-                None => return false,
-            }
-        };
-        if source == target {
-            return true;
+        let info = self.entry(rid)?;
+        if info.followers.contains(&target) {
+            return Err(PlacementError::HostsCopy(target));
+        }
+        if info.server == target {
+            return Ok(());
         }
         let mut dir = self.directory.write();
-        // pga-allow(lock-discipline): directory → server-regions is the global lock order (see tick)
-        let mut region = match self.servers.get(&source).and_then(|s| s.unassign(rid)) {
-            Some(r) => r,
-            None => return false,
-        };
+        let mut region = self.close(info.server, rid)?;
         // Deliberate injection site: mutant C drops the memstore during
         // migration; the faithful plane ships the region intact.
         if self.fault.drop_memstore_on_move(rid) {
             region.clear_memstore();
         }
-        // pga-allow(panic-path, lock-discipline): target checked in servers above; directory → server-regions order
-        self.servers[&target].assign(region);
-        for info in dir.iter_mut() {
-            if info.id == rid {
-                info.server = target;
-            }
+        self.open(target, region)?;
+        for entry in dir.iter_mut().filter(|i| i.id == rid) {
+            entry.server = target;
         }
-        true
+        Ok(())
     }
 
     /// Promotions performed across all liveness sweeps.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.failover_log.len() as u64
     }
 
     /// Every promotion performed, in sweep order.
     pub fn failover_events(&self) -> &[FailoverEvent] {
         &self.failover_log
+    }
+
+    /// Lease recoveries whose replayed WAL image decoded torn, across all
+    /// liveness sweeps.
+    pub fn torn_replays(&self) -> u64 {
+        self.torn_replays
     }
 
     /// The replication factor the master maintains (1 = unreplicated).
@@ -646,43 +662,31 @@ impl Master {
     }
 
     /// Replication position of every replicated region: the primary's
-    /// last WAL sequence against each follower's applied sequence. Feeds
-    /// telemetry (max lag) and the fault harness's divergence oracle.
+    /// last WAL sequence against each follower's applied sequence, as
+    /// each server last published them. Feeds telemetry (max lag) and
+    /// the fault harness's divergence oracle.
     pub fn replication_report(&self) -> Vec<RegionReplicationStatus> {
-        let dir = self.directory.read();
-        dir.iter()
+        let seq = |node: NodeId, id: RegionId| {
+            self.servers
+                .get(&node)
+                .and_then(|s| s.published_seq(id))
+                .unwrap_or(0)
+        };
+        self.entries()
+            .into_iter()
             .filter(|info| !info.followers.is_empty())
             .map(|info| RegionReplicationStatus {
                 region: info.id,
                 primary: info.server,
                 epoch: info.epoch,
-                primary_seq: self
-                    .servers
-                    .get(&info.server)
-                    // pga-allow(lock-discipline): directory → server-regions is the global lock order (see tick)
-                    .and_then(|s| s.region_applied_seq(info.id))
-                    .unwrap_or(0),
+                primary_seq: seq(info.server, info.id),
                 followers: info
                     .followers
                     .iter()
-                    .map(|&n| {
-                        (
-                            n,
-                            self.servers
-                                .get(&n)
-                                // pga-allow(lock-discipline): directory → server-regions is the global lock order (see tick)
-                                .and_then(|s| s.region_applied_seq(info.id))
-                                .unwrap_or(0),
-                        )
-                    })
+                    .map(|&n| (n, seq(n, info.id)))
                     .collect(),
             })
             .collect()
-    }
-
-    /// The coordinator this master registers servers with.
-    pub fn coordinator(&self) -> &Coordinator {
-        &self.coordinator
     }
 
     /// Shut every server down.
@@ -704,6 +708,14 @@ mod tests {
     use super::*;
     use crate::kv::KeyValue;
     use crate::server::{Request, Response};
+    use pga_cluster::rpc::RpcError;
+
+    fn scan(m: &Master, node: NodeId, region: RegionId) -> Result<Response, RpcError> {
+        m.server(node).unwrap().handle().call(Request::Scan {
+            region,
+            scan: RowRange::all().into(),
+        })
+    }
 
     fn table(splits: &[&[u8]]) -> TableDescriptor {
         TableDescriptor {
@@ -906,7 +918,7 @@ mod tests {
             })
             .unwrap();
         let target = m.nodes().into_iter().find(|&n| n != source).unwrap();
-        assert!(m.move_region(info.id, target));
+        assert_eq!(m.move_region(info.id, target), Ok(()));
         assert_eq!(locate(&dir, b"k").unwrap().server, target);
         // Source now answers WrongRegion; target serves the datapoint.
         match m.server(source).unwrap().handle().call(Request::Scan {
@@ -932,9 +944,12 @@ mod tests {
         let mut m = Master::bootstrap(1, ServerConfig::default(), coord, 0);
         m.create_table(&table(&[]));
         let rid = m.directory().read()[0].id;
-        assert!(m.split_region(rid).is_none());
+        assert_eq!(m.split_region(rid), Err(PlacementError::Unsplittable(rid)));
         assert_eq!(m.directory().read().len(), 1);
-        assert!(m.server(NodeId(0)).unwrap().hosted_regions().contains(&rid));
+        assert!(matches!(
+            scan(&m, NodeId(0), rid),
+            Ok(Response::Cells(cells)) if cells.is_empty()
+        ));
         m.shutdown();
     }
 
@@ -1082,8 +1097,91 @@ mod tests {
         let mut m = Master::bootstrap(3, ServerConfig::default(), coord, 0);
         m.create_replicated_table(&table(&[]), 2);
         let info = m.directory().read()[0].clone();
-        assert!(m.split_region(info.id).is_none());
-        assert!(!m.move_region(info.id, info.followers[0]));
+        assert_eq!(
+            m.split_region(info.id),
+            Err(PlacementError::Replicated(info.id))
+        );
+        assert_eq!(
+            m.move_region(info.id, info.followers[0]),
+            Err(PlacementError::HostsCopy(info.followers[0]))
+        );
+        m.shutdown();
+    }
+
+    /// A crashed node serves no placement: before its lease expires a
+    /// move or split of its region is refused and the directory stays as
+    /// it was; after, the sweep recovers the region from its WAL onto a
+    /// live node with every acked cell.
+    #[test]
+    fn placement_never_reaches_a_crashed_server() {
+        let coord = Coordinator::new(100);
+        let mut m = Master::bootstrap(3, ServerConfig::default(), coord, 0);
+        m.create_table(&table(&[b"m"]));
+        let dir = m.directory();
+        let info = dir.read()[0].clone();
+        let rows: Vec<Vec<u8>> = (0..20).map(|i| format!("a{i:02}").into_bytes()).collect();
+        for (i, row) in rows.iter().enumerate() {
+            let kvs = vec![KeyValue::new(row.clone(), b"q".to_vec(), 1, b"v".to_vec())];
+            match m
+                .server(info.server)
+                .unwrap()
+                .handle()
+                .call(Request::PutReplicated {
+                    region: info.id,
+                    epoch: 1,
+                    kvs,
+                })
+                .unwrap()
+            {
+                Response::Appended { .. } => {}
+                other => panic!("unexpected {other:?}"),
+            }
+            if i == 9 {
+                m.server(info.server)
+                    .unwrap()
+                    .handle()
+                    .call(Request::Flush { region: info.id })
+                    .unwrap();
+            }
+        }
+        m.server(info.server).unwrap().shutdown();
+        let target = m.nodes().into_iter().find(|&n| n != info.server).unwrap();
+        let down = Err(PlacementError::NodeDown(info.server));
+        assert_eq!(m.move_region(info.id, target), down);
+        assert_eq!(m.split_region(info.id).map(drop), down);
+        assert_eq!(m.move_region(dir.read()[1].id, info.server), down);
+        let entries = |m: &Master| {
+            let d = m.directory();
+            let d = d.read();
+            d.iter()
+                .map(|i| (i.id, i.server, i.epoch))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            entries(&m),
+            vec![
+                (info.id, info.server, 1),
+                (dir.read()[1].id, dir.read()[1].server, 1)
+            ]
+        );
+
+        for n in m.nodes() {
+            if n != info.server {
+                m.heartbeat(n, 500);
+            }
+        }
+        assert_eq!(m.tick(500), vec![info.id]);
+        let recovered = dir.read()[0].clone();
+        assert_ne!(recovered.server, info.server);
+        assert_eq!(recovered.epoch, 2);
+        match scan(&m, recovered.server, info.id) {
+            Ok(Response::Cells(cells)) => {
+                let got: Vec<Vec<u8>> = cells.iter().map(|kv| kv.row.to_vec()).collect();
+                assert_eq!(got, rows);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(m.torn_replays(), 0);
         m.shutdown();
     }
 }

@@ -454,26 +454,23 @@ impl Region {
     }
 
     /// Scrub pass: verify every store-file cell the `verifier` covers,
-    /// returning how many were checked and the `(row, qualifier)` keys
-    /// that failed. Read-only and sequential — the low-priority walk the
-    /// background scrubber rides on the compaction cadence.
+    /// adding how many were checked and the `(row, qualifier)` keys that
+    /// failed to `found`. Read-only and sequential — the low-priority walk
+    /// the background scrubber rides on the compaction cadence.
     pub fn scrub_cells(
         &self,
         verifier: &dyn crate::scrub::CellVerifier,
-    ) -> crate::scrub::ScrubFinding {
-        let mut finding = crate::scrub::ScrubFinding::default();
-        for f in &self.files {
-            for kv in f.scan(&RowRange::all()) {
-                if !verifier.covers(kv) {
-                    continue;
-                }
-                finding.scanned += 1;
+        found: &mut crate::scrub::ScrubFinding,
+    ) {
+        let all = RowRange::all();
+        for kv in self.files.iter().flat_map(|f| f.scan(&all)) {
+            if verifier.covers(kv) {
+                found.scanned += 1;
                 if !verifier.verify(kv) {
-                    finding.corrupt.push((kv.row.clone(), kv.qualifier.clone()));
+                    found.corrupt.push((kv.row.clone(), kv.qualifier.clone()));
                 }
             }
         }
-        finding
     }
 
     /// Fault-injection hook (corruption harnesses only): pick the
@@ -487,52 +484,35 @@ impl Region {
         selector: &dyn Fn(&KeyValue) -> bool,
         mutate: &dyn Fn(&mut Vec<u8>),
     ) -> Option<(Bytes, Bytes)> {
-        let total: usize = self
-            .files
-            .iter()
-            .map(|f| f.scan(&RowRange::all()).filter(|kv| selector(kv)).count())
-            .sum();
+        let matches = |f: &StoreFile| f.scan(&RowRange::all()).filter(|kv| selector(kv)).count();
+        let total: usize = self.files.iter().map(matches).sum();
         if total == 0 {
             return None;
         }
-        let target = (pick % total as u64) as usize;
-        let mut seen = 0usize;
-        for fi in 0..self.files.len() {
-            let Some(file) = self.files.get(fi) else {
-                continue;
-            };
-            let matches = file
-                .scan(&RowRange::all())
-                .filter(|kv| selector(kv))
-                .count();
-            if seen + matches <= target {
-                seen += matches;
-                continue;
+        // The file holding the target, and the target's rank among its
+        // matching cells.
+        let mut within = (pick % total as u64) as usize;
+        let fi = self.files.iter().position(|f| {
+            let n = matches(f);
+            within < n || {
+                within -= n;
+                false
             }
-            let within = target - seen;
-            let seq = file.sequence();
-            let mut cells: Vec<KeyValue> = file.scan(&RowRange::all()).cloned().collect();
-            let mut hit = None;
-            let mut mi = 0usize;
-            for kv in cells.iter_mut() {
-                if !selector(kv) {
-                    continue;
-                }
-                if mi == within {
-                    let mut value = kv.value.to_vec();
-                    mutate(&mut value);
-                    kv.value = Bytes::from(value);
-                    hit = Some((kv.row.clone(), kv.qualifier.clone()));
-                    break;
-                }
-                mi += 1;
+        })?;
+        let (mut seen, mut hit) = (0usize, None);
+        self.rewrite_file(fi, |kv| {
+            if !selector(kv) {
+                return;
             }
-            if let Some(slot) = self.files.get_mut(fi) {
-                *slot = StoreFile::from_sorted(cells, seq);
+            if seen == within {
+                let mut value = kv.value.to_vec();
+                mutate(&mut value);
+                kv.value = Bytes::from(value);
+                hit = Some((kv.row.clone(), kv.qualifier.clone()));
             }
-            return hit;
-        }
-        None
+            seen += 1;
+        });
+        hit
     }
 
     /// Repair install: replace the stored value of every store-file cell
@@ -541,30 +521,38 @@ impl Region {
     /// Only called by the scrub repair path, with bytes that already
     /// round-tripped checksum verification.
     pub fn replace_cell_value(&mut self, row: &[u8], qualifier: &[u8], value: &Bytes) -> usize {
+        let stale =
+            |kv: &KeyValue| kv.row == row && kv.qualifier == qualifier && kv.value != *value;
         let mut replaced = 0usize;
         for fi in 0..self.files.len() {
-            let Some(file) = self.files.get(fi) else {
-                continue;
-            };
-            let hit = file
-                .scan(&RowRange::all())
-                .any(|kv| kv.row == row && kv.qualifier == qualifier && kv.value != *value);
-            if !hit {
-                continue;
-            }
-            let seq = file.sequence();
-            let mut cells: Vec<KeyValue> = file.scan(&RowRange::all()).cloned().collect();
-            for kv in cells.iter_mut() {
-                if kv.row == row && kv.qualifier == qualifier && kv.value != *value {
-                    kv.value = value.clone();
-                    replaced += 1;
-                }
-            }
-            if let Some(slot) = self.files.get_mut(fi) {
-                *slot = StoreFile::from_sorted(cells, seq);
+            if self
+                .files
+                .get(fi)
+                .is_some_and(|f| f.scan(&RowRange::all()).any(stale))
+            {
+                self.rewrite_file(fi, |kv| {
+                    if stale(kv) {
+                        kv.value = value.clone();
+                        replaced += 1;
+                    }
+                });
             }
         }
         replaced
+    }
+
+    /// Rebuild store file `fi` with `edit` applied to each of its cells
+    /// (values only, so the sort order holds).
+    fn rewrite_file(&mut self, fi: usize, edit: impl FnMut(&mut KeyValue)) {
+        let Some(file) = self.files.get(fi) else {
+            return;
+        };
+        let seq = file.sequence();
+        let mut cells: Vec<KeyValue> = file.scan(&RowRange::all()).cloned().collect();
+        cells.iter_mut().for_each(edit);
+        if let Some(slot) = self.files.get_mut(fi) {
+            *slot = StoreFile::from_sorted(cells, seq);
+        }
     }
 
     /// Split at the median row of the stored data. Returns the two
@@ -620,13 +608,14 @@ impl Region {
     /// serving process), the WAL is read back through its byte encoding —
     /// exposed to [`crate::fault::FaultPlane::tear_wal`] so harnesses can
     /// tear the tail the way a mid-append crash would — and the surviving
-    /// records are replayed into a fresh memstore.
-    pub fn crash_recover(&mut self) {
+    /// records are replayed into a fresh memstore. Returns whether the
+    /// image it replayed decoded torn (trailing bytes discarded).
+    pub fn crash_recover(&mut self) -> bool {
         self.memstore = MemStore::new();
         // Deliberate injection site: mutant B (replay skips the unflushed
         // tail) stops here; the faithful plane always replays.
         if self.fault.skip_crash_replay(self.id) {
-            return;
+            return false;
         }
         let mut encoded = self.wal.encode();
         self.fault.tear_wal(self.id, &mut encoded);
@@ -634,6 +623,7 @@ impl Region {
         for kv in self.wal.replay() {
             self.memstore.put(kv);
         }
+        WriteAheadLog::decode_report(&encoded).torn
     }
 
     /// Drop the memstore (mutant C's migration bug; harness-driven via
@@ -880,7 +870,7 @@ mod tests {
         r.put_batch(vec![kv("a", 1, "flushed")]).unwrap();
         r.flush();
         r.put_batch(vec![kv("b", 1, "unflushed")]).unwrap();
-        r.crash_recover();
+        assert!(!r.crash_recover(), "a clean image replays whole");
         let cells = r.scan(&RowRange::all());
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().any(|c| &c.value[..] == b"unflushed"));

@@ -19,8 +19,9 @@
 //!   ([`pga_repl::rank_repair_sources`]): fetch via the epoch-fenced
 //!   `RepairFetch` RPC, re-verify the fetched bytes (repairs must
 //!   round-trip the checksum **before** install — skipping this is
-//!   seeded mutant F), install on every stale copy, and only then clear
-//!   the quarantine entry. A span with no healthy copy stays quarantined
+//!   seeded mutant F), install on every stale copy with the `Repair`
+//!   RPC, which each copy fences by the fetch-time epoch, and only then
+//!   clear the quarantine entry. A span with no healthy copy stays quarantined
 //!   and is retried next tick; reads of it keep returning typed errors,
 //!   never silent holes.
 
@@ -35,6 +36,7 @@ use crate::client::Client;
 use crate::fault::FaultHandle;
 use crate::kv::{KeyValue, RowRange};
 use crate::master::{locate, Master};
+use crate::server::{Request, Response};
 
 /// Pluggable integrity checker for stored cells. Implementations must be
 /// cheap, deterministic and side-effect free — they run inside scrub
@@ -178,21 +180,22 @@ pub fn scrub_tick(
     let mut report = ScrubTickReport::default();
     state.scrub_ticks.fetch_add(1, Ordering::Relaxed);
 
-    // Detect: walk every hosted copy on every live node. Dead nodes are
-    // skipped — their copies are the failover machinery's problem.
+    // Detect: one scrub walk over every hosted copy on every live node.
+    // Dead and stopped nodes are skipped — their copies are the failover
+    // machinery's problem.
     for node in master.live_nodes() {
         let Some(server) = master.server(node) else {
             continue;
         };
-        for rid in server.hosted_regions() {
-            let Some(finding) = server.scrub_region(rid, verifier.as_ref()) else {
-                continue;
-            };
-            report.cells_scrubbed += finding.scanned;
-            for (row, qualifier) in finding.corrupt {
-                if state.quarantine(row, qualifier) {
-                    report.newly_quarantined += 1;
-                }
+        let Ok(Response::Scrubbed(finding)) =
+            server.handle().call(Request::Scrub(verifier.clone()))
+        else {
+            continue;
+        };
+        report.cells_scrubbed += finding.scanned;
+        for (row, qualifier) in finding.corrupt {
+            if state.quarantine(row, qualifier) {
+                report.newly_quarantined += 1;
             }
         }
     }
@@ -262,11 +265,12 @@ pub fn scrub_tick(
                     report.repairs_unavailable += 1;
                     continue;
                 }
+                // Each copy fences the install again, against the epoch
+                // the payload was fetched under.
                 fault.observe_repair_install(info.id, &value);
                 for node in info.replicas() {
-                    if let Some(server) = master.server(node) {
-                        server.repair_region_cell(info.id, &key.row, &key.qualifier, &value);
-                    }
+                    let repair = Request::Repair(info.id, info.epoch, key.clone(), value.clone());
+                    let _ = master.server(node).map(|s| s.handle().call(repair));
                 }
                 state.clear(&key);
                 state.repairs_ok.fetch_add(1, Ordering::Relaxed);

@@ -1,24 +1,34 @@
-//! Region server: an RPC thread serving the regions assigned to it.
+//! Region server: an RPC thread that owns the regions assigned to it.
 //!
 //! Each region server is one [`pga_cluster::rpc`] server — a thread behind
 //! a **bounded** request queue, exactly one per node like the paper's
 //! deployment ("each node is also running an instance of a TSD Daemon";
-//! the region server is its storage-side peer). Overload semantics come
-//! from the RPC layer: a full queue makes writers wait and refuses
-//! non-blocking reads with `Busy`. The server stops only when the master
-//! shuts it down.
+//! the region server is its storage-side peer). The thread owns its
+//! regions outright, in a map no lock guards, and everything that touches
+//! them is a [`Request`]: clients' puts, ships and scans, and the master's
+//! placement, the scrubber's walk and the fault harnesses' corruption.
+//! Overload semantics come from the RPC layer: a full queue makes writers
+//! wait and refuses non-blocking reads with `Busy`. After each request
+//! that moves them, the thread publishes its regions' metrics and applied
+//! sequences for telemetry to read without queueing. When the server
+//! stops, its thread hands the regions back: the stand-in for the WAL and
+//! store files that lease recovery reads.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use bytes::Bytes;
+use parking_lot::Mutex;
 
-use pga_cluster::rpc::{RpcHandle, RpcServerBuilder, ServerRunner};
+use pga_cluster::rpc::{RpcHandle, RpcServerBuilder};
 use pga_cluster::NodeId;
 
+use crate::fault::FaultHandle;
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::region::{Region, RegionId, RegionMetrics};
+use crate::rewrite::RewriterHandle;
 use crate::scanner::ScanCells;
+use crate::scrub::{QuarantineKey, ScrubFinding, VerifierHandle};
 
 /// Region-server tunables.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +46,6 @@ impl Default for ServerConfig {
 }
 
 /// RPC requests served by a region server.
-#[derive(Debug)]
 pub enum Request {
     /// Scan a row range within a region, whole rows or a column window.
     Scan {
@@ -100,6 +109,10 @@ pub enum Request {
         /// The replication-group epoch the reader believes is current.
         epoch: u64,
     },
+    /// Install a verified repair payload `(region, epoch, key, value)`:
+    /// replace the value of every store-file cell at `key`, fenced like
+    /// every write by the epoch the payload was fetched under.
+    Repair(RegionId, u64, QuarantineKey, Bytes),
     /// Force a memstore flush.
     Flush {
         /// Target region.
@@ -112,6 +125,33 @@ pub enum Request {
     },
     /// Fetch metrics for every hosted region.
     Metrics,
+    /// Open a region here: the master's placement. With an epoch, the
+    /// region is a dead node's copy and opens as lease recovery: its WAL
+    /// replayed ([`Region::crash_recover`]), then served under that epoch.
+    /// Answers [`Response::Opened`].
+    Open(Box<Region>, Option<u64>),
+    /// Close a region and hand it over ([`Response::Region`]).
+    Close(RegionId),
+    /// Fork a fresh follower copy ([`Region::fork_follower`]); answers
+    /// [`Response::Region`].
+    Fork(RegionId),
+    /// Install a new epoch on a copy (failover fences the deposed
+    /// primary everywhere). Answers [`Response::EpochSet`].
+    SetEpoch(RegionId, u64),
+    /// Install a fault plane and, if given, a compaction rewriter on every
+    /// hosted region.
+    Equip(FaultHandle, Option<RewriterHandle>),
+    /// The scrub walk over every hosted region; answers
+    /// [`Response::Scrubbed`].
+    Scrub(VerifierHandle),
+    /// Fault injection `(region, pick, selector, mutate)`: mutate the value
+    /// of the `pick % n`-th stored cell of the region that `selector`
+    /// matches ([`Region::corrupt_cell_for_fault_injection`]). Answers
+    /// [`Response::Corrupted`].
+    Corrupt(RegionId, u64, fn(&KeyValue) -> bool, CellMutation),
+    /// Hand every region back and keep none: the last request
+    /// [`RegionServer::shutdown`] sends. Answers [`Response::Stopped`].
+    Stop,
 }
 
 /// RPC responses.
@@ -186,35 +226,51 @@ pub enum Response {
         /// The copy's last durable WAL sequence.
         applied_seq: u64,
     },
+    /// A region handed over by [`Request::Close`] or [`Request::Fork`].
+    Region(Box<Region>),
+    /// A region opened; `true` when lease recovery replayed a WAL image
+    /// that decoded torn.
+    Opened(bool),
+    /// A copy took the new epoch; its last durable WAL sequence.
+    EpochSet(u64),
+    /// The scrub walk's findings over every hosted region.
+    Scrubbed(ScrubFinding),
+    /// The `(row, qualifier)` a corruption hit, if any cell matched.
+    Corrupted(Option<(Bytes, Bytes)>),
+    /// Every region the server owned, handed back as it stops.
+    Stopped(HashMap<RegionId, Region>),
 }
 
-/// A running region server plus its assignment surface.
+/// The value mutation of a [`Request::Corrupt`].
+pub type CellMutation = Box<dyn Fn(&mut Vec<u8>) + Send>;
+
+/// Per hosted region, its metrics and last durable WAL sequence, written
+/// only by the server thread.
+type Published = Mutex<HashMap<RegionId, (RegionMetrics, u64)>>;
+
+/// A running region server: its RPC handle, what its thread publishes,
+/// and the regions it handed back when it stopped.
 pub struct RegionServer {
-    node: NodeId,
-    regions: Arc<RwLock<HashMap<RegionId, Region>>>,
     handle: RpcHandle<Request, Response>,
-    _runner: ServerRunner,
+    published: Arc<Published>,
+    left: OnceLock<HashMap<RegionId, Region>>,
 }
 
 impl RegionServer {
-    /// Spawn a region server thread for `node`.
+    /// Spawn a region server thread for `node`, hosting no region yet.
     pub fn spawn(node: NodeId, config: ServerConfig) -> Self {
-        let regions: Arc<RwLock<HashMap<RegionId, Region>>> = Arc::new(RwLock::new(HashMap::new()));
-        let serving = regions.clone();
-        let (handle, runner) = RpcServerBuilder::new(format!("rs-{}", node.0))
+        let published: Arc<Published> = Arc::default();
+        let publishing = published.clone();
+        let mut regions = HashMap::new();
+        // The runner detaches on drop: the thread ends with its last handle.
+        let (handle, _) = RpcServerBuilder::new(format!("rs-{}", node.0))
             .queue_capacity(config.queue_capacity)
-            .spawn(move |req: Request| handle_request(&serving, req));
+            .spawn(move |req: Request| handle_request(&mut regions, &publishing, req));
         RegionServer {
-            node,
-            regions,
             handle,
-            _runner: runner,
+            published,
+            left: OnceLock::new(),
         }
-    }
-
-    /// This server's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// RPC handle for clients.
@@ -222,163 +278,68 @@ impl RegionServer {
         self.handle.clone()
     }
 
-    /// Assign a region to this server (master-driven).
-    pub fn assign(&self, region: Region) {
-        self.regions.write().insert(region.id(), region);
+    /// [`RegionMetrics`] summed over the hosted regions as last published:
+    /// answers at once while the queue is full, and a stopped server keeps
+    /// its totals until the master recovers its regions.
+    pub fn published_totals(&self) -> RegionMetrics {
+        self.published.lock().values().map(|&(m, _)| m).sum()
     }
 
-    /// Remove a region (for reassignment or split). Returns it if hosted.
-    pub fn unassign(&self, id: RegionId) -> Option<Region> {
-        self.regions.write().remove(&id)
+    /// Last published durable WAL sequence of this server's copy of `id`.
+    pub fn published_seq(&self, id: RegionId) -> Option<u64> {
+        self.published.lock().get(&id).map(|&(_, seq)| seq)
     }
 
-    /// Ids of regions currently hosted, sorted — callers (the scrubber,
-    /// the fault harness) rely on a deterministic order for replayable
-    /// traces.
-    pub fn hosted_regions(&self) -> Vec<RegionId> {
-        let mut ids: Vec<RegionId> = self.regions.read().keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
-    /// Install a fault plane on every currently hosted region (simulation
-    /// harnesses only; regions assigned later inherit through the master).
-    pub fn set_fault_plane(&self, fault: crate::fault::FaultHandle) {
-        let mut map = self.regions.write();
-        for region in map.values_mut() {
-            region.set_fault_plane(fault.clone());
-        }
-    }
-
-    /// Install a compaction rewriter on every currently hosted region
-    /// (regions assigned later inherit through the master, mirroring
-    /// [`RegionServer::set_fault_plane`]).
-    pub fn set_compaction_rewriter(&self, rewriter: crate::rewrite::RewriterHandle) {
-        let mut map = self.regions.write();
-        for region in map.values_mut() {
-            region.set_compaction_rewriter(rewriter.clone());
-        }
-    }
-
-    /// Last durable WAL sequence of a hosted copy of `id`, or `None`
-    /// when not hosted. The master's failover sweep reads this directly
-    /// (in-process) to pick the most-caught-up surviving follower.
-    pub fn region_applied_seq(&self, id: RegionId) -> Option<u64> {
-        self.regions.read().get(&id).map(|r| r.applied_seq())
-    }
-
-    /// Install `new_epoch` on a hosted copy of `id` (master-driven
-    /// failover: the promoted copy and every other survivor take the new
-    /// epoch, so the deposed primary's writer is fenced everywhere; the
-    /// directory records which copy leads). Returns `false` when not
-    /// hosted.
-    pub fn set_region_epoch(&self, id: RegionId, new_epoch: u64) -> bool {
-        let mut map = self.regions.write();
-        match map.get_mut(&id) {
-            Some(r) => {
-                r.set_epoch(new_epoch);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Fork a fresh follower copy of a hosted region (see
-    /// [`Region::fork_follower`]); the master assigns the fork to
-    /// another server to (re)establish the replication factor.
-    pub fn fork_region_follower(&self, id: RegionId) -> Option<Region> {
-        self.regions.read().get(&id).map(|r| r.fork_follower())
-    }
-
-    /// Verify every covered store-file cell of a hosted copy of `id`
-    /// with `verifier` (the background scrub walk). Returns `None` when
-    /// the region is not hosted here.
-    pub fn scrub_region(
-        &self,
-        id: RegionId,
-        verifier: &dyn crate::scrub::CellVerifier,
-    ) -> Option<crate::scrub::ScrubFinding> {
-        self.regions
-            .read()
-            .get(&id)
-            .map(|r| r.scrub_cells(verifier))
-    }
-
-    /// Corrupt one stored cell of a hosted copy of `id` (fault-injection
-    /// harnesses only; see [`Region::corrupt_cell_for_fault_injection`]).
-    /// Returns the affected `(row, qualifier)` when a cell was mutated.
-    pub fn corrupt_region_cell(
-        &self,
-        id: RegionId,
-        pick: u64,
-        selector: &dyn Fn(&KeyValue) -> bool,
-        mutate: &dyn Fn(&mut Vec<u8>),
-    ) -> Option<(bytes::Bytes, bytes::Bytes)> {
-        let mut map = self.regions.write();
-        map.get_mut(&id)
-            .and_then(|r| r.corrupt_cell_for_fault_injection(pick, selector, mutate))
-    }
-
-    /// Install a verified repair payload on a hosted copy of `id` (see
-    /// [`Region::replace_cell_value`]). Returns how many store-file cells
-    /// were replaced (0 when not hosted or already healthy).
-    pub fn repair_region_cell(
-        &self,
-        id: RegionId,
-        row: &[u8],
-        qualifier: &[u8],
-        value: &[u8],
-    ) -> usize {
-        let mut map = self.regions.write();
-        match map.get_mut(&id) {
-            Some(r) => r.replace_cell_value(row, qualifier, &bytes::Bytes::copy_from_slice(value)),
-            None => 0,
-        }
-    }
-
-    /// [`RegionMetrics`] summed over the hosted regions (monitoring). Read
-    /// from the assignment surface, not over RPC, so it answers at once
-    /// while the queue is full and keeps a stopped server's totals.
-    pub fn total_metrics(&self) -> RegionMetrics {
-        self.regions.read().values().map(Region::metrics).sum()
-    }
-
-    /// Stop serving.
+    /// Stop serving (a crash or a clean stop): later requests fail with
+    /// `Stopped`, queued ones are still answered, then the thread hands
+    /// its regions back. A second call does nothing.
     pub fn shutdown(&self) {
-        self.handle.shutdown();
+        self.left
+            .get_or_init(|| match self.handle.shutdown_with(Request::Stop) {
+                Ok(Response::Stopped(regions)) => regions,
+                _ => HashMap::new(),
+            });
+    }
+
+    /// Stop the server and take its regions, clearing what it published.
+    pub(crate) fn take_left(&mut self) -> HashMap<RegionId, Region> {
+        self.shutdown();
+        self.published.lock().clear();
+        self.left.take().unwrap_or_default()
     }
 }
 
-// Region operations run under the server's `regions` map lock by design:
-// the map lock is what serialises request handling against reassignment
-// (unassign/assign from the master). The WAL mutex acquired inside
-// put_batch/flush always nests under it — `regions` → WAL-`inner` is this
-// server's fixed order and nothing acquires them the other way around.
-fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request) -> Response {
+/// Publish `region`'s metrics and applied sequence.
+fn publish(published: &Published, region: &Region) {
+    let gauges = (region.metrics(), region.applied_seq());
+    published.lock().insert(region.id(), gauges);
+}
+
+/// Serve one request against the regions this thread owns.
+fn handle_request(
+    regions: &mut HashMap<RegionId, Region>,
+    published: &Published,
+    req: Request,
+) -> Response {
     match req {
-        Request::Scan { region, scan } => {
-            let map = regions.read();
-            match map.get(&region) {
-                Some(r) => Response::Cells(r.scan_spec(&scan)),
-                None => Response::WrongRegion,
-            }
-        }
+        Request::Scan { region, scan } => match regions.get(&region) {
+            Some(r) => Response::Cells(r.scan_spec(&scan)),
+            None => Response::WrongRegion,
+        },
         Request::PutReplicated { region, epoch, kvs } => {
-            let mut map = regions.write();
-            match map.get_mut(&region) {
-                Some(r) => {
-                    if r.epoch() != epoch {
-                        let fenced = Some(r.epoch());
-                        return Response::PutRefused { fenced, kvs };
-                    }
-                    // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                    match r.put_batch(kvs) {
-                        Ok(seq) => Response::Appended { seq },
-                        Err((_, kvs)) => Response::PutRefused { fenced: None, kvs },
-                    }
-                }
-                None => Response::PutRefused { fenced: None, kvs },
+            let Some(r) = regions.get_mut(&region) else {
+                return Response::PutRefused { fenced: None, kvs };
+            };
+            if r.epoch() != epoch {
+                let fenced = Some(r.epoch());
+                return Response::PutRefused { fenced, kvs };
             }
+            let resp = match r.put_batch(kvs) {
+                Ok(seq) => Response::Appended { seq },
+                Err((_, kvs)) => Response::PutRefused { fenced: None, kvs },
+            };
+            publish(published, r);
+            resp
         }
         Request::Ship {
             region,
@@ -386,122 +347,149 @@ fn handle_request(regions: &Arc<RwLock<HashMap<RegionId, Region>>>, req: Request
             seq,
             kvs,
         } => {
-            let mut map = regions.write();
-            match map.get_mut(&region) {
-                Some(r) => {
-                    if r.epoch() != epoch {
-                        return Response::Fenced { epoch: r.epoch() };
-                    }
-                    // Deliberate injection site: a ship-drop fault loses
-                    // this RPC before the follower applies it — the
-                    // follower stays live but misses the batch, exactly
-                    // the transient loss the contiguity check must catch
-                    // on the next ship. The shipper sees an unusable
-                    // answer (no quorum vote), same as a lost RPC.
-                    if r.ship_dropped() {
-                        return Response::WrongRegion;
-                    }
-                    // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                    match r.apply_replicated(seq, kvs) {
-                        // Duplicate/stale ships are already durable here,
-                        // so both outcomes ack with the current position.
-                        Ok(pga_repl::ShipOutcome::Applied | pga_repl::ShipOutcome::Stale) => {
-                            Response::ShipAck {
-                                // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                                applied_seq: r.applied_seq(),
-                            }
-                        }
-                        // An earlier batch is missing: refuse the hole
-                        // and report the contiguous position so the
-                        // shipper can backfill from the primary's tail.
-                        Ok(pga_repl::ShipOutcome::Gap) => Response::ShipGap {
-                            // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                            applied_seq: r.applied_seq(),
-                        },
-                        Err(_) => Response::WrongRegion,
+            let Some(r) = regions.get_mut(&region) else {
+                return Response::WrongRegion;
+            };
+            if r.epoch() != epoch {
+                return Response::Fenced { epoch: r.epoch() };
+            }
+            // Deliberate injection site: a ship-drop fault loses this RPC
+            // before the follower applies it — the follower stays live but
+            // misses the batch, exactly the transient loss the contiguity
+            // check must catch on the next ship. The shipper sees an
+            // unusable answer (no quorum vote), same as a lost RPC.
+            if r.ship_dropped() {
+                return Response::WrongRegion;
+            }
+            let resp = match r.apply_replicated(seq, kvs) {
+                // Duplicate/stale ships are already durable here, so both
+                // outcomes ack with the current position.
+                Ok(pga_repl::ShipOutcome::Applied | pga_repl::ShipOutcome::Stale) => {
+                    Response::ShipAck {
+                        applied_seq: r.applied_seq(),
                     }
                 }
-                None => Response::WrongRegion,
-            }
+                // An earlier batch is missing: refuse the hole and report
+                // the contiguous position so the shipper can backfill from
+                // the primary's tail.
+                Ok(pga_repl::ShipOutcome::Gap) => Response::ShipGap {
+                    applied_seq: r.applied_seq(),
+                },
+                Err(_) => Response::WrongRegion,
+            };
+            publish(published, r);
+            resp
         }
         Request::WalTail {
             region,
             epoch,
             from_seq,
-        } => {
-            let map = regions.read();
-            match map.get(&region) {
-                Some(r) => {
-                    if r.epoch() != epoch {
-                        return Response::Fenced { epoch: r.epoch() };
-                    }
-                    Response::WalBatches {
-                        // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                        batches: r.wal_batches_after(from_seq),
-                    }
-                }
-                None => Response::WrongRegion,
-            }
-        }
-        Request::FollowerScan { region, scan } => {
-            let map = regions.read();
-            match map.get(&region) {
-                Some(r) => Response::FollowerCells {
-                    cells: r.scan_spec(&scan),
-                    // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                    applied_seq: r.applied_seq(),
-                },
-                None => Response::WrongRegion,
-            }
-        }
+        } => match regions.get(&region) {
+            Some(r) if r.epoch() != epoch => Response::Fenced { epoch: r.epoch() },
+            Some(r) => Response::WalBatches {
+                batches: r.wal_batches_after(from_seq),
+            },
+            None => Response::WrongRegion,
+        },
+        Request::FollowerScan { region, scan } => match regions.get(&region) {
+            Some(r) => Response::FollowerCells {
+                cells: r.scan_spec(&scan),
+                applied_seq: r.applied_seq(),
+            },
+            None => Response::WrongRegion,
+        },
+        // Fence before serving any bytes: a deposed primary answering a
+        // repair fetch would launder stale data into a "repair" install
+        // on every copy.
         Request::RepairFetch {
             region,
             range,
             epoch,
-        } => {
-            let map = regions.read();
-            match map.get(&region) {
-                Some(r) => {
-                    // Fence before serving any bytes: a deposed primary
-                    // answering a repair fetch would launder stale data
-                    // into a "repair" install on every copy.
-                    if r.epoch() != epoch {
-                        return Response::Fenced { epoch: r.epoch() };
-                    }
-                    Response::RepairCells {
-                        cells: r.scan(&range),
-                        // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                        applied_seq: r.applied_seq(),
-                    }
-                }
-                None => Response::WrongRegion,
+        } => match regions.get(&region) {
+            Some(r) if r.epoch() != epoch => Response::Fenced { epoch: r.epoch() },
+            Some(r) => Response::RepairCells {
+                cells: r.scan(&range),
+                applied_seq: r.applied_seq(),
+            },
+            None => Response::WrongRegion,
+        },
+        Request::Repair(region, epoch, key, value) => match regions.get_mut(&region) {
+            Some(r) if r.epoch() != epoch => Response::Fenced { epoch: r.epoch() },
+            Some(r) => {
+                r.replace_cell_value(&key.row, &key.qualifier, &value);
+                Response::Ok
             }
-        }
-        Request::Flush { region } => {
-            let mut map = regions.write();
-            match map.get_mut(&region) {
-                Some(r) => {
-                    // pga-allow(lock-discipline): regions → WAL-inner is the fixed order (see above)
-                    r.flush();
-                    Response::Ok
-                }
-                None => Response::WrongRegion,
+            None => Response::WrongRegion,
+        },
+        Request::Flush { region } => match regions.get_mut(&region) {
+            Some(r) => {
+                r.flush();
+                publish(published, r);
+                Response::Ok
             }
-        }
-        Request::Compact { region } => {
-            let mut map = regions.write();
-            match map.get_mut(&region) {
-                Some(r) => {
-                    r.compact();
-                    Response::Ok
-                }
-                None => Response::WrongRegion,
+            None => Response::WrongRegion,
+        },
+        Request::Compact { region } => match regions.get_mut(&region) {
+            Some(r) => {
+                r.compact();
+                publish(published, r);
+                Response::Ok
             }
-        }
+            None => Response::WrongRegion,
+        },
         Request::Metrics => {
-            let map = regions.read();
-            Response::Metrics(map.iter().map(|(&id, r)| (id, r.metrics())).collect())
+            Response::Metrics(regions.iter().map(|(&id, r)| (id, r.metrics())).collect())
         }
+        Request::Open(region, recovery) => {
+            let mut region = *region;
+            let torn = recovery.is_some_and(|epoch| {
+                region.set_epoch(epoch);
+                region.crash_recover()
+            });
+            publish(published, &region);
+            regions.insert(region.id(), region);
+            Response::Opened(torn)
+        }
+        Request::Close(region) => match regions.remove(&region) {
+            Some(r) => {
+                published.lock().remove(&region);
+                Response::Region(Box::new(r))
+            }
+            None => Response::WrongRegion,
+        },
+        Request::Fork(region) => match regions.get(&region) {
+            Some(r) => Response::Region(Box::new(r.fork_follower())),
+            None => Response::WrongRegion,
+        },
+        Request::SetEpoch(region, epoch) => match regions.get_mut(&region) {
+            Some(r) => {
+                r.set_epoch(epoch);
+                Response::EpochSet(r.applied_seq())
+            }
+            None => Response::WrongRegion,
+        },
+        Request::Equip(fault, rewriter) => {
+            for r in regions.values_mut() {
+                r.set_fault_plane(fault.clone());
+                if let Some(rewriter) = &rewriter {
+                    r.set_compaction_rewriter(rewriter.clone());
+                }
+            }
+            Response::Ok
+        }
+        Request::Scrub(verifier) => {
+            let mut found = ScrubFinding::default();
+            for r in regions.values() {
+                r.scrub_cells(verifier.as_ref(), &mut found);
+            }
+            Response::Scrubbed(found)
+        }
+        Request::Corrupt(region, pick, selector, mutate) => Response::Corrupted(
+            regions
+                .get_mut(&region)
+                .and_then(|r| r.corrupt_cell_for_fault_injection(pick, &selector, &*mutate)),
+        ),
+        Request::Stop => Response::Stopped(std::mem::take(regions)),
     }
 }
 
@@ -514,14 +502,27 @@ mod tests {
         KeyValue::new(row.as_bytes().to_vec(), b"q".to_vec(), 1, b"v".to_vec())
     }
 
+    fn open(server: &RegionServer, region: Region) {
+        match server.handle().call(Request::Open(Box::new(region), None)) {
+            Ok(Response::Opened(false)) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn set_epoch(server: &RegionServer, epoch: u64) {
+        match server.handle().call(Request::SetEpoch(RegionId(1), epoch)) {
+            Ok(Response::EpochSet(_)) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn put_scan_through_rpc() {
         let server = RegionServer::spawn(NodeId(0), ServerConfig::default());
-        server.assign(Region::new(
-            RegionId(1),
-            RowRange::all(),
-            RegionConfig::default(),
-        ));
+        open(
+            &server,
+            Region::new(RegionId(1), RowRange::all(), RegionConfig::default()),
+        );
         let h = server.handle();
         match h
             .call(Request::PutReplicated {
@@ -568,11 +569,14 @@ mod tests {
     #[test]
     fn out_of_range_row_reports_wrong_region() {
         let server = RegionServer::spawn(NodeId(0), ServerConfig::default());
-        server.assign(Region::new(
-            RegionId(1),
-            RowRange::new(b"a".to_vec(), b"m".to_vec()),
-            RegionConfig::default(),
-        ));
+        open(
+            &server,
+            Region::new(
+                RegionId(1),
+                RowRange::new(b"a".to_vec(), b"m".to_vec()),
+                RegionConfig::default(),
+            ),
+        );
         let h = server.handle();
         match h
             .call(Request::PutReplicated {
@@ -592,11 +596,10 @@ mod tests {
     fn unassign_moves_region_with_data() {
         let a = RegionServer::spawn(NodeId(0), ServerConfig::default());
         let b = RegionServer::spawn(NodeId(1), ServerConfig::default());
-        a.assign(Region::new(
-            RegionId(1),
-            RowRange::all(),
-            RegionConfig::default(),
-        ));
+        open(
+            &a,
+            Region::new(RegionId(1), RowRange::all(), RegionConfig::default()),
+        );
         a.handle()
             .call(Request::PutReplicated {
                 region: RegionId(1),
@@ -604,8 +607,11 @@ mod tests {
                 kvs: vec![kv("x")],
             })
             .unwrap();
-        let moved = a.unassign(RegionId(1)).unwrap();
-        b.assign(moved);
+        let moved = match a.handle().call(Request::Close(RegionId(1))) {
+            Ok(Response::Region(region)) => *region,
+            other => panic!("unexpected {other:?}"),
+        };
+        open(&b, moved);
         match b
             .handle()
             .call(Request::Scan {
@@ -617,7 +623,13 @@ mod tests {
             Response::Cells(cells) => assert_eq!(cells.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(a.hosted_regions().is_empty());
+        assert!(matches!(
+            a.handle().call(Request::Scan {
+                region: RegionId(1),
+                scan: RowRange::all().into(),
+            }),
+            Ok(Response::WrongRegion)
+        ));
         a.shutdown();
         b.shutdown();
     }
@@ -628,8 +640,8 @@ mod tests {
         let follower = RegionServer::spawn(NodeId(1), ServerConfig::default());
         let region = Region::new(RegionId(1), RowRange::all(), RegionConfig::default());
         let fork = region.fork_follower();
-        primary.assign(region);
-        follower.assign(fork);
+        open(&primary, region);
+        open(&follower, fork);
 
         // Primary append under the current epoch.
         let seq = match primary
@@ -677,7 +689,7 @@ mod tests {
         }
 
         // Epoch bump fences the old writer on both replicas.
-        assert!(follower.set_region_epoch(RegionId(1), 2));
+        set_epoch(&follower, 2);
         match follower
             .handle()
             .call(Request::Ship {
@@ -691,7 +703,7 @@ mod tests {
             Response::Fenced { epoch } => assert_eq!(epoch, 2),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(primary.set_region_epoch(RegionId(1), 2));
+        set_epoch(&primary, 2);
         match primary
             .handle()
             .call(Request::PutReplicated {
@@ -711,7 +723,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
 
-        assert_eq!(primary.region_applied_seq(RegionId(1)), Some(seq));
+        assert_eq!(primary.published_seq(RegionId(1)), Some(seq));
         primary.shutdown();
         follower.shutdown();
     }
@@ -722,8 +734,8 @@ mod tests {
         let follower = RegionServer::spawn(NodeId(1), ServerConfig::default());
         let region = Region::new(RegionId(1), RowRange::all(), RegionConfig::default());
         let fork = region.fork_follower();
-        primary.assign(region);
-        follower.assign(fork);
+        open(&primary, region);
+        open(&follower, fork);
         let mut seqs = Vec::new();
         for row in ["a", "b", "c"] {
             match primary
@@ -761,7 +773,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // A stale-epoch tail read is fenced like any replication RPC.
-        assert!(follower.set_region_epoch(RegionId(1), 1)); // no-op, keeps epoch 1
+        set_epoch(&follower, 1); // no-op, keeps epoch 1
         match primary
             .handle()
             .call(Request::WalTail {
@@ -807,7 +819,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(follower.region_applied_seq(RegionId(1)), Some(seqs[2]));
+        assert_eq!(follower.published_seq(RegionId(1)), Some(seqs[2]));
         primary.shutdown();
         follower.shutdown();
     }
@@ -815,11 +827,10 @@ mod tests {
     #[test]
     fn metrics_roundtrip() {
         let server = RegionServer::spawn(NodeId(0), ServerConfig::default());
-        server.assign(Region::new(
-            RegionId(1),
-            RowRange::all(),
-            RegionConfig::default(),
-        ));
+        open(
+            &server,
+            Region::new(RegionId(1), RowRange::all(), RegionConfig::default()),
+        );
         server
             .handle()
             .call(Request::PutReplicated {
@@ -834,8 +845,80 @@ mod tests {
         };
         assert_eq!(per_region.len(), 1);
         assert_eq!(per_region[0].1.cells_written, 3);
-        // The assignment-surface total is the same answer, with no RPC.
-        assert_eq!(server.total_metrics(), per_region[0].1);
+        // The published total is the same answer, with no RPC, and a
+        // stopped server keeps it.
+        assert_eq!(server.published_totals(), per_region[0].1);
+        server.shutdown();
+        assert_eq!(server.published_totals(), per_region[0].1);
+    }
+
+    /// A stop hands the regions back, memstore and WAL as they were, and
+    /// refuses every later request.
+    #[test]
+    fn shutdown_hands_the_regions_back() {
+        let mut server = RegionServer::spawn(NodeId(0), ServerConfig::default());
+        open(
+            &server,
+            Region::new(RegionId(1), RowRange::all(), RegionConfig::default()),
+        );
+        let h = server.handle();
+        h.call(Request::PutReplicated {
+            region: RegionId(1),
+            epoch: 1,
+            kvs: vec![kv("a")],
+        })
+        .unwrap();
+        server.shutdown();
+        server.shutdown();
+        assert!(h.call(Request::Metrics).is_err());
+        let mut left = server.take_left();
+        let region = left.remove(&RegionId(1)).unwrap();
+        assert_eq!(region.scan(&RowRange::all()), vec![kv("a")]);
+        assert_eq!(region.applied_seq(), 1);
+        assert_eq!(server.published_seq(RegionId(1)), None);
+    }
+
+    /// A repair install is fenced like every other write: the epoch it
+    /// was fetched under must still be the copy's.
+    #[test]
+    fn repair_install_is_fenced_by_epoch() {
+        let server = RegionServer::spawn(NodeId(0), ServerConfig::default());
+        open(
+            &server,
+            Region::new(RegionId(1), RowRange::all(), RegionConfig::default()),
+        );
+        let h = server.handle();
+        h.call(Request::PutReplicated {
+            region: RegionId(1),
+            epoch: 1,
+            kvs: vec![kv("a")],
+        })
+        .unwrap();
+        h.call(Request::Flush {
+            region: RegionId(1),
+        })
+        .unwrap();
+        set_epoch(&server, 2);
+        let repair = |epoch: u64| {
+            let key = QuarantineKey {
+                row: Bytes::copy_from_slice(b"a"),
+                qualifier: Bytes::copy_from_slice(b"q"),
+            };
+            let value = Bytes::copy_from_slice(b"w");
+            h.call(Request::Repair(RegionId(1), epoch, key, value))
+                .unwrap()
+        };
+        let scan = || match h.call(Request::Scan {
+            region: RegionId(1),
+            scan: RowRange::all().into(),
+        }) {
+            Ok(Response::Cells(cells)) => cells.iter().next().unwrap().value.clone(),
+            other => panic!("unexpected {other:?}"),
+        };
+        assert!(matches!(repair(1), Response::Fenced { epoch: 2 }));
+        assert_eq!(&scan()[..], b"v");
+        assert!(matches!(repair(2), Response::Ok));
+        assert_eq!(&scan()[..], b"w");
         server.shutdown();
     }
 }

@@ -124,7 +124,7 @@ proptest! {
             } else {
                 let live = master.live_nodes();
                 let target = live[target_sel as usize % live.len()];
-                master.move_region(rid, target);
+                let _ = master.move_region(rid, target);
             }
         }
 

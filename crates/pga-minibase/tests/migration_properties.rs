@@ -10,7 +10,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use pga_cluster::coordinator::{Coordinator, CoordinatorError};
-use pga_minibase::{Client, KeyValue, RegionConfig, RowRange, ServerConfig, TableDescriptor};
+use pga_minibase::{
+    Client, KeyValue, RegionConfig, Request, Response, RowRange, ServerConfig, TableDescriptor,
+};
 
 fn table() -> TableDescriptor {
     TableDescriptor {
@@ -60,7 +62,7 @@ proptest! {
                     };
                     let live = master.live_nodes();
                     let target = live[target_sel as usize % live.len()];
-                    master.move_region(rid, target);
+                    let _ = master.move_region(rid, target);
                 }
             }
 
@@ -136,7 +138,7 @@ proptest! {
             };
             let live = master.live_nodes();
             let target = live[target_sel as usize % live.len()];
-            prop_assert!(master.move_region(rid, target));
+            prop_assert!(master.move_region(rid, target).is_ok());
         }
         // The directory still partitions the keyspace: every row locates
         // to exactly one region hosted by a live node.
@@ -149,8 +151,11 @@ proptest! {
         }
         for info in d.iter() {
             prop_assert!(master.live_nodes().contains(&info.server));
-            let hosted = master.server(info.server).unwrap().hosted_regions();
-            prop_assert!(hosted.contains(&info.id));
+            let hosted = master.server(info.server).unwrap().handle().call(Request::Scan {
+                region: info.id,
+                scan: RowRange::all().into(),
+            });
+            prop_assert!(matches!(hosted, Ok(Response::Cells(_))));
         }
         drop(d);
         master.shutdown();

@@ -1,5 +1,5 @@
-//! The dashboard's HTTP route table — the one copy `pga dashboard`, the
-//! `dashboard_server` example and the HTTP integration test all serve.
+//! The dashboard's HTTP route table — the one copy `pga dashboard` and the
+//! HTTP integration test both serve.
 //!
 //! ```text
 //! GET  /              fleet overview

@@ -794,7 +794,7 @@ mod tests {
         }
         let mut busy = 0;
         for node in m.nodes() {
-            if m.server(node).unwrap().total_metrics().cells_written > 0 {
+            if m.server(node).unwrap().published_totals().cells_written > 0 {
                 busy += 1;
             }
         }
@@ -813,7 +813,7 @@ mod tests {
         let writes: Vec<u64> = m
             .nodes()
             .iter()
-            .map(|&n| m.server(n).unwrap().total_metrics().cells_written)
+            .map(|&n| m.server(n).unwrap().published_totals().cells_written)
             .collect();
         let busy = writes.iter().filter(|&&w| w > 0).count();
         assert_eq!(busy, 1, "unsalted keys must land on one region: {writes:?}");

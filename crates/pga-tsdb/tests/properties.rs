@@ -12,7 +12,9 @@ use proptest::prelude::*;
 
 use legacy::query_legacy;
 use pga_cluster::coordinator::Coordinator;
-use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
+use pga_minibase::{
+    Client, KeyValue, Master, RegionConfig, Request, Response, ServerConfig, TableDescriptor,
+};
 use pga_tsdb::uid::UidKind;
 use pga_tsdb::{
     decode_block, encode_block, is_block_qualifier, BlockError, KeyCodec, KeyCodecConfig,
@@ -438,19 +440,16 @@ proptest! {
         let mut hit = false;
         for info in &infos {
             let Some(server) = master.server(info.server) else { continue };
-            let flipped = server.corrupt_region_cell(
-                info.id,
-                pick,
-                &|kv| is_block_qualifier(&kv.qualifier),
-                &|value: &mut Vec<u8>| {
-                    if value.is_empty() {
-                        return;
-                    }
+            let flip = move |value: &mut Vec<u8>| {
+                if !value.is_empty() {
                     let idx = (pick as usize) % value.len();
                     value[idx] ^= mask;
-                },
-            );
-            if flipped.is_some() {
+                }
+            };
+            let selector = |kv: &KeyValue| is_block_qualifier(&kv.qualifier);
+            let corrupt = Request::Corrupt(info.id, pick, selector, Box::new(flip));
+            let flipped = server.handle().call(corrupt);
+            if matches!(flipped, Ok(Response::Corrupted(Some(_)))) {
                 hit = true;
                 break;
             }

@@ -89,7 +89,7 @@ fn region_split_keeps_series_intact() {
     let rids: Vec<_> = master.directory().read().iter().map(|i| i.id).collect();
     let mut splits = 0;
     for rid in rids {
-        if master.split_region(rid).is_some() {
+        if master.split_region(rid).is_ok() {
             splits += 1;
         }
     }
