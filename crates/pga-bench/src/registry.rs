@@ -482,12 +482,13 @@ fn crashtest(size: Size) -> Run {
     let faults = fault_durability_experiment(seeds);
     let t = &faults.totals;
     let rows = [
-        row("seeds|acked batches|retries|crashes (torn)|partitions|skews|splits|moves|ack drops|reassigned|violations"),
+        row("seeds|acked batches|retries|crashes (torn)|torn replays|partitions|skews|splits|moves|ack drops|reassigned|violations"),
         vec![
             faults.seeds_run.to_string(),
             t.batches_acked.to_string(),
             t.retries.to_string(),
             format!("{} ({})", t.crashes, t.torn_crashes),
+            t.torn_replays.to_string(),
             t.partitions.to_string(),
             t.skews.to_string(),
             t.splits.to_string(),

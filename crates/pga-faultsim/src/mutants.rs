@@ -489,6 +489,9 @@ fn handcrafted_schedule_exercises_every_injector_without_violations() {
         "torn tail should fire during recovery: {:?}",
         outcome.events
     );
+    // Recovery decoded every torn image it replayed as torn.
+    let tears = outcome.events.iter().filter(|e| e.contains("tear region="));
+    assert_eq!(outcome.stats.torn_replays, tears.count() as u64);
     assert!(
         outcome.stats.reassigned > 0,
         "crash must trigger reassignment"

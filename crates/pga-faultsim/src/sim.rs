@@ -271,6 +271,9 @@ pub struct SimStats {
     pub crashes: u64,
     /// Crashes whose recovery WAL images were torn.
     pub torn_crashes: u64,
+    /// Lease recoveries whose replayed WAL image decoded torn: what
+    /// recovery met, where `torn_crashes` counts what the plane armed.
+    pub torn_replays: u64,
     /// Heartbeat partitions injected.
     pub partitions: u64,
     /// Clock skews injected.
@@ -352,6 +355,7 @@ impl SimStats {
         self.retries += other.retries;
         self.crashes += other.crashes;
         self.torn_crashes += other.torn_crashes;
+        self.torn_replays += other.torn_replays;
         self.partitions += other.partitions;
         self.skews += other.skews;
         self.splits += other.splits;
@@ -1591,6 +1595,7 @@ pub(crate) fn run_inner(
             .sum();
     }
     driver.stats.ship_drops = driver.plane.ship_drops();
+    driver.stats.torn_replays = driver.master.torn_replays();
     let flags = driver
         .final_checks()
         .map(|stored| detection_flags(&stored))
