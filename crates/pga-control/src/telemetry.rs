@@ -243,8 +243,8 @@ impl NodeStats {
 }
 
 /// Sample one storage node's stats: queue and shed counters from its RPC
-/// handle, write, flush and compaction totals from the regions it hosts,
-/// replication placement from the master. Nothing is asked of the node
+/// handle, write, flush and compaction totals as its server thread last
+/// published them, replication placement from the master. Nothing is asked of the node
 /// over RPC, so a full queue cannot stall the sample and a stopped node
 /// keeps reporting its cumulative counters. `None` when the master has
 /// never hosted `node`.

@@ -263,9 +263,10 @@ impl Master {
             if let Some(rewriter) = &self.rewriter {
                 region.set_compaction_rewriter(rewriter.clone());
             }
+            let opened = self.open(node, region);
             assert!(
-                self.open(node, region).is_ok(),
-                "create_table needs every server serving"
+                opened.is_ok(),
+                "create_table needs every server: {opened:?}"
             );
             dir.push(RegionInfo {
                 id,
@@ -323,10 +324,8 @@ impl Master {
             let primary_pos = nodes.iter().position(|&n| n == info.server).unwrap_or(0);
             let targets = nodes.iter().cycle().skip(primary_pos + 1).take(factor - 1);
             for &target in targets {
-                assert!(
-                    self.fork_onto(info, target),
-                    "create_replicated_table needs every server serving"
-                );
+                let forked = self.fork_onto(info, target);
+                assert!(forked, "create_replicated_table needs every server");
                 info.followers.push(target);
             }
         }
@@ -392,9 +391,6 @@ impl Master {
 
     /// Fork a follower of `info`'s region onto `target`; `false` if refused.
     fn fork_onto(&self, info: &RegionInfo, target: NodeId) -> bool {
-        if !self.serving(target) {
-            return false;
-        }
         match self.request(info.server, Request::Fork(info.id)) {
             Ok(Response::Region(fork)) => self.open(target, *fork).is_ok(),
             _ => false,
@@ -458,7 +454,6 @@ impl Master {
                 left.insert((node, id), region);
             }
         }
-        let dead_set: HashSet<NodeId> = dead_nodes.iter().copied().collect();
         // The directory write lock is held across the sweep: clients never
         // see an entry pointing at a dead server mid-reassignment.
         let mut dir = self.directory.write();
@@ -469,9 +464,9 @@ impl Master {
         // memstore is intact, so nothing replays — the availability win
         // over lease recovery.
         for info in dir.iter_mut() {
-            let primary_dead = dead_set.contains(&info.server);
+            let primary_dead = dead_nodes.contains(&info.server);
             let followers_before = info.followers.len();
-            info.followers.retain(|n| !dead_set.contains(n));
+            info.followers.retain(|n| !dead_nodes.contains(n));
             if !primary_dead {
                 if info.followers.len() < followers_before {
                     reassigned.push(info.id);
@@ -568,10 +563,8 @@ impl Master {
             .nth(pos + 1)
             .copied()
             .unwrap_or(info.server);
-        for node in [info.server, right_node] {
-            if !self.serving(node) {
-                return Err(PlacementError::NodeDown(node));
-            }
+        if !self.serving(right_node) {
+            return Err(PlacementError::NodeDown(right_node));
         }
         let region = self.close(info.server, rid)?;
         self.next_region += 1;
