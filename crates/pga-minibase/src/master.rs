@@ -506,11 +506,13 @@ impl Master {
             let Some(region) = left.remove(&(info.server, info.id)) else {
                 continue;
             };
+            // Like an empty live set, no serving node at all is a cluster
+            // that has died: fail loudly rather than drop the region.
             let Some(target) = (0..live.len())
                 .filter_map(|i| live.get((rr + i) % live.len()).copied())
                 .find(|&n| self.serving(n))
             else {
-                continue;
+                panic!("no serving node to recover region {} onto", info.id.0);
             };
             rr += 1;
             let recover = Request::Open(Box::new(region), Some(new_epoch));
