@@ -10,8 +10,9 @@
 //!
 //! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale):
 //!   bounded blocking queues, round-robin per series (one lane per TSD,
-//!   each series always in one lane, forwarded in order), and bounded
-//!   retries of storage failures with jittered exponential backoff.
+//!   each series always in one lane, forwarded in order, a lane's queued
+//!   parts in one put), and bounded retries of storage failures with
+//!   jittered exponential backoff.
 //! * [`series`] — the proxy's series table: each sensor's series resolved
 //!   once per proxy, so the proxy forwards resolved points.
 //! * [`pipeline`] — drive a [`pga_sensorgen::Fleet`] through the stack and

@@ -5,7 +5,6 @@
 //! the queueing-model experiments in [`crate::experiment`]; it validates
 //! that the actual storage stack sustains high sample rates on the host.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -17,10 +16,19 @@ use pga_repl::ReplicationConfig;
 use pga_sensorgen::{Fleet, SensorSample};
 use pga_tsdb::{KeyCodec, KeyCodecConfig, Tsd, TsdConfig, UidTable};
 
-use crate::proxy::{ProxyConfig, ReverseProxy};
+use crate::proxy::{ProxyConfig, ReverseProxy, Settlement};
 
 /// A fully assembled thread-scale ingestion stack.
+///
+/// The stack keeps one proxy, started with it: every [`run_range`] call
+/// submits through the same workers and series table, and
+/// [`IngestionPipeline::shutdown`] (or drop) joins them.
+///
+/// [`run_range`]: IngestionPipeline::run_range
 pub struct IngestionPipeline {
+    /// First, so that a dropped pipeline drains and joins its workers
+    /// before the cluster goes.
+    proxy: ReverseProxy,
     master: Master,
     tsds: Vec<Arc<Tsd>>,
     batch_size: usize,
@@ -94,7 +102,10 @@ impl IngestionPipeline {
                 ))
             })
             .collect();
+        let proxy = ReverseProxy::spawn(tsds.clone(), ProxyConfig::default())
+            .expect("pipeline constructs a non-empty TSD pool");
         IngestionPipeline {
+            proxy,
             master,
             tsds,
             batch_size,
@@ -113,16 +124,20 @@ impl IngestionPipeline {
     /// batch may be short. Every batch costs the same hand-offs (producer →
     /// proxy worker → TSD → one RPC per region) however few samples it
     /// carries, so a small fleet is not cut into one short batch a tick.
+    ///
+    /// Returns once every batch of this call has settled, after the TSDs'
+    /// observers took its points, so a following
+    /// [`IngestionPipeline::flush_observers`] seals all of them. The
+    /// report counts this call's batches only.
     pub fn run_range(&self, fleet: &Fleet, t0: u64, t1: u64) -> PipelineReport {
-        let proxy = ReverseProxy::spawn(self.tsds.clone(), ProxyConfig::default())
-            .expect("pipeline constructs a non-empty TSD pool");
+        let settlement = Arc::new(Settlement::default());
         let start = Instant::now();
         let mut samples = 0u64;
         let mut submit = |batch: Vec<SensorSample>| {
             samples += batch.len() as u64;
-            proxy
-                .submit(batch)
-                .expect("proxy stays up for the whole run");
+            self.proxy
+                .submit_settled(batch, &settlement)
+                .expect("proxy stays up until the pipeline shuts down");
         };
         let mut tick = Vec::with_capacity(fleet.config().total_sensors() as usize);
         let mut batch = Vec::with_capacity(self.batch_size);
@@ -141,7 +156,7 @@ impl IngestionPipeline {
         if !batch.is_empty() {
             submit(batch);
         }
-        let metrics = proxy.drain_and_join();
+        let settled = settlement.wait();
         let elapsed = start.elapsed().as_secs_f64();
         let stored_cells = self
             .master
@@ -153,15 +168,15 @@ impl IngestionPipeline {
                     .map_or(0, |s| s.published_totals().cells_written)
             })
             .sum();
-        // A batch is forwarded whole or dropped whole. The workers are
-        // joined, so the two counts are final.
+        // A batch is forwarded whole or dropped whole. Every batch of the
+        // call has settled, so the two counts are final.
         PipelineReport {
             samples,
             elapsed_secs: elapsed,
             throughput: samples as f64 / elapsed,
             stored_cells,
-            batches: metrics.batches_out.load(Ordering::Acquire),
-            dropped_batches: metrics.errors.load(Ordering::Acquire),
+            batches: settled.forwarded,
+            dropped_batches: settled.errors,
         }
     }
 
@@ -190,8 +205,9 @@ impl IngestionPipeline {
         Ok(())
     }
 
-    /// Shut the cluster down.
+    /// Drain and join the proxy's workers, then shut the cluster down.
     pub fn shutdown(&self) {
+        self.proxy.shutdown();
         self.master.shutdown();
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! Sits between sample producers and a pool of TSD daemons. Producers
 //! submit batches into **bounded** queues (blocking when full — that is
-//! the backpressure the paper added); worker threads drain the queues and
-//! forward to the TSDs.
+//! the backpressure the paper added); long-lived worker threads drain the
+//! queues and forward to the TSDs.
 //!
 //! The paper's proxy round-robins across TSDs; this one does so per
 //! series. There is one lane per TSD, and a series always travels in lane
 //! `salt % tsds.len()`, where the salt is the first byte of its row key.
 //! [`ReverseProxy::submit`] splits each batch into lane parts, and each
-//! lane belongs to one worker, which forwards its parts in submission
-//! order. So every series reaches one TSD — and that TSD's write-path
-//! observer — in the order it was submitted, and the TSDs take their
-//! salts' shares. When the TSD count divides the salt buckets, a lane's
-//! part lands on its own regions only.
+//! lane belongs to one worker. A worker takes whatever its queue holds
+//! and forwards each lane's parts, in submission order, as one put to
+//! that lane's TSD. So every series reaches one TSD — and that TSD's
+//! write-path observer — in the order it was submitted, and the TSDs take
+//! their salts' shares. When the TSD count divides the salt buckets, a
+//! lane's part lands on its own regions only.
 //!
 //! Every TSD of the pool resolves names through one series table (clones
 //! of one [`pga_tsdb::KeyCodec`]), so the proxy resolves each sensor's
@@ -23,11 +24,12 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_channel::{bounded, Sender};
-use parking_lot::Mutex;
+use crossbeam_channel::{bounded, Receiver, SendError, Sender};
+use parking_lot::{Mutex, RwLock};
 
 use pga_sensorgen::SensorSample;
 use pga_tsdb::{Series, SeriesPoint, Tsd, TsdError};
@@ -70,12 +72,13 @@ impl std::error::Error for ProxyError {}
 pub struct ProxyConfig {
     /// Lane parts (a batch's share for one TSD) buffered before producers
     /// block, split evenly across the worker queues (at least one each).
+    /// A worker forwards at most one queue's worth at a time.
     pub buffer_capacity: usize,
     /// Forwarding worker threads; no more are started than there are
     /// lanes (TSDs). Lane `l` belongs to worker `l % workers`.
     pub workers: usize,
-    /// Forwarding attempts per lane part before its batch is counted as
-    /// an error. Only storage failures are retried, each on the lane's own
+    /// Forwarding attempts per put before its batches are counted as
+    /// errors. Only storage failures are retried, each on the lane's own
     /// TSD after a jittered exponential delay, so a batch submitted while
     /// a region server is crashed lands once recovery reassigns its
     /// regions — never twice, since identical cells deduplicate in the
@@ -99,6 +102,7 @@ pub struct ProxyMetrics {
     /// Batches accepted from producers.
     pub batches_in: AtomicU64,
     /// Batches forwarded to TSDs: every lane part of the batch landed.
+    /// An empty batch counts here as soon as it is submitted.
     pub batches_out: AtomicU64,
     /// Samples forwarded.
     pub samples_out: AtomicU64,
@@ -107,6 +111,47 @@ pub struct ProxyMetrics {
     pub errors: AtomicU64,
     /// Failed forwarding attempts that were retried.
     pub retries: AtomicU64,
+}
+
+/// The batches one caller submitted through
+/// [`ReverseProxy::submit_settled`], counted as each settles: once every
+/// lane part of it has landed or been given up on.
+#[derive(Debug, Default)]
+pub(crate) struct Settlement {
+    counts: std::sync::Mutex<Settled>,
+    changed: Condvar,
+}
+
+/// What a [`Settlement`] has counted so far.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Settled {
+    /// Batches submitted and not yet settled.
+    pending: u64,
+    /// Batches forwarded whole.
+    pub(crate) forwarded: u64,
+    /// Batches given up on.
+    pub(crate) errors: u64,
+}
+
+impl Settlement {
+    /// Block, without spinning, until every batch submitted against this
+    /// settlement has settled; then what became of them.
+    pub(crate) fn wait(&self) -> Settled {
+        let counts = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+        let counts = self
+            .changed
+            .wait_while(counts, |c| c.pending > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *counts
+    }
+
+    fn update(&self, f: impl FnOnce(&mut Settled)) {
+        let mut counts = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&mut counts);
+        if counts.pending == 0 {
+            self.changed.notify_all();
+        }
+    }
 }
 
 /// One lane's share of a submitted batch.
@@ -121,22 +166,40 @@ struct Part {
 struct Tally {
     parts: AtomicUsize,
     failed: AtomicBool,
+    settlement: Option<Arc<Settlement>>,
 }
 
 impl Tally {
-    /// Settle one part of the batch; the last part counts the batch as
-    /// forwarded, or as an error if any part was given up on.
+    /// Settle one part of the batch; the last part counts the batch.
     fn settle(&self, landed: bool, metrics: &ProxyMetrics) {
         if !landed {
             self.failed.store(true, Ordering::Release);
         }
         if self.parts.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let counter = if self.failed.load(Ordering::Acquire) {
-                &metrics.errors
-            } else {
-                &metrics.batches_out
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+            self.count(metrics);
+        }
+    }
+
+    /// Count the settled batch as forwarded, or as an error if any part
+    /// was given up on, in the proxy's metrics and its caller's
+    /// settlement.
+    fn count(&self, metrics: &ProxyMetrics) {
+        let failed = self.failed.load(Ordering::Acquire);
+        let counter = if failed {
+            &metrics.errors
+        } else {
+            &metrics.batches_out
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(settlement) = &self.settlement {
+            settlement.update(|c| {
+                c.pending -= 1;
+                if failed {
+                    c.errors += 1;
+                } else {
+                    c.forwarded += 1;
+                }
+            });
         }
     }
 }
@@ -150,14 +213,15 @@ fn lane_of(series: &Series, lanes: usize) -> usize {
 }
 
 /// The reverse proxy. Submission blocks when a worker's queue is full.
+/// The workers live until [`ReverseProxy::drain_and_join`] or drop.
 pub struct ReverseProxy {
-    /// One queue per worker.
-    queues: Option<Vec<Sender<Part>>>,
+    /// One queue per worker; `None` once the intake is closed.
+    queues: RwLock<Option<Vec<Sender<Part>>>>,
     /// One lane per TSD.
     lanes: usize,
     names: Mutex<SensorSeries>,
     metrics: Arc<ProxyMetrics>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ReverseProxy {
@@ -183,31 +247,27 @@ impl ReverseProxy {
         let mut workers = Vec::with_capacity(worker_count);
         for w in 0..worker_count {
             let (tx, rx) = bounded::<Part>(capacity);
-            let tsds = tsds.clone();
-            let metrics = metrics.clone();
+            let worker = Worker {
+                tsds: tsds.clone(),
+                metrics: metrics.clone(),
+                max_attempts,
+                // Per-worker jitter stream: deterministic, decorrelated
+                // from other workers.
+                jitter_seq: (w as u64) << 32,
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("proxy-worker-{w}"))
-                .spawn(move || {
-                    // Per-worker jitter stream: deterministic, decorrelated
-                    // from other workers.
-                    let jitter = ((w as u64) << 32) + 1..;
-                    for (jitter_seq, part) in jitter.zip(rx.iter()) {
-                        let landed = tsds.get(part.lane).is_some_and(|tsd| {
-                            forward(&part.points, tsd, &metrics, max_attempts, jitter_seq)
-                        });
-                        part.tally.settle(landed, &metrics);
-                    }
-                })
+                .spawn(move || worker.run(&rx, capacity))
                 .map_err(|e| ProxyError::SpawnFailed(e.to_string()))?;
             queues.push(tx);
             workers.push(handle);
         }
         Ok(ReverseProxy {
-            queues: Some(queues),
+            queues: RwLock::new(Some(queues)),
             lanes,
             names: Mutex::new(SensorSeries::new(codec)),
             metrics,
-            workers,
+            workers: Mutex::new(workers),
         })
     }
 
@@ -215,9 +275,29 @@ impl ReverseProxy {
     /// queue each part on the worker that owns its lane. Blocks while that
     /// queue is full (backpressure). Returns [`ProxyError::Stopped`] once
     /// the intake is closed or the workers are gone — the caller decides
-    /// whether that is fatal.
+    /// whether that is fatal. An empty batch is forwarded at once.
     pub fn submit(&self, batch: Vec<SensorSample>) -> Result<(), ProxyError> {
-        let queues = self.queues.as_ref().ok_or(ProxyError::Stopped)?;
+        self.send(batch, None)
+    }
+
+    /// [`ReverseProxy::submit`], counting the batch in `settlement` so
+    /// the caller can wait for the batches it submitted, and only those.
+    pub(crate) fn submit_settled(
+        &self,
+        batch: Vec<SensorSample>,
+        settlement: &Arc<Settlement>,
+    ) -> Result<(), ProxyError> {
+        self.send(batch, Some(settlement))
+    }
+
+    fn send(
+        &self,
+        batch: Vec<SensorSample>,
+        settlement: Option<&Arc<Settlement>>,
+    ) -> Result<(), ProxyError> {
+        if self.queues.read().is_none() {
+            return Err(ProxyError::Stopped);
+        }
         let mut parts: Vec<Vec<SeriesPoint>> = (0..self.lanes)
             .map(|_| Vec::with_capacity(batch.len().div_ceil(self.lanes)))
             .collect();
@@ -231,25 +311,59 @@ impl ReverseProxy {
                 }
             }
         }
+        if let Some(settlement) = settlement {
+            settlement.update(|c| c.pending += 1);
+        }
         let tally = Arc::new(Tally {
             parts: AtomicUsize::new(parts.iter().filter(|p| !p.is_empty()).count()),
             failed: AtomicBool::new(false),
+            settlement: settlement.cloned(),
         });
-        // Lane `l` to worker `l % workers`.
-        let owners = queues.iter().cycle();
-        for ((lane, points), queue) in parts.into_iter().enumerate().zip(owners) {
-            if !points.is_empty() {
-                let tally = tally.clone();
-                let part = Part {
-                    lane,
-                    points,
-                    tally,
-                };
-                queue.send(part).map_err(|_| ProxyError::Stopped)?;
+        self.metrics.batches_in.fetch_add(1, Ordering::Relaxed);
+        if parts.iter().all(Vec::is_empty) {
+            tally.count(&self.metrics);
+            return Ok(());
+        }
+        // A part no worker took is given up on, so its batch still settles.
+        let refused = self.enqueue(parts, &tally);
+        for part in &refused {
+            part.tally.settle(false, &self.metrics);
+        }
+        if refused.is_empty() {
+            Ok(())
+        } else {
+            Err(ProxyError::Stopped)
+        }
+    }
+
+    /// Queue each non-empty lane part on the worker that owns its lane
+    /// (lane `l` on worker `l % workers`); the parts no worker took, once
+    /// the intake is closed or a worker is gone.
+    fn enqueue(&self, parts: Vec<Vec<SeriesPoint>>, tally: &Arc<Tally>) -> Vec<Part> {
+        let queues = self.queues.read();
+        let queues = queues.as_deref().unwrap_or_default();
+        let mut refused = Vec::new();
+        let mut owners = queues.iter().cycle();
+        for (lane, points) in parts.into_iter().enumerate() {
+            let owner = owners.next();
+            if points.is_empty() {
+                continue;
+            }
+            let part = Part {
+                lane,
+                points,
+                tally: tally.clone(),
+            };
+            match owner {
+                Some(queue) if refused.is_empty() => {
+                    if let Err(SendError(part)) = queue.send(part) {
+                        refused.push(part);
+                    }
+                }
+                _ => refused.push(part),
             }
         }
-        self.metrics.batches_in.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        refused
     }
 
     /// Shared metrics handle.
@@ -258,55 +372,117 @@ impl ReverseProxy {
     }
 
     /// Close the intake and wait for workers to drain everything.
-    pub fn drain_and_join(mut self) -> Arc<ProxyMetrics> {
-        self.close();
+    pub fn drain_and_join(self) -> Arc<ProxyMetrics> {
+        self.shutdown();
         self.metrics.clone()
     }
 
-    /// Close every queue and join the workers once they have drained.
-    fn close(&mut self) {
-        drop(self.queues.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+    /// Close every queue and join the workers once they have drained what
+    /// was queued; later submissions return [`ProxyError::Stopped`].
+    /// Waits for submissions in progress to finish queueing first.
+    pub(crate) fn shutdown(&self) {
+        drop(self.queues.write().take());
+        for worker in std::mem::take(&mut *self.workers.lock()) {
+            let _ = worker.join();
         }
     }
 }
 
-/// Forward one lane part to its TSD with jittered exponential backoff;
-/// `true` once it landed. Every TSD fronts the same regions, so a storage
-/// failure is retried on the lane's own TSD once recovery may have caught
-/// up, which keeps the lane in order. Re-putting identical samples is
-/// safe — the store deduplicates identical cells, so retried parts land
-/// exactly once. Any other refusal is a property of the points
-/// themselves, so the part is given up on without a retry.
-fn forward(
-    points: &[SeriesPoint],
-    tsd: &Tsd,
-    metrics: &ProxyMetrics,
+/// A forwarding worker: what its thread needs to put its lanes' parts.
+struct Worker {
+    tsds: Vec<Arc<Tsd>>,
+    metrics: Arc<ProxyMetrics>,
     max_attempts: usize,
     jitter_seq: u64,
-) -> bool {
-    let mut attempt = 0usize;
-    loop {
-        match tsd.put_series_batch(points) {
-            Ok(()) => {
-                metrics
-                    .samples_out
-                    .fetch_add(points.len() as u64, Ordering::Relaxed);
-                return true;
+}
+
+impl Worker {
+    /// Take whatever the queue holds (at most its `capacity`), then
+    /// forward each lane's parts of it as one put, until the intake
+    /// closes and the queue is empty.
+    fn run(mut self, queue: &Receiver<Part>, capacity: usize) {
+        let mut drained = Vec::with_capacity(capacity);
+        let mut points = Vec::new();
+        while let Ok(first) = queue.recv() {
+            drained.push(first);
+            drained.extend(queue.try_iter().take(capacity - 1));
+            // Stable, so each lane's parts stay in submission order.
+            drained.sort_by_key(|part| part.lane);
+            for lane in drained.chunk_by_mut(|a, b| a.lane == b.lane) {
+                self.forward_lane(lane, &mut points);
             }
-            Err(TsdError::Storage(_)) => {}
-            Err(_) => return false,
+            drained.clear();
         }
-        attempt += 1;
-        if attempt >= max_attempts {
-            return false;
+    }
+
+    /// Forward one lane's parts to its TSD as one put and settle each
+    /// part's batch. A storage failure retries the whole put. A refusal
+    /// for content (a timestamp past the last row, a foreign series)
+    /// writes nothing, so the parts are then forwarded one by one and
+    /// only the offending part's batch is an error. `points` is scratch
+    /// space for the joined parts.
+    fn forward_lane(&mut self, parts: &mut [Part], points: &mut Vec<SeriesPoint>) {
+        // A lane is below the TSD count: its daemon is always there.
+        let Some(tsd) = parts.first().and_then(|p| self.tsds.get(p.lane)).cloned() else {
+            parts
+                .iter()
+                .for_each(|p| p.tally.settle(false, &self.metrics));
+            return;
+        };
+        let mut ends = Vec::with_capacity(parts.len());
+        for part in parts.iter_mut() {
+            points.append(&mut part.points);
+            ends.push(points.len());
         }
-        metrics.retries.fetch_add(1, Ordering::Relaxed);
-        pause(
-            attempt as u32,
-            jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64,
-        );
+        match self.forward(points, &tsd) {
+            Ok(()) => parts
+                .iter()
+                .for_each(|p| p.tally.settle(true, &self.metrics)),
+            Err(TsdError::Storage(_)) => parts
+                .iter()
+                .for_each(|p| p.tally.settle(false, &self.metrics)),
+            Err(_) => {
+                let mut start = 0;
+                for (part, &end) in parts.iter().zip(&ends) {
+                    let landed = points
+                        .get(start..end)
+                        .is_some_and(|own| self.forward(own, &tsd).is_ok());
+                    part.tally.settle(landed, &self.metrics);
+                    start = end;
+                }
+            }
+        }
+        points.clear();
+    }
+
+    /// Forward `points` to `tsd` with jittered exponential backoff. Every
+    /// TSD fronts the same regions, so a storage failure is retried on
+    /// the lane's own TSD once recovery may have caught up, which keeps
+    /// the lane in order. Re-putting identical samples is safe — the
+    /// store deduplicates identical cells, so retried puts land exactly
+    /// once. Any other refusal is a property of the points themselves, so
+    /// it is returned without a retry.
+    fn forward(&mut self, points: &[SeriesPoint], tsd: &Tsd) -> Result<(), TsdError> {
+        self.jitter_seq += 1;
+        let mut attempt = 0usize;
+        loop {
+            match tsd.put_series_batch(points) {
+                Ok(()) => {
+                    self.metrics
+                        .samples_out
+                        .fetch_add(points.len() as u64, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Err(TsdError::Storage(_)) if attempt + 1 < self.max_attempts => {}
+                Err(e) => return Err(e),
+            }
+            attempt += 1;
+            self.metrics.retries.fetch_add(1, Ordering::Relaxed);
+            pause(
+                attempt as u32,
+                self.jitter_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt as u64,
+            );
+        }
     }
 }
 
@@ -340,7 +516,7 @@ fn pause(attempt: u32, seed: u64) {
 
 impl Drop for ReverseProxy {
     fn drop(&mut self) {
-        self.close();
+        self.shutdown();
     }
 }
 
@@ -723,6 +899,154 @@ mod tests {
         assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.retries.load(Ordering::Relaxed), 0);
         assert_eq!(metrics.batches_out.load(Ordering::Relaxed), 0);
+        master.shutdown();
+    }
+
+    /// An empty batch has no lane part to wait for: it is forwarded as
+    /// soon as it is submitted, so a caller waiting on it returns.
+    #[test]
+    fn an_empty_batch_settles_at_once() {
+        let (master, tsds) = stack(1, 1);
+        let proxy = ReverseProxy::spawn(tsds, ProxyConfig::default()).unwrap();
+        let settlement = Arc::new(Settlement::default());
+        proxy.submit(Vec::new()).unwrap();
+        proxy.submit_settled(Vec::new(), &settlement).unwrap();
+        let settled = settlement.wait();
+        assert_eq!(
+            (settled.pending, settled.forwarded, settled.errors),
+            (0, 1, 0)
+        );
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.batches_in.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.batches_out.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 0);
+        master.shutdown();
+    }
+
+    /// Records every put its TSD acknowledges, and holds the first one
+    /// until the test has queued more behind it: the test waits on
+    /// `gate` once to know the worker is inside that put, and once more
+    /// to let it go.
+    struct Gate {
+        gate: std::sync::Barrier,
+        held: AtomicBool,
+        puts: parking_lot::Mutex<Vec<Vec<(u64, u64)>>>,
+    }
+
+    impl Gate {
+        fn install(tsd: &Tsd) -> Arc<Gate> {
+            let gate = Arc::new(Gate {
+                gate: std::sync::Barrier::new(2),
+                held: AtomicBool::new(false),
+                puts: Default::default(),
+            });
+            tsd.set_observer(gate.clone());
+            gate
+        }
+    }
+
+    impl pga_tsdb::PutObserver for Gate {
+        fn on_batch(&self, points: &[SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
+            let put = points.iter().map(|p| (p.1, p.2.to_bits())).collect();
+            self.puts.lock().push(put);
+            if !self.held.swap(true, Ordering::AcqRel) {
+                self.gate.wait();
+                self.gate.wait();
+            }
+            Vec::new()
+        }
+
+        fn flush(&self) -> Vec<pga_minibase::KeyValue> {
+            Vec::new()
+        }
+    }
+
+    /// `(timestamp, value bits)` of `samples`, as a put records them.
+    fn recorded(samples: &[SensorSample]) -> Vec<(u64, u64)> {
+        samples
+            .iter()
+            .map(|s| (s.timestamp, s.value.to_bits()))
+            .collect()
+    }
+
+    /// Parts that queue while their worker is inside a put go out
+    /// together, as one put, with every series in submission order.
+    #[test]
+    fn parts_queued_behind_a_put_go_out_in_one_put_in_order() {
+        let (master, tsds) = stack(2, 1);
+        let gate = Gate::install(&tsds[0]);
+        let proxy = ReverseProxy::spawn(
+            tsds.clone(),
+            ProxyConfig {
+                workers: 1,
+                ..ProxyConfig::default()
+            },
+        )
+        .unwrap();
+        let first = vec![sample(0, 0, 0)];
+        proxy.submit(first.clone()).unwrap();
+        gate.gate.wait();
+        // Five batches of twelve series each, one tick a batch.
+        let queued: Vec<Vec<SensorSample>> = (1..6u64)
+            .map(|t| {
+                (0..4u32)
+                    .flat_map(|unit| (0..3u32).map(move |sensor| sample(unit, sensor, t)))
+                    .collect()
+            })
+            .collect();
+        for batch in &queued {
+            proxy.submit(batch.clone()).unwrap();
+        }
+        gate.gate.wait();
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.batches_out.load(Ordering::Relaxed), 6);
+        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 61);
+        assert_eq!(tsds[0].metrics().put_rpcs.load(Ordering::Relaxed), 2);
+        let all: Vec<SensorSample> = queued.concat();
+        assert_eq!(*gate.puts.lock(), vec![recorded(&first), recorded(&all)]);
+        master.shutdown();
+    }
+
+    /// A batch refused for its content, queued between two good ones,
+    /// refuses the put they share; each is then forwarded on its own, and
+    /// only the refused one counts as an error.
+    #[test]
+    fn a_refused_batch_coalesced_between_good_ones_is_the_only_error() {
+        let (master, tsds) = stack(2, 1);
+        let gate = Gate::install(&tsds[0]);
+        let late = tsds[0].codec().max_timestamp() + 1;
+        let proxy = ReverseProxy::spawn(
+            tsds.clone(),
+            ProxyConfig {
+                workers: 1,
+                ..ProxyConfig::default()
+            },
+        )
+        .unwrap();
+        let settlement = Arc::new(Settlement::default());
+        let first = vec![sample(1, 1, 0)];
+        proxy.submit_settled(first.clone(), &settlement).unwrap();
+        gate.gate.wait();
+        let (before, after) = (vec![sample(1, 1, 1)], vec![sample(1, 1, 2)]);
+        for batch in [before.clone(), vec![sample(1, 1, late)], after.clone()] {
+            proxy.submit_settled(batch, &settlement).unwrap();
+        }
+        gate.gate.wait();
+        let settled = settlement.wait();
+        assert_eq!(
+            (settled.pending, settled.forwarded, settled.errors),
+            (0, 3, 1)
+        );
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.batches_out.load(Ordering::Relaxed), 3);
+        assert_eq!(metrics.retries.load(Ordering::Relaxed), 0);
+        let puts = [&first, &before, &after].map(|b| recorded(b)).to_vec();
+        assert_eq!(*gate.puts.lock(), puts);
+        let stored = tsds[0]
+            .query("energy", &QueryFilter::any(), 0, 100)
+            .unwrap();
+        assert_eq!(stored[0].points.len(), 3);
         master.shutdown();
     }
 

@@ -166,6 +166,15 @@ fn write_samples(fleet: &Fleet, ticks: u64, out: impl std::io::Write) -> std::io
 }
 
 fn cmd_demo(rest: &[String]) -> Result<(), String> {
+    print!("{}", demo(rest)?);
+    Ok(())
+}
+
+/// The monitor loop of `pga demo`: ingest the fleet's ticks, train on the
+/// first 150, evaluate the last tick. Returns what the command prints on
+/// stdout, one line per flagged unit (`tests/golden/demo_seed42.txt` holds
+/// it for `--seed 42 --units 8 --sensors 64 --ticks 700`).
+fn demo(rest: &[String]) -> Result<String, String> {
     let args = Args::parse(rest, &FLEET_KEYS, &[])?;
     let ticks = args.get("ticks", 700u64)?.max(300);
     let mut config = PlatformConfig::demo(args.get("seed", 42u64)?);
@@ -178,12 +187,14 @@ fn cmd_demo(rest: &[String]) -> Result<(), String> {
     );
     monitor.train(149).expect("train");
     let outcomes = monitor.evaluate_at(ticks - 1).expect("evaluate");
+    let mut verdicts = String::new();
     for out in &outcomes {
         if out.flags.is_empty() {
             continue;
         }
         let class = monitor.fleet().fault(out.unit).class.name();
-        println!(
+        let _ = writeln!(
+            verdicts,
             "unit {:>3} [{}]: flagged {:?}",
             out.unit,
             class,
@@ -192,7 +203,7 @@ fn cmd_demo(rest: &[String]) -> Result<(), String> {
     }
     eprintln!("{} anomaly records total", monitor.anomalies().len());
     monitor.shutdown();
-    Ok(())
+    Ok(verdicts)
 }
 
 fn cmd_dashboard(rest: &[String]) -> Result<(), String> {
@@ -443,6 +454,22 @@ mod tests {
 
     fn experiment_size(line: &str) -> Result<Size, String> {
         size(&parse(line, &[], &SIZE_SWITCHES)?)
+    }
+
+    /// The monitor loop's verdicts: a change that moves one shows here as
+    /// a diff against the captured golden.
+    #[test]
+    fn the_demo_prints_its_golden_verdicts() {
+        let argv: Vec<String> = "--seed 42 --units 8 --sensors 64 --ticks 700"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let verdicts = demo(&argv).unwrap();
+        let golden = include_str!("../../../../tests/golden/demo_seed42.txt");
+        assert!(
+            verdicts == golden,
+            "pga demo drifted from its golden:\n--- golden\n{golden}\n--- now\n{verdicts}"
+        );
     }
 
     #[test]

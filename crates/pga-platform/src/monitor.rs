@@ -847,6 +847,81 @@ mod tests {
         m.shutdown();
     }
 
+    /// Records the thread of every put its TSD acknowledges, and counts
+    /// those threads as they exit.
+    #[derive(Default)]
+    struct Threads {
+        puts: parking_lot::Mutex<Vec<(std::thread::ThreadId, Option<String>)>>,
+        exited: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    /// Counts its thread's exit when the thread's locals are destroyed.
+    struct OnExit(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+    }
+
+    impl pga_tsdb::PutObserver for Threads {
+        fn on_batch(&self, _: &[pga_tsdb::SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
+            let thread = std::thread::current();
+            let name = thread.name().map(str::to_string);
+            self.puts.lock().push((thread.id(), name));
+            ON_EXIT.with(|exit| {
+                exit.borrow_mut()
+                    .get_or_insert_with(|| OnExit(self.exited.clone()));
+            });
+            Vec::new()
+        }
+
+        fn flush(&self) -> Vec<pga_minibase::KeyValue> {
+            Vec::new()
+        }
+    }
+
+    /// The pipeline keeps its proxy: two ingest calls forward on the same
+    /// worker threads, each call's report counts its own batches, and
+    /// shutting the monitor down joins those threads.
+    #[test]
+    fn ingest_calls_share_the_proxy_workers_and_shutdown_joins_them() {
+        let mut config = PlatformConfig::demo(19);
+        config.fleet.units = 3;
+        config.fleet.sensors_per_unit = 8;
+        let mut m = Monitor::new(config).unwrap();
+        let threads = Arc::new(Threads::default());
+        for tsd in m.pipeline.tsds() {
+            tsd.set_observer(threads.clone());
+        }
+        let workers = |threads: &Threads| {
+            let puts = std::mem::take(&mut *threads.puts.lock());
+            puts.into_iter()
+                .map(|(id, name)| {
+                    let name = name.unwrap_or_default();
+                    assert!(name.starts_with("proxy-worker-"), "{name}");
+                    id
+                })
+                .collect::<std::collections::HashSet<_>>()
+        };
+        let first = m.ingest_range(0, 40);
+        let first_workers = workers(&threads);
+        let second = m.ingest_range(40, 50);
+        assert_eq!(workers(&threads), first_workers);
+        assert_eq!(first_workers.len(), 2, "one worker per TSD");
+        let batches = |samples: u64| samples.div_ceil(m.config().batch_size as u64);
+        assert_eq!(first.batches, batches(first.samples));
+        assert_eq!(second.batches, batches(second.samples));
+        let exited = threads.exited.clone();
+        assert_eq!(exited.load(std::sync::atomic::Ordering::SeqCst), 0);
+        m.shutdown();
+        assert_eq!(exited.load(std::sync::atomic::Ordering::SeqCst), 2);
+    }
+
     #[test]
     fn invalid_config_rejected() {
         let mut c = PlatformConfig::demo(1);

@@ -147,7 +147,7 @@ fn uid_table_shared_across_tsd_instances() {
 
 /// Passes every acknowledged batch on to a rollup writer, and records its
 /// `(timestamp, value bits)` — which of a run's lane parts reached this
-/// daemon, in the order its writer saw them.
+/// daemon in each put, in the order its writer saw them.
 struct Recording {
     writer: pga_query::RollupWriter,
     seen: std::sync::Mutex<Vec<Vec<(u64, u64)>>>,
@@ -171,7 +171,8 @@ impl pga_tsdb::PutObserver for Recording {
 /// cell, by row key, qualifier, version and value. An odd × odd fleet over
 /// a row-hour boundary, two daemons and two proxy workers. Each daemon of
 /// the direct stack is fed the lane parts its twin was, in the same
-/// order, because a rollup cell is one writer's share of its bucket.
+/// order and joined into the same puts, because a rollup cell is one
+/// writer's share of its bucket.
 #[test]
 fn the_forwarding_path_stores_what_the_string_path_stores() {
     use pga_ingest::IngestionPipeline;
@@ -244,21 +245,29 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
                 .collect()
         })
         .collect();
+    // A worker puts whatever its queue holds as one put per lane, so each
+    // recorded put is a run of one lane's consecutive parts. The direct
+    // stack's daemon is fed each run as one batch, as its twin was.
     let direct = stack();
-    let mut fed = vec![vec![0; lanes]; parts.len()];
     for (i, (tsd, recorder)) in direct.tsds().iter().zip(&recorders).enumerate() {
         tsd.set_observer(Arc::new(writer(tsd, i)));
+        let mut lane_parts = parts.iter().map(|b| &b[i]).filter(|p| !p.is_empty());
         for seen in recorder.seen.lock().unwrap().iter() {
-            let k = parts
-                .iter()
-                .position(|b| {
-                    b[i].iter()
-                        .map(|s| (s.timestamp, s.value.to_bits()))
-                        .eq(seen.iter().copied())
-                })
-                .expect("a recorded part is one of the run's");
-            fed[k][i] += 1;
-            let tags: Vec<[(String, String); 2]> = parts[k][i]
+            let mut run: Vec<&pga_sensorgen::SensorSample> = Vec::new();
+            while run.len() < seen.len() {
+                run.extend(
+                    lane_parts
+                        .next()
+                        .expect("a recorded put is the run's parts"),
+                );
+            }
+            assert!(
+                run.iter()
+                    .map(|s| (s.timestamp, s.value.to_bits()))
+                    .eq(seen.iter().copied()),
+                "a recorded put is a run of consecutive lane parts"
+            );
+            let tags: Vec<[(String, String); 2]> = run
                 .iter()
                 .map(|s| {
                     [
@@ -271,21 +280,18 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
                 .iter()
                 .map(|[(uk, uv), (sk, sv)]| [(&uk[..], &uv[..]), (&sk[..], &sv[..])])
                 .collect();
-            let points: Vec<pga_tsdb::BatchPoint> = parts[k][i]
+            let points: Vec<pga_tsdb::BatchPoint> = run
                 .iter()
                 .zip(&tags)
                 .map(|(s, tags)| (&tags[..], s.timestamp, s.value))
                 .collect();
             tsd.put_batch("energy", &points).unwrap();
         }
+        assert!(
+            lane_parts.next().is_none(),
+            "every lane part reached its daemon once"
+        );
     }
-    assert!(
-        fed.iter().zip(&parts).all(|(n, b)| n
-            .iter()
-            .zip(b)
-            .all(|(&n, p)| n == usize::from(!p.is_empty()))),
-        "every lane part reached its daemon once"
-    );
     assert!(recorders.iter().all(|r| !r.seen.lock().unwrap().is_empty()));
     direct.flush_observers().unwrap();
 
