@@ -89,26 +89,38 @@ impl Experiment {
     /// lock is taken per section, never across the run itself.
     fn execute_into(&self, size: Size) -> std::io::Result<Option<bool>> {
         use std::io::Write;
-        writeln!(
-            std::io::stdout().lock(),
-            "== {}: {} ==",
-            self.id,
-            self.title
-        )?;
+        write!(std::io::stdout().lock(), "{}", self.heading())?;
         let run = (self.run)(size);
-        let mut out = std::io::stdout().lock();
-        writeln!(out, "{}", run.text.trim_end())?;
-        if let Some(held) = run.verdict {
-            writeln!(out, "verdict {}", if held { "HELD" } else { "FAILED" })?;
-        }
-        if let (Some(name), Some(json)) = (self.artifact, &run.json) {
+        if let (Some(path), Some(json)) = (self.artifact_path(), &run.json) {
             std::fs::create_dir_all("target/experiments").expect("create experiments dir");
-            let path = format!("target/experiments/{name}.json");
             std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            writeln!(out, "  [saved {path}]")?;
         }
-        writeln!(out)?;
+        write!(std::io::stdout().lock(), "{}", self.report(&run))?;
         Ok(run.verdict)
+    }
+
+    /// The line [`Experiment::execute`] prints before the run starts.
+    pub fn heading(&self) -> String {
+        format!("== {}: {} ==\n", self.id, self.title)
+    }
+
+    /// What [`Experiment::execute`] prints once `run` is done: its text,
+    /// its verdict, the artifact it saved and a blank line.
+    pub fn report(&self, run: &Run) -> String {
+        let mut out = format!("{}\n", run.text.trim_end());
+        if let Some(held) = run.verdict {
+            let _ = writeln!(out, "verdict {}", if held { "HELD" } else { "FAILED" });
+        }
+        if let (Some(path), Some(_)) = (self.artifact_path(), &run.json) {
+            let _ = writeln!(out, "  [saved {path}]");
+        }
+        out.push('\n');
+        out
+    }
+
+    fn artifact_path(&self) -> Option<String> {
+        self.artifact
+            .map(|name| format!("target/experiments/{name}.json"))
     }
 }
 
