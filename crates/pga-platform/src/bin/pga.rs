@@ -131,12 +131,16 @@ fn size(args: &Args) -> Result<Size, String> {
 const SIZE_SWITCHES: [&str; 2] = ["smoke", "full"];
 const FLEET_KEYS: [&str; 4] = ["units", "sensors", "ticks", "seed"];
 
+/// The fleet `--units`, `--sensors` and `--seed` describe, refused with
+/// [`FleetConfig::validate`]'s reason when it cannot be built.
 fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
-    Ok(FleetConfig {
+    let config = FleetConfig {
         units: args.get("units", 8u32)?,
         sensors_per_unit: args.get("sensors", 64u32)?,
         ..FleetConfig::paper_scale(args.get("seed", 42u64)?)
-    })
+    };
+    config.validate()?;
+    Ok(config)
 }
 
 fn cmd_gen(rest: &[String]) -> Result<(), String> {
@@ -470,6 +474,18 @@ mod tests {
             verdicts == golden,
             "pga demo drifted from its golden:\n--- golden\n{golden}\n--- now\n{verdicts}"
         );
+    }
+
+    #[test]
+    fn an_empty_fleet_is_an_error_not_a_panic() {
+        let argv =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        for line in ["--units 0", "--sensors 0"] {
+            let err = demo(&argv(line)).unwrap_err();
+            assert!(err.contains("fleet"), "{line}: {err}");
+        }
+        let args = parse("--sensors 0", &FLEET_KEYS, &[]).unwrap();
+        assert!(fleet_config(&args).is_err());
     }
 
     #[test]
