@@ -272,7 +272,7 @@ fn window_from_series(series: &[&TimeSeries]) -> Matrix {
     window
 }
 
-/// Bit-exact verdict equality: p-value families and block T² p-values.
+/// Bit-exact verdict equality: p-value families and rejections.
 fn same_verdict(a: &EvalOutcome, b: &EvalOutcome) -> bool {
     a.unit == b.unit
         && a.samples_scored == b.samples_scored
@@ -282,11 +282,6 @@ fn same_verdict(a: &EvalOutcome, b: &EvalOutcome) -> bool {
             .zip(&b.p_values)
             .all(|(x, y)| x.to_be_bytes() == y.to_be_bytes())
         && a.rejected == b.rejected
-        && a.block_p_values.len() == b.block_p_values.len()
-        && a.block_p_values
-            .iter()
-            .zip(&b.block_p_values)
-            .all(|((sa, pa), (sb, pb))| sa == sb && pa.to_be_bytes() == pb.to_be_bytes())
 }
 
 /// Run E21 against the real storage stack.

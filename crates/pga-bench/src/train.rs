@@ -1,9 +1,10 @@
 //! E23 — incremental fleet retraining throughput and scheduler
 //! scaling.
 //!
-//! The paper retrains offline in batch: every unit's covariance and its
-//! eigendecomposition are recomputed on every pass even when only a
-//! handful of units saw new samples (§IV-A). This experiment measures
+//! The paper retrains offline in batch: every unit's model (its
+//! covariance and SVD, run to obtain each sensor's mean and variance) is
+//! recomputed on every pass even when only a handful of units saw new
+//! samples (§IV-A). This experiment measures
 //! what dirty-unit tracking buys under live ingest, and what the
 //! parallel executor buys over the sequential one, with a differential
 //! oracle pinning both to the batch answer:

@@ -4,8 +4,8 @@
 //! recomputed even when only one unit saw new samples (§IV-A). Here each
 //! unit keeps its Welford/Chan sufficient statistics
 //! ([`StreamingTrainer`]) resident; ingesting samples marks the unit
-//! *dirty*, and [`FleetTrainer::retrain_dirty`] re-enqueues
-//! covariance/eigendecomposition finish tasks for dirty units only, on the
+//! *dirty*, and [`FleetTrainer::retrain_dirty`] re-enqueues finish tasks
+//! (each sensor's mean and σ) for dirty units only, on the
 //! `pga-dataflow` → `pga-sched` task-set substrate. The
 //! incrementality invariant (DESIGN.md §13): a unit's model is a pure
 //! function of its sufficient statistics, so re-finishing only dirty
@@ -97,7 +97,7 @@ impl FleetTrainer {
         self.trainers.get(&unit).map(StreamingTrainer::count)
     }
 
-    /// Re-finish covariance and eigendecomposition for the dirty units only, as a
+    /// Re-finish the models of the dirty units only, as a
     /// `pga-sched` task set (one finish task per dirty unit). Units
     /// whose statistics still hold fewer than 2 rows stay dirty and are
     /// reported as errors; successfully finished units are cleaned.
@@ -118,9 +118,7 @@ impl FleetTrainer {
             return Vec::new();
         }
         // Snapshot the per-unit statistics so the finish tasks can run
-        // on worker threads; each task is covariance expansion plus an
-        // eigendecomposition, which dwarfs the clone of the packed
-        // accumulators.
+        // on worker threads.
         let snapshots: Vec<(u32, StreamingTrainer)> = units
             .iter()
             .filter_map(|u| self.trainers.get(u).map(|t| (*u, t.clone())))
@@ -156,41 +154,17 @@ impl FleetTrainer {
 }
 
 /// Worst-case absolute divergence between two models of the same unit:
-/// the max over per-sensor means, per-sensor stds, and per-block
-/// eigenvalues of the elementwise absolute difference. An eigenvector's
-/// sign is the solver's accident, not the data's, so columns are compared
-/// up to sign (`min(|a-b|, |a+b|)`). Returns `f64::INFINITY` on shape mismatch.
+/// the max over per-sensor means and per-sensor stds of the elementwise
+/// absolute difference. Returns `f64::INFINITY` on shape mismatch.
 pub fn model_divergence(a: &UnitModel, b: &UnitModel) -> f64 {
-    if a.means.len() != b.means.len() || a.blocks.len() != b.blocks.len() {
+    if a.means.len() != b.means.len() || a.stds.len() != b.stds.len() {
         return f64::INFINITY;
     }
-    let mut worst: f64 = 0.0;
-    for (x, y) in a.means.iter().zip(&b.means) {
-        worst = worst.max((x - y).abs());
-    }
-    for (x, y) in a.stds.iter().zip(&b.stds) {
-        worst = worst.max((x - y).abs());
-    }
-    for (ba, bb) in a.blocks.iter().zip(&b.blocks) {
-        if ba.len != bb.len {
-            return f64::INFINITY;
-        }
-        for (x, y) in ba.eigenvalues.iter().zip(&bb.eigenvalues) {
-            worst = worst.max((x - y).abs());
-        }
-        for c in 0..ba.len {
-            let mut same: f64 = 0.0;
-            let mut flipped: f64 = 0.0;
-            for r in 0..ba.len {
-                let x = ba.eigenvectors.get(r, c);
-                let y = bb.eigenvectors.get(r, c);
-                same = same.max((x - y).abs());
-                flipped = flipped.max((x + y).abs());
-            }
-            worst = worst.max(same.min(flipped));
-        }
-    }
-    worst
+    let means = a.means.iter().zip(&b.means);
+    let stds = a.stds.iter().zip(&b.stds);
+    means
+        .chain(stds)
+        .fold(0.0, |worst: f64, (x, y)| worst.max((x - y).abs()))
 }
 
 #[cfg(test)]
@@ -317,5 +291,12 @@ mod tests {
             "different data, different model"
         );
         assert_eq!(model_divergence(&a, &a), 0.0);
+        // σ is half the model: a tamper of one σ alone shows, by its size.
+        let mut tampered = a.clone();
+        tampered.stds[3] *= 2.0;
+        assert!(a.stds[3] > 0.0);
+        assert_eq!(model_divergence(&a, &tampered), a.stds[3]);
+        tampered.stds.pop();
+        assert_eq!(model_divergence(&a, &tampered), f64::INFINITY);
     }
 }

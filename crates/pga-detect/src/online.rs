@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use pga_linalg::Matrix;
-use pga_stats::{t_square_p_value, t_square_statistic, Procedure};
+use pga_stats::Procedure;
 
 use crate::model::UnitModel;
 
@@ -32,9 +32,6 @@ pub struct EvalOutcome {
     pub flags: Vec<SensorFlag>,
     /// Rejection mask aligned with `p_values`.
     pub rejected: Vec<bool>,
-    /// Per-block Hotelling T² p-values `(block start, p)` — the grouped,
-    /// correlation-aware view.
-    pub block_p_values: Vec<(usize, f64)>,
     /// Samples scored (rows × sensors).
     pub samples_scored: u64,
 }
@@ -150,8 +147,8 @@ impl OnlineEvaluator {
         pga_stats::two_sided_p_from_z(z)
     }
 
-    /// Shared scoring core: per-sensor z-tests, FDR control, and block T²
-    /// from a window-mean vector computed over `n` samples.
+    /// Shared scoring core: per-sensor z-tests and FDR control from a
+    /// window-mean vector computed over `n` samples.
     fn score_means(&self, n: usize, means: Vec<f64>) -> EvalOutcome {
         let p = means.len();
         let var_factor = self.var_factor(n);
@@ -171,46 +168,11 @@ impl OnlineEvaluator {
                 baseline_mean: self.model.means[j],
             })
             .collect();
-        // Per-block T² on the mean vector (centred, projected, whitened).
-        // Var(mean difference) = Σ(1/n + 1/n_train), so scores scale by
-        // 1/var_factor before the χ² comparison. One centred vector and
-        // one score buffer serve every block.
-        let inv_vf = 1.0 / var_factor;
-        let width = self.model.blocks.iter().map(|b| b.len).max().unwrap_or(0);
-        let mut centred = Vec::with_capacity(width);
-        let mut scores = vec![0.0; width];
-        let block_p_values: Vec<(usize, f64)> = self
-            .model
-            .blocks
-            .iter()
-            .map(|b| {
-                let span = b.start..b.start + b.len;
-                centred.clear();
-                centred.extend(
-                    means[span.clone()]
-                        .iter()
-                        .zip(&self.model.means[span])
-                        .map(|(&x, &m)| (x - m) * inv_vf),
-                );
-                // An infinite window mean (finite samples whose sum
-                // overflowed) is as far off baseline as a mean can be, as
-                // its sensors' z-tests read too; projected, ∞ − ∞ or 0 · ∞
-                // would make T² NaN.
-                if centred.iter().any(|x| x.is_infinite()) {
-                    return (b.start, 0.0);
-                }
-                let scores = &mut scores[..b.len];
-                b.project_into(&centred, scores);
-                let (t2, dof) = t_square_statistic(scores, &b.eigenvalues, 1e-9);
-                (b.start, t_square_p_value(t2, dof))
-            })
-            .collect();
         EvalOutcome {
             unit: self.model.unit,
             p_values,
             flags,
             rejected: rej.rejected,
-            block_p_values,
             samples_scored: (n * p) as u64,
         }
     }
@@ -263,26 +225,6 @@ mod tests {
             "too many flags: {}",
             out.flags.len()
         );
-    }
-
-    #[test]
-    fn block_t2_detects_group_fault() {
-        let fleet = Fleet::new(FleetConfig::paper_scale(37));
-        let unit = fleet.units_with_class(FaultClass::SharpShift)[0];
-        let spec = *fleet.fault(unit);
-        let ev = trained_evaluator(&fleet, unit);
-        let w = fleet.observation_window(unit, spec.onset + 49, 50);
-        let out = ev.evaluate(&w);
-        // The block containing the fault group must have a tiny T² p-value.
-        let fault_block_start =
-            (spec.group_start as usize / crate::model::BLOCK_SENSORS) * crate::model::BLOCK_SENSORS;
-        let (_, p) = out
-            .block_p_values
-            .iter()
-            .find(|(s, _)| *s == fault_block_start)
-            .copied()
-            .unwrap();
-        assert!(p < 1e-4, "fault block p-value {p}");
     }
 
     #[test]
@@ -345,14 +287,6 @@ mod tests {
             assert!(out.rejected[3] && out.rejected[4]);
             for j in (0..w.cols()).filter(|j| ![3, 4].contains(j)) {
                 assert_eq!(out.p_values[j].to_bits(), want.p_values[j].to_bits());
-            }
-            assert_eq!(out.block_p_values[0], (0, 0.0));
-            // Every other block keeps its bits.
-            for (got, want) in out.block_p_values[1..]
-                .iter()
-                .zip(&want.block_p_values[1..])
-            {
-                assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
             }
         }
     }

@@ -1,56 +1,36 @@
 //! Streaming (incremental) training — the paper's ongoing work of
 //! "migrating our anomaly detection implementation to Spark Streaming for
 //! online training" (§VI), implemented here as a Welford-style incremental
-//! moment estimator plus streaming block covariance.
+//! estimator of each sensor's mean and variance.
 
 use serde::{Deserialize, Serialize};
 
-use pga_linalg::{eigh, symmetric_from_packed_lower};
-
-use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
+use crate::model::UnitModel;
 use crate::trainer::TrainError;
 
 /// Incrementally ingests observation rows and can produce a [`UnitModel`]
 /// at any point — no batch re-read required.
 ///
-/// Maintains per-sensor running means and, per block, the running
-/// co-moment matrix, using the numerically stable Welford/Chan update.
+/// Keeps the row count and, per sensor, the running mean and sum of
+/// squared deviations `M2 = Σ (x - mean)²`, updated by Welford's rule and
+/// merged by Chan's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamingTrainer {
     unit: u32,
-    sensors: usize,
     count: u64,
     means: Vec<f64>,
-    /// Per-block lower-triangular co-moment accumulators
-    /// `M2[b][i][j] = Σ (x_i - mean_i)(x_j - mean_j)` laid out packed.
-    comoments: Vec<Vec<f64>>,
-}
-
-fn block_count(sensors: usize) -> usize {
-    sensors.div_ceil(BLOCK_SENSORS)
-}
-
-fn packed_len(len: usize) -> usize {
-    len * (len + 1) / 2
+    m2: Vec<f64>,
 }
 
 impl StreamingTrainer {
     /// New trainer for a unit with `sensors` sensors.
     pub fn new(unit: u32, sensors: usize) -> Self {
         assert!(sensors > 0, "need at least one sensor");
-        let blocks = block_count(sensors);
-        let comoments = (0..blocks)
-            .map(|b| {
-                let len = BLOCK_SENSORS.min(sensors - b * BLOCK_SENSORS);
-                vec![0.0; packed_len(len)]
-            })
-            .collect();
         StreamingTrainer {
             unit,
-            sensors,
             count: 0,
             means: vec![0.0; sensors],
-            comoments,
+            m2: vec![0.0; sensors],
         }
     }
 
@@ -61,26 +41,14 @@ impl StreamingTrainer {
 
     /// Ingest one observation row (length must equal the sensor count).
     pub fn update(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.sensors, "row width mismatch");
+        assert_eq!(row.len(), self.means.len(), "row width mismatch");
         self.count += 1;
         let n = self.count as f64;
-        // Per-sensor deltas before the mean update.
-        let deltas: Vec<f64> = row.iter().zip(&self.means).map(|(&x, &m)| x - m).collect();
-        for (m, d) in self.means.iter_mut().zip(&deltas) {
-            *m += d / n;
-        }
-        // Co-moment update per block: M2 += delta_before ⊗ delta_after.
-        for (b, m2) in self.comoments.iter_mut().enumerate() {
-            let start = b * BLOCK_SENSORS;
-            let len = BLOCK_SENSORS.min(self.sensors - start);
-            let mut idx = 0;
-            for i in 0..len {
-                let d_after_i = row[start + i] - self.means[start + i];
-                for j in 0..=i {
-                    m2[idx] += deltas[start + j] * d_after_i;
-                    idx += 1;
-                }
-            }
+        // M2 += (x − mean before) · (x − mean after).
+        for ((&x, mean), m2) in row.iter().zip(&mut self.means).zip(&mut self.m2) {
+            let delta = x - *mean;
+            *mean += delta / n;
+            *m2 += delta * (x - *mean);
         }
     }
 
@@ -91,30 +59,15 @@ impl StreamingTrainer {
                 rows: self.count as usize,
             });
         }
-        let denom = (self.count - 1) as f64;
-        let mut blocks = Vec::with_capacity(self.comoments.len());
-        let mut stds = vec![0.0; self.sensors];
-        for (b, m2) in self.comoments.iter().enumerate() {
-            let start = b * BLOCK_SENSORS;
-            let len = BLOCK_SENSORS.min(self.sensors - start);
-            let cov = symmetric_from_packed_lower(len, m2, 1.0 / denom)
-                .map_err(|e| TrainError::Decomposition(e.to_string()))?;
-            for i in 0..len {
-                stds[start + i] = cov.get(i, i).max(0.0).sqrt();
-            }
-            let eig = eigh(&cov).map_err(|e| TrainError::Decomposition(e.to_string()))?;
-            blocks.push(BlockModel {
-                start,
-                len,
-                eigenvalues: eig.values,
-                eigenvectors: eig.vectors,
-            });
-        }
+        let inv = 1.0 / (self.count - 1) as f64;
         let model = UnitModel {
             unit: self.unit,
             means: self.means.clone(),
-            stds,
-            blocks,
+            stds: self
+                .m2
+                .iter()
+                .map(|m2| (m2 * inv).max(0.0).sqrt())
+                .collect(),
             trained_rows: self.count as usize,
         };
         model.validate().map_err(TrainError::InvalidModel)?;
@@ -124,7 +77,7 @@ impl StreamingTrainer {
     /// Merge another trainer's moments into this one (Chan's parallel
     /// update) — the building block for distributed streaming training.
     pub fn merge(&mut self, other: &StreamingTrainer) {
-        assert_eq!(self.sensors, other.sensors, "sensor count mismatch");
+        assert_eq!(self.means.len(), other.means.len(), "sensor count mismatch");
         assert_eq!(self.unit, other.unit, "unit mismatch");
         if other.count == 0 {
             return;
@@ -136,27 +89,12 @@ impl StreamingTrainer {
         let n1 = self.count as f64;
         let n2 = other.count as f64;
         let n = n1 + n2;
-        let deltas: Vec<f64> = other
-            .means
-            .iter()
-            .zip(&self.means)
-            .map(|(&m2, &m1)| m2 - m1)
-            .collect();
-        for (b, m2_acc) in self.comoments.iter_mut().enumerate() {
-            let start = b * BLOCK_SENSORS;
-            let len = BLOCK_SENSORS.min(self.sensors - start);
-            let other_m2 = &other.comoments[b];
-            let mut idx = 0;
-            for i in 0..len {
-                for j in 0..=i {
-                    m2_acc[idx] +=
-                        other_m2[idx] + deltas[start + i] * deltas[start + j] * n1 * n2 / n;
-                    idx += 1;
-                }
-            }
-        }
-        for (m, d) in self.means.iter_mut().zip(&deltas) {
-            *m += d * n2 / n;
+        let sensors = self.means.iter_mut().zip(&mut self.m2);
+        for ((mean, m2), (&other_mean, &other_m2)) in sensors.zip(other.means.iter().zip(&other.m2))
+        {
+            let delta = other_mean - *mean;
+            *m2 += other_m2 + delta * delta * n1 * n2 / n;
+            *mean += delta * n2 / n;
         }
         self.count += other.count;
     }
@@ -190,11 +128,6 @@ mod tests {
         for (a, b) in streaming.stds.iter().zip(&batch.stds) {
             assert!((a - b).abs() < 1e-9, "stds differ: {a} vs {b}");
         }
-        for (ba, bb) in streaming.blocks.iter().zip(&batch.blocks) {
-            for (la, lb) in ba.eigenvalues.iter().zip(&bb.eigenvalues) {
-                assert!((la - lb).abs() < 1e-7, "eigenvalues differ: {la} vs {lb}");
-            }
-        }
     }
 
     #[test]
@@ -220,10 +153,8 @@ mod tests {
         for (x, y) in a.means.iter().zip(&b.means) {
             assert!((x - y).abs() < 1e-9);
         }
-        for (ba, bb) in a.blocks.iter().zip(&b.blocks) {
-            for (la, lb) in ba.eigenvalues.iter().zip(&bb.eigenvalues) {
-                assert!((la - lb).abs() < 1e-7);
-            }
+        for (x, y) in a.stds.iter().zip(&b.stds) {
+            assert!((x - y).abs() < 1e-9);
         }
     }
 

@@ -1,21 +1,24 @@
 //! Offline (batch) training — the Spark stage of §IV-A.
 
 use pga_dataflow::Dataflow;
-use pga_linalg::{centred_covariance, column_means, eigh, Matrix};
+use pga_linalg::{column_means, column_variances, Matrix};
 
 use crate::batch::ColumnWindow;
-use crate::model::{BlockModel, UnitModel, BLOCK_SENSORS};
+use crate::model::UnitModel;
 
 /// Training failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
-    /// Not enough observations for covariance estimation.
+    /// Not enough observations to estimate a variance.
     InsufficientData {
         /// Rows provided.
         rows: usize,
     },
-    /// The eigendecomposition failed to converge or errored.
-    Decomposition(String),
+    /// A columnar window's sensors hold different numbers of samples.
+    RaggedColumns {
+        /// Samples the first sensor holds, which every sensor needs.
+        rows: usize,
+    },
     /// The fitted model fails [`UnitModel::validate`] — a finite but huge
     /// sample overflowed a variance, say — and must not reach an evaluator.
     InvalidModel(String),
@@ -27,7 +30,9 @@ impl std::fmt::Display for TrainError {
             TrainError::InsufficientData { rows } => {
                 write!(f, "need at least 2 observation rows, got {rows}")
             }
-            TrainError::Decomposition(e) => write!(f, "decomposition failed: {e}"),
+            TrainError::RaggedColumns { rows } => {
+                write!(f, "ragged columns: every sensor needs {rows} samples")
+            }
             TrainError::InvalidModel(e) => write!(f, "trained model is invalid: {e}"),
         }
     }
@@ -36,49 +41,20 @@ impl std::fmt::Display for TrainError {
 impl std::error::Error for TrainError {}
 
 /// Train one unit's model from an observation window (rows = time steps,
-/// columns = sensors).
+/// columns = sensors): each sensor's mean and sample σ, which is what the
+/// paper's covariance and SVD are computed "to obtain".
 pub fn train_unit(unit: u32, observations: &Matrix) -> Result<UnitModel, TrainError> {
-    let (n, p) = observations.shape();
-    if n < 2 {
-        return Err(TrainError::InsufficientData { rows: n });
-    }
-    // Each block is centred into a panel of its own, `n × len`, and its
-    // covariance read out of that; the panel's diagonal is the block's
-    // sensor variances. Cells are `x − m` and the Gram sums add in row
-    // order, so the model does not depend on how the window is cut
-    // (`tests/kernel_model.rs` holds it bit for bit).
-    let means = column_means(observations);
-    let mut stds = Vec::with_capacity(p);
-    let mut blocks = Vec::with_capacity(p.div_ceil(BLOCK_SENSORS));
-    let mut start = 0usize;
-    while start < p {
-        let len = BLOCK_SENSORS.min(p - start);
-        let block_means = &means[start..start + len];
-        let mut cells = Vec::with_capacity(n * len);
-        for r in 0..n {
-            let row = &observations.row(r)[start..start + len];
-            cells.extend(row.iter().zip(block_means).map(|(&x, &m)| x - m));
-        }
-        let panel = Matrix::from_vec(n, len, cells).expect("n × len cells");
-        let cov = centred_covariance(&panel, 0..len)
-            .map_err(|e| TrainError::Decomposition(e.to_string()))?;
-        stds.extend((0..len).map(|k| cov.get(k, k).max(0.0).sqrt()));
-        // The paper performs SVD on the covariance; for a symmetric PSD
-        // matrix this is the eigendecomposition, computed directly.
-        let eig = eigh(&cov).map_err(|e| TrainError::Decomposition(e.to_string()))?;
-        blocks.push(BlockModel {
-            start,
-            len,
-            eigenvalues: eig.values,
-            eigenvectors: eig.vectors,
-        });
-        start += len;
-    }
+    let n = observations.rows();
+    // σ² is the diagonal of the sample covariance: each sensor's (x − m)²
+    // summed in row order from zero, times 1/(n − 1) (`tests/kernel_model.rs`
+    // holds it bit for bit to the covariance recipe).
+    let variances =
+        column_variances(observations).map_err(|_| TrainError::InsufficientData { rows: n })?;
+    let stds = variances.iter().map(|v| v.max(0.0).sqrt()).collect();
     let model = UnitModel {
         unit,
-        means,
+        means: column_means(observations),
         stds,
-        blocks,
         trained_rows: n,
     };
     model.validate().map_err(TrainError::InvalidModel)?;
@@ -96,9 +72,7 @@ pub fn train_unit_columns(unit: u32, columns: &[&[f64]]) -> Result<UnitModel, Tr
         return Err(TrainError::InsufficientData { rows: n });
     }
     if columns.iter().any(|c| c.len() != n) {
-        return Err(TrainError::Decomposition(format!(
-            "ragged columns: every sensor needs {n} samples"
-        )));
+        return Err(TrainError::RaggedColumns { rows: n });
     }
     let mut obs = Matrix::zeros(n, p);
     for (j, col) in columns.iter().enumerate() {
@@ -174,23 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn block_eigenvalues_sum_to_total_variance() {
-        let fleet = Fleet::new(FleetConfig::small(9));
-        let obs = fleet.observation_window(1, 99, 100);
-        let model = train_unit(1, &obs).unwrap();
-        let vars = pga_linalg::column_variances(&obs).unwrap();
-        for b in &model.blocks {
-            let trace: f64 = vars[b.start..b.start + b.len].iter().sum();
-            let lam_sum: f64 = b.eigenvalues.iter().sum();
-            assert!(
-                (trace - lam_sum).abs() < 1e-8 * trace.max(1.0),
-                "block {}: trace {trace} vs Σλ {lam_sum}",
-                b.start
-            );
-        }
-    }
-
-    #[test]
     fn columnar_training_equals_row_major() {
         let fleet = Fleet::new(FleetConfig::small(17));
         let obs = fleet.observation_window(0, 119, 120);
@@ -230,12 +187,7 @@ mod tests {
             train_unit(0, &obs).unwrap_err(),
             streaming.finish().unwrap_err(),
         ] {
-            // The solver refuses the infinite covariance before validation
-            // sees the infinite σ; either way it is an error, not a model.
-            assert!(matches!(
-                err,
-                TrainError::Decomposition(_) | TrainError::InvalidModel(_)
-            ));
+            assert!(matches!(err, TrainError::InvalidModel(_)), "{err}");
         }
     }
 

@@ -204,35 +204,6 @@ pub fn standardize_columns(obs: &mut Matrix, eps: f64) -> Result<Vec<(f64, f64)>
     Ok(params)
 }
 
-/// Expand a packed lower-triangular accumulator (row-major:
-/// `[a00, a10, a11, a20, a21, a22, …]`, `len·(len+1)/2` entries) into a
-/// full symmetric [`Matrix`], multiplying every entry by `scale`.
-///
-/// This is the shape streaming Welford/Chan trainers keep their
-/// co-moment blocks in; passing `scale = 1/(n-1)` turns the accumulator
-/// directly into a sample covariance block.
-pub fn symmetric_from_packed_lower(len: usize, packed: &[f64], scale: f64) -> Result<Matrix> {
-    let expected = len * (len + 1) / 2;
-    if packed.len() != expected {
-        return Err(LinalgError::ShapeMismatch {
-            op: "symmetric_from_packed_lower",
-            lhs: (len, len),
-            rhs: (packed.len(), 1),
-        });
-    }
-    let mut out = Matrix::zeros(len, len);
-    let mut idx = 0;
-    for i in 0..len {
-        for j in 0..=i {
-            let v = packed[idx] * scale;
-            out.set(i, j, v);
-            out.set(j, i, v);
-            idx += 1;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,28 +215,6 @@ mod tests {
     #[test]
     fn means_are_columnwise() {
         assert_eq!(column_means(&sample()), vec![5.0, 11.0]);
-    }
-
-    #[test]
-    fn packed_lower_expands_symmetrically() {
-        let packed = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let m = symmetric_from_packed_lower(3, &packed, 2.0).unwrap();
-        assert_eq!(m.get(0, 0), 2.0);
-        assert_eq!(m.get(1, 0), 4.0);
-        assert_eq!(m.get(0, 1), 4.0);
-        assert_eq!(m.get(1, 1), 6.0);
-        assert_eq!(m.get(2, 0), 8.0);
-        assert_eq!(m.get(2, 1), 10.0);
-        assert_eq!(m.get(1, 2), 10.0);
-        assert_eq!(m.get(2, 2), 12.0);
-    }
-
-    #[test]
-    fn packed_lower_rejects_wrong_length() {
-        assert!(matches!(
-            symmetric_from_packed_lower(3, &[1.0, 2.0], 1.0),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]

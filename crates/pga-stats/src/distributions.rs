@@ -1,7 +1,7 @@
 //! Probability distributions implemented from scratch.
 //!
 //! Only what the platform needs: the standard normal (CDF, quantile, PDF,
-//! sampling), the χ² CDF (for T² thresholds), and the Student-t CDF (for
+//! sampling), the χ² CDF, and the Student-t CDF (for
 //! small-window mean tests). [`erfc`], which every sensor-window p-value
 //! goes through, keeps full *relative* precision down to 1e-300 — the
 //! online-FDR rules and the alert ranking live on the tails. The χ² and

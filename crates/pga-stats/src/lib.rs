@@ -9,8 +9,8 @@
 //!
 //! * [`distributions`] — normal/χ²/Student-t CDFs and quantiles, plus
 //!   sampling helpers (Box–Muller / Marsaglia polar) used by the generator.
-//! * [`tests`] — z-tests, t-tests and Hotelling-style T² statistics that
-//!   convert sensor windows into p-values.
+//! * [`tests`] — z-tests and t-tests that convert a sensor window's mean
+//!   into a p-value against the sensor's trained mean and σ.
 //! * [`multiple`] — the multiple-testing procedures the paper discusses:
 //!   uncorrected testing, Bonferroni and Šidák (FWER), Holm and Hochberg
 //!   step procedures, and the Benjamini–Hochberg / Benjamini–Yekutieli FDR
@@ -37,6 +37,4 @@ pub use multiple::{
     benjamini_hochberg, benjamini_yekutieli, bh_adjusted_p_values, bonferroni, hochberg, holm,
     sidak, storey_bh, uncorrected, Procedure, Rejections,
 };
-pub use tests::{
-    mean_shift_p_value, t_square_p_value, t_square_statistic, two_sided_p_from_z, ZTest,
-};
+pub use tests::{mean_shift_p_value, two_sided_p_from_z, ZTest};

@@ -5,7 +5,7 @@
 //! sampling distribution. Rejection = potential anomaly; the p-values feed
 //! the multiple-testing procedures in [`crate::multiple`].
 
-use crate::distributions::{erfc, regularized_gamma_q, students_t_cdf};
+use crate::distributions::{erfc, students_t_cdf};
 
 /// Two-sided p-value of a standard-normal z statistic: `2·P(Z > |z|)`,
 /// taken from the tail itself (not as `1 − Φ`), so it keeps full relative
@@ -71,47 +71,6 @@ pub fn mean_shift_p_value(window: &[f64], hypothesized_mean: f64) -> f64 {
     let t = (mean - hypothesized_mean) / (var / n as f64).sqrt();
     let nu = (n - 1) as f64;
     (2.0 * (1.0 - students_t_cdf(t.abs(), nu))).clamp(0.0, 1.0)
-}
-
-/// Hotelling-style T² statistic of an observation against a trained
-/// principal-axis model.
-///
-/// Given the eigendecomposition of the baseline covariance (eigenvalues
-/// `lambda`, eigenvectors as columns of a matrix applied by the caller), the
-/// statistic of a centred, rotated observation `scores` is
-/// `Σ scoresᵢ² / λᵢ` over components with λᵢ > `eps`; under the null it is
-/// χ²-distributed with as many degrees of freedom as retained components.
-/// Returns `(t2, dof)`.
-pub fn t_square_statistic(scores: &[f64], lambda: &[f64], eps: f64) -> (f64, usize) {
-    assert_eq!(
-        scores.len(),
-        lambda.len(),
-        "scores/eigenvalue length mismatch"
-    );
-    let mut t2 = 0.0;
-    let mut dof = 0;
-    for (&s, &l) in scores.iter().zip(lambda) {
-        if l > eps {
-            t2 += s * s / l;
-            dof += 1;
-        }
-    }
-    (t2, dof)
-}
-
-/// p-value of a T² statistic under the χ² null: the upper tail
-/// `Q(dof/2, T²/2)`, taken from the tail itself (not as `1 − CDF`), so a
-/// strong block anomaly keeps its size instead of cancelling to 0. An
-/// overflowed `T² = +∞` is past every threshold: p = 0.
-#[inline]
-pub fn t_square_p_value(t2: f64, dof: usize) -> f64 {
-    if dof == 0 {
-        return 1.0;
-    }
-    if t2 == f64::INFINITY {
-        return 0.0;
-    }
-    regularized_gamma_q(0.5 * dof as f64, 0.5 * t2).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -201,66 +160,5 @@ mod unit_tests {
     fn t_test_degenerate_window() {
         assert_eq!(mean_shift_p_value(&[2.0, 2.0, 2.0], 2.0), 1.0);
         assert_eq!(mean_shift_p_value(&[2.0, 2.0, 2.0], 1.0), 0.0);
-    }
-
-    #[test]
-    fn t_square_sums_normalized_scores() {
-        let (t2, dof) = t_square_statistic(&[2.0, 3.0], &[4.0, 9.0], 1e-12);
-        assert!((t2 - (1.0 + 1.0)).abs() < 1e-12);
-        assert_eq!(dof, 2);
-    }
-
-    #[test]
-    fn t_square_skips_null_components() {
-        let (t2, dof) = t_square_statistic(&[2.0, 3.0, 100.0], &[4.0, 9.0, 0.0], 1e-12);
-        assert!((t2 - 2.0).abs() < 1e-12);
-        assert_eq!(dof, 2);
-    }
-
-    #[test]
-    fn t_square_p_value_bounds() {
-        assert_eq!(t_square_p_value(0.0, 0), 1.0);
-        let p_small = t_square_p_value(100.0, 2);
-        assert!(p_small < 1e-10);
-        let p_large = t_square_p_value(0.1, 5);
-        assert!(p_large > 0.99);
-    }
-
-    /// With an even number of degrees of freedom the χ² upper tail has a
-    /// closed form, `e^{−x/2} Σ_{i<k/2} (x/2)^i / i!`, summed here from
-    /// positive terms only: the p-value keeps full relative precision out
-    /// to T² = 1000, where `1 − CDF` read exactly 0.
-    #[test]
-    fn t_square_p_value_matches_the_even_dof_closed_form() {
-        let closed_form = |x: f64, k: usize| {
-            let mut term = (-0.5 * x).exp();
-            let mut sum = term;
-            for i in 1..k / 2 {
-                term *= 0.5 * x / i as f64;
-                sum += term;
-            }
-            sum
-        };
-        for k in [2, 4, 8, 16, 32, 64] {
-            for t2 in [
-                0.5, 1.0, 5.0, 20.0, 33.0, 34.0, 50.0, 100.0, 150.0, 200.0, 300.0, 1000.0,
-            ] {
-                let (got, want) = (t_square_p_value(t2, k), closed_form(t2, k));
-                assert!(want > 0.0, "T² {t2}, {k} dof");
-                assert!(
-                    ((got - want) / want).abs() < 1e-12,
-                    "T² {t2}, {k} dof: {got:e} vs {want:e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn an_overflowed_t_square_reads_zero() {
-        for dof in [1, 2, 31, 32] {
-            assert_eq!(t_square_p_value(f64::INFINITY, dof).to_bits(), 0);
-            assert!(t_square_p_value(f64::MAX, dof) < 1e-300);
-        }
-        assert_eq!(t_square_p_value(f64::INFINITY, 0), 1.0);
     }
 }

@@ -207,7 +207,7 @@ fn a_tag_value_that_spells_another_filter_does_not_poison_its_answer() {
 }
 
 /// Every bit a monitor's evaluation reports per unit.
-type Verdicts = Vec<(u32, Vec<u64>, Vec<bool>, Vec<(usize, u64)>)>;
+type Verdicts = Vec<(u32, Vec<u64>, Vec<bool>)>;
 
 fn verdicts(outcomes: &[pga_detect::EvalOutcome]) -> Verdicts {
     outcomes
@@ -217,10 +217,6 @@ fn verdicts(outcomes: &[pga_detect::EvalOutcome]) -> Verdicts {
                 o.unit,
                 o.p_values.iter().map(|p| p.to_bits()).collect(),
                 o.rejected.clone(),
-                o.block_p_values
-                    .iter()
-                    .map(|&(b, p)| (b, p.to_bits()))
-                    .collect(),
             )
         })
         .collect()

@@ -10,7 +10,7 @@
 //! buffer of each cell plus a handful of vectors per batch; a change that
 //! brings per-sample name handling back fails here on any machine. The
 //! same holds for a string per number or per `dps` key on the text path.
-//! Scoring a window allocates per call, not per covariance block.
+//! Scoring a window allocates per call, not per sensor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -268,12 +268,10 @@ fn a_cold_rollup_answer_folds_cells_in_place() {
     stack.shutdown();
 }
 
-/// A window scored by block T² reuses one centred vector and one score
-/// buffer across its covariance blocks, so a 256-sensor unit (8 blocks)
-/// allocates exactly as often as a 64-sensor one (2 blocks); two vectors
-/// per block made that 12 more.
+/// A window is scored into a few vectors per call, whatever its width: a
+/// 256-sensor unit allocates exactly as often as a 64-sensor one.
 #[test]
-fn scoring_a_window_allocates_per_call_not_per_block() {
+fn scoring_a_window_allocates_per_call_not_per_sensor() {
     let count_for = |sensors: u32| {
         let fleet = Fleet::new(FleetConfig {
             units: 1,
@@ -282,13 +280,13 @@ fn scoring_a_window_allocates_per_call_not_per_block() {
         });
         let model = train_unit(0, &fleet.observation_window(0, 149, 150)).unwrap();
         // Every sensor on its baseline: no candidate for BH, no flag, so
-        // nothing but the block count differs between the two units.
+        // nothing but the width differs between the two units.
         let columns: Vec<Vec<f64>> = model.means.iter().map(|&m| vec![m; 50]).collect();
         let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
         let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
         let (out, count) = allocations(|| ev.evaluate_columns(&refs));
         assert!(out.flags.is_empty(), "{sensors} sensors flagged");
-        assert_eq!(out.block_p_values.len(), sensors as usize / 32);
+        assert_eq!(out.p_values.len(), sensors as usize);
         count
     };
     let (narrow, wide) = (count_for(64), count_for(256));
