@@ -38,10 +38,12 @@ impl Cell {
 /// immutable [`crate::storefile::StoreFile`].
 ///
 /// Cells are grouped by row: a map from row key to that row's sorted run.
-/// A put searches among the rows — hundreds, not every cell buffered — and
-/// a time series only ever appends to its row's run, so the usual insert
-/// is one short tree walk and a `Vec::push`. A row's cells share the map's
-/// one key buffer, whatever buffers the writer sent.
+/// A batch searches among the rows — hundreds, not every cell buffered —
+/// once for each run of neighbouring cells that share a row, and a time
+/// series only ever appends to its row's run, so the usual insert is a
+/// `Vec::push`. A row's cells share the map's one key buffer, whatever
+/// buffers the writer sent; a TSD's raw cells share their qualifiers too,
+/// from the codec's table of every offset in a row span.
 #[derive(Debug, Default, Clone)]
 pub struct MemStore {
     rows: BTreeMap<Bytes, Vec<Cell>>,
@@ -55,37 +57,58 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Insert one cell. A write to an existing `(row, qualifier,
-    /// timestamp)` replaces the previous value (HBase semantics).
+    /// Insert one cell: [`MemStore::put_all`] of one.
     pub fn put(&mut self, kv: KeyValue) {
-        let accounted = kv.heap_size();
-        let cell = Cell {
-            qualifier: kv.qualifier,
-            version: kv.timestamp,
-            value: kv.value,
-        };
-        // A known row keeps its own key; the incoming buffer is dropped.
-        let run = self.rows.entry(kv.row).or_default();
-        let at = if run.last().is_none_or(|last| last.key() < cell.key()) {
-            run.len() // the traffic: a series appends to its row-hour
-        } else {
-            // Out of order (a backfill, a retry): O(run) moves at worst.
-            match run.binary_search_by(|c| c.key().cmp(&cell.key())) {
-                Ok(at) => {
-                    // Keys are equal, so the replaced cell was accounted
-                    // at the new one's size but for its value: only a
-                    // change of value length moves `heap_size`.
-                    let slot = &mut run[at];
-                    self.heap_size = self.heap_size + cell.value.len() - slot.value.len();
-                    *slot = cell;
-                    return;
-                }
-                Err(at) => at,
+        self.put_all([kv]);
+    }
+
+    /// Insert cells in order. A write to an existing `(row, qualifier,
+    /// timestamp)` replaces the previous value (HBase semantics), so of
+    /// two writes to one key the later wins. The row is searched for once
+    /// per run of neighbouring cells that share it.
+    pub fn put_all(&mut self, kvs: impl IntoIterator<Item = KeyValue>) {
+        let MemStore {
+            rows,
+            cells,
+            heap_size,
+        } = self;
+        let mut kvs = kvs.into_iter().peekable();
+        while let Some(first) = kvs.next() {
+            let row = first.row.clone();
+            // A known row keeps its own key; the incoming buffer is dropped.
+            let run = rows.entry(row.clone()).or_default();
+            let mut next = Some(first);
+            while let Some(kv) = next {
+                let accounted = kv.heap_size();
+                let cell = Cell {
+                    qualifier: kv.qualifier,
+                    version: kv.timestamp,
+                    value: kv.value,
+                };
+                next = kvs.next_if(|next| next.row == row);
+                let at = if run.last().is_none_or(|last| last.key() < cell.key()) {
+                    run.len() // the traffic: a series appends to its row-hour
+                } else {
+                    // Out of order (a backfill, a retry): O(run) moves at worst.
+                    match run.binary_search_by(|c| c.key().cmp(&cell.key())) {
+                        Ok(at) => {
+                            // Keys are equal, so the replaced cell was
+                            // accounted at the new one's size but for its
+                            // value: only a change of value length moves
+                            // `heap_size`.
+                            let slot = &mut run[at];
+                            *heap_size = *heap_size + cell.value.len() - slot.value.len();
+                            *slot = cell;
+                            continue;
+                        }
+                        Err(at) => at,
+                    }
+                };
+                run.insert(at, cell);
+                *cells += 1;
+                *heap_size += accounted;
             }
-        };
-        run.insert(at, cell);
-        self.cells += 1;
-        self.heap_size += accounted;
+        }
     }
 
     /// Number of cells buffered.

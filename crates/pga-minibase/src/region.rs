@@ -201,9 +201,7 @@ impl Region {
             self.wal.last_sequence()
         };
         self.metrics.cells_written += kvs.len() as u64;
-        for kv in kvs {
-            self.memstore.put(kv);
-        }
+        self.memstore.put_all(kvs);
         if self.memstore.heap_size() >= self.config.memstore_flush_bytes {
             self.flush();
         }
@@ -259,9 +257,7 @@ impl Region {
             return Ok(outcome);
         }
         self.metrics.cells_written += kvs.len() as u64;
-        for kv in kvs {
-            self.memstore.put(kv);
-        }
+        self.memstore.put_all(kvs);
         if self.memstore.heap_size() >= self.config.memstore_flush_bytes {
             self.flush();
         }
@@ -620,9 +616,7 @@ impl Region {
         let mut encoded = self.wal.encode();
         self.fault.tear_wal(self.id, &mut encoded);
         self.wal = WriteAheadLog::from_encoded(&encoded);
-        for kv in self.wal.replay() {
-            self.memstore.put(kv);
-        }
+        self.memstore.put_all(self.wal.replay());
         WriteAheadLog::decode_report(&encoded).torn
     }
 

@@ -717,6 +717,61 @@ proptest! {
         prop_assert_eq!((grouped.len(), grouped.heap_size()), (0, 0));
     }
 
+    /// `put_all` searches once per run of neighbouring cells that share a
+    /// row; putting the same cells one at a time must leave the same
+    /// store. Runs of one row interleave with others, qualifiers arrive
+    /// out of order, keys are re-put and values change length.
+    #[test]
+    fn put_all_equals_put_cell_by_cell(
+        runs in proptest::collection::vec(
+            (0..ROWS.len(), proptest::collection::vec(
+                (0..QUALIFIERS.len(), 0u64..3, proptest::collection::vec(any::<u8>(), 0..4)),
+                1..6,
+            )),
+            0..30,
+        ),
+        cuts in proptest::collection::vec(0usize..80, 0..4),
+        ranges in proptest::collection::vec(row_range(), 1..4),
+        window in (0..QUALIFIERS.len(), 0..QUALIFIERS.len()),
+    ) {
+        let cells: Vec<KeyValue> = runs
+            .iter()
+            .flat_map(|(r, run)| run.iter().map(move |(q, ts, value)| {
+                KeyValue::new(ROWS[*r].to_vec(), QUALIFIERS[*q].to_vec(), *ts, value.clone())
+            }))
+            .collect();
+        let mut one_by_one = MemStore::new();
+        for kv in &cells {
+            one_by_one.put(kv.clone());
+        }
+        // The same cells in a few batches, cut anywhere, runs included.
+        let mut batched = MemStore::new();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(cells.len())).collect();
+        cuts.sort_unstable();
+        let mut from = 0;
+        for to in cuts.into_iter().chain([cells.len()]) {
+            batched.put_all(cells[from..to].iter().cloned());
+            from = to;
+        }
+        prop_assert_eq!(
+            (batched.len(), batched.heap_size()),
+            (one_by_one.len(), one_by_one.heap_size())
+        );
+        let (lo, hi) = (QUALIFIERS[window.0.min(window.1)], QUALIFIERS[window.0.max(window.1)]);
+        let columns = [ColumnRange::new(lo.to_vec(), hi.to_vec())];
+        for range in &ranges {
+            prop_assert_eq!(
+                batched.select(range, None, None).to_vec(),
+                one_by_one.select(range, None, None).to_vec()
+            );
+            prop_assert_eq!(
+                batched.select(range, Some(&columns), None).to_vec(),
+                one_by_one.select(range, Some(&columns), None).to_vec()
+            );
+        }
+        prop_assert_eq!(batched.drain_sorted(), one_by_one.drain_sorted());
+    }
+
     /// `Region::compact` against the old pipeline on random file sets:
     /// rows whose runs follow one another across files (`staggered`) and
     /// rows whose runs interleave, exact-duplicate keys across files,

@@ -1,12 +1,12 @@
 //! Probability distributions implemented from scratch.
 //!
 //! Only what the platform needs: the standard normal (CDF, quantile, PDF,
-//! sampling), the χ² CDF, and the Student-t CDF (for
-//! small-window mean tests). [`erfc`], which every sensor-window p-value
-//! goes through, keeps full *relative* precision down to 1e-300 — the
-//! online-FDR rules and the alert ranking live on the tails. The χ² and
-//! Student-t CDFs are good to ~1e-8 absolute and the normal quantile to
-//! ~1e-9, plenty where the procedures compare against thresholds like 1e-2.
+//! sampling) and the Student-t CDF (for small-window mean tests).
+//! [`erfc`], which every sensor-window p-value goes through, keeps full
+//! *relative* precision down to 1e-300 — the online-FDR rules and the
+//! alert ranking live on the tails. The Student-t CDF is good to ~1e-8
+//! absolute and the normal quantile to ~1e-9, plenty where the procedures
+//! compare against thresholds like 1e-2.
 
 use rand::Rng;
 
@@ -161,17 +161,6 @@ fn erfc_tail(x: f64) -> f64 {
     (-z * z - 0.5625).exp() * ((z - x) * (z + x) + ratio).exp() / x
 }
 
-/// Error function: `erf(x) = P(1/2, x²)` for `x ≥ 0`, odd in `x`.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        regularized_gamma_p(0.5, x * x)
-    } else {
-        -regularized_gamma_p(0.5, x * x)
-    }
-}
-
 /// Standard normal quantile (inverse CDF), Acklam's algorithm refined with
 /// one Halley step; accurate to better than 1e-9 over (0, 1).
 pub fn normal_quantile(p: f64) -> f64 {
@@ -229,77 +218,6 @@ pub fn normal_quantile(p: f64) -> f64 {
     x - u / (1.0 + 0.5 * x * u)
 }
 
-/// Regularised lower incomplete gamma function `P(a, x)`, by series when
-/// `x < a + 1` and continued fraction otherwise (Numerical Recipes style).
-pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && x >= 0.0, "gamma_p domain: a={a}, x={x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
-/// Regularised upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`,
-/// computed directly so tail values keep full relative precision.
-pub fn regularized_gamma_q(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && x >= 0.0, "gamma_q domain: a={a}, x={x}");
-    if x == 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
-    } else {
-        gamma_q_cf(a, x)
-    }
-}
-
-/// Series representation of `P(a, x)`, convergent for `x < a + 1`.
-fn gamma_p_series(a: f64, x: f64) -> f64 {
-    let mut ap = a;
-    let mut sum = 1.0 / a;
-    let mut del = sum;
-    for _ in 0..500 {
-        ap += 1.0;
-        del *= x / ap;
-        sum += del;
-        if del.abs() < sum.abs() * 1e-16 {
-            break;
-        }
-    }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-}
-
-/// Lentz continued fraction for `Q(a, x)`, convergent for `x ≥ a + 1`.
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / 1e-300;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..500 {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < 1e-300 {
-            d = 1e-300;
-        }
-        c = b + an / c;
-        if c.abs() < 1e-300 {
-            c = 1e-300;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < 1e-16 {
-            break;
-        }
-    }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
-}
-
 /// Natural log of the gamma function (Lanczos approximation, g=7, n=9).
 pub fn ln_gamma(x: f64) -> f64 {
     // Published Lanczos coefficients, kept verbatim.
@@ -327,15 +245,6 @@ pub fn ln_gamma(x: f64) -> f64 {
         a += g / (x + i as f64);
     }
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// χ² CDF with `k` degrees of freedom.
-#[inline]
-pub fn chi_square_cdf(x: f64, k: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    regularized_gamma_p(0.5 * k, 0.5 * x)
 }
 
 /// Regularised incomplete beta function `I_x(a, b)` by continued fraction.
@@ -502,15 +411,6 @@ mod tests {
     #[should_panic(expected = "quantile requires p in (0,1)")]
     fn quantile_rejects_zero() {
         normal_quantile(0.0);
-    }
-
-    #[test]
-    fn chi_square_reference_values() {
-        // χ²(k=1): CDF at 3.841459 ≈ 0.95. χ²(k=5): CDF at 11.0705 ≈ 0.95.
-        assert!((chi_square_cdf(3.841459, 1.0) - 0.95).abs() < 1e-6);
-        assert!((chi_square_cdf(11.0705, 5.0) - 0.95).abs() < 1e-5);
-        assert_eq!(chi_square_cdf(0.0, 3.0), 0.0);
-        assert_eq!(chi_square_cdf(-1.0, 3.0), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sensors already gives a 40% family-wise false-alarm probability). This
 //! crate provides, from scratch:
 //!
-//! * [`distributions`] — normal/χ²/Student-t CDFs and quantiles, plus
+//! * [`distributions`] — normal and Student-t CDFs and quantiles, plus
 //!   sampling helpers (Box–Muller / Marsaglia polar) used by the generator.
 //! * [`tests`] — z-tests and t-tests that convert a sensor window's mean
 //!   into a p-value against the sensor's trained mean and σ.
@@ -27,8 +27,7 @@ pub mod multiple;
 pub mod tests;
 
 pub use distributions::{
-    chi_square_cdf, normal_cdf, normal_pdf, normal_quantile, standard_normal, students_t_cdf,
-    Normal,
+    normal_cdf, normal_pdf, normal_quantile, standard_normal, students_t_cdf, Normal,
 };
 pub use evaluation::{
     evaluate_procedure, family_wise_false_alarm_probability, ProcedureOutcome, TrialAggregate,

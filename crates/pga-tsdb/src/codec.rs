@@ -37,7 +37,9 @@ pub struct KeyCodecConfig {
     /// Number of salt buckets; **0 disables salting** (the paper's "before"
     /// configuration that hotspots one region server).
     pub salt_buckets: u8,
-    /// Seconds of data per row (OpenTSDB uses 3600).
+    /// Seconds of data per row (OpenTSDB uses 3600), `1..=65_535`: the
+    /// qualifier holds the offset in two bytes, and `0xFFFF` is the
+    /// compacted-column marker, not an offset.
     pub row_span_secs: u64,
 }
 
@@ -70,6 +72,9 @@ pub struct KeyCodec {
     uids: UidTable,
     /// Every series this codec (or a clone of it) has encoded or decoded.
     series: SeriesTable,
+    /// The qualifier of every offset in a row span, built once and shared
+    /// by clones: a raw cell clones its qualifier instead of allocating one.
+    qualifiers: Arc<[Bytes]>,
 }
 
 /// A decoded data point key.
@@ -87,12 +92,23 @@ pub struct DecodedPoint {
 
 impl KeyCodec {
     /// Build a codec over a shared UID table.
+    ///
+    /// # Panics
+    ///
+    /// If `config.row_span_secs` is outside `1..=65_535`, the offsets a
+    /// 2-byte qualifier can hold below the `0xFFFF` marker.
     pub fn new(config: KeyCodecConfig, uids: UidTable) -> Self {
-        assert!(config.row_span_secs > 0, "row span must be positive");
+        assert!(
+            (1..=65_535).contains(&config.row_span_secs),
+            "row span must be 1..=65_535 seconds"
+        );
         KeyCodec {
             config,
             uids,
             series: SeriesTable::default(),
+            qualifiers: (0..config.row_span_secs as u16)
+                .map(|offset| Bytes::copy_from_slice(&offset.to_be_bytes()))
+                .collect(),
         }
     }
 
@@ -208,10 +224,10 @@ impl KeyCodec {
 
     /// Qualifier: 2 bytes of offset-within-row in seconds (OpenTSDB packs
     /// flags in the low nibble; all our values are 8-byte floats, so the
-    /// flags are constant and omitted).
+    /// flags are constant and omitted). A clone of the codec's table entry:
+    /// no allocation.
     pub fn qualifier(&self, timestamp: u64) -> Bytes {
-        let offset = (timestamp % self.config.row_span_secs) as u16;
-        Bytes::copy_from_slice(&offset.to_be_bytes())
+        self.qualifiers[(timestamp % self.config.row_span_secs) as usize].clone()
     }
 
     /// Value encoding: big-endian IEEE-754 double.
@@ -375,10 +391,9 @@ fn row_prefix(salt: u8, metric: Uid, base: u64) -> Bytes {
 /// come back for any window that overlaps the row. (The `0xFFFF` blob of
 /// write-path compaction lies outside both ranges; every reader skips it.)
 fn column_window(lo: u64, hi: u64) -> Vec<ColumnRange> {
-    // An offset past two bytes can only be `hi + 1` on a 65 536 s row;
-    // the end then stops at the blob marker, which is no offset.
-    let offset =
-        |o: u64| Bytes::copy_from_slice(&u16::try_from(o).unwrap_or(u16::MAX).to_be_bytes());
+    // A span is at most 65 535 s, so `hi + 1` is at most the blob marker,
+    // which is no offset.
+    let offset = |o: u64| Bytes::copy_from_slice(&(o as u16).to_be_bytes());
     let [block, ..] = BLOCK_QUALIFIER;
     vec![
         ColumnRange::new(offset(lo), offset(hi + 1)),

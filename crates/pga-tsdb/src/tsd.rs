@@ -435,12 +435,26 @@ impl Tsd {
     /// moved off (its previous row-hour, finished unless data arrives
     /// late). A cell takes its row key from the series' slot in `rows`;
     /// only the first cell of a series in a row-hour builds one.
+    ///
+    /// Cells come out grouped by series, each series' points in the order
+    /// they arrived, so neighbouring cells share a row and a region finds
+    /// each row once per run ([`pga_minibase::MemStore::put_all`]). The
+    /// order sorts `(series id, index)`, packed in one word: as stable as
+    /// the batch, so a key written twice keeps its last value, and its
+    /// cost does not grow with the series table.
     fn raw_cells(&self, points: &[SeriesPoint]) -> (Vec<KeyValue>, Vec<Bytes>) {
         let span = self.codec.config().row_span_secs;
+        // A batch of 2^32 points would need 96 GiB for its points alone.
+        let mut order: Vec<u64> = points
+            .iter()
+            .enumerate()
+            .map(|(at, (series, ..))| u64::from(series.id()) << 32 | at as u64)
+            .collect();
+        order.sort_unstable();
         let mut kvs = Vec::with_capacity(points.len());
         let mut finished = Vec::new();
         let mut rows = self.rows.lock();
-        for (series, ts, value) in points {
+        for (series, ts, value) in order.into_iter().map(|key| &points[key as u32 as usize]) {
             let (id, base) = (series.id() as usize, ts - ts % span);
             if rows.len() <= id {
                 rows.resize(id + 1, None);
@@ -592,13 +606,14 @@ mod tests {
     use pga_minibase::{Master, RegionConfig, ServerConfig, TableDescriptor};
 
     fn tsd(nodes: usize, salt_buckets: u8, compaction: bool) -> (Master, Tsd) {
-        let codec = KeyCodec::new(
-            KeyCodecConfig {
-                salt_buckets,
-                row_span_secs: 3600,
-            },
-            UidTable::new(),
-        );
+        let config = KeyCodecConfig {
+            salt_buckets,
+            row_span_secs: 3600,
+        };
+        tsd_over(KeyCodec::new(config, UidTable::new()), nodes, compaction)
+    }
+
+    fn tsd_over(codec: KeyCodec, nodes: usize, compaction: bool) -> (Master, Tsd) {
         let coord = Coordinator::new(10_000);
         let mut master = Master::bootstrap(nodes, ServerConfig::default(), coord, 0);
         master.create_table(&TableDescriptor {
@@ -869,5 +884,93 @@ mod tests {
             ]
         );
         m.shutdown();
+    }
+
+    /// A 2-byte qualifier holds the offsets below the `0xFFFF` compacted
+    /// column marker. A longer row span would wrap its offsets into wrong
+    /// timestamps, and offset 65 535 would read as that marker, which
+    /// queries skip and compaction never seals.
+    #[test]
+    fn a_row_span_the_qualifier_cannot_hold_is_refused() {
+        let config = |row_span_secs| KeyCodecConfig {
+            salt_buckets: 2,
+            row_span_secs,
+        };
+        for span in [0, 65_536, 100_000] {
+            let made = std::panic::catch_unwind(|| KeyCodec::new(config(span), UidTable::new()));
+            assert!(made.is_err(), "a span of {span} s is refused");
+        }
+        let codec = KeyCodec::new(config(65_535), UidTable::new());
+        let (m, t) = tsd_over(codec, 1, false);
+        let tags = [("unit", "1")];
+        let last = 2 * 65_535 - 1; // offset 65 534 of the second row
+        for ts in [0, 65_534, 65_535, last] {
+            t.put("energy", &tags, ts, ts as f64).unwrap();
+        }
+        assert_eq!(&t.codec().qualifier(last)[..], &[0xFF, 0xFE]);
+        let s = t.query("energy", &QueryFilter::any(), 0, last).unwrap();
+        let read: Vec<(u64, f64)> = s[0].points.iter().map(|p| (p.timestamp, p.value)).collect();
+        assert_eq!(
+            read,
+            [0, 65_534, 65_535, last].map(|ts| (ts, ts as f64)),
+            "every offset reads back"
+        );
+        let s = t.query("energy", &QueryFilter::any(), last, last).unwrap();
+        assert_eq!(s[0].points.len(), 1, "a window ending on the last offset");
+        m.shutdown();
+    }
+
+    /// A put whose points interleave series stores — and, after its
+    /// server dies, replays from its WAL — the cells the same points
+    /// ordered by series store, a key written twice keeping its last
+    /// value either way.
+    #[test]
+    fn interleaved_and_series_ordered_puts_store_and_replay_the_same_cells() {
+        use pga_cluster::NodeId;
+        let names: Vec<[(&str, &str); 2]> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|s| [("unit", "1"), ("sensor", *s)])
+            .collect();
+        // Tick-major, as a fleet sends them; series 1 writes tick 3 twice.
+        let mut arrived: Vec<(usize, u64, f64)> = Vec::new();
+        for ts in [3590, 3599, 3600, 3601] {
+            for s in 0..names.len() {
+                arrived.push((s, ts, (s * 10_000) as f64 + ts as f64));
+            }
+        }
+        arrived.push((1, 3599, -1.0));
+        arrived.push((4, 3590, -2.0));
+        let mut by_series = arrived.clone();
+        by_series.sort_by_key(|&(s, ..)| s); // stable: arrival order kept
+        let cells_after = |points: &[(usize, u64, f64)]| {
+            let (mut m, t) = tsd(2, 4, false);
+            // The same UIDs and series ids in both stores.
+            let series: Vec<_> = names
+                .iter()
+                .map(|n| t.codec().resolve("energy", n))
+                .collect();
+            let batch: Vec<SeriesPoint> = points
+                .iter()
+                .map(|&(s, ts, v)| (series[s].clone(), ts, v))
+                .collect();
+            t.put_series_batch(&batch).unwrap();
+            let stored = t.client().scan(&RowRange::all()).unwrap();
+            // Node 0 dies with its memstores; its regions replay their WALs.
+            m.heartbeat(NodeId(1), 20_000);
+            assert!(!m.tick(20_000).is_empty(), "node 0's regions moved");
+            let replayed = Client::connect(&m).scan(&RowRange::all()).unwrap();
+            m.shutdown();
+            (stored, replayed)
+        };
+        let (stored, replayed) = cells_after(&arrived);
+        assert_eq!(stored.len(), 20, "one cell per key");
+        assert_eq!(replayed, stored);
+        assert!(stored
+            .iter()
+            .any(|kv| kv.value[..] == (-1.0f64).to_be_bytes()));
+        assert!(stored
+            .iter()
+            .any(|kv| kv.value[..] == (-2.0f64).to_be_bytes()));
+        assert_eq!(cells_after(&by_series), (stored, replayed));
     }
 }

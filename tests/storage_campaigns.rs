@@ -1,13 +1,14 @@
 //! The storage campaigns, at smoke size, through the experiment table:
 //! E17 (`pga crashtest`, seeded crashes, torn WAL tails and replay), E18
-//! (`pga overload`, storms and slow servers against the live stack), E20
-//! (`pga failover`, replicated puts, WAL ships and backfill across a
-//! primary crash) and E22 (`pga scrub`, corruption, salvage and repair).
-//! Each must hold its verdict, and all but E22 must print their tables
-//! character for character as captured in `tests/golden/`: a storage
-//! change that moves a recovered cell, a retry or a sim-clock reading
-//! shows here as a diff. E22 prints a wall time, so only its verdict is
-//! checked.
+//! (`pga overload`, storms and slow servers against the live stack), E19
+//! (`pga queries`, raw scans against rollups and the result cache under
+//! live ingest), E20 (`pga failover`, replicated puts, WAL ships and
+//! backfill across a primary crash) and E22 (`pga scrub`, corruption,
+//! salvage and repair). Each must hold its verdict, and E17, E18 and E20
+//! must print their tables character for character as captured in
+//! `tests/golden/`: a storage change that moves a recovered cell, a retry
+//! or a sim-clock reading shows here as a diff. E19 and E22 print wall
+//! times, so only their verdicts are checked.
 
 use pga_bench::registry::{find, Run, Size};
 
@@ -48,4 +49,9 @@ fn overload_smoke_holds_and_prints_its_golden() {
 #[test]
 fn scrub_smoke_holds() {
     campaign_holds("scrub");
+}
+
+#[test]
+fn queries_smoke_holds() {
+    campaign_holds("queries");
 }

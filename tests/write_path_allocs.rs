@@ -6,8 +6,9 @@
 //!
 //! Before the series table (ISSUE 20) a sample cost about 22 allocations
 //! between the row-key encoder and the rollup observer — for names that
-//! are the same on every tick. What is left is the qualifier and value
-//! buffer of each cell plus a handful of vectors per batch; a change that
+//! are the same on every tick. What is left is the value buffer of each
+//! cell — its qualifier is a clone from the codec's table of offsets —
+//! plus a handful of vectors per batch; a change that
 //! brings per-sample name handling back fails here on any machine. The
 //! same holds for a string per number or per `dps` key on the text path.
 //! Scoring a window allocates per call, not per sensor.
@@ -84,13 +85,13 @@ fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
     let points = batch(102);
     let (result, count) = allocations(|| tsd.put_batch("energy", &points));
     result.unwrap();
-    // Qualifier and value of each cell, plus the per-batch vectors of the
-    // TSD, of `Client::put` and of the RPC.
+    // The value of each cell, plus the per-batch vectors of the TSD, of
+    // `Client::put` and of the RPC. Qualifiers come from the codec's table.
     assert!(
-        count <= 2 * SERIES + 64,
+        count <= SERIES + 64,
         "{count} allocations for {SERIES} samples"
     );
-    assert!(count >= 2 * SERIES, "the counter counts: {count}");
+    assert!(count >= SERIES, "the counter counts: {count}");
 
     // A name resolves without allocating; its row key is one buffer.
     let codec = tsd.codec();
@@ -132,12 +133,12 @@ fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
     let points = batch(&mut names, 102);
     let (result, count) = allocations(|| tsd.put_series_batch(&points));
     result.unwrap();
-    // Qualifier and value of each cell, plus the per-batch vectors.
+    // The value of each cell, plus the per-batch vectors.
     assert!(
-        count <= 2 * SERIES + 64,
+        count <= SERIES + 64,
         "{count} allocations for {SERIES} samples"
     );
-    assert!(count >= 2 * SERIES, "the counter counts: {count}");
+    assert!(count >= SERIES, "the counter counts: {count}");
 
     let (series, count) = allocations(|| names.get(0, 7).clone());
     assert_eq!(count, 0);
