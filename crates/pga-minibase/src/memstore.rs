@@ -8,6 +8,7 @@ use bytes::Bytes;
 
 use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
 use crate::scanner::ScanCells;
+use crate::storefile::StoreFile;
 
 /// One cell of a row's run; its row key is the map key the run hangs off.
 #[derive(Debug, Clone)]
@@ -35,7 +36,7 @@ impl Cell {
 
 /// A sorted in-memory buffer of recent writes. Writes land here (after the
 /// WAL) and are served from here until a flush turns the contents into an
-/// immutable [`crate::storefile::StoreFile`].
+/// immutable [`StoreFile`].
 ///
 /// Cells are grouped by row: a map from row key to that row's sorted run.
 /// A batch searches among the rows — hundreds, not every cell buffered —
@@ -175,19 +176,28 @@ impl MemStore {
         out.into()
     }
 
-    /// Drain everything into a sorted vector (used by flushes); the
+    /// Drain everything into a store file of `sequence`, its row index
+    /// built in the same walk over the rows that moves their cells; the
     /// memstore is empty afterwards.
-    pub fn drain_sorted(&mut self) -> Vec<KeyValue> {
-        let mut out = Vec::with_capacity(self.cells);
+    pub fn drain(&mut self, sequence: u64) -> StoreFile {
+        let mut cells = Vec::with_capacity(self.cells);
+        let mut index = Vec::with_capacity(self.rows.len());
         for (row, run) in std::mem::take(self).rows {
-            out.extend(run.into_iter().map(|cell| KeyValue {
+            index.push((cells.len(), row.clone()));
+            cells.extend(run.into_iter().map(|cell| KeyValue {
                 row: row.clone(),
                 qualifier: cell.qualifier,
                 timestamp: cell.version,
                 value: cell.value,
             }));
         }
-        out
+        StoreFile::from_rows(cells, index, sequence)
+    }
+
+    /// Drain everything into a sorted vector; the memstore is empty
+    /// afterwards.
+    pub fn drain_sorted(&mut self) -> Vec<KeyValue> {
+        self.drain(0).into_parts().0
     }
 }
 

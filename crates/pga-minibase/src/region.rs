@@ -17,7 +17,7 @@ use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
 use crate::rewrite::{RewriteContext, RewriterHandle};
 use crate::scanner::{merge_scan, ScanCells};
-use crate::storefile::StoreFile;
+use crate::storefile::{RowEntry, StoreFile};
 use crate::wal::{SequenceId, WriteAheadLog};
 
 /// Identifier of a region within the cluster.
@@ -312,10 +312,9 @@ impl Region {
         if self.memstore.is_empty() {
             return;
         }
-        let cells = self.memstore.drain_sorted();
         let seq = self.next_file_seq;
         self.next_file_seq += 1;
-        self.files.push(StoreFile::from_sorted(cells, seq));
+        self.files.push(self.memstore.drain(seq));
         self.wal.mark_flushed(self.wal.last_sequence());
         self.metrics.flushes += 1;
         if self.files.len() >= self.config.compaction_file_threshold {
@@ -332,6 +331,9 @@ impl Region {
     /// moving each row's cells out of the files into the output: a file
     /// no scan reply still shares gives its cells up without a copy, and
     /// only a shared one is cloned (the reply keeps reading its cells).
+    /// Each file's row index says where its rows end, and the output's
+    /// index is written as its rows are appended: no pass over the cells
+    /// of its own.
     pub fn compact(&mut self) {
         if self.files.is_empty() || (self.files.len() <= 1 && self.rewriter.is_none()) {
             return;
@@ -339,17 +341,24 @@ impl Region {
         let mut files = std::mem::take(&mut self.files);
         // Oldest file first: runs are concatenated in file age order.
         files.sort_by_key(StoreFile::sequence);
-        let mut rests: Vec<std::vec::IntoIter<KeyValue>> = files
+        // Each file's cells still to merge, its row entries, and the entry
+        // of the row those cells start with.
+        let mut rests: Vec<_> = files
             .into_iter()
-            .map(|f| f.into_cells().into_iter())
+            .map(|f| {
+                let (cells, rows) = f.into_parts();
+                (cells.into_iter(), rows, 0)
+            })
             .collect();
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
-        let mut out: Vec<KeyValue> = Vec::with_capacity(rests.iter().map(|r| r.len()).sum());
+        let mut out: Vec<KeyValue> =
+            Vec::with_capacity(rests.iter().map(|(cells, ..)| cells.len()).sum());
+        let mut index: Vec<RowEntry> = Vec::new();
         let mut merged: Vec<KeyValue> = Vec::new();
         while let Some(row) = rests
             .iter()
-            .filter_map(|r| r.as_slice().first())
-            .map(|kv| &kv.row)
+            .filter_map(|(_, rows, next)| rows.get(*next))
+            .map(|(_, row)| row)
             .min()
             .cloned()
         {
@@ -357,13 +366,18 @@ impl Region {
             // Files are flushed in time order, so the runs of a raw row
             // follow one another and the merge is their concatenation.
             let mut in_order = true;
-            for rest in &mut rests {
-                let n = rest.as_slice().partition_point(|kv| kv.row == row);
-                let Some(first) = rest.as_slice().first().filter(|_| n > 0) else {
+            for (rest, rows, next) in &mut rests {
+                let Some((at, _)) = rows.get(*next).filter(|(_, r)| *r == row) else {
                     continue;
                 };
-                in_order &= merged.last().is_none_or(|last| last < first);
-                merged.extend(rest.by_ref().take(n));
+                *next += 1;
+                let end = rows.get(*next).map_or(at + rest.len(), |&(end, _)| end);
+                let first = rest.as_slice().first();
+                in_order &= merged
+                    .last()
+                    .zip(first)
+                    .is_none_or(|(last, first)| last < first);
+                merged.extend(rest.by_ref().take(end - at));
             }
             if !in_order {
                 // What the read path's merge answers: reversed, the runs
@@ -401,6 +415,7 @@ impl Region {
                 // row would break it, so such an answer is not taken and
                 // the merged row stays (nothing is discarded behind it).
                 .filter(|cells| cells.iter().all(|kv| kv.row == row));
+            let at = out.len();
             match replacement {
                 Some(mut cells) => {
                     // Rewriters emit qualifiers in their own order.
@@ -410,12 +425,15 @@ impl Region {
                 }
                 None => out.append(&mut merged),
             }
+            if out.len() > at {
+                index.push((at, row));
+            }
         }
         self.metrics.compacted_cells += out.len() as u64;
         self.metrics.compactions += 1;
         let seq = self.next_file_seq;
         self.next_file_seq += 1;
-        self.files = vec![StoreFile::from_sorted(out, seq)];
+        self.files = vec![StoreFile::from_rows(out, index, seq)];
     }
 
     /// Scan whole rows in `range` into owned cells; see

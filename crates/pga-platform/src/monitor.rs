@@ -642,25 +642,36 @@ impl Monitor {
     }
 
     /// Render the fleet anomaly heatmap (units × time buckets) as a
-    /// standalone HTML page. Events are read back from the `anomaly`
+    /// standalone HTML page over ticks `start..=end`, in buckets of
+    /// `bucket_ticks` ticks. Events are read back from the `anomaly`
     /// metric **through the serving engine** (cached, scatter-gathered) —
     /// the heatmap shows what the storage layer has, not what this
-    /// process remembers.
-    pub fn heatmap_html(&self, start: u64, end: u64, bucket_secs: u64) -> String {
-        let out = self
-            .engine
-            .query("anomaly", &QueryFilter::any(), start, end, None);
+    /// process remembers. Like the monitor's window reads, it counts only
+    /// the series tagged exactly `unit` and `sensor`, each spelled as the
+    /// fleet writes its indices.
+    pub fn heatmap_html(&self, start: u64, end: u64, bucket_ticks: u64) -> String {
+        let period = self.config.fleet.sample_period_secs;
+        let out = self.engine.query(
+            "anomaly",
+            &QueryFilter::any(),
+            start * period,
+            end * period,
+            None,
+        );
         let events: Vec<(u32, u64)> = out
             .series
             .iter()
+            .filter(|s| {
+                s.tags.len() == 2 && s.tags.get("sensor").is_some_and(|t| tag_index(t).is_some())
+            })
             .filter_map(|s| {
-                let unit: u32 = s.tags.get("unit")?.parse().ok()?;
-                Some(s.points.iter().map(move |p| (unit, p.timestamp)))
+                let unit = tag_index(s.tags.get("unit")?)?;
+                Some(s.points.iter().map(move |p| (unit, p.timestamp / period)))
             })
             .flatten()
             .collect();
         let units: Vec<u32> = (0..self.config.fleet.units).collect();
-        let data = pga_viz::HeatmapData::from_events(&events, units, start, end, bucket_secs);
+        let data = pga_viz::HeatmapData::from_events(&events, units, start, end, bucket_ticks);
         let svg = pga_viz::anomaly_heatmap(&data, 14);
         format!(
             "<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>Anomaly heatmap</title>\

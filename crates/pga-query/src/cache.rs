@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pga_cluster::rpc::ClockMs;
@@ -75,7 +76,7 @@ impl CacheKey {
 
 struct Entry {
     at_ms: u64,
-    series: Vec<TimeSeries>,
+    series: Arc<[TimeSeries]>,
 }
 
 /// Monotone counters exposed through the engine's stats snapshot.
@@ -120,8 +121,8 @@ impl ResultCache {
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
-    /// Fetch a live entry's series, counting a hit or miss.
-    pub fn get(&self, key: &CacheKey) -> Option<Vec<TimeSeries>> {
+    /// Fetch a live entry's series, shared, counting a hit or miss.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<[TimeSeries]>> {
         let now = (self.clock)();
         let shard = self.shard(key).lock();
         match shard.get(key) {
@@ -136,8 +137,9 @@ impl ResultCache {
         }
     }
 
-    /// Insert a complete (non-partial) result.
-    pub fn insert(&self, key: CacheKey, series: Vec<TimeSeries>) {
+    /// Insert a complete (non-partial) result, shared with whoever
+    /// answered it.
+    pub fn insert(&self, key: CacheKey, series: Arc<[TimeSeries]>) {
         let now = (self.clock)();
         let mut shard = self.shard(&key).lock();
         if shard.len() >= self.config.capacity_per_shard && !shard.contains_key(&key) {
@@ -205,12 +207,12 @@ mod tests {
         CacheKey::new(metric, &filter, 0, 100, None)
     }
 
-    fn series(unit: &str) -> Vec<TimeSeries> {
-        vec![TimeSeries {
+    fn series(unit: &str) -> Arc<[TimeSeries]> {
+        Arc::new([TimeSeries {
             metric: "energy".into(),
             tags: [("unit".to_string(), unit.to_string())].into(),
             points: vec![],
-        }]
+        }])
     }
 
     #[test]
@@ -273,14 +275,14 @@ mod tests {
             },
             clock,
         );
-        cache.insert(key("a", None), vec![]);
-        cache.insert(key("b", None), vec![]);
-        cache.insert(key("c", None), vec![]);
+        cache.insert(key("a", None), Arc::new([]));
+        cache.insert(key("b", None), Arc::new([]));
+        cache.insert(key("c", None), Arc::new([]));
         assert_eq!(cache.len(), 2, "third insert dropped");
         assert_eq!(cache.stats().admission_drops.load(Ordering::Relaxed), 1);
         // Once the residents expire, the purge on insert makes room.
         t.store(60, Ordering::SeqCst);
-        cache.insert(key("c", None), vec![]);
+        cache.insert(key("c", None), Arc::new([]));
         assert!(cache.get(&key("c", None)).is_some());
     }
 
@@ -323,7 +325,7 @@ mod tests {
             None,
         );
         for k in &forged {
-            cache.insert(k.clone(), vec![]);
+            cache.insert(k.clone(), Arc::new([]));
             assert_ne!(k, &real);
         }
         assert!(
@@ -333,7 +335,7 @@ mod tests {
         cache.insert(real.clone(), series("1"));
         assert_eq!(cache.get(&real), Some(series("1")));
         for k in &forged {
-            assert_eq!(cache.get(k), Some(vec![]));
+            assert_eq!(cache.get(k).as_deref(), Some(&[][..]));
         }
         // Invalidation reads the key's own metric and tags.
         let flagged: BTreeMap<String, String> = [

@@ -34,21 +34,19 @@
 //! each merged bucket, then each raw patch point, is added to its series'
 //! window in window order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use pga_cluster::rpc::ClockMs;
 use pga_minibase::{Client, ClientError, PendingScan, RowWords, ScanCells};
 use pga_repl::HedgePolicy;
 use pga_tsdb::{
-    Aggregator, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, ShardError, TimeSeries,
+    Aggregator, Assembler, DataPoint, KeyCodec, PartialInfo, QueryFilter, Series, SeriesPoints,
+    ShardError, TimeSeries,
 };
 
 use crate::plan::{self, Plan};
 use crate::rollup::{fold_buckets, tier_metric, MergedBucket};
-
-/// Assembled raw reads: codec-order tag pairs → windowed points.
-type SeriesPoints = BTreeMap<Vec<(String, String)>, Vec<DataPoint>>;
 
 /// Executor tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,9 +278,9 @@ fn hedge_trigger(cfg: &ExecConfig, now: u64) -> Option<u64> {
         .map(|h| now + h.delay_ms.min(cfg.shard_deadline_ms))
 }
 
-/// Group scanned cells into per-series point lists holding the points
-/// inside `windows` (inclusive, ascending, disjoint), mirroring the TSD's
-/// block-aware read-path semantics (skip blob/rollup qualifiers, newest
+/// Assemble scanned cells into each answered series' points inside
+/// `windows` (inclusive, ascending, disjoint), by tags, through the TSD's
+/// block-aware [`Assembler`] (skip blob/rollup qualifiers, newest
 /// version wins, sealed blocks spliced with raw cells — raw wins ties).
 ///
 /// A sealed block that fails to decode no longer sinks the assembly:
@@ -299,25 +297,11 @@ fn assemble_raw(
     cells: &ScanCells,
     filter: &QueryFilter,
     windows: &[(u64, u64)],
-) -> (SeriesPoints, Vec<ShardError>) {
-    let (Some(&(lo, _)), Some(&(_, hi))) = (windows.first(), windows.last()) else {
-        return (BTreeMap::new(), Vec::new());
-    };
-    let keep = |ts: u64| windows.iter().any(|&(from, to)| from <= ts && ts <= to);
-    let mut assembled = BTreeMap::new();
-    let mut corrupt = Vec::new();
-    // The span of the windows lets assembly skip sealed blocks whose
-    // header puts them wholly outside it without decoding them.
-    pga_tsdb::query::assemble_columns_salvage(
-        codec,
-        cells,
-        filter,
-        lo,
-        hi,
-        &mut assembled,
-        &mut corrupt,
-    );
-    let errors = pga_tsdb::query::salvage_from_replicas(client, corrupt, lo, hi, &mut assembled)
+) -> (Vec<SeriesPoints>, Vec<ShardError>) {
+    let mut assembler = Assembler::new(codec, filter, windows);
+    assembler.add(cells);
+    let errors = assembler
+        .salvage(client)
         .into_iter()
         .map(|cb| ShardError {
             // Attribute to the serving shard: the row's salt byte.
@@ -326,36 +310,20 @@ fn assemble_raw(
             retry_after_ms: None,
         })
         .collect();
-    let mut series = BTreeMap::new();
-    for (tags, (timestamps, values)) in assembled {
-        let (timestamps, values) = pga_tsdb::query::canonicalize_columns(timestamps, values);
-        let points: Vec<DataPoint> = timestamps
-            .iter()
-            .zip(values.iter())
-            .filter(|&(&ts, _)| keep(ts))
-            .map(|(&ts, &v)| DataPoint {
-                timestamp: ts,
-                value: v,
-            })
-            .collect();
-        if !points.is_empty() {
-            series.insert(tags, points);
-        }
-    }
-    (series, errors)
+    (assembler.finish(), errors)
 }
 
 fn to_series(
     metric: &str,
-    grouped: BTreeMap<Vec<(String, String)>, Vec<DataPoint>>,
+    assembled: Vec<SeriesPoints>,
     downsample: Option<(u64, Aggregator)>,
 ) -> Vec<TimeSeries> {
-    grouped
+    assembled
         .into_iter()
-        .map(|(tags, points)| {
+        .map(|(series, points)| {
             let s = TimeSeries {
                 metric: metric.to_string(),
-                tags: tags.into_iter().collect(),
+                tags: series.tags().iter().cloned().collect(),
                 points,
             };
             match downsample {
@@ -467,6 +435,13 @@ impl WindowAcc {
 /// One series' windows, ascending by start.
 type Windows = Vec<(u64, WindowAcc)>;
 
+/// The position of the series tagged `tags` in `answer` (ordered by
+/// tags): `Ok` when it is there, `Err` where it would go. A tier's shadow
+/// series and its raw series are different series with the same tags.
+fn by_tags<T>(answer: &[(Arc<Series>, T)], tags: &[(String, String)]) -> Result<usize, usize> {
+    answer.binary_search_by(|(s, _)| s.tags().cmp(tags))
+}
+
 /// The accumulator of window `w` in `windows`, which reach at most `w`:
 /// the last one when it is `w`, else a new empty one.
 fn window_at(windows: &mut Windows, w: u64) -> &mut WindowAcc {
@@ -491,7 +466,7 @@ fn fold_rollup(
     ru_lo: u64,
     ru_hi: u64,
     cells: &ScanCells,
-) -> BTreeMap<Vec<(String, String)>, Windows> {
+) -> Vec<(Arc<Series>, Windows)> {
     let mut series: Vec<(Arc<Series>, Windows)> = Vec::new();
     let mut slots: HashMap<u32, usize> = HashMap::new();
     // The series of the last bucket, with its slot when the filter admits
@@ -515,10 +490,8 @@ fn fold_rollup(
             window_at(&mut series[slot].1, bucket - bucket % d).add_bucket(merged);
         }
     });
+    series.sort_by(|(a, _), (b, _)| a.tags().cmp(b.tags()));
     series
-        .into_iter()
-        .map(|(s, windows)| (s.tags().to_vec(), windows))
-        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -597,8 +570,8 @@ fn execute_rollup(
     // tainted series in it.
     let tainted_windows: Vec<u64> = {
         let mut ws: Vec<u64> = windows
-            .values()
-            .flatten()
+            .iter()
+            .flat_map(|(_, accs)| accs)
             .filter(|(_, a)| a.tainted)
             .map(|&(w, _)| w)
             .collect();
@@ -631,15 +604,16 @@ fn execute_rollup(
             errors.extend(corrupt);
             failed = true;
         }
-        for (tags, accs) in windows.iter_mut() {
+        for (series, accs) in windows.iter_mut() {
             let Ok(i) = accs.binary_search_by_key(&w, |&(start, _)| start) else {
                 continue;
             };
             if !accs[i].1.tainted {
                 continue;
             }
-            match grouped.get(tags) {
-                Some(points) if !failed => {
+            match by_tags(&grouped, series.tags()) {
+                Ok(at) if !failed => {
+                    let points = &grouped[at].1;
                     let mut fresh = WindowAcc::EMPTY;
                     for p in points {
                         fresh.add(p.value);
@@ -660,12 +634,16 @@ fn execute_rollup(
     // and the tail's after.
     let (grouped, corrupt) = assemble_raw(client, codec, &raw_cells, filter, &patches);
     errors.extend(corrupt);
-    for (tags, points) in grouped {
+    for (series, points) in grouped {
         let mut raw = Windows::new();
         for p in &points {
             window_at(&mut raw, p.timestamp - p.timestamp % d).add(p.value);
         }
-        let accs = windows.entry(tags).or_default();
+        let at = by_tags(&windows, series.tags()).unwrap_or_else(|at| {
+            windows.insert(at, (series, Windows::new()));
+            at
+        });
+        let accs = &mut windows[at].1;
         let head = raw.partition_point(|&(w, _)| w < ru_lo);
         raw.splice(head..head, accs.drain(..));
         *accs = raw;
@@ -674,9 +652,9 @@ fn execute_rollup(
     let series = windows
         .into_iter()
         .filter(|(_, accs)| !accs.is_empty())
-        .map(|(tags, accs)| TimeSeries {
+        .map(|(series, accs)| TimeSeries {
             metric: metric.to_string(),
-            tags: tags.into_iter().collect(),
+            tags: series.tags().iter().cloned().collect(),
             points: accs
                 .iter()
                 .map(|&(timestamp, acc)| DataPoint {

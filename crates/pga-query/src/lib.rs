@@ -106,8 +106,9 @@ pub struct EngineStatsSnapshot {
 /// What a [`QueryEngine::query`] call produced.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// Assembled (and downsampled, when requested) series.
-    pub series: Vec<TimeSeries>,
+    /// Assembled (and downsampled, when requested) series, shared with
+    /// the cache: a hit or an insert copies one pointer.
+    pub series: Arc<[TimeSeries]>,
     /// Present when some shards failed; cached results are never partial.
     pub partial: Option<PartialInfo>,
     /// The plan class that served (or would serve) the request.
@@ -208,13 +209,14 @@ impl QueryEngine {
         self.stats
             .points_served
             .fetch_add(r.points_served(), Ordering::Relaxed);
+        let series: Arc<[TimeSeries]> = r.series.into();
         if r.partial.is_some() {
             self.stats.partials.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.cache.insert(key, r.series.clone());
+            self.cache.insert(key, series.clone());
         }
         QueryOutcome {
-            series: r.series,
+            series,
             partial: r.partial,
             plan: r.plan,
             from_cache: false,
@@ -371,7 +373,7 @@ mod tests {
         assert_eq!(after.plan, Plan::Rollup { tier: 60 });
         assert!(after.partial.is_none());
         assert_eq!(before.series.len(), after.series.len());
-        for (b, a) in before.series.iter().zip(&after.series) {
+        for (b, a) in before.series.iter().zip(after.series.iter()) {
             assert_eq!(b.tags, a.tags);
             assert_eq!(b.points.len(), a.points.len());
             for (bp, ap) in b.points.iter().zip(&a.points) {
@@ -475,7 +477,7 @@ mod tests {
                 let raw = engine.query("energy", &any, start, end, None);
                 let after = engine.stats();
                 assert_eq!(raw.plan, Plan::Raw);
-                assert_eq!(raw.series, truth, "raw [{start}, {end}]");
+                assert_eq!(raw.series[..], truth, "raw [{start}, {end}]");
                 let served = after.points_served - before.points_served;
                 assert_eq!(served, 2 * (end - start + 1));
                 assert_eq!(after.cells_scanned - before.cells_scanned, served);
@@ -483,7 +485,7 @@ mod tests {
                 assert!(rolled.partial.is_none());
                 let downsampled: Vec<TimeSeries> =
                     truth.iter().map(|s| s.downsample(60, agg)).collect();
-                assert_eq!(rolled.series, downsampled, "{agg:?} [{start}, {end}]");
+                assert_eq!(rolled.series[..], downsampled, "{agg:?} [{start}, {end}]");
                 // Long enough for a whole window outside the tail horizon:
                 // the rollup tier served the middle.
                 if end - start >= 300 {
@@ -493,7 +495,7 @@ mod tests {
             // An open end (the API's default, far past any row key) reads
             // to the end of the data.
             let open = engine.query("energy", &any, 8_990, u64::MAX / 2, None);
-            assert_eq!(open.series, tsd.query("energy", &any, 8_990, 8_999).unwrap());
+            assert_eq!(open.series[..], tsd.query("energy", &any, 8_990, 8_999).unwrap());
             master.shutdown();
         }
     }
@@ -523,7 +525,7 @@ mod tests {
             .into_iter()
             .map(|s| s.downsample(600, Aggregator::Max))
             .collect();
-        assert_eq!(got.series, raw);
+        assert_eq!(got.series[..], raw);
         master.shutdown();
     }
 
@@ -541,7 +543,10 @@ mod tests {
         let filter = QueryFilter::any().with("unit", "1");
         let point = engine.query("energy", &filter, 0, 599, None);
         assert_eq!(point.plan, Plan::Raw);
-        assert_eq!(point.series, tsd.query("energy", &filter, 0, 599).unwrap());
+        assert_eq!(
+            point.series[..],
+            tsd.query("energy", &filter, 0, 599).unwrap()
+        );
         let fine = engine.query("energy", &filter, 0, 599, Some((30, Aggregator::Avg)));
         assert_eq!(fine.plan, Plan::Raw);
         assert_eq!(engine.stats().raw_plans, 2);
@@ -644,7 +649,11 @@ mod tests {
             .into_iter()
             .map(|s| s.downsample(60, Aggregator::Sum))
             .collect();
-        assert_eq!(got.series, raw, "tainted windows must match raw exactly");
+        assert_eq!(
+            got.series[..],
+            raw,
+            "tainted windows must match raw exactly"
+        );
         master.shutdown();
     }
 

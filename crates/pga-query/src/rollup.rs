@@ -46,6 +46,7 @@
 //! reading each value blob in place; the executor and the
 //! [`RollupCompactor`] both merge through it.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -315,53 +316,73 @@ impl BucketMerge {
 /// order. The cells are read by reference, where the scan reply holds
 /// them.
 ///
-/// Shard scans come back in storage order, which is checked the way
-/// [`pga_minibase::concat_region_scans`] checks its seams and restored by
-/// sorting references only when broken. In that order a superseded
-/// version directly follows the newest one, so it is skipped by comparing
-/// each cell with the one before it; the cells of one `(series, bucket)`
-/// are adjacent and in `(writer, generation)` merge order; and each
-/// series' buckets ascend. Value blobs are read in place. Malformed cells,
-/// raw-format (2-byte qualifier) strays and rows of unknown series are
-/// skipped.
+/// Shard scans come back in storage order, which the fold checks cell by
+/// cell as it goes, the way [`pga_minibase::concat_region_scans`] checks
+/// its seams. In that order a superseded version directly follows the
+/// newest one, so it is skipped by comparing each cell with the one
+/// before it; the cells of one `(series, bucket)` are adjacent and in
+/// `(writer, generation)` merge order; and each series' buckets ascend.
+/// Should the order break, what was folded is thrown away and the fold
+/// runs again over sorted references. Value blobs are read in place.
+/// Malformed cells, raw-format (2-byte qualifier) strays and rows of
+/// unknown series are skipped.
 pub fn fold_buckets<'a, I>(
     codec: &KeyCodec,
     tier: u64,
     cells: I,
-    bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
+    mut bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
 ) where
     I: IntoIterator<Item = &'a KeyValue>,
     I::IntoIter: Clone,
 {
     let cells = cells.into_iter();
-    if cells
-        .clone()
-        .zip(cells.clone().skip(1))
-        .all(|(a, b)| a <= b)
-    {
-        fold_sorted(codec, tier, cells, bucket);
+    let mut folded = Vec::new();
+    if fold_in_order(codec, tier, cells.clone(), |s, b, m| folded.push((s, b, m))) {
+        for (s, b, m) in &folded {
+            bucket(s, *b, m);
+        }
     } else {
         let mut sorted: Vec<&KeyValue> = cells.collect();
         sorted.sort();
-        fold_sorted(codec, tier, sorted, bucket);
+        let in_order = fold_in_order(codec, tier, sorted, |s, b, m| bucket(&s, b, &m));
+        debug_assert!(in_order, "sorted cells are in storage order");
     }
 }
 
-/// [`fold_buckets`] over cells already in storage order.
-fn fold_sorted<'a>(
+/// [`fold_buckets`] over cells expected in storage order: `false`, and
+/// the fold stopped, at the first cell out of it.
+fn fold_in_order<'a>(
     codec: &KeyCodec,
     tier: u64,
     cells: impl IntoIterator<Item = &'a KeyValue>,
-    mut bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
-) {
-    let mut decoder = CellDecoder::new(codec, tier);
+    mut bucket: impl FnMut(Arc<Series>, u64, MergedBucket),
+) -> bool {
     let mut merge = BucketMerge::new(tier);
     // The bucket being merged: its row's series and its start.
     let mut open: Option<(Arc<Series>, u64)> = None;
+    // The last cell, and its row's series and base time once a cell of
+    // the row needed them (`None` inside: not decodable).
     let mut prev: Option<&KeyValue> = None;
+    let mut row: Option<Option<(Arc<Series>, u64)>> = None;
     for kv in cells {
-        let superseded = prev.is_some_and(|p| p.row == kv.row && p.qualifier == kv.qualifier);
+        // Storage order is row, then qualifier ascending, then version
+        // descending; an equal `(row, qualifier)` is an older version.
+        let (same_row, superseded) = match prev {
+            None => (false, false),
+            Some(p) => match p.row.cmp(&kv.row) {
+                Ordering::Less => (false, false),
+                Ordering::Greater => return false,
+                Ordering::Equal => match p.qualifier.cmp(&kv.qualifier) {
+                    Ordering::Less => (true, false),
+                    Ordering::Equal if p.timestamp >= kv.timestamp => (true, true),
+                    _ => return false,
+                },
+            },
+        };
         prev = Some(kv);
+        if !same_row {
+            row = None;
+        }
         if superseded {
             continue;
         }
@@ -370,25 +391,26 @@ fn fold_sorted<'a>(
         else {
             continue;
         };
-        let Some((series, base)) = decoder.row(&kv.row) else {
+        let Some((series, base)) = row.get_or_insert_with(|| codec.series_of_row(&kv.row)) else {
             continue;
         };
-        let start = base + offset as u64;
+        let start = *base + offset as u64;
         let same = open
             .as_ref()
             .is_some_and(|(s, b)| *b == start && s.id() == series.id());
         if !same {
             let series = series.clone();
             if let Some((s, b)) = open.replace((series, start)) {
-                bucket(&s, b, &merge.merged());
+                bucket(s, b, merge.merged());
             }
             merge.clear();
         }
         merge.add(&value);
     }
     if let Some((s, b)) = open {
-        bucket(&s, b, &merge.merged());
+        bucket(s, b, merge.merged());
     }
+    true
 }
 
 /// Compaction-time canonicalizer for rollup shadow rows, chaining to an

@@ -21,6 +21,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+#[path = "../../pga-tsdb/tests/columns_model/mod.rs"]
+mod columns_model;
+
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{
     Client, CompactionRewriter, KeyValue, Master, RegionConfig, RegionId, RewriteContext,
@@ -346,10 +349,10 @@ fn assemble(
         return BTreeMap::new();
     };
     let mut columns = BTreeMap::new();
-    pga_tsdb::query::assemble_columns(codec, cells, filter, lo, hi, &mut columns).unwrap();
+    columns_model::assemble_columns(codec, cells, filter, lo, hi, &mut columns).unwrap();
     let mut series = BTreeMap::new();
     for (tags, (timestamps, values)) in columns {
-        let (timestamps, values) = pga_tsdb::query::canonicalize_columns(timestamps, values);
+        let (timestamps, values) = columns_model::canonicalize_columns(timestamps, values);
         let points: Vec<DataPoint> = timestamps
             .iter()
             .zip(&values)

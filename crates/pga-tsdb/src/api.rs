@@ -8,6 +8,7 @@
 //! against this endpoint.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::json::{escape_into, number_into, Number};
 use serde::{Deserialize, Serialize};
@@ -109,8 +110,9 @@ impl PartialInfo {
 /// an optional partial-result marker when some shards failed.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    /// Series assembled (downsampling already applied when requested).
-    pub series: Vec<TimeSeries>,
+    /// Series assembled (downsampling already applied when requested),
+    /// shared: a cached answer is handed out, not copied.
+    pub series: Arc<[TimeSeries]>,
     /// Present when one or more shards failed.
     pub partial: Option<PartialInfo>,
 }
@@ -157,7 +159,7 @@ impl QueryExecutor for Tsd {
                 partial: None,
             },
             Err(e) => ExecOutcome {
-                series: Vec::new(),
+                series: Arc::new([]),
                 partial: Some(PartialInfo {
                     failed_shards: vec![ShardError {
                         shard: 0,
@@ -231,7 +233,7 @@ impl ApiError {
                 out.push_str("},\"partial\":");
                 out.push_str(&serde_json::to_string(&d.partial).unwrap_or_default());
                 out.push_str(",\"series\":");
-                series_json_into(&d.series, &mut out);
+                series_json_into(d.series.iter(), &mut out);
                 out.push('}');
                 return out;
             }
@@ -415,7 +417,7 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
     if req.end < req.start {
         return Err(ApiError::BadRequest("end before start".into()));
     }
-    let mut series: Vec<TimeSeries> = Vec::new();
+    let mut answers: Vec<Arc<[TimeSeries]>> = Vec::with_capacity(req.queries.len());
     let mut partial: Option<PartialInfo> = None;
     for sub in &req.queries {
         let mut filter = QueryFilter::any();
@@ -428,7 +430,7 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
             .map(parse_downsample)
             .transpose()?;
         let outcome = exec.execute(&sub.metric, &filter, req.start, req.end, downsample);
-        series.extend(outcome.series);
+        answers.push(outcome.series);
         if let Some(p) = outcome.partial {
             match &mut partial {
                 Some(acc) => acc.merge(p),
@@ -436,14 +438,15 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
             }
         }
     }
+    let series = answers.iter().flat_map(|answer| answer.iter());
     if let Some(partial) = partial {
         return Err(ApiError::Degraded(Box::new(DegradedBody {
             partial,
-            series,
+            series: series.cloned().collect(),
         })));
     }
     let mut out = String::new();
-    series_json_into(&series, &mut out);
+    series_json_into(series, &mut out);
     Ok(out)
 }
 
@@ -458,12 +461,14 @@ pub fn handle_query_with<E: QueryExecutor + ?Sized>(
 /// the points' order whenever their timestamps strictly ascend within one
 /// number of decimal digits, so such a series streams as it comes; any
 /// other (one crossing a power of ten) is sorted first.
-fn series_json_into(series: &[TimeSeries], out: &mut String) {
+fn series_json_into<'s>(series: impl Iterator<Item = &'s TimeSeries> + Clone, out: &mut String) {
     // About 96 bytes a series and 28 a point.
-    let points: usize = series.iter().map(|s| s.points.len()).sum();
-    out.reserve(2 + 96 * series.len() + 28 * points);
+    let (count, points) = series
+        .clone()
+        .fold((0, 0), |(n, p), s| (n + 1, p + s.points.len()));
+    out.reserve(2 + 96 * count + 28 * points);
     out.push('[');
-    for (i, s) in series.iter().enumerate() {
+    for (i, s) in series.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -735,14 +740,15 @@ mod tests {
             _downsample: Option<(u64, Aggregator)>,
         ) -> ExecOutcome {
             ExecOutcome {
-                series: vec![TimeSeries {
+                series: [TimeSeries {
                     metric: metric.to_string(),
                     tags: BTreeMap::new(),
                     points: vec![crate::query::DataPoint {
                         timestamp: 1,
                         value: 2.0,
                     }],
-                }],
+                }]
+                .into(),
                 partial: Some(PartialInfo {
                     failed_shards: vec![ShardError {
                         shard: 3,

@@ -50,7 +50,8 @@ pub use block::{
 pub use codec::{KeyCodec, KeyCodecConfig};
 pub use compact::BlockRewriter;
 pub use query::{
-    aggregate_series, Aggregator, ColumnSeries, CorruptBlock, DataPoint, QueryFilter, TimeSeries,
+    aggregate_series, Aggregator, Assembler, ColumnSeries, CorruptBlock, DataPoint, QueryFilter,
+    SeriesPoints, TimeSeries,
 };
 pub use series::Series;
 pub use tsd::{

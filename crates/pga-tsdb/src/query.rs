@@ -1,13 +1,15 @@
 //! Query results: series assembly, tag filtering, downsampling — plus the
-//! block-aware columnar assembly both `Tsd::query` and `pga-query` share.
+//! block-aware [`Assembler`] both `Tsd::query` and `pga-query` share.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use pga_minibase::{Client, KeyValue, RowRange};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{self, BlockError};
 use crate::codec::KeyCodec;
+use crate::series::Series;
 
 /// One timestamped value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -169,20 +171,6 @@ pub struct ColumnSeries {
 }
 
 impl ColumnSeries {
-    /// Convert to the row-of-structs [`TimeSeries`] form.
-    pub fn to_series(&self) -> TimeSeries {
-        TimeSeries {
-            metric: self.metric.clone(),
-            tags: self.tags.clone(),
-            points: self
-                .timestamps
-                .iter()
-                .zip(self.values.iter())
-                .map(|(&timestamp, &value)| DataPoint { timestamp, value })
-                .collect(),
-        }
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.timestamps.len()
@@ -194,12 +182,8 @@ impl ColumnSeries {
     }
 }
 
-/// Columns under assembly: codec-order tag pairs → (timestamps, values),
-/// accumulated across per-salt scans before [`finish_columns`].
-pub type AssembledColumns = BTreeMap<Vec<(String, String)>, (Vec<u64>, Vec<f64>)>;
-
 /// A sealed block that failed CRC/decode during assembly, reported by
-/// [`assemble_columns_salvage`] instead of aborting the query. Carries
+/// [`Assembler::corrupt`] instead of aborting the query. Carries
 /// everything the salvage layer needs to quarantine the block and re-read
 /// its span from another replica.
 #[derive(Debug, Clone)]
@@ -208,74 +192,248 @@ pub struct CorruptBlock {
     pub row: Vec<u8>,
     /// Qualifier of the block cell.
     pub qualifier: Vec<u8>,
-    /// Codec-order tag pairs of the series (for re-attachment).
-    pub tags: Vec<(String, String)>,
+    /// The series of the row (for re-attachment).
+    pub series: Arc<Series>,
     /// Row base time — the block's span is `[base, base + row_span)`.
     pub base: u64,
     /// The typed decode failure.
     pub error: BlockError,
 }
 
-/// Assemble scanned cells — sealed blocks **and** raw cells — into one
-/// columnar series per tag combination, windowed to `[start, end]` and
-/// filtered by `filter`.
+/// One answered series: its name and its points, ascending.
+pub type SeriesPoints = (Arc<Series>, Vec<DataPoint>);
+
+/// The one read-path assembler: scanned cells — sealed blocks **and** raw
+/// cells — decoded straight into the points of each answered series,
+/// keeping the points inside `windows` (inclusive, ascending, disjoint).
 ///
-/// Mirrors the legacy cell-by-cell path exactly (the differential suite
-/// pins this byte-for-byte): compacted-blob columns (`0xFFFF`) and rollup
-/// qualifiers are skipped, duplicate timestamps keep the newest-version
-/// cell, and within one row a raw cell beats a sealed block at the same
-/// timestamp (late-arriving raw data is newer than the seal). A sealed
-/// block that fails to decode surfaces as a typed [`BlockError`] — never
-/// a silent wrong answer.
+/// A row's series comes from [`KeyCodec::series_of_row`] and answers by
+/// its id, so the tag filter is tested once per series
+/// ([`QueryFilter::matches_pairs`]) and no tag string is built per row.
+/// Compacted-blob columns (`0xFFFF`) and rollup qualifiers carry no raw
+/// data and are skipped; of several versions of a cell the newest (the
+/// first scanned) wins; within one row a raw cell beats a sealed block at
+/// the same timestamp (late-arriving raw data is newer than the seal). A
+/// sealed block that fails to decode is recorded in
+/// [`Assembler::corrupt`] — never a silent wrong answer — and the row's
+/// raw cells still answer; [`Assembler::salvage`] re-reads such blocks
+/// from other replicas.
 ///
-/// `cells` must arrive in storage scan order (row asc, qualifier asc,
-/// version desc), the order MiniBase scans already produce. They are read
+/// Cells must arrive in storage scan order (row asc, qualifier asc,
+/// version desc), the order MiniBase scans already produce; they are read
 /// by reference, where the scan reply holds them.
-pub fn assemble_columns<'a>(
-    codec: &KeyCodec,
-    cells: impl IntoIterator<Item = &'a KeyValue>,
-    filter: &QueryFilter,
-    start: u64,
-    end: u64,
-    out: &mut AssembledColumns,
-) -> Result<(), BlockError> {
-    assemble_columns_inner(codec, cells, filter, start, end, out, None)
-}
-
-/// [`assemble_columns`] in salvage mode: a block that fails CRC/decode is
-/// reported in `corrupt` (with its row, tags and span) instead of
-/// aborting the whole assembly, and the row's raw cells still contribute.
-/// The caller owns the consequence: quarantine the block, re-read its
-/// span from a healthy replica, or surface a typed partial — never
-/// silently drop it.
-pub fn assemble_columns_salvage<'a>(
-    codec: &KeyCodec,
-    cells: impl IntoIterator<Item = &'a KeyValue>,
-    filter: &QueryFilter,
-    start: u64,
-    end: u64,
-    out: &mut AssembledColumns,
-    corrupt: &mut Vec<CorruptBlock>,
-) {
-    // With a corrupt sink installed, assembly never returns an error.
-    let _ = assemble_columns_inner(codec, cells, filter, start, end, out, Some(corrupt));
-}
-
-/// Replica salvage for the blocks [`assemble_columns_salvage`] reported:
-/// re-read each from the region's other copies (`Client::repair_fetch`)
-/// and splice the first copy that decodes into `out`, its points in
-/// `[start, end]` after the local ones, so a local raw cell still wins a
-/// duplicate timestamp. Returns the blocks no copy could heal.
-pub fn salvage_from_replicas(
-    client: &Client,
+pub struct Assembler<'a> {
+    codec: &'a KeyCodec,
+    filter: &'a QueryFilter,
+    windows: &'a [(u64, u64)],
+    /// Series id → its slot in `answer`, `None` when the filter rejects
+    /// the series.
+    slots: HashMap<u32, Option<usize>>,
+    answer: Vec<SeriesPoints>,
     corrupt: Vec<CorruptBlock>,
-    start: u64,
-    end: u64,
-    out: &mut AssembledColumns,
-) -> Vec<CorruptBlock> {
-    corrupt
-        .into_iter()
-        .filter(|cb| {
+}
+
+/// The row under assembly: its key, base time and slot (`None`: nothing
+/// of the row answers), where its points start in the slot, and its
+/// block cells.
+struct OpenRow<'c> {
+    key: &'c [u8],
+    series: Option<(Arc<Series>, u64, usize)>,
+    first_point: usize,
+    blocks: Vec<&'c KeyValue>,
+}
+
+impl<'a> Assembler<'a> {
+    /// An assembler of the series of `filter` inside `windows`.
+    pub fn new(codec: &'a KeyCodec, filter: &'a QueryFilter, windows: &'a [(u64, u64)]) -> Self {
+        Assembler {
+            codec,
+            filter,
+            windows,
+            slots: HashMap::new(),
+            answer: Vec::new(),
+            corrupt: Vec::new(),
+        }
+    }
+
+    /// Does a point at `ts` answer?
+    fn keeps(&self, ts: u64) -> bool {
+        self.windows
+            .iter()
+            .any(|&(from, to)| from <= ts && ts <= to)
+    }
+
+    /// The slot of `series`, made on its first sight; `None` when the
+    /// filter rejects it.
+    fn slot(&mut self, series: &Arc<Series>) -> Option<usize> {
+        let (filter, answer) = (self.filter, &mut self.answer);
+        *self.slots.entry(series.id()).or_insert_with(|| {
+            filter.matches_pairs(series.tags()).then(|| {
+                answer.push((series.clone(), Vec::new()));
+                answer.len() - 1
+            })
+        })
+    }
+
+    /// Assemble scanned cells, in storage scan order, after the ones
+    /// already added.
+    pub fn add<'c>(&mut self, cells: impl IntoIterator<Item = &'c KeyValue>) {
+        let mut open: Option<OpenRow<'c>> = None;
+        let mut last_qualifier: &[u8] = &[];
+        for kv in cells {
+            if open.as_ref().is_none_or(|row| row.key != &kv.row[..]) {
+                if let Some(row) = open.take() {
+                    self.close_row(row);
+                }
+                let series = self
+                    .codec
+                    .series_of_row(&kv.row)
+                    .and_then(|(series, base)| {
+                        let slot = self.slot(&series)?;
+                        Some((series, base, slot))
+                    });
+                let first_point = series
+                    .as_ref()
+                    .map_or(0, |&(_, _, slot)| self.answer[slot].1.len());
+                open = Some(OpenRow {
+                    key: &kv.row,
+                    series,
+                    first_point,
+                    blocks: Vec::new(),
+                });
+            } else if last_qualifier == &kv.qualifier[..] {
+                continue; // older version of a cell already taken
+            }
+            last_qualifier = &kv.qualifier;
+            let Some(row) = open.as_mut() else {
+                continue;
+            };
+            let Some((_, base, slot)) = row.series else {
+                continue; // unknown UIDs, malformed row, or filtered out
+            };
+            if block::is_block_qualifier(&kv.qualifier) {
+                row.blocks.push(kv);
+                continue;
+            }
+            // Anything else but a 2-byte offset (the 0xFFFF blob, rollup
+            // qualifiers) or an 8-byte value carries no raw point.
+            let (Ok(q), Ok(v)) = (
+                <[u8; 2]>::try_from(&kv.qualifier[..]),
+                <[u8; 8]>::try_from(&kv.value[..]),
+            ) else {
+                continue;
+            };
+            if q == [0xFF, 0xFF] {
+                continue;
+            }
+            let timestamp = base + u64::from(u16::from_be_bytes(q));
+            if self.keeps(timestamp) {
+                self.answer[slot].1.push(DataPoint {
+                    timestamp,
+                    value: f64::from_be_bytes(v),
+                });
+            }
+        }
+        if let Some(row) = open {
+            self.close_row(row);
+        }
+    }
+
+    /// Splice a finished row's sealed blocks under its raw points.
+    fn close_row(&mut self, row: OpenRow<'_>) {
+        let Some((series, base, slot)) = row.series.filter(|_| !row.blocks.is_empty()) else {
+            return;
+        };
+        let (Some(&(lo, _)), Some(&(_, hi))) = (self.windows.first(), self.windows.last()) else {
+            return;
+        };
+        // Multiple block cells on one row should not happen (compaction
+        // folds them), but merge defensively: sorted, the first point of
+        // a duplicate timestamp kept.
+        let row_span = self.codec.config().row_span_secs;
+        let mut sealed: Vec<(u64, f64)> = Vec::new();
+        for cell in row.blocks {
+            // A sealed block only ever holds points from its own row's
+            // span, and the row key is not part of the block payload — so
+            // a row wholly outside `[lo, hi]` is skipped without touching
+            // the block bytes at all, corrupt or not.
+            if base > hi || base.saturating_add(row_span) <= lo {
+                continue;
+            }
+            // Within an overlapping row, the header's min/max bounds prune
+            // further — but the peek alone is advisory (a flipped header
+            // byte could hide in-window points), so an out-of-window
+            // verdict only counts after the whole-buffer CRC authenticates
+            // it. A block failing that CRC falls through to the decode
+            // below, which reports it.
+            if let Ok((_, min_ts, max_ts)) = block::peek_header(&cell.value) {
+                if (max_ts < lo || min_ts > hi) && block::verify_block(&cell.value).is_ok() {
+                    continue;
+                }
+            }
+            let decoded = match block::decode_block(&cell.value) {
+                Ok(decoded) => decoded,
+                Err(error) => {
+                    self.corrupt.push(CorruptBlock {
+                        row: row.key.to_vec(),
+                        qualifier: cell.qualifier.to_vec(),
+                        series: series.clone(),
+                        base,
+                        error,
+                    });
+                    continue; // raw cells still answer; the caller salvages the rest
+                }
+            };
+            let points = decoded.timestamps.iter().copied().zip(decoded.values);
+            if sealed.is_empty() {
+                sealed.extend(points);
+            } else {
+                sealed.extend(points);
+                sealed.sort_by_key(|&(ts, _)| ts);
+                sealed.dedup_by_key(|&mut (ts, _)| ts);
+            }
+        }
+        sealed.retain(|&(ts, _)| self.keeps(ts));
+        if sealed.is_empty() {
+            return;
+        }
+        // Merge the row's raw points over its sealed ones: both ascending;
+        // raw wins at equal timestamps.
+        let points = &mut self.answer[slot].1;
+        let mut raw = points.split_off(row.first_point).into_iter().peekable();
+        let mut sealed = sealed.into_iter().peekable();
+        loop {
+            match (raw.peek(), sealed.peek()) {
+                (Some(r), Some(&(ts, _))) if r.timestamp <= ts => {
+                    if r.timestamp == ts {
+                        sealed.next(); // raw supersedes the sealed point
+                    }
+                    points.extend(raw.next());
+                }
+                (_, Some(&(timestamp, value))) => {
+                    points.push(DataPoint { timestamp, value });
+                    sealed.next();
+                }
+                (Some(_), None) => points.extend(raw.next()),
+                (None, None) => break,
+            }
+        }
+    }
+
+    /// The sealed blocks that failed to decode so far, in scan order.
+    pub fn corrupt(&self) -> &[CorruptBlock] {
+        &self.corrupt
+    }
+
+    /// Replica salvage for the blocks [`Assembler::corrupt`] holds:
+    /// re-read each from the region's other copies
+    /// (`Client::repair_fetch`) and splice the first copy that decodes
+    /// into its series, its points after the local ones, so a local raw
+    /// cell still wins a duplicate timestamp. Returns the blocks no copy
+    /// could heal; none is held afterwards.
+    pub fn salvage(&mut self, client: &Client) -> Vec<CorruptBlock> {
+        let mut unhealed = Vec::new();
+        for cb in std::mem::take(&mut self.corrupt) {
             let mut row_end = cb.row.clone();
             row_end.push(0);
             let copies = client.repair_fetch(&RowRange::new(cb.row.clone(), row_end));
@@ -286,234 +444,43 @@ pub fn salvage_from_replicas(
                     .find(|kv| kv.row == cb.row[..] && kv.qualifier == cb.qualifier[..])?;
                 block::decode_block(&cell.value).ok()
             }) else {
-                return true;
-            };
-            let (timestamps, values) = out.entry(cb.tags.clone()).or_default();
-            for (&ts, &v) in decoded.timestamps.iter().zip(&decoded.values) {
-                if ts >= start && ts <= end {
-                    timestamps.push(ts);
-                    values.push(v);
-                }
-            }
-            false
-        })
-        .collect()
-}
-
-fn assemble_columns_inner<'a>(
-    codec: &KeyCodec,
-    cells: impl IntoIterator<Item = &'a KeyValue>,
-    filter: &QueryFilter,
-    start: u64,
-    end: u64,
-    out: &mut AssembledColumns,
-    mut corrupt: Option<&mut Vec<CorruptBlock>>,
-) -> Result<(), BlockError> {
-    // One row's cells at a time, by reference.
-    let mut group: Vec<&KeyValue> = Vec::new();
-    for kv in cells {
-        if group.first().is_some_and(|first| first.row != kv.row) {
-            assemble_row(
-                codec,
-                &group,
-                filter,
-                start,
-                end,
-                out,
-                corrupt.as_deref_mut(),
-            )?;
-            group.clear();
-        }
-        group.push(kv);
-    }
-    assemble_row(codec, &group, filter, start, end, out, corrupt)
-}
-
-/// One row's worth of [`assemble_columns`].
-fn assemble_row(
-    codec: &KeyCodec,
-    group: &[&KeyValue],
-    filter: &QueryFilter,
-    start: u64,
-    end: u64,
-    out: &mut AssembledColumns,
-    mut corrupt: Option<&mut Vec<CorruptBlock>>,
-) -> Result<(), BlockError> {
-    let Some(&first) = group.first() else {
-        return Ok(());
-    };
-    let Some((_metric, tags, base)) = codec.decode_row(&first.row) else {
-        return Ok(()); // unknown UIDs / malformed row: same skip as legacy
-    };
-    let tag_map: BTreeMap<String, String> = tags.iter().cloned().collect();
-    if !filter.matches(&tag_map) {
-        return Ok(());
-    }
-
-    // Raw cells: qualifier ascending already, keep the newest version per
-    // qualifier (the first seen, since versions sort descending).
-    let mut raw: Vec<(u64, f64)> = Vec::new();
-    let mut blocks: Vec<&KeyValue> = Vec::new();
-    let mut last_qual: Option<&[u8]> = None;
-    for &cell in group {
-        if last_qual == Some(&cell.qualifier[..]) {
-            continue; // older version of a cell we already took
-        }
-        last_qual = Some(&cell.qualifier[..]);
-        if block::is_block_qualifier(&cell.qualifier) {
-            blocks.push(cell);
-        } else if cell.qualifier.len() == 2 && cell.qualifier[..] != [0xFF, 0xFF] {
-            let Some(q) = cell.qualifier.get(..2) else {
+                unhealed.push(cb);
                 continue;
             };
-            let offset = u16::from_be_bytes([q[0], q[1]]) as u64;
-            let Some(v) = cell.value.get(..8).filter(|_| cell.value.len() == 8) else {
-                continue; // malformed value: legacy decode skips it too
-            };
-            let mut v8 = [0u8; 8];
-            v8.copy_from_slice(v);
-            raw.push((base + offset, f64::from_be_bytes(v8)));
-        }
-        // Anything else (0xFFFF blob, rollup qualifiers) carries no raw data.
-    }
-
-    // Sealed blocks: decode each into flat slices. Multiple block cells on
-    // one row should not happen (compaction folds them), but merge
-    // defensively, newest qualifier-version last so it wins collisions.
-    let row_span = codec.config().row_span_secs;
-    let mut block_points: Vec<(u64, f64)> = Vec::new();
-    for cell in &blocks {
-        // A sealed block only ever holds points from its own row's span,
-        // and the row key is not part of the block payload — so a row
-        // wholly outside `[start, end]` can be skipped without touching
-        // the block bytes at all, corrupt or not.
-        if base > end || base.saturating_add(row_span) <= start {
-            continue;
-        }
-        // Within an overlapping row, the header's min/max bounds prune
-        // further — but the peek alone is advisory (a flipped header byte
-        // could hide in-window points), so an out-of-window verdict only
-        // counts after the whole-buffer CRC authenticates it. A block
-        // failing that CRC falls through to the decode below, which
-        // surfaces the typed error / salvage path.
-        if let Ok((_, min_ts, max_ts)) = block::peek_header(&cell.value) {
-            if (max_ts < start || min_ts > end) && block::verify_block(&cell.value).is_ok() {
+            let Some(slot) = self.slot(&cb.series) else {
                 continue;
-            }
-        }
-        let decoded = match block::decode_block(&cell.value) {
-            Ok(d) => d,
-            Err(error) => match corrupt.as_deref_mut() {
-                Some(sink) => {
-                    sink.push(CorruptBlock {
-                        row: first.row.to_vec(),
-                        qualifier: cell.qualifier.to_vec(),
-                        tags: tags.clone(),
-                        base,
-                        error,
-                    });
-                    continue; // raw cells still answer; caller salvages the rest
+            };
+            for (&timestamp, &value) in decoded.timestamps.iter().zip(&decoded.values) {
+                if self.keeps(timestamp) {
+                    self.answer[slot].1.push(DataPoint { timestamp, value });
                 }
-                None => return Err(error),
-            },
-        };
-        if block_points.is_empty() {
-            block_points = decoded
-                .timestamps
-                .iter()
-                .copied()
-                .zip(decoded.values.iter().copied())
-                .collect();
-        } else {
-            block_points.extend(
-                decoded
-                    .timestamps
-                    .iter()
-                    .copied()
-                    .zip(decoded.values.iter().copied()),
-            );
-            block_points.sort_by_key(|&(ts, _)| ts);
-            block_points.dedup_by_key(|&mut (ts, _)| ts);
+            }
         }
+        unhealed
     }
 
-    // Merge raw over blocks: both ascending; raw wins at equal timestamps.
-    let mut merged: Vec<(u64, f64)> = Vec::with_capacity(raw.len() + block_points.len());
-    let mut ri = raw.iter().peekable();
-    let mut bi = block_points.iter().peekable();
-    loop {
-        match (ri.peek(), bi.peek()) {
-            (Some(&&(rts, rv)), Some(&&(bts, _))) if rts <= bts => {
-                if rts == bts {
-                    bi.next(); // raw supersedes the sealed point
+    /// The answered series, ordered by their tags (row-key order), each
+    /// with at least one point, points sorted by timestamp. A duplicate
+    /// timestamp keeps the point assembled first: the newest version, or
+    /// a local point over a salvaged one. Points already in order — rows
+    /// arrive base-ascending, each merged in order — are left as they
+    /// are.
+    pub fn finish(self) -> Vec<SeriesPoints> {
+        let mut answer: Vec<SeriesPoints> = self
+            .answer
+            .into_iter()
+            .filter(|(_, points)| !points.is_empty())
+            .map(|(series, mut points)| {
+                if !points.windows(2).all(|w| w[0].timestamp < w[1].timestamp) {
+                    points.sort_by_key(|p| p.timestamp);
+                    points.dedup_by_key(|p| p.timestamp);
                 }
-                merged.push((rts, rv));
-                ri.next();
-            }
-            (_, Some(&&(bts, bv))) => {
-                merged.push((bts, bv));
-                bi.next();
-            }
-            (Some(&&(rts, rv)), None) => {
-                merged.push((rts, rv));
-                ri.next();
-            }
-            (None, None) => break,
-        }
+                (series, points)
+            })
+            .collect();
+        answer.sort_by(|(a, _), (b, _)| a.tags().cmp(b.tags()));
+        answer
     }
-    merged.retain(|&(ts, _)| ts >= start && ts <= end);
-    if merged.is_empty() {
-        return Ok(()); // never emit an empty series (legacy parity)
-    }
-    let (timestamps, values) = out.entry(tags).or_default();
-    for (ts, v) in merged {
-        timestamps.push(ts);
-        values.push(v);
-    }
-    Ok(())
-}
-
-/// Finalize assembled columns into [`ColumnSeries`], enforcing the same
-/// sort + timestamp-dedup the legacy path applies (keeps the first point
-/// in pre-sort order for duplicate timestamps — the newest-version cell).
-pub fn finish_columns(metric: &str, assembled: AssembledColumns) -> Vec<ColumnSeries> {
-    assembled
-        .into_iter()
-        .map(|(tags, (timestamps, values))| {
-            let (timestamps, values) = canonicalize_columns(timestamps, values);
-            ColumnSeries {
-                metric: metric.to_string(),
-                tags: tags.into_iter().collect(),
-                timestamps,
-                values,
-            }
-        })
-        .collect()
-}
-
-/// Sort one assembled column pair by timestamp and drop duplicate
-/// timestamps, keeping the first point in pre-sort order (the
-/// newest-version cell) — exactly the legacy `sort_by_key` +
-/// `dedup_by_key` discipline. Already-sorted columns (the common case:
-/// rows arrive base-ascending, merged sorted within each row) pass
-/// through untouched.
-pub fn canonicalize_columns(timestamps: Vec<u64>, values: Vec<f64>) -> (Vec<u64>, Vec<f64>) {
-    let sorted = timestamps.windows(2).all(|w| match w {
-        [a, b] => a < b,
-        _ => true,
-    });
-    if sorted {
-        return (timestamps, values);
-    }
-    let mut idx: Vec<usize> = (0..timestamps.len()).collect();
-    idx.sort_by_key(|&i| (timestamps.get(i).copied().unwrap_or(0), i));
-    idx.dedup_by_key(|i| timestamps.get(*i).copied().unwrap_or(0));
-    (
-        idx.iter()
-            .filter_map(|&i| timestamps.get(i).copied())
-            .collect(),
-        idx.iter().filter_map(|&i| values.get(i).copied()).collect(),
-    )
 }
 
 /// Tag filter for queries: every listed pair must match exactly; unlisted

@@ -20,10 +20,7 @@ use pga_minibase::{Client, ClientError, KeyValue, RowRange};
 
 use crate::block::BlockError;
 use crate::codec::KeyCodec;
-use crate::query::{
-    assemble_columns, assemble_columns_salvage, finish_columns, salvage_from_replicas,
-    AssembledColumns, ColumnSeries, CorruptBlock, QueryFilter, TimeSeries,
-};
+use crate::query::{Assembler, ColumnSeries, QueryFilter, SeriesPoints, TimeSeries};
 use crate::series::Series;
 
 /// One `(tags, timestamp, value)` element of a batched put.
@@ -522,9 +519,13 @@ impl Tsd {
         end: u64,
     ) -> Result<Vec<TimeSeries>, TsdError> {
         Ok(self
-            .query_columns(metric, filter, start, end)?
-            .iter()
-            .map(ColumnSeries::to_series)
+            .assemble(metric, filter, start, end)?
+            .into_iter()
+            .map(|(series, points)| TimeSeries {
+                metric: metric.to_string(),
+                tags: series.tags().iter().cloned().collect(),
+                points,
+            })
             .collect())
     }
 
@@ -546,45 +547,58 @@ impl Tsd {
         start: u64,
         end: u64,
     ) -> Result<Vec<ColumnSeries>, TsdError> {
-        let mut assembled = AssembledColumns::new();
-        let mut corrupt: Vec<CorruptBlock> = Vec::new();
+        Ok(self
+            .assemble(metric, filter, start, end)?
+            .into_iter()
+            .map(|(series, points)| ColumnSeries {
+                metric: metric.to_string(),
+                tags: series.tags().iter().cloned().collect(),
+                timestamps: points.iter().map(|p| p.timestamp).collect(),
+                values: points.iter().map(|p| p.value).collect(),
+            })
+            .collect())
+    }
+
+    /// The series and points of [`Tsd::query`], in answer order.
+    fn assemble(
+        &self,
+        metric: &str,
+        filter: &QueryFilter,
+        start: u64,
+        end: u64,
+    ) -> Result<Vec<SeriesPoints>, TsdError> {
+        let window = [(start, end)];
+        let mut assembler = Assembler::new(&self.codec, filter, &window);
         // Segments come back in row order (salt, then base time), so the
         // cells reach assembly in storage scan order one segment at a time.
         for salt in self.codec.salt_range() {
             for segment in self.codec.scan_segments(salt, metric, start, end) {
                 let cells = self.client.scan_spec(&segment)?;
                 self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
-                if self.config.salvage_reads {
-                    assemble_columns_salvage(
-                        &self.codec,
-                        &cells,
-                        filter,
-                        start,
-                        end,
-                        &mut assembled,
-                        &mut corrupt,
-                    );
-                } else {
-                    assemble_columns(&self.codec, &cells, filter, start, end, &mut assembled)
-                        .map_err(TsdError::Corrupt)?;
+                assembler.add(&cells);
+                if let Some(cb) = assembler.corrupt().first() {
+                    if !self.config.salvage_reads {
+                        return Err(TsdError::Corrupt(cb.error.clone()));
+                    }
                 }
             }
         }
         // Salvage: quarantine each corrupt block for the scrubber, and
         // re-read it from another copy now so this query still answers
         // exactly. Only a block no copy heals fails it, with a typed error.
+        let corrupt = assembler.corrupt();
         if !corrupt.is_empty() {
             let seen = corrupt.len() as u64;
             self.metrics
                 .corrupt_blocks_seen
                 .fetch_add(seen, Ordering::Relaxed);
-            for cb in &corrupt {
+            for cb in corrupt {
                 self.scrub.quarantine(
                     Bytes::copy_from_slice(&cb.row),
                     Bytes::copy_from_slice(&cb.qualifier),
                 );
             }
-            let unhealed = salvage_from_replicas(&self.client, corrupt, start, end, &mut assembled);
+            let unhealed = assembler.salvage(&self.client);
             self.metrics
                 .salvaged_reads
                 .fetch_add(seen - unhealed.len() as u64, Ordering::Relaxed);
@@ -592,7 +606,7 @@ impl Tsd {
                 return Err(TsdError::Corrupt(cb.error));
             }
         }
-        Ok(finish_columns(metric, assembled))
+        Ok(assembler.finish())
     }
 }
 

@@ -45,7 +45,7 @@ fn model(outcomes: &[ExecOutcome]) -> Result<String, String> {
     let mut out: Vec<QueryResponseSeries> = Vec::new();
     let mut partial: Option<PartialInfo> = None;
     for outcome in outcomes {
-        for s in &outcome.series {
+        for s in outcome.series.iter() {
             out.push(QueryResponseSeries {
                 metric: s.metric.clone(),
                 tags: s.tags.clone(),
@@ -111,7 +111,7 @@ fn series(metric: &str, tags: &[(&str, &str)], points: &[(u64, f64)]) -> TimeSer
 
 fn ok(series: Vec<TimeSeries>) -> ExecOutcome {
     ExecOutcome {
-        series,
+        series: series.into(),
         partial: None,
     }
 }
@@ -166,7 +166,7 @@ fn timestamps(rng: &mut TestRng) -> Vec<u64> {
 }
 
 fn random_outcome(rng: &mut TestRng) -> ExecOutcome {
-    let series = (0..rng.below(4))
+    let series: Vec<TimeSeries> = (0..rng.below(4))
         .map(|_| {
             let tags: BTreeMap<String, String> = (0..rng.below(4))
                 .map(|_| (pick(rng, &NAMES).to_string(), pick(rng, &NAMES).to_string()))
@@ -194,7 +194,10 @@ fn random_outcome(rng: &mut TestRng) -> ExecOutcome {
             .collect(),
         total_shards: 4 + rng.below(4) as u32,
     });
-    ExecOutcome { series, partial }
+    ExecOutcome {
+        series: series.into(),
+        partial,
+    }
 }
 
 #[test]
@@ -239,7 +242,7 @@ fn degraded_bodies_carry_the_same_series() {
             &[(10, f64::NAN), (11, -0.0), (12, 1e300)],
         )]),
         ExecOutcome {
-            series: vec![series("energy", &[("unit", "x\"\u{8}")], &[(1, 2.0)])],
+            series: [series("energy", &[("unit", "x\"\u{8}")], &[(1, 2.0)])].into(),
             partial: Some(PartialInfo {
                 failed_shards: vec![ShardError {
                     shard: 3,

@@ -446,3 +446,42 @@ fn puts_the_store_cannot_hold_are_refused_whole() {
     server.stop();
     monitor.lock().shutdown();
 }
+
+/// `/heatmap` spans ticks, as every other view does: on a fleet sampled
+/// every 2 s, a flag written at the last tick (second `2 × tick`, where
+/// `evaluate_at` writes it) is counted, and a flag under a unit tag the
+/// fleet does not spell that way (`unit="01"`) is not.
+#[test]
+fn the_heatmap_spans_ticks_and_counts_canonical_units_only() {
+    let mut config = PlatformConfig::demo(55);
+    config.fleet.units = 2;
+    config.fleet.sensors_per_unit = 4;
+    config.fleet.sample_period_secs = 2;
+    let mut monitor = Monitor::new(config).unwrap();
+    let last = 199;
+    monitor.ingest_range(0, last + 1);
+    monitor
+        .tsd()
+        .put("anomaly", &[("unit", "1"), ("sensor", "0")], last * 2, 5.0)
+        .unwrap();
+    let monitor = Arc::new(Mutex::new(monitor));
+    let routes = dashboard_routes(monitor.clone(), last, 100, 8, 0.0);
+    let server = DashboardServer::start_with(0, routes).unwrap();
+    let addr = server.addr();
+    let body = format!(
+        r#"{{"metric":"anomaly","timestamp":{},"value":5.0,"tags":{{"unit":"01","sensor":"0"}}}}"#,
+        last * 2
+    );
+    let (status, _) = request(addr, "POST", "/api/put", &body);
+    assert_eq!(status, 200);
+    let (status, page) = request(addr, "GET", "/heatmap", "");
+    assert_eq!(status, 200);
+    assert!(
+        page.contains("unit 1, t=150..200: 1 anomalies"),
+        "the last tick's flag, once: {page}"
+    );
+    assert_eq!(page.matches(": 1 anomalies").count(), 1, "{page}");
+    assert!(!page.contains(": 2 anomalies"), "{page}");
+    server.stop();
+    monitor.lock().shutdown();
+}
