@@ -462,14 +462,13 @@ impl Monitor {
         len: usize,
         max_panels: usize,
     ) -> Result<MachinePage, MonitorError> {
-        let w = self.window_from_store(unit, t_end, len)?;
+        let read = self.read_columns(Some(unit), t_end, len)?;
         let start_tick = t_end + 1 - len as u64;
-        let p = w.cols();
-        let mut panels: Vec<SensorPanel> = (0..p)
-            .map(|j| {
-                let points: Vec<(u64, f64)> = (0..len)
-                    .map(|r| (start_tick + r as u64, w.get(r, j)))
-                    .collect();
+        let mut panels: Vec<SensorPanel> = read
+            .unit(0)
+            .iter()
+            .enumerate()
+            .map(|(j, column)| {
                 let anomalies: Vec<u64> = self
                     .anomaly_ticks(unit, j as u32)
                     .into_iter()
@@ -477,7 +476,7 @@ impl Monitor {
                     .collect();
                 SensorPanel {
                     sensor: j as u32,
-                    points,
+                    points: (start_tick..).zip(column.iter().copied()).collect(),
                     anomalies,
                 }
             })

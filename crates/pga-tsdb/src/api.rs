@@ -13,7 +13,7 @@ use std::sync::Arc;
 use serde::json::{escape_into, number_into, Number};
 use serde::{Deserialize, Serialize};
 
-use crate::query::{Aggregator, QueryFilter, TimeSeries};
+use crate::query::{Aggregator, DataPoint, QueryFilter, TimeSeries};
 use crate::tsd::{BatchPoint, Tsd, TsdError};
 use crate::uid::RESERVED_PREFIX;
 
@@ -484,34 +484,43 @@ fn series_json_into<'s>(series: impl Iterator<Item = &'s TimeSeries> + Clone, ou
             escape_into(v, out);
         }
         out.push_str("},\"dps\":{");
+        // A key is a decimal integer: nothing in it to escape.
+        let mut dp = |j: usize, p: &DataPoint| {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            number_into(&Number::U(p.timestamp), out);
+            out.push_str("\":");
+            number_into(&Number::F(p.value), out);
+        };
         let digits = |t: u64| t.max(1).ilog10();
         let streams = s.points.windows(2).all(|w| match w {
             [a, b] => a.timestamp < b.timestamp && digits(a.timestamp) == digits(b.timestamp),
             _ => true,
         });
-        let mut dp = |j: usize, key: &str, value: f64| {
-            if j > 0 {
-                out.push(',');
-            }
-            escape_into(key, out);
-            out.push(':');
-            number_into(&Number::F(value), out);
-        };
         if streams {
-            let mut key = String::new();
             for (j, p) in s.points.iter().enumerate() {
-                key.clear();
-                number_into(&Number::U(p.timestamp), &mut key);
-                dp(j, &key, p.value);
+                dp(j, p);
             }
         } else {
-            let sorted: BTreeMap<String, f64> = s
-                .points
-                .iter()
-                .map(|p| (p.timestamp.to_string(), p.value))
-                .collect();
-            for (j, (key, &value)) in sorted.iter().enumerate() {
-                dp(j, key, value);
+            // String order: the digits left-aligned, then the shorter
+            // first (a prefix sorts before what extends it). A repeated
+            // timestamp keeps its last value, as a map insert would.
+            let mut sorted: Vec<&DataPoint> = s.points.iter().collect();
+            sorted.sort_by_key(|p| {
+                let t = p.timestamp;
+                (u128::from(t) * 10u128.pow(19 - digits(t)), digits(t))
+            });
+            sorted.dedup_by(|next, kept| {
+                let repeat = next.timestamp == kept.timestamp;
+                if repeat {
+                    *kept = *next;
+                }
+                repeat
+            });
+            for (j, p) in sorted.into_iter().enumerate() {
+                dp(j, p);
             }
         }
         out.push_str("}}");

@@ -37,6 +37,21 @@ impl Default for ChartConfig {
     }
 }
 
+/// The points whose timestamp is among `anomalies`, in point order; a
+/// panel with no anomaly walks none of its points.
+fn flagged<'p>(
+    points: &'p [(u64, f64)],
+    anomalies: &[u64],
+) -> impl Iterator<Item = (u64, f64)> + 'p {
+    let mut sorted = anomalies.to_vec();
+    sorted.sort_unstable();
+    let walked = if sorted.is_empty() { &[] } else { points };
+    walked
+        .iter()
+        .copied()
+        .filter(move |(t, _)| sorted.binary_search(t).is_ok())
+}
+
 /// A compact sparkline: the per-sensor cell of the machine page grid.
 ///
 /// `points` are `(timestamp, value)` ascending; `anomalies` are the
@@ -70,15 +85,12 @@ pub fn sparkline(
         .attr("stroke-width", "1.5")
         .attr("stroke-linejoin", "round")
         .empty();
-        let anomaly_set: std::collections::HashSet<u64> = anomalies.iter().copied().collect();
-        for &(t, v) in points {
-            if anomaly_set.contains(&t) {
-                el::circle(out, x.map(t as f64), y.map(v), 3.5)
-                    .attr("fill", &cfg.anomaly_color)
-                    .attr("stroke", &cfg.surface_color)
-                    .attr("stroke-width", "2")
-                    .children(|out| el::title(out, format_args!("anomaly at t={t}, value {v:.2}")));
-            }
+        for (t, v) in flagged(points, anomalies) {
+            el::circle(out, x.map(t as f64), y.map(v), 3.5)
+                .attr("fill", &cfg.anomaly_color)
+                .attr("stroke", &cfg.surface_color)
+                .attr("stroke-width", "2")
+                .children(|out| el::title(out, format_args!("anomaly at t={t}, value {v:.2}")));
         }
     });
 }
@@ -161,15 +173,12 @@ pub fn detail_chart(
         .attr("stroke-linejoin", "round")
         .empty();
         // Anomaly markers with tooltips and a surface ring.
-        let anomaly_set: std::collections::HashSet<u64> = anomalies.iter().copied().collect();
-        for &(t, v) in points {
-            if anomaly_set.contains(&t) {
-                el::circle(out, x.map(t as f64), y.map(v), 4.5)
-                    .attr("fill", &cfg.anomaly_color)
-                    .attr("stroke", &cfg.surface_color)
-                    .attr("stroke-width", "2")
-                    .children(|out| el::title(out, format_args!("anomaly at t={t}, value {v:.3}")));
-            }
+        for (t, v) in flagged(points, anomalies) {
+            el::circle(out, x.map(t as f64), y.map(v), 4.5)
+                .attr("fill", &cfg.anomaly_color)
+                .attr("stroke", &cfg.surface_color)
+                .attr("stroke-width", "2")
+                .children(|out| el::title(out, format_args!("anomaly at t={t}, value {v:.3}")));
         }
     });
 }

@@ -24,6 +24,10 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 /// the connection unanswered.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
+/// Most bytes a request body may take; a request that declares a longer
+/// one is refused with 413 before any of it is read.
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
 /// How long a connection may keep the server waiting to take its response.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -100,6 +104,7 @@ fn status_text(code: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -214,42 +219,55 @@ fn serve_one(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()>
             .map(str::trim)
             .and_then(|v| v.parse::<usize>().ok())
         {
-            content_length = v.min(16 * 1024 * 1024);
+            content_length = v;
         }
     }
-    let mut body = String::new();
-    if content_length > 0 {
-        let mut buf = vec![0u8; content_length];
-        reader.read_exact(&mut buf)?;
-        body = String::from_utf8_lossy(&buf).into_owned();
-    }
-    let mut stream = reader.into_inner().stream;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("/").to_string();
-    let response = if method != "GET" && method != "POST" {
-        HttpResponse {
-            status: 405,
-            content_type: "text/html; charset=utf-8".into(),
-            body: "<h1>405</h1>".into(),
-        }
+    let response = if content_length > MAX_BODY_BYTES {
+        // Refused unread: no part of an over-long body reaches a route.
+        HttpResponse::error_json(
+            413,
+            "payload_too_large",
+            &format!("a request body may take at most {MAX_BODY_BYTES} bytes"),
+        )
     } else {
-        let req = HttpRequest { method, path, body };
-        handler(&req).unwrap_or(HttpResponse {
-            status: 404,
-            content_type: "text/html; charset=utf-8".into(),
-            body: "<h1>404 Not Found</h1>".into(),
-        })
+        let mut body = String::new();
+        if content_length > 0 {
+            let mut buf = vec![0u8; content_length];
+            reader.read_exact(&mut buf)?;
+            body = String::from_utf8_lossy(&buf).into_owned();
+        }
+        if method != "GET" && method != "POST" {
+            HttpResponse {
+                status: 405,
+                content_type: "text/html; charset=utf-8".into(),
+                body: "<h1>405</h1>".into(),
+            }
+        } else {
+            let req = HttpRequest { method, path, body };
+            handler(&req).unwrap_or(HttpResponse {
+                status: 404,
+                content_type: "text/html; charset=utf-8".into(),
+                body: "<h1>404 Not Found</h1>".into(),
+            })
+        }
     };
-    let wire = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+    let response_head = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         status_text(response.status),
         response.content_type,
         response.body.len(),
-        response.body
     );
-    stream.write_all(wire.as_bytes())?;
+    // The head, then the body as it is: no copy of the page. Without
+    // Nagle's delay the body's last segment need not wait for the
+    // client to acknowledge the head.
+    let mut stream = reader.into_inner().stream;
+    stream.set_nodelay(true)?;
+    stream.write_all(response_head.as_bytes())?;
+    stream.write_all(response.body.as_bytes())?;
     stream.flush()
 }
 
@@ -394,6 +412,37 @@ mod tests {
         let _ = s.read_to_end(&mut buf);
         assert!(buf.is_empty(), "oversized head was answered");
         let (head, _) = get(server.addr(), "/");
+        assert!(head.starts_with("HTTP/1.1 200"));
+        server.stop();
+    }
+
+    /// A request declaring a body over `MAX_BODY_BYTES` is refused with
+    /// 413 at once, not read (or waited for) up to the cap and handed on
+    /// cut short.
+    #[test]
+    fn an_oversized_body_is_refused_before_it_is_read() {
+        let handler: RequestHandler =
+            Arc::new(|req: &HttpRequest| Some(HttpResponse::json(req.body.clone())));
+        let server = DashboardServer::start_with(0, handler).unwrap();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(REQUEST_DEADLINE / 2)).unwrap();
+        let asked = Instant::now();
+        write!(
+            s,
+            "POST /api/query HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        )
+        .unwrap();
+        let mut buf = String::new();
+        s.read_to_string(&mut buf)
+            .expect("answered before the deadline");
+        assert!(asked.elapsed() < REQUEST_DEADLINE / 2);
+        let (head, body) = buf.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 413 Payload Too Large"), "{head}");
+        let v: serde_json::Value = serde_json::from_str(body).unwrap();
+        assert_eq!(v["error"]["code"], 413);
+        // The next request is served as before.
+        let (head, _) = post(server.addr(), "/echo", "x");
         assert!(head.starts_with("HTTP/1.1 200"));
         server.stop();
     }

@@ -3,9 +3,13 @@
 //! Elements are written straight into the caller's buffer as they are
 //! built, with correct escaping — no external crates, no DOM, no string
 //! per attribute. Every coordinate goes through one number writer,
-//! [`fixed2_into`].
+//! [`fixed2_into`], whose digits come two at a time from the JSON
+//! writer's table; a polyline's points are gathered as ASCII bytes on the
+//! stack and checked as text a kilobyte at a time.
 
 use std::fmt::{self, Display, Write};
+
+use serde::json::{digits_into, DIGIT_PAIRS};
 
 /// Escapes for XML text content or attribute values whatever is written
 /// through it; a piece with nothing to escape is copied as it is.
@@ -40,43 +44,95 @@ pub fn escape_into(out: &mut String, value: impl Display) {
 }
 
 /// Append `v` to `out` exactly as `format!("{v:.2}")` prints it.
-///
-/// The fast path prints the digits of `round(|v|·100)`. Below 2³² the
-/// computed product is within 2⁻²² of the exact one, so where its
-/// fraction is at least 1e-6 away from .5 both round to the same
-/// integer: the one `{:.2}` prints (it rounds the exact value, ties to
-/// even). Ties and near-ties, larger magnitudes and non-finite values go
-/// through `write!`.
 pub fn fixed2_into(out: &mut String, v: f64) {
-    let scaled = v.abs() * 100.0;
-    // False for NaN too.
-    let exact = scaled < 4_294_967_296.0 && (scaled - scaled.floor() - 0.5).abs() >= 1e-6;
-    if !exact {
-        write!(out, "{v:.2}").expect("a String takes any write");
-        return;
-    }
-    let n = scaled.round() as u64;
-    // Sign, up to eight integer digits, the point and two decimals.
     let mut buf = [0u8; 12];
-    let mut at = buf.len() - 3;
-    buf[at] = b'.';
-    buf[at + 1] = b'0' + (n / 10 % 10) as u8;
-    buf[at + 2] = b'0' + (n % 10) as u8;
-    let mut int = n / 100;
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (int % 10) as u8;
-        int /= 10;
-        if int == 0 {
-            break;
+    match fixed2_digits(v, &mut buf) {
+        Some(len) => out.push_str(std::str::from_utf8(&buf[..len]).expect("ASCII digits")),
+        None => write!(out, "{v:.2}").expect("a String takes any write"),
+    }
+}
+
+/// The fast path of [`fixed2_into`]: writes the digits of `round(|v|·100)`
+/// to the start of `buf`, with the sign and the point, and returns their
+/// length. Below 2³² the computed product is within 2⁻²² of the exact
+/// one, so where its fraction is at least 1e-6 away from .5 both round to
+/// the same integer: the one `{:.2}` prints (it rounds the exact value,
+/// ties to even). Ties and near-ties, larger magnitudes and non-finite
+/// values are `None`, for `write!` to print.
+fn fixed2_digits(v: f64, buf: &mut [u8; 12]) -> Option<usize> {
+    let scaled = v.abs() * 100.0;
+    if scaled.is_nan() || scaled >= 4_294_967_296.0 {
+        return None;
+    }
+    // Below 2³² the cast truncates, and the difference is exact.
+    let whole = scaled as u32;
+    let fraction = scaled - f64::from(whole);
+    if (fraction - 0.5).abs() < 1e-6 {
+        return None;
+    }
+    let n = u64::from(whole) + u64::from(fraction > 0.5);
+    // `{:.2}` keeps the sign of a negative value that rounds to zero. The
+    // digits start after the sign, or over it when there is none.
+    let sign = usize::from(v.is_sign_negative());
+    buf[0] = b'-';
+    // Up to eight integer digits, the point and two decimals.
+    let units = n / 100;
+    let point = sign + units.checked_ilog10().map_or(1, |d| d as usize + 1);
+    digits_into(units, &mut buf[sign..point]);
+    let cents = (n % 100) as usize * 2;
+    buf[point] = b'.';
+    buf[point + 1..point + 3].copy_from_slice(&DIGIT_PAIRS[cents..cents + 2]);
+    Some(point + 3)
+}
+
+/// ASCII text gathered on the stack and appended to a `String` a chunk at
+/// a time: a run of numbers is checked as UTF-8 once a chunk, not once a
+/// number, and allocates nothing of its own.
+struct AsciiRun<'a> {
+    out: &'a mut String,
+    buf: [u8; 1024],
+    len: usize,
+}
+
+impl<'a> AsciiRun<'a> {
+    fn new(out: &'a mut String) -> Self {
+        AsciiRun {
+            out,
+            buf: [0; 1024],
+            len: 0,
         }
     }
-    // `{:.2}` keeps the sign of a negative value that rounds to zero.
-    if v.is_sign_negative() {
-        at -= 1;
-        buf[at] = b'-';
+
+    /// The free space, at least `n` bytes of it.
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.len + n > self.buf.len() {
+            self.flush();
+        }
+        &mut self.buf[self.len..]
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+
+    fn push(&mut self, b: u8) {
+        self.room(1)[0] = b;
+        self.len += 1;
+    }
+
+    /// Append `v` exactly as `format!("{v:.2}")` prints it.
+    fn fixed2(&mut self, v: f64) {
+        let room = (&mut self.room(12)[..12]).try_into().expect("12 bytes");
+        match fixed2_digits(v, room) {
+            Some(len) => self.len += len,
+            None => {
+                self.flush();
+                write!(self.out, "{v:.2}").expect("a String takes any write");
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        let text = std::str::from_utf8(&self.buf[..self.len]).expect("ASCII text");
+        self.out.push_str(text);
+        self.len = 0;
+    }
 }
 
 /// An element whose start tag is being written: attributes go straight
@@ -163,7 +219,7 @@ pub fn document(out: &mut String, width: u32, height: u32) -> Tag<'_> {
 pub mod el {
     use std::fmt::Display;
 
-    use super::{fixed2_into, Tag};
+    use super::{AsciiRun, Tag};
 
     /// `<g>` group.
     pub fn group(out: &mut String) -> Tag<'_> {
@@ -174,14 +230,16 @@ pub mod el {
     pub fn polyline(out: &mut String, points: impl IntoIterator<Item = (f64, f64)>) -> Tag<'_> {
         let tag = Tag::start(out, "polyline");
         tag.out.push_str(" points=\"");
+        let mut run = AsciiRun::new(tag.out);
         for (i, (x, y)) in points.into_iter().enumerate() {
             if i > 0 {
-                tag.out.push(' ');
+                run.push(b' ');
             }
-            fixed2_into(tag.out, x);
-            tag.out.push(',');
-            fixed2_into(tag.out, y);
+            run.fixed2(x);
+            run.push(b',');
+            run.fixed2(y);
         }
+        run.flush();
         tag.out.push('"');
         tag.attr("fill", "none")
     }
