@@ -1,6 +1,6 @@
 //! Workspace-wide call graph with per-function summaries — the
-//! interprocedural backbone shared by R3 (lock discipline), R6 (deadline
-//! propagation), and R7 (epoch fencing).
+//! interprocedural backbone of R6 (deadline propagation); R3 (lock
+//! discipline) shares its stoplist.
 //!
 //! Resolution is name-based and deliberately conservative: a call site
 //! resolves to a definition only when the callee name is unambiguous —
@@ -109,8 +109,6 @@ pub struct CallSite {
     pub callee: String,
     /// 1-based line of the callee identifier.
     pub line: u32,
-    /// Token index of the callee identifier in the file's token stream.
-    pub tok: usize,
     /// Token index of the opening `(` of the argument list.
     pub args_start: usize,
     /// Token index of the matching `)`.
@@ -128,12 +126,6 @@ pub struct FnNode {
     pub file: String,
     /// Function name.
     pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
-    /// Token index of the body's opening `{`.
-    pub body_start: usize,
-    /// Token index one past the body's closing `}`.
-    pub body_end: usize,
     /// Defined inside a `#[cfg(test)]` region or `#[test]` fn?
     pub in_test: bool,
     /// Parsed signature parameters (receiver `self` excluded).
@@ -158,9 +150,6 @@ pub struct CallGraph {
     /// `resolved[f][c]` = definition index the `c`-th call site of
     /// function `f` resolves to, if unambiguous.
     pub resolved: Vec<Vec<Option<usize>>>,
-    /// `callers[f]` = list of `(caller_fn, call_site)` indices whose call
-    /// site resolved to `f`.
-    pub callers: Vec<Vec<(usize, usize)>>,
     by_crate: BTreeMap<(String, String), Vec<usize>>,
     by_name: BTreeMap<String, Vec<usize>>,
 }
@@ -296,7 +285,6 @@ fn collect_calls(tokens: &[Token], body_start: usize, body_end: usize) -> Vec<Ca
         calls.push(CallSite {
             callee: t.text.clone(),
             line: t.line,
-            tok: i,
             args_start: i + 1,
             args_end: close,
         });
@@ -317,9 +305,6 @@ impl CallGraph {
                     krate: f.krate.clone(),
                     file: f.path.clone(),
                     name: span.name.clone(),
-                    line: span.line,
-                    body_start: span.body_start,
-                    body_end: span.body_end,
                     in_test,
                     params: parse_params(toks, span.sig_start, span.body_start),
                     calls: collect_calls(toks, span.body_start, span.body_end),
@@ -344,23 +329,16 @@ impl CallGraph {
 
         let mut graph = CallGraph {
             resolved: Vec::with_capacity(fns.len()),
-            callers: vec![Vec::new(); fns.len()],
             fns,
             by_crate,
             by_name,
         };
         for caller in 0..graph.fns.len() {
-            let mut row = Vec::with_capacity(graph.fns[caller].calls.len());
-            for site in 0..graph.fns[caller].calls.len() {
-                let callee = graph.fns[caller].calls[site].callee.clone();
-                let target = graph.resolve(caller, &callee);
-                if let Some(t) = target {
-                    if !graph.fns[caller].in_test {
-                        graph.callers[t].push((caller, site));
-                    }
-                }
-                row.push(target);
-            }
+            let row = graph.fns[caller]
+                .calls
+                .iter()
+                .map(|site| graph.resolve(caller, &site.callee))
+                .collect();
             graph.resolved.push(row);
         }
         graph
@@ -386,11 +364,6 @@ impl CallGraph {
             Some(cands) if cands.len() == 1 => Some(cands[0]),
             _ => None,
         }
-    }
-
-    /// All definition indices with this name, workspace-wide.
-    pub fn defs_named(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[])
     }
 }
 
@@ -462,8 +435,6 @@ mod tests {
         assert_eq!(g.resolve(caller, "target"), Some(a_target));
         assert_eq!(g.resolve(caller, "far"), Some(far));
         assert_eq!(g.resolve(caller, "new"), None);
-        // Callers index is the reverse edge.
-        assert_eq!(g.callers[far], vec![(caller, 1)]);
     }
 
     #[test]

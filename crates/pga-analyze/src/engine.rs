@@ -7,7 +7,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{Rule, Violation, Workspace};
+use crate::rules::{all_rules, Violation, Workspace};
 use crate::source::SourceFile;
 
 /// Result of one analysis run.
@@ -101,14 +101,17 @@ pub fn lex_workspace(root: &Path) -> io::Result<Workspace> {
     Ok(Workspace { files })
 }
 
-/// Run `rules` over `ws`, then mask test regions and apply `pga-allow`
-/// suppression. Malformed annotations surface as `pga-allow-syntax`
-/// violations (never suppressible — they mean a suppression is broken),
-/// and annotations that suppressed nothing surface as `stale-allow`
-/// advisories so dead waivers can't silently accumulate.
-pub fn analyze(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Report {
+/// Run every rule over `ws`, then mask test regions and apply `pga-allow`
+/// suppression. Malformed annotations, and annotations naming a rule
+/// that does not exist, surface as `pga-allow-syntax` violations (never
+/// suppressible — they mean a suppression is broken); annotations that
+/// suppressed nothing surface as `stale-allow` advisories so dead waivers
+/// can't silently accumulate.
+pub fn analyze(ws: &Workspace) -> Report {
+    let rules = all_rules();
+    let known: BTreeSet<&str> = rules.iter().map(|r| r.id()).collect();
     let mut raw = Vec::new();
-    for rule in rules {
+    for rule in &rules {
         rule.check(ws, &mut raw);
     }
     for f in &ws.files {
@@ -120,12 +123,24 @@ pub fn analyze(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Report {
                 message: bad.problem.clone(),
             });
         }
+        for a in &f.allows {
+            for r in a.rules.iter().filter(|r| !known.contains(r.as_str())) {
+                raw.push(Violation {
+                    rule: "pga-allow-syntax",
+                    file: f.path.clone(),
+                    line: a.line,
+                    message: format!(
+                        "pga-allow names `{r}`, which is not a rule (rules: {})",
+                        known.iter().copied().collect::<Vec<_>>().join(", ")
+                    ),
+                });
+            }
+        }
     }
 
     // Mark allow usage against the raw findings *before* test masking: an
     // allow covering a finding that test-masking later drops is still
     // doing its documented job and must not read as stale.
-    let active: BTreeSet<&str> = rules.iter().map(|r| r.id()).collect();
     let mut used: Vec<Vec<bool>> = ws
         .files
         .iter()
@@ -148,13 +163,9 @@ pub fn analyze(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Report {
     let mut report = Report::default();
     for (fi, f) in ws.files.iter().enumerate() {
         for (ai, a) in f.allows.iter().enumerate() {
-            if used[fi][ai] || f.is_test_line(a.line) {
-                continue;
-            }
-            // Only call it stale when every listed rule actually ran:
-            // under a `--rules` subset the allow may serve a rule this
-            // run never checked.
-            if !a.rules.iter().all(|r| active.contains(r.as_str())) {
+            // An allow naming an unknown rule is already a syntax error.
+            let unknown = a.rules.iter().any(|r| !known.contains(r.as_str()));
+            if used[fi][ai] || unknown || f.is_test_line(a.line) {
                 continue;
             }
             report.advisories.push(Violation {

@@ -4,26 +4,20 @@
 //! clones state at every branch point and checks the model's invariant
 //! after every step and again at quiescence.
 //!
-//! This is the dynamic companion to the static rules: R4 can say "this
-//! snapshot has no cross-field consistency", the explorer *demonstrates*
-//! the interleaving that breaks it (and shows the fixed protocol passing
-//! every schedule).
-//!
-//! Two explorers share the [`Model`] trait. [`explore`] is the original
-//! naive schedule DFS — it re-walks identical states reached by different
-//! interleavings, which is fine for the small handshake models.
+//! Two explorers share the [`Model`] trait. [`explore`] is the naive
+//! schedule DFS — it re-walks identical states reached by different
+//! interleavings, and stays as the reference the other is held to.
 //! [`explore_dedup`] hashes every state it expands and skips subtrees
 //! rooted at already-seen states, turning the schedule tree into a state
-//! *space* walk; with [`ExploreLimits`] bounding depth and distinct
-//! states it scales to protocol models with crash and message-drop
-//! transitions ([`replication::ReplicationModel`]). Because a model's
+//! *space* walk; with depth and distinct-state budgets it scales to
+//! protocol models with crash and message-drop transitions
+//! ([`replication::ReplicationModel`], the one model). Because a model's
 //! `step` is deterministic per `(state, tid)`, a revisited state's
 //! subtree can only repeat what its first visit already proved, so the
 //! two explorers agree on the outcome classification (the witness
 //! schedule may differ — dedup reaches the shared state by its first
 //! discovered path).
 
-pub mod models;
 pub mod replication;
 
 use std::collections::hash_map::DefaultHasher;
@@ -147,12 +141,12 @@ fn dfs<M: Model>(
 
 /// Bounds for the state-space explorer.
 #[derive(Debug, Clone, Copy)]
-pub struct ExploreLimits {
+struct ExploreLimits {
     /// Longest schedule expanded before the run is declared runaway.
-    pub max_depth: usize,
+    max_depth: usize,
     /// Distinct states expanded before giving up with
     /// [`SpaceOutcome::BudgetExceeded`].
-    pub max_states: usize,
+    max_states: usize,
 }
 
 impl Default for ExploreLimits {
@@ -209,8 +203,8 @@ fn fingerprint<S: Hash>(s: &S) -> u64 {
     h.finish()
 }
 
-/// Explore the reachable state space of `model` depth-first with
-/// default limits, deduplicating states by hash.
+/// Explore the reachable state space of `model` depth-first,
+/// deduplicating states by hash, within 256 steps and 10⁶ distinct states.
 pub fn explore_dedup<M>(model: &M) -> SpaceOutcome
 where
     M: Model,
@@ -220,7 +214,7 @@ where
 }
 
 /// [`explore_dedup`] with explicit depth/state budgets.
-pub fn explore_dedup_limits<M>(model: &M, limits: ExploreLimits) -> SpaceOutcome
+fn explore_dedup_limits<M>(model: &M, limits: ExploreLimits) -> SpaceOutcome
 where
     M: Model,
     M::State: Hash,

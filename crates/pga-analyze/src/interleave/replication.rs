@@ -5,6 +5,21 @@
 //! most-caught-up live node — the protocol DESIGN.md §10 describes,
 //! small enough to exhaust.
 //!
+//! What each transition mirrors in the running code, all requests served
+//! by `pga-minibase/src/server.rs`'s `handle_request`:
+//!
+//! - ship delivery — the `Request::Ship` arm: compare epochs, then
+//!   `apply_replicated`, answering `ShipAck` or `ShipGap` by contiguity;
+//! - backfill — the `Request::WalTail` arm: compare epochs, then serve
+//!   `wal_batches_after`;
+//! - promotion — the master's failover sweep sends `Request::SetEpoch`
+//!   to every surviving copy, which answers with its applied sequence,
+//!   and `pga_repl::choose_promotee` picks the highest (ties to the
+//!   lowest id); a region with no surviving copy is reopened by
+//!   `Request::Open(_, Some(epoch))` under the bumped epoch, a path these
+//!   budgets never reach (it needs every copy dead);
+//! - votes — `pga_repl::QuorumTracker`.
+//!
 //! Checked invariants (every step and at quiescence):
 //!
 //! 1. **At most one primary per epoch** — promotion must fence the old

@@ -51,10 +51,6 @@ impl Rule for DeadlinePropagation {
         "deadline-propagation"
     }
 
-    fn describe(&self) -> &'static str {
-        "serving functions that receive a deadline must forward it into deadline-capable downstream calls"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Violation>) {
         let graph = CallGraph::build(ws);
         for (idx, node) in graph.fns.iter().enumerate() {

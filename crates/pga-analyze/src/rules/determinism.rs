@@ -48,10 +48,6 @@ impl Rule for Determinism {
         "determinism"
     }
 
-    fn describe(&self) -> &'static str {
-        "no ambient time/entropy (Instant::now, SystemTime::now, thread_rng, from_entropy) on the deterministic-replay surface"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Violation>) {
         for f in ws.files.iter().filter(|f| in_scope(f)) {
             let toks = &f.lexed.tokens;

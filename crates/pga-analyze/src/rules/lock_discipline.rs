@@ -228,10 +228,6 @@ impl Rule for LockDiscipline {
         "lock-discipline"
     }
 
-    fn describe(&self) -> &'static str {
-        "static lock-order graph must be acyclic; no guard held across a call into a function that itself acquires locks"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Violation>) {
         let facts = collect_facts(ws);
 

@@ -1,13 +1,10 @@
 //! Rule registry. Each rule sees the whole workspace at once — R3 needs a
 //! cross-file call-graph pass, so per-file granularity would be too narrow.
 
-pub mod config_compat;
 pub mod deadline_propagation;
 pub mod determinism;
-pub mod epoch_fencing;
 pub mod lock_discipline;
 pub mod panic_path;
-pub mod relaxed_atomics;
 pub mod retry_discipline;
 
 use crate::source::SourceFile;
@@ -35,8 +32,6 @@ pub struct Violation {
 pub trait Rule {
     /// Stable id used in output and `pga-allow` annotations.
     fn id(&self) -> &'static str;
-    /// One-line description for `--list`.
-    fn describe(&self) -> &'static str;
     /// Append findings for the whole workspace.
     fn check(&self, ws: &Workspace, out: &mut Vec<Violation>);
 }
@@ -47,11 +42,8 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(determinism::Determinism),
         Box::new(panic_path::PanicPath),
         Box::new(lock_discipline::LockDiscipline),
-        Box::new(relaxed_atomics::RelaxedAtomics),
         Box::new(retry_discipline::RetryDiscipline),
         Box::new(deadline_propagation::DeadlinePropagation),
-        Box::new(epoch_fencing::EpochFencing),
-        Box::new(config_compat::ConfigCompat),
     ]
 }
 

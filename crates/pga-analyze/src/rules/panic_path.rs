@@ -62,10 +62,6 @@ impl Rule for PanicPath {
         "panic-path"
     }
 
-    fn describe(&self) -> &'static str {
-        "no unwrap()/expect()/direct indexing in request-serving modules (proxy, minibase server/region/master, tsdb api/block/compact, cluster rpc)"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Violation>) {
         for f in ws.files.iter().filter(|f| in_scope(f)) {
             let toks = &f.lexed.tokens;

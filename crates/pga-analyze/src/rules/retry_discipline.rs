@@ -74,10 +74,6 @@ impl Rule for RetryDiscipline {
         "retry-discipline"
     }
 
-    fn describe(&self) -> &'static str {
-        "no fixed sleeps in retry loops and no unbounded channels in request-serving modules (proxy, minibase server/region/master, tsdb api/tsd, cluster rpc)"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Violation>) {
         for f in ws.files.iter().filter(|f| in_scope(f)) {
             let toks = &f.lexed.tokens;

@@ -120,14 +120,6 @@ impl SourceFile {
             .iter()
             .any(|a| (a.line == line || a.line + 1 == line) && a.rules.iter().any(|r| r == rule))
     }
-
-    /// The function span containing token index `ti`, if any (innermost).
-    pub fn enclosing_fn(&self, ti: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| f.body_start <= ti && ti < f.body_end)
-            .max_by_key(|f| f.body_start)
-    }
 }
 
 /// Parse `pga-allow(...)` annotations out of comments.

@@ -8,17 +8,14 @@ use std::fs;
 use std::path::PathBuf;
 
 use pga_analyze::engine::{self, Report};
-use pga_analyze::rules::{all_rules, Workspace};
+use pga_analyze::rules::Workspace;
 use pga_analyze::source::SourceFile;
 
 const DETERMINISM_FX: &str = include_str!("fixtures/determinism.rs");
 const PANIC_FX: &str = include_str!("fixtures/panic_path.rs");
 const LOCK_FX: &str = include_str!("fixtures/lock_cycle.rs");
-const RELAXED_FX: &str = include_str!("fixtures/relaxed_race.rs");
 const RETRY_FX: &str = include_str!("fixtures/retry_discipline.rs");
 const DEADLINE_FX: &str = include_str!("fixtures/deadline_propagation.rs");
-const FENCING_FX: &str = include_str!("fixtures/epoch_fencing.rs");
-const CONFIG_FX: &str = include_str!("fixtures/config_compat.rs");
 
 /// Lex every fixture under an origin that puts it in its rule's scope.
 fn fixture_workspace() -> Workspace {
@@ -27,12 +24,6 @@ fn fixture_workspace() -> Workspace {
             SourceFile::with_origin("fx/determinism.rs", "pga-cluster", &["sim"], DETERMINISM_FX),
             SourceFile::with_origin("fx/panic_path.rs", "pga-ingest", &["proxy"], PANIC_FX),
             SourceFile::with_origin("fx/lock_cycle.rs", "pga-minibase", &["fixture"], LOCK_FX),
-            SourceFile::with_origin(
-                "fx/relaxed_race.rs",
-                "pga-control",
-                &["fixture"],
-                RELAXED_FX,
-            ),
             SourceFile::with_origin("fx/retry_discipline.rs", "pga-tsdb", &["tsd"], RETRY_FX),
             SourceFile::with_origin(
                 "fx/deadline_propagation.rs",
@@ -40,24 +31,12 @@ fn fixture_workspace() -> Workspace {
                 &["fx_deadline"],
                 DEADLINE_FX,
             ),
-            SourceFile::with_origin(
-                "fx/epoch_fencing.rs",
-                "pga-minibase",
-                &["fx_fencing"],
-                FENCING_FX,
-            ),
-            SourceFile::with_origin(
-                "fx/config_compat.rs",
-                "pga-platform",
-                &["fx_config"],
-                CONFIG_FX,
-            ),
         ],
     }
 }
 
 fn fixture_report() -> Report {
-    engine::analyze(&fixture_workspace(), &all_rules())
+    engine::analyze(&fixture_workspace())
 }
 
 /// Extract `V:<rule>` markers: the expected (line, rule) pairs.
@@ -122,12 +101,6 @@ fn lock_cycle_fixture_matches_markers() {
 }
 
 #[test]
-fn relaxed_race_fixture_matches_markers() {
-    let report = fixture_report();
-    assert_eq!(findings(&report, "fx/relaxed_race.rs"), markers(RELAXED_FX));
-}
-
-#[test]
 fn retry_discipline_fixture_matches_markers() {
     let report = fixture_report();
     assert_eq!(
@@ -146,27 +119,6 @@ fn deadline_propagation_fixture_matches_markers() {
 }
 
 #[test]
-fn epoch_fencing_fixture_matches_markers() {
-    let report = fixture_report();
-    assert_eq!(
-        findings(&report, "fx/epoch_fencing.rs"),
-        markers(FENCING_FX)
-    );
-    // The fixed-point path must stay silent: `apply_inner` is only
-    // reached through an epoch-comparing caller.
-    assert!(!report
-        .violations
-        .iter()
-        .any(|v| v.file == "fx/epoch_fencing.rs" && v.message.contains("apply_inner")));
-}
-
-#[test]
-fn config_compat_fixture_matches_markers() {
-    let report = fixture_report();
-    assert_eq!(findings(&report, "fx/config_compat.rs"), markers(CONFIG_FX));
-}
-
-#[test]
 fn pga_allow_suppresses_exactly_once_per_fixture() {
     let report = fixture_report();
     let mut suppressed: Vec<(&str, &str)> = report
@@ -178,12 +130,9 @@ fn pga_allow_suppresses_exactly_once_per_fixture() {
     assert_eq!(
         suppressed,
         vec![
-            ("fx/config_compat.rs", "config-compat"),
             ("fx/deadline_propagation.rs", "deadline-propagation"),
             ("fx/determinism.rs", "determinism"),
-            ("fx/epoch_fencing.rs", "epoch-fencing"),
             ("fx/panic_path.rs", "panic-path"),
-            ("fx/relaxed_race.rs", "relaxed-atomics"),
             ("fx/retry_discipline.rs", "retry-discipline"),
         ]
     );
@@ -207,7 +156,7 @@ pub fn calm() -> u32 {
             src,
         )],
     };
-    let report = engine::analyze(&ws, &all_rules());
+    let report = engine::analyze(&ws);
     assert!(report.violations.is_empty());
     assert_eq!(report.advisories.len(), 1);
     let adv = &report.advisories[0];
@@ -217,27 +166,40 @@ pub fn calm() -> u32 {
 }
 
 #[test]
-fn allow_for_unchecked_rule_is_never_stale() {
-    // Under a --rules subset that skips panic-path, the annotation may
-    // serve a rule this run never checked — it must not read as stale.
+fn allow_naming_an_unknown_rule_is_reported() {
+    // A waiver for a rule that does not exist (a typo, or a rule since
+    // deleted) suppresses nothing and must not pass in silence — even
+    // when it shares its line with a rule that does fire.
     let src = "\
-// pga-allow(panic-path): waived long ago; the code it covered is gone
+// pga-allow(no-such-rule): probe
 pub fn calm() -> u32 {
     4
+}
+pub fn loud(v: &[u32]) -> u32 {
+    // pga-allow(panic-path, relaxed-atomics): the second rule is gone
+    v[0]
 }
 ";
     let ws = Workspace {
         files: vec![SourceFile::with_origin(
-            "fx/stale.rs",
+            "fx/unknown.rs",
             "pga-ingest",
             &["proxy"],
             src,
         )],
     };
-    let mut rules = all_rules();
-    rules.retain(|r| r.id() == "determinism");
-    let report = engine::analyze(&ws, &rules);
+    let report = engine::analyze(&ws);
+    let found: Vec<(&str, u32)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(
+        found,
+        vec![("pga-allow-syntax", 1), ("pga-allow-syntax", 6)]
+    );
+    assert!(report.violations[0].message.contains("`no-such-rule`"));
+    assert!(report.violations[1].message.contains("`relaxed-atomics`"));
+    // Reported once, as a broken annotation, not again as stale; and the
+    // rule that does exist still suppresses its finding.
     assert!(report.advisories.is_empty());
+    assert_eq!(report.suppressed.len(), 1);
 }
 
 #[test]
@@ -257,11 +219,8 @@ fn write_fixture_workspace() -> PathBuf {
         ("crates/pga-cluster/src/sim.rs", DETERMINISM_FX),
         ("crates/pga-ingest/src/proxy.rs", PANIC_FX),
         ("crates/pga-minibase/src/fixture.rs", LOCK_FX),
-        ("crates/pga-control/src/fixture.rs", RELAXED_FX),
         ("crates/pga-tsdb/src/tsd.rs", RETRY_FX),
         ("crates/pga-repl/src/fx_deadline.rs", DEADLINE_FX),
-        ("crates/pga-minibase/src/fx_fencing.rs", FENCING_FX),
-        ("crates/pga-platform/src/fx_config.rs", CONFIG_FX),
     ];
     for (rel, text) in files {
         let path = root.join(rel);
@@ -279,16 +238,18 @@ fn deny_all_exits_nonzero_on_fixture_workspace() {
     let root_arg = root.to_string_lossy().into_owned();
     let deny = vec!["--root".to_string(), root_arg.clone(), "--deny-all".into()];
     assert_eq!(pga_analyze::cli::run(&deny), 1);
-    // Advisory mode reports but does not fail, and --json shares its
-    // exit-code semantics.
-    let advise = vec!["--root".to_string(), root_arg.clone()];
+    // Advisory mode reports but does not fail.
+    let advise = vec!["--root".to_string(), root_arg];
     assert_eq!(pga_analyze::cli::run(&advise), 0);
-    let json = vec!["--root".to_string(), root_arg, "--json".into()];
-    assert_eq!(pga_analyze::cli::run(&json), 0);
 }
 
 #[test]
-fn unknown_rule_is_a_usage_error() {
-    let args = vec!["--rule".to_string(), "no-such-rule".into()];
-    assert_eq!(pga_analyze::cli::run(&args), 2);
+fn only_deny_all_root_and_help_parse() {
+    for gone in ["--json", "--list", "--model-check"] {
+        assert_eq!(pga_analyze::cli::run(&[gone.to_string()]), 2, "{gone}");
+    }
+    for gone in ["--rule", "--state-budget"] {
+        let args = vec![gone.to_string(), "1".into()];
+        assert_eq!(pga_analyze::cli::run(&args), 2, "{gone}");
+    }
 }

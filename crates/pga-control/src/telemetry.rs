@@ -8,95 +8,9 @@
 //! *samples* them into a [`NodeStats`] — [`collect_node_stats`] for a
 //! storage node, the platform monitor for its own front end.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pga_cluster::rpc::ServerState;
 use pga_cluster::NodeId;
 use pga_minibase::Master;
-
-/// Number of power-of-two histogram buckets: bucket `i` counts values in
-/// `[2^i, 2^(i+1))`, with bucket 0 also holding zeros and ones.
-pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Lock-free power-of-two histogram for hot-path recordings (batch sizes,
-/// queue depths at admission).
-#[derive(Debug, Default)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-/// Bucket index for `value`: `floor(log2(value))` clamped to the last
-/// bucket, with 0 and 1 both landing in bucket 0. The last bucket is
-/// open-ended — it holds everything from `2^31` up to `u64::MAX`.
-pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        ((63 - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-}
-
-impl Histogram {
-    /// Record one value.
-    ///
-    /// Write order is the publish protocol readers rely on: bucket and
-    /// sum first (Relaxed), then `count` with Release. A reader that
-    /// Acquire-loads `count` and sees `n` recordings is guaranteed the
-    /// bucket and sum contributions of all `n` are visible — see the
-    /// `histogram-snapshot` model in `pga-analyze::interleave`.
-    ///
-    /// `sum` wraps modulo 2^64 (`fetch_add` wraps by definition); `count`
-    /// stays exact, so the mean degrades but never panics.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Release);
-    }
-
-    /// Number of recordings. Acquire pairs with the Release in
-    /// [`Histogram::record`]: every counted recording's bucket/sum writes
-    /// happen-before this load returns.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
-    }
-
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing quantile `q` (approximate,
-    /// within 2× of the true value below the last bucket). 0 when empty;
-    /// `u64::MAX` when the quantile lands in the open-ended last bucket —
-    /// its values are unbounded, so `2^32` (the old answer) could be
-    /// wrong by a factor of 2^32.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return if i + 1 >= HISTOGRAM_BUCKETS {
-                    u64::MAX
-                } else {
-                    1u64 << (i + 1)
-                };
-            }
-        }
-        u64::MAX
-    }
-}
 
 /// How a metric combines across the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -469,66 +383,6 @@ mod tests {
         // A fleet that never queried or scheduled reports 0, not NaN.
         assert_eq!(FleetSnapshot { nodes: vec![] }.query_cache_hit_ratio(), 0.0);
         assert_eq!(FleetSnapshot { nodes: vec![] }.sched_mean_task_us(), 0.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_recordings() {
-        let h = Histogram::default();
-        for v in [1u64, 2, 3, 100, 100, 100, 100, 100, 100, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10);
-        // p50 falls in the bucket holding 100 → upper bound 128.
-        assert_eq!(h.quantile(0.5), 128);
-        // p99 falls in the bucket holding 1000 → upper bound 1024.
-        assert_eq!(h.quantile(0.99), 1024);
-    }
-
-    #[test]
-    fn bucket_index_boundaries() {
-        // Zero and one share bucket 0; every power of two opens its own
-        // bucket up to the clamp.
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        for i in 1..(HISTOGRAM_BUCKETS - 1) {
-            let edge = 1u64 << i;
-            assert_eq!(bucket_index(edge), i, "2^{i} opens bucket {i}");
-            assert_eq!(bucket_index(edge - 1), i - 1, "2^{i}-1 stays below");
-            assert_eq!(bucket_index(edge + 1), i, "2^{i}+1 stays inside");
-        }
-        // Everything at and past 2^31 lands in the open-ended last bucket.
-        assert_eq!(bucket_index(1u64 << 31), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_index(1u64 << 32), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn histogram_extreme_values_count_consistently() {
-        let h = Histogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 3);
-        // Sum wraps modulo 2^64 exactly like wrapping_add.
-        let expected = 0u64.wrapping_add(1).wrapping_add(u64::MAX);
-        assert!((h.mean() - expected as f64 / 3.0).abs() < 1e-9);
-        // A quantile landing in the open-ended last bucket reports
-        // u64::MAX, not the old (wrong by 2^32) upper bound of 2^32.
-        assert_eq!(h.quantile(1.0), u64::MAX);
-        // Quantiles below the last bucket still report real bounds.
-        assert_eq!(h.quantile(0.3), 2);
-    }
-
-    #[test]
-    fn histogram_sum_wraps_without_losing_count() {
-        let h = Histogram::default();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        h.record(2);
-        assert_eq!(h.count(), 3);
-        let wrapped = u64::MAX.wrapping_add(u64::MAX).wrapping_add(2);
-        assert_eq!(wrapped, 0);
-        assert!(h.mean().abs() < 1e-9, "wrapped sum of 0 gives mean 0");
     }
 
     #[test]

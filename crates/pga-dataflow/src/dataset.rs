@@ -64,7 +64,6 @@ impl Dataflow {
     /// Snapshot the cumulative scheduler counters.
     pub fn stats(&self) -> DataflowStats {
         DataflowStats {
-            // pga-allow(relaxed-atomics): independent monotonic counters; snapshot tolerates inter-field skew
             tasks_run: self.stats.tasks.load(Ordering::Relaxed),
             steals: self.stats.steals.load(Ordering::Relaxed),
             max_queue_depth: self.stats.max_queue_depth.load(Ordering::Relaxed),

@@ -878,6 +878,42 @@ mod tests {
         assert_eq!(server.published_seq(RegionId(1)), None);
     }
 
+    /// A repair fetch is fenced before it serves a byte: a reader still
+    /// on the old epoch gets `Fenced` and no cells.
+    #[test]
+    fn repair_fetch_is_fenced_by_epoch() {
+        let server = RegionServer::spawn(NodeId(0), ServerConfig::default());
+        open(
+            &server,
+            Region::new(RegionId(1), RowRange::all(), RegionConfig::default()),
+        );
+        let h = server.handle();
+        h.call(Request::PutReplicated {
+            region: RegionId(1),
+            epoch: 1,
+            kvs: vec![kv("a")],
+        })
+        .unwrap();
+        set_epoch(&server, 2);
+        let fetch = |epoch: u64| {
+            h.call(Request::RepairFetch {
+                region: RegionId(1),
+                range: RowRange::all(),
+                epoch,
+            })
+            .unwrap()
+        };
+        assert!(matches!(fetch(1), Response::Fenced { epoch: 2 }));
+        match fetch(2) {
+            Response::RepairCells { cells, applied_seq } => {
+                assert_eq!(cells, vec![kv("a")]);
+                assert_eq!(applied_seq, 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        server.shutdown();
+    }
+
     /// A repair install is fenced like every other write: the epoch it
     /// was fetched under must still be the copy's.
     #[test]

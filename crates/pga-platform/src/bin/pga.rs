@@ -39,7 +39,7 @@ commands:
              store and serve the query API over them
              (--file path --nodes 1..255 --port P --secs S)
   analyze    run the workspace lint engine (see ANALYSIS.md)
-             ([--deny-all] [--root path] [--rule id] [--list])
+             ([--deny-all] [--root path])
   crashtest --seed N [--schedule 12:crash:1,30:tear:0,...]
              replay one fault-injection seed and print its trace
 

@@ -541,7 +541,6 @@ impl Monitor {
         for tsd in self.pipeline.tsds() {
             books = books.merge(&tsd.client().repl_book().snapshot());
             let scrub = tsd.scrub_state();
-            // pga-allow(relaxed-atomics): independent monotonic counters; reporting tolerates skew
             cells += scrub.cells_scrubbed.load(Relaxed);
             corrupt += scrub.corrupt_found.load(Relaxed);
             quarantined += scrub.len() as u64;

@@ -234,7 +234,6 @@ impl QueryEngine {
     pub fn stats(&self) -> EngineStatsSnapshot {
         let c = self.cache.stats();
         EngineStatsSnapshot {
-            // pga-allow(relaxed-atomics): independent counters; scrape tolerates inter-field skew
             queries: self.stats.queries.load(Ordering::Relaxed),
             cache_hits: c.hits.load(Ordering::Relaxed),
             cache_misses: c.misses.load(Ordering::Relaxed),

@@ -94,7 +94,6 @@ impl TsdMetrics {
     /// counters are independent monotonic totals read for reporting, so
     /// one being a beat ahead of the other is tolerated.
     pub fn total_rpcs(&self) -> u64 {
-        // pga-allow(relaxed-atomics): independent monotonic counters; reporting tolerates skew
         self.put_rpcs.load(Ordering::Relaxed) + self.scan_rpcs.load(Ordering::Relaxed)
     }
 

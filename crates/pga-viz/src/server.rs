@@ -7,7 +7,7 @@
 //! with `Content-Length` bodies).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -225,7 +225,8 @@ fn serve_one(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()>
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("/").to_string();
-    let response = if content_length > MAX_BODY_BYTES {
+    let refused = content_length > MAX_BODY_BYTES;
+    let response = if refused {
         // Refused unread: no part of an over-long body reaches a route.
         HttpResponse::error_json(
             413,
@@ -264,11 +265,26 @@ fn serve_one(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()>
     // The head, then the body as it is: no copy of the page. Without
     // Nagle's delay the body's last segment need not wait for the
     // client to acknowledge the head.
-    let mut stream = reader.into_inner().stream;
+    let DeadlineReader {
+        mut stream,
+        deadline,
+    } = reader.into_inner();
     stream.set_nodelay(true)?;
     stream.write_all(response_head.as_bytes())?;
     stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    if refused {
+        // The client may still be sending the body it declared. Closing
+        // with its bytes unread would reset the connection, and the reset
+        // can discard the 413 before the client reads it; so end our
+        // half, then drop what arrives until it closes or the deadline.
+        stream.shutdown(Shutdown::Write)?;
+        let _ = std::io::copy(
+            &mut DeadlineReader { stream, deadline },
+            &mut std::io::sink(),
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -418,29 +434,33 @@ mod tests {
 
     /// A request declaring a body over `MAX_BODY_BYTES` is refused with
     /// 413 at once, not read (or waited for) up to the cap and handed on
-    /// cut short.
+    /// cut short; a client already sending that body still reads the
+    /// whole 413, not a reset.
     #[test]
     fn an_oversized_body_is_refused_before_it_is_read() {
         let handler: RequestHandler =
             Arc::new(|req: &HttpRequest| Some(HttpResponse::json(req.body.clone())));
         let server = DashboardServer::start_with(0, handler).unwrap();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.set_read_timeout(Some(REQUEST_DEADLINE / 2)).unwrap();
-        let asked = Instant::now();
-        write!(
-            s,
-            "POST /api/query HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        )
-        .unwrap();
-        let mut buf = String::new();
-        s.read_to_string(&mut buf)
-            .expect("answered before the deadline");
-        assert!(asked.elapsed() < REQUEST_DEADLINE / 2);
-        let (head, body) = buf.split_once("\r\n\r\n").unwrap();
-        assert!(head.starts_with("HTTP/1.1 413 Payload Too Large"), "{head}");
-        let v: serde_json::Value = serde_json::from_str(body).unwrap();
-        assert_eq!(v["error"]["code"], 413);
+        for sent in [0, 1 << 20] {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(REQUEST_DEADLINE / 2)).unwrap();
+            let asked = Instant::now();
+            write!(
+                s,
+                "POST /api/query HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
+                MAX_BODY_BYTES + 1
+            )
+            .unwrap();
+            s.write_all(&vec![b'x'; sent]).unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf)
+                .expect("answered before the deadline");
+            assert!(asked.elapsed() < REQUEST_DEADLINE / 2);
+            let (head, body) = buf.split_once("\r\n\r\n").unwrap();
+            assert!(head.starts_with("HTTP/1.1 413 Payload Too Large"), "{head}");
+            let v: serde_json::Value = serde_json::from_str(body).unwrap();
+            assert_eq!(v["error"]["code"], 413, "after {sent} body bytes");
+        }
         // The next request is served as before.
         let (head, _) = post(server.addr(), "/echo", "x");
         assert!(head.starts_with("HTTP/1.1 200"));
