@@ -92,16 +92,6 @@ pub const NON_CALL_KEYWORDS: &[&str] = &[
     "impl", "where", "as", "ref", "mut", "box", "unsafe",
 ];
 
-/// One parsed parameter of a function signature.
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// Binding name (`deadline_ms`). Pattern parameters keep the last
-    /// identifier of the pattern; `_` placeholders are kept verbatim.
-    pub name: String,
-    /// Type as whitespace-joined token texts (`Option < u64 >`).
-    pub ty: String,
-}
-
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
@@ -128,8 +118,10 @@ pub struct FnNode {
     pub name: String,
     /// Defined inside a `#[cfg(test)]` region or `#[test]` fn?
     pub in_test: bool,
-    /// Parsed signature parameters (receiver `self` excluded).
-    pub params: Vec<Param>,
+    /// Parameter binding names (`deadline_ms`), receiver `self`
+    /// excluded. Pattern parameters keep the last identifier of the
+    /// pattern; `_` placeholders are kept verbatim.
+    pub params: Vec<String>,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
 }
@@ -139,7 +131,7 @@ impl FnNode {
     pub fn has_param_containing(&self, needle: &str) -> bool {
         self.params
             .iter()
-            .any(|p| p.name.to_lowercase().contains(needle))
+            .any(|p| p.to_lowercase().contains(needle))
     }
 }
 
@@ -194,7 +186,7 @@ fn skip_generics(tokens: &[Token], i: usize) -> Option<usize> {
 
 /// Parse the parameter list of the signature starting at `sig_start`
 /// (the `fn` keyword). Receiver `self` parameters are dropped.
-fn parse_params(tokens: &[Token], sig_start: usize, body_start: usize) -> Vec<Param> {
+fn parse_params(tokens: &[Token], sig_start: usize, body_start: usize) -> Vec<String> {
     let mut i = sig_start + 2; // past `fn name`
     if tokens.get(i).map(|t| t.is_punct('<')).unwrap_or(false) {
         match skip_generics(tokens, i) {
@@ -245,8 +237,8 @@ fn parse_params(tokens: &[Token], sig_start: usize, body_start: usize) -> Vec<Pa
     params
 }
 
-/// Parse one comma-separated parameter segment: `mut name: Type`.
-fn parse_param_segment(seg: &[Token]) -> Option<Param> {
+/// The name in one comma-separated parameter segment: `mut name: Type`.
+fn parse_param_segment(seg: &[Token]) -> Option<String> {
     let colon = seg.iter().position(|t| t.is_punct(':'))?;
     // `self: Arc<Self>` and plain receivers are not data parameters.
     if seg[..colon].iter().any(|t| t.is_ident("self")) {
@@ -255,15 +247,8 @@ fn parse_param_segment(seg: &[Token]) -> Option<Param> {
     let name = seg[..colon]
         .iter()
         .rev()
-        .find(|t| t.kind == TokenKind::Ident && !t.is_ident("mut"))?
-        .text
-        .clone();
-    let ty = seg[colon + 1..]
-        .iter()
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ");
-    Some(Param { name, ty })
+        .find(|t| t.kind == TokenKind::Ident && !t.is_ident("mut"))?;
+    Some(name.text.clone())
 }
 
 /// Collect call sites in `body_start..body_end`: `ident (` that is not a
@@ -382,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn params_parse_names_and_types() {
+    fn params_parse_names() {
         let ws = ws(&[(
             "a.rs",
             "k",
@@ -390,10 +375,7 @@ mod tests {
         )]);
         let g = CallGraph::build(&ws);
         let f = &g.fns[0];
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0].name, "deadline_ms");
-        assert_eq!(f.params[0].ty, "Option < u64 >");
-        assert_eq!(f.params[1].name, "x");
+        assert_eq!(f.params, ["deadline_ms", "x"]);
         assert!(f.has_param_containing("deadline"));
     }
 
@@ -406,8 +388,7 @@ mod tests {
         )]);
         let g = CallGraph::build(&ws);
         let f = &g.fns[0];
-        assert_eq!(f.params.len(), 1);
-        assert_eq!(f.params[0].name, "pred");
+        assert_eq!(f.params, ["pred"]);
         // `pred(1)` is recorded as a call site even though it can't
         // resolve to a definition.
         assert_eq!(f.calls.len(), 1);

@@ -472,12 +472,13 @@ mod tests {
         let put = |row: &str| Request::PutReplicated {
             region,
             epoch: 1,
-            kvs: vec![KeyValue::new(
+            batch: vec![KeyValue::new(
                 row.as_bytes().to_vec(),
                 b"q".to_vec(),
                 1,
                 b"v".to_vec(),
-            )],
+            )]
+            .into(),
         };
         for row in ["a", "b"] {
             handle.call(put(row)).unwrap();

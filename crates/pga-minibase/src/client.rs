@@ -22,10 +22,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::batch::PutBatch;
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::master::{Directory, Master, RegionInfo};
 use crate::scanner::ScanCells;
 use crate::server::{Request, Response};
+use crate::wal::MAX_KEY_LEN;
 use pga_cluster::rpc::{PendingReply, RpcError, RpcHandle};
 use pga_cluster::NodeId;
 use pga_repl::{LagBook, QuorumDecision, QuorumTracker};
@@ -52,6 +54,12 @@ pub enum ClientError {
     /// was NOT acknowledged; resubmitting it whole is safe — any copies
     /// that did land are idempotent (same row/qualifier/timestamp).
     NoQuorum,
+    /// A put held a row key or qualifier longer than the write-ahead log
+    /// can hold ([`MAX_KEY_LEN`] bytes). Nothing of it was sent.
+    KeyTooLong {
+        /// The longest key's length.
+        len: usize,
+    },
 }
 
 impl ClientError {
@@ -75,6 +83,9 @@ impl std::fmt::Display for ClientError {
             ClientError::DeadlineExpired => write!(f, "deadline expired before service"),
             ClientError::RetriesExhausted => write!(f, "routing retries exhausted"),
             ClientError::NoQuorum => write!(f, "replicated put failed to reach write quorum"),
+            ClientError::KeyTooLong { len } => {
+                write!(f, "a {len}-byte key exceeds the WAL's {MAX_KEY_LEN}")
+            }
         }
     }
 }
@@ -209,7 +220,7 @@ enum ReplPut {
         /// Whether the failure was a quorum shortfall.
         quorum: bool,
         /// The batch, back for the retry.
-        kvs: Vec<KeyValue>,
+        batch: PutBatch,
     },
 }
 
@@ -236,12 +247,17 @@ impl Client {
         self.repl.clone()
     }
 
-    /// Write a batch of cells, routing each to its region. Returns the
-    /// number of cells written. A full server queue applies backpressure
-    /// by making this call wait.
-    pub fn put(&self, kvs: Vec<KeyValue>) -> Result<usize, ClientError> {
-        let total = kvs.len();
-        let mut pending = kvs;
+    /// Write a batch of cells, routing each run of it to its region.
+    /// Returns the number of cells written. A full server queue applies
+    /// backpressure by making this call wait. A batch with a key longer
+    /// than [`MAX_KEY_LEN`] is refused whole before anything is sent.
+    pub fn put(&self, batch: impl Into<PutBatch>) -> Result<usize, ClientError> {
+        let mut pending = batch.into();
+        let total = pending.len();
+        let len = pending.longest_key();
+        if len > MAX_KEY_LEN {
+            return Err(ClientError::KeyTooLong { len });
+        }
         let mut quorum_failed = false;
         for _attempt in 0..=self.max_retries {
             if pending.is_empty() {
@@ -251,36 +267,37 @@ impl Client {
             // entry carries the primary and any follower copies). The
             // guard is gone before the first RPC, which then leave in
             // directory order.
-            let groups: Vec<(RegionInfo, Vec<KeyValue>)> = {
+            let groups: Vec<(RegionInfo, PutBatch)> = {
                 let dir = self.directory.read();
-                let mut batches: Vec<Vec<KeyValue>> = vec![Vec::new(); dir.len()];
-                // Neighbouring cells mostly share a region: try the
-                // previous cell's entry before searching.
+                // Neighbouring runs mostly share a region: try the
+                // previous run's entry before searching.
                 let mut at = 0;
-                for kv in pending.drain(..) {
-                    let serves = |info: &RegionInfo| info.range.contains(&kv.row);
+                let mut targets = Vec::with_capacity(pending.runs.len());
+                for row in pending.rows() {
+                    let serves = |info: &RegionInfo| info.range.contains(row);
                     if !dir.get(at).is_some_and(serves) {
                         at = dir
                             .iter()
                             .position(serves)
-                            .ok_or_else(|| ClientError::NoRegionForRow(kv.row.to_vec()))?;
+                            .ok_or_else(|| ClientError::NoRegionForRow(row.to_vec()))?;
                     }
-                    batches[at].push(kv);
+                    targets.push(at);
                 }
+                let parts = std::mem::take(&mut pending).partition(&targets, dir.len());
                 dir.iter()
-                    .zip(batches)
+                    .zip(parts)
                     .filter(|(_, batch)| !batch.is_empty())
                     .map(|(info, batch)| (info.clone(), batch))
                     .collect()
             };
-            let mut retry = Vec::new();
+            let mut retry = PutBatch::new();
             quorum_failed = false;
             for (info, batch) in groups {
                 match self.put_replicated(&info, batch)? {
                     ReplPut::Done => {}
-                    ReplPut::Refresh { quorum, kvs } => {
+                    ReplPut::Refresh { quorum, batch } => {
                         quorum_failed |= quorum;
-                        retry.extend(kvs);
+                        retry.append(batch);
                     }
                 }
             }
@@ -305,11 +322,7 @@ impl Client {
     /// a refusing primary returns it in its answer — so the caller
     /// re-locates and retries it, which is safe because shipped copies
     /// are idempotent.
-    fn put_replicated(
-        &self,
-        info: &RegionInfo,
-        batch: Vec<KeyValue>,
-    ) -> Result<ReplPut, ClientError> {
+    fn put_replicated(&self, info: &RegionInfo, batch: PutBatch) -> Result<ReplPut, ClientError> {
         // The effective write quorum was resolved from the deployment's
         // ReplicationConfig when the table was created and rides on the
         // directory entry — an explicit quorum == factor must bind here,
@@ -326,25 +339,28 @@ impl Client {
             .handles
             .get(&info.server)
             .ok_or(ClientError::Rpc(RpcError::Stopped))?;
-        let (kvs, batch) = match info.followers.is_empty() {
-            true => (batch, Vec::new()),
+        let (sent, batch) = match info.followers.is_empty() {
+            true => (batch, PutBatch::new()),
             false => (batch.clone(), batch),
         };
         let req = Request::PutReplicated {
             region: info.id,
             epoch: info.epoch,
-            kvs,
+            batch: sent,
         };
         let seq = match handle.call(req) {
             Ok(Response::Appended { seq }) => {
                 tracker.record_ack(info.server);
                 seq
             }
-            Ok(Response::PutRefused { fenced, kvs }) => {
+            Ok(Response::PutRefused { fenced, batch }) => {
                 if fenced.is_some() {
                     self.repl.record_fence_rejection();
                 }
-                return Ok(ReplPut::Refresh { quorum: false, kvs });
+                return Ok(ReplPut::Refresh {
+                    quorum: false,
+                    batch,
+                });
             }
             Ok(_) => return Err(ClientError::Rpc(RpcError::Stopped)),
             Err(e) => return Err(map_rpc(e)),
@@ -358,7 +374,7 @@ impl Client {
                 region: info.id,
                 epoch: info.epoch,
                 seq,
-                kvs: batch.clone(),
+                batch: batch.clone(),
             };
             match h.call(req) {
                 Ok(Response::ShipAck { applied_seq }) => {
@@ -396,11 +412,11 @@ impl Client {
             }
             QuorumDecision::Fenced(_) => Ok(ReplPut::Refresh {
                 quorum: false,
-                kvs: batch,
+                batch,
             }),
             QuorumDecision::Pending => Ok(ReplPut::Refresh {
                 quorum: true,
-                kvs: batch,
+                batch,
             }),
         }
     }
@@ -450,12 +466,12 @@ impl Client {
         }
         let h = self.handles.get(&follower)?;
         let mut position = follower_at;
-        for (s, kvs) in batches {
+        for (s, batch) in batches {
             let req = Request::Ship {
                 region: info.id,
                 epoch: info.epoch,
                 seq: s,
-                kvs,
+                batch,
             };
             match h.call(req) {
                 Ok(Response::ShipAck { applied_seq }) => position = applied_seq,
@@ -947,7 +963,7 @@ mod tests {
             ["abxy", "xaby", "xyab"]
                 .iter()
                 .flat_map(|row| (0u8..8).map(move |q| cell(row, q)))
-                .collect(),
+                .collect::<PutBatch>(),
         )
         .unwrap();
         let window = vec![

@@ -38,8 +38,14 @@ impl KeyValue {
 
     /// Approximate heap footprint, used for memstore flush accounting.
     pub fn heap_size(&self) -> usize {
-        self.row.len() + self.qualifier.len() + self.value.len() + 8 + 3 * 16
+        heap_size_of(self.row.len(), self.qualifier.len(), self.value.len())
     }
+}
+
+/// [`KeyValue::heap_size`] of a cell with these lengths: its bytes, its
+/// timestamp and three buffer handles.
+pub(crate) fn heap_size_of(row: usize, qualifier: usize, value: usize) -> usize {
+    row + qualifier + value + 8 + 3 * 16
 }
 
 impl Ord for KeyValue {

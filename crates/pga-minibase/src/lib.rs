@@ -6,6 +6,8 @@
 //!
 //! * [`kv`] — the cell model: `(row, qualifier, timestamp) → value`, with
 //!   HBase's ordering (rows ascending, newest timestamp first).
+//! * [`batch`] — the put batch: a write's cells as row runs, carried
+//!   unchanged from the writer through routing, RPC, WAL and memstore.
 //! * [`memstore`] — the in-memory sorted write buffer.
 //! * [`wal`] — a write-ahead log enabling crash recovery of unflushed data.
 //! * [`crc`] — the workspace's one checksum, CRC-32: over WAL records here
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod client;
 pub mod crc;
 pub mod fault;
@@ -57,6 +60,7 @@ pub mod server;
 pub mod storefile;
 pub mod wal;
 
+pub use batch::PutBatch;
 pub use client::{concat_region_scans, Client, ClientError, PendingScan, RepairCopy};
 pub use crc::{crc32, crc32_extend};
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
@@ -72,4 +76,4 @@ pub use scrub::{
 };
 pub use server::{RegionServer, Request, Response, ServerConfig};
 pub use storefile::StoreFile;
-pub use wal::{WalDecodeReport, WriteAheadLog};
+pub use wal::{Cells, WalDecodeReport, WriteAheadLog, MAX_KEY_LEN};

@@ -773,7 +773,7 @@ mod tests {
             .call(Request::PutReplicated {
                 region: info.id,
                 epoch: 1,
-                kvs: vec![KeyValue::new(row.to_vec(), b"q".to_vec(), 1, b"v".to_vec())],
+                batch: vec![KeyValue::new(row.to_vec(), b"q".to_vec(), 1, b"v".to_vec())].into(),
             })
             .unwrap()
         {
@@ -828,20 +828,22 @@ mod tests {
                 .call(Request::PutReplicated {
                     region: after.id,
                     epoch,
-                    kvs: vec![KeyValue::new(
+                    batch: vec![KeyValue::new(
                         b"k".to_vec(),
                         b"q".to_vec(),
                         1,
                         b"v".to_vec(),
-                    )],
+                    )]
+                    .into(),
                 })
                 .unwrap()
         };
         match put(1) {
             Response::PutRefused {
                 fenced: Some(epoch),
-                kvs,
+                batch,
             } => {
+                let kvs = batch.into_kvs();
                 assert_eq!(epoch, 2);
                 assert_eq!(kvs.len(), 1);
                 assert_eq!(&kvs[0].row[..], b"k");
@@ -870,12 +872,13 @@ mod tests {
                 .call(Request::PutReplicated {
                     region: rid,
                     epoch: 1,
-                    kvs: vec![KeyValue::new(
+                    batch: vec![KeyValue::new(
                         format!("row{i:03}").into_bytes(),
                         b"q".to_vec(),
                         1,
                         b"v".to_vec(),
-                    )],
+                    )]
+                    .into(),
                 })
                 .unwrap();
         }
@@ -904,12 +907,13 @@ mod tests {
             .call(Request::PutReplicated {
                 region: info.id,
                 epoch: 1,
-                kvs: vec![KeyValue::new(
+                batch: vec![KeyValue::new(
                     b"k".to_vec(),
                     b"q".to_vec(),
                     1,
                     b"v".to_vec(),
-                )],
+                )]
+                .into(),
             })
             .unwrap();
         let target = m.nodes().into_iter().find(|&n| n != source).unwrap();
@@ -958,7 +962,7 @@ mod tests {
                 region: info.id,
                 epoch: info.epoch,
                 seq,
-                kvs: vec![KeyValue::new(row.to_vec(), b"q".to_vec(), 1, b"v".to_vec())],
+                batch: vec![KeyValue::new(row.to_vec(), b"q".to_vec(), 1, b"v".to_vec())].into(),
             })
             .unwrap()
         {
@@ -1007,12 +1011,13 @@ mod tests {
                 region: info.id,
                 epoch: info.epoch,
                 seq: 2,
-                kvs: vec![KeyValue::new(
+                batch: vec![KeyValue::new(
                     b"c".to_vec(),
                     b"q".to_vec(),
                     1,
                     b"v".to_vec(),
-                )],
+                )]
+                .into(),
             })
             .unwrap()
         {
@@ -1124,7 +1129,7 @@ mod tests {
                 .call(Request::PutReplicated {
                     region: info.id,
                     epoch: 1,
-                    kvs,
+                    batch: kvs.into(),
                 })
                 .unwrap()
             {

@@ -12,13 +12,14 @@ use serde::{Deserialize, Serialize};
 
 use pga_repl::{Epoch, ShipOutcome};
 
+use crate::batch::PutBatch;
 use crate::fault::{no_faults, FaultHandle};
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
 use crate::rewrite::{RewriteContext, RewriterHandle};
 use crate::scanner::{merge_scan, ScanCells};
 use crate::storefile::{RowEntry, StoreFile};
-use crate::wal::{SequenceId, WriteAheadLog};
+use crate::wal::{SequenceId, WriteAheadLog, MAX_KEY_LEN};
 
 /// Identifier of a region within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -116,6 +117,13 @@ pub enum RegionError {
     },
     /// The region cannot be split (too little data or single row).
     CannotSplit,
+    /// A row key or qualifier in the batch is longer than the
+    /// write-ahead log can hold ([`MAX_KEY_LEN`] bytes). Nothing of the
+    /// batch was written.
+    KeyTooLong {
+        /// The longest key's length.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for RegionError {
@@ -123,6 +131,9 @@ impl std::fmt::Display for RegionError {
         match self {
             RegionError::WrongRegion { row } => write!(f, "row {row:?} not in this region"),
             RegionError::CannotSplit => write!(f, "region cannot be split"),
+            RegionError::KeyTooLong { len } => {
+                write!(f, "a {len}-byte key exceeds the WAL's {MAX_KEY_LEN}")
+            }
         }
     }
 }
@@ -184,28 +195,48 @@ impl Region {
     /// thresholds are crossed. Returns the WAL sequence id assigned to
     /// the batch — the id the replication driver stamps on follower
     /// ships so every replica agrees on batch ordering. A batch with a
-    /// row outside the region is refused whole and handed back.
+    /// row outside the region, or a key the WAL cannot hold, is refused
+    /// whole and handed back.
+    ///
+    /// The `Err` variant carries the batch back by value (as
+    /// [`crate::server::Response::PutRefused`] does), so a writer re-routes
+    /// it without having kept a copy.
+    #[allow(clippy::result_large_err)]
     pub fn put_batch(
         &mut self,
-        kvs: Vec<KeyValue>,
-    ) -> Result<SequenceId, (RegionError, Vec<KeyValue>)> {
-        if let Some(kv) = kvs.iter().find(|kv| !self.range.contains(&kv.row)) {
-            let row = kv.row.clone();
-            return Err((RegionError::WrongRegion { row }, kvs));
+        batch: impl Into<PutBatch>,
+    ) -> Result<SequenceId, (RegionError, PutBatch)> {
+        let batch = batch.into();
+        if let Err(e) = self.check(&batch) {
+            return Err((e, batch));
         }
         // Deliberate injection site: mutant A (ack-before-WAL-append)
         // suppresses the append; the faithful plane never does.
         let seq = if !self.fault.skip_wal_append(self.id) {
-            self.wal.append_batch(&kvs)
+            self.wal.append_batch(&batch)
         } else {
             self.wal.last_sequence()
         };
-        self.metrics.cells_written += kvs.len() as u64;
-        self.memstore.put_all(kvs);
+        self.metrics.cells_written += batch.len() as u64;
+        self.memstore.put_batch(batch);
         if self.memstore.heap_size() >= self.config.memstore_flush_bytes {
             self.flush();
         }
         Ok(seq)
+    }
+
+    /// `Err` for a batch this region must not take: a row outside its
+    /// range, or a key too long for the WAL.
+    fn check(&self, batch: &PutBatch) -> Result<(), RegionError> {
+        if let Some(row) = batch.rows().find(|row| !self.range.contains(row)) {
+            let row = row.clone();
+            return Err(RegionError::WrongRegion { row });
+        }
+        let len = batch.longest_key();
+        if len > MAX_KEY_LEN {
+            return Err(RegionError::KeyTooLong { len });
+        }
+        Ok(())
     }
 
     /// Replication-group epoch of this copy.
@@ -231,33 +262,28 @@ impl Region {
     /// [`ShipOutcome::Gap`] means an earlier batch is missing: nothing
     /// was applied and the shipper must backfill from the primary's WAL
     /// tail ([`Region::wal_batches_after`]) before this copy can vote.
-    /// Row-range checks mirror `put_batch`: primary and follower serve
-    /// the same range, so an out-of-range row means a mis-routed ship.
+    /// The checks mirror `put_batch`: primary and follower serve the
+    /// same range, so an out-of-range row means a mis-routed ship.
     pub fn apply_replicated(
         &mut self,
         seq: SequenceId,
-        kvs: Vec<KeyValue>,
+        batch: impl Into<PutBatch>,
     ) -> Result<ShipOutcome, RegionError> {
-        for kv in &kvs {
-            if !self.range.contains(&kv.row) {
-                return Err(RegionError::WrongRegion {
-                    row: kv.row.clone(),
-                });
-            }
-        }
+        let batch = batch.into();
+        self.check(&batch)?;
         // Deliberate injection site: mutant D (gap-tolerant follower)
         // skips the contiguity check, so a missed ship leaves a silent
         // hole; the faithful plane always enforces seq == last + 1.
         let outcome = if self.fault.allow_ship_gap(self.id) {
-            self.wal.append_batch_with_seq_allow_gap(seq, &kvs)
+            self.wal.append_batch_with_seq_allow_gap(seq, &batch)
         } else {
-            self.wal.append_batch_with_seq(seq, &kvs)
+            self.wal.append_batch_with_seq(seq, &batch)
         };
         if outcome != ShipOutcome::Applied {
             return Ok(outcome);
         }
-        self.metrics.cells_written += kvs.len() as u64;
-        self.memstore.put_all(kvs);
+        self.metrics.cells_written += batch.len() as u64;
+        self.memstore.put_batch(batch);
         if self.memstore.heap_size() >= self.config.memstore_flush_bytes {
             self.flush();
         }
@@ -275,7 +301,7 @@ impl Region {
     /// the flush mark: batches already flushed to store files are gone,
     /// and a follower that far behind must stay behind (its applied
     /// sequence honestly reports its contiguous prefix).
-    pub fn wal_batches_after(&self, after: SequenceId) -> Vec<(SequenceId, Vec<KeyValue>)> {
+    pub fn wal_batches_after(&self, after: SequenceId) -> Vec<(SequenceId, PutBatch)> {
         self.wal.batches_after(after)
     }
 
@@ -444,8 +470,8 @@ impl Region {
 
     /// Scan the cells `spec` selects (rows clipped to the region's own
     /// range), merged across the memstore and all store files, sorted,
-    /// deduplicated. Store-file cells come back as ranges of the files'
-    /// shared cells; only memstore cells are copied. Every source tests a
+    /// deduplicated. Cells come back as ranges of the store files' shared
+    /// cells and of the memstore's shared chunks. Every source tests a
     /// row key against the spec's word filter once, before it takes a
     /// cell of the row, and with a column window seeks to the window in
     /// each row, so the scan costs `O(rows · log n + cells returned)`
@@ -634,7 +660,7 @@ impl Region {
         let mut encoded = self.wal.encode();
         self.fault.tear_wal(self.id, &mut encoded);
         self.wal = WriteAheadLog::from_encoded(&encoded);
-        self.memstore.put_all(self.wal.replay());
+        self.memstore.put_batch(self.wal.replay());
         WriteAheadLog::decode_report(&encoded).torn
     }
 
@@ -693,7 +719,7 @@ mod tests {
         let mut r = region();
         for row in ["a1", "a2", "b1", "b2", "c1"] {
             let cells = (0u8..8).map(|q| KeyValue::new(row.to_string(), vec![q], 1, vec![q]));
-            r.put_batch(cells.collect()).unwrap();
+            r.put_batch(cells.collect::<PutBatch>()).unwrap();
             r.flush();
         }
         r.compact();
@@ -731,7 +757,11 @@ mod tests {
         );
         let (err, refused) = r.put_batch(vec![kv("z", 1, "v")]).unwrap_err();
         assert!(matches!(err, RegionError::WrongRegion { .. }));
-        assert_eq!(refused, vec![kv("z", 1, "v")], "the batch is handed back");
+        assert_eq!(
+            refused.into_kvs(),
+            vec![kv("z", 1, "v")],
+            "the batch is handed back"
+        );
         // Whole batch is rejected atomically.
         assert_eq!(r.scan(&RowRange::all()).len(), 0);
     }

@@ -2,9 +2,9 @@
 //!
 //! A scan reply is a [`ScanCells`]: shared runs of cells, in scan order.
 //! A store file hands out index ranges into its own cell vector, so a
-//! cell is read where it lies and nothing is copied per cell; only the
-//! memstore, which keeps changing, copies what it returns, once, into a
-//! run of its own.
+//! cell is read where it lies and nothing is copied per cell; the
+//! memstore hands out ranges of the shared chunks it makes a row's cells
+//! into, once, at their first scan.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;

@@ -23,6 +23,7 @@ use parking_lot::Mutex;
 use pga_cluster::rpc::{RpcHandle, RpcServerBuilder};
 use pga_cluster::NodeId;
 
+use crate::batch::PutBatch;
 use crate::fault::FaultHandle;
 use crate::kv::{KeyValue, RowRange, ScanSpec};
 use crate::region::{Region, RegionId, RegionMetrics};
@@ -65,7 +66,7 @@ pub enum Request {
         /// The replication-group epoch the writer believes is current.
         epoch: u64,
         /// Cells to write.
-        kvs: Vec<KeyValue>,
+        batch: PutBatch,
     },
     /// Replicate a primary-assigned WAL batch onto a follower copy.
     Ship {
@@ -76,7 +77,7 @@ pub enum Request {
         /// Sequence id the primary assigned to this batch.
         seq: u64,
         /// Cells in the batch.
-        kvs: Vec<KeyValue>,
+        batch: PutBatch,
     },
     /// Scan a follower copy (the hedged-scan fallback); the answer carries
     /// the follower's applied sequence.
@@ -175,7 +176,7 @@ pub enum Response {
         /// outside it: the writer's directory is stale.
         fenced: Option<u64>,
         /// The batch, as it was sent.
-        kvs: Vec<KeyValue>,
+        batch: PutBatch,
     },
     /// A replicated put is durable on the primary under this WAL
     /// sequence id (one quorum vote; ship it to followers next).
@@ -209,7 +210,7 @@ pub enum Response {
         /// `(sequence, cells)` per retained batch, ascending. Starts at
         /// `from_seq + 1` only if that batch is still retained (not yet
         /// flushed away); the caller must verify contiguity.
-        batches: Vec<(u64, Vec<KeyValue>)>,
+        batches: Vec<(u64, PutBatch)>,
     },
     /// Follower scan results plus the follower's replication position.
     FollowerCells {
@@ -326,17 +327,27 @@ fn handle_request(
             Some(r) => Response::Cells(r.scan_spec(&scan)),
             None => Response::WrongRegion,
         },
-        Request::PutReplicated { region, epoch, kvs } => {
+        Request::PutReplicated {
+            region,
+            epoch,
+            batch,
+        } => {
             let Some(r) = regions.get_mut(&region) else {
-                return Response::PutRefused { fenced: None, kvs };
+                return Response::PutRefused {
+                    fenced: None,
+                    batch,
+                };
             };
             if r.epoch() != epoch {
                 let fenced = Some(r.epoch());
-                return Response::PutRefused { fenced, kvs };
+                return Response::PutRefused { fenced, batch };
             }
-            let resp = match r.put_batch(kvs) {
+            let resp = match r.put_batch(batch) {
                 Ok(seq) => Response::Appended { seq },
-                Err((_, kvs)) => Response::PutRefused { fenced: None, kvs },
+                Err((_, batch)) => Response::PutRefused {
+                    fenced: None,
+                    batch,
+                },
             };
             publish(published, r);
             resp
@@ -345,7 +356,7 @@ fn handle_request(
             region,
             epoch,
             seq,
-            kvs,
+            batch,
         } => {
             let Some(r) = regions.get_mut(&region) else {
                 return Response::WrongRegion;
@@ -361,7 +372,7 @@ fn handle_request(
             if r.ship_dropped() {
                 return Response::WrongRegion;
             }
-            let resp = match r.apply_replicated(seq, kvs) {
+            let resp = match r.apply_replicated(seq, batch) {
                 // Duplicate/stale ships are already durable here, so both
                 // outcomes ack with the current position.
                 Ok(pga_repl::ShipOutcome::Applied | pga_repl::ShipOutcome::Stale) => {
@@ -528,7 +539,7 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(1),
                 epoch: 1,
-                kvs: vec![kv("a"), kv("b")],
+                batch: vec![kv("a"), kv("b")].into(),
             })
             .unwrap()
         {
@@ -556,11 +567,14 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(9),
                 epoch: 1,
-                kvs: vec![kv("a")],
+                batch: vec![kv("a")].into(),
             })
             .unwrap()
         {
-            Response::PutRefused { fenced: None, kvs } => assert_eq!(kvs, vec![kv("a")]),
+            Response::PutRefused {
+                fenced: None,
+                batch,
+            } => assert_eq!(batch.into_kvs(), vec![kv("a")]),
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
@@ -582,11 +596,14 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(1),
                 epoch: 1,
-                kvs: vec![kv("z")],
+                batch: vec![kv("z")].into(),
             })
             .unwrap()
         {
-            Response::PutRefused { fenced: None, kvs } => assert_eq!(kvs, vec![kv("z")]),
+            Response::PutRefused {
+                fenced: None,
+                batch,
+            } => assert_eq!(batch.into_kvs(), vec![kv("z")]),
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
@@ -604,7 +621,7 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(1),
                 epoch: 1,
-                kvs: vec![kv("x")],
+                batch: vec![kv("x")].into(),
             })
             .unwrap();
         let moved = match a.handle().call(Request::Close(RegionId(1))) {
@@ -649,7 +666,7 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(1),
                 epoch: 1,
-                kvs: vec![kv("a")],
+                batch: vec![kv("a")].into(),
             })
             .unwrap()
         {
@@ -664,7 +681,7 @@ mod tests {
                 region: RegionId(1),
                 epoch: 1,
                 seq,
-                kvs: vec![kv("a")],
+                batch: vec![kv("a")].into(),
             })
             .unwrap()
         {
@@ -696,7 +713,7 @@ mod tests {
                 region: RegionId(1),
                 epoch: 1,
                 seq: seq + 1,
-                kvs: vec![kv("b")],
+                batch: vec![kv("b")].into(),
             })
             .unwrap()
         {
@@ -709,14 +726,15 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(1),
                 epoch: 1,
-                kvs: vec![kv("c")],
+                batch: vec![kv("c")].into(),
             })
             .unwrap()
         {
             Response::PutRefused {
                 fenced: Some(epoch),
-                kvs,
+                batch,
             } => {
+                let kvs = batch.into_kvs();
                 assert_eq!(epoch, 2);
                 assert_eq!(kvs, vec![kv("c")]);
             }
@@ -743,7 +761,7 @@ mod tests {
                 .call(Request::PutReplicated {
                     region: RegionId(1),
                     epoch: 1,
-                    kvs: vec![kv(row)],
+                    batch: vec![kv(row)].into(),
                 })
                 .unwrap()
             {
@@ -758,7 +776,7 @@ mod tests {
                     region: RegionId(1),
                     epoch: 1,
                     seq,
-                    kvs: vec![kv(row)],
+                    batch: vec![kv(row)].into(),
                 })
                 .unwrap()
         };
@@ -804,14 +822,14 @@ mod tests {
             batches.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![seqs[1], seqs[2]]
         );
-        for (seq, kvs) in batches {
+        for (seq, batch) in batches {
             match follower
                 .handle()
                 .call(Request::Ship {
                     region: RegionId(1),
                     epoch: 1,
                     seq,
-                    kvs,
+                    batch,
                 })
                 .unwrap()
             {
@@ -836,7 +854,7 @@ mod tests {
             .call(Request::PutReplicated {
                 region: RegionId(1),
                 epoch: 1,
-                kvs: vec![kv("a"), kv("b"), kv("c")],
+                batch: vec![kv("a"), kv("b"), kv("c")].into(),
             })
             .unwrap();
         let per_region = match server.handle().call(Request::Metrics).unwrap() {
@@ -865,7 +883,7 @@ mod tests {
         h.call(Request::PutReplicated {
             region: RegionId(1),
             epoch: 1,
-            kvs: vec![kv("a")],
+            batch: vec![kv("a")].into(),
         })
         .unwrap();
         server.shutdown();
@@ -891,7 +909,7 @@ mod tests {
         h.call(Request::PutReplicated {
             region: RegionId(1),
             epoch: 1,
-            kvs: vec![kv("a")],
+            batch: vec![kv("a")].into(),
         })
         .unwrap();
         set_epoch(&server, 2);
@@ -927,7 +945,7 @@ mod tests {
         h.call(Request::PutReplicated {
             region: RegionId(1),
             epoch: 1,
-            kvs: vec![kv("a")],
+            batch: vec![kv("a")].into(),
         })
         .unwrap();
         h.call(Request::Flush {

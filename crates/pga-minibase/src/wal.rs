@@ -20,6 +20,7 @@ use bytes::Bytes;
 
 use pga_repl::ShipOutcome;
 
+use crate::batch::PutBatch;
 use crate::crc::crc32;
 use crate::kv::KeyValue;
 
@@ -30,6 +31,11 @@ pub type SequenceId = u64;
 const WAL_MAGIC: &[u8; 4] = b"PGWL";
 /// Encoded-format version.
 const WAL_VERSION: u8 = 2;
+
+/// The longest row key or qualifier a cell may have: the image stores each
+/// length in two bytes. A batch holding a longer one must be refused
+/// before it is appended ([`PutBatch::longest_key`]).
+pub const MAX_KEY_LEN: usize = u16::MAX as usize;
 
 /// What [`WriteAheadLog::decode_report`] found while parsing an encoded
 /// WAL image. Used by recovery oracles: a torn tail is survivable (the
@@ -60,13 +66,26 @@ struct Batch {
 }
 
 impl Batch {
-    /// The batch's cells, decoded into owned buffers.
-    fn decode(&self) -> Vec<KeyValue> {
+    /// Append the batch's cells, decoded, to `out`.
+    fn decode_into(&self, out: &mut PutBatch) {
         let mut r = WalReader {
             bytes: &self.bytes,
             pos: 0,
         };
-        (0..self.cells).map_while(|_| decode_cell(&mut r)).collect()
+        for _ in 0..self.cells {
+            let Some((row, qualifier, version, value)) = read_cell(&mut r) else {
+                break;
+            };
+            out.open_run(row, || Bytes::copy_from_slice(row));
+            out.push_cell(Bytes::copy_from_slice(qualifier), version, value);
+        }
+    }
+
+    /// The batch's cells, decoded.
+    fn decode(&self) -> PutBatch {
+        let mut out = PutBatch::new();
+        self.decode_into(&mut out);
+        out
     }
 }
 
@@ -82,20 +101,18 @@ struct WalInner {
 }
 
 impl WalInner {
-    /// Record `kvs` as batch `seq`, the new last sequence.
-    fn push(&mut self, seq: SequenceId, kvs: &[KeyValue]) {
+    /// Record `cells` as batch `seq`, the new last sequence.
+    fn push<C: Cells + ?Sized>(&mut self, seq: SequenceId, cells: &C) {
         self.next_seq = seq;
-        if kvs.is_empty() {
+        let count = cells.count();
+        if count == 0 {
             return;
         }
-        let len = kvs.iter().map(encoded_len).sum();
-        let mut bytes = Vec::with_capacity(len);
-        for kv in kvs {
-            encode_cell(kv, &mut bytes);
-        }
+        let mut bytes = Vec::with_capacity(cells.encoded_len());
+        cells.encode(&mut bytes);
         self.batches.push(Batch {
             seq,
-            cells: kvs.len() as u32,
+            cells: count as u32,
             bytes,
         });
     }
@@ -108,21 +125,84 @@ impl WalInner {
     }
 }
 
-/// Bytes one cell takes in the encoded layout.
-fn encoded_len(kv: &KeyValue) -> usize {
-    2 + kv.row.len() + 2 + kv.qualifier.len() + 8 + 4 + kv.value.len()
+/// What an append logs: a [`PutBatch`], or [`KeyValue`]s (a slice, an
+/// array or a vector of them), every cell encoded alike. Every row key and
+/// qualifier must be at most [`MAX_KEY_LEN`] bytes long.
+pub trait Cells {
+    /// Number of cells.
+    fn count(&self) -> usize;
+    /// Bytes the cells take encoded.
+    fn encoded_len(&self) -> usize;
+    /// Append every cell, encoded, to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+}
+
+/// Bytes a cell with these lengths takes encoded.
+fn encoded_len(row: usize, qualifier: usize, value: usize) -> usize {
+    2 + row + 2 + qualifier + 8 + 4 + value
 }
 
 /// Append one cell: `row_len u16 | row | qual_len u16 | qual | ts u64 |
 /// val_len u32 | value`, little-endian.
-fn encode_cell(kv: &KeyValue, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(kv.row.len() as u16).to_le_bytes());
-    out.extend_from_slice(&kv.row);
-    out.extend_from_slice(&(kv.qualifier.len() as u16).to_le_bytes());
-    out.extend_from_slice(&kv.qualifier);
-    out.extend_from_slice(&kv.timestamp.to_le_bytes());
-    out.extend_from_slice(&(kv.value.len() as u32).to_le_bytes());
-    out.extend_from_slice(&kv.value);
+fn encode_cell(row: &[u8], qualifier: &[u8], version: u64, value: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
+    out.extend_from_slice(row);
+    out.extend_from_slice(&(qualifier.len() as u16).to_le_bytes());
+    out.extend_from_slice(qualifier);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(value);
+}
+
+/// A run at a time: its row's length and bytes are read once.
+impl Cells for PutBatch {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn encoded_len(&self) -> usize {
+        let mut start = 0;
+        let rows: usize = self
+            .runs
+            .iter()
+            .map(|(row, end)| {
+                let cells = end - start;
+                start = *end;
+                cells * encoded_len(row.len(), 0, 0)
+            })
+            .sum();
+        rows + self.qualifiers.iter().map(|q| q.len()).sum::<usize>() + self.values.len()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        let mut cells = self.qualifiers.iter().zip(&self.versions).zip(&self.ends);
+        let (mut start, mut from) = (0, 0);
+        for (row, end) in &self.runs {
+            for ((qualifier, &version), &to) in cells.by_ref().take(end - start) {
+                encode_cell(row, qualifier, version, &self.values[from..to], out);
+                from = to;
+            }
+            start = *end;
+        }
+    }
+}
+
+/// A cell at a time.
+impl<C: AsRef<[KeyValue]> + ?Sized> Cells for C {
+    fn count(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn encoded_len(&self) -> usize {
+        let len = |kv: &KeyValue| encoded_len(kv.row.len(), kv.qualifier.len(), kv.value.len());
+        self.as_ref().iter().map(len).sum()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        for kv in self.as_ref() {
+            encode_cell(&kv.row, &kv.qualifier, kv.timestamp, &kv.value, out);
+        }
+    }
 }
 
 /// A shareable write-ahead log for one region.
@@ -138,10 +218,10 @@ impl WriteAheadLog {
     }
 
     /// Append a batch atomically; returns the batch's sequence id.
-    pub fn append_batch(&self, kvs: &[KeyValue]) -> SequenceId {
+    pub fn append_batch<C: Cells + ?Sized>(&self, cells: &C) -> SequenceId {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq + 1;
-        inner.push(seq, kvs);
+        inner.push(seq, cells);
         seq
     }
 
@@ -155,7 +235,11 @@ impl WriteAheadLog {
     /// read `last_sequence()` as "holds every batch up to here" — a
     /// gapped WAL would report the position of its newest batch while
     /// silently missing earlier acked ones.
-    pub fn append_batch_with_seq(&self, seq: SequenceId, kvs: &[KeyValue]) -> ShipOutcome {
+    pub fn append_batch_with_seq<C: Cells + ?Sized>(
+        &self,
+        seq: SequenceId,
+        cells: &C,
+    ) -> ShipOutcome {
         let mut inner = self.inner.lock();
         if seq <= inner.next_seq {
             return ShipOutcome::Stale;
@@ -163,7 +247,7 @@ impl WriteAheadLog {
         if seq != inner.next_seq + 1 {
             return ShipOutcome::Gap;
         }
-        inner.push(seq, kvs);
+        inner.push(seq, cells);
         ShipOutcome::Applied
     }
 
@@ -172,16 +256,16 @@ impl WriteAheadLog {
     /// This is the *broken* pre-backfill semantics, kept solely as the
     /// injection target for the gap-tolerant-follower mutant — the
     /// faithful stack must never call it.
-    pub fn append_batch_with_seq_allow_gap(
+    pub fn append_batch_with_seq_allow_gap<C: Cells + ?Sized>(
         &self,
         seq: SequenceId,
-        kvs: &[KeyValue],
+        cells: &C,
     ) -> ShipOutcome {
         let mut inner = self.inner.lock();
         if seq <= inner.next_seq {
             return ShipOutcome::Stale;
         }
-        inner.push(seq, kvs);
+        inner.push(seq, cells);
         ShipOutcome::Applied
     }
 
@@ -191,7 +275,7 @@ impl WriteAheadLog {
     /// discarded: a tail that no longer reaches back to `after + 1` means
     /// the follower cannot be caught up from this log and must stay
     /// behind (safe — its applied sequence honestly reports its prefix).
-    pub fn batches_after(&self, after: SequenceId) -> Vec<(SequenceId, Vec<KeyValue>)> {
+    pub fn batches_after(&self, after: SequenceId) -> Vec<(SequenceId, PutBatch)> {
         let inner = self.inner.lock();
         inner
             .batches
@@ -217,9 +301,13 @@ impl WriteAheadLog {
 
     /// Entries newer than the flush mark, in append order — the data a
     /// recovering server must replay into a fresh memstore.
-    pub fn replay(&self) -> Vec<KeyValue> {
+    pub fn replay(&self) -> PutBatch {
         let inner = self.inner.lock();
-        inner.unflushed().flat_map(Batch::decode).collect()
+        let mut out = PutBatch::new();
+        for batch in inner.unflushed() {
+            batch.decode_into(&mut out);
+        }
+        out
     }
 
     /// Mark everything up to `seq` as flushed and drop those batches.
@@ -357,17 +445,6 @@ fn read_cell<'a>(r: &mut WalReader<'a>) -> Option<CellFields<'a>> {
     Some((row, qualifier, timestamp, value))
 }
 
-/// The next encoded cell as an owned [`KeyValue`].
-fn decode_cell(r: &mut WalReader<'_>) -> Option<KeyValue> {
-    let (row, qualifier, timestamp, value) = read_cell(r)?;
-    Some(KeyValue {
-        row: Bytes::copy_from_slice(row),
-        qualifier: Bytes::copy_from_slice(qualifier),
-        timestamp,
-        value: Bytes::copy_from_slice(value),
-    })
-}
-
 /// One record parsed from the image, or `None` when the tail is torn: the
 /// record's cells are walked to find its end, then its checksum checked,
 /// and the cell bytes kept as they are.
@@ -451,7 +528,7 @@ mod tests {
         let wal = WriteAheadLog::new();
         wal.append_batch(&[kv("a", 1), kv("b", 1)]);
         wal.append_batch(&[kv("c", 2)]);
-        let replayed = wal.replay();
+        let replayed = wal.replay().into_kvs();
         assert_eq!(replayed.len(), 3);
         assert_eq!(&replayed[0].row[..], b"a");
         assert_eq!(&replayed[2].row[..], b"c");
@@ -463,7 +540,7 @@ mod tests {
         let s1 = wal.append_batch(&[kv("a", 1)]);
         let _s2 = wal.append_batch(&[kv("b", 1)]);
         wal.mark_flushed(s1);
-        let replayed = wal.replay();
+        let replayed = wal.replay().into_kvs();
         assert_eq!(replayed.len(), 1);
         assert_eq!(&replayed[0].row[..], b"b");
         assert_eq!(wal.unflushed_len(), 1);
@@ -763,7 +840,11 @@ mod tests {
         let rows = |cells: &[KeyValue]| -> Vec<Vec<u8>> {
             cells.iter().map(|kv| kv.row.to_vec()).collect()
         };
-        let tail = wal.batches_after(0);
+        let tail: Vec<(SequenceId, Vec<KeyValue>)> = wal
+            .batches_after(0)
+            .into_iter()
+            .map(|(s, batch)| (s, batch.into_kvs()))
+            .collect();
         let per_batch: Vec<(SequenceId, Vec<Vec<u8>>)> =
             tail.iter().map(|(s, kvs)| (*s, rows(kvs))).collect();
         assert_eq!(
@@ -777,7 +858,7 @@ mod tests {
         assert_eq!(tail[1].1[0].timestamp, u64::MAX);
         assert_eq!(&tail[1].1[0].value[..], b"\xff\xfe\xfd");
         assert_eq!(
-            wal.replay(),
+            wal.replay().into_kvs(),
             tail.iter()
                 .flat_map(|(_, kvs)| kvs.clone())
                 .collect::<Vec<_>>()
@@ -798,7 +879,7 @@ mod tests {
         // whole, and encodes back to the image up to the last of them.
         let mut ends = vec![13];
         for (_, kvs) in &tail {
-            let cells: usize = kvs.iter().map(encoded_len).sum();
+            let cells: usize = kvs.encoded_len();
             ends.push(ends[ends.len() - 1] + 16 + cells);
         }
         assert_eq!(ends.last(), Some(&image.len()));
@@ -810,7 +891,7 @@ mod tests {
                 .iter()
                 .flat_map(|(_, kvs)| kvs.clone())
                 .collect();
-            assert_eq!(torn.replay(), expected, "cut at {cut}");
+            assert_eq!(torn.replay().into_kvs(), expected, "cut at {cut}");
             assert_eq!(torn.unflushed_len(), expected.len());
             assert_eq!(torn.encode(), image[..ends[whole]]);
             let report = WriteAheadLog::decode_report(&image[..cut]);

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use pga_cluster::coordinator::Coordinator;
 use pga_cluster::rpc::default_clock_ms;
 use pga_minibase::{
-    Client, ColumnRange, KeyValue, Master, RegionConfig, RowRange, RowWords, ScanCells, ScanSpec,
-    ServerConfig, TableDescriptor,
+    Client, ColumnRange, KeyValue, Master, PutBatch, RegionConfig, RowRange, RowWords, ScanCells,
+    ScanSpec, ServerConfig, TableDescriptor,
 };
 
 /// A table split at `splits`, one copy or two.
@@ -80,7 +80,7 @@ proptest! {
         reverse in any::<bool>(),
     ) {
         let (master, client) = cluster(&splits, factor);
-        client.put(cells.iter().map(cell).collect()).unwrap();
+        client.put(cells.iter().map(cell).collect::<PutBatch>()).unwrap();
         let specs: Vec<ScanSpec> = specs.iter().map(spec).collect();
         let blocking: Vec<ScanCells> =
             specs.iter().map(|s| client.scan_spec(s).unwrap()).collect();

@@ -348,7 +348,7 @@ proptest! {
         let _ = std::mem::replace(&mut recovered, {
             let mut r = Region::new(RegionId(1), RowRange::all(), RegionConfig::default());
             // Attach the surviving WAL by replaying it.
-            for kv in wal.replay() {
+            for kv in wal.replay().into_kvs() {
                 r.put_batch(vec![kv]).unwrap();
             }
             r
@@ -750,7 +750,7 @@ proptest! {
         cuts.sort_unstable();
         let mut from = 0;
         for to in cuts.into_iter().chain([cells.len()]) {
-            batched.put_all(cells[from..to].iter().cloned());
+            batched.put_batch(cells[from..to].iter().cloned().collect());
             from = to;
         }
         prop_assert_eq!(

@@ -264,7 +264,9 @@ impl From<TsdError> for ApiError {
     /// anything else is the storage layer's (500).
     fn from(e: TsdError) -> Self {
         match e {
-            TsdError::TimestampOutOfRange { .. } => ApiError::BadRequest(e.to_string()),
+            TsdError::TimestampOutOfRange { .. } | TsdError::TooManyTags { .. } => {
+                ApiError::BadRequest(e.to_string())
+            }
             _ => ApiError::Storage(e),
         }
     }
@@ -273,9 +275,10 @@ impl From<TsdError> for ApiError {
 /// Handle an `/api/put` body: a single datapoint object or an array of
 /// them (both accepted, like OpenTSDB). Returns the number of points
 /// written. The whole body is validated before anything is written: a
-/// point without tags, with a non-finite value, with a timestamp no row
-/// key can hold, or with an empty or reserved ([`RESERVED_PREFIX`]) metric
-/// or tag name rejects the request. A valid body is written with one
+/// point without tags, with more tags than a row key can hold, with a
+/// non-finite value, with a timestamp no row key can hold, or with an
+/// empty or reserved ([`RESERVED_PREFIX`]) metric or tag name rejects the
+/// request. A valid body is written with one
 /// [`Tsd::put_batch`] per distinct metric, in body order.
 pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
     let points: Vec<PutDatapoint> = if body.trim_start().starts_with('[') {
@@ -296,6 +299,7 @@ pub fn handle_put(tsd: &Tsd, body: &str) -> Result<usize, ApiError> {
             return Err(ApiError::BadRequest("non-finite value".into()));
         }
         tsd.check_timestamp(p.timestamp)?;
+        tsd.check_tags(p.tags.len())?;
         // The reserved prefix names the system's own series (rollup shadow
         // metrics); only the TSD's observers may write those.
         let names = p.tags.iter().flat_map(|(k, v)| [k, v]);
@@ -633,6 +637,45 @@ mod tests {
             handle_put(&t, no_tags),
             Err(ApiError::BadRequest(_))
         ));
+        m.shutdown();
+    }
+
+    /// A row key is 8 bytes and 6 a tag, and the storage layer logs keys
+    /// of up to 65 535 bytes. A point of more tags than that holds used to
+    /// be acked and logged with its key's length wrapped, and recovery
+    /// then lost it and every later unflushed batch of its region. It is
+    /// refused with a 400 before anything is written.
+    #[test]
+    fn a_point_with_more_tags_than_a_row_key_holds_is_refused() {
+        let (m, t) = tsd();
+        let tags = |n: usize| -> String {
+            let pairs: Vec<String> = (0..n).map(|i| format!(r#""k{i}":"v""#)).collect();
+            pairs.join(",")
+        };
+        let point = |ts: u64, n: usize| {
+            format!(
+                r#"{{"metric":"energy","timestamp":{ts},"value":1.0,"tags":{{{}}}}}"#,
+                tags(n)
+            )
+        };
+        let rpcs = || {
+            t.metrics()
+                .put_rpcs
+                .load(std::sync::atomic::Ordering::Relaxed)
+        };
+        let before = rpcs();
+        let body = format!("[{},{}]", point(5, 1), point(6, 10_922));
+        let refused = handle_put(&t, &body).unwrap_err();
+        assert_eq!(refused.status(), 400, "{refused:?}");
+        assert_eq!(rpcs(), before, "a refused body issues no put");
+        assert_eq!(handle_put(&t, &point(7, 10_921)).unwrap(), 1);
+        let stored = t.query("energy", &QueryFilter::any(), 0, 10).unwrap();
+        let stamps: Vec<u64> = stored
+            .iter()
+            .flat_map(|s| &s.points)
+            .map(|p| p.timestamp)
+            .collect();
+        assert_eq!(stamps, [7]);
         m.shutdown();
     }
 

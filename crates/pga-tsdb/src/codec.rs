@@ -195,6 +195,13 @@ impl KeyCodec {
         self.row_of(&self.resolve(metric, tags), timestamp)
     }
 
+    /// The most tags a row key can hold: a key is 8 bytes and 6 a tag, and
+    /// the storage layer logs keys of at most
+    /// [`pga_minibase::MAX_KEY_LEN`] bytes.
+    pub fn max_tags() -> usize {
+        (pga_minibase::MAX_KEY_LEN - 8) / 6
+    }
+
     /// The last timestamp a row key can hold. The base time is four bytes
     /// and a scan names the row after its last one, so the last row is the
     /// one before the last base time that fits.
@@ -232,7 +239,12 @@ impl KeyCodec {
 
     /// Value encoding: big-endian IEEE-754 double.
     pub fn value(&self, v: f64) -> Bytes {
-        Bytes::copy_from_slice(&v.to_be_bytes())
+        Bytes::copy_from_slice(&self.value_bytes(v))
+    }
+
+    /// [`KeyCodec::value`]'s bytes, unallocated.
+    pub fn value_bytes(&self, v: f64) -> [u8; 8] {
+        v.to_be_bytes()
     }
 
     /// Decode just a row key into `(metric, tags, base_time)`. Returns

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pga_minibase::{Client, ClientError, KeyValue, RowRange};
+use pga_minibase::{Client, ClientError, KeyValue, PutBatch, RowRange};
 
 use crate::block::BlockError;
 use crate::codec::KeyCodec;
@@ -129,6 +129,15 @@ pub enum TsdError {
     /// whose id means a different series here. Nothing of its batch was
     /// written.
     ForeignSeries,
+    /// A put named a point with more tags than a row key can hold
+    /// ([`KeyCodec::max_tags`]): its key would be longer than the storage
+    /// layer can log. Nothing of its batch was written.
+    TooManyTags {
+        /// The point's tag count.
+        tags: usize,
+        /// The most a row key holds.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for TsdError {
@@ -142,6 +151,9 @@ impl std::fmt::Display for TsdError {
             ),
             TsdError::ForeignSeries => {
                 write!(f, "series resolved through another codec's series table")
+            }
+            TsdError::TooManyTags { tags, max } => {
+                write!(f, "{tags} tags: a row key holds at most {max}")
             }
         }
     }
@@ -160,7 +172,8 @@ impl TsdError {
             TsdError::Storage(e) => e.retry_after_ms(),
             TsdError::Corrupt(_)
             | TsdError::TimestampOutOfRange { .. }
-            | TsdError::ForeignSeries => None,
+            | TsdError::ForeignSeries
+            | TsdError::TooManyTags { .. } => None,
         }
     }
 
@@ -345,6 +358,16 @@ impl Tsd {
         Ok(())
     }
 
+    /// `Err` for a point with more tags than a row key can hold. A put
+    /// checks its whole batch with this before it writes anything.
+    pub fn check_tags(&self, tags: usize) -> Result<(), TsdError> {
+        let max = KeyCodec::max_tags();
+        if tags > max {
+            return Err(TsdError::TooManyTags { tags, max });
+        }
+        Ok(())
+    }
+
     /// Write one data point.
     pub fn put(
         &self,
@@ -362,8 +385,9 @@ impl Tsd {
     /// codec, then the batch is [`Tsd::put_series_batch`]'s.
     pub fn put_batch(&self, metric: &str, points: &[BatchPoint<'_>]) -> Result<(), TsdError> {
         // A batch that cannot be written interns none of its names.
-        for &(_, timestamp, _) in points {
+        for &(tags, timestamp, _) in points {
             self.check_timestamp(timestamp)?;
+            self.check_tags(tags.len())?;
         }
         let resolved: Vec<SeriesPoint> = points
             .iter()
@@ -387,18 +411,21 @@ impl Tsd {
                 return Err(TsdError::ForeignSeries);
             }
         }
-        let (mut kvs, finished) = self.raw_cells(points);
+        let (mut batch, finished) = self.raw_cells(points);
         if self.config.write_path_compaction {
             for row in finished {
                 self.compact_row(row)?;
             }
         }
-        let n = kvs.len() as u64;
+        let n = batch.len() as u64;
         // Derived cells buffered by the observer ride along with this RPC.
         let carried: Vec<KeyValue> = std::mem::take(&mut *self.pending_derived.lock());
         let carried_n = carried.len();
-        kvs.extend(carried.iter().cloned());
-        if let Err(e) = self.client.put(kvs) {
+        batch.reserve(carried_n, carried.iter().map(|kv| kv.value.len()).sum());
+        for kv in &carried {
+            batch.push(&kv.row, kv.qualifier.clone(), kv.timestamp, &kv.value);
+        }
+        if let Err(e) = self.client.put(batch) {
             // Re-buffer the derived cells (ahead of any buffered since);
             // the raw batch itself is the caller's to retry.
             if carried_n > 0 {
@@ -427,18 +454,22 @@ impl Tsd {
         Ok(())
     }
 
-    /// The raw cell of every point, plus the rows a series of the batch
-    /// moved off (its previous row-hour, finished unless data arrives
-    /// late). A cell takes its row key from the series' slot in `rows`;
-    /// only the first cell of a series in a row-hour builds one.
+    /// The raw cell of every point, as one batch of row runs, plus the
+    /// rows a series of the batch moved off (its previous row-hour,
+    /// finished unless data arrives late). A run takes its row key from
+    /// the series' slot in `rows`; only the first cell of a series in a
+    /// row-hour builds one. A cell is its qualifier (a clone from the
+    /// codec's table), its version and its value's eight bytes in the
+    /// batch's one buffer: nothing is allocated per point.
     ///
     /// Cells come out grouped by series, each series' points in the order
-    /// they arrived, so neighbouring cells share a row and a region finds
-    /// each row once per run ([`pga_minibase::MemStore::put_all`]). The
-    /// order sorts `(series id, index)`, packed in one word: as stable as
-    /// the batch, so a key written twice keeps its last value, and its
-    /// cost does not grow with the series table.
-    fn raw_cells(&self, points: &[SeriesPoint]) -> (Vec<KeyValue>, Vec<Bytes>) {
+    /// they arrived, so neighbouring cells share a row: a run per series
+    /// and row-hour, which a region finds once
+    /// ([`pga_minibase::MemStore::put_batch`]). The order sorts `(series
+    /// id, index)`, packed in one word: as stable as the batch, so a key
+    /// written twice keeps its last value, and its cost does not grow with
+    /// the series table.
+    fn raw_cells(&self, points: &[SeriesPoint]) -> (PutBatch, Vec<Bytes>) {
         let span = self.codec.config().row_span_secs;
         // A batch of 2^32 points would need 96 GiB for its points alone.
         let mut order: Vec<u64> = points
@@ -447,7 +478,14 @@ impl Tsd {
             .map(|(at, (series, ..))| u64::from(series.id()) << 32 | at as u64)
             .collect();
         order.sort_unstable();
-        let mut kvs = Vec::with_capacity(points.len());
+        // A run per series, bar the rare series that crosses into its next
+        // row-hour inside the batch.
+        let series = 1 + order
+            .windows(2)
+            .filter(|w| w[0] >> 32 != w[1] >> 32)
+            .count();
+        let value_bytes = points.len() * std::mem::size_of::<f64>();
+        let mut batch = PutBatch::with_capacity(series, points.len(), value_bytes);
         let mut finished = Vec::new();
         let mut rows = self.rows.lock();
         for (series, ts, value) in order.into_iter().map(|key| &points[key as u32 as usize]) {
@@ -455,24 +493,15 @@ impl Tsd {
             if rows.len() <= id {
                 rows.resize(id + 1, None);
             }
-            let row = match &rows[id] {
-                Some((open, row)) if *open == base => row.clone(),
-                _ => {
-                    let row = self.codec.row_of(series, base);
-                    if let Some((_, previous)) = rows[id].replace((base, row.clone())) {
-                        finished.push(previous);
-                    }
-                    row
-                }
-            };
-            kvs.push(KeyValue::new(
-                row,
-                self.codec.qualifier(*ts),
-                ts * 1000,
-                self.codec.value(*value),
-            ));
+            let slot = &mut rows[id];
+            if slot.as_ref().is_some_and(|(open, _)| *open != base) {
+                finished.extend(slot.take().map(|(_, row)| row));
+            }
+            let (_, row) = slot.get_or_insert_with(|| (base, self.codec.row_of(series, base)));
+            let qualifier = self.codec.qualifier(*ts);
+            batch.push(row, qualifier, ts * 1000, &self.codec.value_bytes(*value));
         }
-        (kvs, finished)
+        (batch, finished)
     }
 
     /// The write-path compaction model: read a finished row back and

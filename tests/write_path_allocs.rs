@@ -6,12 +6,14 @@
 //!
 //! Before the series table (ISSUE 20) a sample cost about 22 allocations
 //! between the row-key encoder and the rollup observer — for names that
-//! are the same on every tick. What is left is the value buffer of each
-//! cell — its qualifier is a clone from the codec's table of offsets —
-//! plus a handful of vectors per batch; a change that
-//! brings per-sample name handling back fails here on any machine. The
-//! same holds for a string per number or per `dps` key on the text path.
-//! Scoring a window allocates per call, not per sensor.
+//! are the same on every tick — and until put batches carried row runs a
+//! cell still cost its value buffer. What is left is a handful of vectors
+//! per batch, however many series it writes: the cells' values are packed
+//! into one buffer and their qualifiers are clones from the codec's table
+//! of offsets. A change that brings per-sample allocation back fails here
+//! on any machine. The same holds for a string per number or per `dps`
+//! key on the text path. Scoring a window allocates per call, not per
+//! sensor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,17 +62,17 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, count)
 }
 
-#[test]
-fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
-    const SERIES: u64 = 256;
-    let stack = IngestionPipeline::new(2, 1, SERIES as usize);
+/// Allocations of a steady-state `put_batch` of one point for each of
+/// `series` series, through a TSD with a rollup observer.
+fn steady_put_batch(series: u64) -> u64 {
+    let stack = IngestionPipeline::new(2, 1, series as usize);
     let tsd = stack.tsd();
     tsd.set_observer(Arc::new(RollupWriter::new(
         tsd.codec().clone(),
         vec![60, 600],
         0,
     )));
-    let sensors: Vec<String> = (0..SERIES).map(|s| s.to_string()).collect();
+    let sensors: Vec<String> = (0..series).map(|s| s.to_string()).collect();
     let tags: Vec<[(&str, &str); 2]> = sensors
         .iter()
         .map(|s| [("unit", "0"), ("sensor", s.as_str())])
@@ -85,36 +87,46 @@ fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
     let points = batch(102);
     let (result, count) = allocations(|| tsd.put_batch("energy", &points));
     result.unwrap();
-    // The value of each cell, plus the per-batch vectors of the TSD, of
-    // `Client::put` and of the RPC. Qualifiers come from the codec's table.
-    assert!(
-        count <= SERIES + 64,
-        "{count} allocations for {SERIES} samples"
-    );
-    assert!(count >= SERIES, "the counter counts: {count}");
 
     // A name resolves without allocating; its row key is one buffer.
     let codec = tsd.codec();
-    let (series, count) = allocations(|| codec.resolve("energy", &tags[7]));
-    assert_eq!(count, 0);
+    let (resolved, none) = allocations(|| codec.resolve("energy", &tags[7]));
+    assert_eq!(none, 0);
     let swapped = [tags[7][1], tags[7][0]];
     codec.resolve("energy", &swapped); // first sight of this spelling
-    let (again, count) = allocations(|| codec.resolve("energy", &swapped));
-    assert_eq!((again.id(), count), (series.id(), 0));
-    let (row, count) = allocations(|| codec.row_key("energy", &tags[7], 102));
-    assert_eq!(count, 1);
-    assert_eq!(row, codec.row_of(&series, 102));
+    let (again, none) = allocations(|| codec.resolve("energy", &swapped));
+    assert_eq!((again.id(), none), (resolved.id(), 0));
+    let (row, one) = allocations(|| codec.row_key("energy", &tags[7], 102));
+    assert_eq!(one, 1);
+    assert_eq!(row, codec.row_of(&resolved, 102));
     stack.shutdown();
+    count
 }
 
-/// The proxy's path: each sensor's series looked up in a worker's own
-/// table by `(unit, sensor)` and forwarded resolved. A repeat lookup
-/// allocates nothing, and a steady-state `put_series_batch` allocates for
-/// its cells only, like `put_batch` without the resolution.
+/// The per-batch vectors of the TSD, of `Client::put` and of the RPC: 25
+/// at 256 series and at 1 024 alike. No term grows with the batch.
+const PER_BATCH: u64 = 32;
+
+/// The put batch's own columns (qualifiers, versions, value ends, values):
+/// a count below them would mean the counter missed the put.
+const COLUMNS: u64 = 4;
+
 #[test]
-fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
-    const SERIES: u64 = 256;
-    let stack = IngestionPipeline::new(2, 1, SERIES as usize);
+fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
+    for series in [256, 1_024] {
+        let count = steady_put_batch(series);
+        assert!(
+            count <= PER_BATCH,
+            "{count} allocations for {series} samples"
+        );
+        assert!(count >= COLUMNS, "the counter counts: {count}");
+    }
+}
+
+/// Allocations of a steady-state `put_series_batch` of one point for each
+/// of `series` series, looked up as the proxy looks them up.
+fn steady_put_series_batch(series: u64) -> u64 {
+    let stack = IngestionPipeline::new(2, 1, series as usize);
     let tsd = stack.tsd();
     tsd.set_observer(Arc::new(RollupWriter::new(
         tsd.codec().clone(),
@@ -123,7 +135,7 @@ fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
     )));
     let mut names = SensorSeries::new(tsd.codec().clone());
     let batch = |names: &mut SensorSeries, ts: u64| -> Vec<SeriesPoint> {
-        (0..SERIES as u32)
+        (0..series as u32)
             .map(|s| (names.get(0, s).clone(), ts, ts as f64))
             .collect()
     };
@@ -133,20 +145,31 @@ fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
     let points = batch(&mut names, 102);
     let (result, count) = allocations(|| tsd.put_series_batch(&points));
     result.unwrap();
-    // The value of each cell, plus the per-batch vectors.
-    assert!(
-        count <= SERIES + 64,
-        "{count} allocations for {SERIES} samples"
-    );
-    assert!(count >= SERIES, "the counter counts: {count}");
 
-    let (series, count) = allocations(|| names.get(0, 7).clone());
-    assert_eq!(count, 0);
+    let (found, none) = allocations(|| names.get(0, 7).clone());
+    assert_eq!(none, 0);
     let by_name = tsd
         .codec()
         .resolve("energy", &[("unit", "0"), ("sensor", "7")]);
-    assert!(Arc::ptr_eq(&series, &by_name));
+    assert!(Arc::ptr_eq(&found, &by_name));
     stack.shutdown();
+    count
+}
+
+/// The proxy's path: each sensor's series looked up in a worker's own
+/// table by `(unit, sensor)` and forwarded resolved. A repeat lookup
+/// allocates nothing, and a steady-state `put_series_batch` allocates per
+/// batch, like `put_batch` without the resolution.
+#[test]
+fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
+    for series in [256, 1_024] {
+        let count = steady_put_series_batch(series);
+        assert!(
+            count <= PER_BATCH,
+            "{count} allocations for {series} samples"
+        );
+        assert!(count >= COLUMNS, "the counter counts: {count}");
+    }
 }
 
 /// The dashboard's text path writes into one buffer: a 24-panel ×
