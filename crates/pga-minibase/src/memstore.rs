@@ -115,7 +115,8 @@ impl Made {
 /// becomes one more segment, with no copy and no allocation per cell. A
 /// back-fill or an exact-key rewrite (the later write wins, as in HBase)
 /// splits the segment it lands in around the new cell; a replaced cell
-/// stays in its batch, unread, until the flush.
+/// stays in its batch, unread, until the flush, and counts towards it
+/// ([`MemStore::held_size`]).
 ///
 /// Cells become [`KeyValue`]s only when read: a scan turns the row's cells
 /// it has not turned yet into one shared chunk of them, and answers with
@@ -126,9 +127,6 @@ impl Made {
 #[derive(Debug, Default)]
 pub struct MemStore {
     batches: Vec<PutBatch>,
-    /// Whether the last batch is the memstore's own, which
-    /// [`MemStore::put`] fills one cell at a time.
-    loose: bool,
     /// Each row, in the order the rows were first written.
     rows: Vec<Row>,
     /// Row key → its place in `rows`: the put path's one search per run.
@@ -138,6 +136,8 @@ pub struct MemStore {
     order: BTreeMap<Bytes, usize>,
     cells: usize,
     heap_size: usize,
+    /// The logical size of the replaced cells still in their batches.
+    dead: usize,
 }
 
 impl MemStore {
@@ -146,17 +146,9 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Insert one cell, as a batch of one would.
+    /// Insert one cell, as a batch of one.
     pub fn put(&mut self, kv: KeyValue) {
-        if !self.loose || self.batches.is_empty() {
-            self.batches.push(PutBatch::new());
-            self.loose = true;
-        }
-        let b = self.batches.len() - 1;
-        let batch = &mut self.batches[b];
-        batch.push(&kv.row, kv.qualifier, kv.timestamp, &kv.value);
-        let (run, i) = (batch.runs.len() - 1, batch.len() - 1);
-        self.index(b, run, i..i + 1);
+        self.put_batch(PutBatch::from(vec![kv]));
     }
 
     /// Insert a batch, run by run. A write to an existing `(row,
@@ -169,7 +161,6 @@ impl MemStore {
         }
         let b = self.batches.len();
         self.batches.push(batch);
-        self.loose = false;
         let mut start = 0;
         for run in 0..self.batches[b].runs.len() {
             let end = self.batches[b].runs[run].1;
@@ -188,7 +179,7 @@ impl MemStore {
             order,
             cells: count,
             heap_size,
-            ..
+            dead,
         } = self;
         let batch = &batches[b];
         let row = &batch.runs[run].0;
@@ -215,18 +206,11 @@ impl MemStore {
             let qualifier_bytes: usize = qualifiers.iter().map(|q| q.len()).sum();
             let values: usize = cells.clone().map(|i| batch.value(i).len()).sum();
             let n = cells.len();
-            match segments.last_mut() {
-                // Single puts fill one batch: a row's next cell is often
-                // the one after its last.
-                Some(s) if s.batch as usize == b && s.end as usize == cells.start => {
-                    s.end = cells.end as u32;
-                }
-                _ => segments.push(Segment {
-                    batch: b as u32,
-                    start: cells.start as u32,
-                    end: cells.end as u32,
-                }),
-            }
+            segments.push(Segment {
+                batch: b as u32,
+                start: cells.start as u32,
+                end: cells.end as u32,
+            });
             *count += n;
             *heap_size += n * heap_size_of(row_len, 0, 0) + qualifier_bytes + values;
             return;
@@ -266,8 +250,11 @@ impl MemStore {
             if replaces {
                 // Keys are equal, so the replaced cell was accounted at
                 // the new one's size but for its value: only a change of
-                // value length moves `heap_size`.
-                *heap_size = *heap_size + value - held.value(pos).len();
+                // value length moves `heap_size`. The replaced cell stays
+                // in its batch until the flush.
+                let old = held.value(pos).len();
+                *heap_size = *heap_size + value - old;
+                *dead += heap_size_of(row_len, k.0.len(), old);
             } else {
                 *count += 1;
                 *heap_size += heap_size_of(row_len, k.0.len(), value);
@@ -285,12 +272,21 @@ impl MemStore {
         self.cells == 0
     }
 
-    /// Approximate heap footprint in bytes (drives flush decisions). A
-    /// logical size — every cell counts its row key, its qualifier, its
-    /// value and three buffer handles, as it will in a store file — so a
-    /// flush happens at the same cell however the buffer is laid out.
+    /// Approximate heap footprint of the cells held, in bytes. A logical
+    /// size — every cell counts its row key, its qualifier, its value and
+    /// three buffer handles, as it will in a store file — so it does not
+    /// depend on how the buffer is laid out.
     pub fn heap_size(&self) -> usize {
         self.heap_size
+    }
+
+    /// What drives the flush decision: [`MemStore::heap_size`] plus the
+    /// logical size of every cell a later write replaced, which stays in
+    /// its batch until the flush. So a write that only replaces cells (a
+    /// retried put) still fills the memstore towards a flush, and with no
+    /// rewrite a flush happens at the same cell as by `heap_size`.
+    pub fn held_size(&self) -> usize {
+        self.heap_size + self.dead
     }
 
     /// The cells of the rows in `rows` that `words` accepts (every row
@@ -394,7 +390,11 @@ impl MemStore {
                 let (batch, qualifiers) = (&batches[b], &mut qualifiers[b]);
                 cells.extend(range.map(|i| KeyValue {
                     row: row.clone(),
-                    qualifier: qualifiers[i].take().unwrap_or_default(),
+                    qualifier: {
+                        let qualifier = qualifiers[i].take();
+                        debug_assert!(qualifier.is_some(), "a cell in two segments");
+                        qualifier.unwrap_or_default()
+                    },
                     timestamp: batch.versions[i],
                     value: Bytes::copy_from_slice(batch.value(i)),
                 }));
@@ -504,11 +504,14 @@ mod tests {
         m.put(kv("row", "b", 1, "value"));
         m.put(kv("row", "c", 1, "v"));
         let (size, len) = (m.heap_size(), m.len());
-        // A retry storm re-puts what is already held: nothing grows.
+        // A retry storm re-puts what is already held: the cells held do
+        // not grow, but every replaced copy counts towards the flush.
         for _ in 0..1000 {
             m.put(kv("row", "b", 1, "value"));
         }
         assert_eq!((m.heap_size(), m.len()), (size, len));
+        let cell = kv("row", "b", 1, "value").heap_size();
+        assert_eq!(m.held_size(), size + 1000 * cell);
         m.put(kv("row", "b", 1, "a longer value"));
         assert_eq!(m.heap_size(), size + "a longer value".len() - "value".len());
         m.put(kv("row", "b", 1, ""));

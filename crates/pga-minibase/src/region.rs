@@ -219,9 +219,7 @@ impl Region {
         };
         self.metrics.cells_written += batch.len() as u64;
         self.memstore.put_batch(batch);
-        if self.memstore.heap_size() >= self.config.memstore_flush_bytes {
-            self.flush();
-        }
+        self.flush_if_full();
         Ok(seq)
     }
 
@@ -284,9 +282,7 @@ impl Region {
         }
         self.metrics.cells_written += batch.len() as u64;
         self.memstore.put_batch(batch);
-        if self.memstore.heap_size() >= self.config.memstore_flush_bytes {
-            self.flush();
-        }
+        self.flush_if_full();
         Ok(ShipOutcome::Applied)
     }
 
@@ -330,6 +326,14 @@ impl Region {
             fault: self.fault.clone(),
             rewriter: self.rewriter.clone(),
             epoch: self.epoch,
+        }
+    }
+
+    /// Flush once the memstore holds the configured bytes, the cells it
+    /// replaced included ([`MemStore::held_size`]).
+    fn flush_if_full(&mut self) {
+        if self.memstore.held_size() >= self.config.memstore_flush_bytes {
+            self.flush();
         }
     }
 
@@ -798,6 +802,32 @@ mod tests {
         }
         assert!(r.metrics().flushes > 0, "threshold flush expected");
         assert_eq!(r.scan(&RowRange::all()).len(), 20);
+    }
+
+    #[test]
+    fn re_putting_one_batch_reaches_a_flush() {
+        let mut r = Region::new(
+            RegionId(1),
+            RowRange::all(),
+            RegionConfig {
+                memstore_flush_bytes: 4096,
+                compaction_file_threshold: 100,
+                max_versions: usize::MAX,
+            },
+        );
+        let batch: Vec<KeyValue> = (0..8).map(|ts| kv("row", ts, "payload")).collect();
+        let size: usize = batch.iter().map(KeyValue::heap_size).sum();
+        // A retried put replaces every cell it writes: the cells held stay
+        // under the threshold, the batches kept do not.
+        let puts = 4096 / size + 1;
+        for _ in 0..puts {
+            r.put_batch(batch.clone()).unwrap();
+        }
+        assert_eq!(r.metrics().flushes, 1, "{puts} puts of {size} bytes");
+        assert_eq!(
+            r.scan(&RowRange::all()),
+            batch.iter().rev().cloned().collect::<Vec<_>>()
+        );
     }
 
     #[test]

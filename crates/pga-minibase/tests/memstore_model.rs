@@ -2,7 +2,8 @@
 //! plain sorted map of `(row, qualifier, newest version first) → value`
 //! holds — whatever mix of in-order appends, back-fills, exact-key
 //! rewrites, extra versions and single puts reaches it, with scans in
-//! between the writes.
+//! between the writes — and counts every cell a rewrite replaced towards
+//! its flush.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -86,11 +87,13 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The model, and where each row's next in-order offset is.
+/// The model, where each row's next in-order offset is, and the size of
+/// the cells replaced since the last drain.
 #[derive(Default)]
 struct Model {
     cells: BTreeMap<Key, Vec<u8>>,
     next: BTreeMap<u8, u16>,
+    replaced: usize,
 }
 
 impl Model {
@@ -171,7 +174,9 @@ impl Model {
             kv.qualifier.to_vec(),
             Reverse(kv.timestamp),
         );
-        self.cells.insert(key, kv.value.to_vec());
+        if let Some(old) = self.cells.insert(key.clone(), kv.value.to_vec()) {
+            self.replaced += self::kv(&key, &old).heap_size();
+        }
     }
 
     fn select(
@@ -250,9 +255,10 @@ proptest! {
             }
             prop_assert_eq!(store.len(), model.cells.len());
             prop_assert_eq!(store.heap_size(), model.heap_size());
+            prop_assert_eq!(store.held_size(), model.heap_size() + model.replaced);
         }
         let all = model.select(&RowRange::all(), None, None);
         prop_assert_eq!(store.drain_sorted(), all);
-        prop_assert_eq!((store.len(), store.heap_size()), (0, 0));
+        prop_assert_eq!((store.len(), store.heap_size(), store.held_size()), (0, 0, 0));
     }
 }
