@@ -31,7 +31,7 @@ use crate::table::{render_table, row};
 
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{
-    no_faults, Client, KeyValue, Master, RegionConfig, Request, Response, ServerConfig,
+    no_faults, CellRef, Client, Master, RegionConfig, Request, Response, ServerConfig,
     TableDescriptor,
 };
 use pga_tsdb::{
@@ -319,7 +319,7 @@ pub fn scrub_resilience_experiment(cfg: &ScrubBenchConfig) -> ScrubBenchReport {
                 value[idx] ^= 1 << (pick % 8);
             }
         };
-        let selector = |kv: &KeyValue| is_block_qualifier(&kv.qualifier);
+        let selector = |cell: CellRef<'_>| is_block_qualifier(cell.qualifier);
         let hit = server
             .handle()
             .call(Request::Corrupt(info.id, pick, selector, Box::new(flip)));

@@ -38,7 +38,7 @@ use pga_cluster::coordinator::Coordinator;
 use pga_cluster::NodeId;
 use pga_ingest::SensorSeries;
 use pga_minibase::{
-    Client, FaultHandle, KeyValue, Master, RegionConfig, RegionId, Request, Response, RowRange,
+    CellRef, Client, FaultHandle, Master, RegionConfig, RegionId, Request, Response, RowRange,
     ServerConfig, TableDescriptor,
 };
 use pga_query::rollup::{self, RollupCell, RollupWriter};
@@ -865,7 +865,7 @@ impl<'a> Driver<'a> {
                     value[idx] ^= 1 << (pick % 8);
                 }
             };
-            let selector = |kv: &KeyValue| is_block_qualifier(&kv.qualifier);
+            let selector = |cell: CellRef<'_>| is_block_qualifier(cell.qualifier);
             let corrupt = Request::Corrupt(info.id, u64::from(pick), selector, Box::new(mutate));
             let hit = match server.handle().call(corrupt) {
                 Ok(Response::Corrupted(hit)) => hit,
@@ -1349,13 +1349,14 @@ impl<'a> Driver<'a> {
             let Some(primary) = self.master.server(status.primary) else {
                 continue;
             };
-            let primary_cells: BTreeSet<_> = match primary.handle().call(Request::Scan {
+            let primary_scan = match primary.handle().call(Request::Scan {
                 region: status.region,
                 scan: RowRange::all().into(),
             }) {
-                Ok(Response::Cells(cells)) => cells.to_vec().into_iter().collect(),
+                Ok(Response::Cells(cells)) => cells,
                 _ => continue, // primary crashed post-drain: nothing to anchor on
             };
+            let primary_cells: BTreeSet<CellRef<'_>> = primary_scan.iter().collect();
             for &(node, _) in &status.followers {
                 let Some(server) = self.master.server(node) else {
                     continue;
@@ -1391,7 +1392,7 @@ impl<'a> Driver<'a> {
                     });
                 }
                 for kv in &cells {
-                    if !primary_cells.contains(kv) {
+                    if !primary_cells.contains(&kv) {
                         self.violations.push(Violation::ReplicaDiverged {
                             region: status.region.0,
                             detail: format!(

@@ -1,5 +1,4 @@
-//! The put batch: a write's cells as row runs, each row's cells held as
-//! columns.
+//! The put batch: cells as row runs, each row's cells held as columns.
 //!
 //! A time-series put writes a few cells to each of many rows, and every
 //! cell of a row shares its key. So a batch keeps each row key once, with
@@ -7,13 +6,21 @@
 //! qualifiers (shared buffers, typically from a codec's table), their
 //! versions, and their values packed into one byte buffer. Filling one
 //! allocates per batch, not per cell; routing, logging and buffering read
-//! it a run at a time. Cells become [`KeyValue`]s only where a reader
-//! needs them as such ([`PutBatch::into_kvs`], the memstore's scans and
-//! flushes).
+//! it a run at a time.
+//!
+//! It is the one cell representation below the client: the memstore keeps
+//! the batches it is given, a store file is one sorted batch, and a scan
+//! reply lends ranges of them, read as [`CellRef`] views. Cells become
+//! [`KeyValue`]s only where a caller asks for owned cells
+//! ([`PutBatch::into_kvs`], `ScanCells::to_vec`).
+
+use std::cmp::Reverse;
+use std::ops::Range;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::kv::KeyValue;
+use crate::kv::{CellRef, KeyValue};
 
 /// A batch of cells to write, as runs of neighbouring cells that share a
 /// row. Cells keep the order they were pushed in; a cell pushed under the
@@ -109,32 +116,98 @@ impl PutBatch {
             .unwrap_or(0)
     }
 
-    /// The value of cell `i`.
-    pub(crate) fn value(&self, i: usize) -> &[u8] {
-        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.values[start..self.ends[i]]
+    /// Where the value of cell `i` starts in `values`.
+    fn value_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev])
     }
 
-    /// Cell `i`, which lies in a run under `row`, as an owned cell: the
-    /// value is copied into a buffer of its own.
-    pub(crate) fn to_kv(&self, row: &Bytes, i: usize) -> KeyValue {
-        KeyValue {
-            row: row.clone(),
-            qualifier: self.qualifiers[i].clone(),
+    /// The value of cell `i`.
+    pub(crate) fn value(&self, i: usize) -> &[u8] {
+        &self.values[self.value_start(i)..self.ends[i]]
+    }
+
+    /// The bytes of the values of `cells`, together.
+    pub(crate) fn value_bytes(&self, cells: Range<usize>) -> usize {
+        match cells.is_empty() {
+            true => 0,
+            false => self.ends[cells.end - 1] - self.value_start(cells.start),
+        }
+    }
+
+    /// Where run `r` starts (the batch's length past the last run).
+    pub(crate) fn run_start(&self, r: usize) -> usize {
+        match r.checked_sub(1) {
+            None => 0,
+            Some(prev) => self.runs.get(prev).map_or(self.len(), |&(_, end)| end),
+        }
+    }
+
+    /// The run cell `i` lies in.
+    pub(crate) fn run_of(&self, i: usize) -> usize {
+        self.runs.partition_point(|&(_, end)| end <= i)
+    }
+
+    /// Cell `i` as a view: its row found by bisecting the runs.
+    pub(crate) fn cell(&self, i: usize) -> CellRef<'_> {
+        let (row, _) = &self.runs[self.run_of(i)];
+        CellRef {
+            row,
+            qualifier: &self.qualifiers[i],
             timestamp: self.versions[i],
-            value: Bytes::copy_from_slice(self.value(i)),
+            value: self.value(i),
+        }
+    }
+
+    /// Cells `range`, in order, as views.
+    pub(crate) fn cells(&self, range: Range<usize>) -> Cells<'_> {
+        let run = self.run_of(range.start);
+        Cells {
+            qualifiers: self.qualifiers[range.clone()].iter(),
+            versions: self.versions[range.clone()].iter(),
+            ends: self.ends[range.clone()].iter(),
+            values: &self.values,
+            value_from: self.value_start(range.start),
+            at: range.start,
+            row: self.runs.get(run).map(|(row, end)| (row, *end)),
+            runs: self.runs.get(run + 1..).unwrap_or_default(),
         }
     }
 
     /// The cells as owned [`KeyValue`]s, in order.
     pub fn into_kvs(self) -> Vec<KeyValue> {
-        let mut cells = Vec::with_capacity(self.len());
-        let mut start = 0;
-        for (row, end) in &self.runs {
-            cells.extend((start..*end).map(|i| self.to_kv(row, i)));
-            start = *end;
+        self.cells(0..self.len()).map(CellRef::to_kv).collect()
+    }
+
+    /// Append cells `range` of `from` to the last run, which
+    /// [`PutBatch::open_run`] started, by column: `qualifiers` are theirs
+    /// (cloned or moved out by the caller), and their versions, value ends
+    /// and values are copied a range at a time.
+    pub(crate) fn push_cells(
+        &mut self,
+        from: &PutBatch,
+        range: Range<usize>,
+        qualifiers: impl IntoIterator<Item = Bytes>,
+    ) {
+        let n = self.versions.len();
+        self.qualifiers.extend(qualifiers);
+        self.versions
+            .extend_from_slice(&from.versions[range.clone()]);
+        let (start, held) = (from.value_start(range.start), self.values.len());
+        self.ends.extend(
+            from.ends[range.clone()]
+                .iter()
+                .map(|&end| held + end - start),
+        );
+        let to = start + from.value_bytes(range.clone());
+        self.values.extend_from_slice(&from.values[start..to]);
+        debug_assert_eq!(
+            self.qualifiers.len(),
+            n + range.len(),
+            "one qualifier a cell"
+        );
+        if let Some((_, end)) = self.runs.last_mut() {
+            *end += range.len();
         }
-        cells
     }
 
     /// Move every cell of `other` to the end of this batch.
@@ -209,6 +282,137 @@ impl PutBatch {
     }
 }
 
+/// A shared batch that a flush or a compaction copies cells out of, by
+/// column. Its qualifiers move out when no scan reply holds the batch,
+/// and are cloned from it when one does (the reply keeps reading it).
+/// Each cell is copied out once.
+pub(crate) struct Source {
+    batch: Arc<PutBatch>,
+    /// The qualifiers not taken yet, when they can move.
+    moved: Option<Vec<Option<Bytes>>>,
+}
+
+impl Source {
+    pub(crate) fn new(mut batch: Arc<PutBatch>) -> Self {
+        let moved = Arc::get_mut(&mut batch).map(|b| {
+            std::mem::take(&mut b.qualifiers)
+                .into_iter()
+                .map(Some)
+                .collect()
+        });
+        Source { batch, moved }
+    }
+
+    /// The batch; its qualifiers are read through [`Source::key`].
+    pub(crate) fn batch(&self) -> &PutBatch {
+        &self.batch
+    }
+
+    /// The key of cell `i`, not copied out yet, within its row:
+    /// qualifier ascending, newest version first.
+    pub(crate) fn key(&self, i: usize) -> (&[u8], Reverse<u64>) {
+        let qualifier = match &self.moved {
+            Some(moved) => moved[i].as_deref().unwrap_or_default(),
+            None => &self.batch.qualifiers[i],
+        };
+        (qualifier, Reverse(self.batch.versions[i]))
+    }
+
+    /// Append `cells` to the last run of `out`, by column.
+    pub(crate) fn copy_to(&mut self, out: &mut PutBatch, cells: Range<usize>) {
+        let Source { batch, moved } = self;
+        out.push_cells(batch, cells.clone(), take(moved, batch, cells));
+    }
+
+    /// Append `cells`, all under `row`, to `into` as owned cells.
+    pub(crate) fn make(&mut self, row: &Bytes, cells: Range<usize>, into: &mut Vec<KeyValue>) {
+        let Source { batch, moved } = self;
+        let qualifiers = take(moved, batch, cells.clone());
+        into.extend(qualifiers.zip(cells).map(|(qualifier, i)| KeyValue {
+            row: row.clone(),
+            qualifier,
+            timestamp: batch.versions[i],
+            value: Bytes::copy_from_slice(batch.value(i)),
+        }));
+    }
+}
+
+/// The qualifiers of `cells` of `batch`: moved out of `moved` when the
+/// batch's qualifiers can move, cloned from the batch otherwise.
+fn take<'a>(
+    moved: &'a mut Option<Vec<Option<Bytes>>>,
+    batch: &'a PutBatch,
+    cells: Range<usize>,
+) -> impl Iterator<Item = Bytes> + 'a {
+    cells.map(move |i| match moved {
+        Some(moved) => {
+            let qualifier = moved[i].take();
+            debug_assert!(qualifier.is_some(), "a cell copied out twice");
+            qualifier.unwrap_or_default()
+        }
+        None => batch.qualifiers[i].clone(),
+    })
+}
+
+/// Cells of one batch, in order, as [`CellRef`] views. Each view is read
+/// off the columns; the row is followed run by run, not looked up.
+#[derive(Debug, Clone, Default)]
+pub struct Cells<'a> {
+    qualifiers: std::slice::Iter<'a, Bytes>,
+    versions: std::slice::Iter<'a, u64>,
+    ends: std::slice::Iter<'a, usize>,
+    values: &'a [u8],
+    /// Where the value of the next cell starts.
+    value_from: usize,
+    /// The index of the next cell in its batch.
+    at: usize,
+    /// The row of the run the next cell lies in, and where that run ends.
+    row: Option<(&'a Bytes, usize)>,
+    /// The runs after that one.
+    runs: &'a [(Bytes, usize)],
+}
+
+impl<'a> Cells<'a> {
+    /// The next cell and its index in the batch.
+    #[inline]
+    pub(crate) fn next_at(&mut self) -> Option<(CellRef<'a>, usize)> {
+        let qualifier = self.qualifiers.next()?;
+        let (&timestamp, &end) = self.versions.next().zip(self.ends.next())?;
+        let i = self.at;
+        let (mut row, mut row_end) = self.row?;
+        while row_end <= i {
+            let ((next, next_end), rest) = self.runs.split_first()?;
+            (row, row_end, self.runs) = (next, *next_end, rest);
+            self.row = Some((row, row_end));
+        }
+        let value = self.values.get(self.value_from..end)?;
+        self.value_from = end;
+        self.at = i + 1;
+        Some((
+            CellRef {
+                row,
+                qualifier,
+                timestamp,
+                value,
+            },
+            i,
+        ))
+    }
+}
+
+impl<'a> Iterator for Cells<'a> {
+    type Item = CellRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<CellRef<'a>> {
+        self.next_at().map(|(cell, _)| cell)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.qualifiers.size_hint()
+    }
+}
+
 /// Equal bytes, by address first: a codec hands the same row buffer to
 /// every cell of a series' row-hour.
 fn same_bytes(a: &[u8], b: &[u8]) -> bool {
@@ -225,10 +429,16 @@ impl FromIterator<KeyValue> for PutBatch {
     }
 }
 
-/// The cells, in order, neighbours that share a row in one run.
+/// The cells, in order, neighbours that share a row in one run; the
+/// columns are sized up front.
 impl From<Vec<KeyValue>> for PutBatch {
     fn from(kvs: Vec<KeyValue>) -> Self {
-        kvs.into_iter().collect()
+        let values = kvs.iter().map(|kv| kv.value.len()).sum();
+        let mut batch = PutBatch::with_capacity(0, kvs.len(), values);
+        for kv in kvs {
+            batch.push(&kv.row, kv.qualifier, kv.timestamp, &kv.value);
+        }
+        batch
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::batch::PutBatch;
-use crate::kv::{KeyValue, RowRange, ScanSpec};
+use crate::kv::{CellRef, KeyValue, RowRange, ScanSpec};
 use crate::master::{Directory, Master, RegionInfo};
 use crate::scanner::ScanCells;
 use crate::server::{Request, Response};
@@ -116,15 +116,15 @@ pub fn concat_region_scans(parts: Vec<ScanCells>) -> ScanCells {
     if in_order {
         return out;
     }
-    let mut cells: Vec<(&Arc<Vec<KeyValue>>, usize)> = out
+    let mut cells: Vec<(CellRef<'_>, &Arc<PutBatch>, usize)> = out
         .runs()
         .iter()
-        .flat_map(|(cells, range)| range.clone().map(move |at| (cells, at)))
+        .flat_map(|(batch, range)| range.clone().map(move |at| (batch.cell(at), batch, at)))
         .collect();
-    cells.sort_by(|(a, i), (b, j)| a[*i].cmp(&b[*j]));
+    cells.sort_by_key(|&(cell, ..)| cell);
     let mut sorted = ScanCells::default();
-    for (cells, at) in cells {
-        sorted.push(cells, at..at + 1);
+    for (_, batch, at) in cells {
+        sorted.push(batch, at..at + 1);
     }
     sorted
 }

@@ -63,6 +63,71 @@ impl PartialOrd for KeyValue {
     }
 }
 
+/// A cell as a scan reply or a store file lends it: borrowed from the
+/// batch columns that hold it, built where it is read and `Copy`. It
+/// orders as [`KeyValue`] does; [`CellRef::to_kv`] is the owned copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellRef<'a> {
+    /// Row key.
+    pub row: &'a Bytes,
+    /// Column qualifier.
+    pub qualifier: &'a Bytes,
+    /// Version timestamp in milliseconds.
+    pub timestamp: u64,
+    /// Cell payload.
+    pub value: &'a [u8],
+}
+
+impl CellRef<'_> {
+    /// The cell as an owned [`KeyValue`]: the value is copied into a
+    /// buffer of its own.
+    pub fn to_kv(self) -> KeyValue {
+        KeyValue {
+            row: self.row.clone(),
+            qualifier: self.qualifier.clone(),
+            timestamp: self.timestamp,
+            value: Bytes::copy_from_slice(self.value),
+        }
+    }
+}
+
+impl CellRef<'_> {
+    /// Do the two cells lie in one row? Cells of one run share their row
+    /// handle, so that is one address comparison before the bytes.
+    #[inline]
+    pub fn same_row(&self, other: &CellRef<'_>) -> bool {
+        std::ptr::eq(self.row, other.row) || self.row == other.row
+    }
+}
+
+impl Ord for CellRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let rows = match std::ptr::eq(self.row, other.row) {
+            true => Ordering::Equal,
+            false => self.row.cmp(other.row),
+        };
+        rows.then_with(|| self.qualifier.cmp(other.qualifier))
+            .then_with(|| other.timestamp.cmp(&self.timestamp))
+    }
+}
+
+impl PartialOrd for CellRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<'a> From<&'a KeyValue> for CellRef<'a> {
+    fn from(kv: &'a KeyValue) -> Self {
+        CellRef {
+            row: &kv.row,
+            qualifier: &kv.qualifier,
+            timestamp: kv.timestamp,
+            value: &kv.value,
+        }
+    }
+}
+
 /// A half-open row range `[start, end)`; an empty `end` means unbounded
 /// (HBase's convention for the last region).
 #[derive(Debug, Clone, PartialEq, Eq)]

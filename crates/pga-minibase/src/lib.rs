@@ -64,7 +64,7 @@ pub use batch::PutBatch;
 pub use client::{concat_region_scans, Client, ClientError, PendingScan, RepairCopy};
 pub use crc::{crc32, crc32_extend};
 pub use fault::{no_faults, FaultHandle, FaultPlane, NoFaults};
-pub use kv::{ColumnRange, KeyValue, RowRange, RowWords, ScanSpec};
+pub use kv::{CellRef, ColumnRange, KeyValue, RowRange, RowWords, ScanSpec};
 pub use master::{locate, Master, PlacementError, RegionInfo, TableDescriptor};
 pub use memstore::MemStore;
 pub use region::{Region, RegionConfig, RegionId};

@@ -6,9 +6,8 @@ use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
-use crate::batch::PutBatch;
+use crate::batch::{PutBatch, Source};
 use crate::kv::{heap_size_of, ColumnRange, KeyValue, RowRange, RowWords};
 use crate::scanner::ScanCells;
 use crate::storefile::StoreFile;
@@ -49,86 +48,31 @@ fn partition_point(cells: Range<usize>, below: impl Fn(usize) -> bool) -> usize 
     lo
 }
 
-/// One row: its cells as segments of the kept batches, in key order, and
-/// the leading ones a scan has turned into shared cells.
-#[derive(Debug, Default)]
-struct Row {
-    segments: Vec<Segment>,
-    made: Mutex<Made>,
-}
-
-/// A row's leading cells as [`KeyValue`]s, in shared chunks a scan reply
-/// can hold on to, and where the cells not yet made begin.
-#[derive(Debug, Default)]
-struct Made {
-    chunks: Vec<Arc<Vec<KeyValue>>>,
-    /// The first segment not wholly made, and a bound below which none
-    /// of its cells is left to make.
-    next: (usize, usize),
-}
-
-/// The cells of `segments` from `next` on ([`Made::next`]), by segment.
-fn rest(
-    next: (usize, usize),
-    segments: &[Segment],
-) -> impl Iterator<Item = (Segment, Range<usize>)> + '_ {
-    let (first, at) = next;
-    segments.iter().enumerate().skip(first).map(move |(k, &s)| {
-        let start = match k == first {
-            true => at.max(s.start as usize),
-            false => s.start as usize,
-        };
-        (s, start..s.end as usize)
-    })
-}
-
-impl Made {
-    /// Make every cell of the row not made yet, as one more chunk.
-    fn catch_up(&mut self, row: &Bytes, segments: &[Segment], batches: &[PutBatch]) {
-        let new = rest(self.next, segments)
-            .map(|(_, cells)| cells.len())
-            .sum();
-        let mut cells = Vec::with_capacity(new);
-        for (s, range) in rest(self.next, segments) {
-            let batch = &batches[s.batch as usize];
-            cells.extend(range.map(|i| batch.to_kv(row, i)));
-        }
-        if let Some(last) = segments.last() {
-            self.next = (segments.len() - 1, last.end as usize);
-        }
-        if !cells.is_empty() {
-            self.chunks.push(Arc::new(cells));
-        }
-    }
-}
-
 /// A sorted in-memory buffer of recent writes. Writes land here (after the
 /// WAL) and are served from here until a flush turns the contents into an
 /// immutable [`StoreFile`].
 ///
-/// The memstore keeps every [`PutBatch`] it is given whole and indexes
-/// each row's cells as segments, each a run of consecutive cells of one
-/// batch, the segments in key order one after the other. A batch arrives
-/// as row runs, so a put looks its row up once per run — in a hash index,
-/// one probe however many rows there are — and a time series only ever
-/// appends to its row: a run whose keys ascend past the row's last cell
-/// becomes one more segment, with no copy and no allocation per cell. A
-/// back-fill or an exact-key rewrite (the later write wins, as in HBase)
-/// splits the segment it lands in around the new cell; a replaced cell
-/// stays in its batch, unread, until the flush, and counts towards it
+/// The memstore keeps every [`PutBatch`] it is given whole, shared, and
+/// indexes each row's cells as segments, each a run of consecutive cells
+/// of one batch, the segments in key order one after the other. A batch
+/// arrives as row runs, so a put looks its row up once per run — in a
+/// hash index, one probe however many rows there are — and a time series
+/// only ever appends to its row: a run whose keys ascend past the row's
+/// last cell becomes one more segment, with no copy and no allocation per
+/// cell. A back-fill or an exact-key rewrite (the later write wins, as in
+/// HBase) splits the segment it lands in around the new cell; a replaced
+/// cell stays in its batch, unread, until the flush, and counts towards it
 /// ([`MemStore::held_size`]).
 ///
-/// Cells become [`KeyValue`]s only when read: a scan turns the row's cells
-/// it has not turned yet into one shared chunk of them, and answers with
-/// ranges of the row's chunks, as a store file answers with ranges of its
-/// cells. So each cell is made once, by the first scan or by the flush,
-/// and a later scan copies nothing per cell. A back-fill into a row drops
-/// its chunks (replies keep theirs).
+/// A scan answers with the segments themselves, as ranges of the shared
+/// batches, so it makes and copies nothing per cell, and a held reply
+/// reads the batches as they were (they never change once kept). The
+/// flush copies each row's segments, by column, into one sorted batch.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    batches: Vec<PutBatch>,
-    /// Each row, in the order the rows were first written.
-    rows: Vec<Row>,
+    batches: Vec<Arc<PutBatch>>,
+    /// Each row's segments, the rows in the order they were first written.
+    rows: Vec<Vec<Segment>>,
     /// Row key → its place in `rows`: the put path's one search per run.
     index: HashMap<Bytes, usize>,
     /// The row keys in order, with their places: what scans and flushes
@@ -155,45 +99,56 @@ impl MemStore {
     /// qualifier, timestamp)` replaces the previous value (HBase
     /// semantics), so of two writes to one key the later wins. The row is
     /// looked up once per run.
-    pub fn put_batch(&mut self, batch: PutBatch) {
+    pub fn put_batch(&mut self, mut batch: PutBatch) {
         if batch.is_empty() {
             return;
         }
+        let places: Vec<usize> = batch
+            .runs
+            .iter_mut()
+            .map(|(row, _)| self.row_of(row))
+            .collect();
         let b = self.batches.len();
-        self.batches.push(batch);
+        self.batches.push(Arc::new(batch));
         let mut start = 0;
-        for run in 0..self.batches[b].runs.len() {
+        for (run, at) in places.into_iter().enumerate() {
             let end = self.batches[b].runs[run].1;
-            self.index(b, run, start..end);
+            self.index(b, run, start..end, at);
             start = end;
         }
     }
 
-    /// File `cells`, all of run `run` of kept batch `b`, into their row's
-    /// segments.
-    fn index(&mut self, b: usize, run: usize, cells: Range<usize>) {
+    /// The place of `row` in `rows`, made on its first write; `row` is
+    /// made the memstore's own key, so a row's cells share one key however
+    /// many buffers the writers sent it in.
+    fn row_of(&mut self, row: &mut Bytes) -> usize {
+        if let Some((key, &at)) = self.index.get_key_value(&row[..]) {
+            if key.as_ptr() != row.as_ptr() {
+                *row = key.clone();
+            }
+            return at;
+        }
+        let at = self.rows.len();
+        self.rows.push(Vec::new());
+        self.index.insert(row.clone(), at);
+        self.order.insert(row.clone(), at);
+        at
+    }
+
+    /// File `cells`, all of run `run` of kept batch `b`, into the segments
+    /// of row `at`.
+    fn index(&mut self, b: usize, run: usize, cells: Range<usize>, at: usize) {
         let MemStore {
             batches,
             rows,
-            index,
-            order,
             cells: count,
             heap_size,
             dead,
+            ..
         } = self;
         let batch = &batches[b];
-        let row = &batch.runs[run].0;
-        let row_len = row.len();
-        let at = match index.get(&row[..]) {
-            Some(&at) => at,
-            None => {
-                rows.push(Row::default());
-                index.insert(row.clone(), rows.len() - 1);
-                order.insert(row.clone(), rows.len() - 1);
-                rows.len() - 1
-            }
-        };
-        let Row { segments, made } = &mut rows[at];
+        let row_len = batch.runs[run].0.len();
+        let segments = &mut rows[at];
         let last_key = |s: &Segment| key(&batches[s.batch as usize], s.end as usize - 1);
         // In order: each key above the one before it, the first above the
         // row's last cell.
@@ -216,8 +171,7 @@ impl MemStore {
             return;
         }
         // Out of order (a back-fill, a retry): cell by cell, O(segments)
-        // moves at worst. The made cells no longer lead the row in order.
-        *made.get_mut() = Made::default();
+        // moves at worst.
         for i in cells {
             let new = Segment {
                 batch: b as u32,
@@ -291,11 +245,11 @@ impl MemStore {
 
     /// The cells of the rows in `rows` that `words` accepts (every row
     /// when `None`) whose qualifier lies in one of `columns` (sorted and
-    /// disjoint; `None` = the whole row), in order, as ranges of the rows'
-    /// shared chunks. A row key is tested once, before any of its cells is
-    /// read; the row's cells not made yet are made, once; and the scan
-    /// seeks to each range's ends among the chunks, so the cost is per
-    /// row, per chunk and per cell made, not per cell stored or returned.
+    /// disjoint; `None` = the whole row), in order, as ranges of the kept
+    /// batches. A row key is tested once, before any of its cells is read,
+    /// and the scan seeks to each range's ends among the row's segments,
+    /// so the cost is per row and per segment returned, not per cell
+    /// stored or returned.
     pub fn select(
         &self,
         rows: &RowRange,
@@ -318,29 +272,31 @@ impl MemStore {
             .order
             .range::<[u8], _>((start, end))
             .filter(|(row, _)| words.is_none_or(|w| w.matches(row)));
-        for (row, &at) in accepted {
-            let Row { segments, made } = &self.rows[at];
-            let mut made = made.lock();
-            made.catch_up(row, segments, &self.batches);
+        for (_, &at) in accepted {
+            let segments = &self.rows[at];
             let Some(columns) = columns else {
-                for chunk in &made.chunks {
-                    out.push(chunk, 0..chunk.len());
+                for s in segments {
+                    out.push(&self.batches[s.batch as usize], s.cells());
                 }
                 continue;
             };
-            let mut rest = &made.chunks[..];
+            let mut rest = &segments[..];
             for c in columns {
-                // Chunks wholly below the range, found by their last
+                // Segments wholly below the range, found by their last
                 // qualifier, are skipped; from the first one that is not,
                 // cells are taken until one reaches the range's end.
-                let below = |kv: &KeyValue| kv.qualifier[..] < c.start[..];
-                rest = &rest[rest.partition_point(|chunk| chunk.last().is_some_and(below))..];
-                for chunk in rest {
-                    let from = chunk.partition_point(below);
-                    let to =
-                        from + chunk[from..].partition_point(|kv| kv.qualifier[..] < c.end[..]);
-                    out.push(chunk, from..to);
-                    if to < chunk.len() {
+                let below = |batch: &PutBatch, i: usize| batch.qualifiers[i][..] < c.start[..];
+                rest = &rest[rest.partition_point(|s| {
+                    below(&self.batches[s.batch as usize], s.end as usize - 1)
+                })..];
+                for s in rest {
+                    let batch = &self.batches[s.batch as usize];
+                    let from = partition_point(s.cells(), |i| below(batch, i));
+                    let to = partition_point(from..s.end as usize, |i| {
+                        batch.qualifiers[i][..] < c.end[..]
+                    });
+                    out.push(batch, from..to);
+                    if to < s.end as usize {
                         break;
                     }
                 }
@@ -349,64 +305,35 @@ impl MemStore {
         out
     }
 
-    /// Drain everything into a store file of `sequence`, its row index
-    /// built in the same walk over the rows that gathers their cells: the
-    /// made ones moved out of their chunks (copied from a chunk a reply
-    /// still holds), the rest made now, each moving its qualifier out of
-    /// its batch. The batches, and the cells
-    /// replaced in them, go after. The memstore is empty afterwards.
+    /// Drain everything into a store file of `sequence`: one sorted batch,
+    /// sized up front, filled row by row by copying each segment's
+    /// columns. Qualifiers move out of a batch no scan reply still holds
+    /// and are cloned from one a reply holds (it keeps reading the batch).
+    /// The batches, and the cells replaced in them, go after. The memstore
+    /// is empty afterwards.
     pub fn drain(&mut self, sequence: u64) -> StoreFile {
-        let mut cells = Vec::with_capacity(self.cells);
-        let mut index = Vec::with_capacity(self.order.len());
         let MemStore {
-            mut batches,
-            mut rows,
+            batches,
+            rows,
             order,
+            cells,
             ..
         } = std::mem::take(self);
-        // A live cell lies in exactly one segment: its qualifier is taken
-        // once.
-        let mut qualifiers: Vec<Vec<Option<Bytes>>> = batches
-            .iter_mut()
-            .map(|b| {
-                std::mem::take(&mut b.qualifiers)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            })
-            .collect();
+        let values = rows
+            .iter()
+            .flatten()
+            .map(|s| batches[s.batch as usize].value_bytes(s.cells()))
+            .sum();
+        let mut out = PutBatch::with_capacity(order.len(), cells, values);
+        // A live cell lies in exactly one segment: each is copied once.
+        let mut sources: Vec<Source> = batches.into_iter().map(Source::new).collect();
         for (row, at) in order {
-            let Row { segments, made } = std::mem::take(&mut rows[at]);
-            index.push((cells.len(), row.clone()));
-            let Made { chunks, next } = made.into_inner();
-            for chunk in chunks {
-                match Arc::try_unwrap(chunk) {
-                    Ok(owned) => cells.extend(owned),
-                    Err(shared) => cells.extend_from_slice(&shared),
-                }
-            }
-            for (s, range) in rest(next, &segments) {
-                let b = s.batch as usize;
-                let (batch, qualifiers) = (&batches[b], &mut qualifiers[b]);
-                cells.extend(range.map(|i| KeyValue {
-                    row: row.clone(),
-                    qualifier: {
-                        let qualifier = qualifiers[i].take();
-                        debug_assert!(qualifier.is_some(), "a cell in two segments");
-                        qualifier.unwrap_or_default()
-                    },
-                    timestamp: batch.versions[i],
-                    value: Bytes::copy_from_slice(batch.value(i)),
-                }));
+            out.runs.push((row, out.len()));
+            for &s in &rows[at] {
+                sources[s.batch as usize].copy_to(&mut out, s.cells());
             }
         }
-        StoreFile::from_rows(cells, index, sequence)
-    }
-
-    /// Drain everything into a sorted vector; the memstore is empty
-    /// afterwards.
-    pub fn drain_sorted(&mut self) -> Vec<KeyValue> {
-        self.drain(0).into_parts().0
+        StoreFile::from_batch(out, sequence)
     }
 }
 
@@ -491,7 +418,7 @@ mod tests {
         assert!(sz > 0);
         m.put(kv("b", "q", 1, "world"));
         assert!(m.heap_size() > sz);
-        let drained = m.drain_sorted();
+        let drained = m.drain(0);
         assert_eq!(drained.len(), 2);
         assert_eq!(m.heap_size(), 0);
         assert!(m.is_empty());
@@ -525,7 +452,11 @@ mod tests {
         m.put(kv("a", "z", 3, ""));
         m.put(kv("a", "z", 7, ""));
         m.put(kv("a", "a", 2, ""));
-        let d = m.drain_sorted();
+        let d: Vec<KeyValue> = m
+            .drain(0)
+            .scan(&RowRange::all())
+            .map(|c| c.to_kv())
+            .collect();
         let mut sorted = d.clone();
         sorted.sort();
         assert_eq!(d, sorted);

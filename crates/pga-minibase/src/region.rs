@@ -7,18 +7,20 @@
 //! (§III-B) is served by [`Region::split`] plus the master's pre-split
 //! table creation.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use pga_repl::{Epoch, ShipOutcome};
 
-use crate::batch::PutBatch;
+use crate::batch::{PutBatch, Source};
 use crate::fault::{no_faults, FaultHandle};
-use crate::kv::{KeyValue, RowRange, ScanSpec};
+use crate::kv::{CellRef, KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
 use crate::rewrite::{RewriteContext, RewriterHandle};
 use crate::scanner::{merge_scan, ScanCells};
-use crate::storefile::{RowEntry, StoreFile};
+use crate::storefile::StoreFile;
 use crate::wal::{SequenceId, WriteAheadLog, MAX_KEY_LEN};
 
 /// Identifier of a region within the cluster.
@@ -357,57 +359,60 @@ impl Region {
     /// merged output is offered to it — even a single-file compaction is
     /// worthwhile then, because the rewriter may seal rows.
     ///
-    /// The merge takes the files by value and goes one row at a time,
-    /// moving each row's cells out of the files into the output: a file
-    /// no scan reply still shares gives its cells up without a copy, and
-    /// only a shared one is cloned (the reply keeps reading its cells).
-    /// Each file's row index says where its rows end, and the output's
-    /// index is written as its rows are appended: no pass over the cells
-    /// of its own.
+    /// The merge goes one row at a time, oldest file first, and builds the
+    /// output batch by column: each file's runs of the row are appended
+    /// whole (their versions, value ends and values copied a run at a
+    /// time), their qualifiers moved out of a file no scan reply still
+    /// shares and cloned from a shared one. Files are flushed in time
+    /// order, so the runs of a raw row follow one another and the merge is
+    /// their concatenation. Three rare cases take the row as
+    /// [`KeyValue`]s, made for that row only: runs out of order (a
+    /// back-fill or rewrite that crossed a flush), version GC, and an
+    /// installed rewriter.
     pub fn compact(&mut self) {
         if self.files.is_empty() || (self.files.len() <= 1 && self.rewriter.is_none()) {
             return;
         }
         let mut files = std::mem::take(&mut self.files);
-        // Oldest file first: runs are concatenated in file age order.
         files.sort_by_key(StoreFile::sequence);
-        // Each file's cells still to merge, its row entries, and the entry
-        // of the row those cells start with.
-        let mut rests: Vec<_> = files
+        let mut inputs: Vec<Input> = files
             .into_iter()
-            .map(|f| {
-                let (cells, rows) = f.into_parts();
-                (cells.into_iter(), rows, 0)
+            .map(|file| Input {
+                cells: Source::new(file.into_batch()),
+                next: 0,
             })
             .collect();
+        let (runs, cells, values) = inputs.iter().fold((0, 0, 0), |(r, c, v), input| {
+            let b = input.cells.batch();
+            (r + b.runs.len(), c + b.len(), v + b.values.len())
+        });
+        let mut out = PutBatch::with_capacity(runs, cells, values);
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
-        let mut out: Vec<KeyValue> =
-            Vec::with_capacity(rests.iter().map(|(cells, ..)| cells.len()).sum());
-        let mut index: Vec<RowEntry> = Vec::new();
-        let mut merged: Vec<KeyValue> = Vec::new();
-        while let Some(row) = rests
-            .iter()
-            .filter_map(|(_, rows, next)| rows.get(*next))
-            .map(|(_, row)| row)
-            .min()
-            .cloned()
-        {
-            merged.clear();
-            // Files are flushed in time order, so the runs of a raw row
-            // follow one another and the merge is their concatenation.
-            let mut in_order = true;
-            for (rest, rows, next) in &mut rests {
-                let Some((at, _)) = rows.get(*next).filter(|(_, r)| *r == row) else {
-                    continue;
-                };
-                *next += 1;
-                let end = rows.get(*next).map_or(at + rest.len(), |&(end, _)| end);
-                let first = rest.as_slice().first();
-                in_order &= merged
-                    .last()
-                    .zip(first)
-                    .is_none_or(|(last, first)| last < first);
-                merged.extend(rest.by_ref().take(end - at));
+        let by_kv = self.config.max_versions != usize::MAX || self.rewriter.is_some();
+        while let Some(row) = inputs.iter().filter_map(Input::row).min().cloned() {
+            // The inputs holding the row, and the cells of its run in each.
+            let parts: Vec<(&mut Input, Range<usize>)> = inputs
+                .iter_mut()
+                .filter(|input| input.row() == Some(&row))
+                .map(|input| {
+                    let cells = input.take_run();
+                    (input, cells)
+                })
+                .collect();
+            let in_order = parts.windows(2).all(|w| match w {
+                [(a, before), (b, after)] => a.cells.key(before.end - 1) < b.cells.key(after.start),
+                _ => true,
+            });
+            if in_order && !by_kv {
+                out.runs.push((row, out.len()));
+                for (input, cells) in parts {
+                    input.cells.copy_to(&mut out, cells);
+                }
+                continue;
+            }
+            let mut merged: Vec<KeyValue> = Vec::new();
+            for (input, cells) in parts {
+                input.cells.make(&row, cells, &mut merged);
             }
             if !in_order {
                 // What the read path's merge answers: reversed, the runs
@@ -445,25 +450,21 @@ impl Region {
                 // row would break it, so such an answer is not taken and
                 // the merged row stays (nothing is discarded behind it).
                 .filter(|cells| cells.iter().all(|kv| kv.row == row));
-            let at = out.len();
-            match replacement {
-                Some(mut cells) => {
-                    // Rewriters emit qualifiers in their own order.
-                    cells.sort();
-                    self.metrics.rewritten_rows += 1;
-                    out.append(&mut cells);
-                }
-                None => out.append(&mut merged),
+            if let Some(mut cells) = replacement {
+                // Rewriters emit qualifiers in their own order.
+                cells.sort();
+                self.metrics.rewritten_rows += 1;
+                merged = cells;
             }
-            if out.len() > at {
-                index.push((at, row));
+            for kv in merged {
+                out.push(&row, kv.qualifier, kv.timestamp, &kv.value);
             }
         }
         self.metrics.compacted_cells += out.len() as u64;
         self.metrics.compactions += 1;
         let seq = self.next_file_seq;
         self.next_file_seq += 1;
-        self.files = vec![StoreFile::from_rows(out, index, seq)];
+        self.files = vec![StoreFile::from_batch(out, seq)];
     }
 
     /// Scan whole rows in `range` into owned cells; see
@@ -474,8 +475,8 @@ impl Region {
 
     /// Scan the cells `spec` selects (rows clipped to the region's own
     /// range), merged across the memstore and all store files, sorted,
-    /// deduplicated. Cells come back as ranges of the store files' shared
-    /// cells and of the memstore's shared chunks. Every source tests a
+    /// deduplicated. Cells come back as ranges of the store files' and the
+    /// memstore's shared batches. Every source tests a
     /// row key against the spec's word filter once, before it takes a
     /// cell of the row, and with a column window seeks to the window in
     /// each row, so the scan costs `O(rows · log n + cells returned)`
@@ -507,11 +508,13 @@ impl Region {
         found: &mut crate::scrub::ScrubFinding,
     ) {
         let all = RowRange::all();
-        for kv in self.files.iter().flat_map(|f| f.scan(&all)) {
-            if verifier.covers(kv) {
+        for cell in self.files.iter().flat_map(|f| f.scan(&all)) {
+            if verifier.covers(cell) {
                 found.scanned += 1;
-                if !verifier.verify(kv) {
-                    found.corrupt.push((kv.row.clone(), kv.qualifier.clone()));
+                if !verifier.verify(cell) {
+                    found
+                        .corrupt
+                        .push((cell.row.clone(), cell.qualifier.clone()));
                 }
             }
         }
@@ -525,10 +528,10 @@ impl Region {
     pub fn corrupt_cell_for_fault_injection(
         &mut self,
         pick: u64,
-        selector: &dyn Fn(&KeyValue) -> bool,
+        selector: &dyn Fn(CellRef<'_>) -> bool,
         mutate: &dyn Fn(&mut Vec<u8>),
     ) -> Option<(Bytes, Bytes)> {
-        let matches = |f: &StoreFile| f.scan(&RowRange::all()).filter(|kv| selector(kv)).count();
+        let matches = |f: &StoreFile| f.scan(&RowRange::all()).filter(|c| selector(*c)).count();
         let total: usize = self.files.iter().map(matches).sum();
         if total == 0 {
             return None;
@@ -545,7 +548,7 @@ impl Region {
         })?;
         let (mut seen, mut hit) = (0usize, None);
         self.rewrite_file(fi, |kv| {
-            if !selector(kv) {
+            if !selector(CellRef::from(&*kv)) {
                 return;
             }
             if seen == within {
@@ -565,8 +568,9 @@ impl Region {
     /// Only called by the scrub repair path, with bytes that already
     /// round-tripped checksum verification.
     pub fn replace_cell_value(&mut self, row: &[u8], qualifier: &[u8], value: &Bytes) -> usize {
-        let stale =
-            |kv: &KeyValue| kv.row == row && kv.qualifier == qualifier && kv.value != *value;
+        let stale = |c: CellRef<'_>| {
+            c.row[..] == *row && c.qualifier[..] == *qualifier && c.value != &value[..]
+        };
         let mut replaced = 0usize;
         for fi in 0..self.files.len() {
             if self
@@ -575,7 +579,7 @@ impl Region {
                 .is_some_and(|f| f.scan(&RowRange::all()).any(stale))
             {
                 self.rewrite_file(fi, |kv| {
-                    if stale(kv) {
+                    if stale(CellRef::from(&*kv)) {
                         kv.value = value.clone();
                         replaced += 1;
                     }
@@ -585,14 +589,14 @@ impl Region {
         replaced
     }
 
-    /// Rebuild store file `fi` with `edit` applied to each of its cells
-    /// (values only, so the sort order holds).
+    /// Rebuild store file `fi` with `edit` applied to each of its cells,
+    /// made owned (values only, so the sort order holds).
     fn rewrite_file(&mut self, fi: usize, edit: impl FnMut(&mut KeyValue)) {
         let Some(file) = self.files.get(fi) else {
             return;
         };
         let seq = file.sequence();
-        let mut cells: Vec<KeyValue> = file.scan(&RowRange::all()).cloned().collect();
+        let mut cells: Vec<KeyValue> = file.scan(&RowRange::all()).map(CellRef::to_kv).collect();
         cells.iter_mut().for_each(edit);
         if let Some(slot) = self.files.get_mut(fi) {
             *slot = StoreFile::from_sorted(cells, seq);
@@ -675,6 +679,29 @@ impl Region {
     }
 }
 
+/// One store file as a compaction reads it: its sorted batch and the
+/// next of its rows to merge.
+struct Input {
+    cells: Source,
+    next: usize,
+}
+
+impl Input {
+    /// The key of the next row to merge, if any is left.
+    fn row(&self) -> Option<&Bytes> {
+        self.cells.batch().runs.get(self.next).map(|(row, _)| row)
+    }
+
+    /// The cells of the next row, which is now taken.
+    fn take_run(&mut self) -> Range<usize> {
+        let batch = self.cells.batch();
+        let start = batch.run_start(self.next);
+        let end = batch.runs.get(self.next).map_or(start, |&(_, end)| end);
+        self.next += 1;
+        start..end
+    }
+}
+
 fn clip(a: &RowRange, b: &RowRange) -> RowRange {
     let start = match (a.start.is_empty(), b.start.is_empty()) {
         (true, _) => b.start.clone(),
@@ -728,7 +755,7 @@ mod tests {
         }
         r.compact();
         assert_eq!(r.files.len(), 1);
-        let file = r.files[0].cells().clone();
+        let file = r.files[0].batch().clone();
         let window = vec![ColumnRange::new(vec![2u8], vec![5u8])];
         let specs = [
             ScanSpec::windowed(RowRange::all(), window.clone()),

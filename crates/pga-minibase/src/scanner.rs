@@ -1,24 +1,27 @@
 //! Scan replies and the k-way merge across the memstore and store files.
 //!
-//! A scan reply is a [`ScanCells`]: shared runs of cells, in scan order.
-//! A store file hands out index ranges into its own cell vector, so a
-//! cell is read where it lies and nothing is copied per cell; the
-//! memstore hands out ranges of the shared chunks it makes a row's cells
-//! into, once, at their first scan.
+//! A scan reply is a [`ScanCells`]: ranges of shared [`PutBatch`]es, in
+//! scan order. The memstore lends ranges of the batches it keeps, a store
+//! file ranges of its one sorted batch, so a cell is read where it lies
+//! and nothing is made or copied per cell. A reply's cells are read as
+//! [`CellRef`] views; [`ScanCells::to_vec`] is the one place a reply makes
+//! [`KeyValue`]s.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::kv::KeyValue;
+use crate::batch::{Cells, PutBatch};
+use crate::kv::{CellRef, KeyValue};
 
-/// Cells shared with their owner, and the indices of them in the reply.
-type Run = (Arc<Vec<KeyValue>>, Range<usize>);
+/// A shared batch, and the indices of its cells in the reply.
+type Run = (Arc<PutBatch>, Range<usize>);
 
-/// A scan's cells: runs of shared cell vectors, each a range of one
-/// vector, in scan order. Cloning a reply clones one `Arc` per run, not
-/// three per cell; [`ScanCells::to_vec`] is the copy for a caller that
-/// needs owned cells.
+/// A scan's cells: runs of shared batches, each a range of one batch, in
+/// scan order. Cloning a reply clones one `Arc` per run. The batches never
+/// change once shared, so a reply is a snapshot: later writes, flushes and
+/// compactions leave what it reads as it was. [`ScanCells::to_vec`] is the
+/// copy for a caller that needs owned cells.
 #[derive(Debug, Clone, Default)]
 pub struct ScanCells {
     runs: Vec<Run>,
@@ -26,8 +29,8 @@ pub struct ScanCells {
 
 impl ScanCells {
     /// Append `cells[range]`. A range that continues the last run of the
-    /// same vector extends it; an empty range adds nothing.
-    pub(crate) fn push(&mut self, cells: &Arc<Vec<KeyValue>>, range: Range<usize>) {
+    /// same batch extends it; an empty range adds nothing.
+    pub(crate) fn push(&mut self, cells: &Arc<PutBatch>, range: Range<usize>) {
         if range.is_empty() {
             return;
         }
@@ -57,50 +60,51 @@ impl ScanCells {
         self.runs.is_empty()
     }
 
-    /// The runs, in scan order: each a shared vector and the range of it
+    /// The runs, in scan order: each a shared batch and the range of it
     /// the reply holds (never empty).
-    pub(crate) fn runs(&self) -> &[(Arc<Vec<KeyValue>>, Range<usize>)] {
+    pub(crate) fn runs(&self) -> &[Run] {
         &self.runs
     }
 
-    /// The cells, in scan order, by reference.
+    /// The cells, in scan order, as views.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             runs: self.runs.iter(),
-            run: [].iter(),
+            run: 0,
+            cells: Cells::default(),
         }
     }
 
     /// First cell, if any.
-    pub(crate) fn first(&self) -> Option<&KeyValue> {
-        self.runs.first().map(|(cells, range)| &cells[range.start])
+    pub(crate) fn first(&self) -> Option<CellRef<'_>> {
+        self.runs
+            .first()
+            .map(|(cells, range)| cells.cell(range.start))
     }
 
     /// Last cell, if any.
-    pub(crate) fn last(&self) -> Option<&KeyValue> {
-        self.runs.last().map(|(cells, range)| &cells[range.end - 1])
+    pub(crate) fn last(&self) -> Option<CellRef<'_>> {
+        self.runs
+            .last()
+            .map(|(cells, range)| cells.cell(range.end - 1))
     }
 
-    /// The cells as owned values, in scan order: the one copy of a reply,
-    /// for callers that keep or rewrite the cells.
+    /// The cells as owned values, in scan order: the one place a reply
+    /// makes [`KeyValue`]s, for callers that keep or rewrite the cells.
     pub fn to_vec(&self) -> Vec<KeyValue> {
         let mut out = Vec::with_capacity(self.len());
-        for (cells, range) in &self.runs {
-            out.extend_from_slice(&cells[range.clone()]);
-        }
+        out.extend(self.iter().map(CellRef::to_kv));
         out
     }
 }
 
-/// Owned cells become one run of their own.
+/// Owned cells become one run of a batch of their own.
 impl From<Vec<KeyValue>> for ScanCells {
     fn from(cells: Vec<KeyValue>) -> Self {
+        let mut out = ScanCells::default();
         let len = cells.len();
-        let runs = match len {
-            0 => Vec::new(),
-            _ => vec![(Arc::new(cells), 0..len)],
-        };
-        ScanCells { runs }
+        out.push(&Arc::new(PutBatch::from(cells)), 0..len);
+        out
     }
 }
 
@@ -113,7 +117,7 @@ impl PartialEq for ScanCells {
 }
 
 impl<'a> IntoIterator for &'a ScanCells {
-    type Item = &'a KeyValue;
+    type Item = CellRef<'a>;
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Iter<'a> {
@@ -121,32 +125,44 @@ impl<'a> IntoIterator for &'a ScanCells {
     }
 }
 
-/// The cells of a [`ScanCells`], in scan order.
+/// The cells of a [`ScanCells`], in scan order, as views.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
     runs: std::slice::Iter<'a, Run>,
-    run: std::slice::Iter<'a, KeyValue>,
+    /// How many runs were entered: the one `cells` walks is one less.
+    run: usize,
+    cells: Cells<'a>,
 }
 
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a KeyValue;
-
+impl<'a> Iter<'a> {
+    /// The next cell, the run it lies in and its index in that run's
+    /// batch.
     #[inline]
-    fn next(&mut self) -> Option<&'a KeyValue> {
+    fn next_at(&mut self) -> Option<(CellRef<'a>, usize, usize)> {
         loop {
-            if let Some(kv) = self.run.next() {
-                return Some(kv);
+            if let Some((cell, at)) = self.cells.next_at() {
+                return Some((cell, self.run - 1, at));
             }
-            let (cells, range) = self.runs.next()?;
-            self.run = cells[range.clone()].iter();
+            let (batch, range) = self.runs.next()?;
+            self.cells = batch.cells(range.clone());
+            self.run += 1;
         }
     }
 }
 
+impl<'a> Iterator for Iter<'a> {
+    type Item = CellRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<CellRef<'a>> {
+        self.next_at().map(|(cell, ..)| cell)
+    }
+}
+
 /// A source's next cell in a merge: run `run` of source `source`, index
-/// `at` of that run's vector.
+/// `at` of that run's batch.
 struct Head<'a> {
-    kv: &'a KeyValue,
+    cell: CellRef<'a>,
     source: usize,
     priority: u64,
     run: usize,
@@ -154,36 +170,22 @@ struct Head<'a> {
 }
 
 impl<'a> Head<'a> {
-    /// The cell of `cells` at `(run, at)`, or the first of a later run
-    /// when `at` is past the end of run `run`.
-    fn at(
-        cells: &'a ScanCells,
-        source: usize,
-        priority: u64,
-        run: usize,
-        at: usize,
-    ) -> Option<Self> {
-        let (mut run, mut at) = (run, at);
-        loop {
-            let (shared, range) = cells.runs.get(run)?;
-            if at < range.end {
-                return Some(Head {
-                    kv: &shared[at],
-                    source,
-                    priority,
-                    run,
-                    at,
-                });
-            }
-            run += 1;
-            at = cells.runs.get(run)?.1.start;
-        }
+    /// The next cell of `cells`, a walk over source `source`.
+    fn next(cells: &mut Iter<'a>, source: usize, priority: u64) -> Option<Self> {
+        let (cell, run, at) = cells.next_at()?;
+        Some(Head {
+            cell,
+            source,
+            priority,
+            run,
+            at,
+        })
     }
 }
 
 impl PartialEq for Head<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.kv == other.kv && self.priority == other.priority
+        self.cell == other.cell && self.priority == other.priority
     }
 }
 
@@ -194,8 +196,8 @@ impl Ord for Head<'_> {
         // BinaryHeap is a max-heap; we want the smallest cell first, and
         // among equal cell keys the highest priority first.
         other
-            .kv
-            .cmp(self.kv)
+            .cell
+            .cmp(&self.cell)
             .then_with(|| self.priority.cmp(&other.priority))
     }
 }
@@ -227,27 +229,25 @@ pub fn merge_scan(sources: Vec<ScanCells>, priorities: Vec<u64>) -> ScanCells {
         return live.pop().map(|(cells, _)| cells).unwrap_or_default();
     }
     let mut out = ScanCells::default();
-    let mut heap: BinaryHeap<Head<'_>> = live
-        .iter()
+    let mut walks: Vec<Iter<'_>> = live.iter().map(|(cells, _)| cells.iter()).collect();
+    let mut heap: BinaryHeap<Head<'_>> = walks
+        .iter_mut()
+        .zip(&live)
         .enumerate()
-        .filter_map(|(source, (cells, priority))| {
-            let start = cells.runs.first()?.1.start;
-            Head::at(cells, source, *priority, 0, start)
-        })
+        .filter_map(|(source, (walk, (_, priority)))| Head::next(walk, source, *priority))
         .collect();
-    let mut last: Option<&KeyValue> = None;
+    let mut last: Option<CellRef<'_>> = None;
     while let Some(mut top) = heap.peek_mut() {
-        let (kv, source, run, at) = (top.kv, top.source, top.run, top.at);
-        let cells = &live[source].0;
+        let (cell, source, run, at) = (top.cell, top.source, top.run, top.at);
         // Refill the top slot in place (one sift) rather than pop + push.
-        match Head::at(cells, source, top.priority, run, at + 1) {
+        match Head::next(&mut walks[source], source, top.priority) {
             Some(next) => *top = next,
             None => drop(PeekMut::pop(top)),
         }
         // Equal keys leave the heap highest priority first: keep that one.
-        if last.is_none_or(|last| last.cmp(kv).is_ne()) {
-            out.push(&cells.runs[run].0, at..at + 1);
-            last = Some(kv);
+        if last.is_none_or(|last| last.cmp(&cell).is_ne()) {
+            out.push(&live[source].0.runs[run].0, at..at + 1);
+            last = Some(cell);
         }
     }
     out
@@ -322,7 +322,9 @@ mod tests {
 
     #[test]
     fn a_lone_source_passes_through_and_winners_share_their_runs() {
-        let file = Arc::new(["a", "b", "c", "d"].map(|r| kv(r, 1, "f")).to_vec());
+        let file = Arc::new(PutBatch::from(
+            ["a", "b", "c", "d"].map(|r| kv(r, 1, "f")).to_vec(),
+        ));
         let mut lone = ScanCells::default();
         lone.push(&file, 1..3);
         let merged = merge_scan(vec![lone.clone(), ScanCells::default()], vec![0, 1]);
@@ -334,13 +336,15 @@ mod tests {
         let merged = merge_scan(vec![lone, memstore], vec![0, 1]);
         let runs: Vec<_> = merged.runs().iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(runs, vec![1..2, 0..1]);
-        assert_eq!(merged.last().map(|kv| &kv.value[..]), Some(&b"m"[..]));
+        assert_eq!(merged.last().map(|kv| kv.value), Some(&b"m"[..]));
     }
 
     #[test]
     fn pushes_coalesce_only_contiguous_ranges_of_one_vector() {
-        let a = Arc::new(["a", "b", "c"].map(|r| kv(r, 1, "a")).to_vec());
-        let b = Arc::new(vec![kv("d", 1, "b")]);
+        let a = Arc::new(PutBatch::from(
+            ["a", "b", "c"].map(|r| kv(r, 1, "a")).to_vec(),
+        ));
+        let b = Arc::new(PutBatch::from(vec![kv("d", 1, "b")]));
         let mut cells = ScanCells::default();
         cells.push(&a, 0..1);
         cells.push(&a, 1..2);

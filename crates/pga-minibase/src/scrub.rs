@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use crate::client::Client;
 use crate::fault::FaultHandle;
-use crate::kv::{KeyValue, RowRange};
+use crate::kv::{CellRef, RowRange};
 use crate::master::{locate, Master};
 use crate::server::{Request, Response};
 
@@ -44,9 +44,9 @@ use crate::server::{Request, Response};
 pub trait CellVerifier: Send + Sync + std::fmt::Debug {
     /// Does this verifier understand the cell (e.g. a sealed block)?
     /// Uncovered cells are skipped, not counted.
-    fn covers(&self, kv: &KeyValue) -> bool;
+    fn covers(&self, cell: CellRef<'_>) -> bool;
     /// Is a covered cell's payload intact? `false` quarantines it.
-    fn verify(&self, kv: &KeyValue) -> bool;
+    fn verify(&self, cell: CellRef<'_>) -> bool;
 }
 
 /// Shared handle to a cell verifier.
@@ -239,14 +239,14 @@ pub fn scrub_tick(
             // The in-flight corruption window between fetch and install.
             let mut value = cell.value.to_vec();
             fault.scribble_repair(info.id, &mut value);
-            let patched = KeyValue {
-                value: Bytes::from(value),
-                ..cell.clone()
+            let patched = CellRef {
+                value: &value,
+                ..CellRef::from(cell)
             };
             // Repairs must round-trip the checksum before install —
             // skipping this re-verification is seeded mutant F.
-            if fault.skip_repair_verify(info.id) || verifier.verify(&patched) {
-                candidate = Some(patched.value);
+            if fault.skip_repair_verify(info.id) || verifier.verify(patched) {
+                candidate = Some(Bytes::from(value));
                 break;
             }
             report.repairs_rejected += 1;

@@ -25,7 +25,7 @@ use pga_cluster::NodeId;
 
 use crate::batch::PutBatch;
 use crate::fault::FaultHandle;
-use crate::kv::{KeyValue, RowRange, ScanSpec};
+use crate::kv::{CellRef, KeyValue, RowRange, ScanSpec};
 use crate::region::{Region, RegionId, RegionMetrics};
 use crate::rewrite::RewriterHandle;
 use crate::scanner::ScanCells;
@@ -149,7 +149,7 @@ pub enum Request {
     /// of the `pick % n`-th stored cell of the region that `selector`
     /// matches ([`Region::corrupt_cell_for_fault_injection`]). Answers
     /// [`Response::Corrupted`].
-    Corrupt(RegionId, u64, fn(&KeyValue) -> bool, CellMutation),
+    Corrupt(RegionId, u64, fn(CellRef<'_>) -> bool, CellMutation),
     /// Hand every region back and keep none: the last request
     /// [`RegionServer::shutdown`] sends. Answers [`Response::Stopped`].
     Stop,
@@ -966,7 +966,7 @@ mod tests {
             region: RegionId(1),
             scan: RowRange::all().into(),
         }) {
-            Ok(Response::Cells(cells)) => cells.iter().next().unwrap().value.clone(),
+            Ok(Response::Cells(cells)) => cells.iter().next().unwrap().value.to_vec(),
             other => panic!("unexpected {other:?}"),
         };
         assert!(matches!(repair(1), Response::Fenced { epoch: 2 }));

@@ -1,15 +1,13 @@
 //! Immutable sorted runs — the HFile analog.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::batch::{Cells, PutBatch};
 use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
 use crate::scanner::ScanCells;
-
-/// One row of a store file: the position of its first cell and its key.
-/// The row ends where the next one starts.
-pub(crate) type RowEntry = (usize, Bytes);
 
 /// Interpolation steps a column-window seek takes inside a row before it
 /// bisects what is left. A raw TSDB row (one 2-byte offset per second)
@@ -17,52 +15,48 @@ pub(crate) type RowEntry = (usize, Bytes);
 const INTERPOLATION_STEPS: usize = 3;
 
 /// An immutable, sorted run of cells produced by a memstore flush or a
-/// compaction. Cheap to clone (the data is shared), and scans hand out
-/// ranges of the same shared cells.
+/// compaction: one sorted [`PutBatch`], each row one run of it. Cheap to
+/// clone (the batch is shared), and scans hand out ranges of the same
+/// shared batch.
 ///
-/// The file indexes its rows, one entry each, so a scan finds a row, tests
-/// its key and skips it without reading a cell.
+/// The batch's row runs are the file's row index, so a scan finds a row,
+/// tests its key and skips it without reading a cell.
 #[derive(Debug, Clone)]
 pub struct StoreFile {
-    cells: Arc<Vec<KeyValue>>,
-    /// One entry per row, in row order.
-    rows: Arc<Vec<RowEntry>>,
+    cells: Arc<PutBatch>,
     /// Monotone id; higher = newer file, which wins ties during merges.
     sequence: u64,
 }
 
 impl StoreFile {
     /// Build from cells that must already be sorted (debug-asserted),
-    /// finding the rows in one walk over the cells. Flushes and
-    /// compactions know their rows already and hand them over instead.
+    /// packed into one batch. Flushes and compactions build their batch
+    /// by column instead.
     pub fn from_sorted(cells: Vec<KeyValue>, sequence: u64) -> Self {
-        let mut rows: Vec<RowEntry> = Vec::new();
-        for (at, kv) in cells.iter().enumerate() {
-            if rows.last().is_none_or(|(_, row)| *row != kv.row) {
-                rows.push((at, kv.row.clone()));
-            }
-        }
-        Self::from_rows(cells, rows, sequence)
-    }
-
-    /// Build from sorted cells and their row entries, one per row in
-    /// order, each at the row's first cell (debug-asserted).
-    pub(crate) fn from_rows(cells: Vec<KeyValue>, rows: Vec<RowEntry>, sequence: u64) -> Self {
         debug_assert!(
             cells.windows(2).all(|w| w[0] <= w[1]),
             "cells must be sorted"
         );
+        Self::from_batch(PutBatch::from(cells), sequence)
+    }
+
+    /// Build from a batch whose cells are sorted, one run per row
+    /// (debug-asserted).
+    pub(crate) fn from_batch(cells: PutBatch, sequence: u64) -> Self {
         debug_assert!(
-            rows.first().map_or(cells.is_empty(), |&(at, _)| at == 0)
-                && rows.iter().enumerate().all(|(i, (at, row))| {
-                    let end = rows.get(i + 1).map_or(cells.len(), |&(next, _)| next);
-                    *at < end && cells[*at..end].iter().all(|kv| kv.row == *row)
+            cells.runs.windows(2).all(|w| w[0].0 < w[1].0)
+                && (0..cells.runs.len()).all(|r| {
+                    let run = cells.run_start(r)..cells.runs[r].1;
+                    run.end > run.start
+                        && cells
+                            .cells(run)
+                            .zip(cells.cells(cells.run_start(r) + 1..cells.runs[r].1))
+                            .all(|(a, b)| a <= b)
                 }),
-            "one row entry per row, at its first cell"
+            "cells sorted, one run per row"
         );
         StoreFile {
             cells: Arc::new(cells),
-            rows: Arc::new(rows),
             sequence,
         }
     }
@@ -84,60 +78,56 @@ impl StoreFile {
 
     /// First row, if any.
     pub fn first_row(&self) -> Option<&[u8]> {
-        self.rows.first().map(|(_, row)| &row[..])
+        self.cells.runs.first().map(|(row, _)| &row[..])
     }
 
     /// Last row, if any.
     pub fn last_row(&self) -> Option<&[u8]> {
-        self.rows.last().map(|(_, row)| &row[..])
+        self.cells.runs.last().map(|(row, _)| &row[..])
     }
 
-    /// Every cell, in order, shared.
+    /// The file's sorted batch, shared.
     #[cfg(test)]
-    pub(crate) fn cells(&self) -> &Arc<Vec<KeyValue>> {
+    pub(crate) fn batch(&self) -> &Arc<PutBatch> {
         &self.cells
     }
 
-    /// Every cell, in order, owned, and the row entries: the cells moved
-    /// out when no scan reply still shares the file, cloned when one does
-    /// (it keeps reading the old cells).
-    pub(crate) fn into_parts(self) -> (Vec<KeyValue>, Arc<Vec<RowEntry>>) {
-        (Arc::unwrap_or_clone(self.cells), self.rows)
+    /// The file's sorted batch; a scan reply that still holds it keeps
+    /// its own handle.
+    pub(crate) fn into_batch(self) -> Arc<PutBatch> {
+        self.cells
     }
 
-    /// Position of the first cell of row entry `i` (the file's length
-    /// past the last row).
-    fn row_start(&self, i: usize) -> usize {
-        self.rows.get(i).map_or(self.cells.len(), |&(at, _)| at)
-    }
-
-    /// The row entries inside `range`, as a range of entry indices.
-    fn rows_in(&self, range: &RowRange) -> std::ops::Range<usize> {
+    /// The rows inside `range`, as a range of run indices.
+    fn rows_in(&self, range: &RowRange) -> Range<usize> {
+        let runs = &self.cells.runs;
         let first = match &range.start[..] {
             [] => 0,
-            start => self.rows.partition_point(|(_, row)| row[..] < *start),
+            start => runs.partition_point(|(row, _)| row[..] < *start),
         };
         let last = match &range.end[..] {
-            [] => self.rows.len(),
-            end => first + self.rows[first..].partition_point(|(_, row)| row[..] < *end),
+            [] => runs.len(),
+            end => first + runs[first..].partition_point(|(row, _)| row[..] < *end),
         };
         first..last.max(first)
     }
 
-    /// Iterate cells within `range`, found through the row index.
-    pub fn scan<'a>(&'a self, range: &'a RowRange) -> impl Iterator<Item = &'a KeyValue> + 'a {
+    /// The cells of the rows in `range`, in order, as views, found
+    /// through the row index.
+    pub fn scan(&self, range: &RowRange) -> Cells<'_> {
         let rows = self.rows_in(range);
-        self.cells[self.row_start(rows.start)..self.row_start(rows.end)].iter()
+        let cells = &self.cells;
+        cells.cells(cells.run_start(rows.start)..cells.run_start(rows.end))
     }
 
     /// The cells of the rows in `rows` that `words` accepts (every row
     /// when `None`) whose qualifier lies in one of `columns` (sorted and
     /// disjoint; `None` = the whole row), in order, as ranges of this
-    /// file's shared cells: nothing is copied. The row index finds the
+    /// file's shared batch: nothing is copied. The row index finds the
     /// rows and the filter reads their keys there, so a rejected row costs
     /// no cell read; inside a kept row each range's ends are sought by
-    /// interpolating on the qualifiers, then bisecting what is left. The
-    /// cost is per row and per range returned, not per cell stored.
+    /// interpolating on the qualifier column, then bisecting what is left.
+    /// The cost is per row and per range returned, not per cell stored.
     pub(crate) fn select(
         &self,
         rows: &RowRange,
@@ -145,29 +135,30 @@ impl StoreFile {
         words: Option<&RowWords>,
     ) -> ScanCells {
         let rows = self.rows_in(rows);
+        let cells = &self.cells;
         let mut out = ScanCells::default();
         if columns.is_none() && words.is_none() {
             out.push(
-                &self.cells,
-                self.row_start(rows.start)..self.row_start(rows.end),
+                cells,
+                cells.run_start(rows.start)..cells.run_start(rows.end),
             );
             return out;
         }
-        for i in rows {
-            let (at, key) = &self.rows[i];
+        for r in rows {
+            let (key, end) = &cells.runs[r];
             if words.is_some_and(|w| !w.matches(key)) {
                 continue;
             }
-            let end = self.row_start(i + 1);
+            let (at, end) = (cells.run_start(r), *end);
             let Some(columns) = columns else {
-                out.push(&self.cells, *at..end);
+                out.push(cells, at..end);
                 continue;
             };
-            let mut from = *at;
+            let mut from = at;
             for c in columns {
-                from += seek_qualifier(&self.cells[from..end], &c.start);
-                let n = seek_qualifier(&self.cells[from..end], &c.end);
-                out.push(&self.cells, from..from + n);
+                from += seek_qualifier(&cells.qualifiers[from..end], &c.start);
+                let n = seek_qualifier(&cells.qualifiers[from..end], &c.end);
+                out.push(cells, from..from + n);
                 from += n;
             }
         }
@@ -184,22 +175,19 @@ fn qualifier_prefix(qualifier: &[u8]) -> u64 {
     u64::from_be_bytes(word)
 }
 
-/// Position of the first cell of `row` (one row's cells, in order) whose
-/// qualifier is at or after `qualifier`: a few interpolation steps on the
-/// qualifiers' leading 8 bytes, then a bisection of what is left.
-fn seek_qualifier(row: &[KeyValue], qualifier: &[u8]) -> usize {
+/// Position of the first of `row` (one row's qualifiers, in order) at or
+/// after `qualifier`: a few interpolation steps on the qualifiers'
+/// leading 8 bytes, then a bisection of what is left.
+fn seek_qualifier(row: &[Bytes], qualifier: &[u8]) -> usize {
     let key = qualifier_prefix(qualifier);
-    // Every cell before `lo` is before `qualifier`; every one from `hi` on
-    // is at or after it.
+    // Every qualifier before `lo` is before `qualifier`; every one from
+    // `hi` on is at or after it.
     let (mut lo, mut hi) = (0, row.len());
     for _ in 0..INTERPOLATION_STEPS {
         let (Some(first), Some(last)) = (row[lo..hi].first(), row[lo..hi].last()) else {
             return lo;
         };
-        let (a, b) = (
-            qualifier_prefix(&first.qualifier),
-            qualifier_prefix(&last.qualifier),
-        );
+        let (a, b) = (qualifier_prefix(first), qualifier_prefix(last));
         if key < a {
             return lo;
         }
@@ -211,13 +199,13 @@ fn seek_qualifier(row: &[KeyValue], qualifier: &[u8]) -> usize {
         }
         let offset = u128::from(key - a) * (hi - 1 - lo) as u128 / u128::from(b - a);
         let guess = lo + offset as usize;
-        if row[guess].qualifier[..] < *qualifier {
+        if row[guess][..] < *qualifier {
             lo = guess + 1;
         } else {
             hi = guess;
         }
     }
-    lo + row[lo..hi].partition_point(|kv| kv.qualifier[..] < *qualifier)
+    lo + row[lo..hi].partition_point(|q| q[..] < *qualifier)
 }
 
 #[cfg(test)]
@@ -248,7 +236,7 @@ mod tests {
         let f = file_of(&refs);
         let got: Vec<_> = f
             .scan(&RowRange::new("row00100", "row00110"))
-            .map(|kv| std::str::from_utf8(&kv.row).unwrap().to_string())
+            .map(|kv| std::str::from_utf8(kv.row).unwrap().to_string())
             .collect();
         assert_eq!(got.len(), 10);
         assert_eq!(got[0], "row00100");

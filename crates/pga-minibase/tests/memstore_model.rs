@@ -3,7 +3,9 @@
 //! holds — whatever mix of in-order appends, back-fills, exact-key
 //! rewrites, extra versions and single puts reaches it, with scans in
 //! between the writes — and counts every cell a rewrite replaced towards
-//! its flush.
+//! its flush. A scan reply lends the memstore's batches, so every reply
+//! is kept to the end: after the later back-fills, rewrites and the
+//! flush, each must still hold what the model held when it was taken.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -11,7 +13,9 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use pga_minibase::{ColumnRange, KeyValue, MemStore, PutBatch, RowRange, RowWords};
+use pga_minibase::{
+    CellRef, ColumnRange, KeyValue, MemStore, PutBatch, RowRange, RowWords, ScanCells,
+};
 
 type Key = (Vec<u8>, Vec<u8>, Reverse<u64>);
 
@@ -208,6 +212,8 @@ proptest! {
     fn a_memstore_fed_batches_equals_the_sorted_map(ops in proptest::collection::vec(op(), 1..24)) {
         let mut store = MemStore::new();
         let mut model = Model::default();
+        // Every reply taken, with what the model held when it was taken.
+        let mut held: Vec<(ScanCells, Vec<KeyValue>)> = Vec::new();
         for op in &ops {
             match op {
                 Op::Put { pieces, single } => {
@@ -249,16 +255,26 @@ proptest! {
                     });
                     let words = word.map(|w| RowWords::new(1, 1, [[w]]));
                     let columns = window.clone().map(|c| vec![c]);
-                    let got = store.select(&rows, columns.as_deref(), words.as_ref()).to_vec();
-                    prop_assert_eq!(got, model.select(&rows, window.as_ref(), words.as_ref()));
+                    let got = store.select(&rows, columns.as_deref(), words.as_ref());
+                    let expect = model.select(&rows, window.as_ref(), words.as_ref());
+                    prop_assert_eq!(got.to_vec(), expect.clone());
+                    held.push((got, expect));
                 }
+            }
+            for (reply, expect) in &held {
+                prop_assert_eq!(&reply.to_vec(), expect);
             }
             prop_assert_eq!(store.len(), model.cells.len());
             prop_assert_eq!(store.heap_size(), model.heap_size());
             prop_assert_eq!(store.held_size(), model.heap_size() + model.replaced);
         }
         let all = model.select(&RowRange::all(), None, None);
-        prop_assert_eq!(store.drain_sorted(), all);
+        let file = store.drain(1);
+        let drained: Vec<KeyValue> = file.scan(&RowRange::all()).map(CellRef::to_kv).collect();
+        prop_assert_eq!(drained, all);
         prop_assert_eq!((store.len(), store.heap_size(), store.held_size()), (0, 0, 0));
+        for (reply, expect) in &held {
+            prop_assert_eq!(&reply.to_vec(), expect);
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! a mirror of the region's files and memstore, over random regions: one
 //! to four flushed files and a live memstore, exact-key duplicates across
 //! them, column windows and row-word filters, and rows sealed into one
-//! block cell by a compaction rewriter.
+//! block cell by a compaction rewriter. Replies lend the region's
+//! batches, so replies taken between the writes are kept: after the later
+//! rewrites, flushes and compactions each must still hold the cells the
+//! model answered when it was taken.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -18,8 +21,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use pga_minibase::{
-    ColumnRange, CompactionRewriter, KeyValue, Region, RegionConfig, RegionId, RewriteContext,
-    RowRange, RowWords, ScanSpec,
+    CellRef, ColumnRange, CompactionRewriter, KeyValue, Region, RegionConfig, RegionId,
+    RewriteContext, RowRange, RowWords, ScanCells, ScanSpec,
 };
 
 /// `StoreFile::select` as it was: the cells of the accepted rows inside
@@ -322,11 +325,15 @@ proptest! {
             region.set_compaction_rewriter(Arc::new(SealZeroRows));
         }
         let mut mirror = Mirror::default();
-        for (puts, compact) in &batches {
+        // Replies taken between the writes, with the model's answer then.
+        let mut held: Vec<(ScanCells, Vec<KeyValue>)> = Vec::new();
+        for (i, (puts, compact)) in batches.iter().enumerate() {
             for kv in puts {
                 region.put_batch(vec![kv.clone()]).unwrap();
                 mirror.put(kv.clone());
             }
+            let spec = &specs[i % specs.len()];
+            held.push((region.scan_spec(spec), mirror.scan_spec(spec)));
             region.flush();
             mirror.flush();
             if *compact {
@@ -342,7 +349,15 @@ proptest! {
         for spec in specs.iter().chain([&RowRange::all().into()]) {
             let got = region.scan_spec(spec);
             let expect = mirror.scan_spec(spec);
-            prop_assert_eq!(got.iter().collect::<Vec<_>>(), expect.iter().collect::<Vec<_>>());
+            prop_assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                expect.iter().map(CellRef::from).collect::<Vec<_>>()
+            );
+        }
+        region.flush();
+        region.compact();
+        for (reply, expect) in &held {
+            prop_assert_eq!(&reply.to_vec(), expect);
         }
     }
 }

@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use pga_minibase::KeyValue;
+use pga_minibase::{CellRef, KeyValue};
 use pga_tsdb::uid::RESERVED_PREFIX;
 use pga_tsdb::{KeyCodec, PutObserver, Series, SeriesPoint};
 
@@ -326,23 +326,24 @@ impl BucketMerge {
 /// runs again over sorted references. Value blobs are read in place.
 /// Malformed cells, raw-format (2-byte qualifier) strays and rows of
 /// unknown series are skipped.
-pub fn fold_buckets<'a, I>(
+pub fn fold_buckets<'a, I, C>(
     codec: &KeyCodec,
     tier: u64,
     cells: I,
     mut bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
 ) where
-    I: IntoIterator<Item = &'a KeyValue>,
+    I: IntoIterator<Item = C>,
     I::IntoIter: Clone,
+    C: Into<CellRef<'a>>,
 {
-    let cells = cells.into_iter();
+    let cells = cells.into_iter().map(Into::into);
     let mut folded = Vec::new();
     if fold_in_order(codec, tier, cells.clone(), |s, b, m| folded.push((s, b, m))) {
         for (s, b, m) in &folded {
             bucket(s, *b, m);
         }
     } else {
-        let mut sorted: Vec<&KeyValue> = cells.collect();
+        let mut sorted: Vec<CellRef<'a>> = cells.collect();
         sorted.sort();
         let in_order = fold_in_order(codec, tier, sorted, |s, b, m| bucket(&s, b, &m));
         debug_assert!(in_order, "sorted cells are in storage order");
@@ -354,7 +355,7 @@ pub fn fold_buckets<'a, I>(
 fn fold_in_order<'a>(
     codec: &KeyCodec,
     tier: u64,
-    cells: impl IntoIterator<Item = &'a KeyValue>,
+    cells: impl IntoIterator<Item = CellRef<'a>>,
     mut bucket: impl FnMut(Arc<Series>, u64, MergedBucket),
 ) -> bool {
     let mut merge = BucketMerge::new(tier);
@@ -362,17 +363,23 @@ fn fold_in_order<'a>(
     let mut open: Option<(Arc<Series>, u64)> = None;
     // The last cell, and its row's series and base time once a cell of
     // the row needed them (`None` inside: not decodable).
-    let mut prev: Option<&KeyValue> = None;
+    let mut prev: Option<CellRef<'a>> = None;
     let mut row: Option<Option<(Arc<Series>, u64)>> = None;
     for kv in cells {
         // Storage order is row, then qualifier ascending, then version
         // descending; an equal `(row, qualifier)` is an older version.
+        // (Cells of one row share its handle: the row bytes are compared
+        // only where the handle changes.)
+        let rows = |p: CellRef<'_>| match p.same_row(&kv) {
+            true => Ordering::Equal,
+            false => p.row.cmp(kv.row),
+        };
         let (same_row, superseded) = match prev {
             None => (false, false),
-            Some(p) => match p.row.cmp(&kv.row) {
+            Some(p) => match rows(p) {
                 Ordering::Less => (false, false),
                 Ordering::Greater => return false,
-                Ordering::Equal => match p.qualifier.cmp(&kv.qualifier) {
+                Ordering::Equal => match p.qualifier.cmp(kv.qualifier) {
                     Ordering::Less => (true, false),
                     Ordering::Equal if p.timestamp >= kv.timestamp => (true, true),
                     _ => return false,
@@ -387,11 +394,11 @@ fn fold_in_order<'a>(
             continue;
         }
         let (Some((offset, _, _)), Some(value)) =
-            (decode_qualifier(&kv.qualifier), read_value(tier, &kv.value))
+            (decode_qualifier(kv.qualifier), read_value(tier, kv.value))
         else {
             continue;
         };
-        let Some((series, base)) = row.get_or_insert_with(|| codec.series_of_row(&kv.row)) else {
+        let Some((series, base)) = row.get_or_insert_with(|| codec.series_of_row(kv.row)) else {
             continue;
         };
         let start = *base + offset as u64;

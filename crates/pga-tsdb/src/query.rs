@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use pga_minibase::{Client, KeyValue, RowRange};
+use pga_minibase::{CellRef, Client, RowRange};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{self, BlockError};
@@ -237,10 +237,11 @@ pub struct Assembler<'a> {
 /// of the row answers), where its points start in the slot, and its
 /// block cells.
 struct OpenRow<'c> {
-    key: &'c [u8],
+    /// The row's first cell.
+    first: CellRef<'c>,
     series: Option<(Arc<Series>, u64, usize)>,
     first_point: usize,
-    blocks: Vec<&'c KeyValue>,
+    blocks: Vec<CellRef<'c>>,
 }
 
 impl<'a> Assembler<'a> {
@@ -276,27 +277,26 @@ impl<'a> Assembler<'a> {
     }
 
     /// Assemble scanned cells, in storage scan order, after the ones
-    /// already added.
-    pub fn add<'c>(&mut self, cells: impl IntoIterator<Item = &'c KeyValue>) {
+    /// already added: the views a scan reply lends, or owned cells by
+    /// reference.
+    pub fn add<'c, C: Into<CellRef<'c>>>(&mut self, cells: impl IntoIterator<Item = C>) {
         let mut open: Option<OpenRow<'c>> = None;
         let mut last_qualifier: &[u8] = &[];
         for kv in cells {
-            if open.as_ref().is_none_or(|row| row.key != &kv.row[..]) {
+            let kv: CellRef<'c> = kv.into();
+            if open.as_ref().is_none_or(|row| !row.first.same_row(&kv)) {
                 if let Some(row) = open.take() {
                     self.close_row(row);
                 }
-                let series = self
-                    .codec
-                    .series_of_row(&kv.row)
-                    .and_then(|(series, base)| {
-                        let slot = self.slot(&series)?;
-                        Some((series, base, slot))
-                    });
+                let series = self.codec.series_of_row(kv.row).and_then(|(series, base)| {
+                    let slot = self.slot(&series)?;
+                    Some((series, base, slot))
+                });
                 let first_point = series
                     .as_ref()
                     .map_or(0, |&(_, _, slot)| self.answer[slot].1.len());
                 open = Some(OpenRow {
-                    key: &kv.row,
+                    first: kv,
                     series,
                     first_point,
                     blocks: Vec::new(),
@@ -304,14 +304,14 @@ impl<'a> Assembler<'a> {
             } else if last_qualifier == &kv.qualifier[..] {
                 continue; // older version of a cell already taken
             }
-            last_qualifier = &kv.qualifier;
+            last_qualifier = kv.qualifier;
             let Some(row) = open.as_mut() else {
                 continue;
             };
             let Some((_, base, slot)) = row.series else {
                 continue; // unknown UIDs, malformed row, or filtered out
             };
-            if block::is_block_qualifier(&kv.qualifier) {
+            if block::is_block_qualifier(kv.qualifier) {
                 row.blocks.push(kv);
                 continue;
             }
@@ -319,7 +319,7 @@ impl<'a> Assembler<'a> {
             // qualifiers) or an 8-byte value carries no raw point.
             let (Ok(q), Ok(v)) = (
                 <[u8; 2]>::try_from(&kv.qualifier[..]),
-                <[u8; 8]>::try_from(&kv.value[..]),
+                <[u8; 8]>::try_from(kv.value),
             ) else {
                 continue;
             };
@@ -366,16 +366,16 @@ impl<'a> Assembler<'a> {
             // verdict only counts after the whole-buffer CRC authenticates
             // it. A block failing that CRC falls through to the decode
             // below, which reports it.
-            if let Ok((_, min_ts, max_ts)) = block::peek_header(&cell.value) {
-                if (max_ts < lo || min_ts > hi) && block::verify_block(&cell.value).is_ok() {
+            if let Ok((_, min_ts, max_ts)) = block::peek_header(cell.value) {
+                if (max_ts < lo || min_ts > hi) && block::verify_block(cell.value).is_ok() {
                     continue;
                 }
             }
-            let decoded = match block::decode_block(&cell.value) {
+            let decoded = match block::decode_block(cell.value) {
                 Ok(decoded) => decoded,
                 Err(error) => {
                     self.corrupt.push(CorruptBlock {
-                        row: row.key.to_vec(),
+                        row: row.first.row.to_vec(),
                         qualifier: cell.qualifier.to_vec(),
                         series: series.clone(),
                         base,

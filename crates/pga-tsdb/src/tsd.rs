@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pga_minibase::{Client, ClientError, KeyValue, PutBatch, RowRange};
+use pga_minibase::{CellRef, Client, ClientError, KeyValue, PutBatch, RowRange};
 
 use crate::block::BlockError;
 use crate::codec::KeyCodec;
@@ -198,12 +198,12 @@ impl From<ClientError> for TsdError {
 pub struct BlockVerifier;
 
 impl pga_minibase::CellVerifier for BlockVerifier {
-    fn covers(&self, kv: &KeyValue) -> bool {
-        crate::block::is_block_qualifier(&kv.qualifier)
+    fn covers(&self, cell: CellRef<'_>) -> bool {
+        crate::block::is_block_qualifier(cell.qualifier)
     }
 
-    fn verify(&self, kv: &KeyValue) -> bool {
-        crate::block::verify_block(&kv.value).is_ok()
+    fn verify(&self, cell: CellRef<'_>) -> bool {
+        crate::block::verify_block(cell.value).is_ok()
     }
 }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use legacy::query_legacy;
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{
-    Client, KeyValue, Master, RegionConfig, Request, Response, ServerConfig, TableDescriptor,
+    CellRef, Client, Master, RegionConfig, Request, Response, ServerConfig, TableDescriptor,
 };
 use pga_tsdb::uid::UidKind;
 use pga_tsdb::{
@@ -446,7 +446,7 @@ proptest! {
                     value[idx] ^= mask;
                 }
             };
-            let selector = |kv: &KeyValue| is_block_qualifier(&kv.qualifier);
+            let selector = |cell: CellRef<'_>| is_block_qualifier(cell.qualifier);
             let corrupt = Request::Corrupt(info.id, pick, selector, Box::new(flip));
             let flipped = server.handle().call(corrupt);
             if matches!(flipped, Ok(Response::Corrupted(Some(_)))) {

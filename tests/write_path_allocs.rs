@@ -292,6 +292,76 @@ fn a_cold_rollup_answer_folds_cells_in_place() {
     stack.shutdown();
 }
 
+/// Allocations of a `Region` (driven on this thread) reading a 50-tick
+/// column window of 131 firehose-shaped rows of `ticks` cells each — once
+/// from the open memstore and once from a flushed file — and of the
+/// flush between them.
+fn region_read_and_flush(ticks: u16) -> [u64; 3] {
+    use pga_minibase::{
+        ColumnRange, KeyValue, PutBatch, Region, RegionConfig, RegionId, RowRange, ScanSpec,
+    };
+
+    const ROWS: u64 = 131;
+    // Shared row and qualifier buffers, as the codec hands them out.
+    let key = |row: Vec<u8>, qualifier: Vec<u8>| KeyValue::new(row, qualifier, 0, Vec::new());
+    let qualifiers: Vec<_> = (0..ticks)
+        .map(|offset| key(Vec::new(), offset.to_be_bytes().to_vec()).qualifier)
+        .collect();
+    let rows: Vec<_> = (0..ROWS)
+        .map(|r| key([&b"\x01energy"[..], &r.to_be_bytes()].concat(), Vec::new()).row)
+        .collect();
+    let manual = RegionConfig {
+        memstore_flush_bytes: usize::MAX,
+        compaction_file_threshold: usize::MAX,
+        ..RegionConfig::default()
+    };
+    let mut region = Region::new(RegionId(1), RowRange::all(), manual);
+    for first in (0..ticks).step_by(50) {
+        let mut batch = PutBatch::new();
+        for row in &rows {
+            for offset in first..first + 50 {
+                let value = f64::from(offset).to_be_bytes();
+                batch.push(row, qualifiers[offset as usize].clone(), 1, &value);
+            }
+        }
+        region.put_batch(batch).unwrap();
+    }
+    let last = (ticks - 50).to_be_bytes().to_vec();
+    let window = ScanSpec::windowed(
+        RowRange::all(),
+        vec![ColumnRange::new(last, ticks.to_be_bytes().to_vec())],
+    );
+    let (open, open_count) = allocations(|| region.scan_spec(&window));
+    assert_eq!(open.len(), 50 * ROWS as usize);
+    drop(open);
+    let ((), flush_count) = allocations(|| region.flush());
+    let (flushed, file_count) = allocations(|| region.scan_spec(&window));
+    assert_eq!(flushed.len(), 50 * ROWS as usize);
+    [open_count, flush_count, file_count]
+}
+
+/// A scan reply lends the memstore's batches and a store file's one
+/// sorted batch, and a flush copies columns into that batch: reading a
+/// window of 6 550 cells and flushing a memstore of up to 471 600 cells
+/// allocate per reply run and per column, not per cell. When a read made
+/// each cell an owned cell and the flush made every cell no read had, each
+/// cost one allocation a cell.
+#[test]
+fn region_reads_and_flushes_allocate_per_run_not_per_cell() {
+    for ticks in [600, 3_600] {
+        let [open, flush, file] = region_read_and_flush(ticks);
+        // Measured 4, 8 and 10 at both lengths: a reply's run vector
+        // growing, the flushed batch's columns and the file's handle.
+        assert!(open <= 32, "{open} allocations to read the open memstore");
+        assert!(
+            flush <= 32,
+            "{flush} allocations to flush {ticks}-tick rows"
+        );
+        assert!(file <= 32, "{file} allocations to read the flushed file");
+        assert!(flush >= COLUMNS, "the counter counts: {flush}");
+    }
+}
+
 /// A window is scored into a few vectors per call, whatever its width: a
 /// 256-sensor unit allocates exactly as often as a 64-sensor one.
 #[test]
