@@ -17,7 +17,7 @@ use crate::schedule::{
 };
 use crate::sim::{run_inner, run_with_baseline, SimConfig, SimOutcome, Violation};
 
-/// The five seeded bugs.
+/// The seeded bugs.
 #[derive(Debug, Clone, Copy)]
 enum Mutant {
     /// Acks a put without appending to the WAL: a crash loses acked data.
@@ -41,6 +41,10 @@ enum Mutant {
     /// install is laundered onto every copy as a "repair", and the stack
     /// looks healthy again (quarantine cleared) while serving garbage.
     NoReverifyRepair,
+    /// A follower flips a bit of a value in every batch shipped to it:
+    /// its copy holds every key the primary does, so only an oracle that
+    /// compares values sees it.
+    FollowerFlipsValue,
 }
 
 /// Wraps the faithful sim plane, delegating injection hooks and breaking
@@ -74,6 +78,10 @@ impl FaultPlane for MutantPlane {
 
     fn skip_repair_verify(&self, _region: RegionId) -> bool {
         matches!(self.mutant, Mutant::NoReverifyRepair)
+    }
+
+    fn flip_shipped_value(&self, _region: RegionId) -> bool {
+        matches!(self.mutant, Mutant::FollowerFlipsValue)
     }
 
     fn tear_wal(&self, region: RegionId, encoded: &mut Vec<u8>) {
@@ -213,6 +221,19 @@ fn mutant_gap_tolerant_follower_is_detected_within_budget() {
         outcome.stats.ship_drops > 0,
         "seed {seed}: detection must come from an in-transit ship loss"
     );
+}
+
+#[test]
+fn mutant_follower_flipping_a_shipped_value_is_detected_within_budget() {
+    let config = repl_sim();
+    let found = (0..SEED_BUDGET).find_map(|seed| {
+        let outcome =
+            run_with_mutant_gen(seed, Mutant::FollowerFlipsValue, &config, &generate_repl);
+        outcome.violations.into_iter().find(
+            |v| matches!(v, Violation::ReplicaDiverged { detail, .. } if detail.contains("value")),
+        )
+    });
+    found.expect("mutant G never detected: a follower's values went unchecked");
 }
 
 /// Block-sealing sim shape for the mutant-E budget: compactions run every

@@ -422,6 +422,9 @@ pub struct SimOutcome {
 
 type SeriesKey = (u32, u32);
 
+/// A stored cell's key: `(row, qualifier, version)`.
+type CellKey<'a> = (&'a [u8], &'a [u8], u64);
+
 /// The rollup tier for a sim shape: [`ROLLUP_TIER`] normally, shrunk to
 /// the short row span in block-compaction mode (a tier must divide the
 /// row span it is stored under).
@@ -1356,7 +1359,12 @@ impl<'a> Driver<'a> {
                 Ok(Response::Cells(cells)) => cells,
                 _ => continue, // primary crashed post-drain: nothing to anchor on
             };
-            let primary_cells: BTreeSet<CellRef<'_>> = primary_scan.iter().collect();
+            // Keyed by (row, qualifier, version): a follower's cell must
+            // carry the primary's value at its key, not only its key.
+            let primary_cells: BTreeMap<CellKey<'_>, &[u8]> = primary_scan
+                .iter()
+                .map(|c| ((&c.row[..], c.qualifier, c.timestamp), c.value))
+                .collect();
             for &(node, _) in &status.followers {
                 let Some(server) = self.master.server(node) else {
                     continue;
@@ -1392,17 +1400,19 @@ impl<'a> Driver<'a> {
                     });
                 }
                 for kv in &cells {
-                    if !primary_cells.contains(&kv) {
-                        self.violations.push(Violation::ReplicaDiverged {
-                            region: status.region.0,
-                            detail: format!(
-                                "follower {} holds a cell the primary cannot explain \
-                                 (row {:?} ts {})",
-                                node.0, kv.row, kv.timestamp
-                            ),
-                        });
-                        break;
-                    }
+                    let what = match primary_cells.get(&(&kv.row[..], kv.qualifier, kv.timestamp)) {
+                        Some(&value) if value == kv.value => continue,
+                        Some(_) => "a value the primary does not hold",
+                        None => "a cell the primary cannot explain",
+                    };
+                    self.violations.push(Violation::ReplicaDiverged {
+                        region: status.region.0,
+                        detail: format!(
+                            "follower {} holds {what} (row {:?} ts {})",
+                            node.0, kv.row, kv.timestamp
+                        ),
+                    });
+                    break;
                 }
             }
         }

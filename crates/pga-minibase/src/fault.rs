@@ -97,6 +97,14 @@ pub trait FaultPlane: Send + Sync + std::fmt::Debug {
         false
     }
 
+    /// When `true`, a follower flips a bit of the first value of each
+    /// batch shipped to it before it applies the batch (deliberately
+    /// broken replication — mutant G): its copy holds every key the
+    /// primary does, some with another value.
+    fn flip_shipped_value(&self, _region: RegionId) -> bool {
+        false
+    }
+
     /// When `true`, the compaction rewriter drops raw cells that overlap
     /// an existing sealed block instead of merging them — the "the block
     /// is already complete" bug that silently loses late-arriving points

@@ -71,7 +71,7 @@ pub struct CellRef<'a> {
     /// Row key.
     pub row: &'a Bytes,
     /// Column qualifier.
-    pub qualifier: &'a Bytes,
+    pub qualifier: &'a [u8],
     /// Version timestamp in milliseconds.
     pub timestamp: u64,
     /// Cell payload.
@@ -79,12 +79,12 @@ pub struct CellRef<'a> {
 }
 
 impl CellRef<'_> {
-    /// The cell as an owned [`KeyValue`]: the value is copied into a
-    /// buffer of its own.
+    /// The cell as an owned [`KeyValue`]: the qualifier and the value are
+    /// copied into buffers of their own.
     pub fn to_kv(self) -> KeyValue {
         KeyValue {
             row: self.row.clone(),
-            qualifier: self.qualifier.clone(),
+            qualifier: Bytes::copy_from_slice(self.qualifier),
             timestamp: self.timestamp,
             value: Bytes::copy_from_slice(self.value),
         }

@@ -1,42 +1,75 @@
 //! In-memory sorted write buffer (the HBase MemStore analog).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::batch::{PutBatch, Source};
+use crate::batch::{word, PutBatch, RunCells};
 use crate::kv::{heap_size_of, ColumnRange, KeyValue, RowRange, RowWords};
 use crate::scanner::ScanCells;
 use crate::storefile::StoreFile;
 
-/// Consecutive cells `start..end` of kept batch `batch`, keys ascending: a
-/// piece of one row's cells. (A batch holds fewer than 2^32 cells, and a
-/// memstore keeps fewer than 2^32 batches.)
+/// Consecutive cells `start..end` of run `run` of kept batch `batch`, keys
+/// ascending: a piece of one row's cells, with the word of its last
+/// qualifier. (A batch holds fewer than 2^32 cells, and a memstore keeps
+/// fewer than 2^32 batches.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Segment {
     batch: u32,
+    run: u32,
     start: u32,
     end: u32,
+    /// [`word`] of the last cell's qualifier: it orders segments against
+    /// a qualifier without reading the batch, unless the words are equal.
+    last: u64,
 }
 
 impl Segment {
+    /// Cells `cells` of `run`, run `r` of kept batch `b`.
+    fn new(b: usize, r: usize, run: &RunCells, cells: Range<usize>) -> Self {
+        Segment {
+            batch: b as u32,
+            run: r as u32,
+            start: cells.start as u32,
+            end: cells.end as u32,
+            last: word(run.qualifier(cells.end - 1)),
+        }
+    }
+
     fn cells(self) -> Range<usize> {
         self.start as usize..self.end as usize
     }
-}
 
-/// The key of cell `i` of `batch`: qualifier ascending, newest version
-/// first.
-fn key(batch: &PutBatch, i: usize) -> (&[u8], Reverse<u64>) {
-    (&batch.qualifiers[i], Reverse(batch.versions[i]))
+    /// The run the segment lies in, read by cell index.
+    fn of(self, batches: &[Arc<PutBatch>]) -> RunCells<'_> {
+        batches[self.batch as usize].run(self.run as usize)
+    }
+
+    /// Whether the segment's last key is below `key`.
+    fn ends_below(self, batches: &[Arc<PutBatch>], key: (&[u8], Reverse<u64>)) -> bool {
+        match self.last.cmp(&word(key.0)) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => self.of(batches).key(self.end as usize - 1) < key,
+        }
+    }
+
+    /// Whether the segment's last qualifier is below `qualifier`.
+    fn ends_before(self, batches: &[Arc<PutBatch>], qualifier: &[u8]) -> bool {
+        match self.last.cmp(&word(qualifier)) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => self.of(batches).qualifier(self.end as usize - 1) < qualifier,
+        }
+    }
 }
 
 /// The first index of `cells` for which `below` is false, `below` being
 /// true for a prefix of them ([`slice::partition_point`] over a range).
-fn partition_point(cells: Range<usize>, below: impl Fn(usize) -> bool) -> usize {
+pub(crate) fn partition_point(cells: Range<usize>, below: impl Fn(usize) -> bool) -> usize {
     let (mut lo, mut hi) = (cells.start, cells.end);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -100,32 +133,51 @@ impl MemStore {
     /// semantics), so of two writes to one key the later wins. The row is
     /// looked up once per run.
     pub fn put_batch(&mut self, mut batch: PutBatch) {
+        let held = self.adopt(&mut batch);
+        self.insert(Arc::new(batch), &held);
+    }
+
+    /// Make each run's row key the memstore's own where it holds the row
+    /// already, so a row's cells share one key however many buffers the
+    /// writers sent it in. It is done before a batch is shared (the
+    /// write-ahead log keeps the same batch), and it changes nothing here:
+    /// a batch that is then not kept (a ship the log refuses) leaves no
+    /// trace. Answers the place of each run's row, where it is held.
+    pub(crate) fn adopt(&self, batch: &mut PutBatch) -> Vec<Option<usize>> {
+        let runs = batch.runs.iter_mut();
+        runs.map(|run| {
+            let (key, &at) = self.index.get_key_value(&run.row[..])?;
+            if key.as_ptr() != run.row.as_ptr() {
+                run.row = key.clone();
+            }
+            Some(at)
+        })
+        .collect()
+    }
+
+    /// Keep `batch`, shared and unchanged from here on, and file its
+    /// cells run by run, as [`MemStore::put_batch`] does. `held` is what
+    /// [`MemStore::adopt`] answered for the batch, with nothing changed
+    /// since (or empty: every row is looked up).
+    pub(crate) fn insert(&mut self, batch: Arc<PutBatch>, held: &[Option<usize>]) {
         if batch.is_empty() {
             return;
         }
-        let places: Vec<usize> = batch
-            .runs
-            .iter_mut()
-            .map(|(row, _)| self.row_of(row))
-            .collect();
         let b = self.batches.len();
-        self.batches.push(Arc::new(batch));
-        let mut start = 0;
-        for (run, at) in places.into_iter().enumerate() {
-            let end = self.batches[b].runs[run].1;
-            self.index(b, run, start..end, at);
-            start = end;
+        self.batches.push(batch.clone());
+        for (run, cells) in batch.runs.iter().enumerate() {
+            let at = match held.get(run) {
+                Some(&Some(at)) => at,
+                _ => self.row_of(&cells.row),
+            };
+            self.index(b, run, at);
         }
     }
 
-    /// The place of `row` in `rows`, made on its first write; `row` is
-    /// made the memstore's own key, so a row's cells share one key however
-    /// many buffers the writers sent it in.
-    fn row_of(&mut self, row: &mut Bytes) -> usize {
-        if let Some((key, &at)) = self.index.get_key_value(&row[..]) {
-            if key.as_ptr() != row.as_ptr() {
-                *row = key.clone();
-            }
+    /// The place of `row` in `rows`, made on its first write, when the
+    /// row's key becomes the memstore's own.
+    fn row_of(&mut self, row: &Bytes) -> usize {
+        if let Some(&at) = self.index.get(&row[..]) {
             return at;
         }
         let at = self.rows.len();
@@ -135,9 +187,9 @@ impl MemStore {
         at
     }
 
-    /// File `cells`, all of run `run` of kept batch `b`, into the segments
-    /// of row `at`.
-    fn index(&mut self, b: usize, run: usize, cells: Range<usize>, at: usize) {
+    /// File the cells of run `run` of kept batch `b` into the segments of
+    /// row `at`.
+    fn index(&mut self, b: usize, run: usize, at: usize) {
         let MemStore {
             batches,
             rows,
@@ -146,60 +198,55 @@ impl MemStore {
             dead,
             ..
         } = self;
-        let batch = &batches[b];
-        let row_len = batch.runs[run].0.len();
+        let batches = &*batches;
+        let cells = batches[b].run(run);
+        let (range, row_len) = (cells.cells(), cells.row().len());
         let segments = &mut rows[at];
-        let last_key = |s: &Segment| key(&batches[s.batch as usize], s.end as usize - 1);
         // In order: each key above the one before it, the first above the
         // row's last cell.
         let in_order = segments
             .last()
-            .is_none_or(|s| last_key(s) < key(batch, cells.start))
-            && (cells.start + 1..cells.end).all(|i| key(batch, i - 1) < key(batch, i));
+            .is_none_or(|s| s.ends_below(batches, cells.key(range.start)))
+            && cells.ascending(range.clone());
         if in_order {
-            let qualifiers = &batch.qualifiers[cells.clone()];
-            let qualifier_bytes: usize = qualifiers.iter().map(|q| q.len()).sum();
-            let values: usize = cells.clone().map(|i| batch.value(i).len()).sum();
-            let n = cells.len();
-            segments.push(Segment {
-                batch: b as u32,
-                start: cells.start as u32,
-                end: cells.end as u32,
-            });
+            let (qualifiers, values) = cells.bytes(range.clone());
+            let n = range.len();
+            segments.push(Segment::new(b, run, &cells, range));
             *count += n;
-            *heap_size += n * heap_size_of(row_len, 0, 0) + qualifier_bytes + values;
+            *heap_size += n * heap_size_of(row_len, 0, 0) + qualifiers + values;
             return;
         }
         // Out of order (a back-fill, a retry): cell by cell, O(segments)
         // moves at worst.
-        for i in cells {
-            let new = Segment {
-                batch: b as u32,
-                start: i as u32,
-                end: i as u32 + 1,
-            };
-            let (k, value) = (key(batch, i), batch.value(i).len());
+        for i in range {
+            let new = Segment::new(b, run, &cells, i..i + 1);
+            let (k, value) = (cells.key(i), cells.value(i).len());
             // The first segment whose last key is not below `k`, and in it
             // the first cell whose key is not.
-            let at = segments.partition_point(|s| last_key(s) < k);
+            let at = segments.partition_point(|s| s.ends_below(batches, k));
             let Some(&s) = segments.get(at) else {
                 segments.push(new);
                 *count += 1;
                 *heap_size += heap_size_of(row_len, k.0.len(), value);
                 continue;
             };
-            let held = &batches[s.batch as usize];
-            let pos = partition_point(s.cells(), |j| key(held, j) < k);
-            let replaces = key(held, pos) == k;
-            let before = Segment {
-                end: pos as u32,
-                ..s
-            };
+            let held = s.of(batches);
+            let pos = partition_point(s.cells(), |j| held.key(j) < k);
+            let replaces = held.key(pos) == k;
+            let before = (pos > s.start as usize).then(|| {
+                Segment::new(
+                    s.batch as usize,
+                    s.run as usize,
+                    &held,
+                    s.start as usize..pos,
+                )
+            });
             let after = Segment {
                 start: (pos + usize::from(replaces)) as u32,
                 ..s
             };
-            let pieces = [before, new, after].into_iter().filter(|p| p.start < p.end);
+            let after = (after.start < after.end).then_some(after);
+            let pieces = before.into_iter().chain([new]).chain(after);
             segments.splice(at..=at, pieces);
             if replaces {
                 // Keys are equal, so the replaced cell was accounted at
@@ -283,22 +330,29 @@ impl MemStore {
             let mut rest = &segments[..];
             for c in columns {
                 // Segments wholly below the range, found by their last
-                // qualifier, are skipped; from the first one that is not,
-                // cells are taken until one reaches the range's end.
-                let below = |batch: &PutBatch, i: usize| batch.qualifiers[i][..] < c.start[..];
-                rest = &rest[rest.partition_point(|s| {
-                    below(&self.batches[s.batch as usize], s.end as usize - 1)
-                })..];
-                for s in rest {
-                    let batch = &self.batches[s.batch as usize];
-                    let from = partition_point(s.cells(), |i| below(batch, i));
-                    let to = partition_point(from..s.end as usize, |i| {
-                        batch.qualifiers[i][..] < c.end[..]
-                    });
-                    out.push(batch, from..to);
-                    if to < s.end as usize {
-                        break;
+                // qualifiers, are skipped; in the first one that is not,
+                // the range's start is sought, and cells are taken from
+                // there until a segment reaches the range's end. A batch
+                // is read only where a bound falls in it (or where a last
+                // qualifier's word equals a bound's).
+                let batches = &self.batches[..];
+                rest = &rest[rest.partition_point(|s| s.ends_before(batches, &c.start))..];
+                let below = |s: Segment, bound: &[u8], cells: Range<usize>| {
+                    let run = s.of(batches);
+                    partition_point(cells, |i| run.qualifier(i) < bound)
+                };
+                for (k, &s) in rest.iter().enumerate() {
+                    let batch = &batches[s.batch as usize];
+                    let from = match k {
+                        0 => below(s, &c.start, s.cells()),
+                        _ => s.start as usize,
+                    };
+                    if s.ends_before(batches, &c.end) {
+                        out.push(batch, from..s.end as usize);
+                        continue;
                     }
+                    out.push(batch, from..below(s, &c.end, from..s.end as usize));
+                    break;
                 }
             }
         }
@@ -307,10 +361,9 @@ impl MemStore {
 
     /// Drain everything into a store file of `sequence`: one sorted batch,
     /// sized up front, filled row by row by copying each segment's
-    /// columns. Qualifiers move out of a batch no scan reply still holds
-    /// and are cloned from one a reply holds (it keeps reading the batch).
-    /// The batches, and the cells replaced in them, go after. The memstore
-    /// is empty afterwards.
+    /// columns, a byte range at a time. The batches, and the cells
+    /// replaced in them, go after (a scan reply still holding one keeps
+    /// reading it). The memstore is empty afterwards.
     pub fn drain(&mut self, sequence: u64) -> StoreFile {
         let MemStore {
             batches,
@@ -319,18 +372,16 @@ impl MemStore {
             cells,
             ..
         } = std::mem::take(self);
-        let values = rows
-            .iter()
-            .flatten()
-            .map(|s| batches[s.batch as usize].value_bytes(s.cells()))
-            .sum();
-        let mut out = PutBatch::with_capacity(order.len(), cells, values);
+        let (qualifiers, values) = rows.iter().flatten().fold((0, 0), |(q, v), s| {
+            let (sq, sv) = s.of(&batches).bytes(s.cells());
+            (q + sq, v + sv)
+        });
+        let mut out = PutBatch::with_capacity(order.len(), cells, qualifiers, values);
         // A live cell lies in exactly one segment: each is copied once.
-        let mut sources: Vec<Source> = batches.into_iter().map(Source::new).collect();
         for (row, at) in order {
-            out.runs.push((row, out.len()));
+            out.open_run(&row, || row.clone());
             for &s in &rows[at] {
-                sources[s.batch as usize].copy_to(&mut out, s.cells());
+                out.push_cells(&batches[s.batch as usize], s.run as usize, s.cells());
             }
         }
         StoreFile::from_batch(out, sequence)

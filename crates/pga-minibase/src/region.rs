@@ -7,14 +7,14 @@
 //! (§III-B) is served by [`Region::split`] plus the master's pre-split
 //! table creation.
 
-use std::ops::Range;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use pga_repl::{Epoch, ShipOutcome};
 
-use crate::batch::{PutBatch, Source};
+use crate::batch::PutBatch;
 use crate::fault::{no_faults, FaultHandle};
 use crate::kv::{CellRef, KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
@@ -203,26 +203,37 @@ impl Region {
     /// The `Err` variant carries the batch back by value (as
     /// [`crate::server::Response::PutRefused`] does), so a writer re-routes
     /// it without having kept a copy.
+    ///
+    /// The log and the memstore keep one copy of the batch between them:
+    /// its rows take the memstore's keys, then both share it unchanged.
     #[allow(clippy::result_large_err)]
     pub fn put_batch(
         &mut self,
         batch: impl Into<PutBatch>,
     ) -> Result<SequenceId, (RegionError, PutBatch)> {
-        let batch = batch.into();
+        let mut batch = batch.into();
         if let Err(e) = self.check(&batch) {
             return Err((e, batch));
         }
+        let held = self.memstore.adopt(&mut batch);
+        let batch = Arc::new(batch);
         // Deliberate injection site: mutant A (ack-before-WAL-append)
         // suppresses the append; the faithful plane never does.
         let seq = if !self.fault.skip_wal_append(self.id) {
-            self.wal.append_batch(&batch)
+            self.wal.append(batch.clone())
         } else {
             self.wal.last_sequence()
         };
-        self.metrics.cells_written += batch.len() as u64;
-        self.memstore.put_batch(batch);
-        self.flush_if_full();
+        self.keep(batch, &held);
         Ok(seq)
+    }
+
+    /// File a logged batch, whose rows took the memstore's keys (`held`),
+    /// into the memstore; flush if it is full.
+    fn keep(&mut self, batch: Arc<PutBatch>, held: &[Option<usize>]) {
+        self.metrics.cells_written += batch.len() as u64;
+        self.memstore.insert(batch, held);
+        self.flush_if_full();
     }
 
     /// `Err` for a batch this region must not take: a row outside its
@@ -269,22 +280,29 @@ impl Region {
         seq: SequenceId,
         batch: impl Into<PutBatch>,
     ) -> Result<ShipOutcome, RegionError> {
-        let batch = batch.into();
+        let mut batch = batch.into();
         self.check(&batch)?;
+        // Deliberate injection site: mutant G (a follower that corrupts
+        // what it is shipped) flips a value bit; the faithful plane never
+        // does.
+        if self.fault.flip_shipped_value(self.id) {
+            if let Some(byte) = batch.values_mut().first_mut() {
+                *byte ^= 1;
+            }
+        }
+        // Adopting keys changes nothing in the memstore, so a ship the log
+        // refuses leaves no trace there.
+        let held = self.memstore.adopt(&mut batch);
+        let batch = Arc::new(batch);
         // Deliberate injection site: mutant D (gap-tolerant follower)
         // skips the contiguity check, so a missed ship leaves a silent
         // hole; the faithful plane always enforces seq == last + 1.
-        let outcome = if self.fault.allow_ship_gap(self.id) {
-            self.wal.append_batch_with_seq_allow_gap(seq, &batch)
-        } else {
-            self.wal.append_batch_with_seq(seq, &batch)
-        };
+        let allow_gap = self.fault.allow_ship_gap(self.id);
+        let outcome = self.wal.ship(seq, batch.clone(), allow_gap);
         if outcome != ShipOutcome::Applied {
             return Ok(outcome);
         }
-        self.metrics.cells_written += batch.len() as u64;
-        self.memstore.put_batch(batch);
-        self.flush_if_full();
+        self.keep(batch, &held);
         Ok(ShipOutcome::Applied)
     }
 
@@ -361,9 +379,8 @@ impl Region {
     ///
     /// The merge goes one row at a time, oldest file first, and builds the
     /// output batch by column: each file's runs of the row are appended
-    /// whole (their versions, value ends and values copied a run at a
-    /// time), their qualifiers moved out of a file no scan reply still
-    /// shares and cloned from a shared one. Files are flushed in time
+    /// whole, their qualifiers, versions and values copied a byte range
+    /// at a time. Files are flushed in time
     /// order, so the runs of a raw row follow one another and the merge is
     /// their concatenation. Three rare cases take the row as
     /// [`KeyValue`]s, made for that row only: runs out of order (a
@@ -378,42 +395,44 @@ impl Region {
         let mut inputs: Vec<Input> = files
             .into_iter()
             .map(|file| Input {
-                cells: Source::new(file.into_batch()),
+                cells: file.into_batch(),
                 next: 0,
             })
             .collect();
-        let (runs, cells, values) = inputs.iter().fold((0, 0, 0), |(r, c, v), input| {
-            let b = input.cells.batch();
-            (r + b.runs.len(), c + b.len(), v + b.values.len())
-        });
-        let mut out = PutBatch::with_capacity(runs, cells, values);
+        let (runs, cells, qualifiers, values) =
+            inputs.iter().fold((0, 0, 0, 0), |(r, c, q, v), input| {
+                let b = &input.cells;
+                let (bq, bv) = b.column_bytes();
+                (r + b.runs.len(), c + b.len(), q + bq, v + bv)
+            });
+        let mut out = PutBatch::with_capacity(runs, cells, qualifiers, values);
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
         let by_kv = self.config.max_versions != usize::MAX || self.rewriter.is_some();
         while let Some(row) = inputs.iter().filter_map(Input::row).min().cloned() {
             // The inputs holding the row, and the cells of its run in each.
-            let parts: Vec<(&mut Input, Range<usize>)> = inputs
+            let parts: Vec<(&PutBatch, usize)> = inputs
                 .iter_mut()
                 .filter(|input| input.row() == Some(&row))
-                .map(|input| {
-                    let cells = input.take_run();
-                    (input, cells)
-                })
+                .map(Input::take_run)
                 .collect();
             let in_order = parts.windows(2).all(|w| match w {
-                [(a, before), (b, after)] => a.cells.key(before.end - 1) < b.cells.key(after.start),
+                [(a, r), (b, s)] => {
+                    let (before, after) = (a.run(*r), b.run(*s));
+                    before.key(before.cells().end - 1) < after.key(after.cells().start)
+                }
                 _ => true,
             });
             if in_order && !by_kv {
-                out.runs.push((row, out.len()));
-                for (input, cells) in parts {
-                    input.cells.copy_to(&mut out, cells);
+                out.open_run(&row, || row.clone());
+                for (cells, run) in parts {
+                    out.push_cells(cells, run, cells.run(run).cells());
                 }
                 continue;
             }
-            let mut merged: Vec<KeyValue> = Vec::new();
-            for (input, cells) in parts {
-                input.cells.make(&row, cells, &mut merged);
-            }
+            let merged_cells = parts
+                .iter()
+                .flat_map(|&(cells, run)| cells.cells(cells.run(run).cells()));
+            let mut merged: Vec<KeyValue> = merged_cells.map(CellRef::to_kv).collect();
             if !in_order {
                 // What the read path's merge answers: reversed, the runs
                 // stand newest file first, so a stable sort keeps the
@@ -457,7 +476,7 @@ impl Region {
                 merged = cells;
             }
             for kv in merged {
-                out.push(&row, kv.qualifier, kv.timestamp, &kv.value);
+                out.push(&row, &kv.qualifier, kv.timestamp, &kv.value);
             }
         }
         self.metrics.compacted_cells += out.len() as u64;
@@ -514,7 +533,7 @@ impl Region {
                 if !verifier.verify(cell) {
                     found
                         .corrupt
-                        .push((cell.row.clone(), cell.qualifier.clone()));
+                        .push((cell.row.clone(), Bytes::copy_from_slice(cell.qualifier)));
                 }
             }
         }
@@ -668,7 +687,10 @@ impl Region {
         let mut encoded = self.wal.encode();
         self.fault.tear_wal(self.id, &mut encoded);
         self.wal = WriteAheadLog::from_encoded(&encoded);
-        self.memstore.put_batch(self.wal.replay());
+        // The memstore shares the decoded batches with the new log.
+        for batch in self.wal.unflushed_batches() {
+            self.memstore.insert(batch, &[]);
+        }
         WriteAheadLog::decode_report(&encoded).torn
     }
 
@@ -680,25 +702,22 @@ impl Region {
 }
 
 /// One store file as a compaction reads it: its sorted batch and the
-/// next of its rows to merge.
+/// next of its rows (runs) to merge.
 struct Input {
-    cells: Source,
+    cells: Arc<PutBatch>,
     next: usize,
 }
 
 impl Input {
     /// The key of the next row to merge, if any is left.
     fn row(&self) -> Option<&Bytes> {
-        self.cells.batch().runs.get(self.next).map(|(row, _)| row)
+        self.cells.runs.get(self.next).map(|run| &run.row)
     }
 
-    /// The cells of the next row, which is now taken.
-    fn take_run(&mut self) -> Range<usize> {
-        let batch = self.cells.batch();
-        let start = batch.run_start(self.next);
-        let end = batch.runs.get(self.next).map_or(start, |&(_, end)| end);
+    /// The batch and run of the next row, which is now taken.
+    fn take_run(&mut self) -> (&PutBatch, usize) {
         self.next += 1;
-        start..end
+        (&self.cells, self.next - 1)
     }
 }
 

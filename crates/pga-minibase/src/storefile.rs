@@ -3,10 +3,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
-use crate::batch::{Cells, PutBatch};
+use crate::batch::{word, Cells, PutBatch};
 use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
+use crate::memstore::partition_point;
 use crate::scanner::ScanCells;
 
 /// Interpolation steps a column-window seek takes inside a row before it
@@ -44,13 +43,13 @@ impl StoreFile {
     /// (debug-asserted).
     pub(crate) fn from_batch(cells: PutBatch, sequence: u64) -> Self {
         debug_assert!(
-            cells.runs.windows(2).all(|w| w[0].0 < w[1].0)
+            cells.runs.windows(2).all(|w| w[0].row < w[1].row)
                 && (0..cells.runs.len()).all(|r| {
-                    let run = cells.run_start(r)..cells.runs[r].1;
+                    let run = cells.run(r).cells();
                     run.end > run.start
                         && cells
-                            .cells(run)
-                            .zip(cells.cells(cells.run_start(r) + 1..cells.runs[r].1))
+                            .cells(run.clone())
+                            .zip(cells.cells(run.start + 1..run.end))
                             .all(|(a, b)| a <= b)
                 }),
             "cells sorted, one run per row"
@@ -78,12 +77,12 @@ impl StoreFile {
 
     /// First row, if any.
     pub fn first_row(&self) -> Option<&[u8]> {
-        self.cells.runs.first().map(|(row, _)| &row[..])
+        self.cells.runs.first().map(|run| &run.row[..])
     }
 
     /// Last row, if any.
     pub fn last_row(&self) -> Option<&[u8]> {
-        self.cells.runs.last().map(|(row, _)| &row[..])
+        self.cells.runs.last().map(|run| &run.row[..])
     }
 
     /// The file's sorted batch, shared.
@@ -103,11 +102,11 @@ impl StoreFile {
         let runs = &self.cells.runs;
         let first = match &range.start[..] {
             [] => 0,
-            start => runs.partition_point(|(row, _)| row[..] < *start),
+            start => runs.partition_point(|run| run.row[..] < *start),
         };
         let last = match &range.end[..] {
             [] => runs.len(),
-            end => first + runs[first..].partition_point(|(row, _)| row[..] < *end),
+            end => first + runs[first..].partition_point(|run| run.row[..] < *end),
         };
         first..last.max(first)
     }
@@ -145,49 +144,46 @@ impl StoreFile {
             return out;
         }
         for r in rows {
-            let (key, end) = &cells.runs[r];
-            if words.is_some_and(|w| !w.matches(key)) {
+            let run = cells.run(r);
+            if words.is_some_and(|w| !w.matches(run.row())) {
                 continue;
             }
-            let (at, end) = (cells.run_start(r), *end);
             let Some(columns) = columns else {
-                out.push(cells, at..end);
+                out.push(cells, run.cells());
                 continue;
             };
-            let mut from = at;
+            let (mut from, end) = (run.cells().start, run.cells().end);
+            let qualifier = |i| run.qualifier(i);
             for c in columns {
-                from += seek_qualifier(&cells.qualifiers[from..end], &c.start);
-                let n = seek_qualifier(&cells.qualifiers[from..end], &c.end);
-                out.push(cells, from..from + n);
-                from += n;
+                from = seek_qualifier(from..end, qualifier, &c.start);
+                let to = seek_qualifier(from..end, qualifier, &c.end);
+                out.push(cells, from..to);
+                from = to;
             }
         }
         out
     }
 }
 
-/// A qualifier's first 8 bytes as a big-endian number, zero-padded. It
-/// never decreases along qualifier order, so it can interpolate a seek.
-fn qualifier_prefix(qualifier: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    let n = qualifier.len().min(8);
-    word[..n].copy_from_slice(&qualifier[..n]);
-    u64::from_be_bytes(word)
-}
-
-/// Position of the first of `row` (one row's qualifiers, in order) at or
-/// after `qualifier`: a few interpolation steps on the qualifiers'
-/// leading 8 bytes, then a bisection of what is left.
-fn seek_qualifier(row: &[Bytes], qualifier: &[u8]) -> usize {
-    let key = qualifier_prefix(qualifier);
+/// The first of `cells` (one row's, in order) whose qualifier, read by
+/// `qualifier_of`, is at or after `qualifier`: a few interpolation steps
+/// on the qualifiers' leading 8 bytes, then a bisection of what is left.
+fn seek_qualifier<'a>(
+    cells: Range<usize>,
+    qualifier_of: impl Fn(usize) -> &'a [u8],
+    qualifier: &[u8],
+) -> usize {
+    // A qualifier's word never decreases along qualifier order, so it
+    // can interpolate a seek.
+    let key = word(qualifier);
     // Every qualifier before `lo` is before `qualifier`; every one from
     // `hi` on is at or after it.
-    let (mut lo, mut hi) = (0, row.len());
+    let (mut lo, mut hi) = (cells.start, cells.end);
     for _ in 0..INTERPOLATION_STEPS {
-        let (Some(first), Some(last)) = (row[lo..hi].first(), row[lo..hi].last()) else {
+        if lo == hi {
             return lo;
-        };
-        let (a, b) = (qualifier_prefix(first), qualifier_prefix(last));
+        }
+        let (a, b) = (word(qualifier_of(lo)), word(qualifier_of(hi - 1)));
         if key < a {
             return lo;
         }
@@ -199,13 +195,13 @@ fn seek_qualifier(row: &[Bytes], qualifier: &[u8]) -> usize {
         }
         let offset = u128::from(key - a) * (hi - 1 - lo) as u128 / u128::from(b - a);
         let guess = lo + offset as usize;
-        if row[guess][..] < *qualifier {
+        if qualifier_of(guess) < qualifier {
             lo = guess + 1;
         } else {
             hi = guess;
         }
     }
-    lo + row[lo..hi].partition_point(|q| q[..] < *qualifier)
+    partition_point(lo..hi, |i| qualifier_of(i) < qualifier)
 }
 
 #[cfg(test)]

@@ -5,13 +5,13 @@
 //! path exercises this). The log lives in shared memory — the stand-in for
 //! the paper's HDFS — so it survives the serving thread.
 //!
-//! The log keeps one record per batch: the batch's cells encoded in the
-//! image's cell layout, written once at append. So an append copies the
-//! cells' bytes and shares no buffer with the memstore, a flush frees one
-//! buffer per batch, and [`WriteAheadLog::encode`] frames each record
-//! with its sequence id, cell count and CRC-32 without re-encoding a cell.
-//! Replay, backfill ([`WriteAheadLog::batches_after`]) and
-//! [`WriteAheadLog::from_encoded`] decode cells when they need them.
+//! The log keeps one record per batch: the batch the memstore keeps,
+//! shared, and its sequence id. A kept batch never changes, so an append
+//! is one handle clone and copies no cell, and a flush drops the handles.
+//! [`WriteAheadLog::encode`] writes the cells in the image's cell layout
+//! when an image is taken, and [`WriteAheadLog::from_encoded`] decodes an
+//! image back into batches. Replay and backfill
+//! ([`WriteAheadLog::batches_after`]) clone batches.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -55,45 +55,18 @@ pub struct WalDecodeReport {
     pub monotone: bool,
 }
 
-/// One appended batch, held as its cells encoded in the image's cell
-/// layout: an append copies bytes, a flush frees one buffer per batch,
-/// and [`WriteAheadLog::encode`] only frames the bytes.
+/// One appended batch: the memstore's own, shared.
 #[derive(Debug)]
-struct Batch {
+struct Record {
     seq: SequenceId,
-    cells: u32,
-    bytes: Vec<u8>,
-}
-
-impl Batch {
-    /// Append the batch's cells, decoded, to `out`.
-    fn decode_into(&self, out: &mut PutBatch) {
-        let mut r = WalReader {
-            bytes: &self.bytes,
-            pos: 0,
-        };
-        for _ in 0..self.cells {
-            let Some((row, qualifier, version, value)) = read_cell(&mut r) else {
-                break;
-            };
-            out.open_run(row, || Bytes::copy_from_slice(row));
-            out.push_cell(Bytes::copy_from_slice(qualifier), version, value);
-        }
-    }
-
-    /// The batch's cells, decoded.
-    fn decode(&self) -> PutBatch {
-        let mut out = PutBatch::new();
-        self.decode_into(&mut out);
-        out
-    }
+    cells: Arc<PutBatch>,
 }
 
 #[derive(Debug, Default)]
 struct WalInner {
     /// Retained batches, ascending by sequence id. A batch with no cells
     /// leaves no record (it still takes its sequence id).
-    batches: Vec<Batch>,
+    batches: Vec<Record>,
     next_seq: SequenceId,
     /// Sequence ids at or below this mark are durably flushed to store
     /// files and can be discarded.
@@ -102,39 +75,32 @@ struct WalInner {
 
 impl WalInner {
     /// Record `cells` as batch `seq`, the new last sequence.
-    fn push<C: Cells + ?Sized>(&mut self, seq: SequenceId, cells: &C) {
+    fn push(&mut self, seq: SequenceId, cells: Arc<PutBatch>) {
         self.next_seq = seq;
-        let count = cells.count();
-        if count == 0 {
-            return;
+        if !cells.is_empty() {
+            self.batches.push(Record { seq, cells });
         }
-        let mut bytes = Vec::with_capacity(cells.encoded_len());
-        cells.encode(&mut bytes);
-        self.batches.push(Batch {
-            seq,
-            cells: count as u32,
-            bytes,
-        });
     }
 
     /// Batches newer than the flush mark, in append order.
-    fn unflushed(&self) -> impl Iterator<Item = &Batch> {
+    fn unflushed(&self) -> impl Iterator<Item = &Record> {
         self.batches
             .iter()
             .filter(move |b| b.seq > self.flushed_through)
     }
 }
 
-/// What an append logs: a [`PutBatch`], or [`KeyValue`]s (a slice, an
-/// array or a vector of them), every cell encoded alike. Every row key and
+/// What an append logs: [`KeyValue`]s (a slice, an array or a vector of
+/// them) or a [`PutBatch`], kept as a batch of its own. Every row key and
 /// qualifier must be at most [`MAX_KEY_LEN`] bytes long.
 pub trait Cells {
-    /// Number of cells.
-    fn count(&self) -> usize;
+    /// The cells, as a batch the log keeps.
+    fn to_batch(&self) -> PutBatch;
+
     /// Bytes the cells take encoded.
-    fn encoded_len(&self) -> usize;
-    /// Append every cell, encoded, to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    fn encoded_len(&self) -> usize {
+        self.to_batch().encoded_len()
+    }
 }
 
 /// Bytes a cell with these lengths takes encoded.
@@ -154,54 +120,34 @@ fn encode_cell(row: &[u8], qualifier: &[u8], version: u64, value: &[u8], out: &m
     out.extend_from_slice(value);
 }
 
-/// A run at a time: its row's length and bytes are read once.
-impl Cells for PutBatch {
-    fn count(&self) -> usize {
-        self.len()
-    }
-
-    fn encoded_len(&self) -> usize {
-        let mut start = 0;
-        let rows: usize = self
-            .runs
-            .iter()
-            .map(|(row, end)| {
-                let cells = end - start;
-                start = *end;
-                cells * encoded_len(row.len(), 0, 0)
-            })
-            .sum();
-        rows + self.qualifiers.iter().map(|q| q.len()).sum::<usize>() + self.values.len()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        let mut cells = self.qualifiers.iter().zip(&self.versions).zip(&self.ends);
-        let (mut start, mut from) = (0, 0);
-        for (row, end) in &self.runs {
-            for ((qualifier, &version), &to) in cells.by_ref().take(end - start) {
-                encode_cell(row, qualifier, version, &self.values[from..to], out);
-                from = to;
-            }
-            start = *end;
-        }
+/// Append every cell of `batch`, encoded, to `out`.
+fn encode_batch(batch: &PutBatch, out: &mut Vec<u8>) {
+    for cell in batch.cells(0..batch.len()) {
+        encode_cell(cell.row, cell.qualifier, cell.timestamp, cell.value, out);
     }
 }
 
-/// A cell at a time.
-impl<C: AsRef<[KeyValue]> + ?Sized> Cells for C {
-    fn count(&self) -> usize {
-        self.as_ref().len()
+impl Cells for PutBatch {
+    fn to_batch(&self) -> PutBatch {
+        self.clone()
     }
 
+    /// A run at a time, the columns' bytes together.
     fn encoded_len(&self) -> usize {
-        let len = |kv: &KeyValue| encoded_len(kv.row.len(), kv.qualifier.len(), kv.value.len());
-        self.as_ref().iter().map(len).sum()
+        let rows: usize = (0..self.runs.len())
+            .map(|r| {
+                let run = self.run(r);
+                run.cells().len() * encoded_len(run.row().len(), 0, 0)
+            })
+            .sum();
+        let (qualifiers, values) = self.column_bytes();
+        rows + qualifiers + values
     }
+}
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        for kv in self.as_ref() {
-            encode_cell(&kv.row, &kv.qualifier, kv.timestamp, &kv.value, out);
-        }
+impl<C: AsRef<[KeyValue]> + ?Sized> Cells for C {
+    fn to_batch(&self) -> PutBatch {
+        PutBatch::from(self.as_ref())
     }
 }
 
@@ -219,9 +165,15 @@ impl WriteAheadLog {
 
     /// Append a batch atomically; returns the batch's sequence id.
     pub fn append_batch<C: Cells + ?Sized>(&self, cells: &C) -> SequenceId {
+        self.append(Arc::new(cells.to_batch()))
+    }
+
+    /// Append `batch`, which the caller keeps too and never changes;
+    /// returns its sequence id.
+    pub(crate) fn append(&self, batch: Arc<PutBatch>) -> SequenceId {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq + 1;
-        inner.push(seq, cells);
+        inner.push(seq, batch);
         seq
     }
 
@@ -240,15 +192,7 @@ impl WriteAheadLog {
         seq: SequenceId,
         cells: &C,
     ) -> ShipOutcome {
-        let mut inner = self.inner.lock();
-        if seq <= inner.next_seq {
-            return ShipOutcome::Stale;
-        }
-        if seq != inner.next_seq + 1 {
-            return ShipOutcome::Gap;
-        }
-        inner.push(seq, cells);
-        ShipOutcome::Applied
+        self.ship(seq, Arc::new(cells.to_batch()), false)
     }
 
     /// [`WriteAheadLog::append_batch_with_seq`] without the contiguity
@@ -261,11 +205,26 @@ impl WriteAheadLog {
         seq: SequenceId,
         cells: &C,
     ) -> ShipOutcome {
+        self.ship(seq, Arc::new(cells.to_batch()), true)
+    }
+
+    /// Append `batch`, which the caller keeps too and never changes, as
+    /// shipped sequence `seq`: [`WriteAheadLog::append_batch_with_seq`],
+    /// or with `allow_gap` its gap-tolerant mutant.
+    pub(crate) fn ship(
+        &self,
+        seq: SequenceId,
+        batch: Arc<PutBatch>,
+        allow_gap: bool,
+    ) -> ShipOutcome {
         let mut inner = self.inner.lock();
         if seq <= inner.next_seq {
             return ShipOutcome::Stale;
         }
-        inner.push(seq, cells);
+        if !allow_gap && seq != inner.next_seq + 1 {
+            return ShipOutcome::Gap;
+        }
+        inner.push(seq, batch);
         ShipOutcome::Applied
     }
 
@@ -281,7 +240,7 @@ impl WriteAheadLog {
             .batches
             .iter()
             .filter(|b| b.seq > after)
-            .map(|b| (b.seq, b.decode()))
+            .map(|b| (b.seq, PutBatch::clone(&b.cells)))
             .collect()
     }
 
@@ -302,12 +261,17 @@ impl WriteAheadLog {
     /// Entries newer than the flush mark, in append order — the data a
     /// recovering server must replay into a fresh memstore.
     pub fn replay(&self) -> PutBatch {
-        let inner = self.inner.lock();
         let mut out = PutBatch::new();
-        for batch in inner.unflushed() {
-            batch.decode_into(&mut out);
+        for batch in self.unflushed_batches() {
+            out.append(PutBatch::clone(&batch));
         }
         out
+    }
+
+    /// The batches newer than the flush mark, shared, in append order.
+    pub(crate) fn unflushed_batches(&self) -> Vec<Arc<PutBatch>> {
+        let inner = self.inner.lock();
+        inner.unflushed().map(|b| b.cells.clone()).collect()
     }
 
     /// Mark everything up to `seq` as flushed and drop those batches.
@@ -321,7 +285,7 @@ impl WriteAheadLog {
     /// Number of unflushed entries.
     pub fn unflushed_len(&self) -> usize {
         let inner = self.inner.lock();
-        inner.unflushed().map(|b| b.cells as usize).sum()
+        inner.unflushed().map(|b| b.cells.len()).sum()
     }
 
     /// Latest assigned sequence id.
@@ -339,14 +303,13 @@ impl WriteAheadLog {
     /// cell: row_len u16 | row | qual_len u16 | qual | ts u64 | val_len u32 | value
     /// ```
     ///
-    /// A batch already holds its cells in this layout, so a record is its
-    /// bytes framed by the sequence id, the count and the checksum.
+    /// The cells are encoded here, from the batches the log shares.
     pub fn encode(&self) -> Vec<u8> {
         let inner = self.inner.lock();
         let len = inner
             .batches
             .iter()
-            .map(|b| 16 + b.bytes.len())
+            .map(|b| 16 + b.cells.encoded_len())
             .sum::<usize>();
         let mut out = Vec::with_capacity(13 + len);
         out.extend_from_slice(WAL_MAGIC);
@@ -355,8 +318,8 @@ impl WriteAheadLog {
         for batch in &inner.batches {
             let start = out.len();
             out.extend_from_slice(&batch.seq.to_le_bytes());
-            out.extend_from_slice(&batch.cells.to_le_bytes());
-            out.extend_from_slice(&batch.bytes);
+            out.extend_from_slice(&(batch.cells.len() as u32).to_le_bytes());
+            encode_batch(&batch.cells, &mut out);
             let sum = crc32(&out[start..]);
             out.extend_from_slice(&sum.to_le_bytes());
         }
@@ -445,16 +408,18 @@ fn read_cell<'a>(r: &mut WalReader<'a>) -> Option<CellFields<'a>> {
     Some((row, qualifier, timestamp, value))
 }
 
-/// One record parsed from the image, or `None` when the tail is torn: the
-/// record's cells are walked to find its end, then its checksum checked,
-/// and the cell bytes kept as they are.
-fn decode_record(r: &mut WalReader<'_>) -> Option<Batch> {
+/// One record parsed from the image, or `None` when the tail is torn:
+/// the record's cells are decoded into a batch as they are walked, then
+/// the checksum checked.
+fn decode_record(r: &mut WalReader<'_>) -> Option<Record> {
     let start = r.pos;
     let seq = r.u64()?;
-    let cells = r.u32()?;
-    let body = r.pos;
-    for _ in 0..cells {
-        read_cell(r)?;
+    let count = r.u32()?;
+    let mut cells = PutBatch::new();
+    for _ in 0..count {
+        let (row, qualifier, version, value) = read_cell(r)?;
+        cells.open_run(row, || Bytes::copy_from_slice(row));
+        cells.push_cell(qualifier, version, value);
     }
     let body_end = r.pos;
     let stored = r.u32()?;
@@ -462,10 +427,9 @@ fn decode_record(r: &mut WalReader<'_>) -> Option<Batch> {
     if stored != computed {
         return None;
     }
-    Some(Batch {
+    Some(Record {
         seq,
-        cells,
-        bytes: r.bytes.get(body..body_end)?.to_vec(),
+        cells: Arc::new(cells),
     })
 }
 
@@ -499,12 +463,9 @@ fn decode_inner(bytes: &[u8]) -> (WalInner, WalDecodeReport) {
                     report.monotone = false;
                     break;
                 }
-                inner.next_seq = batch.seq;
                 report.records += 1;
-                report.cells += batch.cells as usize;
-                if batch.cells > 0 {
-                    inner.batches.push(batch);
-                }
+                report.cells += batch.cells.len();
+                inner.push(batch.seq, batch.cells);
             }
             None => {
                 report.torn = true;

@@ -235,8 +235,8 @@ proptest! {
                     for chunk in offsets.chunks(per) {
                         let mut batch = PutBatch::new();
                         for &o in chunk {
-                            let (q, ts) = (Bytes::from(o.to_be_bytes().to_vec()), u64::from(o) * 1000);
-                            batch.push(&key, q, ts, &(o as f64).to_be_bytes());
+                            let (q, ts) = (o.to_be_bytes(), u64::from(o) * 1000);
+                            batch.push(&key, &q, ts, &(o as f64).to_be_bytes());
                         }
                         for kv in batch.clone().into_kvs() {
                             model.put(&kv);

@@ -237,6 +237,12 @@ impl KeyCodec {
         self.qualifiers[(timestamp % self.config.row_span_secs) as usize].clone()
     }
 
+    /// [`KeyCodec::qualifier`]'s bytes, computed: a put copies them into
+    /// its batch and reads no table entry (a cold line a point).
+    pub fn qualifier_bytes(&self, timestamp: u64) -> [u8; 2] {
+        ((timestamp % self.config.row_span_secs) as u16).to_be_bytes()
+    }
+
     /// Value encoding: big-endian IEEE-754 double.
     pub fn value(&self, v: f64) -> Bytes {
         Bytes::copy_from_slice(&self.value_bytes(v))
@@ -674,5 +680,8 @@ mod tests {
         let c = codec(4);
         assert_eq!(&c.qualifier(3600)[..], &0u16.to_be_bytes());
         assert_eq!(&c.qualifier(3661)[..], &61u16.to_be_bytes());
+        for ts in 0..2 * 3600 {
+            assert_eq!(c.qualifier_bytes(ts), c.qualifier(ts)[..]);
+        }
     }
 }

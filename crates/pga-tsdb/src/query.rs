@@ -301,7 +301,7 @@ impl<'a> Assembler<'a> {
                     first_point,
                     blocks: Vec::new(),
                 });
-            } else if last_qualifier == &kv.qualifier[..] {
+            } else if last_qualifier == kv.qualifier {
                 continue; // older version of a cell already taken
             }
             last_qualifier = kv.qualifier;
@@ -318,7 +318,7 @@ impl<'a> Assembler<'a> {
             // Anything else but a 2-byte offset (the 0xFFFF blob, rollup
             // qualifiers) or an 8-byte value carries no raw point.
             let (Ok(q), Ok(v)) = (
-                <[u8; 2]>::try_from(&kv.qualifier[..]),
+                <[u8; 2]>::try_from(kv.qualifier),
                 <[u8; 8]>::try_from(kv.value),
             ) else {
                 continue;

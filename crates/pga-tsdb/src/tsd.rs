@@ -328,8 +328,10 @@ impl Tsd {
         if cells.is_empty() {
             return Ok(());
         }
+        // The batch copies the cells' bytes; the cells stay here, to be
+        // re-buffered if the put fails.
         // pga-allow(lock-discipline): the observer read guard above is a temporary dropped at its own statement; only the cloned Arc reaches this put
-        match self.client.put(cells.clone()) {
+        match self.client.put(cells.as_slice()) {
             Ok(_) => {
                 self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
                 Ok(())
@@ -421,9 +423,11 @@ impl Tsd {
         // Derived cells buffered by the observer ride along with this RPC.
         let carried: Vec<KeyValue> = std::mem::take(&mut *self.pending_derived.lock());
         let carried_n = carried.len();
-        batch.reserve(carried_n, carried.iter().map(|kv| kv.value.len()).sum());
+        let qualifier_bytes = carried.iter().map(|kv| kv.qualifier.len()).sum();
+        let value_bytes = carried.iter().map(|kv| kv.value.len()).sum();
+        batch.reserve(carried_n, qualifier_bytes, value_bytes);
         for kv in &carried {
-            batch.push(&kv.row, kv.qualifier.clone(), kv.timestamp, &kv.value);
+            batch.push(&kv.row, &kv.qualifier, kv.timestamp, &kv.value);
         }
         if let Err(e) = self.client.put(batch) {
             // Re-buffer the derived cells (ahead of any buffered since);
@@ -458,9 +462,9 @@ impl Tsd {
     /// rows a series of the batch moved off (its previous row-hour,
     /// finished unless data arrives late). A run takes its row key from
     /// the series' slot in `rows`; only the first cell of a series in a
-    /// row-hour builds one. A cell is its qualifier (a clone from the
-    /// codec's table), its version and its value's eight bytes in the
-    /// batch's one buffer: nothing is allocated per point.
+    /// row-hour builds one. A cell is its qualifier's two bytes, its
+    /// version and its value's eight bytes, each written into its column
+    /// of the batch: nothing is allocated or looked up per point.
     ///
     /// Cells come out grouped by series, each series' points in the order
     /// they arrived, so neighbouring cells share a row: a run per series
@@ -484,8 +488,9 @@ impl Tsd {
             .windows(2)
             .filter(|w| w[0] >> 32 != w[1] >> 32)
             .count();
+        let qualifier_bytes = points.len() * std::mem::size_of::<u16>();
         let value_bytes = points.len() * std::mem::size_of::<f64>();
-        let mut batch = PutBatch::with_capacity(series, points.len(), value_bytes);
+        let mut batch = PutBatch::with_capacity(series, points.len(), qualifier_bytes, value_bytes);
         let mut finished = Vec::new();
         let mut rows = self.rows.lock();
         for (series, ts, value) in order.into_iter().map(|key| &points[key as u32 as usize]) {
@@ -498,8 +503,8 @@ impl Tsd {
                 finished.extend(slot.take().map(|(_, row)| row));
             }
             let (_, row) = slot.get_or_insert_with(|| (base, self.codec.row_of(series, base)));
-            let qualifier = self.codec.qualifier(*ts);
-            batch.push(row, qualifier, ts * 1000, &self.codec.value_bytes(*value));
+            let qualifier = self.codec.qualifier_bytes(*ts);
+            batch.push(row, &qualifier, ts * 1000, &self.codec.value_bytes(*value));
         }
         (batch, finished)
     }
@@ -673,6 +678,28 @@ mod tests {
             },
         );
         (master, t)
+    }
+
+    /// Derived cells a failed put could not write stay buffered, ahead of
+    /// any the observer seals later, for the next put or flush to carry.
+    #[test]
+    fn a_failed_observer_flush_re_buffers_its_cells() {
+        struct Sealed(Mutex<Vec<KeyValue>>);
+        impl PutObserver for Sealed {
+            fn on_batch(&self, _points: &[SeriesPoint]) -> Vec<KeyValue> {
+                Vec::new()
+            }
+            fn flush(&self) -> Vec<KeyValue> {
+                std::mem::take(&mut *self.0.lock())
+            }
+        }
+        let (m, t) = tsd(2, 2, false);
+        let cell = |q: u8| KeyValue::new(vec![0u8, q], vec![q, 0, 0, 0], 1, vec![q; 40]);
+        t.set_observer(Arc::new(Sealed(Mutex::new(vec![cell(1), cell(2)]))));
+        t.pending_derived.lock().push(cell(0));
+        m.shutdown();
+        assert!(t.flush_observer().is_err());
+        assert_eq!(*t.pending_derived.lock(), vec![cell(0), cell(1), cell(2)]);
     }
 
     #[test]

@@ -321,7 +321,7 @@ fn region_read_and_flush(ticks: u16) -> [u64; 3] {
         for row in &rows {
             for offset in first..first + 50 {
                 let value = f64::from(offset).to_be_bytes();
-                batch.push(row, qualifiers[offset as usize].clone(), 1, &value);
+                batch.push(row, &qualifiers[offset as usize], 1, &value);
             }
         }
         region.put_batch(batch).unwrap();
