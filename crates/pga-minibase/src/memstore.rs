@@ -496,6 +496,38 @@ mod tests {
         assert_eq!((m.heap_size(), m.len()), (size - "value".len(), len));
     }
 
+    /// Segments are ordered by their last qualifier's first 8 bytes until
+    /// two agree there; qualifiers that share those bytes, one segment
+    /// each, are still selected as a filter over every cell selects them.
+    #[test]
+    fn windows_over_qualifiers_sharing_a_word_select_what_a_filter_does() {
+        let mut m = MemStore::new();
+        let q = |tail: u8| [&b"qualifie"[..], &[tail]].concat();
+        for tail in (0..12u8).chain([b'x', b'y']) {
+            m.put(KeyValue::new("row", q(tail), 1, vec![tail]));
+        }
+        m.put(KeyValue::new("row", "qualifier-z", 2, "z"));
+        m.put(KeyValue::new("row", "qualifie", 3, "short"));
+        let all = m.select(&RowRange::all(), None, None).to_vec();
+        let windows = [
+            (q(3), q(7)),
+            (b"qualifie".to_vec(), q(1)),
+            (q(11), b"qualifier-zz".to_vec()),
+            (b"a".to_vec(), b"qualifie".to_vec()),
+            (q(5), q(5)),
+        ];
+        for (start, end) in windows {
+            let columns = [ColumnRange::new(start.clone(), end.clone())];
+            let got = m.select(&RowRange::all(), Some(&columns), None).to_vec();
+            let want: Vec<KeyValue> = all
+                .iter()
+                .filter(|kv| kv.qualifier[..] >= start[..] && kv.qualifier[..] < end[..])
+                .cloned()
+                .collect();
+            assert_eq!(got, want, "{start:?}..{end:?}");
+        }
+    }
+
     #[test]
     fn drain_is_sorted() {
         let mut m = MemStore::new();
