@@ -549,20 +549,17 @@ impl<'a> RunCells<'a> {
     }
 
     /// Whether the keys of `cells`, which lie in this run, ascend
-    /// strictly. Qualifiers of one width up to 8 bytes are compared as
-    /// big-endian words, read in order.
+    /// strictly. The qualifiers are walked in order, not looked up.
     pub(crate) fn ascending(&self, cells: Range<usize>) -> bool {
-        let versions = self.batch.versions[cells.clone()].iter();
-        if let Width::Fixed(w @ 1..=8) = self.run.qualifiers.width {
-            let w = w as usize;
-            let start = self.run.qualifiers.start + (cells.start - self.start) * w;
-            let qualifiers = &self.batch.qualifiers.bytes[start..start + cells.len() * w];
-            let keys = qualifiers.chunks_exact(w).map(word);
-            return keys
-                .zip(versions.map(|&v| Reverse(v)))
-                .is_sorted_by(|a, b| a < b);
+        if cells.len() < 2 {
+            return true;
         }
-        (cells.start + 1..cells.end).all(|i| self.key(i - 1) < self.key(i))
+        let (k, n) = (cells.start - self.start, self.run.end - self.start);
+        let mut qualifiers = (self.batch.qualifiers).cursor(self.run.qualifiers, k, n);
+        let versions = self.batch.versions[cells].iter();
+        versions
+            .map_while(|&v| Some((qualifiers.next()?, Reverse(v))))
+            .is_sorted_by(|a, b| a < b)
     }
 
     /// The bytes of the qualifiers and of the values of `cells`, which

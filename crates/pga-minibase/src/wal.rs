@@ -96,11 +96,6 @@ impl WalInner {
 pub trait Cells {
     /// The cells, as a batch the log keeps.
     fn to_batch(&self) -> PutBatch;
-
-    /// Bytes the cells take encoded.
-    fn encoded_len(&self) -> usize {
-        self.to_batch().encoded_len()
-    }
 }
 
 /// Bytes a cell with these lengths takes encoded.
@@ -131,8 +126,11 @@ impl Cells for PutBatch {
     fn to_batch(&self) -> PutBatch {
         self.clone()
     }
+}
 
-    /// A run at a time, the columns' bytes together.
+impl PutBatch {
+    /// Bytes the cells take encoded, a run at a time, the columns' bytes
+    /// together.
     fn encoded_len(&self) -> usize {
         let rows: usize = (0..self.runs.len())
             .map(|r| {
@@ -177,40 +175,23 @@ impl WriteAheadLog {
         seq
     }
 
-    /// Append a batch under a sequence id assigned elsewhere — the
-    /// replication path, where a follower replays WAL records shipped by
-    /// the primary under the primary's sequence numbering. Accepted only
-    /// when `seq` is the **next** sequence (`last_sequence() + 1`): a
-    /// duplicate or stale ship is [`ShipOutcome::Stale`] (already durable
-    /// here), and a ship that would leave a hole is [`ShipOutcome::Gap`]
-    /// and applies nothing. Contiguity is what lets failover promotion
-    /// read `last_sequence()` as "holds every batch up to here" — a
-    /// gapped WAL would report the position of its newest batch while
-    /// silently missing earlier acked ones.
-    pub fn append_batch_with_seq<C: Cells + ?Sized>(
-        &self,
-        seq: SequenceId,
-        cells: &C,
-    ) -> ShipOutcome {
-        self.ship(seq, Arc::new(cells.to_batch()), false)
-    }
-
-    /// [`WriteAheadLog::append_batch_with_seq`] without the contiguity
-    /// check: any sequence beyond the last is accepted, holes included.
-    /// This is the *broken* pre-backfill semantics, kept solely as the
-    /// injection target for the gap-tolerant-follower mutant — the
-    /// faithful stack must never call it.
-    pub fn append_batch_with_seq_allow_gap<C: Cells + ?Sized>(
-        &self,
-        seq: SequenceId,
-        cells: &C,
-    ) -> ShipOutcome {
-        self.ship(seq, Arc::new(cells.to_batch()), true)
-    }
-
-    /// Append `batch`, which the caller keeps too and never changes, as
-    /// shipped sequence `seq`: [`WriteAheadLog::append_batch_with_seq`],
-    /// or with `allow_gap` its gap-tolerant mutant.
+    /// Append `batch`, which the caller keeps too and never changes,
+    /// under a sequence id assigned elsewhere — the replication path,
+    /// where a follower replays WAL records shipped by the primary under
+    /// the primary's sequence numbering. Accepted only when `seq` is the
+    /// **next** sequence (`last_sequence() + 1`): a duplicate or stale
+    /// ship is [`ShipOutcome::Stale`] (already durable here), and a ship
+    /// that would leave a hole is [`ShipOutcome::Gap`] and applies
+    /// nothing. Contiguity is what lets failover promotion read
+    /// `last_sequence()` as "holds every batch up to here" — a gapped WAL
+    /// would report the position of its newest batch while silently
+    /// missing earlier acked ones.
+    ///
+    /// `allow_gap` drops the contiguity check: any sequence beyond the
+    /// last is accepted, holes included. This is the *broken*
+    /// pre-backfill semantics, kept solely as the injection target for
+    /// the gap-tolerant-follower mutant — the faithful stack never sets
+    /// it.
     pub(crate) fn ship(
         &self,
         seq: SequenceId,
@@ -258,8 +239,9 @@ impl WriteAheadLog {
         }
     }
 
-    /// Entries newer than the flush mark, in append order — the data a
-    /// recovering server must replay into a fresh memstore.
+    /// Entries newer than the flush mark, in append order, copied into one
+    /// batch — the data a recovering server must replay into a fresh
+    /// memstore (a region's own recovery shares the batches instead).
     pub fn replay(&self) -> PutBatch {
         let mut out = PutBatch::new();
         for batch in self.unflushed_batches() {
@@ -484,6 +466,16 @@ mod tests {
         KeyValue::new(row.as_bytes().to_vec(), b"q".to_vec(), ts, b"v".to_vec())
     }
 
+    /// Ship `cells` to `wal` as sequence `seq`.
+    fn ship(wal: &WriteAheadLog, seq: SequenceId, cells: &[KeyValue]) -> ShipOutcome {
+        wal.ship(seq, Arc::new(cells.to_batch()), false)
+    }
+
+    /// [`ship`] without the contiguity check.
+    fn ship_gap(wal: &WriteAheadLog, seq: SequenceId, cells: &[KeyValue]) -> ShipOutcome {
+        wal.ship(seq, Arc::new(cells.to_batch()), true)
+    }
+
     #[test]
     fn append_and_replay_in_order() {
         let wal = WriteAheadLog::new();
@@ -638,21 +630,15 @@ mod tests {
     #[test]
     fn append_with_seq_is_contiguous_and_idempotent() {
         let wal = WriteAheadLog::new();
+        assert_eq!(ship(&wal, 1, &[kv("a", 1)]), ShipOutcome::Applied);
         assert_eq!(
-            wal.append_batch_with_seq(1, &[kv("a", 1)]),
-            ShipOutcome::Applied
-        );
-        assert_eq!(
-            wal.append_batch_with_seq(1, &[kv("a", 1)]),
+            ship(&wal, 1, &[kv("a", 1)]),
             ShipOutcome::Stale,
             "duplicate ship must be rejected"
         );
+        assert_eq!(ship(&wal, 2, &[kv("b", 2)]), ShipOutcome::Applied);
         assert_eq!(
-            wal.append_batch_with_seq(2, &[kv("b", 2)]),
-            ShipOutcome::Applied
-        );
-        assert_eq!(
-            wal.append_batch_with_seq(1, &[kv("stale", 1)]),
+            ship(&wal, 1, &[kv("stale", 1)]),
             ShipOutcome::Stale,
             "stale ship must be rejected"
         );
@@ -665,27 +651,15 @@ mod tests {
     #[test]
     fn append_with_seq_rejects_holes_and_applies_nothing() {
         let wal = WriteAheadLog::new();
-        assert_eq!(
-            wal.append_batch_with_seq(1, &[kv("a", 1)]),
-            ShipOutcome::Applied
-        );
+        assert_eq!(ship(&wal, 1, &[kv("a", 1)]), ShipOutcome::Applied);
         // Batch 2 was lost in transit; batch 3 must not open a hole.
-        assert_eq!(
-            wal.append_batch_with_seq(3, &[kv("c", 3)]),
-            ShipOutcome::Gap
-        );
+        assert_eq!(ship(&wal, 3, &[kv("c", 3)]), ShipOutcome::Gap);
         assert_eq!(wal.last_sequence(), 1, "a rejected gap advances nothing");
         assert_eq!(wal.batch_sequences(), vec![1]);
         assert_eq!(wal.replay().len(), 1);
         // Backfilling the missing batch unblocks the tail.
-        assert_eq!(
-            wal.append_batch_with_seq(2, &[kv("b", 2)]),
-            ShipOutcome::Applied
-        );
-        assert_eq!(
-            wal.append_batch_with_seq(3, &[kv("c", 3)]),
-            ShipOutcome::Applied
-        );
+        assert_eq!(ship(&wal, 2, &[kv("b", 2)]), ShipOutcome::Applied);
+        assert_eq!(ship(&wal, 3, &[kv("c", 3)]), ShipOutcome::Applied);
         assert_eq!(wal.batch_sequences(), vec![1, 2, 3]);
     }
 
@@ -693,18 +667,12 @@ mod tests {
     fn allow_gap_variant_reproduces_the_holey_wal() {
         // The mutant hook's semantics: the gap lands, last_sequence lies.
         let wal = WriteAheadLog::new();
-        assert_eq!(
-            wal.append_batch_with_seq_allow_gap(1, &[kv("a", 1)]),
-            ShipOutcome::Applied
-        );
-        assert_eq!(
-            wal.append_batch_with_seq_allow_gap(3, &[kv("c", 3)]),
-            ShipOutcome::Applied
-        );
+        assert_eq!(ship_gap(&wal, 1, &[kv("a", 1)]), ShipOutcome::Applied);
+        assert_eq!(ship_gap(&wal, 3, &[kv("c", 3)]), ShipOutcome::Applied);
         assert_eq!(wal.last_sequence(), 3);
         assert_eq!(wal.batch_sequences(), vec![1, 3], "hole retained");
         assert_eq!(
-            wal.append_batch_with_seq_allow_gap(2, &[kv("b", 2)]),
+            ship_gap(&wal, 2, &[kv("b", 2)]),
             ShipOutcome::Stale,
             "the hole can never be healed afterwards"
         );
@@ -727,22 +695,13 @@ mod tests {
     fn start_sequence_rejects_pre_snapshot_ships() {
         let wal = WriteAheadLog::with_start_sequence(7);
         assert_eq!(wal.last_sequence(), 7);
-        assert_eq!(
-            wal.append_batch_with_seq(7, &[kv("old", 1)]),
-            ShipOutcome::Stale
-        );
-        assert_eq!(
-            wal.append_batch_with_seq(8, &[kv("new", 1)]),
-            ShipOutcome::Applied
-        );
+        assert_eq!(ship(&wal, 7, &[kv("old", 1)]), ShipOutcome::Stale);
+        assert_eq!(ship(&wal, 8, &[kv("new", 1)]), ShipOutcome::Applied);
         assert_eq!(wal.replay().len(), 1);
         // Encode/decode keeps the start mark.
         let back = WriteAheadLog::from_encoded(&wal.encode());
         assert_eq!(back.last_sequence(), 8);
-        assert_eq!(
-            back.append_batch_with_seq(8, &[kv("dup", 1)]),
-            ShipOutcome::Stale
-        );
+        assert_eq!(ship(&back, 8, &[kv("dup", 1)]), ShipOutcome::Stale);
     }
 
     #[test]
@@ -775,7 +734,7 @@ mod tests {
         wal.append_batch(&[]);
         wal.mark_flushed(1);
         let shipped = [cell("r4", b"q", u64::MAX, b"\xff\xfe\xfd")];
-        assert_eq!(wal.append_batch_with_seq(4, &shipped), ShipOutcome::Applied);
+        assert_eq!(ship(&wal, 4, &shipped), ShipOutcome::Applied);
         wal.append_batch(&[cell("", b"", 0, b"v"), cell("r5", b"q", 5, b"w")]);
         wal
     }
@@ -840,7 +799,7 @@ mod tests {
         // whole, and encodes back to the image up to the last of them.
         let mut ends = vec![13];
         for (_, kvs) in &tail {
-            let cells: usize = kvs.encoded_len();
+            let cells: usize = kvs.to_batch().encoded_len();
             ends.push(ends[ends.len() - 1] + 16 + cells);
         }
         assert_eq!(ends.last(), Some(&image.len()));

@@ -72,9 +72,6 @@ pub struct KeyCodec {
     uids: UidTable,
     /// Every series this codec (or a clone of it) has encoded or decoded.
     series: SeriesTable,
-    /// The qualifier of every offset in a row span, built once and shared
-    /// by clones: a raw cell clones its qualifier instead of allocating one.
-    qualifiers: Arc<[Bytes]>,
 }
 
 /// A decoded data point key.
@@ -106,9 +103,6 @@ impl KeyCodec {
             config,
             uids,
             series: SeriesTable::default(),
-            qualifiers: (0..config.row_span_secs as u16)
-                .map(|offset| Bytes::copy_from_slice(&offset.to_be_bytes()))
-                .collect(),
         }
     }
 
@@ -231,14 +225,13 @@ impl KeyCodec {
 
     /// Qualifier: 2 bytes of offset-within-row in seconds (OpenTSDB packs
     /// flags in the low nibble; all our values are 8-byte floats, so the
-    /// flags are constant and omitted). A clone of the codec's table entry:
-    /// no allocation.
+    /// flags are constant and omitted).
     pub fn qualifier(&self, timestamp: u64) -> Bytes {
-        self.qualifiers[(timestamp % self.config.row_span_secs) as usize].clone()
+        Bytes::copy_from_slice(&self.qualifier_bytes(timestamp))
     }
 
-    /// [`KeyCodec::qualifier`]'s bytes, computed: a put copies them into
-    /// its batch and reads no table entry (a cold line a point).
+    /// [`KeyCodec::qualifier`]'s bytes, unallocated: a put copies them
+    /// into its batch.
     pub fn qualifier_bytes(&self, timestamp: u64) -> [u8; 2] {
         ((timestamp % self.config.row_span_secs) as u16).to_be_bytes()
     }
