@@ -9,9 +9,10 @@
 //! to the OpenTSDB nodes via a round-robin fashion").
 //!
 //! * [`proxy`] — the reverse proxy over real TSD daemons (thread-scale):
-//!   bounded blocking queues, round-robin per series (one lane per TSD,
-//!   each series always in one lane, forwarded in order, a lane's queued
-//!   parts in one put), and bounded retries of storage failures with
+//!   blocking queues bounded in lane parts, round-robin per series (one
+//!   lane per TSD, each series always in one lane, forwarded in order, a
+//!   lane's queued parts in one put, an ingest call's group of batches in
+//!   one put per lane), and bounded retries of storage failures with
 //!   jittered exponential backoff.
 //! * [`series`] — the proxy's series table: each sensor's series resolved
 //!   once per proxy, so the proxy forwards resolved points.

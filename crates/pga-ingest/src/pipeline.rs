@@ -121,9 +121,11 @@ impl IngestionPipeline {
     ///
     /// Samples are moved into batches of `batch_size` whatever the tick
     /// they belong to, so a batch may span ticks; only the range's last
-    /// batch may be short. Every batch costs the same hand-offs (producer →
-    /// proxy worker → TSD → one RPC per region) however few samples it
-    /// carries, so a small fleet is not cut into one short batch a tick.
+    /// batch may be short. The batches go to the proxy in groups of one
+    /// proxy queue's worth, and at most one group is held here at a time.
+    /// A group costs one hand-off per proxy worker and one put per lane
+    /// however many batches it holds, so a range of up to one group goes
+    /// out as one put per TSD whatever the scheduler does.
     ///
     /// Returns once every batch of this call has settled, after the TSDs'
     /// observers took its points, so a following
@@ -133,28 +135,36 @@ impl IngestionPipeline {
         let settlement = Arc::new(Settlement::default());
         let start = Instant::now();
         let mut samples = 0u64;
-        let mut submit = |batch: Vec<SensorSample>| {
-            samples += batch.len() as u64;
+        let group_len = self.proxy.group_len();
+        let mut hand_over = |group: Vec<Vec<SensorSample>>| {
+            samples += group.iter().map(|b| b.len() as u64).sum::<u64>();
             self.proxy
-                .submit_settled(batch, &settlement)
+                .submit_group(group, &settlement)
                 .expect("proxy stays up until the pipeline shuts down");
         };
         let mut tick = Vec::with_capacity(fleet.config().total_sensors() as usize);
         let mut batch = Vec::with_capacity(self.batch_size);
+        let mut group = Vec::with_capacity(group_len);
         for t in t0..t1 {
             fleet.tick_into(t, &mut tick);
             for sample in tick.drain(..) {
                 batch.push(sample);
                 if batch.len() == self.batch_size {
-                    submit(std::mem::replace(
+                    group.push(std::mem::replace(
                         &mut batch,
                         Vec::with_capacity(self.batch_size),
                     ));
+                    if group.len() == group_len {
+                        hand_over(std::mem::replace(&mut group, Vec::with_capacity(group_len)));
+                    }
                 }
             }
         }
         if !batch.is_empty() {
-            submit(batch);
+            group.push(batch);
+        }
+        if !group.is_empty() {
+            hand_over(group);
         }
         let settled = settlement.wait();
         let elapsed = start.elapsed().as_secs_f64();
@@ -215,8 +225,10 @@ impl IngestionPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proxy::tests::{settles_at, Gate};
     use pga_sensorgen::FleetConfig;
     use pga_tsdb::QueryFilter;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn pipeline_ingests_and_stores_everything() {
@@ -281,6 +293,60 @@ mod tests {
             }
             pipeline.shutdown();
         }
+    }
+
+    /// Put RPCs each TSD of `pipeline` made.
+    fn puts(pipeline: &IngestionPipeline) -> Vec<u64> {
+        let puts = |tsd: &Arc<Tsd>| tsd.metrics().put_rpcs.load(Ordering::Relaxed);
+        pipeline.tsds().iter().map(puts).collect()
+    }
+
+    /// A range of a few batches goes out as one put per TSD, whatever the
+    /// scheduler does. Each range's first put is held until every batch
+    /// is handed over, so batches handed over one at a time would queue
+    /// behind it and go out in a second put (unless the worker happened
+    /// to wake after the last one, hence five ranges).
+    #[test]
+    fn a_range_goes_out_as_one_put_per_tsd() {
+        let fleet = Fleet::new(FleetConfig {
+            units: 2,
+            sensors_per_unit: 16,
+            ..FleetConfig::small(3)
+        });
+        let pipeline = IngestionPipeline::new(2, 2, 32);
+        let metrics = pipeline.proxy.metrics();
+        for k in 0..5u64 {
+            let gate = Gate::install(&pipeline.tsds()[0]);
+            let (handed_over, report) = std::thread::scope(|s| {
+                let run = s.spawn(|| pipeline.run_range(&fleet, 10 * k, 10 * k + 10));
+                gate.gate.wait();
+                let handed_over = settles_at(&metrics.batches_in, 10 * (k + 1));
+                gate.gate.wait();
+                (handed_over, run.join().unwrap())
+            });
+            assert_eq!(handed_over, 10 * (k + 1));
+            assert_eq!((report.batches, report.stored_cells), (10, 320 * (k + 1)));
+            assert_eq!(puts(&pipeline), [k + 1, k + 1], "range {k}");
+        }
+        pipeline.shutdown();
+    }
+
+    /// A range longer than a group goes out as one put per lane per
+    /// group: here one batch a tick, each with a part in both lanes, and
+    /// 300 batches in groups of 128.
+    #[test]
+    fn a_long_range_goes_out_as_one_put_per_lane_per_group() {
+        let fleet = Fleet::new(FleetConfig {
+            units: 2,
+            sensors_per_unit: 16,
+            ..FleetConfig::small(3)
+        });
+        let pipeline = IngestionPipeline::new(2, 2, 32);
+        assert_eq!(pipeline.proxy.group_len(), 128);
+        let report = pipeline.run_range(&fleet, 0, 300);
+        assert_eq!((report.batches, report.stored_cells), (300, 9600));
+        assert_eq!(puts(&pipeline), [3, 3], "ceil(300 / 128) a lane");
+        pipeline.shutdown();
     }
 
     /// A batch the proxy gives up on — here every one, its timestamps past

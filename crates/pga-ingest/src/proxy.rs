@@ -8,13 +8,17 @@
 //! The paper's proxy round-robins across TSDs; this one does so per
 //! series. There is one lane per TSD, and a series always travels in lane
 //! `salt % tsds.len()`, where the salt is the first byte of its row key.
-//! [`ReverseProxy::submit`] splits each batch into lane parts, and each
-//! lane belongs to one worker. A worker takes whatever its queue holds
-//! and forwards each lane's parts, in submission order, as one put to
-//! that lane's TSD. So every series reaches one TSD — and that TSD's
-//! write-path observer — in the order it was submitted, and the TSDs take
-//! their salts' shares. When the TSD count divides the salt buckets, a
-//! lane's part lands on its own regions only.
+//! The proxy splits each batch into lane parts, and each lane belongs to
+//! one worker. A submission hands each worker all of its parts as one
+//! queue entry: one batch's from [`ReverseProxy::submit`], a whole
+//! group's when an ingest call hands over a range of batches at once. A
+//! queue holds at most its share of the buffer's parts; a worker takes
+//! all of them and forwards each lane's parts, in submission order, as
+//! one put to that lane's TSD. So a group goes out as one put per lane
+//! however the threads are scheduled, every series reaches one TSD — and
+//! that TSD's write-path observer — in the order it was submitted, and
+//! the TSDs take their salts' shares. When the TSD count divides the salt
+//! buckets, a lane's part lands on its own regions only.
 //!
 //! Every TSD of the pool resolves names through one series table (clones
 //! of one [`pga_tsdb::KeyCodec`]), so the proxy resolves each sensor's
@@ -22,13 +26,13 @@
 //! a series resolved through the first daemon's codec is valid on all of
 //! them.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_channel::{bounded, Receiver, SendError, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use pga_sensorgen::SensorSample;
@@ -72,7 +76,11 @@ impl std::error::Error for ProxyError {}
 pub struct ProxyConfig {
     /// Lane parts (a batch's share for one TSD) buffered before producers
     /// block, split evenly across the worker queues (at least one each).
-    /// A worker forwards at most one queue's worth at a time.
+    /// The bound counts parts, however they were handed over: single
+    /// batches queue until their worker's share is full, and an ingest
+    /// call hands over its batches in groups of one queue's worth, so at
+    /// most one group waits per worker. A worker forwards at most one
+    /// queue's worth at a time.
     pub buffer_capacity: usize,
     /// Forwarding worker threads; no more are started than there are
     /// lanes (TSDs). Lane `l` belongs to worker `l % workers`.
@@ -114,7 +122,7 @@ pub struct ProxyMetrics {
 }
 
 /// The batches one caller submitted through
-/// [`ReverseProxy::submit_settled`], counted as each settles: once every
+/// [`ReverseProxy::submit_group`], counted as each settles: once every
 /// lane part of it has landed or been given up on.
 #[derive(Debug, Default)]
 pub(crate) struct Settlement {
@@ -212,13 +220,103 @@ fn lane_of(series: &Series, lanes: usize) -> usize {
         .map_or(0, |&salt| salt as usize % lanes)
 }
 
+/// One worker's queue: entries of lane parts, bounded in parts. An entry
+/// is one submission's parts for the worker and is taken whole.
+struct Queue {
+    /// Parts queued before producers block.
+    capacity: usize,
+    state: std::sync::Mutex<Queued>,
+    /// Signalled when parts leave the queue or it closes.
+    room: Condvar,
+    /// Signalled when an entry arrives or the queue closes.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Queued {
+    entries: VecDeque<Vec<Part>>,
+    /// Parts in `entries`.
+    parts: usize,
+    closed: bool,
+}
+
+impl Queue {
+    fn new(capacity: usize) -> Self {
+        Queue {
+            capacity,
+            state: Default::default(),
+            room: Condvar::new(),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queued> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queue `entry`, blocking while its parts do not fit beside those
+    /// queued; an entry larger than the whole queue waits for it to empty.
+    /// The entry comes back once the queue is closed.
+    fn push(&self, entry: Vec<Part>) -> Result<(), Vec<Part>> {
+        let queued = self.lock();
+        let full =
+            |q: &mut Queued| !q.closed && q.parts > 0 && q.parts + entry.len() > self.capacity;
+        let mut queued = self
+            .room
+            .wait_while(queued, full)
+            .unwrap_or_else(PoisonError::into_inner);
+        if queued.closed {
+            return Err(entry);
+        }
+        queued.parts += entry.len();
+        queued.entries.push_back(entry);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Move every queued part, oldest first, into `taken`: at most one
+    /// queue's worth, or one larger entry, since `push` admits no more.
+    /// Blocks until there is one; false once the queue is closed and
+    /// empty.
+    fn take(&self, taken: &mut Vec<Part>) -> bool {
+        let queued = self.lock();
+        let mut queued = self
+            .ready
+            .wait_while(queued, |q| q.entries.is_empty() && !q.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        taken.extend(queued.entries.drain(..).flatten());
+        queued.parts = 0;
+        self.room.notify_all();
+        !taken.is_empty()
+    }
+
+    /// Refuse further entries; those queued are still taken.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+        self.room.notify_all();
+    }
+}
+
+/// Closes its worker's queue when the worker stops, however it stops, so
+/// that producers are refused rather than left waiting for room.
+struct CloseOnExit(Arc<Queue>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// The reverse proxy. Submission blocks when a worker's queue is full.
 /// The workers live until [`ReverseProxy::drain_and_join`] or drop.
 pub struct ReverseProxy {
     /// One queue per worker; `None` once the intake is closed.
-    queues: RwLock<Option<Vec<Sender<Part>>>>,
+    queues: RwLock<Option<Vec<Arc<Queue>>>>,
     /// One lane per TSD.
     lanes: usize,
+    /// Batches a group may hold: as many as fill one queue with parts.
+    group_len: usize,
     names: Mutex<SensorSeries>,
     metrics: Arc<ProxyMetrics>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -241,34 +339,40 @@ impl ReverseProxy {
         let lanes = tsds.len();
         let worker_count = config.workers.min(lanes);
         let capacity = (config.buffer_capacity / worker_count).max(1);
-        let metrics = Arc::new(ProxyMetrics::default());
         let max_attempts = config.max_forward_attempts.max(1);
-        let mut queues = Vec::with_capacity(worker_count);
-        let mut workers = Vec::with_capacity(worker_count);
+        let mut proxy = ReverseProxy {
+            queues: RwLock::new(Some(Vec::with_capacity(worker_count))),
+            lanes,
+            // A batch has at most one part per lane, and the busiest
+            // worker owns `ceil(lanes / workers)` lanes.
+            group_len: (capacity / lanes.div_ceil(worker_count)).max(1),
+            names: Mutex::new(SensorSeries::new(codec)),
+            metrics: Arc::new(ProxyMetrics::default()),
+            workers: Mutex::new(Vec::with_capacity(worker_count)),
+        };
         for w in 0..worker_count {
-            let (tx, rx) = bounded::<Part>(capacity);
+            let queue = Arc::new(Queue::new(capacity));
             let worker = Worker {
                 tsds: tsds.clone(),
-                metrics: metrics.clone(),
+                metrics: proxy.metrics.clone(),
                 max_attempts,
                 // Per-worker jitter stream: deterministic, decorrelated
                 // from other workers.
                 jitter_seq: (w as u64) << 32,
             };
+            let closing = CloseOnExit(queue.clone());
+            // On failure the proxy drops here, which closes and joins the
+            // workers already started.
             let handle = std::thread::Builder::new()
                 .name(format!("proxy-worker-{w}"))
-                .spawn(move || worker.run(&rx, capacity))
+                .spawn(move || worker.run(&closing.0))
                 .map_err(|e| ProxyError::SpawnFailed(e.to_string()))?;
-            queues.push(tx);
-            workers.push(handle);
+            if let Some(queues) = proxy.queues.get_mut() {
+                queues.push(queue);
+            }
+            proxy.workers.get_mut().push(handle);
         }
-        Ok(ReverseProxy {
-            queues: RwLock::new(Some(queues)),
-            lanes,
-            names: Mutex::new(SensorSeries::new(codec)),
-            metrics,
-            workers: Mutex::new(workers),
-        })
+        Ok(proxy)
     }
 
     /// Submit one batch: resolve its samples, split it into lane parts and
@@ -277,55 +381,67 @@ impl ReverseProxy {
     /// the intake is closed or the workers are gone — the caller decides
     /// whether that is fatal. An empty batch is forwarded at once.
     pub fn submit(&self, batch: Vec<SensorSample>) -> Result<(), ProxyError> {
-        self.send(batch, None)
+        self.send(vec![batch], None)
     }
 
-    /// [`ReverseProxy::submit`], counting the batch in `settlement` so
-    /// the caller can wait for the batches it submitted, and only those.
-    pub(crate) fn submit_settled(
+    /// The most batches [`ReverseProxy::submit_group`] takes at once: as
+    /// many as fill every worker's queue once with their parts.
+    pub(crate) fn group_len(&self) -> usize {
+        self.group_len
+    }
+
+    /// Submit up to [`ReverseProxy::group_len`] batches at once, counting
+    /// each in `settlement` so the caller can wait for the batches it
+    /// submitted, and only those. Each batch is resolved, split and
+    /// settled as by [`ReverseProxy::submit`], but each worker receives
+    /// all of its parts of the group as one queue entry, and so forwards
+    /// them as one put per lane.
+    pub(crate) fn submit_group(
         &self,
-        batch: Vec<SensorSample>,
+        batches: Vec<Vec<SensorSample>>,
         settlement: &Arc<Settlement>,
     ) -> Result<(), ProxyError> {
-        self.send(batch, Some(settlement))
+        self.send(batches, Some(settlement))
     }
 
     fn send(
         &self,
-        batch: Vec<SensorSample>,
+        batches: Vec<Vec<SensorSample>>,
         settlement: Option<&Arc<Settlement>>,
     ) -> Result<(), ProxyError> {
         if self.queues.read().is_none() {
             return Err(ProxyError::Stopped);
         }
-        let mut parts: Vec<Vec<SeriesPoint>> = (0..self.lanes)
-            .map(|_| Vec::with_capacity(batch.len().div_ceil(self.lanes)))
-            .collect();
-        {
-            let mut names = self.names.lock();
-            for sample in &batch {
-                let point = names.point(sample);
-                // `lane_of` is below `self.lanes`: the part is always there.
-                if let Some(part) = parts.get_mut(lane_of(&point.0, self.lanes)) {
-                    part.push(point);
+        if let Some(settlement) = settlement {
+            settlement.update(|c| c.pending += batches.len() as u64);
+        }
+        self.metrics
+            .batches_in
+            .fetch_add(batches.len() as u64, Ordering::Relaxed);
+        let mut parts = Vec::new();
+        for batch in &batches {
+            let lanes = self.split(batch);
+            let tally = Arc::new(Tally {
+                parts: AtomicUsize::new(lanes.iter().filter(|p| !p.is_empty()).count()),
+                failed: AtomicBool::new(false),
+                settlement: settlement.cloned(),
+            });
+            if lanes.iter().all(Vec::is_empty) {
+                tally.count(&self.metrics);
+                continue;
+            }
+            for (lane, points) in lanes.into_iter().enumerate() {
+                if !points.is_empty() {
+                    parts.push(Part {
+                        lane,
+                        points,
+                        tally: tally.clone(),
+                    });
                 }
             }
         }
-        if let Some(settlement) = settlement {
-            settlement.update(|c| c.pending += 1);
-        }
-        let tally = Arc::new(Tally {
-            parts: AtomicUsize::new(parts.iter().filter(|p| !p.is_empty()).count()),
-            failed: AtomicBool::new(false),
-            settlement: settlement.cloned(),
-        });
-        self.metrics.batches_in.fetch_add(1, Ordering::Relaxed);
-        if parts.iter().all(Vec::is_empty) {
-            tally.count(&self.metrics);
-            return Ok(());
-        }
         // A part no worker took is given up on, so its batch still settles.
-        let refused = self.enqueue(parts, &tally);
+        let refused = self.enqueue(parts);
         for part in &refused {
             part.tally.settle(false, &self.metrics);
         }
@@ -336,34 +452,47 @@ impl ReverseProxy {
         }
     }
 
-    /// Queue each non-empty lane part on the worker that owns its lane
-    /// (lane `l` on worker `l % workers`); the parts no worker took, once
-    /// the intake is closed or a worker is gone.
-    fn enqueue(&self, parts: Vec<Vec<SeriesPoint>>, tally: &Arc<Tally>) -> Vec<Part> {
+    /// Queue `parts` on the workers that own their lanes (lane `l` on
+    /// worker `l % workers`), each worker's parts as one entry; the parts
+    /// no worker took, once the intake is closed or a worker is gone.
+    fn enqueue(&self, parts: Vec<Part>) -> Vec<Part> {
         let queues = self.queues.read();
         let queues = queues.as_deref().unwrap_or_default();
+        let mut entries: Vec<Vec<Part>> = queues.iter().map(|_| Vec::new()).collect();
         let mut refused = Vec::new();
-        let mut owners = queues.iter().cycle();
-        for (lane, points) in parts.into_iter().enumerate() {
-            let owner = owners.next();
-            if points.is_empty() {
+        for part in parts {
+            match entries.get_mut(part.lane % queues.len().max(1)) {
+                Some(entry) => entry.push(part),
+                None => refused.push(part),
+            }
+        }
+        for (queue, entry) in queues.iter().zip(entries) {
+            if entry.is_empty() {
                 continue;
             }
-            let part = Part {
-                lane,
-                points,
-                tally: tally.clone(),
-            };
-            match owner {
-                Some(queue) if refused.is_empty() => {
-                    if let Err(SendError(part)) = queue.send(part) {
-                        refused.push(part);
-                    }
-                }
-                _ => refused.push(part),
+            if !refused.is_empty() {
+                refused.extend(entry);
+            } else if let Err(entry) = queue.push(entry) {
+                refused.extend(entry);
             }
         }
         refused
+    }
+
+    /// Resolve `batch` and split it into one part per lane.
+    fn split(&self, batch: &[SensorSample]) -> Vec<Vec<SeriesPoint>> {
+        let mut parts: Vec<Vec<SeriesPoint>> = (0..self.lanes)
+            .map(|_| Vec::with_capacity(batch.len().div_ceil(self.lanes)))
+            .collect();
+        let mut names = self.names.lock();
+        for sample in batch {
+            let point = names.point(sample);
+            // `lane_of` is below `self.lanes`: the part is always there.
+            if let Some(part) = parts.get_mut(lane_of(&point.0, self.lanes)) {
+                part.push(point);
+            }
+        }
+        parts
     }
 
     /// Shared metrics handle.
@@ -381,7 +510,9 @@ impl ReverseProxy {
     /// was queued; later submissions return [`ProxyError::Stopped`].
     /// Waits for submissions in progress to finish queueing first.
     pub(crate) fn shutdown(&self) {
-        drop(self.queues.write().take());
+        for queue in self.queues.write().take().into_iter().flatten() {
+            queue.close();
+        }
         for worker in std::mem::take(&mut *self.workers.lock()) {
             let _ = worker.join();
         }
@@ -397,21 +528,19 @@ struct Worker {
 }
 
 impl Worker {
-    /// Take whatever the queue holds (at most its `capacity`), then
-    /// forward each lane's parts of it as one put, until the intake
-    /// closes and the queue is empty.
-    fn run(mut self, queue: &Receiver<Part>, capacity: usize) {
-        let mut drained = Vec::with_capacity(capacity);
+    /// Take everything queued (at most one queue's worth of parts, or one
+    /// larger entry), then forward each lane's parts of it as one put,
+    /// until the intake closes and the queue is empty.
+    fn run(mut self, queue: &Queue) {
+        let mut taken = Vec::with_capacity(queue.capacity);
         let mut points = Vec::new();
-        while let Ok(first) = queue.recv() {
-            drained.push(first);
-            drained.extend(queue.try_iter().take(capacity - 1));
+        while queue.take(&mut taken) {
             // Stable, so each lane's parts stay in submission order.
-            drained.sort_by_key(|part| part.lane);
-            for lane in drained.chunk_by_mut(|a, b| a.lane == b.lane) {
+            taken.sort_by_key(|part| part.lane);
+            for lane in taken.chunk_by_mut(|a, b| a.lane == b.lane) {
                 self.forward_lane(lane, &mut points);
             }
-            drained.clear();
+            taken.clear();
         }
     }
 
@@ -521,7 +650,7 @@ impl Drop for ReverseProxy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pga_cluster::coordinator::Coordinator;
     use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
@@ -910,7 +1039,7 @@ mod tests {
         let proxy = ReverseProxy::spawn(tsds, ProxyConfig::default()).unwrap();
         let settlement = Arc::new(Settlement::default());
         proxy.submit(Vec::new()).unwrap();
-        proxy.submit_settled(Vec::new(), &settlement).unwrap();
+        proxy.submit_group(vec![Vec::new()], &settlement).unwrap();
         let settled = settlement.wait();
         assert_eq!(
             (settled.pending, settled.forwarded, settled.errors),
@@ -927,14 +1056,14 @@ mod tests {
     /// until the test has queued more behind it: the test waits on
     /// `gate` once to know the worker is inside that put, and once more
     /// to let it go.
-    struct Gate {
-        gate: std::sync::Barrier,
+    pub(crate) struct Gate {
+        pub(crate) gate: std::sync::Barrier,
         held: AtomicBool,
         puts: parking_lot::Mutex<Vec<Vec<(u64, u64)>>>,
     }
 
     impl Gate {
-        fn install(tsd: &Tsd) -> Arc<Gate> {
+        pub(crate) fn install(tsd: &Tsd) -> Arc<Gate> {
             let gate = Arc::new(Gate {
                 gate: std::sync::Barrier::new(2),
                 held: AtomicBool::new(false),
@@ -1025,11 +1154,13 @@ mod tests {
         .unwrap();
         let settlement = Arc::new(Settlement::default());
         let first = vec![sample(1, 1, 0)];
-        proxy.submit_settled(first.clone(), &settlement).unwrap();
+        proxy
+            .submit_group(vec![first.clone()], &settlement)
+            .unwrap();
         gate.gate.wait();
         let (before, after) = (vec![sample(1, 1, 1)], vec![sample(1, 1, 2)]);
         for batch in [before.clone(), vec![sample(1, 1, late)], after.clone()] {
-            proxy.submit_settled(batch, &settlement).unwrap();
+            proxy.submit_group(vec![batch], &settlement).unwrap();
         }
         gate.gate.wait();
         let settled = settlement.wait();
@@ -1047,6 +1178,114 @@ mod tests {
             .query("energy", &QueryFilter::any(), 0, 100)
             .unwrap();
         assert_eq!(stored[0].points.len(), 3);
+        master.shutdown();
+    }
+
+    /// What `count` reads once it has reached `n` and then 50 ms have
+    /// passed, or after ten seconds. It does not panic, so a test holding
+    /// a worker at its gate can release it before asserting.
+    pub(crate) fn settles_at(count: &AtomicU64, n: u64) -> u64 {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while count.load(Ordering::Acquire) < n && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        count.load(Ordering::Acquire)
+    }
+
+    /// The queue is bounded in parts. While its worker is inside a put, a
+    /// producer of single batches stops once the worker's share of
+    /// `buffer_capacity` is queued; the worker then forwards at most that
+    /// share a put, every point in submission order.
+    #[test]
+    fn a_held_worker_queues_its_share_of_parts_then_blocks_producers() {
+        let (master, tsds) = stack(2, 2);
+        let gate = Gate::install(&tsds[0]);
+        let proxy = ReverseProxy::spawn(
+            tsds.clone(),
+            ProxyConfig {
+                buffer_capacity: 8,
+                workers: 2,
+                ..ProxyConfig::default()
+            },
+        )
+        .unwrap();
+        // One series of lane 0, so every batch goes to worker 0.
+        let unit = (0..8)
+            .find(|&u| lane(&tsds, &sample(u, 0, 0)) == 0)
+            .unwrap();
+        let first = vec![sample(unit, 0, 0)];
+        proxy.submit(first.clone()).unwrap();
+        gate.gate.wait();
+        let later: Vec<SensorSample> = (1..=10).map(|t| sample(unit, 0, t)).collect();
+        let returned = AtomicU64::new(0);
+        let queued = std::thread::scope(|s| {
+            s.spawn(|| {
+                for sample in &later {
+                    proxy.submit(vec![*sample]).unwrap();
+                    returned.fetch_add(1, Ordering::Release);
+                }
+            });
+            let queued = settles_at(&returned, 4);
+            gate.gate.wait();
+            queued
+        });
+        assert_eq!(queued, 4, "worker 0 holds 4 parts");
+        let metrics = proxy.drain_and_join();
+        assert_eq!(metrics.samples_out.load(Ordering::Relaxed), 11);
+        let puts = gate.puts.lock();
+        assert_eq!(puts[0], recorded(&first));
+        assert!(puts[1..].iter().all(|put| put.len() <= 4), "{puts:?}");
+        assert_eq!(puts[1..].concat(), recorded(&later));
+        master.shutdown();
+    }
+
+    /// A group reaches each worker as one entry, and entries count in
+    /// parts: while the worker is inside a put, one group of one queue's
+    /// worth waits and the next blocks its producer. A range three groups
+    /// long then goes out as three puts, one a group.
+    #[test]
+    fn one_group_waits_per_worker_and_each_goes_out_as_one_put() {
+        let (master, tsds) = stack(2, 1);
+        let gate = Gate::install(&tsds[0]);
+        let proxy = ReverseProxy::spawn(
+            tsds.clone(),
+            ProxyConfig {
+                buffer_capacity: 4,
+                workers: 1,
+                ..ProxyConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(proxy.group_len(), 4);
+        let first = vec![sample(1, 1, 0)];
+        proxy.submit(first.clone()).unwrap();
+        gate.gate.wait();
+        // Ten one-sample batches: groups of 4, 4 and 2.
+        let later: Vec<SensorSample> = (1..=10).map(|t| sample(1, 1, t)).collect();
+        let groups: Vec<&[SensorSample]> = later.chunks(4).collect();
+        let settlement = Arc::new(Settlement::default());
+        let returned = AtomicU64::new(0);
+        let queued = std::thread::scope(|s| {
+            s.spawn(|| {
+                for group in &groups {
+                    let batches = group.iter().map(|&sample| vec![sample]).collect();
+                    proxy.submit_group(batches, &settlement).unwrap();
+                    returned.fetch_add(1, Ordering::Release);
+                }
+            });
+            let queued = settles_at(&returned, 1);
+            gate.gate.wait();
+            queued
+        });
+        assert_eq!(queued, 1, "one group queued");
+        let settled = settlement.wait();
+        assert_eq!((settled.forwarded, settled.errors), (10, 0));
+        drop(proxy);
+        let mut puts = vec![recorded(&first)];
+        puts.extend(groups.iter().map(|g| recorded(g)));
+        assert_eq!(*gate.puts.lock(), puts);
+        assert_eq!(tsds[0].metrics().put_rpcs.load(Ordering::Relaxed), 4);
         master.shutdown();
     }
 
