@@ -447,6 +447,21 @@ impl PutBatch {
         last.end += cells.len();
     }
 
+    /// The runs cells `range` cross, each with the cells of the range
+    /// that lie in it.
+    pub(crate) fn pieces(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let (mut r, mut at) = (self.run_of(range.start), range.start);
+        std::iter::from_fn(move || {
+            let end = self.runs.get(r)?.end.min(range.end);
+            let piece = (r, at..end);
+            (r, at) = (r + 1, end);
+            (piece.1.start < range.end).then_some(piece)
+        })
+    }
+
     /// Append run `r` of `from` as a run of this batch, by column.
     fn copy_run(&mut self, from: &PutBatch, r: usize) {
         let source = from.run(r);

@@ -76,4 +76,4 @@ pub use scrub::{
 };
 pub use server::{RegionServer, Request, Response, ServerConfig};
 pub use storefile::StoreFile;
-pub use wal::{Cells, WalDecodeReport, WriteAheadLog, MAX_KEY_LEN};
+pub use wal::{WalDecodeReport, WriteAheadLog, MAX_KEY_LEN};

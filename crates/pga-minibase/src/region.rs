@@ -19,7 +19,7 @@ use crate::fault::{no_faults, FaultHandle};
 use crate::kv::{CellRef, KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
 use crate::rewrite::{RewriteContext, RewriterHandle};
-use crate::scanner::{merge_scan, ScanCells};
+use crate::scanner::{merge_runs, merge_scan, ScanCells};
 use crate::storefile::StoreFile;
 use crate::wal::{SequenceId, WriteAheadLog, MAX_KEY_LEN};
 
@@ -40,10 +40,6 @@ pub struct RegionConfig {
     pub memstore_flush_bytes: usize,
     /// Store-file count that triggers an automatic minor compaction.
     pub compaction_file_threshold: usize,
-    /// Maximum versions retained per `(row, qualifier)` cell; older
-    /// versions are garbage-collected during major compactions (HBase's
-    /// `VERSIONS` column-family attribute).
-    pub max_versions: usize,
 }
 
 impl Default for RegionConfig {
@@ -51,7 +47,6 @@ impl Default for RegionConfig {
         RegionConfig {
             memstore_flush_bytes: 8 * 1024 * 1024,
             compaction_file_threshold: 8,
-            max_versions: usize::MAX,
         }
     }
 }
@@ -328,11 +323,11 @@ impl Region {
     /// at table creation and to restore the replication factor after a
     /// failover consumed one.
     pub fn fork_follower(&self) -> Region {
-        let cells = self.scan(&RowRange::all());
+        let cells = self.scan_spec(&RowRange::all().into()).to_batch();
         let files = if cells.is_empty() {
             Vec::new()
         } else {
-            vec![StoreFile::from_sorted(cells, 1)]
+            vec![StoreFile::from_batch(cells, 1)]
         };
         Region {
             id: self.id,
@@ -377,15 +372,15 @@ impl Region {
     /// merged output is offered to it — even a single-file compaction is
     /// worthwhile then, because the rewriter may seal rows.
     ///
-    /// The merge goes one row at a time, oldest file first, and builds the
-    /// output batch by column: each file's runs of the row are appended
-    /// whole, their qualifiers, versions and values copied a byte range
-    /// at a time. Files are flushed in time
-    /// order, so the runs of a raw row follow one another and the merge is
-    /// their concatenation. Three rare cases take the row as
-    /// [`KeyValue`]s, made for that row only: runs out of order (a
-    /// back-fill or rewrite that crossed a flush), version GC, and an
-    /// installed rewriter.
+    /// The merge goes one row at a time. Each row becomes the reply a
+    /// scan of it gives, lending the files' runs of the row: files are
+    /// flushed in time order, so the runs of a raw row follow one another
+    /// and the reply is their concatenation; runs that interleave (a
+    /// back-fill or re-put that crossed a flush) are merged by
+    /// [`merge_scan`], the read path's own merge, the newest file winning
+    /// an exact key. The rewriter reads that reply, and the row goes into
+    /// the output batch by column — a byte range of each column per run —
+    /// unless the rewriter returned a replacement.
     pub fn compact(&mut self) {
         if self.files.is_empty() || (self.files.len() <= 1 && self.rewriter.is_none()) {
             return;
@@ -407,54 +402,21 @@ impl Region {
             });
         let mut out = PutBatch::with_capacity(runs, cells, qualifiers, values);
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
-        let by_kv = self.config.max_versions != usize::MAX || self.rewriter.is_some();
+        let mut reply = ScanCells::default();
         while let Some(row) = inputs.iter().filter_map(Input::row).min().cloned() {
-            // The inputs holding the row, and the cells of its run in each.
-            let parts: Vec<(&PutBatch, usize)> = inputs
-                .iter_mut()
-                .filter(|input| input.row() == Some(&row))
-                .map(Input::take_run)
-                .collect();
-            let in_order = parts.windows(2).all(|w| match w {
-                [(a, r), (b, s)] => {
-                    let (before, after) = (a.run(*r), b.run(*s));
-                    before.key(before.cells().end - 1) < after.key(after.cells().start)
+            // The row's run in each input holding it, oldest file first.
+            reply.clear();
+            let (mut in_order, mut last) = (true, None);
+            for input in inputs.iter_mut().filter(|input| input.row() == Some(&row)) {
+                let (cells, r) = Input::take_run(input);
+                let run = cells.run(r);
+                if let Some(before) = last.replace(run) {
+                    in_order &= before.key(before.cells().end - 1) < run.key(run.cells().start);
                 }
-                _ => true,
-            });
-            if in_order && !by_kv {
-                out.open_run(&row, || row.clone());
-                for (cells, run) in parts {
-                    out.push_cells(cells, run, cells.run(run).cells());
-                }
-                continue;
+                reply.push(cells, run.cells());
             }
-            let merged_cells = parts
-                .iter()
-                .flat_map(|&(cells, run)| cells.cells(cells.run(run).cells()));
-            let mut merged: Vec<KeyValue> = merged_cells.map(CellRef::to_kv).collect();
             if !in_order {
-                // What the read path's merge answers: reversed, the runs
-                // stand newest file first, so a stable sort keeps the
-                // newest copy of an exact key ahead of the older ones and
-                // the dedup keeps it. (A file holds no exact key twice,
-                // so reversing a run orders no tie.)
-                merged.reverse();
-                merged.sort();
-                merged.dedup_by(|later, kept| KeyValue::cmp(later, kept).is_eq());
-            }
-            // Version GC: newest first within a cell, so keep the first
-            // `max_versions` cells of each qualifier (`kept` counts the
-            // cells seen of the qualifier the last kept cell has).
-            if self.config.max_versions != usize::MAX {
-                let mut kept = 1usize;
-                merged.dedup_by(|later, last_kept| {
-                    kept = match later.qualifier == last_kept.qualifier {
-                        true => kept + 1,
-                        false => 1,
-                    };
-                    kept > self.config.max_versions
-                });
+                reply = merge_runs(&reply);
             }
             let ctx = RewriteContext {
                 region: self.id,
@@ -464,18 +426,19 @@ impl Region {
             let replacement = self
                 .rewriter
                 .as_ref()
-                .and_then(|rewriter| rewriter.rewrite_row(&ctx, &merged))
+                .and_then(|rewriter| rewriter.rewrite_row(&ctx, &reply))
                 // The output is sorted row by row: cells under another
                 // row would break it, so such an answer is not taken and
                 // the merged row stays (nothing is discarded behind it).
                 .filter(|cells| cells.iter().all(|kv| kv.row == row));
-            if let Some(mut cells) = replacement {
-                // Rewriters emit qualifiers in their own order.
-                cells.sort();
-                self.metrics.rewritten_rows += 1;
-                merged = cells;
-            }
-            for kv in merged {
+            let Some(mut cells) = replacement else {
+                reply.copy_into(&mut out);
+                continue;
+            };
+            // Rewriters emit qualifiers in their own order.
+            cells.sort();
+            self.metrics.rewritten_rows += 1;
+            for kv in cells {
                 out.push(&row, &kv.qualifier, kv.timestamp, &kv.value);
             }
         }
@@ -566,17 +529,18 @@ impl Region {
             }
         })?;
         let (mut seen, mut hit) = (0usize, None);
-        self.rewrite_file(fi, |kv| {
-            if !selector(CellRef::from(&*kv)) {
-                return;
-            }
-            if seen == within {
-                let mut value = kv.value.to_vec();
-                mutate(&mut value);
-                kv.value = Bytes::from(value);
-                hit = Some((kv.row.clone(), kv.qualifier.clone()));
+        self.rewrite_file(fi, |cell| {
+            if !selector(cell) {
+                return None;
             }
             seen += 1;
+            if seen != within + 1 {
+                return None;
+            }
+            let mut value = cell.value.to_vec();
+            mutate(&mut value);
+            hit = Some((cell.row.clone(), Bytes::copy_from_slice(cell.qualifier)));
+            Some(value)
         });
         hit
     }
@@ -597,29 +561,30 @@ impl Region {
                 .get(fi)
                 .is_some_and(|f| f.scan(&RowRange::all()).any(stale))
             {
-                self.rewrite_file(fi, |kv| {
-                    if stale(CellRef::from(&*kv)) {
-                        kv.value = value.clone();
-                        replaced += 1;
-                    }
+                self.rewrite_file(fi, |cell| {
+                    let stale = stale(cell);
+                    replaced += usize::from(stale);
+                    stale.then(|| value.to_vec())
                 });
             }
         }
         replaced
     }
 
-    /// Rebuild store file `fi` with `edit` applied to each of its cells,
-    /// made owned (values only, so the sort order holds).
-    fn rewrite_file(&mut self, fi: usize, edit: impl FnMut(&mut KeyValue)) {
-        let Some(file) = self.files.get(fi) else {
+    /// Rebuild store file `fi` cell by cell, each cell with the value
+    /// `edit` gives it, or its own where `edit` gives none (values only,
+    /// so the sort order holds).
+    fn rewrite_file(&mut self, fi: usize, mut edit: impl FnMut(CellRef<'_>) -> Option<Vec<u8>>) {
+        let Some(file) = self.files.get_mut(fi) else {
             return;
         };
-        let seq = file.sequence();
-        let mut cells: Vec<KeyValue> = file.scan(&RowRange::all()).map(CellRef::to_kv).collect();
-        cells.iter_mut().for_each(edit);
-        if let Some(slot) = self.files.get_mut(fi) {
-            *slot = StoreFile::from_sorted(cells, seq);
+        let mut out = PutBatch::new();
+        for cell in file.scan(&RowRange::all()) {
+            let value = edit(cell);
+            let value = value.as_deref().unwrap_or(cell.value);
+            out.push(cell.row, cell.qualifier, cell.timestamp, value);
         }
+        *file = StoreFile::from_batch(out, file.sequence());
     }
 
     /// Split at the median row of the stored data. Returns the two
@@ -637,15 +602,13 @@ impl Region {
         right_id: RegionId,
     ) -> Result<(Region, Region), Region> {
         self.flush();
-        let all = self.scan(&RowRange::all());
-        if all.len() < 2 {
-            return Err(self);
-        }
-        let Some(mid_row) = all.get(all.len() / 2).map(|kv| kv.row.clone()) else {
-            return Err(self);
+        let all = self.scan_spec(&RowRange::all().into()).to_batch();
+        let mid_row = match all.len() {
+            0 => return Err(self),
+            n => all.cell(n / 2).row.clone(),
         };
-        if all.first().map(|kv| &kv.row) == Some(&mid_row) {
-            // All data shares one row: nothing to split on.
+        if all.rows().next() == Some(&mid_row) {
+            // One cell, or all data in one row: nothing to split on.
             return Err(self);
         }
         let left_range = RowRange {
@@ -662,12 +625,15 @@ impl Region {
         right.fault = self.fault.clone();
         left.rewriter = self.rewriter.clone();
         right.rewriter = self.rewriter.clone();
-        let (l_cells, r_cells): (Vec<KeyValue>, Vec<KeyValue>) =
-            all.into_iter().partition(|kv| kv.row < mid_row);
-        left.files = vec![StoreFile::from_sorted(l_cells, 1)];
-        left.next_file_seq = 2;
-        right.files = vec![StoreFile::from_sorted(r_cells, 1)];
-        right.next_file_seq = 2;
+        // One run a row: the rows before the middle one go left.
+        let sides: Vec<usize> = all.rows().map(|row| usize::from(*row >= mid_row)).collect();
+        for (daughter, cells) in [&mut left, &mut right]
+            .into_iter()
+            .zip(all.partition(&sides, 2))
+        {
+            daughter.files = vec![StoreFile::from_batch(cells, 1)];
+            daughter.next_file_seq = 2;
+        }
         Ok((left, right))
     }
 
@@ -715,7 +681,7 @@ impl Input {
     }
 
     /// The batch and run of the next row, which is now taken.
-    fn take_run(&mut self) -> (&PutBatch, usize) {
+    fn take_run(&mut self) -> (&Arc<PutBatch>, usize) {
         self.next += 1;
         (&self.cells, self.next - 1)
     }
@@ -839,7 +805,6 @@ mod tests {
             RegionConfig {
                 memstore_flush_bytes: 200,
                 compaction_file_threshold: 100,
-                max_versions: usize::MAX,
             },
         );
         for i in 0..20 {
@@ -858,7 +823,6 @@ mod tests {
             RegionConfig {
                 memstore_flush_bytes: 4096,
                 compaction_file_threshold: 100,
-                max_versions: usize::MAX,
             },
         );
         let batch: Vec<KeyValue> = (0..8).map(|ts| kv("row", ts, "payload")).collect();
@@ -953,33 +917,6 @@ mod tests {
         let cells = recovered.scan(&RowRange::all());
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().any(|c| &c.value[..] == b"unflushed"));
-    }
-
-    #[test]
-    fn compaction_gc_drops_old_versions() {
-        let mut r = Region::new(
-            RegionId(1),
-            RowRange::all(),
-            RegionConfig {
-                max_versions: 2,
-                ..RegionConfig::default()
-            },
-        );
-        for ts in 1..=5u64 {
-            r.put_batch(vec![kv("a", ts, &format!("v{ts}"))]).unwrap();
-            r.flush();
-        }
-        r.put_batch(vec![kv("b", 1, "other")]).unwrap();
-        r.compact();
-        let cells = r.scan(&RowRange::all());
-        // Only the two newest versions of `a` survive, plus `b`.
-        let a_versions: Vec<u64> = cells
-            .iter()
-            .filter(|c| &c.row[..] == b"a")
-            .map(|c| c.timestamp)
-            .collect();
-        assert_eq!(a_versions, vec![5, 4]);
-        assert!(cells.iter().any(|c| &c.row[..] == b"b"));
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Pluggable compaction rewriters.
 //!
 //! HBase lets coprocessors rewrite cells during compaction; MiniBase keeps
-//! the same seam as a small trait. A [`CompactionRewriter`] sees every row
-//! of the merged, version-GC'd compaction output and may replace that
-//! row's cells wholesale — the mechanism `pga-tsdb` uses to seal finished
-//! rows of raw cells into canonical columnar blocks, and `pga-query` could
-//! use to canonicalize rollup cells. Because MiniBase has no deletes,
-//! compaction-time rewriting is the *only* way cells are ever physically
-//! superseded; a rewriter that loses data loses it forever, which is why
-//! the pga-faultsim compaction oracle exists.
+//! the same seam as a small trait. A [`CompactionRewriter`] reads every
+//! row of a compaction's output as a scan of that row answers it, and may
+//! replace the row's cells wholesale — the mechanism `pga-tsdb` uses to
+//! seal finished rows of raw cells into canonical columnar blocks, and
+//! `pga-query` to canonicalize rollup cells. Because MiniBase has no
+//! deletes, compaction-time rewriting is the *only* way cells are ever
+//! physically superseded; a rewriter that loses data loses it forever,
+//! which is why the pga-faultsim compaction oracle exists.
 
 use std::sync::Arc;
 
 use crate::kv::KeyValue;
 use crate::region::RegionId;
+use crate::scanner::ScanCells;
 
 /// Shared handle to a rewriter (cloned into every region of a server).
 pub type RewriterHandle = Arc<dyn CompactionRewriter>;
@@ -38,15 +39,15 @@ pub struct RewriteContext<'a> {
 /// Implementations must be deterministic and side-effect free on the
 /// store: they run inside `Region::compact` with the region lock held.
 pub trait CompactionRewriter: Send + Sync + std::fmt::Debug {
-    /// Offered the cells of one row (sorted qualifier-ascending, newest
-    /// version first within a qualifier, exactly as compaction merged
-    /// them). Return `Some(replacement)` to substitute the row's cells, or
-    /// `None` to keep the row unchanged. Replacement cells must keep the
-    /// same row key — compaction builds its output row by row, so a
-    /// replacement with a cell under another row is refused whole and the
-    /// merged row kept; it sorts the replacement itself, so qualifier
-    /// order within the returned vector is free.
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &[KeyValue]) -> Option<Vec<KeyValue>>;
+    /// Offered one row's cells as a scan of it answers them: views, sorted
+    /// qualifier-ascending, newest version first within a qualifier, each
+    /// exact key once (the newest file's). Return `Some(replacement)` to
+    /// substitute the row's cells, or `None` to keep them. Replacement
+    /// cells must keep the same row key — compaction builds its output row
+    /// by row, so a replacement with a cell under another row is refused
+    /// whole and the row kept; it sorts the replacement itself, so
+    /// qualifier order within the returned vector is free.
+    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>>;
 }
 
 #[cfg(test)]
@@ -63,7 +64,7 @@ mod tests {
         fn rewrite_row(
             &self,
             ctx: &RewriteContext<'_>,
-            cells: &[KeyValue],
+            cells: &ScanCells,
         ) -> Option<Vec<KeyValue>> {
             let newest = cells.iter().map(|c| c.timestamp).max()?;
             Some(vec![KeyValue {
@@ -115,7 +116,7 @@ mod tests {
         fn rewrite_row(
             &self,
             ctx: &RewriteContext<'_>,
-            cells: &[KeyValue],
+            cells: &ScanCells,
         ) -> Option<Vec<KeyValue>> {
             let mut out = Collapse.rewrite_row(ctx, cells)?;
             if ctx.row == b"a" {
@@ -142,7 +143,7 @@ mod tests {
             .map(|c| (&c.row[..], &c.qualifier[..]))
             .collect();
         // Row `a` keeps its merged cells; `b` and `c` are collapsed; the
-        // store file is still sorted (`from_sorted` asserts it in debug).
+        // store file is still sorted (`from_batch` asserts it in debug).
         assert_eq!(
             keys,
             [
@@ -160,7 +161,7 @@ mod tests {
     #[derive(Debug)]
     struct Decline;
     impl CompactionRewriter for Decline {
-        fn rewrite_row(&self, _: &RewriteContext<'_>, _: &[KeyValue]) -> Option<Vec<KeyValue>> {
+        fn rewrite_row(&self, _: &RewriteContext<'_>, _: &ScanCells) -> Option<Vec<KeyValue>> {
             None
         }
     }

@@ -89,6 +89,40 @@ impl ScanCells {
             .map(|(cells, range)| cells.cell(range.end - 1))
     }
 
+    /// Drop every run, keeping the room for them.
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+    }
+
+    /// Append the cells, in scan order, to `out` by column: a range of
+    /// each column copied per row of a run. Cells under the row of the
+    /// last run join it, so a sorted reply appended to an empty batch
+    /// gives one run per row, the shape of a store file's batch.
+    pub(crate) fn copy_into(&self, out: &mut PutBatch) {
+        for (cells, range) in &self.runs {
+            for (r, piece) in cells.pieces(range.clone()) {
+                let row = &cells.runs[r].row;
+                out.open_run(row, || row.clone());
+                out.push_cells(cells, r, piece);
+            }
+        }
+    }
+
+    /// The cells as one batch of their own, copied by column
+    /// ([`ScanCells::copy_into`]) into columns sized up front.
+    pub(crate) fn to_batch(&self) -> PutBatch {
+        let (mut qualifiers, mut values) = (0, 0);
+        for (cells, range) in &self.runs {
+            for (r, piece) in cells.pieces(range.clone()) {
+                let (q, v) = cells.run(r).bytes(piece);
+                (qualifiers, values) = (qualifiers + q, values + v);
+            }
+        }
+        let mut out = PutBatch::with_capacity(0, self.len(), qualifiers, values);
+        self.copy_into(&mut out);
+        out
+    }
+
     /// The cells as owned values, in scan order: the one place a reply
     /// makes [`KeyValue`]s, for callers that keep or rewrite the cells.
     pub fn to_vec(&self) -> Vec<KeyValue> {
@@ -251,6 +285,16 @@ pub fn merge_scan(sources: Vec<ScanCells>, priorities: Vec<u64>) -> ScanCells {
         }
     }
     out
+}
+
+/// Merge the runs of `cells`, each sorted, into one sorted reply: the
+/// runs are [`merge_scan`]'s sources, ranked in order, so of an exact key
+/// that several runs hold the copy in the last of them wins.
+pub(crate) fn merge_runs(cells: &ScanCells) -> ScanCells {
+    let sources = cells.runs.iter().map(|run| ScanCells {
+        runs: vec![run.clone()],
+    });
+    merge_scan(sources.collect(), (0..cells.runs.len() as u64).collect())
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::batch::{word, Cells, PutBatch};
-use crate::kv::{ColumnRange, KeyValue, RowRange, RowWords};
+use crate::kv::{ColumnRange, RowRange, RowWords};
 use crate::memstore::partition_point;
 use crate::scanner::ScanCells;
 
@@ -28,19 +28,9 @@ pub struct StoreFile {
 }
 
 impl StoreFile {
-    /// Build from cells that must already be sorted (debug-asserted),
-    /// packed into one batch. Flushes and compactions build their batch
-    /// by column instead.
-    pub fn from_sorted(cells: Vec<KeyValue>, sequence: u64) -> Self {
-        debug_assert!(
-            cells.windows(2).all(|w| w[0] <= w[1]),
-            "cells must be sorted"
-        );
-        Self::from_batch(PutBatch::from(cells), sequence)
-    }
-
     /// Build from a batch whose cells are sorted, one run per row
-    /// (debug-asserted).
+    /// (debug-asserted). Flushes, compactions, splits, forks and scrub
+    /// rewrites all build theirs by column.
     pub(crate) fn from_batch(cells: PutBatch, sequence: u64) -> Self {
         debug_assert!(
             cells.runs.windows(2).all(|w| w[0].row < w[1].row)
@@ -73,16 +63,6 @@ impl StoreFile {
     /// File sequence id (newer files shadow older ones).
     pub fn sequence(&self) -> u64 {
         self.sequence
-    }
-
-    /// First row, if any.
-    pub fn first_row(&self) -> Option<&[u8]> {
-        self.cells.runs.first().map(|run| &run.row[..])
-    }
-
-    /// Last row, if any.
-    pub fn last_row(&self) -> Option<&[u8]> {
-        self.cells.runs.last().map(|run| &run.row[..])
     }
 
     /// The file's sorted batch, shared.
@@ -207,6 +187,7 @@ fn seek_qualifier<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::KeyValue;
 
     fn file_of(rows: &[&str]) -> StoreFile {
         let mut cells: Vec<KeyValue> = rows
@@ -214,7 +195,7 @@ mod tests {
             .map(|r| KeyValue::new(r.to_string(), "q", 1, "v"))
             .collect();
         cells.sort();
-        StoreFile::from_sorted(cells, 1)
+        StoreFile::from_batch(cells.into(), 1)
     }
 
     #[test]
@@ -249,16 +230,8 @@ mod tests {
 
     #[test]
     fn empty_file() {
-        let f = StoreFile::from_sorted(vec![], 0);
+        let f = StoreFile::from_batch(PutBatch::new(), 0);
         assert!(f.is_empty());
         assert_eq!(f.scan(&RowRange::all()).count(), 0);
-        assert!(f.first_row().is_none());
-    }
-
-    #[test]
-    fn first_last_rows() {
-        let f = file_of(&["b", "a", "c"]);
-        assert_eq!(f.first_row().unwrap(), b"a");
-        assert_eq!(f.last_row().unwrap(), b"c");
     }
 }

@@ -22,7 +22,6 @@ use pga_repl::ShipOutcome;
 
 use crate::batch::PutBatch;
 use crate::crc::crc32;
-use crate::kv::KeyValue;
 
 /// Sequence number assigned to each appended batch.
 pub type SequenceId = u64;
@@ -90,14 +89,6 @@ impl WalInner {
     }
 }
 
-/// What an append logs: [`KeyValue`]s (a slice, an array or a vector of
-/// them) or a [`PutBatch`], kept as a batch of its own. Every row key and
-/// qualifier must be at most [`MAX_KEY_LEN`] bytes long.
-pub trait Cells {
-    /// The cells, as a batch the log keeps.
-    fn to_batch(&self) -> PutBatch;
-}
-
 /// Bytes a cell with these lengths takes encoded.
 fn encoded_len(row: usize, qualifier: usize, value: usize) -> usize {
     2 + row + 2 + qualifier + 8 + 4 + value
@@ -122,12 +113,6 @@ fn encode_batch(batch: &PutBatch, out: &mut Vec<u8>) {
     }
 }
 
-impl Cells for PutBatch {
-    fn to_batch(&self) -> PutBatch {
-        self.clone()
-    }
-}
-
 impl PutBatch {
     /// Bytes the cells take encoded, a run at a time, the columns' bytes
     /// together.
@@ -143,12 +128,6 @@ impl PutBatch {
     }
 }
 
-impl<C: AsRef<[KeyValue]> + ?Sized> Cells for C {
-    fn to_batch(&self) -> PutBatch {
-        PutBatch::from(self.as_ref())
-    }
-}
-
 /// A shareable write-ahead log for one region.
 #[derive(Debug, Clone, Default)]
 pub struct WriteAheadLog {
@@ -161,9 +140,11 @@ impl WriteAheadLog {
         WriteAheadLog::default()
     }
 
-    /// Append a batch atomically; returns the batch's sequence id.
-    pub fn append_batch<C: Cells + ?Sized>(&self, cells: &C) -> SequenceId {
-        self.append(Arc::new(cells.to_batch()))
+    /// Append a batch atomically, kept as a batch of its own; returns the
+    /// batch's sequence id. Every row key and qualifier must be at most
+    /// [`MAX_KEY_LEN`] bytes long.
+    pub fn append_batch(&self, cells: impl Into<PutBatch>) -> SequenceId {
+        self.append(Arc::new(cells.into()))
     }
 
     /// Append `batch`, which the caller keeps too and never changes;
@@ -461,6 +442,7 @@ fn decode_inner(bytes: &[u8]) -> (WalInner, WalDecodeReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::KeyValue;
 
     fn kv(row: &str, ts: u64) -> KeyValue {
         KeyValue::new(row.as_bytes().to_vec(), b"q".to_vec(), ts, b"v".to_vec())
@@ -468,19 +450,19 @@ mod tests {
 
     /// Ship `cells` to `wal` as sequence `seq`.
     fn ship(wal: &WriteAheadLog, seq: SequenceId, cells: &[KeyValue]) -> ShipOutcome {
-        wal.ship(seq, Arc::new(cells.to_batch()), false)
+        wal.ship(seq, Arc::new(cells.into()), false)
     }
 
     /// [`ship`] without the contiguity check.
     fn ship_gap(wal: &WriteAheadLog, seq: SequenceId, cells: &[KeyValue]) -> ShipOutcome {
-        wal.ship(seq, Arc::new(cells.to_batch()), true)
+        wal.ship(seq, Arc::new(cells.into()), true)
     }
 
     #[test]
     fn append_and_replay_in_order() {
         let wal = WriteAheadLog::new();
-        wal.append_batch(&[kv("a", 1), kv("b", 1)]);
-        wal.append_batch(&[kv("c", 2)]);
+        wal.append_batch(vec![kv("a", 1), kv("b", 1)]);
+        wal.append_batch(vec![kv("c", 2)]);
         let replayed = wal.replay().into_kvs();
         assert_eq!(replayed.len(), 3);
         assert_eq!(&replayed[0].row[..], b"a");
@@ -490,8 +472,8 @@ mod tests {
     #[test]
     fn flush_mark_truncates_replay() {
         let wal = WriteAheadLog::new();
-        let s1 = wal.append_batch(&[kv("a", 1)]);
-        let _s2 = wal.append_batch(&[kv("b", 1)]);
+        let s1 = wal.append_batch(vec![kv("a", 1)]);
+        let _s2 = wal.append_batch(vec![kv("b", 1)]);
         wal.mark_flushed(s1);
         let replayed = wal.replay().into_kvs();
         assert_eq!(replayed.len(), 1);
@@ -503,7 +485,7 @@ mod tests {
     fn clones_share_state() {
         let wal = WriteAheadLog::new();
         let clone = wal.clone();
-        wal.append_batch(&[kv("a", 1)]);
+        wal.append_batch(vec![kv("a", 1)]);
         assert_eq!(clone.replay().len(), 1);
         clone.mark_flushed(clone.last_sequence());
         assert_eq!(wal.unflushed_len(), 0);
@@ -512,8 +494,8 @@ mod tests {
     #[test]
     fn flush_mark_is_monotone() {
         let wal = WriteAheadLog::new();
-        let s1 = wal.append_batch(&[kv("a", 1)]);
-        let s2 = wal.append_batch(&[kv("b", 1)]);
+        let s1 = wal.append_batch(vec![kv("a", 1)]);
+        let s2 = wal.append_batch(vec![kv("b", 1)]);
         wal.mark_flushed(s2);
         wal.mark_flushed(s1); // stale mark must not resurrect entries
         assert_eq!(wal.unflushed_len(), 0);
@@ -527,7 +509,7 @@ mod tests {
             let kvs: Vec<KeyValue> = (0..=b)
                 .map(|c| kv(&format!("b{b}c{c}"), b as u64))
                 .collect();
-            wal.append_batch(&kvs);
+            wal.append_batch(kvs);
         }
         wal
     }
@@ -541,7 +523,7 @@ mod tests {
         assert_eq!(decoded.batch_sequences(), wal.batch_sequences());
         assert_eq!(decoded.last_sequence(), wal.last_sequence());
         // Appends continue from the recovered sequence.
-        let next = decoded.append_batch(&[kv("post", 9)]);
+        let next = decoded.append_batch(vec![kv("post", 9)]);
         assert_eq!(next, wal.last_sequence() + 1);
         let report = WriteAheadLog::decode_report(&wal.encode());
         assert_eq!(report.records, 3);
@@ -645,7 +627,7 @@ mod tests {
         assert_eq!(wal.batch_sequences(), vec![1, 2]);
         assert_eq!(wal.last_sequence(), 2);
         // Local appends continue after the shipped numbering.
-        assert_eq!(wal.append_batch(&[kv("c", 3)]), 3);
+        assert_eq!(wal.append_batch(vec![kv("c", 3)]), 3);
     }
 
     #[test]
@@ -729,13 +711,13 @@ mod tests {
             KeyValue::new(row.as_bytes().to_vec(), qual.to_vec(), ts, value.to_vec())
         };
         let wal = WriteAheadLog::new();
-        wal.append_batch(&[cell("r1", b"a", 1, b"x"), cell("r2", b"bb", 2, b"yy")]);
-        wal.append_batch(&[cell("r3", b"\x00\x01", 3, b"")]);
-        wal.append_batch(&[]);
+        wal.append_batch(vec![cell("r1", b"a", 1, b"x"), cell("r2", b"bb", 2, b"yy")]);
+        wal.append_batch(vec![cell("r3", b"\x00\x01", 3, b"")]);
+        wal.append_batch(PutBatch::new());
         wal.mark_flushed(1);
         let shipped = [cell("r4", b"q", u64::MAX, b"\xff\xfe\xfd")];
         assert_eq!(ship(&wal, 4, &shipped), ShipOutcome::Applied);
-        wal.append_batch(&[cell("", b"", 0, b"v"), cell("r5", b"q", 5, b"w")]);
+        wal.append_batch(vec![cell("", b"", 0, b"v"), cell("r5", b"q", 5, b"w")]);
         wal
     }
 
@@ -799,7 +781,7 @@ mod tests {
         // whole, and encodes back to the image up to the last of them.
         let mut ends = vec![13];
         for (_, kvs) in &tail {
-            let cells: usize = kvs.to_batch().encoded_len();
+            let cells: usize = PutBatch::from(&kvs[..]).encoded_len();
             ends.push(ends[ends.len() - 1] + 16 + cells);
         }
         assert_eq!(ends.last(), Some(&image.len()));

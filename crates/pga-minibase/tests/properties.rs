@@ -142,7 +142,6 @@ proptest! {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: 512, // force frequent automatic flushes
             compaction_file_threshold: 4,
-            max_versions: usize::MAX,
         });
         for o in &ops {
             match o {
@@ -190,7 +189,6 @@ proptest! {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: 512, // force frequent automatic flushes
             compaction_file_threshold: 4,
-            max_versions: usize::MAX,
         });
         for o in &ops {
             match o {
@@ -267,7 +265,6 @@ proptest! {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: 512, // force frequent automatic flushes
             compaction_file_threshold: 4,
-            max_versions: usize::MAX,
         });
         let mut model: BTreeMap<ModelKey, u8> = BTreeMap::new();
         for o in &ops {
@@ -341,7 +338,6 @@ proptest! {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: usize::MAX,
             compaction_file_threshold: usize::MAX,
-            max_versions: usize::MAX,
         });
         let mut model: BTreeMap<ModelKey, u8> = BTreeMap::new();
         for o in &ops {
@@ -366,9 +362,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Compaction by move: the merge moves cells out of the files no scan reply
-// shares and clones those one does. Either way the region must answer as
-// the read path's merge did before it, version GC and rewriter applied.
+// Compaction by row: each row is the reply a scan of it gives, copied by
+// column or replaced by the rewriter. The region must answer as the read
+// path's merge did before it, rewriter applied, while replies held across
+// the compaction keep reading the files they share.
 // ---------------------------------------------------------------------------
 
 /// Span of a TSDB row-hour, and the seal watermark the block case runs
@@ -397,29 +394,27 @@ fn tsdb_cell((hour, offset, version, value): (u8, u8, u64, u8)) -> KeyValue {
 }
 
 /// What a major compaction must leave, from the region's answer before
-/// it: per row, the newest `max_versions` cells of each qualifier, then
-/// the rewriter's replacement, sorted, where it gives one.
+/// it: per row, the rewriter's replacement, sorted, where it gives one,
+/// and the row's cells where it does not.
 fn compacted_answer(
     before: &[KeyValue],
-    max_versions: usize,
     rewriter: Option<&dyn CompactionRewriter>,
 ) -> Vec<KeyValue> {
     let mut out = Vec::new();
     for row in before.chunk_by(|a, b| a.row == b.row) {
-        let mut cells: Vec<KeyValue> = row
-            .chunk_by(|a, b| a.qualifier == b.qualifier)
-            .flat_map(|versions| versions.iter().take(max_versions).cloned())
-            .collect();
         let ctx = RewriteContext {
             region: RegionId(1),
             row: &row[0].row,
             drop_sealed_overlap: false,
         };
-        if let Some(mut replacement) = rewriter.and_then(|r| r.rewrite_row(&ctx, &cells)) {
-            replacement.sort();
-            cells = replacement;
+        let cells = ScanCells::from(row.to_vec());
+        match rewriter.and_then(|r| r.rewrite_row(&ctx, &cells)) {
+            Some(mut replacement) => {
+                replacement.sort();
+                out.extend(replacement);
+            }
+            None => out.extend_from_slice(row),
         }
-        out.extend(cells);
     }
     out
 }
@@ -428,11 +423,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random flush sequences — a batch's rows out of order against the
-    /// files before it, retried batches that put exact keys again, a
-    /// finite `max_versions`, the block sealer or no rewriter — compacted
-    /// now and then. After each compaction `scan(all)` is what it was
-    /// before, GC and rewriter applied, cell for cell; and a reply taken
-    /// before it, still held across it, reads its original cells.
+    /// files before it, retried batches that put exact keys again, the
+    /// block sealer or no rewriter — compacted now and then. After each
+    /// compaction `scan(all)` is what it was before, the rewriter applied,
+    /// cell for cell; and a reply taken before it, still held across it,
+    /// reads its original cells.
     #[test]
     fn compaction_answers_as_before_and_a_held_scan_keeps_its_cells(
         rounds in proptest::collection::vec(
@@ -444,13 +439,11 @@ proptest! {
             ),
             1..8,
         ),
-        max_versions in prop_oneof![Just(1usize), Just(2usize), Just(usize::MAX)],
         seal in any::<bool>(),
     ) {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: usize::MAX,
             compaction_file_threshold: usize::MAX,
-            max_versions,
         });
         let sealer = pga_tsdb::BlockRewriter::new(ROW_SPAN, Arc::default());
         sealer.advance(WATERMARK);
@@ -482,7 +475,7 @@ proptest! {
             if files > 1 || (seal && files == 1) {
                 compactions += 1;
                 files = 1;
-                prop_assert_eq!(after, compacted_answer(&before, max_versions, rewriter));
+                prop_assert_eq!(after, compacted_answer(&before, rewriter));
             } else {
                 prop_assert_eq!(after, before.clone());
             }
@@ -574,13 +567,12 @@ impl FlatMemStore {
     }
 }
 
-/// Compaction as it was: clone every file, heap-merge cell by cell, GC
-/// versions over the whole output, offer each row to the rewriter, and
-/// sort everything again if any row changed. Returns the output and the
-/// number of rows rewritten; `None` where `compact` does nothing.
+/// Compaction as it was: clone every file, heap-merge cell by cell, offer
+/// each row to the rewriter, and sort everything again if any row
+/// changed. Returns the output and the number of rows rewritten; `None`
+/// where `compact` does nothing.
 fn flat_compact(
     files: &[Vec<KeyValue>],
-    max_versions: usize,
     rewriter: Option<&dyn CompactionRewriter>,
 ) -> Option<(Vec<KeyValue>, u64)> {
     if files.is_empty() || (files.len() <= 1 && rewriter.is_none()) {
@@ -589,20 +581,6 @@ fn flat_compact(
     let priorities = (1..=files.len() as u64).collect();
     let sources = files.iter().cloned().map(ScanCells::from).collect();
     let mut merged = merge_scan(sources, priorities).to_vec();
-    if max_versions != usize::MAX {
-        let mut last_cell: Option<(Bytes, Bytes)> = None;
-        let mut kept = 0usize;
-        merged.retain(|kv| {
-            let cell = (kv.row.clone(), kv.qualifier.clone());
-            if last_cell.as_ref() == Some(&cell) {
-                kept += 1;
-            } else {
-                last_cell = Some(cell);
-                kept = 1;
-            }
-            kept <= max_versions
-        });
-    }
     let mut rewritten_rows = 0;
     if let Some(rewriter) = rewriter {
         let mut rewritten = Vec::with_capacity(merged.len());
@@ -612,7 +590,7 @@ fn flat_compact(
                 row: &group[0].row,
                 drop_sealed_overlap: false,
             };
-            match rewriter.rewrite_row(&ctx, group) {
+            match rewriter.rewrite_row(&ctx, &ScanCells::from(group.to_vec())) {
                 Some(replacement) => {
                     rewritten_rows += 1;
                     rewritten.extend(replacement);
@@ -632,12 +610,12 @@ fn flat_compact(
 struct CollapseEvenRows;
 
 impl CompactionRewriter for CollapseEvenRows {
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &[KeyValue]) -> Option<Vec<KeyValue>> {
+    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>> {
         if ctx.row.last()? % 2 != 0 {
             return None;
         }
         let newest = cells.iter().map(|c| c.timestamp).max()?;
-        let first = cells.first()?;
+        let first = cells.iter().next()?;
         Some(vec![
             KeyValue::new(
                 ctx.row.to_vec(),
@@ -649,7 +627,7 @@ impl CompactionRewriter for CollapseEvenRows {
                 ctx.row.to_vec(),
                 b"a-first".to_vec(),
                 newest,
-                first.value.clone(),
+                first.value.to_vec(),
             ),
         ])
     }
@@ -781,8 +759,8 @@ proptest! {
 
     /// `Region::compact` against the old pipeline on random file sets:
     /// rows whose runs follow one another across files (`staggered`) and
-    /// rows whose runs interleave, exact-duplicate keys across files,
-    /// version GC, with and without a rewriter, one file or several.
+    /// rows whose runs interleave, exact-duplicate keys across files, with
+    /// and without a rewriter, one file or several.
     #[test]
     fn row_at_a_time_compaction_equals_the_cell_by_cell_one(
         batches in proptest::collection::vec(
@@ -790,13 +768,11 @@ proptest! {
             1..6,
         ),
         staggered in any::<bool>(),
-        max_versions in prop_oneof![Just(1usize), Just(2usize), Just(usize::MAX)],
         with_rewriter in any::<bool>(),
     ) {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: usize::MAX,
             compaction_file_threshold: usize::MAX,
-            max_versions,
         });
         if with_rewriter {
             region.set_compaction_rewriter(Arc::new(CollapseEvenRows));
@@ -822,7 +798,7 @@ proptest! {
         region.compact();
         let got = region.scan(&RowRange::all());
         let metrics = region.metrics();
-        match flat_compact(&files, max_versions, rewriter) {
+        match flat_compact(&files, rewriter) {
             Some((expect, rewritten_rows)) => {
                 prop_assert_eq!(metrics.compacted_cells, expect.len() as u64);
                 prop_assert_eq!(got.to_vec(), expect);

@@ -138,7 +138,6 @@ fn a_region_logs_the_batches_its_memstore_keeps() {
     let manual = RegionConfig {
         memstore_flush_bytes: usize::MAX,
         compaction_file_threshold: usize::MAX,
-        ..RegionConfig::default()
     };
     let mut region = Region::new(RegionId(1), RowRange::all(), manual);
     for put in 0..PUTS {

@@ -163,18 +163,18 @@ struct SealZeroRows;
 const BLOCK: &[u8] = b"\xffblock";
 
 impl CompactionRewriter for SealZeroRows {
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &[KeyValue]) -> Option<Vec<KeyValue>> {
+    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>> {
         if *ctx.row.last()? != 0 {
             return None;
         }
         let mut blob = Vec::new();
-        let mut last: Option<&Bytes> = None;
+        let mut last: Option<&[u8]> = None;
         for kv in cells {
-            if last != Some(&kv.qualifier) {
-                blob.extend_from_slice(&kv.qualifier);
-                blob.extend_from_slice(&kv.value);
+            if last != Some(kv.qualifier) {
+                blob.extend_from_slice(kv.qualifier);
+                blob.extend_from_slice(kv.value);
             }
-            last = Some(&kv.qualifier);
+            last = Some(kv.qualifier);
         }
         let newest = cells.iter().map(|kv| kv.timestamp).max()?;
         Some(vec![KeyValue::new(ctx.row.to_vec(), BLOCK, newest, blob)])
@@ -221,7 +221,8 @@ impl Mirror {
                 row: &row[0].row,
                 drop_sealed_overlap: false,
             };
-            match rewriter.and_then(|r| r.rewrite_row(&ctx, row)) {
+            let cells = ScanCells::from(row.to_vec());
+            match rewriter.and_then(|r| r.rewrite_row(&ctx, &cells)) {
                 Some(mut sealed) => {
                     sealed.sort();
                     out.append(&mut sealed);
@@ -318,7 +319,6 @@ proptest! {
         let mut region = Region::new(RegionId(1), RowRange::all(), RegionConfig {
             memstore_flush_bytes: usize::MAX,
             compaction_file_threshold: usize::MAX,
-            max_versions: usize::MAX,
         });
         let sealer = sealing.then_some(SealZeroRows);
         if sealing {

@@ -110,7 +110,6 @@ fn region() -> Region {
         RegionConfig {
             memstore_flush_bytes: usize::MAX,
             compaction_file_threshold: usize::MAX,
-            max_versions: usize::MAX,
         },
     )
 }

@@ -80,8 +80,8 @@ proptest! {
         let runs = WriteAheadLog::new();
         let one_by_one = WriteAheadLog::new();
         for cells in &batches {
-            runs.append_batch(&PutBatch::from(cells.clone()));
-            one_by_one.append_batch(cells.as_slice());
+            runs.append_batch(PutBatch::from(cells.clone()));
+            one_by_one.append_batch(cells.clone());
         }
         let expected = image(&batches);
         prop_assert_eq!(runs.encode(), expected.clone());

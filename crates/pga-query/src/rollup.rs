@@ -460,7 +460,7 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
     fn rewrite_row(
         &self,
         ctx: &pga_minibase::RewriteContext<'_>,
-        cells: &[KeyValue],
+        cells: &pga_minibase::ScanCells,
     ) -> Option<Vec<KeyValue>> {
         let shadow = self
             .codec
@@ -477,19 +477,19 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
         // bucket's cells are adjacent and in merge order. Cells we cannot
         // parse pass through untouched.
         let mut out: Vec<KeyValue> = Vec::new();
-        let mut valid: Vec<(u16, &KeyValue, CellValue<'_>)> = Vec::new();
+        let mut valid: Vec<(u16, CellRef<'_>, CellValue<'_>)> = Vec::new();
         let mut last_qual: Option<&[u8]> = None;
         for cell in cells {
-            if last_qual == Some(&cell.qualifier[..]) {
+            if last_qual == Some(cell.qualifier) {
                 continue; // superseded version
             }
-            last_qual = Some(&cell.qualifier[..]);
+            last_qual = Some(cell.qualifier);
             match (
-                decode_qualifier(&cell.qualifier),
-                read_value(tier, &cell.value),
+                decode_qualifier(cell.qualifier),
+                read_value(tier, cell.value),
             ) {
                 (Some((offset, _, _)), Some(value)) => valid.push((offset, cell, value)),
-                _ => out.push(cell.clone()),
+                _ => out.push(cell.to_kv()),
             }
         }
 
@@ -497,7 +497,7 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
         let mut merge = BucketMerge::new(tier);
         for group in valid.chunk_by(|a, b| a.0 == b.0) {
             let &[(offset, first, _), _, ..] = group else {
-                out.extend(group.iter().map(|(_, kv, _)| (*kv).clone()));
+                out.extend(group.iter().map(|(_, cell, _)| cell.to_kv()));
                 continue;
             };
             merge.clear();
@@ -507,12 +507,12 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
             let merged = merge.merged();
             if merged.tainted {
                 // Keep the overlap visible: the executor must recompute.
-                out.extend(group.iter().map(|(_, kv, _)| (*kv).clone()));
+                out.extend(group.iter().map(|(_, cell, _)| cell.to_kv()));
                 continue;
             }
             out.push(KeyValue {
                 row: first.row.clone(),
-                qualifier: first.qualifier.clone(),
+                qualifier: Bytes::copy_from_slice(first.qualifier),
                 timestamp: (base + offset as u64) * 1000 + merged.count,
                 value: encode_value(
                     merged.min,
@@ -913,7 +913,7 @@ mod tests {
         let compactor = RollupCompactor::new(c.clone(), None);
         use pga_minibase::CompactionRewriter;
         let out = compactor
-            .rewrite_row(&compactor_ctx(&row), &cells)
+            .rewrite_row(&compactor_ctx(&row), &cells.into())
             .expect("disjoint bucket must canonicalize");
         assert_eq!(out.len(), 1);
         let canon = decode_cell(&c, 60, &out[0]).unwrap();
@@ -944,7 +944,7 @@ mod tests {
         use pga_minibase::CompactionRewriter;
         assert!(
             compactor
-                .rewrite_row(&compactor_ctx(&row), &cells)
+                .rewrite_row(&compactor_ctx(&row), &cells.into())
                 .is_none(),
             "overlap must stay visible so the executor recomputes"
         );
@@ -959,7 +959,10 @@ mod tests {
         let refs: Vec<(&str, &str)> = TAGS.to_vec();
         let row = c.row_key("energy", &refs, 0);
         let kv = KeyValue::new(row.clone(), vec![0u8, 1], 1, 2.0f64.to_be_bytes().to_vec());
-        assert!(compactor.rewrite_row(&compactor_ctx(&row), &[kv]).is_none());
+        let cells = vec![kv].into();
+        assert!(compactor
+            .rewrite_row(&compactor_ctx(&row), &cells)
+            .is_none());
     }
 
     #[test]

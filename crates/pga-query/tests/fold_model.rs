@@ -288,8 +288,8 @@ proptest! {
     fn the_compactor_writes_the_parents_bytes(specs in cell_specs(), series in 0..SERIES.len()) {
         let codec = codec();
         let compactor = RollupCompactor::new(codec.clone(), None);
-        // One row, as compaction offers it: merged in order, GC'd of
-        // nothing (superseded versions included).
+        // One row, as compaction offers it: merged in order, superseded
+        // versions included.
         let cells = stored(&codec, &specs);
         let row = codec.row_key(&tier_metric(TIER, "energy"), SERIES[series], 0);
         let cells: Vec<KeyValue> = cells.into_iter().filter(|kv| kv.row == row).collect();
@@ -303,7 +303,7 @@ proptest! {
             v
         };
         prop_assert_eq!(
-            compactor.rewrite_row(&ctx, &cells).map(by_bytes),
+            compactor.rewrite_row(&ctx, &cells.clone().into()).map(by_bytes),
             parent_rewrite_row(&codec, TIER, &cells).map(by_bytes)
         );
     }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use pga_minibase::{CompactionRewriter, KeyValue, RewriteContext};
+use pga_minibase::{CellRef, CompactionRewriter, KeyValue, RewriteContext, ScanCells};
 
 use crate::block::{self, BLOCK_QUALIFIER};
 
@@ -71,7 +71,7 @@ fn row_base_time(row: &[u8]) -> Option<u64> {
 }
 
 impl CompactionRewriter for BlockRewriter {
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &[KeyValue]) -> Option<Vec<KeyValue>> {
+    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>> {
         let base = row_base_time(ctx.row)?;
         // Only seal rows every acked writer has moved past.
         let finished = base
@@ -85,33 +85,33 @@ impl CompactionRewriter for BlockRewriter {
         // qualifier), existing sealed blocks to fold, everything else
         // (write-path blobs, rollup qualifiers) passes through untouched.
         let mut raw: Vec<(u64, f64, u64)> = Vec::new(); // (ts, value, version)
-        let mut sealed: Vec<&KeyValue> = Vec::new();
+        let mut sealed: Vec<CellRef<'_>> = Vec::new();
         let mut passthrough: Vec<KeyValue> = Vec::new();
         let mut last_qual: Option<&[u8]> = None;
         for cell in cells {
-            let newest_of_qual = last_qual != Some(&cell.qualifier[..]);
-            last_qual = Some(&cell.qualifier[..]);
-            if block::is_block_qualifier(&cell.qualifier) {
+            let newest_of_qual = last_qual != Some(cell.qualifier);
+            last_qual = Some(cell.qualifier);
+            if block::is_block_qualifier(cell.qualifier) {
                 if newest_of_qual {
                     sealed.push(cell);
                 }
                 // Older block versions are dropped: superseded seals.
                 continue;
             }
-            let is_raw = cell.qualifier.len() == 2 && cell.qualifier[..] != [0xFF, 0xFF];
+            let is_raw = cell.qualifier.len() == 2 && cell.qualifier != [0xFF, 0xFF];
             if !is_raw {
-                passthrough.push(cell.clone());
+                passthrough.push(cell.to_kv());
                 continue;
             }
             if !newest_of_qual {
                 continue; // older version of a raw cell: superseded
             }
             let (Some(q), Some(v)) = (cell.qualifier.get(..2), cell.value.get(..8)) else {
-                passthrough.push(cell.clone());
+                passthrough.push(cell.to_kv());
                 continue;
             };
             if cell.value.len() != 8 {
-                passthrough.push(cell.clone());
+                passthrough.push(cell.to_kv());
                 continue;
             }
             let mut q2 = [0u8; 2];
@@ -132,7 +132,7 @@ impl CompactionRewriter for BlockRewriter {
         // always merges.
         if ctx.drop_sealed_overlap && !sealed.is_empty() {
             let mut out = passthrough;
-            out.extend(sealed.iter().map(|&c| c.clone()));
+            out.extend(sealed.iter().map(|&c| c.to_kv()));
             return Some(out);
         }
 
@@ -142,7 +142,7 @@ impl CompactionRewriter for BlockRewriter {
         let mut merged: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
         let mut version: u64 = 0;
         for cell in &sealed {
-            let Ok(decoded) = block::decode_block(&cell.value) else {
+            let Ok(decoded) = block::decode_block(cell.value) else {
                 return None;
             };
             for (&ts, &v) in decoded.timestamps.iter().zip(decoded.values.iter()) {
@@ -205,6 +205,16 @@ mod tests {
         }
     }
 
+    /// `rw`'s answer for `row`, whose cells are `cells`, sorted.
+    fn rewrite(
+        rw: &BlockRewriter,
+        row: &[u8],
+        drop_overlap: bool,
+        cells: &[KeyValue],
+    ) -> Option<Vec<KeyValue>> {
+        rw.rewrite_row(&ctx(row, drop_overlap), &ScanCells::from(cells.to_vec()))
+    }
+
     fn rewriter(span: u64, watermark: u64) -> BlockRewriter {
         BlockRewriter::new(span, Arc::new(AtomicU64::new(watermark)))
     }
@@ -215,10 +225,10 @@ mod tests {
         let cells = vec![raw_cell(&row, 0, 1.0, 3_600_000)];
         // Watermark inside the row: writers may still be filling it.
         let rw = rewriter(3600, 7199);
-        assert!(rw.rewrite_row(&ctx(&row, false), &cells).is_none());
+        assert!(rewrite(&rw, &row, false, &cells).is_none());
         // Watermark at the row boundary: sealed.
         let rw = rewriter(3600, 7200);
-        assert!(rw.rewrite_row(&ctx(&row, false), &cells).is_some());
+        assert!(rewrite(&rw, &row, false, &cells).is_some());
     }
 
     #[test]
@@ -228,7 +238,7 @@ mod tests {
             .map(|i| raw_cell(&row, i * 7, i as f64, (i as u64) * 7000))
             .collect();
         let rw = rewriter(3600, 10_000);
-        let out = rw.rewrite_row(&ctx(&row, false), &cells).unwrap();
+        let out = rewrite(&rw, &row, false, &cells).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(&out[0].qualifier[..], &BLOCK_QUALIFIER);
         let decoded = block::decode_block(&out[0].value).unwrap();
@@ -251,13 +261,13 @@ mod tests {
             raw_cell(&row, 20, 2.0, 20_000),
         ];
         let rw = rewriter(3600, 10_000);
-        let sealed = rw.rewrite_row(&ctx(&row, false), &first).unwrap();
+        let sealed = rewrite(&rw, &row, false, &first).unwrap();
         // Late raw arrivals: a new point at 15 and an overwrite at 20.
         let mut cells = sealed.clone();
         cells.push(raw_cell(&row, 15, 1.5, 15_000));
         cells.push(raw_cell(&row, 20, 9.9, 21_000));
         cells.sort();
-        let out = rw.rewrite_row(&ctx(&row, false), &cells).unwrap();
+        let out = rewrite(&rw, &row, false, &cells).unwrap();
         assert_eq!(out.len(), 1);
         let decoded = block::decode_block(&out[0].value).unwrap();
         assert_eq!(decoded.timestamps, vec![10, 15, 20]);
@@ -269,11 +279,11 @@ mod tests {
         let row = row_key(0);
         let first = vec![raw_cell(&row, 10, 1.0, 10_000)];
         let rw = rewriter(3600, 10_000);
-        let sealed = rw.rewrite_row(&ctx(&row, false), &first).unwrap();
+        let sealed = rewrite(&rw, &row, false, &first).unwrap();
         let mut cells = sealed.clone();
         cells.push(raw_cell(&row, 15, 1.5, 15_000));
         cells.sort();
-        let out = rw.rewrite_row(&ctx(&row, true), &cells).unwrap();
+        let out = rewrite(&rw, &row, true, &cells).unwrap();
         let decoded = block::decode_block(&out[0].value).unwrap();
         assert_eq!(decoded.timestamps, vec![10], "mutant drops the late point");
     }
@@ -282,18 +292,19 @@ mod tests {
     fn non_tsdb_rows_and_foreign_cells_pass_through() {
         let rw = rewriter(3600, u64::MAX);
         // Malformed row key: not ours to touch.
-        assert!(rw
-            .rewrite_row(
-                &ctx(b"free-form-row", false),
-                &[raw_cell(b"free-form-row", 0, 1.0, 0)]
-            )
-            .is_none());
+        assert!(rewrite(
+            &rw,
+            b"free-form-row",
+            false,
+            &[raw_cell(b"free-form-row", 0, 1.0, 0)]
+        )
+        .is_none());
         // Rollup-style 4-byte qualifiers ride along unchanged.
         let row = row_key(0);
         let rollup = KeyValue::new(row.clone(), vec![0, 1, 2, 3], 5, b"agg".to_vec());
         let mut cells = vec![rollup.clone(), raw_cell(&row, 1, 2.0, 1000)];
         cells.sort();
-        let out = rw.rewrite_row(&ctx(&row, false), &cells).unwrap();
+        let out = rewrite(&rw, &row, false, &cells).unwrap();
         assert!(out.contains(&rollup));
         assert!(out.iter().any(|c| block::is_block_qualifier(&c.qualifier)));
     }
@@ -308,7 +319,7 @@ mod tests {
             5,
             b"agg".to_vec(),
         )];
-        assert!(rw.rewrite_row(&ctx(&row, false), &cells).is_none());
+        assert!(rewrite(&rw, &row, false, &cells).is_none());
     }
 
     #[test]
@@ -326,7 +337,7 @@ mod tests {
         ];
         cells.sort();
         assert!(
-            rw.rewrite_row(&ctx(&row, false), &cells).is_none(),
+            rewrite(&rw, &row, false, &cells).is_none(),
             "never rewrite behind a block we cannot decode"
         );
     }

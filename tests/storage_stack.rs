@@ -23,7 +23,6 @@ fn stack(nodes: usize, salt_buckets: u8) -> (Master, Tsd, Coordinator) {
         region_config: RegionConfig {
             memstore_flush_bytes: 4096, // tiny: force frequent flushes
             compaction_file_threshold: 3,
-            max_versions: usize::MAX,
         },
     });
     let tsd = Tsd::new(codec, Client::connect(&master), TsdConfig::default());
