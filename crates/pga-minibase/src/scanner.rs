@@ -384,6 +384,30 @@ mod tests {
     }
 
     #[test]
+    fn a_sorted_reply_becomes_a_batch_of_one_run_a_row() {
+        // Runs of two batches, one crossing rows, the others one cell.
+        let a = Arc::new(PutBatch::from(vec![
+            kv("a", 3, "a3"),
+            kv("a", 1, "a1"),
+            kv("b", 1, "b1"),
+            kv("c", 1, "c1"),
+        ]));
+        let b = Arc::new(PutBatch::from(vec![kv("a", 2, "a2"), kv("c", 5, "c5")]));
+        let mut reply = ScanCells::default();
+        for (cells, range) in [(&a, 0..1), (&b, 0..1), (&a, 1..3), (&b, 1..2), (&a, 3..4)] {
+            reply.push(cells, range);
+        }
+        let batch = reply.to_batch();
+        assert_eq!(batch.rows().count(), 3);
+        assert_eq!(batch.clone().into_kvs(), reply.to_vec());
+        // Merging the runs finds the same order from any split.
+        let mut shuffled = ScanCells::default();
+        shuffled.push(&a, 0..4);
+        shuffled.push(&b, 0..2);
+        assert_eq!(merge_runs(&shuffled), reply);
+    }
+
+    #[test]
     fn pushes_coalesce_only_contiguous_ranges_of_one_vector() {
         let a = Arc::new(PutBatch::from(
             ["a", "b", "c"].map(|r| kv(r, 1, "a")).to_vec(),
