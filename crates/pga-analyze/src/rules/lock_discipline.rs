@@ -6,7 +6,9 @@
 //! The analysis is name-based and lint-grade: a lock is identified by the
 //! receiver field it is acquired through (`self.directory.write()` →
 //! `pga-minibase/directory`), guards are tracked from `let` bindings to
-//! the end of the enclosing block (or an explicit `drop(guard)`), and the
+//! the end of the enclosing block (or an explicit `drop(guard)`) unless
+//! the lock's result feeds a further method call, which makes the guard a
+//! temporary of its statement (`self.observer.read().clone()`), and the
 //! call graph resolves callee names only within the same crate, minus a
 //! stoplist of std-colliding method names.
 
@@ -18,6 +20,10 @@ use crate::tokenizer::{Token, TokenKind};
 
 /// Method names that acquire a lock when called with no arguments.
 const LOCK_OPS: &[&str] = &["lock", "read", "write"];
+
+/// Methods whose result is still the guard of the lock op they follow
+/// (as is `?`'s).
+const GUARD_PASSING: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 
 /// One acquisition, in-function edge, or call observed in pass A.
 #[derive(Debug)]
@@ -92,6 +98,51 @@ fn is_let_bound(tokens: &[Token], dot: usize) -> Option<String> {
     None
 }
 
+/// Does the result of the lock op whose argument list closes at token
+/// `close` feed a further method call (`self.observer.read().clone()`)?
+/// Its guard is then a temporary, dropped at the end of its statement, so
+/// a `let` binds the call's result and holds no lock. `?`, `unwrap`,
+/// `expect` and `unwrap_or_else` hand the guard on: a call may follow
+/// them, and without one the guard is what is bound.
+fn feeds_method_call(tokens: &[Token], close: usize) -> bool {
+    let mut i = close + 1;
+    loop {
+        match tokens.get(i) {
+            Some(t) if t.is_punct('?') => i += 1,
+            Some(t) if t.is_punct('.') => {
+                let (Some(name), Some(open)) = (tokens.get(i + 1), tokens.get(i + 2)) else {
+                    return false;
+                };
+                if name.kind != TokenKind::Ident || !open.is_punct('(') {
+                    return false; // a field, or a method named with a turbofish
+                }
+                if !GUARD_PASSING.contains(&name.text.as_str()) {
+                    return true;
+                }
+                // Past the balanced argument list.
+                let mut depth = 0i32;
+                i += 2;
+                loop {
+                    let Some(t) = tokens.get(i) else {
+                        return false;
+                    };
+                    if t.is_punct('(') {
+                        depth += 1;
+                    } else if t.is_punct(')') {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
+                    }
+                    i += 1;
+                }
+                i += 1;
+            }
+            _ => return false,
+        }
+    }
+}
+
 /// Pass A: extract per-function lock facts from every file.
 fn collect_facts(ws: &Workspace) -> Vec<FnFacts> {
     let mut all = Vec::new();
@@ -150,7 +201,11 @@ fn collect_facts(ws: &Workspace) -> Vec<FnFacts> {
                                 }
                             }
                             facts.acquires.push((lock.clone(), f.path.clone(), t.line));
-                            if let Some(binding) = is_let_bound(toks, i - 1) {
+                            let bound = match feeds_method_call(toks, i + 2) {
+                                true => None,
+                                false => is_let_bound(toks, i - 1),
+                            };
+                            if let Some(binding) = bound {
                                 guards.push(Guard {
                                     binding,
                                     lock,

@@ -45,8 +45,8 @@ use pga_query::rollup::{self, RollupCell, RollupWriter};
 use pga_stats::multiple::Procedure;
 use pga_stats::two_sided_p_from_z;
 use pga_tsdb::{
-    is_block_qualifier, verify_block, BlockRewriter, KeyCodec, KeyCodecConfig, QueryFilter, Tsd,
-    TsdConfig, TsdError, UidTable,
+    is_block_qualifier, verify_block, BlockRewriter, KeyCodec, KeyCodecConfig, QueryFilter,
+    SeriesPoint, SeriesRuns, Tsd, TsdConfig, TsdError, UidTable,
 };
 
 use crate::plane::SimFaultPlane;
@@ -447,6 +447,8 @@ struct Driver<'a> {
     tsds: Vec<Arc<Tsd>>,
     /// Each sensor's series, resolved once as the proxy resolves it.
     names: SensorSeries,
+    /// The batch being written, grouped by series as a proxy lane's put.
+    runs: SeriesRuns,
     now_ms: u64,
     next_ts: u64,
     rr: usize,
@@ -570,7 +572,8 @@ impl<'a> Driver<'a> {
             fault,
             master,
             tsds,
-            names: SensorSeries::new(codec),
+            names: SensorSeries::new(codec, 1),
+            runs: SeriesRuns::new(),
             now_ms: 0,
             next_ts: 0,
             rr: 0,
@@ -1048,10 +1051,11 @@ impl<'a> Driver<'a> {
             })
             .collect();
         let names = &mut self.names;
-        let points: Vec<_> = batch
+        let points: Vec<SeriesPoint> = batch
             .iter()
-            .map(|&(u, s, ts, value)| (names.get(u, s).clone(), ts, value))
+            .map(|&(u, s, ts, value)| (names.get(u, s).0, ts, value))
             .collect();
+        let grouped = self.runs.group(names.codec(), [&points[..]]);
         self.stats.batches_generated += 1;
         for _ in 0..self.config.max_write_attempts.max(1) {
             let pick = self.rr;
@@ -1072,7 +1076,13 @@ impl<'a> Driver<'a> {
                 // authorization, so forward anyway and eat the latency.
                 self.advance();
             }
-            let result = self.tsds.get(target).map(|t| t.put_series_batch(&points));
+            let result = match &grouped {
+                Ok(()) => self
+                    .tsds
+                    .get(target)
+                    .map(|t| t.put_series_batch(&self.runs)),
+                Err(_) => None,
+            };
             let acked = match result {
                 Some(Ok(())) => {
                     if self.drop_budget > 0 {

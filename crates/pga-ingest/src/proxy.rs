@@ -22,9 +22,12 @@
 //!
 //! Every TSD of the pool resolves names through one series table (clones
 //! of one [`pga_tsdb::KeyCodec`]), so the proxy resolves each sensor's
-//! series once, in its [`SensorSeries`], and forwards resolved points:
-//! a series resolved through the first daemon's codec is valid on all of
-//! them.
+//! series once, in its [`SensorSeries`], and a lane part carries each
+//! point as `(series id, timestamp, value)`: an id of the first daemon's
+//! table names the same series on all of them. A worker groups each
+//! lane's parts by series once ([`SeriesRuns::group`]) and puts the runs:
+//! the TSD and its write-path observer read a series' points together,
+//! in submission order, and the proxy touches no series entry a point.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -36,7 +39,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use pga_sensorgen::SensorSample;
-use pga_tsdb::{Series, SeriesPoint, Tsd, TsdError};
+use pga_tsdb::{KeyCodec, SeriesPoint, SeriesRuns, Tsd, TsdError};
 
 use crate::series::SensorSeries;
 
@@ -212,14 +215,6 @@ impl Tally {
     }
 }
 
-/// The lane of `series` among `lanes`: its salt byte, modulo.
-fn lane_of(series: &Series, lanes: usize) -> usize {
-    series
-        .tsuid()
-        .first()
-        .map_or(0, |&salt| salt as usize % lanes)
-}
-
 /// One worker's queue: entries of lane parts, bounded in parts. An entry
 /// is one submission's parts for the worker and is taken whole.
 struct Queue {
@@ -346,7 +341,7 @@ impl ReverseProxy {
             // A batch has at most one part per lane, and the busiest
             // worker owns `ceil(lanes / workers)` lanes.
             group_len: (capacity / lanes.div_ceil(worker_count)).max(1),
-            names: Mutex::new(SensorSeries::new(codec)),
+            names: Mutex::new(SensorSeries::new(codec.clone(), lanes)),
             metrics: Arc::new(ProxyMetrics::default()),
             workers: Mutex::new(Vec::with_capacity(worker_count)),
         };
@@ -354,6 +349,7 @@ impl ReverseProxy {
             let queue = Arc::new(Queue::new(capacity));
             let worker = Worker {
                 tsds: tsds.clone(),
+                codec: codec.clone(),
                 metrics: proxy.metrics.clone(),
                 max_attempts,
                 // Per-worker jitter stream: deterministic, decorrelated
@@ -375,7 +371,7 @@ impl ReverseProxy {
         Ok(proxy)
     }
 
-    /// Submit one batch: resolve its samples, split it into lane parts and
+    /// Submit one batch: look up its samples' series, split it into lane parts and
     /// queue each part on the worker that owns its lane. Blocks while that
     /// queue is full (backpressure). Returns [`ProxyError::Stopped`] once
     /// the intake is closed or the workers are gone — the caller decides
@@ -479,16 +475,16 @@ impl ReverseProxy {
         refused
     }
 
-    /// Resolve `batch` and split it into one part per lane.
+    /// Look up `batch`'s series and split it into one part per lane.
     fn split(&self, batch: &[SensorSample]) -> Vec<Vec<SeriesPoint>> {
         let mut parts: Vec<Vec<SeriesPoint>> = (0..self.lanes)
             .map(|_| Vec::with_capacity(batch.len().div_ceil(self.lanes)))
             .collect();
         let mut names = self.names.lock();
         for sample in batch {
-            let point = names.point(sample);
-            // `lane_of` is below `self.lanes`: the part is always there.
-            if let Some(part) = parts.get_mut(lane_of(&point.0, self.lanes)) {
+            let (lane, point) = names.point(sample);
+            // A lane is below `self.lanes`: the part is always there.
+            if let Some(part) = parts.get_mut(lane) {
                 part.push(point);
             }
         }
@@ -522,6 +518,8 @@ impl ReverseProxy {
 /// A forwarding worker: what its thread needs to put its lanes' parts.
 struct Worker {
     tsds: Vec<Arc<Tsd>>,
+    /// The codec of the proxy's series table, to group parts through.
+    codec: KeyCodec,
     metrics: Arc<ProxyMetrics>,
     max_attempts: usize,
     jitter_seq: u64,
@@ -533,24 +531,24 @@ impl Worker {
     /// until the intake closes and the queue is empty.
     fn run(mut self, queue: &Queue) {
         let mut taken = Vec::with_capacity(queue.capacity);
-        let mut points = Vec::new();
+        let mut runs = SeriesRuns::new();
         while queue.take(&mut taken) {
             // Stable, so each lane's parts stay in submission order.
             taken.sort_by_key(|part| part.lane);
-            for lane in taken.chunk_by_mut(|a, b| a.lane == b.lane) {
-                self.forward_lane(lane, &mut points);
+            for lane in taken.chunk_by(|a, b| a.lane == b.lane) {
+                self.forward_lane(lane, &mut runs);
             }
             taken.clear();
         }
     }
 
-    /// Forward one lane's parts to its TSD as one put and settle each
-    /// part's batch. A storage failure retries the whole put. A refusal
-    /// for content (a timestamp past the last row, a foreign series)
-    /// writes nothing, so the parts are then forwarded one by one and
-    /// only the offending part's batch is an error. `points` is scratch
-    /// space for the joined parts.
-    fn forward_lane(&mut self, parts: &mut [Part], points: &mut Vec<SeriesPoint>) {
+    /// Group one lane's parts by series, once, and forward the runs to its
+    /// TSD as one put; then settle each part's batch. A storage failure
+    /// retries the whole put. A refusal for content (a timestamp past the
+    /// last row, a foreign series) writes nothing, so each part is then
+    /// grouped and forwarded on its own, and only the offending part's
+    /// batch is an error. `runs` is scratch space for the grouped parts.
+    fn forward_lane(&mut self, parts: &[Part], runs: &mut SeriesRuns) {
         // A lane is below the TSD count: its daemon is always there.
         let Some(tsd) = parts.first().and_then(|p| self.tsds.get(p.lane)).cloned() else {
             parts
@@ -558,12 +556,8 @@ impl Worker {
                 .for_each(|p| p.tally.settle(false, &self.metrics));
             return;
         };
-        let mut ends = Vec::with_capacity(parts.len());
-        for part in parts.iter_mut() {
-            points.append(&mut part.points);
-            ends.push(points.len());
-        }
-        match self.forward(points, &tsd) {
+        let grouped = runs.group(&self.codec, parts.iter().map(|p| &p.points[..]));
+        match grouped.and_then(|()| self.forward(runs, &tsd)) {
             Ok(()) => parts
                 .iter()
                 .for_each(|p| p.tally.settle(true, &self.metrics)),
@@ -571,35 +565,31 @@ impl Worker {
                 .iter()
                 .for_each(|p| p.tally.settle(false, &self.metrics)),
             Err(_) => {
-                let mut start = 0;
-                for (part, &end) in parts.iter().zip(&ends) {
-                    let landed = points
-                        .get(start..end)
-                        .is_some_and(|own| self.forward(own, &tsd).is_ok());
+                for part in parts {
+                    let landed = runs.group(&self.codec, [&part.points[..]]).is_ok()
+                        && self.forward(runs, &tsd).is_ok();
                     part.tally.settle(landed, &self.metrics);
-                    start = end;
                 }
             }
         }
-        points.clear();
     }
 
-    /// Forward `points` to `tsd` with jittered exponential backoff. Every
+    /// Forward `runs` to `tsd` with jittered exponential backoff. Every
     /// TSD fronts the same regions, so a storage failure is retried on
     /// the lane's own TSD once recovery may have caught up, which keeps
     /// the lane in order. Re-putting identical samples is safe — the
     /// store deduplicates identical cells, so retried puts land exactly
     /// once. Any other refusal is a property of the points themselves, so
     /// it is returned without a retry.
-    fn forward(&mut self, points: &[SeriesPoint], tsd: &Tsd) -> Result<(), TsdError> {
+    fn forward(&mut self, runs: &SeriesRuns, tsd: &Tsd) -> Result<(), TsdError> {
         self.jitter_seq += 1;
         let mut attempt = 0usize;
         loop {
-            match tsd.put_series_batch(points) {
+            match tsd.put_series_batch(runs) {
                 Ok(()) => {
                     self.metrics
                         .samples_out
-                        .fetch_add(points.len() as u64, Ordering::Relaxed);
+                        .fetch_add(runs.points() as u64, Ordering::Relaxed);
                     return Ok(());
                 }
                 Err(TsdError::Storage(_)) if attempt + 1 < self.max_attempts => {}
@@ -654,7 +644,7 @@ pub(crate) mod tests {
     use super::*;
     use pga_cluster::coordinator::Coordinator;
     use pga_minibase::{Client, Master, RegionConfig, ServerConfig, TableDescriptor};
-    use pga_tsdb::{KeyCodec, KeyCodecConfig, QueryFilter, TsdConfig, UidTable};
+    use pga_tsdb::{KeyCodecConfig, QueryFilter, Series, TsdConfig, UidTable};
 
     fn stack(nodes: usize, tsd_count: usize) -> (Master, Vec<Arc<Tsd>>) {
         let uids = UidTable::new();
@@ -716,13 +706,16 @@ pub(crate) mod tests {
         master.shutdown();
     }
 
-    /// Records every acknowledged point its TSD hands it.
+    /// Records every acknowledged point its TSD hands it, run by run.
     #[derive(Default)]
-    struct Recorder(parking_lot::Mutex<Vec<SeriesPoint>>);
+    struct Recorder(parking_lot::Mutex<Vec<(Arc<Series>, u64, f64)>>);
 
     impl pga_tsdb::PutObserver for Recorder {
-        fn on_batch(&self, points: &[SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
-            self.0.lock().extend_from_slice(points);
+        fn on_batch(&self, runs: &SeriesRuns) -> Vec<pga_minibase::KeyValue> {
+            let mut recorded = self.0.lock();
+            for run in runs.iter() {
+                recorded.extend(run.points().map(|(ts, v)| (run.series.clone(), ts, v)));
+            }
             Vec::new()
         }
 
@@ -835,7 +828,7 @@ pub(crate) mod tests {
                 .iter()
                 .map(|r| {
                     let points = r.0.lock();
-                    let tags = |p: &&SeriesPoint| {
+                    let tags = |p: &&(Arc<Series>, u64, f64)| {
                         p.0.tags()
                             .iter()
                             .all(|(k, v)| (k == "unit" && *v == u) || (k == "sensor" && *v == s))
@@ -1075,8 +1068,12 @@ pub(crate) mod tests {
     }
 
     impl pga_tsdb::PutObserver for Gate {
-        fn on_batch(&self, points: &[SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
-            let put = points.iter().map(|p| (p.1, p.2.to_bits())).collect();
+        fn on_batch(&self, runs: &SeriesRuns) -> Vec<pga_minibase::KeyValue> {
+            let put = runs
+                .iter()
+                .flat_map(|run| run.points())
+                .map(|(ts, v)| (ts, v.to_bits()))
+                .collect();
             self.puts.lock().push(put);
             if !self.held.swap(true, Ordering::AcqRel) {
                 self.gate.wait();
@@ -1090,9 +1087,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// `(timestamp, value bits)` of `samples`, as a put records them.
+    /// `(timestamp, value bits)` of `samples`, as a put of them records
+    /// them: grouped by series, each series' samples in order, the series
+    /// in the order they first appear.
     fn recorded(samples: &[SensorSample]) -> Vec<(u64, u64)> {
-        samples
+        let mut first = std::collections::HashMap::new();
+        for (at, s) in samples.iter().enumerate() {
+            first.entry((s.unit, s.sensor)).or_insert(at);
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by_key(|s| first[&(s.unit, s.sensor)]); // stable
+        sorted
             .iter()
             .map(|s| (s.timestamp, s.value.to_bits()))
             .collect()
@@ -1178,6 +1183,85 @@ pub(crate) mod tests {
             .query("energy", &QueryFilter::any(), 0, 100)
             .unwrap();
         assert_eq!(stored[0].points.len(), 3);
+        master.shutdown();
+    }
+
+    /// A group goes out as one put per lane, grouped by series once: a
+    /// series that recurs in every batch of the group reaches its daemon
+    /// as one run, its points in submission order, and a timestamp
+    /// submitted twice keeps the value submitted later.
+    #[test]
+    fn a_series_recurring_across_a_group_is_stored_in_submission_order() {
+        let (master, tsds) = stack(2, 1);
+        let recorders = record(&tsds);
+        let proxy = ReverseProxy::spawn(
+            tsds.clone(),
+            ProxyConfig {
+                workers: 1,
+                ..ProxyConfig::default()
+            },
+        )
+        .unwrap();
+        // Sixteen batches, a tick each, of four series; series (1, 1)
+        // puts tick 5 again, with another value, in the twelfth.
+        let mut batches: Vec<Vec<SensorSample>> = (0..16u64)
+            .map(|t| {
+                [(0, 0), (1, 1), (2, 3), (1, 2)]
+                    .iter()
+                    .map(|&(unit, sensor)| SensorSample {
+                        unit,
+                        sensor,
+                        timestamp: t,
+                        value: (t * 10 + u64::from(unit * 4 + sensor)) as f64,
+                    })
+                    .collect()
+            })
+            .collect();
+        let again = SensorSample {
+            unit: 1,
+            sensor: 1,
+            timestamp: 5,
+            value: -7.0,
+        };
+        batches[11].insert(2, again);
+        assert!(batches.len() <= proxy.group_len());
+        let submitted: Vec<SensorSample> = batches.concat();
+        let settlement = Arc::new(Settlement::default());
+        proxy.submit_group(batches, &settlement).unwrap();
+        let settled = settlement.wait();
+        assert_eq!((settled.forwarded, settled.errors), (16, 0));
+        assert_eq!(tsds[0].metrics().put_rpcs.load(Ordering::Relaxed), 1);
+        let of = |s: &SensorSample| (s.unit, s.sensor) == (1, 1);
+        let wanted: Vec<(u64, f64)> = submitted
+            .iter()
+            .filter(|s| of(s))
+            .map(|s| (s.timestamp, s.value))
+            .collect();
+        let seen: Vec<(u64, f64)> = recorders[0]
+            .0
+            .lock()
+            .iter()
+            .filter(|(series, ..)| series.tags().iter().all(|(_, v)| v == "1"))
+            .map(|&(_, ts, v)| (ts, v))
+            .collect();
+        assert_eq!(seen, wanted, "one run, in submission order");
+        let stored = tsds[0]
+            .query(
+                "energy",
+                &QueryFilter::any().with("unit", "1").with("sensor", "1"),
+                0,
+                100,
+            )
+            .unwrap();
+        let points: Vec<(u64, f64)> = stored[0]
+            .points
+            .iter()
+            .map(|p| (p.timestamp, p.value))
+            .collect();
+        let mut latest: Vec<(u64, f64)> = (0..16).map(|t| (t, (t * 10 + 5) as f64)).collect();
+        latest[5].1 = -7.0;
+        assert_eq!(points, latest, "the later value of tick 5 wins");
+        drop(proxy);
         master.shutdown();
     }
 

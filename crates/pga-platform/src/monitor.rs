@@ -878,7 +878,7 @@ mod tests {
     }
 
     impl pga_tsdb::PutObserver for Threads {
-        fn on_batch(&self, _: &[pga_tsdb::SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
+        fn on_batch(&self, _: &pga_tsdb::SeriesRuns) -> Vec<pga_minibase::KeyValue> {
             let thread = std::thread::current();
             let name = thread.name().map(str::to_string);
             self.puts.lock().push((thread.id(), name));

@@ -53,7 +53,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use pga_minibase::{CellRef, KeyValue};
 use pga_tsdb::uid::RESERVED_PREFIX;
-use pga_tsdb::{KeyCodec, PutObserver, Series, SeriesPoint};
+use pga_tsdb::{KeyCodec, PutObserver, Series, SeriesRuns};
 
 /// Largest allowed tier width in seconds. Bounded so a bucket's point
 /// count (at one point per second per series) fits the `bucket * 1000`
@@ -612,6 +612,65 @@ impl RollupWriter {
         ))
     }
 
+    /// Fold point `(ts, value)` of `series` into its tier-`tier` state,
+    /// sealing the bucket it moves off into `sealed`.
+    #[inline]
+    fn fold(
+        &self,
+        state: &mut TierState,
+        series: &Series,
+        tier: u64,
+        (ts, value): (u64, f64),
+        sealed: &mut Vec<KeyValue>,
+    ) {
+        // Buckets start on multiples of the tier: the open one holds `ts`
+        // when `ts` lies less than a tier past its start.
+        let in_open = state.open && ts.wrapping_sub(state.bucket.start) < tier;
+        let bucket = match in_open {
+            true => state.bucket.start,
+            false => ts - ts % tier,
+        };
+        let bit = (ts - bucket) as usize;
+        if !in_open {
+            sealed.extend(self.seal(state));
+            let resumes = state.row.is_some() && state.bucket.start == bucket;
+            state.open = true;
+            // A fresh bucket under the next generation — unless this is
+            // the bucket just sealed: then fall through and resume it
+            // where it was sealed.
+            if !resumes {
+                let span = self.codec.config().row_span_secs;
+                let base = bucket - bucket % span;
+                if state.row.as_ref().is_none_or(|&(open, _)| open != base) {
+                    state.row = Some((base, self.shadow_row(series, tier, bucket)));
+                }
+                let gen = state.next_gen;
+                state.next_gen = gen.wrapping_add(1);
+                state.bitmap.clear();
+                state.bitmap.resize(bitmap_len(tier), 0);
+                state.bitmap[bit / 8] |= 1 << (bit % 8);
+                state.bucket = Bucket {
+                    start: bucket,
+                    gen,
+                    min: value,
+                    max: value,
+                    sum: value,
+                    count: 1,
+                };
+                return;
+            }
+        }
+        if state.bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
+            return; // second already counted (duplicate)
+        }
+        state.bitmap[bit / 8] |= 1 << (bit % 8);
+        let open = &mut state.bucket;
+        open.min = open.min.min(value);
+        open.max = open.max.max(value);
+        open.sum += value;
+        open.count += 1;
+    }
+
     /// The row of `series`' tier-`tier` shadow series that holds `bucket`.
     fn shadow_row(&self, series: &Series, tier: u64, bucket: u64) -> Bytes {
         let tags: Vec<(&str, &str)> = series
@@ -625,59 +684,26 @@ impl RollupWriter {
 }
 
 impl PutObserver for RollupWriter {
-    fn on_batch(&self, points: &[SeriesPoint]) -> Vec<KeyValue> {
-        let span = self.codec.config().row_span_secs;
+    /// Folds each run tier by tier: one state lookup a `(series, tier)`,
+    /// then the run's points in order. A series' cells seal in the order
+    /// a point-by-point fold seals them; only cells of different series
+    /// or tiers come out in another order.
+    fn on_batch(&self, runs: &SeriesRuns) -> Vec<KeyValue> {
         let mut sealed = Vec::new();
         let mut states = self.state.lock();
-        for (series, ts, value) in points {
-            let (ts, value) = (*ts, *value);
-            let first = series.id() as usize * self.tiers.len();
-            if states.len() < first + self.tiers.len() {
-                states.resize_with(first + self.tiers.len(), TierState::default);
+        let tiers = self.tiers.len();
+        for run in runs.iter() {
+            if run.series.metric().starts_with(RESERVED_PREFIX) {
+                continue; // never roll up a rollup
+            }
+            let first = run.series.id() as usize * tiers;
+            if states.len() < first + tiers {
+                states.resize_with(first + tiers, TierState::default);
             }
             for (&tier, state) in self.tiers.iter().zip(&mut states[first..]) {
-                let bucket = ts - ts % tier;
-                let bit = (ts - bucket) as usize;
-                if !(state.open && state.bucket.start == bucket) {
-                    if series.metric().starts_with(RESERVED_PREFIX) {
-                        break; // never roll up a rollup
-                    }
-                    sealed.extend(self.seal(state));
-                    let resumes = state.row.is_some() && state.bucket.start == bucket;
-                    state.open = true;
-                    // A fresh bucket under the next generation — unless this
-                    // is the bucket just sealed: then fall through and resume
-                    // it where it was sealed.
-                    if !resumes {
-                        let base = bucket - bucket % span;
-                        if state.row.as_ref().is_none_or(|&(open, _)| open != base) {
-                            state.row = Some((base, self.shadow_row(series, tier, bucket)));
-                        }
-                        let gen = state.next_gen;
-                        state.next_gen = gen.wrapping_add(1);
-                        state.bitmap.clear();
-                        state.bitmap.resize(bitmap_len(tier), 0);
-                        state.bitmap[bit / 8] |= 1 << (bit % 8);
-                        state.bucket = Bucket {
-                            start: bucket,
-                            gen,
-                            min: value,
-                            max: value,
-                            sum: value,
-                            count: 1,
-                        };
-                        continue;
-                    }
+                for point in run.points() {
+                    self.fold(state, run.series, tier, point, &mut sealed);
                 }
-                if state.bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
-                    continue; // second already counted (duplicate)
-                }
-                state.bitmap[bit / 8] |= 1 << (bit % 8);
-                let open = &mut state.bucket;
-                open.min = open.min.min(value);
-                open.max = open.max.max(value);
-                open.sum += value;
-                open.count += 1;
             }
         }
         sealed
@@ -696,7 +722,7 @@ impl PutObserver for RollupWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pga_tsdb::{KeyCodecConfig, UidTable};
+    use pga_tsdb::{KeyCodecConfig, SeriesPoint, UidTable};
 
     fn codec() -> KeyCodec {
         KeyCodec::new(
@@ -710,11 +736,14 @@ mod tests {
 
     const TAGS: &[(&str, &str)] = &[("unit", "1"), ("sensor", "2")];
 
-    /// `(timestamp, value)` points of `metric{TAGS}`, resolved as the TSD
-    /// resolves a batch before its observer sees it.
-    fn points(c: &KeyCodec, metric: &str, points: &[(u64, f64)]) -> Vec<SeriesPoint> {
-        let resolve = |&(ts, value)| (c.resolve(metric, TAGS), ts, value);
-        points.iter().map(resolve).collect()
+    /// `(timestamp, value)` points of `metric{TAGS}`, resolved and
+    /// grouped as the TSD groups a put before its observer sees it.
+    fn points(c: &KeyCodec, metric: &str, points: &[(u64, f64)]) -> SeriesRuns {
+        let id = c.resolve(metric, TAGS).id();
+        let points: Vec<SeriesPoint> = points.iter().map(|&(ts, v)| (id, ts, v)).collect();
+        let mut runs = SeriesRuns::new();
+        runs.group(c, [&points[..]]).unwrap();
+        runs
     }
 
     #[test]
@@ -812,6 +841,136 @@ mod tests {
         let w = RollupWriter::new(c.clone(), vec![60], 0);
         w.on_batch(&points(&c, &tier_metric(60, "energy"), &[(5, 1.0)]));
         assert!(w.flush().is_empty());
+    }
+
+    /// The point-by-point fold `on_batch` ran before it read runs: every
+    /// point in put order, tier by tier. The oracle of the run fold.
+    fn fold_points(w: &RollupWriter, points: &[(Arc<Series>, u64, f64)]) -> Vec<KeyValue> {
+        let span = w.codec.config().row_span_secs;
+        let mut sealed = Vec::new();
+        let mut states = w.state.lock();
+        for (series, ts, value) in points {
+            let (ts, value) = (*ts, *value);
+            let first = series.id() as usize * w.tiers.len();
+            if states.len() < first + w.tiers.len() {
+                states.resize_with(first + w.tiers.len(), TierState::default);
+            }
+            for (&tier, state) in w.tiers.iter().zip(&mut states[first..]) {
+                let bucket = ts - ts % tier;
+                let bit = (ts - bucket) as usize;
+                if !(state.open && state.bucket.start == bucket) {
+                    if series.metric().starts_with(RESERVED_PREFIX) {
+                        break;
+                    }
+                    sealed.extend(w.seal(state));
+                    let resumes = state.row.is_some() && state.bucket.start == bucket;
+                    state.open = true;
+                    if !resumes {
+                        let base = bucket - bucket % span;
+                        if state.row.as_ref().is_none_or(|&(open, _)| open != base) {
+                            state.row = Some((base, w.shadow_row(series, tier, bucket)));
+                        }
+                        let gen = state.next_gen;
+                        state.next_gen = gen.wrapping_add(1);
+                        state.bitmap.clear();
+                        state.bitmap.resize(bitmap_len(tier), 0);
+                        state.bitmap[bit / 8] |= 1 << (bit % 8);
+                        state.bucket = Bucket {
+                            start: bucket,
+                            gen,
+                            min: value,
+                            max: value,
+                            sum: value,
+                            count: 1,
+                        };
+                        continue;
+                    }
+                }
+                if state.bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
+                    continue;
+                }
+                state.bitmap[bit / 8] |= 1 << (bit % 8);
+                let open = &mut state.bucket;
+                open.min = open.min.min(value);
+                open.max = open.max.max(value);
+                open.sum += value;
+                open.count += 1;
+            }
+        }
+        sealed
+    }
+
+    /// Cells as `(row, qualifier, version, value)`, sorted: what a store
+    /// keeps of them, whatever order they were sealed in.
+    fn stored(mut cells: Vec<KeyValue>) -> Vec<KeyValue> {
+        cells.sort();
+        cells
+    }
+
+    /// Folding a put's runs seals exactly the cells the point-by-point
+    /// fold seals — row, qualifier, version and value bits — put by put
+    /// and flush by flush: over a run crossing two bucket boundaries of
+    /// both tiers, a second put twice, a bucket resumed after a flush, and
+    /// a rollup-metric series, which neither fold rolls up.
+    #[test]
+    fn the_run_fold_seals_what_the_point_fold_seals() {
+        let c = codec();
+        let (runs_writer, oracle) = (
+            RollupWriter::new(c.clone(), vec![60, 600], 3),
+            RollupWriter::new(c.clone(), vec![60, 600], 3),
+        );
+        let shadow = tier_metric(60, "energy");
+        let series = [
+            c.resolve("energy", &[("unit", "1"), ("sensor", "1")]),
+            c.resolve("energy", &[("unit", "1"), ("sensor", "2")]),
+            c.resolve(&shadow, TAGS),
+            c.resolve("energy", &[("unit", "2"), ("sensor", "1")]),
+        ];
+        // Tick-major puts, as a fleet sends them, every series a tick.
+        let put = |ticks: std::ops::Range<u64>, extra: &[(usize, u64, f64)]| {
+            let mut points: Vec<(Arc<Series>, u64, f64)> = Vec::new();
+            for ts in ticks {
+                for (s, series) in series.iter().enumerate() {
+                    let value = (ts * 7 + s as u64 * 1_000) as f64 * 0.37;
+                    points.push((series.clone(), ts, value));
+                }
+            }
+            points.extend(extra.iter().map(|&(s, ts, v)| (series[s].clone(), ts, v)));
+            points
+        };
+        let puts = [
+            // Crosses 600 and 1 200 (both tiers), second 601 of series 0
+            // twice with another value, series 1's 1 199 late.
+            put(590..1_210, &[(0, 601, -5.0), (1, 1_199, 8.5)]),
+            // After a flush: the open buckets resume, one with a point
+            // it already holds.
+            put(1_210..1_230, &[(3, 1_215, 99.0)]),
+            put(1_230..1_900, &[(2, 1_231, 4.0)]),
+        ];
+        let mut sealed = Vec::new();
+        for (k, points) in puts.iter().enumerate() {
+            let ids: Vec<SeriesPoint> = points.iter().map(|(s, ts, v)| (s.id(), *ts, *v)).collect();
+            let mut runs = SeriesRuns::new();
+            runs.group(&c, [&ids[..]]).unwrap();
+            let by_runs = stored(runs_writer.on_batch(&runs));
+            assert_eq!(by_runs, stored(fold_points(&oracle, points)), "put {k}");
+            sealed.extend(by_runs);
+            if k == 0 {
+                let flushed = runs_writer.flush();
+                assert_eq!(flushed, oracle.flush(), "flush after put {k}");
+                sealed.extend(flushed);
+            }
+        }
+        let flushed = runs_writer.flush();
+        assert_eq!(flushed, oracle.flush(), "last flush");
+        sealed.extend(flushed);
+        // 22 minutes and 3 ten-minute buckets a series, a few twice.
+        assert!(sealed.len() >= 3 * 25, "{} cells sealed", sealed.len());
+        for cell in &sealed {
+            let (series, _) = c.series_of_row(&cell.row).unwrap();
+            let raw = parse_tier_metric(series.metric()).map(|(_, raw)| raw);
+            assert_eq!(raw, Some("energy"), "a rollup of a raw series");
+        }
     }
 
     /// One bucket's cells merged in scan order.

@@ -21,7 +21,9 @@ use pga_minibase::KeyValue;
 use pga_query::rollup::{bitmap_len, encode_qualifier, encode_value, fold_buckets, tier_metric};
 use pga_query::RollupWriter;
 use pga_tsdb::uid::{UidKind, RESERVED_PREFIX};
-use pga_tsdb::{BatchPoint, KeyCodec, KeyCodecConfig, PutObserver, SeriesPoint, UidTable};
+use pga_tsdb::{
+    BatchPoint, KeyCodec, KeyCodecConfig, PutObserver, SeriesPoint, SeriesRuns, UidTable,
+};
 
 struct OpenBucket {
     /// Sealed by a flush, kept for a re-opening to resume.
@@ -190,9 +192,11 @@ impl Pair {
         // raw names, before the observer interns the shadow metric's.
         let resolved: Vec<SeriesPoint> = points
             .iter()
-            .map(|&(tags, ts, value)| (self.codec.resolve(metric, tags), ts, value))
+            .map(|&(tags, ts, value)| (self.codec.resolve(metric, tags).id(), ts, value))
             .collect();
-        self.cells.extend(self.writer.on_batch(&resolved));
+        let mut runs = SeriesRuns::new();
+        runs.group(&self.codec, [&resolved[..]]).unwrap();
+        self.cells.extend(self.writer.on_batch(&runs));
         for &(tags, ts, _) in points {
             self.model_codec.row_key(metric, tags, ts);
         }
@@ -316,9 +320,12 @@ fn a_bucket_reopened_255_times_still_equals_the_model() {
 fn six_hundred_single_point_flushes_into_one_bucket_lose_nothing() {
     let c = codec();
     let w = RollupWriter::new(c.clone(), vec![60, 600], 0);
+    let id = c.resolve("energy", TAGS).id();
+    let mut runs = SeriesRuns::new();
     let mut cells = Vec::new();
     for ts in 0..600u64 {
-        cells.extend(w.on_batch(&[(c.resolve("energy", TAGS), ts, 1.0)]));
+        runs.group(&c, [&[(id, ts, 1.0)][..]]).unwrap();
+        cells.extend(w.on_batch(&runs));
         cells.extend(w.flush());
     }
     assert!(w.flush().is_empty(), "a flush leaves nothing open");

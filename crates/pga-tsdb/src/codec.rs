@@ -210,6 +210,12 @@ impl KeyCodec {
         self.series.len()
     }
 
+    /// The series of each of `ids`, appended to `out` in order; false if
+    /// some id names no series of this codec's table.
+    pub(crate) fn series_by_ids(&self, ids: &[u32], out: &mut Vec<Arc<Series>>) -> bool {
+        self.series.by_ids(ids, out)
+    }
+
     /// The series and row base time of a row key. A row this process never
     /// wrote is decoded by UID ([`KeyCodec::decode_row`]) and interned;
     /// `None` if it is malformed or names an unknown UID.

@@ -14,6 +14,8 @@
 //! * [`series`] — the series table: a `(metric, tags)` name resolved once
 //!   into a dense id and its TSUID, so the write path stops re-encoding
 //!   the same names for every sample.
+//! * [`runs`] — series runs: a put's points grouped by series once, the
+//!   form the TSD's put body and its write-path observer read.
 //! * [`tsd`] — the TSD daemon: put/query over a MiniBase client, RPC
 //!   accounting, optional write-path row compaction (the paper disables it
 //!   "to reduce RPC calls to HBase"; the ablation E8 measures exactly
@@ -34,6 +36,7 @@ pub mod block;
 pub mod codec;
 pub mod compact;
 pub mod query;
+pub mod runs;
 pub mod series;
 pub mod tsd;
 pub mod uid;
@@ -53,9 +56,9 @@ pub use query::{
     aggregate_series, Aggregator, Assembler, ColumnSeries, CorruptBlock, DataPoint, QueryFilter,
     SeriesPoints, TimeSeries,
 };
+pub use runs::{SeriesPoint, SeriesRun, SeriesRuns};
 pub use series::Series;
 pub use tsd::{
-    block_verifier, BatchPoint, BlockVerifier, PutObserver, SeriesPoint, Tsd, TsdConfig, TsdError,
-    TsdMetrics,
+    block_verifier, BatchPoint, BlockVerifier, PutObserver, Tsd, TsdConfig, TsdError, TsdMetrics,
 };
 pub use uid::{Uid, UidTable};

@@ -191,6 +191,20 @@ impl SeriesTable {
         self.inner.read().series.len()
     }
 
+    /// Append the entry of each of `ids` to `out`, in order, under one
+    /// read lock: false, and `out` only partly filled, if the table has
+    /// no entry of some id.
+    pub(crate) fn by_ids(&self, ids: &[u32], out: &mut Vec<Arc<Series>>) -> bool {
+        let inner = self.inner.read();
+        for &id in ids {
+            match inner.series.get(id as usize) {
+                Some(series) => out.push(series.clone()),
+                None => return false,
+            }
+        }
+        true
+    }
+
     /// The series named `(metric, tags)`, tags in any order; `encode`
     /// builds `(tags in row-key order, tsuid)` when the name is new in
     /// this spelling. It runs outside the table's lock: two threads racing

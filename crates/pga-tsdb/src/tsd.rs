@@ -21,13 +21,10 @@ use pga_minibase::{CellRef, Client, ClientError, KeyValue, PutBatch, RowRange};
 use crate::block::BlockError;
 use crate::codec::KeyCodec;
 use crate::query::{Assembler, ColumnSeries, QueryFilter, SeriesPoints, TimeSeries};
-use crate::series::Series;
+use crate::runs::{SeriesPoint, SeriesRuns};
 
 /// One `(tags, timestamp, value)` element of a batched put.
 pub type BatchPoint<'a> = (&'a [(&'a str, &'a str)], u64, f64);
-
-/// A batch point after its name was resolved: `(series, timestamp, value)`.
-pub type SeriesPoint = (Arc<Series>, u64, f64);
 
 /// Write-path observer: sees every **successfully acknowledged** batch and
 /// may derive extra cells (rollup pre-aggregates, indexes) to be persisted
@@ -37,12 +34,14 @@ pub type SeriesPoint = (Arc<Series>, u64, f64);
 /// acked, and buffered cells are retried until a put succeeds (or
 /// [`Tsd::flush_observer`] writes them out).
 pub trait PutObserver: Send + Sync {
-    /// `points` were durably acknowledged. Returns derived cells now ready
-    /// to persist (typically aggregate buckets sealed by this batch's
-    /// arrival). Every series comes from one table — the codec's of the
-    /// TSD the observer is installed on — so state may be kept by
-    /// [`Series::id`].
-    fn on_batch(&self, points: &[SeriesPoint]) -> Vec<KeyValue>;
+    /// `runs` were durably acknowledged: the put's points, one run per
+    /// series, each series' points in the order they arrived (the order
+    /// of the runs themselves is the put's, not the series'). Returns
+    /// derived cells now ready to persist (typically aggregate buckets
+    /// sealed by this batch's arrival). Every series comes from one table
+    /// — the codec's of the TSD the observer is installed on — so state
+    /// may be kept by [`crate::Series::id`], and looked up once a run.
+    fn on_batch(&self, runs: &SeriesRuns) -> Vec<KeyValue>;
 
     /// Seal and return every open accumulator (shutdown / idle flush).
     fn flush(&self) -> Vec<KeyValue>;
@@ -126,8 +125,8 @@ pub enum TsdError {
         max: u64,
     },
     /// A resolved put named a series of another codec's series table,
-    /// whose id means a different series here. Nothing of its batch was
-    /// written.
+    /// whose id means a different series here, or an id no series of the
+    /// table has. Nothing of its batch was written.
     ForeignSeries,
     /// A put named a point with more tags than a row key can hold
     /// ([`KeyCodec::max_tags`]): its key would be longer than the storage
@@ -224,6 +223,9 @@ pub struct Tsd {
     /// key buffer, and a series moving off its row is the rollover the
     /// write-path compaction model acts on.
     rows: Mutex<Vec<Option<(u64, Bytes)>>>,
+    /// [`Tsd::put_batch`]'s runs, kept between puts so grouping a steady
+    /// put allocates nothing; a put beside another one groups into its own.
+    put_runs: Mutex<Option<SeriesRuns>>,
     /// Write-path observer (rollup maintenance), if installed.
     observer: parking_lot::RwLock<Option<Arc<dyn PutObserver>>>,
     /// Observer-derived cells awaiting the next successful put.
@@ -247,6 +249,7 @@ impl Tsd {
             config,
             metrics: Arc::new(TsdMetrics::default()),
             rows: Mutex::new(Vec::new()),
+            put_runs: Mutex::new(None),
             observer: parking_lot::RwLock::new(None),
             pending_derived: Mutex::new(Vec::new()),
             seal_watermark: Arc::new(AtomicU64::new(0)),
@@ -330,7 +333,6 @@ impl Tsd {
         }
         // The batch copies the cells' bytes; the cells stay here, to be
         // re-buffered if the put fails.
-        // pga-allow(lock-discipline): the observer read guard above is a temporary dropped at its own statement; only the cloned Arc reaches this put
         match self.client.put(cells.as_slice()) {
             Ok(_) => {
                 self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
@@ -384,7 +386,8 @@ impl Tsd {
     /// Write a batch of points of one metric in a single storage RPC
     /// per region (OpenTSDB's batched `put`). Each element is
     /// `(tags, timestamp, value)`; each name is resolved through the
-    /// codec, then the batch is [`Tsd::put_series_batch`]'s.
+    /// codec, the points are grouped into runs ([`SeriesRuns::group`]),
+    /// and the runs are [`Tsd::put_series_batch`]'s.
     pub fn put_batch(&self, metric: &str, points: &[BatchPoint<'_>]) -> Result<(), TsdError> {
         // A batch that cannot be written interns none of its names.
         for &(tags, timestamp, _) in points {
@@ -393,27 +396,37 @@ impl Tsd {
         }
         let resolved: Vec<SeriesPoint> = points
             .iter()
-            .map(|&(tags, ts, value)| (self.codec.resolve(metric, tags), ts, value))
+            .map(|&(tags, ts, value)| (self.codec.resolve(metric, tags).id(), ts, value))
             .collect();
-        self.put_series_batch(&resolved)
+        let mut runs = self.put_runs.lock().take().unwrap_or_default();
+        let put = runs
+            .group(&self.codec, [&resolved[..]])
+            .and_then(|()| self.put_series_batch(&runs));
+        *self.put_runs.lock() = Some(runs);
+        put
     }
 
-    /// Write a batch of points whose names are already resolved, through
-    /// this daemon's codec or a clone of it, in a single storage RPC per
-    /// region. The batch is refused whole, before anything is written, for
-    /// a timestamp past [`KeyCodec::max_timestamp`] or a series of another
-    /// codec's table ([`TsdError::ForeignSeries`]).
-    pub fn put_series_batch(&self, points: &[SeriesPoint]) -> Result<(), TsdError> {
-        if points.is_empty() {
-            return Ok(());
-        }
-        for (series, timestamp, _) in points {
-            self.check_timestamp(*timestamp)?;
-            if !self.codec.owns(series) {
+    /// Write a put's points, grouped into series runs through this
+    /// daemon's codec or a clone of it ([`SeriesRuns::group`]), in a single
+    /// storage RPC per region. The put is refused whole, before anything is
+    /// written, for a timestamp past [`KeyCodec::max_timestamp`] or a
+    /// series of another codec's table ([`TsdError::ForeignSeries`]).
+    pub fn put_series_batch(&self, runs: &SeriesRuns) -> Result<(), TsdError> {
+        let mut newest = None;
+        for run in runs.iter() {
+            if !self.codec.owns(run.series) {
                 return Err(TsdError::ForeignSeries);
             }
+            let last = run.timestamps.iter().copied().max();
+            if let Some(last) = last {
+                self.check_timestamp(last)?;
+            }
+            newest = newest.max(last);
         }
-        let (mut batch, finished) = self.raw_cells(points);
+        let Some(newest) = newest else {
+            return Ok(());
+        };
+        let (mut batch, finished) = self.raw_cells(runs);
         if self.config.write_path_compaction {
             for row in finished {
                 self.compact_row(row)?;
@@ -442,15 +455,13 @@ impl Tsd {
         }
         self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
         self.metrics.points_written.fetch_add(n, Ordering::Relaxed);
-        if let Some(max_ts) = points.iter().map(|&(_, ts, _)| ts).max() {
-            self.seal_watermark.fetch_max(max_ts, Ordering::AcqRel);
-        }
+        self.seal_watermark.fetch_max(newest, Ordering::AcqRel);
         // Only acknowledged points reach the observer: a failed batch
         // above returned early, so a proxy retrying it elsewhere
         // cannot double-count its contribution.
         let observer = self.observer.read().clone();
         if let Some(obs) = observer {
-            let sealed = obs.on_batch(points);
+            let sealed = obs.on_batch(runs);
             if !sealed.is_empty() {
                 self.pending_derived.lock().extend(sealed);
             }
@@ -459,52 +470,51 @@ impl Tsd {
     }
 
     /// The raw cell of every point, as one batch of row runs, plus the
-    /// rows a series of the batch moved off (its previous row-hour,
-    /// finished unless data arrives late). A run takes its row key from
-    /// the series' slot in `rows`; only the first cell of a series in a
-    /// row-hour builds one. A cell is its qualifier's two bytes, its
-    /// version and its value's eight bytes, each written into its column
-    /// of the batch: nothing is allocated or looked up per point.
+    /// rows a series of the put moved off (its previous row-hour,
+    /// finished unless data arrives late). A cell is its qualifier's two
+    /// bytes, its version and its value's eight bytes, each written into
+    /// its column of the batch: nothing is allocated or looked up per
+    /// point.
     ///
-    /// Cells come out grouped by series, each series' points in the order
-    /// they arrived, so neighbouring cells share a row: a run per series
-    /// and row-hour, which a region finds once
-    /// ([`pga_minibase::MemStore::put_batch`]). The order sorts `(series
-    /// id, index)`, packed in one word: as stable as the batch, so a key
-    /// written twice keeps its last value, and its cost does not grow with
-    /// the series table.
-    fn raw_cells(&self, points: &[SeriesPoint]) -> (PutBatch, Vec<Bytes>) {
+    /// Cells come out in the put's series runs, so neighbouring cells
+    /// share a row: a batch run per series and row-hour, which a region
+    /// finds once ([`pga_minibase::MemStore::put_batch`]), and a key
+    /// written twice keeps its later value. Each series run looks up its
+    /// slot in `rows` once, and again only where its points change
+    /// row-hour; only the first cell of a series in a row-hour builds a
+    /// row key.
+    fn raw_cells(&self, runs: &SeriesRuns) -> (PutBatch, Vec<Bytes>) {
         let span = self.codec.config().row_span_secs;
-        // A batch of 2^32 points would need 96 GiB for its points alone.
-        let mut order: Vec<u64> = points
-            .iter()
-            .enumerate()
-            .map(|(at, (series, ..))| u64::from(series.id()) << 32 | at as u64)
-            .collect();
-        order.sort_unstable();
-        // A run per series, bar the rare series that crosses into its next
-        // row-hour inside the batch.
-        let series = 1 + order
-            .windows(2)
-            .filter(|w| w[0] >> 32 != w[1] >> 32)
-            .count();
-        let qualifier_bytes = points.len() * std::mem::size_of::<u16>();
-        let value_bytes = points.len() * std::mem::size_of::<f64>();
-        let mut batch = PutBatch::with_capacity(series, points.len(), qualifier_bytes, value_bytes);
+        let points = runs.points();
+        let qualifier_bytes = points * std::mem::size_of::<u16>();
+        let value_bytes = points * std::mem::size_of::<f64>();
+        let mut batch = PutBatch::with_capacity(runs.len(), points, qualifier_bytes, value_bytes);
         let mut finished = Vec::new();
         let mut rows = self.rows.lock();
-        for (series, ts, value) in order.into_iter().map(|key| &points[key as u32 as usize]) {
-            let (id, base) = (series.id() as usize, ts - ts % span);
+        for run in runs.iter() {
+            let id = run.series.id() as usize;
             if rows.len() <= id {
                 rows.resize(id + 1, None);
             }
             let slot = &mut rows[id];
-            if slot.as_ref().is_some_and(|(open, _)| *open != base) {
-                finished.extend(slot.take().map(|(_, row)| row));
+            let mut at = 0;
+            // One stretch of the run's points a row-hour.
+            while let Some(&first) = run.timestamps.get(at) {
+                let base = first - first % span;
+                if slot.as_ref().is_some_and(|(open, _)| *open != base) {
+                    finished.extend(slot.take().map(|(_, row)| row));
+                }
+                let (_, row) =
+                    slot.get_or_insert_with(|| (base, self.codec.row_of(run.series, base)));
+                for (&ts, &value) in run.timestamps[at..].iter().zip(&run.values[at..]) {
+                    if ts.wrapping_sub(base) >= span {
+                        break;
+                    }
+                    let qualifier = self.codec.qualifier_bytes(ts);
+                    batch.push(row, &qualifier, ts * 1000, &self.codec.value_bytes(value));
+                    at += 1;
+                }
             }
-            let (_, row) = slot.get_or_insert_with(|| (base, self.codec.row_of(series, base)));
-            let qualifier = self.codec.qualifier_bytes(*ts);
-            batch.push(row, &qualifier, ts * 1000, &self.codec.value_bytes(*value));
         }
         (batch, finished)
     }
@@ -686,7 +696,7 @@ mod tests {
     fn a_failed_observer_flush_re_buffers_its_cells() {
         struct Sealed(Mutex<Vec<KeyValue>>);
         impl PutObserver for Sealed {
-            fn on_batch(&self, _points: &[SeriesPoint]) -> Vec<KeyValue> {
+            fn on_batch(&self, _runs: &SeriesRuns) -> Vec<KeyValue> {
                 Vec::new()
             }
             fn flush(&self) -> Vec<KeyValue> {
@@ -717,14 +727,21 @@ mod tests {
         m.shutdown();
     }
 
+    /// The runs of `points`, grouped through `codec`.
+    fn runs(codec: &KeyCodec, points: &[SeriesPoint]) -> SeriesRuns {
+        let mut runs = SeriesRuns::new();
+        runs.group(codec, [points]).unwrap();
+        runs
+    }
+
     /// Series ids are local to one table: a series resolved through
     /// another codec would index this daemon's row slots and observer
-    /// state as a different series. The batch is refused whole.
+    /// state as a different series. The put is refused whole.
     #[test]
     fn a_series_of_another_table_is_refused_before_anything_is_written() {
         struct Counting(AtomicU64);
         impl PutObserver for Counting {
-            fn on_batch(&self, _: &[SeriesPoint]) -> Vec<KeyValue> {
+            fn on_batch(&self, _: &SeriesRuns) -> Vec<KeyValue> {
                 self.0.fetch_add(1, Ordering::Relaxed);
                 Vec::new()
             }
@@ -748,8 +765,11 @@ mod tests {
         let theirs = b
             .codec()
             .resolve("energy", &[("unit", "7"), ("sensor", "9")]);
-        a.put_series_batch(&[(own.clone(), 5, 1.0)]).unwrap();
-        b.put_series_batch(&[(theirs.clone(), 5, 2.0)]).unwrap();
+        let (ours, foreign) = (a.codec(), b.codec());
+        a.put_series_batch(&runs(ours, &[(own.id(), 5, 1.0)]))
+            .unwrap();
+        b.put_series_batch(&runs(foreign, &[(theirs.id(), 5, 2.0)]))
+            .unwrap();
         // Both are the first series of their table.
         assert_eq!((own.id(), theirs.id()), (0, 0));
         let state = |t: &Tsd, observer: &Counting| {
@@ -763,13 +783,12 @@ mod tests {
             )
         };
         let before = [state(a, &observers[0]), state(b, &observers[1])];
-        for batch in [
-            vec![(theirs.clone(), 6, 3.0)],
-            vec![(own.clone(), 7, 4.0), (theirs.clone(), 7, 5.0)],
-        ] {
-            let err = a.put_series_batch(&batch).unwrap_err();
+        for ts in [6, 7] {
+            let theirs = runs(foreign, &[(theirs.id(), ts, 3.0)]);
+            let err = a.put_series_batch(&theirs).unwrap_err();
             assert!(matches!(err, TsdError::ForeignSeries), "{err}");
-            let err = b.put_series_batch(&[(own.clone(), 8, 6.0)]).unwrap_err();
+            let own = runs(ours, &[(own.id(), ts, 6.0)]);
+            let err = b.put_series_batch(&own).unwrap_err();
             assert!(matches!(err, TsdError::ForeignSeries), "{err}");
         }
         let after = [state(a, &observers[0]), state(b, &observers[1])];
@@ -1020,9 +1039,9 @@ mod tests {
                 .collect();
             let batch: Vec<SeriesPoint> = points
                 .iter()
-                .map(|&(s, ts, v)| (series[s].clone(), ts, v))
+                .map(|&(s, ts, v)| (series[s].id(), ts, v))
                 .collect();
-            t.put_series_batch(&batch).unwrap();
+            t.put_series_batch(&runs(t.codec(), &batch)).unwrap();
             let stored = t.client().scan(&RowRange::all()).unwrap();
             // Node 0 dies with its memstores; its regions replay their WALs.
             m.heartbeat(NodeId(1), 20_000);

@@ -144,19 +144,20 @@ fn uid_table_shared_across_tsd_instances() {
     master.shutdown();
 }
 
-/// Passes every acknowledged batch on to a rollup writer, and records its
-/// `(timestamp, value bits)` — which of a run's lane parts reached this
-/// daemon in each put, in the order its writer saw them.
+/// Passes every acknowledged put on to a rollup writer, and records its
+/// `(timestamp, value bits)` — which lane parts reached this daemon in
+/// each put, run by run, in the order its writer saw them.
 struct Recording {
     writer: pga_query::RollupWriter,
     seen: std::sync::Mutex<Vec<Vec<(u64, u64)>>>,
 }
 
 impl pga_tsdb::PutObserver for Recording {
-    fn on_batch(&self, points: &[pga_tsdb::SeriesPoint]) -> Vec<pga_minibase::KeyValue> {
+    fn on_batch(&self, runs: &pga_tsdb::SeriesRuns) -> Vec<pga_minibase::KeyValue> {
         let mut seen = self.seen.lock().unwrap();
-        seen.push(points.iter().map(|p| (p.1, p.2.to_bits())).collect());
-        self.writer.on_batch(points)
+        let points = runs.iter().flat_map(|run| run.points());
+        seen.push(points.map(|(ts, v)| (ts, v.to_bits())).collect());
+        self.writer.on_batch(runs)
     }
 
     fn flush(&self) -> Vec<pga_minibase::KeyValue> {
@@ -171,7 +172,8 @@ impl pga_tsdb::PutObserver for Recording {
 /// a row-hour boundary, two daemons and two proxy workers. Each daemon of
 /// the direct stack is fed the lane parts its twin was, in the same
 /// order and joined into the same puts, because a rollup cell is one
-/// writer's share of its bucket.
+/// writer's share of its bucket. Both daemons group a put by series the
+/// same way, so both observers see the same runs.
 #[test]
 fn the_forwarding_path_stores_what_the_string_path_stores() {
     use pga_ingest::IngestionPipeline;
@@ -244,6 +246,20 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
                 .collect()
         })
         .collect();
+    // `samples` grouped by series, stably, the series in the order they
+    // first appear: what a put of them records.
+    let grouped = |samples: &[&pga_sensorgen::SensorSample]| -> Vec<(u64, u64)> {
+        let mut first = std::collections::HashMap::new();
+        for (at, s) in samples.iter().enumerate() {
+            first.entry((s.unit, s.sensor)).or_insert(at);
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by_key(|s| first[&(s.unit, s.sensor)]); // stable
+        sorted
+            .iter()
+            .map(|s| (s.timestamp, s.value.to_bits()))
+            .collect()
+    };
     // A worker puts whatever its queue holds as one put per lane, so each
     // recorded put is a run of one lane's consecutive parts. The direct
     // stack's daemon is fed each run as one batch, as its twin was.
@@ -261,9 +277,7 @@ fn the_forwarding_path_stores_what_the_string_path_stores() {
                 );
             }
             assert!(
-                run.iter()
-                    .map(|s| (s.timestamp, s.value.to_bits()))
-                    .eq(seen.iter().copied()),
+                grouped(&run) == *seen,
                 "a recorded put is a run of consecutive lane parts"
             );
             let tags: Vec<[(String, String); 2]> = run

@@ -26,7 +26,7 @@ use pga_platform::{Monitor, PlatformConfig};
 use pga_query::{QueryEngine, QueryEngineConfig, RollupWriter};
 use pga_sensorgen::{Fleet, FleetConfig};
 use pga_stats::Procedure;
-use pga_tsdb::{BatchPoint, SeriesPoint};
+use pga_tsdb::{BatchPoint, SeriesPoint, SeriesRuns};
 use pga_viz::{machine_page, Health, MachinePage, SensorPanel, UnitStatus};
 
 thread_local! {
@@ -104,8 +104,9 @@ fn steady_put_batch(series: u64) -> u64 {
     count
 }
 
-/// The per-batch vectors of the TSD, of `Client::put` and of the RPC: 25
-/// at 256 series and at 1 024 alike. No term grows with the batch.
+/// The per-batch vectors of the TSD, of `Client::put` and of the RPC: 21
+/// for `put_batch` and 20 for a grouped `put_series_batch`, at 256 series
+/// and at 1 024 alike. No term grows with the batch.
 const PER_BATCH: u64 = 32;
 
 /// The put batch's own columns (qualifiers, versions, value ends, values):
@@ -124,53 +125,77 @@ fn a_steady_state_put_batch_allocates_for_cells_not_for_names() {
     }
 }
 
-/// Allocations of a steady-state `put_series_batch` of one point for each
-/// of `series` series, looked up as the proxy looks them up.
-fn steady_put_series_batch(series: u64) -> u64 {
+/// Allocations of a steady-state lane put of `ticks` points for each of
+/// `series` series: looked up as the proxy looks them up, one part a
+/// tick, grouped by series as a proxy worker groups a lane's parts, and
+/// put through `put_series_batch`, with a rollup observer. The grouping
+/// counts. Every put stays inside one row-hour and one 600 s bucket, so
+/// it seals no rollup cell: those are the observer's output, a cell a
+/// bucket, and a put of more ticks seals more of them.
+fn steady_put_series_batch(series: u64, ticks: u64) -> u64 {
     let stack = IngestionPipeline::new(2, 1, series as usize);
     let tsd = stack.tsd();
     tsd.set_observer(Arc::new(RollupWriter::new(
         tsd.codec().clone(),
-        vec![60, 600],
+        vec![600],
         0,
     )));
-    let mut names = SensorSeries::new(tsd.codec().clone());
-    let batch = |names: &mut SensorSeries, ts: u64| -> Vec<SeriesPoint> {
-        (0..series as u32)
-            .map(|s| (names.get(0, s).clone(), ts, ts as f64))
+    let mut names = SensorSeries::new(tsd.codec().clone(), 1);
+    let put = |names: &mut SensorSeries, first: u64| -> Vec<Vec<SeriesPoint>> {
+        (first..first + ticks)
+            .map(|ts| {
+                (0..series as u32)
+                    .map(|s| (names.get(0, s).0, ts, ts as f64))
+                    .collect()
+            })
             .collect()
     };
-    for ts in [100, 101] {
-        tsd.put_series_batch(&batch(&mut names, ts)).unwrap();
+    let mut runs = SeriesRuns::new();
+    let put_runs = |parts: &[Vec<SeriesPoint>], runs: &mut SeriesRuns| {
+        runs.group(tsd.codec(), parts.iter().map(|p| &p[..]))?;
+        tsd.put_series_batch(runs)
+    };
+    // First sight of every series, then a put that finds everything in
+    // place: series entries, row slots, open buckets, sized vectors.
+    for first in [1_200, 1_200 + ticks] {
+        put_runs(&put(&mut names, first), &mut runs).unwrap();
     }
-    let points = batch(&mut names, 102);
-    let (result, count) = allocations(|| tsd.put_series_batch(&points));
+    let parts = put(&mut names, 1_200 + 2 * ticks);
+    let (result, count) = allocations(|| put_runs(&parts, &mut runs));
     result.unwrap();
 
-    let (found, none) = allocations(|| names.get(0, 7).clone());
+    let (found, none) = allocations(|| names.get(0, 7));
     assert_eq!(none, 0);
     let by_name = tsd
         .codec()
         .resolve("energy", &[("unit", "0"), ("sensor", "7")]);
-    assert!(Arc::ptr_eq(&found, &by_name));
+    assert_eq!(found, (by_name.id(), 0));
     stack.shutdown();
     count
 }
 
 /// The proxy's path: each sensor's series looked up in a worker's own
-/// table by `(unit, sensor)` and forwarded resolved. A repeat lookup
-/// allocates nothing, and a steady-state `put_series_batch` allocates per
-/// batch, like `put_batch` without the resolution.
+/// table by `(unit, sensor)`, forwarded as its id and grouped into runs
+/// once a put. A repeat lookup allocates nothing, and a steady-state
+/// grouped put allocates per put, like `put_batch` without the
+/// resolution: as often at 256 series as at 1 024, and at 50 points a
+/// series as at 100.
 #[test]
 fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
     for series in [256, 1_024] {
-        let count = steady_put_series_batch(series);
+        let count = steady_put_series_batch(series, 1);
         assert!(
             count <= PER_BATCH,
             "{count} allocations for {series} samples"
         );
         assert!(count >= COLUMNS, "the counter counts: {count}");
     }
+    let (fifty, hundred) = (
+        steady_put_series_batch(256, 50),
+        steady_put_series_batch(256, 100),
+    );
+    assert_eq!(fifty, hundred, "50 points a series, then 100");
+    assert!(fifty <= PER_BATCH, "{fifty} allocations for 12 800 samples");
 }
 
 /// The dashboard's text path writes into one buffer: a 24-panel ×
