@@ -50,16 +50,6 @@ impl CusumDetector {
         }
     }
 
-    /// Borrow the per-sensor states.
-    pub fn states(&self) -> &[CusumState] {
-        &self.states
-    }
-
-    /// Reset one sensor's accumulators (done after an acknowledged alarm).
-    pub fn reset_sensor(&mut self, sensor: usize) {
-        self.states[sensor] = CusumState::default();
-    }
-
     /// Feed one observation row; returns the sensors whose CUSUM crossed
     /// `h` on this step.
     pub fn update(&mut self, row: &[f64]) -> Vec<u32> {
@@ -78,18 +68,6 @@ impl CusumDetector {
             }
         }
         alarms
-    }
-
-    /// Feed a whole window; returns sensors that alarmed at least once,
-    /// deduplicated and sorted.
-    pub fn update_window(&mut self, rows: impl Iterator<Item = Vec<f64>>) -> Vec<u32> {
-        let mut all = Vec::new();
-        for row in rows {
-            all.extend(self.update(&row));
-        }
-        all.sort_unstable();
-        all.dedup();
-        all
     }
 }
 
@@ -187,47 +165,6 @@ mod tests {
             }
         }
         assert!(detected, "drift must eventually trip the CUSUM");
-    }
-
-    #[test]
-    fn reset_clears_accumulation() {
-        let fleet = Fleet::new(FleetConfig::paper_scale(83));
-        let unit = fleet.units_with_class(FaultClass::SharpShift)[0];
-        let spec = *fleet.fault(unit);
-        let mut det = detector(&fleet, unit, 0.5, 4.0);
-        let sensor = spec.group_start as usize;
-        for t in spec.onset..spec.onset + 10 {
-            let row: Vec<f64> = (0..fleet.config().sensors_per_unit)
-                .map(|s| fleet.sample(unit, s, t))
-                .collect();
-            det.update(&row);
-        }
-        assert!(det.states()[sensor].high > det.h);
-        det.reset_sensor(sensor);
-        assert_eq!(det.states()[sensor], CusumState::default());
-    }
-
-    #[test]
-    fn update_window_dedups_alarms() {
-        let fleet = Fleet::new(FleetConfig::paper_scale(89));
-        let unit = fleet.units_with_class(FaultClass::SharpShift)[0];
-        let spec = *fleet.fault(unit);
-        let mut det = detector(&fleet, unit, 0.5, 5.0);
-        let p = fleet.config().sensors_per_unit;
-        let alarms = det.update_window(
-            (spec.onset..spec.onset + 30)
-                .map(|t| (0..p).map(|s| fleet.sample(unit, s, t)).collect()),
-        );
-        // Each faulted sensor appears exactly once despite alarming on
-        // many consecutive steps.
-        let faulted: Vec<u32> = alarms
-            .iter()
-            .copied()
-            .filter(|&s| spec.affects(s))
-            .collect();
-        assert_eq!(faulted.len(), spec.group_len as usize);
-        let dedup: std::collections::HashSet<u32> = alarms.iter().copied().collect();
-        assert_eq!(dedup.len(), alarms.len());
     }
 
     #[test]

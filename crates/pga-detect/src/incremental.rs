@@ -52,20 +52,8 @@ impl FleetTrainer {
         self.sensors
     }
 
-    /// Ingest one observation row for `unit`, marking it dirty. Rows for
+    /// Ingest a batch of rows for `unit`, marking it dirty. Rows for
     /// unknown units are ignored (returns `false`).
-    pub fn ingest_row(&mut self, unit: u32, row: &[f64]) -> bool {
-        match self.trainers.get_mut(&unit) {
-            Some(t) => {
-                t.update(row);
-                self.dirty.insert(unit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Ingest a batch of rows for `unit`.
     pub fn ingest(&mut self, unit: u32, rows: &[Vec<f64>]) -> bool {
         if rows.is_empty() {
             return self.trainers.contains_key(&unit);
@@ -90,11 +78,6 @@ impl FleetTrainer {
     /// The dirty units, ascending.
     pub fn dirty_units(&self) -> Vec<u32> {
         self.dirty.iter().copied().collect()
-    }
-
-    /// Rows ingested for `unit` so far.
-    pub fn rows_ingested(&self, unit: u32) -> Option<u64> {
-        self.trainers.get(&unit).map(StreamingTrainer::count)
     }
 
     /// Re-finish the models of the dirty units only, as a
@@ -254,7 +237,7 @@ mod tests {
     #[test]
     fn insufficient_data_stays_dirty() {
         let mut ft = FleetTrainer::new(&[0, 1], 4);
-        ft.ingest_row(0, &[1.0, 2.0, 3.0, 4.0]);
+        ft.ingest(0, &[vec![1.0, 2.0, 3.0, 4.0]]);
         let df = Dataflow::new(1);
         let errors = ft.retrain_dirty(&df);
         assert_eq!(errors.len(), 2);
@@ -268,10 +251,10 @@ mod tests {
     #[test]
     fn unknown_units_are_ignored() {
         let mut ft = FleetTrainer::new(&[0], 4);
-        assert!(!ft.ingest_row(9, &[1.0, 2.0, 3.0, 4.0]));
         assert!(!ft.ingest(9, &[vec![1.0, 2.0, 3.0, 4.0]]));
-        assert_eq!(ft.rows_ingested(9), None);
-        assert_eq!(ft.rows_ingested(0), Some(0));
+        assert!(!ft.ingest(9, &[]));
+        assert!(ft.ingest(0, &[]));
+        assert_eq!(ft.dirty_units(), vec![0], "nothing ingested for unit 9");
     }
 
     #[test]

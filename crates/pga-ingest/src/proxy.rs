@@ -711,16 +711,16 @@ pub(crate) mod tests {
     struct Recorder(parking_lot::Mutex<Vec<(Arc<Series>, u64, f64)>>);
 
     impl pga_tsdb::PutObserver for Recorder {
-        fn on_batch(&self, runs: &SeriesRuns) -> Vec<pga_minibase::KeyValue> {
+        fn on_batch(&self, runs: &SeriesRuns) -> pga_minibase::PutBatch {
             let mut recorded = self.0.lock();
             for run in runs.iter() {
                 recorded.extend(run.points().map(|(ts, v)| (run.series.clone(), ts, v)));
             }
-            Vec::new()
+            pga_minibase::PutBatch::new()
         }
 
-        fn flush(&self) -> Vec<pga_minibase::KeyValue> {
-            Vec::new()
+        fn flush(&self) -> pga_minibase::PutBatch {
+            pga_minibase::PutBatch::new()
         }
     }
 
@@ -1068,7 +1068,7 @@ pub(crate) mod tests {
     }
 
     impl pga_tsdb::PutObserver for Gate {
-        fn on_batch(&self, runs: &SeriesRuns) -> Vec<pga_minibase::KeyValue> {
+        fn on_batch(&self, runs: &SeriesRuns) -> pga_minibase::PutBatch {
             let put = runs
                 .iter()
                 .flat_map(|run| run.points())
@@ -1079,11 +1079,11 @@ pub(crate) mod tests {
                 self.gate.wait();
                 self.gate.wait();
             }
-            Vec::new()
+            pga_minibase::PutBatch::new()
         }
 
-        fn flush(&self) -> Vec<pga_minibase::KeyValue> {
-            Vec::new()
+        fn flush(&self) -> pga_minibase::PutBatch {
+            pga_minibase::PutBatch::new()
         }
     }
 

@@ -130,6 +130,12 @@ impl Column {
         }
     }
 
+    /// Room for `other`'s entries after these.
+    fn reserve(&mut self, other: &Column) {
+        self.bytes.reserve(other.bytes.len());
+        self.ends.reserve(other.ends.len());
+    }
+
     /// Give the run at `span`, the column's last, whose `n` entries are
     /// `width` bytes each, an end for each entry.
     fn vary(&mut self, span: &mut Span, n: usize, width: u32) {
@@ -480,12 +486,31 @@ impl PutBatch {
 
     /// Move every cell of `other` to the end of this batch.
     pub fn append(&mut self, other: PutBatch) {
-        if self.is_empty() {
-            *self = other;
-            return;
+        match self.is_empty() {
+            true => *self = other,
+            false => self.extend_from(&other),
         }
+    }
+
+    /// Copy every cell of `other` to the end of this batch, by run and
+    /// column, growing each column at most once.
+    pub fn extend_from(&mut self, other: &PutBatch) {
+        self.runs.reserve(other.runs.len());
+        self.qualifiers.reserve(&other.qualifiers);
+        self.versions.reserve(other.len());
+        self.values.reserve(&other.values);
         for r in 0..other.runs.len() {
-            self.copy_run(&other, r);
+            self.copy_run(other, r);
+        }
+    }
+
+    /// Remove every cell, keeping the columns' capacity.
+    pub fn clear(&mut self) {
+        self.runs.clear();
+        self.versions.clear();
+        for column in [&mut self.qualifiers, &mut self.values] {
+            column.bytes.clear();
+            column.ends.clear();
         }
     }
 

@@ -878,7 +878,7 @@ mod tests {
     }
 
     impl pga_tsdb::PutObserver for Threads {
-        fn on_batch(&self, _: &pga_tsdb::SeriesRuns) -> Vec<pga_minibase::KeyValue> {
+        fn on_batch(&self, _: &pga_tsdb::SeriesRuns) -> pga_minibase::PutBatch {
             let thread = std::thread::current();
             let name = thread.name().map(str::to_string);
             self.puts.lock().push((thread.id(), name));
@@ -886,11 +886,11 @@ mod tests {
                 exit.borrow_mut()
                     .get_or_insert_with(|| OnExit(self.exited.clone()));
             });
-            Vec::new()
+            pga_minibase::PutBatch::new()
         }
 
-        fn flush(&self) -> Vec<pga_minibase::KeyValue> {
-            Vec::new()
+        fn flush(&self) -> pga_minibase::PutBatch {
+            pga_minibase::PutBatch::new()
         }
     }
 

@@ -3,8 +3,9 @@
 //!
 //! Every acknowledged raw batch updates, per configured tier `t`, one open
 //! accumulator per `(series, t-aligned bucket)`. When a later point moves a
-//! series past its open bucket the bucket is **sealed** into a cell and
-//! rides along with the TSD's next storage RPC (see
+//! series past its open bucket the bucket is **sealed** into a cell, its
+//! qualifier and value written straight into the columns of a
+//! [`PutBatch`], and rides along with the TSD's next storage RPC (see
 //! [`pga_tsdb::PutObserver`] — the observer only ever sees acked data, so a
 //! shed or failed batch never contributes phantom aggregates).
 //!
@@ -44,14 +45,16 @@
 //! bucket are adjacent and already in `(writer, generation)` order, the
 //! newest version of each first. `BucketMerge` folds them in that order,
 //! reading each value blob in place; the executor and the
-//! [`RollupCompactor`] both merge through it.
+//! [`RollupCompactor`] both merge through it. The executor's fold
+//! ([`fold_buckets`]) takes cells in storage scan order, as every scan
+//! hands them over, and merges them in one pass, handing over each bucket
+//! as it closes.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use pga_minibase::{CellRef, KeyValue};
+use pga_minibase::{CellRef, KeyValue, PutBatch};
 use pga_tsdb::uid::RESERVED_PREFIX;
 use pga_tsdb::{KeyCodec, PutObserver, Series, SeriesRuns};
 
@@ -81,8 +84,13 @@ pub fn bitmap_len(tier: u64) -> usize {
 
 /// Encode a rollup cell qualifier.
 pub fn encode_qualifier(offset: u16, writer: u8, gen: u8) -> Bytes {
+    Bytes::copy_from_slice(&qualifier(offset, writer, gen))
+}
+
+/// A rollup cell qualifier's four bytes.
+fn qualifier(offset: u16, writer: u8, gen: u8) -> [u8; 4] {
     let o = offset.to_be_bytes();
-    Bytes::copy_from_slice(&[o[0], o[1], writer, gen])
+    [o[0], o[1], writer, gen]
 }
 
 /// Decode a rollup cell qualifier into `(offset, writer, generation)`.
@@ -96,12 +104,16 @@ pub fn decode_qualifier(q: &[u8]) -> Option<(u16, u8, u8)> {
 /// Encode a rollup cell value blob.
 pub fn encode_value(min: f64, max: f64, sum: f64, count: u64, bitmap: &[u8]) -> Bytes {
     let mut v = Vec::with_capacity(32 + bitmap.len());
-    v.extend_from_slice(&min.to_be_bytes());
-    v.extend_from_slice(&max.to_be_bytes());
-    v.extend_from_slice(&sum.to_be_bytes());
-    v.extend_from_slice(&count.to_be_bytes());
-    v.extend_from_slice(bitmap);
+    write_value(&mut v, min, max, sum, count, bitmap);
     Bytes::from(v)
+}
+
+/// Append a rollup value blob to `out`.
+fn write_value(out: &mut Vec<u8>, min: f64, max: f64, sum: f64, count: u64, bitmap: &[u8]) {
+    for word in [min.to_bits(), max.to_bits(), sum.to_bits(), count] {
+        out.extend_from_slice(&word.to_be_bytes());
+    }
+    out.extend_from_slice(bitmap);
 }
 
 /// A rollup value blob read in place.
@@ -224,12 +236,6 @@ impl<'a> CellDecoder<'a> {
     }
 }
 
-/// Decode one scanned cell of a tier shadow metric on its own; a loop over
-/// scanned cells keeps a [`CellDecoder`] instead.
-pub fn decode_cell(codec: &KeyCodec, tier: u64, kv: &KeyValue) -> Option<RollupCell> {
-    CellDecoder::new(codec, tier).decode(kv)
-}
-
 /// The read-time merge of every cell of one `(series, bucket)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergedBucket {
@@ -312,52 +318,24 @@ impl BucketMerge {
 }
 
 /// Merge scanned cells of a tier shadow metric bucket by bucket, in one
-/// pass, handing each `(series, bucket start, merge)` to `bucket` in scan
-/// order. The cells are read by reference, where the scan reply holds
-/// them.
+/// pass, handing each `(series, bucket start, merge)` to `bucket` as the
+/// bucket closes. The cells are read by reference, where the scan reply
+/// holds them.
 ///
-/// Shard scans come back in storage order, which the fold checks cell by
-/// cell as it goes, the way [`pga_minibase::concat_region_scans`] checks
-/// its seams. In that order a superseded version directly follows the
-/// newest one, so it is skipped by comparing each cell with the one
-/// before it; the cells of one `(series, bucket)` are adjacent and in
-/// `(writer, generation)` merge order; and each series' buckets ascend.
-/// Should the order break, what was folded is thrown away and the fold
-/// runs again over sorted references. Value blobs are read in place.
+/// Cells must arrive in storage scan order (row ascending, qualifier
+/// ascending, version descending), as shard scans return them: a
+/// superseded version then directly follows the newest one and is skipped
+/// by comparing each cell with the one before it, the cells of one
+/// `(series, bucket)` are adjacent and in `(writer, generation)` merge
+/// order, and each series' buckets ascend. Value blobs are read in place.
 /// Malformed cells, raw-format (2-byte qualifier) strays and rows of
 /// unknown series are skipped.
-pub fn fold_buckets<'a, I, C>(
+pub fn fold_buckets<'a, C: Into<CellRef<'a>>>(
     codec: &KeyCodec,
     tier: u64,
-    cells: I,
+    cells: impl IntoIterator<Item = C>,
     mut bucket: impl FnMut(&Arc<Series>, u64, &MergedBucket),
-) where
-    I: IntoIterator<Item = C>,
-    I::IntoIter: Clone,
-    C: Into<CellRef<'a>>,
-{
-    let cells = cells.into_iter().map(Into::into);
-    let mut folded = Vec::new();
-    if fold_in_order(codec, tier, cells.clone(), |s, b, m| folded.push((s, b, m))) {
-        for (s, b, m) in &folded {
-            bucket(s, *b, m);
-        }
-    } else {
-        let mut sorted: Vec<CellRef<'a>> = cells.collect();
-        sorted.sort();
-        let in_order = fold_in_order(codec, tier, sorted, |s, b, m| bucket(&s, b, &m));
-        debug_assert!(in_order, "sorted cells are in storage order");
-    }
-}
-
-/// [`fold_buckets`] over cells expected in storage order: `false`, and
-/// the fold stopped, at the first cell out of it.
-fn fold_in_order<'a>(
-    codec: &KeyCodec,
-    tier: u64,
-    cells: impl IntoIterator<Item = CellRef<'a>>,
-    mut bucket: impl FnMut(Arc<Series>, u64, MergedBucket),
-) -> bool {
+) {
     let mut merge = BucketMerge::new(tier);
     // The bucket being merged: its row's series and its start.
     let mut open: Option<(Arc<Series>, u64)> = None;
@@ -365,33 +343,16 @@ fn fold_in_order<'a>(
     // the row needed them (`None` inside: not decodable).
     let mut prev: Option<CellRef<'a>> = None;
     let mut row: Option<Option<(Arc<Series>, u64)>> = None;
-    for kv in cells {
-        // Storage order is row, then qualifier ascending, then version
-        // descending; an equal `(row, qualifier)` is an older version.
+    for kv in cells.into_iter().map(Into::into) {
         // (Cells of one row share its handle: the row bytes are compared
         // only where the handle changes.)
-        let rows = |p: CellRef<'_>| match p.same_row(&kv) {
-            true => Ordering::Equal,
-            false => p.row.cmp(kv.row),
-        };
-        let (same_row, superseded) = match prev {
-            None => (false, false),
-            Some(p) => match rows(p) {
-                Ordering::Less => (false, false),
-                Ordering::Greater => return false,
-                Ordering::Equal => match p.qualifier.cmp(kv.qualifier) {
-                    Ordering::Less => (true, false),
-                    Ordering::Equal if p.timestamp >= kv.timestamp => (true, true),
-                    _ => return false,
-                },
-            },
-        };
+        let same_row = prev.is_some_and(|p| p.same_row(&kv));
+        if same_row && prev.is_some_and(|p| p.qualifier == kv.qualifier) {
+            continue; // an older version of the cell before
+        }
         prev = Some(kv);
         if !same_row {
             row = None;
-        }
-        if superseded {
-            continue;
         }
         let (Some((offset, _, _)), Some(value)) =
             (decode_qualifier(kv.qualifier), read_value(tier, kv.value))
@@ -406,18 +367,16 @@ fn fold_in_order<'a>(
             .as_ref()
             .is_some_and(|(s, b)| *b == start && s.id() == series.id());
         if !same {
-            let series = series.clone();
-            if let Some((s, b)) = open.replace((series, start)) {
-                bucket(s, b, merge.merged());
+            if let Some((s, b)) = open.replace((series.clone(), start)) {
+                bucket(&s, b, &merge.merged());
             }
             merge.clear();
         }
         merge.add(&value);
     }
     if let Some((s, b)) = open {
-        bucket(s, b, merge.merged());
+        bucket(&s, b, &merge.merged());
     }
-    true
 }
 
 /// Compaction-time canonicalizer for rollup shadow rows, chaining to an
@@ -560,14 +519,32 @@ struct TierState {
     next_gen: u8,
 }
 
+/// The cells one writer call seals, and the value it is writing.
+#[derive(Default)]
+struct Sealed {
+    cells: PutBatch,
+    value: Vec<u8>,
+}
+
+impl Sealed {
+    /// The cells sealed so far, in a batch sized to them. The writer keeps
+    /// its own batch and value buffer, so a steady call grows neither.
+    fn take(&mut self) -> PutBatch {
+        let cells = self.cells.clone();
+        self.cells.clear();
+        cells
+    }
+}
+
 /// Write-path rollup maintainer: a [`PutObserver`] that accumulates every
 /// acknowledged point into per-tier open buckets and emits sealed cells.
 pub struct RollupWriter {
     codec: KeyCodec,
     tiers: Vec<u64>,
     writer_id: u8,
-    /// `[series id][tier]`, flattened; grown as series appear.
-    state: Mutex<Vec<TierState>>,
+    /// `[series id][tier]`, flattened and grown as series appear, and the
+    /// cells being sealed.
+    state: Mutex<(Vec<TierState>, Sealed)>,
 }
 
 impl RollupWriter {
@@ -589,7 +566,7 @@ impl RollupWriter {
             codec,
             tiers,
             writer_id,
-            state: Mutex::new(Vec::new()),
+            state: Mutex::default(),
         }
     }
 
@@ -598,18 +575,20 @@ impl RollupWriter {
         &self.tiers
     }
 
-    /// Seal the bucket of `state`, if open, into its cell.
-    fn seal(&self, state: &mut TierState) -> Option<KeyValue> {
-        let (_, row) = state.row.as_ref().filter(|_| state.open)?;
+    /// Seal the bucket of `state`, if open, into a cell of `sealed`: its
+    /// qualifier and value written straight into the batch's columns.
+    fn seal(&self, state: &mut TierState, sealed: &mut Sealed) {
+        let Some((_, row)) = state.row.as_ref().filter(|_| state.open) else {
+            return;
+        };
         state.open = false;
         let b = &state.bucket;
         let span = self.codec.config().row_span_secs;
-        Some(KeyValue::new(
-            row.clone(),
-            encode_qualifier((b.start % span) as u16, self.writer_id, b.gen),
-            b.start * 1000 + b.count,
-            encode_value(b.min, b.max, b.sum, b.count, &state.bitmap),
-        ))
+        let Sealed { cells, value } = sealed;
+        value.clear();
+        write_value(value, b.min, b.max, b.sum, b.count, &state.bitmap);
+        let qualifier = qualifier((b.start % span) as u16, self.writer_id, b.gen);
+        cells.push(row, &qualifier, b.start * 1000 + b.count, value);
     }
 
     /// Fold point `(ts, value)` of `series` into its tier-`tier` state,
@@ -621,7 +600,7 @@ impl RollupWriter {
         series: &Series,
         tier: u64,
         (ts, value): (u64, f64),
-        sealed: &mut Vec<KeyValue>,
+        sealed: &mut Sealed,
     ) {
         // Buckets start on multiples of the tier: the open one holds `ts`
         // when `ts` lies less than a tier past its start.
@@ -632,7 +611,7 @@ impl RollupWriter {
         };
         let bit = (ts - bucket) as usize;
         if !in_open {
-            sealed.extend(self.seal(state));
+            self.seal(state, sealed);
             let resumes = state.row.is_some() && state.bucket.start == bucket;
             state.open = true;
             // A fresh bucket under the next generation — unless this is
@@ -688,9 +667,9 @@ impl PutObserver for RollupWriter {
     /// then the run's points in order. A series' cells seal in the order
     /// a point-by-point fold seals them; only cells of different series
     /// or tiers come out in another order.
-    fn on_batch(&self, runs: &SeriesRuns) -> Vec<KeyValue> {
-        let mut sealed = Vec::new();
-        let mut states = self.state.lock();
+    fn on_batch(&self, runs: &SeriesRuns) -> PutBatch {
+        let mut guard = self.state.lock();
+        let (states, sealed) = &mut *guard;
         let tiers = self.tiers.len();
         for run in runs.iter() {
             if run.series.metric().starts_with(RESERVED_PREFIX) {
@@ -702,20 +681,21 @@ impl PutObserver for RollupWriter {
             }
             for (&tier, state) in self.tiers.iter().zip(&mut states[first..]) {
                 for point in run.points() {
-                    self.fold(state, run.series, tier, point, &mut sealed);
+                    self.fold(state, run.series, tier, point, sealed);
                 }
             }
         }
-        sealed
+        sealed.take()
     }
 
     /// Seals in series-id order, tier by tier.
-    fn flush(&self) -> Vec<KeyValue> {
-        let mut states = self.state.lock();
-        states
-            .iter_mut()
-            .filter_map(|state| self.seal(state))
-            .collect()
+    fn flush(&self) -> PutBatch {
+        let mut guard = self.state.lock();
+        let (states, sealed) = &mut *guard;
+        for state in states {
+            self.seal(state, sealed);
+        }
+        sealed.take()
     }
 }
 
@@ -744,6 +724,15 @@ mod tests {
         let mut runs = SeriesRuns::new();
         runs.group(c, [&points[..]]).unwrap();
         runs
+    }
+
+    /// Sealed cells of `tier`-second buckets, decoded.
+    fn decoded(c: &KeyCodec, tier: u64, cells: &[KeyValue]) -> Vec<RollupCell> {
+        let mut decoder = CellDecoder::new(c, tier);
+        cells
+            .iter()
+            .map(|kv| decoder.decode(kv).expect("a rollup cell"))
+            .collect()
     }
 
     #[test]
@@ -780,9 +769,13 @@ mod tests {
         assert!(w
             .on_batch(&points(&c, "energy", &[(10, 2.0), (20, 4.0)]))
             .is_empty());
-        let sealed = w.on_batch(&points(&c, "energy", &[(61, 7.0)]));
+        let sealed = decoded(
+            &c,
+            60,
+            &w.on_batch(&points(&c, "energy", &[(61, 7.0)])).into_kvs(),
+        );
         assert_eq!(sealed.len(), 1);
-        let cell = decode_cell(&c, 60, &sealed[0]).unwrap();
+        let cell = &sealed[0];
         assert_eq!(cell.bucket, 0);
         assert_eq!(
             (cell.min, cell.max, cell.sum, cell.count),
@@ -800,8 +793,7 @@ mod tests {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 0);
         w.on_batch(&points(&c, "energy", &[(5, 1.0), (5, 100.0)]));
-        let sealed = w.flush();
-        let cell = decode_cell(&c, 60, &sealed[0]).unwrap();
+        let cell = &decoded(&c, 60, &w.flush().into_kvs())[0];
         assert_eq!(cell.count, 1, "same second must not double-count");
         assert_eq!(cell.sum, 1.0);
     }
@@ -814,13 +806,13 @@ mod tests {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 2);
         w.on_batch(&points(&c, "energy", &[(5, 1.0)]));
-        let first = w.flush();
+        let first = w.flush().into_kvs();
         assert_eq!(first.len(), 1);
         assert!(w.flush().is_empty(), "nothing left open");
         w.on_batch(&points(&c, "energy", &[(6, 2.0), (5, 9.0)]));
-        let second = w.flush();
-        let a = decode_cell(&c, 60, &first[0]).unwrap();
-        let b = decode_cell(&c, 60, &second[0]).unwrap();
+        let second = w.flush().into_kvs();
+        let a = &decoded(&c, 60, &first)[0];
+        let b = &decoded(&c, 60, &second)[0];
         assert_eq!((a.bucket, a.writer, a.gen), (b.bucket, b.writer, b.gen));
         assert_eq!(first[0].qualifier, second[0].qualifier);
         assert!(second[0].timestamp > first[0].timestamp);
@@ -828,9 +820,8 @@ mod tests {
         assert_eq!((b.min, b.max, b.sum, b.count), (1.0, 2.0, 3.0, 2));
         // Another bucket, then this one again: a fresh generation.
         let minute = w.on_batch(&points(&c, "energy", &[(61, 1.0), (7, 4.0)]));
-        assert_eq!(decode_cell(&c, 60, &minute[0]).unwrap().bucket, 60);
-        let third = w.flush();
-        let late = decode_cell(&c, 60, &third[0]).unwrap();
+        assert_eq!(decoded(&c, 60, &minute.into_kvs())[0].bucket, 60);
+        let late = &decoded(&c, 60, &w.flush().into_kvs())[0];
         assert_eq!((late.bucket, late.count), (0, 1));
         assert_ne!(late.gen, a.gen);
     }
@@ -845,10 +836,10 @@ mod tests {
 
     /// The point-by-point fold `on_batch` ran before it read runs: every
     /// point in put order, tier by tier. The oracle of the run fold.
-    fn fold_points(w: &RollupWriter, points: &[(Arc<Series>, u64, f64)]) -> Vec<KeyValue> {
+    fn fold_points(w: &RollupWriter, points: &[(Arc<Series>, u64, f64)]) -> PutBatch {
         let span = w.codec.config().row_span_secs;
-        let mut sealed = Vec::new();
-        let mut states = w.state.lock();
+        let mut guard = w.state.lock();
+        let (states, sealed) = &mut *guard;
         for (series, ts, value) in points {
             let (ts, value) = (*ts, *value);
             let first = series.id() as usize * w.tiers.len();
@@ -862,7 +853,7 @@ mod tests {
                     if series.metric().starts_with(RESERVED_PREFIX) {
                         break;
                     }
-                    sealed.extend(w.seal(state));
+                    w.seal(state, sealed);
                     let resumes = state.row.is_some() && state.bucket.start == bucket;
                     state.open = true;
                     if !resumes {
@@ -897,12 +888,13 @@ mod tests {
                 open.count += 1;
             }
         }
-        sealed
+        sealed.take()
     }
 
     /// Cells as `(row, qualifier, version, value)`, sorted: what a store
     /// keeps of them, whatever order they were sealed in.
-    fn stored(mut cells: Vec<KeyValue>) -> Vec<KeyValue> {
+    fn stored(sealed: PutBatch) -> Vec<KeyValue> {
+        let mut cells = sealed.into_kvs();
         cells.sort();
         cells
     }
@@ -956,13 +948,13 @@ mod tests {
             assert_eq!(by_runs, stored(fold_points(&oracle, points)), "put {k}");
             sealed.extend(by_runs);
             if k == 0 {
-                let flushed = runs_writer.flush();
-                assert_eq!(flushed, oracle.flush(), "flush after put {k}");
+                let flushed = runs_writer.flush().into_kvs();
+                assert_eq!(flushed, oracle.flush().into_kvs(), "flush after put {k}");
                 sealed.extend(flushed);
             }
         }
-        let flushed = runs_writer.flush();
-        assert_eq!(flushed, oracle.flush(), "last flush");
+        let flushed = runs_writer.flush().into_kvs();
+        assert_eq!(flushed, oracle.flush().into_kvs(), "last flush");
         sealed.extend(flushed);
         // 22 minutes and 3 ten-minute buckets a series, a few twice.
         assert!(sealed.len() >= 3 * 25, "{} cells sealed", sealed.len());
@@ -991,10 +983,9 @@ mod tests {
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
         a_writer.on_batch(&points(&c, "energy", &[(1, 1.0), (3, 3.0)]));
         b_writer.on_batch(&points(&c, "energy", &[(2, 10.0)]));
-        let cells: Vec<KeyValue> = b_writer
-            .flush()
+        let cells: Vec<KeyValue> = [b_writer.flush(), a_writer.flush()]
             .into_iter()
-            .chain(a_writer.flush())
+            .flat_map(PutBatch::into_kvs)
             .collect();
         let m = merge(&cells);
         assert!(!m.tainted);
@@ -1009,10 +1000,9 @@ mod tests {
         // Both writers saw second 7 — a retried batch delivered twice.
         a_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
         b_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
-        let cells: Vec<KeyValue> = a_writer
-            .flush()
+        let cells: Vec<KeyValue> = [a_writer.flush(), b_writer.flush()]
             .into_iter()
-            .chain(b_writer.flush())
+            .flat_map(PutBatch::into_kvs)
             .collect();
         assert!(merge(&cells).tainted);
         // A bitmap of another tier's width taints too, and folds nothing.
@@ -1040,9 +1030,9 @@ mod tests {
         let c = codec();
         let w = RollupWriter::new(c.clone(), vec![60], 0);
         w.on_batch(&points(&c, "energy", &[(5, 1.0)]));
-        let short = w.flush();
+        let short = w.flush().into_kvs();
         w.on_batch(&points(&c, "energy", &[(6, 1.0), (7, 1.0)]));
-        let long = w.flush();
+        let long = w.flush().into_kvs();
         assert!(long[0].timestamp > short[0].timestamp);
     }
 
@@ -1061,10 +1051,9 @@ mod tests {
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
         a_writer.on_batch(&points(&c, "energy", &[(1, 1.0), (3, 3.0)]));
         b_writer.on_batch(&points(&c, "energy", &[(2, 10.0)]));
-        let mut cells: Vec<KeyValue> = a_writer
-            .flush()
+        let mut cells: Vec<KeyValue> = [a_writer.flush(), b_writer.flush()]
             .into_iter()
-            .chain(b_writer.flush())
+            .flat_map(PutBatch::into_kvs)
             .collect();
         cells.sort();
         let row = cells[0].row.clone();
@@ -1075,7 +1064,7 @@ mod tests {
             .rewrite_row(&compactor_ctx(&row), &cells.into())
             .expect("disjoint bucket must canonicalize");
         assert_eq!(out.len(), 1);
-        let canon = decode_cell(&c, 60, &out[0]).unwrap();
+        let canon = &decoded(&c, 60, &out)[0];
         assert_eq!(
             (canon.min, canon.max, canon.sum, canon.count),
             (expected.min, expected.max, expected.sum, expected.count)
@@ -1092,10 +1081,9 @@ mod tests {
         let b_writer = RollupWriter::new(c.clone(), vec![60], 1);
         a_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
         b_writer.on_batch(&points(&c, "energy", &[(7, 1.0)]));
-        let mut cells: Vec<KeyValue> = a_writer
-            .flush()
+        let mut cells: Vec<KeyValue> = [a_writer.flush(), b_writer.flush()]
             .into_iter()
-            .chain(b_writer.flush())
+            .flat_map(PutBatch::into_kvs)
             .collect();
         cells.sort();
         let row = cells[0].row.clone();

@@ -196,7 +196,7 @@ impl Pair {
             .collect();
         let mut runs = SeriesRuns::new();
         runs.group(&self.codec, [&resolved[..]]).unwrap();
-        self.cells.extend(self.writer.on_batch(&runs));
+        self.cells.extend(self.writer.on_batch(&runs).into_kvs());
         for &(tags, ts, _) in points {
             self.model_codec.row_key(metric, tags, ts);
         }
@@ -204,7 +204,7 @@ impl Pair {
     }
 
     fn flush(&mut self) {
-        self.cells.extend(self.writer.flush());
+        self.cells.extend(self.writer.flush().into_kvs());
         self.model_cells.extend(self.model.flush());
     }
 
@@ -325,8 +325,8 @@ fn six_hundred_single_point_flushes_into_one_bucket_lose_nothing() {
     let mut cells = Vec::new();
     for ts in 0..600u64 {
         runs.group(&c, [&[(id, ts, 1.0)][..]]).unwrap();
-        cells.extend(w.on_batch(&runs));
-        cells.extend(w.flush());
+        cells.extend(w.on_batch(&runs).into_kvs());
+        cells.extend(w.flush().into_kvs());
     }
     assert!(w.flush().is_empty(), "a flush leaves nothing open");
     // What a store keeps: the newest version of each `(row, qualifier)`.

@@ -362,14 +362,6 @@ impl Normal {
             *v = self.sample(rng);
         }
     }
-
-    /// CDF of this distribution at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x >= self.mean { 1.0 } else { 0.0 };
-        }
-        normal_cdf((x - self.mean) / self.std_dev)
-    }
 }
 
 /// One standard-normal draw via the Marsaglia polar method.
@@ -450,13 +442,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
         assert!((mean - 3.0).abs() < 0.02, "mean {mean}");
         assert!((var - 4.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn degenerate_normal_cdf_is_step() {
-        let d = Normal::new(1.0, 0.0);
-        assert_eq!(d.cdf(0.999), 0.0);
-        assert_eq!(d.cdf(1.0), 1.0);
     }
 
     #[test]

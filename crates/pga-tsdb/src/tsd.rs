@@ -10,13 +10,18 @@
 //! series-row rollover triggers a read-modify-write of the finished row
 //! (one extra scan RPC + one extra put RPC), exactly the extra chatter the
 //! paper eliminated; experiment E8 measures the difference.
+//!
+//! Every cell the TSD writes lies in the columns of a [`PutBatch`]: a
+//! put's raw cells, the derived cells its [`PutObserver`] seals (buffered
+//! in one batch until a put carries them) and the compaction model's
+//! consolidated cell.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pga_minibase::{CellRef, Client, ClientError, KeyValue, PutBatch, RowRange};
+use pga_minibase::{CellRef, Client, ClientError, PutBatch, RowRange};
 
 use crate::block::BlockError;
 use crate::codec::KeyCodec;
@@ -28,11 +33,13 @@ pub type BatchPoint<'a> = (&'a [(&'a str, &'a str)], u64, f64);
 
 /// Write-path observer: sees every **successfully acknowledged** batch and
 /// may derive extra cells (rollup pre-aggregates, indexes) to be persisted
-/// alongside the raw data. Derived cells are buffered by the TSD and ride
-/// along with the *next* storage RPC, so a failed batch never
-/// contributes — the observer only accumulates data the storage layer has
-/// acked, and buffered cells are retried until a put succeeds (or
-/// [`Tsd::flush_observer`] writes them out).
+/// alongside the raw data. Derived cells come back as a [`PutBatch`], the
+/// form every cell takes below the TSD. The TSD buffers them, in one batch,
+/// and they ride along with the *next* storage RPC, so a failed batch
+/// never contributes — the observer only accumulates data the storage
+/// layer has acked, and buffered cells are retried until a put succeeds
+/// (or [`Tsd::flush_observer`] writes them out). The TSD holds no lock
+/// while an observer runs.
 pub trait PutObserver: Send + Sync {
     /// `runs` were durably acknowledged: the put's points, one run per
     /// series, each series' points in the order they arrived (the order
@@ -41,10 +48,10 @@ pub trait PutObserver: Send + Sync {
     /// sealed by this batch's arrival). Every series comes from one table
     /// — the codec's of the TSD the observer is installed on — so state
     /// may be kept by [`crate::Series::id`], and looked up once a run.
-    fn on_batch(&self, runs: &SeriesRuns) -> Vec<KeyValue>;
+    fn on_batch(&self, runs: &SeriesRuns) -> PutBatch;
 
     /// Seal and return every open accumulator (shutdown / idle flush).
-    fn flush(&self) -> Vec<KeyValue>;
+    fn flush(&self) -> PutBatch;
 }
 
 /// TSD configuration.
@@ -228,8 +235,9 @@ pub struct Tsd {
     put_runs: Mutex<Option<SeriesRuns>>,
     /// Write-path observer (rollup maintenance), if installed.
     observer: parking_lot::RwLock<Option<Arc<dyn PutObserver>>>,
-    /// Observer-derived cells awaiting the next successful put.
-    pending_derived: Mutex<Vec<KeyValue>>,
+    /// Observer-derived cells awaiting the next successful put, in the
+    /// order they were sealed.
+    pending_derived: Mutex<PutBatch>,
     /// Highest acknowledged write timestamp — the seal watermark. The
     /// compaction rewriter only seals rows wholly below it, so a row with
     /// in-flight writers is never frozen mid-fill.
@@ -251,7 +259,7 @@ impl Tsd {
             rows: Mutex::new(Vec::new()),
             put_runs: Mutex::new(None),
             observer: parking_lot::RwLock::new(None),
-            pending_derived: Mutex::new(Vec::new()),
+            pending_derived: Mutex::default(),
             seal_watermark: Arc::new(AtomicU64::new(0)),
             scrub: pga_minibase::ScrubState::new(),
         }
@@ -324,27 +332,32 @@ impl Tsd {
     /// cells. On failure the cells stay buffered for the next attempt.
     pub fn flush_observer(&self) -> Result<(), TsdError> {
         let observer = self.observer.read().clone();
-        let mut cells = std::mem::take(&mut *self.pending_derived.lock());
         if let Some(obs) = observer {
-            cells.extend(obs.flush());
+            let sealed = obs.flush();
+            self.pending_derived.lock().append(sealed);
         }
-        if cells.is_empty() {
+        self.put_with_derived(PutBatch::new())
+    }
+
+    /// Put `batch` with the buffered derived cells after it, in a single
+    /// storage RPC per region; nothing to put is no RPC. The put's batch
+    /// copies the derived cells: if it fails they are buffered again,
+    /// ahead of any sealed since, and `batch` itself is the caller's to
+    /// retry.
+    fn put_with_derived(&self, mut batch: PutBatch) -> Result<(), TsdError> {
+        let carried = std::mem::take(&mut *self.pending_derived.lock());
+        batch.extend_from(&carried);
+        if batch.is_empty() {
             return Ok(());
         }
-        // The batch copies the cells' bytes; the cells stay here, to be
-        // re-buffered if the put fails.
-        match self.client.put(cells.as_slice()) {
-            Ok(_) => {
-                self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                let mut pending = self.pending_derived.lock();
-                cells.append(&mut pending);
-                *pending = cells;
-                Err(e.into())
-            }
+        if let Err(e) = self.client.put(batch) {
+            let mut pending = self.pending_derived.lock();
+            let since = std::mem::replace(&mut *pending, carried);
+            pending.append(since);
+            return Err(e.into());
         }
+        self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Shared metrics handle.
@@ -426,7 +439,7 @@ impl Tsd {
         let Some(newest) = newest else {
             return Ok(());
         };
-        let (mut batch, finished) = self.raw_cells(runs);
+        let (batch, finished) = self.raw_cells(runs);
         if self.config.write_path_compaction {
             for row in finished {
                 self.compact_row(row)?;
@@ -434,26 +447,7 @@ impl Tsd {
         }
         let n = batch.len() as u64;
         // Derived cells buffered by the observer ride along with this RPC.
-        let carried: Vec<KeyValue> = std::mem::take(&mut *self.pending_derived.lock());
-        let carried_n = carried.len();
-        let qualifier_bytes = carried.iter().map(|kv| kv.qualifier.len()).sum();
-        let value_bytes = carried.iter().map(|kv| kv.value.len()).sum();
-        batch.reserve(carried_n, qualifier_bytes, value_bytes);
-        for kv in &carried {
-            batch.push(&kv.row, &kv.qualifier, kv.timestamp, &kv.value);
-        }
-        if let Err(e) = self.client.put(batch) {
-            // Re-buffer the derived cells (ahead of any buffered since);
-            // the raw batch itself is the caller's to retry.
-            if carried_n > 0 {
-                let mut pending = self.pending_derived.lock();
-                let mut restored = carried;
-                restored.append(&mut pending);
-                *pending = restored;
-            }
-            return Err(e.into());
-        }
-        self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
+        self.put_with_derived(batch)?;
         self.metrics.points_written.fetch_add(n, Ordering::Relaxed);
         self.seal_watermark.fetch_max(newest, Ordering::AcqRel);
         // Only acknowledged points reach the observer: a failed batch
@@ -462,9 +456,7 @@ impl Tsd {
         let observer = self.observer.read().clone();
         if let Some(obs) = observer {
             let sealed = obs.on_batch(runs);
-            if !sealed.is_empty() {
-                self.pending_derived.lock().extend(sealed);
-            }
+            self.pending_derived.lock().append(sealed);
         }
         Ok(())
     }
@@ -519,12 +511,15 @@ impl Tsd {
         (batch, finished)
     }
 
-    /// The write-path compaction model: read a finished row back and
-    /// rewrite it as one consolidated cell.
+    /// The write-path compaction model: read a finished row back, through
+    /// views of the scanned cells, and rewrite it as one consolidated
+    /// cell.
     fn compact_row(&self, row: Bytes) -> Result<(), TsdError> {
         let mut end = row.to_vec();
         end.push(0);
-        let cells = self.client.scan(&RowRange::new(row.clone(), end))?;
+        let cells = self
+            .client
+            .scan_spec(&RowRange::new(row.clone(), end).into())?;
         self.metrics.scan_rpcs.fetch_add(1, Ordering::Relaxed);
         if cells.is_empty() {
             return Ok(());
@@ -533,15 +528,12 @@ impl Tsd {
         // wide column.
         let mut blob = Vec::with_capacity(cells.len() * 10);
         for c in &cells {
-            blob.extend_from_slice(&c.qualifier);
-            blob.extend_from_slice(&c.value);
+            blob.extend_from_slice(c.qualifier);
+            blob.extend_from_slice(c.value);
         }
-        self.client.put(vec![KeyValue::new(
-            row,
-            Bytes::copy_from_slice(&[0xFF, 0xFF]),
-            u64::MAX / 2,
-            blob,
-        )])?;
+        let mut batch = PutBatch::new();
+        batch.push(&row, &[0xFF, 0xFF], u64::MAX / 2, &blob);
+        self.client.put(batch)?;
         self.metrics.put_rpcs.fetch_add(1, Ordering::Relaxed);
         self.metrics.row_compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -660,7 +652,7 @@ mod tests {
     use crate::uid::UidTable;
     use bytes::Bytes;
     use pga_cluster::coordinator::Coordinator;
-    use pga_minibase::{Master, RegionConfig, ServerConfig, TableDescriptor};
+    use pga_minibase::{KeyValue, Master, RegionConfig, ServerConfig, TableDescriptor};
 
     fn tsd(nodes: usize, salt_buckets: u8, compaction: bool) -> (Master, Tsd) {
         let config = KeyCodecConfig {
@@ -694,22 +686,26 @@ mod tests {
     /// any the observer seals later, for the next put or flush to carry.
     #[test]
     fn a_failed_observer_flush_re_buffers_its_cells() {
-        struct Sealed(Mutex<Vec<KeyValue>>);
+        struct Sealed(Mutex<PutBatch>);
         impl PutObserver for Sealed {
-            fn on_batch(&self, _runs: &SeriesRuns) -> Vec<KeyValue> {
-                Vec::new()
+            fn on_batch(&self, _runs: &SeriesRuns) -> PutBatch {
+                PutBatch::new()
             }
-            fn flush(&self) -> Vec<KeyValue> {
+            fn flush(&self) -> PutBatch {
                 std::mem::take(&mut *self.0.lock())
             }
         }
         let (m, t) = tsd(2, 2, false);
         let cell = |q: u8| KeyValue::new(vec![0u8, q], vec![q, 0, 0, 0], 1, vec![q; 40]);
-        t.set_observer(Arc::new(Sealed(Mutex::new(vec![cell(1), cell(2)]))));
-        t.pending_derived.lock().push(cell(0));
+        t.set_observer(Arc::new(Sealed(Mutex::new(PutBatch::from(vec![
+            cell(1),
+            cell(2),
+        ])))));
+        *t.pending_derived.lock() = PutBatch::from(vec![cell(0)]);
         m.shutdown();
         assert!(t.flush_observer().is_err());
-        assert_eq!(*t.pending_derived.lock(), vec![cell(0), cell(1), cell(2)]);
+        let pending = t.pending_derived.lock().clone().into_kvs();
+        assert_eq!(pending, vec![cell(0), cell(1), cell(2)]);
     }
 
     #[test]
@@ -741,12 +737,12 @@ mod tests {
     fn a_series_of_another_table_is_refused_before_anything_is_written() {
         struct Counting(AtomicU64);
         impl PutObserver for Counting {
-            fn on_batch(&self, _: &SeriesRuns) -> Vec<KeyValue> {
+            fn on_batch(&self, _: &SeriesRuns) -> PutBatch {
                 self.0.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
+                PutBatch::new()
             }
-            fn flush(&self) -> Vec<KeyValue> {
-                Vec::new()
+            fn flush(&self) -> PutBatch {
+                PutBatch::new()
             }
         }
         let stacks = [tsd(2, 4, false), tsd(2, 4, false)];

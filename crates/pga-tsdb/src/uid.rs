@@ -24,11 +24,6 @@ impl Uid {
     fn from_counter(c: u32) -> Uid {
         Uid([(c >> 16) as u8, (c >> 8) as u8, c as u8])
     }
-
-    /// Numeric view.
-    pub fn as_u32(self) -> u32 {
-        ((self.0[0] as u32) << 16) | ((self.0[1] as u32) << 8) | self.0[2] as u32
-    }
 }
 
 /// Kind of name being interned.
@@ -155,9 +150,7 @@ mod tests {
         let v = t.get_or_create(UidKind::TagValue, "x");
         // Same first-assigned id in each space — they do not collide
         // because the spaces are separate.
-        assert_eq!(m.as_u32(), 1);
-        assert_eq!(k.as_u32(), 1);
-        assert_eq!(v.as_u32(), 1);
+        assert_eq!([m, k, v], [Uid([0, 0, 1]); 3]);
     }
 
     #[test]
@@ -184,8 +177,8 @@ mod tests {
         }
         let set: std::collections::HashSet<_> = uids.iter().collect();
         assert_eq!(set.len(), 300);
-        assert_eq!(uids[0].as_u32(), 1);
-        assert_eq!(uids[299].as_u32(), 300);
+        assert_eq!(uids[0], Uid([0, 0, 1]));
+        assert_eq!(uids[299], Uid([0, 1, 44]));
         // Byte layout is big-endian-ish: 256th id rolls the middle byte.
         assert_eq!(uids[255].0, [0, 1, 0]);
     }

@@ -153,14 +153,14 @@ struct Recording {
 }
 
 impl pga_tsdb::PutObserver for Recording {
-    fn on_batch(&self, runs: &pga_tsdb::SeriesRuns) -> Vec<pga_minibase::KeyValue> {
+    fn on_batch(&self, runs: &pga_tsdb::SeriesRuns) -> pga_minibase::PutBatch {
         let mut seen = self.seen.lock().unwrap();
         let points = runs.iter().flat_map(|run| run.points());
         seen.push(points.map(|(ts, v)| (ts, v.to_bits())).collect());
         self.writer.on_batch(runs)
     }
 
-    fn flush(&self) -> Vec<pga_minibase::KeyValue> {
+    fn flush(&self) -> pga_minibase::PutBatch {
         self.writer.flush()
     }
 }

@@ -18,6 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pga_detect::{train_unit, OnlineEvaluator};
@@ -196,6 +197,63 @@ fn a_resolved_batch_allocates_for_cells_and_a_repeat_lookup_not_at_all() {
     );
     assert_eq!(fifty, hundred, "50 points a series, then 100");
     assert!(fifty <= PER_BATCH, "{fifty} allocations for 12 800 samples");
+}
+
+/// Allocations of a put that seals a rollup cell a series a tier, and of
+/// the observer flush after it, for `series` series with 60 s and 600 s
+/// tiers. The put crosses a bucket boundary of both tiers; the flush seals
+/// the buckets it opened and puts every buffered cell at once. Earlier
+/// puts and a flush of the same shape warm the writer, the row slots and
+/// the open buckets.
+fn sealing_put_and_flush(series: u64) -> u64 {
+    let stack = IngestionPipeline::new(2, 1, series as usize);
+    let tsd = stack.tsd();
+    tsd.set_observer(Arc::new(RollupWriter::new(
+        tsd.codec().clone(),
+        vec![60, 600],
+        0,
+    )));
+    let mut names = SensorSeries::new(tsd.codec().clone(), 1);
+    let ids: Vec<u32> = (0..series as u32).map(|s| names.get(0, s).0).collect();
+    let tick =
+        |ts: u64| -> Vec<SeriesPoint> { ids.iter().map(|&id| (id, ts, ts as f64)).collect() };
+    let mut runs = SeriesRuns::new();
+    let mut put = |part: &[SeriesPoint]| {
+        runs.group(tsd.codec(), [part])?;
+        tsd.put_series_batch(&runs)
+    };
+    // 600 seals second 540's and second 0's buckets, the flush 600's;
+    // 1 195 resumes the 600 s bucket the flush sealed.
+    for ts in [595, 600] {
+        put(&tick(ts)).unwrap();
+    }
+    tsd.flush_observer().unwrap();
+    put(&tick(1_195)).unwrap();
+    let crossing = tick(1_200);
+    let puts = tsd.metrics().put_rpcs.load(Ordering::Relaxed);
+    let (result, count) = allocations(|| {
+        put(&crossing)?;
+        tsd.flush_observer()
+    });
+    result.unwrap();
+    let sealed = stack.tsd().metrics().put_rpcs.load(Ordering::Relaxed) - puts;
+    assert_eq!(sealed, 2, "the put and the flush, one RPC each");
+    stack.shutdown();
+    count
+}
+
+/// Sealing writes each rollup cell into batch columns: a put that seals
+/// 2 cells a series and the flush that seals 2 more allocate as often at
+/// 256 series as at 1 024. When a sealed cell was an owned cell with its
+/// own qualifier and value, 4 096 more cells cost 8 192 more allocations.
+#[test]
+fn sealing_rollup_cells_allocates_per_put_not_per_cell() {
+    let (narrow, wide) = (sealing_put_and_flush(256), sealing_put_and_flush(1_024));
+    assert!(narrow >= COLUMNS, "the counter counts: {narrow}");
+    assert_eq!(narrow, wide, "256 series: {narrow}, 1 024 series: {wide}");
+    // Measured 52 at both: two puts' vectors, the sealed batches and
+    // the buffered cells' columns.
+    assert!(narrow <= 2 * PER_BATCH, "{narrow} allocations");
 }
 
 /// The dashboard's text path writes into one buffer: a 24-panel ×
