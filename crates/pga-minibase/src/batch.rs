@@ -279,16 +279,6 @@ impl PutBatch {
         }
     }
 
-    /// Make room for `cells` more cells, each maybe a run of its own,
-    /// `qualifier_bytes` more bytes of qualifiers and `value_bytes` more
-    /// bytes of values, and no more: a kept batch keeps its capacity.
-    pub fn reserve(&mut self, cells: usize, qualifier_bytes: usize, value_bytes: usize) {
-        self.runs.reserve_exact(cells);
-        self.qualifiers.bytes.reserve_exact(qualifier_bytes);
-        self.versions.reserve_exact(cells);
-        self.values.bytes.reserve_exact(value_bytes);
-    }
-
     /// Append one cell. Its qualifier and value are copied into the
     /// batch's columns; the row key is kept once per run.
     #[inline]
@@ -696,16 +686,6 @@ pub(crate) fn word(bytes: &[u8]) -> u64 {
 /// every cell of a series' row-hour.
 fn same_bytes(a: &[u8], b: &[u8]) -> bool {
     (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
-}
-
-impl FromIterator<KeyValue> for PutBatch {
-    fn from_iter<I: IntoIterator<Item = KeyValue>>(kvs: I) -> Self {
-        let mut batch = PutBatch::new();
-        for kv in kvs {
-            batch.push(&kv.row, &kv.qualifier, kv.timestamp, &kv.value);
-        }
-        batch
-    }
 }
 
 /// The cells, in order, neighbours that share a row in one run; the

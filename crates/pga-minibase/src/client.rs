@@ -959,12 +959,12 @@ mod tests {
         let cell = |row: &str, q: u8| KeyValue::new(row.as_bytes().to_vec(), vec![q], 1, vec![q]);
         // Two-byte words: `ab` in a row of each region, and spelled across
         // a word boundary in `xaby`, which does not hold it.
-        c.put(
+        c.put(PutBatch::from(
             ["abxy", "xaby", "xyab"]
                 .iter()
                 .flat_map(|row| (0u8..8).map(move |q| cell(row, q)))
-                .collect::<PutBatch>(),
-        )
+                .collect::<Vec<_>>(),
+        ))
         .unwrap();
         let window = vec![
             ColumnRange::new(vec![2u8], vec![4u8]),

@@ -68,7 +68,7 @@ pub use kv::{CellRef, ColumnRange, KeyValue, RowRange, RowWords, ScanSpec};
 pub use master::{locate, Master, PlacementError, RegionInfo, TableDescriptor};
 pub use memstore::MemStore;
 pub use region::{Region, RegionConfig, RegionId};
-pub use rewrite::{CompactionRewriter, RewriteContext, RewriterHandle};
+pub use rewrite::{CompactionRewriter, RewriteContext, RewriterHandle, RowWriter};
 pub use scanner::{merge_scan, ScanCells};
 pub use scrub::{
     scrub_tick, CellVerifier, QuarantineKey, ScrubFinding, ScrubState, ScrubTickReport,

@@ -18,7 +18,7 @@ use crate::batch::PutBatch;
 use crate::fault::{no_faults, FaultHandle};
 use crate::kv::{CellRef, KeyValue, RowRange, ScanSpec};
 use crate::memstore::MemStore;
-use crate::rewrite::{RewriteContext, RewriterHandle};
+use crate::rewrite::{RewriteContext, RewriterHandle, RowWriter};
 use crate::scanner::{merge_runs, merge_scan, ScanCells};
 use crate::storefile::StoreFile;
 use crate::wal::{SequenceId, WriteAheadLog, MAX_KEY_LEN};
@@ -378,9 +378,11 @@ impl Region {
     /// and the reply is their concatenation; runs that interleave (a
     /// back-fill or re-put that crossed a flush) are merged by
     /// [`merge_scan`], the read path's own merge, the newest file winning
-    /// an exact key. The rewriter reads that reply, and the row goes into
-    /// the output batch by column — a byte range of each column per run —
-    /// unless the rewriter returned a replacement.
+    /// an exact key. The rewriter reads that reply and may write the row's
+    /// replacement, in key order, into a scratch batch the compaction
+    /// keeps; a replacement is appended to the output batch by column,
+    /// and a row with none goes there as the reply holds it — a byte
+    /// range of each column per run.
     pub fn compact(&mut self) {
         if self.files.is_empty() || (self.files.len() <= 1 && self.rewriter.is_none()) {
             return;
@@ -402,7 +404,7 @@ impl Region {
             });
         let mut out = PutBatch::with_capacity(runs, cells, qualifiers, values);
         let drop_sealed_overlap = self.fault.drop_sealed_overlap(self.id);
-        let mut reply = ScanCells::default();
+        let (mut reply, mut replacement) = (ScanCells::default(), PutBatch::new());
         while let Some(row) = inputs.iter().filter_map(Input::row).min().cloned() {
             // The row's run in each input holding it, oldest file first.
             reply.clear();
@@ -419,28 +421,26 @@ impl Region {
                 reply = merge_runs(&reply);
             }
             let ctx = RewriteContext {
-                region: self.id,
                 row: &row,
                 drop_sealed_overlap,
             };
-            let replacement = self
-                .rewriter
-                .as_ref()
-                .and_then(|rewriter| rewriter.rewrite_row(&ctx, &reply))
-                // The output is sorted row by row: cells under another
-                // row would break it, so such an answer is not taken and
-                // the merged row stays (nothing is discarded behind it).
-                .filter(|cells| cells.iter().all(|kv| kv.row == row));
-            let Some(mut cells) = replacement else {
+            replacement.clear();
+            let replaced = self.rewriter.as_ref().is_some_and(|rewriter| {
+                rewriter.rewrite_row(&ctx, &reply, &mut RowWriter::new(&row, &mut replacement))
+            });
+            // A replacement out of key order is not taken: the merged
+            // row stays (nothing is discarded behind a bad answer).
+            let taken = replaced
+                && (0..replacement.runs.len()).all(|r| {
+                    let run = replacement.run(r);
+                    run.ascending(run.cells())
+                });
+            if !taken {
                 reply.copy_into(&mut out);
                 continue;
-            };
-            // Rewriters emit qualifiers in their own order.
-            cells.sort();
-            self.metrics.rewritten_rows += 1;
-            for kv in cells {
-                out.push(&row, &kv.qualifier, kv.timestamp, &kv.value);
             }
+            self.metrics.rewritten_rows += 1;
+            out.extend_from(&replacement);
         }
         self.metrics.compacted_cells += out.len() as u64;
         self.metrics.compactions += 1;
@@ -735,7 +735,8 @@ mod tests {
         let mut r = region();
         for row in ["a1", "a2", "b1", "b2", "c1"] {
             let cells = (0u8..8).map(|q| KeyValue::new(row.to_string(), vec![q], 1, vec![q]));
-            r.put_batch(cells.collect::<PutBatch>()).unwrap();
+            r.put_batch(PutBatch::from(cells.collect::<Vec<_>>()))
+                .unwrap();
             r.flush();
         }
         r.compact();

@@ -3,17 +3,20 @@
 //! HBase lets coprocessors rewrite cells during compaction; MiniBase keeps
 //! the same seam as a small trait. A [`CompactionRewriter`] reads every
 //! row of a compaction's output as a scan of that row answers it, and may
-//! replace the row's cells wholesale — the mechanism `pga-tsdb` uses to
+//! write the row's replacement, straight into the compaction's output
+//! columns, through a [`RowWriter`] — the mechanism `pga-tsdb` uses to
 //! seal finished rows of raw cells into canonical columnar blocks, and
-//! `pga-query` to canonicalize rollup cells. Because MiniBase has no
-//! deletes, compaction-time rewriting is the *only* way cells are ever
-//! physically superseded; a rewriter that loses data loses it forever,
-//! which is why the pga-faultsim compaction oracle exists.
+//! `pga-query` to canonicalize rollup cells. Because MiniBase has no deletes,
+//! compaction-time rewriting is the *only* way cells are ever physically
+//! superseded; a rewriter that loses data loses it forever, which is why
+//! the pga-faultsim compaction oracle exists.
 
 use std::sync::Arc;
 
-use crate::kv::KeyValue;
-use crate::region::RegionId;
+use bytes::Bytes;
+
+use crate::batch::PutBatch;
+use crate::kv::CellRef;
 use crate::scanner::ScanCells;
 
 /// Shared handle to a rewriter (cloned into every region of a server).
@@ -22,8 +25,6 @@ pub type RewriterHandle = Arc<dyn CompactionRewriter>;
 /// Per-row context handed to a rewriter during one compaction.
 #[derive(Debug, Clone, Copy)]
 pub struct RewriteContext<'a> {
-    /// Region being compacted.
-    pub region: RegionId,
     /// Row key shared by every cell in the group.
     pub row: &'a [u8],
     /// Fault-plane injection: when `true`, a deliberately broken rewriter
@@ -34,6 +35,33 @@ pub struct RewriteContext<'a> {
     pub drop_sealed_overlap: bool,
 }
 
+/// Where a rewriter writes one row's replacement: cells appended to a
+/// batch under the row the writer holds, so no other row can be written.
+#[derive(Debug)]
+pub struct RowWriter<'a> {
+    row: &'a Bytes,
+    out: &'a mut PutBatch,
+}
+
+impl<'a> RowWriter<'a> {
+    /// A writer appending `row`'s cells to `out`.
+    pub fn new(row: &'a Bytes, out: &'a mut PutBatch) -> Self {
+        RowWriter { row, out }
+    }
+
+    /// Write one cell of the row.
+    #[inline]
+    pub fn push(&mut self, qualifier: &[u8], version: u64, value: &[u8]) {
+        self.out.push(self.row, qualifier, version, value);
+    }
+
+    /// Write a cell the rewriter keeps as it is.
+    #[inline]
+    pub fn copy(&mut self, cell: CellRef<'_>) {
+        self.push(cell.qualifier, cell.timestamp, cell.value);
+    }
+}
+
 /// Rewrites one row's cells during compaction.
 ///
 /// Implementations must be deterministic and side-effect free on the
@@ -41,21 +69,23 @@ pub struct RewriteContext<'a> {
 pub trait CompactionRewriter: Send + Sync + std::fmt::Debug {
     /// Offered one row's cells as a scan of it answers them: views, sorted
     /// qualifier-ascending, newest version first within a qualifier, each
-    /// exact key once (the newest file's). Return `Some(replacement)` to
-    /// substitute the row's cells, or `None` to keep them. Replacement
-    /// cells must keep the same row key — compaction builds its output row
-    /// by row, so a replacement with a cell under another row is refused
-    /// whole and the row kept; it sorts the replacement itself, so
-    /// qualifier order within the returned vector is free.
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>>;
+    /// exact key once (the newest file's). To replace the row, write its
+    /// cells to `out` in that order, each key once, and return `true`;
+    /// `false` keeps the row (what was written is dropped), and so does
+    /// a replacement whose keys do not ascend.
+    fn rewrite_row(
+        &self,
+        ctx: &RewriteContext<'_>,
+        cells: &ScanCells,
+        out: &mut RowWriter<'_>,
+    ) -> bool;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::RowRange;
-    use crate::region::{Region, RegionConfig};
-    use bytes::Bytes;
+    use crate::kv::{KeyValue, RowRange};
+    use crate::region::{Region, RegionConfig, RegionId};
 
     /// Rewriter that collapses every row to a single marker cell.
     #[derive(Debug)]
@@ -63,16 +93,15 @@ mod tests {
     impl CompactionRewriter for Collapse {
         fn rewrite_row(
             &self,
-            ctx: &RewriteContext<'_>,
+            _: &RewriteContext<'_>,
             cells: &ScanCells,
-        ) -> Option<Vec<KeyValue>> {
-            let newest = cells.iter().map(|c| c.timestamp).max()?;
-            Some(vec![KeyValue {
-                row: Bytes::copy_from_slice(ctx.row),
-                qualifier: Bytes::copy_from_slice(b"sealed"),
-                timestamp: newest,
-                value: Bytes::copy_from_slice(&(cells.len() as u64).to_be_bytes()),
-            }])
+            out: &mut RowWriter<'_>,
+        ) -> bool {
+            let Some(newest) = cells.iter().map(|c| c.timestamp).max() else {
+                return false;
+            };
+            out.push(b"sealed", newest, &(cells.len() as u64).to_be_bytes());
+            true
         }
     }
 
@@ -109,27 +138,29 @@ mod tests {
         assert_eq!(&cells[0].qualifier[..], b"sealed");
     }
 
-    /// Rewriter that answers row `a` with a cell of row `zz`.
+    /// Rewriter that answers row `a` with two cells out of key order.
     #[derive(Debug)]
-    struct Stray;
-    impl CompactionRewriter for Stray {
+    struct Disorder;
+    impl CompactionRewriter for Disorder {
         fn rewrite_row(
             &self,
             ctx: &RewriteContext<'_>,
             cells: &ScanCells,
-        ) -> Option<Vec<KeyValue>> {
-            let mut out = Collapse.rewrite_row(ctx, cells)?;
+            out: &mut RowWriter<'_>,
+        ) -> bool {
             if ctx.row == b"a" {
-                out.push(kv("zz", b"stray", 9));
+                out.push(b"z", 1, b"");
+                out.push(b"a", 1, b"");
+                return true;
             }
-            Some(out)
+            Collapse.rewrite_row(ctx, cells, out)
         }
     }
 
     #[test]
-    fn a_replacement_under_another_row_is_refused_and_the_row_kept() {
+    fn an_out_of_order_replacement_is_refused_and_the_row_kept() {
         let mut r = Region::new(RegionId(1), RowRange::all(), RegionConfig::default());
-        r.set_compaction_rewriter(Arc::new(Stray));
+        r.set_compaction_rewriter(Arc::new(Disorder));
         r.put_batch(vec![kv("a", b"q1", 1), kv("b", b"q1", 1)])
             .unwrap();
         r.flush();
@@ -157,12 +188,18 @@ mod tests {
         assert_eq!(r.metrics().compacted_cells, 4);
     }
 
-    /// Rewriter that declines every row.
+    /// Rewriter that writes a cell, then declines every row.
     #[derive(Debug)]
     struct Decline;
     impl CompactionRewriter for Decline {
-        fn rewrite_row(&self, _: &RewriteContext<'_>, _: &ScanCells) -> Option<Vec<KeyValue>> {
-            None
+        fn rewrite_row(
+            &self,
+            _: &RewriteContext<'_>,
+            _: &ScanCells,
+            out: &mut RowWriter<'_>,
+        ) -> bool {
+            out.push(b"dropped", 1, b"");
+            false
         }
     }
 
@@ -186,5 +223,6 @@ mod tests {
             plain.scan(&RowRange::all()),
             declined.scan(&RowRange::all())
         );
+        assert_eq!(declined.metrics().rewritten_rows, 0);
     }
 }

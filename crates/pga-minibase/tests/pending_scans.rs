@@ -80,7 +80,7 @@ proptest! {
         reverse in any::<bool>(),
     ) {
         let (master, client) = cluster(&splits, factor);
-        client.put(cells.iter().map(cell).collect::<PutBatch>()).unwrap();
+        client.put(PutBatch::from(cells.iter().map(cell).collect::<Vec<_>>())).unwrap();
         let specs: Vec<ScanSpec> = specs.iter().map(spec).collect();
         let blocking: Vec<ScanCells> =
             specs.iter().map(|s| client.scan_spec(s).unwrap()).collect();

@@ -12,7 +12,8 @@ use proptest::prelude::*;
 
 use pga_minibase::{
     concat_region_scans, merge_scan, CellRef, ColumnRange, CompactionRewriter, KeyValue, MemStore,
-    Region, RegionConfig, RegionId, RewriteContext, RowRange, RowWords, ScanCells, ScanSpec,
+    PutBatch, Region, RegionConfig, RegionId, RewriteContext, RowRange, RowWords, RowWriter,
+    ScanCells, ScanSpec,
 };
 
 type ModelKey = (Vec<u8>, Vec<u8>, std::cmp::Reverse<u64>);
@@ -393,6 +394,21 @@ fn tsdb_cell((hour, offset, version, value): (u8, u8, u64, u8)) -> KeyValue {
     )
 }
 
+/// `rewriter`'s replacement for `row`, one row's cells in order: the
+/// cells it writes, or `None` where it keeps the row.
+fn replacement(rewriter: &dyn CompactionRewriter, row: &[KeyValue]) -> Option<Vec<KeyValue>> {
+    let key = &row[0].row;
+    let ctx = RewriteContext {
+        row: key,
+        drop_sealed_overlap: false,
+    };
+    let mut out = PutBatch::new();
+    let cells = ScanCells::from(row.to_vec());
+    rewriter
+        .rewrite_row(&ctx, &cells, &mut RowWriter::new(key, &mut out))
+        .then(|| out.into_kvs())
+}
+
 /// What a major compaction must leave, from the region's answer before
 /// it: per row, the rewriter's replacement, sorted, where it gives one,
 /// and the row's cells where it does not.
@@ -402,13 +418,7 @@ fn compacted_answer(
 ) -> Vec<KeyValue> {
     let mut out = Vec::new();
     for row in before.chunk_by(|a, b| a.row == b.row) {
-        let ctx = RewriteContext {
-            region: RegionId(1),
-            row: &row[0].row,
-            drop_sealed_overlap: false,
-        };
-        let cells = ScanCells::from(row.to_vec());
-        match rewriter.and_then(|r| r.rewrite_row(&ctx, &cells)) {
+        match rewriter.and_then(|r| replacement(r, row)) {
             Some(mut replacement) => {
                 replacement.sort();
                 out.extend(replacement);
@@ -585,12 +595,7 @@ fn flat_compact(
     if let Some(rewriter) = rewriter {
         let mut rewritten = Vec::with_capacity(merged.len());
         for group in merged.chunk_by(|a, b| a.row == b.row) {
-            let ctx = RewriteContext {
-                region: RegionId(1),
-                row: &group[0].row,
-                drop_sealed_overlap: false,
-            };
-            match rewriter.rewrite_row(&ctx, &ScanCells::from(group.to_vec())) {
+            match replacement(rewriter, group) {
                 Some(replacement) => {
                     rewritten_rows += 1;
                     rewritten.extend(replacement);
@@ -604,32 +609,29 @@ fn flat_compact(
     Some((merged, rewritten_rows))
 }
 
-/// Replaces rows whose key ends in an even byte by two summary cells,
-/// emitted out of qualifier order; passes the others.
+/// Replaces rows whose key ends in an even byte by two summary cells;
+/// passes the others.
 #[derive(Debug)]
 struct CollapseEvenRows;
 
 impl CompactionRewriter for CollapseEvenRows {
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>> {
-        if ctx.row.last()? % 2 != 0 {
-            return None;
+    fn rewrite_row(
+        &self,
+        ctx: &RewriteContext<'_>,
+        cells: &ScanCells,
+        out: &mut RowWriter<'_>,
+    ) -> bool {
+        let (Some(newest), Some(first)) =
+            (cells.iter().map(|c| c.timestamp).max(), cells.iter().next())
+        else {
+            return false;
+        };
+        if ctx.row.last().is_none_or(|last| last % 2 != 0) {
+            return false;
         }
-        let newest = cells.iter().map(|c| c.timestamp).max()?;
-        let first = cells.iter().next()?;
-        Some(vec![
-            KeyValue::new(
-                ctx.row.to_vec(),
-                b"z-count".to_vec(),
-                newest,
-                vec![cells.len() as u8],
-            ),
-            KeyValue::new(
-                ctx.row.to_vec(),
-                b"a-first".to_vec(),
-                newest,
-                first.value.to_vec(),
-            ),
-        ])
+        out.push(b"a-first", newest, first.value);
+        out.push(b"z-count", newest, &[cells.len() as u8]);
+        true
     }
 }
 
@@ -735,7 +737,7 @@ proptest! {
         cuts.sort_unstable();
         let mut from = 0;
         for to in cuts.into_iter().chain([cells.len()]) {
-            batched.put_batch(cells[from..to].iter().cloned().collect());
+            batched.put_batch(PutBatch::from(&cells[from..to]));
             from = to;
         }
         prop_assert_eq!(

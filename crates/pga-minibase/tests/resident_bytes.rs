@@ -141,10 +141,16 @@ fn a_region_logs_the_batches_its_memstore_keeps() {
     };
     let mut region = Region::new(RegionId(1), RowRange::all(), manual);
     for put in 0..PUTS {
+        // The raw cells' runs and columns, then room for a run of one
+        // rollup cell a row.
         let cells = ROWS * TICKS;
-        let mut batch = PutBatch::with_capacity(ROWS, cells, cells * 2, cells * 8);
+        let mut batch = PutBatch::with_capacity(
+            2 * ROWS,
+            cells + ROWS,
+            cells * 2 + ROWS * 4,
+            cells * 8 + ROWS * ROLLUP_VALUE,
+        );
         push_raw(&mut batch, put, &rows, &qualifiers);
-        batch.reserve(ROWS, ROWS * 4, ROWS * ROLLUP_VALUE);
         // One sealed bucket a series rides on every put.
         for row in &rollup_rows {
             let qualifier = [0, put as u8, 1, 0];

@@ -21,8 +21,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use pga_minibase::{
-    CellRef, ColumnRange, CompactionRewriter, KeyValue, Region, RegionConfig, RegionId,
-    RewriteContext, RowRange, RowWords, ScanCells, ScanSpec,
+    CellRef, ColumnRange, CompactionRewriter, KeyValue, PutBatch, Region, RegionConfig, RegionId,
+    RewriteContext, RowRange, RowWords, RowWriter, ScanCells, ScanSpec,
 };
 
 /// `StoreFile::select` as it was: the cells of the accepted rows inside
@@ -163,9 +163,17 @@ struct SealZeroRows;
 const BLOCK: &[u8] = b"\xffblock";
 
 impl CompactionRewriter for SealZeroRows {
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>> {
-        if *ctx.row.last()? != 0 {
-            return None;
+    fn rewrite_row(
+        &self,
+        ctx: &RewriteContext<'_>,
+        cells: &ScanCells,
+        out: &mut RowWriter<'_>,
+    ) -> bool {
+        let Some(newest) = cells.iter().map(|kv| kv.timestamp).max() else {
+            return false;
+        };
+        if ctx.row.last() != Some(&0) {
+            return false;
         }
         let mut blob = Vec::new();
         let mut last: Option<&[u8]> = None;
@@ -176,8 +184,8 @@ impl CompactionRewriter for SealZeroRows {
             }
             last = Some(kv.qualifier);
         }
-        let newest = cells.iter().map(|kv| kv.timestamp).max()?;
-        Some(vec![KeyValue::new(ctx.row.to_vec(), BLOCK, newest, blob)])
+        out.push(BLOCK, newest, &blob);
+        true
     }
 }
 
@@ -216,13 +224,17 @@ impl Mirror {
         let merged = merge_scan(sources, priorities);
         let mut out = Vec::with_capacity(merged.len());
         for row in merged.chunk_by(|a, b| a.row == b.row) {
+            let key = &row[0].row;
             let ctx = RewriteContext {
-                region: RegionId(1),
-                row: &row[0].row,
+                row: key,
                 drop_sealed_overlap: false,
             };
             let cells = ScanCells::from(row.to_vec());
-            match rewriter.and_then(|r| r.rewrite_row(&ctx, &cells)) {
+            let mut replacement = PutBatch::new();
+            let replaced = rewriter.is_some_and(|r| {
+                r.rewrite_row(&ctx, &cells, &mut RowWriter::new(key, &mut replacement))
+            });
+            match replaced.then(|| replacement.into_kvs()) {
                 Some(mut sealed) => {
                     sealed.sort();
                     out.append(&mut sealed);

@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use pga_minibase::{CellRef, KeyValue, PutBatch};
+use pga_minibase::{CellRef, KeyValue, PutBatch, RowWriter, ScanCells};
 use pga_tsdb::uid::RESERVED_PREFIX;
 use pga_tsdb::{KeyCodec, PutObserver, Series, SeriesRuns};
 
@@ -82,11 +82,6 @@ pub fn bitmap_len(tier: u64) -> usize {
     tier.div_ceil(8) as usize
 }
 
-/// Encode a rollup cell qualifier.
-pub fn encode_qualifier(offset: u16, writer: u8, gen: u8) -> Bytes {
-    Bytes::copy_from_slice(&qualifier(offset, writer, gen))
-}
-
 /// A rollup cell qualifier's four bytes.
 fn qualifier(offset: u16, writer: u8, gen: u8) -> [u8; 4] {
     let o = offset.to_be_bytes();
@@ -99,13 +94,6 @@ pub fn decode_qualifier(q: &[u8]) -> Option<(u16, u8, u8)> {
         return None;
     }
     Some((u16::from_be_bytes([q[0], q[1]]), q[2], q[3]))
-}
-
-/// Encode a rollup cell value blob.
-pub fn encode_value(min: f64, max: f64, sum: f64, count: u64, bitmap: &[u8]) -> Bytes {
-    let mut v = Vec::with_capacity(32 + bitmap.len());
-    write_value(&mut v, min, max, sum, count, bitmap);
-    Bytes::from(v)
 }
 
 /// Append a rollup value blob to `out`.
@@ -419,8 +407,9 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
     fn rewrite_row(
         &self,
         ctx: &pga_minibase::RewriteContext<'_>,
-        cells: &pga_minibase::ScanCells,
-    ) -> Option<Vec<KeyValue>> {
+        cells: &ScanCells,
+        out: &mut RowWriter<'_>,
+    ) -> bool {
         let shadow = self
             .codec
             .series_of_row(ctx.row)
@@ -429,62 +418,66 @@ impl pga_minibase::CompactionRewriter for RollupCompactor {
             });
         let Some((tier, base)) = shadow else {
             // Not a rollup shadow row: the chained rewriter decides.
-            return self.inner.as_ref()?.rewrite_row(ctx, cells);
+            let inner = self.inner.as_ref();
+            return inner.is_some_and(|inner| inner.rewrite_row(ctx, cells, out));
         };
 
-        // The newest version of each qualifier, in qualifier order, so a
-        // bucket's cells are adjacent and in merge order. Cells we cannot
-        // parse pass through untouched.
-        let mut out: Vec<KeyValue> = Vec::new();
-        let mut valid: Vec<(u16, CellRef<'_>, CellValue<'_>)> = Vec::new();
-        let mut last_qual: Option<&[u8]> = None;
-        for cell in cells {
-            if last_qual == Some(cell.qualifier) {
-                continue; // superseded version
-            }
-            last_qual = Some(cell.qualifier);
-            match (
-                decode_qualifier(cell.qualifier),
-                read_value(tier, cell.value),
-            ) {
-                (Some((offset, _, _)), Some(value)) => valid.push((offset, cell, value)),
-                _ => out.push(cell.to_kv()),
-            }
-        }
-
+        // The newest version of each qualifier, in order: a bucket's cells
+        // are adjacent (but for cells we cannot parse) and in merge order.
+        let mut last: Option<&[u8]> = None;
+        let mut newest = cells
+            .iter()
+            .filter(move |cell| last.replace(cell.qualifier) != Some(cell.qualifier));
+        let (mut merge, mut value) = (BucketMerge::new(tier), Vec::new());
         let mut changed = false;
-        let mut merge = BucketMerge::new(tier);
-        for group in valid.chunk_by(|a, b| a.0 == b.0) {
-            let &[(offset, first, _), _, ..] = group else {
-                out.extend(group.iter().map(|(_, cell, _)| cell.to_kv()));
+        while let Some(first) = newest.next() {
+            let Some((offset, cell)) = parse(tier, &first) else {
+                out.copy(first);
                 continue;
             };
+            // The bucket's stretch: its cells up to the next bucket's.
             merge.clear();
-            for (_, _, value) in group {
-                merge.add(value);
+            merge.add(&cell);
+            let (mut len, mut valid) = (0, 1);
+            for next in newest.clone() {
+                match parse(tier, &next) {
+                    Some((at, _)) if at != offset => break,
+                    Some((_, cell)) => {
+                        merge.add(&cell);
+                        valid += 1;
+                    }
+                    None => {}
+                }
+                len += 1;
             }
+            let stretch = newest.by_ref().take(len);
             let merged = merge.merged();
-            if merged.tainted {
-                // Keep the overlap visible: the executor must recompute.
-                out.extend(group.iter().map(|(_, cell, _)| cell.to_kv()));
+            if valid < 2 || merged.tainted {
+                // One cell is canonical; a taint stays for a recompute.
+                out.copy(first);
+                stretch.for_each(|cell| out.copy(cell));
                 continue;
             }
-            out.push(KeyValue {
-                row: first.row.clone(),
-                qualifier: Bytes::copy_from_slice(first.qualifier),
-                timestamp: (base + offset as u64) * 1000 + merged.count,
-                value: encode_value(
-                    merged.min,
-                    merged.max,
-                    merged.sum,
-                    merged.count,
-                    merge.bitmap(),
-                ),
-            });
+            value.clear();
+            let (min, max, sum, count) = (merged.min, merged.max, merged.sum, merged.count);
+            write_value(&mut value, min, max, sum, count, merge.bitmap());
+            let version = (base + u64::from(offset)) * 1000 + count;
+            out.push(first.qualifier, version, &value);
+            // Cells we cannot parse stay where they sit, after it.
+            stretch
+                .filter(|cell| parse(tier, cell).is_none())
+                .for_each(|cell| out.copy(cell));
             changed = true;
         }
-        changed.then_some(out)
+        changed
     }
+}
+
+/// A rollup cell's offset and value, read in place; `None` for a cell
+/// that is not one of `tier`.
+fn parse<'a>(tier: u64, cell: &CellRef<'a>) -> Option<(u16, CellValue<'a>)> {
+    let (offset, _, _) = decode_qualifier(cell.qualifier)?;
+    Some((offset, read_value(tier, cell.value)?))
 }
 
 /// The accumulators of one bucket.
@@ -704,6 +697,12 @@ mod tests {
     use super::*;
     use pga_tsdb::{KeyCodecConfig, SeriesPoint, UidTable};
 
+    fn encode_value(min: f64, max: f64, sum: f64, count: u64, bitmap: &[u8]) -> Vec<u8> {
+        let mut value = Vec::new();
+        write_value(&mut value, min, max, sum, count, bitmap);
+        value
+    }
+
     fn codec() -> KeyCodec {
         KeyCodec::new(
             KeyCodecConfig {
@@ -755,7 +754,7 @@ mod tests {
 
     #[test]
     fn qualifier_roundtrip() {
-        let q = encode_qualifier(3540, 3, 9);
+        let q = qualifier(3540, 3, 9);
         assert_eq!(q.len(), 4);
         assert_eq!(decode_qualifier(&q), Some((3540, 3, 9)));
         assert_eq!(decode_qualifier(&[0, 1]), None, "raw qualifiers rejected");
@@ -1036,12 +1035,22 @@ mod tests {
         assert!(long[0].timestamp > short[0].timestamp);
     }
 
-    fn compactor_ctx<'a>(row: &'a [u8]) -> pga_minibase::RewriteContext<'a> {
-        pga_minibase::RewriteContext {
-            region: pga_minibase::RegionId(1),
+    /// `compactor`'s answer for `row`: the cells it wrote, or `None`
+    /// when it kept the row.
+    fn compact_row(
+        compactor: &RollupCompactor,
+        row: &Bytes,
+        cells: Vec<KeyValue>,
+    ) -> Option<Vec<KeyValue>> {
+        use pga_minibase::{CompactionRewriter, RewriteContext};
+        let ctx = RewriteContext {
             row,
             drop_sealed_overlap: false,
-        }
+        };
+        let mut out = PutBatch::new();
+        compactor
+            .rewrite_row(&ctx, &cells.into(), &mut RowWriter::new(row, &mut out))
+            .then(|| out.into_kvs())
     }
 
     #[test]
@@ -1059,10 +1068,7 @@ mod tests {
         let row = cells[0].row.clone();
         let expected = merge(&cells);
         let compactor = RollupCompactor::new(c.clone(), None);
-        use pga_minibase::CompactionRewriter;
-        let out = compactor
-            .rewrite_row(&compactor_ctx(&row), &cells.into())
-            .expect("disjoint bucket must canonicalize");
+        let out = compact_row(&compactor, &row, cells).expect("disjoint bucket must canonicalize");
         assert_eq!(out.len(), 1);
         let canon = &decoded(&c, 60, &out)[0];
         assert_eq!(
@@ -1088,11 +1094,8 @@ mod tests {
         cells.sort();
         let row = cells[0].row.clone();
         let compactor = RollupCompactor::new(c.clone(), None);
-        use pga_minibase::CompactionRewriter;
         assert!(
-            compactor
-                .rewrite_row(&compactor_ctx(&row), &cells.into())
-                .is_none(),
+            compact_row(&compactor, &row, cells).is_none(),
             "overlap must stay visible so the executor recomputes"
         );
     }
@@ -1101,15 +1104,11 @@ mod tests {
     fn compactor_delegates_non_rollup_rows_to_inner() {
         let c = codec();
         let compactor = RollupCompactor::new(c.clone(), None);
-        use pga_minibase::CompactionRewriter;
         // A raw-metric row with no inner rewriter: nothing to do.
         let refs: Vec<(&str, &str)> = TAGS.to_vec();
         let row = c.row_key("energy", &refs, 0);
         let kv = KeyValue::new(row.clone(), vec![0u8, 1], 1, 2.0f64.to_be_bytes().to_vec());
-        let cells = vec![kv].into();
-        assert!(compactor
-            .rewrite_row(&compactor_ctx(&row), &cells)
-            .is_none());
+        assert!(compact_row(&compactor, &row, vec![kv]).is_none());
     }
 
     #[test]

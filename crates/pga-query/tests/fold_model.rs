@@ -22,18 +22,21 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+mod cell_format;
+use cell_format::{encode_qualifier, encode_value};
+
 #[path = "../../pga-tsdb/tests/columns_model/mod.rs"]
 mod columns_model;
 
 use pga_cluster::coordinator::Coordinator;
 use pga_minibase::{
-    Client, CompactionRewriter, KeyValue, Master, RegionConfig, RegionId, RewriteContext,
-    ServerConfig, TableDescriptor,
+    Client, CompactionRewriter, KeyValue, Master, PutBatch, RegionConfig, RewriteContext,
+    RowWriter, ServerConfig, TableDescriptor,
 };
 use pga_query::plan::{self, Plan};
 use pga_query::rollup::{
-    bitmap_len, decode_qualifier, decode_value, encode_qualifier, encode_value, fold_buckets,
-    tier_metric, CellDecoder, MergedBucket, RollupCell,
+    bitmap_len, decode_qualifier, decode_value, fold_buckets, tier_metric, CellDecoder,
+    MergedBucket, RollupCell,
 };
 use pga_query::{QueryEngine, QueryEngineConfig, RollupCompactor, RollupWriter};
 use pga_tsdb::{
@@ -277,16 +280,18 @@ proptest! {
         let row = codec.row_key(&tier_metric(TIER, "energy"), SERIES[series], 0);
         let cells: Vec<KeyValue> = cells.into_iter().filter(|kv| kv.row == row).collect();
         let ctx = RewriteContext {
-            region: RegionId(1),
             row: &row,
             drop_sealed_overlap: false,
         };
+        let mut out = PutBatch::new();
+        let replaced =
+            compactor.rewrite_row(&ctx, &cells.clone().into(), &mut RowWriter::new(&row, &mut out));
         let by_bytes = |mut v: Vec<KeyValue>| {
             v.sort_by(|a, b| a.cmp(b).then_with(|| a.value.cmp(&b.value)));
             v
         };
         prop_assert_eq!(
-            compactor.rewrite_row(&ctx, &cells.clone().into()).map(by_bytes),
+            replaced.then(|| out.into_kvs()).map(by_bytes),
             parent_rewrite_row(&codec, TIER, &cells).map(by_bytes)
         );
     }

@@ -17,8 +17,11 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+mod cell_format;
+use cell_format::{encode_qualifier, encode_value};
+
 use pga_minibase::KeyValue;
-use pga_query::rollup::{bitmap_len, encode_qualifier, encode_value, fold_buckets, tier_metric};
+use pga_query::rollup::{bitmap_len, fold_buckets, tier_metric};
 use pga_query::RollupWriter;
 use pga_tsdb::uid::{UidKind, RESERVED_PREFIX};
 use pga_tsdb::{

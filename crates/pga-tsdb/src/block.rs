@@ -117,33 +117,22 @@ impl BitWriter {
         }
     }
 
-    fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.buf.push(0);
-        }
-        if bit {
-            if let Some(last) = self.buf.last_mut() {
-                *last |= 1 << (7 - self.used);
-            }
-        }
-        self.used = (self.used + 1) % 8;
-    }
-
-    /// Write the low `n` bits of `v`, MSB first. `n <= 64`.
+    /// Write the low `n` bits of `v`, MSB first, as many at a time as
+    /// the last byte has room for. `n <= 64`.
     fn write_bits(&mut self, v: u64, n: u8) {
-        let mut i = n;
-        while i > 0 {
-            i -= 1;
-            self.write_bit((v >> i) & 1 == 1);
-        }
-    }
-
-    /// Write the low `n` bits of a u128, MSB first. `n <= 128`.
-    fn write_bits_wide(&mut self, v: u128, n: u8) {
-        let mut i = n;
-        while i > 0 {
-            i -= 1;
-            self.write_bit((v >> i) & 1 == 1);
+        let mut left = u32::from(n);
+        while left > 0 {
+            if self.used == 0 {
+                self.buf.push(0);
+            }
+            let free = 8 - u32::from(self.used);
+            let take = left.min(free);
+            left -= take;
+            let bits = (v >> left) as u8 & (0xFF >> (8 - take));
+            if let Some(last) = self.buf.last_mut() {
+                *last |= bits << (free - take);
+            }
+            self.used = ((u32::from(self.used) + take) % 8) as u8;
         }
     }
 
@@ -180,17 +169,6 @@ impl<'a> BitReader<'a> {
         let mut i = 0;
         while i < n {
             v = (v << 1) | self.read_bit()? as u64;
-            i += 1;
-        }
-        Ok(v)
-    }
-
-    /// Read `n <= 128` bits, MSB first.
-    fn read_bits_wide(&mut self, n: u8) -> Result<u128, BlockError> {
-        let mut v = 0u128;
-        let mut i = 0;
-        while i < n {
-            v = (v << 1) | self.read_bit()? as u128;
             i += 1;
         }
         Ok(v)
@@ -255,7 +233,7 @@ pub fn encode_block(timestamps: &[u64], values: &[f64]) -> Result<Vec<u8>, Block
         let dod = delta - prev_delta;
         let z = zigzag(dod);
         if z == 0 {
-            bits.write_bit(false);
+            bits.write_bits(0, 1);
         } else if z < (1 << 7) {
             bits.write_bits(0b10, 2);
             bits.write_bits(z as u64, 7);
@@ -270,7 +248,8 @@ pub fn encode_block(timestamps: &[u64], values: &[f64]) -> Result<Vec<u8>, Block
             bits.write_bits(z as u64, 32);
         } else {
             bits.write_bits(0b11111, 5);
-            bits.write_bits_wide(z, 66);
+            bits.write_bits((z >> 64) as u64, 2);
+            bits.write_bits(z as u64, 64);
         }
         prev_ts = ts;
         prev_delta = delta;
@@ -289,19 +268,19 @@ pub fn encode_block(timestamps: &[u64], values: &[f64]) -> Result<Vec<u8>, Block
         let vb = v.to_bits();
         let xor = vb ^ prev_bits_v;
         if xor == 0 {
-            bits.write_bit(false);
+            bits.write_bits(0, 1);
         } else {
-            bits.write_bit(true);
+            bits.write_bits(1, 1);
             let leading = (xor.leading_zeros() as u8).min(63);
             let trailing = xor.trailing_zeros() as u8;
             let sig = 64 - leading - trailing;
             let prev_trailing = 64u8.saturating_sub(prev_leading).saturating_sub(prev_sig);
             if prev_sig > 0 && leading >= prev_leading && trailing >= prev_trailing {
                 // Reuse window: shift out the previous trailing zeros.
-                bits.write_bit(false);
+                bits.write_bits(0, 1);
                 bits.write_bits(xor >> prev_trailing, prev_sig);
             } else {
-                bits.write_bit(true);
+                bits.write_bits(1, 1);
                 bits.write_bits(leading as u64, 6);
                 bits.write_bits((sig - 1) as u64, 6);
                 bits.write_bits(xor >> trailing, sig);
@@ -351,36 +330,13 @@ fn read_u64(buf: &[u8], at: usize) -> Result<u64, BlockError> {
 /// Decode a sealed block into flat column slices. Every malformed input —
 /// truncated at any prefix, any byte flipped — yields a typed error.
 pub fn decode_block(buf: &[u8]) -> Result<DecodedBlock, BlockError> {
-    if buf.len() < HEADER_LEN {
-        return Err(BlockError::Truncated {
-            needed: HEADER_LEN,
-            have: buf.len(),
-        });
-    }
-    if buf.get(..4) != Some(&BLOCK_MAGIC[..]) {
-        return Err(BlockError::BadMagic);
-    }
-    let version = buf.get(4).copied().unwrap_or(0);
-    if version != BLOCK_VERSION {
-        return Err(BlockError::UnsupportedVersion(version));
-    }
-    let count = read_u32(buf, 5)? as usize;
-    let first_ts = read_u64(buf, 9)?;
-    let min_ts = read_u64(buf, 17)?;
-    let max_ts = read_u64(buf, 25)?;
-    let stored_crc = read_u32(buf, 33)?;
-    if count == 0 || count > MAX_BLOCK_POINTS {
-        return Err(BlockError::BadCount(count as u64));
-    }
-    let head = buf.get(..33).unwrap_or(&[]);
+    let Header {
+        count,
+        first_ts,
+        min_ts,
+        max_ts,
+    } = header(buf, true)?;
     let payload = buf.get(HEADER_LEN..).unwrap_or(&[]);
-    let computed = crc32_extend(crc32(head), payload);
-    if computed != stored_crc {
-        return Err(BlockError::CrcMismatch {
-            stored: stored_crc,
-            computed,
-        });
-    }
 
     let mut r = BitReader::new(payload);
 
@@ -401,7 +357,7 @@ pub fn decode_block(buf: &[u8]) -> Result<DecodedBlock, BlockError> {
         } else if !r.read_bit()? {
             r.read_bits(32)? as u128
         } else {
-            r.read_bits_wide(66)?
+            (u128::from(r.read_bits(2)?) << 64) | u128::from(r.read_bits(64)?)
         };
         let dod = unzigzag(z);
         let delta = prev_delta.wrapping_add(dod);
@@ -447,10 +403,17 @@ pub fn decode_block(buf: &[u8]) -> Result<DecodedBlock, BlockError> {
     })
 }
 
-/// Peek at a block header without decoding the payload: returns
-/// `(count, min_ts, max_ts)`. The CRC is *not* verified — use for scan
-/// pruning only, never to answer queries.
-pub fn peek_header(buf: &[u8]) -> Result<(usize, u64, u64), BlockError> {
+/// A block's header fields.
+struct Header {
+    count: usize,
+    first_ts: u64,
+    min_ts: u64,
+    max_ts: u64,
+}
+
+/// Read `buf`'s header, its length, magic and version checked; when
+/// `verify`, its count's range and the CRC over the whole buffer too.
+fn header(buf: &[u8], verify: bool) -> Result<Header, BlockError> {
     if buf.len() < HEADER_LEN {
         return Err(BlockError::Truncated {
             needed: HEADER_LEN,
@@ -464,10 +427,34 @@ pub fn peek_header(buf: &[u8]) -> Result<(usize, u64, u64), BlockError> {
     if version != BLOCK_VERSION {
         return Err(BlockError::UnsupportedVersion(version));
     }
-    let count = read_u32(buf, 5)? as usize;
-    let min_ts = read_u64(buf, 17)?;
-    let max_ts = read_u64(buf, 25)?;
-    Ok((count, min_ts, max_ts))
+    let header = Header {
+        count: read_u32(buf, 5)? as usize,
+        first_ts: read_u64(buf, 9)?,
+        min_ts: read_u64(buf, 17)?,
+        max_ts: read_u64(buf, 25)?,
+    };
+    if !verify {
+        return Ok(header);
+    }
+    if header.count == 0 || header.count > MAX_BLOCK_POINTS {
+        return Err(BlockError::BadCount(header.count as u64));
+    }
+    let stored = read_u32(buf, 33)?;
+    let head = buf.get(..33).unwrap_or(&[]);
+    let payload = buf.get(HEADER_LEN..).unwrap_or(&[]);
+    let computed = crc32_extend(crc32(head), payload);
+    if computed != stored {
+        return Err(BlockError::CrcMismatch { stored, computed });
+    }
+    Ok(header)
+}
+
+/// Peek at a block header without decoding the payload: returns
+/// `(count, min_ts, max_ts)`. The CRC is *not* verified — use for scan
+/// pruning only, never to answer queries.
+pub fn peek_header(buf: &[u8]) -> Result<(usize, u64, u64), BlockError> {
+    let h = header(buf, false)?;
+    Ok((h.count, h.min_ts, h.max_ts))
 }
 
 /// Verify a block buffer's integrity — header shape plus whole-buffer
@@ -476,34 +463,7 @@ pub fn peek_header(buf: &[u8]) -> Result<(usize, u64, u64), BlockError> {
 /// passes: `Ok(())` means every header field, including the min/max
 /// timestamp bounds, is trustworthy.
 pub fn verify_block(buf: &[u8]) -> Result<(), BlockError> {
-    if buf.len() < HEADER_LEN {
-        return Err(BlockError::Truncated {
-            needed: HEADER_LEN,
-            have: buf.len(),
-        });
-    }
-    if buf.get(..4) != Some(&BLOCK_MAGIC[..]) {
-        return Err(BlockError::BadMagic);
-    }
-    let version = buf.get(4).copied().unwrap_or(0);
-    if version != BLOCK_VERSION {
-        return Err(BlockError::UnsupportedVersion(version));
-    }
-    let count = read_u32(buf, 5)? as usize;
-    if count == 0 || count > MAX_BLOCK_POINTS {
-        return Err(BlockError::BadCount(count as u64));
-    }
-    let stored_crc = read_u32(buf, 33)?;
-    let head = buf.get(..33).unwrap_or(&[]);
-    let payload = buf.get(HEADER_LEN..).unwrap_or(&[]);
-    let computed = crc32_extend(crc32(head), payload);
-    if computed != stored_crc {
-        return Err(BlockError::CrcMismatch {
-            stored: stored_crc,
-            computed,
-        });
-    }
-    Ok(())
+    header(buf, true).map(|_| ())
 }
 
 /// True if `qualifier` marks a sealed-block cell.

@@ -11,20 +11,21 @@
 //!    writers is never frozen mid-fill; and
 //! 2. it holds raw cells (or more than one sealed block to fold).
 //!
-//! Sealing is a pure rewrite: the raw cells' points and any existing
-//! block's points are merged (raw wins at equal timestamps — a raw cell
-//! that postdates a seal is newer information), sorted, deduplicated, and
-//! encoded as one [`crate::block`] cell. MiniBase has no deletes, so this
-//! rewrite is the only mechanism that ever physically supersedes cells —
-//! which is why the pga-faultsim compaction oracle and the seeded mutant E
-//! (drop-the-overlap, via
+//! Sealing is a pure rewrite, read from the row's cells where they lie:
+//! the raw cells' points, in offset order, and any existing block's are
+//! merged into one timestamp and one value column (raw wins at equal
+//! timestamps — a raw cell that postdates a seal is newer information),
+//! encoded as one [`crate::block`] cell, and written between the row's
+//! other cells, which pass through as they are. MiniBase has no deletes,
+//! so this rewrite is the only mechanism that ever physically supersedes
+//! cells — which is why the pga-faultsim compaction oracle and the seeded
+//! mutant E (drop-the-overlap, via
 //! [`pga_minibase::FaultPlane::drop_sealed_overlap`]) guard this path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
-use pga_minibase::{CellRef, CompactionRewriter, KeyValue, RewriteContext, ScanCells};
+use pga_minibase::{CellRef, CompactionRewriter, RewriteContext, RowWriter, ScanCells};
 
 use crate::block::{self, BLOCK_QUALIFIER};
 
@@ -61,123 +62,157 @@ impl BlockRewriter {
 /// Base time parsed from a TSDB row key, or `None` when the row does not
 /// follow the `[salt][metric:3][base:4][tagk:3 tagv:3]*` layout.
 fn row_base_time(row: &[u8]) -> Option<u64> {
-    if row.len() < 8 || !(row.len() - 8).is_multiple_of(6) {
-        return None;
+    let tags = row.len().checked_sub(8)?;
+    let base = <[u8; 4]>::try_from(row.get(4..8)?).ok()?;
+    tags.is_multiple_of(6)
+        .then(|| u64::from(u32::from_be_bytes(base)))
+}
+
+/// What sealing does with one cell of a row: the newest version of a raw
+/// cell is its (timestamp, value) point and the newest of a block is
+/// folded in, older versions of either are superseded, and the rest —
+/// write-path blobs, rollup qualifiers, raw cells of the wrong length —
+/// is kept as it is.
+enum Role {
+    Point(u64, f64),
+    Block,
+    Superseded,
+    Kept,
+}
+
+/// Each cell of a row whose base time is `base`, in order, with its role.
+fn roles(base: u64, cells: &ScanCells) -> impl Iterator<Item = (CellRef<'_>, Role)> + Clone {
+    let mut last = None;
+    cells.iter().map(move |cell| {
+        let newest = last.replace(cell.qualifier) != Some(cell.qualifier);
+        let raw = <[u8; 2]>::try_from(cell.qualifier)
+            .ok()
+            .filter(|q| *q != [0xFF; 2]);
+        let role = match (raw, <[u8; 8]>::try_from(cell.value)) {
+            _ if block::is_block_qualifier(cell.qualifier) && newest => Role::Block,
+            _ if block::is_block_qualifier(cell.qualifier) => Role::Superseded,
+            (Some(_), _) if !newest => Role::Superseded,
+            (Some(q), Ok(v)) => Role::Point(
+                base + u64::from(u16::from_be_bytes(q)),
+                f64::from_be_bytes(v),
+            ),
+            _ => Role::Kept,
+        };
+        (cell, role)
+    })
+}
+
+/// The points of `sources`, each strictly ascending, merged into one
+/// timestamp column and one value column: at an equal timestamp the
+/// later source wins.
+fn merge_points(sources: &[(&[u64], &[f64])]) -> (Vec<u64>, Vec<f64>) {
+    let len = sources.iter().map(|(ts, _)| ts.len()).sum();
+    let (mut timestamps, mut values) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    let mut next = vec![0; sources.len()];
+    loop {
+        let heads = sources
+            .iter()
+            .zip(&next)
+            .filter_map(|((ts, _), &i)| ts.get(i));
+        let Some(&ts) = heads.min() else {
+            return (timestamps, values);
+        };
+        let mut value = 0.0;
+        for ((timestamps, values), i) in sources.iter().zip(&mut next) {
+            if let Some(&v) = values.get(*i).filter(|_| timestamps.get(*i) == Some(&ts)) {
+                value = v;
+                *i += 1;
+            }
+        }
+        timestamps.push(ts);
+        values.push(value);
     }
-    let b = row.get(4..8)?;
-    let mut b4 = [0u8; 4];
-    b4.copy_from_slice(b);
-    Some(u32::from_be_bytes(b4) as u64)
 }
 
 impl CompactionRewriter for BlockRewriter {
-    fn rewrite_row(&self, ctx: &RewriteContext<'_>, cells: &ScanCells) -> Option<Vec<KeyValue>> {
-        let base = row_base_time(ctx.row)?;
+    fn rewrite_row(
+        &self,
+        ctx: &RewriteContext<'_>,
+        cells: &ScanCells,
+        out: &mut RowWriter<'_>,
+    ) -> bool {
+        let Some(base) = row_base_time(ctx.row) else {
+            return false;
+        };
         // Only seal rows every acked writer has moved past.
         let finished = base
             .checked_add(self.row_span_secs)
             .is_some_and(|end| end <= self.watermark.load(Ordering::Acquire));
         if !finished {
-            return None;
+            return false;
         }
 
-        // Partition the row: raw cells to consume (newest version per
-        // qualifier), existing sealed blocks to fold, everything else
-        // (write-path blobs, rollup qualifiers) passes through untouched.
-        let mut raw: Vec<(u64, f64, u64)> = Vec::new(); // (ts, value, version)
-        let mut sealed: Vec<CellRef<'_>> = Vec::new();
-        let mut passthrough: Vec<KeyValue> = Vec::new();
-        let mut last_qual: Option<&[u8]> = None;
-        for cell in cells {
-            let newest_of_qual = last_qual != Some(cell.qualifier);
-            last_qual = Some(cell.qualifier);
-            if block::is_block_qualifier(cell.qualifier) {
-                if newest_of_qual {
-                    sealed.push(cell);
+        // The raw points to consume, in offset order, and the existing
+        // blocks to fold; everything else passes through untouched.
+        let n = cells.len();
+        let (mut timestamps, mut values) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut blocks, mut version) = (Vec::new(), 0);
+        for (cell, role) in roles(base, cells) {
+            match role {
+                Role::Point(ts, v) => {
+                    timestamps.push(ts);
+                    values.push(v);
                 }
-                // Older block versions are dropped: superseded seals.
-                continue;
+                Role::Block => blocks.push(cell.value),
+                Role::Superseded | Role::Kept => continue,
             }
-            let is_raw = cell.qualifier.len() == 2 && cell.qualifier != [0xFF, 0xFF];
-            if !is_raw {
-                passthrough.push(cell.to_kv());
-                continue;
-            }
-            if !newest_of_qual {
-                continue; // older version of a raw cell: superseded
-            }
-            let (Some(q), Some(v)) = (cell.qualifier.get(..2), cell.value.get(..8)) else {
-                passthrough.push(cell.to_kv());
-                continue;
-            };
-            if cell.value.len() != 8 {
-                passthrough.push(cell.to_kv());
-                continue;
-            }
-            let mut q2 = [0u8; 2];
-            q2.copy_from_slice(q);
-            let offset = u16::from_be_bytes(q2) as u64;
-            let mut v8 = [0u8; 8];
-            v8.copy_from_slice(v);
-            raw.push((base + offset, f64::from_be_bytes(v8), cell.timestamp));
+            version = version.max(cell.timestamp);
         }
-
-        if raw.is_empty() && sealed.len() <= 1 {
-            return None; // nothing to seal or fold
+        if timestamps.is_empty() && blocks.len() <= 1 {
+            return false; // nothing to seal or fold
         }
+        let kept = roles(base, cells);
 
         // Deliberate injection site: mutant E drops the raw cells that
         // overlap an existing seal ("the block is already complete"),
         // silently losing late-arriving acked points. The faithful path
         // always merges.
-        if ctx.drop_sealed_overlap && !sealed.is_empty() {
-            let mut out = passthrough;
-            out.extend(sealed.iter().map(|&c| c.to_kv()));
-            return Some(out);
+        if ctx.drop_sealed_overlap && !blocks.is_empty() {
+            let kept = kept.filter(|(_, role)| matches!(role, Role::Block | Role::Kept));
+            kept.for_each(|(cell, _)| out.copy(cell));
+            return true;
         }
 
-        // Decode existing seals; a block we cannot read means we leave the
-        // whole row untouched — never discard cells behind undecodable
-        // data.
-        let mut merged: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-        let mut version: u64 = 0;
-        for cell in &sealed {
-            let Ok(decoded) = block::decode_block(cell.value) else {
-                return None;
-            };
-            for (&ts, &v) in decoded.timestamps.iter().zip(decoded.values.iter()) {
-                merged.insert(ts, v);
+        // Decode existing seals; a block we cannot read, or whose
+        // timestamps do not ascend, leaves the whole row untouched —
+        // never discard cells behind data we cannot merge.
+        let mut decoded = Vec::with_capacity(blocks.len());
+        for value in blocks {
+            match block::decode_block(value) {
+                Ok(block) if block.timestamps.is_sorted_by(|a, b| a < b) => decoded.push(block),
+                _ => return false,
             }
-            version = version.max(cell.timestamp);
         }
-        for &(ts, v, cell_version) in &raw {
-            merged.insert(ts, v); // raw wins at equal timestamps
-            version = version.max(cell_version);
+        if !decoded.is_empty() {
+            // Raw wins at equal timestamps, a later block over an earlier.
+            let blocks = decoded.iter().map(|b| (&b.timestamps[..], &b.values[..]));
+            let sources: Vec<_> = blocks.chain([(&timestamps[..], &values[..])]).collect();
+            (timestamps, values) = merge_points(&sources);
         }
-        if merged.is_empty() || merged.len() > block::MAX_BLOCK_POINTS {
-            return None;
-        }
-
-        let timestamps: Vec<u64> = merged.keys().copied().collect();
-        let values: Vec<f64> = merged.values().copied().collect();
         let Ok(encoded) = block::encode_block(&timestamps, &values) else {
-            return None; // encoder rejected the row: keep it as-is
+            return false; // encoder rejected the row: keep it as-is
         };
-        let mut out = passthrough;
-        out.push(KeyValue {
-            row: Bytes::copy_from_slice(ctx.row),
-            qualifier: Bytes::copy_from_slice(&BLOCK_QUALIFIER),
-            timestamp: version,
-            value: Bytes::from(encoded),
-        });
-        Some(out)
+
+        // The kept cells in order, the block at its qualifier's place.
+        let kept = kept.filter_map(|(cell, role)| matches!(role, Role::Kept).then_some(cell));
+        let before = |cell: &CellRef<'_>| cell.qualifier < &BLOCK_QUALIFIER[..];
+        kept.clone().take_while(before).for_each(|c| out.copy(c));
+        out.push(&BLOCK_QUALIFIER, version, &encoded);
+        kept.skip_while(before).for_each(|c| out.copy(c));
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pga_minibase::RegionId;
+    use bytes::Bytes;
+    use pga_minibase::{KeyValue, PutBatch};
 
     fn raw_cell(row: &[u8], offset: u16, value: f64, version: u64) -> KeyValue {
         KeyValue::new(
@@ -197,22 +232,22 @@ mod tests {
         row
     }
 
-    fn ctx<'a>(row: &'a [u8], drop_overlap: bool) -> RewriteContext<'a> {
-        RewriteContext {
-            region: RegionId(1),
-            row,
-            drop_sealed_overlap: drop_overlap,
-        }
-    }
-
-    /// `rw`'s answer for `row`, whose cells are `cells`, sorted.
+    /// `rw`'s answer for `row`, whose cells are `cells`, sorted: the
+    /// cells it wrote, or `None` when it kept the row.
     fn rewrite(
         rw: &BlockRewriter,
         row: &[u8],
         drop_overlap: bool,
         cells: &[KeyValue],
     ) -> Option<Vec<KeyValue>> {
-        rw.rewrite_row(&ctx(row, drop_overlap), &ScanCells::from(cells.to_vec()))
+        let ctx = RewriteContext {
+            row,
+            drop_sealed_overlap: drop_overlap,
+        };
+        let (row, mut out) = (Bytes::copy_from_slice(row), PutBatch::new());
+        let cells = ScanCells::from(cells.to_vec());
+        rw.rewrite_row(&ctx, &cells, &mut RowWriter::new(&row, &mut out))
+            .then(|| out.into_kvs())
     }
 
     fn rewriter(span: u64, watermark: u64) -> BlockRewriter {
@@ -340,5 +375,18 @@ mod tests {
             rewrite(&rw, &row, false, &cells).is_none(),
             "never rewrite behind a block we cannot decode"
         );
+    }
+
+    #[test]
+    fn a_block_whose_timestamps_do_not_ascend_freezes_the_row() {
+        let rw = rewriter(3600, u64::MAX);
+        let row = row_key(0);
+        let unsorted = block::encode_block(&[20, 10], &[2.0, 1.0]).unwrap();
+        let mut cells = vec![
+            KeyValue::new(row.clone(), BLOCK_QUALIFIER.to_vec(), 9, unsorted),
+            raw_cell(&row, 1, 2.0, 1000),
+        ];
+        cells.sort();
+        assert!(rewrite(&rw, &row, false, &cells).is_none());
     }
 }

@@ -18,7 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pga_detect::{train_unit, OnlineEvaluator};
@@ -447,11 +447,16 @@ fn region_reads_and_flushes_allocate_per_run_not_per_cell() {
 
 /// Allocations of one major compaction of a `Region` (driven on this
 /// thread): 32 firehose-shaped TSDB rows of 360 raw cells, 45 ticks a row
-/// in each of 8 flushed files, with `rewriter` installed. With `reput` the
-/// last file re-puts the first file's ticks at a higher version, as a
-/// rollup writer re-seals a resumed bucket, so every row's runs
-/// interleave across files.
-fn compaction(rewriter: Option<pga_minibase::RewriterHandle>, reput: bool) -> u64 {
+/// in each of 8 flushed files, with `rewriter` installed, which must
+/// rewrite `rewritten_rows` rows (none, or all into one cell each). With
+/// `reput` the last file re-puts the first file's ticks at a higher
+/// version, as a rollup writer re-seals a resumed bucket, so every row's
+/// runs interleave across files.
+fn compaction(
+    rewriter: Option<pga_minibase::RewriterHandle>,
+    reput: bool,
+    rewritten_rows: u64,
+) -> u64 {
     use pga_minibase::{KeyValue, PutBatch, Region, RegionConfig, RegionId, RowRange};
 
     const ROWS: u32 = 32;
@@ -491,11 +496,12 @@ fn compaction(rewriter: Option<pga_minibase::RewriterHandle>, reput: bool) -> u6
     let ((), count) = allocations(|| region.compact());
     let metrics = region.metrics();
     assert_eq!(metrics.compactions, 1);
-    assert_eq!(metrics.rewritten_rows, 0);
-    assert_eq!(
-        metrics.compacted_cells,
-        u64::from(ROWS * u32::from(TICKS * FILES))
-    );
+    assert_eq!(metrics.rewritten_rows, rewritten_rows);
+    let cells_a_row = match rewritten_rows {
+        0 => u32::from(TICKS * FILES),
+        _ => 1,
+    };
+    assert_eq!(metrics.compacted_cells, u64::from(ROWS * cells_a_row));
     count
 }
 
@@ -506,13 +512,22 @@ fn compaction(rewriter: Option<pga_minibase::RewriterHandle>, reput: bool) -> u6
 /// the read path's merge puts in order. When any rewriter, or runs out of
 /// order, sent a row through owned cells, each cell cost two allocations
 /// (its qualifier and its value): over 23 000 here, against 70 with
-/// neither.
+/// neither. A `BlockRewriter` whose watermark is past every row seals all
+/// 32 into one block each, writing the block straight into the output's
+/// columns: it allocates per row for the block's two point columns and
+/// its encoding, not per cell. When a seal went through a map of points
+/// and owned cells, it cost 81 allocations a row (2 600 here).
 #[test]
 fn a_compaction_allocates_per_row_not_per_cell() {
     let declining = Arc::new(pga_tsdb::BlockRewriter::new(3_600, Arc::default()));
-    let plain = compaction(None, false);
-    let declined = compaction(Some(declining), false);
-    let interleaved = compaction(None, true);
+    let sealing = Arc::new(pga_tsdb::BlockRewriter::new(
+        3_600,
+        Arc::new(AtomicU64::new(u64::MAX)),
+    ));
+    let plain = compaction(None, false, 0);
+    let declined = compaction(Some(declining), false, 0);
+    let interleaved = compaction(None, true, 0);
+    let sealed = compaction(Some(sealing), false, 32);
     // Measured 8, 8 and 680: the output batch's columns and the file's
     // handle, then per interleaved row the merge's sources, heap and
     // reply runs (90 one-cell runs a row).
@@ -523,6 +538,9 @@ fn a_compaction_allocates_per_row_not_per_cell() {
         interleaved <= 32 * 32,
         "{interleaved} allocations merging 32 interleaved rows"
     );
+    // Measured 332, 10 a row: two point columns, the encoder's growing
+    // bit buffer and the encoded block.
+    assert!(sealed <= 32 * 16, "{sealed} allocations sealing 32 rows");
 }
 
 /// A window is scored into a few vectors per call, whatever its width: a
